@@ -26,8 +26,13 @@ lint-concurrency:
 	./bin/fqlint -only lockorder,blockinglock,chandiscipline ./...
 	./bin/fqlint -only lockorder,blockinglock,chandiscipline -json ./... > fqlint-concurrency.json
 
+# One fuzz target per go test invocation: the parser, then the two ends of
+# the wire transport (arbitrary bytes into the serve loop and into the
+# client's Do/Stream).
 fuzz:
 	$(GO) test -fuzz=FuzzParseFusion -fuzztime=30s -run='^$$' ./internal/sqlparse
+	$(GO) test -fuzz=FuzzServerFrame -fuzztime=20s -run='^$$' ./internal/wire
+	$(GO) test -fuzz=FuzzClientFrame -fuzztime=20s -run='^$$' ./internal/wire
 
 # Differential oracle: a 60s soak of random universes against the naive
 # reference executor, writing a shrunk repro artifact on failure, then a

@@ -1,13 +1,9 @@
 package service
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net"
 	"strings"
-	"time"
 
 	"fusionq/internal/wire"
 )
@@ -21,183 +17,48 @@ type QueryReply struct {
 	AnswerCached bool
 }
 
-// Client speaks the wire protocol's query extension to a service Server.
-// A single connection is serialized by a context-honoring slot, mirroring
-// wire.Client; a broken connection is redialed once per call. Safe for
-// concurrent use.
+// Client speaks the wire protocol's query extension to a service Server
+// over one wire.Conn, which owns the connection's serialization, deadlines
+// and reconnection. Safe for concurrent use.
 type Client struct {
-	addr string
-	meta wire.Meta
 	// Chunk, when positive, asks the server to deliver answers in chunks of
 	// at most this many items; the client reassembles them. Set it before
 	// sharing the client across goroutines.
 	Chunk int
 
-	sem  chan struct{}
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
-	bw   *bufio.Writer
+	conn *wire.Conn
 }
 
 // DialService connects to a service server, verifying it speaks the query
 // extension.
 func DialService(ctx context.Context, addr string) (*Client, error) {
-	c := &Client{addr: addr, sem: make(chan struct{}, 1)}
-	if err := c.connect(ctx); err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(ctx, wire.Request{Op: wire.OpMeta})
+	conn, err := wire.DialConn(ctx, addr, func(m wire.Meta) error {
+		if !m.Queries {
+			return fmt.Errorf("service: server %s (%s) does not accept queries — it is a source server, not a mediator service",
+				addr, m.Name)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if resp.Meta == nil {
-		return nil, fmt.Errorf("service: server sent no metadata")
-	}
-	if resp.Meta.Version > wire.ProtocolVersion {
-		_ = c.Close()
-		return nil, fmt.Errorf("service: server %s speaks protocol v%d, this client supports up to v%d",
-			addr, resp.Meta.Version, wire.ProtocolVersion)
-	}
-	if !resp.Meta.Queries {
-		_ = c.Close()
-		return nil, fmt.Errorf("service: server %s (%s) does not accept queries — it is a source server, not a mediator service",
-			addr, resp.Meta.Name)
-	}
-	c.meta = *resp.Meta
-	return c, nil
+	return &Client{conn: conn}, nil
 }
 
-// Meta returns the server's advertised metadata.
-func (c *Client) Meta() wire.Meta { return c.meta }
+// Close closes the connection.
+func (c *Client) Close() error { return c.conn.Close() }
 
 // Query runs one fusion query for tenant. conds are textual conditions;
 // stream asks the service for streaming execution. A shed query returns a
-// *ShedError reconstructed from the response code.
+// *ShedError reconstructed from the response code; other remote errors are
+// plain.
 func (c *Client) Query(ctx context.Context, tenant string, conds []string, stream bool) (*QueryReply, error) {
-	req := wire.Request{Op: wire.OpQuery, Tenant: tenant, Conds: conds, Stream: stream, Chunk: c.Chunk}
-	resp, err := c.roundTrip(ctx, req)
+	resp, err := c.conn.Do(ctx, wire.Request{Op: wire.OpQuery, Tenant: tenant, Conds: conds, Stream: stream, Chunk: c.Chunk})
 	if err != nil {
+		if reason, ok := strings.CutPrefix(resp.Code, "shed:"); ok {
+			return nil, &ShedError{Tenant: tenant, Reason: ShedReason(reason)}
+		}
 		return nil, err
 	}
 	return &QueryReply{Items: resp.Items, PlanCached: resp.PlanCached, AnswerCached: resp.AnswerCached}, nil
-}
-
-func (c *Client) connect(ctx context.Context) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		return fmt.Errorf("service: dial %s: %w", c.addr, err)
-	}
-	c.conn = conn
-	c.bw = bufio.NewWriter(conn)
-	c.enc = json.NewEncoder(c.bw)
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
-	return nil
-}
-
-func (c *Client) acquire(ctx context.Context) error {
-	select {
-	case c.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("service: %s: %w", c.addr, ctx.Err())
-	}
-}
-
-func (c *Client) release() { <-c.sem }
-
-// Close closes the connection. It has no context, so it waits its turn for
-// the connection slot like any query.
-func (c *Client) Close() error {
-	c.sem <- struct{}{}
-	defer c.release()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
-
-// roundTrip sends one request and reads responses until the final chunk,
-// reassembling chunked answers. A broken connection is redialed once. A
-// response carrying a shed code is returned as a *ShedError; other remote
-// errors are plain.
-func (c *Client) roundTrip(ctx context.Context, req wire.Request) (wire.Response, error) {
-	if err := c.acquire(ctx); err != nil {
-		return wire.Response{}, err
-	}
-	defer c.release()
-	if err := ctx.Err(); err != nil {
-		return wire.Response{}, fmt.Errorf("service: %s: %w", c.addr, err)
-	}
-	if c.conn == nil {
-		if err := c.connect(ctx); err != nil {
-			return wire.Response{}, err
-		}
-	}
-	resp, err := c.exchange(ctx, req)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			// The deadline (not the transport) killed the exchange. Drop the
-			// connection: a late response would desynchronize the stream.
-			_ = c.conn.Close()
-			c.conn = nil
-			return wire.Response{}, fmt.Errorf("service: %s: %w", c.addr, ctxErr)
-		}
-		// One reconnect attempt for a stale connection. If the redial fails
-		// too, report the error that broke the connection alongside it.
-		_ = c.conn.Close()
-		if cerr := c.connect(ctx); cerr != nil {
-			c.conn = nil
-			return wire.Response{}, fmt.Errorf("%w (reconnect after: %v)", cerr, err)
-		}
-		resp, err = c.exchange(ctx, req)
-		if err != nil {
-			_ = c.conn.Close()
-			c.conn = nil
-			return wire.Response{}, fmt.Errorf("service: %s: %w", c.addr, err)
-		}
-	}
-	if resp.Error != "" {
-		if reason, ok := strings.CutPrefix(resp.Code, "shed:"); ok {
-			return wire.Response{}, &ShedError{Tenant: req.Tenant, Reason: ShedReason(reason)}
-		}
-		return wire.Response{}, fmt.Errorf("service: remote %s: %s", c.addr, resp.Error)
-	}
-	return resp, nil
-}
-
-// exchange writes one request and drains its response chunks under the
-// context deadline.
-func (c *Client) exchange(ctx context.Context, req wire.Request) (wire.Response, error) {
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		deadline = time.Time{} // clear any deadline from a prior call
-	}
-	if err := c.conn.SetDeadline(deadline); err != nil {
-		return wire.Response{}, err
-	}
-	if err := c.enc.Encode(req); err != nil {
-		return wire.Response{}, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return wire.Response{}, err
-	}
-	var out wire.Response
-	var items []string
-	for {
-		var resp wire.Response
-		if err := c.dec.Decode(&resp); err != nil {
-			return wire.Response{}, err
-		}
-		items = append(items, resp.Items...)
-		if !resp.More {
-			out = resp
-			break
-		}
-	}
-	out.Items = items
-	return out, nil
 }

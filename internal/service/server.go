@@ -1,16 +1,10 @@
 package service
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
-	"net"
-	"os"
-	"sync"
 	"time"
 
 	"fusionq/internal/obs"
@@ -37,38 +31,20 @@ type ServerConfig struct {
 // Server exposes an Engine over TCP using the wire protocol's query
 // extension: clients send OpQuery requests with tenant, conditions and the
 // stream flag, and receive answer items (optionally chunked) with the
-// shed/cache annotations. OpMeta advertises the service (Meta.Queries).
-// The connection plumbing mirrors wire.Server — line-JSON, idle reaping,
-// graceful drain — but dispatches whole fusion queries instead of single
-// source operations.
+// shed/cache annotations on the final chunk. OpMeta advertises the service
+// (Meta.Queries). It is a wire.Listener whose handler dispatches whole
+// fusion queries instead of single source operations.
 type Server struct {
+	*wire.Listener
 	eng *Engine
-	ln  net.Listener
 	cfg ServerConfig
-
-	// baseCtx is cancelled on forced close, aborting in-flight queries;
-	// Shutdown leaves it alive so handlers can finish.
-	baseCtx context.Context
-	cancel  context.CancelFunc
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
 }
 
 // Serve starts a service server for eng on addr (e.g. "127.0.0.1:0") and
 // begins accepting connections in the background.
 func Serve(eng *Engine, addr string, cfg ServerConfig) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("service: listen: %w", err)
-	}
 	if cfg.Name == "" {
 		cfg.Name = "fqd"
-	}
-	if cfg.IdleTimeout == 0 {
-		cfg.IdleTimeout = wire.DefaultIdleTimeout
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -77,192 +53,39 @@ func Serve(eng *Engine, addr string, cfg ServerConfig) (*Server, error) {
 		cfg.Metrics = eng.metrics
 	}
 	obs.DescribeAll(cfg.Metrics)
-	//fqlint:ignore ctxfirst the server owns its root context; Close/Shutdown cancel it, not a caller.
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		eng:     eng,
-		ln:      ln,
-		cfg:     cfg,
-		baseCtx: ctx,
-		cancel:  cancel,
-		conns:   map[net.Conn]struct{}{},
+	s := &Server{eng: eng, cfg: cfg}
+	// The registry stays out of the listener's context: the engine and its
+	// mediator charge the registries they were built with.
+	var err error
+	s.Listener, err = wire.Listen(addr, wire.Config{
+		IdleTimeout:  cfg.IdleTimeout,
+		WriteTimeout: cfg.WriteTimeout,
+		Logf:         cfg.Logf,
+	}, s.serve)
+	if err != nil {
+		return nil, err
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
-// Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close force-stops the server: it stops accepting, cancels in-flight
-// queries, closes live connections and waits for handlers.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.cancel()
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
 // Shutdown drains the server gracefully: admission starts shedding new
-// queries with reason draining, in-flight queries finish and their responses
-// are written, idle connections are nudged closed. If ctx expires before the
-// drain completes, remaining work is force-closed and ctx's error returned.
+// queries with reason draining and in-flight queries finish, then the
+// listener drains (responses are written, idle connections nudged closed).
+// If ctx expires first, remaining work is force-closed and ctx's error
+// returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	// Wake connections blocked reading the next request; handlers treat
-	// the resulting timeout on a closed server as a clean exit. A handler
-	// mid-dispatch is unaffected — its response write proceeds.
-	for c := range s.conns {
-		_ = c.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	lnErr := s.ln.Close()
 	drainErr := s.eng.Drain(ctx)
-
-	done := make(chan struct{})
-	//fqlint:ignore nakedgo the watcher exits exactly when wg.Wait returns; both arms of the select below join it via done.
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		s.cancel()
-		if drainErr != nil {
-			return drainErr
-		}
-		return lnErr
-	case <-ctx.Done():
-		s.mu.Lock()
-		s.cancel()
-		for c := range s.conns {
-			_ = c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		return fmt.Errorf("service: shutdown: %w", ctx.Err())
+	if err := s.Listener.Shutdown(ctx); err != nil {
+		return err
 	}
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if !closed && !errors.Is(err, net.ErrClosed) {
-				s.cfg.Logf("service: accept: %v", err)
-			}
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	w := bufio.NewWriter(conn)
-	enc := json.NewEncoder(w)
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	for {
-		if s.cfg.IdleTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
-				return
-			}
-		}
-		var req wire.Request
-		if err := dec.Decode(&req); err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return
-			}
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				s.cfg.Logf("service: closing idle connection %s", conn.RemoteAddr())
-				return
-			}
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.cfg.Logf("service: decode: %v", err)
-			}
-			return
-		}
-		resp := s.serve(req)
-		for _, chunk := range chunkQuery(req, resp) {
-			if s.cfg.WriteTimeout > 0 {
-				if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
-					return
-				}
-			}
-			if err := enc.Encode(chunk); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
-				return
-			}
-			if s.cfg.WriteTimeout > 0 {
-				if err := conn.SetWriteDeadline(time.Time{}); err != nil {
-					return
-				}
-			}
-		}
-	}
-}
-
-// chunkQuery splits an item-carrying response into chunks of at most
-// req.Chunk items when the client asked for chunking. The cache and shed
-// annotations ride the final chunk only, mirroring how fragments ride the
-// final chunk in the source protocol.
-func chunkQuery(req wire.Request, resp wire.Response) []wire.Response {
-	if req.Chunk <= 0 || resp.Error != "" || len(resp.Items) <= req.Chunk {
-		return []wire.Response{resp}
-	}
-	var out []wire.Response
-	for start := 0; start < len(resp.Items); start += req.Chunk {
-		end := min(start+req.Chunk, len(resp.Items))
-		chunk := wire.Response{QueryID: resp.QueryID, Items: resp.Items[start:end], More: end < len(resp.Items)}
-		if !chunk.More {
-			chunk.PlanCached, chunk.AnswerCached = resp.PlanCached, resp.AnswerCached
-		}
-		out = append(out, chunk)
-	}
-	return out
+	return drainErr
 }
 
 // serve dispatches one request, charging the wire metrics and logging the
 // query correlation line.
-func (s *Server) serve(req wire.Request) wire.Response {
+func (s *Server) serve(ctx context.Context, req wire.Request) wire.Response {
 	start := time.Now()
-	resp := s.dispatch(s.baseCtx, req)
+	resp := s.dispatch(ctx, req)
 	elapsed := time.Since(start)
 	resp.QueryID = req.QueryID
 
@@ -288,8 +111,8 @@ func (s *Server) serve(req wire.Request) wire.Response {
 	return resp
 }
 
-// dispatch executes one request against the engine. ctx is the server's
-// base context: force-closing the server aborts in-flight queries.
+// dispatch executes one request against the engine. ctx is the listener's:
+// force-closing the server aborts in-flight queries.
 func (s *Server) dispatch(ctx context.Context, req wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpMeta:

@@ -1,42 +1,23 @@
 package wire
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net"
-	"time"
 
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
-	"fusionq/internal/obs"
 	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
 )
 
 // Client is a remote source: it implements source.Source by speaking the
-// wire protocol to a Server, so a mediator can treat local and remote
-// sources uniformly. Each operation's context maps onto the connection's
-// read/write deadlines, so a deadline or cancellation abandons a stalled
-// exchange instead of blocking forever; transport failures are reported as
-// transient (source.ErrTransient) so the mediator's retry policy applies.
+// wire protocol to a Server over one Conn, so a mediator can treat local and
+// remote sources uniformly. Deadlines, cancellation, reconnection and the
+// transient classification of transport failures are Conn's.
 type Client struct {
-	addr   string
-	meta   Meta
+	*Conn
 	schema *relation.Schema
-
-	// sem is the connection slot: a capacity-1 semaphore serializing use of
-	// the single connection. A channel rather than a mutex so waiters honor
-	// their context — a caller queued behind a stalled exchange can give up
-	// instead of blocking until the peer's deadline fires — and so the slot
-	// can be handed to the stream pump goroutine for a chunked transfer.
-	sem  chan struct{}
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
-	bw   *bufio.Writer
 }
 
 var _ source.Source = (*Client)(nil)
@@ -49,164 +30,20 @@ func Dial(addr string) (*Client, error) {
 // DialContext is Dial honoring ctx for the connection setup and the
 // metadata exchange.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
-	c := &Client{addr: addr, sem: make(chan struct{}, 1)}
-	if err := c.connect(ctx); err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(ctx, Request{Op: OpMeta})
+	c := &Client{}
+	conn, err := DialConn(ctx, addr, func(m Meta) (err error) {
+		if m.Queries {
+			return fmt.Errorf("wire: server %s (%s) does not serve a source — it is a mediator service, not a source server",
+				addr, m.Name)
+		}
+		c.schema, err = DecodeSchema(m.Merge, m.Columns)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if resp.Meta == nil {
-		return nil, fmt.Errorf("wire: server sent no metadata")
-	}
-	if resp.Meta.Version > ProtocolVersion {
-		_ = c.Close()
-		return nil, fmt.Errorf("wire: server %s speaks protocol v%d, this client supports up to v%d",
-			addr, resp.Meta.Version, ProtocolVersion)
-	}
-	c.meta = *resp.Meta
-	schema, err := DecodeSchema(c.meta.Merge, c.meta.Columns)
-	if err != nil {
-		return nil, err
-	}
-	c.schema = schema
+	c.Conn = conn
 	return c, nil
-}
-
-func (c *Client) connect(ctx context.Context) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		if ctx.Err() != nil {
-			return fmt.Errorf("wire: dial %s: %w", c.addr, err)
-		}
-		// A refused or unreachable dial is a transport failure like any
-		// other: transient, so retry policies and replica failover engage —
-		// this is exactly how a dead replica presents to the fabric.
-		return fmt.Errorf("wire: dial %s: %w: %w", c.addr, err, source.ErrTransient)
-	}
-	c.conn = conn
-	c.bw = bufio.NewWriter(conn)
-	c.enc = json.NewEncoder(c.bw)
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
-	return nil
-}
-
-// acquire takes the connection slot, giving up when ctx is done.
-func (c *Client) acquire(ctx context.Context) error {
-	select {
-	case c.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("wire: %s: %w", c.addr, ctx.Err())
-	}
-}
-
-// release returns the connection slot taken by acquire.
-func (c *Client) release() { <-c.sem }
-
-// Close closes the connection. It has no context, so it waits its turn for
-// the connection slot like any exchange.
-func (c *Client) Close() error {
-	c.sem <- struct{}{}
-	defer c.release()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
-
-// roundTrip sends one request and reads one response, reconnecting once on
-// a broken connection. The context's deadline is installed as the
-// connection's read/write deadline for the exchange; on expiry the
-// returned error wraps context.DeadlineExceeded (or Canceled), and other
-// transport failures wrap source.ErrTransient so retry policies can
-// classify them.
-//
-// The context's query ID (obs.QueryID) rides along in the request, so the
-// server's log lines correlate with the mediator's trace, and each round
-// trip is recorded as a wire span. Against a server that advertises the
-// fragment extension, the request asks for the server's own timing
-// fragment, which lands in the trace as a grafted child of the wire span.
-func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
-	req.QueryID = obs.QueryID(ctx)
-	if c.meta.Fragments {
-		req.Frag = true
-	}
-	_, sp := obs.StartSpan(ctx, obs.KindWire, req.Op+" @ "+c.addr)
-	resp, err := c.doRoundTrip(ctx, req)
-	sp.End(err)
-	if err == nil {
-		graftFragment(ctx, sp, resp.Frag)
-	}
-	return resp, err
-}
-
-func (c *Client) doRoundTrip(ctx context.Context, req Request) (Response, error) {
-	if err := c.acquire(ctx); err != nil {
-		return Response{}, err
-	}
-	defer c.release()
-	if err := ctx.Err(); err != nil {
-		return Response{}, fmt.Errorf("wire: %s: %w", c.addr, err)
-	}
-	if c.conn == nil {
-		if err := c.connect(ctx); err != nil {
-			return Response{}, err
-		}
-	}
-	send := func() (Response, error) {
-		deadline, ok := ctx.Deadline()
-		if !ok {
-			deadline = time.Time{} // clear any deadline from a prior call
-		}
-		if err := c.conn.SetDeadline(deadline); err != nil {
-			return Response{}, err
-		}
-		if err := c.enc.Encode(req); err != nil {
-			return Response{}, err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return Response{}, err
-		}
-		var resp Response
-		if err := c.dec.Decode(&resp); err != nil {
-			return Response{}, err
-		}
-		return resp, nil
-	}
-	resp, err := send()
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			// The deadline (not the transport) killed the exchange. Drop the
-			// connection: the response may still arrive and desynchronize
-			// the stream otherwise.
-			_ = c.conn.Close()
-			c.conn = nil
-			return Response{}, fmt.Errorf("wire: %s: %w", c.addr, ctxErr)
-		}
-		// One reconnect attempt for a stale connection.
-		_ = c.conn.Close()
-		if cerr := c.connect(ctx); cerr != nil {
-			return Response{}, fmt.Errorf("%w: %w", cerr, source.ErrTransient)
-		}
-		resp, err = send()
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				_ = c.conn.Close()
-				c.conn = nil
-				return Response{}, fmt.Errorf("wire: %s: %w", c.addr, ctxErr)
-			}
-			return Response{}, fmt.Errorf("wire: %s: %w: %w", c.addr, err, source.ErrTransient)
-		}
-	}
-	if resp.Error != "" {
-		return Response{}, fmt.Errorf("wire: remote %s: %s", c.meta.Name, resp.Error)
-	}
-	return resp, nil
 }
 
 // Name implements source.Source.
@@ -226,7 +63,7 @@ func (c *Client) Caps() source.Capabilities {
 
 // Select implements source.Source.
 func (c *Client) Select(ctx context.Context, cd cond.Cond) (set.Set, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpSelect, Cond: cd.String()})
+	resp, err := c.Do(ctx, Request{Op: OpSelect, Cond: cd.String()})
 	if err != nil {
 		return set.Set{}, err
 	}
@@ -238,7 +75,7 @@ func (c *Client) Semijoin(ctx context.Context, cd cond.Cond, y set.Set) (set.Set
 	if !c.meta.NativeSemijoin {
 		return set.Set{}, fmt.Errorf("wire: %s: semijoin: %w", c.meta.Name, source.ErrUnsupported)
 	}
-	resp, err := c.roundTrip(ctx, Request{Op: OpSemi, Cond: cd.String(), Items: y.Slice()})
+	resp, err := c.Do(ctx, Request{Op: OpSemi, Cond: cd.String(), Items: y.Slice()})
 	if err != nil {
 		return set.Set{}, err
 	}
@@ -250,7 +87,7 @@ func (c *Client) SelectBinding(ctx context.Context, cd cond.Cond, item string) (
 	if !c.meta.PassedBindings && !c.meta.NativeSemijoin {
 		return false, fmt.Errorf("wire: %s: passed binding: %w", c.meta.Name, source.ErrUnsupported)
 	}
-	resp, err := c.roundTrip(ctx, Request{Op: OpBinding, Cond: cd.String(), Item: item})
+	resp, err := c.Do(ctx, Request{Op: OpBinding, Cond: cd.String(), Item: item})
 	if err != nil {
 		return false, err
 	}
@@ -259,7 +96,7 @@ func (c *Client) SelectBinding(ctx context.Context, cd cond.Cond, item string) (
 
 // Load implements source.Source.
 func (c *Client) Load(ctx context.Context) (*relation.Relation, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpLoad})
+	resp, err := c.Do(ctx, Request{Op: OpLoad})
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +105,7 @@ func (c *Client) Load(ctx context.Context) (*relation.Relation, error) {
 
 // Fetch implements source.Source.
 func (c *Client) Fetch(ctx context.Context, items set.Set) ([]relation.Tuple, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpFetch, Items: items.Slice()})
+	resp, err := c.Do(ctx, Request{Op: OpFetch, Items: items.Slice()})
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +117,7 @@ func (c *Client) SemijoinBloom(ctx context.Context, cd cond.Cond, f *bloom.Filte
 	if !c.meta.BloomSemijoin {
 		return set.Set{}, fmt.Errorf("wire: %s: bloom semijoin: %w", c.meta.Name, source.ErrUnsupported)
 	}
-	resp, err := c.roundTrip(ctx, Request{Op: OpSemiBloom, Cond: cd.String(), Filter: f.Encode()})
+	resp, err := c.Do(ctx, Request{Op: OpSemiBloom, Cond: cd.String(), Filter: f.Encode()})
 	if err != nil {
 		return set.Set{}, err
 	}
@@ -289,7 +126,7 @@ func (c *Client) SemijoinBloom(ctx context.Context, cd cond.Cond, f *bloom.Filte
 
 // SelectRecords implements source.Source.
 func (c *Client) SelectRecords(ctx context.Context, cd cond.Cond) ([]relation.Tuple, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpSelectRecs, Cond: cd.String()})
+	resp, err := c.Do(ctx, Request{Op: OpSelectRecs, Cond: cd.String()})
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +138,7 @@ func (c *Client) SemijoinRecords(ctx context.Context, cd cond.Cond, y set.Set) (
 	if !c.meta.NativeSemijoin {
 		return nil, fmt.Errorf("wire: %s: record semijoin: %w", c.meta.Name, source.ErrUnsupported)
 	}
-	resp, err := c.roundTrip(ctx, Request{Op: OpSemiRecs, Cond: cd.String(), Items: y.Slice()})
+	resp, err := c.Do(ctx, Request{Op: OpSemiRecs, Cond: cd.String(), Items: y.Slice()})
 	if err != nil {
 		return nil, err
 	}

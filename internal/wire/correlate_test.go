@@ -43,7 +43,7 @@ func TestQueryIDCorrelation(t *testing.T) {
 	const qid = "q-correlate-42"
 	tr := obs.NewTrace()
 	ctx := obs.With(context.Background(), &obs.Obs{QueryID: qid, Trace: tr})
-	resp, err := cli.roundTrip(ctx, Request{Op: OpSelect, Cond: cond.MustParse("V = 'dui'").String()})
+	resp, err := cli.Do(ctx, Request{Op: OpSelect, Cond: cond.MustParse("V = 'dui'").String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestQueryIDAbsentOutsideQuery(t *testing.T) {
 	}
 	defer cli.Close()
 
-	resp, err := cli.roundTrip(context.Background(), Request{Op: OpSelect, Cond: cond.MustParse("V = 'dui'").String()})
+	resp, err := cli.Do(context.Background(), Request{Op: OpSelect, Cond: cond.MustParse("V = 'dui'").String()})
 	if err != nil {
 		t.Fatal(err)
 	}

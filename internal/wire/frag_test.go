@@ -170,7 +170,7 @@ func TestFragmentContents(t *testing.T) {
 	condText := cond.MustParse("V = 'dui'").String()
 	tr := obs.NewTrace()
 	ctx := obs.With(context.Background(), &obs.Obs{QueryID: "q-frag", Trace: tr})
-	resp, err := cli.roundTrip(ctx, Request{Op: OpSelect, Cond: condText})
+	resp, err := cli.Do(ctx, Request{Op: OpSelect, Cond: condText})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,68 +1,29 @@
 package wire
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"log"
-	"net"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
 	"fusionq/internal/obs"
+	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
 )
 
-// DefaultIdleTimeout bounds how long a connected client may sit between
-// requests before the server reclaims the connection. Without it a client
-// that silently disappears (no FIN — a dropped laptop lid, a dead NAT
-// entry) would leak a handler goroutine forever.
-const DefaultIdleTimeout = 2 * time.Minute
-
-// Config tunes a Server.
-type Config struct {
-	// IdleTimeout is the per-connection read deadline between requests.
-	// Zero means DefaultIdleTimeout; negative disables the timeout.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds writing one response. Zero means no limit.
-	WriteTimeout time.Duration
-	// Logf receives connection-level error messages and the per-request
-	// correlation lines (qid=... op=...). Nil means log.Printf.
-	Logf func(format string, args ...interface{})
-	// Metrics, when set, receives the server's wire metrics
-	// (fq_wire_requests_total, fq_wire_errors_total, fq_wire_request_seconds)
-	// and is installed in the dispatch context so decorators on the served
-	// source (e.g. a server-side answer cache) emit theirs to it too.
-	Metrics *obs.Registry
-}
-
-// Server exposes one wrapped source over TCP.
+// Server exposes one wrapped source over TCP: a Listener whose handler runs
+// each request against the source.
 type Server struct {
+	*Listener
 	src source.Source
-	ln  net.Listener
 	cfg Config
-
-	// baseCtx is cancelled on forced close, aborting in-flight source
-	// operations; Shutdown leaves it alive so handlers can finish.
-	baseCtx context.Context
-	cancel  context.CancelFunc
 
 	// inflight counts requests currently in dispatch across all
 	// connections; fragments report it as their queue depth.
 	inflight atomic.Int64
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
 }
 
 // Serve starts a server for src on the given address (e.g. "127.0.0.1:0")
@@ -74,213 +35,14 @@ func Serve(src source.Source, addr string) (*Server, error) {
 
 // ServeConfig is Serve with explicit tuning.
 func ServeConfig(src source.Source, addr string, cfg Config) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: listen: %w", err)
-	}
-	if cfg.IdleTimeout == 0 {
-		cfg.IdleTimeout = DefaultIdleTimeout
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = log.Printf
-	}
 	obs.DescribeAll(cfg.Metrics)
-	//fqlint:ignore ctxfirst the server owns its root context; Close/Shutdown cancel it, not a caller.
-	ctx, cancel := context.WithCancel(context.Background())
-	if cfg.Metrics != nil {
-		ctx = obs.With(ctx, &obs.Obs{Metrics: cfg.Metrics})
+	s := &Server{src: src, cfg: cfg.withDefaults()}
+	var err error
+	s.Listener, err = Listen(addr, s.cfg, s.serve)
+	if err != nil {
+		return nil, err
 	}
-	s := &Server{
-		src:     src,
-		ln:      ln,
-		cfg:     cfg,
-		baseCtx: ctx,
-		cancel:  cancel,
-		conns:   map[net.Conn]struct{}{},
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
-}
-
-// Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close force-stops the server: it stops accepting, cancels in-flight
-// source operations, closes live connections and waits for handlers.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.cancel()
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-// Shutdown drains the server gracefully: it stops accepting new
-// connections, lets in-flight requests finish, and nudges idle connections
-// closed. If ctx expires before the drain completes, remaining connections
-// are force-closed and ctx's error is returned.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	// Wake connections blocked reading the next request; handlers treat
-	// the resulting timeout on a closed server as a clean exit. A handler
-	// mid-dispatch is unaffected — its response write proceeds.
-	for c := range s.conns {
-		_ = c.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	lnErr := s.ln.Close()
-
-	done := make(chan struct{})
-	//fqlint:ignore nakedgo the watcher exits exactly when wg.Wait returns; both arms of the select below join it via done.
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		s.cancel()
-		return lnErr
-	case <-ctx.Done():
-		s.mu.Lock()
-		s.cancel()
-		for c := range s.conns {
-			_ = c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		return fmt.Errorf("wire: shutdown: %w", ctx.Err())
-	}
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if !closed && !errors.Is(err, net.ErrClosed) {
-				s.cfg.Logf("wire: accept: %v", err)
-			}
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	enc := json.NewEncoder(w)
-	dec := json.NewDecoder(r)
-	for {
-		if s.cfg.IdleTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
-				return
-			}
-		}
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return
-			}
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				s.cfg.Logf("wire: closing idle connection %s", conn.RemoteAddr())
-				return
-			}
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.cfg.Logf("wire: decode: %v", err)
-			}
-			return
-		}
-		recv := time.Now()
-		resp, frag := s.serve(req, recv)
-		// Each chunk is flushed as soon as it is encoded, so a chunking
-		// client starts consuming items while later chunks are still being
-		// written — the wire half of streaming execution.
-		chunkStart := time.Now()
-		chunks := chunkResponses(req, resp)
-		for i := range chunks {
-			if frag != nil && i == len(chunks)-1 {
-				// The fragment rides the final chunk so it can account for
-				// the emission of every chunk before it.
-				frag.ChunkUS = time.Since(chunkStart).Microseconds()
-				frag.TotalUS = time.Since(recv).Microseconds()
-				chunks[i].Frag = frag
-			}
-			if s.cfg.WriteTimeout > 0 {
-				if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
-					return
-				}
-			}
-			if err := enc.Encode(chunks[i]); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
-				return
-			}
-			if s.cfg.WriteTimeout > 0 {
-				if err := conn.SetWriteDeadline(time.Time{}); err != nil {
-					return
-				}
-			}
-		}
-	}
-}
-
-// chunkResponses splits an item-carrying response into chunks of at most
-// req.Chunk items when the client asked for chunking. Errors, non-item
-// responses and unchunked requests pass through as a single response. Every
-// chunk echoes the query ID; More is set on all but the last.
-func chunkResponses(req Request, resp Response) []Response {
-	if req.Chunk <= 0 || resp.Error != "" || len(resp.Items) <= req.Chunk {
-		return []Response{resp}
-	}
-	n := (len(resp.Items) + req.Chunk - 1) / req.Chunk
-	out := make([]Response, 0, n)
-	for start := 0; start < len(resp.Items); start += req.Chunk {
-		end := start + req.Chunk
-		if end > len(resp.Items) {
-			end = len(resp.Items)
-		}
-		out = append(out, Response{
-			QueryID: resp.QueryID,
-			Items:   resp.Items[start:end],
-			More:    end < len(resp.Items),
-		})
-	}
-	return out
 }
 
 // fragTimer accumulates the parse share of one dispatch, so the fragment
@@ -327,20 +89,19 @@ func responseBytes(resp Response) int {
 	return n
 }
 
-// serve runs one request through dispatch with correlation and accounting:
-// the request's query ID is installed in the dispatch context and echoed in
-// the response, a structured log line ties the server-side work to the
-// mediator-side query, and the wire metrics are charged. recv is when the
-// request finished decoding; the gap to dispatch start is the fragment's
-// queue time. When the request asked for a fragment, the returned Fragment
-// has every field but the chunk/total timings filled in — the handle loop
+// serve is the listener's handler: it runs one request through dispatch
+// with correlation and accounting. The request's query ID is installed in
+// the dispatch context and echoed in the response, a structured log line
+// ties the server-side work to the mediator-side query, and the wire metrics
+// are charged. When the request asked for a fragment, the response carries
+// one with every field but the chunk/total timings filled in — the listener
 // completes those when it emits the final chunk.
-func (s *Server) serve(req Request, recv time.Time) (Response, *Fragment) {
-	ctx := s.baseCtx
+func (s *Server) serve(ctx context.Context, req Request) Response {
+	recv := time.Now()
 	if req.QueryID != "" {
-		o := *obs.From(s.baseCtx)
+		o := *obs.From(ctx)
 		o.QueryID = req.QueryID
-		ctx = obs.With(s.baseCtx, &o)
+		ctx = obs.With(ctx, &o)
 	}
 	depth := s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -368,13 +129,12 @@ func (s *Server) serve(req Request, recv time.Time) (Response, *Fragment) {
 		s.cfg.Logf("wire: qid=%s op=%s source=%s elapsed=%s %s",
 			req.QueryID, req.Op, s.src.Name(), elapsed.Round(time.Microsecond), status)
 	}
-	var frag *Fragment
 	if req.Frag {
 		scan := elapsed - ft.parse
 		if scan < 0 {
 			scan = 0
 		}
-		frag = &Fragment{
+		resp.Frag = &Fragment{
 			Source:     s.src.Name(),
 			Op:         req.Op,
 			QueueUS:    start.Sub(recv).Microseconds(),
@@ -385,14 +145,45 @@ func (s *Server) serve(req Request, recv time.Time) (Response, *Fragment) {
 			BytesOut:   bytesOut,
 		}
 	}
-	return resp, frag
+	return resp
+}
+
+func errorResponse(err error) Response { return Response{Error: err.Error()} }
+
+// itemsResponse answers an item-returning op (sq, sjq, sjqb) from the
+// source call's results; tuplesResponse a record-returning one (lq, fetch,
+// sqr, sjqr).
+func itemsResponse(items set.Set, err error) Response {
+	if err != nil {
+		return errorResponse(err)
+	}
+	return Response{Items: items.Slice()}
+}
+
+func tuplesResponse(ts []relation.Tuple, err error) Response {
+	if err != nil {
+		return errorResponse(err)
+	}
+	out := make([]WireTuple, len(ts))
+	for i, t := range ts {
+		out[i] = EncodeTuple(t)
+	}
+	return Response{Tuples: out}
 }
 
 // dispatch executes one request against the wrapped source, charging parse
-// time to ft. ctx is the server's base context: force-closing the server
+// time to ft. ctx descends from the listener's: force-closing the server
 // aborts in-flight operations.
 func (s *Server) dispatch(ctx context.Context, req Request, ft *fragTimer) Response {
-	fail := func(err error) Response { return Response{Error: err.Error()} }
+	// Every op but meta, lq and fetch carries a condition.
+	var c cond.Cond
+	switch req.Op {
+	case OpSelect, OpSemi, OpBinding, OpSelectRecs, OpSemiBloom, OpSemiRecs:
+		var err error
+		if c, err = parseCond(ft, req.Cond); err != nil {
+			return errorResponse(err)
+		}
+	}
 	switch req.Op {
 	case OpMeta:
 		tuples, distinct, bytes := s.src.Card()
@@ -412,98 +203,34 @@ func (s *Server) dispatch(ctx context.Context, req Request, ft *fragTimer) Respo
 			Fragments:      true,
 		}}
 	case OpSelect:
-		c, err := parseCond(ft, req.Cond)
-		if err != nil {
-			return fail(err)
-		}
-		items, err := s.src.Select(ctx, c)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{Items: items.Slice()}
+		return itemsResponse(s.src.Select(ctx, c))
 	case OpSemi:
-		c, err := parseCond(ft, req.Cond)
-		if err != nil {
-			return fail(err)
-		}
-		items, err := s.src.Semijoin(ctx, c, set.New(req.Items...))
-		if err != nil {
-			return fail(err)
-		}
-		return Response{Items: items.Slice()}
+		return itemsResponse(s.src.Semijoin(ctx, c, set.New(req.Items...)))
 	case OpBinding:
-		c, err := parseCond(ft, req.Cond)
-		if err != nil {
-			return fail(err)
-		}
 		match, err := s.src.SelectBinding(ctx, c, req.Item)
 		if err != nil {
-			return fail(err)
+			return errorResponse(err)
 		}
 		return Response{Match: match}
 	case OpLoad:
 		rel, err := s.src.Load(ctx)
 		if err != nil {
-			return fail(err)
+			return errorResponse(err)
 		}
-		tuples := make([]WireTuple, rel.Len())
-		for i, t := range rel.Rows() {
-			tuples[i] = EncodeTuple(t)
-		}
-		return Response{Tuples: tuples}
+		return tuplesResponse(rel.Rows(), nil)
 	case OpFetch:
-		ts, err := s.src.Fetch(ctx, set.New(req.Items...))
-		if err != nil {
-			return fail(err)
-		}
-		tuples := make([]WireTuple, len(ts))
-		for i, t := range ts {
-			tuples[i] = EncodeTuple(t)
-		}
-		return Response{Tuples: tuples}
+		return tuplesResponse(s.src.Fetch(ctx, set.New(req.Items...)))
 	case OpSelectRecs:
-		c, err := parseCond(ft, req.Cond)
-		if err != nil {
-			return fail(err)
-		}
-		ts, err := s.src.SelectRecords(ctx, c)
-		if err != nil {
-			return fail(err)
-		}
-		tuples := make([]WireTuple, len(ts))
-		for i, t := range ts {
-			tuples[i] = EncodeTuple(t)
-		}
-		return Response{Tuples: tuples}
+		return tuplesResponse(s.src.SelectRecords(ctx, c))
 	case OpSemiBloom:
-		c, err := parseCond(ft, req.Cond)
-		if err != nil {
-			return fail(err)
-		}
 		f, err := bloom.Decode(req.Filter)
 		if err != nil {
-			return fail(err)
+			return errorResponse(err)
 		}
-		items, err := s.src.SemijoinBloom(ctx, c, f)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{Items: items.Slice()}
+		return itemsResponse(s.src.SemijoinBloom(ctx, c, f))
 	case OpSemiRecs:
-		c, err := parseCond(ft, req.Cond)
-		if err != nil {
-			return fail(err)
-		}
-		ts, err := s.src.SemijoinRecords(ctx, c, set.New(req.Items...))
-		if err != nil {
-			return fail(err)
-		}
-		tuples := make([]WireTuple, len(ts))
-		for i, t := range ts {
-			tuples[i] = EncodeTuple(t)
-		}
-		return Response{Tuples: tuples}
+		return tuplesResponse(s.src.SemijoinRecords(ctx, c, set.New(req.Items...)))
 	default:
-		return fail(fmt.Errorf("wire: unknown op %q", req.Op))
+		return errorResponse(fmt.Errorf("wire: unknown op %q", req.Op))
 	}
 }

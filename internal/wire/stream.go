@@ -16,22 +16,21 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"fusionq/internal/cond"
 	"fusionq/internal/obs"
 	"fusionq/internal/set"
-	"fusionq/internal/source"
 )
 
 // SelectStream implements source.ItemStreamer: sq(c, R) delivered as sorted
 // chunks of at most batch items. Against a server that does not advertise
 // chunking (Meta.Chunking false — a v1 peer from before the extension) it
 // degrades to one materialized Select wrapped in a batch iterator, so the
-// caller sees the same interface either way. The whole stream is recorded
-// as one wire span, ended when the transfer completes.
+// caller sees the same interface either way.
 func (c *Client) SelectStream(ctx context.Context, cd cond.Cond, batch int) (set.Iter, error) {
-	batch = normChunk(batch)
+	if batch <= 0 {
+		batch = set.DefaultBatch
+	}
 	if !c.meta.Chunking {
 		out, err := c.Select(ctx, cd)
 		if err != nil {
@@ -39,25 +38,28 @@ func (c *Client) SelectStream(ctx context.Context, cd cond.Cond, batch int) (set
 		}
 		return set.IterOf(out, batch), nil
 	}
-	_, sp := obs.StartSpan(ctx, obs.KindWire, OpSelect+"-stream @ "+c.addr)
-	st := &clientStream{c: c, sp: sp, notify: make(chan struct{}, 1)}
-	// The pump has no context of its own; close over this one so the
-	// fragment riding the final chunk can be grafted into its trace.
-	st.graft = func(f *Fragment) { graftFragment(ctx, sp, f) }
+	return c.Stream(ctx, Request{Op: OpSelect, Cond: cd.String(), Chunk: batch})
+}
+
+// Stream sends req, which must ask for chunking (Request.Chunk), and
+// returns an iterator over the response's item chunks, which must arrive
+// sorted. The whole transfer is recorded as one wire span, ended when the
+// final chunk lands.
+func (c *Conn) Stream(ctx context.Context, req Request) (set.Iter, error) {
+	_, sp := obs.StartSpan(ctx, obs.KindWire, req.Op+"-stream @ "+c.addr)
+	// The pump has no context of its own: it keeps this one, to classify a
+	// failure and to graft the fragment riding the final chunk into its trace.
+	st := &clientStream{c: c, ctx: ctx, sp: sp, notify: make(chan struct{}, 1)}
 	// The connection slot is held until the pump finishes the transfer.
 	if err := c.acquire(ctx); err != nil {
 		sp.End(err)
 		return nil, err
 	}
-	if err := st.send(ctx, Request{
-		Op:      OpSelect,
-		QueryID: obs.QueryID(ctx),
-		Cond:    cd.String(),
-		Chunk:   batch,
-		Frag:    c.meta.Fragments,
-	}); err != nil {
-		sp.End(err)
+	req.QueryID, req.Frag = obs.QueryID(ctx), c.meta.Fragments
+	if err := c.send(ctx, req); err != nil {
+		err = c.fail(ctx, err)
 		c.release()
+		sp.End(err)
 		return nil, err
 	}
 	st.conn = c.conn
@@ -66,19 +68,12 @@ func (c *Client) SelectStream(ctx context.Context, cd cond.Cond, batch int) (set
 	return st, nil
 }
 
-func normChunk(batch int) int {
-	if batch <= 0 {
-		return set.DefaultBatch
-	}
-	return batch
-}
-
-// clientStream is one in-flight chunked selection.
+// clientStream is one in-flight chunked transfer.
 type clientStream struct {
-	c     *Client
-	sp    *obs.Span
-	graft func(*Fragment)
-	conn  net.Conn // snapshot for Close; the pump owns c.conn itself
+	c    *Conn
+	ctx  context.Context
+	sp   *obs.Span
+	conn net.Conn // snapshot for Close; the pump owns c.conn itself
 
 	wg     sync.WaitGroup
 	notify chan struct{}
@@ -90,42 +85,8 @@ type clientStream struct {
 	closed bool
 }
 
-// send issues the chunked request on the connection. Called with the
-// connection slot held; a failure leaves the connection dropped so the
-// next operation reconnects cleanly.
-func (st *clientStream) send(ctx context.Context, req Request) error {
-	c := st.c
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("wire: %s: %w", c.addr, err)
-	}
-	if c.conn == nil {
-		if err := c.connect(ctx); err != nil {
-			return err
-		}
-	}
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		deadline = time.Time{}
-	}
-	fail := func(err error) error {
-		_ = c.conn.Close()
-		c.conn = nil
-		return fmt.Errorf("wire: %s: %w: %w", c.addr, err, source.ErrTransient)
-	}
-	if err := c.conn.SetDeadline(deadline); err != nil {
-		return fail(err)
-	}
-	if err := c.enc.Encode(req); err != nil {
-		return fail(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fail(err)
-	}
-	return nil
-}
-
 // pump drains the server's chunks into the buffer. It runs holding the
-// connection slot (acquired by SelectStream) and releases it when the
+// connection slot (acquired by Stream) and releases it when the
 // transfer ends — the connection left in sync for the next exchange on
 // success, dropped on failure.
 func (st *clientStream) pump() {
@@ -135,16 +96,15 @@ func (st *clientStream) pump() {
 	var perr error
 	var frag *Fragment
 	for {
+		c.budget.arm()
 		var resp Response
 		if err := c.dec.Decode(&resp); err != nil {
-			_ = c.conn.Close()
-			c.conn = nil
+			err = c.fail(st.ctx, err)
 			st.mu.Lock()
-			closed := st.closed
-			st.mu.Unlock()
-			if !closed {
-				perr = fmt.Errorf("wire: %s: %w: %w", c.addr, err, source.ErrTransient)
+			if !st.closed {
+				perr = err
 			}
+			st.mu.Unlock()
 			break
 		}
 		if resp.Error != "" {
@@ -160,8 +120,7 @@ func (st *clientStream) pump() {
 			last, any = v, true
 		}
 		if bad != "" {
-			_ = c.conn.Close()
-			c.conn = nil
+			c.drop()
 			perr = fmt.Errorf("wire: %s: unsorted chunk (%q after %q)", c.addr, bad, last)
 			break
 		}
@@ -186,8 +145,8 @@ func (st *clientStream) pump() {
 	st.mu.Unlock()
 	st.kick()
 	st.sp.End(perr)
-	if perr == nil && frag != nil {
-		st.graft(frag)
+	if perr == nil {
+		graftFragment(st.ctx, st.sp, frag)
 	}
 	c.release()
 }

@@ -295,7 +295,7 @@ func TestServerUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.roundTrip(context.Background(), Request{Op: "bogus"}); err == nil {
+	if _, err := cli.Do(context.Background(), Request{Op: "bogus"}); err == nil {
 		t.Fatal("unknown op should error")
 	}
 }
@@ -341,32 +341,6 @@ func TestConcurrentClientsAndCalls(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-func TestClientReconnects(t *testing.T) {
-	sc := workload.DMV()
-	srv, err := Serve(sc.Sources[0], "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	// Kill the client's connection underneath it; the next call must
-	// transparently reconnect.
-	cli.sem <- struct{}{}
-	cli.conn.Close()
-	cli.release()
-	got, err := cli.Select(context.Background(), cond.MustParse("V = 'dui'"))
-	if err != nil {
-		t.Fatalf("reconnect failed: %v", err)
-	}
-	if want := set.New("J55", "T80"); !got.Equal(want) {
-		t.Fatalf("after reconnect: %v", got)
 	}
 }
 
