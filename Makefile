@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-concurrency fuzz bench oracle soak
+.PHONY: build test race lint lint-concurrency fuzz bench bench-layers oracle soak
 
 build:
 	$(GO) build ./...
@@ -59,3 +59,10 @@ bench:
 	cp bench-out/E18.json BENCH_streaming.json
 	cp bench-out/E19.json BENCH_hedging.json
 	cp bench-out/E20.json BENCH_service.json
+
+# Layer micro-benchmarks behind the end-to-end benchmark's numbers: the
+# wrapper's selection scan, a batch's exchange accounting at two log lengths,
+# and the k-way union. CI runs the same set once per benchmark as a smoke.
+bench-layers:
+	$(GO) test -run '^$$' -bench 'WrapperSelect|BatchAccounting|UnionAll' -benchmem \
+		./internal/source ./internal/exec ./internal/set

@@ -48,12 +48,21 @@ func (o Op) String() string {
 	}
 }
 
+// Pred is a condition bound to one schema: it evaluates tuples of that
+// schema without resolving attribute names again.
+type Pred func(t relation.Tuple) (bool, error)
+
 // Cond is a boolean predicate over a single tuple.
 type Cond interface {
 	// Eval evaluates the condition against tuple t typed by schema.
 	Eval(schema *relation.Schema, t relation.Tuple) (bool, error)
 	// Check verifies the condition is well typed against schema.
 	Check(schema *relation.Schema) error
+	// Bind resolves every attribute to its column of schema once and
+	// returns the predicate that scans evaluate per tuple. It fails exactly
+	// when Check(schema) fails, with the same error; the predicate returns
+	// what Eval(schema, t) returns, errors included.
+	Bind(schema *relation.Schema) (Pred, error)
 	// String renders the condition in parseable syntax.
 	String() string
 }
@@ -71,7 +80,20 @@ func (c *Compare) Eval(schema *relation.Schema, t relation.Tuple) (bool, error) 
 	if !ok {
 		return false, fmt.Errorf("cond: unknown attribute %q", c.Attr)
 	}
-	v := t[i]
+	return c.test(t[i])
+}
+
+// Bind implements Cond.
+func (c *Compare) Bind(schema *relation.Schema) (Pred, error) {
+	if err := c.Check(schema); err != nil {
+		return nil, err
+	}
+	i, _ := schema.Index(c.Attr)
+	return func(t relation.Tuple) (bool, error) { return c.test(t[i]) }, nil
+}
+
+// test applies the comparison to the attribute's value.
+func (c *Compare) test(v relation.Value) (bool, error) {
 	if c.Op == OpLike {
 		if v.Kind() != relation.KindString || c.Lit.Kind() != relation.KindString {
 			return false, fmt.Errorf("cond: LIKE requires string operands")
@@ -136,12 +158,26 @@ func (c *In) Eval(schema *relation.Schema, t relation.Tuple) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("cond: unknown attribute %q", c.Attr)
 	}
-	for _, v := range c.Vals {
-		if t[i].Equal(v) {
-			return true, nil
+	return c.test(t[i]), nil
+}
+
+// Bind implements Cond.
+func (c *In) Bind(schema *relation.Schema) (Pred, error) {
+	if err := c.Check(schema); err != nil {
+		return nil, err
+	}
+	i, _ := schema.Index(c.Attr)
+	return func(t relation.Tuple) (bool, error) { return c.test(t[i]), nil }, nil
+}
+
+// test reports whether the attribute's value is in the list.
+func (c *In) test(v relation.Value) bool {
+	for _, w := range c.Vals {
+		if v.Equal(w) {
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 // Check implements Cond.
@@ -180,6 +216,21 @@ func (c *And) Eval(schema *relation.Schema, t relation.Tuple) (bool, error) {
 	return c.R.Eval(schema, t)
 }
 
+// Bind implements Cond.
+func (c *And) Bind(schema *relation.Schema) (Pred, error) {
+	l, r, err := bindPair(c.L, c.R, schema)
+	if err != nil {
+		return nil, err
+	}
+	return func(t relation.Tuple) (bool, error) {
+		ok, err := l(t)
+		if err != nil || !ok {
+			return false, err
+		}
+		return r(t)
+	}, nil
+}
+
 // Check implements Cond.
 func (c *And) Check(schema *relation.Schema) error {
 	if err := c.L.Check(schema); err != nil {
@@ -205,6 +256,21 @@ func (c *Or) Eval(schema *relation.Schema, t relation.Tuple) (bool, error) {
 	return c.R.Eval(schema, t)
 }
 
+// Bind implements Cond.
+func (c *Or) Bind(schema *relation.Schema) (Pred, error) {
+	l, r, err := bindPair(c.L, c.R, schema)
+	if err != nil {
+		return nil, err
+	}
+	return func(t relation.Tuple) (bool, error) {
+		ok, err := l(t)
+		if err != nil || ok {
+			return ok, err
+		}
+		return r(t)
+	}, nil
+}
+
 // Check implements Cond.
 func (c *Or) Check(schema *relation.Schema) error {
 	if err := c.L.Check(schema); err != nil {
@@ -227,6 +293,18 @@ func (c *Not) Eval(schema *relation.Schema, t relation.Tuple) (bool, error) {
 	return !v, err
 }
 
+// Bind implements Cond.
+func (c *Not) Bind(schema *relation.Schema) (Pred, error) {
+	p, err := c.C.Bind(schema)
+	if err != nil {
+		return nil, err
+	}
+	return func(t relation.Tuple) (bool, error) {
+		v, err := p(t)
+		return !v, err
+	}, nil
+}
+
 // Check implements Cond.
 func (c *Not) Check(schema *relation.Schema) error { return c.C.Check(schema) }
 
@@ -243,8 +321,27 @@ func (True) Eval(*relation.Schema, relation.Tuple) (bool, error) { return true, 
 // Check implements Cond.
 func (True) Check(*relation.Schema) error { return nil }
 
+// Bind implements Cond.
+func (True) Bind(*relation.Schema) (Pred, error) {
+	return func(relation.Tuple) (bool, error) { return true, nil }, nil
+}
+
 // String implements Cond.
 func (True) String() string { return "TRUE" }
+
+// bindPair binds the operands of a binary node left to right, the order
+// Check reports their errors in.
+func bindPair(l, r Cond, schema *relation.Schema) (Pred, Pred, error) {
+	lp, err := l.Bind(schema)
+	if err != nil {
+		return nil, nil, err
+	}
+	rp, err := r.Bind(schema)
+	if err != nil {
+		return nil, nil, err
+	}
+	return lp, rp, nil
+}
 
 func paren(c Cond) string {
 	switch c.(type) {

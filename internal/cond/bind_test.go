@@ -1,0 +1,121 @@
+package cond
+
+import (
+	"testing"
+
+	"fusionq/internal/relation"
+)
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestBindMatchesCheckAndEval holds Bind to its contract for every node
+// kind: it fails exactly when Check fails, with Check's error, and the bound
+// predicate returns what Eval returns on every tuple, errors included. The
+// tuples include two that do not fit the schema, the only way past a Check
+// into Eval's own errors.
+func TestBindMatchesCheckAndEval(t *testing.T) {
+	str, num := relation.String, relation.Int
+	cmp := func(attr string, op Op, lit relation.Value) Cond { return &Compare{Attr: attr, Op: op, Lit: lit} }
+	dui, unknown := cmp("V", OpEq, str("dui")), cmp("Z", OpEq, num(1))
+	badKind := cmp("D", OpEq, str("x"))
+	cases := []struct {
+		name    string
+		c       Cond
+		checkOK bool
+	}{
+		{"eq", dui, true},
+		{"ne", cmp("V", OpNe, str("dui")), true},
+		{"lt", cmp("D", OpLt, num(1994)), true},
+		{"le", cmp("D", OpLe, num(1993)), true},
+		{"gt", cmp("D", OpGt, num(1993)), true},
+		{"ge int column, float literal", cmp("D", OpGe, relation.Float(1993.5)), true},
+		{"like", cmp("V", OpLike, str("d_i%")), true},
+		{"bad operator passes Check, fails Eval", cmp("D", Op(99), num(1)), true},
+		{"in", &In{Attr: "D", Vals: []relation.Value{num(1), num(1993)}}, true},
+		{"in, empty list", &In{Attr: "V"}, true},
+		{"and", &And{L: dui, R: cmp("D", OpGt, num(1990))}, true},
+		{"and, left false skips a failing right", &And{L: cmp("V", OpEq, str("none")), R: cmp("D", Op(99), num(1))}, true},
+		{"or", &Or{L: dui, R: cmp("D", OpGt, num(2000))}, true},
+		{"or, left true skips a failing right", &Or{L: dui, R: cmp("D", Op(99), num(1))}, true},
+		{"not", &Not{C: dui}, true},
+		{"not of an Eval error", &Not{C: cmp("D", Op(99), num(1))}, true},
+		{"true", True{}, true},
+		{"nested", &Or{L: &And{L: dui, R: &Not{C: cmp("D", OpLt, num(1993))}}, R: &In{Attr: "L", Vals: []relation.Value{str("T21")}}}, true},
+
+		{"compare: unknown attribute", unknown, false},
+		{"compare: kind mismatch", badKind, false},
+		{"compare: string column, int literal", cmp("V", OpGt, num(3)), false},
+		{"like: int column", cmp("D", OpLike, str("x")), false},
+		{"like: int pattern", cmp("V", OpLike, num(1)), false},
+		{"in: unknown attribute", &In{Attr: "Z", Vals: []relation.Value{num(1)}}, false},
+		{"in: mixed list", &In{Attr: "D", Vals: []relation.Value{num(1), str("x")}}, false},
+		{"and: left", &And{L: unknown, R: dui}, false},
+		{"and: right", &And{L: dui, R: badKind}, false},
+		{"and: both, left reported", &And{L: unknown, R: badKind}, false},
+		{"or: left", &Or{L: badKind, R: dui}, false},
+		{"or: right", &Or{L: dui, R: unknown}, false},
+		{"or: both, left reported", &Or{L: badKind, R: unknown}, false},
+		{"not", &Not{C: unknown}, false},
+	}
+	tuples := []relation.Tuple{
+		tup("J55", "dui", 1993),
+		tup("T21", "sp", 1994),
+		tup("T80", "dui", 1989),
+		{str("X"), num(7), num(1993)},   // V is not a string
+		{str("X"), str("dui"), str("")}, // D is not numeric
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkErr := tc.c.Check(dmv)
+			if (checkErr == nil) != tc.checkOK {
+				t.Fatalf("Check = %v, want ok=%v", checkErr, tc.checkOK)
+			}
+			pred, bindErr := tc.c.Bind(dmv)
+			if errText(bindErr) != errText(checkErr) {
+				t.Fatalf("Bind error %q, Check error %q", errText(bindErr), errText(checkErr))
+			}
+			if bindErr != nil {
+				if pred != nil {
+					t.Fatal("Bind returned a predicate with its error")
+				}
+				return
+			}
+			for _, row := range tuples {
+				want, wantErr := tc.c.Eval(dmv, row)
+				got, gotErr := pred(row)
+				if got != want || errText(gotErr) != errText(wantErr) {
+					t.Errorf("%v: bound = (%v, %q), Eval = (%v, %q)", row, got, errText(gotErr), want, errText(wantErr))
+				}
+			}
+		})
+	}
+}
+
+// TestBindResolvesAgainstItsSchema binds one condition to two schemas that
+// place the attribute in different columns.
+func TestBindResolvesAgainstItsSchema(t *testing.T) {
+	swapped := relation.MustSchema("L",
+		relation.Column{Name: "D", Kind: relation.KindInt},
+		relation.Column{Name: "L", Kind: relation.KindString},
+	)
+	c := MustParse("D >= 1993")
+	p1, err := c.Bind(dmv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := c.Bind(swapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := p1(tup("J55", "dui", 1993)); !ok || err != nil {
+		t.Fatalf("dmv: %v, %v", ok, err)
+	}
+	if ok, err := p2(relation.Tuple{relation.Int(1990), relation.String("J55")}); ok || err != nil {
+		t.Fatalf("swapped: %v, %v", ok, err)
+	}
+}

@@ -94,20 +94,14 @@ func (e *Executor) RunAdaptive(ctx context.Context, pr *optimizer.Problem) (*Res
 	// fan-out over the source's connections is the only intra-call
 	// parallelism.
 	query := func(ci, j int, method optimizer.Method, x set.Set) (set.Set, queryStats, error) {
-		logStart := 0
+		var mark netsim.Mark
 		if e.Parallel && e.Network != nil {
-			logStart = len(e.Network.Log())
+			mark = e.Network.Mark()
 		}
 		out, qs, err := e.sourceQuery(ctx, pr, ci, j, method, x)
 		if e.Parallel && e.Network != nil {
 			var durs []time.Duration
-			// Clamp: a concurrent query's planning phase may have reset the
-			// shared exchange log since logStart was captured.
-			log := e.Network.Log()
-			if logStart > len(log) {
-				logStart = len(log)
-			}
-			for _, ex := range log[logStart:] {
+			for _, ex := range e.Network.Since(mark) {
 				durs = append(durs, ex.Elapsed)
 			}
 			res.ResponseTime += netsim.Makespan(durs, e.connsFor(j))

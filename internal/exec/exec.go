@@ -352,11 +352,10 @@ func (e *Executor) runBatch(ctx context.Context, p *plan.Plan, steps []plan.Step
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
-		critical time.Duration
+		mark     netsim.Mark
 	)
-	logStart := 0
 	if e.Network != nil {
-		logStart = len(e.Network.Log())
+		mark = e.Network.Mark()
 	}
 	for i := range batch {
 		wg.Add(1)
@@ -374,18 +373,7 @@ func (e *Executor) runBatch(ctx context.Context, p *plan.Plan, steps []plan.Step
 	}
 	wg.Wait()
 	if e.Network != nil {
-		// Clamp: a concurrent query's planning phase may have reset the
-		// shared exchange log since logStart was captured.
-		log := e.Network.Log()
-		if logStart > len(log) {
-			logStart = len(log)
-		}
-		lanes, owners, laneConns := e.exchangeGroups(log[logStart:])
-		for name, durs := range lanes {
-			if d := netsim.Makespan(durs, laneConns[name]); d > critical {
-				critical = d
-			}
-		}
+		critical, owners := e.criticalPath(e.Network.Since(mark))
 		res.ResponseTime += critical
 		if e.Trace {
 			e.attributeElapsed(res, steps, start, end, owners)
@@ -398,6 +386,19 @@ func (e *Executor) runBatch(ctx context.Context, p *plan.Plan, steps []plan.Step
 // its physical endpoints' connection capacities.
 type replicaSource interface {
 	ReplicaConns() map[string]int
+}
+
+// criticalPath is the response-time contribution of a window of the exchange
+// log: the slowest lane's makespan over its connection capacity. owners is
+// exchangeGroups' per-logical-source roll-up of the same window.
+func (e *Executor) criticalPath(entries []netsim.Exchange) (critical time.Duration, owners map[string][]time.Duration) {
+	lanes, owners, laneConns := e.exchangeGroups(entries)
+	for name, durs := range lanes {
+		if d := netsim.Makespan(durs, laneConns[name]); d > critical {
+			critical = d
+		}
+	}
+	return critical, owners
 }
 
 // exchangeGroups buckets a slice of the exchange log two ways. lanes feeds
@@ -752,47 +753,21 @@ func (st *state) gather(names []string) ([]set.Set, error) {
 	return out, nil
 }
 
-// itemsOf extracts the distinct merge-attribute items of tuples, sorted.
-// The extraction runs on every record-returning exchange, so both the item
-// buffer and the dedup map are pre-sized to the tuple count (the common
-// case is few or no duplicate merge values).
+// itemsOf extracts the distinct merge-attribute items of tuples, sorted. The
+// tuples of a record-returning exchange arrive in no item order, so set.New
+// sorts and deduplicates them.
 func itemsOf(tuples []relation.Tuple, mergeIdx int) set.Set {
-	if len(tuples) == 0 {
-		return set.Empty
-	}
-	seen := make(map[string]bool, len(tuples))
-	items := make([]string, 0, len(tuples))
-	for _, t := range tuples {
-		item := t[mergeIdx].Raw()
-		if !seen[item] {
-			seen[item] = true
-			items = append(items, item)
-		}
+	items := make([]string, len(tuples))
+	for i, t := range tuples {
+		items[i] = t[mergeIdx].Raw()
 	}
 	return set.New(items...)
 }
 
 // localSelect applies condition ci of the plan to loaded source contents,
-// returning the matching items. Local computation is free in the cost model
+// returning the matching items: the selection a row-store wrapper over the
+// loaded relation would answer. Local computation is free in the cost model
 // (Section 2.4).
 func localSelect(rel *relation.Relation, p *plan.Plan, ci int) (set.Set, error) {
-	c := p.Conds[ci]
-	schema := rel.Schema()
-	mi := schema.MergeIndex()
-	seen := map[string]bool{}
-	var items []string
-	for _, t := range rel.Rows() {
-		ok, err := c.Eval(schema, t)
-		if err != nil {
-			return set.Set{}, err
-		}
-		if ok {
-			item := t[mi].Raw()
-			if !seen[item] {
-				seen[item] = true
-				items = append(items, item)
-			}
-		}
-	}
-	return set.New(items...), nil
+	return source.SelectItems(source.NewRowBackend(rel), p.Conds[ci])
 }

@@ -367,10 +367,10 @@ func (r *streamRun) fail(err error) {
 func (e *Executor) runStreaming(ctx context.Context, p *plan.Plan, st *state, res *Result) (*Result, error) {
 	start := time.Now()
 	var preTotal time.Duration
-	logStart := 0
+	var mark netsim.Mark
 	if e.Network != nil {
 		preTotal = e.Network.Stats().TotalTime
-		logStart = len(e.Network.Log())
+		mark = e.Network.Mark()
 		defer func() {
 			// As in runBatch: charge the network delta, clamped against a
 			// concurrent query's mid-run accounting reset.
@@ -476,18 +476,7 @@ func (e *Executor) runStreaming(ctx context.Context, p *plan.Plan, st *state, re
 	if e.Network != nil {
 		// The pipeline is one big round: response time is the critical path
 		// over the per-source k-lane schedules of the whole run's exchanges.
-		log := e.Network.Log()
-		if logStart > len(log) {
-			logStart = len(log)
-		}
-		lanes, _, laneConns := e.exchangeGroups(log[logStart:])
-		var critical time.Duration
-		for name, durs := range lanes {
-			if d := netsim.Makespan(durs, laneConns[name]); d > critical {
-				critical = d
-			}
-		}
-		res.ResponseTime = critical
+		res.ResponseTime, _ = e.criticalPath(e.Network.Since(mark))
 	}
 
 	res.PeakBytes = r.tr.high()

@@ -115,6 +115,9 @@ type Network struct {
 	links map[string]Link
 	rng   *rand.Rand
 	log   []Exchange
+	// resets counts Reset calls, so a Mark taken before a Reset can be told
+	// from a position in the log that replaced the one it pointed into.
+	resets uint64
 
 	// realScale, when positive, makes every exchange take realScale × its
 	// simulated duration of wall-clock time, so context deadlines bite.
@@ -345,6 +348,37 @@ func (n *Network) Log() []Exchange {
 	return out
 }
 
+// Mark is a position in the exchange log. Callers that account for their own
+// traffic take one before issuing it and read the window back with Since.
+type Mark struct {
+	resets uint64
+	pos    int
+}
+
+// Mark returns the current end of the exchange log.
+func (n *Network) Mark() Mark {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return Mark{resets: n.resets, pos: len(n.log)}
+}
+
+// Since returns a copy of the exchanges recorded after m, in order: the
+// caller's own plus those of whoever else used the network meanwhile. It
+// copies the window alone, so its cost does not grow with the log. A Reset
+// after m discarded the window's head, and everything now in the log was
+// recorded after it, so that is what Since returns then; no entry older
+// than m is ever returned.
+func (n *Network) Since(m Mark) []Exchange {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if m.resets != n.resets {
+		m.pos = 0
+	}
+	out := make([]Exchange, len(n.log)-m.pos)
+	copy(out, n.log[m.pos:])
+	return out
+}
+
 // Reset clears counters and the exchange log but keeps link configuration.
 // Any scheduled churn is re-armed: links revert to their ScheduleChurn-time
 // snapshot, killed sources come back, and the event script fires again as
@@ -353,6 +387,7 @@ func (n *Network) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.log = nil
+	n.resets++
 	n.totalBytes = 0
 	n.totalTime = 0
 	n.messages = 0

@@ -2,28 +2,59 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Tuple is one row of a relation; values align with the schema's columns.
 type Tuple []Value
 
-// Relation is an in-memory relation with the common schema and an index on
-// the merge attribute, the structure every storage backend ultimately
-// materializes through its wrapper.
+// Relation is an in-memory relation with the common schema and an ordered
+// index on the merge attribute, the structure every storage backend
+// ultimately materializes through its wrapper. Reads may run concurrently
+// with each other; Insert must not run concurrently with anything.
 type Relation struct {
 	schema *Schema
 	rows   []Tuple
-	// byItem maps a merge-attribute item to the indices of the rows that
-	// carry it. Sources use it to answer passed-binding (semijoin) queries
-	// without scanning.
-	byItem map[string][]int
+	bytes  int
+
+	// ordered is the item-ordered view, built on first use and dropped by
+	// Insert. Readers load it without locking (a semijoin looks it up once
+	// per probed item); build serializes concurrent first uses and calls no
+	// caller-supplied code.
+	ordered atomic.Pointer[Ordered]
+	build   sync.Mutex
+}
+
+// Ordered is a relation's index on the merge attribute: every tuple, grouped
+// by item, the groups in ascending item order. Sources answer selections by
+// walking it front to back (the matching items come out sorted and distinct)
+// and passed-binding queries by binary search. The three slices are shared
+// with the relation and must not be modified.
+type Ordered struct {
+	// Items holds the distinct merge-attribute items, sorted.
+	Items []string
+	// Rows holds the tuple headers of the whole relation, contiguous, in
+	// (item, insertion) order.
+	Rows []Tuple
+	// Start[g] is the index in Rows of the first tuple of Items[g];
+	// Start[len(Items)] is len(Rows).
+	Start []int
+}
+
+// Group returns the tuples of Items[g] in insertion order, clipped so an
+// append cannot reach the next group.
+func (o *Ordered) Group(g int) []Tuple {
+	lo, hi := o.Start[g], o.Start[g+1]
+	return o.Rows[lo:hi:hi]
 }
 
 // NewRelation creates an empty relation with the given schema.
 func NewRelation(schema *Schema) *Relation {
-	return &Relation{schema: schema, byItem: make(map[string][]int)}
+	return &Relation{schema: schema}
 }
 
 // Schema returns the relation's schema.
@@ -37,15 +68,72 @@ func (r *Relation) Insert(t Tuple) error {
 	if len(t) != r.schema.NumColumns() {
 		return fmt.Errorf("relation: tuple arity %d, schema has %d columns", len(t), r.schema.NumColumns())
 	}
+	bytes := 0
 	for i, c := range r.schema.Columns() {
 		if t[i].Kind() != c.Kind {
 			return fmt.Errorf("relation: column %s expects %s, got %s", c.Name, c.Kind, t[i].Kind())
 		}
+		bytes += t[i].Bytes()
 	}
-	item := t[r.schema.MergeIndex()].Raw()
-	r.byItem[item] = append(r.byItem[item], len(r.rows))
+	r.bytes += bytes
 	r.rows = append(r.rows, t)
+	r.ordered.Store(nil)
 	return nil
+}
+
+// Ordered returns the item-ordered view of the relation as it stands,
+// building it if no earlier call has since the last Insert.
+func (r *Relation) Ordered() *Ordered {
+	if o := r.ordered.Load(); o != nil {
+		return o
+	}
+	r.build.Lock()
+	defer r.build.Unlock()
+	o := r.ordered.Load()
+	if o == nil {
+		o = buildOrdered(r.rows, r.schema.MergeIndex())
+		r.ordered.Store(o)
+	}
+	return o
+}
+
+// buildOrdered sorts the rows by (item, insertion position) and records the
+// group boundaries.
+func buildOrdered(rows []Tuple, mergeIdx int) *Ordered {
+	type key struct {
+		item string
+		pos  int
+	}
+	keys := make([]key, len(rows))
+	for i, t := range rows {
+		keys[i] = key{t[mergeIdx].Raw(), i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := strings.Compare(a.item, b.item); c != 0 {
+			return c
+		}
+		return a.pos - b.pos
+	})
+	distinct := 0
+	for i, k := range keys {
+		if i == 0 || k.item != keys[i-1].item {
+			distinct++
+		}
+	}
+	o := &Ordered{
+		Items: make([]string, 0, distinct),
+		Rows:  make([]Tuple, len(rows)),
+		Start: make([]int, 0, distinct+1),
+	}
+	for i, k := range keys {
+		if i == 0 || k.item != keys[i-1].item {
+			o.Items = append(o.Items, k.item)
+			o.Start = append(o.Start, i)
+		}
+		o.Rows[i] = rows[k.pos]
+	}
+	o.Start = append(o.Start, len(rows))
+	return o
 }
 
 // MustInsert inserts values (one per column) and panics on error; a
@@ -67,44 +155,29 @@ func (r *Relation) Rows() []Tuple { return r.rows }
 func (r *Relation) Item(t Tuple) string { return t[r.schema.MergeIndex()].Raw() }
 
 // RowsWithItem returns the tuples whose merge attribute equals item, in
-// insertion order. It is the lookup a source performs to answer a
-// passed-binding query c AND M = item.
+// insertion order, or nil when there are none. It is the lookup a source
+// performs to answer a passed-binding query c AND M = item. The slice is a
+// window of the ordered view and must not be modified.
 func (r *Relation) RowsWithItem(item string) []Tuple {
-	idx := r.byItem[item]
-	if len(idx) == 0 {
+	o := r.Ordered()
+	g, ok := sort.Find(len(o.Items), func(i int) int { return strings.Compare(item, o.Items[i]) })
+	if !ok {
 		return nil
 	}
-	out := make([]Tuple, len(idx))
-	for k, i := range idx {
-		out[k] = r.rows[i]
-	}
-	return out
+	return o.Group(g)
 }
 
-// Items returns the distinct merge-attribute items, sorted.
+// Items returns a fresh copy of the distinct merge-attribute items, sorted.
 func (r *Relation) Items() []string {
-	out := make([]string, 0, len(r.byItem))
-	for item := range r.byItem {
-		out = append(out, item)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(r.Ordered().Items)
 }
 
 // DistinctItems returns the number of distinct merge-attribute values.
-func (r *Relation) DistinctItems() int { return len(r.byItem) }
+func (r *Relation) DistinctItems() int { return len(r.Ordered().Items) }
 
 // Bytes estimates the wire size of the whole relation, the quantity charged
 // when a plan loads an entire source with lq (Section 4).
-func (r *Relation) Bytes() int {
-	n := 0
-	for _, t := range r.rows {
-		for _, v := range t {
-			n += v.Bytes()
-		}
-	}
-	return n
-}
+func (r *Relation) Bytes() int { return r.bytes }
 
 // Get returns the value of the named column in tuple t.
 func (r *Relation) Get(t Tuple, col string) (Value, bool) {

@@ -250,25 +250,39 @@ func UnionAll(sets ...Set) Set {
 		}
 		return sets[first].Union(sets[last])
 	}
-	idx := make([]int, len(sets))
+	// One pass per output item: a three-way compare of every live head
+	// against the running minimum finds the minimum and the heads that tie
+	// with it together, so they advance without a second round of compares.
+	// idx and tied share one buffer.
+	buf := make([]int, 2*len(sets))
+	idx, tied := buf[:len(sets)], buf[len(sets):]
 	out := make([]string, 0, total)
 	for {
-		min, any := "", false
+		min, n := "", 0
 		for i, s := range sets {
-			if idx[i] < len(s.items) {
-				if h := s.items[idx[i]]; !any || h < min {
-					min, any = h, true
-				}
+			if idx[i] == len(s.items) {
+				continue
+			}
+			h := s.items[idx[i]]
+			c := -1
+			if n > 0 {
+				c = strings.Compare(h, min)
+			}
+			switch {
+			case c < 0:
+				min, n = h, 1
+				tied[0] = i
+			case c == 0:
+				tied[n] = i
+				n++
 			}
 		}
-		if !any {
+		if n == 0 {
 			break
 		}
 		out = append(out, min)
-		for i, s := range sets {
-			if idx[i] < len(s.items) && s.items[idx[i]] == min {
-				idx[i]++
-			}
+		for _, i := range tied[:n] {
+			idx[i]++
 		}
 	}
 	return Set{items: out}

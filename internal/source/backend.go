@@ -2,8 +2,10 @@ package source
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"fusionq/internal/oem"
 	"fusionq/internal/relation"
@@ -16,9 +18,17 @@ import (
 type Backend interface {
 	// Schema returns the common view the backend's wrapper exports.
 	Schema() *relation.Schema
-	// Scan visits every tuple of the exported view. Returning an error from
-	// fn aborts the scan with that error.
+	// Scan visits every tuple of the exported view in the backend's storage
+	// order, the order Load materializes. Returning an error from fn aborts
+	// the scan with that error.
 	Scan(fn func(relation.Tuple) error) error
+	// ScanOrdered visits the same tuples grouped by merge-attribute item:
+	// one call per distinct item, in ascending item order, with all of the
+	// item's tuples in Scan order. It is how a wrapper answers sq: the
+	// matching items come out sorted and distinct. fn may keep the tuples
+	// but not the group slice, which the backend may reuse or share with its
+	// index. Returning an error from fn aborts the scan with that error.
+	ScanOrdered(fn func(item string, group []relation.Tuple) error) error
 	// Lookup visits the tuples whose merge attribute equals item.
 	Lookup(item string, fn func(relation.Tuple) error) error
 	// Size returns tuple count, distinct item count and approximate bytes.
@@ -43,6 +53,22 @@ func (b *RowBackend) Schema() *relation.Schema { return b.rel.Schema() }
 func (b *RowBackend) Scan(fn func(relation.Tuple) error) error {
 	for _, t := range b.rel.Rows() {
 		if err := fn(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ScanOrdered implements Backend over the relation's ordered view.
+func (b *RowBackend) ScanOrdered(fn func(string, []relation.Tuple) error) error {
+	return scanOrdered(b.rel, fn)
+}
+
+// scanOrdered walks a relation's ordered view group by group.
+func scanOrdered(rel *relation.Relation, fn func(string, []relation.Tuple) error) error {
+	o := rel.Ordered()
+	for g, item := range o.Items {
+		if err := fn(item, o.Group(g)); err != nil {
 			return err
 		}
 	}
@@ -75,6 +101,11 @@ type KVBackend struct {
 	keys   []string            // insertion-ordered distinct items
 	tuples int
 	bytes  int
+
+	// sorted is keys in ascending order, built by the first ordered scan
+	// after a Put; mu guards it so concurrent scans sort once.
+	mu     sync.Mutex
+	sorted []string
 }
 
 // NewKVBackend creates an empty key–value backend exporting schema.
@@ -100,6 +131,9 @@ func (b *KVBackend) Put(t relation.Tuple) error {
 	item := t[b.schema.MergeIndex()].Raw()
 	if _, ok := b.data[item]; !ok {
 		b.keys = append(b.keys, item)
+		b.mu.Lock()
+		b.sorted = nil
+		b.mu.Unlock()
 	}
 	b.data[item] = append(b.data[item], strings.Join(parts, kvSep))
 	b.tuples++
@@ -169,6 +203,37 @@ func (b *KVBackend) Scan(fn func(relation.Tuple) error) error {
 	return nil
 }
 
+// sortedKeys returns the distinct items in ascending order.
+func (b *KVBackend) sortedKeys() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.sorted == nil && len(b.keys) > 0 {
+		b.sorted = slices.Clone(b.keys)
+		slices.Sort(b.sorted)
+	}
+	return b.sorted
+}
+
+// ScanOrdered implements Backend: the records are already grouped by key, so
+// it decodes one group at a time into a reused buffer.
+func (b *KVBackend) ScanOrdered(fn func(string, []relation.Tuple) error) error {
+	var group []relation.Tuple
+	for _, item := range b.sortedKeys() {
+		group = group[:0]
+		for _, rec := range b.data[item] {
+			t, err := b.decode(rec)
+			if err != nil {
+				return err
+			}
+			group = append(group, t)
+		}
+		if err := fn(item, group); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Lookup implements Backend.
 func (b *KVBackend) Lookup(item string, fn func(relation.Tuple) error) error {
 	for _, rec := range b.data[item] {
@@ -218,6 +283,15 @@ func (b *OEMBackend) Scan(fn func(relation.Tuple) error) error {
 		}
 	}
 	return nil
+}
+
+// ScanOrdered implements Backend over the mapped relation's ordered view.
+func (b *OEMBackend) ScanOrdered(fn func(string, []relation.Tuple) error) error {
+	rel, err := b.store.ToRelation(b.mapping)
+	if err != nil {
+		return err
+	}
+	return scanOrdered(rel, fn)
 }
 
 // Lookup implements Backend.

@@ -140,34 +140,57 @@ func (w *Wrapper) ctxErr(ctx context.Context) error {
 
 // Select implements Source.
 func (w *Wrapper) Select(ctx context.Context, c cond.Cond) (set.Set, error) {
+	return w.sq(ctx, c, nil)
+}
+
+// sq answers sq(c, R), restricted to the items keep accepts when it is
+// non-nil.
+func (w *Wrapper) sq(ctx context.Context, c cond.Cond, keep func(item string) bool) (set.Set, error) {
 	if err := w.ctxErr(ctx); err != nil {
 		return set.Set{}, err
 	}
-	schema := w.backend.Schema()
-	if err := c.Check(schema); err != nil {
+	out, err := selectItems(w.backend, c, keep)
+	if err != nil {
 		return set.Set{}, fmt.Errorf("source %s: %w", w.name, err)
 	}
-	mi := schema.MergeIndex()
+	return out, nil
+}
+
+// SelectItems answers sq(c, ·) over a backend: the distinct items with a
+// tuple satisfying c. Wrappers and the mediator's local selections over
+// loaded relations share this one implementation.
+func SelectItems(b Backend, c cond.Cond) (set.Set, error) {
+	return selectItems(b, c, nil)
+}
+
+// selectItems binds c to the backend's schema and walks the ordered scan,
+// which makes the result sorted and distinct as it is appended. Every tuple
+// is evaluated, also those of an item that already matched, so an evaluation
+// error anywhere in the relation fails the query.
+func selectItems(b Backend, c cond.Cond, keep func(item string) bool) (set.Set, error) {
+	pred, err := c.Bind(b.Schema())
+	if err != nil {
+		return set.Set{}, err
+	}
 	var items []string
-	seen := map[string]bool{}
-	err := w.backend.Scan(func(t relation.Tuple) error {
-		ok, err := c.Eval(schema, t)
-		if err != nil {
-			return err
-		}
-		if ok {
-			item := t[mi].Raw()
-			if !seen[item] {
-				seen[item] = true
-				items = append(items, item)
+	err = b.ScanOrdered(func(item string, group []relation.Tuple) error {
+		match := false
+		for _, t := range group {
+			ok, err := pred(t)
+			if err != nil {
+				return err
 			}
+			match = match || ok
+		}
+		if match && (keep == nil || keep(item)) {
+			items = append(items, item)
 		}
 		return nil
 	})
 	if err != nil {
-		return set.Set{}, fmt.Errorf("source %s: %w", w.name, err)
+		return set.Set{}, err
 	}
-	return set.New(items...), nil
+	return set.FromSorted(items), nil
 }
 
 // Semijoin implements Source, observing ctx between per-item probes.
@@ -175,8 +198,8 @@ func (w *Wrapper) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set
 	if !w.caps.NativeSemijoin {
 		return set.Set{}, fmt.Errorf("source %s: semijoin: %w", w.name, ErrUnsupported)
 	}
-	schema := w.backend.Schema()
-	if err := c.Check(schema); err != nil {
+	pred, err := c.Bind(w.backend.Schema())
+	if err != nil {
 		return set.Set{}, fmt.Errorf("source %s: %w", w.name, err)
 	}
 	out := make([]string, 0, y.Len())
@@ -184,7 +207,7 @@ func (w *Wrapper) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set
 		if err := w.ctxErr(ctx); err != nil {
 			return set.Set{}, err
 		}
-		match, err := w.matchBinding(c, item)
+		match, err := w.matchBinding(pred, item)
 		if err != nil {
 			return set.Set{}, fmt.Errorf("source %s: %w", w.name, err)
 		}
@@ -203,23 +226,23 @@ func (w *Wrapper) SelectBinding(ctx context.Context, c cond.Cond, item string) (
 	if err := w.ctxErr(ctx); err != nil {
 		return false, err
 	}
-	schema := w.backend.Schema()
-	if err := c.Check(schema); err != nil {
+	pred, err := c.Bind(w.backend.Schema())
+	if err != nil {
 		return false, fmt.Errorf("source %s: %w", w.name, err)
 	}
-	match, err := w.matchBinding(c, item)
+	match, err := w.matchBinding(pred, item)
 	if err != nil {
 		return false, fmt.Errorf("source %s: %w", w.name, err)
 	}
 	return match, nil
 }
 
-// matchBinding evaluates c over the tuples carrying the given item.
-func (w *Wrapper) matchBinding(c cond.Cond, item string) (bool, error) {
-	schema := w.backend.Schema()
+// matchBinding evaluates the bound condition over the tuples carrying the
+// given item.
+func (w *Wrapper) matchBinding(pred cond.Pred, item string) (bool, error) {
 	match := false
 	err := w.backend.Lookup(item, func(t relation.Tuple) error {
-		ok, err := c.Eval(schema, t)
+		ok, err := pred(t)
 		if err != nil {
 			return err
 		}
@@ -270,17 +293,7 @@ func (w *Wrapper) SemijoinBloom(ctx context.Context, c cond.Cond, f *bloom.Filte
 	if !w.caps.BloomSemijoin {
 		return set.Set{}, fmt.Errorf("source %s: bloom semijoin: %w", w.name, ErrUnsupported)
 	}
-	all, err := w.Select(ctx, c)
-	if err != nil {
-		return set.Set{}, err
-	}
-	out := make([]string, 0, all.Len())
-	for _, item := range all.Items() {
-		if f.Test(item) {
-			out = append(out, item)
-		}
-	}
-	return set.FromSorted(out), nil
+	return w.sq(ctx, c, f.Test)
 }
 
 // SelectRecords implements Source. Matching is item-level: the result

@@ -31,7 +31,7 @@ func Calibrate(ctx context.Context, src source.Source, network *netsim.Network, 
 	if len(probes) < 2 {
 		return SourceProfile{}, fmt.Errorf("stats: calibration needs at least two probe conditions")
 	}
-	logStart := len(network.Log())
+	mark := network.Mark()
 	totalItems, totalItemBytes := 0, 0
 	for _, c := range probes {
 		items, err := src.Select(ctx, c)
@@ -41,7 +41,7 @@ func Calibrate(ctx context.Context, src source.Source, network *netsim.Network, 
 		totalItems += items.Len()
 		totalItemBytes += items.Bytes()
 	}
-	exchanges := network.Log()[logStart:]
+	exchanges := network.Since(mark)
 	if len(exchanges) < 2 {
 		return SourceProfile{}, fmt.Errorf("stats: probes produced %d exchanges, need at least 2", len(exchanges))
 	}

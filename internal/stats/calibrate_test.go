@@ -3,11 +3,13 @@ package stats
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"fusionq/internal/cond"
 	"fusionq/internal/netsim"
+	"fusionq/internal/set"
 	"fusionq/internal/source"
 	"fusionq/internal/workload"
 )
@@ -117,5 +119,61 @@ func TestCalibrateErrors(t *testing.T) {
 	bad := []cond.Cond{cond.MustParse("Zz = 1"), cond.MustParse("Zz = 2")}
 	if _, err := Calibrate(context.Background(), src, network, bad); err == nil {
 		t.Error("invalid probe conditions should fail")
+	}
+}
+
+// resetAfterFirst is a source whose first Select hands control to another
+// goroutine — a concurrent query's planning phase — and waits for it.
+type resetAfterFirst struct {
+	source.Source
+	once       sync.Once
+	selected   chan<- struct{}
+	resetDone  <-chan struct{}
+	selections int
+}
+
+func (s *resetAfterFirst) Select(ctx context.Context, c cond.Cond) (set.Set, error) {
+	out, err := s.Source.Select(ctx, c)
+	s.selections++
+	s.once.Do(func() {
+		s.selected <- struct{}{}
+		<-s.resetDone
+	})
+	return out, err
+}
+
+// TestCalibrateSurvivesConcurrentReset resets the shared network between
+// Calibrate's two reads of the exchange log, at a moment when the log is
+// shorter than it was when calibration began. Slicing the log at the
+// remembered length panicked there; the window returns the probes recorded
+// since the reset. Run with -race.
+func TestCalibrateSurvivesConcurrentReset(t *testing.T) {
+	inner, network, probes, _ := calibrationScenario(t)
+	for i := 0; i < 20; i++ {
+		network.Exchange(inner.Name(), "sq", 10, 10)
+	}
+	selected, resetDone := make(chan struct{}), make(chan struct{})
+	src := &resetAfterFirst{Source: inner, selected: selected, resetDone: resetDone}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-selected
+		network.Reset()
+		close(resetDone)
+	}()
+	got, err := Calibrate(context.Background(), src, network, probes)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("Calibrate across a Reset: %v", err)
+	}
+	if src.selections != len(probes) {
+		t.Fatalf("%d probes issued, want %d", src.selections, len(probes))
+	}
+	if left := len(network.Log()); left != len(probes)-1 {
+		t.Fatalf("%d exchanges in the log after the reset, want the %d later probes", left, len(probes)-1)
+	}
+	if got.PerQuery <= 0 {
+		t.Fatalf("PerQuery = %v fitted from the surviving probes, want positive", got.PerQuery)
 	}
 }
