@@ -62,7 +62,8 @@ bench:
 
 # Layer micro-benchmarks behind the end-to-end benchmark's numbers: the
 # wrapper's selection scan, a batch's exchange accounting at two log lengths,
-# and the k-way union. CI runs the same set once per benchmark as a smoke.
+# one plan under each scheduler (seq, par, stream), and the k-way union. CI
+# runs the same set once per benchmark as a smoke.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'WrapperSelect|BatchAccounting|UnionAll' -benchmem \
+	$(GO) test -run '^$$' -bench 'WrapperSelect|BatchAccounting|RunModes|UnionAll' -benchmem \
 		./internal/source ./internal/exec ./internal/set

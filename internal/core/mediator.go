@@ -154,8 +154,9 @@ type Options struct {
 	// counters and honest-partial semantics are identical to materialized
 	// execution; peak intermediate memory (Answer.Exec.PeakBytes) is
 	// bounded by the batch size instead of the largest intermediate set.
-	// Ignored for Adaptive and CombinedFetch queries, which need
-	// materialized intermediates.
+	// CombinedFetch queries stream the same way. Adaptive queries are
+	// round-scheduled whatever this says: each round is chosen from the
+	// measured size of the set the round before left.
 	Streaming bool
 	// BatchSize is the item-batch granularity of streaming execution
 	// (default set.DefaultBatch). Smaller batches lower first-answer
@@ -794,9 +795,8 @@ func (m *Mediator) queryConds(ctx context.Context, conds []cond.Cond, opts Optio
 		if err != nil {
 			return nil, err
 		}
-		ex := &exec.Executor{Sources: r.sources, Network: r.network, Parallel: opts.Parallel, Conns: opts.Conns, Cache: r.cache, Retries: opts.Retries}
 		ectx, esp := obs.StartSpan(ctx, obs.KindPhase, "execute")
-		run, executed, err := ex.RunAdaptive(ectx, pr)
+		run, executed, err := r.executor(opts).RunAdaptive(ectx, pr)
 		esp.End(err)
 		if err != nil {
 			return partialAnswer(run, executed), err
@@ -809,35 +809,12 @@ func (m *Mediator) queryConds(ctx context.Context, conds []cond.Cond, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	ex := &exec.Executor{
-		Sources: r.sources, Network: r.network, Parallel: opts.Parallel, Conns: opts.Conns,
-		Cache: r.cache, Trace: opts.Trace, Retries: opts.Retries,
-		Streaming: opts.Streaming, BatchSize: opts.BatchSize,
-	}
-	ectx, esp := obs.StartSpan(ctx, obs.KindPhase, "execute")
-	if opts.CombinedFetch {
-		run, records, err := ex.RunCombined(ectx, res.Plan)
-		esp.End(err)
-		if err != nil {
-			return partialAnswer(run, res.Plan), err
-		}
-		return &Answer{Items: run.Answer, Plan: res.Plan, EstimatedCost: res.Cost, Exec: run, Records: records}, nil
-	}
-	run, err := ex.Run(ectx, res.Plan)
-	esp.End(err)
-	if err != nil {
-		if ans, rerr, handled := m.tryRepair(ctx, r, opts, res.Plan, run, res.Cost, err); handled {
-			return ans, rerr
-		}
-		return partialAnswer(run, res.Plan), err
-	}
-	return &Answer{Items: run.Answer, Plan: res.Plan, EstimatedCost: res.Cost, Exec: run}, nil
+	return m.execute(ctx, r, opts, res, opts.CombinedFetch)
 }
 
 // queryPlanned is the body of QueryPlannedContext: validate the plan against
-// the current roster, then execute it exactly as queryConds would — same
-// executor wiring, same phase spans, same repair fallback — minus the plan
-// phase.
+// the current roster, then execute it exactly as queryConds would, minus the
+// plan phase.
 func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts Options) (*Answer, error) {
 	if res.Plan == nil {
 		return nil, fmt.Errorf("core: planned query: nil plan")
@@ -857,21 +834,46 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 				i, name, r.sources[i].Name(), ErrStalePlan)
 		}
 	}
-	ex := &exec.Executor{
+	return m.execute(ctx, r, opts, res, false)
+}
+
+// executor wires the roster and the query's execution options into the
+// executor every entry point runs on.
+func (r roster) executor(opts Options) *exec.Executor {
+	return &exec.Executor{
 		Sources: r.sources, Network: r.network, Parallel: opts.Parallel, Conns: opts.Conns,
 		Cache: r.cache, Trace: opts.Trace, Retries: opts.Retries,
 		Streaming: opts.Streaming, BatchSize: opts.BatchSize,
 	}
+}
+
+// execute is the execute phase of a planned query and what follows it: run
+// the plan (fetching records in the same pass when combined), fall back to
+// mid-query roster repair when a logical source is exhausted, and package
+// the answer or the honest partial.
+func (m *Mediator) execute(ctx context.Context, r roster, opts Options, res optimizer.Result, combined bool) (*Answer, error) {
+	ex := r.executor(opts)
 	ectx, esp := obs.StartSpan(ctx, obs.KindPhase, "execute")
-	run, err := ex.Run(ectx, res.Plan)
+	var (
+		run     *exec.Result
+		records *relation.Relation
+		err     error
+	)
+	if combined {
+		run, records, err = ex.RunCombined(ectx, res.Plan)
+	} else {
+		run, err = ex.Run(ectx, res.Plan)
+	}
 	esp.End(err)
 	if err != nil {
-		if ans, rerr, handled := m.tryRepair(ctx, r, opts, res.Plan, run, res.Cost, err); handled {
-			return ans, rerr
+		if !combined {
+			if ans, rerr, handled := m.tryRepair(ctx, r, opts, res.Plan, run, res.Cost, err); handled {
+				return ans, rerr
+			}
 		}
 		return partialAnswer(run, res.Plan), err
 	}
-	return &Answer{Items: run.Answer, Plan: res.Plan, EstimatedCost: res.Cost, Exec: run}, nil
+	return &Answer{Items: run.Answer, Plan: res.Plan, EstimatedCost: res.Cost, Exec: run, Records: records}, nil
 }
 
 // partialAnswer packages the counters of a failed execution; nil when the

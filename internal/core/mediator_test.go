@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"fusionq/internal/cond"
 	"fusionq/internal/netsim"
+	"fusionq/internal/obs"
 	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
@@ -110,16 +112,38 @@ func TestTwoPhaseFetch(t *testing.T) {
 }
 
 func TestCombinedFetchOption(t *testing.T) {
+	// Combined fetch runs under whichever scheduler the query asked for:
+	// only a streaming query emits stream batches.
+	for _, streaming := range []bool{false, true} {
+		m := dmvMediator(t, true)
+		reg := obs.NewRegistry()
+		ctx := obs.With(context.Background(), &obs.Obs{Metrics: reg})
+		ans, err := m.QueryContext(ctx, paperSQL, Options{CombinedFetch: true, Algorithm: AlgoSJA, Streaming: streaming, BatchSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := set.New("J55", "T21"); !ans.Items.Equal(want) {
+			t.Fatalf("streaming=%v: answer = %v, want %v", streaming, ans.Items, want)
+		}
+		if ans.Records == nil || ans.Records.Len() != 5 {
+			t.Fatalf("streaming=%v: Records = %v, want 5 tuples", streaming, ans.Records)
+		}
+		batches := int64(0)
+		for _, f := range reg.Snapshot() {
+			if f.Name == obs.MStreamBatches {
+				for _, p := range f.Points {
+					batches += p.Value
+				}
+			}
+		}
+		if (batches > 0) != streaming {
+			t.Fatalf("streaming=%v: %d stream batches", streaming, batches)
+		}
+	}
 	m := dmvMediator(t, true)
 	ans, err := m.Query(paperSQL, Options{CombinedFetch: true, Algorithm: AlgoSJA})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if want := set.New("J55", "T21"); !ans.Items.Equal(want) {
-		t.Fatalf("answer = %v, want %v", ans.Items, want)
-	}
-	if ans.Records == nil || ans.Records.Len() != 5 {
-		t.Fatalf("Records = %v, want 5 tuples", ans.Records)
 	}
 	// Classic two-phase must agree.
 	m2 := dmvMediator(t, true)
@@ -305,12 +329,15 @@ func TestAlgorithmsComplete(t *testing.T) {
 
 func TestAdaptiveOption(t *testing.T) {
 	m := dmvMediator(t, true)
-	ans, err := m.Query(paperSQL, Options{Adaptive: true})
+	ans, err := m.Query(paperSQL, Options{Adaptive: true, Trace: true, Streaming: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := set.New("J55", "T21"); !ans.Items.Equal(want) {
 		t.Fatalf("adaptive answer = %v, want %v", ans.Items, want)
+	}
+	if len(ans.Exec.Trace) != len(ans.Plan.Steps) {
+		t.Fatalf("trace has %d entries for %d executed steps", len(ans.Exec.Trace), len(ans.Plan.Steps))
 	}
 	if ans.Plan.Class != "adaptive" {
 		t.Fatalf("plan class = %q", ans.Plan.Class)

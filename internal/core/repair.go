@@ -186,12 +186,7 @@ func (m *Mediator) tryRepair(ctx context.Context, r roster, opts Options, p *pla
 			err = fmt.Errorf("core: repair re-plan: %w", perr)
 			break
 		}
-		ex := &exec.Executor{
-			Sources: cur.sources, Network: cur.network, Parallel: opts.Parallel, Conns: opts.Conns,
-			Cache: cur.cache, Trace: opts.Trace, Retries: opts.Retries,
-			Streaming: opts.Streaming, BatchSize: opts.BatchSize,
-		}
-		rerun, rerr := ex.Run(rctx, res.Plan)
+		rerun, rerr := cur.executor(opts).Run(rctx, res.Plan)
 		mergeExec(total, rerun)
 		if rerr == nil {
 			answer := rerun.Answer

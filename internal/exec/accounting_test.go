@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fusionq/internal/netsim"
+	"fusionq/internal/plan"
 	"fusionq/internal/source"
 	"fusionq/internal/workload"
 )
@@ -14,7 +15,7 @@ import (
 // accountingFixture is an executor over the DMV roster on a network that
 // already carries prior exchanges, as it does after that many source
 // queries without a statistics pass.
-func accountingFixture(prior int) (*Executor, *netsim.Network) {
+func accountingFixture(prior int) (*run, *netsim.Network) {
 	sc := workload.DMV()
 	network := netsim.NewNetwork(1)
 	srcs := make([]source.Source, len(sc.Sources))
@@ -22,7 +23,8 @@ func accountingFixture(prior int) (*Executor, *netsim.Network) {
 		srcs[j] = source.Instrument(s, network)
 	}
 	fillLog(network, prior)
-	return &Executor{Sources: srcs, Network: network, Parallel: true}, network
+	e := &Executor{Sources: srcs, Network: network, Parallel: true}
+	return e.newRun(&plan.Plan{Sources: sc.SourceNames()}, false), network
 }
 
 func fillLog(network *netsim.Network, prior int) {
@@ -35,12 +37,12 @@ func fillLog(network *netsim.Network, prior int) {
 // accountBatch is the accounting runBatch wraps around a round of source
 // queries: mark the log, let one exchange per source happen, and turn the
 // window into the batch's critical path.
-func accountBatch(e *Executor, network *netsim.Network) time.Duration {
+func accountBatch(r *run, network *netsim.Network) time.Duration {
 	mark := network.Mark()
-	for _, s := range e.Sources {
-		network.Exchange(s.Name(), "sq", 40, 400)
+	for _, name := range r.p.Sources {
+		network.Exchange(name, "sq", 40, 400)
 	}
-	critical, _ := e.criticalPath(network.Since(mark))
+	critical, _ := r.criticalPath(network.Since(mark))
 	return critical
 }
 

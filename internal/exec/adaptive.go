@@ -4,15 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
-	"fusionq/internal/bloom"
-	"fusionq/internal/netsim"
-	"fusionq/internal/obs"
 	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
 	"fusionq/internal/set"
-	"fusionq/internal/source"
+	"fusionq/internal/stats"
 )
 
 // RunAdaptive executes a fusion query with mid-query re-optimization: the
@@ -33,80 +29,42 @@ import (
 // (experiment E15). The executed steps are recorded as a plan in Result
 // form for inspection.
 //
+// Adaptive execution is round-scheduled by construction: a round is chosen
+// from the measured size of the set the round before left, so there is a
+// barrier between rounds whatever the executor's Streaming flag says. Each
+// round is built as plan steps and run by the same scheduler Run uses
+// (sequentially, or the round's source queries at once in parallel mode),
+// so counters, trace, failover accounting and FailedStep mean what they
+// mean there, with step indexes into the executed plan.
+//
 // Like Run, a failed or cancelled execution returns a non-nil Result whose
 // counters report the work already performed, with the error wrapping the
-// cause.
+// cause; the executed plan then ends with the round that failed.
 func (e *Executor) RunAdaptive(ctx context.Context, pr *optimizer.Problem) (*Result, *plan.Plan, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if len(pr.Sources) != len(e.Sources) {
-		return nil, nil, fmt.Errorf("exec: problem has %d sources, executor has %d", len(pr.Sources), len(e.Sources))
+	if err := e.checkRoster("problem", pr.Sources); err != nil {
+		return nil, nil, err
 	}
-	for j, name := range pr.Sources {
-		if e.Sources[j].Name() != name {
-			return nil, nil, fmt.Errorf("exec: problem source %d is %q but executor has %q", j, name, e.Sources[j].Name())
-		}
-	}
-	m, n := len(pr.Conds), len(pr.Sources)
-	t := pr.Table
-
 	executed := &plan.Plan{Conds: pr.Conds, Sources: pr.Sources, Class: "adaptive"}
-	res := &Result{Vars: map[string]set.Set{}, FailedStep: -1}
-	placed := make([]bool, m)
-	conns := make([]int, len(e.Sources))
-	for j := range e.Sources {
-		conns[j] = e.connsFor(j)
-	}
-	e.sched = newScheduler(conns)
-	if e.Network != nil {
-		pre := e.Network.Stats().TotalTime
-		defer func() {
-			if d := e.Network.Stats().TotalTime - pre; d > 0 {
-				res.TotalWork = d
-			}
-			if !e.Parallel {
-				res.ResponseTime = res.TotalWork
-			}
-		}()
-	}
+	r := e.newRun(executed, false)
+	return r.res, executed, r.rounds(ctx, func() error { return r.adapt(ctx, pr.Table) })
+}
 
-	record := func(s plan.Step, out set.Set, qs queryStats) {
-		executed.Steps = append(executed.Steps, s)
-		res.Vars[s.Out] = out
-		res.SourceQueries += qs.queries
-		res.CacheHits += qs.hits
-		res.CacheMisses += qs.misses
-		res.Retries += qs.retries
-	}
-	// charge flushes a failed query's statistics: the attempts reached the
-	// source, so the partial Result must report them.
-	charge := func(qs queryStats) {
-		res.SourceQueries += qs.queries
-		res.CacheHits += qs.hits
-		res.CacheMisses += qs.misses
-		res.Retries += qs.retries
-	}
-
-	// query issues one adaptive source query. Adaptive rounds issue their
-	// per-source queries one source at a time, so in parallel mode the
-	// response time is the per-call makespan — an emulated semijoin's binding
-	// fan-out over the source's connections is the only intra-call
-	// parallelism.
-	query := func(ci, j int, method optimizer.Method, x set.Set) (set.Set, queryStats, error) {
-		var mark netsim.Mark
-		if e.Parallel && e.Network != nil {
-			mark = e.Network.Mark()
-		}
-		out, qs, err := e.sourceQuery(ctx, pr, ci, j, method, x)
-		if e.Parallel && e.Network != nil {
-			var durs []time.Duration
-			for _, ex := range e.Network.Since(mark) {
-				durs = append(durs, ex.Elapsed)
-			}
-			res.ResponseTime += netsim.Makespan(durs, e.connsFor(j))
-		}
-		return out, qs, err
+// adapt chooses and runs the rounds of an adaptive execution, growing the
+// run's plan as it goes.
+func (r *run) adapt(ctx context.Context, t *stats.CostTable) error {
+	executed := r.p
+	m, n := len(executed.Conds), len(executed.Sources)
+	// round appends round i's steps to the executed plan, runs them, and
+	// returns the running set they leave in variable X<i>.
+	round := func(i, ci int, methods []optimizer.Method) (set.Set, error) {
+		from := len(executed.Steps)
+		executed.Steps = append(executed.Steps, roundSteps(i, ci, methods)...)
+		executed.Result = fmt.Sprintf("X%d", i)
+		err := r.runSteps(ctx, from)
+		return r.vars[executed.Result], err
 	}
 
 	// First round: cheapest estimated selections relative to the set they
@@ -122,165 +80,67 @@ func (e *Executor) RunAdaptive(ctx context.Context, pr *optimizer.Problem) (*Res
 			first, bestCost, bestCard = i, c, card
 		}
 	}
+	placed := make([]bool, m)
 	placed[first] = true
-	parts := make([]set.Set, n)
-	var names []string
-	for j := 0; j < n; j++ {
-		out, qs, err := query(first, j, optimizer.MethodSelect, set.Set{})
-		if err != nil {
-			charge(qs)
-			return res, executed, err
-		}
-		name := fmt.Sprintf("X1%d", j+1)
-		record(plan.Step{Kind: plan.KindSelect, Out: name, Cond: first, Source: j}, out, qs)
-		parts[j] = out
-		names = append(names, name)
+	methods := make([]optimizer.Method, n)
+	for j := range methods {
+		methods[j] = optimizer.MethodSelect
 	}
-	x := set.UnionAll(parts...)
-	record(plan.Step{Kind: plan.KindUnion, Out: "X1", Cond: -1, Source: -1, In: names}, x, queryStats{})
+	x, err := round(1, first, methods)
 
-	for r := 2; r <= m && !x.IsEmpty(); r++ {
-		if err := ctx.Err(); err != nil {
-			return res, executed, fmt.Errorf("exec: adaptive: %w", err)
-		}
+	for i := 2; err == nil && i <= m && !x.IsEmpty(); i++ {
 		// Pick the next condition against the MEASURED |X|.
 		measured := float64(x.Len())
-		nextIdx, nextCost := -1, math.Inf(1)
-		var nextMethods []optimizer.Method
-		for i := 0; i < m; i++ {
-			if placed[i] {
+		next, nextCost := -1, math.Inf(1)
+		for c := 0; c < m; c++ {
+			if placed[c] {
 				continue
 			}
 			roundCost := 0.0
-			methods := make([]optimizer.Method, n)
+			choice := make([]optimizer.Method, n)
 			for j := 0; j < n; j++ {
-				method, cost := optimizer.BestMethod(t, i, j, measured)
-				methods[j] = method
+				method, cost := optimizer.BestMethod(t, c, j, measured)
+				choice[j] = method
 				roundCost += cost
 			}
 			if roundCost < nextCost {
-				nextIdx, nextCost, nextMethods = i, roundCost, methods
+				next, nextCost, methods = c, roundCost, choice
 			}
 		}
-		placed[nextIdx] = true
-
-		var selVars, sjVars []string
-		var selSets, sjSets []set.Set
-		for j := 0; j < n; j++ {
-			method := nextMethods[j]
-			name := fmt.Sprintf("X%d%d", r, j+1)
-			out, qs, err := query(nextIdx, j, method, x)
-			if err != nil {
-				charge(qs)
-				return res, executed, err
-			}
-			switch method {
-			case optimizer.MethodSelect:
-				record(plan.Step{Kind: plan.KindSelect, Out: name, Cond: nextIdx, Source: j}, out, qs)
-				selVars = append(selVars, name)
-				selSets = append(selSets, out)
-			case optimizer.MethodBloom:
-				record(plan.Step{Kind: plan.KindBloomSemijoin, Out: name, Cond: nextIdx, Source: j, In: []string{fmt.Sprintf("X%d", r-1)}}, out, qs)
-				sjVars = append(sjVars, name)
-				sjSets = append(sjSets, out)
-			default:
-				record(plan.Step{Kind: plan.KindSemijoin, Out: name, Cond: nextIdx, Source: j, In: []string{fmt.Sprintf("X%d", r-1)}}, out, qs)
-				sjVars = append(sjVars, name)
-				sjSets = append(sjSets, out)
-			}
-		}
-		all := append(append([]string(nil), selVars...), sjVars...)
-		u := set.UnionAll(append(append([]set.Set(nil), selSets...), sjSets...)...)
-		out := fmt.Sprintf("X%d", r)
-		record(plan.Step{Kind: plan.KindUnion, Out: out, Cond: -1, Source: -1, In: all}, u, queryStats{})
-		if len(selVars) > 0 {
-			u = u.Intersect(x)
-			record(plan.Step{Kind: plan.KindIntersect, Out: out, Cond: -1, Source: -1, In: []string{out, fmt.Sprintf("X%d", r-1)}}, u, queryStats{})
-		}
-		x = u
+		placed[next] = true
+		x, err = round(i, next, methods)
 	}
 	// A drained set answers all remaining conditions vacuously with ∅.
-	res.Answer = x
-	executed.Result = executed.Steps[len(executed.Steps)-1].Out
-	return res, executed, nil
+	return err
 }
 
-// sourceQuery issues one adaptive-round query with the chosen method through
-// the cache and scheduler, honoring the executor's retry budget. Emulated
-// semijoins retry per binding inside semijoinQuery, so the whole-call retry
-// budget is zeroed for them; failed attempts stay charged in the returned
-// stats. Context errors are never transient, so cancellation stops the
-// retry loop at once. Each call is a step span (re-attempts get attempt
-// spans beneath it) and emits the same per-source counters as planned-mode
-// steps.
-func (e *Executor) sourceQuery(ctx context.Context, pr *optimizer.Problem, ci, j int, method optimizer.Method, x set.Set) (set.Set, queryStats, error) {
-	src := e.Sources[j]
-	budget := e.Retries
-	if method != optimizer.MethodSelect && method != optimizer.MethodBloom {
-		if caps := src.Caps(); !caps.NativeSemijoin && caps.PassedBindings {
-			budget = 0
+// roundSteps writes round i of an adaptive execution — condition ci, each
+// source queried by its chosen method — in the canonical plans' shape: the
+// per-source queries X<i><j>, their union X<i>, and, when some source was
+// asked a plain selection, the intersection with the running set X<i-1>
+// that the semijoins apply at the source.
+func roundSteps(i, ci int, methods []optimizer.Method) []plan.Step {
+	prev, out := fmt.Sprintf("X%d", i-1), fmt.Sprintf("X%d", i)
+	var steps []plan.Step
+	var selVars, sjVars []string
+	for j, method := range methods {
+		s := plan.Step{Out: fmt.Sprintf("X%d%d", i, j+1), Cond: ci, Source: j}
+		switch method {
+		case optimizer.MethodSelect:
+			s.Kind = plan.KindSelect
+			selVars = append(selVars, s.Out)
+		case optimizer.MethodBloom:
+			s.Kind, s.In = plan.KindBloomSemijoin, []string{prev}
+			sjVars = append(sjVars, s.Out)
+		default:
+			s.Kind, s.In = plan.KindSemijoin, []string{prev}
+			sjVars = append(sjVars, s.Out)
 		}
+		steps = append(steps, s)
 	}
-	sctx, span := obs.StartSpan(ctx, obs.KindStep, fmt.Sprintf("adaptive %s(c%d) @ %s", method, ci+1, src.Name()))
-	span.SetAttr("source", src.Name())
-
-	var acc queryStats
-	var out set.Set
-	var err error
-	for attempt := 0; ; attempt++ {
-		actx := sctx
-		var asp *obs.Span
-		if attempt > 0 {
-			actx, asp = obs.StartSpan(sctx, obs.KindAttempt, fmt.Sprintf("attempt %d", attempt+1))
-		}
-		var qs queryStats
-		out, qs, err = e.attemptSourceQuery(actx, pr, ci, j, method, x)
-		asp.End(err)
-		acc.add(qs)
-		if err == nil {
-			break
-		}
-		acc.errors++
-		if attempt >= budget || !source.IsTransient(err) {
-			err = fmt.Errorf("exec: adaptive %s at %s: %w", method, src.Name(), err)
-			break
-		}
-		acc.retries++
+	steps = append(steps, plan.Step{Kind: plan.KindUnion, Out: out, Cond: -1, Source: -1, In: append(selVars, sjVars...)})
+	if i > 1 && len(selVars) > 0 {
+		steps = append(steps, plan.Step{Kind: plan.KindIntersect, Out: out, Cond: -1, Source: -1, In: []string{out, prev}})
 	}
-	span.End(err)
-
-	met := obs.Meter(ctx)
-	met.Counter(obs.MSourceQueries, "source", src.Name()).Add(int64(acc.queries))
-	met.Counter(obs.MCacheHits, "source", src.Name()).Add(int64(acc.hits))
-	met.Counter(obs.MCacheMisses, "source", src.Name()).Add(int64(acc.misses))
-	met.Counter(obs.MRetries, "source", src.Name()).Add(int64(acc.retries))
-	if err != nil {
-		met.Counter(obs.MStepErrors, "source", src.Name()).Inc()
-		return set.Set{}, acc, err
-	}
-	return out, acc, nil
-}
-
-// attemptSourceQuery performs one attempt of an adaptive-round query.
-func (e *Executor) attemptSourceQuery(ctx context.Context, pr *optimizer.Problem, ci, j int, method optimizer.Method, x set.Set) (set.Set, queryStats, error) {
-	src := e.Sources[j]
-	switch method {
-	case optimizer.MethodSelect:
-		return e.selectQuery(ctx, j, pr.Conds[ci])
-	case optimizer.MethodBloom:
-		filter := bloom.FromItems(x.Items(), bloom.DefaultBitsPerItem)
-		release, err := e.slot(ctx, j)
-		if err != nil {
-			return set.Set{}, queryStats{}, fmt.Errorf("source %s: %w", src.Name(), err)
-		}
-		positives, err := src.SemijoinBloom(ctx, pr.Conds[ci], filter)
-		release()
-		qs := queryStats{queries: 1}
-		if err != nil {
-			return set.Set{}, qs, err
-		}
-		return positives.Intersect(x), qs, nil
-	default:
-		return e.semijoinQuery(ctx, j, pr.Conds[ci], x)
-	}
+	return steps
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"fusionq/internal/plan"
 	"fusionq/internal/relation"
@@ -22,34 +23,24 @@ import (
 // per-source fetch round, but ships full records for the final round's
 // whole result — a superset of the answer.
 func (e *Executor) RunCombined(ctx context.Context, p *plan.Plan) (*Result, *relation.Relation, error) {
-	if err := p.Validate(); err != nil {
+	r, err := e.planRun(p)
+	if err != nil {
 		return nil, nil, err
 	}
 	final := finalRoundCond(p)
 	if final < 0 {
 		return nil, nil, fmt.Errorf("exec: plan has no source queries to combine")
 	}
-	combined := &Executor{
-		Sources:   e.Sources,
-		Network:   e.Network,
-		Parallel:  e.Parallel,
-		Conns:     e.Conns,
-		Cache:     e.Cache,
-		Trace:     e.Trace,
-		Retries:   e.Retries,
-		finalCond: final,
-		records:   map[int]map[string][]relation.Tuple{},
+	r.sink = &recordSink{final: final, bySource: map[int]map[string][]relation.Tuple{}}
+	if err := r.execute(ctx); err != nil {
+		// The partial result; no records were assembled.
+		return r.res, nil, err
 	}
-	res, err := combined.Run(ctx, p)
+	records, err := r.collectRecords(ctx)
 	if err != nil {
-		// res is the partial result; no records were assembled.
-		return res, nil, err
+		return r.res, nil, err
 	}
-	records, err := combined.collectRecords(ctx, p, res.Answer)
-	if err != nil {
-		return res, nil, err
-	}
-	return res, records, nil
+	return r.res, records, nil
 }
 
 // finalRoundCond returns the condition index of the plan's last round: the
@@ -64,49 +55,61 @@ func finalRoundCond(p *plan.Plan) int {
 	return -1
 }
 
-// cacheRecords remembers the records a final-round query shipped from a
-// source, keyed by item.
-func (e *Executor) cacheRecords(srcIdx int, tuples []relation.Tuple, mergeIdx int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	byItem := e.records[srcIdx]
+// recordSink is a combined run's record store: the select and semijoin
+// bodies ask it whether a step belongs to the final round (condition
+// final), and if so use the record-returning source operations and keep
+// what they ship here, by source and item.
+type recordSink struct {
+	final int
+
+	mu       sync.Mutex
+	bySource map[int]map[string][]relation.Tuple
+}
+
+// wants reports whether step s should ship records. A nil sink — any run
+// but a combined one — wants nothing.
+func (k *recordSink) wants(s plan.Step) bool { return k != nil && s.Cond == k.final }
+
+// add remembers the records a final-round query shipped from source j and
+// returns their items. The tuples of a record-returning exchange arrive in
+// no item order, so set.New sorts and deduplicates them.
+func (k *recordSink) add(j int, tuples []relation.Tuple, mergeIdx int) set.Set {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	byItem := k.bySource[j]
 	if byItem == nil {
 		byItem = map[string][]relation.Tuple{}
-		e.records[srcIdx] = byItem
+		k.bySource[j] = byItem
 	}
-	for _, t := range tuples {
-		item := t[mergeIdx].Raw()
-		byItem[item] = append(byItem[item], t)
+	items := make([]string, len(tuples))
+	for i, t := range tuples {
+		items[i] = t[mergeIdx].Raw()
+		byItem[items[i]] = append(byItem[items[i]], t)
 	}
+	return set.New(items...)
 }
 
 // collectRecords assembles the answer entities' full records: cached
 // final-round records where available, loaded source contents for loaded
 // sources, and targeted fetches for whatever is missing.
-func (e *Executor) collectRecords(ctx context.Context, p *plan.Plan, answer set.Set) (*relation.Relation, error) {
+func (r *run) collectRecords(ctx context.Context) (*relation.Relation, error) {
+	e, answer := r.e, r.res.Answer
 	if len(e.Sources) == 0 {
 		return nil, fmt.Errorf("exec: no sources")
 	}
-	schema := e.Sources[0].Schema()
-	out := relation.NewRelation(schema)
+	out := relation.NewRelation(e.Sources[0].Schema())
 	if answer.IsEmpty() {
 		return out, nil
 	}
 	// Loaded sources' contents are already at the mediator.
 	loadedOf := map[int]*relation.Relation{}
-	for k, s := range p.Steps {
-		if s.Kind == plan.KindLoad {
-			// The executor stored loaded contents under the step's output
-			// variable; recover it from the last run's state.
-			if rel, ok := e.lastLoaded[p.Steps[k].Out]; ok {
-				loadedOf[s.Source] = rel
-			}
-		}
+	for _, l := range r.loaded {
+		loadedOf[l.source] = l.rel
 	}
 	for j, src := range e.Sources {
 		covered := map[string]bool{}
 		// Cached final-round records.
-		for item, tuples := range e.records[j] {
+		for item, tuples := range r.sink.bySource[j] {
 			covered[item] = true
 			if !answer.Contains(item) {
 				continue

@@ -2,51 +2,71 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
+	"fusionq/internal/relation"
 	"fusionq/internal/source"
 )
 
-// TestRunCombinedMatchesTwoPhase: combined mode must produce exactly the
-// answer and records that Run + FetchAnswer produce.
+// TestRunCombinedMatchesTwoPhase: under every scheduler combined mode must
+// produce exactly the answer and records that Run + FetchAnswer produce.
 func TestRunCombinedMatchesTwoPhase(t *testing.T) {
-	for _, algo := range []func(*optimizer.Problem) (optimizer.Result, error){
-		optimizer.Filter, optimizer.SJA, optimizer.SJAPlus,
-	} {
-		pr, srcs, network := dmvSetup(t, nil)
-		res, err := algo(pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		twoEx := &Executor{Sources: srcs, Network: network}
-		twoRun, err := twoEx.Run(context.Background(), res.Plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		twoRecords, err := FetchAnswer(context.Background(), twoRun.Answer, srcs)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, mode := range runModes {
+		for _, algo := range []func(*optimizer.Problem) (optimizer.Result, error){
+			optimizer.Filter, optimizer.SJA, optimizer.SJAPlus,
+		} {
+			pr, srcs, network := dmvSetup(t, nil)
+			res, err := algo(pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twoEx := &Executor{Sources: srcs, Network: network}
+			twoRun, err := twoEx.Run(context.Background(), res.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twoRecords, err := FetchAnswer(context.Background(), twoRun.Answer, srcs)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-		pr2, srcs2, network2 := dmvSetup(t, nil)
-		res2, err := algo(pr2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comEx := &Executor{Sources: srcs2, Network: network2}
-		comRun, records, err := comEx.RunCombined(context.Background(), res2.Plan)
-		if err != nil {
-			t.Fatalf("RunCombined: %v\nplan:\n%s", err, res2.Plan)
-		}
-		if !comRun.Answer.Equal(twoRun.Answer) {
-			t.Fatalf("combined answer %v != two-phase %v", comRun.Answer, twoRun.Answer)
-		}
-		if records.Len() != twoRecords.Len() {
-			t.Fatalf("combined records %d != two-phase %d\nplan:\n%s", records.Len(), twoRecords.Len(), res2.Plan)
+			pr2, srcs2, network2 := dmvSetup(t, nil)
+			res2, err := algo(pr2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comEx := &Executor{Sources: srcs2, Network: network2, BatchSize: 1}
+			mode.configure(comEx)
+			comRun, records, err := comEx.RunCombined(context.Background(), res2.Plan)
+			if err != nil {
+				t.Fatalf("%s: RunCombined: %v\nplan:\n%s", mode.name, err, res2.Plan)
+			}
+			if !comRun.Answer.Equal(dmvAnswer) || !comRun.Answer.Equal(twoRun.Answer) {
+				t.Fatalf("%s: combined answer %v != two-phase %v", mode.name, comRun.Answer, twoRun.Answer)
+			}
+			if records.Len() != 5 || !sameTuples(records, twoRecords) {
+				t.Fatalf("%s: combined records\n%s\n!= two-phase\n%s\nplan:\n%s", mode.name, records, twoRecords, res2.Plan)
+			}
 		}
 	}
+}
+
+// sameTuples reports whether two relations hold the same tuples, in any
+// order.
+func sameTuples(a, b *relation.Relation) bool {
+	lines := func(r *relation.Relation) []string {
+		var out []string
+		for _, t := range r.Rows() {
+			out = append(out, fmt.Sprint(t))
+		}
+		slices.Sort(out)
+		return out
+	}
+	return slices.Equal(lines(a), lines(b))
 }
 
 // TestRunCombinedSkipsCoveredFetches: sources whose final-round record
@@ -130,37 +150,24 @@ func TestRunCombinedEmulatedSemijoinFallsBack(t *testing.T) {
 		{PassedBindings: true},
 		{PassedBindings: true},
 	}
-	pr, srcs, _ := dmvSetup(t, caps)
-	res, err := optimizer.SJA(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := &Executor{Sources: srcs}
-	run, records, err := ex.RunCombined(context.Background(), res.Plan)
-	if err != nil {
-		t.Fatalf("RunCombined with emulated semijoins: %v\nplan:\n%s", err, res.Plan)
-	}
-	if !run.Answer.Equal(dmvAnswer) {
-		t.Fatalf("answer = %v", run.Answer)
-	}
-	if records.Len() != 5 {
-		t.Fatalf("records = %d, want 5", records.Len())
-	}
-}
-
-func TestRunCombinedParallel(t *testing.T) {
-	pr, srcs, network := dmvSetup(t, nil)
-	res, err := optimizer.Filter(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := &Executor{Sources: srcs, Network: network, Parallel: true}
-	run, records, err := ex.RunCombined(context.Background(), res.Plan)
-	if err != nil {
-		t.Fatalf("parallel combined: %v", err)
-	}
-	if !run.Answer.Equal(dmvAnswer) || records.Len() != 5 {
-		t.Fatalf("answer %v, records %d", run.Answer, records.Len())
+	for _, mode := range runModes {
+		pr, srcs, _ := dmvSetup(t, caps)
+		res, err := optimizer.SJA(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := &Executor{Sources: srcs, BatchSize: 1}
+		mode.configure(ex)
+		run, records, err := ex.RunCombined(context.Background(), res.Plan)
+		if err != nil {
+			t.Fatalf("%s: RunCombined with emulated semijoins: %v\nplan:\n%s", mode.name, err, res.Plan)
+		}
+		if !run.Answer.Equal(dmvAnswer) {
+			t.Fatalf("%s: answer = %v", mode.name, run.Answer)
+		}
+		if records.Len() != 5 {
+			t.Fatalf("%s: records = %d, want 5", mode.name, records.Len())
+		}
 	}
 }
 
@@ -179,17 +186,20 @@ func TestRunCombinedWithLoadedSources(t *testing.T) {
 	if !hasLoad {
 		t.Skip("SJA+ did not load any source in this configuration")
 	}
-	ex := &Executor{Sources: srcs}
-	run, records, err := ex.RunCombined(context.Background(), res.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !run.Answer.Equal(dmvAnswer) || records.Len() != 5 {
-		t.Fatalf("answer %v, records %d", run.Answer, records.Len())
-	}
-	// Loaded sources must not be fetched from: their contents are local.
-	total := Counters(t, srcs)
-	if total.FetchQueries != 0 {
-		t.Fatalf("fetch queries = %d, want 0 (all sources loaded)", total.FetchQueries)
+	for _, mode := range runModes {
+		ex := &Executor{Sources: srcs, BatchSize: 1}
+		mode.configure(ex)
+		run, records, err := ex.RunCombined(context.Background(), res.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !run.Answer.Equal(dmvAnswer) || records.Len() != 5 {
+			t.Fatalf("%s: answer %v, records %d", mode.name, run.Answer, records.Len())
+		}
+		// Loaded sources must not be fetched from: their contents are local.
+		total := Counters(t, srcs)
+		if total.FetchQueries != 0 {
+			t.Fatalf("%s: fetch queries = %d, want 0 (all sources loaded)", mode.name, total.FetchQueries)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,7 +50,8 @@ func dmvSetup(t *testing.T, caps []source.Capabilities) (*optimizer.Problem, []s
 var dmvAnswer = set.New("J55", "T21")
 
 // TestDMVAllOptimizers runs the paper's Section 1 query end-to-end through
-// every optimizer and checks they all produce the answer {J55, T21}.
+// every optimizer under every scheduler and checks they all produce the
+// answer {J55, T21} with sane accounting.
 func TestDMVAllOptimizers(t *testing.T) {
 	algos := map[string]func(*optimizer.Problem) (optimizer.Result, error){
 		"filter":     optimizer.Filter,
@@ -60,28 +62,40 @@ func TestDMVAllOptimizers(t *testing.T) {
 		"sja+":       optimizer.SJAPlus,
 		"greedy+":    optimizer.GreedySJAPlus,
 	}
-	for name, algo := range algos {
-		t.Run(name, func(t *testing.T) {
-			pr, srcs, network := dmvSetup(t, nil)
-			res, err := algo(pr)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			ex := &Executor{Sources: srcs, Network: network}
-			got, err := ex.Run(context.Background(), res.Plan)
-			if err != nil {
-				t.Fatalf("%s: run: %v\nplan:\n%s", name, err, res.Plan)
-			}
-			if !got.Answer.Equal(dmvAnswer) {
-				t.Fatalf("%s: answer = %v, want %v\nplan:\n%s", name, got.Answer, dmvAnswer, res.Plan)
-			}
-			if got.SourceQueries == 0 {
-				t.Fatalf("%s: no source queries recorded", name)
-			}
-			if got.TotalWork <= 0 || got.ResponseTime != got.TotalWork {
-				t.Fatalf("%s: sequential timing = %v/%v", name, got.TotalWork, got.ResponseTime)
-			}
-		})
+	for _, mode := range runModes {
+		for name, algo := range algos {
+			t.Run(mode.name+"/"+name, func(t *testing.T) {
+				pr, srcs, network := dmvSetup(t, nil)
+				res, err := algo(pr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex := &Executor{Sources: srcs, Network: network, BatchSize: 8, Trace: true}
+				mode.configure(ex)
+				got, err := ex.Run(context.Background(), res.Plan)
+				if err != nil {
+					t.Fatalf("run: %v\nplan:\n%s", err, res.Plan)
+				}
+				if !got.Answer.Equal(dmvAnswer) {
+					t.Fatalf("answer = %v, want %v\nplan:\n%s", got.Answer, dmvAnswer, res.Plan)
+				}
+				if got.SourceQueries == 0 {
+					t.Fatal("no source queries recorded")
+				}
+				if got.TotalWork <= 0 || got.ResponseTime <= 0 || got.ResponseTime > got.TotalWork {
+					t.Fatalf("timing = work %v, response %v", got.TotalWork, got.ResponseTime)
+				}
+				if mode.name == "seq" && got.ResponseTime != got.TotalWork {
+					t.Fatalf("sequential timing = %v/%v", got.TotalWork, got.ResponseTime)
+				}
+				if got.FirstAnswer <= 0 {
+					t.Fatalf("FirstAnswer = %v, want > 0", got.FirstAnswer)
+				}
+				if len(got.Trace) != len(res.Plan.Steps) {
+					t.Fatalf("trace has %d entries for %d steps", len(got.Trace), len(res.Plan.Steps))
+				}
+			})
+		}
 	}
 }
 
@@ -114,11 +128,12 @@ func TestDMVHeterogeneousCapabilities(t *testing.T) {
 	}
 }
 
-// TestFilterAndSJAAgreeOnSynthetic cross-checks plan classes on a larger
-// synthetic workload: every optimizer's plan must compute the same answer
-// as the filter plan.
-func TestFilterAndSJAAgreeOnSynthetic(t *testing.T) {
-	sc, err := workload.Synth(workload.SynthConfig{
+// TestPlanClassesAgreeOnSynthetic is the in-package differential check: on
+// a larger mixed-capability synthetic workload, every optimizer's plan under
+// every scheduler must compute exactly the answer of the filter plan run
+// sequentially.
+func TestPlanClassesAgreeOnSynthetic(t *testing.T) {
+	pr, srcs := synthProblem(t, workload.SynthConfig{
 		Seed: 42, NumSources: 4, TuplesPerSource: 300, Universe: 150,
 		Selectivity: []float64{0.1, 0.5, 0.8},
 		Backend:     workload.BackendMixed,
@@ -129,43 +144,32 @@ func TestFilterAndSJAAgreeOnSynthetic(t *testing.T) {
 			{},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles := stats.UniformProfiles(sc.SourceNames(), stats.SourceProfile{
-		PerQuery: 10, PerItemSent: 0.5, PerItemRecv: 0.5, PerByteLoad: 0.001,
-	})
-	for j, src := range sc.Sources {
-		profiles[j].Support = stats.SupportOf(src.Caps())
-	}
-	table, err := stats.BuildFromSources(context.Background(), sc.Conds, sc.Sources, profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := &optimizer.Problem{Conds: sc.Conds, Sources: sc.SourceNames(), Table: table}
-	ex := &Executor{Sources: sc.Sources}
-
 	fres, err := optimizer.Filter(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ex.Run(context.Background(), fres.Plan)
+	want, err := (&Executor{Sources: srcs}).Run(context.Background(), fres.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, algo := range map[string]func(*optimizer.Problem) (optimizer.Result, error){
-		"sj": optimizer.SJ, "sja": optimizer.SJA, "sja+": optimizer.SJAPlus, "greedy-sja": optimizer.GreedySJA,
-	} {
-		res, err := algo(pr)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := ex.Run(context.Background(), res.Plan)
-		if err != nil {
-			t.Fatalf("%s: %v\nplan:\n%s", name, err, res.Plan)
-		}
-		if !got.Answer.Equal(want.Answer) {
-			t.Fatalf("%s: answer %v != filter answer %v", name, got.Answer, want.Answer)
+	for _, mode := range runModes {
+		ex := &Executor{Sources: srcs, BatchSize: 16}
+		mode.configure(ex)
+		for name, algo := range map[string]func(*optimizer.Problem) (optimizer.Result, error){
+			"filter": optimizer.Filter, "sj": optimizer.SJ, "sja": optimizer.SJA,
+			"sja+": optimizer.SJAPlus, "greedy-sja": optimizer.GreedySJA,
+		} {
+			res, err := algo(pr)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, err := ex.Run(context.Background(), res.Plan)
+			if err != nil {
+				t.Fatalf("%s/%s: %v\nplan:\n%s", mode.name, name, err, res.Plan)
+			}
+			if !got.Answer.Equal(want.Answer) {
+				t.Fatalf("%s/%s: answer %v != filter answer %v", mode.name, name, got.Answer, want.Answer)
+			}
 		}
 	}
 }
@@ -351,35 +355,46 @@ func TestFetchAnswerTwoPhase(t *testing.T) {
 // TestEmptySemijoinShortCircuit: a semijoin over an empty running set is
 // answered at the mediator without contacting the source — the runtime
 // counterpart of the cost model's "no benefit in querying for nothing".
+// Between barriers the empty variable yields no batch to probe with; in the
+// pipeline the empty selection closes its edge immediately, so the
+// downstream semijoin node never probes either.
 func TestEmptySemijoinShortCircuit(t *testing.T) {
-	pr, srcs, network := dmvSetup(t, nil)
-	p := &plan.Plan{
-		Conds:   pr.Conds,
-		Sources: pr.Sources,
-		Steps: []plan.Step{
-			// No driver has violation 'zz', so the running set drains.
-			{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0},
-			{Kind: plan.KindIntersect, Out: "E", Cond: -1, Source: -1, In: []string{"A", "A"}},
-			{Kind: plan.KindDiff, Out: "Z", Cond: -1, Source: -1, In: []string{"A", "A"}}, // empty
-			{Kind: plan.KindSemijoin, Out: "B", Cond: 1, Source: 1, In: []string{"Z"}},
-			{Kind: plan.KindSemijoin, Out: "C", Cond: 1, Source: 2, In: []string{"B"}},
-		},
-		Result: "C",
-	}
-	ex := &Executor{Sources: srcs, Network: network}
-	got, err := ex.Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Answer.IsEmpty() {
-		t.Fatalf("answer = %v, want empty", got.Answer)
-	}
-	// Only the one selection reached a source; both semijoins were elided.
-	if got.SourceQueries != 1 {
-		t.Fatalf("SourceQueries = %d, want 1 (semijoins over empty sets elided)", got.SourceQueries)
-	}
-	if st := network.Stats(); st.Messages != 1 {
-		t.Fatalf("network messages = %d, want 1", st.Messages)
+	for _, mode := range runModes {
+		t.Run(mode.name, func(t *testing.T) {
+			pr, srcs, network := dmvSetup(t, nil)
+			p := &plan.Plan{
+				Conds:   pr.Conds,
+				Sources: pr.Sources,
+				Steps: []plan.Step{
+					{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0},
+					{Kind: plan.KindIntersect, Out: "E", Cond: -1, Source: -1, In: []string{"A", "A"}},
+					{Kind: plan.KindDiff, Out: "Z", Cond: -1, Source: -1, In: []string{"A", "A"}}, // empty
+					{Kind: plan.KindSemijoin, Out: "B", Cond: 1, Source: 1, In: []string{"Z"}},
+					{Kind: plan.KindSemijoin, Out: "C", Cond: 1, Source: 2, In: []string{"B"}},
+				},
+				Result: "C",
+			}
+			ex := &Executor{Sources: srcs, Network: network}
+			mode.configure(ex)
+			got, err := ex.Run(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Answer.IsEmpty() {
+				t.Fatalf("answer = %v, want empty", got.Answer)
+			}
+			// Only the one selection reached a source; both semijoins were elided.
+			if got.SourceQueries != 1 {
+				t.Fatalf("SourceQueries = %d, want 1 (semijoins over empty sets elided)", got.SourceQueries)
+			}
+			if st := network.Stats(); st.Messages != 1 {
+				t.Fatalf("network messages = %d, want 1", st.Messages)
+			}
+			// An empty run still reports when its (empty) answer was known.
+			if got.FirstAnswer <= 0 {
+				t.Fatalf("FirstAnswer = %v, want > 0 for an empty but successful run", got.FirstAnswer)
+			}
+		})
 	}
 }
 
@@ -430,15 +445,60 @@ func TestExecutionTrace(t *testing.T) {
 }
 
 func TestBatchEndStopsAtDependency(t *testing.T) {
-	pr, srcs, _ := dmvSetup(t, nil)
-	ex := &Executor{Sources: srcs, Parallel: true}
 	steps := []plan.Step{
 		{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0},
 		{Kind: plan.KindSelect, Out: "B", Cond: 0, Source: 1},
 		{Kind: plan.KindSemijoin, Out: "C", Cond: 1, Source: 2, In: []string{"A"}},
 	}
-	p := &plan.Plan{Conds: pr.Conds, Sources: pr.Sources, Steps: steps, Result: "C"}
-	if end := ex.batchEnd(p, steps, 0); end != 2 {
+	if end := batchEnd(steps, 0); end != 2 {
 		t.Fatalf("batchEnd = %d, want 2 (C depends on A)", end)
+	}
+}
+
+// TestConcurrentRunsShareOneExecutor: an Executor is configuration and
+// every run keeps its own state, so one Executor value serves pipelined,
+// round-scheduled and combined runs at once. Under -race this fails on any
+// per-run state left on the Executor.
+func TestConcurrentRunsShareOneExecutor(t *testing.T) {
+	pr, srcs, network := dmvSetup(t, nil)
+	res, err := optimizer.SJAPlus(pr) // loads the tiny DMV sources
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, streaming := range []bool{true, false} {
+		ex := &Executor{Sources: srcs, Network: network, Streaming: streaming, BatchSize: 2, Trace: true}
+		check := func(what string, got *Result, err error) {
+			if err != nil {
+				t.Errorf("streaming=%v %s: %v", streaming, what, err)
+			} else if !got.Answer.Equal(dmvAnswer) {
+				t.Errorf("streaming=%v %s: answer = %v, want %v", streaming, what, got.Answer, dmvAnswer)
+			}
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(3)
+			go func() {
+				defer wg.Done()
+				got, err := ex.Run(context.Background(), res.Plan)
+				check("Run", got, err)
+			}()
+			go func() {
+				defer wg.Done()
+				// Round-scheduled either way. A cost table counts its own
+				// invocations, so each query brings its own.
+				table := *pr.Table
+				got, _, err := ex.RunAdaptive(context.Background(), &optimizer.Problem{Conds: pr.Conds, Sources: pr.Sources, Table: &table})
+				check("RunAdaptive", got, err)
+			}()
+			go func() {
+				defer wg.Done()
+				got, records, err := ex.RunCombined(context.Background(), res.Plan)
+				check("RunCombined", got, err)
+				if err == nil && records.Len() != 5 {
+					t.Errorf("streaming=%v RunCombined: %d records, want 5", streaming, records.Len())
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -2,12 +2,14 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"fusionq/internal/fabric"
 	"fusionq/internal/netsim"
 	"fusionq/internal/optimizer"
+	"fusionq/internal/plan"
 	"fusionq/internal/source"
 	"fusionq/internal/stats"
 	"fusionq/internal/workload"
@@ -67,45 +69,102 @@ func replicatedDMVSetup(t *testing.T, opts fabric.Options) (*optimizer.Problem, 
 // TestFailoverAcrossReplicasMidQuery is the acceptance scenario: one replica
 // of a two-replica logical source is killed by scripted churn, and the
 // query still completes with the FULL answer — the fabric fails the dead
-// endpoint's exchanges over to its sibling.
+// endpoint's exchanges over to its sibling. A planned run and an adaptive
+// one go through the same node, so both report the failovers, attribute
+// them to steps in the trace, and say when the answer existed and what it
+// held at peak.
 func TestFailoverAcrossReplicasMidQuery(t *testing.T) {
+	for name, run := range map[string]func(*Executor, *optimizer.Problem) (*Result, *plan.Plan, error){
+		"planned": func(ex *Executor, pr *optimizer.Problem) (*Result, *plan.Plan, error) {
+			res, err := optimizer.Filter(pr)
+			if err != nil {
+				return nil, nil, err
+			}
+			got, err := ex.Run(context.Background(), res.Plan)
+			return got, res.Plan, err
+		},
+		"adaptive": func(ex *Executor, pr *optimizer.Problem) (*Result, *plan.Plan, error) {
+			return ex.RunAdaptive(context.Background(), pr)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			pr, srcs, network, logical := replicatedDMVSetup(t, fabric.Options{ExploreProb: -1, DisableHedging: true})
+			network.ScheduleChurn([]netsim.ChurnEvent{
+				{At: 0, Source: logical.Endpoints()[0].Name(), Kind: netsim.ChurnKill},
+			})
+			ex := &Executor{Sources: srcs, Network: network, Trace: true, Retries: 1}
+			got, p, err := run(ex, pr)
+			if err != nil {
+				t.Fatalf("run with one dead replica: %v\nplan:\n%s", err, p)
+			}
+			if !got.Answer.Equal(dmvAnswer) {
+				t.Fatalf("answer = %v, want the full answer %v", got.Answer, dmvAnswer)
+			}
+			if got.Failovers < 1 {
+				t.Fatalf("Failovers = %d, want >= 1 (dead replica must have been tried)", got.Failovers)
+			}
+			if st := logical.Stats(); st.Failovers < 1 {
+				t.Fatalf("logical stats failovers = %d, want >= 1", st.Failovers)
+			}
+			if got.FailedStep != -1 {
+				t.Fatalf("FailedStep = %d, want -1 for a fully repaired run", got.FailedStep)
+			}
+			// The sequential accounting identity must survive failover: endpoint
+			// exchanges collapse into the logical source's single lane.
+			if got.TotalWork <= 0 || got.ResponseTime != got.TotalWork {
+				t.Fatalf("sequential timing = total %v / response %v, want equal", got.TotalWork, got.ResponseTime)
+			}
+			if got.FirstAnswer <= 0 || got.PeakBytes < got.Answer.Bytes() {
+				t.Fatalf("FirstAnswer = %v, PeakBytes = %d for an answer of %d bytes", got.FirstAnswer, got.PeakBytes, got.Answer.Bytes())
+			}
+			// The trace has every step, in order, and attributes every
+			// failover and source query to some step.
+			if len(got.Trace) != len(p.Steps) {
+				t.Fatalf("trace has %d entries for %d steps", len(got.Trace), len(p.Steps))
+			}
+			failovers, queries := 0, 0
+			for i, tr := range got.Trace {
+				if tr.Index != i || tr.Text != p.StepString(p.Steps[i]) {
+					t.Fatalf("trace entry %d is %d %q, want %q", i, tr.Index, tr.Text, p.StepString(p.Steps[i]))
+				}
+				failovers += tr.Failovers
+				queries += tr.Queries
+			}
+			if failovers != got.Failovers || queries != got.SourceQueries {
+				t.Fatalf("trace sums: %d failovers, %d queries; result reports %d, %d", failovers, queries, got.Failovers, got.SourceQueries)
+			}
+		})
+	}
+}
+
+// TestAdaptiveFailedRunReportsStep: with every replica of a source dead an
+// adaptive run fails like a planned one — the error is the fabric's, the
+// failed step is an index into the executed plan, and the work that reached
+// the other sources stays charged.
+func TestAdaptiveFailedRunReportsStep(t *testing.T) {
 	pr, srcs, network, logical := replicatedDMVSetup(t, fabric.Options{ExploreProb: -1, DisableHedging: true})
-	network.ScheduleChurn([]netsim.ChurnEvent{
-		{At: 0, Source: logical.Endpoints()[0].Name(), Kind: netsim.ChurnKill},
-	})
-	res, err := optimizer.Filter(pr)
-	if err != nil {
-		t.Fatal(err)
+	var kill []netsim.ChurnEvent
+	for _, ep := range logical.Endpoints() {
+		kill = append(kill, netsim.ChurnEvent{At: 0, Source: ep.Name(), Kind: netsim.ChurnKill})
 	}
-	ex := &Executor{Sources: srcs, Network: network, Trace: true, Retries: 1}
-	got, err := ex.Run(context.Background(), res.Plan)
-	if err != nil {
-		t.Fatalf("run with one dead replica: %v\nplan:\n%s", err, res.Plan)
+	network.ScheduleChurn(kill)
+	ex := &Executor{Sources: srcs, Network: network, Parallel: true, Trace: true}
+	got, executed, err := ex.RunAdaptive(context.Background(), pr)
+	if !errors.Is(err, fabric.ErrExhausted) {
+		t.Fatalf("err = %v, want fabric exhaustion", err)
 	}
-	if !got.Answer.Equal(dmvAnswer) {
-		t.Fatalf("answer = %v, want the full answer %v", got.Answer, dmvAnswer)
+	if got.FailedStep < 0 || got.FailedStep >= len(executed.Steps) || executed.Steps[got.FailedStep].Source != 0 {
+		t.Fatalf("FailedStep = %d, want the query against %s in\n%s", got.FailedStep, logical.Name(), executed)
 	}
-	if got.Failovers < 1 {
-		t.Fatalf("Failovers = %d, want >= 1 (dead replica must have been tried)", got.Failovers)
+	if !got.Answer.IsEmpty() {
+		t.Fatalf("failed run leaked an answer: %v", got.Answer)
 	}
-	if st := logical.Stats(); st.Failovers < 1 {
-		t.Fatalf("logical stats failovers = %d, want >= 1", st.Failovers)
+	// The round's other two selections ran beside the dead one.
+	if got.SourceQueries < 2 || got.TotalWork <= 0 {
+		t.Fatalf("partial counters: %d queries, %v work", got.SourceQueries, got.TotalWork)
 	}
-	if got.FailedStep != -1 {
-		t.Fatalf("FailedStep = %d, want -1 for a fully repaired run", got.FailedStep)
-	}
-	// The sequential accounting identity must survive failover: endpoint
-	// exchanges collapse into the logical source's single lane.
-	if got.TotalWork <= 0 || got.ResponseTime != got.TotalWork {
-		t.Fatalf("sequential timing = total %v / response %v, want equal", got.TotalWork, got.ResponseTime)
-	}
-	// The trace attributes every failover to some step.
-	sum := 0
-	for _, tr := range got.Trace {
-		sum += tr.Failovers
-	}
-	if sum != got.Failovers {
-		t.Fatalf("trace failovers sum = %d, result reports %d", sum, got.Failovers)
+	if tr := got.Trace[got.FailedStep]; tr.Err == "" || tr.Index != got.FailedStep {
+		t.Fatalf("trace entry of the failed step: %+v", tr)
 	}
 }
 

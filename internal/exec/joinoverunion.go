@@ -24,8 +24,8 @@ func (e *Executor) RunJoinOverUnion(ctx context.Context, pr *optimizer.Problem, 
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
-	if len(pr.Sources) != len(e.Sources) {
-		return nil, fmt.Errorf("exec: problem has %d sources, executor has %d", len(pr.Sources), len(e.Sources))
+	if err := e.checkRoster("problem", pr.Sources); err != nil {
+		return nil, err
 	}
 	m, n := len(pr.Conds), len(pr.Sources)
 	if maxSubqueries <= 0 {

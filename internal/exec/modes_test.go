@@ -1,0 +1,77 @@
+package exec
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"fusionq/internal/netsim"
+	"fusionq/internal/optimizer"
+	"fusionq/internal/source"
+	"fusionq/internal/stats"
+	"fusionq/internal/workload"
+)
+
+// runModes are the three ways one Executor schedules a plan's nodes.
+var runModes = []struct {
+	name      string
+	configure func(*Executor)
+}{
+	{"seq", func(*Executor) {}},
+	{"par", func(e *Executor) { e.Parallel = true }},
+	{"stream", func(e *Executor) { e.Streaming = true }},
+}
+
+// BenchmarkRunModes runs one fixed plan — SJA over the end-to-end
+// benchmark's planned-execution shape: 6 native-semijoin sources of 2 000
+// tuples over a universe of 4 000, three conditions, netsim attached for
+// accounting — under each scheduler. allocs/op is what a step costs the
+// round scheduler beside the pipelined one.
+func BenchmarkRunModes(b *testing.B) {
+	sc, err := workload.Synth(workload.SynthConfig{
+		Seed: 7, NumSources: 6, TuplesPerSource: 2000, Universe: 4000,
+		Selectivity: []float64{0.3, 0.5, 0.7},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	network := netsim.NewNetwork(1)
+	link := netsim.Link{Latency: time.Millisecond, BytesPerSec: 1 << 20, RequestOverhead: 100 * time.Microsecond, MaxConns: 2}
+	srcs := make([]source.Source, len(sc.Sources))
+	profiles := make([]stats.SourceProfile, len(sc.Sources))
+	for j, raw := range sc.Sources {
+		network.SetLink(raw.Name(), link)
+		srcs[j] = source.Instrument(raw, network)
+		profiles[j] = stats.ProfileFromLink(raw.Name(), link, 8, stats.SupportOf(raw.Caps()))
+	}
+	table, err := stats.BuildFromSources(context.Background(), sc.Conds, srcs, profiles)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := optimizer.SJA(&optimizer.Problem{Conds: sc.Conds, Sources: sc.SourceNames(), Table: table})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range runModes {
+		b.Run(mode.name, func(b *testing.B) {
+			ex := &Executor{Sources: srcs, Network: network}
+			mode.configure(ex)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// The exchange log grows with every run; a benchmark that
+				// let it would measure its own history.
+				if i%64 == 0 {
+					b.StopTimer()
+					network.Reset()
+					b.StartTimer()
+				}
+				run, err := ex.Run(context.Background(), res.Plan)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkDuration = run.TotalWork
+			}
+		})
+	}
+}

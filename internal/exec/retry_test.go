@@ -124,33 +124,53 @@ func (s *stubTransient) Select(ctx context.Context, c cond.Cond) (set.Set, error
 // not outlive the caller: when the context is cancelled mid-retry against a
 // source that keeps returning bare transient errors, the loop must stop at
 // the next attempt boundary with a cancellation-classified error instead of
-// burning the remaining budget.
+// burning the remaining budget — whichever entry point the exchange came
+// through.
 func TestRetryLoopStopsWhenContextDies(t *testing.T) {
 	sc := workload.DMV()
-	stub := &stubTransient{Source: sc.Sources[0]}
-	p := &plan.Plan{
-		Conds:   sc.Conds[:1],
-		Sources: []string{sc.Sources[0].Name()},
-		Steps:   []plan.Step{{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0}},
-		Result:  "A",
+	conds, names := sc.Conds[:1], []string{sc.Sources[0].Name()}
+	profiles := stats.UniformProfiles(names, stats.SourceProfile{PerQuery: 10, PerItemSent: 1, PerItemRecv: 1})
+	table, err := stats.BuildFromSources(context.Background(), conds, sc.Sources[:1], profiles)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stub.onCall = func(n int) {
-		if n == 5 {
-			cancel()
-		}
-	}
-	ex := &Executor{Sources: []source.Source{stub}, Retries: 1 << 30}
-	_, err := ex.Run(ctx, p)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want wrapped context.Canceled", err)
-	}
-	if stub.calls > 6 {
-		t.Fatalf("retry loop ran %d attempts after cancellation", stub.calls)
-	}
-	if stub.calls < 5 {
-		t.Fatalf("cancellation hook never fired: only %d attempts", stub.calls)
+	for name, run := range map[string]func(context.Context, *Executor) error{
+		"planned": func(ctx context.Context, ex *Executor) error {
+			_, err := ex.Run(ctx, &plan.Plan{
+				Conds:   conds,
+				Sources: names,
+				Steps:   []plan.Step{{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0}},
+				Result:  "A",
+			})
+			return err
+		},
+		"adaptive": func(ctx context.Context, ex *Executor) error {
+			_, _, err := ex.RunAdaptive(ctx, &optimizer.Problem{Conds: conds, Sources: names, Table: table})
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// The wait for a connection slot also notices a dead context,
+			// but only when select happens to pick that case; the loop has
+			// to notice by itself, every time.
+			for i := 0; i < 16; i++ {
+				stub := &stubTransient{Source: sc.Sources[0]}
+				ctx, cancel := context.WithCancel(context.Background())
+				stub.onCall = func(n int) {
+					if n == 5 {
+						cancel()
+					}
+				}
+				err := run(ctx, &Executor{Sources: []source.Source{stub}, Retries: 1 << 30})
+				cancel()
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want wrapped context.Canceled", err)
+				}
+				if stub.calls != 5 {
+					t.Fatalf("%d attempts, want the loop to stop at the 5th, which cancelled", stub.calls)
+				}
+			}
+		})
 	}
 }
 

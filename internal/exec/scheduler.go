@@ -17,7 +17,6 @@ import (
 	"fusionq/internal/cond"
 	"fusionq/internal/obs"
 	"fusionq/internal/set"
-	"fusionq/internal/source"
 )
 
 // scheduler holds one slot pool per source; acquiring a slot admits one
@@ -57,32 +56,24 @@ type selfScheduling interface {
 	SelfScheduling()
 }
 
-// slot admits one exchange to source j, returning a release function. With
-// no scheduler (a bare Executor used outside Run) it degrades to a
-// ctx-check: queries are issued one at a time anyway. Self-scheduling
-// sources (the replica fabric) slot per physical endpoint internally and
-// bypass the executor-side pool — double-slotting would serialize a
-// logical source's replicas behind one lane. When the context carries a
-// metrics registry, the wait and the admission are visible as the
+// slot admits one exchange to source j, returning a release function.
+// Self-scheduling sources (the replica fabric) slot per physical endpoint
+// internally and bypass the executor-side pool — double-slotting would
+// serialize a logical source's replicas behind one lane. When the context
+// carries a metrics registry, the wait and the admission are visible as the
 // per-source queue-depth and lane-occupancy gauges.
-func (e *Executor) slot(ctx context.Context, j int) (func(), error) {
-	if _, ok := e.Sources[j].(selfScheduling); ok {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return func() {}, nil
-	}
-	if e.sched == nil {
+func (r *run) slot(ctx context.Context, j int) (func(), error) {
+	if _, ok := r.e.Sources[j].(selfScheduling); ok {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		return func() {}, nil
 	}
 	met := obs.Meter(ctx)
-	name := e.Sources[j].Name()
+	name := r.p.Sources[j]
 	queue := met.Gauge(obs.MSchedQueueDepth, "source", name)
 	queue.Inc()
-	release, err := e.sched.acquire(ctx, j)
+	release, err := r.sched.acquire(ctx, j)
 	queue.Dec()
 	if err != nil {
 		return nil, err
@@ -95,38 +86,48 @@ func (e *Executor) slot(ctx context.Context, j int) (func(), error) {
 	}, nil
 }
 
-// connsFor resolves source j's connection capacity: the executor-wide
-// override if set, else the network link's MaxConns, else 1. Sequential
-// materialized mode is always single-connection — its accounting identity
-// ResponseTime == TotalWork depends on it. Streaming mode is inherently
-// concurrent (the dataflow nodes overlap), so it uses the parallel rule.
-// A replicated source's capacity is the sum of its endpoints' pools (each
+// sequential reports a round-scheduled run without parallelism: one
+// exchange at a time, on one connection per source.
+func (r *run) sequential() bool { return !r.e.Parallel && !r.pipelined }
+
+// resolveConns works out source j's connection capacity, once per run: the
+// executor-wide override if set, else the network link's MaxConns, else 1.
+// A sequential run is always single-connection — its accounting identity
+// ResponseTime == TotalWork depends on it. A pipelined run is inherently
+// concurrent (the nodes overlap), so it uses the parallel rule. A
+// replicated source's capacity is the sum of its endpoints' pools (each
 // endpoint enforces its own share inside the fabric); the Conns override
-// applies per endpoint.
-func (e *Executor) connsFor(j int) int {
-	if !e.Parallel && !e.Streaming {
-		return 1
-	}
+// applies per endpoint. With a network attached it also fills in the
+// accounting lanes criticalPath reads.
+func (r *run) resolveConns(j int) int {
+	e, name, seq := r.e, r.e.Sources[j].Name(), r.sequential()
+	conns := 1
 	if rc, ok := e.Sources[j].(replicaSource); ok {
 		total := 0
-		for _, k := range rc.ReplicaConns() {
-			if e.Conns > 0 {
+		for epName, k := range rc.ReplicaConns() {
+			if seq {
+				k = 1
+			} else if e.Conns > 0 {
 				k = e.Conns
 			}
 			total += k
+			if r.owner != nil {
+				r.owner[epName] = name
+				r.laneConns[epName] = k
+			}
 		}
-		if total < 1 {
-			total = 1
+		if !seq && total > 1 {
+			conns = total
 		}
-		return total
+	} else if !seq && e.Conns > 0 {
+		conns = e.Conns
+	} else if !seq && e.Network != nil {
+		conns = e.Network.ConnsFor(name)
 	}
-	if e.Conns > 0 {
-		return e.Conns
+	if r.laneConns != nil {
+		r.laneConns[name] = conns
 	}
-	if e.Network != nil {
-		return e.Network.ConnsFor(e.Sources[j].Name())
-	}
-	return 1
+	return conns
 }
 
 // queryStats tallies what one step's source interaction cost: charged
@@ -150,72 +151,11 @@ func (q *queryStats) add(o queryStats) {
 	q.errors += o.errors
 }
 
-// selectQuery answers sq(c, src) through the cache and the scheduler.
-func (e *Executor) selectQuery(ctx context.Context, j int, c cond.Cond) (set.Set, queryStats, error) {
-	src := e.Sources[j]
-	if out, ok := e.Cache.Select(src.Name(), c); ok {
-		return out, queryStats{hits: 1}, nil
-	}
-	release, err := e.slot(ctx, j)
-	if err != nil {
-		return set.Set{}, queryStats{}, fmt.Errorf("source %s: %w", src.Name(), err)
-	}
-	out, err := src.Select(ctx, c)
-	release()
-	if err != nil {
-		return set.Set{}, queryStats{queries: 1, misses: boolToInt(e.Cache != nil)}, err
-	}
-	e.Cache.PutSelect(src.Name(), c, out)
-	return out, queryStats{queries: 1, misses: boolToInt(e.Cache != nil)}, nil
-}
-
-// semijoinQuery evaluates sjq(c, src, y) with the best mechanism the source
-// supports (Section 2.3's emulation rule), consulting the cache first and
-// bounding concurrency by the source's connection capacity.
-func (e *Executor) semijoinQuery(ctx context.Context, j int, c cond.Cond, y set.Set) (set.Set, queryStats, error) {
-	src := e.Sources[j]
-	caps := src.Caps()
-	switch {
-	case caps.NativeSemijoin:
-		return e.nativeSemijoin(ctx, j, c, y)
-	case caps.PassedBindings:
-		return e.emulatedSemijoin(ctx, j, c, y)
-	default:
-		return set.Set{}, queryStats{}, fmt.Errorf("source %s: semijoin not emulable: %w", src.Name(), source.ErrUnsupported)
-	}
-}
-
-// nativeSemijoin issues one sjq exchange for the items the cache cannot
-// answer; a fully cached set costs no exchange at all.
-func (e *Executor) nativeSemijoin(ctx context.Context, j int, c cond.Cond, y set.Set) (set.Set, queryStats, error) {
-	src := e.Sources[j]
-	knownTrue, unknown := e.Cache.Partition(src.Name(), c, y)
-	st := queryStats{hits: y.Len() - unknown.Len(), misses: unknown.Len()}
-	if e.Cache == nil {
-		st = queryStats{}
-	}
-	if e.Cache != nil && unknown.IsEmpty() {
-		return knownTrue, st, nil
-	}
-	release, err := e.slot(ctx, j)
-	if err != nil {
-		return set.Set{}, st, fmt.Errorf("source %s: %w", src.Name(), err)
-	}
-	out, err := src.Semijoin(ctx, c, unknown)
-	release()
-	st.queries = 1
-	if err != nil {
-		return set.Set{}, st, err
-	}
-	e.Cache.PutSemijoin(src.Name(), c, unknown, out)
-	return out.Union(knownTrue), st, nil
-}
-
-// emulatedSemijoin implements a semijoin as passed-binding selections, one
-// per item the cache cannot answer. The bindings are independent exchanges,
-// so they are issued concurrently through the source's connection slots —
-// the single biggest response-time lever for passed-bindings sources, whose
-// per-item queries otherwise serialize into the plan's critical path.
+// bindings emulates a semijoin over items as passed-binding selections, one
+// per item. The bindings are independent exchanges, so they are issued
+// concurrently through the source's connection slots — the single biggest
+// response-time lever for passed-bindings sources, whose per-item queries
+// otherwise serialize into the plan's critical path.
 //
 // Failure handling is per binding: a transient failure retries only that
 // binding (up to the executor's retry budget), and the first permanent
@@ -223,27 +163,16 @@ func (e *Executor) nativeSemijoin(ctx context.Context, j int, c cond.Cond, y set
 // new bindings are issued. Cancellation behaves the same way: workers
 // observe ctx between bindings, so a cancelled query stops promptly without
 // leaking goroutines. Every attempt that reached the source is charged in
-// queryStats.queries, so measured SourceQueries reflect genuine traffic.
-func (e *Executor) emulatedSemijoin(ctx context.Context, j int, c cond.Cond, y set.Set) (set.Set, queryStats, error) {
-	src := e.Sources[j]
-	knownTrue, unknown := e.Cache.Partition(src.Name(), c, y)
-	st := queryStats{hits: y.Len() - unknown.Len(), misses: unknown.Len()}
-	if e.Cache == nil {
-		st = queryStats{}
-	}
-	items := unknown.Items()
-	if len(items) == 0 {
-		return knownTrue, st, nil
-	}
-
-	workers := e.connsFor(j)
+// agg.queries, so measured SourceQueries reflect genuine traffic.
+func (r *run) bindings(ctx context.Context, j int, c cond.Cond, items []string, agg *queryStats) (set.Set, error) {
+	src, cache := r.e.Sources[j], r.e.Cache
+	workers := r.conns[j]
 	if workers > len(items) {
 		workers = len(items)
 	}
 	var (
-		mu       sync.Mutex
+		mu       sync.Mutex // guards next, firstErr, matched and agg
 		next     int
-		bind     queryStats
 		firstErr error
 		matched  = make([]bool, len(items))
 		wg       sync.WaitGroup
@@ -270,9 +199,15 @@ func (e *Executor) emulatedSemijoin(ctx context.Context, j int, c cond.Cond, y s
 				next++
 				mu.Unlock()
 
-				ok, bqs, err := e.bindingQuery(ctx, j, c, items[i])
+				// One passed-binding selection, retried on its own.
+				var ok bool
+				var bind queryStats
+				err := r.exchange(ctx, j, &bind, items[i], func(ctx context.Context) (err error) {
+					ok, err = src.SelectBinding(ctx, c, items[i])
+					return err
+				})
 				mu.Lock()
-				bind.add(bqs)
+				agg.add(bind)
 				if err != nil {
 					if firstErr == nil {
 						firstErr = err
@@ -282,14 +217,13 @@ func (e *Executor) emulatedSemijoin(ctx context.Context, j int, c cond.Cond, y s
 				}
 				matched[i] = ok
 				mu.Unlock()
-				e.Cache.PutMembership(src.Name(), c, items[i], ok)
+				cache.PutMembership(src.Name(), c, items[i], ok)
 			}
 		}()
 	}
 	wg.Wait()
-	st.add(bind)
 	if firstErr != nil {
-		return set.Set{}, st, firstErr
+		return set.Set{}, firstErr
 	}
 	out := make([]string, 0, len(items))
 	for i, ok := range matched {
@@ -297,53 +231,5 @@ func (e *Executor) emulatedSemijoin(ctx context.Context, j int, c cond.Cond, y s
 			out = append(out, items[i])
 		}
 	}
-	return set.FromSorted(out).Union(knownTrue), st, nil
-}
-
-// bindingQuery issues one passed-binding selection with per-binding
-// transient retry, reporting the attempts, retries and errors that reached
-// the source. Re-attempts after a transient failure record an attempt span
-// (first attempts are covered by the enclosing step and exchange spans). A
-// context error is never transient (source.IsTransient), so cancellation
-// stops the retry loop on its first appearance.
-func (e *Executor) bindingQuery(ctx context.Context, j int, c cond.Cond, item string) (bool, queryStats, error) {
-	src := e.Sources[j]
-	var qs queryStats
-	for attempt := 0; ; attempt++ {
-		actx := ctx
-		var asp *obs.Span
-		if attempt > 0 {
-			actx, asp = obs.StartSpan(ctx, obs.KindAttempt, fmt.Sprintf("binding %s attempt %d", item, attempt+1))
-		}
-		release, err := e.slot(actx, j)
-		if err != nil {
-			asp.End(err)
-			return false, qs, fmt.Errorf("source %s: %w", src.Name(), err)
-		}
-		ok, err := src.SelectBinding(actx, c, item)
-		release()
-		qs.queries++
-		asp.End(err)
-		if err == nil {
-			return ok, qs, nil
-		}
-		qs.errors++
-		if attempt >= e.Retries || !source.IsTransient(err) {
-			return false, qs, err
-		}
-		// Between retries the context may have died (the failed attempt races
-		// with cancellation); re-issuing the binding then is wasted traffic,
-		// so surface the context error instead.
-		if cerr := ctx.Err(); cerr != nil {
-			return false, qs, fmt.Errorf("source %s: binding %s: %w", src.Name(), item, cerr)
-		}
-		qs.retries++
-	}
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	return set.FromSorted(out), nil
 }

@@ -1,8 +1,9 @@
 package exec
 
-// Streaming dataflow execution. Instead of materializing every set
-// variable, runStreaming turns the plan into a pipeline: one goroutine per
-// step, connected by bounded batch channels carrying sorted item batches
+// The pipelined scheduler. Instead of materializing every set variable
+// between round barriers, runPipelined turns the plan into a pipeline: one
+// goroutine per step running the same node the round scheduler runs
+// (node.go), connected by bounded batch edges carrying sorted item batches
 // (the set.Iter contract). Source selections are consumed chunk by chunk
 // through source.OpenSelectStream, semijoins fan out per input batch as
 // bindings arrive, and the local ∪/∩/− operators are the incremental
@@ -10,7 +11,7 @@ package exec
 // the last source exchange completes, and peak mediator memory is bounded
 // batch buffers rather than whole intermediate variables.
 //
-// Invariants shared with the materialized path:
+// Invariants shared with the round scheduler:
 //
 //   - The answer is bit-for-bit identical: every edge carries each
 //     variable's items in strictly increasing order with no duplicates, so
@@ -35,20 +36,13 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
-	"fusionq/internal/bloom"
-	"fusionq/internal/cond"
-	"fusionq/internal/fabric"
-	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
 	"fusionq/internal/plan"
 	"fusionq/internal/set"
-	"fusionq/internal/source"
 )
 
 // streamEdgeDepth is the per-edge buffer in batches. Small: the buffer
@@ -82,14 +76,6 @@ func ssaSteps(p *plan.Plan) ([]plan.Step, string) {
 		steps[i] = ns
 	}
 	return steps, cur[p.Result]
-}
-
-// batchSize resolves the executor's streaming batch granularity.
-func (e *Executor) batchSize() int {
-	if e.BatchSize > 0 {
-		return e.BatchSize
-	}
-	return set.DefaultBatch
 }
 
 // byteTracker is the live-bytes accounting behind streaming PeakBytes:
@@ -268,143 +254,53 @@ func (it *edgeIter) Close() error {
 	return nil
 }
 
-// errAbandoned is the internal signal that every consumer of a node's
-// output has abandoned its edge: the node stops producing and reports
-// clean completion.
-var errAbandoned = errors.New("exec: all stream consumers abandoned")
-
-// emitter tees a node's output batches to its consumer edges, tracking
-// which consumers have abandoned and the node's emission totals.
-type emitter struct {
-	outs    []*streamEdge
-	dead    []bool
-	live    int
-	items   int
-	batches int
-}
-
-func newEmitter(outs []*streamEdge) *emitter {
-	return &emitter{outs: outs, dead: make([]bool, len(outs)), live: len(outs)}
-}
-
-// emit delivers one non-empty batch to every live consumer. Empty batches
-// are dropped (the Iter contract forbids them on edges). Returns
-// errAbandoned once no consumer remains, so producers stop paying for
-// unwanted work. The tee never blocks on one consumer while starving
-// another: an edge that is part of a fan-out is unbounded (see
-// streamEdge), so the only blocking send is to a sole consumer.
-func (em *emitter) emit(ctx context.Context, batch []string) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	em.items += len(batch)
-	em.batches++
-	for i, ed := range em.outs {
-		if em.dead[i] {
-			continue
-		}
-		delivered, err := ed.send(ctx, batch)
-		if err != nil {
-			return err
-		}
-		if !delivered {
-			em.dead[i] = true
-			em.live--
-		}
-	}
-	if em.live == 0 && len(em.outs) > 0 {
-		return errAbandoned
-	}
-	return nil
-}
-
-// emitSorted streams a sorted, deduplicated slice as batches.
-func (em *emitter) emitSorted(ctx context.Context, items []string, batch int) error {
-	for lo := 0; lo < len(items); lo += batch {
-		hi := lo + batch
-		if hi > len(items) {
-			hi = len(items)
-		}
-		if err := em.emit(ctx, items[lo:hi:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// streamRun is the shared state of one dataflow execution.
-type streamRun struct {
-	e   *Executor
-	p   *plan.Plan
-	st  *state
-	res *Result
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	tr     *byteTracker
-
-	wg sync.WaitGroup
-
-	mu       sync.Mutex // guards res and firstErr across nodes
-	firstErr error
-}
-
-// fail records the run's first error and cancels the pipeline. Recording
-// before cancelling guarantees the causal error wins the race against the
-// cancellation errors it triggers downstream.
-func (r *streamRun) fail(err error) {
-	r.mu.Lock()
-	if r.firstErr == nil {
-		r.firstErr = err
-	}
-	r.mu.Unlock()
-	r.cancel()
-}
-
-// runStreaming executes p as a dataflow pipeline. Called by Run after plan
-// validation and scheduler setup; st and res are the prepared execution
-// state and result.
-func (e *Executor) runStreaming(ctx context.Context, p *plan.Plan, st *state, res *Result) (*Result, error) {
+// runPipelined is the pipelined scheduler: every step of the plan runs at
+// once as a node on its own goroutine, reading edges and teeing to edges,
+// and this goroutine drains the answer.
+func (r *run) runPipelined(ctx context.Context) error {
+	res := r.res
 	start := time.Now()
-	var preTotal time.Duration
-	var mark netsim.Mark
-	if e.Network != nil {
-		preTotal = e.Network.Stats().TotalTime
-		mark = e.Network.Mark()
-		defer func() {
-			// As in runBatch: charge the network delta, clamped against a
-			// concurrent query's mid-run accounting reset.
-			if d := e.Network.Stats().TotalTime - preTotal; d > 0 {
-				res.TotalWork += d
-			}
-		}()
-	}
+	// The pipeline is one big round: response time is the critical path over
+	// the per-source k-lane schedules of the whole run's exchanges.
+	defer r.account()()
 
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	r := &streamRun{
-		e: e, p: p, st: st, res: res,
-		ctx: rctx, cancel: cancel, tr: &byteTracker{},
+	var (
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+	)
+	// fail records the run's first error and cancels the pipeline. Recording
+	// before cancelling guarantees the causal error wins the race against the
+	// cancellation errors it triggers downstream.
+	fail := func(err error) {
+		errMu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		errMu.Unlock()
+		cancel()
 	}
 
 	// Rewrite to single-assignment form so every variable version has
 	// exactly one producing node, then wire the graph: one edge per
 	// (consumer step, input occurrence), plus the answer drain consumed
 	// below. A version with several consumers has its batches teed to each
-	// edge by the producer's emitter.
-	steps, resultVar := ssaSteps(p)
+	// edge by the producer's node.
+	steps, resultVar := ssaSteps(r.p)
 	consumers := map[string][]*streamEdge{}
-	stepIns := make([][]*streamEdge, len(steps))
+	stepIns := make([][]set.Iter, len(steps))
 	for i, s := range steps {
-		ins := make([]*streamEdge, len(s.In))
+		ins := make([]set.Iter, len(s.In))
 		for k, v := range s.In {
-			ed := newStreamEdge(r.tr)
-			ins[k] = ed
+			ed := newStreamEdge(&r.tr)
+			ins[k] = &edgeIter{ed: ed}
 			consumers[v] = append(consumers[v], ed)
 		}
 		stepIns[i] = ins
 	}
-	answerEdge := newStreamEdge(r.tr)
+	answerEdge := newStreamEdge(&r.tr)
 	consumers[resultVar] = append(consumers[resultVar], answerEdge)
 	for _, edges := range consumers {
 		if len(edges) > 1 {
@@ -418,10 +314,23 @@ func (e *Executor) runStreaming(ctx context.Context, p *plan.Plan, st *state, re
 	_, faSpan := obs.StartSpan(ctx, obs.KindPhase, "first-answer")
 
 	for i := range steps {
-		r.wg.Add(1)
+		wg.Add(1)
 		go func(idx int, s plan.Step) {
-			defer r.wg.Done()
-			r.node(idx, s, stepIns[idx], consumers[s.Out])
+			defer wg.Done()
+			ins, outs := stepIns[idx], consumers[s.Out]
+			nd := node{outs: outs, dead: make([]bool, len(outs)), live: len(outs)}
+			err := r.runNode(rctx, idx, s, ins, &nd)
+			// However the node ended: EOF for its consumers, stop for its
+			// producers.
+			for _, ed := range outs {
+				ed.closeSend()
+			}
+			for _, in := range ins {
+				_ = in.Close()
+			}
+			if err != nil {
+				fail(err)
+			}
 		}(i, steps[i])
 	}
 
@@ -449,11 +358,9 @@ func (e *Executor) runStreaming(ctx context.Context, p *plan.Plan, st *state, re
 		answer = append(answer, batch...)
 	}
 	_ = ait.Close()
-	r.wg.Wait()
+	wg.Wait()
 
-	r.mu.Lock()
-	err := r.firstErr
-	r.mu.Unlock()
+	err := firstErr
 	if err == nil {
 		// All nodes finished cleanly; a drain-side cancellation still
 		// truncates the answer and must fail the run honestly.
@@ -469,448 +376,9 @@ func (e *Executor) runStreaming(ctx context.Context, p *plan.Plan, st *state, re
 		}
 	}
 	if err == nil {
-		st.setVar(p.Result, set.FromSorted(answer))
-		res.Answer = st.vars[p.Result]
+		res.Answer = set.FromSorted(answer)
+		r.vars[r.p.Result] = res.Answer
 	}
-
-	if e.Network != nil {
-		// The pipeline is one big round: response time is the critical path
-		// over the per-source k-lane schedules of the whole run's exchanges.
-		res.ResponseTime, _ = e.criticalPath(e.Network.Since(mark))
-	}
-
-	res.PeakBytes = r.tr.high()
-	e.mu.Lock()
-	e.lastLoaded = st.loaded
-	e.mu.Unlock()
-	if e.Trace {
-		sort.Slice(res.Trace, func(a, b int) bool { return res.Trace[a].Index < res.Trace[b].Index })
-	}
-	return res, err
-}
-
-// node runs one plan step as a dataflow node: execute the kind-specific
-// body, then always close the output edges (EOF for consumers) and abandon
-// the input edges (stop for producers), and account the step exactly like
-// the materialized runStepRetry — step span, per-source metrics, result
-// counters and trace entry.
-func (r *streamRun) node(idx int, s plan.Step, ins []*streamEdge, outs []*streamEdge) {
-	e := r.e
-	// Spans and traces show the original step, not its SSA rename.
-	text := r.p.StepString(r.p.Steps[idx])
-	sctx, span := obs.StartSpan(r.ctx, obs.KindStep, text)
-	isSource := s.IsSourceQuery()
-	srcName := ""
-	if isSource {
-		srcName = e.Sources[s.Source].Name()
-		span.SetAttr("source", srcName)
-	}
-	// A replicated source's failovers and hedges are attributed to this
-	// node through context-carried call stats, as in the materialized path.
-	var cs *fabric.CallStats
-	if isSource {
-		if _, ok := e.Sources[s.Source].(replicaSource); ok {
-			cs = &fabric.CallStats{}
-			sctx = fabric.WithCallStats(sctx, cs)
-		}
-	}
-
-	em := newEmitter(outs)
-	var agg queryStats
-	err := r.execNode(sctx, s, ins, em, &agg)
-	if errors.Is(err, errAbandoned) {
-		// Nobody wants the rest of this stream — clean early completion.
-		err = nil
-	}
-	if err != nil {
-		err = fmt.Errorf("exec: %s: %w", text, err)
-	}
-	for _, ed := range outs {
-		ed.closeSend()
-	}
-	for _, ed := range ins {
-		ed.abandonNow()
-	}
-	span.End(err)
-
-	met := obs.Meter(r.ctx)
-	if isSource {
-		met.Counter(obs.MSourceQueries, "source", srcName).Add(int64(agg.queries))
-		met.Counter(obs.MCacheHits, "source", srcName).Add(int64(agg.hits))
-		met.Counter(obs.MCacheMisses, "source", srcName).Add(int64(agg.misses))
-		met.Counter(obs.MRetries, "source", srcName).Add(int64(agg.retries))
-		if err != nil {
-			met.Counter(obs.MStepErrors, "source", srcName).Inc()
-		}
-	}
-	if em.batches > 0 {
-		met.Counter(obs.MStreamBatches, "source", srcName).Add(int64(em.batches))
-	}
-
-	var failovers, hedges int
-	if cs != nil {
-		failovers = int(cs.Failovers.Load())
-		hedges = int(cs.Hedges.Load())
-	}
-	r.mu.Lock()
-	r.res.SourceQueries += agg.queries
-	r.res.CacheHits += agg.hits
-	r.res.CacheMisses += agg.misses
-	r.res.Retries += agg.retries
-	r.res.Failovers += failovers
-	r.res.Hedges += hedges
-	if err != nil && (r.res.FailedStep < 0 || idx < r.res.FailedStep) {
-		r.res.FailedStep = idx
-	}
-	if e.Trace {
-		tr := StepTrace{Index: idx, Text: text, Queries: agg.queries, CacheHits: agg.hits, Retries: agg.retries, Errors: agg.errors, Failovers: failovers, Hedges: hedges}
-		if err != nil {
-			tr.Err = err.Error()
-		} else {
-			tr.OutItems = em.items
-		}
-		r.res.Trace = append(r.res.Trace, tr)
-	}
-	r.mu.Unlock()
-
-	if err != nil {
-		r.fail(err)
-	}
-}
-
-// execNode dispatches on the step kind. Errors come back unwrapped; node
-// adds the step prefix.
-func (r *streamRun) execNode(ctx context.Context, s plan.Step, ins []*streamEdge, em *emitter, agg *queryStats) error {
-	switch s.Kind {
-	case plan.KindSelect:
-		return r.selectNode(ctx, s, em, agg)
-	case plan.KindSemijoin:
-		return r.semijoinNode(ctx, s, ins, em, agg)
-	case plan.KindBloomSemijoin:
-		return r.bloomNode(ctx, s, ins, em, agg)
-	case plan.KindLoad:
-		return r.loadNode(ctx, s, em, agg)
-	case plan.KindLocalSelect:
-		return r.localSelectNode(ctx, s, ins, em)
-	case plan.KindUnion, plan.KindIntersect, plan.KindDiff:
-		return r.mergeNode(ctx, s, ins, em)
-	default:
-		return fmt.Errorf("unknown step kind %v", s.Kind)
-	}
-}
-
-// selectNode streams sq(c, src) batch by batch. A cached selection is
-// emitted without source traffic; a miss opens a chunked stream and, with
-// a cache attached, collects the batches on the side so the completed
-// selection can be cached for later runs. The whole-stream retry budget
-// applies only while nothing has been emitted yet: once batches are
-// downstream a transient mid-stream failure cannot be retried without
-// re-emitting, so it fails the step (and the run stays honest).
-func (r *streamRun) selectNode(ctx context.Context, s plan.Step, em *emitter, agg *queryStats) error {
-	e := r.e
-	src := e.Sources[s.Source]
-	c := r.p.Conds[s.Cond]
-	if out, ok := e.Cache.Select(src.Name(), c); ok {
-		agg.hits++
-		return em.emitSorted(ctx, out.Items(), e.batchSize())
-	}
-	var collected []string
-	collect := e.Cache != nil
-	emitted := false
-	for attempt := 0; ; attempt++ {
-		actx := ctx
-		var asp *obs.Span
-		if attempt > 0 {
-			actx, asp = obs.StartSpan(ctx, obs.KindAttempt, fmt.Sprintf("attempt %d", attempt+1))
-		}
-		err := r.drainSelect(actx, s.Source, c, em, agg, &emitted, &collected, collect)
-		asp.End(err)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, errAbandoned) {
-			return err
-		}
-		agg.errors++
-		if emitted || attempt >= e.Retries || !source.IsTransient(err) {
-			return err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("source %s: %w", src.Name(), cerr)
-		}
-		agg.retries++
-		collected = collected[:0]
-	}
-	if collect {
-		e.Cache.PutSelect(src.Name(), c, set.FromSorted(collected))
-	}
-	return nil
-}
-
-// drainSelect is one attempt at streaming the selection: open, pull, emit.
-// A scheduler slot brackets the open and each chunk pull — one slot per
-// exchange — and is released before emitting, so backpressure never holds
-// a source lane.
-func (r *streamRun) drainSelect(ctx context.Context, j int, c cond.Cond, em *emitter, agg *queryStats, emitted *bool, collected *[]string, collect bool) error {
-	e := r.e
-	src := e.Sources[j]
-	release, err := e.slot(ctx, j)
-	if err != nil {
-		return fmt.Errorf("source %s: %w", src.Name(), err)
-	}
-	it, err := source.OpenSelectStream(ctx, src, c, e.batchSize())
-	release()
-	agg.queries++
-	agg.misses += boolToInt(e.Cache != nil)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for {
-		release, err := e.slot(ctx, j)
-		if err != nil {
-			return fmt.Errorf("source %s: %w", src.Name(), err)
-		}
-		batch, err := it.Next(ctx)
-		release()
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			return nil
-		}
-		if collect {
-			*collected = append(*collected, batch...)
-		}
-		if err := em.emit(ctx, batch); err != nil {
-			return err
-		}
-		*emitted = true
-	}
-}
-
-// semijoinNode evaluates sjq(c, src, Y) incrementally: each input batch is
-// one semijoin probe, issued as the batch arrives. Output order is
-// preserved because a probe's matches are a subset of its input batch and
-// batches arrive in increasing item order. Native semijoins retry per
-// probe (nothing of a failed probe was emitted); emulated semijoins retry
-// per binding inside emulatedSemijoin, exactly like the materialized path.
-func (r *streamRun) semijoinNode(ctx context.Context, s plan.Step, ins []*streamEdge, em *emitter, agg *queryStats) error {
-	e := r.e
-	src := e.Sources[s.Source]
-	c := r.p.Conds[s.Cond]
-	caps := src.Caps()
-	if !caps.NativeSemijoin && !caps.PassedBindings {
-		return fmt.Errorf("source %s: semijoin not emulable: %w", src.Name(), source.ErrUnsupported)
-	}
-	in := &edgeIter{ed: ins[0]}
-	defer in.Close()
-	for {
-		batch, err := in.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			return nil
-		}
-		y := set.FromSorted(batch)
-		var out set.Set
-		if caps.NativeSemijoin {
-			out, err = r.nativeProbe(ctx, s.Source, c, y, agg)
-		} else {
-			var qs queryStats
-			out, qs, err = e.emulatedSemijoin(ctx, s.Source, c, y)
-			agg.add(qs)
-		}
-		if err != nil {
-			return err
-		}
-		if err := em.emit(ctx, out.Items()); err != nil {
-			return err
-		}
-	}
-}
-
-// nativeProbe issues one native sjq for a single input batch with the
-// whole-exchange transient-retry budget.
-func (r *streamRun) nativeProbe(ctx context.Context, j int, c cond.Cond, y set.Set, agg *queryStats) (set.Set, error) {
-	e := r.e
-	for attempt := 0; ; attempt++ {
-		actx := ctx
-		var asp *obs.Span
-		if attempt > 0 {
-			actx, asp = obs.StartSpan(ctx, obs.KindAttempt, fmt.Sprintf("attempt %d", attempt+1))
-		}
-		out, qs, err := e.nativeSemijoin(actx, j, c, y)
-		asp.End(err)
-		agg.add(qs)
-		if err == nil {
-			return out, nil
-		}
-		agg.errors++
-		if attempt >= e.Retries || !source.IsTransient(err) {
-			return set.Set{}, err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return set.Set{}, fmt.Errorf("source %s: %w", e.Sources[j].Name(), cerr)
-		}
-		agg.retries++
-	}
-}
-
-// bloomNode is a pipeline barrier: the Bloom filter needs the complete
-// input set before the single filter exchange can be issued. The input is
-// materialized (tracked as mediator memory for the node's lifetime), the
-// filter probe retried like any whole exchange, and the exact result —
-// positives restricted to the actual input — streamed out.
-func (r *streamRun) bloomNode(ctx context.Context, s plan.Step, ins []*streamEdge, em *emitter, agg *queryStats) error {
-	e := r.e
-	src := e.Sources[s.Source]
-	c := r.p.Conds[s.Cond]
-	in, err := set.Collect(ctx, &edgeIter{ed: ins[0]})
-	if err != nil {
-		return err
-	}
-	if in.IsEmpty() {
-		return nil
-	}
-	r.tr.add(in.Bytes())
-	defer r.tr.release(in.Bytes())
-	filter := bloom.FromItems(in.Items(), bloom.DefaultBitsPerItem)
-	var positives set.Set
-	for attempt := 0; ; attempt++ {
-		actx := ctx
-		var asp *obs.Span
-		if attempt > 0 {
-			actx, asp = obs.StartSpan(ctx, obs.KindAttempt, fmt.Sprintf("attempt %d", attempt+1))
-		}
-		var release func()
-		release, err = e.slot(actx, s.Source)
-		if err != nil {
-			asp.End(err)
-			return fmt.Errorf("source %s: %w", src.Name(), err)
-		}
-		positives, err = src.SemijoinBloom(actx, c, filter)
-		release()
-		agg.queries++
-		asp.End(err)
-		if err == nil {
-			break
-		}
-		agg.errors++
-		if attempt >= e.Retries || !source.IsTransient(err) {
-			return err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("source %s: %w", src.Name(), cerr)
-		}
-		agg.retries++
-	}
-	return em.emitSorted(ctx, positives.Intersect(in).Items(), e.batchSize())
-}
-
-// loadNode fetches the source's full contents. The relation is stored in
-// st.loaded (and its bytes tracked for the rest of the run) before any
-// batch is emitted, so a downstream local-selection node that synchronizes
-// on this node's edge always finds the relation present.
-func (r *streamRun) loadNode(ctx context.Context, s plan.Step, em *emitter, agg *queryStats) error {
-	e := r.e
-	src := e.Sources[s.Source]
-	for attempt := 0; ; attempt++ {
-		actx := ctx
-		var asp *obs.Span
-		if attempt > 0 {
-			actx, asp = obs.StartSpan(ctx, obs.KindAttempt, fmt.Sprintf("attempt %d", attempt+1))
-		}
-		release, err := e.slot(actx, s.Source)
-		if err != nil {
-			asp.End(err)
-			return fmt.Errorf("source %s: %w", src.Name(), err)
-		}
-		rel, err := src.Load(actx)
-		release()
-		agg.queries++
-		asp.End(err)
-		if err == nil {
-			r.st.mu.Lock()
-			r.st.loaded[s.Out] = rel
-			r.st.mu.Unlock()
-			r.tr.add(rel.Bytes())
-			return em.emitSorted(ctx, rel.Items(), e.batchSize())
-		}
-		agg.errors++
-		if attempt >= e.Retries || !source.IsTransient(err) {
-			return err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("source %s: %w", src.Name(), cerr)
-		}
-		agg.retries++
-	}
-}
-
-// localSelectNode applies a plan condition to loaded source contents. The
-// input edge carries the load node's item stream purely as a completion
-// signal — the relation itself (with its non-merge attributes) lives in
-// st.loaded — so the node drains the edge, then selects locally for free.
-func (r *streamRun) localSelectNode(ctx context.Context, s plan.Step, ins []*streamEdge, em *emitter) error {
-	in := &edgeIter{ed: ins[0]}
-	defer in.Close()
-	for {
-		batch, err := in.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			break
-		}
-	}
-	r.st.mu.Lock()
-	rel, ok := r.st.loaded[s.In[0]]
-	r.st.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%q is not loaded source contents", s.In[0])
-	}
-	out, err := localSelect(rel, r.p, s.Cond)
-	if err != nil {
-		return err
-	}
-	return em.emitSorted(ctx, out.Items(), r.e.batchSize())
-}
-
-// mergeNode runs the local set algebra incrementally: the input edges are
-// adapted to set.Iter and fed through the merge operators, which exploit
-// the sorted-batch invariant to produce output as soon as enough input has
-// arrived. MergeIntersect's short-circuit (any input exhausted ⇒ done)
-// closes the remaining inputs, which abandons their edges and stops the
-// producers — the streaming form of the materialized empty-set
-// short-circuit.
-func (r *streamRun) mergeNode(ctx context.Context, s plan.Step, ins []*streamEdge, em *emitter) error {
-	bs := r.e.batchSize()
-	its := make([]set.Iter, len(ins))
-	for k := range ins {
-		its[k] = &edgeIter{ed: ins[k]}
-	}
-	var m set.Iter
-	switch s.Kind {
-	case plan.KindUnion:
-		m = set.MergeUnion(bs, its...)
-	case plan.KindIntersect:
-		m = set.MergeIntersect(bs, its...)
-	default:
-		m = set.MergeDiff(bs, its[0], its[1])
-	}
-	defer m.Close()
-	for {
-		batch, err := m.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			return nil
-		}
-		if err := em.emit(ctx, batch); err != nil {
-			return err
-		}
-	}
+	r.close()
+	return err
 }

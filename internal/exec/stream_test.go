@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -34,125 +35,10 @@ func synthProblem(t *testing.T, cfg workload.SynthConfig) (*optimizer.Problem, [
 	return &optimizer.Problem{Conds: sc.Conds, Sources: sc.SourceNames(), Table: table}, sc.Sources
 }
 
-// TestStreamingDMVAllOptimizers runs the Section 1 query through every
-// optimizer on the streaming executor: identical answers, sane accounting.
-func TestStreamingDMVAllOptimizers(t *testing.T) {
-	algos := map[string]func(*optimizer.Problem) (optimizer.Result, error){
-		"filter":     optimizer.Filter,
-		"sj":         optimizer.SJ,
-		"sja":        optimizer.SJA,
-		"greedy-sj":  optimizer.GreedySJ,
-		"greedy-sja": optimizer.GreedySJA,
-		"sja+":       optimizer.SJAPlus,
-		"greedy+":    optimizer.GreedySJAPlus,
-	}
-	for name, algo := range algos {
-		t.Run(name, func(t *testing.T) {
-			pr, srcs, network := dmvSetup(t, nil)
-			res, err := algo(pr)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			ex := &Executor{Sources: srcs, Network: network, Streaming: true, BatchSize: 8, Trace: true}
-			got, err := ex.Run(context.Background(), res.Plan)
-			if err != nil {
-				t.Fatalf("%s: run: %v\nplan:\n%s", name, err, res.Plan)
-			}
-			if !got.Answer.Equal(dmvAnswer) {
-				t.Fatalf("%s: answer = %v, want %v\nplan:\n%s", name, got.Answer, dmvAnswer, res.Plan)
-			}
-			if got.SourceQueries == 0 {
-				t.Fatalf("%s: no source queries recorded", name)
-			}
-			if got.TotalWork <= 0 || got.ResponseTime <= 0 || got.ResponseTime > got.TotalWork {
-				t.Fatalf("%s: streaming timing = work %v, response %v", name, got.TotalWork, got.ResponseTime)
-			}
-			if got.FirstAnswer <= 0 {
-				t.Fatalf("%s: FirstAnswer = %v, want > 0", name, got.FirstAnswer)
-			}
-			if len(got.Trace) != len(res.Plan.Steps) {
-				t.Fatalf("%s: trace has %d entries for %d steps", name, len(got.Trace), len(res.Plan.Steps))
-			}
-		})
-	}
-}
-
-// TestStreamingMatchesMaterializedSynthetic is the in-package differential
-// check: on a mixed-capability synthetic workload, the streaming executor
-// must produce exactly the materialized answer for every plan class.
-func TestStreamingMatchesMaterializedSynthetic(t *testing.T) {
-	cfg := workload.SynthConfig{
-		Seed: 42, NumSources: 4, TuplesPerSource: 300, Universe: 150,
-		Selectivity: []float64{0.1, 0.5, 0.8},
-		Backend:     workload.BackendMixed,
-		Caps: []source.Capabilities{
-			{NativeSemijoin: true, PassedBindings: true},
-			{PassedBindings: true},
-			{NativeSemijoin: true},
-			{},
-		},
-	}
-	pr, srcs := synthProblem(t, cfg)
-	mat := &Executor{Sources: srcs}
-	str := &Executor{Sources: srcs, Streaming: true, BatchSize: 16}
-	for name, algo := range map[string]func(*optimizer.Problem) (optimizer.Result, error){
-		"filter": optimizer.Filter, "sj": optimizer.SJ, "sja": optimizer.SJA,
-		"sja+": optimizer.SJAPlus, "greedy-sja": optimizer.GreedySJA,
-	} {
-		res, err := algo(pr)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want, err := mat.Run(context.Background(), res.Plan)
-		if err != nil {
-			t.Fatalf("%s: materialized: %v", name, err)
-		}
-		got, err := str.Run(context.Background(), res.Plan)
-		if err != nil {
-			t.Fatalf("%s: streaming: %v\nplan:\n%s", name, err, res.Plan)
-		}
-		if !got.Answer.Equal(want.Answer) {
-			t.Fatalf("%s: streaming answer %v != materialized %v", name, got.Answer, want.Answer)
-		}
-	}
-}
-
-// TestStreamingEmptyShortCircuit: an empty selection closes its edge
-// immediately, so the downstream semijoin node never probes the source —
-// the streaming counterpart of the materialized empty-set elision.
-func TestStreamingEmptyShortCircuit(t *testing.T) {
-	pr, srcs, network := dmvSetup(t, nil)
-	p := &plan.Plan{
-		Conds:   pr.Conds,
-		Sources: pr.Sources,
-		Steps: []plan.Step{
-			{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0},
-			{Kind: plan.KindDiff, Out: "Z", Cond: -1, Source: -1, In: []string{"A", "A"}}, // empty
-			{Kind: plan.KindSemijoin, Out: "B", Cond: 1, Source: 1, In: []string{"Z"}},
-			{Kind: plan.KindSemijoin, Out: "C", Cond: 1, Source: 2, In: []string{"B"}},
-		},
-		Result: "C",
-	}
-	ex := &Executor{Sources: srcs, Network: network, Streaming: true}
-	got, err := ex.Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Answer.IsEmpty() {
-		t.Fatalf("answer = %v, want empty", got.Answer)
-	}
-	if got.SourceQueries != 1 {
-		t.Fatalf("SourceQueries = %d, want 1 (semijoins over empty streams elided)", got.SourceQueries)
-	}
-	// An empty run still reports when its (empty) answer was known.
-	if got.FirstAnswer <= 0 {
-		t.Fatalf("FirstAnswer = %v, want > 0 for an empty but successful run", got.FirstAnswer)
-	}
-}
-
-// TestStreamingHonestPartial: a permanently failing source fails the run
-// with an empty answer, while the traffic already paid for stays counted.
-func TestStreamingHonestPartial(t *testing.T) {
+// TestHonestPartial: under either scheduler a permanently failing source
+// fails the run with an empty answer, while the traffic already paid for
+// stays counted.
+func TestHonestPartial(t *testing.T) {
 	sc := workload.DMV()
 	srcs := make([]source.Source, len(sc.Sources))
 	for j, raw := range sc.Sources {
@@ -172,46 +58,59 @@ func TestStreamingHonestPartial(t *testing.T) {
 		},
 		Result: "U",
 	}
-	ex := &Executor{Sources: srcs, Streaming: true}
-	got, err := ex.Run(context.Background(), p)
-	if err == nil {
-		t.Fatal("run against a dead source should fail")
-	}
-	if !strings.Contains(err.Error(), "sq(") {
-		t.Fatalf("error %q does not name the failing step", err)
-	}
-	if !got.Answer.IsEmpty() {
-		t.Fatalf("failed run leaked a partial answer: %v", got.Answer)
-	}
-	if got.FirstAnswer != 0 {
-		t.Fatalf("failed run reported FirstAnswer = %v", got.FirstAnswer)
-	}
-	if got.SourceQueries == 0 {
-		t.Fatal("failed run must still report the queries it issued")
+	for _, mode := range runModes {
+		t.Run(mode.name, func(t *testing.T) {
+			ex := &Executor{Sources: srcs}
+			mode.configure(ex)
+			got, err := ex.Run(context.Background(), p)
+			if err == nil {
+				t.Fatal("run against a dead source should fail")
+			}
+			if !strings.Contains(err.Error(), "sq(") {
+				t.Fatalf("error %q does not name the failing step", err)
+			}
+			if !got.Answer.IsEmpty() {
+				t.Fatalf("failed run leaked a partial answer: %v", got.Answer)
+			}
+			if got.FirstAnswer != 0 {
+				t.Fatalf("failed run reported FirstAnswer = %v", got.FirstAnswer)
+			}
+			if got.SourceQueries == 0 {
+				t.Fatal("failed run must still report the queries it issued")
+			}
+			// Step 1 failed; in the pipeline its failure may cancel step 0
+			// mid-flight, and FailedStep is the smallest failed index.
+			if got.FailedStep < 0 || got.FailedStep > 1 {
+				t.Fatalf("FailedStep = %d, want 1 (or 0, cancelled by it)", got.FailedStep)
+			}
+		})
 	}
 }
 
-// TestStreamingCancellation: a cancelled context fails the run promptly
-// and honestly (empty answer, wrapped context error, no leaked goroutines
-// — the latter enforced by -race and the test exiting at all).
-func TestStreamingCancellation(t *testing.T) {
-	pr, srcs, network := dmvSetup(t, nil)
-	res, err := optimizer.SJA(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ex := &Executor{Sources: srcs, Network: network, Streaming: true}
-	got, err := ex.Run(ctx, res.Plan)
-	if err == nil {
-		t.Fatal("cancelled run should fail")
-	}
-	if !strings.Contains(err.Error(), context.Canceled.Error()) {
-		t.Fatalf("error %q does not report cancellation", err)
-	}
-	if !got.Answer.IsEmpty() {
-		t.Fatalf("cancelled run leaked an answer: %v", got.Answer)
+// TestCancellation: a cancelled context fails the run promptly and
+// honestly under either scheduler (empty answer, wrapped context error, no
+// leaked goroutines — the latter enforced by -race and the test exiting at
+// all).
+func TestCancellation(t *testing.T) {
+	for _, mode := range runModes {
+		t.Run(mode.name, func(t *testing.T) {
+			pr, srcs, network := dmvSetup(t, nil)
+			res, err := optimizer.SJA(pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			ex := &Executor{Sources: srcs, Network: network}
+			mode.configure(ex)
+			got, err := ex.Run(ctx, res.Plan)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want wrapped context.Canceled", err)
+			}
+			if !got.Answer.IsEmpty() {
+				t.Fatalf("cancelled run leaked an answer: %v", got.Answer)
+			}
+		})
 	}
 }
 
@@ -249,30 +148,37 @@ func TestStreamingReducesPeakBytes(t *testing.T) {
 	}
 }
 
-// TestStreamingCacheParity: the streaming select node both consults and
-// fills the answer cache, so a second run over the same cache answers
+// TestCacheParity: under either scheduler the select body both consults
+// and fills the answer cache, so a second run over the same cache answers
 // selections locally.
-func TestStreamingCacheParity(t *testing.T) {
-	pr, srcs, network := dmvSetup(t, nil)
-	res, err := optimizer.Filter(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewCache()
-	ex := &Executor{Sources: srcs, Network: network, Streaming: true, Cache: cache}
-	first, err := ex.Run(context.Background(), res.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := ex.Run(context.Background(), res.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Answer.Equal(first.Answer) {
-		t.Fatalf("cached rerun answer %v != first %v", second.Answer, first.Answer)
-	}
-	if second.CacheHits == 0 || second.SourceQueries != 0 {
-		t.Fatalf("cached rerun: hits %d, queries %d; want all selections answered locally", second.CacheHits, second.SourceQueries)
+func TestCacheParity(t *testing.T) {
+	for _, mode := range runModes {
+		t.Run(mode.name, func(t *testing.T) {
+			pr, srcs, network := dmvSetup(t, nil)
+			res, err := optimizer.Filter(pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := &Executor{Sources: srcs, Network: network, Cache: NewCache()}
+			mode.configure(ex)
+			first, err := ex.Run(context.Background(), res.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.CacheMisses != first.SourceQueries || first.CacheHits != 0 {
+				t.Fatalf("cold run: hits %d, misses %d, queries %d", first.CacheHits, first.CacheMisses, first.SourceQueries)
+			}
+			second, err := ex.Run(context.Background(), res.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !second.Answer.Equal(first.Answer) {
+				t.Fatalf("cached rerun answer %v != first %v", second.Answer, first.Answer)
+			}
+			if second.CacheHits == 0 || second.SourceQueries != 0 {
+				t.Fatalf("cached rerun: hits %d, queries %d; want all selections answered locally", second.CacheHits, second.SourceQueries)
+			}
+		})
 	}
 }
 

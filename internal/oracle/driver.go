@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"fusionq/internal/bloom"
@@ -14,6 +15,7 @@ import (
 	"fusionq/internal/obs"
 	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
+	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
 	"fusionq/internal/stats"
@@ -151,39 +153,33 @@ func (d *Driver) Check(ctx context.Context, inst Instance) ([]Failure, error) {
 	}
 	fs = append(fs, checkCosts(ev, results)...)
 
-	// Phase 2: execute every class sequentially, uncached and faultless.
-	// These runs must succeed and agree with the reference byte for byte.
-	for _, pc := range planClasses() {
-		r, ok := results[pc.name]
-		if !ok {
-			continue
-		}
-		fs = append(fs, d.runPlan(ctx, ev, ev.sources, pc.name, r.Plan, runOpts{mode: "seq"})...)
-	}
-
-	// Phase 3: parallel execution of every class.
-	if inst.Parallel {
+	// Phases 2 and 3: execute every class under every scheduler, uncached
+	// and faultless. These runs must succeed and agree with the reference —
+	// and therefore with each other — byte for byte. The adaptive and
+	// combined entry points ride along under each: an adaptive run must
+	// reach the reference answer by its own choice of rounds, and a combined
+	// run must also return exactly the records a second phase would fetch.
+	for _, mode := range execModes(inst) {
 		for _, pc := range planClasses() {
 			r, ok := results[pc.name]
 			if !ok {
 				continue
 			}
-			fs = append(fs, d.runPlan(ctx, ev, ev.sources, pc.name, r.Plan, runOpts{mode: "par", parallel: true})...)
+			fs = append(fs, d.runPlan(ctx, ev, ev.sources, pc.name, r.Plan, mode)...)
 		}
-	}
-
-	// Phase 3b: streaming execution of every class. The batch size varies
-	// with the seed so tiny batches (many edges, heavy fan-out traffic) and
-	// large ones (single-batch degenerate case) are both exercised. The
-	// streaming answer must agree with the reference — and therefore with
-	// every materialized run — byte for byte.
-	batch := []int{4, 16, 64, 512}[int(inst.Seed&3)]
-	for _, pc := range planClasses() {
-		r, ok := results[pc.name]
-		if !ok {
-			continue
+		fs = append(fs, d.check(ctx, ev, ev.sources, "adaptive", mode, func(ctx context.Context, ex *exec.Executor) (*exec.Result, []Failure, error) {
+			res, _, err := ex.RunAdaptive(ctx, ev.pr)
+			return res, nil, err
+		})...)
+		if r, ok := results["sja+"]; ok {
+			fs = append(fs, d.check(ctx, ev, ev.sources, "combined", mode, func(ctx context.Context, ex *exec.Executor) (*exec.Result, []Failure, error) {
+				res, records, err := ex.RunCombined(ctx, r.Plan)
+				if err != nil {
+					return res, nil, err
+				}
+				return res, checkRecords(ctx, ev, mode.mode, records), nil
+			})...)
 		}
-		fs = append(fs, d.runPlan(ctx, ev, ev.sources, pc.name, r.Plan, runOpts{mode: "stream", streaming: true, batch: batch})...)
 	}
 
 	// Phase 4: answer-cache reuse across repeated runs.
@@ -298,6 +294,42 @@ func checkCosts(ev *env, results map[string]optimizer.Result) []Failure {
 	return fs
 }
 
+// execModes lists the ways the instance's plans are scheduled: sequential
+// rounds, parallel rounds when the instance draws them, and the pipeline.
+// The batch size varies with the seed so tiny batches (many edges, heavy
+// fan-out traffic) and large ones (single-batch degenerate case) are both
+// exercised.
+func execModes(inst Instance) []runOpts {
+	modes := []runOpts{{mode: "seq"}}
+	if inst.Parallel {
+		modes = append(modes, runOpts{mode: "par", parallel: true})
+	}
+	return append(modes, runOpts{mode: "stream", streaming: true, batch: []int{4, 16, 64, 512}[int(inst.Seed&3)]})
+}
+
+// checkRecords compares a combined run's records with what the second phase
+// fetches for the reference answer: the same tuples, in any order.
+func checkRecords(ctx context.Context, ev *env, mode string, records *relation.Relation) []Failure {
+	want, err := exec.FetchAnswer(ctx, ev.ref, ev.sc.Sources)
+	if err != nil {
+		return []Failure{{Property: "exec-error", Class: "combined", Mode: mode, Detail: "reference fetch: " + err.Error()}}
+	}
+	lines := func(r *relation.Relation) []string {
+		out := make([]string, 0, r.Len())
+		for _, t := range r.Rows() {
+			out = append(out, fmt.Sprint(t))
+		}
+		slices.Sort(out)
+		return out
+	}
+	got, ref := lines(records), lines(want)
+	if slices.Equal(got, ref) {
+		return nil
+	}
+	return []Failure{{Property: "records-mismatch", Class: "combined", Mode: mode,
+		Detail: fmt.Sprintf("combined run returned %d tuples, the second phase fetches %d", len(got), len(ref))}}
+}
+
 // runOpts configures one execution of one plan class.
 type runOpts struct {
 	mode      string
@@ -311,10 +343,19 @@ type runOpts struct {
 	allowErr func(error) bool
 }
 
-// runPlan executes one plan with fresh observability state and checks every
-// per-run property: answer equality (or honest partials), the accounting
-// identities, and span/metric balance.
+// runPlan checks one execution of one plan through Executor.Run.
 func (d *Driver) runPlan(ctx context.Context, ev *env, srcs []source.Source, cls string, p *plan.Plan, opts runOpts) []Failure {
+	return d.check(ctx, ev, srcs, cls, opts, func(ctx context.Context, ex *exec.Executor) (*exec.Result, []Failure, error) {
+		res, err := ex.Run(ctx, p)
+		return res, nil, err
+	})
+}
+
+// check makes one execution — run, through whichever executor entry point it
+// wraps — with fresh observability state and checks every per-run property:
+// answer equality (or honest partials), the accounting identities, and
+// span/metric balance, plus whatever run itself found.
+func (d *Driver) check(ctx context.Context, ev *env, srcs []source.Source, cls string, opts runOpts, run func(context.Context, *exec.Executor) (*exec.Result, []Failure, error)) []Failure {
 	ev.network.Reset()
 	o := &obs.Obs{QueryID: obs.NewQueryID(), Trace: obs.NewTrace(), Metrics: obs.NewRegistry()}
 	o.Live = d.Recorder.Begin(o.QueryID, cls+" ["+opts.mode+"]")
@@ -328,10 +369,9 @@ func (d *Driver) runPlan(ctx context.Context, ev *env, srcs []source.Source, cls
 		Cache:     opts.cache,
 		Retries:   opts.retries,
 	}
-	res, err := ex.Run(rctx, p)
+	res, fs, err := run(rctx, ex)
 	d.Recorder.End(o.Live, obs.EndInfo{Err: err, Trace: o.Trace,
 		Items: res.Answer.Len(), Hedges: res.Hedges, Failovers: res.Failovers})
-	var fs []Failure
 
 	if err != nil {
 		switch {
