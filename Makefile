@@ -61,9 +61,10 @@ bench:
 	cp bench-out/E20.json BENCH_service.json
 
 # Layer micro-benchmarks behind the end-to-end benchmark's numbers: the
-# wrapper's selection scan, a batch's exchange accounting at two log lengths,
-# one plan under each scheduler (seq, par, stream), and the k-way union. CI
-# runs the same set once per benchmark as a smoke.
+# wrapper's selection scan, one selection bare and under the source layers
+# (fault + accounting, the fabric), a batch's exchange accounting at two log
+# lengths, one plan under each scheduler (seq, par, stream), and the k-way
+# union. CI runs the same set once per benchmark as a smoke.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'WrapperSelect|BatchAccounting|RunModes|UnionAll' -benchmem \
-		./internal/source ./internal/exec ./internal/set
+	$(GO) test -run '^$$' -bench 'WrapperSelect|LayeredSelect|BatchAccounting|RunModes|UnionAll' -benchmem \
+		./internal/source ./internal/fabric ./internal/exec ./internal/set

@@ -4,10 +4,8 @@ import (
 	"context"
 	"sync"
 
-	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
 	"fusionq/internal/obs"
-	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
 )
@@ -37,17 +35,41 @@ type Cache struct {
 	selects map[string]map[string]set.Set
 	// members maps source -> condition -> item -> verdict.
 	members map[string]map[string]map[string]bool
+	// entries counts what both maps hold, against maxCacheEntries.
+	entries int
 
 	hits   int
 	misses int
 }
 
+// maxCacheEntries bounds the cache, selection results and membership
+// verdicts together. A CachedSource behind a public listener (fqsource
+// -cache) stores an entry for every distinct (condition, item) a peer sends,
+// so without a bound a peer chooses the process's memory. At the bound
+// everything is dropped: the answers are fetched again, never wrong.
+const maxCacheEntries = 1 << 16
+
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{
-		selects: map[string]map[string]set.Set{},
-		members: map[string]map[string]map[string]bool{},
+	c := &Cache{}
+	c.drop()
+	return c
+}
+
+// drop forgets every cached answer; the caller holds the lock (or owns c).
+func (c *Cache) drop() {
+	c.selects = map[string]map[string]set.Set{}
+	c.members = map[string]map[string]map[string]bool{}
+	c.entries = 0
+}
+
+// admit accounts one new entry, making room first when the cache is full;
+// the caller holds the lock and adds the entry afterwards.
+func (c *Cache) admit() {
+	if c.entries >= maxCacheEntries {
+		c.drop()
 	}
+	c.entries++
 }
 
 // CacheStats is a snapshot of the cache's hit/miss counters. A "hit" is one
@@ -74,8 +96,7 @@ func (c *Cache) Stats() CacheStats {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.selects = map[string]map[string]set.Set{}
-	c.members = map[string]map[string]map[string]bool{}
+	c.drop()
 	c.hits = 0
 	c.misses = 0
 }
@@ -124,12 +145,16 @@ func (c *Cache) PutSelect(src string, cd cond.Cond, out set.Set) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	key := condKey(cd)
+	if _, ok := c.selects[src][key]; !ok {
+		c.admit()
+	}
 	m, ok := c.selects[src]
 	if !ok {
 		m = map[string]set.Set{}
 		c.selects[src] = m
 	}
-	m[condKey(cd)] = out
+	m[key] = out
 }
 
 // Lookup answers the membership question "does item satisfy cd at src?"
@@ -183,6 +208,9 @@ func (c *Cache) PutSemijoin(src string, cd cond.Cond, y, out set.Set) {
 
 // put stores one verdict; the caller holds the lock.
 func (c *Cache) put(src, key, item string, match bool) {
+	if _, ok := c.members[src][key][item]; !ok {
+		c.admit()
+	}
 	bySrc, ok := c.members[src]
 	if !ok {
 		bySrc = map[string]map[string]bool{}
@@ -217,14 +245,15 @@ func (c *Cache) Partition(src string, cd cond.Cond, y set.Set) (knownTrue set.Se
 	return set.FromSorted(trues), set.FromSorted(unk)
 }
 
-// CachedSource decorates a Source so that selection, binding and semijoin
-// queries are answered from (and recorded into) a shared Cache. It lets a
-// long-lived endpoint — the wire server of cmd/fqsource, or any roster
-// shared across mediator queries — skip repeated identical source traffic.
-// Record-returning operations (Fetch, SelectRecords, SemijoinRecords), loads
-// and Bloom semijoins pass through uncached.
+// CachedSource is the caching layer: selection, binding and semijoin queries
+// are answered from (and recorded into) a shared Cache. It lets a long-lived
+// endpoint — the wire server of cmd/fqsource, or any roster shared across
+// mediator queries — skip repeated identical source traffic. Every other
+// operation passes through uncached: records are not what the cache holds,
+// and a Bloom semijoin's filter is set-specific and its answer carries false
+// positives.
 type CachedSource struct {
-	inner source.Source
+	source.Layer
 	cache *Cache
 }
 
@@ -233,20 +262,13 @@ var _ source.Source = (*CachedSource)(nil)
 // NewCachedSource wraps src with the given cache (which may be shared among
 // several sources; entries are keyed by source name).
 func NewCachedSource(src source.Source, cache *Cache) *CachedSource {
-	return &CachedSource{inner: src, cache: cache}
+	s := &CachedSource{cache: cache}
+	s.Layer = source.Over(src, s.exchange)
+	return s
 }
 
 // Cache returns the underlying cache (for stats and Clear).
 func (s *CachedSource) Cache() *Cache { return s.cache }
-
-// Name implements source.Source.
-func (s *CachedSource) Name() string { return s.inner.Name() }
-
-// Schema implements source.Source.
-func (s *CachedSource) Schema() *relation.Schema { return s.inner.Schema() }
-
-// Caps implements source.Source.
-func (s *CachedSource) Caps() source.Capabilities { return s.inner.Caps() }
 
 // meterCache emits hit/miss counters for one cache consultation to the
 // context's registry (a no-op without one).
@@ -256,81 +278,57 @@ func (s *CachedSource) meterCache(ctx context.Context, hits, misses int) {
 	met.Counter(obs.MCacheMisses, "source", s.Name()).Add(int64(misses))
 }
 
-// Select implements source.Source, consulting the selection cache.
-func (s *CachedSource) Select(ctx context.Context, c cond.Cond) (set.Set, error) {
-	if out, ok := s.cache.Select(s.Name(), c); ok {
-		s.meterCache(ctx, 1, 0)
-		return out, nil
+// exchange is the layer's handler.
+func (s *CachedSource) exchange(ctx context.Context, call source.Call) (source.Reply, error) {
+	name, c := s.Name(), call.Cond
+	switch {
+	case !source.Supports(s.Caps(), call.Op):
+		// Not answered from the cache either: the source is asked, for its
+		// canonical error.
+	case call.Op == source.OpSelect:
+		// A cached selection also serves a streamed call, as batches of the
+		// set; a streamed miss passes through and stays uncached, since the
+		// consumer may abandon it before it is complete.
+		if out, ok := s.cache.Select(name, c); ok {
+			s.meterCache(ctx, 1, 0)
+			if call.Streamed() {
+				return source.Reply{Stream: set.IterOf(out, call.Batch)}, nil
+			}
+			return source.Reply{Items: out}, nil
+		}
+		s.meterCache(ctx, 0, 1)
+		reply, err := source.Do(ctx, s.Source, call)
+		if err == nil && !call.Streamed() {
+			s.cache.PutSelect(name, c, reply.Items)
+		}
+		return reply, err
+	case call.Op == source.OpBinding:
+		if match, known := s.cache.Lookup(name, c, call.Item); known {
+			s.meterCache(ctx, 1, 0)
+			return source.Reply{Match: match}, nil
+		}
+		s.meterCache(ctx, 0, 1)
+		reply, err := source.Do(ctx, s.Source, call)
+		if err == nil {
+			s.cache.PutMembership(name, c, call.Item, reply.Match)
+		}
+		return reply, err
+	case call.Op == source.OpSemi:
+		// Cached verdicts shrink the shipped set, and a semijoin whose every
+		// item is already known costs no exchange at all.
+		knownTrue, unknown := s.cache.Partition(name, c, call.Items)
+		s.meterCache(ctx, call.Items.Len()-unknown.Len(), unknown.Len())
+		if unknown.IsEmpty() {
+			return source.Reply{Items: knownTrue}, nil
+		}
+		call.Items = unknown
+		reply, err := source.Do(ctx, s.Source, call)
+		if err != nil {
+			return reply, err
+		}
+		s.cache.PutSemijoin(name, c, unknown, reply.Items)
+		reply.Items = reply.Items.Union(knownTrue)
+		return reply, nil
 	}
-	s.meterCache(ctx, 0, 1)
-	out, err := s.inner.Select(ctx, c)
-	if err != nil {
-		return out, err
-	}
-	s.cache.PutSelect(s.Name(), c, out)
-	return out, nil
+	return source.Do(ctx, s.Source, call)
 }
-
-// SelectBinding implements source.Source, consulting the membership cache.
-func (s *CachedSource) SelectBinding(ctx context.Context, c cond.Cond, item string) (bool, error) {
-	if match, known := s.cache.Lookup(s.Name(), c, item); known {
-		s.meterCache(ctx, 1, 0)
-		return match, nil
-	}
-	s.meterCache(ctx, 0, 1)
-	match, err := s.inner.SelectBinding(ctx, c, item)
-	if err != nil {
-		return match, err
-	}
-	s.cache.PutMembership(s.Name(), c, item, match)
-	return match, nil
-}
-
-// Semijoin implements source.Source: cached verdicts shrink the shipped set,
-// and a semijoin whose every item is already known costs no exchange at all.
-func (s *CachedSource) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
-	if !s.Caps().NativeSemijoin {
-		// Delegate so the inner source produces its canonical error.
-		return s.inner.Semijoin(ctx, c, y)
-	}
-	knownTrue, unknown := s.cache.Partition(s.Name(), c, y)
-	s.meterCache(ctx, y.Len()-unknown.Len(), unknown.Len())
-	if unknown.IsEmpty() {
-		return knownTrue, nil
-	}
-	out, err := s.inner.Semijoin(ctx, c, unknown)
-	if err != nil {
-		return out, err
-	}
-	s.cache.PutSemijoin(s.Name(), c, unknown, out)
-	return out.Union(knownTrue), nil
-}
-
-// Load implements source.Source (uncached).
-func (s *CachedSource) Load(ctx context.Context) (*relation.Relation, error) {
-	return s.inner.Load(ctx)
-}
-
-// Fetch implements source.Source (uncached).
-func (s *CachedSource) Fetch(ctx context.Context, items set.Set) ([]relation.Tuple, error) {
-	return s.inner.Fetch(ctx, items)
-}
-
-// SelectRecords implements source.Source (uncached).
-func (s *CachedSource) SelectRecords(ctx context.Context, c cond.Cond) ([]relation.Tuple, error) {
-	return s.inner.SelectRecords(ctx, c)
-}
-
-// SemijoinRecords implements source.Source (uncached).
-func (s *CachedSource) SemijoinRecords(ctx context.Context, c cond.Cond, y set.Set) ([]relation.Tuple, error) {
-	return s.inner.SemijoinRecords(ctx, c, y)
-}
-
-// SemijoinBloom implements source.Source (uncached: the filter is
-// set-specific and the result carries false positives).
-func (s *CachedSource) SemijoinBloom(ctx context.Context, c cond.Cond, f *bloom.Filter) (set.Set, error) {
-	return s.inner.SemijoinBloom(ctx, c, f)
-}
-
-// Card implements source.Source.
-func (s *CachedSource) Card() (int, int, int) { return s.inner.Card() }

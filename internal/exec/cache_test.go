@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -246,5 +247,44 @@ func TestCachedSource(t *testing.T) {
 		if inner.semis != 0 {
 			t.Fatalf("inner semijoins = %d, want 0 (all items known)", inner.semis)
 		}
+	}
+}
+
+// TestCacheBounded floods a CachedSource the way a peer of fqsource -cache
+// can: more distinct bindings than the cache admits. The cache stays under
+// its bound, keeps its counters across the drop, and answers correctly after
+// it.
+func TestCacheBounded(t *testing.T) {
+	sc := workload.DMV()
+	cs := NewCachedSource(sc.Sources[0], NewCache())
+	ctx, cd := context.Background(), sc.Conds[0]
+	want, err := sc.Sources[0].Select(ctx, cd)
+	if err != nil || want.IsEmpty() {
+		t.Fatalf("sq = %v, %v", want, err)
+	}
+	const flood = maxCacheEntries + 1000
+	for i := 0; i < flood; i++ {
+		if ok, err := cs.SelectBinding(ctx, cd, fmt.Sprintf("X%07d", i)); err != nil || ok {
+			t.Fatalf("binding %d = %v, %v", i, ok, err)
+		}
+		if i%1000 == 0 || i == flood-1 {
+			if sel, mem := cs.Cache().Len(); sel+mem > maxCacheEntries {
+				t.Fatalf("after %d bindings the cache holds %d entries, bound %d", i+1, sel+mem, maxCacheEntries)
+			}
+		}
+	}
+	if sel, mem := cs.Cache().Len(); sel+mem != flood-maxCacheEntries {
+		t.Fatalf("the cache holds %d entries, want the %d stored since it dropped everything", sel+mem, flood-maxCacheEntries)
+	}
+	if st := cs.Cache().Stats(); st.Misses != flood {
+		t.Fatalf("stats = %+v, want the %d misses kept across the drop", st, flood)
+	}
+	for _, item := range want.Items() {
+		if ok, err := cs.SelectBinding(ctx, cd, item); err != nil || !ok {
+			t.Fatalf("binding %s after the drop = %v, %v", item, ok, err)
+		}
+	}
+	if got, err := cs.Select(ctx, cd); err != nil || !got.Equal(want) {
+		t.Fatalf("sq after the drop = %v, %v, want %v", got, err, want)
 	}
 }

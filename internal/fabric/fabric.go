@@ -34,11 +34,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fusionq/internal/bloom"
-	"fusionq/internal/cond"
 	"fusionq/internal/obs"
 	"fusionq/internal/relation"
-	"fusionq/internal/set"
 	"fusionq/internal/source"
 )
 
@@ -223,6 +220,7 @@ type Stats struct {
 // source.Source (and source.ItemStreamer), so everything above the source
 // layer is replica-oblivious.
 type Logical struct {
+	source.Layer
 	name   string
 	opts   Options
 	eps    []*Endpoint
@@ -275,7 +273,7 @@ func NewLogical(name string, eps []*Endpoint, opts Options) (*Logical, error) {
 		ep.health = newHealth(opts.EWMAAlpha)
 		ep.brk = newBreaker(opts.FailureThreshold, opts.Cooldown)
 	}
-	return &Logical{
+	l := &Logical{
 		name:   name,
 		opts:   opts,
 		eps:    eps,
@@ -283,7 +281,9 @@ func NewLogical(name string, eps []*Endpoint, opts Options) (*Logical, error) {
 		caps:   caps,
 		rng:    rand.New(rand.NewSource(opts.Seed)),
 		ring:   newLatencyRing(logicalRingSize),
-	}, nil
+	}
+	l.Layer = source.Over(nil, l.exchange)
+	return l, nil
 }
 
 // Name returns the logical source name (the optimizer's R_j).
@@ -476,16 +476,18 @@ func (l *Logical) hedgeDelay(tried map[*Endpoint]bool) time.Duration {
 	return d
 }
 
-// opFunc is one source operation to run on whichever replica is selected.
-type opFunc[T any] func(ctx context.Context, src source.Source) (T, error)
-
-// exchange runs op through the fabric: pick a replica, hedge if it
-// straggles, fail over across replicas on transient errors, and surface
-// *ExhaustedError only after every replica failed.
-func exchange[T any](ctx context.Context, l *Logical, kind string, op opFunc[T]) (T, error) {
-	var zero T
+// exchange is the layer's handler: it runs call through the fabric — pick a
+// replica, hedge if it straggles, fail over across replicas on transient
+// errors, and surface *ExhaustedError only after every replica failed. A
+// streamed selection opens the same way but is not hedged and then sticks to
+// its endpoint (stream.go).
+func (l *Logical) exchange(ctx context.Context, call source.Call) (source.Reply, error) {
+	kind, streamed := call.Op.Kind(), call.Streamed()
+	if streamed {
+		kind = "sq stream"
+	}
 	if err := ctx.Err(); err != nil {
-		return zero, fmt.Errorf("fabric: %s: %s: %w", l.name, kind, err)
+		return source.Reply{}, fmt.Errorf("fabric: %s: %s: %w", l.name, kind, err)
 	}
 	start := time.Now()
 	tried := make(map[*Endpoint]bool, len(l.eps))
@@ -493,7 +495,7 @@ func exchange[T any](ctx context.Context, l *Logical, kind string, op opFunc[T])
 	for hop := 0; ; hop++ {
 		ep := l.pick(tried)
 		if ep == nil {
-			return zero, &ExhaustedError{Source: l.name, Replicas: len(l.eps), Kind: kind, Last: lastErr}
+			return source.Reply{}, &ExhaustedError{Source: l.name, Replicas: len(l.eps), Kind: kind, Last: lastErr}
 		}
 		if hop > 0 {
 			l.failovers.Add(1)
@@ -502,40 +504,48 @@ func exchange[T any](ctx context.Context, l *Logical, kind string, op opFunc[T])
 			}
 			obs.Meter(ctx).Counter(obs.MFailovers, "source", l.name).Inc()
 		}
-		out, err := attempt(ctx, l, ep, tried, kind, op)
+		var reply source.Reply
+		var err error
+		if streamed {
+			reply, err = runOne(ctx, l, ep, call)
+			tried[ep] = true
+		} else {
+			reply, err = attempt(ctx, l, ep, tried, kind, call)
+		}
 		if err == nil {
-			el := time.Since(start)
-			l.ring.observe(el)
-			obs.Meter(ctx).Histogram(obs.MLogicalExchangeSeconds, "source", l.name).Observe(el.Seconds())
-			return out, nil
+			if !streamed {
+				el := time.Since(start)
+				l.ring.observe(el)
+				obs.Meter(ctx).Histogram(obs.MLogicalExchangeSeconds, "source", l.name).Observe(el.Seconds())
+			}
+			return reply, nil
 		}
 		lastErr = err
 		if cerr := ctx.Err(); cerr != nil {
-			return zero, fmt.Errorf("fabric: %s: %s: %w", l.name, kind, cerr)
+			return source.Reply{}, fmt.Errorf("fabric: %s: %s: %w", l.name, kind, cerr)
 		}
 		if !source.IsTransient(err) {
-			return zero, err
+			return source.Reply{}, err
 		}
 	}
 }
 
 // outcome is one replica leg's result.
-type outcome[T any] struct {
-	ep  *Endpoint
-	out T
-	err error
-	sp  *obs.Span
+type outcome struct {
+	ep    *Endpoint
+	reply source.Reply
+	err   error
+	sp    *obs.Span
 }
 
-// attempt runs op on the primary replica, hedging onto a backup when the
+// attempt runs call on the primary replica, hedging onto a backup when the
 // primary outlives the latency-percentile deadline. The losing leg is
 // cancelled through ctx and awaited before return — or, with HedgeGrace
 // set, given a bounded window to finish first so its trace leg completes.
 // No goroutine outlives the attempt either way. Replicas that genuinely
 // failed are recorded in tried.
-func attempt[T any](ctx context.Context, l *Logical, primary *Endpoint, tried map[*Endpoint]bool, kind string, op opFunc[T]) (T, error) {
-	var zero T
-	results := make(chan outcome[T], 2)
+func attempt(ctx context.Context, l *Logical, primary *Endpoint, tried map[*Endpoint]bool, kind string, call source.Call) (source.Reply, error) {
+	results := make(chan outcome, 2)
 	var wg sync.WaitGroup
 	cancels := make([]context.CancelFunc, 0, 2)
 	launch := func(ep *Endpoint, role string) {
@@ -550,13 +560,13 @@ func attempt[T any](ctx context.Context, l *Logical, primary *Endpoint, tried ma
 			sctx, sp := obs.StartSpan(lctx, obs.KindAttempt, kind+" leg @ "+ep.Name())
 			sp.SetAttr("endpoint", ep.Name())
 			sp.SetAttr("role", role)
-			out, err := runOne(sctx, l, ep, op)
+			reply, err := runOne(sctx, l, ep, call)
 			sp.End(err)
 			// The buffer has room for every leg, so the send is non-blocking
 			// in practice; the done case keeps an abandoned leg (attempt
 			// returned, nobody reading) from stranding this goroutine.
 			select {
-			case results <- outcome[T]{ep: ep, out: out, err: err, sp: sp}:
+			case results <- outcome{ep: ep, reply: reply, err: err, sp: sp}:
 			case <-lctx.Done():
 			}
 		}()
@@ -595,7 +605,7 @@ func attempt[T any](ctx context.Context, l *Logical, primary *Endpoint, tried ma
 				}
 				oc.sp.SetAttr("outcome", "won")
 				harvestLosers(ctx, l, results, &pending, tried)
-				return oc.out, nil
+				return oc.reply, nil
 			}
 			oc.sp.SetAttr("outcome", "failed")
 			tried[oc.ep] = true
@@ -615,10 +625,10 @@ func attempt[T any](ctx context.Context, l *Logical, primary *Endpoint, tried ma
 				pending++
 			}
 		case <-ctx.Done():
-			return zero, fmt.Errorf("fabric: %s: %s: %w", l.name, kind, ctx.Err())
+			return source.Reply{}, fmt.Errorf("fabric: %s: %s: %w", l.name, kind, ctx.Err())
 		}
 	}
-	return zero, firstErr
+	return source.Reply{}, firstErr
 }
 
 // harvestLosers drains outstanding legs after a winner returned. With
@@ -627,7 +637,7 @@ func attempt[T any](ctx context.Context, l *Logical, primary *Endpoint, tried ma
 // instead of cancelling it mid-flight. With a zero grace, or once the grace
 // or the caller's context expires, the deferred cancelAll in attempt cuts
 // the stragglers down as before.
-func harvestLosers[T any](ctx context.Context, l *Logical, results <-chan outcome[T], pending *int, tried map[*Endpoint]bool) {
+func harvestLosers(ctx context.Context, l *Logical, results <-chan outcome, pending *int, tried map[*Endpoint]bool) {
 	if l.opts.HedgeGrace <= 0 || *pending == 0 {
 		return
 	}
@@ -651,26 +661,25 @@ func harvestLosers[T any](ctx context.Context, l *Logical, results <-chan outcom
 	}
 }
 
-// runOne runs op on one endpoint: queue for a connection slot, mark the
+// runOne runs call on one endpoint: queue for a connection slot, mark the
 // breaker attempt, execute, and feed the outcome back into health and
 // breaker state. A leg cancelled from above (the other replica won, or the
 // caller gave up) is not evidence about this endpoint's health.
-func runOne[T any](ctx context.Context, l *Logical, ep *Endpoint, op opFunc[T]) (T, error) {
-	var zero T
+func runOne(ctx context.Context, l *Logical, ep *Endpoint, call source.Call) (source.Reply, error) {
 	met := obs.Meter(ctx)
 	queue := met.Gauge(obs.MSchedQueueDepth, "source", ep.Name())
 	queue.Inc()
 	err := ep.acquire(ctx)
 	queue.Dec()
 	if err != nil {
-		return zero, fmt.Errorf("fabric: %s: endpoint %s: %w", l.name, ep.Name(), err)
+		return source.Reply{}, fmt.Errorf("fabric: %s: endpoint %s: %w", l.name, ep.Name(), err)
 	}
 	occ := met.Gauge(obs.MSchedLaneOccupancy, "source", ep.Name())
 	occ.Inc()
 	ep.brk.markAttempt()
 	publishBreaker(ctx, ep)
 	start := time.Now()
-	out, err := op(ctx, ep.src)
+	reply, err := source.Do(ctx, ep.src, call)
 	elapsed := time.Since(start)
 	occ.Dec()
 	ep.release()
@@ -680,77 +689,28 @@ func runOne[T any](ctx context.Context, l *Logical, ep *Endpoint, op opFunc[T]) 
 			ep.brk.failure()
 			publishBreaker(ctx, ep)
 		}
-		return zero, err
+		return source.Reply{}, err
+	}
+	if reply.Stream != nil {
+		// The slot was held only around the open — each pull re-acquires it —
+		// so a slow consumer does not starve the endpoint's other exchanges.
+		// A successful open records nothing in the endpoint's health or
+		// breaker: opening may carry no network exchange at all (the first
+		// chunk pull does), so crediting it would let an endpoint that
+		// reliably opens and then dies mid-stream reset its breaker on every
+		// retry and never trip it. Success is recorded when the stream
+		// delivers its first batch.
+		reply.Stream = &logicalStream{l: l, ep: ep, inner: reply.Stream}
+		return reply, nil
 	}
 	ep.health.observe(elapsed)
 	ep.brk.success()
 	publishBreaker(ctx, ep)
-	return out, nil
+	return reply, nil
 }
 
 // publishBreaker exports the endpoint's breaker position on the
 // fq_breaker_state gauge.
 func publishBreaker(ctx context.Context, ep *Endpoint) {
 	obs.Meter(ctx).Gauge(obs.MBreakerState, "source", ep.Name()).Set(int64(ep.brk.State()))
-}
-
-// The source.Source exchange operations, each routed through the fabric.
-
-// Select answers sq(c, R) on the selected replica.
-func (l *Logical) Select(ctx context.Context, c cond.Cond) (set.Set, error) {
-	return exchange(ctx, l, "sq", func(ctx context.Context, src source.Source) (set.Set, error) {
-		return src.Select(ctx, c)
-	})
-}
-
-// Semijoin answers sjq(c, R, y) on the selected replica.
-func (l *Logical) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
-	return exchange(ctx, l, "sjq", func(ctx context.Context, src source.Source) (set.Set, error) {
-		return src.Semijoin(ctx, c, y)
-	})
-}
-
-// SelectBinding answers the passed-binding selection on the selected
-// replica.
-func (l *Logical) SelectBinding(ctx context.Context, c cond.Cond, item string) (bool, error) {
-	return exchange(ctx, l, "sq", func(ctx context.Context, src source.Source) (bool, error) {
-		return src.SelectBinding(ctx, c, item)
-	})
-}
-
-// Load answers lq(R) on the selected replica.
-func (l *Logical) Load(ctx context.Context) (*relation.Relation, error) {
-	return exchange(ctx, l, "lq", func(ctx context.Context, src source.Source) (*relation.Relation, error) {
-		return src.Load(ctx)
-	})
-}
-
-// Fetch retrieves the full tuples for items on the selected replica.
-func (l *Logical) Fetch(ctx context.Context, items set.Set) ([]relation.Tuple, error) {
-	return exchange(ctx, l, "fetch", func(ctx context.Context, src source.Source) ([]relation.Tuple, error) {
-		return src.Fetch(ctx, items)
-	})
-}
-
-// SelectRecords answers a record-returning selection on the selected
-// replica.
-func (l *Logical) SelectRecords(ctx context.Context, c cond.Cond) ([]relation.Tuple, error) {
-	return exchange(ctx, l, "sqr", func(ctx context.Context, src source.Source) ([]relation.Tuple, error) {
-		return src.SelectRecords(ctx, c)
-	})
-}
-
-// SemijoinRecords answers a record-returning semijoin on the selected
-// replica.
-func (l *Logical) SemijoinRecords(ctx context.Context, c cond.Cond, y set.Set) ([]relation.Tuple, error) {
-	return exchange(ctx, l, "sjqr", func(ctx context.Context, src source.Source) ([]relation.Tuple, error) {
-		return src.SemijoinRecords(ctx, c, y)
-	})
-}
-
-// SemijoinBloom answers a Bloom-filter semijoin on the selected replica.
-func (l *Logical) SemijoinBloom(ctx context.Context, c cond.Cond, f *bloom.Filter) (set.Set, error) {
-	return exchange(ctx, l, "sjqb", func(ctx context.Context, src source.Source) (set.Set, error) {
-		return src.SemijoinBloom(ctx, c, f)
-	})
 }

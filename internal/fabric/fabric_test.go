@@ -250,13 +250,11 @@ func TestHedgeBackupWinsAndLoserCancelled(t *testing.T) {
 	// Force the slow endpoint as primary so the hedge path is exercised
 	// deterministically.
 	tried := map[*Endpoint]bool{}
-	out, err := attempt(ctx, l, l.eps[0], tried, "sq", func(ctx context.Context, src source.Source) (set.Set, error) {
-		return src.Select(ctx, cond.True{})
-	})
+	reply, err := attempt(ctx, l, l.eps[0], tried, "sq", source.Call{Op: source.OpSelect, Cond: cond.True{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Equal(fast.answer) {
+	if out := reply.Items; !out.Equal(fast.answer) {
 		t.Fatalf("answer %v", out)
 	}
 	if el := time.Since(start); el >= slow.delay {

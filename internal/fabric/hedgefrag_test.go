@@ -79,13 +79,12 @@ func TestHedgedExchangeGraftsFragmentsOnBothLegs(t *testing.T) {
 	ctx := obs.With(context.Background(), &obs.Obs{QueryID: "q-hedge-frag", Trace: tr})
 	// Force the slow endpoint as primary so the hedge fires deterministically
 	// and the backup wins while the primary is still working.
-	out, err := attempt(ctx, l, l.eps[0], map[*Endpoint]bool{}, "sq", func(ctx context.Context, src source.Source) (set.Set, error) {
-		return src.Select(ctx, cond.MustParse("V = 'dui'"))
-	})
+	reply, err := attempt(ctx, l, l.eps[0], map[*Endpoint]bool{}, "sq",
+		source.Call{Op: source.OpSelect, Cond: cond.MustParse("V = 'dui'")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() == 0 {
+	if out := reply.Items; out.Len() == 0 {
 		t.Fatalf("hedged exchange answered %v", out)
 	}
 	if st := l.Stats(); st.Hedges != 1 || st.HedgeWins != 1 {

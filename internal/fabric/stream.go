@@ -5,88 +5,16 @@ import (
 	"fmt"
 	"time"
 
-	"fusionq/internal/cond"
-	"fusionq/internal/obs"
 	"fusionq/internal/set"
-	"fusionq/internal/source"
 )
 
-// SelectStream opens a streaming selection through the fabric. The open is
-// replica-selected with failover like any exchange, but the stream then
-// sticks to its endpoint: chunks are stateful continuations, so a mid-stream
-// failure cannot transparently move — the causal error surfaces, the
-// endpoint is marked unhealthy, and the consumer decides whether to rerun.
-// Streams are not hedged for the same reason.
-func (l *Logical) SelectStream(ctx context.Context, c cond.Cond, batch int) (set.Iter, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("fabric: %s: sq stream: %w", l.name, err)
-	}
-	tried := make(map[*Endpoint]bool, len(l.eps))
-	var lastErr error
-	for hop := 0; ; hop++ {
-		ep := l.pick(tried)
-		if ep == nil {
-			return nil, &ExhaustedError{Source: l.name, Replicas: len(l.eps), Kind: "sq stream", Last: lastErr}
-		}
-		if hop > 0 {
-			l.failovers.Add(1)
-			if cs := callStats(ctx); cs != nil {
-				cs.Failovers.Add(1)
-			}
-			obs.Meter(ctx).Counter(obs.MFailovers, "source", l.name).Inc()
-		}
-		it, err := openStream(ctx, l, ep, c, batch)
-		if err == nil {
-			return &logicalStream{l: l, ep: ep, inner: it}, nil
-		}
-		lastErr = err
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("fabric: %s: sq stream: %w", l.name, cerr)
-		}
-		if !source.IsTransient(err) {
-			return nil, err
-		}
-		tried[ep] = true
-	}
-}
-
-// openStream opens the stream on one endpoint under its slot and breaker
-// accounting. The slot is held only around the open — each pull re-acquires
-// it — so a slow consumer does not starve the endpoint's other exchanges.
-// A successful open records nothing in the endpoint's health or breaker:
-// opening may carry no network exchange at all (the first chunk pull does),
-// so crediting it would let an endpoint that reliably opens and then dies
-// mid-stream reset its breaker on every retry and never trip it. Success is
-// recorded when the stream delivers its first batch.
-func openStream(ctx context.Context, l *Logical, ep *Endpoint, c cond.Cond, batch int) (set.Iter, error) {
-	met := obs.Meter(ctx)
-	queue := met.Gauge(obs.MSchedQueueDepth, "source", ep.Name())
-	queue.Inc()
-	err := ep.acquire(ctx)
-	queue.Dec()
-	if err != nil {
-		return nil, fmt.Errorf("fabric: %s: endpoint %s: %w", l.name, ep.Name(), err)
-	}
-	occ := met.Gauge(obs.MSchedLaneOccupancy, "source", ep.Name())
-	occ.Inc()
-	ep.brk.markAttempt()
-	publishBreaker(ctx, ep)
-	it, err := source.OpenSelectStream(ctx, ep.src, c, batch)
-	occ.Dec()
-	ep.release()
-	if err != nil {
-		if ctx.Err() == nil {
-			ep.health.fail()
-			ep.brk.failure()
-			publishBreaker(ctx, ep)
-		}
-		return nil, err
-	}
-	return it, nil
-}
-
-// logicalStream wraps one endpoint's stream with slot accounting per pull
-// and health/breaker feedback on mid-stream failure.
+// logicalStream is a streaming selection through the fabric. The open is
+// replica-selected with failover like any exchange (Logical.exchange), but
+// the stream then sticks to its endpoint: chunks are stateful continuations,
+// so a mid-stream failure cannot transparently move — the causal error
+// surfaces, the endpoint is marked unhealthy, and the consumer decides
+// whether to rerun. Streams are not hedged for the same reason. Each pull
+// runs under the endpoint's slot accounting.
 type logicalStream struct {
 	l     *Logical
 	ep    *Endpoint

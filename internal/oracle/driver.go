@@ -304,8 +304,11 @@ func execModes(inst Instance) []runOpts {
 	if inst.Parallel {
 		modes = append(modes, runOpts{mode: "par", parallel: true})
 	}
-	return append(modes, runOpts{mode: "stream", streaming: true, batch: []int{4, 16, 64, 512}[int(inst.Seed&3)]})
+	return append(modes, runOpts{mode: "stream", streaming: true, batch: streamBatch(inst)})
 }
+
+// streamBatch is the instance's batch size for pipelined runs.
+func streamBatch(inst Instance) int { return []int{4, 16, 64, 512}[int(inst.Seed&3)] }
 
 // checkRecords compares a combined run's records with what the second phase
 // fetches for the reference answer: the same tuples, in any order.
@@ -631,6 +634,7 @@ func (d *Driver) checkFaults(ctx context.Context, ev *env, results map[string]op
 		fs = append(fs, d.runPlan(ctx, ev, streamFlaky, cls, r.Plan, runOpts{
 			mode:      "stream-faults",
 			streaming: true,
+			batch:     streamBatch(ev.inst),
 			retries:   ev.inst.Retries + 2,
 			allowErr:  allow,
 		})...)

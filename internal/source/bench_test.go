@@ -52,3 +52,35 @@ func BenchmarkWrapperSelect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLayeredSelect measures what the layers between the mediator and a
+// wrapper add to one selection: the bare wrapper, then the same wrapper under
+// the fault layer (rate 0) and the accounting layer (no network). The
+// difference in allocs/op is the layers' own; the relation is small so that
+// their time shows next to the scan's.
+func BenchmarkLayeredSelect(b *testing.B) {
+	rel := relation.NewRelation(propSchema)
+	for i := 0; i < 64; i++ {
+		rel.MustInsert(relation.String(fmt.Sprintf("ID%06d", i)), relation.Int(int64(i%100)), relation.String("x"))
+	}
+	w := NewWrapper("R", NewRowBackend(rel), Capabilities{})
+	c := cond.MustParse("A < 1")
+	for _, bc := range []struct {
+		name string
+		src  Source
+	}{
+		{"wrapper", w},
+		{"flaky+instrumented", NewFlaky(Instrument(w, nil), 0, 1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := bc.src.Select(context.Background(), c)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkSet = out
+			}
+		})
+	}
+}

@@ -8,12 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"fusionq/internal/bloom"
-	"fusionq/internal/cond"
 	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
-	"fusionq/internal/relation"
-	"fusionq/internal/set"
 )
 
 // ErrTransient marks failures that a mediator may retry: timeouts, dropped
@@ -34,15 +30,15 @@ func IsTransient(err error) bool {
 	return errors.Is(err, ErrTransient) || errors.Is(err, netsim.ErrDown)
 }
 
-// Flaky decorates a source with deterministic, seeded failure injection:
-// each operation independently fails with the configured rate before
-// reaching the inner source. Tests and experiments use it to exercise the
-// mediator's retry policy. An optional per-operation stall (SetStall) makes
-// every operation take real wall-clock time, honoring context cancellation —
-// the model of a slow or hung autonomous source that only a deadline
-// rescues.
+// Flaky is the fault-injection layer, deterministic and seeded: each
+// operation independently fails with the configured rate before reaching the
+// source underneath (a streamed selection when it opens). Tests and
+// experiments use it to exercise the mediator's retry policy. An optional
+// per-operation stall (SetStall) makes every operation take real wall-clock
+// time, honoring context cancellation — the model of a slow or hung
+// autonomous source that only a deadline rescues.
 type Flaky struct {
-	inner    Source
+	Layer
 	rate     float64
 	stall    time.Duration
 	stallOps map[string]time.Duration
@@ -62,7 +58,17 @@ func NewFlaky(src Source, rate float64, seed int64) *Flaky {
 	if rate > 1 {
 		rate = 1
 	}
-	return &Flaky{inner: src, rate: rate, rng: rand.New(rand.NewSource(seed))}
+	f := &Flaky{rate: rate, rng: rand.New(rand.NewSource(seed))}
+	f.Layer = Over(src, f.exchange)
+	return f
+}
+
+// exchange is the layer's handler.
+func (f *Flaky) exchange(ctx context.Context, call Call) (Reply, error) {
+	if err := f.trip(ctx, string(call.Op)); err != nil {
+		return Reply{}, err
+	}
+	return Do(ctx, f.Source, call)
 }
 
 // SetStall makes every operation sleep d of wall-clock time before reaching
@@ -112,7 +118,7 @@ func (f *Flaky) trip(ctx context.Context, op string) error {
 		case <-timer.C:
 		case <-ctx.Done():
 			timer.Stop()
-			return fmt.Errorf("source %s: %s: %w", f.inner.Name(), op, ctx.Err())
+			return fmt.Errorf("source %s: %s: %w", f.Name(), op, ctx.Err())
 		}
 	}
 	// Checked after the stall as well: the context may expire while the
@@ -121,7 +127,7 @@ func (f *Flaky) trip(ctx context.Context, op string) error {
 	// transient failure then would let a retrying caller spin through its
 	// whole budget after it should have stopped.
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("source %s: %s: %w", f.inner.Name(), op, err)
+		return fmt.Errorf("source %s: %s: %w", f.Name(), op, err)
 	}
 	f.mu.Lock()
 	failed := f.rng.Float64() < f.rate
@@ -130,84 +136,8 @@ func (f *Flaky) trip(ctx context.Context, op string) error {
 	}
 	f.mu.Unlock()
 	if failed {
-		obs.Meter(ctx).Counter(obs.MInjectedFailures, "source", f.inner.Name(), "op", op).Inc()
-		return fmt.Errorf("source %s: %s: %w", f.inner.Name(), op, ErrTransient)
+		obs.Meter(ctx).Counter(obs.MInjectedFailures, "source", f.Name(), "op", op).Inc()
+		return fmt.Errorf("source %s: %s: %w", f.Name(), op, ErrTransient)
 	}
 	return nil
 }
-
-// Name implements Source.
-func (f *Flaky) Name() string { return f.inner.Name() }
-
-// Schema implements Source.
-func (f *Flaky) Schema() *relation.Schema { return f.inner.Schema() }
-
-// Caps implements Source.
-func (f *Flaky) Caps() Capabilities { return f.inner.Caps() }
-
-// Select implements Source.
-func (f *Flaky) Select(ctx context.Context, c cond.Cond) (set.Set, error) {
-	if err := f.trip(ctx, "sq"); err != nil {
-		return set.Set{}, err
-	}
-	return f.inner.Select(ctx, c)
-}
-
-// Semijoin implements Source.
-func (f *Flaky) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
-	if err := f.trip(ctx, "sjq"); err != nil {
-		return set.Set{}, err
-	}
-	return f.inner.Semijoin(ctx, c, y)
-}
-
-// SelectBinding implements Source.
-func (f *Flaky) SelectBinding(ctx context.Context, c cond.Cond, item string) (bool, error) {
-	if err := f.trip(ctx, "binding"); err != nil {
-		return false, err
-	}
-	return f.inner.SelectBinding(ctx, c, item)
-}
-
-// Load implements Source.
-func (f *Flaky) Load(ctx context.Context) (*relation.Relation, error) {
-	if err := f.trip(ctx, "lq"); err != nil {
-		return nil, err
-	}
-	return f.inner.Load(ctx)
-}
-
-// Fetch implements Source.
-func (f *Flaky) Fetch(ctx context.Context, items set.Set) ([]relation.Tuple, error) {
-	if err := f.trip(ctx, "fetch"); err != nil {
-		return nil, err
-	}
-	return f.inner.Fetch(ctx, items)
-}
-
-// SelectRecords implements Source.
-func (f *Flaky) SelectRecords(ctx context.Context, c cond.Cond) ([]relation.Tuple, error) {
-	if err := f.trip(ctx, "sqr"); err != nil {
-		return nil, err
-	}
-	return f.inner.SelectRecords(ctx, c)
-}
-
-// SemijoinRecords implements Source.
-func (f *Flaky) SemijoinRecords(ctx context.Context, c cond.Cond, y set.Set) ([]relation.Tuple, error) {
-	if err := f.trip(ctx, "sjqr"); err != nil {
-		return nil, err
-	}
-	return f.inner.SemijoinRecords(ctx, c, y)
-}
-
-// SemijoinBloom implements Source.
-func (f *Flaky) SemijoinBloom(ctx context.Context, c cond.Cond, fl *bloom.Filter) (set.Set, error) {
-	if err := f.trip(ctx, "sjqb"); err != nil {
-		return set.Set{}, err
-	}
-	return f.inner.SemijoinBloom(ctx, c, fl)
-}
-
-// Card implements Source.
-func (f *Flaky) Card() (int, int, int) { return f.inner.Card() }

@@ -10,18 +10,6 @@ import (
 	"fusionq/internal/set"
 )
 
-func TestFlakyNeverFailsAtRateZero(t *testing.T) {
-	f := NewFlaky(NewWrapper("R1", NewRowBackend(rowRel(t)), Capabilities{NativeSemijoin: true, PassedBindings: true}), 0, 1)
-	for i := 0; i < 50; i++ {
-		if _, err := f.Select(context.Background(), cond.MustParse("V = 'dui'")); err != nil {
-			t.Fatalf("rate-0 flaky failed: %v", err)
-		}
-	}
-	if f.Failures() != 0 {
-		t.Fatalf("Failures = %d", f.Failures())
-	}
-}
-
 func TestFlakyAlwaysFailsAtRateOne(t *testing.T) {
 	f := NewFlaky(NewWrapper("R1", NewRowBackend(rowRel(t)), Capabilities{NativeSemijoin: true, PassedBindings: true}), 1, 1)
 	ops := []func() error{
@@ -108,17 +96,5 @@ func TestFlakyRateClamped(t *testing.T) {
 	f = NewFlaky(NewWrapper("R1", NewRowBackend(rowRel(t)), Capabilities{}), 7, 1)
 	if _, err := f.Select(context.Background(), cond.MustParse("V = 'dui'")); !IsTransient(err) {
 		t.Fatal("rate above 1 should clamp to always-fail")
-	}
-}
-
-func TestFlakyPassesThroughMetadata(t *testing.T) {
-	caps := Capabilities{NativeSemijoin: true}
-	f := NewFlaky(NewWrapper("R1", NewRowBackend(rowRel(t)), caps), 0, 1)
-	if f.Name() != "R1" || f.Caps() != caps || f.Schema() == nil {
-		t.Fatal("metadata not passed through")
-	}
-	tu, di, by := f.Card()
-	if tu != 3 || di != 3 || by <= 0 {
-		t.Fatalf("Card = %d,%d,%d", tu, di, by)
 	}
 }

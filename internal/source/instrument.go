@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
 	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
@@ -45,13 +44,13 @@ func (c Counters) Queries() int {
 	return c.SelectQueries + c.SemijoinQueries + c.BindingQueries + c.LoadQueries + c.FetchQueries
 }
 
-// Instrumented decorates a Source with traffic accounting against a
-// simulated network. All plan executions in the experiments run against
-// instrumented sources, so estimated costs can be compared with measured
-// ones.
+// Instrumented is the accounting layer: it charges every exchange with the
+// source underneath to a simulated network and to its Counters. All plan
+// executions in the experiments run against instrumented sources, so
+// estimated costs can be compared with measured ones.
 type Instrumented struct {
-	inner Source
-	net   *netsim.Network
+	Layer
+	net *netsim.Network
 
 	mu       sync.Mutex
 	counters Counters
@@ -60,17 +59,10 @@ type Instrumented struct {
 // Instrument wraps src, recording exchanges on network (which may be nil
 // for counter-only instrumentation).
 func Instrument(src Source, network *netsim.Network) *Instrumented {
-	return &Instrumented{inner: src, net: network}
+	s := &Instrumented{net: network}
+	s.Layer = Over(src, s.exchange)
+	return s
 }
-
-// Name implements Source.
-func (s *Instrumented) Name() string { return s.inner.Name() }
-
-// Schema implements Source.
-func (s *Instrumented) Schema() *relation.Schema { return s.inner.Schema() }
-
-// Caps implements Source.
-func (s *Instrumented) Caps() Capabilities { return s.inner.Caps() }
 
 // Counters returns a snapshot of the accumulated counters.
 func (s *Instrumented) Counters() Counters {
@@ -86,14 +78,83 @@ func (s *Instrumented) ResetCounters() {
 	s.counters = Counters{}
 }
 
-// begin opens the exchange span that envelops the inner operation, so wire
-// round trips (and their grafted server fragments) run inside it: RenderTrace
-// can then split the exchange line into mediator-wait / server-work /
-// wire-time. The span is ended by record on success or by the caller on an
-// inner error.
+// charges is the accounting table: what one completed exchange of each
+// operation adds to the Counters before the items it carried are counted,
+// and whether the items or records it returns count as ItemsReceived (a
+// load's and a fetch's do not).
+var charges = map[Op]struct {
+	fixed    Counters
+	received bool
+}{
+	OpSelect:     {Counters{SelectQueries: 1}, true},
+	OpSelectRecs: {Counters{SelectQueries: 1}, true},
+	OpSemi:       {Counters{SemijoinQueries: 1}, true},
+	OpSemiRecs:   {Counters{SemijoinQueries: 1}, true},
+	OpSemiBloom:  {Counters{SemijoinQueries: 1}, true},
+	OpBinding:    {Counters{BindingQueries: 1, ItemsSent: 1}, true},
+	OpLoad:       {Counters{LoadQueries: 1}, false},
+	OpFetch:      {Counters{FetchQueries: 1}, false},
+}
+
+// exchange is the layer's handler: the exchange span envelops the operation
+// underneath, so wire round trips (and their grafted server fragments) run
+// inside it and RenderTrace can split the exchange line into mediator-wait /
+// server-work / wire-time. Request bytes are the fixed framing plus every
+// argument shipped (condition text, semijoin set, binding, filter), response
+// bytes whatever came back; an unanswered binding costs no response.
+func (s *Instrumented) exchange(ctx context.Context, call Call) (Reply, error) {
+	if call.Streamed() {
+		// Every delivered batch is recorded as its own exchange — the first
+		// as the "sq" request/response, later ones as "sqc" continuation
+		// chunks with no request payload. Under a real-time network this is
+		// what makes streaming measurable: the first batch completes its
+		// (small) exchange long before the materialized transfer of the whole
+		// result would have, at the price of per-chunk request overhead.
+		reply, err := Do(ctx, s.Source, call)
+		if err != nil {
+			return Reply{}, err
+		}
+		return Reply{Stream: &instrumentedStream{src: s, inner: reply.Stream, cond: call.Cond}}, nil
+	}
+	kind := call.Op.Kind()
+	ctx, sp := s.begin(ctx, kind)
+	reply, err := Do(ctx, s.Source, call)
+	if err != nil {
+		sp.End(err)
+		return reply, err
+	}
+	req := queryHeaderBytes + call.Items.Bytes() + len(call.Item)
+	if call.Cond != nil {
+		req += len(call.Cond.String())
+	}
+	if call.Filter != nil {
+		req += call.Filter.Bytes()
+	}
+	resp := reply.Items.Bytes() + tuplesBytes(reply.Tuples)
+	if reply.Rel != nil {
+		resp += reply.Rel.Bytes()
+	}
+	charge := charges[call.Op]
+	delta := charge.fixed
+	delta.ItemsSent += call.Items.Len()
+	if reply.Match {
+		resp += len(call.Item)
+		delta.ItemsReceived++
+	}
+	if charge.received {
+		delta.ItemsReceived += reply.Items.Len() + len(reply.Tuples)
+	}
+	if err := s.record(ctx, sp, kind, req, resp, delta); err != nil {
+		return Reply{}, err
+	}
+	return reply, nil
+}
+
+// begin opens the exchange span; record ends it on success, the caller on an
+// error from underneath.
 func (s *Instrumented) begin(ctx context.Context, kind string) (context.Context, *obs.Span) {
-	ctx, sp := obs.StartSpan(ctx, obs.KindExchange, kind+" @ "+s.inner.Name())
-	sp.SetAttr("source", s.inner.Name())
+	ctx, sp := obs.StartSpan(ctx, obs.KindExchange, kind+" @ "+s.Name())
+	sp.SetAttr("source", s.Name())
 	return ctx, sp
 }
 
@@ -104,11 +165,11 @@ func (s *Instrumented) begin(ctx context.Context, kind string) (context.Context,
 // discard the operation's result. When the context carries an Obs, the
 // exchange is also visible as per-source byte counters and a
 // simulated-latency histogram, and the span begin opened is closed here.
-func (s *Instrumented) record(ctx context.Context, sp *obs.Span, kind string, reqBytes, respBytes int, update func(*Counters)) error {
+func (s *Instrumented) record(ctx context.Context, sp *obs.Span, kind string, reqBytes, respBytes int, delta Counters) error {
 	s.mu.Lock()
-	update(&s.counters)
+	s.counters.Add(delta)
 	s.mu.Unlock()
-	name := s.inner.Name()
+	name := s.Name()
 	met := obs.Meter(ctx)
 	met.Counter(obs.MBytesSent, "source", name).Add(int64(reqBytes))
 	met.Counter(obs.MBytesReceived, "source", name).Add(int64(respBytes))
@@ -126,82 +187,9 @@ func (s *Instrumented) record(ctx context.Context, sp *obs.Span, kind string, re
 	return nil
 }
 
-// Select implements Source.
-func (s *Instrumented) Select(ctx context.Context, c cond.Cond) (set.Set, error) {
-	ctx, sp := s.begin(ctx, "sq")
-	out, err := s.inner.Select(ctx, c)
-	if err != nil {
-		sp.End(err)
-		return out, err
-	}
-	if err := s.record(ctx, sp, "sq", queryHeaderBytes+len(c.String()), out.Bytes(), func(ct *Counters) {
-		ct.SelectQueries++
-		ct.ItemsReceived += out.Len()
-	}); err != nil {
-		return set.Set{}, err
-	}
-	return out, nil
-}
-
-// Semijoin implements Source.
-func (s *Instrumented) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
-	ctx, sp := s.begin(ctx, "sjq")
-	out, err := s.inner.Semijoin(ctx, c, y)
-	if err != nil {
-		sp.End(err)
-		return out, err
-	}
-	if err := s.record(ctx, sp, "sjq", queryHeaderBytes+len(c.String())+y.Bytes(), out.Bytes(), func(ct *Counters) {
-		ct.SemijoinQueries++
-		ct.ItemsSent += y.Len()
-		ct.ItemsReceived += out.Len()
-	}); err != nil {
-		return set.Set{}, err
-	}
-	return out, nil
-}
-
-// SelectBinding implements Source.
-func (s *Instrumented) SelectBinding(ctx context.Context, c cond.Cond, item string) (bool, error) {
-	ctx, sp := s.begin(ctx, "sq")
-	ok, err := s.inner.SelectBinding(ctx, c, item)
-	if err != nil {
-		sp.End(err)
-		return ok, err
-	}
-	resp := 0
-	if ok {
-		resp = len(item)
-	}
-	if err := s.record(ctx, sp, "sq", queryHeaderBytes+len(c.String())+len(item), resp, func(ct *Counters) {
-		ct.BindingQueries++
-		ct.ItemsSent++
-		if ok {
-			ct.ItemsReceived++
-		}
-	}); err != nil {
-		return false, err
-	}
-	return ok, nil
-}
-
-// SelectStream implements ItemStreamer: the selection is delivered as
-// sorted batches, and every batch is recorded as its own exchange — the
-// first as the "sq" request/response, later ones as "sqc" continuation
-// chunks with no request payload. Under a real-time network this is what
-// makes streaming measurable: the first batch completes its (small)
-// exchange long before the materialized transfer of the whole result would
-// have, at the price of per-chunk request overhead. An empty result still
-// records the one "sq" round trip, matching the materialized path.
-func (s *Instrumented) SelectStream(ctx context.Context, c cond.Cond, batch int) (set.Iter, error) {
-	inner, err := OpenSelectStream(ctx, s.inner, c, batch)
-	if err != nil {
-		return nil, err
-	}
-	return &instrumentedStream{src: s, inner: inner, cond: c}, nil
-}
-
-// instrumentedStream charges one exchange per delivered batch.
+// instrumentedStream charges one exchange per delivered batch. An empty
+// result still records the one "sq" round trip, matching the materialized
+// path.
 type instrumentedStream struct {
 	src     *Instrumented
 	inner   set.Iter
@@ -214,10 +202,11 @@ func (it *instrumentedStream) Next(ctx context.Context) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, req := "sqc", 0
+	kind, req, delta := "sqc", 0, Counters{ItemsReceived: len(batch)}
 	if !it.started {
 		it.started = true
 		kind, req = "sq", queryHeaderBytes+len(it.cond.String())
+		delta.SelectQueries = 1
 	} else if batch == nil {
 		// Exhaustion after at least one batch: the last chunk already paid.
 		return nil, nil
@@ -229,89 +218,13 @@ func (it *instrumentedStream) Next(ctx context.Context) ([]string, error) {
 	// The batch was pulled by a background pump, so its wire span cannot nest
 	// here; the exchange span records the per-batch accounting only.
 	ctx, sp := it.src.begin(ctx, kind)
-	if err := it.src.record(ctx, sp, kind, req, resp, func(ct *Counters) {
-		if kind == "sq" {
-			ct.SelectQueries++
-		}
-		ct.ItemsReceived += len(batch)
-	}); err != nil {
+	if err := it.src.record(ctx, sp, kind, req, resp, delta); err != nil {
 		return nil, err
 	}
 	return batch, nil
 }
 
 func (it *instrumentedStream) Close() error { return it.inner.Close() }
-
-// Load implements Source.
-func (s *Instrumented) Load(ctx context.Context) (*relation.Relation, error) {
-	ctx, sp := s.begin(ctx, "lq")
-	rel, err := s.inner.Load(ctx)
-	if err != nil {
-		sp.End(err)
-		return nil, err
-	}
-	if err := s.record(ctx, sp, "lq", queryHeaderBytes, rel.Bytes(), func(ct *Counters) {
-		ct.LoadQueries++
-	}); err != nil {
-		return nil, err
-	}
-	return rel, nil
-}
-
-// SemijoinBloom implements Source: one exchange shipping the Bloom filter
-// and receiving the positive items (including false positives).
-func (s *Instrumented) SemijoinBloom(ctx context.Context, c cond.Cond, f *bloom.Filter) (set.Set, error) {
-	ctx, sp := s.begin(ctx, "sjqb")
-	out, err := s.inner.SemijoinBloom(ctx, c, f)
-	if err != nil {
-		sp.End(err)
-		return out, err
-	}
-	if err := s.record(ctx, sp, "sjqb", queryHeaderBytes+len(c.String())+f.Bytes(), out.Bytes(), func(ct *Counters) {
-		ct.SemijoinQueries++
-		ct.ItemsReceived += out.Len()
-	}); err != nil {
-		return set.Set{}, err
-	}
-	return out, nil
-}
-
-// SelectRecords implements Source: one exchange shipping the condition and
-// receiving the matching items' full records.
-func (s *Instrumented) SelectRecords(ctx context.Context, c cond.Cond) ([]relation.Tuple, error) {
-	ctx, sp := s.begin(ctx, "sqr")
-	tuples, err := s.inner.SelectRecords(ctx, c)
-	if err != nil {
-		sp.End(err)
-		return nil, err
-	}
-	if err := s.record(ctx, sp, "sqr", queryHeaderBytes+len(c.String()), tuplesBytes(tuples), func(ct *Counters) {
-		ct.SelectQueries++
-		ct.ItemsReceived += len(tuples)
-	}); err != nil {
-		return nil, err
-	}
-	return tuples, nil
-}
-
-// SemijoinRecords implements Source: one exchange shipping the semijoin set
-// and receiving the surviving items' full records.
-func (s *Instrumented) SemijoinRecords(ctx context.Context, c cond.Cond, y set.Set) ([]relation.Tuple, error) {
-	ctx, sp := s.begin(ctx, "sjqr")
-	tuples, err := s.inner.SemijoinRecords(ctx, c, y)
-	if err != nil {
-		sp.End(err)
-		return nil, err
-	}
-	if err := s.record(ctx, sp, "sjqr", queryHeaderBytes+len(c.String())+y.Bytes(), tuplesBytes(tuples), func(ct *Counters) {
-		ct.SemijoinQueries++
-		ct.ItemsSent += y.Len()
-		ct.ItemsReceived += len(tuples)
-	}); err != nil {
-		return nil, err
-	}
-	return tuples, nil
-}
 
 func tuplesBytes(tuples []relation.Tuple) int {
 	n := 0
@@ -322,23 +235,3 @@ func tuplesBytes(tuples []relation.Tuple) int {
 	}
 	return n
 }
-
-// Fetch implements Source.
-func (s *Instrumented) Fetch(ctx context.Context, items set.Set) ([]relation.Tuple, error) {
-	ctx, sp := s.begin(ctx, "fetch")
-	tuples, err := s.inner.Fetch(ctx, items)
-	if err != nil {
-		sp.End(err)
-		return nil, err
-	}
-	if err := s.record(ctx, sp, "fetch", queryHeaderBytes+items.Bytes(), tuplesBytes(tuples), func(ct *Counters) {
-		ct.FetchQueries++
-		ct.ItemsSent += items.Len()
-	}); err != nil {
-		return nil, err
-	}
-	return tuples, nil
-}
-
-// Card implements Source.
-func (s *Instrumented) Card() (int, int, int) { return s.inner.Card() }

@@ -107,8 +107,9 @@ type Source interface {
 }
 
 // Wrapper adapts a Backend to the Source interface with the given
-// capabilities. It is the reference wrapper implementation; remote sources
-// (internal/wire) and instrumented sources decorate it.
+// capabilities. It is the reference wrapper implementation, and the one place
+// the eight operations are computed: every other Source in the tree is a
+// Layer over it (exchange.go), next to it or across the wire.
 type Wrapper struct {
 	name    string
 	backend Backend
@@ -195,7 +196,7 @@ func selectItems(b Backend, c cond.Cond, keep func(item string) bool) (set.Set, 
 
 // Semijoin implements Source, observing ctx between per-item probes.
 func (w *Wrapper) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
-	if !w.caps.NativeSemijoin {
+	if !Supports(w.caps, OpSemi) {
 		return set.Set{}, fmt.Errorf("source %s: semijoin: %w", w.name, ErrUnsupported)
 	}
 	pred, err := c.Bind(w.backend.Schema())
@@ -220,7 +221,7 @@ func (w *Wrapper) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set
 
 // SelectBinding implements Source.
 func (w *Wrapper) SelectBinding(ctx context.Context, c cond.Cond, item string) (bool, error) {
-	if !w.caps.PassedBindings && !w.caps.NativeSemijoin {
+	if !Supports(w.caps, OpBinding) {
 		return false, fmt.Errorf("source %s: passed binding: %w", w.name, ErrUnsupported)
 	}
 	if err := w.ctxErr(ctx); err != nil {
@@ -290,7 +291,7 @@ func (w *Wrapper) Fetch(ctx context.Context, items set.Set) ([]relation.Tuple, e
 
 // SemijoinBloom implements Source.
 func (w *Wrapper) SemijoinBloom(ctx context.Context, c cond.Cond, f *bloom.Filter) (set.Set, error) {
-	if !w.caps.BloomSemijoin {
+	if !Supports(w.caps, OpSemiBloom) {
 		return set.Set{}, fmt.Errorf("source %s: bloom semijoin: %w", w.name, ErrUnsupported)
 	}
 	return w.sq(ctx, c, f.Test)
@@ -311,7 +312,7 @@ func (w *Wrapper) SelectRecords(ctx context.Context, c cond.Cond) ([]relation.Tu
 // SemijoinRecords implements Source. Matching is item-level, like
 // SelectRecords.
 func (w *Wrapper) SemijoinRecords(ctx context.Context, c cond.Cond, y set.Set) ([]relation.Tuple, error) {
-	if !w.caps.NativeSemijoin {
+	if !Supports(w.caps, OpSemiRecs) {
 		return nil, fmt.Errorf("source %s: record semijoin: %w", w.name, ErrUnsupported)
 	}
 	items, err := w.Semijoin(ctx, c, y)

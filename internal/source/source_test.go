@@ -3,6 +3,7 @@ package source
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -177,41 +178,6 @@ func TestWrapperLoadAndFetch(t *testing.T) {
 	}
 }
 
-func TestSemijoinAutoNative(t *testing.T) {
-	w := NewWrapper("R1", NewRowBackend(rowRel(t)), Capabilities{NativeSemijoin: true})
-	got, err := SemijoinAuto(context.Background(), w, cond.MustParse("V = 'dui'"), set.New("J55", "T21"))
-	if err != nil {
-		t.Fatalf("SemijoinAuto: %v", err)
-	}
-	if want := set.New("J55"); !got.Equal(want) {
-		t.Fatalf("= %v, want %v", got, want)
-	}
-}
-
-func TestSemijoinAutoEmulated(t *testing.T) {
-	inner := NewWrapper("R1", NewRowBackend(rowRel(t)), Capabilities{PassedBindings: true})
-	src := Instrument(inner, nil)
-	got, err := SemijoinAuto(context.Background(), src, cond.MustParse("V = 'dui'"), set.New("J55", "T21", "T80"))
-	if err != nil {
-		t.Fatalf("SemijoinAuto: %v", err)
-	}
-	if want := set.New("J55", "T80"); !got.Equal(want) {
-		t.Fatalf("= %v, want %v", got, want)
-	}
-	// Emulation must have issued one binding query per item of y.
-	ct := src.Counters()
-	if ct.BindingQueries != 3 || ct.SemijoinQueries != 0 {
-		t.Fatalf("counters = %+v, want 3 binding queries and no native semijoin", ct)
-	}
-}
-
-func TestSemijoinAutoUnsupported(t *testing.T) {
-	w := NewWrapper("R1", NewRowBackend(rowRel(t)), Capabilities{})
-	if _, err := SemijoinAuto(context.Background(), w, cond.MustParse("V = 'dui'"), set.New("J55")); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
-	}
-}
-
 func TestInstrumentedCountersAndNetwork(t *testing.T) {
 	network := netsim.NewNetwork(1)
 	network.SetLink("R1", netsim.Link{})
@@ -258,21 +224,78 @@ func TestInstrumentedCountersAndNetwork(t *testing.T) {
 	}
 }
 
-func TestInstrumentedPassesThroughMetadata(t *testing.T) {
-	caps := Capabilities{NativeSemijoin: true}
-	src := Instrument(NewWrapper("R1", NewRowBackend(rowRel(t)), caps), nil)
-	if src.Name() != "R1" {
-		t.Fatalf("Name = %q", src.Name())
+// TestInstrumentedAccounting pins what the accounting layer charges for each
+// operation on R1: the exchange's kind, request and response bytes in the
+// network log, and the Counters delta.
+func TestInstrumentedAccounting(t *testing.T) {
+	network := netsim.NewNetwork(1)
+	network.SetLink("R1", netsim.Link{})
+	caps := Capabilities{NativeSemijoin: true, PassedBindings: true, BloomSemijoin: true}
+	src := Instrument(NewWrapper("R1", NewRowBackend(rowRel(t)), caps), network)
+	ctx := context.Background()
+	c := cond.MustParse("V = 'dui'")
+	y := set.New("J55", "T21")
+	f := bloom.FromItems([]string{"J55", "T80"}, 10)
+	drain := func(it set.Iter, err error) error {
+		for err == nil {
+			var batch []string
+			if batch, err = it.Next(ctx); batch == nil {
+				break
+			}
+		}
+		return err
 	}
-	if src.Caps() != caps {
-		t.Fatalf("Caps = %+v", src.Caps())
-	}
-	if !src.Schema().Compatible(dmvSchema) {
-		t.Fatal("Schema mismatch")
-	}
-	tu, di, by := src.Card()
-	if tu != 3 || di != 3 || by <= 0 {
-		t.Fatalf("Card = %d,%d,%d", tu, di, by)
+	for _, op := range []struct {
+		name string
+		run  func() error
+		log  []netsim.Exchange
+		want Counters
+	}{
+		{"sq", func() error { _, err := src.Select(ctx, c); return err },
+			[]netsim.Exchange{{Kind: "sq", ReqBytes: 41, RespBytes: 6}},
+			Counters{SelectQueries: 1, ItemsReceived: 2}},
+		{"sjq", func() error { _, err := src.Semijoin(ctx, c, y); return err },
+			[]netsim.Exchange{{Kind: "sjq", ReqBytes: 47, RespBytes: 3}},
+			Counters{SemijoinQueries: 1, ItemsSent: 2, ItemsReceived: 1}},
+		{"binding hit", func() error { _, err := src.SelectBinding(ctx, c, "J55"); return err },
+			[]netsim.Exchange{{Kind: "sq", ReqBytes: 44, RespBytes: 3}},
+			Counters{BindingQueries: 1, ItemsSent: 1, ItemsReceived: 1}},
+		{"binding miss", func() error { _, err := src.SelectBinding(ctx, c, "T21"); return err },
+			[]netsim.Exchange{{Kind: "sq", ReqBytes: 44, RespBytes: 0}},
+			Counters{BindingQueries: 1, ItemsSent: 1}},
+		{"lq", func() error { _, err := src.Load(ctx); return err },
+			[]netsim.Exchange{{Kind: "lq", ReqBytes: 32, RespBytes: 41}},
+			Counters{LoadQueries: 1}},
+		{"fetch", func() error { _, err := src.Fetch(ctx, y); return err },
+			[]netsim.Exchange{{Kind: "fetch", ReqBytes: 38, RespBytes: 27}},
+			Counters{FetchQueries: 1, ItemsSent: 2}},
+		{"sqr", func() error { _, err := src.SelectRecords(ctx, c); return err },
+			[]netsim.Exchange{{Kind: "sqr", ReqBytes: 41, RespBytes: 28}},
+			Counters{SelectQueries: 1, ItemsReceived: 2}},
+		{"sjqr", func() error { _, err := src.SemijoinRecords(ctx, c, y); return err },
+			[]netsim.Exchange{{Kind: "sjqr", ReqBytes: 47, RespBytes: 14}},
+			Counters{SemijoinQueries: 1, ItemsSent: 2, ItemsReceived: 1}},
+		{"sjqb", func() error { _, err := src.SemijoinBloom(ctx, c, f); return err },
+			[]netsim.Exchange{{Kind: "sjqb", ReqBytes: 49, RespBytes: 6}},
+			Counters{SemijoinQueries: 1, ItemsReceived: 2}},
+		{"streamed sq", func() error { return drain(src.SelectStream(ctx, cond.MustParse("D < 2000"), 1)) },
+			[]netsim.Exchange{{Kind: "sq", ReqBytes: 40, RespBytes: 3}, {Kind: "sqc", RespBytes: 3}, {Kind: "sqc", RespBytes: 3}},
+			Counters{SelectQueries: 1, ItemsReceived: 3}},
+	} {
+		src.ResetCounters()
+		mark := network.Mark()
+		if err := op.run(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		for i := range op.log {
+			op.log[i].Source = "R1"
+		}
+		if got := network.Since(mark); !reflect.DeepEqual(got, op.log) {
+			t.Errorf("%s: exchanges %+v, want %+v", op.name, got, op.log)
+		}
+		if got := src.Counters(); got != op.want {
+			t.Errorf("%s: counters %+v, want %+v", op.name, got, op.want)
+		}
 	}
 }
 

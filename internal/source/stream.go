@@ -18,8 +18,9 @@ import (
 // sq(c, R) delivered as sorted item batches of at most batch items
 // (set.DefaultBatch when batch <= 0). The returned iterator follows the
 // set.Iter contract; closing it before exhaustion abandons the rest of the
-// transfer. Decorators that wrap a Source should preserve this interface
-// when the inner source provides it.
+// transfer. Every Layer implements it, by handing its handler a Call with
+// Batch set, so a streamed selection passes each layer as a stream and the
+// fallback below applies once, at the source that cannot chunk.
 type ItemStreamer interface {
 	SelectStream(ctx context.Context, c cond.Cond, batch int) (set.Iter, error)
 }

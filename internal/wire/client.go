@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"fusionq/internal/bloom"
-	"fusionq/internal/cond"
 	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
@@ -17,6 +15,7 @@ import (
 // transient classification of transport failures are Conn's.
 type Client struct {
 	*Conn
+	source.Layer
 	schema *relation.Schema
 }
 
@@ -31,6 +30,7 @@ func Dial(addr string) (*Client, error) {
 // metadata exchange.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
 	c := &Client{}
+	c.Layer = source.Over(nil, c.exchange)
 	conn, err := DialConn(ctx, addr, func(m Meta) (err error) {
 		if m.Queries {
 			return fmt.Errorf("wire: server %s (%s) does not serve a source — it is a mediator service, not a source server",
@@ -61,117 +61,38 @@ func (c *Client) Caps() source.Capabilities {
 	}
 }
 
-// Select implements source.Source.
-func (c *Client) Select(ctx context.Context, cd cond.Cond) (set.Set, error) {
-	resp, err := c.Do(ctx, Request{Op: OpSelect, Cond: cd.String()})
-	if err != nil {
-		return set.Set{}, err
-	}
-	return set.New(resp.Items...), nil
-}
-
-// Semijoin implements source.Source.
-func (c *Client) Semijoin(ctx context.Context, cd cond.Cond, y set.Set) (set.Set, error) {
-	if !c.meta.NativeSemijoin {
-		return set.Set{}, fmt.Errorf("wire: %s: semijoin: %w", c.meta.Name, source.ErrUnsupported)
-	}
-	resp, err := c.Do(ctx, Request{Op: OpSemi, Cond: cd.String(), Items: y.Slice()})
-	if err != nil {
-		return set.Set{}, err
-	}
-	return set.New(resp.Items...), nil
-}
-
-// SelectBinding implements source.Source.
-func (c *Client) SelectBinding(ctx context.Context, cd cond.Cond, item string) (bool, error) {
-	if !c.meta.PassedBindings && !c.meta.NativeSemijoin {
-		return false, fmt.Errorf("wire: %s: passed binding: %w", c.meta.Name, source.ErrUnsupported)
-	}
-	resp, err := c.Do(ctx, Request{Op: OpBinding, Cond: cd.String(), Item: item})
-	if err != nil {
-		return false, err
-	}
-	return resp.Match, nil
-}
-
-// Load implements source.Source.
-func (c *Client) Load(ctx context.Context) (*relation.Relation, error) {
-	resp, err := c.Do(ctx, Request{Op: OpLoad})
-	if err != nil {
-		return nil, err
-	}
-	return c.decodeRelation(resp.Tuples)
-}
-
-// Fetch implements source.Source.
-func (c *Client) Fetch(ctx context.Context, items set.Set) ([]relation.Tuple, error) {
-	resp, err := c.Do(ctx, Request{Op: OpFetch, Items: items.Slice()})
-	if err != nil {
-		return nil, err
-	}
-	return c.decodeTuples(resp.Tuples)
-}
-
-// SemijoinBloom implements source.Source.
-func (c *Client) SemijoinBloom(ctx context.Context, cd cond.Cond, f *bloom.Filter) (set.Set, error) {
-	if !c.meta.BloomSemijoin {
-		return set.Set{}, fmt.Errorf("wire: %s: bloom semijoin: %w", c.meta.Name, source.ErrUnsupported)
-	}
-	resp, err := c.Do(ctx, Request{Op: OpSemiBloom, Cond: cd.String(), Filter: f.Encode()})
-	if err != nil {
-		return set.Set{}, err
-	}
-	return set.New(resp.Items...), nil
-}
-
-// SelectRecords implements source.Source.
-func (c *Client) SelectRecords(ctx context.Context, cd cond.Cond) ([]relation.Tuple, error) {
-	resp, err := c.Do(ctx, Request{Op: OpSelectRecs, Cond: cd.String()})
-	if err != nil {
-		return nil, err
-	}
-	return c.decodeTuples(resp.Tuples)
-}
-
-// SemijoinRecords implements source.Source.
-func (c *Client) SemijoinRecords(ctx context.Context, cd cond.Cond, y set.Set) ([]relation.Tuple, error) {
-	if !c.meta.NativeSemijoin {
-		return nil, fmt.Errorf("wire: %s: record semijoin: %w", c.meta.Name, source.ErrUnsupported)
-	}
-	resp, err := c.Do(ctx, Request{Op: OpSemiRecs, Cond: cd.String(), Items: y.Slice()})
-	if err != nil {
-		return nil, err
-	}
-	return c.decodeTuples(resp.Tuples)
-}
-
-func (c *Client) decodeTuples(wts []WireTuple) ([]relation.Tuple, error) {
-	out := make([]relation.Tuple, len(wts))
-	for i, wt := range wts {
-		t, err := DecodeTuple(wt)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
-}
-
 // Card implements source.Source.
 func (c *Client) Card() (int, int, int) {
 	return c.meta.Tuples, c.meta.Distinct, c.meta.Bytes
 }
 
-func (c *Client) decodeRelation(wts []WireTuple) (*relation.Relation, error) {
-	rel := relation.NewRelation(c.schema)
-	for _, wt := range wts {
-		t, err := DecodeTuple(wt)
-		if err != nil {
-			return nil, err
-		}
-		if err := rel.Insert(t); err != nil {
-			return nil, err
-		}
+// exchange is the layer's handler: one source operation is one request and
+// its response. An operation the server's capabilities rule out fails here,
+// without a round trip. A streamed selection is a chunked transfer
+// (stream.go); against a server that does not advertise chunking
+// (Meta.Chunking false — a v1 peer from before the extension) it degrades to
+// one materialized selection wrapped in a batch iterator, so the caller sees
+// the same interface either way.
+func (c *Client) exchange(ctx context.Context, call source.Call) (source.Reply, error) {
+	if !source.Supports(c.Caps(), call.Op) {
+		return source.Reply{}, fmt.Errorf("wire: %s: %s: %w", c.meta.Name, call.Op, source.ErrUnsupported)
 	}
-	return rel, nil
+	if !call.Streamed() {
+		resp, err := c.Do(ctx, encodeCall(call))
+		if err != nil {
+			return source.Reply{}, err
+		}
+		return decodeReply(call.Op, resp, c.schema)
+	}
+	if c.meta.Chunking {
+		it, err := c.Stream(ctx, encodeCall(call))
+		return source.Reply{Stream: it}, err
+	}
+	batch := call.Batch
+	call.Batch = 0
+	reply, err := c.exchange(ctx, call)
+	if err != nil {
+		return source.Reply{}, err
+	}
+	return source.Reply{Stream: set.IterOf(reply.Items, batch)}, nil
 }

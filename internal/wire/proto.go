@@ -13,7 +13,11 @@ package wire
 import (
 	"fmt"
 
+	"fusionq/internal/bloom"
+	"fusionq/internal/cond"
 	"fusionq/internal/relation"
+	"fusionq/internal/set"
+	"fusionq/internal/source"
 )
 
 // ProtocolVersion is the wire protocol revision this build speaks. Servers
@@ -21,17 +25,18 @@ import (
 // understand.
 const ProtocolVersion = 1
 
-// Op codes of the protocol.
+// Op codes of the protocol: the source operations under the names
+// internal/source gives them, plus meta and query.
 const (
 	OpMeta       = "meta"
-	OpSelect     = "sq"
-	OpSemi       = "sjq"
-	OpBinding    = "binding"
-	OpLoad       = "lq"
-	OpFetch      = "fetch"
-	OpSelectRecs = "sqr"
-	OpSemiRecs   = "sjqr"
-	OpSemiBloom  = "sjqb"
+	OpSelect     = string(source.OpSelect)
+	OpSemi       = string(source.OpSemi)
+	OpBinding    = string(source.OpBinding)
+	OpLoad       = string(source.OpLoad)
+	OpFetch      = string(source.OpFetch)
+	OpSelectRecs = string(source.OpSelectRecs)
+	OpSemiRecs   = string(source.OpSemiRecs)
+	OpSemiBloom  = string(source.OpSemiBloom)
 	// OpQuery submits a whole fusion query to a mediator service (cmd/fqd)
 	// rather than one source operation to a source server. A fourth
 	// v1-compatible optional extension in the qid/chunk/frag mold: source
@@ -158,6 +163,85 @@ type Meta struct {
 	// Queries advertises support for the OpQuery extension: the peer is a
 	// mediator service, not a single source.
 	Queries bool `json:"queries,omitempty"`
+}
+
+// The codec between the protocol and the exchange contract of
+// internal/source, one pair per end: the client encodes a Call as a Request
+// and decodes the Response into a Reply; the server decodes the Request into
+// a Call and encodes the Reply as a Response. The fields a Call or a Reply
+// leaves zero are omitted from the line.
+
+// encodeCall is the request line of a source operation. A streamed call asks
+// for chunks of its batch size.
+func encodeCall(call source.Call) Request {
+	req := Request{Op: string(call.Op), Items: call.Items.Slice(), Item: call.Item, Chunk: call.Batch}
+	if call.Cond != nil {
+		req.Cond = call.Cond.String()
+	}
+	if call.Filter != nil {
+		req.Filter = call.Filter.Encode()
+	}
+	return req
+}
+
+// decodeCall reads a source operation from a peer's request, which nothing
+// vouches for: the condition and the filter an operation needs must be
+// there and parse. An op that is none of the eight fails here when it
+// carries no condition, and in source.Do otherwise. Chunking is the
+// listener's, so the Call is never a streamed one.
+func decodeCall(req Request) (source.Call, error) {
+	call := source.Call{Op: source.Op(req.Op), Items: set.New(req.Items...), Item: req.Item}
+	var err error
+	if call.Op != source.OpLoad && call.Op != source.OpFetch {
+		call.Cond, err = cond.Parse(req.Cond)
+	}
+	if err == nil && call.Op == source.OpSemiBloom {
+		call.Filter, err = bloom.Decode(req.Filter)
+	}
+	if err != nil {
+		return source.Call{}, fmt.Errorf("wire: %s: %w", req.Op, err)
+	}
+	return call, nil
+}
+
+// encodeReply is the response to a source operation; a loaded relation
+// travels as its rows.
+func encodeReply(reply source.Reply) Response {
+	resp := Response{Items: reply.Items.Slice(), Match: reply.Match}
+	tuples := reply.Tuples
+	if reply.Rel != nil {
+		tuples = reply.Rel.Rows()
+	}
+	if len(tuples) > 0 {
+		resp.Tuples = make([]WireTuple, len(tuples))
+		for i, t := range tuples {
+			resp.Tuples[i] = EncodeTuple(t)
+		}
+	}
+	return resp
+}
+
+// decodeReply reads the answer to an operation op from a peer's response;
+// a load's rows are inserted into a relation of the given schema.
+func decodeReply(op source.Op, resp Response, schema *relation.Schema) (source.Reply, error) {
+	reply := source.Reply{Items: set.New(resp.Items...), Match: resp.Match}
+	if op == source.OpLoad {
+		reply.Rel = relation.NewRelation(schema)
+	} else if len(resp.Tuples) > 0 {
+		reply.Tuples = make([]relation.Tuple, 0, len(resp.Tuples))
+	}
+	for _, wt := range resp.Tuples {
+		t, err := DecodeTuple(wt)
+		if err != nil {
+			return source.Reply{}, err
+		}
+		if reply.Rel == nil {
+			reply.Tuples = append(reply.Tuples, t)
+		} else if err := reply.Rel.Insert(t); err != nil {
+			return source.Reply{}, err
+		}
+	}
+	return reply, nil
 }
 
 // WireCol is a schema column on the wire.

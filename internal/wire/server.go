@@ -6,11 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fusionq/internal/bloom"
-	"fusionq/internal/cond"
 	"fusionq/internal/obs"
-	"fusionq/internal/relation"
-	"fusionq/internal/set"
 	"fusionq/internal/source"
 )
 
@@ -43,20 +39,6 @@ func ServeConfig(src source.Source, addr string, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// fragTimer accumulates the parse share of one dispatch, so the fragment
-// can split dispatch time into parse vs scan without instrumenting every op
-// case individually.
-type fragTimer struct{ parse time.Duration }
-
-// parseCond is cond.Parse with its cost charged to the fragment's parse
-// phase.
-func parseCond(ft *fragTimer, s string) (cond.Cond, error) {
-	start := time.Now()
-	c, err := cond.Parse(s)
-	ft.parse += time.Since(start)
-	return c, err
 }
 
 // requestBytes counts a request's semantic payload bytes: condition, item
@@ -105,9 +87,8 @@ func (s *Server) serve(ctx context.Context, req Request) Response {
 	}
 	depth := s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	ft := &fragTimer{}
 	start := time.Now()
-	resp := s.dispatch(ctx, req, ft)
+	resp, parse := s.dispatch(ctx, req)
 	elapsed := time.Since(start)
 	resp.QueryID = req.QueryID
 
@@ -130,16 +111,13 @@ func (s *Server) serve(ctx context.Context, req Request) Response {
 			req.QueryID, req.Op, s.src.Name(), elapsed.Round(time.Microsecond), status)
 	}
 	if req.Frag {
-		scan := elapsed - ft.parse
-		if scan < 0 {
-			scan = 0
-		}
+		scan := elapsed - parse
 		resp.Frag = &Fragment{
 			Source:     s.src.Name(),
 			Op:         req.Op,
 			QueueUS:    start.Sub(recv).Microseconds(),
 			QueueDepth: int(depth) - 1,
-			ParseUS:    ft.parse.Microseconds(),
+			ParseUS:    parse.Microseconds(),
 			ScanUS:     scan.Microseconds(),
 			BytesIn:    bytesIn,
 			BytesOut:   bytesOut,
@@ -150,42 +128,12 @@ func (s *Server) serve(ctx context.Context, req Request) Response {
 
 func errorResponse(err error) Response { return Response{Error: err.Error()} }
 
-// itemsResponse answers an item-returning op (sq, sjq, sjqb) from the
-// source call's results; tuplesResponse a record-returning one (lq, fetch,
-// sqr, sjqr).
-func itemsResponse(items set.Set, err error) Response {
-	if err != nil {
-		return errorResponse(err)
-	}
-	return Response{Items: items.Slice()}
-}
-
-func tuplesResponse(ts []relation.Tuple, err error) Response {
-	if err != nil {
-		return errorResponse(err)
-	}
-	out := make([]WireTuple, len(ts))
-	for i, t := range ts {
-		out[i] = EncodeTuple(t)
-	}
-	return Response{Tuples: out}
-}
-
-// dispatch executes one request against the wrapped source, charging parse
-// time to ft. ctx descends from the listener's: force-closing the server
-// aborts in-flight operations.
-func (s *Server) dispatch(ctx context.Context, req Request, ft *fragTimer) Response {
-	// Every op but meta, lq and fetch carries a condition.
-	var c cond.Cond
-	switch req.Op {
-	case OpSelect, OpSemi, OpBinding, OpSelectRecs, OpSemiBloom, OpSemiRecs:
-		var err error
-		if c, err = parseCond(ft, req.Cond); err != nil {
-			return errorResponse(err)
-		}
-	}
-	switch req.Op {
-	case OpMeta:
+// dispatch executes one request against the wrapped source and reports how
+// long reading the operation out of the request took (condition and filter
+// parsing, the fragment's parse phase). ctx descends from the listener's:
+// force-closing the server aborts in-flight operations.
+func (s *Server) dispatch(ctx context.Context, req Request) (Response, time.Duration) {
+	if req.Op == OpMeta {
 		tuples, distinct, bytes := s.src.Card()
 		caps := s.src.Caps()
 		return Response{Meta: &Meta{
@@ -201,36 +149,17 @@ func (s *Server) dispatch(ctx context.Context, req Request, ft *fragTimer) Respo
 			Bytes:          bytes,
 			Chunking:       true,
 			Fragments:      true,
-		}}
-	case OpSelect:
-		return itemsResponse(s.src.Select(ctx, c))
-	case OpSemi:
-		return itemsResponse(s.src.Semijoin(ctx, c, set.New(req.Items...)))
-	case OpBinding:
-		match, err := s.src.SelectBinding(ctx, c, req.Item)
-		if err != nil {
-			return errorResponse(err)
-		}
-		return Response{Match: match}
-	case OpLoad:
-		rel, err := s.src.Load(ctx)
-		if err != nil {
-			return errorResponse(err)
-		}
-		return tuplesResponse(rel.Rows(), nil)
-	case OpFetch:
-		return tuplesResponse(s.src.Fetch(ctx, set.New(req.Items...)))
-	case OpSelectRecs:
-		return tuplesResponse(s.src.SelectRecords(ctx, c))
-	case OpSemiBloom:
-		f, err := bloom.Decode(req.Filter)
-		if err != nil {
-			return errorResponse(err)
-		}
-		return itemsResponse(s.src.SemijoinBloom(ctx, c, f))
-	case OpSemiRecs:
-		return tuplesResponse(s.src.SemijoinRecords(ctx, c, set.New(req.Items...)))
-	default:
-		return errorResponse(fmt.Errorf("wire: unknown op %q", req.Op))
+		}}, 0
 	}
+	start := time.Now()
+	call, err := decodeCall(req)
+	parse := time.Since(start)
+	if err != nil {
+		return errorResponse(err), parse
+	}
+	reply, err := source.Do(ctx, s.src, call)
+	if err != nil {
+		return errorResponse(err), parse
+	}
+	return encodeReply(reply), parse
 }

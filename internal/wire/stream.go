@@ -17,29 +17,9 @@ import (
 	"net"
 	"sync"
 
-	"fusionq/internal/cond"
 	"fusionq/internal/obs"
 	"fusionq/internal/set"
 )
-
-// SelectStream implements source.ItemStreamer: sq(c, R) delivered as sorted
-// chunks of at most batch items. Against a server that does not advertise
-// chunking (Meta.Chunking false — a v1 peer from before the extension) it
-// degrades to one materialized Select wrapped in a batch iterator, so the
-// caller sees the same interface either way.
-func (c *Client) SelectStream(ctx context.Context, cd cond.Cond, batch int) (set.Iter, error) {
-	if batch <= 0 {
-		batch = set.DefaultBatch
-	}
-	if !c.meta.Chunking {
-		out, err := c.Select(ctx, cd)
-		if err != nil {
-			return nil, err
-		}
-		return set.IterOf(out, batch), nil
-	}
-	return c.Stream(ctx, Request{Op: OpSelect, Cond: cd.String(), Chunk: batch})
-}
 
 // Stream sends req, which must ask for chunking (Request.Chunk), and
 // returns an iterator over the response's item chunks, which must arrive

@@ -3,14 +3,12 @@ package wire
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 
-	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
 	"fusionq/internal/exec"
 	"fusionq/internal/optimizer"
@@ -58,58 +56,6 @@ func TestMetaRoundTrip(t *testing.T) {
 	tuples, distinct, bytes := c.Card()
 	if tuples != 3 || distinct != 3 || bytes <= 0 {
 		t.Fatalf("Card = %d,%d,%d", tuples, distinct, bytes)
-	}
-}
-
-func TestRemoteSelect(t *testing.T) {
-	clients := startDMVServers(t)
-	got, err := clients[0].Select(context.Background(), cond.MustParse("V = 'dui'"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := set.New("J55", "T80"); !got.Equal(want) {
-		t.Fatalf("remote sq = %v, want %v", got, want)
-	}
-}
-
-func TestRemoteSemijoin(t *testing.T) {
-	clients := startDMVServers(t)
-	got, err := clients[1].Semijoin(context.Background(), cond.MustParse("V = 'sp'"), set.New("J55", "T80", "T21"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := set.New("J55"); !got.Equal(want) {
-		t.Fatalf("remote sjq = %v, want %v", got, want)
-	}
-}
-
-func TestRemoteBinding(t *testing.T) {
-	clients := startDMVServers(t)
-	ok, err := clients[0].SelectBinding(context.Background(), cond.MustParse("V = 'dui'"), "J55")
-	if err != nil || !ok {
-		t.Fatalf("binding = %v, %v", ok, err)
-	}
-	ok, err = clients[0].SelectBinding(context.Background(), cond.MustParse("V = 'dui'"), "T21")
-	if err != nil || ok {
-		t.Fatalf("binding = %v, %v, want false", ok, err)
-	}
-}
-
-func TestRemoteLoadAndFetch(t *testing.T) {
-	clients := startDMVServers(t)
-	rel, err := clients[2].Load(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 3 {
-		t.Fatalf("remote lq = %d tuples, want 3", rel.Len())
-	}
-	tuples, err := clients[2].Fetch(context.Background(), set.New("S07"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tuples) != 2 {
-		t.Fatalf("remote fetch = %d tuples, want 2", len(tuples))
 	}
 }
 
@@ -165,79 +111,6 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 	if full.Len() != 5 {
 		t.Fatalf("phase two fetched %d tuples, want 5", full.Len())
-	}
-}
-
-func TestCapabilityEnforcedClientSide(t *testing.T) {
-	sc := workload.DMV()
-	weak := source.NewWrapper("W", source.NewRowBackend(sc.Relations[0]), source.Capabilities{})
-	srv, err := Serve(weak, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Semijoin(context.Background(), cond.MustParse("V = 'sp'"), set.New("a")); !errors.Is(err, source.ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
-	}
-	if _, err := cli.SelectBinding(context.Background(), cond.MustParse("V = 'sp'"), "a"); !errors.Is(err, source.ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
-	}
-}
-
-func TestRemoteBloomSemijoin(t *testing.T) {
-	sc := workload.DMV()
-	src := source.NewWrapper("RB", source.NewRowBackend(sc.Relations[0]),
-		source.Capabilities{NativeSemijoin: true, PassedBindings: true, BloomSemijoin: true})
-	srv, err := Serve(src, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if !cli.Caps().BloomSemijoin {
-		t.Fatal("bloom capability not advertised over the wire")
-	}
-	y := set.New("J55", "T21", "T80")
-	f := bloom.FromItems(y.Items(), bloom.DefaultBitsPerItem)
-	got, err := cli.SemijoinBloom(context.Background(), cond.MustParse("V = 'dui'"), f)
-	if err != nil {
-		t.Fatalf("remote bloom semijoin: %v", err)
-	}
-	exact := set.New("J55", "T80")
-	if !exact.SubsetOf(got) {
-		t.Fatalf("remote bloom result %v misses %v", got, exact)
-	}
-	// Capability enforced client side.
-	plain := startDMVServers(t)[0].(*Client)
-	if _, err := plain.SemijoinBloom(context.Background(), cond.MustParse("V = 'dui'"), f); !errors.Is(err, source.ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
-	}
-}
-
-func TestRemoteRecordQueries(t *testing.T) {
-	clients := startDMVServers(t)
-	tuples, err := clients[0].SelectRecords(context.Background(), cond.MustParse("V = 'dui'"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tuples) != 2 {
-		t.Fatalf("remote SelectRecords = %d tuples, want 2", len(tuples))
-	}
-	tuples, err = clients[0].SemijoinRecords(context.Background(), cond.MustParse("V = 'dui'"), set.New("J55", "T21"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tuples) != 1 {
-		t.Fatalf("remote SemijoinRecords = %d tuples, want 1", len(tuples))
 	}
 }
 
