@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-concurrency fuzz bench bench-layers oracle soak
+.PHONY: build test race fmt-check lint lint-concurrency fuzz bench bench-layers oracle soak
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,10 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# gofmt must have nothing to say about any file of the tree.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Run the custom analyzer suite both through go vet (reusing the build
 # cache and export data) and standalone (self-contained package loading).
@@ -63,8 +67,9 @@ bench:
 # Layer micro-benchmarks behind the end-to-end benchmark's numbers: the
 # wrapper's selection scan, one selection bare and under the source layers
 # (fault + accounting, the fabric), a batch's exchange accounting at two log
-# lengths, one plan under each scheduler (seq, par, stream), and the k-way
-# union. CI runs the same set once per benchmark as a smoke.
+# lengths, one plan under each scheduler (seq, par, stream), the k-way
+# union, and one planning call with the statistics catalog warm. CI runs the
+# same set once per benchmark as a smoke.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'WrapperSelect|LayeredSelect|BatchAccounting|RunModes|UnionAll' -benchmem \
-		./internal/source ./internal/fabric ./internal/exec ./internal/set
+	$(GO) test -run '^$$' -bench 'WrapperSelect|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem' -benchmem \
+		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core

@@ -17,7 +17,7 @@ import (
 
 // stalledMediator builds a three-source synthetic scenario whose last
 // source answers selections promptly but stalls every native semijoin for
-// stall — statistics gathering and the first round complete, then the
+// stall — the statistics exchange and the first round complete, then the
 // query wedges until a deadline cuts it loose.
 func stalledMediator(t *testing.T, stall time.Duration) *Mediator {
 	t.Helper()

@@ -1,8 +1,8 @@
 // Package core is the public face of the fusion-query engine: a Mediator
 // that registers autonomous sources (local or remote), accepts fusion
-// queries in SQL or as condition lists, gathers statistics, picks a plan
-// with one of the paper's algorithms, executes it, and optionally runs the
-// second phase that fetches the matching entities' full records.
+// queries in SQL or as condition lists, keeps a statistics catalog, picks a
+// plan with one of the paper's algorithms, executes it, and optionally runs
+// the second phase that fetches the matching entities' full records.
 //
 // The package glues together the substrates:
 //
@@ -14,9 +14,9 @@
 // A Mediator is safe for concurrent use: queries may run concurrently with
 // each other and with source registration. Each query takes a
 // context.Context (QueryContext / QueryCondsContext) or a per-query
-// Options.Timeout; cancellation propagates through planning, statistics
-// gathering and every source exchange, and a cancelled query still returns
-// the execution counters for the work already performed.
+// Options.Timeout; cancellation propagates through planning, a statistics
+// catalog build and every source exchange, and a cancelled query still
+// returns the execution counters for the work already performed.
 package core
 
 import (
@@ -110,16 +110,6 @@ type Options struct {
 	// across queries. Sources are autonomous: call Mediator.ClearCache when
 	// their contents may have changed.
 	Cache bool
-	// SampleRate, when in (0,1), gathers statistics from a Bernoulli
-	// sample instead of exact scans. Zero or one means exact statistics.
-	SampleRate float64
-	// StatsSeed drives sampled statistics gathering.
-	StatsSeed int64
-	// HistogramStats estimates condition cardinalities from per-attribute
-	// summaries (one scan per source) instead of per-condition probes —
-	// cheaper to maintain, coarser estimates. Ignored when SampleRate is
-	// set.
-	HistogramStats bool
 	// Trace records a per-step execution trace in Answer.Exec.Trace.
 	Trace bool
 	// Spans records a span trace of the whole query — planning phases, plan
@@ -128,8 +118,9 @@ type Options struct {
 	// instead and this option is redundant.
 	Spans bool
 	// Retries re-issues steps whose source queries fail transiently
-	// (source.ErrTransient) up to this many times each. Context
-	// cancellation is never retried.
+	// (source.ErrTransient) up to this many times each, and likewise the
+	// stats exchange that fills the statistics catalog. Context cancellation
+	// is never retried.
 	Retries int
 	// Adaptive executes with mid-query re-optimization: each round's
 	// condition and per-source methods are decided against the measured
@@ -140,9 +131,9 @@ type Options struct {
 	// queries return full records, and only uncovered records are fetched
 	// afterwards. The Answer's Records field is populated.
 	CombinedFetch bool
-	// Timeout, when positive, bounds the whole query — statistics
-	// gathering, planning and execution. On expiry the query returns an
-	// error wrapping context.DeadlineExceeded together with the partial
+	// Timeout, when positive, bounds the whole query — filling the
+	// statistics catalog, planning and execution. On expiry the query returns
+	// an error wrapping context.DeadlineExceeded together with the partial
 	// execution counters (Answer.Exec) for the work already performed. It
 	// composes with a caller-supplied context: whichever deadline is
 	// earlier wins.
@@ -227,6 +218,9 @@ type Mediator struct {
 	// roster are stale at any other — the service layer keys its caches by
 	// it.
 	epoch uint64
+	// catalog holds the per-source summaries planning reads, keyed by the
+	// roster epoch.
+	catalog statsCatalog
 	// recorderSet distinguishes SetRecorder(nil) — recording deliberately
 	// off — from the never-configured state that lazily gets the default.
 	recorderSet bool
@@ -393,7 +387,9 @@ func (m *Mediator) RemoveSource(name string) bool {
 
 // Epoch returns the current roster epoch. The epoch moves on every source
 // registration or removal and on BumpEpoch; two equal epochs guarantee the
-// roster (names, order, membership) is unchanged between them.
+// roster (names, order, membership) is unchanged between them. The
+// statistics catalog is keyed by it: the first plan after the epoch moves
+// asks every source for its summary again.
 func (m *Mediator) Epoch() uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -547,6 +543,9 @@ type roster struct {
 	profiles []stats.SourceProfile
 	network  *netsim.Network
 	cache    *exec.Cache
+	// epoch is the roster epoch the snapshot was taken at: the key the
+	// statistics catalog is read under.
+	epoch uint64
 }
 
 func (m *Mediator) snapshot(wantCache bool) roster {
@@ -560,6 +559,7 @@ func (m *Mediator) snapshot(wantCache bool) roster {
 		sources:  make([]source.Source, len(m.sources)),
 		profiles: make([]stats.SourceProfile, len(m.profiles)),
 		network:  m.network,
+		epoch:    m.epoch,
 	}
 	copy(r.sources, m.sources)
 	copy(r.profiles, m.profiles)
@@ -569,9 +569,11 @@ func (m *Mediator) snapshot(wantCache bool) roster {
 	return r
 }
 
-// Problem gathers statistics for the conditions and assembles the
-// optimization problem. Statistics gathering is an offline pass and is not
-// charged to execution: network counters are reset afterwards.
+// Problem assembles the optimization problem for the conditions from the
+// statistics catalog: each source's summary gives the estimated cardinality
+// of each condition there. Only a source the catalog has no summary of yet
+// for the current epoch is asked for one (a single stats exchange); with the
+// catalog warm, Problem performs no source exchange.
 func (m *Mediator) Problem(ctx context.Context, conds []cond.Cond, opts Options) (*optimizer.Problem, error) {
 	return m.problem(ctx, m.snapshot(false), conds, opts)
 }
@@ -590,32 +592,11 @@ func (m *Mediator) problem(ctx context.Context, r roster, conds []cond.Cond, opt
 	}
 	sts := make([]stats.SourceStats, len(r.sources))
 	for j, src := range r.sources {
-		var st stats.SourceStats
-		var err error
-		// Statistics gathering rides out transient source failures under
-		// the same retry budget as execution. Context errors are never
-		// transient, so cancellation stops the loop at once.
-		for attempt := 0; ; attempt++ {
-			switch {
-			case opts.SampleRate > 0 && opts.SampleRate < 1:
-				st, err = stats.GatherSampled(ctx, src, conds, opts.SampleRate, opts.StatsSeed+int64(j))
-			case opts.HistogramStats:
-				var sum *stats.Summary
-				sum, err = stats.Summarize(ctx, src)
-				if err == nil {
-					st = stats.StatsFromSummary(sum, conds)
-				}
-			default:
-				st, err = stats.Gather(ctx, src, conds)
-			}
-			if err == nil || attempt >= opts.Retries || !source.IsTransient(err) {
-				break
-			}
-		}
+		sum, err := m.catalog.summary(ctx, r.epoch, src, opts.Retries)
 		if err != nil {
 			return nil, err
 		}
-		sts[j] = st
+		sts[j] = stats.StatsFromSummary(src.Name(), sum, conds)
 	}
 	table, err := stats.Build(conds, sts, r.profiles)
 	if err != nil {
@@ -626,6 +607,9 @@ func (m *Mediator) problem(ctx context.Context, r roster, conds []cond.Cond, opt
 			table.Conns[j] = opts.Conns
 		}
 	}
+	// Execution is accounted from an empty exchange log, with any scheduled
+	// churn re-armed (netsim.Reset): a script of churn events is timed against
+	// the executed plan, not against whatever the network carried before it.
 	if r.network != nil {
 		r.network.Reset()
 	}
@@ -697,7 +681,7 @@ func (m *Mediator) QueryPlanned(conds []cond.Cond, res optimizer.Result, opts Op
 }
 
 // QueryPlannedContext executes a previously optimized plan (from
-// Mediator.Plan), skipping statistics gathering and optimization — the
+// Mediator.Plan), skipping the statistics catalog and optimization — the
 // repeated-query fast path a plan cache rides. The full query lifecycle is
 // otherwise identical to QueryCondsContext: query identity, spans, metrics,
 // flight recording, honest partials and mid-query roster repair all apply.

@@ -106,7 +106,7 @@ func splitCompleted(p *plan.Plan, run *exec.Result) (seed set.Set, hasSeed bool,
 
 // without returns r minus the named logical source.
 func (r roster) without(name string) roster {
-	out := roster{network: r.network, cache: r.cache}
+	out := roster{network: r.network, cache: r.cache, epoch: r.epoch}
 	for i, s := range r.sources {
 		if s.Name() == name {
 			continue

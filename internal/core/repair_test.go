@@ -9,7 +9,6 @@ import (
 	"fusionq/internal/netsim"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
-	"fusionq/internal/stats"
 	"fusionq/internal/workload"
 )
 
@@ -43,7 +42,7 @@ var paperConds = []cond.Cond{cond.MustParse("V = 'dui'"), cond.MustParse("V = 's
 
 // TestReplicaKilledMidQueryFullAnswer is the acceptance scenario behind the
 // public API: one replica of the two-replica R1 dies (the kill fires on the
-// very first exchange, so statistics gathering and execution both ride on
+// very first exchange, so the statistics exchange and execution both ride on
 // the survivor) and the query still completes with the FULL answer and no
 // repair.
 func TestReplicaKilledMidQueryFullAnswer(t *testing.T) {
@@ -72,11 +71,11 @@ func TestReplicaKilledMidQueryFullAnswer(t *testing.T) {
 // pending conditions over R2 and R3, and return an answer inside the
 // honest envelope answer(survivors) ⊆ repaired ⊆ answer(full roster).
 func TestRosterRepairAfterLogicalSourceDies(t *testing.T) {
-	opts := Options{Algorithm: AlgoFilter, HistogramStats: true}
+	opts := Options{Algorithm: AlgoFilter}
 
-	// A third condition makes execution three rounds long, so the logical
-	// source's last exchange lands well after the statistics phase and a
-	// kill can be scheduled strictly between them. The full-roster answer
+	// A third condition makes execution three rounds long, so a kill can be
+	// scheduled well inside it, before the logical source's last exchange
+	// and after its first rounds completed. The full-roster answer
 	// stays {J55, T21}; survivors-only shrinks to {T21} (only R2 can vouch
 	// for a dui), so the envelope is non-trivial.
 	conds := append(append([]cond.Cond(nil), paperConds...), cond.MustParse("D < 1995"))
@@ -103,20 +102,12 @@ func TestRosterRepairAfterLogicalSourceDies(t *testing.T) {
 		t.Fatalf("degenerate scenario: survivors alone compute the full answer %v", fullRef)
 	}
 
-	// Calibrate the kill time. Statistics gathering and execution each
-	// start from simulated time zero (problem() resets the network), so the
-	// kill must land after the stats phase's duration but before the
-	// logical source's last execution exchange. Replay the HistogramStats
-	// scans to measure the former; read the latter off a dry run's
-	// exchange log.
+	// Calibrate the kill time. Execution starts from simulated time zero
+	// (problem() resets the network), and the dry run leaves the statistics
+	// catalog warm, so the queries after it plan without an exchange: the
+	// kill lands halfway to the logical source's last execution exchange,
+	// read off the dry run's exchange log.
 	m, logical, network := replicatedDMVMediator(t)
-	for _, src := range m.Sources() {
-		if _, err := stats.Summarize(t.Context(), src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	statsTime := network.Stats().TotalTime
-	network.Reset()
 	dry, err := m.QueryConds(conds, opts)
 	if err != nil {
 		t.Fatalf("dry run: %v", err)
@@ -132,11 +123,11 @@ func TestRosterRepairAfterLogicalSourceDies(t *testing.T) {
 		}
 		cum += ex.Elapsed
 	}
-	if statsTime >= lastReplicaStart {
-		t.Fatalf("cannot place mid-execution kill: stats %v >= last replica exchange at %v (exec total %v)",
-			statsTime, lastReplicaStart, dry.Exec.TotalWork)
+	if lastReplicaStart <= 0 {
+		t.Fatalf("cannot place mid-execution kill: last replica exchange at %v (exec total %v)",
+			lastReplicaStart, dry.Exec.TotalWork)
 	}
-	killAt := statsTime + (lastReplicaStart-statsTime)/2
+	killAt := lastReplicaStart / 2
 
 	network.Reset() // the dry run advanced simulated time; start churn at zero
 	network.ScheduleChurn([]netsim.ChurnEvent{

@@ -73,10 +73,10 @@ func (s *stub) run(ctx context.Context) error {
 	return nil
 }
 
-func (s *stub) Name() string                 { return s.name }
-func (s *stub) Schema() *relation.Schema     { return testSchema }
-func (s *stub) Caps() source.Capabilities    { return source.Capabilities{PassedBindings: true} }
-func (s *stub) Card() (int, int, int)        { return 2, 2, 16 }
+func (s *stub) Name() string              { return s.name }
+func (s *stub) Schema() *relation.Schema  { return testSchema }
+func (s *stub) Caps() source.Capabilities { return source.Capabilities{PassedBindings: true} }
+func (s *stub) Card() (int, int, int)     { return 2, 2, 16 }
 func (s *stub) Load(ctx context.Context) (*relation.Relation, error) {
 	return nil, source.ErrUnsupported
 }

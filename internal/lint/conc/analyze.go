@@ -183,7 +183,7 @@ type heldLattice struct {
 	u *unit
 }
 
-func (l heldLattice) Bottom() heldMap        { return heldMap{} }
+func (l heldLattice) Bottom() heldMap         { return heldMap{} }
 func (l heldLattice) Clone(v heldMap) heldMap { return cloneHeld(v) }
 
 func (l heldLattice) Join(dst, src heldMap) (heldMap, bool) {

@@ -114,10 +114,11 @@ type Network struct {
 	mu    sync.Mutex
 	links map[string]Link
 	rng   *rand.Rand
-	log   []Exchange
-	// resets counts Reset calls, so a Mark taken before a Reset can be told
-	// from a position in the log that replaced the one it pointed into.
-	resets uint64
+	// log holds the most recent exchanges, at most logRetention of them;
+	// dropped counts the ones recorded before log[0], so that log[i] is
+	// exchange number dropped+i of the network's life.
+	log     []Exchange
+	dropped uint64
 
 	// realScale, when positive, makes every exchange take realScale × its
 	// simulated duration of wall-clock time, so context deadlines bite.
@@ -215,8 +216,9 @@ func Makespan(durations []time.Duration, k int) time.Duration {
 // ScheduleChurn installs a scripted churn sequence. Events fire in At order
 // as the network's simulated time advances past each threshold; the current
 // link configuration is snapshotted so revive events and Reset restore it.
-// Reset re-arms the whole schedule, so a statistics-gathering pass that
-// advances simulated time before execution does not consume the script.
+// Reset re-arms the whole schedule, so traffic that advances simulated time
+// before an execution (a statistics exchange, an earlier query) does not
+// consume the script.
 func (n *Network) ScheduleChurn(events []ChurnEvent) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -304,6 +306,13 @@ func (n *Network) ExchangeContext(ctx context.Context, source, kind string, reqB
 	if l.JitterFrac > 0 {
 		d += time.Duration(n.rng.Float64() * l.JitterFrac * float64(d))
 	}
+	if len(n.log) == logRetention {
+		// Drop the older half, so trimming costs a copy per logRetention/2
+		// exchanges and not one per exchange.
+		half := logRetention / 2
+		n.dropped += uint64(half)
+		n.log = n.log[:copy(n.log, n.log[half:])]
+	}
 	n.log = append(n.log, Exchange{Source: source, Kind: kind, ReqBytes: reqBytes, RespBytes: respBytes, Elapsed: d})
 	n.totalBytes += reqBytes + respBytes
 	n.totalTime += d
@@ -339,7 +348,14 @@ func (n *Network) Stats() Stats {
 	return Stats{Messages: n.messages, TotalBytes: n.totalBytes, TotalTime: n.totalTime}
 }
 
-// Log returns a copy of the recorded exchanges in order.
+// logRetention bounds the exchange log: a network that is never Reset (one
+// under a plan-cached or answer-cached service) keeps its most recent
+// exchanges, between half of this many and all of it, and its counters stay
+// cumulative. It is far more than one accounting window holds: a round's
+// batch of exchanges, or a pipelined run's.
+const logRetention = 1 << 15
+
+// Log returns a copy of the retained exchanges in order.
 func (n *Network) Log() []Exchange {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -348,34 +364,34 @@ func (n *Network) Log() []Exchange {
 	return out
 }
 
-// Mark is a position in the exchange log. Callers that account for their own
-// traffic take one before issuing it and read the window back with Since.
+// Mark is a position in the network's sequence of exchanges. Callers that
+// account for their own traffic take one before issuing it and read the
+// window back with Since.
 type Mark struct {
-	resets uint64
-	pos    int
+	seq uint64
 }
 
-// Mark returns the current end of the exchange log.
+// Mark returns the position after the last exchange recorded so far.
 func (n *Network) Mark() Mark {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return Mark{resets: n.resets, pos: len(n.log)}
+	return Mark{seq: n.dropped + uint64(len(n.log))}
 }
 
 // Since returns a copy of the exchanges recorded after m, in order: the
 // caller's own plus those of whoever else used the network meanwhile. It
-// copies the window alone, so its cost does not grow with the log. A Reset
-// after m discarded the window's head, and everything now in the log was
-// recorded after it, so that is what Since returns then; no entry older
-// than m is ever returned.
+// copies the window alone, so its cost does not grow with the log. When a
+// Reset, or retention, has discarded the window's head, Since returns the
+// part that is retained; no entry older than m is ever returned.
 func (n *Network) Since(m Mark) []Exchange {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if m.resets != n.resets {
-		m.pos = 0
+	pos := 0
+	if m.seq > n.dropped {
+		pos = int(m.seq - n.dropped)
 	}
-	out := make([]Exchange, len(n.log)-m.pos)
-	copy(out, n.log[m.pos:])
+	out := make([]Exchange, len(n.log)-pos)
+	copy(out, n.log[pos:])
 	return out
 }
 
@@ -386,8 +402,8 @@ func (n *Network) Since(m Mark) []Exchange {
 func (n *Network) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.dropped += uint64(len(n.log))
 	n.log = nil
-	n.resets++
 	n.totalBytes = 0
 	n.totalTime = 0
 	n.messages = 0

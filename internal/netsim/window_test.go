@@ -53,6 +53,50 @@ func TestWindowAcrossReset(t *testing.T) {
 	}
 }
 
+// TestLogRetentionIsBounded: a network that is never Reset keeps at most
+// logRetention exchanges while its counters stay cumulative, and a window
+// taken across a trim still holds exactly the exchanges after its mark.
+func TestLogRetentionIsBounded(t *testing.T) {
+	n := NewNetwork(1)
+	const total = 100_000
+	// One window is opened a few exchanges before every trim and read a few
+	// after it; ReqBytes numbers the exchanges.
+	var m Mark
+	opened, windows := -1, 0
+	for i := 0; i < total; i++ {
+		if (i+3)%(logRetention/2) == 0 {
+			m, opened = n.Mark(), i
+		}
+		n.Exchange("R1", "sq", i, 0)
+		if len(n.log) > logRetention {
+			t.Fatalf("after %d exchanges the log holds %d, over the retention of %d", i+1, len(n.log), logRetention)
+		}
+		if opened >= 0 && i == opened+5 {
+			got := n.Since(m)
+			if len(got) != 6 || got[0].ReqBytes != opened || got[5].ReqBytes != i {
+				t.Fatalf("window opened at %d and read at %d = %+v", opened, i, got)
+			}
+			opened = -1
+			windows++
+		}
+	}
+	if windows < 3 {
+		t.Fatalf("%d windows crossed a trim; the test needs several", windows)
+	}
+	if got := len(n.Log()); got > logRetention || got < logRetention/2 {
+		t.Fatalf("len(Log()) = %d after %d exchanges, want between %d and %d", got, total, logRetention/2, logRetention)
+	}
+	if st := n.Stats(); st.Messages != total {
+		t.Fatalf("Messages = %d, want the cumulative %d", st.Messages, total)
+	}
+	// A mark older than the retained head gets what is retained, in order and
+	// up to the newest exchange.
+	old := n.Since(Mark{})
+	if len(old) != len(n.Log()) || old[len(old)-1].ReqBytes != total-1 || old[0].ReqBytes != total-len(old) {
+		t.Fatalf("window of the zero mark holds %d exchanges, %d..%d", len(old), old[0].ReqBytes, old[len(old)-1].ReqBytes)
+	}
+}
+
 // TestWindowUnderConcurrentReset has writers account for their own traffic
 // the way the executor does while another goroutine resets the network
 // whenever a writer kicks it. No window may hold one of the writer's

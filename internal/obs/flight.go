@@ -113,18 +113,18 @@ type LiveQueryInfo struct {
 // QueryRecord is one completed query as retained by the recorder: outcome,
 // fabric activity, per-source traffic, and the full span trace.
 type QueryRecord struct {
-	QueryID    string                    `json:"queryId"`
-	Text       string                    `json:"text,omitempty"`
-	Start      time.Time                 `json:"start"`
-	DurationUS int64                     `json:"durationUs"`
-	Status     string                    `json:"status"` // ok | error
-	Error      string                    `json:"error,omitempty"`
-	Items      int                       `json:"items"`
-	Bytes      int64                     `json:"bytes"`
-	Hedges     int                       `json:"hedges,omitempty"`
-	Failovers  int                       `json:"failovers,omitempty"`
-	Repaired   bool                      `json:"repaired,omitempty"`
-	Slow       bool                      `json:"slow,omitempty"`
+	QueryID    string    `json:"queryId"`
+	Text       string    `json:"text,omitempty"`
+	Start      time.Time `json:"start"`
+	DurationUS int64     `json:"durationUs"`
+	Status     string    `json:"status"` // ok | error
+	Error      string    `json:"error,omitempty"`
+	Items      int       `json:"items"`
+	Bytes      int64     `json:"bytes"`
+	Hedges     int       `json:"hedges,omitempty"`
+	Failovers  int       `json:"failovers,omitempty"`
+	Repaired   bool      `json:"repaired,omitempty"`
+	Slow       bool      `json:"slow,omitempty"`
 	// Sampled marks a boring record retained only as a 1-in-N sample.
 	Sampled bool                      `json:"sampled,omitempty"`
 	Sources map[string]LiveSourceInfo `json:"sources,omitempty"`

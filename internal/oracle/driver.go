@@ -219,9 +219,11 @@ func (d *Driver) Check(ctx context.Context, inst Instance) ([]Failure, error) {
 	// Phase 10: plan-cache coherence sweep — the sources go behind a real
 	// mediator and the service's epoch-keyed plan cache; cached plans must
 	// answer like fresh ones before and after scripted roster churn, and
-	// stale plans must never be served or executed.
+	// stale plans must never be served or executed. Neither may a plan from
+	// a statistics catalog gone stale answer wrongly.
 	if inst.PlanCache {
 		fs = append(fs, d.checkPlanCache(ctx, ev)...)
+		fs = append(fs, d.checkStaleCatalog(ctx, ev)...)
 	}
 	return fs, nil
 }

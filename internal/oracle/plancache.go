@@ -7,7 +7,9 @@ import (
 
 	"fusionq/internal/core"
 	"fusionq/internal/obs"
+	"fusionq/internal/relation"
 	"fusionq/internal/service"
+	"fusionq/internal/source"
 	"fusionq/internal/workload"
 )
 
@@ -121,6 +123,76 @@ func (d *Driver) checkPlanCache(ctx context.Context, ev *env) []Failure {
 	if !after.Items.Equal(survRef) {
 		fs = append(fs, Failure{Property: "answer-mismatch", Class: "plan-cache", Mode: "post-churn",
 			Detail: answerDiff(after.Items, survRef)})
+	}
+	return fs
+}
+
+// checkStaleCatalog is the stale-statistics case of the sweep: a mediator
+// plans from summaries its catalog took of sources whose contents then move
+// without the roster epoch moving — every source gains, for each of its
+// tuples, a twin under an item no source had before. Plans are then chosen
+// from cardinalities that are half the truth, and must still answer exactly
+// the reference over the contents as they now are: statistics move cost,
+// never answers.
+func (d *Driver) checkStaleCatalog(ctx context.Context, ev *env) []Failure {
+	infra := func(stage string, err error) []Failure {
+		return []Failure{{Property: "exec-error", Class: "stale-catalog", Mode: stage, Detail: err.Error()}}
+	}
+	m := core.New(ev.sc.Schema)
+	m.SetNetwork(ev.network)
+	m.SetMetrics(obs.NewRegistry())
+	// The sources are row stores over copies of the instance's relations,
+	// so that an insert into a copy is a change of the source's contents.
+	live := make([]*relation.Relation, len(ev.sc.Relations))
+	for j, rel := range ev.sc.Relations {
+		live[j] = relation.NewRelation(rel.Schema())
+		for _, t := range rel.Rows() {
+			if err := live[j].Insert(t); err != nil {
+				return infra("copy", err)
+			}
+		}
+		src := source.NewWrapper(ev.sc.Sources[j].Name(), source.NewRowBackend(live[j]), ev.sc.Sources[j].Caps())
+		if err := m.AddSource(src, ev.profiles[j]); err != nil {
+			return infra("add-source", err)
+		}
+	}
+	conds := ev.sc.Conds
+	var fs []Failure
+	before, err := m.QueryCondsContext(ctx, conds, core.Options{})
+	if err != nil {
+		return infra("fresh-exec", err)
+	}
+	if !before.Items.Equal(ev.ref) {
+		fs = append(fs, Failure{Property: "answer-mismatch", Class: "stale-catalog", Mode: "fresh",
+			Detail: answerDiff(before.Items, ev.ref)})
+	}
+
+	// Nothing below touches the roster, so the epoch, and with it the
+	// catalog, stays where the first query left it.
+	mi := ev.sc.Schema.MergeIndex()
+	for j, rel := range live {
+		for i, t := range ev.sc.Relations[j].Rows() {
+			twin := append(relation.Tuple(nil), t...)
+			twin[mi] = relation.String(fmt.Sprintf("NEW%d-%s", (i+j)%2, t[mi].Raw()))
+			if err := rel.Insert(twin); err != nil {
+				return append(fs, infra("mutate", err)...)
+			}
+		}
+	}
+	ref, err := ReferenceAnswer(&workload.Scenario{Schema: ev.sc.Schema, Conds: conds, Relations: live})
+	if err != nil {
+		return append(fs, infra("stale-reference", err)...)
+	}
+	for _, opts := range []core.Options{{}, {Streaming: true}, {Algorithm: core.AlgoSJA, Parallel: true}} {
+		mode := fmt.Sprintf("stale/%s/stream=%v", opts.Algorithm, opts.Streaming)
+		after, err := m.QueryCondsContext(ctx, conds, opts)
+		if err != nil {
+			return append(fs, infra(mode, err)...)
+		}
+		if !after.Items.Equal(ref) {
+			fs = append(fs, Failure{Property: "answer-mismatch", Class: "stale-catalog", Mode: mode,
+				Detail: answerDiff(after.Items, ref)})
+		}
 	}
 	return fs
 }

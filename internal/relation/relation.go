@@ -52,6 +52,18 @@ func (o *Ordered) Group(g int) []Tuple {
 	return o.Rows[lo:hi:hi]
 }
 
+// Scan visits the groups in ascending item order: one call of fn per distinct
+// item, with all of the item's tuples. An error from fn aborts the scan with
+// that error.
+func (o *Ordered) Scan(fn func(item string, group []Tuple) error) error {
+	for g, item := range o.Items {
+		if err := fn(item, o.Group(g)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // NewRelation creates an empty relation with the given schema.
 func NewRelation(schema *Schema) *Relation {
 	return &Relation{schema: schema}

@@ -61,18 +61,7 @@ func (b *RowBackend) Scan(fn func(relation.Tuple) error) error {
 
 // ScanOrdered implements Backend over the relation's ordered view.
 func (b *RowBackend) ScanOrdered(fn func(string, []relation.Tuple) error) error {
-	return scanOrdered(b.rel, fn)
-}
-
-// scanOrdered walks a relation's ordered view group by group.
-func scanOrdered(rel *relation.Relation, fn func(string, []relation.Tuple) error) error {
-	o := rel.Ordered()
-	for g, item := range o.Items {
-		if err := fn(item, o.Group(g)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.rel.Ordered().Scan(fn)
 }
 
 // Lookup implements Backend.
@@ -291,7 +280,7 @@ func (b *OEMBackend) ScanOrdered(fn func(string, []relation.Tuple) error) error 
 	if err != nil {
 		return err
 	}
-	return scanOrdered(rel, fn)
+	return rel.Ordered().Scan(fn)
 }
 
 // Lookup implements Backend.

@@ -2,6 +2,7 @@ package source_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -106,6 +107,13 @@ func render(t *testing.T, r source.Reply) string {
 	if r.Rel != nil {
 		fmt.Fprintf(&b, " rel=%v", r.Rel.Rows())
 	}
+	if r.Stats != nil {
+		line, err := json.Marshal(r.Stats)
+		if err != nil {
+			t.Fatalf("stats: %v", err)
+		}
+		fmt.Fprintf(&b, " stats=%s", line)
+	}
 	if r.Stream != nil {
 		defer r.Stream.Close()
 		b.WriteString(" stream=")
@@ -124,7 +132,7 @@ func render(t *testing.T, r source.Reply) string {
 }
 
 // TestLayerConformance is the one table every Source layer answers to: each
-// of the eight operations and the streamed selection, through each layer,
+// of the eight operations, the streamed selection and stats, through each layer,
 // over a wrapper of each capability tier, is what the bare wrapper answers —
 // the same reply, ErrUnsupported exactly where the wrapper returns it, and
 // errors that begin the way each layer's always have.
@@ -158,6 +166,8 @@ func TestLayerConformance(t *testing.T) {
 			"items={J55, T80} match=false tuples=[]"},
 		{"streamed sq", source.Call{Op: source.OpSelect, Cond: cond.MustParse("D < 2000"), Batch: 2},
 			"items={} match=false tuples=[] stream=[J55 S07][T21 T80]"},
+		{"stats", source.Call{Op: source.OpStats},
+			`items={} match=false tuples=[] stats={"tuples":5,"items":4,"bytes":67,"numeric":{"D":{"low":[1993,1993,1993,1994],"high":[1993,1993,1994,1996],"values":{"mcv":{"1993":3},"otherCount":2,"otherDistinct":2}}},"strings":{"L":{"otherCount":4,"otherDistinct":4},"V":{"mcv":{"dui":2,"sp":2}}}}`},
 	}
 	tiers := []source.Capabilities{
 		{NativeSemijoin: true, PassedBindings: true, BloomSemijoin: true},

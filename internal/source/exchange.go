@@ -22,7 +22,8 @@ import (
 // Op names a source operation, by its wire protocol op code.
 type Op string
 
-// The eight source operations.
+// The eight source operations of the paper's wrapper interface, and stats,
+// the one exchange that lets planning stop asking.
 const (
 	OpSelect     Op = "sq"      // sq(c, R)
 	OpSemi       Op = "sjq"     // sjq(c, R, Y)
@@ -32,6 +33,7 @@ const (
 	OpSelectRecs Op = "sqr"     // sq returning full records
 	OpSemiRecs   Op = "sjqr"    // sjq returning full records
 	OpSemiBloom  Op = "sjqb"    // sjq against a Bloom filter of Y
+	OpStats      Op = "stats"   // the summary of R's contents (Summarize)
 )
 
 // Kind is the name an exchange of this operation goes by in the simulated
@@ -78,19 +80,22 @@ type Call struct {
 func (c Call) Streamed() bool { return c.Op == OpSelect && c.Batch > 0 }
 
 // Reply is the answer to a Call: Items for sq, sjq and sjqb, Match for a
-// binding, Tuples for fetch, sqr and sjqr, Rel for lq, Stream for a streamed
-// selection (the caller closes it).
+// binding, Tuples for fetch, sqr and sjqr, Rel for lq, Stats for stats,
+// Stream for a streamed selection (the caller closes it).
 type Reply struct {
 	Items  set.Set
 	Match  bool
 	Tuples []relation.Tuple
 	Rel    *relation.Relation
+	Stats  *relation.Summary
 	Stream set.Iter
 }
 
 // Do performs call against src: the one place a Call becomes a Source
 // method. A streamed selection opens through OpenSelectStream, so a source
-// that cannot chunk still answers it, with one materialized Select.
+// that cannot chunk still answers it, with one materialized Select; stats
+// goes through Summarize, so a source that cannot summarize itself is loaded
+// and summarized here.
 func Do(ctx context.Context, src Source, call Call) (Reply, error) {
 	var r Reply
 	var err error
@@ -115,6 +120,8 @@ func Do(ctx context.Context, src Source, call Call) (Reply, error) {
 		r.Tuples, err = src.SemijoinRecords(ctx, call.Cond, call.Items)
 	case OpSemiBloom:
 		r.Items, err = src.SemijoinBloom(ctx, call.Cond, call.Filter)
+	case OpStats:
+		r.Stats, err = Summarize(ctx, src)
 	default:
 		err = fmt.Errorf("source %s: unknown operation %q", src.Name(), call.Op)
 	}
@@ -124,9 +131,9 @@ func Do(ctx context.Context, src Source, call Call) (Reply, error) {
 // Handler answers source operations in their Call form.
 type Handler func(ctx context.Context, call Call) (Reply, error)
 
-// Layer is a Source whose eight operations, and SelectStream, are each one
-// call to a Handler. Name, Schema, Caps and Card are the embedded Source's:
-// the source underneath, for a layer that keeps its identity. A type that
+// Layer is a Source whose eight operations, SelectStream and Summarize are
+// each one call to a Handler. Name, Schema, Caps and Card are the embedded
+// Source's: the source underneath, for a layer that keeps its identity. A type that
 // describes itself (fabric.Logical, wire.Client) embeds a Layer over nil and
 // declares those four.
 type Layer struct {
@@ -151,6 +158,12 @@ func (l *Layer) SelectStream(ctx context.Context, c cond.Cond, batch int) (set.I
 	}
 	r, err := l.handle(ctx, Call{Op: OpSelect, Cond: c, Batch: batch})
 	return r.Stream, err
+}
+
+// Summarize implements Summarizer.
+func (l *Layer) Summarize(ctx context.Context) (*relation.Summary, error) {
+	r, err := l.handle(ctx, Call{Op: OpStats})
+	return r.Stats, err
 }
 
 // Semijoin implements Source.

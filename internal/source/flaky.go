@@ -83,7 +83,7 @@ func (f *Flaky) SetStall(d time.Duration) *Flaky {
 }
 
 // SetStallFor stalls only the named operation ("sq", "sjq", "binding",
-// "lq", "fetch", "sqr", "sjqr", "sjqb"), overriding the uniform SetStall
+// "lq", "fetch", "sqr", "sjqr", "sjqb", "stats"), overriding the uniform SetStall
 // duration for that operation. Experiments use it to model a source that
 // answers selections promptly but hangs on semijoins, so a deadline is the
 // only way out mid-query. Returns the receiver for chaining.

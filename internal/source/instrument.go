@@ -81,7 +81,9 @@ func (s *Instrumented) ResetCounters() {
 // charges is the accounting table: what one completed exchange of each
 // operation adds to the Counters before the items it carried are counted,
 // and whether the items or records it returns count as ItemsReceived (a
-// load's and a fetch's do not).
+// load's and a fetch's do not). A stats exchange is no query of the cost
+// model's and has no row: it is charged to the network and the byte metrics
+// alone.
 var charges = map[Op]struct {
 	fixed    Counters
 	received bool
@@ -133,6 +135,9 @@ func (s *Instrumented) exchange(ctx context.Context, call Call) (Reply, error) {
 	resp := reply.Items.Bytes() + tuplesBytes(reply.Tuples)
 	if reply.Rel != nil {
 		resp += reply.Rel.Bytes()
+	}
+	if reply.Stats != nil {
+		resp += reply.Stats.Size()
 	}
 	charge := charges[call.Op]
 	delta := charge.fixed

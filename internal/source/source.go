@@ -271,6 +271,19 @@ func (w *Wrapper) Load(ctx context.Context) (*relation.Relation, error) {
 	return r, nil
 }
 
+// Summarize implements Summarizer with one pass over the backend's ordered
+// scan; the relation is not materialized.
+func (w *Wrapper) Summarize(ctx context.Context) (*relation.Summary, error) {
+	if err := w.ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	sum, err := relation.Summarize(w.backend.Schema(), w.backend.ScanOrdered)
+	if err != nil {
+		return nil, fmt.Errorf("source %s: stats: %w", w.name, err)
+	}
+	return sum, nil
+}
+
 // Fetch implements Source, observing ctx between per-item lookups.
 func (w *Wrapper) Fetch(ctx context.Context, items set.Set) ([]relation.Tuple, error) {
 	var out []relation.Tuple

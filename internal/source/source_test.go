@@ -281,6 +281,10 @@ func TestInstrumentedAccounting(t *testing.T) {
 		{"streamed sq", func() error { return drain(src.SelectStream(ctx, cond.MustParse("D < 2000"), 1)) },
 			[]netsim.Exchange{{Kind: "sq", ReqBytes: 40, RespBytes: 3}, {Kind: "sqc", RespBytes: 3}, {Kind: "sqc", RespBytes: 3}},
 			Counters{SelectQueries: 1, ItemsReceived: 3}},
+		// A summary is charged at its Size and is no query of the cost model's.
+		{"stats", func() error { _, err := src.Summarize(ctx); return err },
+			[]netsim.Exchange{{Kind: "stats", ReqBytes: 32, RespBytes: rowRel(t).Summarize().Size()}},
+			Counters{}},
 	} {
 		src.ResetCounters()
 		mark := network.Mark()

@@ -11,6 +11,7 @@ import (
 	"context"
 
 	"fusionq/internal/cond"
+	"fusionq/internal/relation"
 	"fusionq/internal/set"
 )
 
@@ -39,4 +40,29 @@ func OpenSelectStream(ctx context.Context, src Source, c cond.Cond, batch int) (
 		return nil, err
 	}
 	return set.IterOf(out, batch), nil
+}
+
+// Summarizer is the optional statistics face of a Source, in the mold of
+// ItemStreamer: Summarize describes the source's contents compactly enough
+// to estimate any condition's cardinality from (relation.Summary), computed
+// where the data is. The Wrapper answers it from one pass over its backend;
+// every Layer implements it by handing its handler a Call of OpStats, so the
+// exchange is injected with faults, accounted, failed over and carried over
+// the wire like any other.
+type Summarizer interface {
+	Summarize(ctx context.Context) (*relation.Summary, error)
+}
+
+// Summarize returns the summary of src's contents: the source's own when it
+// is a Summarizer, and otherwise the summary of the relation a Load returns —
+// the same value at the price of shipping the relation.
+func Summarize(ctx context.Context, src Source) (*relation.Summary, error) {
+	if s, ok := src.(Summarizer); ok {
+		return s.Summarize(ctx)
+	}
+	rel, err := src.Load(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return rel.Summarize(), nil
 }

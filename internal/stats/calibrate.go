@@ -22,8 +22,8 @@ import (
 // selectivity; more variety yields a better fit.
 //
 // The source must already be instrumented against network; probe traffic is
-// left on the network's counters (callers typically Reset afterwards, as
-// statistics gathering is not charged to execution).
+// left on the network's counters (callers that account an execution
+// afterwards Reset first).
 func Calibrate(ctx context.Context, src source.Source, network *netsim.Network, probes []cond.Cond) (SourceProfile, error) {
 	if network == nil {
 		return SourceProfile{}, fmt.Errorf("stats: calibration needs a network")

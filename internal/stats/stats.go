@@ -11,9 +11,9 @@
 //     per-item transfer costs, semijoin support tier), derivable from a
 //     simulated network link so that estimated costs line up with measured
 //     simulated time;
-//   - cardinality estimation, either exact (offline statistics scans) or
-//     sampled (in the spirit of query sampling for multidatabase cost
-//     parameters, Zhu & Larson [25]);
+//   - cardinality estimation from the summary a source ships once
+//     (summary.go), which is what planning runs on, and exact by probing
+//     (Gather), which is the reference the estimates are tested against;
 //   - CostTable: the dense (condition × source) matrix of costs and
 //     cardinalities the optimization algorithms consume.
 package stats
@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
@@ -193,9 +192,11 @@ type SourceStats struct {
 	CondCard []float64
 }
 
-// Gather computes exact statistics for the given conditions by scanning the
-// source. It models an offline statistics-collection pass; the scan is not
-// charged to query execution.
+// Gather computes exact statistics for the given conditions by running each
+// of them against the source: one full selection per condition, of which
+// only the size is kept. It is the ground truth that estimates from a
+// summary are measured against (and what the benchmark times as the cost
+// planning used to pay); no query path calls it.
 func Gather(ctx context.Context, src source.Source, conds []cond.Cond) (SourceStats, error) {
 	tuples, distinct, bytes := src.Card()
 	st := SourceStats{Name: src.Name(), Tuples: tuples, DistinctItems: distinct, Bytes: bytes, CondCard: make([]float64, len(conds))}
@@ -205,57 +206,6 @@ func Gather(ctx context.Context, src source.Source, conds []cond.Cond) (SourceSt
 			return SourceStats{}, fmt.Errorf("stats: gathering %q at %s: %w", c, src.Name(), err)
 		}
 		st.CondCard[i] = float64(items.Len())
-	}
-	return st, nil
-}
-
-// GatherSampled estimates statistics from a Bernoulli sample of the source's
-// tuples with the given rate, scaling counts up by 1/rate. seed makes the
-// sample deterministic. Sampling mirrors the query-sampling approach for
-// estimating cost parameters in multidatabase systems [25].
-func GatherSampled(ctx context.Context, src source.Source, conds []cond.Cond, rate float64, seed int64) (SourceStats, error) {
-	if rate <= 0 || rate > 1 {
-		return SourceStats{}, fmt.Errorf("stats: sample rate %v out of (0,1]", rate)
-	}
-	rel, err := src.Load(ctx)
-	if err != nil {
-		return SourceStats{}, fmt.Errorf("stats: sampling %s: %w", src.Name(), err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	schema := rel.Schema()
-	st := SourceStats{Name: src.Name(), CondCard: make([]float64, len(conds))}
-	seen := map[string]bool{}
-	condSeen := make([]map[string]bool, len(conds))
-	for i := range condSeen {
-		condSeen[i] = map[string]bool{}
-	}
-	sampled := 0
-	for _, t := range rel.Rows() {
-		if rng.Float64() >= rate {
-			continue
-		}
-		sampled++
-		item := t[schema.MergeIndex()].Raw()
-		seen[item] = true
-		for _, v := range t {
-			st.Bytes += v.Bytes()
-		}
-		for i, c := range conds {
-			ok, err := c.Eval(schema, t)
-			if err != nil {
-				return SourceStats{}, fmt.Errorf("stats: sampling %s: %w", src.Name(), err)
-			}
-			if ok {
-				condSeen[i][item] = true
-			}
-		}
-	}
-	scale := 1.0 / rate
-	st.Tuples = int(math.Round(float64(sampled) * scale))
-	st.DistinctItems = int(math.Round(float64(len(seen)) * scale))
-	st.Bytes = int(math.Round(float64(st.Bytes) * scale))
-	for i := range conds {
-		st.CondCard[i] = float64(len(condSeen[i])) * scale
 	}
 	return st, nil
 }

@@ -38,60 +38,6 @@ func TestGatherExact(t *testing.T) {
 	}
 }
 
-func TestGatherSampledFullRateMatchesExact(t *testing.T) {
-	src, conds := dmvSource(t)
-	exact, err := Gather(context.Background(), src, conds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := GatherSampled(context.Background(), src, conds, 1.0, 7)
-	if err != nil {
-		t.Fatalf("GatherSampled: %v", err)
-	}
-	if sampled.Tuples != exact.Tuples || sampled.DistinctItems != exact.DistinctItems {
-		t.Fatalf("full-rate sample = %+v, exact = %+v", sampled, exact)
-	}
-	for i := range conds {
-		if sampled.CondCard[i] != exact.CondCard[i] {
-			t.Fatalf("CondCard[%d] = %v, want %v", i, sampled.CondCard[i], exact.CondCard[i])
-		}
-	}
-}
-
-func TestGatherSampledApproximates(t *testing.T) {
-	sc, err := workload.Synth(workload.SynthConfig{
-		Seed: 1, NumSources: 1, TuplesPerSource: 5000, Universe: 5000,
-		Selectivity: []float64{0.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := Gather(context.Background(), sc.Sources[0], sc.Conds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := GatherSampled(context.Background(), sc.Sources[0], sc.Conds, 0.2, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := func(a, b float64) float64 { return math.Abs(a-b) / math.Max(b, 1) }
-	if rel(float64(sampled.Tuples), float64(exact.Tuples)) > 0.25 {
-		t.Fatalf("sampled tuples %d too far from exact %d", sampled.Tuples, exact.Tuples)
-	}
-	if rel(sampled.CondCard[0], exact.CondCard[0]) > 0.35 {
-		t.Fatalf("sampled card %v too far from exact %v", sampled.CondCard[0], exact.CondCard[0])
-	}
-}
-
-func TestGatherSampledBadRate(t *testing.T) {
-	src, conds := dmvSource(t)
-	for _, rate := range []float64{0, -0.5, 1.5} {
-		if _, err := GatherSampled(context.Background(), src, conds, rate, 1); err == nil {
-			t.Errorf("rate %v should fail", rate)
-		}
-	}
-}
-
 func TestProfileFromLink(t *testing.T) {
 	l := netsim.Link{Latency: 40 * time.Millisecond, BytesPerSec: 1000, RequestOverhead: 20 * time.Millisecond}
 	p := ProfileFromLink("R1", l, 10, SemijoinNative)

@@ -72,10 +72,18 @@ func (c *Client) Card() (int, int, int) {
 // (stream.go); against a server that does not advertise chunking
 // (Meta.Chunking false — a v1 peer from before the extension) it degrades to
 // one materialized selection wrapped in a batch iterator, so the caller sees
-// the same interface either way.
+// the same interface either way. Likewise stats against a server that does
+// not advertise it (Meta.Stats false) is one load, summarized here.
 func (c *Client) exchange(ctx context.Context, call source.Call) (source.Reply, error) {
 	if !source.Supports(c.Caps(), call.Op) {
 		return source.Reply{}, fmt.Errorf("wire: %s: %s: %w", c.meta.Name, call.Op, source.ErrUnsupported)
+	}
+	if call.Op == source.OpStats && !c.meta.Stats {
+		reply, err := c.exchange(ctx, source.Call{Op: source.OpLoad})
+		if err != nil {
+			return source.Reply{}, err
+		}
+		return source.Reply{Stats: reply.Rel.Summarize()}, nil
 	}
 	if !call.Streamed() {
 		resp, err := c.Do(ctx, encodeCall(call))

@@ -14,7 +14,8 @@ import (
 )
 
 // The seeds are the request and response lines of the V1 interop tests
-// (frag_test.go), plus the chunk/frag/query extensions and plain damage.
+// (frag_test.go), plus the chunk/frag/query/stats extensions and plain
+// damage.
 var (
 	requestSeeds = []string{
 		`{"op":"meta"}` + "\n",
@@ -22,6 +23,7 @@ var (
 		`{"op":"sq","qid":"q-1","cond":"V = 'dui'","chunk":1,"frag":true}` + "\n",
 		`{"op":"sjq","cond":"V = 'sp'","items":["J55","T21"]}` + "\n" + `{"op":"lq"}` + "\n",
 		`{"op":"query","tenant":"t","conds":["V = 'dui'"]}` + "\n",
+		`{"op":"stats","qid":"q-2","frag":true}` + "\n",
 		`{"op":"sq","cond":"V = `,
 		`{"op":7}` + "\n",
 		"\x00\xff{[\n",
@@ -31,6 +33,8 @@ var (
 		`{"qid":"q-v1","items":["k2","x7"]}` + "\n",
 		`{"meta":{"version":1,"name":"R1","merge":"L","columns":[{"name":"L","kind":"string"}],"tuples":3,"distinct":3,"bytes":64}}` + "\n",
 		`{"error":"unsupported op lq"}` + "\n",
+		`{"meta":{"version":1,"name":"R1","merge":"L","columns":[{"name":"L","kind":"string"}],"stats":true}}` + "\n",
+		`{"stats":{"tuples":3,"items":3,"bytes":64,"numeric":{"D":{"low":[1993,1994],"high":[1993,1994],"values":{"mcv":{"1993":2},"otherCount":1,"otherDistinct":1}},"X":null},"strings":{"V":{"mcv":{"dui":2}}}}}` + "\n",
 		`{"items":["a"],"more":true}` + "\n" + `{"items":["b"],"frag":{"source":"R1","op":"sq","totalUs":5}}` + "\n",
 		`{"items":["b"],"more":true}` + "\n" + `{"items":["a"]}` + "\n",
 		`{"items":["a"],"more":true}` + "\n",

@@ -37,6 +37,12 @@ const (
 	OpSelectRecs = string(source.OpSelectRecs)
 	OpSemiRecs   = string(source.OpSemiRecs)
 	OpSemiBloom  = string(source.OpSemiBloom)
+	// OpStats asks a source server for the summary of its contents
+	// (source.Summarize). A fifth v1-compatible optional extension in the
+	// qid/chunk/frag/query mold: servers that predate it reject the op, and
+	// clients discover support through Meta.Stats and load the relation to
+	// summarize it themselves without.
+	OpStats = string(source.OpStats)
 	// OpQuery submits a whole fusion query to a mediator service (cmd/fqd)
 	// rather than one source operation to a source server. A fourth
 	// v1-compatible optional extension in the qid/chunk/frag mold: source
@@ -100,6 +106,8 @@ type Response struct {
 	Tuples []WireTuple `json:"tuples,omitempty"`
 	// Meta answers meta.
 	Meta *Meta `json:"meta,omitempty"`
+	// Stats answers stats.
+	Stats *relation.Summary `json:"stats,omitempty"`
 	// More marks a chunked response with further chunks to follow; the
 	// final chunk (and every unchunked response) leaves it false.
 	More bool `json:"more,omitempty"`
@@ -163,6 +171,8 @@ type Meta struct {
 	// Queries advertises support for the OpQuery extension: the peer is a
 	// mediator service, not a single source.
 	Queries bool `json:"queries,omitempty"`
+	// Stats advertises support for the OpStats extension.
+	Stats bool `json:"stats,omitempty"`
 }
 
 // The codec between the protocol and the exchange contract of
@@ -186,13 +196,13 @@ func encodeCall(call source.Call) Request {
 
 // decodeCall reads a source operation from a peer's request, which nothing
 // vouches for: the condition and the filter an operation needs must be
-// there and parse. An op that is none of the eight fails here when it
+// there and parse. An op that is none of source's fails here when it
 // carries no condition, and in source.Do otherwise. Chunking is the
 // listener's, so the Call is never a streamed one.
 func decodeCall(req Request) (source.Call, error) {
 	call := source.Call{Op: source.Op(req.Op), Items: set.New(req.Items...), Item: req.Item}
 	var err error
-	if call.Op != source.OpLoad && call.Op != source.OpFetch {
+	if call.Op != source.OpLoad && call.Op != source.OpFetch && call.Op != source.OpStats {
 		call.Cond, err = cond.Parse(req.Cond)
 	}
 	if err == nil && call.Op == source.OpSemiBloom {
@@ -207,7 +217,7 @@ func decodeCall(req Request) (source.Call, error) {
 // encodeReply is the response to a source operation; a loaded relation
 // travels as its rows.
 func encodeReply(reply source.Reply) Response {
-	resp := Response{Items: reply.Items.Slice(), Match: reply.Match}
+	resp := Response{Items: reply.Items.Slice(), Match: reply.Match, Stats: reply.Stats}
 	tuples := reply.Tuples
 	if reply.Rel != nil {
 		tuples = reply.Rel.Rows()
@@ -222,9 +232,13 @@ func encodeReply(reply source.Reply) Response {
 }
 
 // decodeReply reads the answer to an operation op from a peer's response;
-// a load's rows are inserted into a relation of the given schema.
+// a load's rows are inserted into a relation of the given schema, and the
+// answer to stats must carry a summary.
 func decodeReply(op source.Op, resp Response, schema *relation.Schema) (source.Reply, error) {
-	reply := source.Reply{Items: set.New(resp.Items...), Match: resp.Match}
+	reply := source.Reply{Items: set.New(resp.Items...), Match: resp.Match, Stats: resp.Stats}
+	if op == source.OpStats && resp.Stats == nil {
+		return source.Reply{}, fmt.Errorf("wire: %s: the response carries no summary", op)
+	}
 	if op == source.OpLoad {
 		reply.Rel = relation.NewRelation(schema)
 	} else if len(resp.Tuples) > 0 {

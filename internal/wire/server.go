@@ -54,7 +54,7 @@ func requestBytes(req Request) int {
 }
 
 // responseBytes counts a response's semantic payload bytes: items, tuple
-// values, a matched binding, error text.
+// values, a matched binding, a summary, error text.
 func responseBytes(resp Response) int {
 	n := len(resp.Error)
 	for _, it := range resp.Items {
@@ -67,6 +67,9 @@ func responseBytes(resp Response) int {
 	}
 	if resp.Match {
 		n++
+	}
+	if resp.Stats != nil {
+		n += resp.Stats.Size()
 	}
 	return n
 }
@@ -149,6 +152,7 @@ func (s *Server) dispatch(ctx context.Context, req Request) (Response, time.Dura
 			Bytes:          bytes,
 			Chunking:       true,
 			Fragments:      true,
+			Stats:          true,
 		}}, 0
 	}
 	start := time.Now()
