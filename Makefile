@@ -55,21 +55,18 @@ soak:
 		-duration 60s -tenants 8 -workers 12 -rate 200 -chunk 8 \
 		-json service-out/soak.json
 
+# The repository benchmark: five workloads through a real service over
+# loopback, every reply verified, yardstick-normalised (benchmark/README.md).
 bench:
-	mkdir -p bench-out
-	set -e; for e in E1 E16 E17 E18 E19 E20; do \
-		$(GO) run ./cmd/fqbench -e $$e -json -trace-json bench-out/$$e-trace.json > bench-out/$$e.json; \
-	done
-	cp bench-out/E18.json BENCH_streaming.json
-	cp bench-out/E19.json BENCH_hedging.json
-	cp bench-out/E20.json BENCH_service.json
+	$(GO) run ./benchmark
 
 # Layer micro-benchmarks behind the end-to-end benchmark's numbers: the
 # wrapper's selection scan, one selection bare and under the source layers
 # (fault + accounting, the fabric), a batch's exchange accounting at two log
 # lengths, one plan under each scheduler (seq, par, stream), the k-way
-# union, and one planning call with the statistics catalog warm. CI runs the
-# same set once per benchmark as a smoke.
+# union, one planning call with the statistics catalog warm, each optimizer
+# at three problem sizes, and the static cost estimator on an SJA+ plan. CI
+# runs the same set once per benchmark as a smoke.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'WrapperSelect|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem' -benchmem \
-		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core
+	$(GO) test -run '^$$' -bench 'WrapperSelect|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem|Optimizers|PlanEstimate' -benchmem \
+		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core ./internal/optimizer ./internal/plan

@@ -1,139 +1,49 @@
-// Command fqbench runs the experiment suite that regenerates the paper's
-// worked-example economics and validates its quantitative claims. The
-// tables it prints are the ones recorded in EXPERIMENTS.md.
+// Command fqbench prints the experiment suite that regenerates the paper's
+// worked-example economics and validates its quantitative claims (E1–E15,
+// EXPERIMENTS.md). Every table is simulated cost, so two runs print the same
+// bytes: those of internal/bench/testdata/tables.golden. An experiment whose
+// claim fails exits 1.
 //
 // Usage:
 //
-//	fqbench                 # run all experiments
-//	fqbench -e E3           # run one experiment
-//	fqbench -list           # list experiments
-//	fqbench -json           # emit results as JSON (for BENCH_*.json trajectories)
-//	fqbench -trace-json f   # export the run's span trace as JSON to f
-//
-// The -parallel and -conns flags set executor defaults honored by the
-// experiments that execute plans (where the knob is not itself the swept
-// variable): -parallel overlaps each round's exchanges, -conns caps
-// per-source concurrent connections.
-//
-// With -json the output is one object: {"tables": [...], "metrics": [...]},
-// where metrics is the run's whole registry (query counters, cache hit/miss
-// counters, retry counters, latency histograms) accumulated across every
-// executed experiment — the perf-trajectory numbers CI archives alongside
-// the tables. With -trace-json, every mediator query any experiment runs
-// records its spans into one trace, written to the given file ("-" for
-// stdout) when the run completes.
+//	fqbench          # run all experiments
+//	fqbench -e E3    # run one experiment
+//	fqbench -list    # list experiments
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"fusionq/internal/bench"
-	"fusionq/internal/obs"
 )
 
-// output is the -json document: the experiment tables plus the run's
-// metrics registry snapshot.
-type output struct {
-	Tables  []*bench.Table     `json:"tables"`
-	Metrics []obs.MetricFamily `json:"metrics"`
-}
-
 func main() {
-	var (
-		expID     = flag.String("e", "", "run a single experiment by id (e.g. E3)")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		jsonOut   = flag.Bool("json", false, "emit results as JSON: {tables, metrics}")
-		parallel  = flag.Bool("parallel", false, "run experiment executors in parallel mode")
-		conns     = flag.Int("conns", 0, "per-source connection capacity for parallel executors (0: link default)")
-		timeout   = flag.Duration("timeout", 0, "per-experiment wall-clock budget (0: none)")
-		traceJSON = flag.String("trace-json", "", `write the run's span trace as JSON to this file ("-" for stdout)`)
-	)
+	expID := flag.String("e", "", "run a single experiment by id (e.g. E3)")
+	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
-	bench.Parallel = *parallel
-	bench.Conns = *conns
 
-	if *list {
-		for _, e := range bench.All() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-
-	// One observability scope for the whole run: every experiment's queries
-	// meter into reg, and (with -trace-json) record spans into tr. Each
-	// mediator query still mints its own query ID, so the trace segments
-	// cleanly per query.
-	reg := obs.NewRegistry()
-	obs.DescribeAll(reg)
-	var tr *obs.Trace
-	if *traceJSON != "" {
-		tr = obs.NewTrace()
-	}
-	baseCtx := obs.With(context.Background(), &obs.Obs{Metrics: reg, Trace: tr})
-
-	var tables []*bench.Table
-	run := func(e bench.Experiment) error {
-		ctx := baseCtx
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
-		}
-		table, err := e.Run(ctx)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		if *jsonOut {
-			tables = append(tables, table)
-		} else {
-			fmt.Println(table.Render())
-		}
-		return nil
-	}
-
+	run := bench.All()
 	if *expID != "" {
 		e, ok := bench.ByID(*expID)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "fqbench: unknown experiment %q (use -list)\n", *expID)
 			os.Exit(2)
 		}
-		if err := run(e); err != nil {
-			fmt.Fprintf(os.Stderr, "fqbench: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		for _, e := range bench.All() {
-			if err := run(e); err != nil {
-				fmt.Fprintf(os.Stderr, "fqbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
+		run = []bench.Experiment{e}
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(output{Tables: tables, Metrics: reg.Snapshot()}); err != nil {
-			fmt.Fprintf(os.Stderr, "fqbench: %v\n", err)
-			os.Exit(1)
+	for _, e := range run {
+		if *list {
+			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			continue
 		}
-	}
-	if *traceJSON != "" {
-		data, err := tr.JSON()
-		if err == nil {
-			data = append(data, '\n')
-			if *traceJSON == "-" {
-				_, err = os.Stdout.Write(data)
-			} else {
-				err = os.WriteFile(*traceJSON, data, 0o644)
-			}
-		}
+		table, err := e.Run(context.Background())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fqbench: writing trace: %v\n", err)
+			fmt.Fprintf(os.Stderr, "fqbench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
+		fmt.Println(table.Render())
 	}
 }

@@ -114,7 +114,7 @@ func main() {
 		}
 		return
 	}
-	opts := core.Options{Algorithm: core.Algorithm(*algo), Parallel: *parallel, Conns: *conns, Cache: *cache, Trace: *trace, Spans: *traceJSON != "" || *spans, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
+	opts := core.Options{Algorithm: core.Algorithm(*algo), Parallel: *parallel, Conns: *conns, Cache: *cache, Trace: *trace, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
 	if err := run(*sql, csvs, remotes, *catalogF, *merge, *capsFlag, opts, *explain, *fetch, *traceJSON, *spans, *admin); err != nil {
 		fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 		os.Exit(1)
@@ -190,7 +190,7 @@ func run(sql string, csvs, remotes []string, catalogPath, merge, capsFlag string
 	if err != nil {
 		return err
 	}
-	if opts.Spans {
+	if spans || traceJSON != "" {
 		fmt.Printf("query id: %s\n", ans.QueryID)
 	}
 	fmt.Printf("answer (%d items): %s\n", ans.Items.Len(), ans.Items)

@@ -83,7 +83,7 @@ func TestRunWithRemoteSource(t *testing.T) {
 func TestRunTraceJSON(t *testing.T) {
 	csvs := writeCSVs(t)
 	path := filepath.Join(t.TempDir(), "trace.json")
-	opts := core.Options{Algorithm: "sja", Spans: true}
+	opts := core.Options{Algorithm: "sja"}
 	if err := run(dmvSQL, csvs, nil, "", "", "native", opts, false, false, path, false, ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -2,37 +2,49 @@ package bench
 
 import (
 	"context"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/tables.golden from this run")
+
 func TestAllExperimentsRegistered(t *testing.T) {
 	all := All()
-	if len(all) != 20 {
-		t.Fatalf("registered %d experiments, want 20 (E1..E20)", len(all))
+	if len(all) != 15 {
+		t.Fatalf("registered %d experiments, want 15 (E1..E15)", len(all))
 	}
-	want := []string{"E1", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E2", "E20", "E3", "E4", "E5", "E6", "E7", "E8", "E9"}
 	for i, e := range all {
-		if e.ID != want[i] {
-			t.Fatalf("experiment %d = %s, want %s", i, e.ID, want[i])
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Fatalf("experiment %d = %s, want %s", i, e.ID, want)
 		}
 	}
 	if _, ok := ByID("E1"); !ok {
 		t.Fatal("ByID(E1) missing")
 	}
-	if _, ok := ByID("E99"); ok {
-		t.Fatal("ByID(E99) should miss")
+	if _, ok := ByID("E16"); ok {
+		t.Fatal("ByID(E16) should miss")
 	}
 }
 
-// TestAllExperimentsRun executes the full suite once; each Run validates
-// its own claims internally (hierarchy, crossover position, etc.).
+// TestAllExperimentsRun executes the full suite once. Each Run validates its
+// own claims internally (hierarchy, crossover position, etc.), and the
+// rendered tables, one blank line after each as cmd/fqbench prints them,
+// must equal testdata/tables.golden byte for byte: every number in them is
+// simulated cost. `go test ./internal/bench -update` rewrites the file.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite in -short mode")
 	}
+	const golden = "testdata/tables.golden"
+	want, err := os.ReadFile(golden)
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	var got strings.Builder
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			tab, err := e.Run(context.Background())
 			if err != nil {
@@ -41,11 +53,24 @@ func TestAllExperimentsRun(t *testing.T) {
 			if len(tab.Rows) == 0 {
 				t.Fatalf("%s: empty table", e.ID)
 			}
-			out := tab.Render()
-			if !strings.Contains(out, e.ID) {
+			out := tab.Render() + "\n"
+			if !strings.HasPrefix(out, "== "+e.ID+": ") {
 				t.Fatalf("%s: render missing ID:\n%s", e.ID, out)
 			}
+			if !*update && !strings.Contains(string(want), out) {
+				t.Fatalf("%s: table is not the one in %s (rerun with -update if the change is meant):\n%s", e.ID, golden, out)
+			}
+			got.WriteString(out)
 		})
+	}
+	switch {
+	case t.Failed():
+	case *update:
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	case got.String() != string(want):
+		t.Fatalf("%s holds tables, or an order of tables, that the suite does not produce", golden)
 	}
 }
 

@@ -8,8 +8,10 @@
 // join-over-union baseline blowup, two-phase processing, and estimated
 // versus measured execution cost.
 //
-// Each experiment produces a Table; cmd/fqbench prints them and
-// bench_test.go wraps them as Go benchmarks.
+// Every number is simulated cost, so every table is deterministic: each
+// experiment asserts its claims inside its Run and produces a Table,
+// cmd/fqbench prints them, and testdata/tables.golden pins them. Wall-clock
+// questions belong to benchmark/ and the testing.B layer benchmarks.
 package bench
 
 import (
@@ -17,16 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-)
-
-// Exec knobs, set by cmd/fqbench flags. Experiments that execute plans pick
-// them up where the knob is not itself the swept variable: Parallel runs
-// their executors concurrently (it never changes the total work or bytes
-// those experiments report, only how exchanges overlap) and Conns overrides
-// per-source connection capacity for parallel runs.
-var (
-	Parallel bool
-	Conns    int
 )
 
 // Table is one experiment's output: a titled grid of rows.
@@ -119,13 +111,19 @@ func register(e Experiment) {
 	registry[e.ID] = e
 }
 
-// All returns the experiments sorted by ID.
+// All returns the experiments in numeric order of ID: E1, E2, …, E15.
 func All() []Experiment {
 	out := make([]Experiment, 0, len(registry))
 	for _, e := range registry {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].ID, out[j].ID
+		if len(a) != len(b) {
+			return len(a) < len(b)
+		}
+		return a < b
+	})
 	return out
 }
 

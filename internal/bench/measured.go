@@ -108,7 +108,7 @@ func runE8(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex := &exec.Executor{Sources: ms.sources, Network: ms.network, Parallel: Parallel, Conns: Conns}
+		ex := &exec.Executor{Sources: ms.sources, Network: ms.network}
 		run, err := ex.Run(ctx, res.Plan)
 		if err != nil {
 			return nil, err
@@ -164,7 +164,7 @@ func runE9(ctx context.Context) (*Table, error) {
 		measured := seqRun.TotalWork.Seconds()
 
 		ms.reset()
-		par := &exec.Executor{Sources: ms.sources, Network: ms.network, Parallel: true, Conns: Conns}
+		par := &exec.Executor{Sources: ms.sources, Network: ms.network, Parallel: true}
 		parRun, err := par.Run(ctx, res.Plan)
 		if err != nil {
 			return nil, err
@@ -258,10 +258,6 @@ func runE10(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
-// AnswerOfRecord exposes the DMV answer for the F-series checks in
-// cmd/fqbench.
-var AnswerOfRecord = set.New("J55", "T21")
-
 // runE11 probes the paper's independence caveat: the best semijoin-adaptive
 // plan is provably the best simple plan only when conditions are
 // independent; under dependence it "provides an excellent heuristic"
@@ -291,7 +287,7 @@ func runE11(ctx context.Context) (*Table, error) {
 
 		measure := func(res optimizer.Result) (float64, set.Set, error) {
 			ms.reset()
-			ex := &exec.Executor{Sources: ms.sources, Network: ms.network, Parallel: Parallel, Conns: Conns}
+			ex := &exec.Executor{Sources: ms.sources, Network: ms.network}
 			run, err := ex.Run(ctx, res.Plan)
 			if err != nil {
 				return 0, set.Set{}, err
@@ -400,7 +396,7 @@ func runE13(ctx context.Context) (*Table, error) {
 				return nil, err
 			}
 			ms.reset()
-			ex := &exec.Executor{Sources: ms.sources, Network: ms.network, Parallel: Parallel, Conns: Conns}
+			ex := &exec.Executor{Sources: ms.sources, Network: ms.network}
 			run, err := ex.Run(ctx, res.Plan)
 			if err != nil {
 				return nil, err
@@ -421,7 +417,7 @@ func runE13(ctx context.Context) (*Table, error) {
 				return nil, err
 			}
 			ms2.reset()
-			ex2 := &exec.Executor{Sources: ms2.sources, Network: ms2.network, Parallel: Parallel, Conns: Conns}
+			ex2 := &exec.Executor{Sources: ms2.sources, Network: ms2.network}
 			run2, records, err := ex2.RunCombined(ctx, res2.Plan)
 			if err != nil {
 				return nil, err
@@ -505,7 +501,7 @@ func runE15(ctx context.Context) (*Table, error) {
 
 		measure := func(res optimizer.Result) (float64, set.Set, error) {
 			ms.reset()
-			ex := &exec.Executor{Sources: ms.sources, Network: ms.network, Parallel: Parallel, Conns: Conns}
+			ex := &exec.Executor{Sources: ms.sources, Network: ms.network}
 			run, err := ex.Run(ctx, res.Plan)
 			if err != nil {
 				return 0, set.Set{}, err
@@ -537,7 +533,7 @@ func runE15(ctx context.Context) (*Table, error) {
 		}
 
 		ms.reset()
-		ex := &exec.Executor{Sources: ms.sources, Network: ms.network, Parallel: Parallel, Conns: Conns}
+		ex := &exec.Executor{Sources: ms.sources, Network: ms.network}
 		adaptiveRun, _, err := ex.RunAdaptive(ctx, ms.problem)
 		if err != nil {
 			return nil, err

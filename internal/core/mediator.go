@@ -112,11 +112,6 @@ type Options struct {
 	Cache bool
 	// Trace records a per-step execution trace in Answer.Exec.Trace.
 	Trace bool
-	// Spans records a span trace of the whole query — planning phases, plan
-	// steps, retry attempts and source exchanges — in Answer.Trace. When the
-	// caller's context already carries a trace (obs.With), spans go there
-	// instead and this option is redundant.
-	Spans bool
 	// Retries re-issues steps whose source queries fail transiently
 	// (source.ErrTransient) up to this many times each, and likewise the
 	// stats exchange that fills the statistics catalog. Context cancellation
@@ -169,12 +164,12 @@ type Answer struct {
 	// recorded — and, for wire-backed sources, every server-side log line —
 	// carries it.
 	QueryID string
-	// Trace holds the query's span trace: tracing is always on while the
-	// mediator has a flight recorder (the default), so exchange spans,
-	// per-leg fabric attempts, and grafted server fragments are available
-	// for every query. The caller's context trace (obs.With) takes
-	// precedence when present. Nil only after SetRecorder(nil) without
-	// Options.Spans.
+	// Trace holds the query's span trace — planning phases, plan steps,
+	// retry attempts, source exchanges, per-leg fabric attempts and grafted
+	// server fragments. Tracing is always on while the mediator has a flight
+	// recorder (the default); the caller's context trace (obs.With) takes
+	// precedence when present. Nil only after SetRecorder(nil) with no trace
+	// in the caller's context.
 	Trace *obs.Trace
 	// Items are the merge-attribute values satisfying all conditions.
 	Items set.Set
@@ -707,14 +702,14 @@ func (m *Mediator) instrumented(ctx context.Context, conds []cond.Cond, opts Opt
 		defer cancel()
 	}
 	// Each query gets a fresh identity. The trace and registry are inherited
-	// from the caller's context when present (cmd/fqbench installs one pair
-	// for a whole run), created or defaulted otherwise. While a flight
-	// recorder is active (the default), tracing is always on: the recorder's
-	// retention policy, not a per-query flag, decides which traces survive.
+	// from the caller's context when present, created or defaulted
+	// otherwise. While a flight recorder is active (the default), tracing is
+	// always on: the recorder's retention policy, not a per-query flag,
+	// decides which traces survive.
 	parent := obs.From(ctx)
 	o := &obs.Obs{QueryID: obs.NewQueryID(), Trace: parent.Trace, Metrics: parent.Metrics}
 	rec := m.Recorder()
-	if o.Trace == nil && (opts.Spans || rec != nil) {
+	if o.Trace == nil && rec != nil {
 		o.Trace = obs.NewTrace()
 	}
 	if o.Metrics == nil {

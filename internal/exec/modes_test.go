@@ -22,33 +22,44 @@ var runModes = []struct {
 	{"stream", func(e *Executor) { e.Streaming = true }},
 }
 
+// synthOnNetwork materializes a synthetic scenario behind one simulated link
+// per source and builds its optimization problem from exact statistics and
+// link-derived profiles, so estimates and measured simulated time are in
+// the same seconds. The statistics pass is not charged.
+func synthOnNetwork(tb testing.TB, cfg workload.SynthConfig, link netsim.Link) (*optimizer.Problem, []source.Source, *netsim.Network) {
+	tb.Helper()
+	sc, err := workload.Synth(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	network := netsim.NewNetwork(1)
+	srcs := make([]source.Source, len(sc.Sources))
+	profiles := make([]stats.SourceProfile, len(sc.Sources))
+	for j, raw := range sc.Sources {
+		network.SetLink(raw.Name(), link)
+		srcs[j] = source.Instrument(raw, network)
+		// Items are the 8-byte "ID%06d" strings.
+		profiles[j] = stats.ProfileFromLink(raw.Name(), link, 8, stats.SupportOf(raw.Caps()))
+	}
+	table, err := stats.BuildFromSources(context.Background(), sc.Conds, srcs, profiles)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	network.Reset()
+	return &optimizer.Problem{Conds: sc.Conds, Sources: sc.SourceNames(), Table: table}, srcs, network
+}
+
 // BenchmarkRunModes runs one fixed plan — SJA over the end-to-end
 // benchmark's planned-execution shape: 6 native-semijoin sources of 2 000
 // tuples over a universe of 4 000, three conditions, netsim attached for
 // accounting — under each scheduler. allocs/op is what a step costs the
 // round scheduler beside the pipelined one.
 func BenchmarkRunModes(b *testing.B) {
-	sc, err := workload.Synth(workload.SynthConfig{
+	pr, srcs, network := synthOnNetwork(b, workload.SynthConfig{
 		Seed: 7, NumSources: 6, TuplesPerSource: 2000, Universe: 4000,
 		Selectivity: []float64{0.3, 0.5, 0.7},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	network := netsim.NewNetwork(1)
-	link := netsim.Link{Latency: time.Millisecond, BytesPerSec: 1 << 20, RequestOverhead: 100 * time.Microsecond, MaxConns: 2}
-	srcs := make([]source.Source, len(sc.Sources))
-	profiles := make([]stats.SourceProfile, len(sc.Sources))
-	for j, raw := range sc.Sources {
-		network.SetLink(raw.Name(), link)
-		srcs[j] = source.Instrument(raw, network)
-		profiles[j] = stats.ProfileFromLink(raw.Name(), link, 8, stats.SupportOf(raw.Caps()))
-	}
-	table, err := stats.BuildFromSources(context.Background(), sc.Conds, srcs, profiles)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := optimizer.SJA(&optimizer.Problem{Conds: sc.Conds, Sources: sc.SourceNames(), Table: table})
+	}, netsim.Link{Latency: time.Millisecond, BytesPerSec: 1 << 20, RequestOverhead: 100 * time.Microsecond, MaxConns: 2})
+	res, err := optimizer.SJA(pr)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"fusionq/internal/cond"
+	"fusionq/internal/netsim"
 	"fusionq/internal/plan"
 	"fusionq/internal/source"
+	"fusionq/internal/workload"
 )
 
 // failNthBinding wraps a source and injects one transient failure on the
@@ -202,32 +204,60 @@ func TestParallelTraceAttributesElapsed(t *testing.T) {
 
 // TestParallelSemijoinMatchesSequential checks the answer and the work
 // accounting are identical across modes: parallelism overlaps exchanges but
-// must not add, drop, or reorder any.
+// must not add, drop, or reorder any. On sources that answer semijoins only
+// by passed bindings the binding queries of a step are independent
+// exchanges, so with enough of them the simulated response time falls
+// strictly as the per-source connections double.
 func TestParallelSemijoinMatchesSequential(t *testing.T) {
-	pr, srcs, network := dmvSetup(t, semijoinCaps)
-	p := semijoinPlan(pr.Conds, pr.Sources)
-	seq, err := (&Executor{Sources: srcs, Network: network}).Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, conns := range []int{1, 4} {
-		pr, srcs, network := dmvSetup(t, semijoinCaps)
-		ex := &Executor{Sources: srcs, Network: network, Parallel: true, Conns: conns}
-		par, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources))
+	type setup func() ([]source.Source, *netsim.Network, *plan.Plan)
+	sweep := func(fresh setup, conns []int) []time.Duration {
+		srcs, network, p := fresh()
+		seq, err := (&Executor{Sources: srcs, Network: network}).Run(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !par.Answer.Equal(seq.Answer) {
-			t.Fatalf("conns=%d: answer = %v, want %v", conns, par.Answer, seq.Answer)
+		var responses []time.Duration
+		for _, conns := range conns {
+			srcs, network, p := fresh()
+			ex := &Executor{Sources: srcs, Network: network, Parallel: true, Conns: conns}
+			par, err := ex.Run(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !par.Answer.Equal(seq.Answer) {
+				t.Fatalf("conns=%d: answer = %v, want %v", conns, par.Answer, seq.Answer)
+			}
+			if par.SourceQueries != seq.SourceQueries {
+				t.Fatalf("conns=%d: SourceQueries = %d, want %d", conns, par.SourceQueries, seq.SourceQueries)
+			}
+			if par.TotalWork != seq.TotalWork {
+				t.Fatalf("conns=%d: TotalWork = %v, want %v", conns, par.TotalWork, seq.TotalWork)
+			}
+			if par.ResponseTime > par.TotalWork {
+				t.Fatalf("conns=%d: ResponseTime %v exceeds TotalWork %v", conns, par.ResponseTime, par.TotalWork)
+			}
+			responses = append(responses, par.ResponseTime)
 		}
-		if par.SourceQueries != seq.SourceQueries {
-			t.Fatalf("conns=%d: SourceQueries = %d, want %d", conns, par.SourceQueries, seq.SourceQueries)
-		}
-		if par.TotalWork != seq.TotalWork {
-			t.Fatalf("conns=%d: TotalWork = %v, want %v", conns, par.TotalWork, seq.TotalWork)
-		}
-		if par.ResponseTime > par.TotalWork {
-			t.Fatalf("conns=%d: ResponseTime %v exceeds TotalWork %v", conns, par.ResponseTime, par.TotalWork)
+		return responses
+	}
+
+	sweep(func() ([]source.Source, *netsim.Network, *plan.Plan) {
+		pr, srcs, network := dmvSetup(t, semijoinCaps)
+		return srcs, network, semijoinPlan(pr.Conds, pr.Sources)
+	}, []int{1, 4})
+
+	conns := []int{1, 2, 4, 8}
+	responses := sweep(func() ([]source.Source, *netsim.Network, *plan.Plan) {
+		pr, srcs, network := synthOnNetwork(t, workload.SynthConfig{
+			Seed: 7, NumSources: 2, TuplesPerSource: 300, Universe: 200,
+			Selectivity: []float64{0.25, 0.3},
+			Caps:        []source.Capabilities{{PassedBindings: true}},
+		}, netsim.Link{Latency: 5 * time.Millisecond, BytesPerSec: 4096, RequestOverhead: 2 * time.Millisecond})
+		return srcs, network, semijoinPlan(pr.Conds, pr.Sources)
+	}, conns)
+	for i := 1; i < len(responses); i++ {
+		if responses[i] >= responses[i-1] {
+			t.Fatalf("conns=%d: ResponseTime %v not below conns=%d's %v", conns[i], responses[i], conns[i-1], responses[i-1])
 		}
 	}
 }

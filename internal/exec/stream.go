@@ -336,10 +336,10 @@ func (r *run) runPipelined(ctx context.Context) error {
 
 	// Drain the answer on this goroutine. The accumulated answer is
 	// mediator memory for the rest of the run, so its bytes stay tracked.
-	met := obs.Meter(ctx)
 	ait := &edgeIter{ed: answerEdge}
 	var answer []string
 	var drainErr error
+	var first time.Duration
 	for {
 		batch, err := ait.Next(rctx)
 		if err != nil {
@@ -350,9 +350,8 @@ func (r *run) runPipelined(ctx context.Context) error {
 			break
 		}
 		if answer == nil {
-			res.FirstAnswer = time.Since(start)
+			first = time.Since(start)
 			faSpan.End(nil)
-			met.Histogram(obs.MFirstAnswerSeconds).Observe(res.FirstAnswer.Seconds())
 		}
 		r.tr.add(batchBytes(batch))
 		answer = append(answer, batch...)
@@ -370,12 +369,13 @@ func (r *run) runPipelined(ctx context.Context) error {
 		// No batch arrived: close the first-answer phase with the outcome
 		// (nil for a legitimately empty answer).
 		faSpan.End(err)
-		if err == nil {
-			res.FirstAnswer = time.Since(start)
-			met.Histogram(obs.MFirstAnswerSeconds).Observe(res.FirstAnswer.Seconds())
-		}
+		first = time.Since(start)
 	}
 	if err == nil {
+		// Only a run that succeeds has a first answer: a batch drained before
+		// a later step failed is discarded with the rest of the partial.
+		res.FirstAnswer = first
+		obs.Meter(ctx).Histogram(obs.MFirstAnswerSeconds).Observe(first.Seconds())
 		res.Answer = set.FromSorted(answer)
 		r.vars[r.p.Result] = res.Answer
 	}

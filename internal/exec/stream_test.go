@@ -3,9 +3,14 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"fusionq/internal/cond"
+	"fusionq/internal/netsim"
 	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
 	"fusionq/internal/set"
@@ -35,53 +40,126 @@ func synthProblem(t *testing.T, cfg workload.SynthConfig) (*optimizer.Problem, [
 	return &optimizer.Problem{Conds: sc.Conds, Sources: sc.SourceNames(), Table: table}, sc.Sources
 }
 
+// failsAfter is a source whose selections wait for gate and then fail.
+type failsAfter struct {
+	source.Source
+	gate <-chan struct{}
+}
+
+func (f failsAfter) Select(ctx context.Context, c cond.Cond) (set.Set, error) {
+	select {
+	case <-f.gate:
+		return set.Set{}, fmt.Errorf("source %s: gone", f.Name())
+	case <-ctx.Done():
+		return set.Set{}, ctx.Err()
+	}
+}
+
+// opensGate is a source that opens gate once a selection's whole result has
+// been handed to the executor: when Select returns, or when a stream of
+// chunks is closed.
+type opensGate struct {
+	source.Source
+	open func()
+}
+
+func (o opensGate) Select(ctx context.Context, c cond.Cond) (set.Set, error) {
+	defer o.open()
+	return o.Source.Select(ctx, c)
+}
+
+func (o opensGate) SelectStream(ctx context.Context, c cond.Cond, batch int) (set.Iter, error) {
+	it, err := source.OpenSelectStream(ctx, o.Source, c, batch)
+	if err != nil {
+		return nil, err
+	}
+	return gateIter{Iter: it, open: o.open}, nil
+}
+
+type gateIter struct {
+	set.Iter
+	open func()
+}
+
+func (g gateIter) Close() error {
+	g.open()
+	return g.Iter.Close()
+}
+
 // TestHonestPartial: under either scheduler a permanently failing source
-// fails the run with an empty answer, while the traffic already paid for
-// stays counted.
+// fails the run with an empty answer and no first answer, while the traffic
+// already paid for stays counted. In the "dead" rows the source fails at
+// once. In the "late" rows the result is a three-item selection at a healthy
+// source, streamed one item a batch, and the failing source (which feeds
+// nothing) stalls until that selection has been handed over whole: the
+// answer edge holds two batches, so under the pipeline the first batch has
+// been drained by then.
 func TestHonestPartial(t *testing.T) {
 	sc := workload.DMV()
-	srcs := make([]source.Source, len(sc.Sources))
-	for j, raw := range sc.Sources {
-		if j == 1 {
-			srcs[j] = source.NewFlaky(raw, 1.0, 7) // every operation fails
-		} else {
-			srcs[j] = raw
+	conds := append(append([]cond.Cond(nil), sc.Conds...), cond.MustParse("D >= 1993")) // all of R1: J55, T21, T80
+	dead := func() ([]source.Source, *plan.Plan) {
+		srcs := append([]source.Source(nil), sc.Sources...)
+		srcs[1] = source.NewFlaky(srcs[1], 1.0, 7) // every operation fails
+		return srcs, &plan.Plan{
+			Conds:   conds,
+			Sources: sc.SourceNames(),
+			Steps: []plan.Step{
+				{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0},
+				{Kind: plan.KindSelect, Out: "B", Cond: 1, Source: 1},
+				{Kind: plan.KindUnion, Out: "U", Cond: -1, Source: -1, In: []string{"A", "B"}},
+			},
+			Result: "U",
 		}
 	}
-	p := &plan.Plan{
-		Conds:   sc.Conds,
-		Sources: sc.SourceNames(),
-		Steps: []plan.Step{
-			{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0},
-			{Kind: plan.KindSelect, Out: "B", Cond: 1, Source: 1},
-			{Kind: plan.KindUnion, Out: "U", Cond: -1, Source: -1, In: []string{"A", "B"}},
-		},
-		Result: "U",
+	late := func() ([]source.Source, *plan.Plan) {
+		gate := make(chan struct{})
+		var once sync.Once
+		srcs := append([]source.Source(nil), sc.Sources...)
+		srcs[0] = opensGate{Source: srcs[0], open: func() { once.Do(func() { close(gate) }) }}
+		srcs[1] = failsAfter{Source: srcs[1], gate: gate}
+		return srcs, &plan.Plan{
+			Conds:   conds,
+			Sources: sc.SourceNames(),
+			Steps: []plan.Step{
+				{Kind: plan.KindSelect, Out: "A", Cond: 2, Source: 0},
+				{Kind: plan.KindSelect, Out: "B", Cond: 1, Source: 1},
+			},
+			Result: "A",
+		}
 	}
+	failures := []struct {
+		name  string
+		build func() ([]source.Source, *plan.Plan)
+	}{{"dead", dead}, {"late", late}}
 	for _, mode := range runModes {
 		t.Run(mode.name, func(t *testing.T) {
-			ex := &Executor{Sources: srcs}
-			mode.configure(ex)
-			got, err := ex.Run(context.Background(), p)
-			if err == nil {
-				t.Fatal("run against a dead source should fail")
-			}
-			if !strings.Contains(err.Error(), "sq(") {
-				t.Fatalf("error %q does not name the failing step", err)
-			}
-			if !got.Answer.IsEmpty() {
-				t.Fatalf("failed run leaked a partial answer: %v", got.Answer)
-			}
-			if got.FirstAnswer != 0 {
-				t.Fatalf("failed run reported FirstAnswer = %v", got.FirstAnswer)
-			}
-			if got.SourceQueries == 0 {
-				t.Fatal("failed run must still report the queries it issued")
-			}
-			// Step 1 failed; in the pipeline its failure may cancel step 0
-			// mid-flight, and FailedStep is the smallest failed index.
-			if got.FailedStep < 0 || got.FailedStep > 1 {
-				t.Fatalf("FailedStep = %d, want 1 (or 0, cancelled by it)", got.FailedStep)
+			for _, failure := range failures {
+				t.Run(failure.name, func(t *testing.T) {
+					srcs, p := failure.build()
+					ex := &Executor{Sources: srcs, BatchSize: 1}
+					mode.configure(ex)
+					got, err := ex.Run(context.Background(), p)
+					if err == nil {
+						t.Fatal("run against a dead source should fail")
+					}
+					if !strings.Contains(err.Error(), "sq(") {
+						t.Fatalf("error %q does not name the failing step", err)
+					}
+					if !got.Answer.IsEmpty() {
+						t.Fatalf("failed run leaked a partial answer: %v", got.Answer)
+					}
+					if got.FirstAnswer != 0 {
+						t.Fatalf("failed run reported FirstAnswer = %v", got.FirstAnswer)
+					}
+					if got.SourceQueries == 0 {
+						t.Fatal("failed run must still report the queries it issued")
+					}
+					// Step 1 failed; in the pipeline its failure may cancel step 0
+					// mid-flight, and FailedStep is the smallest failed index.
+					if got.FailedStep < 0 || got.FailedStep > 1 {
+						t.Fatalf("FailedStep = %d, want 1 (or 0, cancelled by it)", got.FailedStep)
+					}
+				})
 			}
 		})
 	}
@@ -117,34 +195,51 @@ func TestCancellation(t *testing.T) {
 // TestStreamingReducesPeakBytes: on a workload whose intermediates dwarf
 // the answer, the streaming executor's peak mediator memory must come in
 // under the materialized executor's, while the answers stay identical.
+// Every continuation chunk is one more exchange paying the link's fixed
+// costs, so across growing batches the simulated total work falls strictly
+// toward the materialized figure, and plan.EstimateStreamCost — exact
+// statistics, link-derived profiles — predicts it within a factor of two.
 func TestStreamingReducesPeakBytes(t *testing.T) {
-	cfg := workload.SynthConfig{
-		Seed: 3, NumSources: 3, TuplesPerSource: 2000, Universe: 1000,
+	pr, srcs, network := synthOnNetwork(t, workload.SynthConfig{
+		Seed: 18, NumSources: 3, TuplesPerSource: 2000, Universe: 1000,
 		Selectivity: []float64{0.5, 0.5, 0.5},
-	}
-	pr, srcs := synthProblem(t, cfg)
-	res, err := optimizer.Filter(pr)
+	}, netsim.Link{Latency: 5 * time.Millisecond, BytesPerSec: 256 << 10, RequestOverhead: 2 * time.Millisecond})
+	res, err := optimizer.SJAPlus(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat := &Executor{Sources: srcs}
+	mat := &Executor{Sources: srcs, Network: network}
 	matRes, err := mat.Run(context.Background(), res.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	str := &Executor{Sources: srcs, Streaming: true, BatchSize: 32}
-	strRes, err := str.Run(context.Background(), res.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strRes.Answer.Equal(matRes.Answer) {
-		t.Fatalf("answers differ: streaming %d items, materialized %d", strRes.Answer.Len(), matRes.Answer.Len())
-	}
-	if matRes.PeakBytes == 0 || strRes.PeakBytes == 0 {
-		t.Fatalf("peak bytes not accounted: materialized %d, streaming %d", matRes.PeakBytes, strRes.PeakBytes)
-	}
-	if strRes.PeakBytes >= matRes.PeakBytes {
-		t.Fatalf("streaming peak %d not below materialized %d", strRes.PeakBytes, matRes.PeakBytes)
+	prevWork := time.Duration(0)
+	for _, batch := range []int{32, 64, 512} {
+		str := &Executor{Sources: srcs, Network: network, Streaming: true, BatchSize: batch}
+		strRes, err := str.Run(context.Background(), res.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strRes.Answer.Equal(matRes.Answer) {
+			t.Fatalf("batch %d: answers differ: streaming %d items, materialized %d", batch, strRes.Answer.Len(), matRes.Answer.Len())
+		}
+		if matRes.PeakBytes == 0 || strRes.PeakBytes == 0 {
+			t.Fatalf("batch %d: peak bytes not accounted: materialized %d, streaming %d", batch, matRes.PeakBytes, strRes.PeakBytes)
+		}
+		if strRes.PeakBytes >= matRes.PeakBytes {
+			t.Fatalf("batch %d: streaming peak %d not below materialized %d", batch, strRes.PeakBytes, matRes.PeakBytes)
+		}
+		if prevWork > 0 && strRes.TotalWork >= prevWork {
+			t.Fatalf("batch %d: total work %v not below the smaller batch's %v", batch, strRes.TotalWork, prevWork)
+		}
+		prevWork = strRes.TotalWork
+		est, err := plan.EstimateStreamCost(res.Plan, pr.Table, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ratio := est.Cost / strRes.TotalWork.Seconds(); ratio < 0.5 || ratio > 2 {
+			t.Fatalf("batch %d: estimated %.3fs, measured %v: ratio %.2f outside [0.5, 2]", batch, est.Cost, strRes.TotalWork, ratio)
+		}
 	}
 }
 

@@ -15,8 +15,7 @@ import (
 // Registry is a lightweight metrics registry: named counter, gauge and
 // histogram families, each fanned out by label sets. It exposes its contents
 // in Prometheus text exposition format (PrometheusText) and as JSON
-// (Snapshot / MarshalJSON), which the fqsource admin listener serves and
-// fqbench embeds in its -json output.
+// (Snapshot / MarshalJSON), which the admin listeners serve.
 //
 // All methods are safe for concurrent use, and every method on a nil
 // *Registry (and on the nil instruments it then returns) is a no-op, so

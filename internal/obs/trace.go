@@ -27,7 +27,7 @@ const (
 )
 
 // Trace collects the spans of one query — or of several queries, when a
-// caller (cmd/fqbench) installs one Trace for a whole run; each span carries
+// caller installs one Trace in the context of them all; each span carries
 // the query ID it belongs to. All methods are safe for concurrent use: the
 // parallel executor starts and ends spans from many goroutines.
 type Trace struct {
@@ -245,7 +245,7 @@ func (t *Trace) Len() int {
 }
 
 // JSON renders the trace as an indented JSON array of spans, the
-// -trace-json export format of cmd/fusionq and cmd/fqbench.
+// -trace-json export format of cmd/fusionq.
 func (t *Trace) JSON() ([]byte, error) {
 	return json.MarshalIndent(t.Export(), "", "  ")
 }
