@@ -32,11 +32,12 @@ lint-concurrency:
 
 # One fuzz target per go test invocation: the parser, then the two ends of
 # the wire transport (arbitrary bytes into the serve loop and into the
-# client's Do/Stream).
+# client's Do/Stream), then the frame codec against encoding/json.
 fuzz:
 	$(GO) test -fuzz=FuzzParseFusion -fuzztime=30s -run='^$$' ./internal/sqlparse
 	$(GO) test -fuzz=FuzzServerFrame -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClientFrame -fuzztime=20s -run='^$$' ./internal/wire
+	$(GO) test -fuzz=FuzzFrameCodec -fuzztime=20s -run='^$$' ./internal/wire
 
 # Differential oracle: a 60s soak of random universes against the naive
 # reference executor, writing a shrunk repro artifact on failure, then a
@@ -65,8 +66,10 @@ bench:
 # (fault + accounting, the fabric), a batch's exchange accounting at two log
 # lengths, one plan under each scheduler (seq, par, stream), the k-way
 # union, one planning call with the statistics catalog warm, each optimizer
-# at three problem sizes, and the static cost estimator on an SJA+ plan. CI
-# runs the same set once per benchmark as a smoke.
+# at three problem sizes, the static cost estimator on an SJA+ plan, and one
+# wire frame through the codec in each direction at a chunk's and an
+# answer's size, beside encoding/json on the same line. CI runs the same set
+# once per benchmark as a smoke.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'WrapperSelect|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem|Optimizers|PlanEstimate' -benchmem \
-		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core ./internal/optimizer ./internal/plan
+	$(GO) test -run '^$$' -bench 'WrapperSelect|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem|Optimizers|PlanEstimate|FrameCodec' -benchmem \
+		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core ./internal/optimizer ./internal/plan ./internal/wire

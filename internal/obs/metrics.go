@@ -157,55 +157,41 @@ func (r *Registry) familyFor(name, kind string, buckets []float64) *family {
 	return f
 }
 
-// labelPairs normalizes alternating key/value labels: sorted by key. An odd
-// trailing key gets an empty value rather than panicking.
-func labelPairs(labels []string) []string {
-	if len(labels) == 0 {
-		return nil
-	}
-	if len(labels)%2 == 1 {
-		labels = append(append([]string(nil), labels...), "")
-	}
-	type kv struct{ k, v string }
-	pairs := make([]kv, 0, len(labels)/2)
-	for i := 0; i+1 < len(labels); i += 2 {
-		pairs = append(pairs, kv{labels[i], labels[i+1]})
-	}
-	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].k < pairs[b].k })
-	out := make([]string, 0, len(pairs)*2)
-	for _, p := range pairs {
-		out = append(out, p.k, p.v)
-	}
-	return out
-}
-
-func labelKey(pairs []string) string {
-	var b strings.Builder
-	for i := 0; i+1 < len(pairs); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(pairs[i])
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(pairs[i+1]))
-	}
-	return b.String()
-}
-
+// instrumentFor finds the series for alternating key/value labels, creating
+// it on first sight. Labels are normalized by sorting the pairs by key (an
+// odd trailing key gets an empty value rather than panicking), and the map
+// key is each key and value behind its length, which no other pairs spell.
+// Up to four pairs of ordinary length are sorted and keyed on the stack, so
+// a lookup that hits allocates nothing; only the first sighting copies.
 func (f *family) instrumentFor(labels []string) *instrument {
-	pairs := labelPairs(labels)
-	key := labelKey(pairs)
+	var pairsArr [8]string
+	pairs := append(pairsArr[:0], labels...)
+	if len(pairs)%2 == 1 {
+		pairs = append(pairs, "")
+	}
+	for i := 2; i < len(pairs); i += 2 { // a stable insertion sort by key
+		for j := i; j > 0 && pairs[j] < pairs[j-2]; j -= 2 {
+			pairs[j], pairs[j-2] = pairs[j-2], pairs[j]
+			pairs[j+1], pairs[j-1] = pairs[j-1], pairs[j+1]
+		}
+	}
+	var keyArr [128]byte
+	key := keyArr[:0]
+	for _, s := range pairs {
+		key = append(strconv.AppendInt(key, int64(len(s)), 10), ':')
+		key = append(key, s...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	in, ok := f.metrics[key]
+	in, ok := f.metrics[string(key)]
 	if !ok {
-		in = &instrument{labels: pairs}
+		in = &instrument{labels: append([]string(nil), pairs...)}
 		if f.kind == kindHistogram {
 			in.buckets = f.buckets
 			in.counts = make([]int64, len(f.buckets)+1)
 		}
-		f.metrics[key] = in
-		f.order = append(f.order, key)
+		f.metrics[string(key)] = in
+		f.order = append(f.order, string(key))
 	}
 	return in
 }

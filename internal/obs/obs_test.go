@@ -159,6 +159,50 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	}
 }
 
+// TestInstrumentLookupAllocs: looking up a series that exists allocates
+// nothing, whatever order its labels come in, and the normalization it skips
+// allocating for still holds: pair order does not matter, an odd trailing
+// key reads as an empty value, and values that could run together do not.
+func TestInstrumentLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	op := "sq" // a value the compiler cannot fold into a constant slice
+	for name, lookup := range map[string]func() Counter{
+		"no labels":   func() Counter { return r.Counter("fq_a_total") },
+		"one pair":    func() Counter { return r.Counter("fq_b_total", "op", op) },
+		"two pairs":   func() Counter { return r.Counter("fq_c_total", "source", "R1", "op", op) },
+		"odd trailer": func() Counter { return r.Counter("fq_d_total", "op", op, "source") },
+	} {
+		lookup().Inc() // the first sighting creates the series
+		if allocs := testing.AllocsPerRun(100, func() { lookup().Inc() }); allocs != 0 {
+			t.Errorf("%s: a lookup that hits allocates %.0f times, want 0", name, allocs)
+		}
+		if got := lookup().Value(); got != 102 {
+			t.Errorf("%s: the lookups reached a series holding %d, want 102", name, got)
+		}
+	}
+	h := r.Histogram("fq_e_seconds", "op", op)
+	if allocs := testing.AllocsPerRun(100, func() { r.Histogram("fq_e_seconds", "op", op).Observe(1) }); allocs != 0 {
+		t.Errorf("a histogram lookup that hits allocates %.0f times, want 0", allocs)
+	}
+	if h.Count() != 101 {
+		t.Errorf("histogram count = %d, want 101", h.Count())
+	}
+
+	r.Counter("fq_c_total", "op", op, "source", "R1").Inc()
+	if got := r.Counter("fq_c_total", "source", "R1", "op", op).Value(); got != 103 {
+		t.Errorf("pairs in another order reached a series holding %d, want 103", got)
+	}
+	if got := r.Counter("fq_d_total", "source", "", "op", op).Value(); got != 102 {
+		t.Errorf("an explicit empty value reached a series holding %d, want the odd trailer's 102", got)
+	}
+	r.Counter("fq_f_total", "a", "1", "b", "2").Inc()
+	for _, labels := range [][]string{{"a", "1b2"}, {"a", "1", "b", ""}, {"a1", "b2"}, {"a", `1",b="2`}} {
+		if got := r.Counter("fq_f_total", labels...).Value(); got != 0 {
+			t.Errorf("labels %q reached another series (value %d)", labels, got)
+		}
+	}
+}
+
 func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
 	r.Describe("x", "y")

@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 	"time"
 
@@ -97,7 +98,8 @@ func (c *AnswerCache) disabled() bool { return c == nil || c.cfg.MaxEntries < 0 
 // Get returns the cached answer items for key, valid only at the given
 // roster epoch and before the entry's expiry. Expired entries are evicted
 // (reason "ttl"), other-epoch entries too (reason "stale"); both count as
-// misses — the cache never serves an expired or stale answer.
+// misses — the cache never serves an expired or stale answer. The slice is
+// the entry's own, sorted as it was put, and must not be modified.
 func (c *AnswerCache) Get(key string, epoch uint64) ([]string, bool) {
 	if c.disabled() {
 		return nil, false
@@ -124,10 +126,13 @@ func (c *AnswerCache) Get(key string, epoch uint64) ([]string, bool) {
 	return e.items, true
 }
 
-// Put stores the answer items for key at the given roster epoch, stamping
-// the TTL from now and evicting least-recently-used entries until both the
-// entry and byte bounds hold. The items slice is retained; callers must not
-// mutate it afterwards.
+// Put stores a copy of the answer items for key at the given roster epoch,
+// stamping the TTL from now and evicting least-recently-used entries until
+// both the entry and byte bounds hold. The copy is one slice over one block
+// of exactly the items' bytes: an answer's items are substrings of whatever
+// they were decoded or scanned from (wire frames' blocks, a source's rows),
+// and an entry that kept them would retain all of that, which the byte
+// accounting would not see.
 func (c *AnswerCache) Put(key string, epoch uint64, items []string) {
 	if c.disabled() {
 		return
@@ -136,6 +141,16 @@ func (c *AnswerCache) Put(key string, epoch uint64, items []string) {
 	for _, it := range items {
 		n += int64(len(it))
 	}
+	var block strings.Builder
+	block.Grow(int(n))
+	for _, it := range items {
+		block.WriteString(it)
+	}
+	own, rest := make([]string, len(items)), block.String()
+	for i, it := range items {
+		own[i], rest = rest[:len(it)], rest[len(it):]
+	}
+	items = own
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {

@@ -3,6 +3,8 @@ package service
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,5 +158,37 @@ func TestAnswerCacheStaleEpochNeverServed(t *testing.T) {
 	// The eviction is real: the old answer is gone even at its own epoch.
 	if _, ok := c.Get("k", 1); ok {
 		t.Fatal("evicted entry served after stale invalidation")
+	}
+}
+
+// TestAnswerCacheDoesNotPinWhatItsItemsCameFrom: an answer's items are
+// substrings of larger blocks (wire frames, source rows). The entry keeps a
+// copy, so once the caller lets go, what stays on the heap is what the
+// entry accounts for, not the blocks.
+func TestAnswerCacheDoesNotPinWhatItsItemsCameFrom(t *testing.T) {
+	const blocks, blockBytes, slack = 32, 512 << 10, 1 << 20
+	c := NewAnswerCache(AnswerCacheConfig{Metrics: obs.NewRegistry()})
+	inUse := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapInuse)
+	}
+	before := inUse()
+	items := make([]string, blocks)
+	for i := range items {
+		block := strings.Repeat(fmt.Sprintf("%07d,", i), blockBytes/8)
+		items[i] = block[8*i : 8*i+7]
+	}
+	c.Put("k", 1, items)
+	items = nil
+	grew := inUse() - before
+	if retained := c.Stats().Bytes + 16*blocks; grew > retained+slack {
+		t.Fatalf("the heap grew by %d bytes across a Put accounted at %d: the entry pins what its items were cut from (%d bytes)",
+			grew, retained, blocks*blockBytes)
+	}
+	got, ok := c.Get("k", 1)
+	if !ok || len(got) != blocks || got[3] != "0000003" {
+		t.Fatalf("Get = %q, %v", got, ok)
 	}
 }

@@ -149,7 +149,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, error) {
 	epoch := e.med.Epoch()
 
 	if items, ok := e.answers.Get(key, epoch); ok {
-		return &Result{Answer: &core.Answer{Items: set.New(items...)}, AnswerCached: true}, nil
+		return &Result{Answer: &core.Answer{Items: set.FromSorted(items)}, AnswerCached: true}, nil
 	}
 
 	planReusable := !opts.Adaptive && !opts.CombinedFetch
@@ -189,7 +189,7 @@ func (e *Engine) finish(key string, epoch uint64, ans *core.Answer, err error, p
 			e.med.RemoveSource(name)
 		}
 	} else {
-		e.answers.Put(key, epoch, ans.Items.Slice())
+		e.answers.Put(key, epoch, ans.Items.Items())
 	}
 	return &Result{Answer: ans, PlanCached: planCached}, nil
 }

@@ -140,7 +140,7 @@ func (s *Server) dispatch(ctx context.Context, req wire.Request) wire.Response {
 			return resp
 		}
 		return wire.Response{
-			Items:        res.Answer.Items.Slice(),
+			Items:        res.Answer.Items.Items(), // the listener only reads them
 			PlanCached:   res.PlanCached,
 			AnswerCached: res.AnswerCached,
 		}

@@ -11,6 +11,7 @@
 package set
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -30,24 +31,27 @@ func New(items ...string) Set {
 	if len(items) == 0 {
 		return Set{}
 	}
-	cp := make([]string, len(items))
-	copy(cp, items)
-	sort.Strings(cp)
-	// Deduplicate in place.
-	w := 1
-	for r := 1; r < len(cp); r++ {
-		if cp[r] != cp[w-1] {
-			cp[w] = cp[r]
-			w++
-		}
-	}
-	return Set{items: cp[:w]}
+	return Adopt(slices.Clone(items))
 }
 
 // FromSorted adopts a slice that the caller guarantees is sorted and
 // duplicate-free. It takes ownership of the slice. It is used by hot paths
 // (set algebra, source scans over an ordered index) to avoid re-sorting.
 func FromSorted(items []string) Set {
+	return Set{items: items}
+}
+
+// Adopt builds a Set from a slice the caller gives up. Items already in
+// strictly increasing order, which one pass establishes, are adopted as they
+// stand; any others are sorted and deduplicated in place. It is for items
+// that arrive in order but unvouched for, such as a peer's.
+func Adopt(items []string) Set {
+	for i := 1; i < len(items); i++ {
+		if items[i-1] >= items[i] {
+			sort.Strings(items)
+			return Set{items: slices.Compact(items)}
+		}
+	}
 	return Set{items: items}
 }
 

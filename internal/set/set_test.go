@@ -166,6 +166,23 @@ func TestFromSortedAdoptsSlice(t *testing.T) {
 	}
 }
 
+// TestAdopt: a strictly increasing slice becomes the set as it stands, with
+// no copy; anything else is put right, so the result is always New's.
+func TestAdopt(t *testing.T) {
+	sorted := []string{"a", "b", "c"}
+	if s := Adopt(sorted); !s.Equal(New("a", "b", "c")) || &s.Items()[0] != &sorted[0] {
+		t.Fatalf("Adopt of a sorted slice = %v, want the slice itself", s)
+	}
+	for _, items := range [][]string{nil, {}, {"b", "a"}, {"a", "a"}, {"a", "c", "b", "c", "a"}} {
+		if got, want := Adopt(append([]string(nil), items...)), New(items...); !got.Equal(want) || got.Len() != want.Len() {
+			t.Errorf("Adopt(%q) = %v, want %v", items, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Adopt(sorted) }); allocs != 0 {
+		t.Errorf("Adopt of a sorted slice allocates %.0f times, want 0", allocs)
+	}
+}
+
 // ---- property-based tests -------------------------------------------------
 
 // randomSet converts arbitrary fuzz input into a Set over a small alphabet so

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/json"
 	"testing"
 
 	"fusionq/internal/bloom"
@@ -13,9 +12,9 @@ import (
 )
 
 // TestRequestLines pins the bytes a client puts on the wire for each source
-// operation: the lines are what the client sent before Call existed, captured
-// from its socket, so a v1 server reads this build's requests as it read
-// that one's.
+// operation, as Conn.send frames them: the lines are what the client sent
+// before Call existed, captured from its socket, so a v1 server reads this
+// build's requests as it read that one's.
 func TestRequestLines(t *testing.T) {
 	c := cond.MustParse("V = 'dui' AND D < 1995")
 	y := set.New("T21", "J55")
@@ -43,11 +42,12 @@ func TestRequestLines(t *testing.T) {
 		{source.Call{Op: source.OpSelect, Cond: c, Batch: 2},
 			`{"op":"sq","cond":"V = 'dui' AND D \u003c 1995","chunk":2}`},
 	} {
-		got, err := json.Marshal(encodeCall(tc.call))
+		req := encodeCall(tc.call)
+		got, err := appendFrame(nil, &req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != tc.line {
+		if string(got) != tc.line+"\n" {
 			t.Errorf("%s:\n got  %s\n want %s", tc.call.Op, got, tc.line)
 		}
 	}

@@ -3,10 +3,8 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 
@@ -14,38 +12,16 @@ import (
 	"fusionq/internal/source"
 )
 
-// MaxFrameBytes bounds one frame (one JSON line) read from a peer, and the
-// whole of an answer Do reassembles from chunks. Peers are autonomous
-// (Section 2.1), so a frame length is never taken on trust. The decoder
-// reads ahead, so the bound is enforced to within a factor of two.
+// MaxFrameBytes bounds one frame read from a peer, newline included, and
+// the sum of the frames Do reassembles an answer from. Peers are autonomous
+// (Section 2.1), so a frame length is never taken on trust. The bound is
+// exact: a frame of MaxFrameBytes is read, one byte more is refused before
+// it is buffered.
 const MaxFrameBytes = 16 << 20
 
 // ErrFrameTooLarge reports a peer that exceeded MaxFrameBytes. The
 // connection it was read from is dropped: the rest of the frame is unread.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds the byte budget")
-
-// frameBudget is the reader under a connection's json.Decoder. It counts
-// the bytes the decoder pulls and fails once a budget armed before the
-// frame is spent, so both ends of the protocol bound what a peer can make
-// them buffer.
-type frameBudget struct {
-	r    io.Reader
-	left int
-}
-
-func (b *frameBudget) arm() { b.left = MaxFrameBytes }
-
-func (b *frameBudget) Read(p []byte) (int, error) {
-	if b.left <= 0 {
-		return 0, ErrFrameTooLarge
-	}
-	if len(p) > b.left {
-		p = p[:b.left]
-	}
-	n, err := b.r.Read(p)
-	b.left -= n
-	return n, err
-}
 
 // Conn is the client side of the protocol: one TCP connection carrying
 // line-JSON frames, redialed on demand. It is what a source client
@@ -61,12 +37,10 @@ type Conn struct {
 	// their context — a caller queued behind a stalled exchange can give up
 	// instead of blocking until the peer's deadline fires — and so the slot
 	// can be handed to the stream pump goroutine for a chunked transfer.
-	sem    chan struct{}
-	conn   net.Conn
-	enc    *json.Encoder
-	dec    *json.Decoder
-	bw     *bufio.Writer
-	budget frameBudget
+	sem  chan struct{}
+	conn net.Conn
+	in   frameReader
+	out  []byte // the request frame being sent, kept up to maxKeptBuffer
 }
 
 // DialConn connects to addr and performs the meta handshake: the peer must
@@ -173,20 +147,20 @@ func (c *Conn) send(ctx context.Context, req Request) error {
 			return fmt.Errorf("dial: %w", err)
 		}
 		c.conn = conn
-		c.bw = bufio.NewWriter(conn)
-		c.enc = json.NewEncoder(c.bw)
-		c.budget = frameBudget{r: bufio.NewReader(conn)}
-		c.dec = json.NewDecoder(&c.budget)
+		c.in = frameReader{br: bufio.NewReader(conn)}
 	}
 	// Without a deadline this is the zero time, which clears a prior call's.
 	deadline, _ := ctx.Deadline()
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		return err
 	}
-	if err := c.enc.Encode(req); err != nil {
+	out, err := appendFrame(c.out, &req)
+	if err != nil {
 		return err
 	}
-	return c.bw.Flush()
+	c.out = kept(out)
+	_, err = c.conn.Write(out)
+	return err
 }
 
 // Do sends one request and returns its response, reassembling a chunked
@@ -234,17 +208,17 @@ func (c *Conn) do(ctx context.Context, req Request) (Response, error) {
 }
 
 // exchange sends req and reads its response frames up to the final one.
-// The frame budget is armed once, so it bounds the reassembled answer: a
+// The frames draw on one budget, so it bounds the reassembled answer: a
 // peer that sends More forever cannot grow the item slice without bound.
 func (c *Conn) exchange(ctx context.Context, req Request) (Response, error) {
 	if err := c.send(ctx, req); err != nil {
 		return Response{}, err
 	}
-	c.budget.arm()
+	budget := MaxFrameBytes
 	var items []string
 	for {
 		var resp Response
-		if err := c.dec.Decode(&resp); err != nil {
+		if err := c.in.read(&resp, &budget); err != nil {
 			return Response{}, err
 		}
 		if !resp.More {

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -197,10 +196,8 @@ func (l *Listener) serveConn(conn net.Conn) {
 		l.mu.Unlock()
 		conn.Close()
 	}()
-	budget := frameBudget{r: bufio.NewReader(conn)}
-	w := bufio.NewWriter(conn)
-	enc := json.NewEncoder(w)
-	dec := json.NewDecoder(&budget)
+	in := frameReader{br: bufio.NewReader(conn)}
+	var out []byte // the response frame being written, kept up to maxKeptBuffer
 	for {
 		if l.cfg.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(l.cfg.IdleTimeout)); err != nil {
@@ -210,9 +207,9 @@ func (l *Listener) serveConn(conn net.Conn) {
 		if l.isClosed() {
 			return // a drain's nudge came before the deadline above replaced it
 		}
-		budget.arm()
+		budget := MaxFrameBytes
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := in.read(&req, &budget); err != nil {
 			switch {
 			case l.isClosed():
 			case errors.Is(err, os.ErrDeadlineExceeded):
@@ -224,7 +221,7 @@ func (l *Listener) serveConn(conn net.Conn) {
 		}
 		recv := time.Now()
 		resp := l.handler(l.baseCtx, req)
-		// Each chunk is flushed as soon as it is encoded, so a chunking
+		// Each chunk is written as soon as it is encoded, so a chunking
 		// client starts consuming items while later chunks are still being
 		// written — the wire half of streaming execution.
 		chunkStart := time.Now()
@@ -241,13 +238,15 @@ func (l *Listener) serveConn(conn net.Conn) {
 					return
 				}
 			}
-			if err := enc.Encode(chunks[i]); err != nil {
+			var err error
+			if out, err = appendFrame(out[:0], &chunks[i]); err != nil {
 				return
 			}
-			if err := w.Flush(); err != nil {
+			if _, err := conn.Write(out); err != nil {
 				return
 			}
 		}
+		out = kept(out)
 	}
 }
 

@@ -182,9 +182,10 @@ type Meta struct {
 // leaves zero are omitted from the line.
 
 // encodeCall is the request line of a source operation. A streamed call asks
-// for chunks of its batch size.
+// for chunks of its batch size. The line's items are the set's own slice,
+// here and in encodeReply: the frame encoder only reads them.
 func encodeCall(call source.Call) Request {
-	req := Request{Op: string(call.Op), Items: call.Items.Slice(), Item: call.Item, Chunk: call.Batch}
+	req := Request{Op: string(call.Op), Items: call.Items.Items(), Item: call.Item, Chunk: call.Batch}
 	if call.Cond != nil {
 		req.Cond = call.Cond.String()
 	}
@@ -198,9 +199,11 @@ func encodeCall(call source.Call) Request {
 // vouches for: the condition and the filter an operation needs must be
 // there and parse. An op that is none of source's fails here when it
 // carries no condition, and in source.Do otherwise. Chunking is the
-// listener's, so the Call is never a streamed one.
+// listener's, so the Call is never a streamed one. The request's items
+// become the Call's, here and in decodeReply: the frame they were decoded
+// from is the caller's to give.
 func decodeCall(req Request) (source.Call, error) {
-	call := source.Call{Op: source.Op(req.Op), Items: set.New(req.Items...), Item: req.Item}
+	call := source.Call{Op: source.Op(req.Op), Items: set.Adopt(req.Items), Item: req.Item}
 	var err error
 	if call.Op != source.OpLoad && call.Op != source.OpFetch && call.Op != source.OpStats {
 		call.Cond, err = cond.Parse(req.Cond)
@@ -217,7 +220,7 @@ func decodeCall(req Request) (source.Call, error) {
 // encodeReply is the response to a source operation; a loaded relation
 // travels as its rows.
 func encodeReply(reply source.Reply) Response {
-	resp := Response{Items: reply.Items.Slice(), Match: reply.Match, Stats: reply.Stats}
+	resp := Response{Items: reply.Items.Items(), Match: reply.Match, Stats: reply.Stats}
 	tuples := reply.Tuples
 	if reply.Rel != nil {
 		tuples = reply.Rel.Rows()
@@ -235,7 +238,7 @@ func encodeReply(reply source.Reply) Response {
 // a load's rows are inserted into a relation of the given schema, and the
 // answer to stats must carry a summary.
 func decodeReply(op source.Op, resp Response, schema *relation.Schema) (source.Reply, error) {
-	reply := source.Reply{Items: set.New(resp.Items...), Match: resp.Match, Stats: resp.Stats}
+	reply := source.Reply{Items: set.Adopt(resp.Items), Match: resp.Match, Stats: resp.Stats}
 	if op == source.OpStats && resp.Stats == nil {
 		return source.Reply{}, fmt.Errorf("wire: %s: the response carries no summary", op)
 	}

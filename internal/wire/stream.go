@@ -76,9 +76,9 @@ func (st *clientStream) pump() {
 	var perr error
 	var frag *Fragment
 	for {
-		c.budget.arm()
+		budget := MaxFrameBytes
 		var resp Response
-		if err := c.dec.Decode(&resp); err != nil {
+		if err := c.in.read(&resp, &budget); err != nil {
 			err = c.fail(st.ctx, err)
 			st.mu.Lock()
 			if !st.closed {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -116,10 +117,27 @@ const okMeta = `{"meta":{"version":1,"name":"stub","merge":"L","columns":[{"name
 
 func anyPeer(wire.Meta) error { return nil }
 
+// framePadded is a frame of exactly n bytes, newline included: open and
+// shut around a run of filler.
+func framePadded(open, shut string, n int) string {
+	return open + strings.Repeat("a", n-len(open)-len(shut)-1) + shut + "\n"
+}
+
+// hungUp is a stub's check that its client dropped the connection: the
+// read ends, by EOF or by a reset when bytes of the stub's were left unread.
+func hungUp(conn net.Conn, r *bufio.Reader) error {
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := r.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		return fmt.Errorf("read after the overrun = %v: the client kept the connection", err)
+	}
+	return nil
+}
+
 // TestClientFrameBudget: a peer cannot make a client buffer without bound,
 // neither with one huge frame nor with chunks that never end; the client
 // reports ErrFrameTooLarge (not a transient failure: a retry would repeat
-// it) and hangs up.
+// it) and hangs up. The bound is exact, on one frame and on the frames of
+// one answer together: MaxFrameBytes are read, one byte more is not.
 func TestClientFrameBudget(t *testing.T) {
 	flood := func(open, body string) func(net.Conn, *bufio.Reader) error {
 		return func(conn net.Conn, r *bufio.Reader) error {
@@ -138,12 +156,46 @@ func TestClientFrameBudget(t *testing.T) {
 			return errors.New("the client took three budgets' worth of bytes without hanging up")
 		}
 	}
-	for name, then := range map[string]func(net.Conn, *bufio.Reader) error{
-		"one endless frame":  flood(`{"items":["`, strings.Repeat("a", 1<<16)),
-		"chunks without end": flood("", `{"items":["`+strings.Repeat("a", 1<<16)+`"],"more":true}`+"\n"),
+	// answer replies with the given frames and, when they overrun the
+	// budget, expects to be hung up on.
+	answer := func(overrun bool, frames ...string) func(net.Conn, *bufio.Reader) error {
+		return func(conn net.Conn, r *bufio.Reader) error {
+			if _, err := r.ReadString('\n'); err != nil {
+				return err
+			}
+			conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
+			for _, frame := range frames {
+				if _, err := io.WriteString(conn, frame); err != nil {
+					if overrun {
+						return nil // the client hung up mid-frame
+					}
+					return err
+				}
+			}
+			if overrun {
+				return hungUp(conn, r)
+			}
+			return nil
+		}
+	}
+	const half = wire.MaxFrameBytes / 2
+	for name, tc := range map[string]struct {
+		then  func(net.Conn, *bufio.Reader) error
+		items int // of an answer within budget; zero for an overrun
+	}{
+		"one endless frame":  {then: flood(`{"items":["`, strings.Repeat("a", 1<<16))},
+		"chunks without end": {then: flood("", `{"items":["`+strings.Repeat("a", 1<<16)+`"],"more":true}`+"\n")},
+		"a frame of exactly the budget": {items: 1,
+			then: answer(false, framePadded(`{"items":["`, `"]}`, wire.MaxFrameBytes))},
+		"a frame one byte over": {
+			then: answer(true, framePadded(`{"items":["`, `"]}`, wire.MaxFrameBytes+1))},
+		"chunks of exactly the budget together": {items: 2,
+			then: answer(false, framePadded(`{"items":["`, `"],"more":true}`, half), framePadded(`{"items":["b`, `"]}`, half))},
+		"chunks one byte over together": {
+			then: answer(true, framePadded(`{"items":["`, `"],"more":true}`, half), framePadded(`{"items":["b`, `"]}`, half+1))},
 	} {
 		t.Run(name, func(t *testing.T) {
-			addr, verdict := stubPeer(t, okMeta, then)
+			addr, verdict := stubPeer(t, okMeta, tc.then)
 			conn, err := wire.DialConn(context.Background(), addr, anyPeer)
 			if err != nil {
 				t.Fatal(err)
@@ -151,11 +203,15 @@ func TestClientFrameBudget(t *testing.T) {
 			defer conn.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 			defer cancel()
-			_, err = conn.Do(ctx, wire.Request{Op: wire.OpQuery, Chunk: 1})
-			if !errors.Is(err, wire.ErrFrameTooLarge) {
+			resp, err := conn.Do(ctx, wire.Request{Op: wire.OpQuery, Chunk: 1})
+			switch {
+			case tc.items > 0:
+				if err != nil || len(resp.Items) != tc.items {
+					t.Fatalf("Do = %d items, %v; want %d items of an answer within budget", len(resp.Items), err, tc.items)
+				}
+			case !errors.Is(err, wire.ErrFrameTooLarge):
 				t.Fatalf("Do = %v, want ErrFrameTooLarge", err)
-			}
-			if source.IsTransient(err) {
+			case source.IsTransient(err):
 				t.Fatalf("%v is classified transient", err)
 			}
 			if err := <-verdict; err != nil {
@@ -166,7 +222,8 @@ func TestClientFrameBudget(t *testing.T) {
 }
 
 // TestServerFrameBudget: both kinds of server hang up on a request frame
-// that overruns the budget instead of buffering it.
+// that overruns the budget instead of buffering it, and the bound is exact:
+// a request of MaxFrameBytes is answered, one a byte longer is not.
 func TestServerFrameBudget(t *testing.T) {
 	for _, p := range peers {
 		t.Run(p.name, func(t *testing.T) {
@@ -178,6 +235,13 @@ func TestServerFrameBudget(t *testing.T) {
 				}
 			}})
 			defer srv.Close()
+			wantOverrunLogged := func() {
+				t.Helper()
+				if line := <-logged; !strings.Contains(line, wire.ErrFrameTooLarge.Error()) {
+					t.Fatalf("server logged %q, want the frame-budget error", line)
+				}
+			}
+
 			conn := rawConn(t, srv.Addr(), false)
 			conn.SetDeadline(time.Now().Add(30 * time.Second))
 			hungUp := false
@@ -192,9 +256,26 @@ func TestServerFrameBudget(t *testing.T) {
 			if !hungUp {
 				t.Fatal("the server took three budgets' worth of bytes without hanging up")
 			}
-			if line := <-logged; !strings.Contains(line, wire.ErrFrameTooLarge.Error()) {
-				t.Fatalf("server logged %q, want the frame-budget error", line)
+			wantOverrunLogged()
+
+			// The boundary, on one connection: the padding rides a member
+			// the meta operation ignores.
+			conn = rawConn(t, srv.Addr(), false)
+			conn.SetDeadline(time.Now().Add(30 * time.Second))
+			r := bufio.NewReader(conn)
+			if _, err := io.WriteString(conn, framePadded(`{"op":"meta","cond":"`, `"}`, wire.MaxFrameBytes)); err != nil {
+				t.Fatal(err)
 			}
+			if line, err := r.ReadString('\n'); err != nil || !strings.Contains(line, `"meta":{`) {
+				t.Fatalf("a request of exactly the budget was answered %q, %v", line, err)
+			}
+			// The server stops reading at the budget, so the tail of the
+			// write may meet a reset: only the hang-up is asserted.
+			_, _ = io.WriteString(conn, framePadded(`{"op":"meta","cond":"`, `"}`, wire.MaxFrameBytes+1))
+			if line, err := r.ReadString('\n'); err == nil {
+				t.Fatalf("a request one byte over the budget was answered %q", line)
+			}
+			wantOverrunLogged()
 		})
 	}
 }
