@@ -30,11 +30,13 @@ lint-concurrency:
 	./bin/fqlint -only lockorder,blockinglock,chandiscipline ./...
 	./bin/fqlint -only lockorder,blockinglock,chandiscipline -json ./... > fqlint-concurrency.json
 
-# One fuzz target per go test invocation: the parser, then the two ends of
-# the wire transport (arbitrary bytes into the serve loop and into the
-# client's Do/Stream), then the frame codec against encoding/json.
+# One fuzz target per go test invocation: the parser, the bound condition
+# kernel against Eval, then the two ends of the wire transport (arbitrary
+# bytes into the serve loop and into the client's Do/Stream), then the frame
+# codec against encoding/json.
 fuzz:
 	$(GO) test -fuzz=FuzzParseFusion -fuzztime=30s -run='^$$' ./internal/sqlparse
+	$(GO) test -fuzz=FuzzBoundMatchesEval -fuzztime=20s -run='^$$' ./internal/cond
 	$(GO) test -fuzz=FuzzServerFrame -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClientFrame -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzFrameCodec -fuzztime=20s -run='^$$' ./internal/wire
@@ -62,7 +64,8 @@ bench:
 	$(GO) run ./benchmark
 
 # Layer micro-benchmarks behind the end-to-end benchmark's numbers: the
-# wrapper's selection scan, one selection bare and under the source layers
+# wrapper's selection (every node kind, one relation and six in turn) and
+# semijoin (10^2 and 10^4 items), one selection bare and under the source layers
 # (fault + accounting, the fabric), a batch's exchange accounting at two log
 # lengths, one plan under each scheduler (seq, par, stream), the k-way
 # union, one planning call with the statistics catalog warm, each optimizer
@@ -71,5 +74,5 @@ bench:
 # answer's size, beside encoding/json on the same line. CI runs the same set
 # once per benchmark as a smoke.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'WrapperSelect|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem|Optimizers|PlanEstimate|FrameCodec' -benchmem \
+	$(GO) test -run '^$$' -bench 'WrapperSelect|WrapperSemijoin|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem|Optimizers|PlanEstimate|FrameCodec' -benchmem \
 		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core ./internal/optimizer ./internal/plan ./internal/wire

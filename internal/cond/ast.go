@@ -48,10 +48,6 @@ func (o Op) String() string {
 	}
 }
 
-// Pred is a condition bound to one schema: it evaluates tuples of that
-// schema without resolving attribute names again.
-type Pred func(t relation.Tuple) (bool, error)
-
 // Cond is a boolean predicate over a single tuple.
 type Cond interface {
 	// Eval evaluates the condition against tuple t typed by schema.
@@ -59,9 +55,10 @@ type Cond interface {
 	// Check verifies the condition is well typed against schema.
 	Check(schema *relation.Schema) error
 	// Bind resolves every attribute to its column of schema once and
-	// returns the predicate that scans evaluate per tuple. It fails exactly
-	// when Check(schema) fails, with the same error; the predicate returns
-	// what Eval(schema, t) returns, errors included.
+	// returns the kernel that scans run over an ordered view's columns
+	// (bound.go). It fails exactly when Check(schema) fails, with the same
+	// error; the kernel marks the rows on which Eval(schema, row) is true,
+	// and Eval raises no error on a row of a relation that Check passed.
 	Bind(schema *relation.Schema) (Pred, error)
 	// String renders the condition in parseable syntax.
 	String() string
@@ -81,15 +78,6 @@ func (c *Compare) Eval(schema *relation.Schema, t relation.Tuple) (bool, error) 
 		return false, fmt.Errorf("cond: unknown attribute %q", c.Attr)
 	}
 	return c.test(t[i])
-}
-
-// Bind implements Cond.
-func (c *Compare) Bind(schema *relation.Schema) (Pred, error) {
-	if err := c.Check(schema); err != nil {
-		return nil, err
-	}
-	i, _ := schema.Index(c.Attr)
-	return func(t relation.Tuple) (bool, error) { return c.test(t[i]) }, nil
 }
 
 // test applies the comparison to the attribute's value.
@@ -128,6 +116,9 @@ func (c *Compare) Check(schema *relation.Schema) error {
 	if !ok {
 		return fmt.Errorf("cond: unknown attribute %q", c.Attr)
 	}
+	if c.Op < OpEq || c.Op > OpLike {
+		return fmt.Errorf("cond: bad operator %v", c.Op)
+	}
 	if c.Op == OpLike {
 		if k != relation.KindString || c.Lit.Kind() != relation.KindString {
 			return fmt.Errorf("cond: LIKE on %q requires string operands", c.Attr)
@@ -159,15 +150,6 @@ func (c *In) Eval(schema *relation.Schema, t relation.Tuple) (bool, error) {
 		return false, fmt.Errorf("cond: unknown attribute %q", c.Attr)
 	}
 	return c.test(t[i]), nil
-}
-
-// Bind implements Cond.
-func (c *In) Bind(schema *relation.Schema) (Pred, error) {
-	if err := c.Check(schema); err != nil {
-		return nil, err
-	}
-	i, _ := schema.Index(c.Attr)
-	return func(t relation.Tuple) (bool, error) { return c.test(t[i]), nil }, nil
 }
 
 // test reports whether the attribute's value is in the list.
@@ -216,21 +198,6 @@ func (c *And) Eval(schema *relation.Schema, t relation.Tuple) (bool, error) {
 	return c.R.Eval(schema, t)
 }
 
-// Bind implements Cond.
-func (c *And) Bind(schema *relation.Schema) (Pred, error) {
-	l, r, err := bindPair(c.L, c.R, schema)
-	if err != nil {
-		return nil, err
-	}
-	return func(t relation.Tuple) (bool, error) {
-		ok, err := l(t)
-		if err != nil || !ok {
-			return false, err
-		}
-		return r(t)
-	}, nil
-}
-
 // Check implements Cond.
 func (c *And) Check(schema *relation.Schema) error {
 	if err := c.L.Check(schema); err != nil {
@@ -256,21 +223,6 @@ func (c *Or) Eval(schema *relation.Schema, t relation.Tuple) (bool, error) {
 	return c.R.Eval(schema, t)
 }
 
-// Bind implements Cond.
-func (c *Or) Bind(schema *relation.Schema) (Pred, error) {
-	l, r, err := bindPair(c.L, c.R, schema)
-	if err != nil {
-		return nil, err
-	}
-	return func(t relation.Tuple) (bool, error) {
-		ok, err := l(t)
-		if err != nil || ok {
-			return ok, err
-		}
-		return r(t)
-	}, nil
-}
-
 // Check implements Cond.
 func (c *Or) Check(schema *relation.Schema) error {
 	if err := c.L.Check(schema); err != nil {
@@ -293,18 +245,6 @@ func (c *Not) Eval(schema *relation.Schema, t relation.Tuple) (bool, error) {
 	return !v, err
 }
 
-// Bind implements Cond.
-func (c *Not) Bind(schema *relation.Schema) (Pred, error) {
-	p, err := c.C.Bind(schema)
-	if err != nil {
-		return nil, err
-	}
-	return func(t relation.Tuple) (bool, error) {
-		v, err := p(t)
-		return !v, err
-	}, nil
-}
-
 // Check implements Cond.
 func (c *Not) Check(schema *relation.Schema) error { return c.C.Check(schema) }
 
@@ -321,27 +261,8 @@ func (True) Eval(*relation.Schema, relation.Tuple) (bool, error) { return true, 
 // Check implements Cond.
 func (True) Check(*relation.Schema) error { return nil }
 
-// Bind implements Cond.
-func (True) Bind(*relation.Schema) (Pred, error) {
-	return func(relation.Tuple) (bool, error) { return true, nil }, nil
-}
-
 // String implements Cond.
 func (True) String() string { return "TRUE" }
-
-// bindPair binds the operands of a binary node left to right, the order
-// Check reports their errors in.
-func bindPair(l, r Cond, schema *relation.Schema) (Pred, Pred, error) {
-	lp, err := l.Bind(schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	rp, err := r.Bind(schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lp, rp, nil
-}
 
 func paren(c Cond) string {
 	switch c.(type) {

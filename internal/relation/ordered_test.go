@@ -22,7 +22,7 @@ func randomRelation(t testing.TB, rng *rand.Rand, n, universe int) *Relation {
 
 // checkOrdered holds the view to its contract: sorted distinct items, every
 // tuple exactly once, each group holding its item's tuples in insertion
-// order and clipped to the group.
+// order and clipped to the group, each column vector its column of Rows.
 func checkOrdered(t *testing.T, r *Relation) {
 	t.Helper()
 	o := r.Ordered()
@@ -31,6 +31,11 @@ func checkOrdered(t *testing.T, r *Relation) {
 	}
 	if len(o.Start) != len(o.Items)+1 || len(o.Rows) != r.Len() || o.Start[len(o.Items)] != r.Len() {
 		t.Fatalf("shape: %d items, %d starts, %d rows, relation has %d", len(o.Items), len(o.Start), len(o.Rows), r.Len())
+	}
+	for i, row := range o.Rows {
+		if o.Cols[0].Strings[i] != row[0].Str() || o.Cols[1].Strings[i] != row[1].Str() || o.Cols[2].Ints[i] != row[2].IntVal() {
+			t.Fatalf("row %d is %v, its columns hold %q, %q, %d", i, row, o.Cols[0].Strings[i], o.Cols[1].Strings[i], o.Cols[2].Ints[i])
+		}
 	}
 	want := map[string][]int64{}
 	for _, row := range r.Rows() {
@@ -70,6 +75,51 @@ func TestOrderedView(t *testing.T) {
 		}
 	}
 	checkOrdered(t, NewRelation(MustSchema("L", Column{"L", KindString})))
+}
+
+// TestOrderedColumnsOfEveryKind builds a view over one column of each kind.
+func TestOrderedColumnsOfEveryKind(t *testing.T) {
+	r := NewRelation(MustSchema("K", Column{"K", KindInt}, Column{"F", KindFloat}, Column{"S", KindString}, Column{"B", KindBool}))
+	r.MustInsert(Int(2), Float(0.5), String("b"), Bool(true))
+	r.MustInsert(Int(10), Float(-1), String(""), Bool(false))
+	r.MustInsert(Int(2), Float(7), String("c"), Bool(false))
+	o := r.Ordered()
+	// Items order as text, as sets of items do: "10" before "2".
+	want := &Ordered{
+		Items: []string{"10", "2"},
+		Rows:  []Tuple{r.Row(1), r.Row(0), r.Row(2)},
+		Start: []int{0, 1, 3},
+		Cols: []Vector{
+			{Ints: []int64{10, 2, 2}},
+			{Floats: []float64{-1, 0.5, 7}},
+			{Strings: []string{"", "b", "c"}},
+			{Bools: []bool{false, true, false}},
+		},
+	}
+	if !reflect.DeepEqual(o, want) {
+		t.Fatalf("view = %+v, want %+v", o, want)
+	}
+}
+
+// TestSeek holds the galloping search to a linear one from every starting
+// group, for items in the view, between its items, beyond both ends and
+// behind the start.
+func TestSeek(t *testing.T) {
+	r := randomRelation(t, rand.New(rand.NewSource(6)), 120, 40)
+	o := r.Ordered()
+	probes := append([]string{"", "I", "I0005", "J"}, o.Items...)
+	for from := 0; from <= len(o.Items); from++ {
+		for _, item := range probes {
+			want := from
+			for want < len(o.Items) && o.Items[want] < item {
+				want++
+			}
+			g, ok := o.Seek(from, item)
+			if g != want || ok != (want < len(o.Items) && o.Items[want] == item) {
+				t.Fatalf("Seek(%d, %q) = %d, %v; linear search stops at %d", from, item, g, ok, want)
+			}
+		}
+	}
 }
 
 func TestOrderedInvalidatedByInsert(t *testing.T) {

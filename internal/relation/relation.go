@@ -30,10 +30,11 @@ type Relation struct {
 }
 
 // Ordered is a relation's index on the merge attribute: every tuple, grouped
-// by item, the groups in ascending item order. Sources answer selections by
-// walking it front to back (the matching items come out sorted and distinct)
-// and passed-binding queries by binary search. The three slices are shared
-// with the relation and must not be modified.
+// by item, the groups in ascending item order, once as tuples and once as
+// columns. Sources answer selections by running the condition over the
+// columns front to back (the matching items come out sorted and distinct) and
+// passed-binding queries by searching Items. Every slice is shared with the
+// relation and must not be modified.
 type Ordered struct {
 	// Items holds the distinct merge-attribute items, sorted.
 	Items []string
@@ -43,6 +44,19 @@ type Ordered struct {
 	// Start[g] is the index in Rows of the first tuple of Items[g];
 	// Start[len(Items)] is len(Rows).
 	Start []int
+	// Cols holds one vector per schema column: Cols[c] carries the values of
+	// column c in Rows order. A scan of one attribute reads its vector
+	// sequentially and touches no tuple.
+	Cols []Vector
+}
+
+// Vector is one column of an ordered view at the column's native width: the
+// slice of the column's kind has one entry per row, the other three are nil.
+type Vector struct {
+	Ints    []int64
+	Floats  []float64
+	Strings []string
+	Bools   []bool
 }
 
 // Group returns the tuples of Items[g] in insertion order, clipped so an
@@ -52,16 +66,22 @@ func (o *Ordered) Group(g int) []Tuple {
 	return o.Rows[lo:hi:hi]
 }
 
-// Scan visits the groups in ascending item order: one call of fn per distinct
-// item, with all of the item's tuples. An error from fn aborts the scan with
-// that error.
-func (o *Ordered) Scan(fn func(item string, group []Tuple) error) error {
-	for g, item := range o.Items {
-		if err := fn(item, o.Group(g)); err != nil {
-			return err
-		}
+// Seek returns the index of the first group at or after from whose item is
+// not below item, and whether that group is item's. It gallops forward from
+// from, so a caller walking a sorted list of items through the view pays for
+// the distance between neighbours and not for the view's size; Seek(0, item)
+// is a plain search.
+func (o *Ordered) Seek(from int, item string) (int, bool) {
+	lo, hi, step := from, from, 1
+	for hi < len(o.Items) && o.Items[hi] < item {
+		lo = hi + 1
+		hi += step
+		step *= 2
 	}
-	return nil
+	// The gallop stopped on the first probe not below item, or past the end.
+	hi = min(hi+1, len(o.Items))
+	g, ok := sort.Find(hi-lo, func(i int) int { return strings.Compare(item, o.Items[lo+i]) })
+	return lo + g, ok
 }
 
 // NewRelation creates an empty relation with the given schema.
@@ -103,15 +123,17 @@ func (r *Relation) Ordered() *Ordered {
 	defer r.build.Unlock()
 	o := r.ordered.Load()
 	if o == nil {
-		o = buildOrdered(r.rows, r.schema.MergeIndex())
+		o = NewOrdered(r.schema, r.rows)
 		r.ordered.Store(o)
 	}
 	return o
 }
 
-// buildOrdered sorts the rows by (item, insertion position) and records the
-// group boundaries.
-func buildOrdered(rows []Tuple, mergeIdx int) *Ordered {
+// NewOrdered builds the ordered view of rows, which must fit schema: it sorts
+// them by (item, position in rows), records the group boundaries and spreads
+// the values over the column vectors. rows itself is left as it is.
+func NewOrdered(schema *Schema, rows []Tuple) *Ordered {
+	mergeIdx := schema.MergeIndex()
 	type key struct {
 		item string
 		pos  int
@@ -136,6 +158,7 @@ func buildOrdered(rows []Tuple, mergeIdx int) *Ordered {
 		Items: make([]string, 0, distinct),
 		Rows:  make([]Tuple, len(rows)),
 		Start: make([]int, 0, distinct+1),
+		Cols:  make([]Vector, schema.NumColumns()),
 	}
 	for i, k := range keys {
 		if i == 0 || k.item != keys[i-1].item {
@@ -145,6 +168,30 @@ func buildOrdered(rows []Tuple, mergeIdx int) *Ordered {
 		o.Rows[i] = rows[k.pos]
 	}
 	o.Start = append(o.Start, len(rows))
+	for c, col := range schema.Columns() {
+		switch vec := &o.Cols[c]; col.Kind {
+		case KindInt:
+			vec.Ints = make([]int64, len(rows))
+			for i, t := range o.Rows {
+				vec.Ints[i] = t[c].i
+			}
+		case KindFloat:
+			vec.Floats = make([]float64, len(rows))
+			for i, t := range o.Rows {
+				vec.Floats[i] = t[c].f
+			}
+		case KindString:
+			vec.Strings = make([]string, len(rows))
+			for i, t := range o.Rows {
+				vec.Strings[i] = t[c].s
+			}
+		case KindBool:
+			vec.Bools = make([]bool, len(rows))
+			for i, t := range o.Rows {
+				vec.Bools[i] = t[c].b
+			}
+		}
+	}
 	return o
 }
 
@@ -172,7 +219,7 @@ func (r *Relation) Item(t Tuple) string { return t[r.schema.MergeIndex()].Raw() 
 // window of the ordered view and must not be modified.
 func (r *Relation) RowsWithItem(item string) []Tuple {
 	o := r.Ordered()
-	g, ok := sort.Find(len(o.Items), func(i int) int { return strings.Compare(item, o.Items[i]) })
+	g, ok := o.Seek(0, item)
 	if !ok {
 		return nil
 	}

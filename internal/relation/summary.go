@@ -107,12 +107,10 @@ func (s *Summary) Size() int {
 	return n
 }
 
-// Summarize builds the summary of the relation that scan visits. scan has
-// the shape of an item-ordered scan (source.Backend's ScanOrdered): one call
-// of fn per distinct item, with all of the item's tuples. The relation is
-// read once and never held: what accumulates is two numbers per item and
+// Summarize builds the summary of the relation whose ordered view is o, in
+// one pass over its groups. What accumulates is two numbers per item and
 // numeric attribute, and a bounded counting map per attribute.
-func Summarize(schema *Schema, scan func(fn func(item string, group []Tuple) error) error) (*Summary, error) {
+func Summarize(schema *Schema, o *Ordered) *Summary {
 	sum := &Summary{Numeric: map[string]*NumericStats{}, Strings: map[string]*ValueCounts{}}
 	cols := schema.Columns()
 	nums := make([]*numericAcc, len(cols))
@@ -125,7 +123,8 @@ func Summarize(schema *Schema, scan func(fn func(item string, group []Tuple) err
 			strs[i] = newValueAcc[string]()
 		}
 	}
-	err := scan(func(_ string, group []Tuple) error {
+	for g := range o.Items {
+		group := o.Group(g)
 		sum.DistinctItems++
 		sum.Tuples += len(group)
 		for _, t := range group {
@@ -141,10 +140,6 @@ func Summarize(schema *Schema, scan func(fn func(item string, group []Tuple) err
 				acc.add(group, i, sum.DistinctItems)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	for i, col := range cols {
 		switch {
@@ -155,15 +150,11 @@ func Summarize(schema *Schema, scan func(fn func(item string, group []Tuple) err
 			sum.Strings[col.Name] = &counts
 		}
 	}
-	return sum, nil
+	return sum
 }
 
 // Summarize summarizes a relation held in memory.
-func (r *Relation) Summarize() *Summary {
-	// The scan fails only when its callback does, and Summarize's never does.
-	sum, _ := Summarize(r.schema, r.Ordered().Scan)
-	return sum
-}
+func (r *Relation) Summarize() *Summary { return Summarize(r.schema, r.Ordered()) }
 
 // numericAcc collects one numeric attribute's distributions.
 type numericAcc struct {

@@ -2,7 +2,6 @@ package source
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,15 +21,12 @@ type Backend interface {
 	// order, the order Load materializes. Returning an error from fn aborts
 	// the scan with that error.
 	Scan(fn func(relation.Tuple) error) error
-	// ScanOrdered visits the same tuples grouped by merge-attribute item:
-	// one call per distinct item, in ascending item order, with all of the
-	// item's tuples in Scan order. It is how a wrapper answers sq: the
-	// matching items come out sorted and distinct. fn may keep the tuples
-	// but not the group slice, which the backend may reuse or share with its
-	// index. Returning an error from fn aborts the scan with that error.
-	ScanOrdered(fn func(item string, group []relation.Tuple) error) error
-	// Lookup visits the tuples whose merge attribute equals item.
-	Lookup(item string, fn func(relation.Tuple) error) error
+	// Ordered returns the same tuples as an ordered view: grouped by
+	// merge-attribute item, the groups in ascending item order, each group in
+	// Scan order, with one column vector per attribute. It is what a wrapper
+	// answers every query but lq from. The view is shared: callers must not
+	// modify it, and may keep using it after the backend has moved on.
+	Ordered() (*relation.Ordered, error)
 	// Size returns tuple count, distinct item count and approximate bytes.
 	Size() (tuples, distinct, bytes int)
 }
@@ -59,20 +55,8 @@ func (b *RowBackend) Scan(fn func(relation.Tuple) error) error {
 	return nil
 }
 
-// ScanOrdered implements Backend over the relation's ordered view.
-func (b *RowBackend) ScanOrdered(fn func(string, []relation.Tuple) error) error {
-	return b.rel.Ordered().Scan(fn)
-}
-
-// Lookup implements Backend.
-func (b *RowBackend) Lookup(item string, fn func(relation.Tuple) error) error {
-	for _, t := range b.rel.RowsWithItem(item) {
-		if err := fn(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Ordered implements Backend with the relation's own cached view.
+func (b *RowBackend) Ordered() (*relation.Ordered, error) { return b.rel.Ordered(), nil }
 
 // Size implements Backend.
 func (b *RowBackend) Size() (int, int, int) {
@@ -83,7 +67,8 @@ func (b *RowBackend) Size() (int, int, int) {
 
 // KVBackend stores records as encoded strings keyed by merge-attribute item,
 // decoding on access — the shape of a dictionary-style or file-per-entity
-// source. Encoding is a simple field-separated text format.
+// source. Encoding is a simple field-separated text format. Reads may run
+// concurrently with each other; Put must not run concurrently with anything.
 type KVBackend struct {
 	schema *relation.Schema
 	data   map[string][]string // item -> encoded records
@@ -91,10 +76,10 @@ type KVBackend struct {
 	tuples int
 	bytes  int
 
-	// sorted is keys in ascending order, built by the first ordered scan
-	// after a Put; mu guards it so concurrent scans sort once.
-	mu     sync.Mutex
-	sorted []string
+	// view is the decoded ordered view, built by the first Ordered after a
+	// Put; mu guards it so concurrent first uses decode once.
+	mu   sync.Mutex
+	view *relation.Ordered
 }
 
 // NewKVBackend creates an empty key–value backend exporting schema.
@@ -120,12 +105,12 @@ func (b *KVBackend) Put(t relation.Tuple) error {
 	item := t[b.schema.MergeIndex()].Raw()
 	if _, ok := b.data[item]; !ok {
 		b.keys = append(b.keys, item)
-		b.mu.Lock()
-		b.sorted = nil
-		b.mu.Unlock()
 	}
 	b.data[item] = append(b.data[item], strings.Join(parts, kvSep))
 	b.tuples++
+	b.mu.Lock()
+	b.view = nil
+	b.mu.Unlock()
 	return nil
 }
 
@@ -192,49 +177,23 @@ func (b *KVBackend) Scan(fn func(relation.Tuple) error) error {
 	return nil
 }
 
-// sortedKeys returns the distinct items in ascending order.
-func (b *KVBackend) sortedKeys() []string {
+// Ordered implements Backend: it decodes every record once, in Scan order,
+// and keeps the view of them until the next Put.
+func (b *KVBackend) Ordered() (*relation.Ordered, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.sorted == nil && len(b.keys) > 0 {
-		b.sorted = slices.Clone(b.keys)
-		slices.Sort(b.sorted)
-	}
-	return b.sorted
-}
-
-// ScanOrdered implements Backend: the records are already grouped by key, so
-// it decodes one group at a time into a reused buffer.
-func (b *KVBackend) ScanOrdered(fn func(string, []relation.Tuple) error) error {
-	var group []relation.Tuple
-	for _, item := range b.sortedKeys() {
-		group = group[:0]
-		for _, rec := range b.data[item] {
-			t, err := b.decode(rec)
-			if err != nil {
-				return err
-			}
-			group = append(group, t)
-		}
-		if err := fn(item, group); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Lookup implements Backend.
-func (b *KVBackend) Lookup(item string, fn func(relation.Tuple) error) error {
-	for _, rec := range b.data[item] {
-		t, err := b.decode(rec)
+	if b.view == nil {
+		rows := make([]relation.Tuple, 0, b.tuples)
+		err := b.Scan(func(t relation.Tuple) error {
+			rows = append(rows, t)
+			return nil
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := fn(t); err != nil {
-			return err
-		}
+		b.view = relation.NewOrdered(b.schema, rows)
 	}
-	return nil
+	return b.view, nil
 }
 
 // Size implements Backend.
@@ -274,24 +233,13 @@ func (b *OEMBackend) Scan(fn func(relation.Tuple) error) error {
 	return nil
 }
 
-// ScanOrdered implements Backend over the mapped relation's ordered view.
-func (b *OEMBackend) ScanOrdered(fn func(string, []relation.Tuple) error) error {
+// Ordered implements Backend with the view of a freshly mapped relation.
+func (b *OEMBackend) Ordered() (*relation.Ordered, error) {
 	rel, err := b.store.ToRelation(b.mapping)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return rel.Ordered().Scan(fn)
-}
-
-// Lookup implements Backend.
-func (b *OEMBackend) Lookup(item string, fn func(relation.Tuple) error) error {
-	mi := b.mapping.Schema.MergeIndex()
-	return b.Scan(func(t relation.Tuple) error {
-		if t[mi].Raw() == item {
-			return fn(t)
-		}
-		return nil
-	})
+	return rel.Ordered(), nil
 }
 
 // Size implements Backend.

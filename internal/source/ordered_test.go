@@ -218,45 +218,126 @@ func TestSelectConcurrently(t *testing.T) {
 	}
 }
 
-// TestScanOrderedContract holds every backend to the ordered-scan contract
-// and checks that it left Scan's storage order, which Load materializes,
-// alone.
-func TestScanOrderedContract(t *testing.T) {
+// checkView holds a backend's ordered view to the contract: items ascending
+// and distinct, each group its item's tuples in Scan order, every column
+// vector equal to its column of Rows.
+func checkView(t *testing.T, name string, b Backend) *relation.Ordered {
+	t.Helper()
+	scanOrder := map[string][]relation.Tuple{}
+	tuples := 0
+	if err := b.Scan(func(tup relation.Tuple) error {
+		scanOrder[tup[0].Raw()] = append(scanOrder[tup[0].Raw()], tup)
+		tuples++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	view, err := b.Ordered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sort.StringsAreSorted(view.Items) || len(view.Items) != len(scanOrder) || len(view.Rows) != tuples {
+		t.Fatalf("%s: view has %d items (sorted=%v) and %d rows, backend holds %d and %d",
+			name, len(view.Items), sort.StringsAreSorted(view.Items), len(view.Rows), len(scanOrder), tuples)
+	}
+	for g, item := range view.Items {
+		if !reflect.DeepEqual(append([]relation.Tuple(nil), view.Group(g)...), scanOrder[item]) {
+			t.Errorf("%s: group %s = %v, Scan order %v", name, item, view.Group(g), scanOrder[item])
+		}
+	}
+	if len(view.Cols) != b.Schema().NumColumns() {
+		t.Fatalf("%s: %d column vectors, schema has %d columns", name, len(view.Cols), b.Schema().NumColumns())
+	}
+	for i, row := range view.Rows {
+		for c, v := range row {
+			var got relation.Value
+			switch vec := view.Cols[c]; v.Kind() {
+			case relation.KindInt:
+				got = relation.Int(vec.Ints[i])
+			case relation.KindFloat:
+				got = relation.Float(vec.Floats[i])
+			case relation.KindString:
+				got = relation.String(vec.Strings[i])
+			case relation.KindBool:
+				got = relation.Bool(vec.Bools[i])
+			}
+			if got != v {
+				t.Fatalf("%s: row %d column %d: vector holds %v, tuple %v", name, i, c, got, v)
+			}
+		}
+	}
+	return view
+}
+
+// TestOrderedViewContract holds every backend to the view contract, checks
+// that the view left Scan's storage order, which Load materializes, alone,
+// and that a write drops the view: a tuple added to an item the backend
+// already holds must show in the next one.
+func TestOrderedViewContract(t *testing.T) {
 	tr := newTrio()
 	tr.fill(t, rand.New(rand.NewSource(9)), 250, 40)
 	for name, b := range tr.backends {
-		scanOrder := map[string][]relation.Tuple{}
+		checkView(t, name, b)
 		var scanned []relation.Tuple
-		if err := b.Scan(func(tup relation.Tuple) error {
-			item := tup[0].Raw()
-			scanOrder[item] = append(scanOrder[item], tup)
-			scanned = append(scanned, tup)
-			return nil
-		}); err != nil {
+		if err := b.Scan(func(tup relation.Tuple) error { scanned = append(scanned, tup); return nil }); err != nil {
 			t.Fatal(err)
-		}
-		var items []string
-		if err := b.ScanOrdered(func(item string, group []relation.Tuple) error {
-			items = append(items, item)
-			if !reflect.DeepEqual(append([]relation.Tuple(nil), group...), scanOrder[item]) {
-				t.Errorf("%s: group %s = %v, Scan order %v", name, item, group, scanOrder[item])
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !sort.StringsAreSorted(items) || len(items) != len(scanOrder) {
-			t.Fatalf("%s: ScanOrdered visited %d items (sorted=%v), backend holds %d", name, len(items), sort.StringsAreSorted(items), len(scanOrder))
 		}
 		rel, err := NewWrapper("R", b, Capabilities{}).Load(context.Background())
 		if err != nil || !reflect.DeepEqual(rel.Rows(), scanned) {
 			t.Fatalf("%s: Load is not the tuples in Scan order (err %v)", name, err)
 		}
-		stop := fmt.Errorf("stop")
-		calls := 0
-		if err := b.ScanOrdered(func(string, []relation.Tuple) error { calls++; return stop }); err != stop || calls != 1 {
-			t.Fatalf("%s: fn's error did not abort the ordered scan: err %v after %d calls", name, err, calls)
+	}
+	held := map[string]*relation.Ordered{}
+	for name, b := range tr.backends {
+		held[name], _ = b.Ordered()
+	}
+	existing := held["row"].Items[3]
+	tr.add(t, relation.Tuple{relation.String(existing), relation.Int(-7), relation.String("new")})
+	for name, b := range tr.backends {
+		view := checkView(t, name, b)
+		if view == held[name] {
+			t.Fatalf("%s: a write kept the stale view", name)
 		}
+		g, ok := view.Seek(0, existing)
+		if group := view.Group(g); !ok || group[len(group)-1][1].IntVal() != -7 {
+			t.Fatalf("%s: the tuple written to %s is not the last of its group: %v", name, existing, group)
+		}
+		if len(held[name].Rows) != 250 {
+			t.Fatalf("%s: the view handed out before the write changed under its holder", name)
+		}
+	}
+	for _, name := range []string{"row", "kv"} {
+		if a, _ := tr.backends[name].Ordered(); a != checkView(t, name, tr.backends[name]) {
+			t.Fatalf("%s: view rebuilt without a write in between", name)
+		}
+	}
+}
+
+// TestOrderedConcurrentFirstUse has eight goroutines make the first use of
+// each backend's view at once.
+func TestOrderedConcurrentFirstUse(t *testing.T) {
+	tr := newTrio()
+	tr.fill(t, rand.New(rand.NewSource(11)), 400, 70)
+	for name, b := range tr.backends {
+		views := make([]*relation.Ordered, 8)
+		var wg sync.WaitGroup
+		for i := range views {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var err error
+				if views[i], err = b.Ordered(); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		for _, v := range views[1:] {
+			if name != "oem" && v != views[0] {
+				t.Fatalf("%s: concurrent first uses built more than one view", name)
+			}
+		}
+		checkView(t, name, b)
 	}
 }
 

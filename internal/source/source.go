@@ -15,8 +15,9 @@
 // Every query operation takes a context.Context: sources are autonomous and
 // their latency is not under the mediator's control (Section 2.1), so the
 // caller owns the right to abandon a slow exchange. Implementations must
-// observe cancellation promptly — between items for multi-item operations —
-// and return an error wrapping ctx.Err() so callers can errors.Is it.
+// observe cancellation promptly — within a block of items for multi-item
+// operations — and return an error wrapping ctx.Err() so callers can
+// errors.Is it.
 package source
 
 import (
@@ -139,6 +140,28 @@ func (w *Wrapper) ctxErr(ctx context.Context) error {
 	return nil
 }
 
+// bind is the first step of every selecting operation: the backend's view and
+// c bound to the backend's schema.
+func (w *Wrapper) bind(c cond.Cond) (*relation.Ordered, cond.Pred, error) {
+	view, pred, err := bindView(w.backend, c)
+	if err != nil {
+		return nil, nil, fmt.Errorf("source %s: %w", w.name, err)
+	}
+	return view, pred, nil
+}
+
+func bindView(b Backend, c cond.Cond) (*relation.Ordered, cond.Pred, error) {
+	pred, err := c.Bind(b.Schema())
+	if err != nil {
+		return nil, nil, err
+	}
+	view, err := b.Ordered()
+	if err != nil {
+		return nil, nil, err
+	}
+	return view, pred, nil
+}
+
 // Select implements Source.
 func (w *Wrapper) Select(ctx context.Context, c cond.Cond) (set.Set, error) {
 	return w.sq(ctx, c, nil)
@@ -150,73 +173,118 @@ func (w *Wrapper) sq(ctx context.Context, c cond.Cond, keep func(item string) bo
 	if err := w.ctxErr(ctx); err != nil {
 		return set.Set{}, err
 	}
-	out, err := selectItems(w.backend, c, keep)
+	view, pred, err := w.bind(c)
 	if err != nil {
-		return set.Set{}, fmt.Errorf("source %s: %w", w.name, err)
+		return set.Set{}, err
 	}
-	return out, nil
+	return selectItems(view, pred, keep), nil
 }
 
 // SelectItems answers sq(c, ·) over a backend: the distinct items with a
 // tuple satisfying c. Wrappers and the mediator's local selections over
 // loaded relations share this one implementation.
 func SelectItems(b Backend, c cond.Cond) (set.Set, error) {
-	return selectItems(b, c, nil)
-}
-
-// selectItems binds c to the backend's schema and walks the ordered scan,
-// which makes the result sorted and distinct as it is appended. Every tuple
-// is evaluated, also those of an item that already matched, so an evaluation
-// error anywhere in the relation fails the query.
-func selectItems(b Backend, c cond.Cond, keep func(item string) bool) (set.Set, error) {
-	pred, err := c.Bind(b.Schema())
+	view, pred, err := bindView(b, c)
 	if err != nil {
 		return set.Set{}, err
 	}
-	var items []string
-	err = b.ScanOrdered(func(item string, group []relation.Tuple) error {
-		match := false
-		for _, t := range group {
-			ok, err := pred(t)
-			if err != nil {
-				return err
-			}
-			match = match || ok
-		}
-		if match && (keep == nil || keep(item)) {
-			items = append(items, item)
-		}
-		return nil
-	})
-	if err != nil {
-		return set.Set{}, err
-	}
-	return set.FromSorted(items), nil
+	return selectItems(view, pred, nil), nil
 }
 
-// Semijoin implements Source, observing ctx between per-item probes.
+// selectItems runs the bound condition over the whole view, folds the rows'
+// matches into one per group, and collects the matching groups' items, which
+// the view holds sorted and distinct. The match vector is folded in place:
+// group g's result lands on hits[g], a row the fold has already read.
+func selectItems(view *relation.Ordered, pred cond.Pred, keep func(item string) bool) set.Set {
+	hits := make([]bool, len(view.Rows))
+	pred.Match(view, 0, hits)
+	start := view.Start
+	for g, item := range view.Items {
+		lo, hi := start[g], start[g+1]
+		hit := hits[lo]
+		for r := lo + 1; r < hi; r++ {
+			hit = hit || hits[r]
+		}
+		hits[g] = hit && (keep == nil || keep(item))
+	}
+	return collect(view.Items, hits[:len(view.Items)])
+}
+
+// collect returns the items whose hit is set, in a slice of exactly their
+// number: the caller may cache the set for as long as it likes.
+func collect(items []string, hits []bool) set.Set {
+	n := 0
+	for _, hit := range hits {
+		if hit {
+			n++
+		}
+	}
+	if n == 0 {
+		return set.Set{}
+	}
+	out := make([]string, 0, n)
+	for i, hit := range hits {
+		if hit {
+			out = append(out, items[i])
+		}
+	}
+	return set.FromSorted(out)
+}
+
+// probeBlock is the number of items a multi-item operation handles between
+// two looks at its context.
+const probeBlock = 256
+
+// prober answers "does item satisfy the condition in the view": a seek to the
+// item's group and the kernel over the group's rows. Probes in ascending item
+// order walk the view forward.
+type prober struct {
+	view *relation.Ordered
+	pred cond.Pred
+	from int    // the group the last probe ended on
+	rows []bool // the group's match vector, reused
+}
+
+func (p *prober) match(item string) bool {
+	g, ok := p.view.Seek(p.from, item)
+	p.from = g
+	if !ok {
+		return false
+	}
+	lo, n := p.view.Start[g], p.view.Start[g+1]-p.view.Start[g]
+	if len(p.rows) < n {
+		p.rows = make([]bool, max(n, 64))
+	}
+	p.pred.Match(p.view, lo, p.rows[:n])
+	for _, hit := range p.rows[:n] {
+		if hit {
+			return true
+		}
+	}
+	return false
+}
+
+// Semijoin implements Source, observing ctx between blocks of probes.
 func (w *Wrapper) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
 	if !Supports(w.caps, OpSemi) {
 		return set.Set{}, fmt.Errorf("source %s: semijoin: %w", w.name, ErrUnsupported)
 	}
-	pred, err := c.Bind(w.backend.Schema())
+	view, pred, err := w.bind(c)
 	if err != nil {
-		return set.Set{}, fmt.Errorf("source %s: %w", w.name, err)
+		return set.Set{}, err
 	}
-	out := make([]string, 0, y.Len())
-	for _, item := range y.Items() {
-		if err := w.ctxErr(ctx); err != nil {
-			return set.Set{}, err
+	probe := prober{view: view, pred: pred}
+	items := y.Items()
+	hits := make([]bool, len(items))
+	for i, item := range items {
+		if i%probeBlock == 0 {
+			if err := w.ctxErr(ctx); err != nil {
+				return set.Set{}, err
+			}
 		}
-		match, err := w.matchBinding(pred, item)
-		if err != nil {
-			return set.Set{}, fmt.Errorf("source %s: %w", w.name, err)
-		}
-		if match {
-			out = append(out, item)
-		}
+		hits[i] = probe.match(item)
 	}
-	return set.FromSorted(out), nil
+	return collect(items, hits), nil
 }
 
 // SelectBinding implements Source.
@@ -227,32 +295,12 @@ func (w *Wrapper) SelectBinding(ctx context.Context, c cond.Cond, item string) (
 	if err := w.ctxErr(ctx); err != nil {
 		return false, err
 	}
-	pred, err := c.Bind(w.backend.Schema())
+	view, pred, err := w.bind(c)
 	if err != nil {
-		return false, fmt.Errorf("source %s: %w", w.name, err)
+		return false, err
 	}
-	match, err := w.matchBinding(pred, item)
-	if err != nil {
-		return false, fmt.Errorf("source %s: %w", w.name, err)
-	}
-	return match, nil
-}
-
-// matchBinding evaluates the bound condition over the tuples carrying the
-// given item.
-func (w *Wrapper) matchBinding(pred cond.Pred, item string) (bool, error) {
-	match := false
-	err := w.backend.Lookup(item, func(t relation.Tuple) error {
-		ok, err := pred(t)
-		if err != nil {
-			return err
-		}
-		if ok {
-			match = true
-		}
-		return nil
-	})
-	return match, err
+	probe := prober{view: view, pred: pred}
+	return probe.match(item), nil
 }
 
 // Load implements Source.
@@ -271,32 +319,35 @@ func (w *Wrapper) Load(ctx context.Context) (*relation.Relation, error) {
 	return r, nil
 }
 
-// Summarize implements Summarizer with one pass over the backend's ordered
-// scan; the relation is not materialized.
+// Summarize implements Summarizer with one pass over the backend's view.
 func (w *Wrapper) Summarize(ctx context.Context) (*relation.Summary, error) {
 	if err := w.ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	sum, err := relation.Summarize(w.backend.Schema(), w.backend.ScanOrdered)
+	view, err := w.backend.Ordered()
 	if err != nil {
 		return nil, fmt.Errorf("source %s: stats: %w", w.name, err)
 	}
-	return sum, nil
+	return relation.Summarize(w.backend.Schema(), view), nil
 }
 
-// Fetch implements Source, observing ctx between per-item lookups.
+// Fetch implements Source, observing ctx between blocks of lookups.
 func (w *Wrapper) Fetch(ctx context.Context, items set.Set) ([]relation.Tuple, error) {
+	view, err := w.backend.Ordered()
+	if err != nil {
+		return nil, fmt.Errorf("source %s: fetch: %w", w.name, err)
+	}
 	var out []relation.Tuple
-	for _, item := range items.Items() {
-		if err := w.ctxErr(ctx); err != nil {
-			return nil, err
+	g := 0
+	for i, item := range items.Items() {
+		if i%probeBlock == 0 {
+			if err := w.ctxErr(ctx); err != nil {
+				return nil, err
+			}
 		}
-		err := w.backend.Lookup(item, func(t relation.Tuple) error {
-			out = append(out, t)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("source %s: fetch: %w", w.name, err)
+		var ok bool
+		if g, ok = view.Seek(g, item); ok {
+			out = append(out, view.Group(g)...)
 		}
 	}
 	return out, nil
