@@ -66,8 +66,8 @@ bench:
 # Layer micro-benchmarks behind the end-to-end benchmark's numbers: the
 # wrapper's selection (every node kind, one relation and six in turn) and
 # semijoin (10^2 and 10^4 items), one selection bare and under the source layers
-# (fault + accounting, the fabric), a batch's exchange accounting at two log
-# lengths, one plan under each scheduler (seq, par, stream), the k-way
+# (fault + accounting, the fabric), a batch's exchange accounting from the
+# run's ledger at two log lengths, one plan under each scheduler (seq, par, stream), the k-way
 # union, one planning call with the statistics catalog warm, each optimizer
 # at three problem sizes, the static cost estimator on an SJA+ plan, and one
 # wire frame through the codec in each direction at a chunk's and an

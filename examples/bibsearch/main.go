@@ -93,11 +93,24 @@ func main() {
 	        WHERE d1.DocID = d2.DocID
 	          AND d1.Topic = 'databases' AND d2.Cites >= 50`
 	fmt.Printf("query:\n%s\n\n", sql)
+	conds := []cond.Cond{
+		cond.MustParse("Topic = 'databases'"),
+		cond.MustParse("Cites >= 50"),
+	}
+	opts := core.Options{Algorithm: core.AlgoSJA}
+
+	// The first planning asks every library for its statistics summary, once
+	// per mediator and not per query: do it now and zero the network, so what
+	// is counted below is the query's traffic.
+	if _, err := m.Problem(context.Background(), conds, opts); err != nil {
+		log.Fatal(err)
+	}
+	network.Reset()
 
 	// Phase one: items only. (SJA rather than SJA+ here: with such tiny
 	// demo relations SJA+ would load the sources outright, which moves
 	// whole records and would muddy the phase-one/phase-two comparison.)
-	ans, err := m.Query(sql, core.Options{Algorithm: core.AlgoSJA})
+	ans, err := m.Query(sql, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -117,10 +130,6 @@ func main() {
 	// Contrast: a one-phase strategy ships full matching records for every
 	// condition from every library.
 	network.Reset()
-	conds := []cond.Cond{
-		cond.MustParse("Topic = 'databases'"),
-		cond.MustParse("Cites >= 50"),
-	}
 	for _, c := range conds {
 		for _, src := range m.Sources() {
 			items, err := src.Select(context.Background(), c)

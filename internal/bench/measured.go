@@ -58,13 +58,6 @@ func newMeasured(ctx context.Context, cfg workload.SynthConfig, link netsim.Link
 	return &measuredSetup{scenario: sc, sources: srcs, network: network, problem: pr}, nil
 }
 
-func (ms *measuredSetup) reset() {
-	ms.network.Reset()
-	for _, s := range ms.sources {
-		s.(*source.Instrumented).ResetCounters()
-	}
-}
-
 // runE8 compares the motivating "two-phase" pipeline of Section 1 against a
 // one-phase strategy that ships full matching records for every condition.
 // The record width is swept: the wider the record, the more the two-phase
@@ -87,7 +80,7 @@ func runE8(ctx context.Context) (*Table, error) {
 
 		// One-phase: every condition's matching records are fetched in
 		// full from every source (select the items, fetch their records).
-		ms.reset()
+		ms.network.Reset()
 		for _, c := range ms.scenario.Conds {
 			for _, src := range ms.sources {
 				items, err := src.Select(ctx, c)
@@ -103,7 +96,7 @@ func runE8(ctx context.Context) (*Table, error) {
 
 		// Two-phase: run the SJA+ plan on items only, then fetch records
 		// for the answer set.
-		ms.reset()
+		ms.network.Reset()
 		res, err := optimizer.SJAPlus(ms.problem)
 		if err != nil {
 			return nil, err
@@ -155,7 +148,7 @@ func runE9(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ms.reset()
+		ms.network.Reset()
 		seq := &exec.Executor{Sources: ms.sources, Network: ms.network}
 		seqRun, err := seq.Run(ctx, res.Plan)
 		if err != nil {
@@ -163,7 +156,7 @@ func runE9(ctx context.Context) (*Table, error) {
 		}
 		measured := seqRun.TotalWork.Seconds()
 
-		ms.reset()
+		ms.network.Reset()
 		par := &exec.Executor{Sources: ms.sources, Network: ms.network, Parallel: true}
 		parRun, err := par.Run(ctx, res.Plan)
 		if err != nil {
@@ -286,7 +279,7 @@ func runE11(ctx context.Context) (*Table, error) {
 		}
 
 		measure := func(res optimizer.Result) (float64, set.Set, error) {
-			ms.reset()
+			ms.network.Reset()
 			ex := &exec.Executor{Sources: ms.sources, Network: ms.network}
 			run, err := ex.Run(ctx, res.Plan)
 			if err != nil {
@@ -395,7 +388,7 @@ func runE13(ctx context.Context) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ms.reset()
+			ms.network.Reset()
 			ex := &exec.Executor{Sources: ms.sources, Network: ms.network}
 			run, err := ex.Run(ctx, res.Plan)
 			if err != nil {
@@ -416,7 +409,7 @@ func runE13(ctx context.Context) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ms2.reset()
+			ms2.network.Reset()
 			ex2 := &exec.Executor{Sources: ms2.sources, Network: ms2.network}
 			run2, records, err := ex2.RunCombined(ctx, res2.Plan)
 			if err != nil {
@@ -500,7 +493,7 @@ func runE15(ctx context.Context) (*Table, error) {
 		}
 
 		measure := func(res optimizer.Result) (float64, set.Set, error) {
-			ms.reset()
+			ms.network.Reset()
 			ex := &exec.Executor{Sources: ms.sources, Network: ms.network}
 			run, err := ex.Run(ctx, res.Plan)
 			if err != nil {
@@ -532,7 +525,7 @@ func runE15(ctx context.Context) (*Table, error) {
 			}
 		}
 
-		ms.reset()
+		ms.network.Reset()
 		ex := &exec.Executor{Sources: ms.sources, Network: ms.network}
 		adaptiveRun, _, err := ex.RunAdaptive(ctx, ms.problem)
 		if err != nil {

@@ -193,11 +193,11 @@ type Answer struct {
 }
 
 // Mediator coordinates fusion-query processing over registered sources.
-// All methods are safe for concurrent use. Note that when a simulated
-// network is attached, concurrently running queries share its exchange
-// accounting, so per-query TotalWork/ResponseTime attribution is
-// approximate under concurrency; counters in Answer.Exec.SourceQueries
-// remain exact.
+// All methods are safe for concurrent use. When a simulated network is
+// attached, every query accounts the exchanges of its own execution
+// (Answer.Exec): whatever else the network carries meanwhile — other
+// queries, the statistics catalog — is not in it, and no query resets the
+// network.
 type Mediator struct {
 	mu       sync.RWMutex
 	schema   *relation.Schema
@@ -600,24 +600,6 @@ func (m *Mediator) problem(ctx context.Context, r roster, conds []cond.Cond, opt
 	if opts.Conns > 0 {
 		for j := range table.Conns {
 			table.Conns[j] = opts.Conns
-		}
-	}
-	// Execution is accounted from an empty exchange log, with any scheduled
-	// churn re-armed (netsim.Reset): a script of churn events is timed against
-	// the executed plan, not against whatever the network carried before it.
-	if r.network != nil {
-		r.network.Reset()
-	}
-	for _, src := range r.sources {
-		switch s := src.(type) {
-		case *source.Instrumented:
-			s.ResetCounters()
-		case *fabric.Logical:
-			for _, ep := range s.Endpoints() {
-				if inst, ok := ep.Source().(*source.Instrumented); ok {
-					inst.ResetCounters()
-				}
-			}
 		}
 	}
 	names := make([]string, len(r.sources))

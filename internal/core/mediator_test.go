@@ -221,19 +221,47 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
-func TestNetworkCountersStartAtExecution(t *testing.T) {
+// TestExecCountsOnlyItsOwnExecution: no query resets the network, so it
+// already carries traffic when an execution starts — the catalog's stats
+// exchanges of the first query's planning, then the first query itself — and
+// Answer.Exec reports the query's own execution all the same.
+func TestExecCountsOnlyItsOwnExecution(t *testing.T) {
 	m := dmvMediator(t, true)
-	ans, err := m.Query(paperSQL, Options{Algorithm: AlgoSJA})
+	first, err := m.Query(paperSQL, Options{Algorithm: AlgoSJA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Network counters are reset after planning (which filled the statistics
-	// catalog, one exchange a source), so the recorded messages must equal
-	// the executed source queries.
-	st := m.Network().Stats()
-	if st.Messages != ans.Exec.SourceQueries {
-		t.Fatalf("network recorded %d messages but execution issued %d queries",
-			st.Messages, ans.Exec.SourceQueries)
+	var stats int
+	var statsTime, execTime time.Duration
+	for _, ex := range m.Network().Log() {
+		if ex.Kind == "stats" {
+			stats++
+			statsTime += ex.Elapsed
+		} else {
+			execTime += ex.Elapsed
+		}
+	}
+	if stats != len(m.Sources()) {
+		t.Fatalf("%d stats exchanges in the log, want one per source", stats)
+	}
+	if st := m.Network().Stats(); st.Messages != stats+first.Exec.SourceQueries || first.Exec.TotalWork != execTime {
+		t.Fatalf("first query reports %d queries, %v of work; the network carries %d messages beside %d stats exchanges, %v of execution",
+			first.Exec.SourceQueries, first.Exec.TotalWork, st.Messages, stats, execTime)
+	}
+	if first.Exec.ResponseTime != first.Exec.TotalWork {
+		t.Fatalf("sequential response time %v != total work %v", first.Exec.ResponseTime, first.Exec.TotalWork)
+	}
+	second, err := m.Query(paperSQL, Options{Algorithm: AlgoSJA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Exec.SourceQueries != first.Exec.SourceQueries || second.Exec.TotalWork != first.Exec.TotalWork || second.Exec.ResponseTime != first.Exec.ResponseTime {
+		t.Fatalf("second query reports %d queries, %v work, %v response; the first reported %d, %v, %v",
+			second.Exec.SourceQueries, second.Exec.TotalWork, second.Exec.ResponseTime,
+			first.Exec.SourceQueries, first.Exec.TotalWork, first.Exec.ResponseTime)
+	}
+	if st := m.Network().Stats(); st.Messages != stats+2*first.Exec.SourceQueries || st.TotalTime != statsTime+2*execTime {
+		t.Fatalf("network stats %+v after two queries: a query reset the network", st)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -102,12 +103,15 @@ func TestRosterRepairAfterLogicalSourceDies(t *testing.T) {
 		t.Fatalf("degenerate scenario: survivors alone compute the full answer %v", fullRef)
 	}
 
-	// Calibrate the kill time. Execution starts from simulated time zero
-	// (problem() resets the network), and the dry run leaves the statistics
-	// catalog warm, so the queries after it plan without an exchange: the
-	// kill lands halfway to the logical source's last execution exchange,
-	// read off the dry run's exchange log.
+	// Calibrate the kill time. With the statistics catalog warm a query plans
+	// without an exchange, so after a Reset the log holds one execution from
+	// simulated time zero: the kill lands halfway to the logical source's last
+	// execution exchange, read off the dry run's exchange log.
 	m, logical, network := replicatedDMVMediator(t)
+	if _, err := m.Problem(context.Background(), conds, opts); err != nil {
+		t.Fatalf("warming the catalog: %v", err)
+	}
+	network.Reset()
 	dry, err := m.QueryConds(conds, opts)
 	if err != nil {
 		t.Fatalf("dry run: %v", err)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -12,9 +13,9 @@ import (
 	"fusionq/internal/workload"
 )
 
-// accountingFixture is an executor over the DMV roster on a network that
-// already carries prior exchanges, as it does after that many source
-// queries without a statistics pass.
+// accountingFixture is a parallel run over the DMV roster on a network whose
+// log already carries prior exchanges of other callers, as it does after
+// that many source queries of a long-running service.
 func accountingFixture(prior int) (*run, *netsim.Network) {
 	sc := workload.DMV()
 	network := netsim.NewNetwork(1)
@@ -30,26 +31,27 @@ func accountingFixture(prior int) (*run, *netsim.Network) {
 func fillLog(network *netsim.Network, prior int) {
 	network.Reset()
 	for i := 0; i < prior; i++ {
-		network.Exchange("R1", "sq", 40, 400)
+		network.Exchange(context.Background(), "R1", "sq", 40, 400)
 	}
 }
 
-// accountBatch is the accounting runBatch wraps around a round of source
-// queries: mark the log, let one exchange per source happen, and turn the
-// window into the batch's critical path.
+// accountBatch is the accounting of one round of source queries: one
+// exchange per source under the run's ledger, as runNode issues them, then
+// what runBatch does when the round is over. It returns the round's critical
+// path.
 func accountBatch(r *run, network *netsim.Network) time.Duration {
-	mark := network.Mark()
-	for _, name := range r.p.Sources {
-		network.Exchange(name, "sq", 40, 400)
+	before := r.res.ResponseTime
+	for j, name := range r.p.Sources {
+		network.Exchange(netsim.WithLedger(context.Background(), r.ledger, j), name, "sq", 40, 400)
 	}
-	critical, _ := r.criticalPath(network.Since(mark))
-	return critical
+	r.settle()
+	return r.res.ResponseTime - before
 }
 
-// TestBatchAccountingIgnoresLogLength pins the fix for planned execution
-// paying for the whole exchange history: a batch's accounting allocates the
+// TestBatchAccountingIgnoresLogLength pins that planned execution does not
+// pay for the network's exchange history: a batch's accounting allocates the
 // same whether the log holds nothing or 2 000 earlier exchanges, and charges
-// the same critical path. Copying the log would show in the bytes (112 KB a
+// the same critical path. Reading the log would show in the bytes (112 KB a
 // copy at 2 000 entries); the allowance covers the log's own growth as the
 // runs append to it.
 func TestBatchAccountingIgnoresLogLength(t *testing.T) {

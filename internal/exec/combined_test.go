@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"fusionq/internal/netsim"
 	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
 	"fusionq/internal/relation"
@@ -72,7 +73,7 @@ func sameTuples(a, b *relation.Relation) bool {
 // TestRunCombinedSkipsCoveredFetches: sources whose final-round record
 // query covered the whole answer need no phase-two fetch.
 func TestRunCombinedSkipsCoveredFetches(t *testing.T) {
-	pr, srcs, _ := dmvSetup(t, nil)
+	pr, srcs, network := dmvSetup(t, nil)
 	res, err := optimizer.Filter(pr)
 	if err != nil {
 		t.Fatal(err)
@@ -90,20 +91,20 @@ func TestRunCombinedSkipsCoveredFetches(t *testing.T) {
 	// R1: sp match {T21}; answer {J55, T21} → fetch {J55} (1 fetch).
 	// R2: sp match {J55, T11}; fetch {T21} (1 fetch).
 	// R3: sp match {S07, T21}; fetch {J55} (1 fetch).
-	total := Counters(t, srcs)
-	if total.FetchQueries != 3 {
-		t.Fatalf("fetch queries = %d, want 3 (only uncovered items fetched)", total.FetchQueries)
+	if got := fetches(network); got != 3 {
+		t.Fatalf("fetch queries = %d, want 3 (only uncovered items fetched)", got)
 	}
 }
 
-// Counters sums the instrumented counters across sources.
-func Counters(t *testing.T, srcs []source.Source) source.Counters {
-	t.Helper()
-	var total source.Counters
-	for _, s := range srcs {
-		total.Add(s.(*source.Instrumented).Counters())
+// fetches counts the phase-two record fetches in the network's log.
+func fetches(network *netsim.Network) int {
+	n := 0
+	for _, ex := range network.Log() {
+		if ex.Kind == "fetch" {
+			n++
+		}
 	}
-	return total
+	return n
 }
 
 func TestRunCombinedEmptyAnswer(t *testing.T) {
@@ -172,7 +173,7 @@ func TestRunCombinedEmulatedSemijoinFallsBack(t *testing.T) {
 }
 
 func TestRunCombinedWithLoadedSources(t *testing.T) {
-	pr, srcs, _ := dmvSetup(t, nil)
+	pr, srcs, network := dmvSetup(t, nil)
 	res, err := optimizer.SJAPlus(pr) // tiny DMV sources: SJA+ loads them
 	if err != nil {
 		t.Fatal(err)
@@ -197,9 +198,8 @@ func TestRunCombinedWithLoadedSources(t *testing.T) {
 			t.Fatalf("%s: answer %v, records %d", mode.name, run.Answer, records.Len())
 		}
 		// Loaded sources must not be fetched from: their contents are local.
-		total := Counters(t, srcs)
-		if total.FetchQueries != 0 {
-			t.Fatalf("%s: fetch queries = %d, want 0 (all sources loaded)", mode.name, total.FetchQueries)
+		if got := fetches(network); got != 0 {
+			t.Fatalf("%s: fetch queries = %d, want 0 (all sources loaded)", mode.name, got)
 		}
 	}
 }

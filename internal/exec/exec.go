@@ -53,8 +53,9 @@ type Executor struct {
 	// Sources must align with the Sources of every executed plan: the
 	// step's Source index selects into this slice.
 	Sources []source.Source
-	// Network, when set, is used to account simulated response time. It
-	// must be the same network the sources' instrumentation records to.
+	// Network, when set, turns on the accounting of simulated work and
+	// response time, and gives each source's link capacity. It must be the
+	// network the sources' instrumentation records to.
 	Network *netsim.Network
 	// Parallel enables concurrent execution of each round's independent
 	// source queries, bounded per source by Conns / the link's MaxConns.
@@ -70,10 +71,8 @@ type Executor struct {
 	// freshness caveats with autonomous sources.
 	Cache *Cache
 	// Trace records a per-step execution trace (Result.Trace): output
-	// cardinalities, issued queries, cache hits, and elapsed simulated
-	// time. Elapsed is attributed per step from the network exchange log
-	// (steps sharing a source split the source's time pro rata by issued
-	// queries).
+	// cardinalities, issued queries, cache hits, and the simulated time of
+	// the exchanges the step issued.
 	Trace bool
 	// Retries is how many times a source exchange that fails with a
 	// transient error (source.ErrTransient) is re-issued before the run
@@ -111,14 +110,16 @@ type Result struct {
 	// loads) — including attempts that reached the source before the run
 	// failed or was cancelled.
 	SourceQueries int
-	// TotalWork is the summed simulated duration of all exchanges — the
+	// TotalWork is the summed simulated duration of the exchanges this run
+	// made — its own ledger, whatever else shared the network — and the
 	// quantity the optimizers minimize. Zero without a Network.
 	TotalWork time.Duration
 	// ResponseTime is the simulated wall-clock: equal to TotalWork in
 	// sequential mode, the sum of per-batch critical paths in parallel
 	// mode, where each source's contribution to a batch is the makespan of
-	// its exchanges over its connection capacity (netsim.Makespan). Zero
-	// without a Network.
+	// its exchanges over its connection capacity (netsim.Makespan), and the
+	// critical path of the whole run in streaming mode. Zero without a
+	// Network.
 	ResponseTime time.Duration
 	// CacheHits and CacheMisses count answer-cache consultations: a hit is
 	// one source query avoided (a whole cached selection, or one binding
@@ -213,12 +214,16 @@ type run struct {
 	pipelined bool
 	batch     int
 	// conns is each source's connection capacity; sched admits that many
-	// exchanges at a time. owner maps a replica endpoint to its logical
-	// source and laneConns gives every accounting lane's capacity (both nil
-	// without a network).
-	conns     []int
-	sched     *scheduler
-	owner     map[string]string
+	// exchanges at a time.
+	conns []int
+	sched *scheduler
+	// ledger holds the run's own exchanges, each tagged with the index of the
+	// step that issued it (nil without a network); settled counts the entries
+	// already accounted. laneConns gives the capacity of every lane — source
+	// or replica endpoint — of an overlapped run's critical path (nil in a
+	// sequential one, which has none).
+	ledger    *netsim.Ledger
+	settled   int
 	laneConns map[string]int
 	// sink is non-nil in combined mode (combined.go).
 	sink *recordSink
@@ -252,8 +257,10 @@ func (e *Executor) newRun(p *plan.Plan, pipelined bool) *run {
 		}
 	}
 	if e.Network != nil {
-		r.owner = map[string]string{}
-		r.laneConns = map[string]int{}
+		r.ledger = &netsim.Ledger{}
+		if !r.sequential() {
+			r.laneConns = map[string]int{}
+		}
 	}
 	for j := range e.Sources {
 		r.conns[j] = r.resolveConns(j)
@@ -293,6 +300,14 @@ func (r *run) close() {
 	r.res.PeakBytes = r.tr.high()
 	if r.e.Trace {
 		sort.Slice(r.res.Trace, func(a, b int) bool { return r.res.Trace[a].Index < r.res.Trace[b].Index })
+		// A step's elapsed time is what the exchanges it issued took.
+		elapsed := make([]time.Duration, len(r.p.Steps))
+		for _, en := range r.ledger.Entries()[:r.settled] {
+			elapsed[en.Tag] += en.Elapsed
+		}
+		for i := range r.res.Trace {
+			r.res.Trace[i].Elapsed = elapsed[r.res.Trace[i].Index]
+		}
 	}
 }
 
@@ -405,7 +420,6 @@ func batchEnd(steps []plan.Step, k int) int {
 // is charged even when the batch fails — counters and simulated time
 // reflect the traffic that reached the sources.
 func (r *run) runBatch(ctx context.Context, start, end int) error {
-	settle := r.account()
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -425,110 +439,46 @@ func (r *run) runBatch(ctx context.Context, start, end int) error {
 		}(idx)
 	}
 	wg.Wait()
-	if owners := settle(); r.e.Trace {
-		r.attributeElapsed(start, end, owners)
-	}
+	r.settle()
 	return firstErr
 }
 
-// account opens an accounting window on the network's exchange log — one
-// round's batch, or a whole pipelined run — and returns what settles it:
-// the window's work joins TotalWork and its critical path ResponseTime,
-// whether or not what ran inside failed. settle returns the window's
-// exchange times by logical source. Without a network both are no-ops.
-func (r *run) account() (settle func() map[string][]time.Duration) {
-	network := r.e.Network
-	if network == nil {
-		return func() map[string][]time.Duration { return nil }
+// settle accounts the ledger entries made since the last settle — one round's
+// batch, or a whole pipelined run — whether or not what made them failed:
+// their sum joins TotalWork, their critical path ResponseTime. Without a
+// network there are none.
+func (r *run) settle() {
+	entries := r.ledger.Entries()[r.settled:]
+	r.settled += len(entries)
+	var work time.Duration
+	for _, en := range entries {
+		work += en.Elapsed
 	}
-	preTotal, mark := network.Stats().TotalTime, network.Mark()
-	return func() map[string][]time.Duration {
-		// A concurrent query's planning phase may reset the shared network's
-		// accounting mid-window (the documented approximation for concurrent
-		// mediator queries), so never charge a negative delta.
-		if d := network.Stats().TotalTime - preTotal; d > 0 {
-			r.res.TotalWork += d
+	r.res.TotalWork += work
+	if r.sequential() {
+		// One exchange at a time: the critical path is all of it, failover
+		// and hedging included.
+		r.res.ResponseTime += work
+		return
+	}
+	// One lane per physical endpoint (each owns its connection pool), in
+	// arrival order; the slowest lane's makespan over its capacity bounds the
+	// rest.
+	lanes := map[string][]time.Duration{}
+	for _, en := range entries {
+		lanes[en.Source] = append(lanes[en.Source], en.Elapsed)
+	}
+	var critical time.Duration
+	for name, durs := range lanes {
+		if d := netsim.Makespan(durs, r.laneConns[name]); d > critical {
+			critical = d
 		}
-		critical, owners := r.criticalPath(network.Since(mark))
-		r.res.ResponseTime += critical
-		return owners
 	}
+	r.res.ResponseTime += critical
 }
 
 // replicaSource is the fabric's accounting face: a logical source exposing
 // its physical endpoints' connection capacities.
 type replicaSource interface {
 	ReplicaConns() map[string]int
-}
-
-// criticalPath is the response-time contribution of a window of the
-// exchange log: the slowest lane's makespan over its connection capacity.
-// Lanes feed the makespan accounting: one lane per physical endpoint in
-// parallel and pipelined runs (each endpoint owns its connection pool),
-// collapsed into the owning logical source at one connection in sequential
-// runs so the sequential TotalWork == ResponseTime identity survives
-// failover and hedging. owners rolls every endpoint up to its logical
-// source for per-step elapsed attribution, which matches plan steps by
-// logical name.
-func (r *run) criticalPath(entries []netsim.Exchange) (critical time.Duration, owners map[string][]time.Duration) {
-	lanes := map[string][]time.Duration{}
-	owners = map[string][]time.Duration{}
-	for _, ex := range entries {
-		own := ex.Source
-		if o, ok := r.owner[ex.Source]; ok {
-			own = o
-		}
-		owners[own] = append(owners[own], ex.Elapsed)
-		lane := ex.Source
-		if r.sequential() {
-			lane = own
-		}
-		lanes[lane] = append(lanes[lane], ex.Elapsed)
-	}
-	for name, durs := range lanes {
-		if d := netsim.Makespan(durs, r.laneConns[name]); d > critical {
-			critical = d
-		}
-	}
-	return critical, owners
-}
-
-// attributeElapsed fixes up the batch's step traces from the exchange log:
-// each step is charged the exchange time of its source during the batch.
-// When several batch steps share one source (non-canonical plans), the
-// source's time is split pro rata by issued queries.
-func (r *run) attributeElapsed(start, end int, perSource map[string][]time.Duration) {
-	byIdx := map[int]*StepTrace{}
-	for i := range r.res.Trace {
-		byIdx[r.res.Trace[i].Index] = &r.res.Trace[i]
-	}
-	for name, durs := range perSource {
-		var total time.Duration
-		for _, d := range durs {
-			total += d
-		}
-		var entries []*StepTrace
-		queries := 0
-		for k := start; k < end; k++ {
-			if r.p.Sources[r.p.Steps[k].Source] != name {
-				continue
-			}
-			if tr := byIdx[k]; tr != nil {
-				entries = append(entries, tr)
-				queries += tr.Queries
-			}
-		}
-		switch {
-		case len(entries) == 1:
-			entries[0].Elapsed = total
-		case len(entries) > 1 && queries > 0:
-			for _, tr := range entries {
-				tr.Elapsed = total * time.Duration(tr.Queries) / time.Duration(queries)
-			}
-		case len(entries) > 1:
-			for _, tr := range entries {
-				tr.Elapsed = total / time.Duration(len(entries))
-			}
-		}
-	}
 }

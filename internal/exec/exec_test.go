@@ -40,9 +40,6 @@ func dmvSetup(t *testing.T, caps []source.Capabilities) (*optimizer.Problem, []s
 		t.Fatal(err)
 	}
 	network.Reset() // statistics gathering is free
-	for _, s := range srcs {
-		s.(*source.Instrumented).ResetCounters()
-	}
 	pr := &optimizer.Problem{Conds: sc.Conds, Sources: sc.SourceNames(), Table: table}
 	return pr, srcs, network
 }

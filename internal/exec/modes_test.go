@@ -70,13 +70,6 @@ func BenchmarkRunModes(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// The exchange log grows with every run; a benchmark that
-				// let it would measure its own history.
-				if i%64 == 0 {
-					b.StopTimer()
-					network.Reset()
-					b.StartTimer()
-				}
 				run, err := ex.Run(context.Background(), res.Plan)
 				if err != nil {
 					b.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
 	"fusionq/internal/fabric"
+	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
 	"fusionq/internal/plan"
 	"fusionq/internal/relation"
@@ -115,12 +116,16 @@ func (r *run) runNode(ctx context.Context, idx int, s plan.Step, ins []set.Iter,
 	sctx, span := obs.StartSpan(ctx, obs.KindStep, text)
 	isSource := s.IsSourceQuery()
 	srcName := ""
-	// A replicated source's failovers and hedges are attributed to this
-	// step through context-carried call stats.
+	// The step's exchanges are entered in the run's ledger under its index; a
+	// replicated source's failovers and hedges are attributed to it through
+	// context-carried call stats.
 	var cs *fabric.CallStats
 	if isSource {
 		srcName = r.p.Sources[s.Source]
 		span.SetAttr("source", srcName)
+		if r.ledger != nil {
+			sctx = netsim.WithLedger(sctx, r.ledger, idx)
+		}
 		if _, ok := r.e.Sources[s.Source].(replicaSource); ok {
 			cs = &fabric.CallStats{}
 			sctx = fabric.WithCallStats(sctx, cs)

@@ -97,8 +97,8 @@ func (r *run) sequential() bool { return !r.e.Parallel && !r.pipelined }
 // concurrent (the nodes overlap), so it uses the parallel rule. A
 // replicated source's capacity is the sum of its endpoints' pools (each
 // endpoint enforces its own share inside the fabric); the Conns override
-// applies per endpoint. With a network attached it also fills in the
-// accounting lanes criticalPath reads.
+// applies per endpoint. For an overlapped run with a network attached it also
+// fills in the lane capacities settle reads.
 func (r *run) resolveConns(j int) int {
 	e, name, seq := r.e, r.e.Sources[j].Name(), r.sequential()
 	conns := 1
@@ -111,8 +111,7 @@ func (r *run) resolveConns(j int) int {
 				k = e.Conns
 			}
 			total += k
-			if r.owner != nil {
-				r.owner[epName] = name
+			if r.laneConns != nil {
 				r.laneConns[epName] = k
 			}
 		}

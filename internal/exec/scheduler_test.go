@@ -178,27 +178,63 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestParallelTraceAttributesElapsed checks the fixed parallel-mode trace:
-// each step's Elapsed comes from the netsim exchange log, so steps that
+// TestParallelTraceAttributesElapsed checks the trace under every scheduler:
+// a step's Elapsed is what the exchanges it issued took, so steps that
 // reached a source show nonzero time and the per-step times sum to the
-// total work even when the batch ran concurrently.
+// total work even when the steps ran concurrently.
 func TestParallelTraceAttributesElapsed(t *testing.T) {
-	pr, srcs, network := dmvSetup(t, semijoinCaps)
-	ex := &Executor{Sources: srcs, Network: network, Parallel: true, Conns: 2, Trace: true}
-	got, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var elapsed time.Duration
-	for _, tr := range got.Trace {
-		if tr.Queries > 0 && tr.Elapsed == 0 {
-			t.Fatalf("step %d issued %d queries but shows zero elapsed:\n%s",
-				tr.Index, tr.Queries, RenderTrace(got.Trace))
+	for _, mode := range runModes {
+		pr, srcs, network := dmvSetup(t, semijoinCaps)
+		ex := &Executor{Sources: srcs, Network: network, Conns: 2, Trace: true, BatchSize: 1}
+		mode.configure(ex)
+		got, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources))
+		if err != nil {
+			t.Fatal(err)
 		}
-		elapsed += tr.Elapsed
+		var elapsed time.Duration
+		for _, tr := range got.Trace {
+			if tr.Queries > 0 && tr.Elapsed == 0 {
+				t.Fatalf("%s: step %d issued %d queries but shows zero elapsed:\n%s",
+					mode.name, tr.Index, tr.Queries, RenderTrace(got.Trace))
+			}
+			elapsed += tr.Elapsed
+		}
+		if elapsed != got.TotalWork {
+			t.Fatalf("%s: trace elapsed %v != total work %v", mode.name, elapsed, got.TotalWork)
+		}
 	}
-	if elapsed != got.TotalWork {
-		t.Fatalf("trace elapsed %v != total work %v", elapsed, got.TotalWork)
+}
+
+// TestTraceElapsedIsExactWhenStepsShareASource: two selections of one round
+// go to the same source with different payloads. Each step is charged its
+// own exchange, not a share of the source's time.
+func TestTraceElapsedIsExactWhenStepsShareASource(t *testing.T) {
+	pr, srcs, network := dmvSetup(t, nil)
+	p := &plan.Plan{
+		Conds:   []cond.Cond{cond.MustParse("V = 'dui'"), cond.MustParse("D < 2000")},
+		Sources: pr.Sources,
+		Steps: []plan.Step{
+			{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0},
+			{Kind: plan.KindSelect, Out: "B", Cond: 1, Source: 0},
+			{Kind: plan.KindUnion, Out: "R", Cond: -1, Source: -1, In: []string{"A", "B"}},
+		},
+		Result: "R",
+	}
+	for _, mode := range runModes {
+		network.Reset()
+		ex := &Executor{Sources: srcs, Network: network, Conns: 2, Trace: true}
+		mode.configure(ex)
+		got, err := ex.Run(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		link := network.LinkFor(pr.Sources[0])
+		// sq(V = 'dui') returns J55 and T80, sq(D < 2000) all three items.
+		wantA, wantB := link.TransferTime(32+len("V = 'dui'"), 6), link.TransferTime(32+len("D < 2000"), 9)
+		if got.Trace[0].Elapsed != wantA || got.Trace[1].Elapsed != wantB || wantA == wantB {
+			t.Fatalf("%s: steps report %v and %v, their exchanges took %v and %v\nlog: %+v",
+				mode.name, got.Trace[0].Elapsed, got.Trace[1].Elapsed, wantA, wantB, network.Log())
+		}
 	}
 }
 

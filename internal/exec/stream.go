@@ -260,10 +260,6 @@ func (it *edgeIter) Close() error {
 func (r *run) runPipelined(ctx context.Context) error {
 	res := r.res
 	start := time.Now()
-	// The pipeline is one big round: response time is the critical path over
-	// the per-source k-lane schedules of the whole run's exchanges.
-	defer r.account()()
-
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -379,6 +375,9 @@ func (r *run) runPipelined(ctx context.Context) error {
 		res.Answer = set.FromSorted(answer)
 		r.vars[r.p.Result] = res.Answer
 	}
+	// The pipeline is one big round: response time is the critical path over
+	// the per-source k-lane schedules of the whole run's exchanges.
+	r.settle()
 	r.close()
 	return err
 }

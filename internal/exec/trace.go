@@ -38,9 +38,8 @@ type StepTrace struct {
 	// Err is the step's final error text; empty when the step succeeded.
 	// Failed steps appear in the trace with the work they charged.
 	Err string
-	// Elapsed is the simulated time the step's exchanges took (zero
-	// without a network or for local steps). In parallel batches it is
-	// attributed per step from the network exchange log.
+	// Elapsed is the simulated time the exchanges the step issued took,
+	// under either scheduler (zero without a network or for local steps).
 	Elapsed time.Duration
 }
 

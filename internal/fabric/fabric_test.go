@@ -10,6 +10,7 @@ import (
 
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
+	"fusionq/internal/netsim"
 	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
@@ -273,6 +274,44 @@ func TestHedgeBackupWinsAndLoserCancelled(t *testing.T) {
 	}
 	if fails := l.eps[0].health.consecutiveFails(); fails != 0 {
 		t.Fatalf("cancelled loser charged %d health failures", fails)
+	}
+}
+
+// TestHedgedLegsAreChargedToTheCallersLedger: both legs of a hedged exchange
+// run under the caller's context, so the loser — cancelled in flight, its
+// traffic paid for — is in the caller's ledger exactly as it is in the
+// network's log.
+func TestHedgedLegsAreChargedToTheCallersLedger(t *testing.T) {
+	network := netsim.NewNetwork(1)
+	network.SetLink("R1a", netsim.Link{Latency: 100 * time.Millisecond})
+	network.SetLink("R1b", netsim.Link{Latency: 500 * time.Microsecond})
+	network.SetRealTime(1)
+	eps := []*Endpoint{
+		NewEndpoint(source.Instrument(newStub("R1a"), network), 1),
+		NewEndpoint(source.Instrument(newStub("R1b"), network), 1),
+	}
+	l, err := NewLogical("R1", eps, Options{Seed: 1, HedgeMin: 5 * time.Millisecond, HedgePercentile: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmRing(l, 2*time.Millisecond, l.opts.HedgeMinSamples)
+
+	var ledger netsim.Ledger
+	ctx := netsim.WithLedger(context.Background(), &ledger, 3)
+	// The slow endpoint is the primary, so the backup wins and the primary is
+	// cancelled inside its exchange.
+	if _, err := attempt(ctx, l, l.eps[0], map[*Endpoint]bool{}, "sq", source.Call{Op: source.OpSelect, Cond: cond.True{}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Stats(); got.Hedges != 1 || got.HedgeWins != 1 {
+		t.Fatalf("stats = %+v, want one hedge and one win", got)
+	}
+	log, got := network.Log(), ledger.Entries()
+	if len(log) != 2 || log[0].Source != "R1a" || log[1].Source != "R1b" {
+		t.Fatalf("log = %+v, want the cancelled primary's exchange and the backup's", log)
+	}
+	if len(got) != 2 || got[0].Exchange != log[0] || got[1].Exchange != log[1] || got[0].Tag != 3 || got[1].Tag != 3 {
+		t.Fatalf("ledger = %+v, want the log's two exchanges %+v under tag 3", got, log)
 	}
 }
 

@@ -21,26 +21,26 @@ func TestChurnKillDegradeReviveAndRearm(t *testing.T) {
 	ctx := context.Background()
 
 	// Before the threshold both sources answer over the fast link.
-	if d, err := n.ExchangeContext(ctx, "A", "sq", 10, 10); err != nil || d != 2*time.Millisecond {
+	if d, err := n.Exchange(ctx, "A", "sq", 10, 10); err != nil || d != 2*time.Millisecond {
 		t.Fatalf("pre-churn exchange: %v, %v", d, err)
 	}
 	// Advance simulated time past the threshold.
 	for i := 0; i < 3; i++ {
-		if _, err := n.ExchangeContext(ctx, "B", "sq", 10, 10); err != nil {
+		if _, err := n.Exchange(ctx, "B", "sq", 10, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := n.ExchangeContext(ctx, "A", "sq", 10, 10); !errors.Is(err, ErrDown) {
+	if _, err := n.Exchange(ctx, "A", "sq", 10, 10); !errors.Is(err, ErrDown) {
 		t.Fatalf("killed source exchange err = %v, want ErrDown", err)
 	}
 	if !n.Down("A") {
 		t.Fatal("Down(A) = false after kill")
 	}
-	if d, err := n.ExchangeContext(ctx, "B", "sq", 10, 10); err != nil || d != 200*time.Millisecond {
+	if d, err := n.Exchange(ctx, "B", "sq", 10, 10); err != nil || d != 200*time.Millisecond {
 		t.Fatalf("degraded exchange: %v, %v (want the slow link's 200ms)", d, err)
 	}
 	// The slow exchange pushed simulated time past the revive threshold.
-	if _, err := n.ExchangeContext(ctx, "A", "sq", 10, 10); err != nil {
+	if _, err := n.Exchange(ctx, "A", "sq", 10, 10); err != nil {
 		t.Fatalf("revived source exchange: %v", err)
 	}
 
@@ -50,7 +50,7 @@ func TestChurnKillDegradeReviveAndRearm(t *testing.T) {
 	// A killed exchange is free: it records no traffic.
 	before := n.Stats()
 	n.ScheduleChurn([]ChurnEvent{{At: 0, Source: "A", Kind: ChurnKill}})
-	if _, err := n.ExchangeContext(ctx, "A", "sq", 10, 10); !errors.Is(err, ErrDown) {
+	if _, err := n.Exchange(ctx, "A", "sq", 10, 10); !errors.Is(err, ErrDown) {
 		t.Fatal("re-scheduled kill did not fire")
 	}
 	if after := n.Stats(); after != before {
@@ -67,7 +67,7 @@ func TestChurnKillDegradeReviveAndRearm(t *testing.T) {
 	}
 	// totalTime restarts at zero, so the At=0 kill fires on the first
 	// exchange again.
-	if _, err := n.ExchangeContext(ctx, "A", "sq", 10, 10); !errors.Is(err, ErrDown) {
+	if _, err := n.Exchange(ctx, "A", "sq", 10, 10); !errors.Is(err, ErrDown) {
 		t.Fatal("schedule not re-armed by Reset")
 	}
 }

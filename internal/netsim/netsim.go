@@ -7,6 +7,8 @@
 //
 // Each source is reached over a Link with its own latency, bandwidth and
 // per-request overhead, mirroring the paper's heterogeneous-source setting.
+// The network is shared by everything that runs over it; a caller that
+// accounts for its own exchanges carries a Ledger in its context.
 package netsim
 
 import (
@@ -114,11 +116,8 @@ type Network struct {
 	mu    sync.Mutex
 	links map[string]Link
 	rng   *rand.Rand
-	// log holds the most recent exchanges, at most logRetention of them;
-	// dropped counts the ones recorded before log[0], so that log[i] is
-	// exchange number dropped+i of the network's life.
-	log     []Exchange
-	dropped uint64
+	// log holds the most recent exchanges, at most logRetention of them.
+	log []Exchange
 
 	// realScale, when positive, makes every exchange take realScale × its
 	// simulated duration of wall-clock time, so context deadlines bite.
@@ -216,9 +215,9 @@ func Makespan(durations []time.Duration, k int) time.Duration {
 // ScheduleChurn installs a scripted churn sequence. Events fire in At order
 // as the network's simulated time advances past each threshold; the current
 // link configuration is snapshotted so revive events and Reset restore it.
-// Reset re-arms the whole schedule, so traffic that advances simulated time
-// before an execution (a statistics exchange, an earlier query) does not
-// consume the script.
+// Reset re-arms the whole schedule: whoever times a script against one
+// execution calls Reset before it, so that traffic which advanced simulated
+// time earlier (a statistics exchange, another query) does not consume it.
 func (n *Network) ScheduleChurn(events []ChurnEvent) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -274,23 +273,19 @@ func (n *Network) SetRealTime(scale float64) {
 }
 
 // Exchange records a round trip to source carrying the given payload sizes
-// and returns the simulated elapsed time for this exchange.
-func (n *Network) Exchange(source, kind string, reqBytes, respBytes int) time.Duration {
-	d, _ := n.ExchangeContext(context.Background(), source, kind, reqBytes, respBytes)
-	return d
-}
-
-// ExchangeContext records a round trip like Exchange, honoring ctx: a
-// cancelled or expired context aborts the exchange with ctx's error (wrapped
-// so errors.Is sees context.Canceled / context.DeadlineExceeded). An
-// exchange that was already in flight when the deadline hit stays recorded —
-// the traffic was paid for — but its caller gets the error. In real-time
-// mode (SetRealTime) the exchange sleeps its scaled duration and the
-// deadline interrupts the sleep.
-func (n *Network) ExchangeContext(ctx context.Context, source, kind string, reqBytes, respBytes int) (time.Duration, error) {
+// and returns its simulated elapsed time. It honors ctx: a cancelled or
+// expired context aborts the exchange with ctx's error (wrapped so errors.Is
+// sees context.Canceled / context.DeadlineExceeded). An exchange that was
+// already in flight when the deadline hit stays recorded — the traffic was
+// paid for — but its caller gets the error. In real-time mode (SetRealTime)
+// the exchange sleeps its scaled duration and the deadline interrupts the
+// sleep. Whenever the exchange is recorded in the log it is also entered in
+// the ledger ctx carries (WithLedger), in the same order.
+func (n *Network) Exchange(ctx context.Context, source, kind string, reqBytes, respBytes int) (time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("netsim: exchange with %s: %w", source, err)
 	}
+	acct := ledgerOf(ctx)
 	n.mu.Lock()
 	n.applyChurnLocked()
 	if n.down[source] {
@@ -310,10 +305,11 @@ func (n *Network) ExchangeContext(ctx context.Context, source, kind string, reqB
 		// Drop the older half, so trimming costs a copy per logRetention/2
 		// exchanges and not one per exchange.
 		half := logRetention / 2
-		n.dropped += uint64(half)
 		n.log = n.log[:copy(n.log, n.log[half:])]
 	}
-	n.log = append(n.log, Exchange{Source: source, Kind: kind, ReqBytes: reqBytes, RespBytes: respBytes, Elapsed: d})
+	ex := Exchange{Source: source, Kind: kind, ReqBytes: reqBytes, RespBytes: respBytes, Elapsed: d}
+	n.log = append(n.log, ex)
+	acct.enter(ex)
 	n.totalBytes += reqBytes + respBytes
 	n.totalTime += d
 	n.messages++
@@ -349,49 +345,17 @@ func (n *Network) Stats() Stats {
 }
 
 // logRetention bounds the exchange log: a network that is never Reset (one
-// under a plan-cached or answer-cached service) keeps its most recent
-// exchanges, between half of this many and all of it, and its counters stay
-// cumulative. It is far more than one accounting window holds: a round's
-// batch of exchanges, or a pipelined run's.
+// under a long-running service) keeps its most recent exchanges, between
+// half of this many and all of it, and its counters stay cumulative.
 const logRetention = 1 << 15
 
-// Log returns a copy of the retained exchanges in order.
+// Log returns a copy of the retained exchanges in order. The log is for
+// inspection; whoever accounts for its own traffic carries a Ledger.
 func (n *Network) Log() []Exchange {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := make([]Exchange, len(n.log))
 	copy(out, n.log)
-	return out
-}
-
-// Mark is a position in the network's sequence of exchanges. Callers that
-// account for their own traffic take one before issuing it and read the
-// window back with Since.
-type Mark struct {
-	seq uint64
-}
-
-// Mark returns the position after the last exchange recorded so far.
-func (n *Network) Mark() Mark {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return Mark{seq: n.dropped + uint64(len(n.log))}
-}
-
-// Since returns a copy of the exchanges recorded after m, in order: the
-// caller's own plus those of whoever else used the network meanwhile. It
-// copies the window alone, so its cost does not grow with the log. When a
-// Reset, or retention, has discarded the window's head, Since returns the
-// part that is retained; no entry older than m is ever returned.
-func (n *Network) Since(m Mark) []Exchange {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	pos := 0
-	if m.seq > n.dropped {
-		pos = int(m.seq - n.dropped)
-	}
-	out := make([]Exchange, len(n.log)-pos)
-	copy(out, n.log[pos:])
 	return out
 }
 
@@ -402,7 +366,6 @@ func (n *Network) Since(m Mark) []Exchange {
 func (n *Network) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.dropped += uint64(len(n.log))
 	n.log = nil
 	n.totalBytes = 0
 	n.totalTime = 0

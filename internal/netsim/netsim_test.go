@@ -1,11 +1,15 @@
 package netsim
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// bg is the context of exchanges nobody accounts.
+var bg = context.Background()
 
 func TestTransferTime(t *testing.T) {
 	l := Link{Latency: 40 * time.Millisecond, BytesPerSec: 1000, RequestOverhead: 20 * time.Millisecond}
@@ -26,8 +30,8 @@ func TestTransferTimeInfiniteBandwidth(t *testing.T) {
 func TestExchangeAccounting(t *testing.T) {
 	n := NewNetwork(42)
 	n.SetLink("R1", Link{Latency: time.Millisecond})
-	n.Exchange("R1", "sq", 100, 200)
-	n.Exchange("R1", "sjq", 50, 10)
+	n.Exchange(bg, "R1", "sq", 100, 200)
+	n.Exchange(bg, "R1", "sjq", 50, 10)
 	s := n.Stats()
 	if s.Messages != 2 {
 		t.Fatalf("Messages = %d, want 2", s.Messages)
@@ -46,7 +50,7 @@ func TestExchangeAccounting(t *testing.T) {
 
 func TestExchangeUsesDefaultLink(t *testing.T) {
 	n := NewNetwork(1)
-	d := n.Exchange("unknown", "sq", 0, 0)
+	d, _ := n.Exchange(bg, "unknown", "sq", 0, 0)
 	def := DefaultLink()
 	if want := def.TransferTime(0, 0); d != want {
 		t.Fatalf("default exchange = %v, want %v", d, want)
@@ -62,7 +66,8 @@ func TestJitterDeterminism(t *testing.T) {
 		n.SetLink("R1", Link{Latency: 10 * time.Millisecond, JitterFrac: 0.5})
 		var ds []time.Duration
 		for i := 0; i < 5; i++ {
-			ds = append(ds, n.Exchange("R1", "sq", 10, 10))
+			d, _ := n.Exchange(bg, "R1", "sq", 10, 10)
+			ds = append(ds, d)
 		}
 		return ds
 	}
@@ -83,7 +88,7 @@ func TestJitterDeterminism(t *testing.T) {
 func TestReset(t *testing.T) {
 	n := NewNetwork(1)
 	n.SetLink("R1", Link{Latency: time.Millisecond})
-	n.Exchange("R1", "sq", 1, 1)
+	n.Exchange(bg, "R1", "sq", 1, 1)
 	n.Reset()
 	if s := n.Stats(); s.Messages != 0 || s.TotalBytes != 0 || s.TotalTime != 0 {
 		t.Fatalf("Stats after Reset = %+v", s)
@@ -105,7 +110,7 @@ func TestConcurrentExchanges(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				n.Exchange("R1", "sq", 10, 10)
+				n.Exchange(bg, "R1", "sq", 10, 10)
 			}
 		}()
 	}

@@ -373,6 +373,7 @@ func (d *Driver) check(ctx context.Context, ev *env, srcs []source.Source, cls s
 		BatchSize: opts.batch,
 		Cache:     opts.cache,
 		Retries:   opts.retries,
+		Trace:     true,
 	}
 	res, fs, err := run(rctx, ex)
 	d.Recorder.End(o.Live, obs.EndInfo{Err: err, Trace: o.Trace,
@@ -419,6 +420,16 @@ func (d *Driver) check(ctx context.Context, ev *env, srcs []source.Source, cls s
 	case res.ResponseTime != res.TotalWork:
 		fs = append(fs, Failure{Property: "seq-identity", Class: cls, Mode: opts.mode,
 			Detail: fmt.Sprintf("sequential response time %v != total work %v", res.ResponseTime, res.TotalWork)})
+	}
+	// Under every scheduler the run's work is the work of its steps: each
+	// exchange is charged to the step that issued it, and to no other.
+	var stepWork time.Duration
+	for _, tr := range res.Trace {
+		stepWork += tr.Elapsed
+	}
+	if stepWork != res.TotalWork {
+		fs = append(fs, Failure{Property: "step-identity", Class: cls, Mode: opts.mode,
+			Detail: fmt.Sprintf("steps' elapsed times sum to %v, total work is %v", stepWork, res.TotalWork)})
 	}
 	if err == nil {
 		// A successful run knows when its answer first existed, and its peak

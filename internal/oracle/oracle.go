@@ -164,7 +164,8 @@ func capsForTier(tier int) source.Capabilities {
 type Failure struct {
 	// Property names the violated invariant: "answer-mismatch",
 	// "partial-dishonest", "error-class", "cost-bookkeeping",
-	// "cost-dominance", "seq-identity", "par-response", "span-unfinished",
+	// "cost-dominance", "seq-identity", "par-response", "step-identity",
+	// "span-unfinished",
 	// "metric-imbalance", "gauge-leak", "cache-reuse", "optimize-error",
 	// "exec-error", "wire-frag-missing", "wire-frag-nesting",
 	// "wire-bytes-mismatch", "plan-cache-coherence".

@@ -3,7 +3,6 @@ package source
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"fusionq/internal/cond"
 	"fusionq/internal/netsim"
@@ -16,86 +15,22 @@ import (
 // (operation tag, relation name, protocol overhead).
 const queryHeaderBytes = 32
 
-// Counters aggregates the source-query traffic a plan execution generated at
-// one source. The paper's cost model charges exactly these operations.
-type Counters struct {
-	SelectQueries   int // sq(c, R)
-	SemijoinQueries int // native sjq(c, R, Y)
-	BindingQueries  int // emulated per-item selections "c AND M = m"
-	LoadQueries     int // lq(R)
-	FetchQueries    int // phase-two record fetches
-	ItemsSent       int // semijoin-set items shipped to the source
-	ItemsReceived   int // items returned by the source
-}
-
-// Add accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.SelectQueries += other.SelectQueries
-	c.SemijoinQueries += other.SemijoinQueries
-	c.BindingQueries += other.BindingQueries
-	c.LoadQueries += other.LoadQueries
-	c.FetchQueries += other.FetchQueries
-	c.ItemsSent += other.ItemsSent
-	c.ItemsReceived += other.ItemsReceived
-}
-
-// Queries returns the total number of source queries issued.
-func (c Counters) Queries() int {
-	return c.SelectQueries + c.SemijoinQueries + c.BindingQueries + c.LoadQueries + c.FetchQueries
-}
-
 // Instrumented is the accounting layer: it charges every exchange with the
-// source underneath to a simulated network and to its Counters. All plan
-// executions in the experiments run against instrumented sources, so
-// estimated costs can be compared with measured ones.
+// source underneath to a simulated network, and to the byte counters and the
+// latency histogram of the context's metrics. All plan executions in the
+// experiments run against instrumented sources, so estimated costs can be
+// compared with measured ones.
 type Instrumented struct {
 	Layer
 	net *netsim.Network
-
-	mu       sync.Mutex
-	counters Counters
 }
 
-// Instrument wraps src, recording exchanges on network (which may be nil
-// for counter-only instrumentation).
+// Instrument wraps src, recording exchanges on network (nil charges the
+// context's metrics alone).
 func Instrument(src Source, network *netsim.Network) *Instrumented {
 	s := &Instrumented{net: network}
 	s.Layer = Over(src, s.exchange)
 	return s
-}
-
-// Counters returns a snapshot of the accumulated counters.
-func (s *Instrumented) Counters() Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters
-}
-
-// ResetCounters zeroes the counters.
-func (s *Instrumented) ResetCounters() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counters = Counters{}
-}
-
-// charges is the accounting table: what one completed exchange of each
-// operation adds to the Counters before the items it carried are counted,
-// and whether the items or records it returns count as ItemsReceived (a
-// load's and a fetch's do not). A stats exchange is no query of the cost
-// model's and has no row: it is charged to the network and the byte metrics
-// alone.
-var charges = map[Op]struct {
-	fixed    Counters
-	received bool
-}{
-	OpSelect:     {Counters{SelectQueries: 1}, true},
-	OpSelectRecs: {Counters{SelectQueries: 1}, true},
-	OpSemi:       {Counters{SemijoinQueries: 1}, true},
-	OpSemiRecs:   {Counters{SemijoinQueries: 1}, true},
-	OpSemiBloom:  {Counters{SemijoinQueries: 1}, true},
-	OpBinding:    {Counters{BindingQueries: 1, ItemsSent: 1}, true},
-	OpLoad:       {Counters{LoadQueries: 1}, false},
-	OpFetch:      {Counters{FetchQueries: 1}, false},
 }
 
 // exchange is the layer's handler: the exchange span envelops the operation
@@ -139,17 +74,10 @@ func (s *Instrumented) exchange(ctx context.Context, call Call) (Reply, error) {
 	if reply.Stats != nil {
 		resp += reply.Stats.Size()
 	}
-	charge := charges[call.Op]
-	delta := charge.fixed
-	delta.ItemsSent += call.Items.Len()
 	if reply.Match {
 		resp += len(call.Item)
-		delta.ItemsReceived++
 	}
-	if charge.received {
-		delta.ItemsReceived += reply.Items.Len() + len(reply.Tuples)
-	}
-	if err := s.record(ctx, sp, kind, req, resp, delta); err != nil {
+	if err := s.record(ctx, sp, kind, req, resp); err != nil {
 		return Reply{}, err
 	}
 	return reply, nil
@@ -163,24 +91,20 @@ func (s *Instrumented) begin(ctx context.Context, kind string) (context.Context,
 	return ctx, sp
 }
 
-// record accounts one completed exchange: the counters always accrue (the
-// inner operation did run), and the network charge honors ctx — in
+// record accounts one completed exchange. The network charge honors ctx — in
 // real-time network mode a deadline can interrupt the exchange, in which
 // case the error (wrapping ctx.Err()) is returned and the caller must
 // discard the operation's result. When the context carries an Obs, the
 // exchange is also visible as per-source byte counters and a
 // simulated-latency histogram, and the span begin opened is closed here.
-func (s *Instrumented) record(ctx context.Context, sp *obs.Span, kind string, reqBytes, respBytes int, delta Counters) error {
-	s.mu.Lock()
-	s.counters.Add(delta)
-	s.mu.Unlock()
+func (s *Instrumented) record(ctx context.Context, sp *obs.Span, kind string, reqBytes, respBytes int) error {
 	name := s.Name()
 	met := obs.Meter(ctx)
 	met.Counter(obs.MBytesSent, "source", name).Add(int64(reqBytes))
 	met.Counter(obs.MBytesReceived, "source", name).Add(int64(respBytes))
 	obs.LiveOf(ctx).Exchange(name, kind, int64(reqBytes+respBytes))
 	if s.net != nil {
-		d, err := s.net.ExchangeContext(ctx, name, kind, reqBytes, respBytes)
+		d, err := s.net.Exchange(ctx, name, kind, reqBytes, respBytes)
 		if err != nil {
 			sp.End(err)
 			return fmt.Errorf("source %s: %w", name, err)
@@ -207,11 +131,10 @@ func (it *instrumentedStream) Next(ctx context.Context) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, req, delta := "sqc", 0, Counters{ItemsReceived: len(batch)}
+	kind, req := "sqc", 0
 	if !it.started {
 		it.started = true
 		kind, req = "sq", queryHeaderBytes+len(it.cond.String())
-		delta.SelectQueries = 1
 	} else if batch == nil {
 		// Exhaustion after at least one batch: the last chunk already paid.
 		return nil, nil
@@ -223,7 +146,7 @@ func (it *instrumentedStream) Next(ctx context.Context) ([]string, error) {
 	// The batch was pulled by a background pump, so its wire span cannot nest
 	// here; the exchange span records the per-batch accounting only.
 	ctx, sp := it.src.begin(ctx, kind)
-	if err := it.src.record(ctx, sp, kind, req, resp, delta); err != nil {
+	if err := it.src.record(ctx, sp, kind, req, resp); err != nil {
 		return nil, err
 	}
 	return batch, nil

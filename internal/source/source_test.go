@@ -196,20 +196,13 @@ func TestInstrumentedCountersAndNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ct := src.Counters()
-	if ct.SelectQueries != 1 || ct.SemijoinQueries != 1 || ct.LoadQueries != 1 || ct.FetchQueries != 1 {
-		t.Fatalf("counters = %+v", ct)
+	var kinds []string
+	for _, ex := range network.Log() {
+		kinds = append(kinds, ex.Kind)
 	}
-	if ct.ItemsSent != 3 { // 2 semijoin + 1 fetch
-		t.Fatalf("ItemsSent = %d, want 3", ct.ItemsSent)
+	if want := []string{"sq", "sjq", "lq", "fetch"}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("exchange kinds = %v, want %v", kinds, want)
 	}
-	if ct.ItemsReceived != 3 { // 2 from sq + 1 from sjq
-		t.Fatalf("ItemsReceived = %d, want 3", ct.ItemsReceived)
-	}
-	if ct.Queries() != 4 {
-		t.Fatalf("Queries() = %d, want 4", ct.Queries())
-	}
-
 	ns := network.Stats()
 	if ns.Messages != 4 {
 		t.Fatalf("network messages = %d, want 4", ns.Messages)
@@ -217,22 +210,18 @@ func TestInstrumentedCountersAndNetwork(t *testing.T) {
 	if ns.TotalBytes <= 0 {
 		t.Fatal("network bytes should be positive")
 	}
-
-	src.ResetCounters()
-	if src.Counters().Queries() != 0 {
-		t.Fatal("ResetCounters did not zero counters")
-	}
 }
 
 // TestInstrumentedAccounting pins what the accounting layer charges for each
-// operation on R1: the exchange's kind, request and response bytes in the
-// network log, and the Counters delta.
+// operation on R1: the exchange's kind, request and response bytes, read from
+// the test's own ledger.
 func TestInstrumentedAccounting(t *testing.T) {
 	network := netsim.NewNetwork(1)
 	network.SetLink("R1", netsim.Link{})
 	caps := Capabilities{NativeSemijoin: true, PassedBindings: true, BloomSemijoin: true}
 	src := Instrument(NewWrapper("R1", NewRowBackend(rowRel(t)), caps), network)
-	ctx := context.Background()
+	var ledger netsim.Ledger
+	ctx := netsim.WithLedger(context.Background(), &ledger, 0)
 	c := cond.MustParse("V = 'dui'")
 	y := set.New("J55", "T21")
 	f := bloom.FromItems([]string{"J55", "T80"}, 10)
@@ -249,67 +238,56 @@ func TestInstrumentedAccounting(t *testing.T) {
 		name string
 		run  func() error
 		log  []netsim.Exchange
-		want Counters
 	}{
 		{"sq", func() error { _, err := src.Select(ctx, c); return err },
-			[]netsim.Exchange{{Kind: "sq", ReqBytes: 41, RespBytes: 6}},
-			Counters{SelectQueries: 1, ItemsReceived: 2}},
+			[]netsim.Exchange{{Kind: "sq", ReqBytes: 41, RespBytes: 6}}},
 		{"sjq", func() error { _, err := src.Semijoin(ctx, c, y); return err },
-			[]netsim.Exchange{{Kind: "sjq", ReqBytes: 47, RespBytes: 3}},
-			Counters{SemijoinQueries: 1, ItemsSent: 2, ItemsReceived: 1}},
+			[]netsim.Exchange{{Kind: "sjq", ReqBytes: 47, RespBytes: 3}}},
 		{"binding hit", func() error { _, err := src.SelectBinding(ctx, c, "J55"); return err },
-			[]netsim.Exchange{{Kind: "sq", ReqBytes: 44, RespBytes: 3}},
-			Counters{BindingQueries: 1, ItemsSent: 1, ItemsReceived: 1}},
+			[]netsim.Exchange{{Kind: "sq", ReqBytes: 44, RespBytes: 3}}},
 		{"binding miss", func() error { _, err := src.SelectBinding(ctx, c, "T21"); return err },
-			[]netsim.Exchange{{Kind: "sq", ReqBytes: 44, RespBytes: 0}},
-			Counters{BindingQueries: 1, ItemsSent: 1}},
+			[]netsim.Exchange{{Kind: "sq", ReqBytes: 44, RespBytes: 0}}},
 		{"lq", func() error { _, err := src.Load(ctx); return err },
-			[]netsim.Exchange{{Kind: "lq", ReqBytes: 32, RespBytes: 41}},
-			Counters{LoadQueries: 1}},
+			[]netsim.Exchange{{Kind: "lq", ReqBytes: 32, RespBytes: 41}}},
 		{"fetch", func() error { _, err := src.Fetch(ctx, y); return err },
-			[]netsim.Exchange{{Kind: "fetch", ReqBytes: 38, RespBytes: 27}},
-			Counters{FetchQueries: 1, ItemsSent: 2}},
+			[]netsim.Exchange{{Kind: "fetch", ReqBytes: 38, RespBytes: 27}}},
 		{"sqr", func() error { _, err := src.SelectRecords(ctx, c); return err },
-			[]netsim.Exchange{{Kind: "sqr", ReqBytes: 41, RespBytes: 28}},
-			Counters{SelectQueries: 1, ItemsReceived: 2}},
+			[]netsim.Exchange{{Kind: "sqr", ReqBytes: 41, RespBytes: 28}}},
 		{"sjqr", func() error { _, err := src.SemijoinRecords(ctx, c, y); return err },
-			[]netsim.Exchange{{Kind: "sjqr", ReqBytes: 47, RespBytes: 14}},
-			Counters{SemijoinQueries: 1, ItemsSent: 2, ItemsReceived: 1}},
+			[]netsim.Exchange{{Kind: "sjqr", ReqBytes: 47, RespBytes: 14}}},
 		{"sjqb", func() error { _, err := src.SemijoinBloom(ctx, c, f); return err },
-			[]netsim.Exchange{{Kind: "sjqb", ReqBytes: 49, RespBytes: 6}},
-			Counters{SemijoinQueries: 1, ItemsReceived: 2}},
+			[]netsim.Exchange{{Kind: "sjqb", ReqBytes: 49, RespBytes: 6}}},
 		{"streamed sq", func() error { return drain(src.SelectStream(ctx, cond.MustParse("D < 2000"), 1)) },
-			[]netsim.Exchange{{Kind: "sq", ReqBytes: 40, RespBytes: 3}, {Kind: "sqc", RespBytes: 3}, {Kind: "sqc", RespBytes: 3}},
-			Counters{SelectQueries: 1, ItemsReceived: 3}},
+			[]netsim.Exchange{{Kind: "sq", ReqBytes: 40, RespBytes: 3}, {Kind: "sqc", RespBytes: 3}, {Kind: "sqc", RespBytes: 3}}},
 		// A summary is charged at its Size and is no query of the cost model's.
 		{"stats", func() error { _, err := src.Summarize(ctx); return err },
-			[]netsim.Exchange{{Kind: "stats", ReqBytes: 32, RespBytes: rowRel(t).Summarize().Size()}},
-			Counters{}},
+			[]netsim.Exchange{{Kind: "stats", ReqBytes: 32, RespBytes: rowRel(t).Summarize().Size()}}},
 	} {
-		src.ResetCounters()
-		mark := network.Mark()
+		before := len(ledger.Entries())
 		if err := op.run(); err != nil {
 			t.Fatalf("%s: %v", op.name, err)
+		}
+		var got []netsim.Exchange
+		for _, en := range ledger.Entries()[before:] {
+			got = append(got, en.Exchange)
 		}
 		for i := range op.log {
 			op.log[i].Source = "R1"
 		}
-		if got := network.Since(mark); !reflect.DeepEqual(got, op.log) {
+		if !reflect.DeepEqual(got, op.log) {
 			t.Errorf("%s: exchanges %+v, want %+v", op.name, got, op.log)
-		}
-		if got := src.Counters(); got != op.want {
-			t.Errorf("%s: counters %+v, want %+v", op.name, got, op.want)
 		}
 	}
 }
 
 func TestInstrumentedErrorsDoNotRecord(t *testing.T) {
-	src := Instrument(NewWrapper("R1", NewRowBackend(rowRel(t)), Capabilities{}), nil)
+	network := netsim.NewNetwork(1)
+	src := Instrument(NewWrapper("R1", NewRowBackend(rowRel(t)), Capabilities{}), network)
 	if _, err := src.Semijoin(context.Background(), cond.MustParse("V = 'sp'"), set.New("a")); err == nil {
 		t.Fatal("expected error")
 	}
-	if src.Counters().Queries() != 0 {
-		t.Fatal("failed operation should not be counted")
+	if log := network.Log(); len(log) != 0 {
+		t.Fatalf("failed operation was charged: %+v", log)
 	}
 }
 
@@ -347,10 +325,6 @@ func TestInstrumentedBloomCharges(t *testing.T) {
 	f := bloom.FromItems([]string{"J55", "T80"}, 10)
 	if _, err := src.SemijoinBloom(context.Background(), cond.MustParse("V = 'dui'"), f); err != nil {
 		t.Fatal(err)
-	}
-	ct := src.Counters()
-	if ct.SemijoinQueries != 1 {
-		t.Fatalf("counters = %+v", ct)
 	}
 	log := network.Log()
 	if len(log) != 1 || log[0].Kind != "sjqb" {
@@ -441,7 +415,8 @@ func TestInstrumentedConcurrentBatches(t *testing.T) {
 	src := Instrument(NewWrapper("R1", NewRowBackend(rowRel(t)), Capabilities{NativeSemijoin: true, PassedBindings: true}), network)
 
 	reg := obs.NewRegistry()
-	ctx := obs.With(context.Background(), &obs.Obs{Metrics: reg})
+	var ledger netsim.Ledger
+	ctx := netsim.WithLedger(obs.With(context.Background(), &obs.Obs{Metrics: reg}), &ledger, 0)
 
 	const goroutines, batches = 8, 25
 	var wg sync.WaitGroup
@@ -477,17 +452,24 @@ func TestInstrumentedConcurrentBatches(t *testing.T) {
 	}
 
 	const n = goroutines * batches
-	ct := src.Counters()
-	if ct.SelectQueries != n || ct.SemijoinQueries != n || ct.BindingQueries != n || ct.LoadQueries != n {
-		t.Fatalf("counters lost updates: %+v, want %d of each", ct, n)
+	// Per batch: the selection and the binding probe are "sq" exchanges, the
+	// semijoin ships 2 items and the probe 1; sq returns 2 items (J55, T80),
+	// sjq 1 (T21), the probe its binding, lq the relation. All goroutines share
+	// one ledger, so this is also its concurrent-writer test.
+	kinds, req, resp := map[string]int{}, 0, 0
+	for _, en := range ledger.Entries() {
+		kinds[en.Kind]++
+		req += en.ReqBytes
+		resp += en.RespBytes
 	}
-	// Per batch: sjq ships 2 items + binding ships 1; sq returns 2 (J55, T80),
-	// sjq returns 1 (T21), the binding probe returns 1.
-	if ct.ItemsSent != 3*n || ct.ItemsReceived != 4*n {
-		t.Fatalf("items sent/received = %d/%d, want %d/%d", ct.ItemsSent, ct.ItemsReceived, 3*n, 4*n)
+	if want := map[string]int{"sq": 2 * n, "sjq": n, "lq": n}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("ledger lost updates: kinds %v, want %v", kinds, want)
 	}
-	if got := network.Stats().Messages; got != 4*n {
-		t.Fatalf("network messages = %d, want %d", got, 4*n)
+	if wantReq, wantResp := (41+46+44+32)*n, (6+3+3+41)*n; req != wantReq || resp != wantResp {
+		t.Fatalf("request/response bytes = %d/%d, want %d/%d", req, resp, wantReq, wantResp)
+	}
+	if got := network.Stats(); got.Messages != 4*n || got.TotalBytes != req+resp {
+		t.Fatalf("network stats = %+v, want %d messages and %d bytes", got, 4*n, req+resp)
 	}
 	if got := reg.Histogram(obs.MExchangeSeconds, "source", "R1").Count(); got != 4*n {
 		t.Fatalf("exchange histogram count = %d, want %d", got, 4*n)

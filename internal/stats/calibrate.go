@@ -21,17 +21,14 @@ import (
 // observed average item size. probes supplies conditions of varying
 // selectivity; more variety yields a better fit.
 //
-// The source must already be instrumented against network; probe traffic is
-// left on the network's counters (callers that account an execution
-// afterwards Reset first).
-func Calibrate(ctx context.Context, src source.Source, network *netsim.Network, probes []cond.Cond) (SourceProfile, error) {
-	if network == nil {
-		return SourceProfile{}, fmt.Errorf("stats: calibration needs a network")
-	}
+// The source must be instrumented against a network: the fit is over a
+// ledger of the probes' own exchanges, whatever else the network carries.
+func Calibrate(ctx context.Context, src source.Source, probes []cond.Cond) (SourceProfile, error) {
 	if len(probes) < 2 {
 		return SourceProfile{}, fmt.Errorf("stats: calibration needs at least two probe conditions")
 	}
-	mark := network.Mark()
+	var ledger netsim.Ledger
+	ctx = netsim.WithLedger(ctx, &ledger, 0)
 	totalItems, totalItemBytes := 0, 0
 	for _, c := range probes {
 		items, err := src.Select(ctx, c)
@@ -41,9 +38,9 @@ func Calibrate(ctx context.Context, src source.Source, network *netsim.Network, 
 		totalItems += items.Len()
 		totalItemBytes += items.Bytes()
 	}
-	exchanges := network.Since(mark)
+	exchanges := ledger.Entries()
 	if len(exchanges) < 2 {
-		return SourceProfile{}, fmt.Errorf("stats: probes produced %d exchanges, need at least 2", len(exchanges))
+		return SourceProfile{}, fmt.Errorf("stats: probes produced %d exchanges, need at least 2 (is %s instrumented?)", len(exchanges), src.Name())
 	}
 
 	// Least-squares fit of elapsed = a + b·bytes over the probe exchanges.
