@@ -15,20 +15,15 @@ race:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-# Run the custom analyzer suite both through go vet (reusing the build
-# cache and export data) and standalone (self-contained package loading).
+# Run the custom analyzer suite over the tree: one invocation, every
+# analyzer (cmd/fqlint loads and type-checks the packages itself).
 lint:
-	$(GO) build -o bin/fqlint ./cmd/fqlint
-	$(GO) vet -vettool="$(CURDIR)/bin/fqlint" ./...
-	./bin/fqlint ./...
+	$(GO) run ./cmd/fqlint ./...
 
-# Just the concurrency-contract analyzers (CFG/dataflow based), in both
-# modes, plus the machine-readable report CI archives.
+# The concurrency-contract analyzers' findings as the machine-readable
+# report CI archives (`make lint` is what checks them).
 lint-concurrency:
-	$(GO) build -o bin/fqlint ./cmd/fqlint
-	$(GO) vet -vettool="$(CURDIR)/bin/fqlint" -only=lockorder,blockinglock,chandiscipline ./...
-	./bin/fqlint -only lockorder,blockinglock,chandiscipline ./...
-	./bin/fqlint -only lockorder,blockinglock,chandiscipline -json ./... > fqlint-concurrency.json
+	$(GO) run ./cmd/fqlint -only lockorder,blockinglock,chandiscipline -json ./... > fqlint-concurrency.json
 
 # One fuzz target per go test invocation: the parser, the bound condition
 # kernel against Eval, then the two ends of the wire transport (arbitrary

@@ -3,16 +3,12 @@
 // vocabulary, error-wrapping, span-pairing and goroutine-ownership
 // contracts.
 //
-// Standalone:
+// Usage:
 //
 //	fqlint ./...                 check packages (go-list patterns)
 //	fqlint -list                 print the analyzers and their invariants
 //	fqlint -only nakedgo ./...   run a subset (comma-separated names)
-//
-// As a vet tool, which reuses go vet's build cache and export data:
-//
-//	go build -o bin/fqlint ./cmd/fqlint
-//	go vet -vettool=$(pwd)/bin/fqlint ./...
+//	fqlint -json ./...           print the findings as JSON
 //
 // Exit status: 0 clean, 1 findings, 2 operational failure. A finding can be
 // suppressed — with justification — by a comment on the flagged line or the
@@ -34,24 +30,9 @@ import (
 )
 
 func main() {
-	// `go vet -vettool` probes the tool's identity and flag set before
-	// handing it a config; answer before flag parsing so the probes never
-	// tangle with our own flags.
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			fmt.Printf("fqlint version fqlint-1.0.0\n")
-			return
-		case "-flags", "--flags":
-			// JSON flag description consumed by cmd/go's vetflag parser.
-			fmt.Println(`[{"Name":"only","Bool":false,"Usage":"comma-separated analyzer names to run (default: all)"},` +
-				`{"Name":"json","Bool":true,"Usage":"standalone mode: print findings as JSON"}]`)
-			return
-		}
-	}
 	listFlag := flag.Bool("list", false, "list analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := flag.Bool("json", false, "standalone mode: print findings as JSON ({\"findings\":[{file,line,col,analyzer,message}]})")
+	jsonOut := flag.Bool("json", false, "print findings as JSON ({\"findings\":[{file,line,col,analyzer,message}]})")
 	flag.Parse()
 
 	analyzers, err := selectAnalyzers(*only)
@@ -66,10 +47,6 @@ func main() {
 		return
 	}
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		// Invoked by `go vet -vettool` with a unit-checker config.
-		os.Exit(unitcheck(args[0], analyzers))
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -98,8 +75,8 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 
 // standalone loads packages itself (go list + source-level type checking)
 // and reports findings to stdout. Packages run in dependency order so
-// fact-exporting analyzers (lockorder, blockinglock) see their summaries
-// propagate exactly as they do through go vet's vetx files.
+// fact-exporting analyzers (lockorder, blockinglock) see the summaries of a
+// package's dependencies before they reach the package.
 func standalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut bool) int {
 	pkgs, err := load.Packages(patterns...)
 	if err != nil {
@@ -176,8 +153,7 @@ func dependencyOrder(pkgs []*load.Package) []*load.Package {
 	return out
 }
 
-// factStore carries analyzer facts across packages within one standalone
-// run: analyzer name → package path → exported blob.
+// factStore carries analyzer facts across packages within one run: analyzer name → package path → exported blob.
 type factStore map[string]map[string][]byte
 
 func newFactStore() factStore { return factStore{} }

@@ -16,10 +16,12 @@
 //	-remote addr    remote wire source (repeatable)
 //	-catalog file   JSON catalog describing all sources (replaces -csv/-remote)
 //	-merge col      merge attribute (default: first CSV column)
-//	-algo name      filter | sj | sja | sja+ | greedy-sj | greedy-sja | greedy-sja+
+//	-algo name      filter | sj | sja | sja+ | greedy-sj | greedy-sja |
+//	                greedy-adaptive-sja | greedy-sja+ | rt-sja (README "Algorithms")
 //	-caps tier      capability tier for CSV sources: native | bindings | none
 //	-parallel       execute each round's source queries concurrently
-//	-conns n        per-source connection capacity for -parallel (0: link's MaxConns)
+//	-conns n        connection capacity of each -csv/-remote source's link, which
+//	                bounds -parallel (0: one; a catalog states maxConns per link)
 //	-cache          answer repeated source queries from the mediator cache
 //	-explain        print the plan without executing it
 //	-fetch          run the second phase and print the full records
@@ -73,7 +75,7 @@ func main() {
 		algo      = flag.String("algo", "sja+", "optimization algorithm")
 		capsFlag  = flag.String("caps", "native", "CSV source capabilities: native | bindings | none")
 		parallel  = flag.Bool("parallel", false, "execute rounds concurrently")
-		conns     = flag.Int("conns", 0, "per-source connection capacity for -parallel (0: use each link's MaxConns)")
+		conns     = flag.Int("conns", 0, "connection capacity of each -csv/-remote source's link, bounding -parallel (0: one)")
 		cache     = flag.Bool("cache", false, "answer repeated source queries from the mediator's cache")
 		catalogF  = flag.String("catalog", "", "JSON catalog of sources (replaces -csv/-remote)")
 		explain   = flag.Bool("explain", false, "print the plan, do not execute")
@@ -92,7 +94,7 @@ func main() {
 	flag.Parse()
 
 	if *shell {
-		m, closer, err := assemble(csvs, remotes, *catalogF, *merge, *capsFlag)
+		m, closer, err := assemble(csvs, remotes, *catalogF, *merge, *capsFlag, *conns)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 			os.Exit(1)
@@ -107,15 +109,15 @@ func main() {
 			defer func() { _ = adm.Close() }()
 			fmt.Fprintf(os.Stderr, "fusionq: admin endpoints on http://%s\n", adm.Addr())
 		}
-		opts := core.Options{Algorithm: core.Algorithm(*algo), Parallel: *parallel, Conns: *conns, Cache: *cache, Trace: *trace, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
+		opts := core.Options{Algorithm: core.Algorithm(*algo), Parallel: *parallel, Cache: *cache, Trace: *trace, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
 		if err := repl(m, os.Stdin, os.Stdout, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
-	opts := core.Options{Algorithm: core.Algorithm(*algo), Parallel: *parallel, Conns: *conns, Cache: *cache, Trace: *trace, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
-	if err := run(*sql, csvs, remotes, *catalogF, *merge, *capsFlag, opts, *explain, *fetch, *traceJSON, *spans, *admin); err != nil {
+	opts := core.Options{Algorithm: core.Algorithm(*algo), Parallel: *parallel, Cache: *cache, Trace: *trace, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
+	if err := run(*sql, csvs, remotes, *catalogF, *merge, *capsFlag, *conns, opts, *explain, *fetch, *traceJSON, *spans, *admin); err != nil {
 		fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 		os.Exit(1)
 	}
@@ -147,11 +149,11 @@ func parseCaps(tier string) (source.Capabilities, error) {
 	}
 }
 
-func run(sql string, csvs, remotes []string, catalogPath, merge, capsFlag string, opts core.Options, explain, fetch bool, traceJSON string, spans bool, adminAddr string) error {
+func run(sql string, csvs, remotes []string, catalogPath, merge, capsFlag string, conns int, opts core.Options, explain, fetch bool, traceJSON string, spans bool, adminAddr string) error {
 	if sql == "" {
 		return fmt.Errorf("-sql is required")
 	}
-	m, closer, err := assemble(csvs, remotes, catalogPath, merge, capsFlag)
+	m, closer, err := assemble(csvs, remotes, catalogPath, merge, capsFlag, conns)
 	if err != nil {
 		return err
 	}
@@ -171,7 +173,7 @@ func run(sql string, csvs, remotes []string, catalogPath, merge, capsFlag string
 		if err != nil {
 			return err
 		}
-		res, err := m.Plan(context.Background(), fq.Conds, core.Options{Algorithm: opts.Algorithm, Conns: opts.Conns})
+		res, err := m.Plan(context.Background(), fq.Conds, core.Options{Algorithm: opts.Algorithm})
 		if err != nil {
 			return err
 		}
@@ -246,8 +248,9 @@ func writeTrace(ans *core.Answer, path string) error {
 }
 
 // assemble builds the mediator either from a catalog file or from the
-// -csv/-remote flags.
-func assemble(csvs, remotes []string, catalogPath, merge, capsFlag string) (*core.Mediator, func(), error) {
+// -csv/-remote flags, whose sources sit behind default links of conns
+// connections each.
+func assemble(csvs, remotes []string, catalogPath, merge, capsFlag string, conns int) (*core.Mediator, func(), error) {
 	if catalogPath != "" {
 		cat, err := catalog.Load(catalogPath)
 		if err != nil {
@@ -306,8 +309,10 @@ func assemble(csvs, remotes []string, catalogPath, merge, capsFlag string) (*cor
 
 	m := core.New(schema)
 	m.SetNetwork(netsim.NewNetwork(1))
+	link := netsim.DefaultLink()
+	link.MaxConns = conns
 	for _, src := range sources {
-		if err := m.AddSourceLink(src, netsim.DefaultLink()); err != nil {
+		if err := m.AddSourceLink(src, link); err != nil {
 			closeAll()
 			return nil, nil, err
 		}

@@ -38,7 +38,7 @@ func writeCSVs(t *testing.T) []string {
 func TestRunEndToEnd(t *testing.T) {
 	csvs := writeCSVs(t)
 	for _, algo := range []string{"filter", "sja", "sja+", "rt-sja"} {
-		if err := run(dmvSQL, csvs, nil, "", "", "native", core.Options{Algorithm: core.Algorithm(algo), Trace: true}, false, true, "", false, ""); err != nil {
+		if err := run(dmvSQL, csvs, nil, "", "", "native", 0, core.Options{Algorithm: core.Algorithm(algo), Trace: true}, false, true, "", false, ""); err != nil {
 			t.Fatalf("algo %s: %v", algo, err)
 		}
 	}
@@ -46,18 +46,18 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunExplain(t *testing.T) {
 	csvs := writeCSVs(t)
-	if err := run(dmvSQL, csvs, nil, "", "", "bindings", core.Options{Algorithm: "sja"}, true, false, "", false, ""); err != nil {
+	if err := run(dmvSQL, csvs, nil, "", "", "bindings", 0, core.Options{Algorithm: "sja"}, true, false, "", false, ""); err != nil {
 		t.Fatalf("explain: %v", err)
 	}
 }
 
 func TestRunParallel(t *testing.T) {
 	csvs := writeCSVs(t)
-	if err := run(dmvSQL, csvs, nil, "", "", "none", core.Options{Algorithm: "filter", Parallel: true, Trace: true}, false, false, "", false, ""); err != nil {
+	if err := run(dmvSQL, csvs, nil, "", "", "none", 0, core.Options{Algorithm: "filter", Parallel: true, Trace: true}, false, false, "", false, ""); err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
-	opts := core.Options{Algorithm: "sja", Parallel: true, Conns: 2, Cache: true}
-	if err := run(dmvSQL, csvs, nil, "", "", "bindings", opts, false, false, "", false, ""); err != nil {
+	opts := core.Options{Algorithm: "sja", Parallel: true, Cache: true}
+	if err := run(dmvSQL, csvs, nil, "", "", "bindings", 2, opts, false, false, "", false, ""); err != nil {
 		t.Fatalf("parallel conns+cache: %v", err)
 	}
 }
@@ -72,7 +72,7 @@ func TestRunWithRemoteSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := run(dmvSQL, csvs[:2], []string{srv.Addr()}, "", "", "native", core.Options{Algorithm: "sja+"}, false, false, "", false, ""); err != nil {
+	if err := run(dmvSQL, csvs[:2], []string{srv.Addr()}, "", "", "native", 0, core.Options{Algorithm: "sja+"}, false, false, "", false, ""); err != nil {
 		t.Fatalf("remote mix: %v", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestRunTraceJSON(t *testing.T) {
 	csvs := writeCSVs(t)
 	path := filepath.Join(t.TempDir(), "trace.json")
 	opts := core.Options{Algorithm: "sja"}
-	if err := run(dmvSQL, csvs, nil, "", "", "native", opts, false, false, path, false, ""); err != nil {
+	if err := run(dmvSQL, csvs, nil, "", "", "native", 0, opts, false, false, path, false, ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -117,25 +117,25 @@ func TestRunErrors(t *testing.T) {
 		f    func() error
 	}{
 		{"no sql", func() error {
-			return run("", csvs, nil, "", "", "native", core.Options{Algorithm: "sja"}, false, false, "", false, "")
+			return run("", csvs, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, false, false, "", false, "")
 		}},
 		{"no sources", func() error {
-			return run(dmvSQL, nil, nil, "", "", "native", core.Options{Algorithm: "sja"}, false, false, "", false, "")
+			return run(dmvSQL, nil, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, false, false, "", false, "")
 		}},
 		{"bad caps", func() error {
-			return run(dmvSQL, csvs, nil, "", "", "wizard", core.Options{Algorithm: "sja"}, false, false, "", false, "")
+			return run(dmvSQL, csvs, nil, "", "", "wizard", 0, core.Options{Algorithm: "sja"}, false, false, "", false, "")
 		}},
 		{"bad algo", func() error {
-			return run(dmvSQL, csvs, nil, "", "", "native", core.Options{Algorithm: "wizard"}, false, false, "", false, "")
+			return run(dmvSQL, csvs, nil, "", "", "native", 0, core.Options{Algorithm: "wizard"}, false, false, "", false, "")
 		}},
 		{"missing file", func() error {
-			return run(dmvSQL, []string{"/nonexistent/x.csv"}, nil, "", "", "native", core.Options{Algorithm: "sja"}, false, false, "", false, "")
+			return run(dmvSQL, []string{"/nonexistent/x.csv"}, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, false, false, "", false, "")
 		}},
 		{"bad remote", func() error {
-			return run(dmvSQL, nil, []string{"127.0.0.1:1"}, "", "", "native", core.Options{Algorithm: "sja"}, false, false, "", false, "")
+			return run(dmvSQL, nil, []string{"127.0.0.1:1"}, "", "", "native", 0, core.Options{Algorithm: "sja"}, false, false, "", false, "")
 		}},
 		{"not fusion", func() error {
-			return run("SELECT u1.V FROM U u1", csvs, nil, "", "", "native", core.Options{Algorithm: "sja"}, false, false, "", false, "")
+			return run("SELECT u1.V FROM U u1", csvs, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, false, false, "", false, "")
 		}},
 	}
 	for _, c := range cases {
@@ -156,7 +156,7 @@ func TestRunIncompatibleSchemas(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := "SELECT u1.L FROM U u1 WHERE u1.V = 'dui'"
-	if err := run(sql, []string{a, b}, nil, "", "", "native", core.Options{Algorithm: "sja"}, false, false, "", false, ""); err == nil {
+	if err := run(sql, []string{a, b}, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, false, false, "", false, ""); err == nil {
 		t.Fatal("incompatible schemas should fail")
 	}
 }
@@ -175,10 +175,10 @@ func TestRunWithCatalog(t *testing.T) {
 	if err := os.WriteFile(path, []byte(catJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dmvSQL, nil, nil, path, "", "native", core.Options{Algorithm: "sja"}, false, false, "", false, ""); err != nil {
+	if err := run(dmvSQL, nil, nil, path, "", "native", 0, core.Options{Algorithm: "sja"}, false, false, "", false, ""); err != nil {
 		t.Fatalf("catalog run: %v", err)
 	}
-	if err := run(dmvSQL, nil, nil, "/nonexistent.json", "", "native", core.Options{Algorithm: "sja"}, false, false, "", false, ""); err == nil {
+	if err := run(dmvSQL, nil, nil, "/nonexistent.json", "", "native", 0, core.Options{Algorithm: "sja"}, false, false, "", false, ""); err == nil {
 		t.Fatal("missing catalog should fail")
 	}
 }

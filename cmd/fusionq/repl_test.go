@@ -12,7 +12,7 @@ import (
 func replMediator(t *testing.T) *core.Mediator {
 	t.Helper()
 	csvs := writeCSVs(t)
-	m, closer, err := assemble(csvs, nil, "", "", "native")
+	m, closer, err := assemble(csvs, nil, "", "", "native", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

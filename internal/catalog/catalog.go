@@ -9,7 +9,7 @@
 //	  "merge": "L",
 //	  "sources": [
 //	    {"name": "dmv_ca", "csv": "ca.csv", "caps": "native", "bloom": true,
-//	     "link": {"latencyMs": 40, "bytesPerSec": 131072, "overheadMs": 20}},
+//	     "link": {"latencyMs": 40, "bytesPerSec": 131072, "overheadMs": 20, "maxConns": 4}},
 //	    {"name": "dmv_nv", "remote": "10.0.0.2:7070"}
 //	  ]
 //	}
@@ -48,19 +48,29 @@ type LinkSpec struct {
 	BytesPerSec float64 `json:"bytesPerSec"`
 	OverheadMs  float64 `json:"overheadMs"`
 	JitterFrac  float64 `json:"jitterFrac"`
+	// MaxConns is how many exchanges the source serves at once: what bounds
+	// parallel execution against it and divides an emulated semijoin's
+	// bindings in the response-time estimate. Zero means one.
+	MaxConns int `json:"maxConns,omitempty"`
 }
 
-// Link converts the spec to a netsim.Link; a zero spec means DefaultLink.
+// Link converts the spec to a netsim.Link; a spec that states no cost (nil,
+// zero, or maxConns alone) has DefaultLink's.
 func (l *LinkSpec) Link() netsim.Link {
-	if l == nil || (*l == LinkSpec{}) {
+	if l == nil {
 		return netsim.DefaultLink()
 	}
-	return netsim.Link{
-		Latency:         time.Duration(l.LatencyMs * float64(time.Millisecond)),
-		BytesPerSec:     l.BytesPerSec,
-		RequestOverhead: time.Duration(l.OverheadMs * float64(time.Millisecond)),
-		JitterFrac:      l.JitterFrac,
+	link := netsim.DefaultLink()
+	if *l != (LinkSpec{MaxConns: l.MaxConns}) { // some cost is stated
+		link = netsim.Link{
+			Latency:         time.Duration(l.LatencyMs * float64(time.Millisecond)),
+			BytesPerSec:     l.BytesPerSec,
+			RequestOverhead: time.Duration(l.OverheadMs * float64(time.Millisecond)),
+			JitterFrac:      l.JitterFrac,
+		}
 	}
+	link.MaxConns = l.MaxConns
+	return link
 }
 
 // SourceSpec describes one source. Exactly one of CSV or Remote is set.

@@ -10,6 +10,7 @@ import (
 
 	"fusionq/internal/core"
 	"fusionq/internal/fabric"
+	"fusionq/internal/netsim"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
 	"fusionq/internal/wire"
@@ -295,6 +296,14 @@ func TestLinkSpec(t *testing.T) {
 	}
 	l := (&LinkSpec{LatencyMs: 10, BytesPerSec: 1000, OverheadMs: 5}).Link()
 	if l.Latency != 10*time.Millisecond || l.BytesPerSec != 1000 || l.RequestOverhead != 5*time.Millisecond {
+		t.Fatalf("Link = %+v", l)
+	}
+	want := netsim.DefaultLink()
+	want.MaxConns = 4
+	if got := (&LinkSpec{MaxConns: 4}).Link(); got != want {
+		t.Fatalf("maxConns alone: Link = %+v, want the default link with 4 connections", got)
+	}
+	if l := (&LinkSpec{LatencyMs: 10, MaxConns: 2}).Link(); l.Latency != 10*time.Millisecond || l.MaxConns != 2 {
 		t.Fatalf("Link = %+v", l)
 	}
 }

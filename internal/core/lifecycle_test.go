@@ -142,7 +142,7 @@ func TestConcurrentQueries(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			m.ClearCache()
+			m.BumpEpoch()
 			_ = m.Sources()
 			_ = m.SourceNames()
 			time.Sleep(time.Millisecond)
@@ -163,9 +163,9 @@ func TestConcurrentQueries(t *testing.T) {
 func TestOverlappingQueriesAccountTheirOwnWork(t *testing.T) {
 	for _, opts := range []Options{
 		{Algorithm: AlgoSJA},
-		{Algorithm: AlgoSJA, Parallel: true, Conns: 2},
+		{Algorithm: AlgoSJA, Parallel: true},
 	} {
-		m := dmvMediator(t, true)
+		m := dmvMediatorConns(t, true, 2)
 		alone, err := m.QueryConds(paperConds, opts)
 		if err != nil {
 			t.Fatal(err)

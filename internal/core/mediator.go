@@ -62,34 +62,27 @@ const (
 	AlgoResponseTime Algorithm = "rt-sja"
 )
 
-// Algorithms lists every supported algorithm name.
+// Algorithms lists every supported algorithm name: the rows of
+// optimizer.Algorithms.
 func Algorithms() []Algorithm {
-	return []Algorithm{AlgoFilter, AlgoSJ, AlgoSJA, AlgoSJAPlus, AlgoGreedySJ, AlgoGreedySJA, AlgoGreedyAdaptive, AlgoGreedyPlus, AlgoResponseTime}
+	out := make([]Algorithm, len(optimizer.Algorithms))
+	for i, row := range optimizer.Algorithms {
+		out[i] = Algorithm(row.Name)
+	}
+	return out
 }
 
+// fn resolves the name in the optimizer's table; the empty name is SJA+.
 func (a Algorithm) fn() (func(*optimizer.Problem) (optimizer.Result, error), error) {
-	switch a {
-	case AlgoFilter:
-		return optimizer.Filter, nil
-	case AlgoSJ:
-		return optimizer.SJ, nil
-	case AlgoSJA:
-		return optimizer.SJA, nil
-	case AlgoSJAPlus, "":
-		return optimizer.SJAPlus, nil
-	case AlgoGreedySJ:
-		return optimizer.GreedySJ, nil
-	case AlgoGreedySJA:
-		return optimizer.GreedySJA, nil
-	case AlgoGreedyAdaptive:
-		return optimizer.GreedyAdaptiveSJA, nil
-	case AlgoGreedyPlus:
-		return optimizer.GreedySJAPlus, nil
-	case AlgoResponseTime:
-		return optimizer.ResponseTimeSJA, nil
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %q", string(a))
+	if a == "" {
+		a = AlgoSJAPlus
 	}
+	for _, row := range optimizer.Algorithms {
+		if row.Name == string(a) {
+			return row.Plan, nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown algorithm %q", string(a))
 }
 
 // Options configure planning and execution of one query.
@@ -98,17 +91,14 @@ type Options struct {
 	Algorithm Algorithm
 	// Parallel runs each round's source queries concurrently (Section 6's
 	// response-time direction), bounded per source by the link's MaxConns
-	// (or the Conns override). Total work is unchanged.
+	// (default 1). Total work is unchanged.
 	Parallel bool
-	// Conns, when positive, overrides every source's connection capacity
-	// for parallel execution and response-time estimation. Zero defers to
-	// each network link's MaxConns (default 1).
-	Conns int
 	// Cache answers repeated selection and binding queries from the
-	// mediator's persistent answer cache, skipping source traffic for
+	// mediator's cache of source answers, skipping source traffic for
 	// answers already learned — within a query (across adaptive rounds) and
-	// across queries. Sources are autonomous: call Mediator.ClearCache when
-	// their contents may have changed.
+	// across queries of one roster epoch. Sources are autonomous: call
+	// Mediator.BumpEpoch when their contents may have changed, and queries
+	// from then on start from an empty cache.
 	Cache bool
 	// Trace records a per-step execution trace in Answer.Exec.Trace.
 	Trace bool
@@ -204,9 +194,12 @@ type Mediator struct {
 	sources  []source.Source
 	profiles []stats.SourceProfile
 	network  *netsim.Network
-	cache    *exec.Cache
-	metrics  *obs.Registry
-	recorder *obs.Recorder
+	// cache holds the source answers learned under Options.Cache at roster
+	// epoch cacheEpoch; snapshot replaces it when the epoch has moved.
+	cache      *exec.Cache
+	cacheEpoch uint64
+	metrics    *obs.Registry
+	recorder   *obs.Recorder
 	// epoch counts roster generations: it moves whenever the set of
 	// registered sources changes (registration, removal, external churn
 	// signaled via BumpEpoch). Plans and answers derived from one epoch's
@@ -312,29 +305,6 @@ func (m *Mediator) Scorecards() []fabric.Scorecard {
 	return out
 }
 
-// Cache returns the mediator's persistent answer cache, creating it on
-// first use. Queries run with Options.Cache consult and feed it.
-func (m *Mediator) Cache() *exec.Cache {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cache == nil {
-		m.cache = exec.NewCache()
-	}
-	return m.cache
-}
-
-// ClearCache drops every cached source answer. Sources are autonomous;
-// call this when their contents may have changed since the answers were
-// learned.
-func (m *Mediator) ClearCache() {
-	m.mu.RLock()
-	cache := m.cache
-	m.mu.RUnlock()
-	if cache != nil {
-		cache.Clear()
-	}
-}
-
 // AddSource registers a source with an explicit cost profile. The source's
 // schema must be compatible with the mediator's. When a network is attached
 // the source is instrumented so executions are accounted.
@@ -394,8 +364,9 @@ func (m *Mediator) Epoch() uint64 {
 // BumpEpoch advances the roster epoch without changing the roster, and
 // returns the new epoch. Call it when the sources' contents must be
 // considered changed by an external signal (catalog churn, replica repair,
-// administrative invalidation), so epoch-keyed caches above the mediator
-// drop their derived state.
+// administrative invalidation): the statistics catalog and the source
+// answers cached under Options.Cache are dropped, and epoch-keyed caches
+// above the mediator drop their derived state.
 func (m *Mediator) BumpEpoch() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -545,11 +516,18 @@ type roster struct {
 
 func (m *Mediator) snapshot(wantCache bool) roster {
 	if wantCache {
-		// Ensure the lazily-created cache exists before snapshotting.
-		m.Cache()
+		// The cache is pinned to the epoch it was filled at: the first
+		// snapshot of a newer epoch starts a fresh one, and a query still
+		// running on an older snapshot keeps the object it took.
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.cache == nil || m.cacheEpoch != m.epoch {
+			m.cache, m.cacheEpoch = exec.NewCache(), m.epoch
+		}
+	} else {
+		m.mu.RLock()
+		defer m.mu.RUnlock()
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	r := roster{
 		sources:  make([]source.Source, len(m.sources)),
 		profiles: make([]stats.SourceProfile, len(m.profiles)),
@@ -596,11 +574,6 @@ func (m *Mediator) problem(ctx context.Context, r roster, conds []cond.Cond, opt
 	table, err := stats.Build(conds, sts, r.profiles)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Conns > 0 {
-		for j := range table.Conns {
-			table.Conns[j] = opts.Conns
-		}
 	}
 	names := make([]string, len(r.sources))
 	for i, s := range r.sources {
@@ -802,7 +775,7 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 // executor every entry point runs on.
 func (r roster) executor(opts Options) *exec.Executor {
 	return &exec.Executor{
-		Sources: r.sources, Network: r.network, Parallel: opts.Parallel, Conns: opts.Conns,
+		Sources: r.sources, Network: r.network, Parallel: opts.Parallel,
 		Cache: r.cache, Trace: opts.Trace, Retries: opts.Retries,
 		Streaming: opts.Streaming, BatchSize: opts.BatchSize,
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +11,8 @@ import (
 	"fusionq/internal/cond"
 	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
+	"fusionq/internal/optimizer"
+	"fusionq/internal/plan"
 	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
@@ -19,12 +23,18 @@ import (
 // dmvMediator assembles the Figure 1 scenario behind the public API.
 func dmvMediator(t *testing.T, withNet bool) *Mediator {
 	t.Helper()
+	return dmvMediatorConns(t, withNet, 0)
+}
+
+// dmvMediatorConns is dmvMediator over links of conns connections each.
+func dmvMediatorConns(t *testing.T, withNet bool, conns int) *Mediator {
+	t.Helper()
 	sc := workload.DMV()
 	m := New(sc.Schema)
 	if withNet {
 		m.SetNetwork(netsim.NewNetwork(1))
 	}
-	link := netsim.Link{Latency: 5 * time.Millisecond, BytesPerSec: 50000, RequestOverhead: 2 * time.Millisecond}
+	link := netsim.Link{Latency: 5 * time.Millisecond, BytesPerSec: 50000, RequestOverhead: 2 * time.Millisecond, MaxConns: conns}
 	for _, src := range sc.Sources {
 		if err := m.AddSourceLink(src, link); err != nil {
 			t.Fatalf("AddSourceLink: %v", err)
@@ -284,6 +294,120 @@ func TestAlgorithmsComplete(t *testing.T) {
 		if _, err := a.fn(); err != nil {
 			t.Errorf("algorithm %q not wired", a)
 		}
+	}
+}
+
+// TestBumpEpochReachesSourceCache: BumpEpoch says the sources' contents must
+// be considered changed, so a source answer cached under Options.Cache at
+// the old epoch may not answer a query at the new one.
+func TestBumpEpochReachesSourceCache(t *testing.T) {
+	sc := workload.DMV()
+	m := New(sc.Schema)
+	for _, src := range sc.Sources {
+		if err := m.AddSourceLink(src, netsim.Link{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := Options{Cache: true, Algorithm: AlgoFilter}
+	query := func() *Answer {
+		t.Helper()
+		ans, err := m.Query(paperSQL, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans
+	}
+	if ans := query(); !ans.Items.Equal(set.New("J55", "T21")) {
+		t.Fatalf("answer = %v, want {J55, T21}", ans.Items)
+	}
+	if ans := query(); ans.Exec.SourceQueries != 0 || ans.Exec.CacheHits == 0 {
+		t.Fatalf("same epoch: %d source queries, %d cache hits; want the cache to answer", ans.Exec.SourceQueries, ans.Exec.CacheHits)
+	}
+
+	// S07 has an sp violation in R3; a dui in R1 puts it in the answer.
+	sc.Relations[0].MustInsert(relation.String("S07"), relation.String("dui"), relation.Int(1997))
+	m.BumpEpoch()
+	ans := query()
+	if want := set.New("J55", "S07", "T21"); !ans.Items.Equal(want) {
+		t.Fatalf("after BumpEpoch: answer = %v (%d cache hits), want %v", ans.Items, ans.Exec.CacheHits, want)
+	}
+	if ans.Exec.CacheHits != 0 {
+		t.Fatalf("after BumpEpoch: %d answers came from the old epoch's cache", ans.Exec.CacheHits)
+	}
+}
+
+// TestEveryAlgorithmRowIsReachable: the optimizer's table and the public
+// Algo* names are the same nine; each row resolves from its name to a valid
+// plan, and the rows that optimize total work price their plan as the shared
+// estimator does (rt-sja's cost is a response time).
+func TestEveryAlgorithmRowIsReachable(t *testing.T) {
+	named := map[Algorithm]bool{
+		AlgoFilter: true, AlgoSJ: true, AlgoSJA: true, AlgoSJAPlus: true, AlgoGreedySJ: true,
+		AlgoGreedySJA: true, AlgoGreedyAdaptive: true, AlgoGreedyPlus: true, AlgoResponseTime: true,
+	}
+	if len(optimizer.Algorithms) != len(named) {
+		t.Fatalf("table has %d rows, %d public names", len(optimizer.Algorithms), len(named))
+	}
+	m := dmvMediator(t, true)
+	pr, err := m.Problem(context.Background(), workload.DMV().Conds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range optimizer.Algorithms {
+		name := Algorithm(row.Name)
+		if !named[name] {
+			t.Errorf("row %q has no Algo constant", row.Name)
+		}
+		fn, err := name.fn()
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		res, err := fn(pr)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if err := res.Plan.Validate(); err != nil {
+			t.Errorf("%s: invalid plan: %v", name, err)
+		}
+		if name == AlgoResponseTime {
+			continue
+		}
+		est, err := plan.EstimateCost(res.Plan, pr.Table)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if math.Abs(est.Cost-res.Cost) > 1e-9*res.Cost {
+			t.Errorf("%s: Result.Cost %v, estimator %v", name, res.Cost, est.Cost)
+		}
+	}
+}
+
+// TestReadmeListsEveryAlgorithm holds the README's "Algorithms" table to the
+// optimizer's: the same names, in the same order.
+func TestReadmeListsEveryAlgorithm(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### Algorithms\n")
+	if !ok {
+		t.Fatal("README.md has no Algorithms section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var listed []string
+	for _, line := range strings.Split(section, "\n") {
+		if row, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ := strings.Cut(row, "`")
+			listed = append(listed, name)
+		}
+	}
+	var rows []string
+	for _, row := range optimizer.Algorithms {
+		rows = append(rows, row.Name)
+	}
+	if strings.Join(listed, " ") != strings.Join(rows, " ") {
+		t.Fatalf("README lists %v, the table has %v", listed, rows)
 	}
 }
 

@@ -2,12 +2,9 @@ package exec
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
-	"fusionq/internal/set"
 	"fusionq/internal/stats"
 )
 
@@ -52,95 +49,33 @@ func (e *Executor) RunAdaptive(ctx context.Context, pr *optimizer.Problem) (*Res
 	return r.res, executed, r.rounds(ctx, func() error { return r.adapt(ctx, pr.Table) })
 }
 
-// adapt chooses and runs the rounds of an adaptive execution, growing the
-// run's plan as it goes.
+// adapt runs the rounds of an adaptive execution, growing the run's plan as
+// it goes. Which condition is next and how each source is asked are the
+// optimizer's decisions (HeadCondition, NextRound, the ones
+// GreedyAdaptiveSJA makes from estimates), taken here against the measured
+// size of the running set; the round's steps are the canonical plan's
+// (AppendRound).
 func (r *run) adapt(ctx context.Context, t *stats.CostTable) error {
 	executed := r.p
-	m, n := len(executed.Conds), len(executed.Sources)
-	// round appends round i's steps to the executed plan, runs them, and
-	// returns the running set they leave in variable X<i>.
-	round := func(i, ci int, methods []optimizer.Method) (set.Set, error) {
-		from := len(executed.Steps)
-		executed.Steps = append(executed.Steps, roundSteps(i, ci, methods)...)
-		executed.Result = fmt.Sprintf("X%d", i)
-		err := r.runSteps(ctx, from)
-		return r.vars[executed.Result], err
-	}
-
-	// First round: cheapest estimated selections relative to the set they
-	// leave behind (most selective first, cost as tiebreak).
-	first, bestCost, bestCard := -1, math.Inf(1), math.Inf(1)
-	for i := 0; i < m; i++ {
-		c := 0.0
-		for j := 0; j < n; j++ {
-			c += t.Sq[i][j]
-		}
-		card := t.FirstRoundCard(i)
-		if card < bestCard || (card == bestCard && c < bestCost) {
-			first, bestCost, bestCard = i, c, card
-		}
-	}
+	m := len(executed.Conds)
 	placed := make([]bool, m)
-	placed[first] = true
-	methods := make([]optimizer.Method, n)
-	for j := range methods {
-		methods[j] = optimizer.MethodSelect
-	}
-	x, err := round(1, first, methods)
-
-	for i := 2; err == nil && i <= m && !x.IsEmpty(); i++ {
-		// Pick the next condition against the MEASURED |X|.
-		measured := float64(x.Len())
-		next, nextCost := -1, math.Inf(1)
-		for c := 0; c < m; c++ {
-			if placed[c] {
-				continue
-			}
-			roundCost := 0.0
-			choice := make([]optimizer.Method, n)
-			for j := 0; j < n; j++ {
-				method, cost := optimizer.BestMethod(t, c, j, measured)
-				choice[j] = method
-				roundCost += cost
-			}
-			if roundCost < nextCost {
-				next, nextCost, methods = c, roundCost, choice
-			}
-		}
+	var sk optimizer.Sketch // the rounds decided so far
+	next, methods := optimizer.HeadCondition(t), make([]optimizer.Method, len(executed.Sources))
+	for i := 1; ; i++ {
 		placed[next] = true
-		x, err = round(i, next, methods)
-	}
-	// A drained set answers all remaining conditions vacuously with ∅.
-	return err
-}
-
-// roundSteps writes round i of an adaptive execution — condition ci, each
-// source queried by its chosen method — in the canonical plans' shape: the
-// per-source queries X<i><j>, their union X<i>, and, when some source was
-// asked a plain selection, the intersection with the running set X<i-1>
-// that the semijoins apply at the source.
-func roundSteps(i, ci int, methods []optimizer.Method) []plan.Step {
-	prev, out := fmt.Sprintf("X%d", i-1), fmt.Sprintf("X%d", i)
-	var steps []plan.Step
-	var selVars, sjVars []string
-	for j, method := range methods {
-		s := plan.Step{Out: fmt.Sprintf("X%d%d", i, j+1), Cond: ci, Source: j}
-		switch method {
-		case optimizer.MethodSelect:
-			s.Kind = plan.KindSelect
-			selVars = append(selVars, s.Out)
-		case optimizer.MethodBloom:
-			s.Kind, s.In = plan.KindBloomSemijoin, []string{prev}
-			sjVars = append(sjVars, s.Out)
-		default:
-			s.Kind, s.In = plan.KindSemijoin, []string{prev}
-			sjVars = append(sjVars, s.Out)
+		sk.Ordering = append(sk.Ordering, next)
+		sk.Choices = append(sk.Choices, methods)
+		from := len(executed.Steps)
+		executed.Steps = optimizer.AppendRound(executed.Steps, sk, i)
+		executed.Result = executed.Steps[len(executed.Steps)-1].Out
+		if err := r.runSteps(ctx, from); err != nil {
+			return err
 		}
-		steps = append(steps, s)
+		// A drained set answers all remaining conditions vacuously with ∅.
+		x := r.vars[executed.Result]
+		if i == m || x.IsEmpty() {
+			return nil
+		}
+		next, methods, _ = optimizer.NextRound(t, placed, float64(x.Len()))
 	}
-	steps = append(steps, plan.Step{Kind: plan.KindUnion, Out: out, Cond: -1, Source: -1, In: append(selVars, sjVars...)})
-	if i > 1 && len(selVars) > 0 {
-		steps = append(steps, plan.Step{Kind: plan.KindIntersect, Out: out, Cond: -1, Source: -1, In: []string{out, prev}})
-	}
-	return steps
 }

@@ -27,7 +27,7 @@ import (
 // for the duration of a plan, exactly the assumption the optimizer's
 // statistics already make) and is a freshness trade-off across queries;
 // callers that share a Cache across queries own the decision of when to
-// Clear it. All methods are safe for concurrent use — the scheduler consults
+// drop it (the mediator keeps one per roster epoch). All methods are safe for concurrent use — the scheduler consults
 // the cache from many binding workers at once.
 type Cache struct {
 	mu sync.Mutex

@@ -57,7 +57,7 @@ func TestCancelMidEmulatedSemijoin(t *testing.T) {
 			name = "parallel"
 		}
 		t.Run(name, func(t *testing.T) {
-			pr, srcs, _ := dmvSetup(t, semijoinCaps)
+			pr, srcs, network := dmvSetup(t, semijoinCaps)
 			// Each binding stalls 30ms (honoring ctx), so the fan-out is
 			// mid-flight when the cancel lands.
 			counter := &bindingCounter{
@@ -75,7 +75,7 @@ func TestCancelMidEmulatedSemijoin(t *testing.T) {
 				cancel()
 			}()
 
-			ex := &Executor{Sources: srcs, Parallel: parallel, Conns: 2, Retries: 3}
+			ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Parallel: parallel, Retries: 3}
 			start := time.Now()
 			res, err := ex.Run(ctx, semijoinPlan(pr.Conds, pr.Sources))
 			elapsed := time.Since(start)
@@ -115,7 +115,7 @@ func TestCancelMidEmulatedSemijoin(t *testing.T) {
 // not after the stalled bindings would have drained — with the error
 // identifying context.DeadlineExceeded and the partial work charged.
 func TestDeadlineMidEmulatedSemijoin(t *testing.T) {
-	pr, srcs, _ := dmvSetup(t, semijoinCaps)
+	pr, srcs, network := dmvSetup(t, semijoinCaps)
 	// Stall each binding far beyond the deadline: only the deadline can
 	// explain a prompt return.
 	counter := &bindingCounter{
@@ -126,7 +126,7 @@ func TestDeadlineMidEmulatedSemijoin(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	ex := &Executor{Sources: srcs, Parallel: true, Conns: 2, Retries: 3}
+	ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Parallel: true, Retries: 3}
 	start := time.Now()
 	res, err := ex.Run(ctx, semijoinPlan(pr.Conds, pr.Sources))
 	elapsed := time.Since(start)

@@ -58,12 +58,9 @@ type Executor struct {
 	// network the sources' instrumentation records to.
 	Network *netsim.Network
 	// Parallel enables concurrent execution of each round's independent
-	// source queries, bounded per source by Conns / the link's MaxConns.
+	// source queries, bounded per source by the link's MaxConns (default
+	// 1). Sequential mode always runs single-connection.
 	Parallel bool
-	// Conns, when positive, overrides every source's connection capacity
-	// for parallel execution. Zero defers to the network link's MaxConns
-	// (default 1). Sequential mode always runs single-connection.
-	Conns int
 	// Cache, when set, is consulted before every selection and binding
 	// query and filters semijoin sets down to items with unknown verdicts.
 	// Sharing one Cache across runs (adaptive rounds, repeated mediator
@@ -327,7 +324,7 @@ func (r *run) runSteps(ctx context.Context, from int) error {
 		var err error
 		if steps[k].IsSourceQuery() {
 			if r.e.Parallel {
-				end = batchEnd(steps, k)
+				end = plan.BatchEnd(steps, k)
 			}
 			err = r.runBatch(ctx, k, end)
 		} else {
@@ -383,34 +380,6 @@ func (r *run) runStep(ctx context.Context, idx int) error {
 	r.tr.release(old.Bytes())
 	r.tr.add(out.Bytes())
 	return nil
-}
-
-// batchEnd finds the longest run of source-query steps starting at k whose
-// inputs are independent of the batch's own outputs, so they may execute
-// concurrently. This captures exactly one round's selection and semijoin
-// queries in the canonical plans; difference-pruned chains serialize
-// naturally because the interleaved diff steps are not source queries.
-func batchEnd(steps []plan.Step, k int) int {
-	outs := map[string]bool{}
-	end := k
-	for end < len(steps) {
-		s := steps[end]
-		if !s.IsSourceQuery() {
-			break
-		}
-		dep := false
-		for _, in := range s.In {
-			if outs[in] {
-				dep = true
-			}
-		}
-		if dep {
-			break
-		}
-		outs[s.Out] = true
-		end++
-	}
-	return end
 }
 
 // runBatch executes source-query steps [start, end) concurrently and

@@ -44,6 +44,17 @@ func dmvSetup(t *testing.T, caps []source.Capabilities) (*optimizer.Problem, []s
 	return pr, srcs, network
 }
 
+// linkConns gives the link of every named source k connections and returns
+// the network: connection capacity is a property of the link.
+func linkConns(network *netsim.Network, sources []string, k int) *netsim.Network {
+	for _, name := range sources {
+		link := network.LinkFor(name)
+		link.MaxConns = k
+		network.SetLink(name, link)
+	}
+	return network
+}
+
 var dmvAnswer = set.New("J55", "T21")
 
 // TestDMVAllOptimizers runs the paper's Section 1 query end-to-end through
@@ -447,8 +458,8 @@ func TestBatchEndStopsAtDependency(t *testing.T) {
 		{Kind: plan.KindSelect, Out: "B", Cond: 0, Source: 1},
 		{Kind: plan.KindSemijoin, Out: "C", Cond: 1, Source: 2, In: []string{"A"}},
 	}
-	if end := batchEnd(steps, 0); end != 2 {
-		t.Fatalf("batchEnd = %d, want 2 (C depends on A)", end)
+	if end := plan.BatchEnd(steps, 0); end != 2 {
+		t.Fatalf("BatchEnd = %d, want 2 (C depends on A)", end)
 	}
 }
 

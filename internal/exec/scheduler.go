@@ -4,8 +4,8 @@ package exec
 // source query a plan execution issues — a round's batch steps and the
 // individual binding queries of an emulated semijoin alike — flows through
 // a scheduler that caps the number of in-flight exchanges per source at
-// that source's connection capacity (netsim.Link.MaxConns, overridable with
-// Executor.Conns). This is the executor-side half of the response-time
+// that source's connection capacity (netsim.Link.MaxConns). This is the
+// executor-side half of the response-time
 // model: netsim.Makespan accounts the same k-lane schedule the scheduler
 // enforces, and the plan/optimizer estimators rank orderings under it.
 
@@ -91,13 +91,12 @@ func (r *run) slot(ctx context.Context, j int) (func(), error) {
 func (r *run) sequential() bool { return !r.e.Parallel && !r.pipelined }
 
 // resolveConns works out source j's connection capacity, once per run: the
-// executor-wide override if set, else the network link's MaxConns, else 1.
-// A sequential run is always single-connection — its accounting identity
-// ResponseTime == TotalWork depends on it. A pipelined run is inherently
-// concurrent (the nodes overlap), so it uses the parallel rule. A
-// replicated source's capacity is the sum of its endpoints' pools (each
-// endpoint enforces its own share inside the fabric); the Conns override
-// applies per endpoint. For an overlapped run with a network attached it also
+// network link's MaxConns, else 1. A sequential run is always
+// single-connection — its accounting identity ResponseTime == TotalWork
+// depends on it. A pipelined run is inherently concurrent (the nodes
+// overlap), so it uses the parallel rule. A replicated source's capacity is
+// the sum of its endpoints' pools (each endpoint enforces its own share
+// inside the fabric). For an overlapped run with a network attached it also
 // fills in the lane capacities settle reads.
 func (r *run) resolveConns(j int) int {
 	e, name, seq := r.e, r.e.Sources[j].Name(), r.sequential()
@@ -107,8 +106,6 @@ func (r *run) resolveConns(j int) int {
 		for epName, k := range rc.ReplicaConns() {
 			if seq {
 				k = 1
-			} else if e.Conns > 0 {
-				k = e.Conns
 			}
 			total += k
 			if r.laneConns != nil {
@@ -118,8 +115,6 @@ func (r *run) resolveConns(j int) int {
 		if !seq && total > 1 {
 			conns = total
 		}
-	} else if !seq && e.Conns > 0 {
-		conns = e.Conns
 	} else if !seq && e.Network != nil {
 		conns = e.Network.ConnsFor(name)
 	}

@@ -104,10 +104,10 @@ func TestTransientBindingRetriesOnlyThatBinding(t *testing.T) {
 			name = "parallel"
 		}
 		t.Run(name, func(t *testing.T) {
-			pr, srcs, _ := dmvSetup(t, semijoinCaps)
+			pr, srcs, network := dmvSetup(t, semijoinCaps)
 			inj := &failNthBinding{Source: srcs[1], n: 2}
 			srcs[1] = inj
-			ex := &Executor{Sources: srcs, Parallel: parallel, Conns: 2, Retries: 3}
+			ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Parallel: parallel, Retries: 3}
 			got, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources))
 			if err != nil {
 				t.Fatalf("run with injected transient: %v", err)
@@ -147,23 +147,23 @@ func TestTransientBindingRetriesOnlyThatBinding(t *testing.T) {
 // TestTransientBindingFailsWithoutRetries checks fail-fast: with no retry
 // budget, one transient binding failure fails the semijoin.
 func TestTransientBindingFailsWithoutRetries(t *testing.T) {
-	pr, srcs, _ := dmvSetup(t, semijoinCaps)
+	pr, srcs, network := dmvSetup(t, semijoinCaps)
 	srcs[1] = &failNthBinding{Source: srcs[1], n: 1}
-	ex := &Executor{Sources: srcs, Parallel: true, Conns: 2}
+	ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Parallel: true}
 	if _, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources)); !source.IsTransient(err) {
 		t.Fatalf("err = %v, want transient failure", err)
 	}
 }
 
 // TestSchedulerBoundsConcurrency checks the slot pool: the peak number of
-// in-flight binding queries at one source never exceeds Conns.
+// in-flight binding queries at one source never exceeds its link's MaxConns.
 func TestSchedulerBoundsConcurrency(t *testing.T) {
 	for _, conns := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("conns%d", conns), func(t *testing.T) {
-			pr, srcs, _ := dmvSetup(t, semijoinCaps)
+			pr, srcs, network := dmvSetup(t, semijoinCaps)
 			probe := &maxInflight{Source: srcs[1]}
 			srcs[1] = probe
-			ex := &Executor{Sources: srcs, Parallel: true, Conns: conns}
+			ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, conns), Parallel: true}
 			got, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources))
 			if err != nil {
 				t.Fatal(err)
@@ -185,7 +185,7 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 func TestParallelTraceAttributesElapsed(t *testing.T) {
 	for _, mode := range runModes {
 		pr, srcs, network := dmvSetup(t, semijoinCaps)
-		ex := &Executor{Sources: srcs, Network: network, Conns: 2, Trace: true, BatchSize: 1}
+		ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Trace: true, BatchSize: 1}
 		mode.configure(ex)
 		got, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources))
 		if err != nil {
@@ -222,7 +222,7 @@ func TestTraceElapsedIsExactWhenStepsShareASource(t *testing.T) {
 	}
 	for _, mode := range runModes {
 		network.Reset()
-		ex := &Executor{Sources: srcs, Network: network, Conns: 2, Trace: true}
+		ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Trace: true}
 		mode.configure(ex)
 		got, err := ex.Run(context.Background(), p)
 		if err != nil {
@@ -246,6 +246,8 @@ func TestTraceElapsedIsExactWhenStepsShareASource(t *testing.T) {
 // strictly as the per-source connections double.
 func TestParallelSemijoinMatchesSequential(t *testing.T) {
 	type setup func() ([]source.Source, *netsim.Network, *plan.Plan)
+	// sweep runs the plan sequentially, then in parallel over links of each
+	// connection capacity in conns, and returns the parallel response times.
 	sweep := func(fresh setup, conns []int) []time.Duration {
 		srcs, network, p := fresh()
 		seq, err := (&Executor{Sources: srcs, Network: network}).Run(context.Background(), p)
@@ -255,7 +257,7 @@ func TestParallelSemijoinMatchesSequential(t *testing.T) {
 		var responses []time.Duration
 		for _, conns := range conns {
 			srcs, network, p := fresh()
-			ex := &Executor{Sources: srcs, Network: network, Parallel: true, Conns: conns}
+			ex := &Executor{Sources: srcs, Network: linkConns(network, p.Sources, conns), Parallel: true}
 			par, err := ex.Run(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)

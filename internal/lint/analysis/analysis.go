@@ -46,8 +46,7 @@ type Pass struct {
 
 // ExportFacts records the opaque per-package blob this analyzer wants
 // delivered (as ImportedFacts) to later runs of itself over packages that
-// import this one. Under go vet the blob rides the .vetx files cmd/go
-// caches; the standalone driver carries it in memory in dependency order.
+// import this one. The driver carries it in memory, in dependency order.
 func (p *Pass) ExportFacts(blob []byte) { p.exported = blob }
 
 // ExportedFacts returns the blob recorded by ExportFacts, or nil.

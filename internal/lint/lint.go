@@ -1,7 +1,7 @@
 // Package lint assembles the fqlint analyzer suite: the custom go/analysis-
 // style checkers that mechanically enforce this codebase's query-lifecycle,
 // observability and error-handling contracts (DESIGN.md §10). The driver in
-// cmd/fqlint runs them standalone or as a `go vet -vettool`.
+// cmd/fqlint loads the packages and runs them.
 package lint
 
 import (

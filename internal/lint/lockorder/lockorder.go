@@ -10,9 +10,8 @@
 //     goroutine, directly or through a callee (sync.Mutex is not
 //     reentrant: a self-deadlock, not a race).
 //
-// Each package reports the cycles its own edges complete, so the check
-// works identically under go vet's per-package unitchecker and the
-// standalone driver's dependency-ordered walk.
+// Each package reports the cycles its own edges complete, so the driver's
+// dependency-ordered walk reports every cycle once.
 package lockorder
 
 import (

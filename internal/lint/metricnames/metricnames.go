@@ -101,14 +101,10 @@ func constantOf(info *types.Info, expr ast.Expr) *types.Const {
 }
 
 // declaredInNamesFile reports whether c's declaration lives in a file named
-// names.go. When a constant arrives through compiled export data without a
-// position (go vet -vettool mode), membership in the fusionq/internal/obs
-// package with the canonical M prefix is accepted instead.
+// names.go (the driver type-checks from source, so every constant has a
+// position).
 func declaredInNamesFile(fset *token.FileSet, c *types.Const) bool {
-	if pos := fset.Position(c.Pos()); pos.IsValid() && pos.Filename != "" {
-		return filepath.Base(pos.Filename) == "names.go"
-	}
-	return c.Pkg() != nil && c.Pkg().Path() == "fusionq/internal/obs" && strings.HasPrefix(c.Name(), "M")
+	return filepath.Base(fset.Position(c.Pos()).Filename) == "names.go"
 }
 
 // checkDescribeAll runs the coverage half in packages that declare both a

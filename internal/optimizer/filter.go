@@ -8,21 +8,5 @@ func Filter(pr *Problem) (Result, error) {
 	if err := pr.Validate(); err != nil {
 		return Result{}, err
 	}
-	m, n := len(pr.Conds), len(pr.Sources)
-	sk := Sketch{
-		Ordering: identityOrder(m),
-		Choices:  allSelectChoices(m, n),
-		Class:    "filter",
-	}
-	p, err := BuildPlan(pr, sk)
-	if err != nil {
-		return Result{}, err
-	}
-	cost := 0.0
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			cost += pr.Table.SelectCost(i, j)
-		}
-	}
-	return Result{Plan: p, Cost: cost, Sketch: sk}, nil
+	return fixed(pr, "filter", identityOrder(len(pr.Conds)), allSelect)
 }

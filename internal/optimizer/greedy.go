@@ -1,9 +1,6 @@
 package optimizer
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // greedyOrdering picks the condition processing order without enumerating
 // permutations: most selective condition first, i.e. ascending estimated
@@ -37,89 +34,7 @@ func GreedySJA(pr *Problem) (Result, error) {
 	if err := pr.Validate(); err != nil {
 		return Result{}, err
 	}
-	ord := greedyOrdering(pr)
-	choices, cost := sjaForOrdering(pr, ord)
-	sk := Sketch{Ordering: ord, Choices: choices, Class: "greedy-semijoin-adaptive"}
-	p, err := BuildPlan(pr, sk)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Plan: p, Cost: cost, Sketch: sk}, nil
-}
-
-// GreedyAdaptiveSJA is the incremental O(m²n) greedy: instead of fixing the
-// whole ordering up front from first-round cardinalities, it grows the
-// ordering one condition at a time, at each step picking the unplaced
-// condition whose evaluation — with per-source method choices against the
-// current running-set estimate — adds the least cost. It dominates the
-// sort-based greedy whenever marginal costs diverge from head-round
-// selectivity, at a still-polynomial price.
-func GreedyAdaptiveSJA(pr *Problem) (Result, error) {
-	if err := pr.Validate(); err != nil {
-		return Result{}, err
-	}
-	m, n := len(pr.Conds), len(pr.Sources)
-	t := pr.Table
-
-	placed := make([]bool, m)
-	ordering := make([]int, 0, m)
-	choices := allSelectChoices(m, n)
-	planCost := 0.0
-
-	// First round: the condition whose selections are cheapest relative to
-	// how small a running set they leave behind. Following the
-	// most-selective-first rationale, minimize cost + the set it leaves
-	// (in cost units via a second-round probe below); simplest robust
-	// choice: minimize first-round cost then cardinality.
-	first, bestCost, bestCard := -1, math.Inf(1), math.Inf(1)
-	for i := 0; i < m; i++ {
-		c := 0.0
-		for j := 0; j < n; j++ {
-			c += t.SelectCost(i, j)
-		}
-		card := t.FirstRoundCard(i)
-		if card < bestCard || (card == bestCard && c < bestCost) {
-			first, bestCost, bestCard = i, c, card
-		}
-	}
-	placed[first] = true
-	ordering = append(ordering, first)
-	for j := 0; j < n; j++ {
-		planCost += t.SelectCost(first, j)
-	}
-	x := t.FirstRoundCard(first)
-
-	for r := 2; r <= m; r++ {
-		bestIdx, bestRound := -1, math.Inf(1)
-		var bestChoices []Method
-		for i := 0; i < m; i++ {
-			if placed[i] {
-				continue
-			}
-			roundCost := 0.0
-			rowChoices := make([]Method, n)
-			for j := 0; j < n; j++ {
-				method, cost := bestMethod(t, i, j, x)
-				rowChoices[j] = method
-				roundCost += cost
-			}
-			if roundCost < bestRound {
-				bestIdx, bestRound, bestChoices = i, roundCost, rowChoices
-			}
-		}
-		placed[bestIdx] = true
-		ordering = append(ordering, bestIdx)
-		copy(choices[r-1], bestChoices)
-		planCost += bestRound
-		x = t.RoundCard(bestIdx, x)
-	}
-
-	sk := Sketch{Ordering: ordering, Choices: choices, Class: "greedy-adaptive-sja"}
-	p, err := BuildPlan(pr, sk)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Plan: p, Cost: planCost, Sketch: sk}, nil
+	return fixed(pr, "greedy-semijoin-adaptive", greedyOrdering(pr), perSource)
 }
 
 // GreedySJ is the O(mn) greedy variant of SJ: the same heuristic ordering
@@ -128,32 +43,36 @@ func GreedySJ(pr *Problem) (Result, error) {
 	if err := pr.Validate(); err != nil {
 		return Result{}, err
 	}
-	m, n := len(pr.Conds), len(pr.Sources)
-	t := pr.Table
-	ord := greedyOrdering(pr)
-	choices := allSelectChoices(m, n)
-	planCost := 0.0
-	for j := 0; j < n; j++ {
-		planCost += t.SelectCost(ord[0], j)
-	}
-	x := t.FirstRoundCard(ord[0])
-	for r := 2; r <= m; r++ {
-		ci := ord[r-1]
-		method, cost := bestUniformMethod(t, ci, n, x)
-		for j := 0; j < n; j++ {
-			choices[r-1][j] = method
-		}
-		planCost += cost
-		x = t.RoundCard(ci, x)
-	}
-	if math.IsInf(planCost, 1) {
-		// Cannot happen with finite selection costs, but guard anyway.
-		planCost = math.Inf(1)
-	}
-	sk := Sketch{Ordering: ord, Choices: choices, Class: "greedy-semijoin"}
-	p, err := BuildPlan(pr, sk)
-	if err != nil {
+	return fixed(pr, "greedy-semijoin", greedyOrdering(pr), uniform)
+}
+
+// GreedyAdaptiveSJA is the incremental O(m²n) greedy: instead of fixing the
+// whole ordering up front from first-round cardinalities, it grows the
+// ordering one condition at a time, at each step picking the unplaced
+// condition whose evaluation — with per-source method choices against the
+// current running-set estimate — adds the least cost (NextRound). It
+// dominates the sort-based greedy whenever marginal costs diverge from
+// head-round selectivity, at a still-polynomial price.
+func GreedyAdaptiveSJA(pr *Problem) (Result, error) {
+	if err := pr.Validate(); err != nil {
 		return Result{}, err
 	}
-	return Result{Plan: p, Cost: planCost, Sketch: sk}, nil
+	m, t := len(pr.Conds), pr.Table
+	placed := make([]bool, m)
+	sk := Sketch{Choices: make([][]Method, m), Class: "greedy-adaptive-sja"}
+
+	head := HeadCondition(t)
+	placed[head] = true
+	sk.Ordering = append(sk.Ordering, head)
+	sk.Choices[0] = make([]Method, len(pr.Sources))
+	cost, x := selectAll(t, head), t.FirstRoundCard(head)
+	for r := 1; r < m; r++ {
+		next, row, roundCost := NextRound(t, placed, x)
+		placed[next] = true
+		sk.Ordering = append(sk.Ordering, next)
+		sk.Choices[r] = row
+		cost += roundCost
+		x = t.RoundCard(next, x)
+	}
+	return built(pr, sk, cost)
 }

@@ -1,10 +1,6 @@
 package optimizer
 
-import (
-	"math"
-
-	"fusionq/internal/plan"
-)
+import "fusionq/internal/plan"
 
 // ResponseTimeSJA optimizes for response time under parallel execution —
 // the future-work objective of Section 6 — instead of total work. Within a
@@ -20,55 +16,15 @@ import (
 // Result.Cost is the estimated response time (not total work); tests and
 // experiment E10 compare both objectives across both optimizers.
 func ResponseTimeSJA(pr *Problem) (Result, error) {
-	if err := pr.Validate(); err != nil {
-		return Result{}, err
-	}
-	m, n := len(pr.Conds), len(pr.Sources)
-	t := pr.Table
-
-	best := Result{Cost: math.Inf(1)}
-	permutations(m, func(ord []int) {
-		choices := allSelectChoices(m, n)
-		rt := 0.0
-		// Round 1: all selections in parallel; critical path is the
-		// slowest selection.
-		roundMax := 0.0
-		for j := 0; j < n; j++ {
-			if c := t.SelectCost(ord[0], j); c > roundMax {
-				roundMax = c
-			}
-		}
-		rt += roundMax
-		x := t.FirstRoundCard(ord[0])
-		for r := 2; r <= m; r++ {
-			ci := ord[r-1]
-			roundMax = 0.0
-			for j := 0; j < n; j++ {
-				method, c := bestMethodResponse(t, ci, j, x)
-				choices[r-1][j] = method
-				if c > roundMax {
-					roundMax = c
-				}
-			}
-			rt += roundMax
-			x = t.RoundCard(ci, x)
-		}
-		if improves(rt, ord, best.Cost, best.Sketch.Ordering) {
-			best.Cost = rt
-			best.Sketch = Sketch{Ordering: append([]int(nil), ord...), Choices: choices, Class: "response-time-sja"}
-		}
-	})
-	p, err := BuildPlan(pr, best.Sketch)
+	best, err := search(pr, "response-time-sja", slowestSelect, slowestSource)
 	if err != nil {
 		return Result{}, err
 	}
-	best.Plan = p
 	// Report the estimator's response time for the emitted plan so the
 	// number is comparable with plan.EstimateResponseTime on other plans.
-	rt, err := plan.EstimateResponseTime(p, pr.Table)
+	best.Cost, err = plan.EstimateResponseTime(best.Plan, pr.Table)
 	if err != nil {
 		return Result{}, err
 	}
-	best.Cost = rt
 	return best, nil
 }

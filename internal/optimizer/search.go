@@ -1,0 +1,193 @@
+package optimizer
+
+import (
+	"math"
+
+	"fusionq/internal/stats"
+)
+
+// This file is the one plan-space search of the package. Every algorithm
+// that decides rounds by cost is an ordering (all m!, one heuristic, one
+// given, or grown condition by condition) priced by a rule.
+
+// rule decides one round after the first: it fills row[j] with the method
+// that evaluates condition ci at source j against a running set of x items,
+// and returns acc, the plan cost so far, with the round added to it. A rule
+// adds in the order its figure does (per source for perSource, per round for
+// uniform): float addition does not associate, and a cost regrouped differs
+// in the last bit, which is enough to flip a tie between orderings.
+type rule func(t *stats.CostTable, ci int, x float64, row []Method, acc float64) float64
+
+// cheapest holds the tie rules of the three-method comparison: a semijoin
+// wins a tie with a selection (the ≤ of Figures 3 and 4), and an exact
+// semijoin wins a tie with a Bloom semijoin.
+func cheapest(sel, sj, sjb float64) (Method, float64) {
+	method, cost := MethodSelect, sel
+	if sj <= cost {
+		method, cost = MethodSemijoin, sj
+	}
+	if sjb < cost {
+		method, cost = MethodBloom, sjb
+	}
+	return method, cost
+}
+
+// uniform is Figure 3's loop B body: every source gets the same method, the
+// one whose total over the sources is cheapest. The all-or-nothing choice
+// is what characterizes semijoin plans.
+func uniform(t *stats.CostTable, ci int, x float64, row []Method, acc float64) float64 {
+	sel, sj, sjb := 0.0, 0.0, 0.0
+	for j := range row {
+		sel += t.SelectCost(ci, j)
+		sj += t.SemijoinCost(ci, j, x)
+		sjb += t.BloomSemijoinCost(ci, j, x)
+	}
+	method, cost := cheapest(sel, sj, sjb)
+	for j := range row {
+		row[j] = method
+	}
+	return acc + cost
+}
+
+// perSource is Figure 4's source loop: each source gets its own cheapest
+// method. The decisions are independent given x, which is why one pass
+// finds the best semijoin-adaptive plan of an ordering.
+func perSource(t *stats.CostTable, ci int, x float64, row []Method, acc float64) float64 {
+	for j := range row {
+		method, cost := cheapest(t.SelectCost(ci, j), t.SemijoinCost(ci, j, x), t.BloomSemijoinCost(ci, j, x))
+		row[j] = method
+		acc += cost
+	}
+	return acc
+}
+
+// slowestSource is perSource under the Section 6 response-time objective:
+// the semijoin candidate is priced by SemijoinResponseCost, so an emulated
+// semijoin whose bindings fan out over k connections competes with its
+// per-lane critical path, and the round costs what its slowest source does.
+func slowestSource(t *stats.CostTable, ci int, x float64, row []Method, acc float64) float64 {
+	slowest := 0.0
+	for j := range row {
+		method, cost := cheapest(t.SelectCost(ci, j), t.SemijoinResponseCost(ci, j, x), t.BloomSemijoinCost(ci, j, x))
+		row[j] = method
+		if cost > slowest {
+			slowest = cost
+		}
+	}
+	return acc + slowest
+}
+
+// allSelect is FILTER's round: a selection at every source.
+func allSelect(t *stats.CostTable, ci int, _ float64, row []Method, acc float64) float64 {
+	for j := range row {
+		row[j] = MethodSelect
+		acc += t.SelectCost(ci, j)
+	}
+	return acc
+}
+
+// selectAll prices a first round under the total-work objective: the round
+// is n selection queries (Section 2.5) and costs their sum.
+func selectAll(t *stats.CostTable, ci int) float64 {
+	cost := 0.0
+	for j := 0; j < t.N(); j++ {
+		cost += t.SelectCost(ci, j)
+	}
+	return cost
+}
+
+// slowestSelect prices a first round under the response-time objective: the
+// n selections run side by side and cost the slowest.
+func slowestSelect(t *stats.CostTable, ci int) float64 {
+	slowest := 0.0
+	for j := 0; j < t.N(); j++ {
+		if cost := t.SelectCost(ci, j); cost > slowest {
+			slowest = cost
+		}
+	}
+	return slowest
+}
+
+// costOrdering prices one condition ordering: first prices round one, decide
+// every later round against the estimated running set the rounds before it
+// leave. It returns the method matrix and the plan cost.
+func costOrdering(pr *Problem, ord []int, first func(*stats.CostTable, int) float64, decide rule) ([][]Method, float64) {
+	t := pr.Table
+	choices := allSelectChoices(len(ord), len(pr.Sources))
+	cost := first(t, ord[0])
+	x := t.FirstRoundCard(ord[0])
+	for r := 1; r < len(ord); r++ { // loop B
+		cost = decide(t, ord[r], x, choices[r], cost)
+		x = t.RoundCard(ord[r], x)
+	}
+	return choices, cost
+}
+
+// search is loop A of Figures 3 and 4: it prices all m! orderings and keeps
+// the cheapest, exact ties falling to the lexicographically smaller ordering
+// (improves).
+func search(pr *Problem, class string, first func(*stats.CostTable, int) float64, decide rule) (Result, error) {
+	if err := pr.Validate(); err != nil {
+		return Result{}, err
+	}
+	best := Result{Cost: math.Inf(1)}
+	permutations(len(pr.Conds), func(ord []int) {
+		choices, cost := costOrdering(pr, ord, first, decide)
+		if improves(cost, ord, best.Cost, best.Sketch.Ordering) {
+			best.Cost = cost
+			best.Sketch = Sketch{Ordering: append([]int(nil), ord...), Choices: choices, Class: class}
+		}
+	})
+	return built(pr, best.Sketch, best.Cost)
+}
+
+// fixed prices the one ordering ord, which the result keeps.
+func fixed(pr *Problem, class string, ord []int, decide rule) (Result, error) {
+	choices, cost := costOrdering(pr, ord, selectAll, decide)
+	return built(pr, Sketch{Ordering: ord, Choices: choices, Class: class}, cost)
+}
+
+// built materializes a priced sketch.
+func built(pr *Problem, sk Sketch, cost float64) (Result, error) {
+	p, err := BuildPlan(pr, sk)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Plan: p, Cost: cost, Sketch: sk}, nil
+}
+
+// HeadCondition picks the condition an incremental plan evaluates first:
+// the one whose selections leave the smallest running set, the cheaper
+// round breaking a tie and the lower index a tie of both.
+func HeadCondition(t *stats.CostTable) int {
+	head, headCost, headCard := -1, math.Inf(1), math.Inf(1)
+	for ci := 0; ci < t.M(); ci++ {
+		cost, card := selectAll(t, ci), t.FirstRoundCard(ci)
+		if card < headCard || (card == headCard && cost < headCost) {
+			head, headCost, headCard = ci, cost, card
+		}
+	}
+	return head
+}
+
+// NextRound is the incremental round decision: of the conditions not yet
+// placed, the one whose round, with each source's method chosen by
+// perSource, adds the least cost against a running set of x items; a tie
+// falls to the lower index. It returns the condition, its per-source
+// methods and the round's cost, or -1 when every condition is placed.
+// GreedyAdaptiveSJA calls it with x estimated, adaptive execution
+// (exec.RunAdaptive) with x measured.
+func NextRound(t *stats.CostTable, placed []bool, x float64) (int, []Method, float64) {
+	next, nextCost := -1, math.Inf(1)
+	var nextRow []Method
+	for ci, done := range placed {
+		if done {
+			continue
+		}
+		row := make([]Method, t.N())
+		if cost := perSource(t, ci, x, row, 0); next < 0 || cost < nextCost {
+			next, nextRow, nextCost = ci, row, cost
+		}
+	}
+	return next, nextRow, nextCost
+}

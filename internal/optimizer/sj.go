@@ -1,32 +1,5 @@
 package optimizer
 
-import (
-	"math"
-
-	"fusionq/internal/stats"
-)
-
-// bestUniformMethod compares the total costs of evaluating condition ci at
-// every source with the same method — the all-or-nothing choice that
-// characterizes semijoin plans — and returns the cheapest method with its
-// total. Ties prefer semijoins, matching Figure 3's comparison.
-func bestUniformMethod(t *stats.CostTable, ci, n int, x float64) (Method, float64) {
-	selCost, sjCost, sjbCost := 0.0, 0.0, 0.0
-	for j := 0; j < n; j++ {
-		selCost += t.SelectCost(ci, j)
-		sjCost += t.SemijoinCost(ci, j, x)
-		sjbCost += t.BloomSemijoinCost(ci, j, x)
-	}
-	method, cost := MethodSelect, selCost
-	if sjCost <= cost {
-		method, cost = MethodSemijoin, sjCost
-	}
-	if sjbCost < cost {
-		method, cost = MethodBloom, sjbCost
-	}
-	return method, cost
-}
-
 // SJ implements the SJ algorithm of Figure 3: it enumerates all m!
 // orderings of the conditions (loop A) and, for each ordering and each
 // condition after the first (loop B), decides between evaluating the
@@ -34,38 +7,5 @@ func bestUniformMethod(t *stats.CostTable, ci, n int, x float64) (Method, float6
 // two total costs — an all-or-nothing choice, which is what characterizes
 // the semijoin plan class. Complexity O((m!)·m·n).
 func SJ(pr *Problem) (Result, error) {
-	if err := pr.Validate(); err != nil {
-		return Result{}, err
-	}
-	m, n := len(pr.Conds), len(pr.Sources)
-	t := pr.Table
-
-	best := Result{Cost: math.Inf(1)}
-	permutations(m, func(ord []int) { // loop A
-		choices := allSelectChoices(m, n)
-		planCost := 0.0
-		for j := 0; j < n; j++ {
-			planCost += t.SelectCost(ord[0], j)
-		}
-		x := t.FirstRoundCard(ord[0])
-		for r := 2; r <= m; r++ { // loop B
-			ci := ord[r-1]
-			method, cost := bestUniformMethod(t, ci, n, x)
-			for j := 0; j < n; j++ {
-				choices[r-1][j] = method
-			}
-			planCost += cost
-			x = t.RoundCard(ci, x)
-		}
-		if improves(planCost, ord, best.Cost, best.Sketch.Ordering) {
-			best.Cost = planCost
-			best.Sketch = Sketch{Ordering: append([]int(nil), ord...), Choices: choices, Class: "semijoin"}
-		}
-	})
-	p, err := BuildPlan(pr, best.Sketch)
-	if err != nil {
-		return Result{}, err
-	}
-	best.Plan = p
-	return best, nil
+	return search(pr, "semijoin", selectAll, uniform)
 }

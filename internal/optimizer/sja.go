@@ -1,11 +1,6 @@
 package optimizer
 
-import (
-	"fmt"
-	"math"
-
-	"fusionq/internal/stats"
-)
+import "fmt"
 
 // SJA implements the SJA algorithm of Figure 4. It differs from SJ in the
 // inner "source loop": for each condition after the first and each source
@@ -14,40 +9,7 @@ import (
 // the algorithm finds the optimal semijoin-adaptive plan in O((m!)·m·n)
 // even though the class contains O((m!)·2^{n(m-2)}) plans.
 func SJA(pr *Problem) (Result, error) {
-	if err := pr.Validate(); err != nil {
-		return Result{}, err
-	}
-	m, n := len(pr.Conds), len(pr.Sources)
-	t := pr.Table
-
-	best := Result{Cost: math.Inf(1)}
-	permutations(m, func(ord []int) { // loop A
-		choices := allSelectChoices(m, n)
-		planCost := 0.0
-		for j := 0; j < n; j++ {
-			planCost += t.SelectCost(ord[0], j)
-		}
-		x := t.FirstRoundCard(ord[0])
-		for r := 2; r <= m; r++ { // loop B
-			ci := ord[r-1]
-			for j := 0; j < n; j++ { // source loop
-				method, cost := bestMethod(t, ci, j, x)
-				choices[r-1][j] = method
-				planCost += cost
-			}
-			x = t.RoundCard(ci, x)
-		}
-		if improves(planCost, ord, best.Cost, best.Sketch.Ordering) {
-			best.Cost = planCost
-			best.Sketch = Sketch{Ordering: append([]int(nil), ord...), Choices: choices, Class: "semijoin-adaptive"}
-		}
-	})
-	p, err := BuildPlan(pr, best.Sketch)
-	if err != nil {
-		return Result{}, err
-	}
-	best.Plan = p
-	return best, nil
+	return search(pr, "semijoin-adaptive", selectAll, perSource)
 }
 
 // SJAWithOrdering runs SJA's per-source decision loop for one fixed
@@ -61,79 +23,5 @@ func SJAWithOrdering(pr *Problem, ord []int) (Result, error) {
 	if len(ord) != len(pr.Conds) {
 		return Result{}, fmt.Errorf("optimizer: ordering has %d conditions, want %d", len(ord), len(pr.Conds))
 	}
-	choices, cost := sjaForOrdering(pr, ord)
-	sk := Sketch{Ordering: append([]int(nil), ord...), Choices: choices, Class: "semijoin-adaptive"}
-	p, err := BuildPlan(pr, sk)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Plan: p, Cost: cost, Sketch: sk}, nil
-}
-
-// sjaForOrdering runs the SJA inner loops for one fixed condition ordering,
-// returning the per-round choices and the bookkept plan cost. It is shared
-// by the greedy variant.
-func sjaForOrdering(pr *Problem, ord []int) ([][]Method, float64) {
-	m, n := len(pr.Conds), len(pr.Sources)
-	t := pr.Table
-	choices := allSelectChoices(m, n)
-	planCost := 0.0
-	for j := 0; j < n; j++ {
-		planCost += t.SelectCost(ord[0], j)
-	}
-	x := t.FirstRoundCard(ord[0])
-	for r := 2; r <= m; r++ {
-		ci := ord[r-1]
-		for j := 0; j < n; j++ {
-			method, cost := bestMethod(t, ci, j, x)
-			choices[r-1][j] = method
-			planCost += cost
-		}
-		x = t.RoundCard(ci, x)
-	}
-	return choices, planCost
-}
-
-// BestMethod exposes the per-source decision rule to runtime adaptivity:
-// given the (possibly measured) running-set size x, it picks the cheapest
-// evaluation method for condition ci at source j and returns its estimated
-// cost.
-func BestMethod(t *stats.CostTable, ci, j int, x float64) (Method, float64) {
-	return bestMethod(t, ci, j, x)
-}
-
-// bestMethod picks the cheapest of the three per-source evaluation methods
-// for condition ci at source j given the running-set estimate x. Ties
-// prefer semijoins over selections (matching Figure 4's comparison) and
-// exact semijoins over Bloom semijoins.
-func bestMethod(t *stats.CostTable, ci, j int, x float64) (Method, float64) {
-	selCost := t.SelectCost(ci, j)
-	sjCost := t.SemijoinCost(ci, j, x)
-	sjbCost := t.BloomSemijoinCost(ci, j, x)
-	method, cost := MethodSelect, selCost
-	if sjCost <= cost {
-		method, cost = MethodSemijoin, sjCost
-	}
-	if sjbCost < cost {
-		method, cost = MethodBloom, sjbCost
-	}
-	return method, cost
-}
-
-// bestMethodResponse is bestMethod under the response-time objective: the
-// semijoin candidate is priced by SemijoinResponseCost, so an emulated
-// semijoin whose bindings fan out over k connections competes with its
-// per-lane critical path rather than its serial total.
-func bestMethodResponse(t *stats.CostTable, ci, j int, x float64) (Method, float64) {
-	selCost := t.SelectCost(ci, j)
-	sjCost := t.SemijoinResponseCost(ci, j, x)
-	sjbCost := t.BloomSemijoinCost(ci, j, x)
-	method, cost := MethodSelect, selCost
-	if sjCost <= cost {
-		method, cost = MethodSemijoin, sjCost
-	}
-	if sjbCost < cost {
-		method, cost = MethodBloom, sjbCost
-	}
-	return method, cost
+	return fixed(pr, "semijoin-adaptive", append([]int(nil), ord...), perSource)
 }

@@ -74,8 +74,8 @@ func TestTieBreakLexicographicOrdering(t *testing.T) {
 	pr := mkProblem(t, 3, n, tieCards(n), uniformProfiles(n, defaultProfile()))
 
 	// Prove this is a genuine exact tie, not merely a near-tie.
-	_, costA := sjaForOrdering(pr, []int{2, 0, 1})
-	_, costB := sjaForOrdering(pr, []int{2, 1, 0})
+	_, costA := costOrdering(pr, []int{2, 0, 1}, selectAll, perSource)
+	_, costB := costOrdering(pr, []int{2, 1, 0}, selectAll, perSource)
 	if costA != costB {
 		t.Fatalf("expected an exact cost tie, got %v vs %v", costA, costB)
 	}

@@ -48,30 +48,6 @@ type Driver struct {
 	Recorder *obs.Recorder
 }
 
-// planClass is one optimizer entry point under differential test.
-type planClass struct {
-	name string
-	opt  func(*optimizer.Problem) (optimizer.Result, error)
-}
-
-// planClasses lists every plan class the driver executes. rt-sja optimizes
-// response time rather than total work, so its Result.Cost lives outside
-// the total-work dominance chain but its plan must still compute the same
-// answer.
-func planClasses() []planClass {
-	return []planClass{
-		{"filter", optimizer.Filter},
-		{"sj", optimizer.SJ},
-		{"sja", optimizer.SJA},
-		{"sja+", optimizer.SJAPlus},
-		{"greedy-sj", optimizer.GreedySJ},
-		{"greedy-sja", optimizer.GreedySJA},
-		{"greedy-adaptive-sja", optimizer.GreedyAdaptiveSJA},
-		{"greedy-sja+", optimizer.GreedySJAPlus},
-		{"rt-sja", optimizer.ResponseTimeSJA},
-	}
-}
-
 // env is one materialized instance: scenario, network, instrumented
 // sources, cost table and reference answer.
 type env struct {
@@ -143,13 +119,13 @@ func (d *Driver) Check(ctx context.Context, inst Instance) ([]Failure, error) {
 
 	// Phase 1: optimize every class and check the cost model.
 	results := map[string]optimizer.Result{}
-	for _, pc := range planClasses() {
-		r, err := pc.opt(ev.pr)
+	for _, pc := range optimizer.Algorithms {
+		r, err := pc.Plan(ev.pr)
 		if err != nil {
-			fs = append(fs, Failure{Property: "optimize-error", Class: pc.name, Detail: err.Error()})
+			fs = append(fs, Failure{Property: "optimize-error", Class: pc.Name, Detail: err.Error()})
 			continue
 		}
-		results[pc.name] = r
+		results[pc.Name] = r
 	}
 	fs = append(fs, checkCosts(ev, results)...)
 
@@ -160,12 +136,12 @@ func (d *Driver) Check(ctx context.Context, inst Instance) ([]Failure, error) {
 	// reach the reference answer by its own choice of rounds, and a combined
 	// run must also return exactly the records a second phase would fetch.
 	for _, mode := range execModes(inst) {
-		for _, pc := range planClasses() {
-			r, ok := results[pc.name]
+		for _, pc := range optimizer.Algorithms {
+			r, ok := results[pc.Name]
 			if !ok {
 				continue
 			}
-			fs = append(fs, d.runPlan(ctx, ev, ev.sources, pc.name, r.Plan, mode)...)
+			fs = append(fs, d.runPlan(ctx, ev, ev.sources, pc.Name, r.Plan, mode)...)
 		}
 		fs = append(fs, d.check(ctx, ev, ev.sources, "adaptive", mode, func(ctx context.Context, ex *exec.Executor) (*exec.Result, []Failure, error) {
 			res, _, err := ex.RunAdaptive(ctx, ev.pr)
@@ -231,7 +207,9 @@ func (d *Driver) Check(ctx context.Context, inst Instance) ([]Failure, error) {
 // checkCosts verifies the cost-model invariants over the optimized classes:
 // algorithm bookkeeping equals the shared estimator, the dominance chain
 // SJA ≤ {SJ, FILTER, greedy variants} and SJA+ ≤ SJA holds, and on small
-// instances SJA matches the exhaustive optimum.
+// instances SJA matches the exhaustive optimum. rt-sja's Result.Cost is a
+// response time and stands outside the chain; its plan must still compute
+// the same answer.
 func checkCosts(ev *env, results map[string]optimizer.Result) []Failure {
 	var fs []Failure
 	tol := func(x float64) float64 { return 1e-6 * (1 + math.Abs(x)) }

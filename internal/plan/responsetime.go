@@ -23,7 +23,7 @@ func EstimateResponseTime(p *Plan, table *stats.CostTable) (float64, error) {
 	}
 	rt := 0.0
 	for k := 0; k < len(p.Steps); {
-		end := batchEnd(p.Steps, k)
+		end := BatchEnd(p.Steps, k)
 		if end > k+1 {
 			// Concurrent batch: critical path is the per-source maximum
 			// (a source processes its own queries over its own connections).
@@ -47,10 +47,14 @@ func EstimateResponseTime(p *Plan, table *stats.CostTable) (float64, error) {
 	return rt, nil
 }
 
-// batchEnd mirrors the parallel executor's batching rule: the longest run
-// of source-query steps starting at k whose inputs do not depend on the
-// batch's own outputs.
-func batchEnd(steps []Step, k int) int {
+// BatchEnd is the batching rule the parallel executor schedules by and
+// EstimateResponseTime prices by: it finds the longest run of source-query
+// steps starting at k whose inputs are independent of the batch's own
+// outputs, so they may execute concurrently. This captures exactly one
+// round's selection and semijoin queries in the canonical plans;
+// difference-pruned chains serialize naturally because the interleaved diff
+// steps are not source queries.
+func BatchEnd(steps []Step, k int) int {
 	outs := map[string]bool{}
 	end := k
 	for end < len(steps) {
