@@ -37,11 +37,13 @@ fuzz:
 	$(GO) test -fuzz=FuzzFrameCodec -fuzztime=20s -run='^$$' ./internal/wire
 
 # Differential oracle: a 60s soak of random universes against the naive
-# reference executor, writing a shrunk repro artifact on failure, then a
-# fuzz smoke over the generator's seed space under the race detector.
+# reference executor, writing a shrunk repro artifact on failure, 30s of the
+# same under the race detector, the churn soak and a fuzz smoke over the
+# generator's seed space under it too.
 oracle:
 	mkdir -p oracle-out
 	$(GO) run ./cmd/fqoracle -duration 60s -seed 1 -repro oracle-out/repro.json
+	$(GO) run -race ./cmd/fqoracle -duration 30s -seed 1 -repro oracle-out/repro-race.json
 	$(GO) run -race ./cmd/fqoracle -churn -duration 60s -seed 1 -repro oracle-out/repro-churn.json
 	$(GO) test -race -fuzz=FuzzOracle -fuzztime=30s -run='^$$' ./internal/oracle
 

@@ -19,9 +19,10 @@
 //	-algo name      filter | sj | sja | sja+ | greedy-sj | greedy-sja |
 //	                greedy-adaptive-sja | greedy-sja+ | rt-sja (README "Algorithms")
 //	-caps tier      capability tier for CSV sources: native | bindings | none
-//	-parallel       execute each round's source queries concurrently
-//	-conns n        connection capacity of each -csv/-remote source's link, which
-//	                bounds -parallel (0: one; a catalog states maxConns per link)
+//	-conns n        connection capacity of each -csv/-remote source's link: a
+//	                round's source queries always overlap across sources, and
+//	                this is how many may be in flight at one source (0: one;
+//	                a catalog states maxConns per link)
 //	-cache          answer repeated source queries from the mediator cache
 //	-explain        print the plan without executing it
 //	-fetch          run the second phase and print the full records
@@ -74,8 +75,7 @@ func main() {
 		merge     = flag.String("merge", "", "merge attribute for CSV sources (default: first column)")
 		algo      = flag.String("algo", "sja+", "optimization algorithm")
 		capsFlag  = flag.String("caps", "native", "CSV source capabilities: native | bindings | none")
-		parallel  = flag.Bool("parallel", false, "execute rounds concurrently")
-		conns     = flag.Int("conns", 0, "connection capacity of each -csv/-remote source's link, bounding -parallel (0: one)")
+		conns     = flag.Int("conns", 0, "connection capacity of each -csv/-remote source's link: how many exchanges with one source may overlap (0: one)")
 		cache     = flag.Bool("cache", false, "answer repeated source queries from the mediator's cache")
 		catalogF  = flag.String("catalog", "", "JSON catalog of sources (replaces -csv/-remote)")
 		explain   = flag.Bool("explain", false, "print the plan, do not execute")
@@ -109,14 +109,14 @@ func main() {
 			defer func() { _ = adm.Close() }()
 			fmt.Fprintf(os.Stderr, "fusionq: admin endpoints on http://%s\n", adm.Addr())
 		}
-		opts := core.Options{Algorithm: core.Algorithm(*algo), Parallel: *parallel, Cache: *cache, Trace: *trace, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
+		opts := core.Options{Algorithm: core.Algorithm(*algo), Cache: *cache, Trace: *trace, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
 		if err := repl(m, os.Stdin, os.Stdout, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
-	opts := core.Options{Algorithm: core.Algorithm(*algo), Parallel: *parallel, Cache: *cache, Trace: *trace, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
+	opts := core.Options{Algorithm: core.Algorithm(*algo), Cache: *cache, Trace: *trace, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
 	if err := run(*sql, csvs, remotes, *catalogF, *merge, *capsFlag, *conns, opts, *explain, *fetch, *traceJSON, *spans, *admin); err != nil {
 		fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 		os.Exit(1)

@@ -18,7 +18,6 @@ import (
 //
 //	\algo NAME       switch the optimization algorithm
 //	\trace on|off    toggle per-step execution traces
-//	\parallel on|off toggle parallel round execution
 //	\cache on|off    toggle the mediator answer cache
 //	\explain SQL     print the plan for SQL without executing
 //	\help            list commands
@@ -36,16 +35,13 @@ func repl(m *core.Mediator, in io.Reader, out io.Writer, opts core.Options) erro
 		case line == `\quit` || line == `\q`:
 			return nil
 		case line == `\help`:
-			fmt.Fprintln(out, `commands: \algo NAME, \trace on|off, \parallel on|off, \cache on|off, \explain SQL, \quit`)
+			fmt.Fprintln(out, `commands: \algo NAME, \trace on|off, \cache on|off, \explain SQL, \quit`)
 		case strings.HasPrefix(line, `\algo `):
 			opts.Algorithm = core.Algorithm(strings.TrimSpace(strings.TrimPrefix(line, `\algo `)))
 			fmt.Fprintf(out, "algorithm: %s\n", opts.Algorithm)
 		case strings.HasPrefix(line, `\trace`):
 			opts.Trace = strings.Contains(line, "on")
 			fmt.Fprintf(out, "trace: %v\n", opts.Trace)
-		case strings.HasPrefix(line, `\parallel`):
-			opts.Parallel = strings.Contains(line, "on")
-			fmt.Fprintf(out, "parallel: %v\n", opts.Parallel)
 		case strings.HasPrefix(line, `\cache`):
 			opts.Cache = strings.Contains(line, "on")
 			fmt.Fprintf(out, "cache: %v\n", opts.Cache)

@@ -28,7 +28,7 @@ func TestReplQueryAndCommands(t *testing.T) {
 		`\trace on`,
 		dmvSQL,
 		`\trace off`,
-		`\parallel on`,
+		`\parallel on`, // no such command any more: rounds always overlap
 		dmvSQL,
 		`\explain ` + dmvSQL,
 		`\quit`,
@@ -43,7 +43,7 @@ func TestReplQueryAndCommands(t *testing.T) {
 		"trace: true",
 		"answer (2 items): {J55, T21}",
 		"sq(c1,", // trace rendering
-		"parallel: true",
+		`unknown command "\\parallel on"`,
 		"plan (semijoin-adaptive",
 	} {
 		if !strings.Contains(text, want) {

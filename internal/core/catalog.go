@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"sync"
 
+	"fusionq/internal/cond"
+	"fusionq/internal/exec"
 	"fusionq/internal/relation"
 	"fusionq/internal/source"
+	"fusionq/internal/stats"
 )
 
 // statsCatalog is the mediator's standing statistics: one summary per
@@ -16,10 +19,13 @@ import (
 // catalog is warm plans without source traffic.
 //
 // A build is one stats exchange and is single-flight: concurrent queries that
-// need the same source's summary wait for the one building it. Only a summary
-// is ever kept. A build that fails, because its query was cancelled or the
-// source was out of retries, leaves no entry behind, and each waiter whose
-// own context is still live then builds for itself.
+// need the same source's summary wait for the one building it. A plan asks
+// every source whose summary is missing at once (sourceStats), so a cold
+// catalog costs the slowest source's round trip. Only a summary is ever kept.
+// A build that fails, because its query was cancelled or the source was out
+// of retries, leaves no entry behind, and each waiter whose own context is
+// still live then builds for itself; a build that succeeded stays whatever
+// became of the builds beside it, being a valid summary of its epoch.
 //
 // All entries belong to one epoch: the first request at a newer epoch drops
 // them, so the catalog never holds more than the roster has sources.
@@ -34,6 +40,56 @@ type catalogEntry struct {
 	// nil when the build failed.
 	done chan struct{}
 	sum  *relation.Summary
+}
+
+// sourceStats returns what the summaries say of conds at each of srcs, in
+// order, as of the given roster epoch. The summaries the catalog holds are
+// read without a goroutine; the sources it holds none of are all asked
+// together, and of several failures the first source's is reported.
+func (c *statsCatalog) sourceStats(ctx context.Context, epoch uint64, srcs []source.Source, conds []cond.Cond, retries int) ([]stats.SourceStats, error) {
+	sts := make([]stats.SourceStats, len(srcs))
+	var missing []int
+	for j, src := range srcs {
+		if sum := c.held(epoch, src.Name()); sum != nil {
+			sts[j] = stats.StatsFromSummary(src.Name(), sum, conds)
+		} else {
+			missing = append(missing, j)
+		}
+	}
+	if len(missing) == 0 {
+		return sts, nil
+	}
+	err := exec.Overlap(len(missing), func(i int) error {
+		j := missing[i]
+		sum, err := c.summary(ctx, epoch, srcs[j], retries)
+		if err == nil {
+			sts[j] = stats.StatsFromSummary(srcs[j].Name(), sum, conds)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sts, nil
+}
+
+// held returns the finished summary the catalog holds for the named source at
+// the given epoch, nil when it has none: never built, being built, or of
+// another epoch.
+func (c *statsCatalog) held(epoch uint64, name string) *relation.Summary {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if epoch != c.epoch {
+		return nil
+	}
+	if e := c.entries[name]; e != nil {
+		select {
+		case <-e.done:
+			return e.sum
+		default:
+		}
+	}
+	return nil
 }
 
 // summary returns the summary of src as of the given roster epoch, building

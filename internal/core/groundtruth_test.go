@@ -114,7 +114,7 @@ func TestGroundTruthEquivalence(t *testing.T) {
 			}
 		}
 		for _, algo := range Algorithms() {
-			opts := Options{Algorithm: algo, Parallel: rng.Intn(2) == 0}
+			opts := Options{Algorithm: algo}
 			ans, err := med.QueryConds(sc.Conds, opts)
 			if err != nil {
 				t.Fatalf("trial %d algo %s: %v", trial, algo, err)

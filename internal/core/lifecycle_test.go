@@ -158,60 +158,55 @@ func TestConcurrentQueries(t *testing.T) {
 // TestOverlappingQueriesAccountTheirOwnWork: queries that overlap on one
 // mediator, over a network where exchanges take real time, each report the
 // work, the response time and the source queries the same query reports
-// alone — under both schedulers, and with a cold query's planning running
-// beside them. Run with -race.
+// alone, with a cold query's planning running beside them. Run with -race.
 func TestOverlappingQueriesAccountTheirOwnWork(t *testing.T) {
-	for _, opts := range []Options{
-		{Algorithm: AlgoSJA},
-		{Algorithm: AlgoSJA, Parallel: true},
-	} {
-		m := dmvMediatorConns(t, true, 2)
-		alone, err := m.QueryConds(paperConds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if alone.Exec.TotalWork <= 0 || alone.Exec.ResponseTime <= 0 {
-			t.Fatalf("the query alone reports work %v, response %v", alone.Exec.TotalWork, alone.Exec.ResponseTime)
-		}
-		m.Network().SetRealTime(0.05)
+	opts := Options{Algorithm: AlgoSJA}
+	m := dmvMediatorConns(t, true, 2)
+	alone, err := m.QueryConds(paperConds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone.Exec.TotalWork <= 0 || alone.Exec.ResponseTime <= 0 {
+		t.Fatalf("the query alone reports work %v, response %v", alone.Exec.TotalWork, alone.Exec.ResponseTime)
+	}
+	m.Network().SetRealTime(0.05)
 
-		ctx, stop := context.WithCancel(context.Background())
-		var planner sync.WaitGroup
-		planner.Add(1)
-		go func() {
-			defer planner.Done()
-			other := []cond.Cond{cond.MustParse("D < 1995"), cond.MustParse("V = 'sp'")}
-			for ctx.Err() == nil {
-				if _, err := m.Problem(ctx, other, opts); err != nil && ctx.Err() == nil {
-					t.Errorf("planning beside the queries: %v", err)
+	ctx, stop := context.WithCancel(context.Background())
+	var planner sync.WaitGroup
+	planner.Add(1)
+	go func() {
+		defer planner.Done()
+		other := []cond.Cond{cond.MustParse("D < 1995"), cond.MustParse("V = 'sp'")}
+		for ctx.Err() == nil {
+			if _, err := m.Problem(ctx, other, opts); err != nil && ctx.Err() == nil {
+				t.Errorf("planning beside the queries: %v", err)
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				ans, err := m.QueryCondsContext(ctx, paperConds, opts)
+				if err != nil {
+					t.Errorf("worker %d query %d: %v", g, i, err)
 					return
 				}
-				time.Sleep(100 * time.Microsecond)
-			}
-		}()
-
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < 3; i++ {
-					ans, err := m.QueryCondsContext(ctx, paperConds, opts)
-					if err != nil {
-						t.Errorf("parallel=%v worker %d query %d: %v", opts.Parallel, g, i, err)
-						return
-					}
-					got, want := ans.Exec, alone.Exec
-					if got.TotalWork != want.TotalWork || got.ResponseTime != want.ResponseTime || got.SourceQueries != want.SourceQueries {
-						t.Errorf("parallel=%v worker %d query %d: work %v, response %v, %d queries; alone %v, %v, %d",
-							opts.Parallel, g, i, got.TotalWork, got.ResponseTime, got.SourceQueries,
-							want.TotalWork, want.ResponseTime, want.SourceQueries)
-					}
+				got, want := ans.Exec, alone.Exec
+				if got.TotalWork != want.TotalWork || got.ResponseTime != want.ResponseTime || got.SourceQueries != want.SourceQueries {
+					t.Errorf("worker %d query %d: work %v, response %v, %d queries; alone %v, %v, %d",
+						g, i, got.TotalWork, got.ResponseTime, got.SourceQueries,
+						want.TotalWork, want.ResponseTime, want.SourceQueries)
 				}
-			}(g)
-		}
-		wg.Wait()
-		stop()
-		planner.Wait()
+			}
+		}(g)
 	}
+	wg.Wait()
+	stop()
+	planner.Wait()
 }

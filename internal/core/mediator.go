@@ -89,10 +89,6 @@ func (a Algorithm) fn() (func(*optimizer.Problem) (optimizer.Result, error), err
 type Options struct {
 	// Algorithm defaults to SJA+ (the paper's best pipeline).
 	Algorithm Algorithm
-	// Parallel runs each round's source queries concurrently (Section 6's
-	// response-time direction), bounded per source by the link's MaxConns
-	// (default 1). Total work is unchanged.
-	Parallel bool
 	// Cache answers repeated selection and binding queries from the
 	// mediator's cache of source answers, skipping source traffic for
 	// answers already learned — within a query (across adaptive rounds) and
@@ -545,8 +541,9 @@ func (m *Mediator) snapshot(wantCache bool) roster {
 // Problem assembles the optimization problem for the conditions from the
 // statistics catalog: each source's summary gives the estimated cardinality
 // of each condition there. Only a source the catalog has no summary of yet
-// for the current epoch is asked for one (a single stats exchange); with the
-// catalog warm, Problem performs no source exchange.
+// for the current epoch is asked for one (a single stats exchange, all such
+// sources at once); with the catalog warm, Problem performs no source
+// exchange.
 func (m *Mediator) Problem(ctx context.Context, conds []cond.Cond, opts Options) (*optimizer.Problem, error) {
 	return m.problem(ctx, m.snapshot(false), conds, opts)
 }
@@ -563,13 +560,9 @@ func (m *Mediator) problem(ctx context.Context, r roster, conds []cond.Cond, opt
 			return nil, fmt.Errorf("core: condition %d: %w", i+1, err)
 		}
 	}
-	sts := make([]stats.SourceStats, len(r.sources))
-	for j, src := range r.sources {
-		sum, err := m.catalog.summary(ctx, r.epoch, src, opts.Retries)
-		if err != nil {
-			return nil, err
-		}
-		sts[j] = stats.StatsFromSummary(src.Name(), sum, conds)
+	sts, err := m.catalog.sourceStats(ctx, r.epoch, r.sources, conds, opts.Retries)
+	if err != nil {
+		return nil, err
 	}
 	table, err := stats.Build(conds, sts, r.profiles)
 	if err != nil {
@@ -772,10 +765,14 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 }
 
 // executor wires the roster and the query's execution options into the
-// executor every entry point runs on.
+// executor every entry point runs on. A round's independent source queries
+// always overlap (Section 6's response-time direction): each source sees at
+// most its link's MaxConns exchanges from us at a time (default 1), the
+// overlap is across sources, and total work is what it would be one exchange
+// after another.
 func (r roster) executor(opts Options) *exec.Executor {
 	return &exec.Executor{
-		Sources: r.sources, Network: r.network, Parallel: opts.Parallel,
+		Sources: r.sources, Network: r.network, Parallel: true,
 		Cache: r.cache, Trace: opts.Trace, Retries: opts.Retries,
 		Streaming: opts.Streaming, BatchSize: opts.BatchSize,
 	}

@@ -5,10 +5,12 @@ import (
 	"math"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"fusionq/internal/cond"
+	"fusionq/internal/exec"
 	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
 	"fusionq/internal/optimizer"
@@ -173,23 +175,99 @@ func TestCombinedFetchOption(t *testing.T) {
 	}
 }
 
-func TestParallelOption(t *testing.T) {
-	m := dmvMediator(t, true)
-	seqAns, err := m.Query(paperSQL, Options{Algorithm: AlgoFilter})
+// laneMakespan is what an overlapped round-scheduled run over
+// single-connection links takes, worked out from its plan and trace: a batch
+// (plan.BatchEnd) takes what its slowest source takes, that source's
+// exchanges one after another.
+func laneMakespan(ans *Answer) time.Duration {
+	elapsed := make([]time.Duration, len(ans.Plan.Steps))
+	for _, tr := range ans.Exec.Trace {
+		elapsed[tr.Index] = tr.Elapsed
+	}
+	var total time.Duration
+	steps := ans.Plan.Steps
+	for k := 0; k < len(steps); {
+		if !steps[k].IsSourceQuery() {
+			k++
+			continue
+		}
+		end := plan.BatchEnd(steps, k)
+		lanes := map[int]time.Duration{}
+		var slowest time.Duration
+		for ; k < end; k++ {
+			lanes[steps[k].Source] += elapsed[k]
+			slowest = max(slowest, lanes[steps[k].Source])
+		}
+		total += slowest
+	}
+	return total
+}
+
+// TestRoundsOverlapByDefault: with nothing asked for, a round's source
+// queries are in flight together. The FILTER plan on DMV answers what a
+// sequential executor answers for the same plan, at the same total work, and
+// its response time is the slowest lane of each round, strictly less. No
+// source ever sees more exchanges from us than its link has connections.
+func TestRoundsOverlapByDefault(t *testing.T) {
+	sc := workload.DMV()
+	m := New(sc.Schema)
+	m.SetNetwork(netsim.NewNetwork(1))
+	reg := obs.NewRegistry()
+	m.SetMetrics(reg)
+	// MaxConns zero: one connection a source.
+	link := netsim.Link{Latency: 5 * time.Millisecond, BytesPerSec: 50000, RequestOverhead: 2 * time.Millisecond}
+	// Whenever a source answers, it notes how high the scheduler's gauges
+	// stand, for itself and for the others.
+	var mu sync.Mutex
+	peak := map[string]int64{}
+	for _, src := range sc.Sources {
+		watched := source.Over(src, func(ctx context.Context, call source.Call) (source.Reply, error) {
+			mu.Lock()
+			for _, gauge := range []string{obs.MSchedQueueDepth, obs.MSchedLaneOccupancy} {
+				for _, name := range sc.SourceNames() {
+					key := gauge + " of " + name
+					peak[key] = max(peak[key], reg.Gauge(gauge, "source", name).Value())
+				}
+			}
+			mu.Unlock()
+			return source.Do(ctx, src, call)
+		})
+		if err := m.AddSourceLink(&watched, link); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ans, err := m.Query(paperSQL, Options{Algorithm: AlgoFilter, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := dmvMediator(t, true)
-	parAns, err := m2.Query(paperSQL, Options{Algorithm: AlgoFilter, Parallel: true})
+	seq, err := (&exec.Executor{Sources: m.Sources(), Network: m.Network()}).Run(context.Background(), ans.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parAns.Items.Equal(seqAns.Items) {
-		t.Fatal("parallel answer differs")
+	if !ans.Items.Equal(seq.Answer) {
+		t.Fatalf("answer %v, a sequential executor answers %v", ans.Items, seq.Answer)
 	}
-	if parAns.Exec.ResponseTime >= seqAns.Exec.ResponseTime {
-		t.Fatalf("parallel response %v not below sequential %v",
-			parAns.Exec.ResponseTime, seqAns.Exec.ResponseTime)
+	if seq.ResponseTime != seq.TotalWork {
+		t.Fatalf("the sequential reference: response time %v != total work %v", seq.ResponseTime, seq.TotalWork)
+	}
+	if ans.Exec.TotalWork != seq.TotalWork || ans.Exec.SourceQueries != seq.SourceQueries {
+		t.Fatalf("%d queries and %v of work, sequentially %d and %v: overlap changes when, not what",
+			ans.Exec.SourceQueries, ans.Exec.TotalWork, seq.SourceQueries, seq.TotalWork)
+	}
+	if ans.Exec.ResponseTime >= ans.Exec.TotalWork {
+		t.Fatalf("response time %v not below total work %v: the rounds' exchanges did not overlap", ans.Exec.ResponseTime, ans.Exec.TotalWork)
+	}
+	if want := laneMakespan(ans); ans.Exec.ResponseTime != want {
+		t.Fatalf("response time %v, the rounds' slowest lanes sum to %v", ans.Exec.ResponseTime, want)
+	}
+	for _, name := range sc.SourceNames() {
+		if got := peak[obs.MSchedLaneOccupancy+" of "+name]; got != 1 {
+			t.Errorf("%s: lane occupancy peaked at %d, want its link's one connection", name, got)
+		}
+		if got := peak[obs.MSchedQueueDepth+" of "+name]; got > 1 {
+			t.Errorf("%s: %d exchanges queued for its one connection, a round has one for it", name, got)
+		}
 	}
 }
 
@@ -237,7 +315,7 @@ func TestQueryErrors(t *testing.T) {
 // Answer.Exec reports the query's own execution all the same.
 func TestExecCountsOnlyItsOwnExecution(t *testing.T) {
 	m := dmvMediator(t, true)
-	first, err := m.Query(paperSQL, Options{Algorithm: AlgoSJA})
+	first, err := m.Query(paperSQL, Options{Algorithm: AlgoSJA, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +336,8 @@ func TestExecCountsOnlyItsOwnExecution(t *testing.T) {
 		t.Fatalf("first query reports %d queries, %v of work; the network carries %d messages beside %d stats exchanges, %v of execution",
 			first.Exec.SourceQueries, first.Exec.TotalWork, st.Messages, stats, execTime)
 	}
-	if first.Exec.ResponseTime != first.Exec.TotalWork {
-		t.Fatalf("sequential response time %v != total work %v", first.Exec.ResponseTime, first.Exec.TotalWork)
+	if want := laneMakespan(first); first.Exec.ResponseTime != want {
+		t.Fatalf("response time %v, the rounds' slowest lanes sum to %v (total work %v)", first.Exec.ResponseTime, want, first.Exec.TotalWork)
 	}
 	second, err := m.Query(paperSQL, Options{Algorithm: AlgoSJA})
 	if err != nil {

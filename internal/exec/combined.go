@@ -106,51 +106,64 @@ func (r *run) collectRecords(ctx context.Context) (*relation.Relation, error) {
 	for _, l := range r.loaded {
 		loadedOf[l.source] = l.rel
 	}
-	for j, src := range e.Sources {
-		covered := map[string]bool{}
-		// Cached final-round records.
-		for item, tuples := range r.sink.bySource[j] {
-			covered[item] = true
-			if !answer.Contains(item) {
-				continue
-			}
-			for _, t := range tuples {
-				if err := out.Insert(t); err != nil {
-					return nil, fmt.Errorf("exec: collecting records from %s: %w", src.Name(), err)
-				}
-			}
+	// What a source still owes: the answer items its final-round records do
+	// not cover. Every source that owes any is asked at once.
+	fetched := make([][]relation.Tuple, len(e.Sources))
+	err := Overlap(len(e.Sources), func(j int) error {
+		if _, ok := loadedOf[j]; ok {
+			return nil
 		}
-		// Loaded contents answer locally.
-		if rel, ok := loadedOf[j]; ok {
-			for _, item := range answer.Items() {
-				if covered[item] {
-					continue
-				}
-				covered[item] = true
-				for _, t := range rel.RowsWithItem(item) {
-					if err := out.Insert(t); err != nil {
-						return nil, fmt.Errorf("exec: collecting records from %s: %w", src.Name(), err)
-					}
-				}
-			}
-		}
-		// Fetch the rest.
 		var missing []string
 		for _, item := range answer.Items() {
-			if !covered[item] {
+			if _, ok := r.sink.bySource[j][item]; !ok {
 				missing = append(missing, item)
 			}
 		}
-		if len(missing) > 0 {
-			tuples, err := src.Fetch(ctx, set.New(missing...))
-			if err != nil {
-				return nil, fmt.Errorf("exec: fetching remainder from %s: %w", src.Name(), err)
-			}
+		if len(missing) == 0 {
+			return nil
+		}
+		tuples, err := e.Sources[j].Fetch(ctx, set.FromSorted(missing))
+		if err != nil {
+			return fmt.Errorf("exec: fetching remainder from %s: %w", e.Sources[j].Name(), err)
+		}
+		fetched[j] = tuples
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Source by source: the cached final-round records, the loaded contents
+	// for what those do not cover, the fetched remainder.
+	for j, src := range e.Sources {
+		insert := func(tuples []relation.Tuple) error {
 			for _, t := range tuples {
 				if err := out.Insert(t); err != nil {
-					return nil, fmt.Errorf("exec: fetching remainder from %s: %w", src.Name(), err)
+					return fmt.Errorf("exec: collecting records from %s: %w", src.Name(), err)
 				}
 			}
+			return nil
+		}
+		byItem := r.sink.bySource[j]
+		for item, tuples := range byItem {
+			if !answer.Contains(item) {
+				continue
+			}
+			if err := insert(tuples); err != nil {
+				return nil, err
+			}
+		}
+		if rel, ok := loadedOf[j]; ok {
+			for _, item := range answer.Items() {
+				if _, ok := byItem[item]; ok {
+					continue
+				}
+				if err := insert(rel.RowsWithItem(item)); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if err := insert(fetched[j]); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

@@ -7,16 +7,17 @@
 // Every plan step kind has one definition (node.go): an operator body over
 // set.Iter inputs that emits through its node, wrapped by runNode's step
 // accounting, with every source exchange going through one retry loop. Two
-// schedulers drive those nodes. The round scheduler (this file) runs a plan round by round
-// over whole set variables: sequentially one source query at a time — so
-// its simulated elapsed time equals the "total work" the paper's cost model
-// minimizes — or, in parallel mode (the response-time direction the paper
-// names as future work in Section 6), each round's independent source
-// queries concurrently, every source admitting at most its connection
-// capacity of in-flight exchanges (scheduler.go), so the simulated response
-// time drops to the per-round critical path over the per-source k-lane
-// schedules. Total work is unchanged by parallelism. The pipelined
-// scheduler (stream.go) runs every step at once over bounded batch edges.
+// schedulers drive those nodes. The round scheduler (this file) runs a plan
+// round by round over whole set variables, each round's independent source
+// queries at once (the response-time direction the paper names as future
+// work in Section 6, and what the mediator always runs), every source
+// admitting at most its connection capacity of in-flight exchanges
+// (scheduler.go), so the simulated response time is the per-round critical
+// path over the per-source k-lane schedules. Its reference mode takes one
+// source query at a time, so that its simulated elapsed time equals the
+// "total work" the paper's cost model minimizes; overlap leaves total work
+// unchanged. The pipelined scheduler (stream.go) runs every step at once
+// over bounded batch edges.
 //
 // Every run takes a context.Context. Cancellation is observed between
 // steps, between the bindings of an emulated semijoin, and inside
@@ -57,9 +58,12 @@ type Executor struct {
 	// response time, and gives each source's link capacity. It must be the
 	// network the sources' instrumentation records to.
 	Network *netsim.Network
-	// Parallel enables concurrent execution of each round's independent
-	// source queries, bounded per source by the link's MaxConns (default
-	// 1). Sequential mode always runs single-connection.
+	// Parallel overlaps each round's independent source queries, bounded
+	// per source by the link's MaxConns (default 1). The mediator always
+	// sets it. The zero value — one exchange at a time, one connection a
+	// source — is the reference: the run for which ResponseTime ==
+	// TotalWork, which the experiments' sequential columns, the oracle's
+	// seq mode and the tests compare an overlapped run against.
 	Parallel bool
 	// Cache, when set, is consulted before every selection and binding
 	// query and filters semijoin sets down to items with unknown verdicts.
@@ -385,31 +389,44 @@ func (r *run) runStep(ctx context.Context, idx int) error {
 // runBatch executes source-query steps [start, end) concurrently and
 // accounts the batch critical path as its response-time contribution: each
 // source contributes the makespan of its exchanges over its connection
-// capacity, and the slowest source bounds the batch. Work already performed
-// is charged even when the batch fails — counters and simulated time
-// reflect the traffic that reached the sources.
+// capacity, and the slowest source bounds the batch. The first step to fail
+// for good stops the batch: its error is recorded, then the siblings'
+// context is cancelled, so what is reported is never a sibling's
+// cancellation and a lost query asks its sources nothing more. Work already
+// performed is charged even when the batch fails — counters and simulated
+// time reflect the traffic that reached the sources, exchanges interrupted
+// in flight included.
 func (r *run) runBatch(ctx context.Context, start, end int) error {
-	var (
+	if end-start == 1 {
+		// Nothing beside it to overlap with, or to stop.
+		err := r.runStep(ctx, start)
+		r.settle()
+		return err
+	}
+	bctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var b struct {
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
-	)
+	}
 	for idx := start; idx < end; idx++ {
-		wg.Add(1)
+		b.wg.Add(1)
 		go func(idx int) {
-			defer wg.Done()
-			if err := r.runStep(ctx, idx); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
+			defer b.wg.Done()
+			if err := r.runStep(bctx, idx); err != nil {
+				b.mu.Lock()
+				if b.firstErr == nil {
+					b.firstErr = err
 				}
-				mu.Unlock()
+				b.mu.Unlock()
+				cancel()
 			}
 		}(idx)
 	}
-	wg.Wait()
+	b.wg.Wait()
 	r.settle()
-	return firstErr
+	return b.firstErr
 }
 
 // settle accounts the ledger entries made since the last settle — one round's

@@ -140,7 +140,7 @@ func TestFailoverAcrossReplicasMidQuery(t *testing.T) {
 // TestAdaptiveFailedRunReportsStep: with every replica of a source dead an
 // adaptive run fails like a planned one — the error is the fabric's, the
 // failed step is an index into the executed plan, and the work that reached
-// the other sources stays charged.
+// the other sources before the failure stopped the round stays charged.
 func TestAdaptiveFailedRunReportsStep(t *testing.T) {
 	pr, srcs, network, logical := replicatedDMVSetup(t, fabric.Options{ExploreProb: -1, DisableHedging: true})
 	var kill []netsim.ChurnEvent
@@ -159,9 +159,15 @@ func TestAdaptiveFailedRunReportsStep(t *testing.T) {
 	if !got.Answer.IsEmpty() {
 		t.Fatalf("failed run leaked an answer: %v", got.Answer)
 	}
-	// The round's other two selections ran beside the dead one.
-	if got.SourceQueries < 2 || got.TotalWork <= 0 {
-		t.Fatalf("partial counters: %d queries, %v work", got.SourceQueries, got.TotalWork)
+	// The failure stops the round's other two selections; whichever of them
+	// had reached its source by then is charged, to its step.
+	queries, work := 0, time.Duration(0)
+	for _, tr := range got.Trace {
+		queries += tr.Queries
+		work += tr.Elapsed
+	}
+	if got.SourceQueries < 1 || got.SourceQueries != queries || got.TotalWork != work {
+		t.Fatalf("partial counters: %d queries, %v work; the steps' traces sum to %d, %v", got.SourceQueries, got.TotalWork, queries, work)
 	}
 	if tr := got.Trace[got.FailedStep]; tr.Err == "" || tr.Index != got.FailedStep {
 		t.Fatalf("trace entry of the failed step: %+v", tr)

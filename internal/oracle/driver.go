@@ -201,6 +201,10 @@ func (d *Driver) Check(ctx context.Context, inst Instance) ([]Failure, error) {
 		fs = append(fs, d.checkPlanCache(ctx, ev)...)
 		fs = append(fs, d.checkStaleCatalog(ctx, ev)...)
 	}
+
+	// Phase 11: a cold statistics catalog asks every source at once and
+	// plans what one filled source by source plans.
+	fs = append(fs, d.checkCatalogFill(ctx, ev)...)
 	return fs, nil
 }
 
@@ -275,16 +279,17 @@ func checkCosts(ev *env, results map[string]optimizer.Result) []Failure {
 }
 
 // execModes lists the ways the instance's plans are scheduled: sequential
-// rounds, parallel rounds when the instance draws them, and the pipeline.
+// rounds (the accounting reference), overlapped rounds (what the mediator
+// runs) and the pipeline.
 // The batch size varies with the seed so tiny batches (many edges, heavy
 // fan-out traffic) and large ones (single-batch degenerate case) are both
 // exercised.
 func execModes(inst Instance) []runOpts {
-	modes := []runOpts{{mode: "seq"}}
-	if inst.Parallel {
-		modes = append(modes, runOpts{mode: "par", parallel: true})
+	return []runOpts{
+		{mode: "seq"},
+		{mode: "par", parallel: true},
+		{mode: "stream", streaming: true, batch: streamBatch(inst)},
 	}
-	return append(modes, runOpts{mode: "stream", streaming: true, batch: streamBatch(inst)})
 }
 
 // streamBatch is the instance's batch size for pipelined runs.

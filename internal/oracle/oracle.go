@@ -11,8 +11,9 @@
 // sources, skew, capability mixes, heterogeneous links, flaky decorators), a
 // naive reference executor computes ground truth directly from the raw
 // relations, and a differential driver runs every plan class through the
-// real executor — sequentially and in parallel, cached and uncached, with
-// and without injected faults and deadlines — checking:
+// real executor — sequentially (the reference), with rounds overlapped (what
+// the mediator runs) and pipelined, cached and uncached, with and without
+// injected faults and deadlines — checking:
 //
 //   - answer equality: every successful execution returns exactly the
 //     reference answer, byte for byte;
@@ -24,7 +25,10 @@
 //     variant beats it, SJA+ is no costlier than SJA, and on small
 //     instances SJA matches the exhaustive optimum;
 //   - execution-accounting identities: sequential response time equals
-//     total work, parallel response time never exceeds it;
+//     total work, overlapped response time never exceeds it;
+//   - catalog overlap: a cold statistics catalog asks every source before
+//     it waits for any, and plans what a catalog filled one source after
+//     another plans;
 //   - observability balance: every started span ends, per-source metric
 //     sums equal the executor's counters, and scheduler gauges drain to
 //     zero.
@@ -82,7 +86,6 @@ type Instance struct {
 	MaxConns  []int `json:"maxConns"`
 
 	// Sweeps enabled for this instance.
-	Parallel  bool    `json:"parallel,omitempty"`
 	CacheRuns bool    `json:"cacheRuns,omitempty"`
 	Faults    bool    `json:"faults,omitempty"`
 	FaultRate float64 `json:"faultRate,omitempty"`
@@ -168,7 +171,7 @@ type Failure struct {
 	// "span-unfinished",
 	// "metric-imbalance", "gauge-leak", "cache-reuse", "optimize-error",
 	// "exec-error", "wire-frag-missing", "wire-frag-nesting",
-	// "wire-bytes-mismatch", "plan-cache-coherence".
+	// "wire-bytes-mismatch", "plan-cache-coherence", "catalog-overlap".
 	Property string `json:"property"`
 	// Class is the plan class involved ("filter", "sja+", "jou", ...).
 	Class string `json:"class,omitempty"`

@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"time"
 
 	"fusionq/internal/core"
 	"fusionq/internal/obs"
+	"fusionq/internal/optimizer"
 	"fusionq/internal/relation"
 	"fusionq/internal/service"
 	"fusionq/internal/source"
+	"fusionq/internal/stats"
 	"fusionq/internal/workload"
 )
 
@@ -183,7 +187,7 @@ func (d *Driver) checkStaleCatalog(ctx context.Context, ev *env) []Failure {
 	if err != nil {
 		return append(fs, infra("stale-reference", err)...)
 	}
-	for _, opts := range []core.Options{{}, {Streaming: true}, {Algorithm: core.AlgoSJA, Parallel: true}} {
+	for _, opts := range []core.Options{{}, {Streaming: true}, {Algorithm: core.AlgoSJA}} {
 		mode := fmt.Sprintf("stale/%s/stream=%v", opts.Algorithm, opts.Streaming)
 		after, err := m.QueryCondsContext(ctx, conds, opts)
 		if err != nil {
@@ -195,4 +199,71 @@ func (d *Driver) checkStaleCatalog(ctx context.Context, ev *env) []Failure {
 		}
 	}
 	return fs
+}
+
+// catalogGuard bounds the one plan checkCatalogFill makes: behind its barrier
+// a catalog that asks its sources one after another would wait for ever.
+const catalogGuard = 10 * time.Second
+
+// checkCatalogFill is the cold-catalog property. The instance's sources go
+// behind a mediator under a layer that answers stats only once every source
+// has been asked — a barrier, no clock — so a catalog that awaits one
+// source's summary before asking the next never plans. What it plans must be
+// what summaries taken one source after another give.
+func (d *Driver) checkCatalogFill(ctx context.Context, ev *env) []Failure {
+	fail := func(format string, args ...any) []Failure {
+		return []Failure{{Property: "catalog-overlap", Detail: fmt.Sprintf(format, args...)}}
+	}
+	conds, n := ev.sc.Conds, len(ev.sc.Sources)
+	var (
+		mu    sync.Mutex
+		asked int
+		all   = make(chan struct{})
+	)
+	m := core.New(ev.sc.Schema)
+	m.SetMetrics(obs.NewRegistry())
+	sts := make([]stats.SourceStats, n)
+	for j, src := range ev.sc.Sources {
+		sum, err := source.Summarize(ctx, src)
+		if err != nil {
+			return fail("summary of %s: %v", src.Name(), err)
+		}
+		sts[j] = stats.StatsFromSummary(src.Name(), sum, conds)
+		gate := source.Over(src, func(ctx context.Context, call source.Call) (source.Reply, error) {
+			if call.Op == source.OpStats {
+				mu.Lock()
+				if asked++; asked == n {
+					close(all)
+				}
+				mu.Unlock()
+				select {
+				case <-all:
+				case <-ctx.Done():
+					return source.Reply{}, fmt.Errorf("source %s: stats: %w", src.Name(), ctx.Err())
+				}
+			}
+			return source.Do(ctx, src, call)
+		})
+		if err := m.AddSource(&gate, ev.profiles[j]); err != nil {
+			return fail("add-source: %v", err)
+		}
+	}
+	table, err := stats.Build(conds, sts, ev.profiles)
+	if err != nil {
+		return fail("statistics: %v", err)
+	}
+	want, err := optimizer.SJAPlus(&optimizer.Problem{Conds: conds, Sources: ev.sc.SourceNames(), Table: table})
+	if err != nil {
+		return fail("reference plan: %v", err)
+	}
+	gctx, cancel := context.WithTimeout(ctx, catalogGuard)
+	defer cancel()
+	got, err := m.Plan(gctx, conds, core.Options{})
+	if err != nil {
+		return fail("planning with every source's stats held until all %d were asked: %v", n, err)
+	}
+	if got.Cost != want.Cost || got.Plan.String() != want.Plan.String() {
+		return fail("the overlapped catalog plans\n%s(cost %v), summaries taken in turn plan\n%s(cost %v)", got.Plan, got.Cost, want.Plan, want.Cost)
+	}
+	return nil
 }

@@ -64,13 +64,6 @@ var shrinkTransforms = []struct {
 		in.Deadline = false
 		return in, true
 	}},
-	{"drop-parallel", func(in Instance) (Instance, bool) {
-		if !in.Parallel {
-			return in, false
-		}
-		in.Parallel = false
-		return in, true
-	}},
 	{"drop-cache-runs", func(in Instance) (Instance, bool) {
 		if !in.CacheRuns {
 			return in, false
