@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check lint lint-concurrency fuzz bench bench-layers oracle soak
+.PHONY: build test race fmt-check loc lint lint-concurrency fuzz bench bench-layers oracle soak
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ race:
 # gofmt must have nothing to say about any file of the tree.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# Non-test Go lines by package and in total (fixtures under testdata/ are not
+# the program): the size the north star counts. Advisory; nothing gates on it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		     END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # Run the custom analyzer suite over the tree: one invocation, every
 # analyzer (cmd/fqlint loads and type-checks the packages itself).

@@ -223,7 +223,7 @@ func TestQueryCorrelationAcrossTwoServers(t *testing.T) {
 	}
 
 	sql := "SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'"
-	ans, err := m.Query(sql, core.Options{Algorithm: "sja"})
+	ans, err := m.Query(t.Context(), sql, core.Options{Algorithm: "sja"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,19 +43,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
+	"time"
 
 	"fusionq/internal/catalog"
 	"fusionq/internal/core"
-	"fusionq/internal/csvio"
 	"fusionq/internal/exec"
-	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
-	"fusionq/internal/relation"
-	"fusionq/internal/source"
-	"fusionq/internal/sqlparse"
-	"fusionq/internal/wire"
 )
 
 type stringList []string
@@ -93,8 +87,10 @@ func main() {
 	flag.Var(&remotes, "remote", "remote source address (repeatable)")
 	flag.Parse()
 
+	ctx := context.Background()
+	opts := core.Options{Algorithm: core.Algorithm(*algo), Cache: *cache, Trace: *trace, Streaming: *stream, BatchSize: *batch}
 	if *shell {
-		m, closer, err := assemble(csvs, remotes, *catalogF, *merge, *capsFlag, *conns)
+		m, closer, err := assemble(ctx, csvs, remotes, *catalogF, *merge, *capsFlag, *conns)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 			os.Exit(1)
@@ -109,15 +105,13 @@ func main() {
 			defer func() { _ = adm.Close() }()
 			fmt.Fprintf(os.Stderr, "fusionq: admin endpoints on http://%s\n", adm.Addr())
 		}
-		opts := core.Options{Algorithm: core.Algorithm(*algo), Cache: *cache, Trace: *trace, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
-		if err := repl(m, os.Stdin, os.Stdout, opts); err != nil {
+		if err := repl(ctx, m, os.Stdin, os.Stdout, opts, *timeout); err != nil {
 			fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
-	opts := core.Options{Algorithm: core.Algorithm(*algo), Cache: *cache, Trace: *trace, Timeout: *timeout, Streaming: *stream, BatchSize: *batch}
-	if err := run(*sql, csvs, remotes, *catalogF, *merge, *capsFlag, *conns, opts, *explain, *fetch, *traceJSON, *spans, *admin); err != nil {
+	if err := run(ctx, *sql, csvs, remotes, *catalogF, *merge, *capsFlag, *conns, opts, *timeout, *explain, *fetch, *traceJSON, *spans, *admin); err != nil {
 		fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 		os.Exit(1)
 	}
@@ -136,24 +130,19 @@ func serveAdmin(m *core.Mediator, addr string) (*obs.AdminServer, error) {
 	})
 }
 
-func parseCaps(tier string) (source.Capabilities, error) {
-	switch tier {
-	case "native":
-		return source.Capabilities{NativeSemijoin: true, PassedBindings: true}, nil
-	case "bindings":
-		return source.Capabilities{PassedBindings: true}, nil
-	case "none":
-		return source.Capabilities{}, nil
-	default:
-		return source.Capabilities{}, fmt.Errorf("unknown capability tier %q", tier)
+// withTimeout bounds ctx by the -timeout budget; zero means none.
+func withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if d <= 0 {
+		return ctx, func() {}
 	}
+	return context.WithTimeout(ctx, d)
 }
 
-func run(sql string, csvs, remotes []string, catalogPath, merge, capsFlag string, conns int, opts core.Options, explain, fetch bool, traceJSON string, spans bool, adminAddr string) error {
+func run(ctx context.Context, sql string, csvs, remotes []string, catalogPath, merge, capsFlag string, conns int, opts core.Options, timeout time.Duration, explain, fetch bool, traceJSON string, spans bool, adminAddr string) error {
 	if sql == "" {
 		return fmt.Errorf("-sql is required")
 	}
-	m, closer, err := assemble(csvs, remotes, catalogPath, merge, capsFlag, conns)
+	m, closer, err := assemble(ctx, csvs, remotes, catalogPath, merge, capsFlag, conns)
 	if err != nil {
 		return err
 	}
@@ -166,22 +155,14 @@ func run(sql string, csvs, remotes []string, catalogPath, merge, capsFlag string
 		defer func() { _ = adm.Close() }()
 		fmt.Fprintf(os.Stderr, "fusionq: admin endpoints on http://%s\n", adm.Addr())
 	}
-	schema := m.Schema()
 
 	if explain {
-		fq, err := sqlparse.ParseFusion(sql, schema)
-		if err != nil {
-			return err
-		}
-		res, err := m.Plan(context.Background(), fq.Conds, core.Options{Algorithm: opts.Algorithm})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("plan (%s, estimated cost %.4f s):\n%s", res.Plan.Class, res.Cost, res.Plan)
-		return nil
+		return explainPlan(ctx, m, os.Stdout, sql, opts)
 	}
 
-	ans, err := m.Query(sql, opts)
+	qctx, cancel := withTimeout(ctx, timeout)
+	ans, err := m.Query(qctx, sql, opts)
+	cancel()
 	if ans != nil && traceJSON != "" {
 		// A failed query that reached execution still has a partial trace
 		// worth exporting.
@@ -214,13 +195,9 @@ func run(sql string, csvs, remotes []string, catalogPath, merge, capsFlag string
 	}
 
 	if fetch && !ans.Items.IsEmpty() {
-		fetchCtx := context.Background()
-		if opts.Timeout > 0 {
-			var cancel context.CancelFunc
-			fetchCtx, cancel = context.WithTimeout(fetchCtx, opts.Timeout)
-			defer cancel()
-		}
-		full, err := m.FetchContext(fetchCtx, ans.Items)
+		fctx, cancel := withTimeout(ctx, timeout)
+		defer cancel()
+		full, err := m.Fetch(fctx, ans.Items)
 		if err != nil {
 			return err
 		}
@@ -247,75 +224,27 @@ func writeTrace(ans *core.Answer, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// assemble builds the mediator either from a catalog file or from the
-// -csv/-remote flags, whose sources sit behind default links of conns
+// assemble builds the mediator from a catalog: the named file's, or one made
+// of the -csv/-remote flags, whose sources sit behind default links of conns
 // connections each.
-func assemble(csvs, remotes []string, catalogPath, merge, capsFlag string, conns int) (*core.Mediator, func(), error) {
+func assemble(ctx context.Context, csvs, remotes []string, catalogPath, merge, capsFlag string, conns int) (*core.Mediator, func(), error) {
 	if catalogPath != "" {
 		cat, err := catalog.Load(catalogPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		return cat.Build()
+		return cat.Build(ctx)
 	}
 	if len(csvs)+len(remotes) == 0 {
 		return nil, nil, fmt.Errorf("register at least one -csv or -remote source, or use -catalog")
 	}
-	caps, err := parseCaps(capsFlag)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var (
-		sources []source.Source
-		schema  *relation.Schema
-		closers []func()
-	)
-	closeAll := func() {
-		for _, f := range closers {
-			f()
-		}
-	}
+	cat := &catalog.Catalog{Merge: merge}
+	link := &catalog.LinkSpec{MaxConns: conns}
 	for _, path := range csvs {
-		rel, err := csvio.Load(path, merge)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		if schema == nil {
-			schema = rel.Schema()
-		} else if !schema.Compatible(rel.Schema()) {
-			closeAll()
-			return nil, nil, fmt.Errorf("%s: schema %s incompatible with %s", path, rel.Schema(), schema)
-		}
-		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		sources = append(sources, source.NewWrapper(name, source.NewRowBackend(rel), caps))
+		cat.Sources = append(cat.Sources, catalog.SourceSpec{CSV: path, Caps: capsFlag, Link: link})
 	}
 	for _, addr := range remotes {
-		cli, err := wire.Dial(addr)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		closers = append(closers, func() { _ = cli.Close() })
-		if schema == nil {
-			schema = cli.Schema()
-		} else if !schema.Compatible(cli.Schema()) {
-			closeAll()
-			return nil, nil, fmt.Errorf("%s: remote schema %s incompatible with %s", addr, cli.Schema(), schema)
-		}
-		sources = append(sources, cli)
+		cat.Sources = append(cat.Sources, catalog.SourceSpec{Remote: addr, Link: link})
 	}
-
-	m := core.New(schema)
-	m.SetNetwork(netsim.NewNetwork(1))
-	link := netsim.DefaultLink()
-	link.MaxConns = conns
-	for _, src := range sources {
-		if err := m.AddSourceLink(src, link); err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-	}
-	return m, closeAll, nil
+	return cat.Build(ctx)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"fusionq/internal/core"
 	"fusionq/internal/exec"
@@ -22,7 +23,7 @@ import (
 //	\explain SQL     print the plan for SQL without executing
 //	\help            list commands
 //	\quit            exit
-func repl(m *core.Mediator, in io.Reader, out io.Writer, opts core.Options) error {
+func repl(ctx context.Context, m *core.Mediator, in io.Reader, out io.Writer, opts core.Options, timeout time.Duration) error {
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	fmt.Fprintf(out, "fusionq> connected to %d sources; \\help for commands\n", len(m.Sources()))
@@ -47,13 +48,16 @@ func repl(m *core.Mediator, in io.Reader, out io.Writer, opts core.Options) erro
 			fmt.Fprintf(out, "cache: %v\n", opts.Cache)
 		case strings.HasPrefix(line, `\explain `):
 			sql := strings.TrimPrefix(line, `\explain `)
-			if err := replExplain(m, out, sql, opts); err != nil {
+			if err := explainPlan(ctx, m, out, sql, opts); err != nil {
 				fmt.Fprintf(out, "error: %v\n", err)
 			}
 		case strings.HasPrefix(line, `\`):
 			fmt.Fprintf(out, "unknown command %q (\\help lists commands)\n", line)
 		default:
-			if err := replQuery(m, out, line, opts); err != nil {
+			qctx, cancel := withTimeout(ctx, timeout)
+			err := replQuery(qctx, m, out, line, opts)
+			cancel()
+			if err != nil {
 				fmt.Fprintf(out, "error: %v\n", err)
 			}
 		}
@@ -62,12 +66,14 @@ func repl(m *core.Mediator, in io.Reader, out io.Writer, opts core.Options) erro
 	return scanner.Err()
 }
 
-func replExplain(m *core.Mediator, out io.Writer, sql string, opts core.Options) error {
+// explainPlan prints the plan for sql without executing it: -explain and the
+// REPL's \explain.
+func explainPlan(ctx context.Context, m *core.Mediator, out io.Writer, sql string, opts core.Options) error {
 	fq, err := sqlparse.ParseFusion(sql, m.Schema())
 	if err != nil {
 		return err
 	}
-	res, err := m.Plan(context.Background(), fq.Conds, opts)
+	res, err := m.Plan(ctx, fq.Conds, opts)
 	if err != nil {
 		return err
 	}
@@ -75,8 +81,8 @@ func replExplain(m *core.Mediator, out io.Writer, sql string, opts core.Options)
 	return nil
 }
 
-func replQuery(m *core.Mediator, out io.Writer, sql string, opts core.Options) error {
-	ans, err := m.Query(sql, opts)
+func replQuery(ctx context.Context, m *core.Mediator, out io.Writer, sql string, opts core.Options) error {
+	ans, err := m.Query(ctx, sql, opts)
 	if err != nil {
 		return err
 	}

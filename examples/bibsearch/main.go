@@ -102,7 +102,8 @@ func main() {
 	// The first planning asks every library for its statistics summary, once
 	// per mediator and not per query: do it now and zero the network, so what
 	// is counted below is the query's traffic.
-	if _, err := m.Problem(context.Background(), conds, opts); err != nil {
+	ctx := context.Background()
+	if _, err := m.Problem(ctx, conds, opts); err != nil {
 		log.Fatal(err)
 	}
 	network.Reset()
@@ -110,7 +111,7 @@ func main() {
 	// Phase one: items only. (SJA rather than SJA+ here: with such tiny
 	// demo relations SJA+ would load the sources outright, which moves
 	// whole records and would muddy the phase-one/phase-two comparison.)
-	ans, err := m.Query(sql, opts)
+	ans, err := m.Query(ctx, sql, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func main() {
 	fmt.Printf("phase one traffic: %s\n", phase1)
 
 	// Phase two: fetch the full (wide) records of the answers only.
-	full, err := m.Fetch(ans.Items)
+	full, err := m.Fetch(ctx, ans.Items)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,6 +28,7 @@ func main() {
 		fmt.Printf("\nR%d:\n%s", j+1, rel)
 	}
 
+	ctx := context.Background()
 	m := core.New(sc.Schema)
 	m.SetNetwork(netsim.NewNetwork(42))
 	for _, src := range sc.Sources {
@@ -40,7 +42,7 @@ func main() {
 	fmt.Printf("\nquery:\n%s\n", sql)
 
 	for _, algo := range core.Algorithms() {
-		ans, err := m.Query(sql, core.Options{Algorithm: algo})
+		ans, err := m.Query(ctx, sql, core.Options{Algorithm: algo})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,11 +53,11 @@ func main() {
 
 	// The two-phase follow-up of Section 1: fetch the matching drivers'
 	// full violation records.
-	ans, err := m.Query(sql, core.Options{})
+	ans, err := m.Query(ctx, sql, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, err := m.Fetch(ans.Items)
+	full, err := m.Fetch(ctx, ans.Items)
 	if err != nil {
 		log.Fatal(err)
 	}

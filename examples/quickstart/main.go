@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,6 +39,7 @@ func main() {
 	r2.MustInsert(relation.String("delta"), relation.String("db"), relation.Int(5))
 
 	// A mediator over a simulated wide-area network.
+	ctx := context.Background()
 	m := core.New(schema)
 	m.SetNetwork(netsim.NewNetwork(1))
 	caps := source.Capabilities{NativeSemijoin: true, PassedBindings: true}
@@ -52,7 +54,7 @@ func main() {
 	// high-score record somewhere (possibly at a different source).
 	sql := `SELECT u1.ID FROM U u1, U u2
 	        WHERE u1.ID = u2.ID AND u1.Tag = 'go' AND u2.Score >= 7`
-	ans, err := m.Query(sql, core.Options{})
+	ans, err := m.Query(ctx, sql, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func main() {
 	fmt.Printf("executed %d source queries, total work %v\n", ans.Exec.SourceQueries, ans.Exec.TotalWork)
 
 	// Phase two: fetch the full records of the matching entities.
-	full, err := m.Fetch(ans.Items)
+	full, err := m.Fetch(ctx, ans.Items)
 	if err != nil {
 		log.Fatal(err)
 	}

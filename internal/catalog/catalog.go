@@ -120,43 +120,53 @@ func Parse(data []byte) (*Catalog, error) {
 	if err := dec.Decode(&cat); err != nil {
 		return nil, err
 	}
-	if len(cat.Sources) == 0 {
-		return nil, fmt.Errorf("no sources")
+	if err := cat.validate(); err != nil {
+		return nil, err
+	}
+	return &cat, nil
+}
+
+// validate checks the specs, whether they were read from a file or made in
+// memory (Build calls it too), and names each nameless CSV source after its
+// file.
+func (c *Catalog) validate() error {
+	if len(c.Sources) == 0 {
+		return fmt.Errorf("no sources")
 	}
 	seen := map[string]bool{}
 	groups := map[string]bool{}
-	for i, s := range cat.Sources {
+	for i, s := range c.Sources {
 		if (s.CSV == "") == (s.Remote == "") {
-			return nil, fmt.Errorf("source %d: exactly one of csv or remote must be set", i)
+			return fmt.Errorf("source %d: exactly one of csv or remote must be set", i)
 		}
 		if s.CSV != "" && s.Name == "" {
-			cat.Sources[i].Name = strings.TrimSuffix(filepath.Base(s.CSV), filepath.Ext(s.CSV))
+			c.Sources[i].Name = strings.TrimSuffix(filepath.Base(s.CSV), filepath.Ext(s.CSV))
 		}
-		name := cat.Sources[i].Name
+		name := c.Sources[i].Name
 		if name != "" {
 			if seen[name] {
-				return nil, fmt.Errorf("duplicate source name %q", name)
+				return fmt.Errorf("duplicate source name %q", name)
 			}
 			seen[name] = true
 		}
 		switch s.Caps {
 		case "", "native", "bindings", "none":
 		default:
-			return nil, fmt.Errorf("source %d: unknown caps %q", i, s.Caps)
+			return fmt.Errorf("source %d: unknown caps %q", i, s.Caps)
 		}
 		if s.ReplicaOf != "" {
-			if cat.Sources[i].Name == "" {
-				return nil, fmt.Errorf("source %d: a replica of %q needs its own name", i, s.ReplicaOf)
+			if c.Sources[i].Name == "" {
+				return fmt.Errorf("source %d: a replica of %q needs its own name", i, s.ReplicaOf)
 			}
 			groups[s.ReplicaOf] = true
 		}
 	}
 	for g := range groups {
 		if seen[g] {
-			return nil, fmt.Errorf("logical source %q collides with a replica or source name", g)
+			return fmt.Errorf("logical source %q collides with a replica or source name", g)
 		}
 	}
-	return &cat, nil
+	return nil
 }
 
 func capsOf(spec SourceSpec) source.Capabilities {
@@ -173,19 +183,18 @@ func capsOf(spec SourceSpec) source.Capabilities {
 	return caps
 }
 
-// Build assembles a mediator from the catalog: CSV sources are loaded into
-// row stores, remote sources dialed, every source registered with its
+// Build assembles a mediator from the catalog, which may have been loaded
+// from a file or made in memory: CSV sources are loaded into row stores,
+// remote sources dialed under ctx, every source registered with its
 // link-derived cost profile. A remote replica that cannot be dialed is
 // skipped — its group only needs one live member, and the fabric routes
 // around the rest — but a plain source failing, or a replica group with no
 // reachable member, fails the build. The returned closer releases remote
 // connections.
-func (c *Catalog) Build() (*core.Mediator, func(), error) {
-	return c.BuildContext(context.Background())
-}
-
-// BuildContext is Build honoring ctx while dialing remote sources.
-func (c *Catalog) BuildContext(ctx context.Context) (*core.Mediator, func(), error) {
+func (c *Catalog) Build(ctx context.Context) (*core.Mediator, func(), error) {
+	if err := c.validate(); err != nil {
+		return nil, nil, fmt.Errorf("catalog: %w", err)
+	}
 	var (
 		m       *core.Mediator
 		schema  *relation.Schema

@@ -56,7 +56,7 @@ func TestLoadAndBuild(t *testing.T) {
 	if cat.Sources[0].Name != "r1" {
 		t.Fatalf("defaulted name = %q, want file basename", cat.Sources[0].Name)
 	}
-	m, closer, err := cat.Build()
+	m, closer, err := cat.Build(t.Context())
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestLoadAndBuild(t *testing.T) {
 	if !m.Sources()[0].Caps().BloomSemijoin {
 		t.Fatal("bloom capability not applied")
 	}
-	ans, err := m.Query(`SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`, core.Options{})
+	ans, err := m.Query(t.Context(), `SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,12 @@ func TestBuildWithRemoteSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, closer, err := cat.Build()
+	m, closer, err := cat.Build(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closer()
-	ans, err := m.Query(`SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`, core.Options{})
+	ans, err := m.Query(t.Context(), `SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestBuildReplicatedSource(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	m, closer, err := cat.Build()
+	m, closer, err := cat.Build(t.Context())
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -158,7 +158,7 @@ func TestBuildReplicatedSource(t *testing.T) {
 	if got := len(logical.Endpoints()); got != 2 {
 		t.Fatalf("logical endpoints = %d, want 2", got)
 	}
-	ans, err := m.Query(`SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`, core.Options{})
+	ans, err := m.Query(t.Context(), `SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestBuildReplicaDeadAtAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	m, closer, err := cat.Build()
+	m, closer, err := cat.Build(t.Context())
 	if err != nil {
 		t.Fatalf("Build with one dead replica: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestBuildReplicaDeadAtAssembly(t *testing.T) {
 	if got := len(logical.Endpoints()); got != 1 {
 		t.Fatalf("logical endpoints = %d, want 1 (the survivor)", got)
 	}
-	ans, err := m.Query(`SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`, core.Options{})
+	ans, err := m.Query(t.Context(), `SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestBuildReplicaDeadAtAssembly(t *testing.T) {
 		t.Fatalf("Parse: %v", err)
 	}
 	cat2.dir = dir
-	if _, _, err := cat2.Build(); err == nil || !strings.Contains(err.Error(), `"ca"`) {
+	if _, _, err := cat2.Build(t.Context()); err == nil || !strings.Contains(err.Error(), `"ca"`) {
 		t.Fatalf("Build with every replica dead = %v, want error naming the group", err)
 	}
 }
@@ -270,12 +270,12 @@ func TestBuildErrors(t *testing.T) {
 	dir := writeCatalogDir(t)
 	// Missing CSV.
 	cat := &Catalog{Sources: []SourceSpec{{Name: "x", CSV: "missing.csv"}}, dir: dir}
-	if _, _, err := cat.Build(); err == nil {
+	if _, _, err := cat.Build(t.Context()); err == nil {
 		t.Error("missing csv should fail")
 	}
 	// Unreachable remote.
 	cat = &Catalog{Sources: []SourceSpec{{Name: "x", Remote: "127.0.0.1:1"}}}
-	if _, _, err := cat.Build(); err == nil {
+	if _, _, err := cat.Build(t.Context()); err == nil {
 		t.Error("unreachable remote should fail")
 	}
 	// Incompatible schemas.
@@ -283,7 +283,7 @@ func TestBuildErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat = &Catalog{Sources: []SourceSpec{{CSV: "r1.csv"}, {CSV: "other.csv"}}, dir: dir}
-	if _, _, err := cat.Build(); err == nil {
+	if _, _, err := cat.Build(t.Context()); err == nil {
 		t.Error("incompatible schemas should fail")
 	}
 }

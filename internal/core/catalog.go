@@ -12,11 +12,14 @@ import (
 	"fusionq/internal/stats"
 )
 
-// statsCatalog is the mediator's standing statistics: one summary per
-// registered source, built by the first plan that needs it and kept until the
-// roster epoch moves — the same signal that invalidates plans and answers
-// above the mediator. Planning reads it and nothing else, so a query whose
-// catalog is warm plans without source traffic.
+// learned is what queries have found out about the sources of one roster
+// epoch: the statistics catalog and, under Options.Cache, the source answers.
+// It belongs to the rosters of that epoch and to nothing else, so its
+// lifetime is theirs and no entry needs an epoch of its own.
+//
+// The catalog is one summary per source, built by the first plan that needs
+// it. Planning reads it and nothing else, so a query whose catalog is warm
+// plans without source traffic.
 //
 // A build is one stats exchange and is single-flight: concurrent queries that
 // need the same source's summary wait for the one building it. A plan asks
@@ -26,13 +29,12 @@ import (
 // of retries, leaves no entry behind, and each waiter whose own context is
 // still live then builds for itself; a build that succeeded stays whatever
 // became of the builds beside it, being a valid summary of its epoch.
-//
-// All entries belong to one epoch: the first request at a newer epoch drops
-// them, so the catalog never holds more than the roster has sources.
-type statsCatalog struct {
+type learned struct {
 	mu      sync.Mutex
-	epoch   uint64
 	entries map[string]*catalogEntry
+	// cache holds the source answers learned under Options.Cache, made by the
+	// first query that asks for it.
+	cache *exec.Cache
 }
 
 type catalogEntry struct {
@@ -42,15 +44,25 @@ type catalogEntry struct {
 	sum  *relation.Summary
 }
 
+// answerCache returns the epoch's cache of source answers.
+func (l *learned) answerCache() *exec.Cache {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.cache == nil {
+		l.cache = exec.NewCache()
+	}
+	return l.cache
+}
+
 // sourceStats returns what the summaries say of conds at each of srcs, in
-// order, as of the given roster epoch. The summaries the catalog holds are
-// read without a goroutine; the sources it holds none of are all asked
-// together, and of several failures the first source's is reported.
-func (c *statsCatalog) sourceStats(ctx context.Context, epoch uint64, srcs []source.Source, conds []cond.Cond, retries int) ([]stats.SourceStats, error) {
+// order. The summaries already held are read without a goroutine; the sources
+// there is none of are all asked together, and of several failures the first
+// source's is reported.
+func (l *learned) sourceStats(ctx context.Context, srcs []source.Source, conds []cond.Cond, retries int) ([]stats.SourceStats, error) {
 	sts := make([]stats.SourceStats, len(srcs))
 	var missing []int
 	for j, src := range srcs {
-		if sum := c.held(epoch, src.Name()); sum != nil {
+		if sum := l.held(src.Name()); sum != nil {
 			sts[j] = stats.StatsFromSummary(src.Name(), sum, conds)
 		} else {
 			missing = append(missing, j)
@@ -61,7 +73,7 @@ func (c *statsCatalog) sourceStats(ctx context.Context, epoch uint64, srcs []sou
 	}
 	err := exec.Overlap(len(missing), func(i int) error {
 		j := missing[i]
-		sum, err := c.summary(ctx, epoch, srcs[j], retries)
+		sum, err := l.summary(ctx, srcs[j], retries)
 		if err == nil {
 			sts[j] = stats.StatsFromSummary(srcs[j].Name(), sum, conds)
 		}
@@ -73,16 +85,12 @@ func (c *statsCatalog) sourceStats(ctx context.Context, epoch uint64, srcs []sou
 	return sts, nil
 }
 
-// held returns the finished summary the catalog holds for the named source at
-// the given epoch, nil when it has none: never built, being built, or of
-// another epoch.
-func (c *statsCatalog) held(epoch uint64, name string) *relation.Summary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if epoch != c.epoch {
-		return nil
-	}
-	if e := c.entries[name]; e != nil {
+// held returns the finished summary of the named source, nil when there is
+// none: never built, or being built.
+func (l *learned) held(name string) *relation.Summary {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if e := l.entries[name]; e != nil {
 		select {
 		case <-e.done:
 			return e.sum
@@ -92,37 +100,30 @@ func (c *statsCatalog) held(epoch uint64, name string) *relation.Summary {
 	return nil
 }
 
-// summary returns the summary of src as of the given roster epoch, building
-// it when the catalog has none, with transient source failures retried up to
-// retries times.
-func (c *statsCatalog) summary(ctx context.Context, epoch uint64, src source.Source, retries int) (*relation.Summary, error) {
+// summary returns the summary of src, building it when there is none, with
+// transient source failures retried up to retries times.
+func (l *learned) summary(ctx context.Context, src source.Source, retries int) (*relation.Summary, error) {
 	name := src.Name()
 	for {
-		c.mu.Lock()
-		if epoch < c.epoch {
-			// A query that took its roster before the epoch moved. What it
-			// learns must not pass for statistics of the newer epoch.
-			c.mu.Unlock()
-			return summarize(ctx, src, retries)
+		l.mu.Lock()
+		if l.entries == nil {
+			l.entries = map[string]*catalogEntry{}
 		}
-		if epoch > c.epoch || c.entries == nil {
-			c.epoch, c.entries = epoch, map[string]*catalogEntry{}
-		}
-		e, building := c.entries[name]
+		e, building := l.entries[name]
 		if !building {
 			e = &catalogEntry{done: make(chan struct{})}
-			c.entries[name] = e
+			l.entries[name] = e
 		}
-		c.mu.Unlock()
+		l.mu.Unlock()
 
 		if !building {
 			sum, err := summarize(ctx, src, retries)
 			if err != nil {
-				c.mu.Lock()
-				if c.entries[name] == e {
-					delete(c.entries, name)
+				l.mu.Lock()
+				if l.entries[name] == e {
+					delete(l.entries, name)
 				}
-				c.mu.Unlock()
+				l.mu.Unlock()
 			}
 			e.sum = sum
 			close(e.done)

@@ -61,6 +61,15 @@ func (c *countingSource) count(op source.Op) int {
 	return c.calls[op]
 }
 
+// statsCallsOf is how many stats exchanges each counter has seen.
+func statsCallsOf(counters []*countingSource) []int {
+	out := make([]int, len(counters))
+	for j, c := range counters {
+		out[j] = c.count(source.OpStats)
+	}
+	return out
+}
+
 func (c *countingSource) total() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -108,16 +117,17 @@ func distinctConds(k int) []cond.Cond {
 	return []cond.Cond{cond.MustParse(fmt.Sprintf("A1 < %d", 150+37*k)), cond.MustParse(fmt.Sprintf("A2 < %d", 900-41*k))}
 }
 
-// catalogNames lists the sources the catalog holds an entry for, and the
-// epoch they belong to.
+// catalogNames lists the sources the current roster's catalog holds an entry
+// for, and the roster's epoch.
 func catalogNames(m *Mediator) (map[string]bool, uint64) {
-	m.catalog.mu.Lock()
-	defer m.catalog.mu.Unlock()
+	r := m.cur.Load()
+	r.learned.mu.Lock()
+	defer r.learned.mu.Unlock()
 	names := map[string]bool{}
-	for name := range m.catalog.entries {
+	for name := range r.learned.entries {
 		names[name] = true
 	}
-	return names, m.catalog.epoch
+	return names, r.epoch
 }
 
 // TestCatalogSingleFlightAndEpochs: sixteen concurrent distinct cold queries
@@ -127,13 +137,7 @@ func catalogNames(m *Mediator) (map[string]bool, uint64) {
 func TestCatalogSingleFlightAndEpochs(t *testing.T) {
 	sc := synth(t, workload.SynthConfig{Seed: 5, NumSources: 4, TuplesPerSource: 400, Universe: 500, Selectivity: []float64{0.3, 0.6}})
 	m, counters := countedMediator(t, sc)
-	statsCalls := func() []int {
-		out := make([]int, len(counters))
-		for j, c := range counters {
-			out[j] = c.count(source.OpStats)
-		}
-		return out
-	}
+	statsCalls := func() []int { return statsCallsOf(counters) }
 
 	var wg sync.WaitGroup
 	errs := make([]error, 16)
@@ -273,7 +277,7 @@ func TestCatalogFillOverlaps(t *testing.T) {
 	// The reference: the same sources, summarized one after another.
 	sc := synth(t, cfg)
 	sts := make([]stats.SourceStats, len(sc.Sources))
-	profiles := m.snapshot(false).profiles
+	profiles := m.cur.Load().profiles
 	for j, src := range sc.Sources {
 		sum, err := source.Summarize(t.Context(), src)
 		if err != nil {
@@ -533,7 +537,9 @@ func TestCatalogBuildAbandonedAtDeadlineLeaksNothing(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	for i := 0; i < 4; i++ {
-		_, err := m.QueryConds(paperConds, Options{Timeout: 30 * time.Millisecond})
+		ctx, cancel := context.WithTimeout(t.Context(), 30*time.Millisecond)
+		_, err := m.QueryCondsContext(ctx, paperConds, Options{})
+		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want the deadline", err)
 		}
@@ -561,7 +567,7 @@ func TestCatalogBuildAbandonedAtDeadlineLeaksNothing(t *testing.T) {
 func TestCatalogPlansCostWhatExactStatisticsPlansCost(t *testing.T) {
 	sc := synth(t, workload.SynthConfig{Seed: 1, NumSources: 6, TuplesPerSource: 2000, Universe: 4000, Selectivity: []float64{0.2, 0.33, 0.47, 0.6}})
 	m, _ := countedMediator(t, sc)
-	r := m.snapshot(false)
+	r := m.cur.Load()
 	var sumCatalog, sumExact float64
 	const queries = 60
 	for k := 0; k < queries; k++ {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func Example() {
 			log.Fatal(err)
 		}
 	}
-	ans, err := m.Query(`SELECT u1.L FROM U u1, U u2
+	ans, err := m.Query(context.Background(), `SELECT u1.L FROM U u1, U u2
 	                     WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`,
 		core.Options{Algorithm: core.AlgoSJA})
 	if err != nil {
@@ -42,12 +43,12 @@ func ExampleMediator_Fetch() {
 			log.Fatal(err)
 		}
 	}
-	ans, err := m.Query(`SELECT u1.L FROM U u1, U u2
+	ans, err := m.Query(context.Background(), `SELECT u1.L FROM U u1, U u2
 	                     WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, err := m.Fetch(ans.Items)
+	full, err := m.Fetch(context.Background(), ans.Items)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func ExampleMediator_QueryConds() {
 	if err := m.AddSourceLink(src, netsim.DefaultLink()); err != nil {
 		log.Fatal(err)
 	}
-	ans, err := m.Query(`SELECT u1.ID FROM U u1 WHERE u1.Score >= 5`, core.Options{})
+	ans, err := m.Query(context.Background(), `SELECT u1.ID FROM U u1 WHERE u1.Score >= 5`, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -133,7 +133,7 @@ func TestGroundTruthEquivalence(t *testing.T) {
 		if !ans.Items.Equal(want) {
 			t.Fatalf("trial %d combined: answer mismatch", trial)
 		}
-		direct, err := med.Fetch(want)
+		direct, err := med.Fetch(t.Context(), want)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,8 +44,8 @@ func stalledMediator(t *testing.T, stall time.Duration) *Mediator {
 }
 
 // TestOptionsTimeoutReturnsPartialWork is the acceptance check for the
-// query lifecycle: a query with Options.Timeout against a source that
-// hangs mid-plan returns around the deadline — not after the 10s stall —
+// query lifecycle: a query whose context carries a deadline, against a source
+// that hangs mid-plan, returns around the deadline — not after the 10s stall —
 // with errors.Is identifying context.DeadlineExceeded through every
 // decorator layer and a non-nil Answer charging the source queries that
 // were issued before the cutoff.
@@ -54,8 +54,10 @@ func TestOptionsTimeoutReturnsPartialWork(t *testing.T) {
 	m := stalledMediator(t, stall)
 	conds := mustConds(t)
 
+	ctx, cancel := context.WithTimeout(t.Context(), 150*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	ans, err := m.QueryConds(conds, Options{Algorithm: "sja", Timeout: 150 * time.Millisecond})
+	ans, err := m.QueryCondsContext(ctx, conds, Options{Algorithm: "sja"})
 	elapsed := time.Since(start)
 
 	if err == nil {
@@ -76,7 +78,7 @@ func TestOptionsTimeoutReturnsPartialWork(t *testing.T) {
 }
 
 // TestCallerCancelPropagates checks the other half of the lifecycle: an
-// explicit caller cancel (no Options.Timeout) unwinds the same way, with
+// explicit caller cancel (no deadline) unwinds the same way, with
 // errors.Is(err, context.Canceled).
 func TestCallerCancelPropagates(t *testing.T) {
 	m := stalledMediator(t, 10*time.Second)
@@ -125,7 +127,7 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			opts := Options{Algorithm: "sja+", Cache: g%2 == 0}
 			for i := 0; i < 5; i++ {
-				ans, err := m.QueryContext(context.Background(), paperSQL, opts)
+				ans, err := m.Query(context.Background(), paperSQL, opts)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d query %d: %w", g, i, err)
 					return

@@ -12,11 +12,14 @@
 //	exec      → the mediator runtime (Sections 2.3, 6)
 //
 // A Mediator is safe for concurrent use: queries may run concurrently with
-// each other and with source registration. Each query takes a
-// context.Context (QueryContext / QueryCondsContext) or a per-query
-// Options.Timeout; cancellation propagates through planning, a statistics
-// catalog build and every source exchange, and a cancelled query still
-// returns the execution counters for the work already performed.
+// each other and with source registration. The roster is a value: every
+// registration, removal and BumpEpoch publishes a new immutable roster, which
+// owns what queries learn while it is current (the statistics catalog, the
+// source-answer cache); a query takes the current one once and keeps it.
+// Every entry point takes a context.Context first; cancellation propagates
+// through planning, a statistics catalog build and every source exchange,
+// and a cancelled query still returns the execution counters for the work
+// already performed.
 package core
 
 import (
@@ -25,6 +28,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fusionq/internal/bloom"
@@ -112,13 +116,6 @@ type Options struct {
 	// queries return full records, and only uncovered records are fetched
 	// afterwards. The Answer's Records field is populated.
 	CombinedFetch bool
-	// Timeout, when positive, bounds the whole query — filling the
-	// statistics catalog, planning and execution. On expiry the query returns
-	// an error wrapping context.DeadlineExceeded together with the partial
-	// execution counters (Answer.Exec) for the work already performed. It
-	// composes with a caller-supplied context: whichever deadline is
-	// earlier wins.
-	Timeout time.Duration
 	// Streaming executes the plan as a pull-based dataflow pipeline
 	// (DESIGN.md §12): every step runs concurrently, item sets flow between
 	// steps as bounded sorted batches, and the first answer batch surfaces
@@ -134,14 +131,6 @@ type Options struct {
 	// (default set.DefaultBatch). Smaller batches lower first-answer
 	// latency and peak memory but pay more per-chunk exchange overhead.
 	BatchSize int
-	// DisableRepair turns off mid-query roster repair. By default, when
-	// every replica of a logical source is exhausted mid-query
-	// (fabric.ExhaustedError), the mediator keeps the completed rounds'
-	// running set and re-plans the remaining conditions over the surviving
-	// sources, reporting the repaired (possibly partial) answer via
-	// Answer.Repair. With repair disabled such failures surface as errors
-	// with the usual honest-partial counters.
-	DisableRepair bool
 }
 
 // Answer is the result of one fusion query.
@@ -185,26 +174,15 @@ type Answer struct {
 // queries, the statistics catalog — is not in it, and no query resets the
 // network.
 type Mediator struct {
-	mu       sync.RWMutex
-	schema   *relation.Schema
-	sources  []source.Source
-	profiles []stats.SourceProfile
-	network  *netsim.Network
-	// cache holds the source answers learned under Options.Cache at roster
-	// epoch cacheEpoch; snapshot replaces it when the epoch has moved.
-	cache      *exec.Cache
-	cacheEpoch uint64
-	metrics    *obs.Registry
-	recorder   *obs.Recorder
-	// epoch counts roster generations: it moves whenever the set of
-	// registered sources changes (registration, removal, external churn
-	// signaled via BumpEpoch). Plans and answers derived from one epoch's
-	// roster are stale at any other — the service layer keys its caches by
-	// it.
-	epoch uint64
-	// catalog holds the per-source summaries planning reads, keyed by the
-	// roster epoch.
-	catalog statsCatalog
+	// mu serializes the roster's writers (publish) and guards metrics and
+	// the recorder. No query takes it to read the roster.
+	mu     sync.RWMutex
+	schema *relation.Schema
+	// cur is the current roster. A writer publishes a new one; a query loads
+	// it once and keeps what it loaded.
+	cur      atomic.Pointer[roster]
+	metrics  *obs.Registry
+	recorder *obs.Recorder
 	// recorderSet distinguishes SetRecorder(nil) — recording deliberately
 	// off — from the never-configured state that lazily gets the default.
 	recorderSet bool
@@ -212,25 +190,91 @@ type Mediator struct {
 	describeOnce sync.Once
 }
 
+// roster is the mediator's registered sources as of one epoch, immutable once
+// published: a query that holds one is unaffected by registrations, removals
+// and BumpEpoch meanwhile. The epoch counts roster generations; plans and
+// answers derived from one epoch's roster are stale at any other, and the
+// service layer keys its caches by it.
+type roster struct {
+	epoch    uint64
+	sources  []source.Source
+	profiles []stats.SourceProfile
+	// names are the sources' names in order. Problems and plans share the
+	// slice; nothing writes to it.
+	names   []string
+	network *netsim.Network
+	// learned is what queries have found out at this epoch. A roster of the
+	// next epoch starts an empty one, so nothing learned at one epoch can
+	// pass for knowledge of another, and an old epoch's goes with the last
+	// query holding its roster.
+	learned *learned
+}
+
 // New creates a mediator exporting the given common schema.
 func New(schema *relation.Schema) *Mediator {
-	return &Mediator{schema: schema}
+	m := &Mediator{schema: schema}
+	m.cur.Store(&roster{learned: &learned{}})
+	return m
+}
+
+// publish replaces the current roster by what change makes of it (nil: no
+// change), one writer at a time, and returns the roster current afterwards.
+// It is the only place a roster is stored.
+func (m *Mediator) publish(change func(cur *roster) *roster) *roster {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if next := change(m.cur.Load()); next != nil {
+		m.cur.Store(next)
+	}
+	return m.cur.Load()
+}
+
+// nextEpoch returns a copy of r one epoch on, with nothing learned yet.
+func (r *roster) nextEpoch() *roster {
+	next := *r
+	next.epoch, next.learned = r.epoch+1, &learned{}
+	return &next
+}
+
+// with returns the roster of the next epoch with src appended.
+func (r *roster) with(src source.Source, profile stats.SourceProfile) *roster {
+	next := r.nextEpoch()
+	n := len(r.sources)
+	next.sources = append(r.sources[:n:n], src)
+	next.profiles = append(r.profiles[:n:n], profile)
+	next.names = append(r.names[:n:n], src.Name())
+	return next
+}
+
+// without returns r minus the named source, at r's epoch and sharing what was
+// learned there (the roster a repair re-plans over); r itself when it has no
+// such source.
+func (r *roster) without(name string) *roster {
+	for i, n := range r.names {
+		if n != name {
+			continue
+		}
+		out := *r
+		out.sources = append(r.sources[:i:i], r.sources[i+1:]...)
+		out.profiles = append(r.profiles[:i:i], r.profiles[i+1:]...)
+		out.names = append(r.names[:i:i], r.names[i+1:]...)
+		return &out
+	}
+	return r
 }
 
 // SetNetwork attaches a simulated network used for execution-time
 // accounting. Sources registered afterwards are instrumented against it.
 func (m *Mediator) SetNetwork(n *netsim.Network) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.network = n
+	m.publish(func(cur *roster) *roster {
+		next := *cur
+		next.network = n
+		return &next
+	})
 }
 
 // Network returns the attached simulated network, if any.
-func (m *Mediator) Network() *netsim.Network {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.network
-}
+func (m *Mediator) Network() *netsim.Network { return m.cur.Load().network }
 
 // SetMetrics attaches a metrics registry receiving the mediator's query,
 // scheduler, cache and exchange metrics. Without one, metrics go to the
@@ -290,10 +334,8 @@ func (m *Mediator) Recorder() *obs.Recorder {
 // replicated logical source, in registration order. Sources without a
 // fabric (plain, non-replicated) contribute no rows.
 func (m *Mediator) Scorecards() []fabric.Scorecard {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := []fabric.Scorecard{}
-	for _, s := range m.sources {
+	for _, s := range m.cur.Load().sources {
 		if l, ok := s.(*fabric.Logical); ok {
 			out = append(out, l.Scorecards()...)
 		}
@@ -301,90 +343,29 @@ func (m *Mediator) Scorecards() []fabric.Scorecard {
 	return out
 }
 
-// AddSource registers a source with an explicit cost profile. The source's
-// schema must be compatible with the mediator's. When a network is attached
-// the source is instrumented so executions are accounted.
-func (m *Mediator) AddSource(src source.Source, profile stats.SourceProfile) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// admissible reports why src (a source, or a replica of one) may not join cur
+// under the given name: the name is taken, or the schema is not the
+// mediator's.
+func (m *Mediator) admissible(cur *roster, name string, src source.Source) error {
+	for _, n := range cur.names {
+		if n == name {
+			return fmt.Errorf("core: duplicate source name %q", name)
+		}
+	}
 	if !m.schema.Compatible(src.Schema()) {
 		return fmt.Errorf("core: source %s schema %s incompatible with mediator schema %s",
 			src.Name(), src.Schema(), m.schema)
 	}
-	for _, s := range m.sources {
-		if s.Name() == src.Name() {
-			return fmt.Errorf("core: duplicate source name %q", src.Name())
-		}
-	}
-	if profile.Name == "" {
-		profile.Name = src.Name()
-	}
-	if m.network != nil {
-		src = source.Instrument(src, m.network)
-	}
-	m.sources = append(m.sources, src)
-	m.profiles = append(m.profiles, profile)
-	m.epoch++
 	return nil
 }
 
-// RemoveSource unregisters the named source, reporting whether it was
-// present. Removing a source moves the roster epoch: cached plans and
-// answers derived from the old roster become stale. Queries already running
-// keep their snapshot and are unaffected.
-func (m *Mediator) RemoveSource(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, s := range m.sources {
-		if s.Name() == name {
-			m.sources = append(m.sources[:i], m.sources[i+1:]...)
-			m.profiles = append(m.profiles[:i], m.profiles[i+1:]...)
-			m.epoch++
-			return true
-		}
-	}
-	return false
-}
-
-// Epoch returns the current roster epoch. The epoch moves on every source
-// registration or removal and on BumpEpoch; two equal epochs guarantee the
-// roster (names, order, membership) is unchanged between them. The
-// statistics catalog is keyed by it: the first plan after the epoch moves
-// asks every source for its summary again.
-func (m *Mediator) Epoch() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.epoch
-}
-
-// BumpEpoch advances the roster epoch without changing the roster, and
-// returns the new epoch. Call it when the sources' contents must be
-// considered changed by an external signal (catalog churn, replica repair,
-// administrative invalidation): the statistics catalog and the source
-// answers cached under Options.Cache are dropped, and epoch-keyed caches
-// above the mediator drop their derived state.
-func (m *Mediator) BumpEpoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.epoch++
-	return m.epoch
-}
-
-// AddSourceLink registers a source whose cost profile is derived from a
-// simulated network link, keeping estimated costs in simulated seconds.
-func (m *Mediator) AddSourceLink(src source.Source, link netsim.Link) error {
-	m.mu.RLock()
-	network := m.network
-	m.mu.RUnlock()
-	if network != nil {
-		network.SetLink(src.Name(), link)
-	}
-	_, _, bytes := src.Card()
-	tuples, _, _ := src.Card()
+// linkProfile derives the cost profile of src from the link it is reached
+// over, keeping estimated costs in simulated seconds.
+func linkProfile(src source.Source, link netsim.Link) stats.SourceProfile {
+	tuples, _, bytes := src.Card()
 	avgItem := 8.0
 	if tuples > 0 {
-		avg := float64(bytes) / float64(tuples)
-		if avg > 0 {
+		if avg := float64(bytes) / float64(tuples); avg > 0 {
 			// Items are roughly one attribute of the tuple.
 			avgItem = avg / float64(src.Schema().NumColumns())
 		}
@@ -393,8 +374,73 @@ func (m *Mediator) AddSourceLink(src source.Source, link netsim.Link) error {
 	if src.Caps().BloomSemijoin {
 		profile.BloomBitsPerItem = bloom.DefaultBitsPerItem
 	}
-	return m.AddSource(src, profile)
+	return profile
 }
+
+// AddSource registers a source with an explicit cost profile. The source's
+// schema must be compatible with the mediator's. When a network is attached
+// the source is instrumented so executions are accounted.
+func (m *Mediator) AddSource(src source.Source, profile stats.SourceProfile) error {
+	return m.addSource(src, profile, nil)
+}
+
+// AddSourceLink registers a source whose cost profile is derived from a
+// simulated network link, keeping estimated costs in simulated seconds.
+func (m *Mediator) AddSourceLink(src source.Source, link netsim.Link) error {
+	return m.addSource(src, linkProfile(src, link), &link)
+}
+
+// addSource publishes the roster with src in it. The link, when there is one,
+// is set on the network only once the source is admissible, so a rejected
+// registration leaves the registered source of that name as it was.
+func (m *Mediator) addSource(src source.Source, profile stats.SourceProfile, link *netsim.Link) (err error) {
+	m.publish(func(cur *roster) *roster {
+		if err = m.admissible(cur, src.Name(), src); err != nil {
+			return nil
+		}
+		if profile.Name == "" {
+			profile.Name = src.Name()
+		}
+		if cur.network != nil {
+			if link != nil {
+				cur.network.SetLink(src.Name(), *link)
+			}
+			src = source.Instrument(src, cur.network)
+		}
+		return cur.with(src, profile)
+	})
+	return err
+}
+
+// RemoveSource unregisters the named source, reporting whether it was
+// present. Removing a source moves the roster epoch: cached plans and
+// answers derived from the old roster become stale. Queries already running
+// keep the roster they took and are unaffected.
+func (m *Mediator) RemoveSource(name string) (removed bool) {
+	m.publish(func(cur *roster) *roster {
+		next := cur.without(name)
+		if removed = next != cur; !removed {
+			return nil
+		}
+		return next.nextEpoch()
+	})
+	return removed
+}
+
+// Epoch returns the current roster epoch. The epoch moves on every source
+// registration or removal and on BumpEpoch; two equal epochs guarantee the
+// roster (names, order, membership) is unchanged between them. The
+// statistics catalog belongs to it: the first plan after the epoch moves
+// asks every source for its summary again.
+func (m *Mediator) Epoch() uint64 { return m.cur.Load().epoch }
+
+// BumpEpoch advances the roster epoch without changing the roster, and
+// returns the new epoch. Call it when the sources' contents must be
+// considered changed by an external signal (catalog churn, replica repair,
+// administrative invalidation): the statistics catalog and the source
+// answers cached under Options.Cache are dropped, and epoch-keyed caches
+// above the mediator drop their derived state.
+func (m *Mediator) BumpEpoch() uint64 { return m.publish((*roster).nextEpoch).epoch }
 
 // ReplicaSpec describes one physical replica endpoint of a logical source:
 // the replica's source (its name must be unique and distinct from the
@@ -420,135 +466,64 @@ type ReplicaSpec struct {
 // itself is not re-instrumented. The cost profile is derived from the
 // fastest replica link — the fabric routes to the fastest healthy replica,
 // so that is the calibrated cost a planner should assume.
-func (m *Mediator) AddReplicatedSource(name string, replicas []ReplicaSpec, opts fabric.Options) (*fabric.Logical, error) {
+func (m *Mediator) AddReplicatedSource(name string, replicas []ReplicaSpec, opts fabric.Options) (logical *fabric.Logical, err error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("core: replicated source %s: no replicas", name)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, s := range m.sources {
-		if s.Name() == name {
-			return nil, fmt.Errorf("core: duplicate source name %q", name)
+	m.publish(func(cur *roster) *roster {
+		best := replicas[0].Link
+		eps := make([]*fabric.Endpoint, len(replicas))
+		for i, rep := range replicas {
+			src := rep.Source
+			if err = m.admissible(cur, name, src); err != nil {
+				return nil
+			}
+			if cur.network != nil {
+				src = source.Instrument(src, cur.network)
+			}
+			eps[i] = fabric.NewEndpoint(src, rep.Link.MaxConns)
+			if rep.Link.Latency+rep.Link.RequestOverhead < best.Latency+best.RequestOverhead {
+				best = rep.Link
+			}
 		}
-	}
-	best := replicas[0].Link
-	eps := make([]*fabric.Endpoint, len(replicas))
-	for i, rep := range replicas {
-		src := rep.Source
-		if !m.schema.Compatible(src.Schema()) {
-			return nil, fmt.Errorf("core: replica %s schema %s incompatible with mediator schema %s",
-				src.Name(), src.Schema(), m.schema)
+		if logical, err = fabric.NewLogical(name, eps, opts); err != nil {
+			return nil
 		}
-		if m.network != nil {
-			m.network.SetLink(src.Name(), rep.Link)
-			src = source.Instrument(src, m.network)
+		if cur.network != nil {
+			for _, rep := range replicas {
+				cur.network.SetLink(rep.Source.Name(), rep.Link)
+			}
 		}
-		conns := rep.Link.MaxConns
-		eps[i] = fabric.NewEndpoint(src, conns)
-		if rep.Link.Latency+rep.Link.RequestOverhead < best.Latency+best.RequestOverhead {
-			best = rep.Link
-		}
-	}
-	logical, err := fabric.NewLogical(name, eps, opts)
-	if err != nil {
-		return nil, err
-	}
-	_, _, bytes := logical.Card()
-	tuples, _, _ := logical.Card()
-	avgItem := 8.0
-	if tuples > 0 {
-		if avg := float64(bytes) / float64(tuples); avg > 0 {
-			avgItem = avg / float64(logical.Schema().NumColumns())
-		}
-	}
-	profile := stats.ProfileFromLink(name, best, avgItem, stats.SupportOf(logical.Caps()))
-	if logical.Caps().BloomSemijoin {
-		profile.BloomBitsPerItem = bloom.DefaultBitsPerItem
-	}
-	m.sources = append(m.sources, logical)
-	m.profiles = append(m.profiles, profile)
-	m.epoch++
-	return logical, nil
+		return cur.with(logical, linkProfile(logical, best))
+	})
+	return logical, err
 }
 
-// Sources returns the registered sources in order.
+// Sources returns the registered sources in order; the slice is the
+// caller's.
 func (m *Mediator) Sources() []source.Source {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]source.Source, len(m.sources))
-	copy(out, m.sources)
-	return out
+	return append([]source.Source(nil), m.cur.Load().sources...)
 }
 
-// SourceNames returns the registered source names in order.
+// SourceNames returns the registered source names in order; the slice is
+// the caller's.
 func (m *Mediator) SourceNames() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.sourceNamesLocked()
-}
-
-func (m *Mediator) sourceNamesLocked() []string {
-	out := make([]string, len(m.sources))
-	for i, s := range m.sources {
-		out[i] = s.Name()
-	}
-	return out
+	return append([]string(nil), m.cur.Load().names...)
 }
 
 // Schema returns the mediator's common schema.
 func (m *Mediator) Schema() *relation.Schema { return m.schema }
 
-// roster is one query's consistent snapshot of the mediator's state:
-// sources registered mid-query do not affect a running query.
-type roster struct {
-	sources  []source.Source
-	profiles []stats.SourceProfile
-	network  *netsim.Network
-	cache    *exec.Cache
-	// epoch is the roster epoch the snapshot was taken at: the key the
-	// statistics catalog is read under.
-	epoch uint64
-}
-
-func (m *Mediator) snapshot(wantCache bool) roster {
-	if wantCache {
-		// The cache is pinned to the epoch it was filled at: the first
-		// snapshot of a newer epoch starts a fresh one, and a query still
-		// running on an older snapshot keeps the object it took.
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if m.cache == nil || m.cacheEpoch != m.epoch {
-			m.cache, m.cacheEpoch = exec.NewCache(), m.epoch
-		}
-	} else {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-	}
-	r := roster{
-		sources:  make([]source.Source, len(m.sources)),
-		profiles: make([]stats.SourceProfile, len(m.profiles)),
-		network:  m.network,
-		epoch:    m.epoch,
-	}
-	copy(r.sources, m.sources)
-	copy(r.profiles, m.profiles)
-	if wantCache {
-		r.cache = m.cache
-	}
-	return r
-}
-
 // Problem assembles the optimization problem for the conditions from the
 // statistics catalog: each source's summary gives the estimated cardinality
-// of each condition there. Only a source the catalog has no summary of yet
-// for the current epoch is asked for one (a single stats exchange, all such
-// sources at once); with the catalog warm, Problem performs no source
-// exchange.
+// of each condition there. Only a source the current roster has no summary
+// of yet is asked for one (a single stats exchange, all such sources at
+// once); with the catalog warm, Problem performs no source exchange.
 func (m *Mediator) Problem(ctx context.Context, conds []cond.Cond, opts Options) (*optimizer.Problem, error) {
-	return m.problem(ctx, m.snapshot(false), conds, opts)
+	return m.problem(ctx, m.cur.Load(), conds, opts)
 }
 
-func (m *Mediator) problem(ctx context.Context, r roster, conds []cond.Cond, opts Options) (*optimizer.Problem, error) {
+func (m *Mediator) problem(ctx context.Context, r *roster, conds []cond.Cond, opts Options) (*optimizer.Problem, error) {
 	if len(r.sources) == 0 {
 		return nil, fmt.Errorf("core: no sources registered")
 	}
@@ -560,7 +535,7 @@ func (m *Mediator) problem(ctx context.Context, r roster, conds []cond.Cond, opt
 			return nil, fmt.Errorf("core: condition %d: %w", i+1, err)
 		}
 	}
-	sts, err := m.catalog.sourceStats(ctx, r.epoch, r.sources, conds, opts.Retries)
+	sts, err := r.learned.sourceStats(ctx, r.sources, conds, opts.Retries)
 	if err != nil {
 		return nil, err
 	}
@@ -568,19 +543,15 @@ func (m *Mediator) problem(ctx context.Context, r roster, conds []cond.Cond, opt
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(r.sources))
-	for i, s := range r.sources {
-		names[i] = s.Name()
-	}
-	return &optimizer.Problem{Conds: conds, Sources: names, Table: table}, nil
+	return &optimizer.Problem{Conds: conds, Sources: r.names, Table: table}, nil
 }
 
 // Plan optimizes the conditions with the selected algorithm.
 func (m *Mediator) Plan(ctx context.Context, conds []cond.Cond, opts Options) (optimizer.Result, error) {
-	return m.plan(ctx, m.snapshot(false), conds, opts)
+	return m.plan(ctx, m.cur.Load(), conds, opts)
 }
 
-func (m *Mediator) plan(ctx context.Context, r roster, conds []cond.Cond, opts Options) (optimizer.Result, error) {
+func (m *Mediator) plan(ctx context.Context, r *roster, conds []cond.Cond, opts Options) (optimizer.Result, error) {
 	pr, err := m.problem(ctx, r, conds, opts)
 	if err != nil {
 		return optimizer.Result{}, err
@@ -599,7 +570,7 @@ func (m *Mediator) QueryConds(conds []cond.Cond, opts Options) (*Answer, error) 
 }
 
 // QueryCondsContext plans and executes a fusion query given as a condition
-// list, under ctx and the Options.Timeout (whichever deadline is earlier).
+// list, under ctx.
 //
 // On failure — including cancellation and deadline expiry — the returned
 // Answer is non-nil whenever execution had started: Answer.Exec reports the
@@ -607,7 +578,7 @@ func (m *Mediator) QueryConds(conds []cond.Cond, opts Options) (*Answer, error) 
 // error wraps the cause, so errors.Is(err, context.DeadlineExceeded) and
 // errors.Is(err, context.Canceled) identify abandoned queries.
 func (m *Mediator) QueryCondsContext(ctx context.Context, conds []cond.Cond, opts Options) (*Answer, error) {
-	return m.instrumented(ctx, conds, opts, func(qctx context.Context) (*Answer, error) {
+	return m.instrumented(ctx, conds, func(qctx context.Context) (*Answer, error) {
 		return m.queryConds(qctx, conds, opts)
 	})
 }
@@ -635,20 +606,15 @@ func (m *Mediator) QueryPlanned(conds []cond.Cond, res optimizer.Result, opts Op
 // that change what is planned (Adaptive, CombinedFetch, Algorithm) are
 // ignored — the plan is the plan.
 func (m *Mediator) QueryPlannedContext(ctx context.Context, conds []cond.Cond, res optimizer.Result, opts Options) (*Answer, error) {
-	return m.instrumented(ctx, conds, opts, func(qctx context.Context) (*Answer, error) {
+	return m.instrumented(ctx, conds, func(qctx context.Context) (*Answer, error) {
 		return m.queryPlanned(qctx, res, opts)
 	})
 }
 
 // instrumented wraps one query body with the whole observability lifecycle:
-// per-query timeout, fresh query identity, span trace, metrics registry,
-// flight recording, and the fq_queries_total / fq_query_seconds charge.
-func (m *Mediator) instrumented(ctx context.Context, conds []cond.Cond, opts Options, body func(context.Context) (*Answer, error)) (*Answer, error) {
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
-	}
+// fresh query identity, span trace, metrics registry, flight recording, and
+// the fq_queries_total / fq_query_seconds charge.
+func (m *Mediator) instrumented(ctx context.Context, conds []cond.Cond, body func(context.Context) (*Answer, error)) (*Answer, error) {
 	// Each query gets a fresh identity. The trace and registry are inherited
 	// from the caller's context when present, created or defaulted
 	// otherwise. While a flight recorder is active (the default), tracing is
@@ -714,7 +680,7 @@ func queryStatus(err error) string {
 // queryConds is the body of QueryCondsContext, running with the query's Obs
 // installed in ctx.
 func (m *Mediator) queryConds(ctx context.Context, conds []cond.Cond, opts Options) (*Answer, error) {
-	r := m.snapshot(opts.Cache)
+	r := m.cur.Load()
 	if opts.Adaptive {
 		pctx, psp := obs.StartSpan(ctx, obs.KindPhase, "plan")
 		pr, err := m.problem(pctx, r, conds, opts)
@@ -746,7 +712,7 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 	if res.Plan == nil {
 		return nil, fmt.Errorf("core: planned query: nil plan")
 	}
-	r := m.snapshot(opts.Cache)
+	r := m.cur.Load()
 	// The plan addresses sources by index into Plan.Sources; execution is
 	// sound iff the roster's leading sources still carry those names in that
 	// order (the roster may have grown — appended sources leave existing
@@ -756,9 +722,9 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 			len(res.Plan.Sources), len(r.sources), ErrStalePlan)
 	}
 	for i, name := range res.Plan.Sources {
-		if r.sources[i].Name() != name {
+		if r.names[i] != name {
 			return nil, fmt.Errorf("core: plan source %d is %q, roster has %q: %w",
-				i, name, r.sources[i].Name(), ErrStalePlan)
+				i, name, r.names[i], ErrStalePlan)
 		}
 	}
 	return m.execute(ctx, r, opts, res, false)
@@ -770,19 +736,23 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 // most its link's MaxConns exchanges from us at a time (default 1), the
 // overlap is across sources, and total work is what it would be one exchange
 // after another.
-func (r roster) executor(opts Options) *exec.Executor {
-	return &exec.Executor{
+func (r *roster) executor(opts Options) *exec.Executor {
+	ex := &exec.Executor{
 		Sources: r.sources, Network: r.network, Parallel: true,
-		Cache: r.cache, Trace: opts.Trace, Retries: opts.Retries,
+		Trace: opts.Trace, Retries: opts.Retries,
 		Streaming: opts.Streaming, BatchSize: opts.BatchSize,
 	}
+	if opts.Cache {
+		ex.Cache = r.learned.answerCache()
+	}
+	return ex
 }
 
 // execute is the execute phase of a planned query and what follows it: run
 // the plan (fetching records in the same pass when combined), fall back to
 // mid-query roster repair when a logical source is exhausted, and package
 // the answer or the honest partial.
-func (m *Mediator) execute(ctx context.Context, r roster, opts Options, res optimizer.Result, combined bool) (*Answer, error) {
+func (m *Mediator) execute(ctx context.Context, r *roster, opts Options, res optimizer.Result, combined bool) (*Answer, error) {
 	ex := r.executor(opts)
 	ectx, esp := obs.StartSpan(ctx, obs.KindPhase, "execute")
 	var (
@@ -817,15 +787,9 @@ func partialAnswer(run *exec.Result, p *plan.Plan) *Answer {
 }
 
 // Query parses a fusion-query SQL statement, verifies the fusion pattern,
-// and plans and executes it. It is QueryContext with a background context.
-func (m *Mediator) Query(sql string, opts Options) (*Answer, error) {
-	return m.QueryContext(context.Background(), sql, opts)
-}
-
-// QueryContext parses a fusion-query SQL statement, verifies the fusion
-// pattern, and plans and executes it under ctx; see QueryCondsContext for
-// the cancellation contract.
-func (m *Mediator) QueryContext(ctx context.Context, sql string, opts Options) (*Answer, error) {
+// and plans and executes it under ctx; see QueryCondsContext for the
+// cancellation contract.
+func (m *Mediator) Query(ctx context.Context, sql string, opts Options) (*Answer, error) {
 	fq, err := sqlparse.ParseFusion(sql, m.schema)
 	if err != nil {
 		return nil, err
@@ -834,13 +798,7 @@ func (m *Mediator) QueryContext(ctx context.Context, sql string, opts Options) (
 }
 
 // Fetch runs the second phase (Section 1): retrieving the full records of
-// the answer items from every source. It is FetchContext with a background
-// context.
-func (m *Mediator) Fetch(items set.Set) (*relation.Relation, error) {
-	return m.FetchContext(context.Background(), items)
-}
-
-// FetchContext is Fetch under ctx.
-func (m *Mediator) FetchContext(ctx context.Context, items set.Set) (*relation.Relation, error) {
-	return exec.FetchAnswer(ctx, items, m.Sources())
+// the answer items from every source.
+func (m *Mediator) Fetch(ctx context.Context, items set.Set) (*relation.Relation, error) {
+	return exec.FetchAnswer(ctx, items, m.cur.Load().sources)
 }

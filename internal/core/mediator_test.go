@@ -53,7 +53,7 @@ WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`
 func TestDMVFigure1(t *testing.T) {
 	m := dmvMediator(t, true)
 	for _, algo := range Algorithms() {
-		ans, err := m.Query(paperSQL, Options{Algorithm: algo})
+		ans, err := m.Query(t.Context(), paperSQL, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -72,7 +72,7 @@ func TestDMVFigure1(t *testing.T) {
 func TestQueryStreaming(t *testing.T) {
 	m := dmvMediator(t, true)
 	for _, algo := range Algorithms() {
-		ans, err := m.Query(paperSQL, Options{Algorithm: algo, Streaming: true, BatchSize: 8})
+		ans, err := m.Query(t.Context(), paperSQL, Options{Algorithm: algo, Streaming: true, BatchSize: 8})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -104,11 +104,11 @@ func TestQueryCondsDirect(t *testing.T) {
 
 func TestTwoPhaseFetch(t *testing.T) {
 	m := dmvMediator(t, false)
-	ans, err := m.Query(paperSQL, Options{})
+	ans, err := m.Query(t.Context(), paperSQL, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := m.Fetch(ans.Items)
+	full, err := m.Fetch(t.Context(), ans.Items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCombinedFetchOption(t *testing.T) {
 		m := dmvMediator(t, true)
 		reg := obs.NewRegistry()
 		ctx := obs.With(context.Background(), &obs.Obs{Metrics: reg})
-		ans, err := m.QueryContext(ctx, paperSQL, Options{CombinedFetch: true, Algorithm: AlgoSJA, Streaming: streaming, BatchSize: 1})
+		ans, err := m.Query(ctx, paperSQL, Options{CombinedFetch: true, Algorithm: AlgoSJA, Streaming: streaming, BatchSize: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,20 +153,20 @@ func TestCombinedFetchOption(t *testing.T) {
 		}
 	}
 	m := dmvMediator(t, true)
-	ans, err := m.Query(paperSQL, Options{CombinedFetch: true, Algorithm: AlgoSJA})
+	ans, err := m.Query(t.Context(), paperSQL, Options{CombinedFetch: true, Algorithm: AlgoSJA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Classic two-phase must agree.
 	m2 := dmvMediator(t, true)
-	plain, err := m2.Query(paperSQL, Options{Algorithm: AlgoSJA})
+	plain, err := m2.Query(t.Context(), paperSQL, Options{Algorithm: AlgoSJA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Records != nil {
 		t.Fatal("Records should be nil without CombinedFetch")
 	}
-	full, err := m2.Fetch(plain.Items)
+	full, err := m2.Fetch(t.Context(), plain.Items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRoundsOverlapByDefault(t *testing.T) {
 		}
 	}
 
-	ans, err := m.Query(paperSQL, Options{Algorithm: AlgoFilter, Trace: true})
+	ans, err := m.Query(t.Context(), paperSQL, Options{Algorithm: AlgoFilter, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,10 +288,10 @@ func TestAddSourceErrors(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	m := dmvMediator(t, false)
-	if _, err := m.Query("SELECT u1.V FROM U u1", Options{}); err == nil {
+	if _, err := m.Query(t.Context(), "SELECT u1.V FROM U u1", Options{}); err == nil {
 		t.Fatal("non-fusion query should fail")
 	}
-	if _, err := m.Query("not sql at all (", Options{}); err == nil {
+	if _, err := m.Query(t.Context(), "not sql at all (", Options{}); err == nil {
 		t.Fatal("garbage should fail")
 	}
 	if _, err := m.QueryConds(nil, Options{}); err == nil {
@@ -315,7 +315,7 @@ func TestQueryErrors(t *testing.T) {
 // Answer.Exec reports the query's own execution all the same.
 func TestExecCountsOnlyItsOwnExecution(t *testing.T) {
 	m := dmvMediator(t, true)
-	first, err := m.Query(paperSQL, Options{Algorithm: AlgoSJA, Trace: true})
+	first, err := m.Query(t.Context(), paperSQL, Options{Algorithm: AlgoSJA, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestExecCountsOnlyItsOwnExecution(t *testing.T) {
 	if want := laneMakespan(first); first.Exec.ResponseTime != want {
 		t.Fatalf("response time %v, the rounds' slowest lanes sum to %v (total work %v)", first.Exec.ResponseTime, want, first.Exec.TotalWork)
 	}
-	second, err := m.Query(paperSQL, Options{Algorithm: AlgoSJA})
+	second, err := m.Query(t.Context(), paperSQL, Options{Algorithm: AlgoSJA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestExecCountsOnlyItsOwnExecution(t *testing.T) {
 
 func TestSJAPlusDefaultAlgorithm(t *testing.T) {
 	m := dmvMediator(t, false)
-	ans, err := m.Query(paperSQL, Options{})
+	ans, err := m.Query(t.Context(), paperSQL, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestBumpEpochReachesSourceCache(t *testing.T) {
 	opts := Options{Cache: true, Algorithm: AlgoFilter}
 	query := func() *Answer {
 		t.Helper()
-		ans, err := m.Query(paperSQL, opts)
+		ans, err := m.Query(t.Context(), paperSQL, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +491,7 @@ func TestReadmeListsEveryAlgorithm(t *testing.T) {
 
 func TestAdaptiveOption(t *testing.T) {
 	m := dmvMediator(t, true)
-	ans, err := m.Query(paperSQL, Options{Adaptive: true, Trace: true, Streaming: true})
+	ans, err := m.Query(t.Context(), paperSQL, Options{Adaptive: true, Trace: true, Streaming: true})
 	if err != nil {
 		t.Fatal(err)
 	}

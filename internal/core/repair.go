@@ -104,19 +104,6 @@ func splitCompleted(p *plan.Plan, run *exec.Result) (seed set.Set, hasSeed bool,
 	return seed, true, pending
 }
 
-// without returns r minus the named logical source.
-func (r roster) without(name string) roster {
-	out := roster{network: r.network, cache: r.cache, epoch: r.epoch}
-	for i, s := range r.sources {
-		if s.Name() == name {
-			continue
-		}
-		out.sources = append(out.sources, s)
-		out.profiles = append(out.profiles, r.profiles[i])
-	}
-	return out
-}
-
 // mergeExec folds the counters of a repair execution into the original
 // run's, so Answer.Exec reports the query's total traffic and work.
 func mergeExec(dst, src *exec.Result) {
@@ -145,8 +132,8 @@ func mergeExec(dst, src *exec.Result) {
 // exhausted during a repair execution, its completed rounds tighten the
 // seed and the loop re-plans the still-pending conditions over the
 // remaining survivors. It is bounded by the roster size.
-func (m *Mediator) tryRepair(ctx context.Context, r roster, opts Options, p *plan.Plan, run *exec.Result, estCost float64, cause error) (*Answer, error, bool) {
-	if opts.DisableRepair || run == nil {
+func (m *Mediator) tryRepair(ctx context.Context, r *roster, opts Options, p *plan.Plan, run *exec.Result, estCost float64, cause error) (*Answer, error, bool) {
+	if run == nil {
 		return nil, nil, false
 	}
 	var exh *fabric.ExhaustedError

@@ -157,16 +157,4 @@ func TestRosterRepairAfterLogicalSourceDies(t *testing.T) {
 	if !ans.Items.Diff(fullRef).IsEmpty() {
 		t.Fatalf("repaired answer %v contains items outside the full answer %v", ans.Items, fullRef)
 	}
-
-	// With repair disabled the same death surfaces as an error.
-	network.Reset()
-	network.ScheduleChurn([]netsim.ChurnEvent{
-		{At: killAt, Source: logical.Endpoints()[0].Name(), Kind: netsim.ChurnKill},
-		{At: killAt, Source: logical.Endpoints()[1].Name(), Kind: netsim.ChurnKill},
-	})
-	nrOpts := opts
-	nrOpts.DisableRepair = true
-	if _, err := m.QueryConds(conds, nrOpts); err == nil {
-		t.Fatal("DisableRepair query succeeded, want the exhaustion error")
-	}
 }

@@ -74,8 +74,6 @@ func (e *ExhaustedError) Unwrap() error { return e.Last }
 type Options struct {
 	// Seed drives replica selection and exploration determinism.
 	Seed int64
-	// EWMAAlpha is the latency EWMA's smoothing factor (default 0.3).
-	EWMAAlpha float64
 	// FailureThreshold is how many consecutive failures trip an endpoint's
 	// breaker closed→open (default 3).
 	FailureThreshold int
@@ -95,9 +93,6 @@ type Options struct {
 	// HedgeMin floors the hedge deadline so noise-level percentiles do not
 	// cause hedge storms (default 1ms).
 	HedgeMin time.Duration
-	// HedgeMinSamples is how many logical exchanges must be observed
-	// before hedging arms (default 8).
-	HedgeMinSamples int
 	// HedgeGrace is how long, after a winning leg returns, the attempt
 	// keeps waiting for outstanding legs to finish before cancelling them.
 	// The answer is not delayed by correctness needs — the winner's result
@@ -109,9 +104,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.EWMAAlpha <= 0 || o.EWMAAlpha > 1 {
-		o.EWMAAlpha = 0.3
-	}
 	if o.FailureThreshold <= 0 {
 		o.FailureThreshold = 3
 	}
@@ -129,9 +121,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HedgeMin <= 0 {
 		o.HedgeMin = time.Millisecond
-	}
-	if o.HedgeMinSamples <= 0 {
-		o.HedgeMinSamples = 8
 	}
 	return o
 }
@@ -239,7 +228,12 @@ type Logical struct {
 	hedgeWins atomic.Int64
 }
 
-const logicalRingSize = 64
+const (
+	logicalRingSize = 64
+	// hedgeMinSamples is how many logical exchanges must be observed before
+	// hedging arms.
+	hedgeMinSamples = 8
+)
 
 // NewLogical builds a logical source named name over the given replica
 // endpoints. Replicas must export compatible schemas; the logical
@@ -270,7 +264,7 @@ func NewLogical(name string, eps []*Endpoint, opts Options) (*Logical, error) {
 		caps.NativeSemijoin = caps.NativeSemijoin && c.NativeSemijoin
 		caps.PassedBindings = caps.PassedBindings && c.PassedBindings
 		caps.BloomSemijoin = caps.BloomSemijoin && c.BloomSemijoin
-		ep.health = newHealth(opts.EWMAAlpha)
+		ep.health = newHealth()
 		ep.brk = newBreaker(opts.FailureThreshold, opts.Cooldown)
 	}
 	l := &Logical{
@@ -466,7 +460,7 @@ func (l *Logical) hedgeDelay(tried map[*Endpoint]bool) time.Duration {
 	if len(tried) >= len(l.eps)-1 {
 		return 0
 	}
-	if l.ring.count() < l.opts.HedgeMinSamples {
+	if l.ring.count() < hedgeMinSamples {
 		return 0
 	}
 	d := l.ring.percentile(l.opts.HedgePercentile)

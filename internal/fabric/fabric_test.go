@@ -243,7 +243,7 @@ func TestHedgeBackupWinsAndLoserCancelled(t *testing.T) {
 	slow.delay = 200 * time.Millisecond
 	fast.delay = time.Millisecond
 	l := mustLogical(t, "R1", Options{Seed: 1, HedgeMin: 5 * time.Millisecond, HedgePercentile: 0.5}, slow, fast)
-	warmRing(l, 2*time.Millisecond, l.opts.HedgeMinSamples)
+	warmRing(l, 2*time.Millisecond, hedgeMinSamples)
 
 	cs := &CallStats{}
 	ctx := WithCallStats(context.Background(), cs)
@@ -294,7 +294,7 @@ func TestHedgedLegsAreChargedToTheCallersLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRing(l, 2*time.Millisecond, l.opts.HedgeMinSamples)
+	warmRing(l, 2*time.Millisecond, hedgeMinSamples)
 
 	var ledger netsim.Ledger
 	ctx := netsim.WithLedger(context.Background(), &ledger, 3)
@@ -321,7 +321,7 @@ func TestHedgeDisarmedWithoutHistoryOrReplicas(t *testing.T) {
 	if d := l.hedgeDelay(map[*Endpoint]bool{}); d != 0 {
 		t.Fatalf("hedge armed with no latency history: %v", d)
 	}
-	warmRing(l, time.Millisecond, l.opts.HedgeMinSamples)
+	warmRing(l, time.Millisecond, hedgeMinSamples)
 	if d := l.hedgeDelay(map[*Endpoint]bool{}); d == 0 {
 		t.Fatal("hedge not armed despite history and a spare replica")
 	}
@@ -330,7 +330,7 @@ func TestHedgeDisarmedWithoutHistoryOrReplicas(t *testing.T) {
 		t.Fatalf("hedge armed with no spare replica: %v", d)
 	}
 	single := mustLogical(t, "R2", Options{Seed: 1}, newStub("R2a"))
-	warmRing(single, time.Millisecond, single.opts.HedgeMinSamples)
+	warmRing(single, time.Millisecond, hedgeMinSamples)
 	if d := single.hedgeDelay(map[*Endpoint]bool{}); d != 0 {
 		t.Fatalf("hedge armed on single-replica source: %v", d)
 	}

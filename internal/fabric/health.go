@@ -64,18 +64,21 @@ func (r *latencyRing) percentile(p float64) time.Duration {
 // traffic immediately.
 type health struct {
 	mu     sync.Mutex
-	alpha  float64
 	ewma   float64 // seconds; 0 until the first observation
 	seeded bool
 	fails  int
 	recent *latencyRing
 }
 
-func newHealth(alpha float64) *health {
-	return &health{alpha: alpha, recent: newLatencyRing(endpointRingSize)}
+func newHealth() *health {
+	return &health{recent: newLatencyRing(endpointRingSize)}
 }
 
-const endpointRingSize = 64
+const (
+	endpointRingSize = 64
+	// ewmaAlpha is the latency EWMA's smoothing factor.
+	ewmaAlpha = 0.3
+)
 
 func (h *health) observe(d time.Duration) {
 	h.mu.Lock()
@@ -85,7 +88,7 @@ func (h *health) observe(d time.Duration) {
 		h.ewma = s
 		h.seeded = true
 	} else {
-		h.ewma = h.alpha*s + (1-h.alpha)*h.ewma
+		h.ewma = ewmaAlpha*s + (1-ewmaAlpha)*h.ewma
 	}
 	h.fails = 0
 	h.recent.observe(d)

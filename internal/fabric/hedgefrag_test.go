@@ -73,7 +73,7 @@ func TestHedgedExchangeGraftsFragmentsOnBothLegs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRing(l, 2*time.Millisecond, l.opts.HedgeMinSamples)
+	warmRing(l, 2*time.Millisecond, hedgeMinSamples)
 
 	tr := obs.NewTrace()
 	ctx := obs.With(context.Background(), &obs.Obs{QueryID: "q-hedge-frag", Trace: tr})

@@ -6,8 +6,8 @@
 // compatibility-shim pattern, where a context-free convenience method
 // delegates to its *Context twin:
 //
-//	func (m *Mediator) Query(sql string, opts Options) (*Answer, error) {
-//		return m.QueryContext(context.Background(), sql, opts)
+//	func (m *Mediator) QueryConds(conds []cond.Cond, opts Options) (*Answer, error) {
+//		return m.QueryCondsContext(context.Background(), conds, opts)
 //	}
 //
 // A Background/TODO call passed directly as an argument to a function or

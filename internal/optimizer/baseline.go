@@ -4,8 +4,8 @@ import (
 	"math"
 )
 
-// This file implements the Section 5 baselines: how existing optimizer
-// architectures process fusion queries. They exist so the experiments can
+// This file implements the Section 5 baseline: how resolution-based optimizer
+// architectures process fusion queries. It exists so the experiments can
 // quantify what the paper argues qualitatively.
 
 // JoinOverUnionReport describes what a resolution-based optimizer
@@ -47,32 +47,4 @@ func JoinOverUnion(pr *Problem) (JoinOverUnionReport, error) {
 		CSE:       filterRes,
 	}
 	return rep, nil
-}
-
-// UniformUnionFilter models optimizers that process union views uniformly
-// without semijoins (DB2, NonStop SQL/MP per Section 5): the plan space is
-// exactly the filter plans, so the best such plan is FILTER's output.
-func UniformUnionFilter(pr *Problem) (Result, error) {
-	res, err := Filter(pr)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Sketch.Class = "uniform-union-filter"
-	res.Plan.Class = "uniform-union-filter"
-	return res, nil
-}
-
-// UniformUnionSemijoin models the NonStop SQL/MX variant that combines
-// union and join processing and may use semijoins, but treats all members
-// of a union view alike: every source of a union view receives the same
-// kind of query. That plan space is exactly the semijoin plans, so the best
-// such plan is SJ's output.
-func UniformUnionSemijoin(pr *Problem) (Result, error) {
-	res, err := SJ(pr)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Sketch.Class = "uniform-union-semijoin"
-	res.Plan.Class = "uniform-union-semijoin"
-	return res, nil
 }

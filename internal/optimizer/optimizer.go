@@ -3,7 +3,7 @@
 // (referenced from the extended version [24]), the SJA+ postoptimizer
 // (Section 4: semijoin-set pruning with set difference, and loading entire
 // sources), an exhaustive oracle for small instances, and the Section 5
-// baselines (join-over-union distribution and uniform union handling).
+// join-over-union baseline.
 //
 // All algorithms consume a stats.CostTable, which provides the cost
 // functions sq_cost and sjq_cost in O(1) per invocation, and produce

@@ -590,26 +590,6 @@ func TestJoinOverUnionBlowup(t *testing.T) {
 	}
 }
 
-func TestUniformUnionBaselines(t *testing.T) {
-	pr := heterogeneousProblem(t)
-	uf, err := UniformUnionFilter(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	us, err := UniformUnionSemijoin(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, _ := Filter(pr)
-	sj, _ := SJ(pr)
-	if uf.Cost != f.Cost || us.Cost != sj.Cost {
-		t.Fatal("uniform-union baselines should equal FILTER and SJ")
-	}
-	if uf.Plan.Class != "uniform-union-filter" || us.Plan.Class != "uniform-union-semijoin" {
-		t.Fatal("baseline class labels missing")
-	}
-}
-
 func TestProblemValidate(t *testing.T) {
 	pr := mkProblem(t, 2, 2, selectiveFirstCards(2, 2), uniformProfiles(2, defaultProfile()))
 	if err := pr.Validate(); err != nil {

@@ -70,9 +70,6 @@ func (v Value) Str() string { return v.s }
 // IntVal returns the integer payload; valid only for KindInt.
 func (v Value) IntVal() int64 { return v.i }
 
-// FloatVal returns the float payload; valid only for KindFloat.
-func (v Value) FloatVal() float64 { return v.f }
-
 // BoolVal returns the boolean payload; valid only for KindBool.
 func (v Value) BoolVal() bool { return v.b }
 

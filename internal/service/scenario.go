@@ -29,10 +29,6 @@ type DeployConfig struct {
 	// Conds is the number of synthetic conditions (selectivity ramps from
 	// 0.2 to 0.6); default 3.
 	Conds int
-	// BaseLatency is source 0's link latency; source j gets
-	// BaseLatency*(1+j/2) so plans have real cost asymmetry to exploit.
-	// Default 2ms.
-	BaseLatency time.Duration
 	// RealTime, when positive, makes simulated exchanges take wall-clock
 	// time at that scale (1.0 = full simulated latency).
 	RealTime float64
@@ -85,10 +81,9 @@ func (cfg DeployConfig) Build() (*Deployment, error) {
 		return nil, fmt.Errorf("service: unknown scenario %q (want dmv or synth)", cfg.Scenario)
 	}
 
-	base := cfg.BaseLatency
-	if base <= 0 {
-		base = 2 * time.Millisecond
-	}
+	// Source 0's link latency; source j gets base*(1+j/2), so plans have
+	// real cost asymmetry to exploit.
+	const base = 2 * time.Millisecond
 	net := netsim.NewNetwork(cfg.Seed)
 	if cfg.RealTime > 0 {
 		net.SetRealTime(cfg.RealTime)

@@ -68,12 +68,6 @@ func IterOf(s Set, batch int) Iter {
 	return &setIter{items: s.items, batch: normBatch(batch)}
 }
 
-// IterSorted is IterOf over a slice the caller guarantees sorted and
-// duplicate-free; the slice is adopted, not copied.
-func IterSorted(items []string, batch int) Iter {
-	return &setIter{items: items, batch: normBatch(batch)}
-}
-
 func (it *setIter) Next(ctx context.Context) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
