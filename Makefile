@@ -75,8 +75,10 @@ bench:
 # union, one planning call with the statistics catalog warm, each optimizer
 # at three problem sizes, the static cost estimator on an SJA+ plan, and one
 # wire frame through the codec in each direction at a chunk's and an
-# answer's size, beside encoding/json on the same line. CI runs the same set
-# once per benchmark as a smoke.
+# answer's size, beside encoding/json on the same line, and the three caches:
+# a fully cached semijoin of 10^4 items split by the source-answer cache, a
+# hit on a full answer cache, and the store's Put at its bound. CI runs the
+# same set once per benchmark as a smoke.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'WrapperSelect|WrapperSemijoin|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem|Optimizers|PlanEstimate|FrameCodec' -benchmem \
-		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core ./internal/optimizer ./internal/plan ./internal/wire
+	$(GO) test -run '^$$' -bench 'WrapperSelect|WrapperSemijoin|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem|Optimizers|PlanEstimate|FrameCodec|CachePartition|AnswerCacheGet|StorePutAtBound' -benchmem \
+		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core ./internal/optimizer ./internal/plan ./internal/wire ./internal/service ./internal/lru

@@ -10,7 +10,9 @@
 // Flags:
 //
 //	-addr addr      listen address (default 127.0.0.1:7080)
-//	-admin addr     serve /metrics, /metrics.json and /healthz here
+//	-admin addr     serve /metrics, /metrics.json, /healthz and the flight
+//	                recorder's /debug/* (queries, traces, trace?qid=,
+//	                endpoints) here
 //	-scenario s     dmv | synth (default dmv)
 //	-sources n      synth: number of sources (default 4)
 //	-tuples n       synth: tuples per source (default 80)
@@ -75,7 +77,7 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:7080", "listen address")
-	flag.StringVar(&o.admin, "admin", "", "serve /metrics and /healthz on this address")
+	flag.StringVar(&o.admin, "admin", "", "serve /metrics, /healthz and /debug/* on this address")
 	flag.StringVar(&o.deploy.Scenario, "scenario", "dmv", "scenario: dmv | synth")
 	flag.IntVar(&o.deploy.Sources, "sources", 0, "synth: number of sources")
 	flag.IntVar(&o.deploy.Tuples, "tuples", 0, "synth: tuples per source")
@@ -153,12 +155,16 @@ func start(o options) (*service.Server, *obs.AdminServer, error) {
 	}
 	var admin *obs.AdminServer
 	if o.admin != "" {
-		admin, err = obs.ServeAdminConfig(o.admin, obs.AdminConfig{Registry: reg})
+		admin, err = obs.ServeAdminConfig(o.admin, obs.AdminConfig{
+			Registry:   reg,
+			Recorder:   dep.Mediator.Recorder(),
+			Scorecards: func() any { return dep.Mediator.Scorecards() },
+		})
 		if err != nil {
 			_ = srv.Close()
 			return nil, nil, err
 		}
-		fmt.Printf("admin endpoint on http://%s/metrics\n", admin.Addr())
+		fmt.Printf("admin endpoints on http://%s (/metrics, /healthz, /debug/*)\n", admin.Addr())
 	}
 	fmt.Printf("fqd serving %s scenario (%d sources, %d conditions) on %s\n",
 		o.deploy.Scenario, len(dep.Scenario.Sources), len(dep.Scenario.Conds), srv.Addr())

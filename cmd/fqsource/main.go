@@ -22,9 +22,11 @@
 // to -drain for in-flight requests to finish before forcing the remaining
 // connections closed. A second signal forces immediate shutdown.
 //
-// With -cache, selection, binding and native-semijoin answers are recorded
-// in an exec.Cache shared across every connection, so repeated identical
-// queries from any mediator are answered without touching the relation.
+// With -cache, selection and native-semijoin answers are recorded in an
+// exec.Cache shared across every connection (bounded by the bytes of the
+// items it holds, least recently used conditions forgotten first), so
+// repeated identical queries from any mediator are answered without touching
+// the relation; a binding is a binary search and goes to the relation.
 // The cache is only as fresh as the served CSV, which this process never
 // mutates, so it is always consistent here.
 //

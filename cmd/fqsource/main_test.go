@@ -37,7 +37,7 @@ func TestStartServesRelation(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cli, err := wire.Dial(srv.Addr())
+	cli, err := wire.DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestStartWithCache(t *testing.T) {
 
 	want := set.New("J55", "T80")
 	for i := 0; i < 2; i++ {
-		cli, err := wire.Dial(srv.Addr())
+		cli, err := wire.DialContext(context.Background(), srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestStartCapabilityTiers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tier, err)
 		}
-		cli, err := wire.Dial(srv.Addr())
+		cli, err := wire.DialContext(context.Background(), srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestStartWithAdmin(t *testing.T) {
 	defer srv.Close()
 	defer admin.Close()
 
-	cli, err := wire.Dial(srv.Addr())
+	cli, err := wire.DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestQueryCorrelationAcrossTwoServers(t *testing.T) {
 
 	var clients []*wire.Client
 	for _, srv := range servers {
-		cli, err := wire.Dial(srv.Addr())
+		cli, err := wire.DialContext(context.Background(), srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,8 +68,8 @@ func TestRunWithRemoteSource(t *testing.T) {
 	csvs := writeCSVs(t)
 	// Serve R3's data over TCP and mix it with two local CSVs.
 	sc := workload.DMV()
-	srv, err := wire.Serve(source.NewWrapper("remote3", source.NewRowBackend(sc.Relations[2]),
-		source.Capabilities{NativeSemijoin: true, PassedBindings: true}), "127.0.0.1:0")
+	srv, err := wire.ServeConfig(source.NewWrapper("remote3", source.NewRowBackend(sc.Relations[2]),
+		source.Capabilities{NativeSemijoin: true, PassedBindings: true}), "127.0.0.1:0", wire.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

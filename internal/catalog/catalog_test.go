@@ -79,8 +79,8 @@ func TestLoadAndBuild(t *testing.T) {
 func TestBuildWithRemoteSource(t *testing.T) {
 	dir := writeCatalogDir(t)
 	sc := workload.DMV()
-	srv, err := wire.Serve(source.NewWrapper("remote3", source.NewRowBackend(sc.Relations[2]),
-		source.Capabilities{NativeSemijoin: true, PassedBindings: true}), "127.0.0.1:0")
+	srv, err := wire.ServeConfig(source.NewWrapper("remote3", source.NewRowBackend(sc.Relations[2]),
+		source.Capabilities{NativeSemijoin: true, PassedBindings: true}), "127.0.0.1:0", wire.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,8 @@ func TestBuildWithRemoteSource(t *testing.T) {
 func TestBuildReplicatedSource(t *testing.T) {
 	dir := writeCatalogDir(t)
 	sc := workload.DMV()
-	srv, err := wire.Serve(source.NewWrapper("ca_b", source.NewRowBackend(sc.Relations[0]),
-		source.Capabilities{NativeSemijoin: true, PassedBindings: true}), "127.0.0.1:0")
+	srv, err := wire.ServeConfig(source.NewWrapper("ca_b", source.NewRowBackend(sc.Relations[0]),
+		source.Capabilities{NativeSemijoin: true, PassedBindings: true}), "127.0.0.1:0", wire.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +173,8 @@ func TestBuildReplicatedSource(t *testing.T) {
 func TestBuildReplicaDeadAtAssembly(t *testing.T) {
 	dir := writeCatalogDir(t)
 	sc := workload.DMV()
-	srv, err := wire.Serve(source.NewWrapper("ca_b", source.NewRowBackend(sc.Relations[0]),
-		source.Capabilities{NativeSemijoin: true, PassedBindings: true}), "127.0.0.1:0")
+	srv, err := wire.ServeConfig(source.NewWrapper("ca_b", source.NewRowBackend(sc.Relations[0]),
+		source.Capabilities{NativeSemijoin: true, PassedBindings: true}), "127.0.0.1:0", wire.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func TestCatalogSingleFlightAndEpochs(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			_, errs[k] = m.QueryConds(distinctConds(k), Options{})
+			_, errs[k] = m.QueryCondsContext(context.Background(), distinctConds(k), Options{})
 		}(k)
 	}
 	wg.Wait()
@@ -157,7 +157,7 @@ func TestCatalogSingleFlightAndEpochs(t *testing.T) {
 	if got := statsCalls(); !reflect.DeepEqual(got, []int{1, 1, 1, 1}) {
 		t.Fatalf("16 concurrent cold queries made %v stats exchanges by source, want one each", got)
 	}
-	if _, err := m.QueryConds(distinctConds(16), Options{}); err != nil {
+	if _, err := m.QueryCondsContext(context.Background(), distinctConds(16), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := statsCalls(); !reflect.DeepEqual(got, []int{1, 1, 1, 1}) {
@@ -166,7 +166,7 @@ func TestCatalogSingleFlightAndEpochs(t *testing.T) {
 
 	epoch := m.BumpEpoch()
 	for k := 17; k < 20; k++ {
-		if _, err := m.QueryConds(distinctConds(k), Options{}); err != nil {
+		if _, err := m.QueryCondsContext(context.Background(), distinctConds(k), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestCatalogSingleFlightAndEpochs(t *testing.T) {
 	if !m.RemoveSource("R2") {
 		t.Fatal("RemoveSource(R2) = false")
 	}
-	if _, err := m.QueryConds(distinctConds(20), Options{}); err != nil {
+	if _, err := m.QueryCondsContext(context.Background(), distinctConds(20), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := statsCalls(); !reflect.DeepEqual(got, []int{3, 2, 3, 3}) {
@@ -440,13 +440,13 @@ func TestCatalogRetriesTransientFailures(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := m.QueryConds(distinctConds(0), Options{}); !source.IsTransient(err) {
+	if _, err := m.QueryCondsContext(context.Background(), distinctConds(0), Options{}); !source.IsTransient(err) {
 		t.Fatalf("without retries: err = %v, want the transient failure", err)
 	}
 	if names, _ := catalogNames(m); names["R2"] {
 		t.Fatal("the failed build left an entry in the catalog")
 	}
-	ans, err := m.QueryConds(distinctConds(0), Options{Retries: 1})
+	ans, err := m.QueryCondsContext(context.Background(), distinctConds(0), Options{Retries: 1})
 	if err != nil {
 		t.Fatalf("Retries: 1: %v", err)
 	}

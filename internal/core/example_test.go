@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 
+	"fusionq/internal/cond"
 	"fusionq/internal/core"
 	"fusionq/internal/netsim"
 	"fusionq/internal/relation"
@@ -56,9 +57,9 @@ func ExampleMediator_Fetch() {
 	// Output: 2 answers, 5 full records
 }
 
-// ExampleMediator_QueryConds builds a mediator from scratch — schema,
+// ExampleMediator_QueryCondsContext builds a mediator from scratch — schema,
 // relation, wrapper — and queries with parsed conditions instead of SQL.
-func ExampleMediator_QueryConds() {
+func ExampleMediator_QueryCondsContext() {
 	schema := relation.MustSchema("ID",
 		relation.Column{Name: "ID", Kind: relation.KindString},
 		relation.Column{Name: "Score", Kind: relation.KindInt},
@@ -73,7 +74,7 @@ func ExampleMediator_QueryConds() {
 	if err := m.AddSourceLink(src, netsim.DefaultLink()); err != nil {
 		log.Fatal(err)
 	}
-	ans, err := m.Query(context.Background(), `SELECT u1.ID FROM U u1 WHERE u1.Score >= 5`, core.Options{})
+	ans, err := m.QueryCondsContext(context.Background(), []cond.Cond{cond.MustParse("Score >= 5")}, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestGroundTruthEquivalence(t *testing.T) {
 		}
 		for _, algo := range Algorithms() {
 			opts := Options{Algorithm: algo}
-			ans, err := med.QueryConds(sc.Conds, opts)
+			ans, err := med.QueryCondsContext(context.Background(), sc.Conds, opts)
 			if err != nil {
 				t.Fatalf("trial %d algo %s: %v", trial, algo, err)
 			}
@@ -126,7 +127,7 @@ func TestGroundTruthEquivalence(t *testing.T) {
 		}
 		// Combined-fetch answers and records must also agree with a direct
 		// per-source fetch of the ground truth.
-		ans, err := med.QueryConds(sc.Conds, Options{Algorithm: AlgoSJA, CombinedFetch: true})
+		ans, err := med.QueryCondsContext(context.Background(), sc.Conds, Options{Algorithm: AlgoSJA, CombinedFetch: true})
 		if err != nil {
 			t.Fatalf("trial %d combined: %v", trial, err)
 		}

@@ -164,7 +164,7 @@ func TestConcurrentQueries(t *testing.T) {
 func TestOverlappingQueriesAccountTheirOwnWork(t *testing.T) {
 	opts := Options{Algorithm: AlgoSJA}
 	m := dmvMediatorConns(t, true, 2)
-	alone, err := m.QueryConds(paperConds, opts)
+	alone, err := m.QueryCondsContext(context.Background(), paperConds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -563,12 +563,6 @@ func (m *Mediator) plan(ctx context.Context, r *roster, conds []cond.Cond, opts 
 	return algo(pr)
 }
 
-// QueryConds plans and executes a fusion query given as a condition list.
-// It is QueryCondsContext with a background context.
-func (m *Mediator) QueryConds(conds []cond.Cond, opts Options) (*Answer, error) {
-	return m.QueryCondsContext(context.Background(), conds, opts)
-}
-
 // QueryCondsContext plans and executes a fusion query given as a condition
 // list, under ctx.
 //
@@ -583,16 +577,11 @@ func (m *Mediator) QueryCondsContext(ctx context.Context, conds []cond.Cond, opt
 	})
 }
 
-// ErrStalePlan reports that a pre-optimized plan handed to QueryPlanned no
+// ErrStalePlan reports that a pre-optimized plan handed to QueryPlannedContext no
 // longer matches the mediator's roster: sources the plan references were
 // removed or reordered since it was optimized. Callers holding plan caches
 // should drop the plan and re-plan against the current roster.
 var ErrStalePlan = errors.New("core: plan stale against current roster")
-
-// QueryPlanned is QueryPlannedContext with a background context.
-func (m *Mediator) QueryPlanned(conds []cond.Cond, res optimizer.Result, opts Options) (*Answer, error) {
-	return m.QueryPlannedContext(context.Background(), conds, res, opts)
-}
 
 // QueryPlannedContext executes a previously optimized plan (from
 // Mediator.Plan), skipping the statistics catalog and optimization — the

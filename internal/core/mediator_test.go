@@ -90,7 +90,7 @@ func TestQueryStreaming(t *testing.T) {
 
 func TestQueryCondsDirect(t *testing.T) {
 	m := dmvMediator(t, false)
-	ans, err := m.QueryConds([]cond.Cond{
+	ans, err := m.QueryCondsContext(context.Background(), []cond.Cond{
 		cond.MustParse("V = 'dui'"),
 		cond.MustParse("V = 'sp'"),
 	}, Options{})
@@ -294,17 +294,17 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := m.Query(t.Context(), "not sql at all (", Options{}); err == nil {
 		t.Fatal("garbage should fail")
 	}
-	if _, err := m.QueryConds(nil, Options{}); err == nil {
+	if _, err := m.QueryCondsContext(context.Background(), nil, Options{}); err == nil {
 		t.Fatal("no conditions should fail")
 	}
-	if _, err := m.QueryConds([]cond.Cond{cond.MustParse("Zz = 1")}, Options{}); err == nil {
+	if _, err := m.QueryCondsContext(context.Background(), []cond.Cond{cond.MustParse("Zz = 1")}, Options{}); err == nil {
 		t.Fatal("condition on unknown attribute should fail")
 	}
-	if _, err := m.QueryConds([]cond.Cond{cond.MustParse("V = 'dui'")}, Options{Algorithm: "nope"}); err == nil {
+	if _, err := m.QueryCondsContext(context.Background(), []cond.Cond{cond.MustParse("V = 'dui'")}, Options{Algorithm: "nope"}); err == nil {
 		t.Fatal("unknown algorithm should fail")
 	}
 	empty := New(workload.DMVSchema())
-	if _, err := empty.QueryConds([]cond.Cond{cond.MustParse("V = 'dui'")}, Options{}); err == nil {
+	if _, err := empty.QueryCondsContext(context.Background(), []cond.Cond{cond.MustParse("V = 'dui'")}, Options{}); err == nil {
 		t.Fatal("no sources should fail")
 	}
 }

@@ -32,17 +32,17 @@ func TestQueryPlannedMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
-	fresh, err := m.QueryConds(conds, Options{})
+	fresh, err := m.QueryCondsContext(context.Background(), conds, Options{})
 	if err != nil {
-		t.Fatalf("QueryConds: %v", err)
+		t.Fatalf("QueryCondsContext: %v", err)
 	}
 	for _, streaming := range []bool{false, true} {
-		ans, err := m.QueryPlanned(conds, res, Options{Streaming: streaming})
+		ans, err := m.QueryPlannedContext(context.Background(), conds, res, Options{Streaming: streaming})
 		if err != nil {
-			t.Fatalf("QueryPlanned(streaming=%v): %v", streaming, err)
+			t.Fatalf("QueryPlannedContext(streaming=%v): %v", streaming, err)
 		}
 		if !ans.Items.Equal(fresh.Items) {
-			t.Fatalf("QueryPlanned(streaming=%v) = %v, want %v", streaming, ans.Items.Slice(), fresh.Items.Slice())
+			t.Fatalf("QueryPlannedContext(streaming=%v) = %v, want %v", streaming, ans.Items.Slice(), fresh.Items.Slice())
 		}
 		if ans.QueryID == "" {
 			t.Fatal("planned query got no query ID — instrumentation skipped")
@@ -66,11 +66,11 @@ func TestQueryPlannedStalePlan(t *testing.T) {
 	if m.RemoveSource(name) {
 		t.Fatal("second RemoveSource reported presence")
 	}
-	_, err = m.QueryPlanned(conds, res, Options{})
+	_, err = m.QueryPlannedContext(context.Background(), conds, res, Options{})
 	if !errors.Is(err, ErrStalePlan) {
-		t.Fatalf("QueryPlanned after removal = %v, want ErrStalePlan", err)
+		t.Fatalf("QueryPlannedContext after removal = %v, want ErrStalePlan", err)
 	}
-	if _, err := m.QueryPlanned(conds, optimizer.Result{}, Options{}); err == nil {
+	if _, err := m.QueryPlannedContext(context.Background(), conds, optimizer.Result{}, Options{}); err == nil {
 		t.Fatal("nil plan accepted")
 	}
 }

@@ -51,7 +51,7 @@ func TestReplicaKilledMidQueryFullAnswer(t *testing.T) {
 	network.ScheduleChurn([]netsim.ChurnEvent{
 		{At: 0, Source: logical.Endpoints()[0].Name(), Kind: netsim.ChurnKill},
 	})
-	ans, err := m.QueryConds(paperConds, Options{Algorithm: AlgoFilter, Retries: 1})
+	ans, err := m.QueryCondsContext(context.Background(), paperConds, Options{Algorithm: AlgoFilter, Retries: 1})
 	if err != nil {
 		t.Fatalf("query with one dead replica: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestRosterRepairAfterLogicalSourceDies(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ans, err := ref.QueryConds(conds, opts)
+		ans, err := ref.QueryCondsContext(context.Background(), conds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestRosterRepairAfterLogicalSourceDies(t *testing.T) {
 		t.Fatalf("warming the catalog: %v", err)
 	}
 	network.Reset()
-	dry, err := m.QueryConds(conds, opts)
+	dry, err := m.QueryCondsContext(context.Background(), conds, opts)
 	if err != nil {
 		t.Fatalf("dry run: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestRosterRepairAfterLogicalSourceDies(t *testing.T) {
 		{At: killAt, Source: logical.Endpoints()[0].Name(), Kind: netsim.ChurnKill},
 		{At: killAt, Source: logical.Endpoints()[1].Name(), Kind: netsim.ChurnKill},
 	})
-	ans, err := m.QueryConds(conds, opts)
+	ans, err := m.QueryCondsContext(context.Background(), conds, opts)
 	if err != nil {
 		t.Fatalf("repaired query: %v", err)
 	}

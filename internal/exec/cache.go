@@ -5,21 +5,18 @@ import (
 	"sync"
 
 	"fusionq/internal/cond"
+	"fusionq/internal/lru"
 	"fusionq/internal/obs"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
 )
 
-// Cache is the mediator-side answer cache consulted before any selection or
-// binding query. It holds two structures per (source, canonical condition)
-// pair:
-//
-//   - a selection-result cache: the full item set sq(c, R) returned by a
-//     completed selection, which answers membership for EVERY item (a
-//     selection is complete, so absence means "does not satisfy");
-//   - a tri-state membership cache: per-item verdicts learned from
-//     passed-binding selections and native semijoins, where only the probed
-//     items are known and everything else stays unknown.
+// Cache is the source-answer cache consulted before any selection or
+// semijoin: one keying of the lru store, an entry per (source, canonical
+// condition) holding what is known of that condition there, as sets. A
+// completed selection knows everything (absence means "does not satisfy");
+// a semijoin, native or emulated, knows the items it probed, and everything
+// else stays unknown.
 //
 // Sources are autonomous (Section 2.1): a cached answer is only guaranteed
 // consistent with the source as of the exchange that produced it. The cache
@@ -27,115 +24,58 @@ import (
 // for the duration of a plan, exactly the assumption the optimizer's
 // statistics already make) and is a freshness trade-off across queries;
 // callers that share a Cache across queries own the decision of when to
-// drop it (the mediator keeps one per roster epoch). All methods are safe for concurrent use — the scheduler consults
-// the cache from many binding workers at once.
+// drop it (the mediator keeps one per roster epoch). A nil Cache knows
+// nothing and keeps nothing. All methods are safe for concurrent use, each
+// one lock and one rendering of the condition.
 type Cache struct {
-	mu sync.Mutex
-	// selects maps source -> condition -> complete selection result.
-	selects map[string]map[string]set.Set
-	// members maps source -> condition -> item -> verdict.
-	members map[string]map[string]map[string]bool
-	// entries counts what both maps hold, against maxCacheEntries.
-	entries int
-
-	hits   int
-	misses int
+	mu    sync.Mutex
+	store *lru.Store[cacheKey, known]
 }
 
-// maxCacheEntries bounds the cache, selection results and membership
-// verdicts together. A CachedSource behind a public listener (fqsource
-// -cache) stores an entry for every distinct (condition, item) a peer sends,
-// so without a bound a peer chooses the process's memory. At the bound
-// everything is dropped: the answers are fetched again, never wrong.
-const maxCacheEntries = 1 << 16
+// cacheKey is a source's name and Cond.String, which renders the parsed
+// tree: equal conditions render equally whatever the original SQL spelling.
+type cacheKey struct{ src, cond string }
+
+// known is what the cache holds of one condition at one source: the items
+// that satisfy it, the items that do not, and whether yes is all there are.
+type known struct {
+	yes, no  set.Set
+	complete bool
+}
+
+// maxCacheBytes bounds the cache in the unit PeakBytes and the answer cache
+// count: set.Bytes of the items held, plus each entry's key. A CachedSource
+// behind a public listener (fqsource -cache) stores what any peer asks
+// about, so without a bound a peer chooses the process's memory. Past it the
+// least recently used conditions are forgotten, and a condition that alone
+// outgrows it is forgotten itself: the answers are fetched again, never
+// wrong.
+const maxCacheBytes = 8 << 20
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	c := &Cache{}
-	c.drop()
-	return c
+	return &Cache{store: lru.New[cacheKey, known](0, maxCacheBytes, nil)}
 }
 
-// drop forgets every cached answer; the caller holds the lock (or owns c).
-func (c *Cache) drop() {
-	c.selects = map[string]map[string]set.Set{}
-	c.members = map[string]map[string]map[string]bool{}
-	c.entries = 0
+// keyOf renders the key; callers do it before taking the lock.
+func keyOf(src string, cd cond.Cond) cacheKey { return cacheKey{src, cd.String()} }
+
+// put stores k under key at its cost; the caller holds the lock.
+func (c *Cache) put(key cacheKey, k known) {
+	c.store.Put(key, k, int64(len(key.src)+len(key.cond)+k.yes.Bytes()+k.no.Bytes()))
 }
 
-// admit accounts one new entry, making room first when the cache is full;
-// the caller holds the lock and adds the entry afterwards.
-func (c *Cache) admit() {
-	if c.entries >= maxCacheEntries {
-		c.drop()
-	}
-	c.entries++
-}
-
-// CacheStats is a snapshot of the cache's hit/miss counters. A "hit" is one
-// source query avoided (a whole selection, or one binding probe); a "miss"
-// is a consultation that had to go to the source.
-type CacheStats struct {
-	Hits   int
-	Misses int
-}
-
-// Stats returns the accumulated counters.
-func (c *Cache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses}
-}
-
-// Clear drops all cached answers and counters. Call it when cached source
-// state must be considered stale (the sources are autonomous and may have
-// changed).
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.drop()
-	c.hits = 0
-	c.misses = 0
-}
-
-// Len reports how many cached selection results and membership verdicts the
-// cache holds.
-func (c *Cache) Len() (selections, memberships int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range c.selects {
-		selections += len(m)
-	}
-	for _, m := range c.members {
-		for _, items := range m {
-			memberships += len(items)
-		}
-	}
-	return selections, memberships
-}
-
-// condKey canonicalizes a condition for cache keying. Cond.String renders
-// the parsed tree, so equal conditions render equally regardless of the
-// original SQL spelling.
-func condKey(c cond.Cond) string { return c.String() }
-
-// Select returns the cached sq(c, src) result, counting a hit or miss.
+// Select returns the cached sq(cd, src) result, when a completed selection
+// is what the cache knows.
 func (c *Cache) Select(src string, cd cond.Cond) (set.Set, bool) {
 	if c == nil {
 		return set.Set{}, false
 	}
+	key := keyOf(src, cd)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out, ok := c.selects[src][condKey(cd)]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return out, ok
+	k, _ := c.store.Get(key)
+	return k.yes, k.complete
 }
 
 // PutSelect stores a complete selection result.
@@ -143,115 +83,57 @@ func (c *Cache) PutSelect(src string, cd cond.Cond, out set.Set) {
 	if c == nil {
 		return
 	}
+	key := keyOf(src, cd)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := condKey(cd)
-	if _, ok := c.selects[src][key]; !ok {
-		c.admit()
-	}
-	m, ok := c.selects[src]
-	if !ok {
-		m = map[string]set.Set{}
-		c.selects[src] = m
-	}
-	m[key] = out
+	c.put(key, known{yes: out, complete: true})
 }
 
-// Lookup answers the membership question "does item satisfy cd at src?"
-// from cached state: known reports whether the cache can answer at all, and
-// match is the verdict when it can. A cached complete selection answers for
-// every item; otherwise only explicitly probed items are known. Counts a hit
-// when known, a miss otherwise.
-func (c *Cache) Lookup(src string, cd cond.Cond, item string) (match, known bool) {
+// Partition splits y by cached knowledge of cd at src into the items known
+// to satisfy it and the items whose verdict is unknown (items known NOT to
+// satisfy are dropped — they cannot be in the semijoin result). One
+// consultation per item of y: len(y) - len(unknown) of them are hits.
+func (c *Cache) Partition(src string, cd cond.Cond, y set.Set) (knownTrue, unknown set.Set) {
 	if c == nil {
-		return false, false
+		return set.Set{}, y
 	}
+	key := keyOf(src, cd)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := condKey(cd)
-	if sel, ok := c.selects[src][key]; ok {
-		c.hits++
-		return sel.Contains(item), true
+	k, _ := c.store.Get(key)
+	c.mu.Unlock()
+	// Sets are immutable, so the algebra runs outside the lock.
+	knownTrue = y.Intersect(k.yes)
+	if !k.complete {
+		unknown = y.Diff(k.yes).Diff(k.no)
 	}
-	if v, ok := c.members[src][key][item]; ok {
-		c.hits++
-		return v, true
-	}
-	c.misses++
-	return false, false
-}
-
-// PutMembership records one probed item's verdict.
-func (c *Cache) PutMembership(src string, cd cond.Cond, item string, match bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.put(src, condKey(cd), item, match)
+	return knownTrue, unknown
 }
 
 // PutSemijoin records the verdict of every item of a completed semijoin
 // sjq(cd, src, y) with result out ⊆ y: members of out satisfy cd, the rest
 // of y do not.
 func (c *Cache) PutSemijoin(src string, cd cond.Cond, y, out set.Set) {
-	if c == nil {
+	if c == nil || y.IsEmpty() {
 		return
 	}
+	key := keyOf(src, cd)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := condKey(cd)
-	for _, item := range y.Items() {
-		c.put(src, key, item, out.Contains(item))
+	k, _ := c.store.Get(key)
+	if k.complete {
+		return
 	}
+	c.put(key, known{yes: k.yes.Union(out), no: k.no.Union(y.Diff(out))})
 }
 
-// put stores one verdict; the caller holds the lock.
-func (c *Cache) put(src, key, item string, match bool) {
-	if _, ok := c.members[src][key][item]; !ok {
-		c.admit()
-	}
-	bySrc, ok := c.members[src]
-	if !ok {
-		bySrc = map[string]map[string]bool{}
-		c.members[src] = bySrc
-	}
-	byCond, ok := bySrc[key]
-	if !ok {
-		byCond = map[string]bool{}
-		bySrc[key] = byCond
-	}
-	byCond[item] = match
-}
-
-// Partition splits y by cached knowledge of cd at src into the items known
-// to satisfy it, and the items whose verdict is unknown (items known NOT to
-// satisfy are dropped — they cannot be in the semijoin result). The hit/miss
-// counters account one consultation per item of y.
-func (c *Cache) Partition(src string, cd cond.Cond, y set.Set) (knownTrue set.Set, unknown set.Set) {
-	if c == nil {
-		return set.Set{}, y
-	}
-	var trues, unk []string
-	for _, item := range y.Items() {
-		match, known := c.Lookup(src, cd, item)
-		switch {
-		case known && match:
-			trues = append(trues, item)
-		case !known:
-			unk = append(unk, item)
-		}
-	}
-	return set.FromSorted(trues), set.FromSorted(unk)
-}
-
-// CachedSource is the caching layer: selection, binding and semijoin queries
-// are answered from (and recorded into) a shared Cache. It lets a long-lived
+// CachedSource is the caching layer: selection and semijoin queries are
+// answered from (and recorded into) a shared Cache. It lets a long-lived
 // endpoint — the wire server of cmd/fqsource, or any roster shared across
 // mediator queries — skip repeated identical source traffic. Every other
-// operation passes through uncached: records are not what the cache holds,
-// and a Bloom semijoin's filter is set-specific and its answer carries false
-// positives.
+// operation passes through uncached: records are not what the cache holds, a
+// Bloom semijoin's filter is set-specific and its answer carries false
+// positives, and one binding against an ordered view is a binary search,
+// which a cache consultation does not beat.
 type CachedSource struct {
 	source.Layer
 	cache *Cache
@@ -266,9 +148,6 @@ func NewCachedSource(src source.Source, cache *Cache) *CachedSource {
 	s.Layer = source.Over(src, s.exchange)
 	return s
 }
-
-// Cache returns the underlying cache (for stats and Clear).
-func (s *CachedSource) Cache() *Cache { return s.cache }
 
 // meterCache emits hit/miss counters for one cache consultation to the
 // context's registry (a no-op without one).
@@ -300,17 +179,6 @@ func (s *CachedSource) exchange(ctx context.Context, call source.Call) (source.R
 		reply, err := source.Do(ctx, s.Source, call)
 		if err == nil && !call.Streamed() {
 			s.cache.PutSelect(name, c, reply.Items)
-		}
-		return reply, err
-	case call.Op == source.OpBinding:
-		if match, known := s.cache.Lookup(name, c, call.Item); known {
-			s.meterCache(ctx, 1, 0)
-			return source.Reply{Match: match}, nil
-		}
-		s.meterCache(ctx, 0, 1)
-		reply, err := source.Do(ctx, s.Source, call)
-		if err == nil {
-			s.cache.PutMembership(name, c, call.Item, reply.Match)
 		}
 		return reply, err
 	case call.Op == source.OpSemi:

@@ -21,6 +21,23 @@ func mustCond(t *testing.T, s string) cond.Cond {
 	return c
 }
 
+// lookup asks the cache the membership question "does item satisfy cd at
+// src?" the way the executor does, as a one-item Partition: known reports
+// whether the cache can answer at all, match the verdict when it can.
+func lookup(c *Cache, src string, cd cond.Cond, item string) (match, known bool) {
+	knownTrue, unknown := c.Partition(src, cd, set.New(item))
+	return knownTrue.Contains(item), !unknown.Contains(item)
+}
+
+// putMembership records one probed item's verdict, as a one-item semijoin.
+func putMembership(c *Cache, src string, cd cond.Cond, item string, match bool) {
+	out := set.Set{}
+	if match {
+		out = set.New(item)
+	}
+	c.PutSemijoin(src, cd, set.New(item), out)
+}
+
 func TestCacheSelectRoundTrip(t *testing.T) {
 	c := NewCache()
 	cd := mustCond(t, "V = 'dui'")
@@ -36,51 +53,56 @@ func TestCacheSelectRoundTrip(t *testing.T) {
 	if _, ok := c.Select("r2", cd); ok {
 		t.Fatal("selection leaked across sources")
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 1 hit, 2 misses", st)
+	// Probed verdicts are not a selection: only a complete one answers.
+	putMembership(c, "r3", cd, "a", true)
+	if _, ok := c.Select("r3", cd); ok {
+		t.Fatal("a probed item answered a whole selection")
 	}
 }
 
 func TestCacheMembershipTriState(t *testing.T) {
 	c := NewCache()
 	cd := mustCond(t, "V = 'sp'")
-	if _, known := c.Lookup("r1", cd, "x"); known {
+	if _, known := lookup(c, "r1", cd, "x"); known {
 		t.Fatal("empty cache knows a verdict")
 	}
-	c.PutMembership("r1", cd, "x", true)
-	c.PutMembership("r1", cd, "y", false)
-	if match, known := c.Lookup("r1", cd, "x"); !known || !match {
+	putMembership(c, "r1", cd, "x", true)
+	putMembership(c, "r1", cd, "y", false)
+	if match, known := lookup(c, "r1", cd, "x"); !known || !match {
 		t.Fatalf("x = %v,%v; want true,true", match, known)
 	}
-	if match, known := c.Lookup("r1", cd, "y"); !known || match {
+	if match, known := lookup(c, "r1", cd, "y"); !known || match {
 		t.Fatalf("y = %v,%v; want false,true", match, known)
 	}
-	if _, known := c.Lookup("r1", cd, "z"); known {
+	if _, known := lookup(c, "r1", cd, "z"); known {
 		t.Fatal("unprobed item z should stay unknown")
 	}
 }
 
 // TestCacheSelectionAnswersAllMemberships checks the completeness rule: a
 // cached selection result is a complete answer, so it decides membership for
-// every item — absent means "does not satisfy".
+// every item — absent means "does not satisfy" — and probing adds nothing.
 func TestCacheSelectionAnswersAllMemberships(t *testing.T) {
 	c := NewCache()
 	cd := mustCond(t, "V = 'dui'")
 	c.PutSelect("r1", cd, set.New("a"))
-	if match, known := c.Lookup("r1", cd, "a"); !known || !match {
+	if match, known := lookup(c, "r1", cd, "a"); !known || !match {
 		t.Fatalf("a = %v,%v; want member", match, known)
 	}
-	if match, known := c.Lookup("r1", cd, "nope"); !known || match {
+	if match, known := lookup(c, "r1", cd, "nope"); !known || match {
 		t.Fatalf("nope = %v,%v; selection completeness should answer false", match, known)
+	}
+	c.PutSemijoin("r1", cd, set.New("a", "nope"), set.New("a"))
+	if out, ok := c.Select("r1", cd); !ok || !out.Equal(set.New("a")) {
+		t.Fatalf("Select after a semijoin = %v, %v; want the selection kept", out, ok)
 	}
 }
 
 func TestCachePartition(t *testing.T) {
 	c := NewCache()
 	cd := mustCond(t, "V = 'sp'")
-	c.PutMembership("r1", cd, "t", true)
-	c.PutMembership("r1", cd, "f", false)
+	putMembership(c, "r1", cd, "t", true)
+	putMembership(c, "r1", cd, "f", false)
 	knownTrue, unknown := c.Partition("r1", cd, set.New("t", "f", "u"))
 	if !knownTrue.Equal(set.New("t")) {
 		t.Fatalf("knownTrue = %v, want {t}", knownTrue)
@@ -100,27 +122,9 @@ func TestCachePutSemijoin(t *testing.T) {
 		item string
 		want bool
 	}{{"a", false}, {"b", true}, {"c", false}} {
-		if match, known := c.Lookup("r1", cd, tc.item); !known || match != tc.want {
+		if match, known := lookup(c, "r1", cd, tc.item); !known || match != tc.want {
 			t.Fatalf("%s = %v,%v; want %v,true", tc.item, match, known, tc.want)
 		}
-	}
-}
-
-func TestCacheClearAndLen(t *testing.T) {
-	c := NewCache()
-	cd := mustCond(t, "V = 'dui'")
-	c.PutSelect("r1", cd, set.New("a"))
-	c.PutMembership("r2", cd, "x", true)
-	c.PutMembership("r2", cd, "y", false)
-	if sel, mem := c.Len(); sel != 1 || mem != 2 {
-		t.Fatalf("Len = %d,%d; want 1,2", sel, mem)
-	}
-	c.Clear()
-	if sel, mem := c.Len(); sel != 0 || mem != 0 {
-		t.Fatalf("Len after Clear = %d,%d; want 0,0", sel, mem)
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("stats after Clear = %+v, want zeros", st)
 	}
 }
 
@@ -133,17 +137,10 @@ func TestNilCacheIsNoop(t *testing.T) {
 		t.Fatal("nil cache hit a selection")
 	}
 	c.PutSelect("r1", cd, set.New("a"))
-	c.PutMembership("r1", cd, "a", true)
 	c.PutSemijoin("r1", cd, set.New("a"), set.New("a"))
-	if _, known := c.Lookup("r1", cd, "a"); known {
-		t.Fatal("nil cache knows a verdict")
-	}
 	knownTrue, unknown := c.Partition("r1", cd, set.New("a", "b"))
 	if !knownTrue.IsEmpty() || !unknown.Equal(set.New("a", "b")) {
 		t.Fatalf("nil Partition = %v,%v; want nothing known", knownTrue, unknown)
-	}
-	if st := c.Stats(); st != (CacheStats{}) {
-		t.Fatalf("nil Stats = %+v, want zero", st)
 	}
 }
 
@@ -157,15 +154,18 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				item := workload.ItemName(i % 50)
-				c.PutMembership("r1", cd, item, i%2 == 0)
-				c.Lookup("r1", cd, item)
-				c.Partition("r1", cd, set.New(item))
+				putMembership(c, "r1", cd, item, i%2 == 0)
+				lookup(c, "r1", cd, item)
+				c.PutSelect("r2", cd, set.New(item))
+				c.Select("r2", cd)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if _, mem := c.Len(); mem != 50 {
-		t.Fatalf("memberships = %d, want 50", mem)
+	for i := 0; i < 50; i++ {
+		if match, known := lookup(c, "r1", cd, workload.ItemName(i)); !known || match != (i%2 == 0) {
+			t.Fatalf("item %d = %v,%v; want %v,true", i, match, known, i%2 == 0)
+		}
 	}
 }
 
@@ -200,8 +200,8 @@ func (s *countingSource) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (
 }
 
 // TestCachedSource checks the decorator used by long-lived endpoints: a
-// repeated selection, binding, or fully-covered semijoin reaches the inner
-// source only once.
+// repeated selection or fully-covered semijoin reaches the inner source
+// only once, and a binding passes through.
 func TestCachedSource(t *testing.T) {
 	sc := workload.DMV()
 	inner := &countingSource{Source: sc.Sources[0]}
@@ -223,8 +223,8 @@ func TestCachedSource(t *testing.T) {
 		t.Fatalf("inner selects = %d, want 1 (second answered from cache)", inner.selects)
 	}
 
-	// The cached selection is complete, so any binding probe and any
-	// semijoin over probed items answer locally too.
+	// The cached selection is complete, so any semijoin over its items
+	// answers locally too; a binding is the source's to answer.
 	if !first.IsEmpty() {
 		item := first.Items()[0]
 		ok, err := cs.SelectBinding(context.Background(), cd, item)
@@ -234,8 +234,8 @@ func TestCachedSource(t *testing.T) {
 		if !ok {
 			t.Fatalf("binding %s should match — it came from the selection", item)
 		}
-		if inner.bindings != 0 {
-			t.Fatalf("inner bindings = %d, want 0", inner.bindings)
+		if inner.bindings != 1 {
+			t.Fatalf("inner bindings = %d, want 1 (a binding passes through)", inner.bindings)
 		}
 		out, err := cs.Semijoin(context.Background(), cd, first)
 		if err != nil {
@@ -251,9 +251,9 @@ func TestCachedSource(t *testing.T) {
 }
 
 // TestCacheBounded floods a CachedSource the way a peer of fqsource -cache
-// can: more distinct bindings than the cache admits. The cache stays under
-// its bound, keeps its counters across the drop, and answers correctly after
-// it.
+// can: semijoins over more distinct items than the cache may hold. The cache
+// stays under its byte bound (the one condition that outgrew it is
+// forgotten) and answers correctly afterwards.
 func TestCacheBounded(t *testing.T) {
 	sc := workload.DMV()
 	cs := NewCachedSource(sc.Sources[0], NewCache())
@@ -262,29 +262,96 @@ func TestCacheBounded(t *testing.T) {
 	if err != nil || want.IsEmpty() {
 		t.Fatalf("sq = %v, %v", want, err)
 	}
-	const flood = maxCacheEntries + 1000
-	for i := 0; i < flood; i++ {
-		if ok, err := cs.SelectBinding(ctx, cd, fmt.Sprintf("X%07d", i)); err != nil || ok {
-			t.Fatalf("binding %d = %v, %v", i, ok, err)
-		}
-		if i%1000 == 0 || i == flood-1 {
-			if sel, mem := cs.Cache().Len(); sel+mem > maxCacheEntries {
-				t.Fatalf("after %d bindings the cache holds %d entries, bound %d", i+1, sel+mem, maxCacheEntries)
-			}
-		}
+	const perCall, itemBytes = 10000, 64
+	held := func() int64 {
+		cs.cache.mu.Lock()
+		defer cs.cache.mu.Unlock()
+		return cs.cache.store.Bytes()
 	}
-	if sel, mem := cs.Cache().Len(); sel+mem != flood-maxCacheEntries {
-		t.Fatalf("the cache holds %d entries, want the %d stored since it dropped everything", sel+mem, flood-maxCacheEntries)
-	}
-	if st := cs.Cache().Stats(); st.Misses != flood {
-		t.Fatalf("stats = %+v, want the %d misses kept across the drop", st, flood)
-	}
-	for _, item := range want.Items() {
-		if ok, err := cs.SelectBinding(ctx, cd, item); err != nil || !ok {
-			t.Fatalf("binding %s after the drop = %v, %v", item, ok, err)
+	grew, shrank := false, false
+	for sent, n := 0, 0; sent < 2*maxCacheBytes; n++ {
+		items := make([]string, perCall)
+		for i := range items {
+			items[i] = fmt.Sprintf("X%0*d", itemBytes-1, n*perCall+i)
 		}
+		before := held()
+		if out, err := cs.Semijoin(ctx, cd, set.FromSorted(items)); err != nil || !out.IsEmpty() {
+			t.Fatalf("semijoin %d = %v, %v", n, out, err)
+		}
+		sent += perCall * itemBytes
+		after := held()
+		if after > maxCacheBytes {
+			t.Fatalf("after %d bytes of items the cache holds %d, bound %d", sent, after, maxCacheBytes)
+		}
+		grew, shrank = grew || after > before, shrank || after < before
+	}
+	if !grew || !shrank {
+		t.Fatalf("grew = %v, shrank = %v: the flood never reached the bound", grew, shrank)
+	}
+	if got, err := cs.Semijoin(ctx, cd, want); err != nil || !got.Equal(want) {
+		t.Fatalf("sjq after the flood = %v, %v, want %v", got, err, want)
 	}
 	if got, err := cs.Select(ctx, cd); err != nil || !got.Equal(want) {
-		t.Fatalf("sq after the drop = %v, %v, want %v", got, err, want)
+		t.Fatalf("sq after the flood = %v, %v, want %v", got, err, want)
+	}
+}
+
+// TestCacheBoundIsBytes: the bound counts items' bytes, not answers. A
+// hundred selections of 10^4 items are sixteen megabytes of items; the cache
+// keeps the most recently used of them that fit and forgets the rest.
+func TestCacheBoundIsBytes(t *testing.T) {
+	const selections, perSelection = 100, 10000
+	items := make([]string, perSelection)
+	for i := range items {
+		items[i] = fmt.Sprintf("ITEM%012d", i)
+	}
+	answer := set.FromSorted(items)
+	c := NewCache()
+	conds := make([]cond.Cond, selections)
+	for i := range conds {
+		conds[i] = mustCond(t, fmt.Sprintf("D = %d", i))
+		c.PutSelect("r1", conds[i], answer)
+		if c.store.Bytes() > maxCacheBytes {
+			t.Fatalf("after %d selections the cache holds %d bytes, bound %d", i+1, c.store.Bytes(), maxCacheBytes)
+		}
+	}
+	if total := int64(selections * answer.Bytes()); total <= maxCacheBytes {
+		t.Fatalf("the test's selections total %d bytes, under the bound %d: nothing was asked of it", total, maxCacheBytes)
+	}
+	if kept := c.store.Len(); kept < maxCacheBytes/answer.Bytes()-1 || kept >= selections {
+		t.Fatalf("the cache kept %d of %d selections", kept, selections)
+	}
+	if _, ok := c.Select("r1", conds[selections-1]); !ok {
+		t.Fatal("the most recent selection was forgotten")
+	}
+	if _, ok := c.Select("r1", conds[0]); ok {
+		t.Fatal("the least recent selection is still held")
+	}
+}
+
+// BenchmarkCachePartition is what answering a fully cached semijoin costs: a
+// Y of 10^4 items split against the verdicts a previous semijoin over the
+// same Y left (half satisfy), every item known.
+func BenchmarkCachePartition(b *testing.B) {
+	const n = 10000
+	items, out := make([]string, n), make([]string, 0, n/2)
+	for i := range items {
+		items[i] = workload.ItemName(i)
+		if i%2 == 0 {
+			out = append(out, items[i])
+		}
+	}
+	cd, err := cond.Parse("V = 'sp'")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, y := NewCache(), set.FromSorted(items)
+	c.PutSemijoin("r1", cd, y, set.FromSorted(out))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if knownTrue, unknown := c.Partition("r1", cd, y); knownTrue.Len() != n/2 || !unknown.IsEmpty() {
+			b.Fatalf("Partition = %d known true, %d unknown", knownTrue.Len(), unknown.Len())
+		}
 	}
 }

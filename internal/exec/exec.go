@@ -26,9 +26,9 @@
 // queries and simulated work already paid for, alongside an error wrapping
 // ctx.Err().
 //
-// A mediator-side answer cache (cache.go) can be attached to either
-// scheduler: selection results and per-item membership verdicts learned from
-// earlier queries answer repeated work without source traffic.
+// A mediator-side source-answer cache (cache.go) can be attached to either
+// scheduler: selection results and the verdicts semijoins learned in earlier
+// queries answer repeated work without source traffic.
 package exec
 
 import (
@@ -65,8 +65,8 @@ type Executor struct {
 	// TotalWork, which the experiments' sequential columns, the oracle's
 	// seq mode and the tests compare an overlapped run against.
 	Parallel bool
-	// Cache, when set, is consulted before every selection and binding
-	// query and filters semijoin sets down to items with unknown verdicts.
+	// Cache, when set, is consulted before every selection and filters
+	// semijoin sets down to items with unknown verdicts.
 	// Sharing one Cache across runs (adaptive rounds, repeated mediator
 	// queries) lets later executions skip source traffic; see Cache for the
 	// freshness caveats with autonomous sources.

@@ -159,16 +159,16 @@ func (q *queryStats) add(o queryStats) {
 // leaking goroutines. Every attempt that reached the source is charged in
 // agg.queries, so measured SourceQueries reflect genuine traffic.
 func (r *run) bindings(ctx context.Context, j int, c cond.Cond, items []string, agg *queryStats) (set.Set, error) {
-	src, cache := r.e.Sources[j], r.e.Cache
+	src := r.e.Sources[j]
 	workers := r.conns[j]
 	if workers > len(items) {
 		workers = len(items)
 	}
 	var (
-		mu       sync.Mutex // guards next, firstErr, matched and agg
+		mu       sync.Mutex // guards next, firstErr, verdict and agg
 		next     int
 		firstErr error
-		matched  = make([]bool, len(items))
+		verdict  = make([]int8, len(items)) // 0 not probed, +1 matches, -1 does not
 		wg       sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
@@ -209,21 +209,32 @@ func (r *run) bindings(ctx context.Context, j int, c cond.Cond, items []string, 
 					mu.Unlock()
 					return
 				}
-				matched[i] = ok
+				verdict[i] = -1
+				if ok {
+					verdict[i] = 1
+				}
 				mu.Unlock()
-				cache.PutMembership(src.Name(), c, items[i], ok)
 			}
 		}()
 	}
 	wg.Wait()
+	// What was learned is recorded once, after the fan-out: all of items, or
+	// the bindings that completed when one failed.
+	probed, out := items, make([]string, 0, len(items))
 	if firstErr != nil {
-		return set.Set{}, firstErr
+		probed = nil
 	}
-	out := make([]string, 0, len(items))
-	for i, ok := range matched {
-		if ok {
+	for i, v := range verdict {
+		if v > 0 {
 			out = append(out, items[i])
 		}
+		if v != 0 && firstErr != nil {
+			probed = append(probed, items[i])
+		}
+	}
+	r.e.Cache.PutSemijoin(src.Name(), c, set.FromSorted(probed), set.FromSorted(out))
+	if firstErr != nil {
+		return set.Set{}, firstErr
 	}
 	return set.FromSorted(out), nil
 }

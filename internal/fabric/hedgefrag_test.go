@@ -54,7 +54,7 @@ func TestHedgedExchangeGraftsFragmentsOnBothLegs(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = srv.Close() })
-		cli, err := wire.Dial(srv.Addr())
+		cli, err := wire.DialContext(context.Background(), srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}

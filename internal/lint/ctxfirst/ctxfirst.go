@@ -2,22 +2,12 @@
 // (DESIGN.md §8): a function that takes a context.Context takes it as its
 // first parameter, and library code never mints a root context with
 // context.Background or context.TODO — roots belong to process entry points
-// (package main) and tests. The one sanctioned library use is the
-// compatibility-shim pattern, where a context-free convenience method
-// delegates to its *Context twin:
-//
-//	func (m *Mediator) QueryConds(conds []cond.Cond, opts Options) (*Answer, error) {
-//		return m.QueryCondsContext(context.Background(), conds, opts)
-//	}
-//
-// A Background/TODO call passed directly as an argument to a function or
-// method whose name ends in "Context" is therefore allowed; anything else
-// is a drift bug that silently severs cancellation and deadline flow.
+// (package main) and tests. Anything else is a drift bug that silently
+// severs cancellation and deadline flow.
 package ctxfirst
 
 import (
 	"go/ast"
-	"strings"
 
 	"fusionq/internal/lint/analysis"
 )
@@ -26,7 +16,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxfirst",
 	Doc: "context.Context parameters must come first, and only package main and tests " +
-		"may call context.Background/TODO (except the X -> XContext shim pattern)",
+		"may call context.Background/TODO",
 	Run: run,
 }
 
@@ -36,7 +26,6 @@ func run(pass *analysis.Pass) error {
 		if pass.IsTestFile(f) {
 			continue
 		}
-		shimArgs := shimArguments(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
@@ -47,9 +36,9 @@ func run(pass *analysis.Pass) error {
 				if isMain {
 					return true
 				}
-				if name := rootContextName(pass, n); name != "" && !shimArgs[n] {
+				if name := rootContextName(pass, n); name != "" {
 					pass.Reportf(n.Pos(), "context.%s() in library code severs cancellation; "+
-						"accept a ctx parameter (or delegate to a *Context variant)", name)
+						"accept a ctx parameter", name)
 				}
 			}
 			return true
@@ -90,36 +79,4 @@ func rootContextName(pass *analysis.Pass, call *ast.CallExpr) string {
 		return fn.Name()
 	}
 	return ""
-}
-
-// shimArguments collects call expressions that appear directly as arguments
-// to a call of a function or method named *Context — the sanctioned shim
-// position for context.Background().
-func shimArguments(f *ast.File) map[*ast.CallExpr]bool {
-	out := map[*ast.CallExpr]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var callee string
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			callee = fun.Name
-		case *ast.SelectorExpr:
-			callee = fun.Sel.Name
-		default:
-			return true
-		}
-		if !strings.HasSuffix(callee, "Context") {
-			return true
-		}
-		for _, arg := range call.Args {
-			if inner, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
-				out[inner] = true
-			}
-		}
-		return true
-	})
-	return out
 }

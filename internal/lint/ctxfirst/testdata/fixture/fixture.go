@@ -6,13 +6,12 @@ import "context"
 // Good: ctx first.
 func Good(ctx context.Context, n int) {}
 
-// GoodContext is the *Context twin a shim may delegate to.
 func GoodContext(ctx context.Context, n int) {}
 
-// Shim: context.Background() directly as an argument to a *Context call is
-// the sanctioned compatibility pattern.
+// A callee named *Context sanctions nothing: a context-free twin that mints
+// the root for it is flagged like any other.
 func Shim(n int) {
-	GoodContext(context.Background(), n)
+	GoodContext(context.Background(), n) // want `context.Background\(\) in library code`
 }
 
 func BadOrder(n int, ctx context.Context) {} // want `context.Context must be the first parameter`

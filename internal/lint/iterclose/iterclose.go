@@ -1,292 +1,46 @@
 // Package iterclose enforces the set.Iter lifecycle: every iterator
 // obtained from a call — a source select stream, a merge operator, a
-// wrapped set — is closed on all paths out of the function that opened it.
-// An unclosed iterator leaks its upstream resources: a streaming select
-// holds a scheduler-visible exchange open, and an unclosed merge never
-// releases its inputs, so the streaming executor's short-circuit
-// cancellation cannot propagate.
-//
-// Accepted shapes, in order of preference:
-//
-//	it, err := source.OpenSelectStream(ctx, src, c, batch)
-//	...
-//	defer it.Close()                       // deferred — covers every path
-//
-//	it.Close()                             // explicit — a Close must precede
-//	return ...                             // every return after the open
-//
-// An iterator assigned to `_`, which can never be closed, is always
-// flagged. An iterator that escapes the function (passed to another call —
-// including a merge constructor, which closes its inputs through its own
-// Close — returned, reassigned, or stored in a composite literal)
-// transfers ownership and is not checked.
+// wrapped set — is closed on all paths out of the function that opened it
+// (the pairing analysis, with any call returning a set.Iter and Close). An
+// unclosed iterator leaks its upstream resources: a streaming select holds a
+// scheduler-visible exchange open, and an unclosed merge never releases its
+// inputs, so the streaming executor's short-circuit cancellation cannot
+// propagate. An iterator passed to a merge constructor or Collect escapes:
+// they close their inputs through their own Close.
 package iterclose
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
-	"fusionq/internal/lint/analysis"
+	"fusionq/internal/lint/pairing"
 )
 
 // Analyzer enforces set.Iter open/Close pairing.
-var Analyzer = &analysis.Analyzer{
-	Name: "iterclose",
-	Doc:  "every set.Iter obtained from a call must be closed on all paths, normally via defer",
-	Run:  run,
-}
+var Analyzer = pairing.Analyzer("iterclose",
+	"every set.Iter obtained from a call must be closed on all paths, normally via defer",
+	pairing.Pair{Opens: opensIter, Close: "Close", Noun: "iterator", Open: "open", Opened: "opened", Closed: "closed"})
 
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
-		for _, fn := range functionBodies(f) {
-			checkFunction(pass, fn)
-		}
-	}
-	return nil
-}
-
-// functionBodies collects every function body in f: declarations and
-// literals. Each is analyzed independently — an iterator belongs to the
-// innermost function that opens it.
-func functionBodies(f *ast.File) []*ast.BlockStmt {
-	var out []*ast.BlockStmt
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				out = append(out, n.Body)
-			}
-		case *ast.FuncLit:
-			out = append(out, n.Body)
-		}
-		return true
-	})
-	return out
-}
-
-// iterState tracks one iterator variable within a function.
-type iterState struct {
-	obj      types.Object
-	openPos  token.Pos
-	closePos []token.Pos // non-deferred Close calls
-	deferred bool
-	escaped  bool
-}
-
-func checkFunction(pass *analysis.Pass, body *ast.BlockStmt) {
-	iters := map[types.Object]*iterState{}
-	// Pass 1: iterator opens at this function's level (nested literals are
-	// their own functions).
-	walkShallow(body, func(n ast.Node) {
-		assign, ok := n.(*ast.AssignStmt)
-		if !ok || len(assign.Rhs) != 1 {
-			return
-		}
-		call, ok := assign.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		for i, typ := range resultTypes(pass.TypesInfo, call, len(assign.Lhs)) {
-			if !isIterType(typ) {
-				continue
-			}
-			id, ok := assign.Lhs[i].(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if id.Name == "_" {
-				pass.Reportf(id.Pos(), "iterator discarded at open; it can never be closed")
-				continue
-			}
-			obj := pass.TypesInfo.Defs[id]
-			if obj == nil {
-				obj = pass.TypesInfo.Uses[id]
-			}
-			if obj == nil {
-				continue
-			}
-			if st, ok := iters[obj]; ok {
-				// Re-open in a loop: keep the earliest open.
-				if assign.Pos() < st.openPos {
-					st.openPos = assign.Pos()
-				}
-				continue
-			}
-			iters[obj] = &iterState{obj: obj, openPos: assign.Pos()}
-		}
-	})
-	if len(iters) == 0 {
-		return
-	}
-	// Pass 2: Closes, defers and escapes anywhere within the body (a
-	// deferred cleanup closure legitimately closes its enclosing function's
-	// iterator).
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if st := closeCallTarget(pass.TypesInfo, iters, n.Call); st != nil {
-				st.deferred = true
-			}
-			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, func(m ast.Node) bool {
-					if call, ok := m.(*ast.CallExpr); ok {
-						if st := closeCallTarget(pass.TypesInfo, iters, call); st != nil {
-							st.deferred = true
-						}
-					}
-					return true
-				})
-			}
-		case *ast.CallExpr:
-			if st := closeCallTarget(pass.TypesInfo, iters, n); st != nil {
-				st.closePos = append(st.closePos, n.Pos())
-				return true
-			}
-			// The iterator used as an argument (not as a method receiver)
-			// escapes: merge constructors and Collect take ownership.
-			for _, arg := range n.Args {
-				if st := iterFor(pass.TypesInfo, iters, arg); st != nil {
-					st.escaped = true
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if st := iterFor(pass.TypesInfo, iters, res); st != nil {
-					st.escaped = true
-				}
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				if st := iterFor(pass.TypesInfo, iters, rhs); st != nil {
-					st.escaped = true
-				}
-			}
-		case *ast.CompositeLit:
-			// Stored in a slice, map or struct: the container owns it.
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					elt = kv.Value
-				}
-				if st := iterFor(pass.TypesInfo, iters, elt); st != nil {
-					st.escaped = true
-				}
-			}
-		}
-		return true
-	})
-	// Pass 3: verdicts.
-	returns := shallowReturns(body)
-	for _, st := range iters {
-		if st.escaped || st.deferred {
-			continue
-		}
-		if len(st.closePos) == 0 {
-			pass.Reportf(st.openPos, "iterator opened here is never closed; Close it (normally via defer)")
-			continue
-		}
-		for _, ret := range returns {
-			if ret <= st.openPos {
-				continue
-			}
-			covered := false
-			for _, cl := range st.closePos {
-				if cl < ret {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				pass.Reportf(ret, "return may leave the iterator opened at %s unclosed; defer its Close",
-					pass.Fset.Position(st.openPos))
-			}
-		}
-	}
-}
-
-// resultTypes returns the call's result types when their count matches the
-// assignment's arity, else nil. A single Iter result assigned 1:1 and an
-// (Iter, error) pair destructured into two variables both match.
-func resultTypes(info *types.Info, call *ast.CallExpr, arity int) []types.Type {
-	tv, ok := info.Types[call]
-	if !ok {
-		return nil
-	}
-	switch t := tv.Type.(type) {
-	case *types.Tuple:
-		if t.Len() != arity {
-			return nil
-		}
-		out := make([]types.Type, t.Len())
+// opensIter reports which results of call are a set.Iter, when their count
+// matches the assignment's arity: a single Iter assigned 1:1 and an (Iter,
+// error) pair destructured into two variables both match.
+func opensIter(info *types.Info, call *ast.CallExpr, arity int) (out []int) {
+	results := []types.Type{info.TypeOf(call)}
+	if t, ok := results[0].(*types.Tuple); ok {
+		results = results[:0]
 		for i := 0; i < t.Len(); i++ {
-			out[i] = t.At(i).Type()
+			results = append(results, t.At(i).Type())
 		}
-		return out
-	default:
-		if arity != 1 {
-			return nil
-		}
-		return []types.Type{tv.Type}
 	}
-}
-
-// isIterType reports whether t is fusionq/internal/set.Iter.
-func isIterType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Iter" && obj.Pkg() != nil && obj.Pkg().Path() == "fusionq/internal/set"
-}
-
-// closeCallTarget returns the tracked iterator on which call invokes Close,
-// if any.
-func closeCallTarget(info *types.Info, iters map[types.Object]*iterState, call *ast.CallExpr) *iterState {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Close" {
+	if len(results) != arity {
 		return nil
 	}
-	return iterFor(info, iters, sel.X)
-}
-
-// iterFor resolves expr to a tracked iterator variable, or nil.
-func iterFor(info *types.Info, iters map[types.Object]*iterState, expr ast.Expr) *iterState {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
-	if !ok {
-		return nil
+	for i, t := range results {
+		if named, ok := t.(*types.Named); ok {
+			if obj := named.Obj(); obj.Name() == "Iter" && obj.Pkg() != nil && obj.Pkg().Path() == "fusionq/internal/set" {
+				out = append(out, i)
+			}
+		}
 	}
-	obj := info.Uses[id]
-	if obj == nil {
-		return nil
-	}
-	return iters[obj]
-}
-
-// walkShallow visits body without descending into nested function literals.
-func walkShallow(body *ast.BlockStmt, fn func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			fn(n)
-		}
-		return true
-	})
-}
-
-// shallowReturns collects the return statements at body's own function
-// level.
-func shallowReturns(body *ast.BlockStmt) []token.Pos {
-	var out []token.Pos
-	walkShallow(body, func(n ast.Node) {
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			out = append(out, ret.Pos())
-		}
-	})
 	return out
 }

@@ -1,241 +1,29 @@
 // Package spanbalance enforces obs span pairing: every span returned by
-// obs.StartSpan is ended on all paths out of the function that started it.
-// An unended span renders as permanently in-flight (zero duration) in every
-// trace export and quietly corrupts the per-phase latency attribution the
-// cost experiments compare against estimates.
-//
-// Accepted shapes, in order of preference:
-//
-//	ctx, sp := obs.StartSpan(ctx, kind, name)
-//	defer sp.End(nil)                      // deferred — covers every path
-//
-//	sp.End(err)                            // explicit — an End must precede
-//	return ...                             // every return after the start
-//
-// A span stored with `_`, which can never be ended, is always flagged. A
-// span that escapes the function (passed or returned) transfers ownership
-// and is not checked.
+// obs.StartSpan is ended on all paths out of the function that started it
+// (the pairing analysis, with StartSpan and End). An unended span renders as
+// permanently in-flight (zero duration) in every trace export and quietly
+// corrupts the per-phase latency attribution the cost experiments compare
+// against estimates.
 package spanbalance
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"fusionq/internal/lint/analysis"
+	"fusionq/internal/lint/pairing"
 )
 
 // Analyzer enforces StartSpan/End pairing.
-var Analyzer = &analysis.Analyzer{
-	Name: "spanbalance",
-	Doc:  "every obs.StartSpan must be balanced by End on all paths, normally via defer",
-	Run:  run,
-}
+var Analyzer = pairing.Analyzer("spanbalance",
+	"every obs.StartSpan must be balanced by End on all paths, normally via defer",
+	pairing.Pair{Opens: startsSpan, Close: "End", Noun: "span", Open: "start", Opened: "started", Closed: "ended"})
 
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
-		for _, fn := range functionBodies(f) {
-			checkFunction(pass, fn)
-		}
-	}
-	return nil
-}
-
-// functionBodies collects every function body in f: declarations and
-// literals. Each is analyzed independently — a span belongs to the
-// innermost function that starts it.
-func functionBodies(f *ast.File) []*ast.BlockStmt {
-	var out []*ast.BlockStmt
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				out = append(out, n.Body)
-			}
-		case *ast.FuncLit:
-			out = append(out, n.Body)
-		}
-		return true
-	})
-	return out
-}
-
-// spanState tracks one span variable within a function.
-type spanState struct {
-	obj      types.Object
-	startPos token.Pos
-	endPos   []token.Pos // non-deferred End calls
-	deferred bool
-	escaped  bool
-}
-
-func checkFunction(pass *analysis.Pass, body *ast.BlockStmt) {
-	spans := map[types.Object]*spanState{}
-	// Pass 1: span starts at this function's level (nested literals are
-	// their own functions).
-	walkShallow(body, func(n ast.Node) {
-		assign, ok := n.(*ast.AssignStmt)
-		if !ok || len(assign.Rhs) != 1 || len(assign.Lhs) != 2 {
-			return
-		}
-		call, ok := assign.Rhs[0].(*ast.CallExpr)
-		if !ok || !isStartSpan(pass.TypesInfo, call) {
-			return
-		}
-		id, ok := assign.Lhs[1].(*ast.Ident)
-		if !ok {
-			return
-		}
-		if id.Name == "_" {
-			pass.Reportf(id.Pos(), "span discarded at start; it can never be ended")
-			return
-		}
-		obj := pass.TypesInfo.Defs[id]
-		if obj == nil {
-			obj = pass.TypesInfo.Uses[id]
-		}
-		if obj == nil {
-			return
-		}
-		if st, ok := spans[obj]; ok {
-			// Re-assignment in a loop: keep the earliest start.
-			if assign.Pos() < st.startPos {
-				st.startPos = assign.Pos()
-			}
-			return
-		}
-		spans[obj] = &spanState{obj: obj, startPos: assign.Pos()}
-	})
-	if len(spans) == 0 {
-		return
-	}
-	// Pass 2: Ends, defers and escapes anywhere within the body (a deferred
-	// cleanup closure legitimately ends its enclosing function's span).
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if st := endCallTarget(pass.TypesInfo, spans, n.Call); st != nil {
-				st.deferred = true
-			}
-			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, func(m ast.Node) bool {
-					if call, ok := m.(*ast.CallExpr); ok {
-						if st := endCallTarget(pass.TypesInfo, spans, call); st != nil {
-							st.deferred = true
-						}
-					}
-					return true
-				})
-			}
-		case *ast.CallExpr:
-			if st := endCallTarget(pass.TypesInfo, spans, n); st != nil {
-				st.endPos = append(st.endPos, n.Pos())
-				return true
-			}
-			// The span used as an argument (not as a method receiver)
-			// escapes.
-			for _, arg := range n.Args {
-				if st := spanFor(pass.TypesInfo, spans, arg); st != nil {
-					st.escaped = true
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if st := spanFor(pass.TypesInfo, spans, res); st != nil {
-					st.escaped = true
-				}
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				if st := spanFor(pass.TypesInfo, spans, rhs); st != nil {
-					st.escaped = true
-				}
-			}
-		}
-		return true
-	})
-	// Pass 3: verdicts.
-	returns := shallowReturns(body)
-	for _, st := range spans {
-		if st.escaped || st.deferred {
-			continue
-		}
-		if len(st.endPos) == 0 {
-			pass.Reportf(st.startPos, "span started here is never ended; End it (normally via defer)")
-			continue
-		}
-		for _, ret := range returns {
-			if ret <= st.startPos {
-				continue
-			}
-			covered := false
-			for _, end := range st.endPos {
-				if end < ret {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				pass.Reportf(ret, "return may leave the span started at %s unended; defer its End",
-					pass.Fset.Position(st.startPos))
-			}
-		}
-	}
-}
-
-// isStartSpan reports whether call invokes obs.StartSpan.
-func isStartSpan(info *types.Info, call *ast.CallExpr) bool {
+// startsSpan reports the span of a `ctx, sp := obs.StartSpan(...)`.
+func startsSpan(info *types.Info, call *ast.CallExpr, arity int) []int {
 	fn := analysis.CalleeFunc(info, call)
-	return fn != nil && fn.Name() == "StartSpan" &&
-		fn.Pkg() != nil && fn.Pkg().Path() == "fusionq/internal/obs"
-}
-
-// endCallTarget returns the tracked span on which call invokes End, if any.
-func endCallTarget(info *types.Info, spans map[types.Object]*spanState, call *ast.CallExpr) *spanState {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "End" {
+	if arity != 2 || fn == nil || fn.Name() != "StartSpan" || fn.Pkg() == nil || fn.Pkg().Path() != "fusionq/internal/obs" {
 		return nil
 	}
-	return spanFor(info, spans, sel.X)
-}
-
-// spanFor resolves expr to a tracked span variable, or nil.
-func spanFor(info *types.Info, spans map[types.Object]*spanState, expr ast.Expr) *spanState {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := info.Uses[id]
-	if obj == nil {
-		return nil
-	}
-	return spans[obj]
-}
-
-// walkShallow visits body without descending into nested function literals.
-func walkShallow(body *ast.BlockStmt, fn func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			fn(n)
-		}
-		return true
-	})
-}
-
-// shallowReturns collects the return statements at body's own function
-// level.
-func shallowReturns(body *ast.BlockStmt) []token.Pos {
-	var out []token.Pos
-	walkShallow(body, func(n ast.Node) {
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			out = append(out, ret.Pos())
-		}
-	})
-	return out
+	return []int{1}
 }

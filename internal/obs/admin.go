@@ -41,12 +41,6 @@ type AdminConfig struct {
 	Scorecards func() any
 }
 
-// ServeAdmin starts an admin listener for reg on addr (e.g. "127.0.0.1:0").
-// The returned server is running; callers own its lifetime via Close.
-func ServeAdmin(addr string, reg *Registry) (*AdminServer, error) {
-	return ServeAdminConfig(addr, AdminConfig{Registry: reg})
-}
-
 // writeJSON marshals v with the right Content-Type.
 func writeJSON(w http.ResponseWriter, v any) {
 	data, err := json.Marshal(v)
@@ -58,7 +52,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_, _ = w.Write(data)
 }
 
-// ServeAdminConfig is ServeAdmin with a recorder and scorecard feed attached.
+// ServeAdminConfig starts an admin listener on addr (e.g. "127.0.0.1:0")
+// over cfg's registry, recorder and scorecard feed. The returned server is
+// running; callers own its lifetime via Close.
 func ServeAdminConfig(addr string, cfg AdminConfig) (*AdminServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

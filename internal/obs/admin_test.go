@@ -146,7 +146,7 @@ func TestAdminDebugEndpoints(t *testing.T) {
 // bare registry, as on fqsource): the debug endpoints serve empty
 // collections rather than erroring, so any admin address feeds fqtop.
 func TestAdminDebugEndpointsWithoutRecorder(t *testing.T) {
-	srv, err := ServeAdmin("127.0.0.1:0", NewRegistry())
+	srv, err := ServeAdminConfig("127.0.0.1:0", AdminConfig{Registry: NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,7 +245,7 @@ func TestAdminServerServesMetrics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Describe("fq_admin_total", "admin test")
 	reg.Counter("fq_admin_total").Add(7)
-	srv, err := ServeAdmin("127.0.0.1:0", reg)
+	srv, err := ServeAdminConfig("127.0.0.1:0", AdminConfig{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestAdminServerServesMetrics(t *testing.T) {
 func TestAdminServerResponseShape(t *testing.T) {
 	reg := NewRegistry()
 	DescribeAll(reg) // header-only families are enough to give every body content
-	srv, err := ServeAdmin("127.0.0.1:0", reg)
+	srv, err := ServeAdminConfig("127.0.0.1:0", AdminConfig{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 package service
 
 import (
-	"container/list"
 	"strings"
 	"sync"
 	"time"
 
+	"fusionq/internal/lru"
 	"fusionq/internal/obs"
 )
 
@@ -18,8 +18,8 @@ type AnswerCacheConfig struct {
 	// MaxEntries bounds the number of cached answers (default 1024);
 	// negative disables the cache.
 	MaxEntries int
-	// MaxBytes bounds the cache's approximate item-byte footprint; 0 means
-	// unbounded by bytes.
+	// MaxBytes bounds the cache's approximate item-byte footprint (an answer
+	// larger than it is not kept); 0 means unbounded by bytes.
 	MaxBytes int64
 	// Metrics receives the fq_answer_cache_* metrics. Nil means the
 	// process-wide default registry.
@@ -29,33 +29,25 @@ type AnswerCacheConfig struct {
 }
 
 // AnswerCache memoizes whole fusion answers (the merge-attribute item sets)
-// by canonical query key, each entry pinned to its roster epoch and an
-// expiry instant. It sits above exec.Cache — that one memoizes per-source
-// sub-answers inside execution; this one answers repeated whole queries
-// without admitting them to execution at all. Lookup never returns an
-// expired or stale entry; capacity overflow evicts least-recently-used.
-// Safe for concurrent use.
+// by canonical query key: one keying of the lru store, as exec.Cache is
+// (that one memoizes per-source sub-answers inside execution; this one
+// answers repeated whole queries without admitting them to execution at
+// all). Its own are the pin and the copy: an entry is served only at the
+// roster epoch and up to the expiry instant it was put with, and holds a
+// copy of its items. Safe for concurrent use.
 type AnswerCache struct {
-	cfg     AnswerCacheConfig
-	metrics *obs.Registry
-	now     func() time.Time
+	cfg AnswerCacheConfig
 
-	mu        sync.Mutex
-	entries   map[string]*ansEntry
-	lru       *list.List // front = most recently used
-	bytes     int64
-	highWater int
-	hits      int64
-	misses    int64
+	mu           sync.Mutex
+	store        *lru.Store[string, answer]
+	highWater    int
+	hits, misses int64
 }
 
-type ansEntry struct {
-	key     string
+type answer struct {
 	epoch   uint64
 	items   []string
-	bytes   int64
 	expires time.Time
-	elem    *list.Element
 }
 
 // AnswerCacheStats is a point-in-time summary used by tests and expvar-style
@@ -76,21 +68,15 @@ func NewAnswerCache(cfg AnswerCacheConfig) *AnswerCache {
 	if cfg.MaxEntries == 0 {
 		cfg.MaxEntries = 1024
 	}
-	metrics := cfg.Metrics
-	if metrics == nil {
-		metrics = obs.Default()
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.Default()
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
+	if cfg.Now == nil {
+		cfg.Now = time.Now
 	}
-	return &AnswerCache{
-		cfg:     cfg,
-		metrics: metrics,
-		now:     now,
-		entries: map[string]*ansEntry{},
-		lru:     list.New(),
-	}
+	c := &AnswerCache{cfg: cfg}
+	c.store = lru.New(cfg.MaxEntries, cfg.MaxBytes, func(string, answer) { c.evicted("size") })
+	return c
 }
 
 func (c *AnswerCache) disabled() bool { return c == nil || c.cfg.MaxEntries < 0 }
@@ -106,43 +92,48 @@ func (c *AnswerCache) Get(key string, epoch uint64) ([]string, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if ok && c.now().After(e.expires) {
-		c.removeLocked(e, "ttl")
-		ok = false
+	a, ok := c.store.Get(key)
+	reason := ""
+	switch {
+	case !ok:
+	case c.cfg.Now().After(a.expires):
+		reason = "ttl"
+	case a.epoch != epoch:
+		reason = "stale"
 	}
-	if ok && e.epoch != epoch {
-		c.removeLocked(e, "stale")
+	if reason != "" {
+		c.store.Remove(key)
+		c.evicted(reason)
+		c.gauges()
 		ok = false
 	}
 	if !ok {
 		c.misses++
-		c.metrics.Counter(obs.MAnswerCacheMisses).Inc()
+		c.cfg.Metrics.Counter(obs.MAnswerCacheMisses).Inc()
 		return nil, false
 	}
-	c.lru.MoveToFront(e.elem)
 	c.hits++
-	c.metrics.Counter(obs.MAnswerCacheHits).Inc()
-	return e.items, true
+	c.cfg.Metrics.Counter(obs.MAnswerCacheHits).Inc()
+	return a.items, true
 }
 
 // Put stores a copy of the answer items for key at the given roster epoch,
-// stamping the TTL from now and evicting least-recently-used entries until
-// both the entry and byte bounds hold. The copy is one slice over one block
-// of exactly the items' bytes: an answer's items are substrings of whatever
-// they were decoded or scanned from (wire frames' blocks, a source's rows),
-// and an entry that kept them would retain all of that, which the byte
-// accounting would not see.
+// stamping the TTL from now; the store evicts least-recently-used entries
+// (reason "size") until both bounds hold. The copy is one slice over one
+// block of exactly the items' bytes: an answer's items are substrings of
+// whatever they were decoded or scanned from (wire frames' blocks, a
+// source's rows), and an entry that kept them would retain all of that,
+// which the byte accounting would not see.
 func (c *AnswerCache) Put(key string, epoch uint64, items []string) {
 	if c.disabled() {
 		return
 	}
-	var n int64
+	n := 0
 	for _, it := range items {
-		n += int64(len(it))
+		n += len(it)
 	}
 	var block strings.Builder
-	block.Grow(int(n))
+	block.Grow(n)
 	for _, it := range items {
 		block.WriteString(it)
 	}
@@ -150,27 +141,11 @@ func (c *AnswerCache) Put(key string, epoch uint64, items []string) {
 	for i, it := range items {
 		own[i], rest = rest[:len(it)], rest[len(it):]
 	}
-	items = own
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		c.bytes += n - e.bytes
-		e.epoch, e.items, e.bytes = epoch, items, n
-		e.expires = c.now().Add(c.cfg.TTL)
-		c.lru.MoveToFront(e.elem)
-	} else {
-		e := &ansEntry{key: key, epoch: epoch, items: items, bytes: n, expires: c.now().Add(c.cfg.TTL)}
-		e.elem = c.lru.PushFront(e)
-		c.entries[key] = e
-		c.bytes += n
-	}
-	for len(c.entries) > c.cfg.MaxEntries || (c.cfg.MaxBytes > 0 && c.bytes > c.cfg.MaxBytes && len(c.entries) > 1) {
-		c.removeLocked(c.lru.Back().Value.(*ansEntry), "size")
-	}
-	if len(c.entries) > c.highWater {
-		c.highWater = len(c.entries)
-	}
-	c.gaugesLocked()
+	c.store.Put(key, answer{epoch: epoch, items: own, expires: c.cfg.Now().Add(c.cfg.TTL)}, int64(n))
+	c.highWater = max(c.highWater, c.store.Len())
+	c.gauges()
 }
 
 // Stats reports the cache's current and high-water footprint and its
@@ -182,23 +157,20 @@ func (c *AnswerCache) Stats() AnswerCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return AnswerCacheStats{
-		Entries:   len(c.entries),
-		Bytes:     c.bytes,
+		Entries:   c.store.Len(),
+		Bytes:     c.store.Bytes(),
 		HighWater: c.highWater,
 		Hits:      c.hits,
 		Misses:    c.misses,
 	}
 }
 
-func (c *AnswerCache) removeLocked(e *ansEntry, reason string) {
-	delete(c.entries, e.key)
-	c.lru.Remove(e.elem)
-	c.bytes -= e.bytes
-	c.metrics.Counter(obs.MAnswerCacheEvictions, "reason", reason).Inc()
-	c.gaugesLocked()
+// evicted and gauges charge the registry; the caller holds the lock.
+func (c *AnswerCache) evicted(reason string) {
+	c.cfg.Metrics.Counter(obs.MAnswerCacheEvictions, "reason", reason).Inc()
 }
 
-func (c *AnswerCache) gaugesLocked() {
-	c.metrics.Gauge(obs.MAnswerCacheEntries).Set(int64(len(c.entries)))
-	c.metrics.Gauge(obs.MAnswerCacheBytes).Set(c.bytes)
+func (c *AnswerCache) gauges() {
+	c.cfg.Metrics.Gauge(obs.MAnswerCacheEntries).Set(int64(c.store.Len()))
+	c.cfg.Metrics.Gauge(obs.MAnswerCacheBytes).Set(c.store.Bytes())
 }

@@ -1,13 +1,13 @@
 package service
 
 import (
-	"container/list"
 	"sort"
 	"strings"
 	"sync"
 
 	"fusionq/internal/cond"
 	"fusionq/internal/core"
+	"fusionq/internal/lru"
 	"fusionq/internal/obs"
 	"fusionq/internal/optimizer"
 )
@@ -28,83 +28,68 @@ func QueryKey(conds []cond.Cond, algo core.Algorithm) string {
 }
 
 // PlanCache memoizes optimizer results by canonical query key, each entry
-// pinned to the roster epoch it was planned at. A hit skips statistics
-// gathering (one source exchange per condition per source — the dominant
-// cold-query cost) and optimization. Entries whose epoch no longer matches
-// the roster are evicted on lookup (reason "stale"); capacity overflow
-// evicts least-recently-used (reason "size"). Safe for concurrent use.
+// pinned to the roster epoch it was planned at: one keying of the lru store,
+// bounded by entries. A hit skips optimization. Entries whose epoch no
+// longer matches the roster are evicted on lookup (reason "stale");
+// capacity overflow evicts least-recently-used (reason "size"). A nil
+// PlanCache is a disabled one: every Get misses, Put is a no-op and nothing
+// is charged. Safe for concurrent use.
 type PlanCache struct {
-	mu      sync.Mutex
-	max     int
 	metrics *obs.Registry
-	entries map[string]*planEntry
-	lru     *list.List // front = most recently used
+	mu      sync.Mutex
+	store   *lru.Store[string, cachedPlan]
 }
 
-type planEntry struct {
-	key   string
+type cachedPlan struct {
 	epoch uint64
 	res   optimizer.Result
-	elem  *list.Element
 }
 
 // NewPlanCache builds a plan cache holding at most max entries; max <= 0
-// disables caching (every Get misses, Put is a no-op, nothing is charged).
-// metrics nil means the process-wide default registry.
+// disables caching (the result is nil). metrics nil means the process-wide
+// default registry.
 func NewPlanCache(max int, metrics *obs.Registry) *PlanCache {
+	if max <= 0 {
+		return nil
+	}
 	if metrics == nil {
 		metrics = obs.Default()
 	}
-	return &PlanCache{
-		max:     max,
-		metrics: metrics,
-		entries: map[string]*planEntry{},
-		lru:     list.New(),
-	}
+	pc := &PlanCache{metrics: metrics}
+	pc.store = lru.New(max, 0, func(string, cachedPlan) { pc.evicted("size") })
+	return pc
 }
 
 // Get looks up the plan for key, valid only at the given roster epoch. A
 // present entry from another epoch is evicted as stale and reported as a
 // miss — a stale plan is never returned.
 func (pc *PlanCache) Get(key string, epoch uint64) (optimizer.Result, bool) {
-	if pc == nil || pc.max <= 0 {
+	if pc == nil {
 		return optimizer.Result{}, false
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	e, ok := pc.entries[key]
-	if ok && e.epoch != epoch {
-		pc.removeLocked(e, "stale")
+	p, ok := pc.store.Get(key)
+	if ok && p.epoch != epoch {
+		pc.store.Remove(key)
+		pc.evicted("stale")
 		ok = false
 	}
 	if !ok {
 		pc.metrics.Counter(obs.MPlanCacheMisses).Inc()
 		return optimizer.Result{}, false
 	}
-	pc.lru.MoveToFront(e.elem)
 	pc.metrics.Counter(obs.MPlanCacheHits).Inc()
-	return e.res, true
+	return p.res, true
 }
 
 // Put stores the plan for key at the given roster epoch, replacing any
 // previous entry and evicting the least-recently-used entry on overflow.
 func (pc *PlanCache) Put(key string, epoch uint64, res optimizer.Result) {
-	if pc == nil || pc.max <= 0 {
-		return
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if e, ok := pc.entries[key]; ok {
-		e.epoch, e.res = epoch, res
-		pc.lru.MoveToFront(e.elem)
-		return
-	}
-	e := &planEntry{key: key, epoch: epoch, res: res}
-	e.elem = pc.lru.PushFront(e)
-	pc.entries[key] = e
-	for len(pc.entries) > pc.max {
-		back := pc.lru.Back()
-		pc.removeLocked(back.Value.(*planEntry), "size")
+	if pc != nil {
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		pc.store.Put(key, cachedPlan{epoch: epoch, res: res}, 0)
 	}
 }
 
@@ -112,28 +97,25 @@ func (pc *PlanCache) Put(key string, epoch uint64, res optimizer.Result) {
 // calls it when executing a cached plan surfaced core.ErrStalePlan — the
 // roster moved between the epoch check and execution.
 func (pc *PlanCache) Invalidate(key string) {
-	if pc == nil || pc.max <= 0 {
-		return
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if e, ok := pc.entries[key]; ok {
-		pc.removeLocked(e, "stale")
+	if pc != nil {
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		if pc.store.Remove(key) {
+			pc.evicted("stale")
+		}
 	}
 }
 
 // Len reports the number of cached plans.
 func (pc *PlanCache) Len() int {
-	if pc == nil || pc.max <= 0 {
+	if pc == nil {
 		return 0
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return len(pc.entries)
+	return pc.store.Len()
 }
 
-func (pc *PlanCache) removeLocked(e *planEntry, reason string) {
-	delete(pc.entries, e.key)
-	pc.lru.Remove(e.elem)
+func (pc *PlanCache) evicted(reason string) {
 	pc.metrics.Counter(obs.MPlanCacheEvictions, "reason", reason).Inc()
 }

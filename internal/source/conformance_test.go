@@ -84,12 +84,12 @@ func layers() []layer {
 			}},
 		{name: "wire", unsupported: "wire: R1: ", cancelled: "wire: 127.0.0.1:",
 			over: func(t *testing.T, b source.Backend, caps source.Capabilities) source.Source {
-				srv, err := wire.Serve(wrap(b, caps), "127.0.0.1:0")
+				srv, err := wire.ServeConfig(wrap(b, caps), "127.0.0.1:0", wire.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { srv.Close() })
-				cli, err := wire.Dial(srv.Addr())
+				cli, err := wire.DialContext(context.Background(), srv.Addr())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -21,13 +21,8 @@ type Client struct {
 
 var _ source.Source = (*Client)(nil)
 
-// Dial connects to a wire server and fetches its metadata.
-func Dial(addr string) (*Client, error) {
-	return DialContext(context.Background(), addr)
-}
-
-// DialContext is Dial honoring ctx for the connection setup and the
-// metadata exchange.
+// DialContext connects to a wire server and fetches its metadata, honoring
+// ctx for the connection setup and the metadata exchange.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
 	c := &Client{}
 	c.Layer = source.Over(nil, c.exchange)

@@ -34,7 +34,7 @@ func TestQueryIDCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(srv.Addr())
+	cli, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestQueryIDAbsentOutsideQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(srv.Addr())
+	cli, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

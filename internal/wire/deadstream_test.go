@@ -45,11 +45,11 @@ func TestSelectStreamServerDeath(t *testing.T) {
 		t.Fatalf("Synth: %v", err)
 	}
 	bs := &blockingSource{Source: sc.Sources[0], entered: make(chan struct{})}
-	srv, err := Serve(bs, "127.0.0.1:0")
+	srv, err := ServeConfig(bs, "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	cli, err := Dial(srv.Addr())
+	cli, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		srv.Close()
 		t.Fatalf("Dial: %v", err)

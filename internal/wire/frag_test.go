@@ -78,7 +78,7 @@ func startFakeV1Server(t *testing.T) *fakeV1Server {
 // rendered split then degrades to wait/wire.
 func TestV1ServerInterop(t *testing.T) {
 	f := startFakeV1Server(t)
-	cli, err := Dial(f.ln.Addr().String())
+	cli, err := DialContext(context.Background(), f.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestFragmentContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(srv.Addr())
+	cli, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,9 @@ type Server struct {
 	inflight atomic.Int64
 }
 
-// Serve starts a server for src on the given address (e.g. "127.0.0.1:0")
-// with the default configuration and begins accepting connections in the
-// background.
-func Serve(src source.Source, addr string) (*Server, error) {
-	return ServeConfig(src, addr, Config{})
-}
-
-// ServeConfig is Serve with explicit tuning.
+// ServeConfig starts a server for src on the given address (e.g.
+// "127.0.0.1:0") and begins accepting connections in the background; the
+// zero Config is the default configuration.
 func ServeConfig(src source.Source, addr string, cfg Config) (*Server, error) {
 	obs.DescribeAll(cfg.Metrics)
 	s := &Server{src: src, cfg: cfg.withDefaults()}

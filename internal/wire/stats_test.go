@@ -35,7 +35,7 @@ func statsServer(t *testing.T) (*Client, source.Source, func(op string) int64) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	cli, err := Dial(srv.Addr())
+	cli, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

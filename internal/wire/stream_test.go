@@ -25,12 +25,12 @@ func startSynthServer(t *testing.T) (*Client, source.Source) {
 	if err != nil {
 		t.Fatalf("Synth: %v", err)
 	}
-	srv, err := Serve(sc.Sources[0], "127.0.0.1:0")
+	srv, err := ServeConfig(sc.Sources[0], "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	cli, err := Dial(srv.Addr())
+	cli, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

@@ -26,12 +26,12 @@ func startDMVServers(t *testing.T) []source.Source {
 	sc := workload.DMV()
 	clients := make([]source.Source, len(sc.Sources))
 	for j, src := range sc.Sources {
-		srv, err := Serve(src, "127.0.0.1:0")
+		srv, err := ServeConfig(src, "127.0.0.1:0", Config{})
 		if err != nil {
 			t.Fatalf("Serve: %v", err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		cli, err := Dial(srv.Addr())
+		cli, err := DialContext(context.Background(), srv.Addr())
 		if err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
@@ -158,12 +158,12 @@ func TestSchemaCodecRoundTrip(t *testing.T) {
 
 func TestServerUnknownOp(t *testing.T) {
 	sc := workload.DMV()
-	srv, err := Serve(sc.Sources[0], "127.0.0.1:0")
+	srv, err := ServeConfig(sc.Sources[0], "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(srv.Addr())
+	cli, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestServerUnknownOp(t *testing.T) {
 // connection and the server handles connections independently.
 func TestConcurrentClientsAndCalls(t *testing.T) {
 	sc := workload.DMV()
-	srv, err := Serve(sc.Sources[0], "127.0.0.1:0")
+	srv, err := ServeConfig(sc.Sources[0], "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestConcurrentClientsAndCalls(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for c := 0; c < 4; c++ {
-		cli, err := Dial(srv.Addr())
+		cli, err := DialContext(context.Background(), srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestProtocolVersionTooNew(t *testing.T) {
 			Columns: []WireCol{{Name: "L", Kind: "string"}},
 		}})
 	}()
-	if _, err := Dial(ln.Addr().String()); err == nil || !strings.Contains(err.Error(), "protocol") {
+	if _, err := DialContext(context.Background(), ln.Addr().String()); err == nil || !strings.Contains(err.Error(), "protocol") {
 		t.Fatalf("err = %v, want protocol-version refusal", err)
 	}
 }
