@@ -43,19 +43,23 @@ fuzz:
 	$(GO) test -fuzz=FuzzClientFrame -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzFrameCodec -fuzztime=20s -run='^$$' ./internal/wire
 
-# Differential oracle: a 60s soak of random universes against the naive
-# reference executor, writing a shrunk repro artifact on failure, 30s of the
-# same under the race detector, the churn soak and a fuzz smoke over the
-# generator's seed space under it too.
+# Differential oracle: the selftest (an injected corruption must be caught),
+# a 60s soak of random universes against the naive reference executor, 30s
+# of the same under the race detector, the churn soak under it, each writing
+# a shrunk repro artifact on failure and its flight-recorder tail, and a fuzz
+# smoke over the generator's seed space. CI runs this target and archives
+# oracle-out/.
 oracle:
 	mkdir -p oracle-out
-	$(GO) run ./cmd/fqoracle -duration 60s -seed 1 -repro oracle-out/repro.json
-	$(GO) run -race ./cmd/fqoracle -duration 30s -seed 1 -repro oracle-out/repro-race.json
-	$(GO) run -race ./cmd/fqoracle -churn -duration 60s -seed 1 -repro oracle-out/repro-churn.json
+	$(GO) run ./cmd/fqoracle -selftest -seed 1
+	$(GO) run ./cmd/fqoracle -duration 60s -seed 1 -repro oracle-out/repro.json -flight oracle-out/flight.json
+	$(GO) run -race ./cmd/fqoracle -duration 30s -seed 1 -repro oracle-out/repro-race.json -flight oracle-out/flight-race.json
+	$(GO) run -race ./cmd/fqoracle -churn -duration 60s -seed 1 -repro oracle-out/repro-churn.json -flight oracle-out/flight-churn.json
 	$(GO) test -race -fuzz=FuzzOracle -fuzztime=30s -run='^$$' ./internal/oracle
 
 # Service soak: 60s of closed-loop load from cmd/fqload against an
 # in-process fqd over real TCP, the whole stack under the race detector.
+# CI runs this target and archives service-out/.
 soak:
 	mkdir -p service-out
 	$(GO) run -race ./cmd/fqload -self -scenario synth -realtime 0.05 \
@@ -77,8 +81,9 @@ bench:
 # wire frame through the codec in each direction at a chunk's and an
 # answer's size, beside encoding/json on the same line, and the three caches:
 # a fully cached semijoin of 10^4 items split by the source-answer cache, a
-# hit on a full answer cache, and the store's Put at its bound. CI runs the
-# same set once per benchmark as a smoke.
+# hit on a full answer cache, and the store's Put at its bound. CI runs this
+# target once per benchmark as a smoke: make bench-layers BENCHFLAGS='-benchtime 1x'.
+BENCHFLAGS ?=
 bench-layers:
-	$(GO) test -run '^$$' -bench 'WrapperSelect|WrapperSemijoin|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem|Optimizers|PlanEstimate|FrameCodec|CachePartition|AnswerCacheGet|StorePutAtBound' -benchmem \
+	$(GO) test -run '^$$' -bench 'WrapperSelect|WrapperSemijoin|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem|Optimizers|PlanEstimate|FrameCodec|CachePartition|AnswerCacheGet|StorePutAtBound' -benchmem $(BENCHFLAGS) \
 		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core ./internal/optimizer ./internal/plan ./internal/wire ./internal/service ./internal/lru

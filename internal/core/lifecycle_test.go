@@ -212,3 +212,90 @@ func TestOverlappingQueriesAccountTheirOwnWork(t *testing.T) {
 	stop()
 	planner.Wait()
 }
+
+// peakCounter notes the most calls it has had in flight at once.
+type peakCounter struct {
+	mu        sync.Mutex
+	now, peak int
+}
+
+func (p *peakCounter) enter() {
+	p.mu.Lock()
+	p.now++
+	p.peak = max(p.peak, p.now)
+	p.mu.Unlock()
+}
+
+func (p *peakCounter) leave() {
+	p.mu.Lock()
+	p.now--
+	p.mu.Unlock()
+}
+
+// TestLinkBoundsEveryCallerAcrossQueries: a source's link admits MaxConns
+// exchanges at a time whoever asks. Four overlapping queries (two of them
+// with emulated semijoins, one exchange per binding), a phase-two fetch and a
+// cold catalog fill run at once through one Mediator; every source holds each
+// call about 2 ms below its instrumentation and notes how many it holds at
+// once, which never exceeds its link's connections.
+func TestLinkBoundsEveryCallerAcrossQueries(t *testing.T) {
+	for _, conns := range []int{1, 2} {
+		t.Run(fmt.Sprintf("conns%d", conns), func(t *testing.T) {
+			sc := workload.DMV()
+			m := New(sc.Schema)
+			m.SetNetwork(netsim.NewNetwork(1))
+			link := netsim.Link{Latency: 5 * time.Millisecond, BytesPerSec: 50000, RequestOverhead: 2 * time.Millisecond, MaxConns: conns}
+			peaks := make([]*peakCounter, len(sc.Sources))
+			for j, src := range sc.Sources {
+				p := &peakCounter{}
+				peaks[j] = p
+				inner := source.NewWrapper(src.Name(), source.NewRowBackend(sc.Relations[j]), source.Capabilities{PassedBindings: true})
+				held := source.Over(inner, func(ctx context.Context, call source.Call) (source.Reply, error) {
+					p.enter()
+					defer p.leave()
+					time.Sleep(2 * time.Millisecond)
+					return source.Do(ctx, inner, call)
+				})
+				if err := m.AddSourceLink(&held, link); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			want := set.New("J55", "T21")
+			var wg sync.WaitGroup
+			run := func(what string, f func() error) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := f(); err != nil {
+						t.Errorf("%s: %v", what, err)
+					}
+				}()
+			}
+			for q, algo := range []Algorithm{AlgoFilter, AlgoSJA, AlgoFilter, AlgoSJA} {
+				run(fmt.Sprintf("query %d (%s)", q, algo), func() error {
+					ans, err := m.Query(t.Context(), paperSQL, Options{Algorithm: algo})
+					if err == nil && !ans.Items.Equal(want) {
+						err = fmt.Errorf("answer %v, want %v", ans.Items, want)
+					}
+					return err
+				})
+			}
+			run("fetch", func() error {
+				_, err := m.Fetch(t.Context(), want)
+				return err
+			})
+			run("catalog fill", func() error {
+				m.BumpEpoch()
+				_, err := m.Problem(t.Context(), paperConds, Options{})
+				return err
+			})
+			wg.Wait()
+			for j, p := range peaks {
+				if p.peak > conns {
+					t.Errorf("%s held %d calls at once, its link has %d connections", sc.Sources[j].Name(), p.peak, conns)
+				}
+			}
+		})
+	}
+}

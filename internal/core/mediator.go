@@ -462,10 +462,10 @@ type ReplicaSpec struct {
 // — statistics, optimization, plans, answers — sees only the logical name.
 //
 // Each endpoint is instrumented against the attached network under its own
-// link, so endpoint exchanges are accounted physically; the logical source
-// itself is not re-instrumented. The cost profile is derived from the
-// fastest replica link — the fabric routes to the fastest healthy replica,
-// so that is the calibrated cost a planner should assume.
+// link, so endpoint exchanges are admitted and accounted physically; the
+// logical source itself is not re-instrumented. The cost profile is derived
+// from the fastest replica link — the fabric routes to the fastest healthy
+// replica, so that is the calibrated cost a planner should assume.
 func (m *Mediator) AddReplicatedSource(name string, replicas []ReplicaSpec, opts fabric.Options) (logical *fabric.Logical, err error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("core: replicated source %s: no replicas", name)
@@ -721,10 +721,10 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 
 // executor wires the roster and the query's execution options into the
 // executor every entry point runs on. A round's independent source queries
-// always overlap (Section 6's response-time direction): each source sees at
-// most its link's MaxConns exchanges from us at a time (default 1), the
-// overlap is across sources, and total work is what it would be one exchange
-// after another.
+// always overlap (Section 6's response-time direction); the link admits, so
+// each source sees at most its MaxConns exchanges (default 1) from all our
+// queries together, and total work is what it would be one exchange after
+// another.
 func (r *roster) executor(opts Options) *exec.Executor {
 	ex := &exec.Executor{
 		Sources: r.sources, Network: r.network, Parallel: true,

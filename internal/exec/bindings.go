@@ -1,0 +1,154 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"sync"
+
+	"fusionq/internal/cond"
+	"fusionq/internal/set"
+)
+
+// sequential reports a round-scheduled run without parallelism: one
+// exchange at a time, on one connection per source.
+func (r *run) sequential() bool { return !r.e.Parallel && !r.pipelined }
+
+// resolveConns sizes source j's side of an emulated semijoin: how many of
+// its bindings are in flight at once. The sequential reference takes one — its
+// accounting identity ResponseTime == TotalWork depends on it; an overlapped
+// or pipelined run takes the source's connection capacity: its link's
+// MaxConns, a replicated source's endpoints' summed, 1 without a network.
+// Admission itself is the link's (source.Instrumented); this only gives the
+// lanes enough workers to fill them.
+func (r *run) resolveConns(j int) int {
+	if r.sequential() {
+		return 1
+	}
+	src := r.e.Sources[j]
+	if rc, ok := src.(replicaSource); ok {
+		total := 0
+		for _, k := range rc.ReplicaConns() {
+			total += k
+		}
+		return total
+	}
+	if r.e.Network != nil {
+		return r.e.Network.ConnsFor(src.Name())
+	}
+	return 1
+}
+
+// queryStats tallies what one step's source interaction cost: charged
+// queries (including failed attempts that reached the source), cache
+// consultations answered locally (hits) or referred to the source (misses),
+// transient-failure re-issues (retries), and failed attempts (errors).
+type queryStats struct {
+	queries int
+	hits    int
+	misses  int
+	retries int
+	errors  int
+}
+
+// add accumulates o into q.
+func (q *queryStats) add(o queryStats) {
+	q.queries += o.queries
+	q.hits += o.hits
+	q.misses += o.misses
+	q.retries += o.retries
+	q.errors += o.errors
+}
+
+// bindings emulates a semijoin over items as passed-binding selections, one
+// per item. The bindings are independent exchanges, so they are issued
+// concurrently, as many as the source has connections — the single biggest
+// response-time lever for passed-bindings sources, whose per-item queries
+// otherwise serialize into the plan's critical path.
+//
+// Failure handling is per binding: a transient failure retries only that
+// binding (up to the executor's retry budget), and the first permanent
+// failure stops the fan-out — workers finish their in-flight binding and no
+// new bindings are issued. Cancellation behaves the same way: workers
+// observe ctx between bindings, so a cancelled query stops promptly without
+// leaking goroutines. Every attempt that reached the source is charged in
+// agg.queries, so measured SourceQueries reflect genuine traffic.
+func (r *run) bindings(ctx context.Context, j int, c cond.Cond, items []string, agg *queryStats) (set.Set, error) {
+	src := r.e.Sources[j]
+	workers := r.resolveConns(j)
+	if workers > len(items) {
+		workers = len(items)
+	}
+	var (
+		mu       sync.Mutex // guards next, firstErr, verdict and agg
+		next     int
+		firstErr error
+		verdict  = make([]int8, len(items)) // 0 not probed, +1 matches, -1 does not
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if err := ctx.Err(); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = fmt.Errorf("source %s: emulated semijoin: %w", src.Name(), err)
+					}
+					mu.Unlock()
+					return
+				}
+				mu.Lock()
+				if firstErr != nil || next >= len(items) {
+					mu.Unlock()
+					return
+				}
+				i := next
+				next++
+				mu.Unlock()
+
+				// One passed-binding selection, retried on its own.
+				var ok bool
+				var bind queryStats
+				err := r.exchange(ctx, j, &bind, items[i], func(ctx context.Context) (err error) {
+					ok, err = src.SelectBinding(ctx, c, items[i])
+					return err
+				})
+				mu.Lock()
+				agg.add(bind)
+				if err != nil {
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					return
+				}
+				verdict[i] = -1
+				if ok {
+					verdict[i] = 1
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	// What was learned is recorded once, after the fan-out: all of items, or
+	// the bindings that completed when one failed.
+	probed, out := items, make([]string, 0, len(items))
+	if firstErr != nil {
+		probed = nil
+	}
+	for i, v := range verdict {
+		if v > 0 {
+			out = append(out, items[i])
+		}
+		if v != 0 && firstErr != nil {
+			probed = append(probed, items[i])
+		}
+	}
+	r.e.Cache.PutSemijoin(src.Name(), c, set.FromSorted(probed), set.FromSorted(out))
+	if firstErr != nil {
+		return set.Set{}, firstErr
+	}
+	return set.FromSorted(out), nil
+}

@@ -11,13 +11,14 @@
 // round by round over whole set variables, each round's independent source
 // queries at once (the response-time direction the paper names as future
 // work in Section 6, and what the mediator always runs), every source
-// admitting at most its connection capacity of in-flight exchanges
-// (scheduler.go), so the simulated response time is the per-round critical
-// path over the per-source k-lane schedules. Its reference mode takes one
-// source query at a time, so that its simulated elapsed time equals the
-// "total work" the paper's cost model minimizes; overlap leaves total work
-// unchanged. The pipelined scheduler (stream.go) runs every step at once
-// over bounded batch edges.
+// admitting at most its link's connection capacity of in-flight exchanges
+// (netsim's lanes, held by source.Instrumented, shared with every other
+// caller of the source), so the simulated response time is the per-round
+// critical path over the per-source k-lane schedules. Its reference mode
+// takes one source query at a time, so that its simulated elapsed time
+// equals the "total work" the paper's cost model minimizes; overlap leaves
+// total work unchanged. The pipelined scheduler (stream.go) runs every step
+// at once over bounded batch edges.
 //
 // Every run takes a context.Context. Cancellation is observed between
 // steps, between the bindings of an emulated semijoin, and inside
@@ -55,15 +56,18 @@ type Executor struct {
 	// step's Source index selects into this slice.
 	Sources []source.Source
 	// Network, when set, turns on the accounting of simulated work and
-	// response time, and gives each source's link capacity. It must be the
-	// network the sources' instrumentation records to.
+	// response time, and gives each source's link capacity to the accounting
+	// and to an emulated semijoin's fan-out. It must be the network the
+	// sources' instrumentation records to, which is also what admits their
+	// exchanges.
 	Network *netsim.Network
-	// Parallel overlaps each round's independent source queries, bounded
-	// per source by the link's MaxConns (default 1). The mediator always
-	// sets it. The zero value — one exchange at a time, one connection a
-	// source — is the reference: the run for which ResponseTime ==
-	// TotalWork, which the experiments' sequential columns, the oracle's
-	// seq mode and the tests compare an overlapped run against.
+	// Parallel overlaps each round's independent source queries; each
+	// source's link admits at most its MaxConns (default 1) of them, across
+	// every query sharing the network. The mediator always sets it. The zero
+	// value — one exchange at a time, one binding of an emulated semijoin at
+	// a time — is the reference: the run for which ResponseTime == TotalWork,
+	// which the experiments' sequential columns, the oracle's seq mode and the
+	// tests compare an overlapped run against.
 	Parallel bool
 	// Cache, when set, is consulted before every selection and filters
 	// semijoin sets down to items with unknown verdicts.
@@ -205,7 +209,8 @@ func (e *Executor) checkRoster(what string, names []string) error {
 }
 
 // run is one execution: the plan, the scheduler in charge, and everything
-// the execution mutates.
+// the execution mutates. Admission is not the run's: the sources' links hold
+// it across runs.
 type run struct {
 	e *Executor
 	p *plan.Plan
@@ -214,18 +219,11 @@ type run struct {
 	// (whole variables) between round barriers.
 	pipelined bool
 	batch     int
-	// conns is each source's connection capacity; sched admits that many
-	// exchanges at a time.
-	conns []int
-	sched *scheduler
 	// ledger holds the run's own exchanges, each tagged with the index of the
 	// step that issued it (nil without a network); settled counts the entries
-	// already accounted. laneConns gives the capacity of every lane — source
-	// or replica endpoint — of an overlapped run's critical path (nil in a
-	// sequential one, which has none).
-	ledger    *netsim.Ledger
-	settled   int
-	laneConns map[string]int
+	// already accounted.
+	ledger  *netsim.Ledger
+	settled int
 	// sink is non-nil in combined mode (combined.go).
 	sink *recordSink
 	tr   byteTracker
@@ -246,7 +244,6 @@ type loadedRel struct {
 func (e *Executor) newRun(p *plan.Plan, pipelined bool) *run {
 	r := &run{
 		e: e, p: p, pipelined: pipelined,
-		conns:  make([]int, len(e.Sources)),
 		vars:   map[string]set.Set{},
 		loaded: map[string]loadedRel{},
 	}
@@ -259,14 +256,7 @@ func (e *Executor) newRun(p *plan.Plan, pipelined bool) *run {
 	}
 	if e.Network != nil {
 		r.ledger = &netsim.Ledger{}
-		if !r.sequential() {
-			r.laneConns = map[string]int{}
-		}
 	}
-	for j := range e.Sources {
-		r.conns[j] = r.resolveConns(j)
-	}
-	r.sched = newScheduler(r.conns)
 	return r
 }
 
@@ -447,24 +437,24 @@ func (r *run) settle() {
 		r.res.ResponseTime += work
 		return
 	}
-	// One lane per physical endpoint (each owns its connection pool), in
-	// arrival order; the slowest lane's makespan over its capacity bounds the
-	// rest.
+	// One lane per physical endpoint (each link admits its own exchanges),
+	// in arrival order; the slowest lane's makespan over its link's capacity
+	// bounds the rest.
 	lanes := map[string][]time.Duration{}
 	for _, en := range entries {
 		lanes[en.Source] = append(lanes[en.Source], en.Elapsed)
 	}
 	var critical time.Duration
 	for name, durs := range lanes {
-		if d := netsim.Makespan(durs, r.laneConns[name]); d > critical {
+		if d := netsim.Makespan(durs, r.e.Network.ConnsFor(name)); d > critical {
 			critical = d
 		}
 	}
 	r.res.ResponseTime += critical
 }
 
-// replicaSource is the fabric's accounting face: a logical source exposing
-// its physical endpoints' connection capacities.
+// replicaSource is the fabric's fan-out face: a logical source exposing its
+// physical endpoints' connection capacities.
 type replicaSource interface {
 	ReplicaConns() map[string]int
 }

@@ -246,18 +246,12 @@ func (r *run) retry(ctx context.Context, j int, agg *queryStats, binding string,
 	}
 }
 
-// exchange issues one charged exchange with source j — call, under a
-// scheduler slot — through the retry loop.
+// exchange issues one charged exchange with source j, call, through the
+// retry loop. The source's link admits it (source.Instrumented).
 func (r *run) exchange(ctx context.Context, j int, agg *queryStats, binding string, call func(context.Context) error) error {
 	return r.retry(ctx, j, agg, binding, func(ctx context.Context) (bool, error) {
-		release, err := r.slot(ctx, j)
-		if err != nil {
-			return false, fmt.Errorf("source %s: %w", r.p.Sources[j], err)
-		}
-		err = call(ctx)
-		release()
 		agg.queries++
-		return false, err
+		return false, call(ctx)
 	})
 }
 
@@ -319,17 +313,12 @@ func (r *run) selectBody(ctx context.Context, s plan.Step, nd *node) error {
 }
 
 // drainSelect is one attempt at streaming the selection: open, pull, emit,
-// keeping the batches on the side when a cache wants the whole. A scheduler
-// slot brackets the open and each chunk pull — one slot per exchange — and
-// is released before emitting, so backpressure never holds a source lane.
+// keeping the batches on the side when a cache wants the whole. The link
+// admits the open and each pull on its own, so backpressure never holds a
+// source lane.
 func (r *run) drainSelect(ctx context.Context, j int, c cond.Cond, nd *node, kept *[]string) error {
 	src, agg := r.e.Sources[j], &nd.cost
-	release, err := r.slot(ctx, j)
-	if err != nil {
-		return fmt.Errorf("source %s: %w", src.Name(), err)
-	}
 	it, err := source.OpenSelectStream(ctx, src, c, r.batch)
-	release()
 	agg.queries++
 	if r.e.Cache != nil {
 		agg.misses++
@@ -339,12 +328,7 @@ func (r *run) drainSelect(ctx context.Context, j int, c cond.Cond, nd *node, kep
 	}
 	defer it.Close()
 	for {
-		release, err := r.slot(ctx, j)
-		if err != nil {
-			return fmt.Errorf("source %s: %w", src.Name(), err)
-		}
 		batch, err := it.Next(ctx)
-		release()
 		if err != nil || batch == nil {
 			return err
 		}

@@ -155,14 +155,15 @@ func TestTransientBindingFailsWithoutRetries(t *testing.T) {
 	}
 }
 
-// TestSchedulerBoundsConcurrency checks the slot pool: the peak number of
-// in-flight binding queries at one source never exceeds its link's MaxConns.
+// TestSchedulerBoundsConcurrency checks the link's admission: the peak number
+// of in-flight binding queries at one source, seen below its instrumentation,
+// never exceeds its link's MaxConns.
 func TestSchedulerBoundsConcurrency(t *testing.T) {
 	for _, conns := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("conns%d", conns), func(t *testing.T) {
 			pr, srcs, network := dmvSetup(t, semijoinCaps)
-			probe := &maxInflight{Source: srcs[1]}
-			srcs[1] = probe
+			probe := &maxInflight{Source: srcs[1].(*source.Instrumented).Source}
+			srcs[1] = source.Instrument(probe, network)
 			ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, conns), Parallel: true}
 			got, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources))
 			if err != nil {

@@ -27,8 +27,8 @@ package exec
 //     (the whole run is one "round" — the pipeline overlaps everything the
 //     data dependencies allow).
 //
-// Deadlock freedom: a node holds a scheduler slot only for the duration of
-// one exchange (the open or one chunk pull), never across an emit — so
+// Deadlock freedom: a node holds a lane of its source's link only for one
+// exchange (the open or one chunk pull), never across an emit — so
 // consumer backpressure cannot starve same-source exchanges of later
 // steps. Abandonment propagates upstream: when every consumer of a node's
 // output has closed its edge (e.g. an intersect short-circuited on an

@@ -19,10 +19,11 @@
 //     replica until every replica was tried, and only then surfaces an
 //     ExhaustedError for the mediator's mid-query roster repair.
 //
-// Each Endpoint owns its connection slots (from the replica's link
-// capacity), so the executor's per-source scheduler steps aside: Logical
-// exposes the SelfScheduling marker and the executor skips its own slot
-// accounting for fabric sources.
+// The fabric admits nothing itself: an endpoint's source is instrumented
+// against the replica's own link, and that link admits its exchanges
+// (netsim's lanes, held by source.Instrumented) — both legs of a hedge, a
+// failover's re-issue and every other caller of the replica alike. An
+// endpoint counts its legs in flight for selection's load term.
 package fabric
 
 import (
@@ -126,24 +127,26 @@ func (o Options) withDefaults() Options {
 }
 
 // Endpoint is one physical replica of a logical source: the wrapped source
-// plus its connection slots, health score and circuit breaker.
+// plus its connection capacity, in-flight count, health score and circuit
+// breaker.
 type Endpoint struct {
-	src    source.Source
-	conns  int
-	slots  chan struct{}
-	health *health
-	brk    *breaker
+	src      source.Source
+	conns    int
+	inflight atomic.Int64
+	health   *health
+	brk      *breaker
 }
 
 // NewEndpoint wraps src as a physical replica endpoint with the given
 // connection capacity (the replica's link MaxConns; values below 1 mean a
-// single connection). Health and breaker state attach when the endpoint
-// joins a Logical.
+// single connection), which sizes an emulated semijoin's fan-out over the
+// logical source (ReplicaConns); the replica's link is what admits. Health
+// and breaker state attach when the endpoint joins a Logical.
 func NewEndpoint(src source.Source, conns int) *Endpoint {
 	if conns < 1 {
 		conns = 1
 	}
-	return &Endpoint{src: src, conns: conns, slots: make(chan struct{}, conns)}
+	return &Endpoint{src: src, conns: conns}
 }
 
 // Name is the endpoint's physical name (distinct from the logical name).
@@ -155,26 +158,11 @@ func (ep *Endpoint) Source() source.Source { return ep.src }
 // BreakerState returns the endpoint's current circuit-breaker position.
 func (ep *Endpoint) BreakerState() BreakerState { return ep.brk.State() }
 
-// acquire claims a connection slot, honoring ctx while queued.
-func (ep *Endpoint) acquire(ctx context.Context) error {
-	select {
-	case ep.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (ep *Endpoint) release() { <-ep.slots }
-
-// inflight is the endpoint's current in-flight exchange count.
-func (ep *Endpoint) inflight() int { return len(ep.slots) }
-
 // endpointScore orders replica selection: EWMA latency stretched by
 // in-flight load. Zero until the first observation, so fresh replicas get
 // traffic immediately.
 func endpointScore(ep *Endpoint) float64 {
-	return ep.health.score() * float64(1+ep.inflight())
+	return ep.health.score() * float64(1+ep.inflight.Load())
 }
 
 // CallStats accumulates fabric activity for one plan step. The executor
@@ -264,7 +252,7 @@ func NewLogical(name string, eps []*Endpoint, opts Options) (*Logical, error) {
 		caps.NativeSemijoin = caps.NativeSemijoin && c.NativeSemijoin
 		caps.PassedBindings = caps.PassedBindings && c.PassedBindings
 		caps.BloomSemijoin = caps.BloomSemijoin && c.BloomSemijoin
-		ep.health = newHealth()
+		ep.health = &health{}
 		ep.brk = newBreaker(opts.FailureThreshold, opts.Cooldown)
 	}
 	l := &Logical{
@@ -293,10 +281,6 @@ func (l *Logical) Caps() source.Capabilities { return l.caps }
 // endpoint's statistics describe the logical source.
 func (l *Logical) Card() (tuples, distinct, bytes int) { return l.eps[0].src.Card() }
 
-// SelfScheduling marks the fabric as owning its per-endpoint connection
-// slots; the executor's per-source scheduler skips Logical sources.
-func (l *Logical) SelfScheduling() {}
-
 // Endpoints returns the replica endpoints in registration order.
 func (l *Logical) Endpoints() []*Endpoint {
 	out := make([]*Endpoint, len(l.eps))
@@ -305,7 +289,7 @@ func (l *Logical) Endpoints() []*Endpoint {
 }
 
 // ReplicaConns maps each physical endpoint name to its connection capacity,
-// for the executor's accounting and fan-out sizing.
+// for the executor's fan-out sizing.
 func (l *Logical) ReplicaConns() map[string]int {
 	out := make(map[string]int, len(l.eps))
 	for _, ep := range l.eps {
@@ -374,7 +358,7 @@ func (l *Logical) Scorecards() []Scorecard {
 			Endpoint:    ep.Name(),
 			Breaker:     ep.brk.State().String(),
 			EWMASeconds: ep.health.score(),
-			Inflight:    ep.inflight(),
+			Inflight:    int(ep.inflight.Load()),
 			ConsecFails: ep.health.consecutiveFails(),
 			Hedges:      st.Hedges,
 			HedgeWins:   st.HedgeWins,
@@ -655,28 +639,19 @@ func harvestLosers(ctx context.Context, l *Logical, results <-chan outcome, pend
 	}
 }
 
-// runOne runs call on one endpoint: queue for a connection slot, mark the
-// breaker attempt, execute, and feed the outcome back into health and
-// breaker state. A leg cancelled from above (the other replica won, or the
-// caller gave up) is not evidence about this endpoint's health.
+// runOne runs call on one endpoint, in flight for the whole leg: mark the
+// breaker attempt, execute — the replica's link admits it underneath — and
+// feed the outcome back into health and breaker state. A leg cancelled from
+// above (the other replica won, or the caller gave up) is not evidence about
+// this endpoint's health.
 func runOne(ctx context.Context, l *Logical, ep *Endpoint, call source.Call) (source.Reply, error) {
-	met := obs.Meter(ctx)
-	queue := met.Gauge(obs.MSchedQueueDepth, "source", ep.Name())
-	queue.Inc()
-	err := ep.acquire(ctx)
-	queue.Dec()
-	if err != nil {
-		return source.Reply{}, fmt.Errorf("fabric: %s: endpoint %s: %w", l.name, ep.Name(), err)
-	}
-	occ := met.Gauge(obs.MSchedLaneOccupancy, "source", ep.Name())
-	occ.Inc()
+	ep.inflight.Add(1)
 	ep.brk.markAttempt()
 	publishBreaker(ctx, ep)
 	start := time.Now()
 	reply, err := source.Do(ctx, ep.src, call)
 	elapsed := time.Since(start)
-	occ.Dec()
-	ep.release()
+	ep.inflight.Add(-1)
 	if err != nil {
 		if ctx.Err() == nil {
 			ep.health.fail()
@@ -686,8 +661,8 @@ func runOne(ctx context.Context, l *Logical, ep *Endpoint, call source.Call) (so
 		return source.Reply{}, err
 	}
 	if reply.Stream != nil {
-		// The slot was held only around the open — each pull re-acquires it —
-		// so a slow consumer does not starve the endpoint's other exchanges.
+		// The open is one leg; each pull is its own (logicalStream.Next), so a
+		// slow consumer holds no lane of the endpoint's link.
 		// A successful open records nothing in the endpoint's health or
 		// breaker: opening may carry no network exchange at all (the first
 		// chunk pull does), so crediting it would let an endpoint that

@@ -455,3 +455,74 @@ func TestCapsIntersection(t *testing.T) {
 		t.Fatalf("replica conns = %v", rc)
 	}
 }
+
+// gated holds every selection until open is closed, noting the most it held
+// at once.
+type gated struct {
+	*stub
+	open chan struct{}
+
+	mu         sync.Mutex
+	held, peak int
+}
+
+func (g *gated) Select(ctx context.Context, c cond.Cond) (set.Set, error) {
+	g.mu.Lock()
+	g.held++
+	g.peak = max(g.peak, g.held)
+	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		g.held--
+		g.mu.Unlock()
+	}()
+	select {
+	case <-g.open:
+	case <-ctx.Done():
+		return set.Set{}, ctx.Err()
+	}
+	return g.stub.Select(ctx, c)
+}
+
+// TestScorecardCountsLegsInFlight: an endpoint's Inflight counts its legs
+// from launch to return — one exchanging, one queued at the replica's
+// one-connection link — and the link, not the fabric, keeps the replica at
+// one exchange at a time.
+func TestScorecardCountsLegsInFlight(t *testing.T) {
+	network := netsim.NewNetwork(1)
+	network.SetLink("R1a", netsim.Link{MaxConns: 1})
+	g := &gated{stub: newStub("R1a"), open: make(chan struct{})}
+	l, err := NewLogical("R1", []*Endpoint{NewEndpoint(source.Instrument(g, network), 1)}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := sync.OnceFunc(func() { close(g.open) })
+	defer release()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = l.Select(t.Context(), cond.True{})
+		}()
+	}
+	for deadline := time.Now().Add(2 * time.Second); l.Scorecards()[0].Inflight != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Inflight = %d with two legs launched, want 2", l.Scorecards()[0].Inflight)
+		}
+	}
+	release()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.peak != 1 {
+		t.Fatalf("the replica held %d selections at once, its link has one connection", g.peak)
+	}
+	if got := l.Scorecards()[0].Inflight; got != 0 {
+		t.Fatalf("Inflight = %d after both legs returned", got)
+	}
+}

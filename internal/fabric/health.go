@@ -7,9 +7,8 @@ import (
 	"time"
 )
 
-// latencyRing is a fixed-capacity ring of recent latency observations,
-// used both per endpoint (informational) and per logical source (the hedge
-// deadline's percentile basis).
+// latencyRing is a fixed-capacity ring of recent latency observations: a
+// logical source's, the hedge deadline's percentile basis.
 type latencyRing struct {
 	mu   sync.Mutex
 	buf  []float64 // seconds
@@ -67,18 +66,10 @@ type health struct {
 	ewma   float64 // seconds; 0 until the first observation
 	seeded bool
 	fails  int
-	recent *latencyRing
 }
 
-func newHealth() *health {
-	return &health{recent: newLatencyRing(endpointRingSize)}
-}
-
-const (
-	endpointRingSize = 64
-	// ewmaAlpha is the latency EWMA's smoothing factor.
-	ewmaAlpha = 0.3
-)
+// ewmaAlpha is the latency EWMA's smoothing factor.
+const ewmaAlpha = 0.3
 
 func (h *health) observe(d time.Duration) {
 	h.mu.Lock()
@@ -91,7 +82,6 @@ func (h *health) observe(d time.Duration) {
 		h.ewma = ewmaAlpha*s + (1-ewmaAlpha)*h.ewma
 	}
 	h.fails = 0
-	h.recent.observe(d)
 }
 
 func (h *health) fail() {

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"fusionq/internal/set"
@@ -14,24 +13,22 @@ import (
 // so a mid-stream failure cannot transparently move — the causal error
 // surfaces, the endpoint is marked unhealthy, and the consumer decides
 // whether to rerun. Streams are not hedged for the same reason. Each pull
-// runs under the endpoint's slot accounting.
+// is in flight at the endpoint while it runs.
 type logicalStream struct {
 	l     *Logical
 	ep    *Endpoint
 	inner set.Iter
 }
 
-// Next pulls the next batch under the endpoint's slot accounting. A genuine
-// mid-stream failure (not the consumer's own cancellation) marks the
-// endpoint unhealthy and counts against its breaker before surfacing.
+// Next pulls the next batch. A genuine mid-stream failure (not the
+// consumer's own cancellation) marks the endpoint unhealthy and counts
+// against its breaker before surfacing.
 func (s *logicalStream) Next(ctx context.Context) ([]string, error) {
-	if err := s.ep.acquire(ctx); err != nil {
-		return nil, fmt.Errorf("fabric: %s: endpoint %s: %w", s.l.name, s.ep.Name(), err)
-	}
+	s.ep.inflight.Add(1)
 	start := time.Now()
 	batch, err := s.inner.Next(ctx)
 	elapsed := time.Since(start)
-	s.ep.release()
+	s.ep.inflight.Add(-1)
 	if err != nil {
 		if ctx.Err() == nil {
 			s.ep.health.fail()

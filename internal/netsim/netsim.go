@@ -5,10 +5,12 @@
 // messages, bytes, and simulated elapsed time — without real sockets, so the
 // experiments are reproducible.
 //
-// Each source is reached over a Link with its own latency, bandwidth and
-// per-request overhead, mirroring the paper's heterogeneous-source setting.
-// The network is shared by everything that runs over it; a caller that
-// accounts for its own exchanges carries a Ledger in its context.
+// Each source is reached over a Link with its own latency, bandwidth,
+// per-request overhead and connection capacity, mirroring the paper's
+// heterogeneous-source setting. The network is shared by everything that runs
+// over it: it admits each source's exchanges at that capacity (lanes.go), and
+// a caller that accounts for its own exchanges carries a Ledger in its
+// context.
 package netsim
 
 import (
@@ -42,9 +44,9 @@ type Link struct {
 	// MaxConns is the number of concurrent exchanges the source sustains on
 	// this link (its connection pool as seen from the mediator). Zero or one
 	// means a single connection: exchanges are serviced one at a time. The
-	// parallel executor bounds its per-source concurrency to this capacity,
-	// and response-time accounting schedules a batch's exchanges over
-	// MaxConns lanes (see Makespan).
+	// network admits at most this many exchanges with the source at once,
+	// across every caller (Acquire), and response-time accounting schedules
+	// a batch's exchanges over MaxConns lanes (see Makespan).
 	MaxConns int
 }
 
@@ -109,12 +111,14 @@ type ChurnEvent struct {
 	Link Link
 }
 
-// Network simulates the mediator's connectivity to all sources and records
-// every exchange. It is safe for concurrent use so the parallel
-// (response-time) executor can share it.
+// Network simulates the mediator's connectivity to all sources, admits
+// exchanges to each at its link's capacity, and records every exchange. It is
+// safe for concurrent use: everything that reaches a source shares it.
 type Network struct {
 	mu    sync.Mutex
 	links map[string]Link
+	// lanes is each source's admission pool (lanes.go).
+	lanes map[string]*lanes
 	rng   *rand.Rand
 	// log holds the most recent exchanges, at most logRetention of them.
 	log []Exchange
@@ -140,15 +144,20 @@ type Network struct {
 func NewNetwork(seed int64) *Network {
 	return &Network{
 		links: make(map[string]Link),
+		lanes: make(map[string]*lanes),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
 
-// SetLink installs or replaces the link to the named source.
+// SetLink installs or replaces the link to the named source. A larger
+// MaxConns admits waiting exchanges at once.
 func (n *Network) SetLink(source string, l Link) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.links[source] = l
+	if p := n.lanes[source]; p != nil {
+		n.grantLocked(source, p)
+	}
 }
 
 // LinkFor returns the link to the named source, or DefaultLink if none was
@@ -156,6 +165,11 @@ func (n *Network) SetLink(source string, l Link) {
 func (n *Network) LinkFor(source string) Link {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.linkLocked(source)
+}
+
+// linkLocked is LinkFor for callers holding n.mu.
+func (n *Network) linkLocked(source string) Link {
 	if l, ok := n.links[source]; ok {
 		return l
 	}
@@ -173,7 +187,7 @@ func (n *Network) ConnsFor(source string) int {
 // connection that frees up earliest (greedy list scheduling). With k=1 this
 // is the plain sum; with k lanes it is the critical path a source with a
 // k-connection pool imposes on a batch of concurrently issued queries. It is
-// the accounting counterpart of the executor's bounded per-source scheduler.
+// the accounting counterpart of the network's per-source admission (Acquire).
 func Makespan(durations []time.Duration, k int) time.Duration {
 	if len(durations) == 0 {
 		return 0
@@ -293,10 +307,7 @@ func (n *Network) Exchange(ctx context.Context, source, kind string, reqBytes, r
 		// Connection refused: instantaneous, no traffic is paid for.
 		return 0, fmt.Errorf("netsim: exchange with %s: %w", source, ErrDown)
 	}
-	l, ok := n.links[source]
-	if !ok {
-		l = DefaultLink()
-	}
+	l := n.linkLocked(source)
 	d := l.TransferTime(reqBytes, respBytes)
 	if l.JitterFrac > 0 {
 		d += time.Duration(n.rng.Float64() * l.JitterFrac * float64(d))

@@ -7,12 +7,12 @@
 // and the measured side only means something if every charge can be tied back
 // to the query that caused it. The mediator (internal/core) mints a query ID
 // for each query and installs an Obs into the query's context; the executor,
-// the per-source scheduler, the source decorators (flaky, cached,
-// instrumented) and the wire client all read it back with From(ctx) and emit
-// spans and metrics without any of them holding a reference to a tracer or
-// registry of their own. The wire protocol carries the query ID to remote
-// fqsource processes, whose structured logs and metrics correlate with the
-// mediator-side trace.
+// the source decorators (flaky, cached, instrumented, which admits each
+// exchange at its link) and the wire client all read it back with From(ctx)
+// and emit spans and metrics without any of them holding a reference to a
+// tracer or registry of their own. The wire protocol carries the query ID to
+// remote fqsource processes, whose structured logs and metrics correlate with
+// the mediator-side trace.
 //
 // Everything is optional and nil-safe: a context without an Obs, an Obs
 // without a Trace, or a nil *Registry all degrade to no-ops, so instrumented

@@ -45,7 +45,9 @@ func (d *Driver) checkPlanCache(ctx context.Context, ev *env) []Failure {
 	m := core.New(ev.sc.Schema)
 	m.SetNetwork(ev.network)
 	m.SetMetrics(obs.NewRegistry())
-	for j, src := range ev.sources {
+	// The mediator instruments what it is given, so it gets the bare sources:
+	// an instrumented one would be admitted twice on one link.
+	for j, src := range ev.sc.Sources {
 		if err := m.AddSource(src, ev.profiles[j]); err != nil {
 			return infra("add-source", err)
 		}

@@ -20,13 +20,21 @@ const queryHeaderBytes = 32
 // latency histogram of the context's metrics. All plan executions in the
 // experiments run against instrumented sources, so estimated costs can be
 // compared with measured ones.
+//
+// It is also where an exchange is admitted: each one — a stream's open and
+// each of its pulls included — holds one of the network's lanes for the
+// source (netsim.Network.Acquire), so whoever calls a registered source, from
+// whichever query, sees at most its link's MaxConns exchanges in flight. The
+// wait and the hold show on the queue-depth and lane-occupancy gauges.
 type Instrumented struct {
 	Layer
 	net *netsim.Network
 }
 
 // Instrument wraps src, recording exchanges on network (nil charges the
-// context's metrics alone).
+// context's metrics alone). A source is instrumented once: under a second
+// Instrumented on the same network an exchange would wait for the lane its
+// outer layer holds.
 func Instrument(src Source, network *netsim.Network) *Instrumented {
 	s := &Instrumented{net: network}
 	s.Layer = Over(src, s.exchange)
@@ -40,6 +48,10 @@ func Instrument(src Source, network *netsim.Network) *Instrumented {
 // argument shipped (condition text, semijoin set, binding, filter), response
 // bytes whatever came back; an unanswered binding costs no response.
 func (s *Instrumented) exchange(ctx context.Context, call Call) (Reply, error) {
+	if err := s.admit(ctx); err != nil {
+		return Reply{}, err
+	}
+	defer s.leave(ctx)
 	if call.Streamed() {
 		// Every delivered batch is recorded as its own exchange — the first
 		// as the "sq" request/response, later ones as "sqc" continuation
@@ -83,6 +95,33 @@ func (s *Instrumented) exchange(ctx context.Context, call Call) (Reply, error) {
 	return reply, nil
 }
 
+// admit takes a lane of the source's link for one exchange, counted on the
+// queue-depth gauge while it waits and on the lane-occupancy gauge until leave
+// gives it back. Without a network there is no link, so nothing to admit.
+func (s *Instrumented) admit(ctx context.Context) error {
+	if s.net == nil {
+		return nil
+	}
+	name, met := s.Name(), obs.Meter(ctx)
+	queue := met.Gauge(obs.MSchedQueueDepth, "source", name)
+	queue.Inc()
+	err := s.net.Acquire(ctx, name)
+	queue.Dec()
+	if err != nil {
+		return fmt.Errorf("source %s: %w", name, err)
+	}
+	met.Gauge(obs.MSchedLaneOccupancy, "source", name).Inc()
+	return nil
+}
+
+// leave frees the lane admit took.
+func (s *Instrumented) leave(ctx context.Context) {
+	if s.net != nil {
+		obs.Meter(ctx).Gauge(obs.MSchedLaneOccupancy, "source", s.Name()).Dec()
+		s.net.Release(s.Name())
+	}
+}
+
 // begin opens the exchange span; record ends it on success, the caller on an
 // error from underneath.
 func (s *Instrumented) begin(ctx context.Context, kind string) (context.Context, *obs.Span) {
@@ -116,9 +155,9 @@ func (s *Instrumented) record(ctx context.Context, sp *obs.Span, kind string, re
 	return nil
 }
 
-// instrumentedStream charges one exchange per delivered batch. An empty
-// result still records the one "sq" round trip, matching the materialized
-// path.
+// instrumentedStream charges one exchange per delivered batch, each pull
+// under its own lane, so a slow consumer holds none. An empty result still
+// records the one "sq" round trip, matching the materialized path.
 type instrumentedStream struct {
 	src     *Instrumented
 	inner   set.Iter
@@ -127,6 +166,10 @@ type instrumentedStream struct {
 }
 
 func (it *instrumentedStream) Next(ctx context.Context) ([]string, error) {
+	if err := it.src.admit(ctx); err != nil {
+		return nil, err
+	}
+	defer it.src.leave(ctx)
 	batch, err := it.inner.Next(ctx)
 	if err != nil {
 		return nil, err
