@@ -35,13 +35,15 @@ lint-concurrency:
 # One fuzz target per go test invocation: the parser, the bound condition
 # kernel against Eval, then the two ends of the wire transport (arbitrary
 # bytes into the serve loop and into the client's Do/Stream), then the frame
-# codec against encoding/json.
+# codec against encoding/json, then the union kernel and the streaming merges
+# against a map-and-sort reference. CI runs this target.
 fuzz:
 	$(GO) test -fuzz=FuzzParseFusion -fuzztime=30s -run='^$$' ./internal/sqlparse
 	$(GO) test -fuzz=FuzzBoundMatchesEval -fuzztime=20s -run='^$$' ./internal/cond
 	$(GO) test -fuzz=FuzzServerFrame -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClientFrame -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzFrameCodec -fuzztime=20s -run='^$$' ./internal/wire
+	$(GO) test -fuzz=FuzzSetAlgebra -fuzztime=20s -run='^$$' ./internal/set
 
 # Differential oracle: the selftest (an injected corruption must be caught),
 # a 60s soak of random universes against the naive reference executor, 30s
@@ -73,17 +75,19 @@ bench:
 
 # Layer micro-benchmarks behind the end-to-end benchmark's numbers: the
 # wrapper's selection (every node kind, one relation and six in turn) and
-# semijoin (10^2 and 10^4 items), one selection bare and under the source layers
-# (fault + accounting, the fabric), a batch's exchange accounting from the
-# run's ledger at two log lengths, one plan under each scheduler (seq, par, stream), the k-way
-# union, one planning call with the statistics catalog warm, each optimizer
-# at three problem sizes, the static cost estimator on an SJA+ plan, and one
-# wire frame through the codec in each direction at a chunk's and an
-# answer's size, beside encoding/json on the same line, and the three caches:
-# a fully cached semijoin of 10^4 items split by the source-answer cache, a
-# hit on a full answer cache, and the store's Put at its bound. CI runs this
-# target once per benchmark as a smoke: make bench-layers BENCHFLAGS='-benchtime 1x'.
+# semijoin (10^2 and 10^4 items), one selection bare and under the source
+# layers (fault + accounting, the fabric), a batch's exchange accounting from
+# the run's ledger at two log lengths, one plan under each scheduler (seq,
+# par, stream), the k-way union (strided inputs, and six drawn as a
+# plan-reuse round's are) and the streaming union, one planning call with the
+# statistics catalog warm, each optimizer at three problem sizes, the static
+# cost estimator on an SJA+ plan, and one wire frame through the codec in each
+# direction at a chunk's and an answer's size, beside encoding/json on the
+# same line, and the three caches: a fully cached semijoin of 10^4 items split
+# by the source-answer cache, a hit on a full answer cache, and the store's
+# Put at its bound. CI runs this target once per benchmark as a smoke:
+# make bench-layers BENCHFLAGS='-benchtime 1x'.
 BENCHFLAGS ?=
 bench-layers:
-	$(GO) test -run '^$$' -bench 'WrapperSelect|WrapperSemijoin|LayeredSelect|BatchAccounting|RunModes|UnionAll|Problem|Optimizers|PlanEstimate|FrameCodec|CachePartition|AnswerCacheGet|StorePutAtBound' -benchmem $(BENCHFLAGS) \
+	$(GO) test -run '^$$' -bench 'WrapperSelect|WrapperSemijoin|LayeredSelect|BatchAccounting|RunModes|UnionAll|MergeUnionStream|Problem|Optimizers|PlanEstimate|FrameCodec|CachePartition|AnswerCacheGet|StorePutAtBound' -benchmem $(BENCHFLAGS) \
 		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core ./internal/optimizer ./internal/plan ./internal/wire ./internal/service ./internal/lru

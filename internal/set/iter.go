@@ -112,18 +112,35 @@ func Collect(ctx context.Context, it Iter) (Set, error) {
 	}
 }
 
-// cursor wraps an input iterator with one-batch lookahead for merging.
+// cursor wraps an input iterator with one-batch lookahead for merging. While
+// the batch has a head, key is the head's key8: a stream's common prefix is
+// not known in advance, so the key is the item's first 8 bytes, and the
+// merges compare keys and read the strings only when two keys tie.
 type cursor struct {
 	it   Iter
 	buf  []string
 	pos  int
+	key  uint64
 	done bool
 }
 
-// ready ensures the cursor has a current item or is done, pulling the next
-// batch when the buffer is spent.
+// spent reports whether the cursor's batch is used up and its stream has
+// not ended.
+func (c *cursor) spent() bool { return !c.done && c.pos >= len(c.buf) }
+
+// ready ensures the cursor has a current item or is done. It is inlined, and
+// calls the input only when the batch is spent.
 func (c *cursor) ready(ctx context.Context) error {
-	for !c.done && c.pos >= len(c.buf) {
+	if !c.spent() {
+		return nil
+	}
+	return c.pull(ctx)
+}
+
+// pull reads batches from the input until one has an item or the stream
+// ends.
+func (c *cursor) pull(ctx context.Context) error {
+	for c.spent() {
 		batch, err := c.it.Next(ctx)
 		if err != nil {
 			return err
@@ -133,12 +150,24 @@ func (c *cursor) ready(ctx context.Context) error {
 			c.buf, c.pos = nil, 0
 			return nil
 		}
-		c.buf, c.pos = batch, 0
+		c.buf, c.pos = batch, -1
+		c.advance()
 	}
 	return nil
 }
 
 func (c *cursor) head() string { return c.buf[c.pos] }
+
+// advance moves past the head, keying the next one if the batch has it.
+func (c *cursor) advance() {
+	c.pos++
+	if c.pos < len(c.buf) {
+		c.key = key8(c.buf[c.pos])
+	}
+}
+
+// compare orders the heads of two cursors that have one.
+func (c *cursor) compare(d *cursor) int { return compareKeyed(c.key, c.head(), d.key, d.head()) }
 
 // mergeIter is the shared chassis of the merge operators: a fill function
 // produces one output batch from the cursors, and Close propagates to every
@@ -218,25 +247,23 @@ func MergeUnion(batch int, its ...Iter) Iter {
 	m := &mergeIter{cur: newCursors(its), batch: batch}
 	m.fill = func(ctx context.Context, out []string) ([]string, error) {
 		for len(out) < batch {
-			min, any := "", false
+			var least *cursor
 			for _, c := range m.cur {
 				if err := c.ready(ctx); err != nil {
 					return nil, err
 				}
-				if c.done {
-					continue
-				}
-				if h := c.head(); !any || h < min {
-					min, any = h, true
+				if !c.done && (least == nil || c.compare(least) < 0) {
+					least = c
 				}
 			}
-			if !any {
+			if least == nil {
 				return out, nil
 			}
+			k, min := least.key, least.head()
 			out = append(out, min)
 			for _, c := range m.cur {
-				if !c.done && c.pos < len(c.buf) && c.head() == min {
-					c.pos++
+				if !c.done && c.key == k && c.head() == min {
+					c.advance()
 				}
 			}
 		}
@@ -259,9 +286,9 @@ func MergeIntersect(batch int, its ...Iter) Iter {
 	}
 	m.fill = func(ctx context.Context, out []string) ([]string, error) {
 		for len(out) < batch {
-			// Candidate: the head of the first input; every other input
-			// must advance to (or past) it.
-			max, any := "", false
+			// Candidate: the greatest head; every input must advance to
+			// (or past) it.
+			var top *cursor
 			for _, c := range m.cur {
 				if err := c.ready(ctx); err != nil {
 					return nil, err
@@ -269,34 +296,33 @@ func MergeIntersect(batch int, its ...Iter) Iter {
 				if c.done {
 					return out, nil
 				}
-				if h := c.head(); !any || h > max {
-					max, any = h, true
+				if top == nil || c.compare(top) > 0 {
+					top = c
 				}
 			}
+			k, max := top.key, top.head()
 			all := true
 			for _, c := range m.cur {
-				// Skip items below the current maximum head; an input that
-				// exhausts while skipping decides the intersection.
-				for {
+				// Skip items below the candidate; an input that exhausts
+				// while skipping decides the intersection.
+				d := -1
+				for d < 0 {
 					if err := c.ready(ctx); err != nil {
 						return nil, err
 					}
 					if c.done {
 						return out, nil
 					}
-					if c.head() >= max {
-						break
+					if d = compareKeyed(c.key, c.head(), k, max); d < 0 {
+						c.advance()
 					}
-					c.pos++
 				}
-				if c.head() != max {
-					all = false
-				}
+				all = all && d == 0
 			}
 			if all {
 				out = append(out, max)
 				for _, c := range m.cur {
-					c.pos++
+					c.advance()
 				}
 			}
 		}
@@ -323,16 +349,19 @@ func MergeDiff(batch int, a, b Iter) Iter {
 			if err := cb.ready(ctx); err != nil {
 				return nil, err
 			}
-			h := ca.head()
+			d := -1
+			if !cb.done {
+				d = ca.compare(cb)
+			}
 			switch {
-			case cb.done || h < cb.head():
-				out = append(out, h)
-				ca.pos++
-			case h > cb.head():
-				cb.pos++
+			case d < 0:
+				out = append(out, ca.head())
+				ca.advance()
+			case d > 0:
+				cb.advance()
 			default:
-				ca.pos++
-				cb.pos++
+				ca.advance()
+				cb.advance()
 			}
 		}
 		return out, nil

@@ -79,33 +79,7 @@ func (s Set) Slice() []string {
 }
 
 // Union returns s ∪ t.
-func (s Set) Union(t Set) Set {
-	if s.IsEmpty() {
-		return t
-	}
-	if t.IsEmpty() {
-		return s
-	}
-	out := make([]string, 0, len(s.items)+len(t.items))
-	i, j := 0, 0
-	for i < len(s.items) && j < len(t.items) {
-		switch {
-		case s.items[i] < t.items[j]:
-			out = append(out, s.items[i])
-			i++
-		case s.items[i] > t.items[j]:
-			out = append(out, t.items[j])
-			j++
-		default:
-			out = append(out, s.items[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, s.items[i:]...)
-	out = append(out, t.items[j:]...)
-	return Set{items: out}
-}
+func (s Set) Union(t Set) Set { return UnionAll(s, t) }
 
 // Intersect returns s ∩ t.
 func (s Set) Intersect(t Set) Set {
@@ -224,72 +198,6 @@ func (s Set) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// UnionAll merges the given sets, the mediator step
-// X_i := ∪_{j=1..n} X_ij that closes every condition round. It runs as a
-// single pre-sized k-way merge instead of folding Union, so the hot path
-// allocates one output buffer regardless of how many sets it combines.
-func UnionAll(sets ...Set) Set {
-	nonEmpty, total, last := 0, 0, -1
-	for i, s := range sets {
-		if !s.IsEmpty() {
-			nonEmpty++
-			total += len(s.items)
-			last = i
-		}
-	}
-	switch nonEmpty {
-	case 0:
-		return Set{}
-	case 1:
-		return sets[last]
-	case 2:
-		first := -1
-		for i, s := range sets {
-			if !s.IsEmpty() {
-				first = i
-				break
-			}
-		}
-		return sets[first].Union(sets[last])
-	}
-	// One pass per output item: a three-way compare of every live head
-	// against the running minimum finds the minimum and the heads that tie
-	// with it together, so they advance without a second round of compares.
-	// idx and tied share one buffer.
-	buf := make([]int, 2*len(sets))
-	idx, tied := buf[:len(sets)], buf[len(sets):]
-	out := make([]string, 0, total)
-	for {
-		min, n := "", 0
-		for i, s := range sets {
-			if idx[i] == len(s.items) {
-				continue
-			}
-			h := s.items[idx[i]]
-			c := -1
-			if n > 0 {
-				c = strings.Compare(h, min)
-			}
-			switch {
-			case c < 0:
-				min, n = h, 1
-				tied[0] = i
-			case c == 0:
-				tied[n] = i
-				n++
-			}
-		}
-		if n == 0 {
-			break
-		}
-		out = append(out, min)
-		for _, i := range tied[:n] {
-			idx[i]++
-		}
-	}
-	return Set{items: out}
 }
 
 // IntersectAll folds Intersect over the given sets. It returns the empty set

@@ -194,20 +194,28 @@ func SelectItems(b Backend, c cond.Cond) (set.Set, error) {
 // selectItems runs the bound condition over the whole view, folds the rows'
 // matches into one per group, and collects the matching groups' items, which
 // the view holds sorted and distinct. The match vector is folded in place:
-// group g's result lands on hits[g], a row the fold has already read.
+// group g's result lands on hits[g], a row the fold has already read. The
+// fold ORs a group's first and last rows and loops only over the rows
+// between them, so a group of one or two rows, the common case, costs no
+// branch on what matched.
 func selectItems(view *relation.Ordered, pred cond.Pred, keep func(item string) bool) set.Set {
 	hits := make([]bool, len(view.Rows))
 	pred.Match(view, 0, hits)
 	start := view.Start
-	for g, item := range view.Items {
+	n := 0
+	for g := range view.Items {
 		lo, hi := start[g], start[g+1]
-		hit := hits[lo]
-		for r := lo + 1; r < hi; r++ {
-			hit = hit || hits[r]
+		hit := b2i(hits[lo]) | b2i(hits[hi-1])
+		for r := lo + 1; r < hi-1; r++ {
+			hit |= b2i(hits[r])
 		}
-		hits[g] = hit && (keep == nil || keep(item))
+		if keep != nil && hit != 0 && !keep(view.Items[g]) {
+			hit = 0
+		}
+		hits[g] = hit != 0
+		n += hit
 	}
-	return collect(view.Items, hits[:len(view.Items)])
+	return gather(view.Items, hits[:len(view.Items)], n)
 }
 
 // collect returns the items whose hit is set, in a slice of exactly their
@@ -215,20 +223,32 @@ func selectItems(view *relation.Ordered, pred cond.Pred, keep func(item string) 
 func collect(items []string, hits []bool) set.Set {
 	n := 0
 	for _, hit := range hits {
-		if hit {
-			n++
-		}
+		n += b2i(hit)
 	}
+	return gather(items, hits, n)
+}
+
+// gather is collect given the number n of hits. Each step copies the item
+// and moves the end of the result past it only on a hit, so the loop has no
+// branch on the data, and it stops at the nth hit.
+func gather(items []string, hits []bool, n int) set.Set {
 	if n == 0 {
 		return set.Set{}
 	}
-	out := make([]string, 0, n)
-	for i, hit := range hits {
-		if hit {
-			out = append(out, items[i])
-		}
+	out := make([]string, n)
+	for g, j := 0, 0; j < n; g++ {
+		out[j] = items[g]
+		j += b2i(hits[g])
 	}
 	return set.FromSorted(out)
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // probeBlock is the number of items a multi-item operation handles between
