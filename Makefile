@@ -82,8 +82,9 @@ bench:
 # plan-reuse round's are) and the streaming union, one planning call with the
 # statistics catalog warm, each optimizer at three problem sizes, the static
 # cost estimator on an SJA+ plan, and one wire frame through the codec in each
-# direction at a chunk's and an answer's size, beside encoding/json on the
-# same line, and the three caches: a fully cached semijoin of 10^4 items split
+# direction at a chunk's and an answer's size and at answer-hot's cached
+# answer, written item by item and from its encoding, beside encoding/json on
+# the same line, and the three caches: a fully cached semijoin of 10^4 items split
 # by the source-answer cache, a hit on a full answer cache, and the store's
 # Put at its bound. CI runs this target once per benchmark as a smoke:
 # make bench-layers BENCHFLAGS='-benchtime 1x'.

@@ -1,12 +1,12 @@
 package service
 
 import (
-	"strings"
 	"sync"
 	"time"
 
 	"fusionq/internal/lru"
 	"fusionq/internal/obs"
+	"fusionq/internal/wire"
 )
 
 // AnswerCacheConfig tunes an AnswerCache.
@@ -18,8 +18,9 @@ type AnswerCacheConfig struct {
 	// MaxEntries bounds the number of cached answers (default 1024);
 	// negative disables the cache.
 	MaxEntries int
-	// MaxBytes bounds the cache's approximate item-byte footprint (an answer
-	// larger than it is not kept); 0 means unbounded by bytes.
+	// MaxBytes bounds the bytes of the entries' wire encodings, the items
+	// with their quotes and commas (an answer larger than it is not kept);
+	// 0 means unbounded by bytes.
 	MaxBytes int64
 	// Metrics receives the fq_answer_cache_* metrics. Nil means the
 	// process-wide default registry.
@@ -32,9 +33,10 @@ type AnswerCacheConfig struct {
 // by canonical query key: one keying of the lru store, as exec.Cache is
 // (that one memoizes per-source sub-answers inside execution; this one
 // answers repeated whole queries without admitting them to execution at
-// all). Its own are the pin and the copy: an entry is served only at the
-// roster epoch and up to the expiry instant it was put with, and holds a
-// copy of its items. Safe for concurrent use.
+// all). Its own are the pin and the encoding: an entry is served only at the
+// roster epoch and up to the expiry instant it was put with, and holds its
+// items as the wire writes them (wire.EncodeItems), which is also their
+// copy. Safe for concurrent use.
 type AnswerCache struct {
 	cfg AnswerCacheConfig
 
@@ -46,7 +48,7 @@ type AnswerCache struct {
 
 type answer struct {
 	epoch   uint64
-	items   []string
+	items   wire.EncodedItems
 	expires time.Time
 }
 
@@ -87,8 +89,14 @@ func (c *AnswerCache) disabled() bool { return c == nil || c.cfg.MaxEntries < 0 
 // misses — the cache never serves an expired or stale answer. The slice is
 // the entry's own, sorted as it was put, and must not be modified.
 func (c *AnswerCache) Get(key string, epoch uint64) ([]string, bool) {
+	enc, ok := c.get(key, epoch)
+	return enc.Items(), ok
+}
+
+// get is Get returning the entry's encoding.
+func (c *AnswerCache) get(key string, epoch uint64) (wire.EncodedItems, bool) {
 	if c.disabled() {
-		return nil, false
+		return wire.EncodedItems{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -110,42 +118,32 @@ func (c *AnswerCache) Get(key string, epoch uint64) ([]string, bool) {
 	if !ok {
 		c.misses++
 		c.cfg.Metrics.Counter(obs.MAnswerCacheMisses).Inc()
-		return nil, false
+		return wire.EncodedItems{}, false
 	}
 	c.hits++
 	c.cfg.Metrics.Counter(obs.MAnswerCacheHits).Inc()
 	return a.items, true
 }
 
-// Put stores a copy of the answer items for key at the given roster epoch,
-// stamping the TTL from now; the store evicts least-recently-used entries
-// (reason "size") until both bounds hold. The copy is one slice over one
-// block of exactly the items' bytes: an answer's items are substrings of
-// whatever they were decoded or scanned from (wire frames' blocks, a
-// source's rows), and an entry that kept them would retain all of that,
-// which the byte accounting would not see.
-func (c *AnswerCache) Put(key string, epoch uint64, items []string) {
+// Put stores the answer items for key at the given roster epoch, stamping
+// the TTL from now, and returns them encoded; the store evicts
+// least-recently-used entries (reason "size") until both bounds hold. The
+// entry is the items' wire encoding, which is also their copy: an answer's
+// items are substrings of whatever they were decoded or scanned from (wire
+// frames' blocks, a source's rows), and an entry that kept them would retain
+// all of that, which the byte accounting would not see. A disabled cache
+// encodes nothing and returns the zero value.
+func (c *AnswerCache) Put(key string, epoch uint64, items []string) wire.EncodedItems {
 	if c.disabled() {
-		return
+		return wire.EncodedItems{}
 	}
-	n := 0
-	for _, it := range items {
-		n += len(it)
-	}
-	var block strings.Builder
-	block.Grow(n)
-	for _, it := range items {
-		block.WriteString(it)
-	}
-	own, rest := make([]string, len(items)), block.String()
-	for i, it := range items {
-		own[i], rest = rest[:len(it)], rest[len(it):]
-	}
+	enc := wire.EncodeItems(items)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.store.Put(key, answer{epoch: epoch, items: own, expires: c.cfg.Now().Add(c.cfg.TTL)}, int64(n))
+	c.store.Put(key, answer{epoch: epoch, items: enc, expires: c.cfg.Now().Add(c.cfg.TTL)}, int64(enc.Len()))
 	c.highWater = max(c.highWater, c.store.Len())
 	c.gauges()
+	return enc
 }
 
 // Stats reports the cache's current and high-water footprint and its

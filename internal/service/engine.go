@@ -10,6 +10,7 @@ import (
 	"fusionq/internal/obs"
 	"fusionq/internal/optimizer"
 	"fusionq/internal/set"
+	"fusionq/internal/wire"
 )
 
 // Config tunes an Engine.
@@ -54,6 +55,9 @@ type Result struct {
 	// it was served whole from the answer cache.
 	PlanCached   bool
 	AnswerCached bool
+	// encoded is Answer.Items as the wire writes them, when the answer
+	// cache holds them so: the Server writes it instead of each item.
+	encoded wire.EncodedItems
 }
 
 // Engine is the multi-tenant fusion-query service core: admission control in
@@ -148,8 +152,8 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, error) {
 	key := QueryKey(req.Conds, opts.Algorithm)
 	epoch := e.med.Epoch()
 
-	if items, ok := e.answers.Get(key, epoch); ok {
-		return &Result{Answer: &core.Answer{Items: set.FromSorted(items)}, AnswerCached: true}, nil
+	if enc, ok := e.answers.get(key, epoch); ok {
+		return &Result{Answer: &core.Answer{Items: set.FromSorted(enc.Items())}, AnswerCached: true, encoded: enc}, nil
 	}
 
 	planReusable := !opts.Adaptive && !opts.CombinedFetch
@@ -180,6 +184,7 @@ func (e *Engine) finish(key string, epoch uint64, ans *core.Answer, err error, p
 		}
 		return &Result{Answer: ans, PlanCached: planCached}, err
 	}
+	res := &Result{Answer: ans, PlanCached: planCached}
 	if ans.Repair != nil {
 		// The query outlived part of its roster snapshot. Reconcile the
 		// mediator: dead sources leave the roster (each removal moves the
@@ -189,9 +194,9 @@ func (e *Engine) finish(key string, epoch uint64, ans *core.Answer, err error, p
 			e.med.RemoveSource(name)
 		}
 	} else {
-		e.answers.Put(key, epoch, ans.Items.Items())
+		res.encoded = e.answers.Put(key, epoch, ans.Items.Items())
 	}
-	return &Result{Answer: ans, PlanCached: planCached}, nil
+	return res, nil
 }
 
 // Drain shuts the engine's admission down and waits for in-flight queries;

@@ -139,11 +139,15 @@ func (s *Server) dispatch(ctx context.Context, req wire.Request) wire.Response {
 			}
 			return resp
 		}
-		return wire.Response{
+		resp := wire.Response{
 			Items:        res.Answer.Items.Items(), // the listener only reads them
 			PlanCached:   res.PlanCached,
 			AnswerCached: res.AnswerCached,
 		}
+		if res.encoded.Len() > 0 {
+			resp.Encoded = &res.encoded
+		}
+		return resp
 	default:
 		return wire.Response{Error: fmt.Sprintf("service: unsupported op %q (this peer is a mediator service; see Meta.Queries)", req.Op)}
 	}

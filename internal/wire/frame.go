@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"reflect"
 	"strings"
 )
 
@@ -27,9 +28,9 @@ const (
 )
 
 // kept is buf emptied for the next frame, or nothing when it grew past
-// maxKeptBuffer.
-func kept(buf []byte) []byte {
-	if cap(buf) > maxKeptBuffer {
+// maxKeptBuffer bytes.
+func kept[T any](buf []T) []T {
+	if uintptr(cap(buf))*reflect.TypeFor[T]().Size() > maxKeptBuffer {
 		return nil
 	}
 	return buf[:0]
@@ -45,8 +46,11 @@ func (r *Response) itemsField() *[]string { return &r.Items }
 type frameReader struct {
 	br *bufio.Reader
 	// spill gathers a frame longer than br's buffer; residue holds a frame
-	// without its items member for encoding/json.
+	// without its items member for encoding/json; lits holds the bounds of
+	// the items' literals from the pass that finds them to the one that
+	// copies them.
 	spill, residue []byte
+	lits           []literal
 }
 
 // next returns the next line that is not blank, without its meaning checked.
@@ -91,30 +95,31 @@ func (r *frameReader) read(v frame, budget *int) error {
 	if err != nil {
 		return err
 	}
-	residue, err := decodeFrame(line, v, r.residue)
-	r.residue = kept(residue)
+	err = r.decode(line, v)
+	r.residue, r.lits = kept(r.residue), kept(r.lits)
 	return err
 }
 
-// decodeFrame is json.Unmarshal(line, v) with the items array decoded by
-// hand. When the top-level object carries one member named exactly "items"
-// and its value is an array of string literals, the array is decoded here
-// and the object without that member (the residue, built in scratch, which
-// is returned for reuse) goes to encoding/json. Anything else — another
-// spelling json would fold onto the field, a second such member, a key with
-// an escape, null, a number among the items, a line the walker cannot
-// follow — goes to encoding/json whole, so its semantics hold by
-// construction. One residue is not worth the trip: a response that besides
-// its items has only a plain qid and more, which is every chunk of a
-// transfer but the last, is read here entirely.
-func decodeFrame(line []byte, v frame, scratch []byte) ([]byte, error) {
-	m, ok := findItems(line)
+// decode is json.Unmarshal(line, v) with the items array decoded by hand.
+// When the top-level object carries one member named exactly "items" and
+// its value is an array of string literals, the array is decoded here and
+// the object without that member (the residue, built in r's scratch) goes
+// to encoding/json. Anything else — another spelling json would fold onto
+// the field, a second such member, a key with an escape, null, a number
+// among the items, a line the walker cannot follow — goes to encoding/json
+// whole, so its semantics hold by construction. One residue is not worth
+// the trip: a response that besides its items has only a plain qid and
+// more, which is every chunk of a transfer but the last, is read here
+// entirely. The line is at most MaxFrameBytes long.
+func (r *frameReader) decode(line []byte, v frame) error {
+	m, ok := findItems(line, r.lits[:0])
+	r.lits = m.lits
 	if !ok {
-		return scratch, json.Unmarshal(line, v)
+		return json.Unmarshal(line, v)
 	}
-	items, ok := fillItems(line[m.open:], m.n, m.size)
+	items, ok := fillItems(line, m.lits, m.size)
 	if !ok {
-		return scratch, json.Unmarshal(line, v)
+		return json.Unmarshal(line, v)
 	}
 	if resp, isResp := v.(*Response); isResp && m.chunk {
 		if m.qid != nil {
@@ -124,14 +129,14 @@ func decodeFrame(line []byte, v frame, scratch []byte) ([]byte, error) {
 			resp.More = m.more[0] == 't'
 		}
 		resp.Items = items
-		return scratch, nil
+		return nil
 	}
-	scratch = append(append(scratch, line[:m.start]...), line[m.end:]...)
-	if err := json.Unmarshal(scratch, v); err != nil {
-		return scratch, err
+	r.residue = append(append(r.residue[:0], line[:m.start]...), line[m.end:]...)
+	if err := json.Unmarshal(r.residue, v); err != nil {
+		return err
 	}
 	*v.itemsField() = items
-	return scratch, nil
+	return nil
 }
 
 // itemsMember locates a hand-decodable items member in a line.
@@ -139,9 +144,10 @@ type itemsMember struct {
 	// line[:start] + line[end:] is the residue: the member goes with the
 	// comma before it, or the one after it when it is the first.
 	start, end int
-	// open is the index of the array's bracket; n counts its literals and
-	// size the bytes of those that can be copied as they stand.
-	open, n, size int
+	// lits are the array's literals and size the bytes of those that can be
+	// copied as they stand.
+	lits []literal
+	size int
 	// chunk says the other members are at most a qid that is a plain string
 	// (its bytes) and a more that is true or false (the literal); the last
 	// of each counts, as it does for encoding/json.
@@ -149,11 +155,21 @@ type itemsMember struct {
 	qid, more []byte
 }
 
-// findItems walks the top-level object of line. It validates only what it
-// needs to be sure where the members are: any line it cannot follow is
-// reported as not found and left to encoding/json, and the residue keeps
-// every byte the walker skipped leniently, so a malformed line fails there.
-func findItems(line []byte) (m itemsMember, found bool) {
+// literal is one string literal of an items array: its body is
+// line[at:end], and plain says those bytes are the string. A line is at
+// most MaxFrameBytes long, so an offset fits 32 bits.
+type literal struct {
+	at, end int32
+	plain   bool
+}
+
+// findItems walks the top-level object of line, recording the items'
+// literals onto lits. It validates only what it needs to be sure where the
+// members are: any line it cannot follow is reported as not found and left
+// to encoding/json, and the residue keeps every byte the walker skipped
+// leniently, so a malformed line fails there.
+func findItems(line []byte, lits []literal) (m itemsMember, found bool) {
+	m.lits = lits
 	i := skipSpace(line, 0)
 	if i == len(line) || line[i] != '{' {
 		return m, false
@@ -177,8 +193,7 @@ func findItems(line []byte) (m itemsMember, found bool) {
 		switch {
 		case isItems && !found:
 			found = true
-			m.open = i
-			if i, m.n, m.size = scanItems(line, i); i == 0 {
+			if i, m.lits, m.size = scanItems(line, i, m.lits); i == 0 {
 				return m, false
 			}
 		case isItems || bytes.EqualFold(name, []byte("items")):
@@ -312,70 +327,79 @@ func skipValue(b []byte, i int) int {
 	return i
 }
 
-// scanItems is the first pass over the array at b[i:]: it returns the index
-// after the closing bracket (zero unless every element is a string
-// literal), the number of literals and the bytes of the plain ones.
-func scanItems(b []byte, i int) (end, n, size int) {
+// scanItems is the one pass over the array at b[i:]: it appends every
+// literal's bounds to lits and returns the index after the closing bracket
+// (zero unless every element is a string literal) and the bytes of the
+// plain literals. The common literal, a quote, bytes that stand for
+// themselves and a quote, is read by the loop here; any other is
+// scanString's.
+func scanItems(b []byte, i int, lits []literal) (end int, _ []literal, size int) {
 	if i >= len(b) || b[i] != '[' {
-		return 0, 0, 0
+		return 0, lits, 0
 	}
 	i = skipSpace(b, i+1)
 	if i < len(b) && b[i] == ']' {
-		return i + 1, 0, 0
+		return i + 1, lits, 0
 	}
 	for {
-		lit, plain := scanString(b, i)
-		if lit == 0 {
-			return 0, 0, 0
+		if i >= len(b) || b[i] != '"' {
+			return 0, lits, 0
 		}
-		n++
+		j := i + 1
+		for j < len(b) && inString[b[j]] {
+			j++
+		}
+		plain := true
+		if j == len(b) || b[j] != '"' {
+			var n int
+			if n, plain = scanString(b, i); n == 0 {
+				return 0, lits, 0
+			}
+			j = i + n - 1
+		}
+		lits = append(lits, literal{at: int32(i + 1), end: int32(j), plain: plain})
 		if plain {
-			size += lit - 2
+			size += j - i - 1
 		}
-		i = skipSpace(b, i+lit)
+		i = skipSpace(b, j+1)
 		if i == len(b) {
-			return 0, 0, 0
+			return 0, lits, 0
 		}
 		switch b[i] {
 		case ',':
 			i = skipSpace(b, i+1)
 		case ']':
-			return i + 1, n, size
+			return i + 1, lits, size
 		default:
-			return 0, 0, 0
+			return 0, lits, 0
 		}
 	}
 }
 
-// fillItems is the second pass over an array scanItems accepted: one
-// exactly-sized slice whose plain items are substrings of blocks of at most
-// itemBlock bytes (an item larger than that has a block of its own). A
-// literal with an escape or a byte outside ASCII is encoding/json's, which
-// may refuse it.
-func fillItems(arr []byte, n, size int) ([]string, bool) {
-	items := make([]string, 0, n)
+// fillItems copies the literals scanItems recorded in line into one
+// exactly-sized slice, scanning none of them again: plain items are
+// substrings of blocks of at most itemBlock bytes (an item larger than that
+// has a block of its own), and a literal with an escape or a byte outside
+// ASCII is encoding/json's, which may refuse it.
+func fillItems(line []byte, lits []literal, size int) ([]string, bool) {
+	items := make([]string, len(lits))
 	var block strings.Builder
-	i := skipSpace(arr, 1)
-	for len(items) < n {
-		lit, plain := scanString(arr, i)
-		if plain {
-			body := arr[i+1 : i+lit-1]
-			if len(body) > block.Cap()-block.Len() {
-				block.Reset()
-				block.Grow(max(len(body), min(size, itemBlock)))
-			}
-			at := block.Len()
-			block.Write(body)
-			items = append(items, block.String()[at:])
-			size -= len(body)
-		} else {
-			var s string
-			if json.Unmarshal(arr[i:i+lit], &s) != nil {
+	for k, lit := range lits {
+		if !lit.plain {
+			if json.Unmarshal(line[lit.at-1:lit.end+1], &items[k]) != nil {
 				return nil, false
 			}
-			items = append(items, s)
+			continue
 		}
-		i = skipSpace(arr, skipSpace(arr, i+lit)+1)
+		body := line[lit.at:lit.end]
+		if len(body) > block.Cap()-block.Len() {
+			block.Reset()
+			block.Grow(max(len(body), min(size, itemBlock)))
+		}
+		at := block.Len()
+		block.Write(body)
+		items[k] = block.String()[at:]
+		size -= len(body)
 	}
 	return items, true
 }
@@ -390,7 +414,8 @@ var (
 )
 
 // appendFrame appends v's line, newline included, to dst: the bytes
-// json.Encoder writes for it.
+// json.Encoder writes for it. A response's items go out as its Encoded
+// array when it carries one.
 func appendFrame(dst []byte, v frame) ([]byte, error) {
 	field := v.itemsField()
 	items := *field
@@ -405,11 +430,15 @@ func appendFrame(dst []byte, v frame) ([]byte, error) {
 	if len(items) > 0 {
 		at := bytes.Index(line, itemsMarker) + len(`"items":[`)
 		dst = append(dst, line[:at]...)
-		for i, item := range items {
-			if i > 0 {
-				dst = append(dst, ',')
+		if resp, ok := v.(*Response); ok && resp.Encoded != nil {
+			dst = append(dst, resp.Encoded.body...)
+		} else {
+			for i, item := range items {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendItem(dst, item)
 			}
-			dst = appendItem(dst, item)
 		}
 		line = line[at+len(`""`):]
 	}
@@ -420,11 +449,81 @@ func appendFrame(dst []byte, v frame) ([]byte, error) {
 // would write byte for byte between quotes is written so; any other is
 // json.Marshal's.
 func appendItem(dst []byte, item string) []byte {
-	for i := 0; i < len(item); i++ {
-		if !verbatim[item[i]] {
-			lit, _ := json.Marshal(item) // a string always marshals
-			return append(dst, lit...)
-		}
+	if !isVerbatim(item) {
+		lit, _ := json.Marshal(item) // a string always marshals
+		return append(dst, lit...)
 	}
 	return append(append(append(dst, '"'), item...), '"')
 }
+
+// isVerbatim says json.Marshal writes item byte for byte between quotes.
+func isVerbatim(item string) bool {
+	for i := 0; i < len(item); i++ {
+		if !verbatim[item[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// EncodedItems is an item array encoded once for the wire, to be written
+// any number of times: its body is exactly the array's body, the literals
+// and the commas between them (`"a","b"`), and its items are substrings of
+// that body, between the quotes, except that an item not written byte for
+// byte (isVerbatim) keeps a copy of its own. So it holds nothing of what its
+// items were cut from, and its body is as long as what it holds, give or
+// take those copies.
+type EncodedItems struct {
+	body  string
+	items []string
+}
+
+// EncodeItems encodes items as appendFrame writes them: each item's bytes
+// are read once to tell whether json.Marshal would escape it and copied
+// once into the body.
+func EncodeItems(items []string) EncodedItems {
+	// own holds an escaped item's literal until the body is built.
+	own := make([]string, len(items))
+	size := max(len(items)-1, 0)
+	for i, it := range items {
+		if isVerbatim(it) {
+			size += len(it) + 2
+			continue
+		}
+		lit, _ := json.Marshal(it) // a string always marshals
+		own[i] = string(lit)
+		size += len(lit)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i, it := range items {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		if own[i] != "" {
+			b.WriteString(own[i])
+			continue
+		}
+		b.WriteByte('"')
+		b.WriteString(it)
+		b.WriteByte('"')
+	}
+	body, at := b.String(), 0
+	for i, it := range items {
+		if own[i] != "" {
+			at += len(own[i]) + 1
+			own[i] = strings.Clone(it)
+			continue
+		}
+		own[i] = body[at+1 : at+1+len(it)]
+		at += len(it) + 3
+	}
+	return EncodedItems{body: body, items: own}
+}
+
+// Items returns the items the array encodes, in order. The slice is the
+// array's own and must not be modified.
+func (e EncodedItems) Items() []string { return e.items }
+
+// Len returns the length of the array's body in bytes.
+func (e EncodedItems) Len() int { return len(e.body) }

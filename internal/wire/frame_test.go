@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,13 +57,28 @@ var frameSeeds = []string{
 	`null`,
 	`{}`,
 	``,
+	// The one-scan decoder: the literals' bounds are recorded as they are
+	// read, so whitespace, escapes at each end, the 8-byte boundary, empty
+	// bodies and cut lines must each land on the literal they belong to.
+	"{\"items\":[ \"a\" ,\t\"b\"\r\n,\"c\"  ]}",
+	`{"items":["\n","b","c"]}`,
+	`{"items":["a","\u0062c","d"]}`,
+	`{"items":["a","b","c\\"]}`,
+	`{"items":["ID000001","ID0000012","ID00000\"","ID000001\""]}`,
+	`{"items":["","",""," "]}`,
+	`{"items":["x","a\"b\"c","y"]}`,
+	`{"items":["ab","cdé","fg"]}`,
+	`{"items":["ab","c` + "\x01" + `d","ef"]}`,
+	`{"items":["abc","de`,
+	`{"items":["abc\"`,
 }
 
 // FuzzFrameCodec is the codec's specification: the hand-written half agrees
 // with encoding/json on every input. Decoding arbitrary bytes as a line
 // gives the Request and the Response json.Unmarshal gives, or both fail; and
 // encoding arbitrary items (the pieces of the input between commas, and
-// whatever items it decoded to) gives the bytes json.Marshal gives.
+// whatever items it decoded to) gives the bytes json.Marshal gives, item by
+// item or from the items' EncodeItems, whose items are the items.
 func FuzzFrameCodec(f *testing.F) {
 	for _, seeds := range [][]string{requestSeeds, responseSeeds, frameSeeds} {
 		for _, s := range seeds {
@@ -78,9 +94,25 @@ func FuzzFrameCodec(f *testing.F) {
 		for _, items := range [][]string{strings.Split(string(data), ","), gotReq.Items, gotResp.Items} {
 			encodeBoth(t, &Request{Op: OpSemi, Cond: "V < 1", Items: items, Item: "x", Chunk: 2})
 			encodeBoth(t, &Response{QueryID: `"items":[""]`, Items: items, More: true, Frag: &Fragment{Source: "R"}})
+			enc := EncodeItems(items)
+			if !slices.Equal(enc.Items(), items) {
+				t.Fatalf("EncodeItems(%q) holds %q", items, enc.Items())
+			}
+			encodeBoth(t, &Response{QueryID: "q", Items: items, Encoded: &enc, AnswerCached: true})
 		}
 	})
 }
+
+// decodeFrame decodes line into v with one reader, as a connection decodes
+// frame after frame, with scratch for its residue, and returns the residue
+// buffer for reuse. The tests that call it do not run in parallel.
+func decodeFrame(line []byte, v frame, scratch []byte) ([]byte, error) {
+	lineReader.residue = scratch
+	err := lineReader.decode(line, v)
+	return lineReader.residue, err
+}
+
+var lineReader frameReader
 
 func decodeBoth(t *testing.T, line []byte, want, got frame) {
 	t.Helper()
@@ -115,7 +147,8 @@ func encodeBoth(t *testing.T, v frame) {
 
 // TestFrameReader: a frame is a line. Blank lines between frames are
 // skipped but charged, bytes left unterminated before a hang-up are the last
-// frame, and a buffer that grew for a large frame is not kept.
+// frame, and a buffer that grew for a large frame is not kept, nor are the
+// bounds of its items.
 func TestFrameReader(t *testing.T) {
 	big, _ := chunkFrame(2 * maxKeptBuffer / 10)
 	stream := "\n \r\n" + `{"items":["a"],"more":true}` + "\n\n" + string(big) + `{"error":"tail"}`
@@ -135,6 +168,9 @@ func TestFrameReader(t *testing.T) {
 	}
 	if len(big) <= maxKeptBuffer || cap(r.spill) > maxKeptBuffer || cap(r.residue) > maxKeptBuffer {
 		t.Errorf("after a frame of %d bytes the reader keeps %d and %d, want at most %d", len(big), cap(r.spill), cap(r.residue), maxKeptBuffer)
+	}
+	if bounds := uintptr(cap(r.lits)) * reflect.TypeFor[literal]().Size(); bounds > maxKeptBuffer {
+		t.Errorf("after a frame of %d items the reader keeps %d bytes of their bounds, want at most %d", len(second.Items), bounds, maxKeptBuffer)
 	}
 	if err := r.read(&third, &budget); err != io.EOF {
 		t.Errorf("read at the end of the stream = %v, want io.EOF", err)
@@ -198,15 +234,61 @@ func TestDecodeChunkAllocs(t *testing.T) {
 	}
 }
 
+// TestEncodeCachedAllocs: a response that carries its items' encoding is
+// written without visiting an item, so what writing it allocates does not
+// grow with the answer. The items are ones json.Marshal escapes, which the
+// item-by-item encoder marshals one at a time.
+func TestEncodeCachedAllocs(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{100, 10000} {
+		items := make([]string, n)
+		for i := range items {
+			items[i] = fmt.Sprintf("<%07d>", i)
+		}
+		enc := EncodeItems(items)
+		resp := Response{QueryID: "q-1", Items: items, Encoded: &enc, AnswerCached: true}
+		var out []byte
+		allocs = append(allocs, testing.AllocsPerRun(20, func() {
+			var err error
+			if out, err = appendFrame(out[:0], &resp); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		if want, _ := json.Marshal(&resp); string(out) != string(want)+"\n" {
+			t.Fatalf("a response of %d items carrying their encoding is written as %.80q..., want %.80q...", n, out, want)
+		}
+	}
+	// Under -race a dropped encoder state costs json.Marshal an allocation
+	// or two more on some runs, at either size.
+	if slack := 2.0; allocs[0] != allocs[1] && (!raceDetector || allocs[1] > allocs[0]+slack) {
+		t.Errorf("writing a response that carries its encoding allocates %.0f times at 100 items and %.0f at 10 000, want the same", allocs[0], allocs[1])
+	}
+}
+
 // BenchmarkFrameCodec measures one frame through the codec in each
 // direction at a chunk's size and at a whole answer's, beside what
-// encoding/json alone did for the same line (the json rows).
+// encoding/json alone did for the same line (the json rows). The items=2000
+// frame is answer-hot's: an answer-cache hit of ID%06d items, unchunked.
+// The encode/cached rows write the frame from its items' encoding, as the
+// service writes a cached answer.
 func BenchmarkFrameCodec(b *testing.B) {
-	for _, n := range []int{256, 10000} {
-		line, items := chunkFrame(n)
-		resp := Response{QueryID: "q-1", Items: items, More: true}
+	_, chunk := chunkFrame(256)
+	_, answer := chunkFrame(10000)
+	hit := make([]string, 2000)
+	for i := range hit {
+		hit[i] = fmt.Sprintf("ID%06d", 2*i)
+	}
+	for _, resp := range []Response{
+		{QueryID: "q-1", Items: chunk, More: true},
+		{QueryID: "q-1", Items: answer, More: true},
+		{Items: hit, AnswerCached: true},
+	} {
+		line, err := appendFrame(nil, &resp)
+		if err != nil {
+			b.Fatal(err)
+		}
 		run := func(name string, fn func() error) {
-			b.Run(fmt.Sprintf("%s/items=%d", name, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/items=%d", name, len(resp.Items)), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(len(line)))
 				for i := 0; i < b.N; i++ {
@@ -219,6 +301,12 @@ func BenchmarkFrameCodec(b *testing.B) {
 		var out, scratch []byte
 		run("encode", func() (err error) {
 			out, err = appendFrame(out[:0], &resp)
+			return err
+		})
+		cached, enc := resp, EncodeItems(resp.Items)
+		cached.Encoded = &enc
+		run("encode/cached", func() (err error) {
+			out, err = appendFrame(out[:0], &cached)
 			return err
 		})
 		run("encode/json", func() (err error) {

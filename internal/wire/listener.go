@@ -255,12 +255,14 @@ func (l *Listener) serveConn(conn net.Conn) {
 // responses and unchunked requests pass through as a single response. Every
 // chunk carries the query ID, its items and More (set on all but the last);
 // everything else — the fragment, the cache annotations — rides the final
-// chunk.
+// chunk. A split response's items are encoded chunk by chunk: its Encoded
+// array is of them all.
 func chunkResponses(req Request, resp Response) []Response {
 	if req.Chunk <= 0 || resp.Error != "" || len(resp.Items) <= req.Chunk {
 		return []Response{resp}
 	}
 	items := resp.Items
+	resp.Encoded = nil
 	out := make([]Response, 0, (len(items)+req.Chunk-1)/req.Chunk)
 	for ; len(items) > req.Chunk; items = items[req.Chunk:] {
 		out = append(out, Response{QueryID: resp.QueryID, Items: items[:req.Chunk], More: true})

@@ -100,6 +100,9 @@ type Response struct {
 	QueryID string `json:"qid,omitempty"`
 	// Items answers sq and sjq.
 	Items []string `json:"items,omitempty"`
+	// Encoded, when set, is EncodeItems(Items): the encoder writes its body
+	// in place of encoding Items one by one. Only a writer sets it.
+	Encoded *EncodedItems `json:"-"`
 	// Match answers binding.
 	Match bool `json:"match,omitempty"`
 	// Tuples answers lq and fetch.
