@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check loc lint lint-concurrency fuzz bench bench-layers oracle soak
+.PHONY: build test race fmt-check loc lint fuzz bench bench-layers oracle soak
 
 build:
 	$(GO) build ./...
@@ -26,11 +26,6 @@ loc:
 # analyzer (cmd/fqlint loads and type-checks the packages itself).
 lint:
 	$(GO) run ./cmd/fqlint ./...
-
-# The concurrency-contract analyzers' findings as the machine-readable
-# report CI archives (`make lint` is what checks them).
-lint-concurrency:
-	$(GO) run ./cmd/fqlint -only lockorder,blockinglock,chandiscipline -json ./... > fqlint-concurrency.json
 
 # One fuzz target per go test invocation: the parser, the bound condition
 # kernel against Eval, then the two ends of the wire transport (arbitrary

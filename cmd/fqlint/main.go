@@ -1,14 +1,13 @@
 // Command fqlint runs the fusionq static-analysis suite (internal/lint):
 // custom analyzers that enforce the codebase's context-propagation, metric-
-// vocabulary, error-wrapping, span-pairing and goroutine-ownership
-// contracts.
+// vocabulary, error-wrapping, span- and iterator-pairing, goroutine-ownership
+// and goroutine channel contracts.
 //
 // Usage:
 //
 //	fqlint ./...                 check packages (go-list patterns)
 //	fqlint -list                 print the analyzers and their invariants
 //	fqlint -only nakedgo ./...   run a subset (comma-separated names)
-//	fqlint -json ./...           print the findings as JSON
 //
 // Exit status: 0 clean, 1 findings, 2 operational failure. A finding can be
 // suppressed — with justification — by a comment on the flagged line or the
@@ -32,7 +31,6 @@ import (
 func main() {
 	listFlag := flag.Bool("list", false, "list analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := flag.Bool("json", false, "print findings as JSON ({\"findings\":[{file,line,col,analyzer,message}]})")
 	flag.Parse()
 
 	analyzers, err := selectAnalyzers(*only)
@@ -50,7 +48,7 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	os.Exit(standalone(args, analyzers, *jsonOut))
+	os.Exit(standalone(args, analyzers))
 }
 
 func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
@@ -73,26 +71,24 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 	return out, nil
 }
 
-// standalone loads packages itself (go list + source-level type checking)
-// and reports findings to stdout. Packages run in dependency order so
-// fact-exporting analyzers (lockorder, blockinglock) see the summaries of a
-// package's dependencies before they reach the package.
-func standalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut bool) int {
+// standalone loads packages itself (go list + source-level type checking),
+// runs every analyzer over each package on its own and prints the findings
+// to stdout, sorted by position.
+func standalone(patterns []string, analyzers []*analysis.Analyzer) int {
 	pkgs, err := load.Packages(patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fqlint: %v\n", err)
 		return 2
 	}
-	facts := newFactStore()
 	var diags []analysis.Diagnostic
-	for _, pkg := range dependencyOrder(pkgs) {
+	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
 			fmt.Fprintf(os.Stderr, "fqlint: %s: %v\n", pkg.PkgPath, terr)
 		}
 		if len(pkg.TypeErrors) > 0 {
 			return 2
 		}
-		diags = append(diags, runAnalyzers(pkg, analyzers, facts)...)
+		diags = append(diags, runAnalyzers(pkg, analyzers)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
@@ -104,17 +100,8 @@ func standalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut bool)
 		}
 		return a.Column < b.Column
 	})
-	if jsonOut {
-		out, err := renderJSON(diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fqlint: %v\n", err)
-			return 2
-		}
-		fmt.Println(string(out))
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "fqlint: %d finding(s)\n", len(diags))
@@ -123,81 +110,20 @@ func standalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut bool)
 	return 0
 }
 
-// dependencyOrder topologically sorts the loaded packages by their import
-// edges (edges outside the loaded set are ignored); the go toolchain
-// guarantees acyclicity, but a defensive visited check keeps a corrupt
-// listing from recursing forever.
-func dependencyOrder(pkgs []*load.Package) []*load.Package {
-	byPath := map[string]*load.Package{}
-	for _, p := range pkgs {
-		byPath[p.PkgPath] = p
-	}
-	var out []*load.Package
-	done := map[string]bool{}
-	var visit func(p *load.Package)
-	visit = func(p *load.Package) {
-		if done[p.PkgPath] {
-			return
-		}
-		done[p.PkgPath] = true
-		for _, imp := range p.Imports {
-			if dep, ok := byPath[imp]; ok {
-				visit(dep)
-			}
-		}
-		out = append(out, p)
-	}
-	for _, p := range pkgs {
-		visit(p)
-	}
-	return out
-}
-
-// factStore carries analyzer facts across packages within one run: analyzer name → package path → exported blob.
-type factStore map[string]map[string][]byte
-
-func newFactStore() factStore { return factStore{} }
-
-func (fs factStore) importedFor(a *analysis.Analyzer, imports []string) map[string][]byte {
-	byPkg := fs[a.Name]
-	if byPkg == nil {
-		return nil
-	}
-	out := map[string][]byte{}
-	for _, imp := range imports {
-		if blob, ok := byPkg[imp]; ok {
-			out[imp] = blob
-		}
-	}
-	return out
-}
-
-func (fs factStore) record(a *analysis.Analyzer, pkgPath string, blob []byte) {
-	if blob == nil {
-		return
-	}
-	if fs[a.Name] == nil {
-		fs[a.Name] = map[string][]byte{}
-	}
-	fs[a.Name][pkgPath] = blob
-}
-
-func runAnalyzers(pkg *load.Package, analyzers []*analysis.Analyzer, facts factStore) []analysis.Diagnostic {
+func runAnalyzers(pkg *load.Package, analyzers []*analysis.Analyzer) []analysis.Diagnostic {
 	var out []analysis.Diagnostic
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
-			Analyzer:      a,
-			Fset:          pkg.Fset,
-			Files:         pkg.Files,
-			Pkg:           pkg.Types,
-			TypesInfo:     pkg.Info,
-			ImportedFacts: facts.importedFor(a, pkg.Imports),
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
 		}
 		if err := a.Run(pass); err != nil {
 			fmt.Fprintf(os.Stderr, "fqlint: %s on %s: %v\n", a.Name, pkg.PkgPath, err)
 			continue
 		}
-		facts.record(a, pkg.PkgPath, pass.ExportedFacts())
 		out = append(out, pass.Diagnostics()...)
 	}
 	return out

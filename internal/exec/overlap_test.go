@@ -21,9 +21,10 @@ import (
 // a tree that issues one exchange only after the one before it returned.
 const guard = 2 * time.Second
 
-// heldUntilAllAsked puts every source under a layer that holds its answer to
-// op until each of the sources has been asked op: a barrier, no clock.
-func heldUntilAllAsked(srcs []source.Source, op source.Op) []source.Source {
+// heldUntilAsked puts every source under a layer that holds its answer to op
+// until op has been asked n times across them: a barrier, no clock. The n
+// asks must all be waiting in the layer at once; later asks pass through.
+func heldUntilAsked(srcs []source.Source, op source.Op, n int) []source.Source {
 	var (
 		mu    sync.Mutex
 		asked int
@@ -34,14 +35,14 @@ func heldUntilAllAsked(srcs []source.Source, op source.Op) []source.Source {
 		held := source.Over(src, func(ctx context.Context, call source.Call) (source.Reply, error) {
 			if call.Op == op {
 				mu.Lock()
-				if asked++; asked == len(srcs) {
+				if asked++; asked == n {
 					close(all)
 				}
 				mu.Unlock()
 				select {
 				case <-all:
 				case <-ctx.Done():
-					return source.Reply{}, fmt.Errorf("source %s: %s held until every source is asked: %w", src.Name(), op, ctx.Err())
+					return source.Reply{}, fmt.Errorf("source %s: %s held until it is asked %d times at once: %w", src.Name(), op, n, ctx.Err())
 				}
 			}
 			return source.Do(ctx, src, call)
@@ -70,7 +71,7 @@ func TestFetchAnswerOverlaps(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), guard)
 	defer cancel()
-	got, err := FetchAnswer(ctx, dmvAnswer, heldUntilAllAsked(srcs, source.OpFetch))
+	got, err := FetchAnswer(ctx, dmvAnswer, heldUntilAsked(srcs, source.OpFetch, len(srcs)))
 	if err != nil {
 		t.Fatalf("fetching from sources that answer only once all are asked: %v", err)
 	}
@@ -95,7 +96,7 @@ func TestCombinedRemainderOverlaps(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), guard)
 	defer cancel()
-	ex := &Executor{Sources: heldUntilAllAsked(srcs, source.OpFetch), Parallel: true}
+	ex := &Executor{Sources: heldUntilAsked(srcs, source.OpFetch, len(srcs)), Parallel: true}
 	run, records, err := ex.RunCombined(ctx, res.Plan)
 	if err != nil {
 		t.Fatalf("combined run over sources that answer a fetch only once all are asked: %v", err)

@@ -155,25 +155,33 @@ func TestTransientBindingFailsWithoutRetries(t *testing.T) {
 	}
 }
 
-// TestSchedulerBoundsConcurrency checks the link's admission: the peak number
-// of in-flight binding queries at one source, seen below its instrumentation,
-// never exceeds its link's MaxConns.
+// TestSchedulerBoundsConcurrency checks an emulated semijoin's fan-out from
+// both sides: the peak number of in-flight binding queries at one source, seen
+// below its instrumentation, never exceeds its link's MaxConns (the link's
+// admission), and reaches it (the fan-out's workers do not serialize each
+// other). The source answers a binding only once conns of them wait in it at
+// once, so a fan-out that issues one binding after another runs to the guard.
 func TestSchedulerBoundsConcurrency(t *testing.T) {
 	for _, conns := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("conns%d", conns), func(t *testing.T) {
 			pr, srcs, network := dmvSetup(t, semijoinCaps)
-			probe := &maxInflight{Source: srcs[1].(*source.Instrumented).Source}
+			held := heldUntilAsked([]source.Source{srcs[1].(*source.Instrumented).Source}, source.OpBinding, conns)
+			probe := &maxInflight{Source: held[0]}
 			srcs[1] = source.Instrument(probe, network)
+			// D < 2000 selects all three of R1's licences: three bindings at R2.
+			conds := []cond.Cond{cond.MustParse("D < 2000"), pr.Conds[1]}
+			ctx, cancel := context.WithTimeout(context.Background(), guard)
+			defer cancel()
 			ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, conns), Parallel: true}
-			got, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources))
+			got, err := ex.Run(ctx, semijoinPlan(conds, pr.Sources))
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("run over a source that answers a binding only once %d are in flight: %v", conns, err)
 			}
 			if got.Answer.IsEmpty() {
 				t.Fatal("empty answer; expected matches")
 			}
-			if probe.peak > conns {
-				t.Fatalf("peak in-flight bindings = %d, exceeds conns = %d", probe.peak, conns)
+			if probe.peak != conns {
+				t.Fatalf("peak in-flight bindings = %d, want conns = %d", probe.peak, conns)
 			}
 		})
 	}

@@ -1,9 +1,11 @@
 // Package analysis is a minimal, dependency-free reimplementation of the
 // core of golang.org/x/tools/go/analysis: an Analyzer is a named invariant
 // checker that inspects one type-checked package (a Pass) and reports
-// Diagnostics. The vendored original is not available offline, and the five
-// fqlint analyzers need only this surface; the API mirrors go/analysis so
-// the analyzers port mechanically if the real framework is ever adopted.
+// Diagnostics. The vendored original is not available offline, and the
+// fqlint analyzers need only this surface: each looks at one package at a
+// time, so there are no facts passed between packages. The API mirrors
+// go/analysis so the analyzers port mechanically if the real framework is
+// ever adopted.
 package analysis
 
 import (
@@ -34,23 +36,8 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// ImportedFacts maps a dependency's import path to the fact blob the
-	// same analyzer exported when it ran over that dependency. Drivers that
-	// do not support facts leave it nil; analyzers must tolerate missing
-	// entries (a dependency outside the module exports no facts).
-	ImportedFacts map[string][]byte
-
 	diagnostics []Diagnostic
-	exported    []byte
 }
-
-// ExportFacts records the opaque per-package blob this analyzer wants
-// delivered (as ImportedFacts) to later runs of itself over packages that
-// import this one. The driver carries it in memory, in dependency order.
-func (p *Pass) ExportFacts(blob []byte) { p.exported = blob }
-
-// ExportedFacts returns the blob recorded by ExportFacts, or nil.
-func (p *Pass) ExportedFacts() []byte { return p.exported }
 
 // Diagnostic is one finding: a position, the analyzer that produced it, and
 // a message stating the violated invariant.

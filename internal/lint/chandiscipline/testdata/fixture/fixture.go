@@ -6,7 +6,10 @@
 // synchronous code is the caller's problem and stays clean.
 package fixture
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 // Flagged: a naked send in a goroutine strands it if the peer stops
 // consuming.
@@ -87,4 +90,84 @@ func withDone(ch chan int, done chan struct{}) {
 func synchronous(ch chan int) int {
 	ch <- 0
 	return <-ch
+}
+
+// outcome is what one leg of a hedged exchange reports, as in the fabric's
+// attempt.
+type outcome struct {
+	n   int
+	err error
+}
+
+// Flagged: a hedge leg that sends its outcome bare. The buffer has room for
+// every leg, but once the attempt returns nobody reads, and a leg whose send
+// cannot complete is stranded.
+func hedgeLegBare(ctx context.Context, legs int, run func(context.Context) outcome) outcome {
+	results := make(chan outcome, legs)
+	var wg sync.WaitGroup
+	for i := 0; i < legs; i++ {
+		lctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results <- run(lctx) // want `unguarded channel send in goroutine`
+		}()
+	}
+	defer wg.Wait()
+	return <-results
+}
+
+// Clean: the same leg sends in a select that also watches its leg context,
+// so cancelling the losers releases them whoever is still reading.
+func hedgeLeg(ctx context.Context, legs int, run func(context.Context) outcome) outcome {
+	results := make(chan outcome, legs)
+	var wg sync.WaitGroup
+	for i := 0; i < legs; i++ {
+		lctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			select {
+			case results <- run(lctx):
+			case <-lctx.Done():
+			}
+		}()
+	}
+	defer wg.Wait()
+	return <-results
+}
+
+// stream is a chunked transfer in the shape of the wire client's: a pump
+// goroutine buffers chunks under mu and wakes the consumer through a
+// capacity-1 notify channel.
+type stream struct {
+	mu     sync.Mutex
+	chunks [][]string
+	notify chan struct{}
+	wg     sync.WaitGroup
+}
+
+func startStream(read func() []string) *stream {
+	st := &stream{notify: make(chan struct{}, 1)}
+	st.wg.Add(1)
+	go st.pump(read)
+	return st
+}
+
+// Clean: the pump is launched by a go statement, so its body is goroutine
+// code, and its wake-up is a kick: a select with a default never blocks, and
+// the latched signal makes the consumer re-check the buffer.
+func (st *stream) pump(read func() []string) {
+	defer st.wg.Done()
+	for chunk := read(); chunk != nil; chunk = read() {
+		st.mu.Lock()
+		st.chunks = append(st.chunks, chunk)
+		st.mu.Unlock()
+		select {
+		case st.notify <- struct{}{}:
+		default:
+		}
+	}
 }

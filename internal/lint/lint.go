@@ -6,11 +6,9 @@ package lint
 
 import (
 	"fusionq/internal/lint/analysis"
-	"fusionq/internal/lint/blockinglock"
 	"fusionq/internal/lint/chandiscipline"
 	"fusionq/internal/lint/ctxfirst"
 	"fusionq/internal/lint/iterclose"
-	"fusionq/internal/lint/lockorder"
 	"fusionq/internal/lint/metricnames"
 	"fusionq/internal/lint/nakedgo"
 	"fusionq/internal/lint/spanbalance"
@@ -26,8 +24,6 @@ func All() []*analysis.Analyzer {
 		spanbalance.Analyzer,
 		iterclose.Analyzer,
 		nakedgo.Analyzer,
-		lockorder.Analyzer,
-		blockinglock.Analyzer,
 		chandiscipline.Analyzer,
 	}
 }

@@ -23,16 +23,10 @@ import (
 // Package is one loaded package: syntax plus type information.
 type Package struct {
 	PkgPath string
-	Name    string
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-	// Imports lists the package's direct imports (import paths), so the
-	// driver can run packages in dependency order and deliver analyzer
-	// facts from dependency to dependent.
-	Imports []string
 	// TypeErrors collects type-checking problems. Analyzers still run on a
 	// partially checked package, but the driver surfaces these first.
 	TypeErrors []error
@@ -42,9 +36,7 @@ type Package struct {
 type listedPackage struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	GoFiles    []string
-	Imports    []string
 }
 
 // Packages loads and type-checks the packages matching patterns, in the
@@ -70,9 +62,6 @@ func Packages(patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("load %s: %w", lp.ImportPath, err)
 		}
-		pkg.Dir = lp.Dir
-		pkg.Name = lp.Name
-		pkg.Imports = lp.Imports
 		out = append(out, pkg)
 	}
 	return out, nil
