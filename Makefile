@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check loc lint fuzz bench bench-layers oracle soak
+.PHONY: build test race fmt-check loc lint fuzz bench bench-layers oracle
 
 build:
 	$(GO) build ./...
@@ -44,8 +44,10 @@ fuzz:
 # a 60s soak of random universes against the naive reference executor, 30s
 # of the same under the race detector, the churn soak under it, each writing
 # a shrunk repro artifact on failure and its flight-recorder tail, and a fuzz
-# smoke over the generator's seed space. CI runs this target and archives
-# oracle-out/.
+# smoke over the generator's seed space. The race leg is also the service's
+# soak: its fqd phase serves every plan-cache instance from a real fqd over
+# loopback TCP to concurrent clients, the whole stack under the race
+# detector. CI runs this target and archives oracle-out/.
 oracle:
 	mkdir -p oracle-out
 	$(GO) run ./cmd/fqoracle -selftest -seed 1
@@ -53,15 +55,6 @@ oracle:
 	$(GO) run -race ./cmd/fqoracle -duration 30s -seed 1 -repro oracle-out/repro-race.json -flight oracle-out/flight-race.json
 	$(GO) run -race ./cmd/fqoracle -churn -duration 60s -seed 1 -repro oracle-out/repro-churn.json -flight oracle-out/flight-churn.json
 	$(GO) test -race -fuzz=FuzzOracle -fuzztime=30s -run='^$$' ./internal/oracle
-
-# Service soak: 60s of closed-loop load from cmd/fqload against an
-# in-process fqd over real TCP, the whole stack under the race detector.
-# CI runs this target and archives service-out/.
-soak:
-	mkdir -p service-out
-	$(GO) run -race ./cmd/fqload -self -scenario synth -realtime 0.05 \
-		-duration 60s -tenants 8 -workers 12 -rate 200 -chunk 8 \
-		-json service-out/soak.json
 
 # The repository benchmark: five workloads through a real service over
 # loopback, every reply verified, yardstick-normalised (benchmark/README.md).

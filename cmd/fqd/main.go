@@ -36,8 +36,8 @@
 // Figure 1 DMV scenario or a seeded synthetic overlap workload, behind a
 // simulated network whose per-source links have distinct latencies. With
 // -realtime, exchanges take real wall-clock time, so cache hits and plan
-// reuse show up as measurable latency differences — that is what
-// cmd/fqload measures.
+// reuse show up as measurable latency differences: -admin's /metrics and
+// cmd/fqtop show them, and service.DialService is the client to query with.
 //
 // On SIGINT or SIGTERM the server stops accepting queries (new arrivals
 // are shed with the draining reason), waits up to -drain for in-flight

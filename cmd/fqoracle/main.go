@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"fusionq/internal/obs"
@@ -150,48 +151,34 @@ func report(ctx context.Context, d *oracle.Driver, inst oracle.Instance, fs []or
 	}
 	fmt.Fprintf(os.Stderr, "):\n%s\n", minInst.JSON())
 	fmt.Fprintf(os.Stderr, "repro: %s\n", inst.ReproCommand())
-	writeArtifact(reproPath, reproArtifact{
-		Seed: inst.Seed, Original: inst, Minimal: minInst, Failures: minFails, Command: inst.ReproCommand(),
-	})
+	writeArtifact(reproPath, inst, minInst, minFails)
 }
 
 // reportSelftest validates that the injected corruption was caught as an
 // answer mismatch and shrinks cleanly, returning the process exit code.
 func reportSelftest(ctx context.Context, d *oracle.Driver, inst oracle.Instance, fs []oracle.Failure, reproPath string) int {
-	caught := false
-	for _, f := range fs {
-		if f.Property == "answer-mismatch" {
-			caught = true
-		}
-	}
-	if !caught {
+	mismatch := func(f oracle.Failure) bool { return f.Property == "answer-mismatch" }
+	if !slices.ContainsFunc(fs, mismatch) {
 		fmt.Fprintf(os.Stderr, "fqoracle: selftest FAILED: violations found but none is an answer mismatch: %v\n", fs)
 		return 1
 	}
 	minInst, minFails := d.Shrink(ctx, inst, fs, 300)
-	still := false
-	for _, f := range minFails {
-		if f.Property == "answer-mismatch" {
-			still = true
-		}
-	}
-	if !still {
+	if !slices.ContainsFunc(minFails, mismatch) {
 		fmt.Fprintf(os.Stderr, "fqoracle: selftest FAILED: shrunk instance lost the mismatch\n%s\n", minInst.JSON())
 		return 1
 	}
 	fmt.Printf("fqoracle: selftest passed — corruption caught at seed %d and shrunk to %d sources, %d conds, %d tuples\n",
 		inst.Seed, minInst.NumSources, len(minInst.Selectivity), minInst.TuplesPerSource)
-	writeArtifact(reproPath, reproArtifact{
-		Seed: inst.Seed, Original: inst, Minimal: minInst, Failures: minFails, Command: inst.ReproCommand(),
-	})
+	writeArtifact(reproPath, inst, minInst, minFails)
 	return 0
 }
 
 // writeArtifact persists the repro document; best effort, path optional.
-func writeArtifact(path string, art reproArtifact) {
+func writeArtifact(path string, inst, minInst oracle.Instance, minFails []oracle.Failure) {
 	if path == "" {
 		return
 	}
+	art := reproArtifact{Seed: inst.Seed, Original: inst, Minimal: minInst, Failures: minFails, Command: inst.ReproCommand()}
 	b, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fqoracle: marshaling repro artifact: %v\n", err)

@@ -205,6 +205,12 @@ func (d *Driver) Check(ctx context.Context, inst Instance) ([]Failure, error) {
 	// Phase 11: a cold statistics catalog asks every source at once and
 	// plans what one filled source by source plans.
 	fs = append(fs, d.checkCatalogFill(ctx, ev)...)
+
+	// Phase 12, under phase 10's gate: the sources behind a real fqd over
+	// loopback TCP, and every reply to four concurrent clients checked.
+	if inst.PlanCache {
+		fs = append(fs, d.checkService(ctx, ev)...)
+	}
 	return fs, nil
 }
 

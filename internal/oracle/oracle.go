@@ -31,7 +31,10 @@
 //     another plans;
 //   - observability balance: every started span ends, per-source metric
 //     sums equal the executor's counters, and scheduler gauges drain to
-//     zero.
+//     zero;
+//   - the service: on the instances the plan-cache flag selects, a real fqd
+//     over loopback TCP answers concurrent tenants exactly, sheds only by
+//     quota and exactly, and drains its admission gauges on Shutdown.
 //
 // Everything is derived from one seed, so any failure reproduces verbatim;
 // a greedy shrinker reduces failing instances to minimal form.
@@ -108,7 +111,8 @@ type Instance struct {
 	// plans must answer exactly like fresh ones before and after scripted
 	// roster churn — with stale plans never served and never executed
 	// (core.ErrStalePlan). Skipped on single-source instances, where churn
-	// would empty the roster.
+	// would empty the roster. The flag also gates the fqd phase: the sources
+	// behind a real fqd over loopback TCP, answering concurrent tenants.
 	PlanCache bool `json:"planCache,omitempty"`
 }
 
@@ -166,12 +170,14 @@ func capsForTier(tier int) source.Capabilities {
 // Failure is one property violation found while checking an instance.
 type Failure struct {
 	// Property names the violated invariant: "answer-mismatch",
-	// "partial-dishonest", "error-class", "cost-bookkeeping",
-	// "cost-dominance", "seq-identity", "par-response", "step-identity",
-	// "span-unfinished",
+	// "records-mismatch", "partial-dishonest", "error-class",
+	// "cost-bookkeeping", "cost-dominance", "seq-identity", "par-response",
+	// "step-identity", "first-answer", "peak-accounting", "span-unfinished",
 	// "metric-imbalance", "gauge-leak", "cache-reuse", "optimize-error",
 	// "exec-error", "wire-frag-missing", "wire-frag-nesting",
-	// "wire-bytes-mismatch", "plan-cache-coherence", "catalog-overlap".
+	// "wire-bytes-mismatch", "plan-cache-coherence", "catalog-overlap",
+	// "service-error", "service-quota", "service-cache",
+	// "service-accounting", "service-hang".
 	Property string `json:"property"`
 	// Class is the plan class involved ("filter", "sja+", "jou", ...).
 	Class string `json:"class,omitempty"`

@@ -89,9 +89,16 @@ func TestGenerateDeterministic(t *testing.T) {
 // TestOracleCatchesMutation proves the oracle has teeth: a deliberately
 // seeded answer-corrupting mutation (the Driver's test hook) must be caught
 // as an answer mismatch and shrunk to a minimal instance that still fails.
+// The service case corrupts what fqd's clients receive.
 func TestOracleCatchesMutation(t *testing.T) {
+	for _, cls := range []string{"sja+", "service"} {
+		t.Run(cls, func(t *testing.T) { testCatchesMutation(t, cls) })
+	}
+}
+
+func testCatchesMutation(t *testing.T, cls string) {
 	d := &Driver{
-		MutateClass: "sja+",
+		MutateClass: cls,
 		Mutate: func(s set.Set) set.Set {
 			if s.IsEmpty() {
 				return set.New("BOGUS")
@@ -101,11 +108,16 @@ func TestOracleCatchesMutation(t *testing.T) {
 	}
 	ctx := context.Background()
 	inst := Generate(*oracleSeed)
+	inst.PlanCache = inst.PlanCache || cls == "service"
 	fs, err := d.Check(ctx, inst)
 	if err != nil {
 		t.Fatalf("instance build failed: %v", err)
 	}
-	if !hasProperty(fs, "answer-mismatch") {
+	caught := false
+	for _, f := range fs {
+		caught = caught || strings.HasPrefix(f.String(), "answer-mismatch ["+cls+"/")
+	}
+	if !caught {
 		t.Fatalf("seeded answer corruption in class %q was not caught; failures: %v", d.MutateClass, fs)
 	}
 

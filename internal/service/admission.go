@@ -5,7 +5,8 @@
 // (canonical conditions, roster epoch) lets repeated queries skip statistics
 // gathering and optimization; a whole-answer cache with TTL and size bounds
 // answers repeats without executing at all. cmd/fqd serves the engine over
-// the wire protocol's query op; cmd/fqload drives it closed-loop.
+// the wire protocol's query op and DialService is its client; the oracle's
+// fqd phase checks every answer it serves under concurrent tenants.
 package service
 
 import (

@@ -63,9 +63,8 @@ type Result struct {
 // Engine is the multi-tenant fusion-query service core: admission control in
 // front of a Mediator, with a plan cache and a whole-answer cache keyed by
 // canonical query and roster epoch. It is transport-free — the wire Server
-// (cmd/fqd), the load generator's self mode, the oracle's coherence phase
-// and the integration tests all drive the same Engine. Safe for concurrent
-// use.
+// (cmd/fqd and the oracle's fqd phase), the benchmark and the integration
+// tests all drive the same Engine. Safe for concurrent use.
 type Engine struct {
 	med     *core.Mediator
 	adm     *Admission
@@ -197,10 +196,4 @@ func (e *Engine) finish(key string, epoch uint64, ans *core.Answer, err error, p
 		res.encoded = e.answers.Put(key, epoch, ans.Items.Items())
 	}
 	return res, nil
-}
-
-// Drain shuts the engine's admission down and waits for in-flight queries;
-// see Admission.Drain.
-func (e *Engine) Drain(ctx context.Context) error {
-	return e.adm.Drain(ctx)
 }

@@ -12,9 +12,9 @@ import (
 
 // DeployConfig describes a self-contained simulated deployment: a scenario,
 // a simulated network with per-source links, and a mediator wired over
-// both. cmd/fqd, cmd/fqload -self and the service benchmark all build their
-// worlds through this one path so "the thing the load hits" and "the thing
-// the benchmark measures" cannot drift apart.
+// both. cmd/fqd and the service benchmark both build their worlds through
+// this one path so "the thing fqd serves" and "the thing the benchmark
+// measures" cannot drift apart.
 type DeployConfig struct {
 	// Scenario selects the data set: "dmv" (the paper's Figure 1 example)
 	// or "synth" (parameterized synthetic overlap).
@@ -105,24 +105,4 @@ func (cfg DeployConfig) Build() (*Deployment, error) {
 		}
 	}
 	return &Deployment{Scenario: sc, Mediator: m}, nil
-}
-
-// Mix derives a query pool from the scenario's condition vocabulary: every
-// prefix of the condition list plus every single condition. Repeats across
-// the pool share plan- and answer-cache entries, so a load run exercises
-// both the cold and the cached paths.
-func (d *Deployment) Mix() [][]string {
-	conds := d.Scenario.Conds
-	var mix [][]string
-	for i := 1; i <= len(conds); i++ {
-		entry := make([]string, i)
-		for j := 0; j < i; j++ {
-			entry[j] = conds[j].String()
-		}
-		mix = append(mix, entry)
-	}
-	for i := 1; i < len(conds); i++ {
-		mix = append(mix, []string{conds[i].String()})
-	}
-	return mix
 }

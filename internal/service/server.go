@@ -13,8 +13,6 @@ import (
 
 // ServerConfig tunes a service Server.
 type ServerConfig struct {
-	// Name is the service name reported in Meta (default "fqd").
-	Name string
 	// IdleTimeout is the per-connection read deadline between requests.
 	// Zero means wire.DefaultIdleTimeout; negative disables the timeout.
 	IdleTimeout time.Duration
@@ -43,9 +41,6 @@ type Server struct {
 // Serve starts a service server for eng on addr (e.g. "127.0.0.1:0") and
 // begins accepting connections in the background.
 func Serve(eng *Engine, addr string, cfg ServerConfig) (*Server, error) {
-	if cfg.Name == "" {
-		cfg.Name = "fqd"
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
@@ -74,7 +69,7 @@ func Serve(eng *Engine, addr string, cfg ServerConfig) (*Server, error) {
 // If ctx expires first, remaining work is force-closed and ctx's error
 // returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	drainErr := s.eng.Drain(ctx)
+	drainErr := s.eng.adm.Drain(ctx)
 	if err := s.Listener.Shutdown(ctx); err != nil {
 		return err
 	}
@@ -119,7 +114,7 @@ func (s *Server) dispatch(ctx context.Context, req wire.Request) wire.Response {
 		schema := s.eng.med.Schema()
 		return wire.Response{Meta: &wire.Meta{
 			Version:  wire.ProtocolVersion,
-			Name:     s.cfg.Name,
+			Name:     "fqd",
 			Merge:    schema.Merge(),
 			Columns:  wire.EncodeSchema(schema),
 			Chunking: true,
