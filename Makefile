@@ -27,14 +27,19 @@ loc:
 lint:
 	$(GO) run ./cmd/fqlint ./...
 
-# One fuzz target per go test invocation: the parser, the bound condition
-# kernel against Eval, then the two ends of the wire transport (arbitrary
-# bytes into the serve loop and into the client's Do/Stream), then the frame
-# codec against encoding/json, then the union kernel and the streaming merges
-# against a map-and-sort reference. CI runs this target.
+# One fuzz target per go test invocation, every one in the tree but the
+# oracle's (make oracle runs it): the fusion SQL parser, the condition parser
+# (a parsed condition prints as text that parses back to it), the bound
+# condition kernel against Eval, the CSV loader, then the two ends of the wire
+# transport (arbitrary bytes into the serve loop and into the client's
+# Do/Stream), then the frame codec against encoding/json, then the union
+# kernel and the streaming merges against a map-and-sort reference. CI runs
+# this target.
 fuzz:
 	$(GO) test -fuzz=FuzzParseFusion -fuzztime=30s -run='^$$' ./internal/sqlparse
+	$(GO) test -fuzz=FuzzParse -fuzztime=20s -run='^$$' ./internal/cond
 	$(GO) test -fuzz=FuzzBoundMatchesEval -fuzztime=20s -run='^$$' ./internal/cond
+	$(GO) test -fuzz=FuzzRead -fuzztime=20s -run='^$$' ./internal/csvio
 	$(GO) test -fuzz=FuzzServerFrame -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClientFrame -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzFrameCodec -fuzztime=20s -run='^$$' ./internal/wire
@@ -65,8 +70,8 @@ bench:
 # wrapper's selection (every node kind, one relation and six in turn) and
 # semijoin (10^2 and 10^4 items), one selection bare and under the source
 # layers (fault + accounting, the fabric), a batch's exchange accounting from
-# the run's ledger at two log lengths, one plan under each scheduler (seq,
-# par, stream), the k-way union (strided inputs, and six drawn as a
+# the run's ledger at two log lengths, one plan under each scheduler (par,
+# stream), the k-way union (strided inputs, and six drawn as a
 # plan-reuse round's are) and the streaming union, one planning call with the
 # statistics catalog warm, each optimizer at three problem sizes, the static
 # cost estimator on an SJA+ plan, and one wire frame through the codec in each

@@ -119,8 +119,10 @@ func runE8(ctx context.Context) (*Table, error) {
 
 // runE9 validates the cost model end to end: the optimizer's estimate (in
 // simulated seconds, profiles derived from the links) must track the
-// measured total work of executing the plan on the simulated network, and
-// parallel execution must cut response time without changing total work.
+// measured total work of executing the plan on the simulated network. Each
+// plan runs once: its total work is the "seq" response time, what the run
+// takes one exchange after another, and its overlapped rounds' critical path
+// the "par" one.
 func runE9(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID: "E9", Title: "estimated cost vs measured simulated time; n=6, m=3",
@@ -149,25 +151,18 @@ func runE9(ctx context.Context) (*Table, error) {
 			return nil, err
 		}
 		ms.network.Reset()
-		seq := &exec.Executor{Sources: ms.sources, Network: ms.network}
-		seqRun, err := seq.Run(ctx, res.Plan)
+		run, err := (&exec.Executor{Sources: ms.sources, Network: ms.network}).Run(ctx, res.Plan)
 		if err != nil {
 			return nil, err
 		}
-		measured := seqRun.TotalWork.Seconds()
-
-		ms.network.Reset()
-		par := &exec.Executor{Sources: ms.sources, Network: ms.network, Parallel: true}
-		parRun, err := par.Run(ctx, res.Plan)
-		if err != nil {
-			return nil, err
+		if run.ResponseTime >= run.TotalWork {
+			return nil, fmt.Errorf("E9: %s: response time %v not below total work %v", algo.name, run.ResponseTime, run.TotalWork)
 		}
-		if !parRun.Answer.Equal(seqRun.Answer) {
-			return nil, fmt.Errorf("E9: parallel answer differs for %s", algo.name)
-		}
+		// One exchange after another, the run would take its total work.
+		measured := run.TotalWork.Seconds()
 		ratio := res.Cost / measured
 		t.AddRow(algo.name, res.Cost, measured, ratio,
-			seqRun.ResponseTime.Seconds(), parRun.ResponseTime.Seconds(), seqRun.SourceQueries)
+			measured, run.ResponseTime.Seconds(), run.SourceQueries)
 	}
 	t.Notes = append(t.Notes,
 		"estimates use link-derived profiles, so est/meas ≈ 1 up to cardinality-estimation error",

@@ -1,31 +1,29 @@
 package cond
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"fusionq/internal/relation"
 )
 
+// parseSeeds are FuzzParse's seeds, one condition a line of
+// testdata/parse_seeds.txt. internal/wire round-trips the same file through
+// its request codec.
+func parseSeeds(tb testing.TB) []string {
+	b, err := os.ReadFile("testdata/parse_seeds.txt")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+}
+
 // FuzzParse checks that the condition parser never panics and that every
 // successfully parsed condition round-trips through its String form with
-// identical evaluation semantics.
+// identical evaluation semantics, and prints the same again.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"V = 'dui'",
-		"V = 'dui' AND D >= 1993",
-		"NOT (V = 'sp' OR D < 1980)",
-		"V IN ('a', 'b') AND L LIKE 'J%'",
-		"TRUE",
-		"D IN (1, 2, 3)",
-		"((V = 'x'))",
-		"V <> 'y' AND D <= -5",
-		"A = 2.5 OR B = true",
-		"V = ''",
-		"'lit' = V",
-		"V = 'dui' AND",
-		"x[!",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds(f) {
 		f.Add(s)
 	}
 	schema := relation.MustSchema("L",
@@ -43,6 +41,9 @@ func FuzzParse(f *testing.F) {
 		c2, err := Parse(printed)
 		if err != nil {
 			t.Fatalf("round trip failed: Parse(%q) ok but Parse(%q) failed: %v", input, printed, err)
+		}
+		if again := c2.String(); again != printed {
+			t.Fatalf("round trip changed the text: %q printed %q, which prints %q", input, printed, again)
 		}
 		v1, err1 := c.Eval(schema, row)
 		v2, err2 := c2.Eval(schema, row)

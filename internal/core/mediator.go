@@ -721,13 +721,13 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 
 // executor wires the roster and the query's execution options into the
 // executor every entry point runs on. A round's independent source queries
-// always overlap (Section 6's response-time direction); the link admits, so
-// each source sees at most its MaxConns exchanges (default 1) from all our
+// overlap (Section 6's response-time direction); the link admits, so each
+// source sees at most its MaxConns exchanges (default 1) from all our
 // queries together, and total work is what it would be one exchange after
 // another.
 func (r *roster) executor(opts Options) *exec.Executor {
 	ex := &exec.Executor{
-		Sources: r.sources, Network: r.network, Parallel: true,
+		Sources: r.sources, Network: r.network,
 		Trace: opts.Trace, Retries: opts.Retries,
 		Streaming: opts.Streaming, BatchSize: opts.BatchSize,
 	}

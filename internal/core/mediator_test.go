@@ -204,10 +204,12 @@ func laneMakespan(ans *Answer) time.Duration {
 }
 
 // TestRoundsOverlapByDefault: with nothing asked for, a round's source
-// queries are in flight together. The FILTER plan on DMV answers what a
-// sequential executor answers for the same plan, at the same total work, and
-// its response time is the slowest lane of each round, strictly less. No
-// source ever sees more exchanges from us than its link has connections.
+// queries are in flight together. Every link has one connection, so a source
+// serves its exchanges one after another: the FILTER plan on DMV answers
+// what the executor answers for the same plan over the same links, with the
+// same queries, work and response time, and that response time is the
+// slowest lane of each round, strictly less than the total work. No source
+// ever sees more exchanges from us than its link has connections.
 func TestRoundsOverlapByDefault(t *testing.T) {
 	sc := workload.DMV()
 	m := New(sc.Schema)
@@ -241,19 +243,16 @@ func TestRoundsOverlapByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := (&exec.Executor{Sources: m.Sources(), Network: m.Network()}).Run(context.Background(), ans.Plan)
+	one, err := (&exec.Executor{Sources: m.Sources(), Network: m.Network()}).Run(context.Background(), ans.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ans.Items.Equal(seq.Answer) {
-		t.Fatalf("answer %v, a sequential executor answers %v", ans.Items, seq.Answer)
+	if !ans.Items.Equal(one.Answer) {
+		t.Fatalf("answer %v, the executor over the same links answers %v", ans.Items, one.Answer)
 	}
-	if seq.ResponseTime != seq.TotalWork {
-		t.Fatalf("the sequential reference: response time %v != total work %v", seq.ResponseTime, seq.TotalWork)
-	}
-	if ans.Exec.TotalWork != seq.TotalWork || ans.Exec.SourceQueries != seq.SourceQueries {
-		t.Fatalf("%d queries and %v of work, sequentially %d and %v: overlap changes when, not what",
-			ans.Exec.SourceQueries, ans.Exec.TotalWork, seq.SourceQueries, seq.TotalWork)
+	if ans.Exec.TotalWork != one.TotalWork || ans.Exec.SourceQueries != one.SourceQueries || ans.Exec.ResponseTime != one.ResponseTime {
+		t.Fatalf("%d queries, %v of work, response time %v; the executor over the same links: %d, %v, %v",
+			ans.Exec.SourceQueries, ans.Exec.TotalWork, ans.Exec.ResponseTime, one.SourceQueries, one.TotalWork, one.ResponseTime)
 	}
 	if ans.Exec.ResponseTime >= ans.Exec.TotalWork {
 		t.Fatalf("response time %v not below total work %v: the rounds' exchanges did not overlap", ans.Exec.ResponseTime, ans.Exec.TotalWork)

@@ -13,9 +13,9 @@ import (
 	"fusionq/internal/workload"
 )
 
-// accountingFixture is a parallel run over the DMV roster on a network whose
-// log already carries prior exchanges of other callers, as it does after
-// that many source queries of a long-running service.
+// accountingFixture is a round-scheduled run over the DMV roster on a
+// network whose log already carries prior exchanges of other callers, as it
+// does after that many source queries of a long-running service.
 func accountingFixture(prior int) (*run, *netsim.Network) {
 	sc := workload.DMV()
 	network := netsim.NewNetwork(1)
@@ -24,7 +24,7 @@ func accountingFixture(prior int) (*run, *netsim.Network) {
 		srcs[j] = source.Instrument(s, network)
 	}
 	fillLog(network, prior)
-	e := &Executor{Sources: srcs, Network: network, Parallel: true}
+	e := &Executor{Sources: srcs, Network: network}
 	return e.newRun(&plan.Plan{Sources: sc.SourceNames()}, false), network
 }
 

@@ -29,10 +29,10 @@ import (
 // Adaptive execution is round-scheduled by construction: a round is chosen
 // from the measured size of the set the round before left, so there is a
 // barrier between rounds whatever the executor's Streaming flag says. Each
-// round is built as plan steps and run by the same scheduler Run uses
-// (sequentially, or the round's source queries at once in parallel mode),
-// so counters, trace, failover accounting and FailedStep mean what they
-// mean there, with step indexes into the executed plan.
+// round is built as plan steps and run by the same scheduler Run uses (the
+// round's source queries at once), so counters, trace, failover accounting
+// and FailedStep mean what they mean there, with step indexes into the
+// executed plan.
 //
 // Like Run, a failed or cancelled execution returns a non-nil Result whose
 // counters report the work already performed, with the error wrapping the

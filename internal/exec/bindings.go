@@ -9,21 +9,12 @@ import (
 	"fusionq/internal/set"
 )
 
-// sequential reports a round-scheduled run without parallelism: one
-// exchange at a time, on one connection per source.
-func (r *run) sequential() bool { return !r.e.Parallel && !r.pipelined }
-
 // resolveConns sizes source j's side of an emulated semijoin: how many of
-// its bindings are in flight at once. The sequential reference takes one — its
-// accounting identity ResponseTime == TotalWork depends on it; an overlapped
-// or pipelined run takes the source's connection capacity: its link's
-// MaxConns, a replicated source's endpoints' summed, 1 without a network.
-// Admission itself is the link's (source.Instrumented); this only gives the
-// lanes enough workers to fill them.
+// its bindings are in flight at once — the source's connection capacity: its
+// link's MaxConns, a replicated source's endpoints' summed, 1 without a
+// network. Admission itself is the link's (source.Instrumented); this only
+// gives the lanes enough workers to fill them.
 func (r *run) resolveConns(j int) int {
-	if r.sequential() {
-		return 1
-	}
 	src := r.e.Sources[j]
 	if rc, ok := src.(replicaSource); ok {
 		total := 0

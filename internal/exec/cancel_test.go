@@ -51,11 +51,8 @@ func waitGoroutines(t *testing.T, want int) {
 // context.Canceled through every layer, and the partial Result still
 // charges every binding attempt that reached the source.
 func TestCancelMidEmulatedSemijoin(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
+	// One connection issues the bindings one after another, two fan them out.
+	for name, conns := range map[string]int{"sequential": 1, "parallel": 2} {
 		t.Run(name, func(t *testing.T) {
 			pr, srcs, network := dmvSetup(t, semijoinCaps)
 			// Each binding stalls 30ms (honoring ctx), so the fan-out is
@@ -75,7 +72,7 @@ func TestCancelMidEmulatedSemijoin(t *testing.T) {
 				cancel()
 			}()
 
-			ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Parallel: parallel, Retries: 3}
+			ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, conns), Retries: 3}
 			start := time.Now()
 			res, err := ex.Run(ctx, semijoinPlan(pr.Conds, pr.Sources))
 			elapsed := time.Since(start)
@@ -126,7 +123,7 @@ func TestDeadlineMidEmulatedSemijoin(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Parallel: true, Retries: 3}
+	ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Retries: 3}
 	start := time.Now()
 	res, err := ex.Run(ctx, semijoinPlan(pr.Conds, pr.Sources))
 	elapsed := time.Since(start)

@@ -10,15 +10,14 @@
 // schedulers drive those nodes. The round scheduler (this file) runs a plan
 // round by round over whole set variables, each round's independent source
 // queries at once (the response-time direction the paper names as future
-// work in Section 6, and what the mediator always runs), every source
-// admitting at most its link's connection capacity of in-flight exchanges
-// (netsim's lanes, held by source.Instrumented, shared with every other
-// caller of the source), so the simulated response time is the per-round
-// critical path over the per-source k-lane schedules. Its reference mode
-// takes one source query at a time, so that its simulated elapsed time
-// equals the "total work" the paper's cost model minimizes; overlap leaves
-// total work unchanged. The pipelined scheduler (stream.go) runs every step
-// at once over bounded batch edges.
+// work in Section 6), every source admitting at most its link's connection
+// capacity of in-flight exchanges (netsim's lanes, held by
+// source.Instrumented, shared with every other caller of the source), so the
+// simulated response time is the per-round critical path over the
+// per-source k-lane schedules. The "total work" the paper's cost model
+// minimizes is the sum of the run's exchanges in whatever order they ran,
+// and overlap leaves it unchanged. The pipelined scheduler (stream.go) runs
+// every step at once over bounded batch edges.
 //
 // Every run takes a context.Context. Cancellation is observed between
 // steps, between the bindings of an emulated semijoin, and inside
@@ -59,16 +58,9 @@ type Executor struct {
 	// response time, and gives each source's link capacity to the accounting
 	// and to an emulated semijoin's fan-out. It must be the network the
 	// sources' instrumentation records to, which is also what admits their
-	// exchanges.
+	// exchanges: at most a link's MaxConns (default 1) of them at once,
+	// across every query sharing the network.
 	Network *netsim.Network
-	// Parallel overlaps each round's independent source queries; each
-	// source's link admits at most its MaxConns (default 1) of them, across
-	// every query sharing the network. The mediator always sets it. The zero
-	// value — one exchange at a time, one binding of an emulated semijoin at
-	// a time — is the reference: the run for which ResponseTime == TotalWork,
-	// which the experiments' sequential columns, the oracle's seq mode and the
-	// tests compare an overlapped run against.
-	Parallel bool
 	// Cache, when set, is consulted before every selection and filters
 	// semijoin sets down to items with unknown verdicts.
 	// Sharing one Cache across runs (adaptive rounds, repeated mediator
@@ -119,12 +111,11 @@ type Result struct {
 	// made — its own ledger, whatever else shared the network — and the
 	// quantity the optimizers minimize. Zero without a Network.
 	TotalWork time.Duration
-	// ResponseTime is the simulated wall-clock: equal to TotalWork in
-	// sequential mode, the sum of per-batch critical paths in parallel
-	// mode, where each source's contribution to a batch is the makespan of
-	// its exchanges over its connection capacity (netsim.Makespan), and the
-	// critical path of the whole run in streaming mode. Zero without a
-	// Network.
+	// ResponseTime is the simulated wall-clock, never above TotalWork: the
+	// sum of per-round critical paths between round barriers, where each
+	// source's contribution to a round is the makespan of its exchanges over
+	// its connection capacity (netsim.Makespan), and the critical path of
+	// the whole run in streaming mode. Zero without a Network.
 	ResponseTime time.Duration
 	// CacheHits and CacheMisses count answer-cache consultations: a hit is
 	// one source query avoided (a whole cached selection, or one binding
@@ -159,7 +150,7 @@ type Result struct {
 	Failovers int
 	Hedges    int
 	// FailedStep is the plan index of the first step that failed — the
-	// minimum failed index when a parallel batch fails several steps — or
+	// minimum failed index when a round fails several steps — or
 	// -1 when every executed step succeeded. Mid-query roster repair uses
 	// it to locate the last completed round.
 	FailedStep int
@@ -304,10 +295,8 @@ func (r *run) close() {
 
 // runSteps is the round scheduler: it executes r.p.Steps[from:] in order,
 // every step reading whole variables and assigning a whole variable. A
-// source-query step runs as a batch — a singleton in sequential mode, a
-// whole round of independent steps in parallel mode — so accounting and
-// scheduling are uniform: an emulated semijoin's binding fan-out needs the
-// k-lane makespan accounting either way. Local steps run inline.
+// source-query step runs with the independent source-query steps after it
+// (plan.BatchEnd's batch) as one round. Local steps run inline.
 func (r *run) runSteps(ctx context.Context, from int) error {
 	steps := r.p.Steps
 	for k := from; k < len(steps); {
@@ -317,9 +306,7 @@ func (r *run) runSteps(ctx context.Context, from int) error {
 		end := k + 1
 		var err error
 		if steps[k].IsSourceQuery() {
-			if r.e.Parallel {
-				end = plan.BatchEnd(steps, k)
-			}
+			end = plan.BatchEnd(steps, k)
 			err = r.runBatch(ctx, k, end)
 		} else {
 			err = r.runStep(ctx, k)
@@ -431,12 +418,6 @@ func (r *run) settle() {
 		work += en.Elapsed
 	}
 	r.res.TotalWork += work
-	if r.sequential() {
-		// One exchange at a time: the critical path is all of it, failover
-		// and hedging included.
-		r.res.ResponseTime += work
-		return
-	}
 	// One lane per physical endpoint (each link admits its own exchanges),
 	// in arrival order; the slowest lane's makespan over its link's capacity
 	// bounds the rest.

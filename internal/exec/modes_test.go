@@ -12,13 +12,21 @@ import (
 	"fusionq/internal/workload"
 )
 
-// runModes are the three ways one Executor schedules a plan's nodes.
+// runModes are the ways the tests run one plan: rounds over links of one
+// connection each ("seq": a source serves its exchanges one after another),
+// rounds over the links as the test set them, and the pipeline.
 var runModes = []struct {
 	name      string
 	configure func(*Executor)
 }{
-	{"seq", func(*Executor) {}},
-	{"par", func(e *Executor) { e.Parallel = true }},
+	{"seq", func(e *Executor) {
+		for _, src := range e.Sources {
+			if e.Network != nil {
+				linkConns(e.Network, []string{src.Name()}, 1)
+			}
+		}
+	}},
+	{"par", func(*Executor) {}},
 	{"stream", func(e *Executor) { e.Streaming = true }},
 }
 
@@ -52,8 +60,9 @@ func synthOnNetwork(tb testing.TB, cfg workload.SynthConfig, link netsim.Link) (
 // BenchmarkRunModes runs one fixed plan — SJA over the end-to-end
 // benchmark's planned-execution shape: 6 native-semijoin sources of 2 000
 // tuples over a universe of 4 000, three conditions, netsim attached for
-// accounting — under each scheduler. allocs/op is what a step costs the
-// round scheduler beside the pipelined one.
+// accounting — under each scheduler: rounds ("par") and the pipeline
+// ("stream"). allocs/op is what a step costs the round scheduler beside the
+// pipelined one.
 func BenchmarkRunModes(b *testing.B) {
 	pr, srcs, network := synthOnNetwork(b, workload.SynthConfig{
 		Seed: 7, NumSources: 6, TuplesPerSource: 2000, Universe: 4000,
@@ -63,10 +72,13 @@ func BenchmarkRunModes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range runModes {
-		b.Run(mode.name, func(b *testing.B) {
-			ex := &Executor{Sources: srcs, Network: network}
-			mode.configure(ex)
+	for _, streaming := range []bool{false, true} {
+		name := "par"
+		if streaming {
+			name = "stream"
+		}
+		b.Run(name, func(b *testing.B) {
+			ex := &Executor{Sources: srcs, Network: network, Streaming: streaming}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

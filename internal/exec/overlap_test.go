@@ -96,7 +96,7 @@ func TestCombinedRemainderOverlaps(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), guard)
 	defer cancel()
-	ex := &Executor{Sources: heldUntilAsked(srcs, source.OpFetch, len(srcs)), Parallel: true}
+	ex := &Executor{Sources: heldUntilAsked(srcs, source.OpFetch, len(srcs))}
 	run, records, err := ex.RunCombined(ctx, res.Plan)
 	if err != nil {
 		t.Fatalf("combined run over sources that answer a fetch only once all are asked: %v", err)
@@ -148,7 +148,7 @@ func TestFailedStepStopsItsBatch(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), guard)
 	defer cancel()
-	run, err := (&Executor{Sources: srcs, Parallel: true, Retries: 3}).Run(ctx, res.Plan)
+	run, err := (&Executor{Sources: srcs, Retries: 3}).Run(ctx, res.Plan)
 	if ctx.Err() != nil {
 		t.Fatalf("the batch ran to the guard: its siblings were not stopped when R2 failed (err = %v)", err)
 	}

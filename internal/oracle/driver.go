@@ -166,8 +166,8 @@ func (d *Driver) Check(ctx context.Context, inst Instance) ([]Failure, error) {
 	// Phase 5: the join-over-union baseline, memoized and not.
 	fs = append(fs, d.checkJoinOverUnion(ctx, ev)...)
 
-	// Phase 6: fault sweep — flaky sources with a retry budget. Runs are
-	// sequential so the injected failure sequence is deterministic.
+	// Phase 6: fault sweep — flaky sources with a retry budget, under each
+	// scheduler.
 	if inst.Faults {
 		fs = append(fs, d.checkFaults(ctx, ev, results)...)
 	}
@@ -284,16 +284,14 @@ func checkCosts(ev *env, results map[string]optimizer.Result) []Failure {
 	return fs
 }
 
-// execModes lists the ways the instance's plans are scheduled: sequential
-// rounds (the accounting reference), overlapped rounds (what the mediator
-// runs) and the pipeline.
+// execModes lists the ways the instance's plans are scheduled: overlapped
+// rounds and the pipeline, the two schedulers the mediator runs.
 // The batch size varies with the seed so tiny batches (many edges, heavy
 // fan-out traffic) and large ones (single-batch degenerate case) are both
 // exercised.
 func execModes(inst Instance) []runOpts {
 	return []runOpts{
-		{mode: "seq"},
-		{mode: "par", parallel: true},
+		{mode: "par"},
 		{mode: "stream", streaming: true, batch: streamBatch(inst)},
 	}
 }
@@ -327,7 +325,6 @@ func checkRecords(ctx context.Context, ev *env, mode string, records *relation.R
 // runOpts configures one execution of one plan class.
 type runOpts struct {
 	mode      string
-	parallel  bool
 	streaming bool
 	batch     int
 	cache     *exec.Cache
@@ -357,7 +354,6 @@ func (d *Driver) check(ctx context.Context, ev *env, srcs []source.Source, cls s
 	ex := &exec.Executor{
 		Sources:   srcs,
 		Network:   ev.network,
-		Parallel:  opts.parallel,
 		Streaming: opts.streaming,
 		BatchSize: opts.batch,
 		Cache:     opts.cache,
@@ -397,18 +393,11 @@ func (d *Driver) check(ctx context.Context, ev *env, srcs []source.Source, cls s
 	}
 
 	// Accounting identities hold for successful and failed runs alike: the
-	// counters report the traffic actually paid for.
-	switch {
-	case opts.parallel, opts.streaming:
-		// Overlapped execution: the critical path can never exceed the
-		// summed work.
-		if res.ResponseTime > res.TotalWork {
-			fs = append(fs, Failure{Property: "par-response", Class: cls, Mode: opts.mode,
-				Detail: fmt.Sprintf("overlapped response time %v exceeds total work %v", res.ResponseTime, res.TotalWork)})
-		}
-	case res.ResponseTime != res.TotalWork:
-		fs = append(fs, Failure{Property: "seq-identity", Class: cls, Mode: opts.mode,
-			Detail: fmt.Sprintf("sequential response time %v != total work %v", res.ResponseTime, res.TotalWork)})
+	// counters report the traffic actually paid for. The critical path of
+	// overlapped exchanges can never exceed their summed work.
+	if res.ResponseTime > res.TotalWork {
+		fs = append(fs, Failure{Property: "par-response", Class: cls, Mode: opts.mode,
+			Detail: fmt.Sprintf("overlapped response time %v exceeds total work %v", res.ResponseTime, res.TotalWork)})
 	}
 	// Under every scheduler the run's work is the work of its steps: each
 	// exchange is charged to the step that issued it, and to no other.
@@ -592,54 +581,32 @@ func (d *Driver) checkJoinOverUnion(ctx context.Context, ev *env) []Failure {
 }
 
 // checkFaults reruns representative classes against flaky sources with a
-// retry budget. A run must either absorb the injected failures and return
-// the exact answer, or fail with an honestly-classified error and no wrong
-// partial answer. Runs are sequential: the injected failure sequence is
-// then a pure function of the instance seed.
+// retry budget, under each scheduler on wrappers of its own. A run must
+// either absorb the injected failures and return the exact answer, or fail
+// with an honestly-classified error and no wrong partial answer. Concurrent
+// steps draw the injected failures in no fixed order; the property does not
+// depend on it.
 func (d *Driver) checkFaults(ctx context.Context, ev *env, results map[string]optimizer.Result) []Failure {
-	flaky := make([]source.Source, len(ev.sources))
-	for j, src := range ev.sources {
-		flaky[j] = source.NewFlaky(src, ev.inst.FaultRate, ev.inst.Seed+int64(j)*7919)
-	}
 	allow := func(err error) bool {
 		return errors.Is(err, source.ErrTransient) ||
 			errors.Is(err, context.Canceled) ||
 			errors.Is(err, context.DeadlineExceeded)
 	}
 	var fs []Failure
-	for _, cls := range []string{"filter", "sja+"} {
-		r, ok := results[cls]
-		if !ok {
-			continue
+	for k, opts := range []runOpts{
+		{mode: "faults"},
+		{mode: "stream-faults", streaming: true, batch: streamBatch(ev.inst)},
+	} {
+		flaky := make([]source.Source, len(ev.sources))
+		for j, src := range ev.sources {
+			flaky[j] = source.NewFlaky(src, ev.inst.FaultRate, ev.inst.Seed+int64(j)*7919+int64(k)*104729)
 		}
-		fs = append(fs, d.runPlan(ctx, ev, flaky, cls, r.Plan, runOpts{
-			mode:     "faults",
-			retries:  ev.inst.Retries + 2,
-			allowErr: allow,
-		})...)
-	}
-
-	// Streaming fault sweep on fresh flaky wrappers: the concurrent nodes
-	// draw injected failures in a nondeterministic order (the materialized
-	// sweep above keeps its deterministic sequence by running first on its
-	// own wrappers), but the property is order-independent — absorb the
-	// faults and return the exact answer, or fail honestly.
-	streamFlaky := make([]source.Source, len(ev.sources))
-	for j, src := range ev.sources {
-		streamFlaky[j] = source.NewFlaky(src, ev.inst.FaultRate, ev.inst.Seed+int64(j)*104729)
-	}
-	for _, cls := range []string{"filter", "sja+"} {
-		r, ok := results[cls]
-		if !ok {
-			continue
+		opts.retries, opts.allowErr = ev.inst.Retries+2, allow
+		for _, cls := range []string{"filter", "sja+"} {
+			if r, ok := results[cls]; ok {
+				fs = append(fs, d.runPlan(ctx, ev, flaky, cls, r.Plan, opts)...)
+			}
 		}
-		fs = append(fs, d.runPlan(ctx, ev, streamFlaky, cls, r.Plan, runOpts{
-			mode:      "stream-faults",
-			streaming: true,
-			batch:     streamBatch(ev.inst),
-			retries:   ev.inst.Retries + 2,
-			allowErr:  allow,
-		})...)
 	}
 	return fs
 }
@@ -650,10 +617,11 @@ func (d *Driver) checkFaults(ctx context.Context, ev *env, results map[string]op
 // surviving replica the run must absorb the death (fabric failover for
 // materialized exchanges, whole-stream retry for streaming ones) and return
 // the exact answer; with every replica dead it must fail with a classified
-// exhaustion or link-down error and never a wrong non-empty answer. The
-// sweep is deterministic: the network is non-realtime, hedging is disabled,
-// and a fresh logical's unobserved endpoints bound how often the dead
-// replica can be picked before its breaker opens.
+// exhaustion or link-down error and never a wrong non-empty answer. No
+// clock decides the outcome: the network is non-realtime, hedging is
+// disabled, and a fresh logical's unobserved endpoints bound how often the
+// dead replica can be picked before its breaker opens, however a round's
+// exchanges interleave.
 func (d *Driver) checkChurn(ctx context.Context, ev *env, results map[string]optimizer.Result) []Failure {
 	r, ok := results["filter"]
 	if !ok {

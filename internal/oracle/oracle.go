@@ -11,9 +11,9 @@
 // sources, skew, capability mixes, heterogeneous links, flaky decorators), a
 // naive reference executor computes ground truth directly from the raw
 // relations, and a differential driver runs every plan class through the
-// real executor — sequentially (the reference), with rounds overlapped (what
-// the mediator runs) and pipelined, cached and uncached, with and without
-// injected faults and deadlines — checking:
+// real executor under both schedulers the mediator runs — overlapped rounds
+// and the pipeline — cached and uncached, with and without injected faults
+// and deadlines, checking:
 //
 //   - answer equality: every successful execution returns exactly the
 //     reference answer, byte for byte;
@@ -24,8 +24,8 @@
 //     estimator, SJA is no costlier than SJ and FILTER and no greedy
 //     variant beats it, SJA+ is no costlier than SJA, and on small
 //     instances SJA matches the exhaustive optimum;
-//   - execution-accounting identities: sequential response time equals
-//     total work, overlapped response time never exceeds it;
+//   - execution-accounting identities: response time never exceeds total
+//     work, and the steps' elapsed times sum to it;
 //   - catalog overlap: a cold statistics catalog asks every source before
 //     it waits for any, and plans what a catalog filled one source after
 //     another plans;
@@ -171,7 +171,7 @@ func capsForTier(tier int) source.Capabilities {
 type Failure struct {
 	// Property names the violated invariant: "answer-mismatch",
 	// "records-mismatch", "partial-dishonest", "error-class",
-	// "cost-bookkeeping", "cost-dominance", "seq-identity", "par-response",
+	// "cost-bookkeeping", "cost-dominance", "par-response",
 	// "step-identity", "first-answer", "peak-accounting", "span-unfinished",
 	// "metric-imbalance", "gauge-leak", "cache-reuse", "optimize-error",
 	// "exec-error", "wire-frag-missing", "wire-frag-nesting",
@@ -181,8 +181,8 @@ type Failure struct {
 	Property string `json:"property"`
 	// Class is the plan class involved ("filter", "sja+", "jou", ...).
 	Class string `json:"class,omitempty"`
-	// Mode is the execution mode ("seq", "par", "cached", "faults",
-	// "deadline"), empty for planning-time properties.
+	// Mode is the execution mode ("par", "stream", "cached", "faults",
+	// "deadline", ...), empty for planning-time properties.
 	Mode string `json:"mode,omitempty"`
 	// Detail is a human-readable account of the violation.
 	Detail string `json:"detail"`

@@ -7,7 +7,9 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind enumerates the value types supported by the common schema.
@@ -132,12 +134,37 @@ func (v Value) Equal(w Value) bool {
 	return err == nil && c == 0
 }
 
-// String renders the value as it appears in condition syntax: strings are
-// single-quoted, other kinds use their natural literal form.
+// String renders the value as a literal of condition syntax, the one
+// renderer every condition shipped as text goes through, so that parsing
+// what it prints gives the value back: a string is single-quoted, or
+// double-quoted when it holds a single quote (the syntax has no escapes); a
+// float is written without an exponent and with a decimal point, so it
+// lexes as a number and parses as a float; other kinds use their natural
+// literal form.
 func (v Value) String() string {
 	switch v.kind {
 	case KindString:
+		if strings.ContainsRune(v.s, '\'') {
+			return `"` + v.s + `"`
+		}
 		return "'" + v.s + "'"
+	case KindFloat:
+		s := strconv.FormatFloat(v.f, 'f', -1, 64)
+		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
+			s += ".0"
+		}
+		return s
+	default:
+		return v.Raw()
+	}
+}
+
+// Raw renders the value without quoting, used for wire encoding and for
+// merge-attribute items.
+func (v Value) Raw() string {
+	switch v.kind {
+	case KindString:
+		return v.s
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
@@ -147,15 +174,6 @@ func (v Value) String() string {
 	default:
 		return "<invalid>"
 	}
-}
-
-// Raw renders the value without quoting, used for wire encoding and for
-// merge-attribute items.
-func (v Value) Raw() string {
-	if v.kind == KindString {
-		return v.s
-	}
-	return v.String()
 }
 
 // Bytes returns the approximate wire size of the value, used by the network

@@ -24,7 +24,7 @@ type Config struct {
 	// default like the admission controller's.
 	Answers AnswerCacheConfig
 	// Options are the base execution options applied to every query
-	// (Algorithm, Cache, Retries, Timeout, BatchSize...). The
+	// (Algorithm, Cache, Retries, BatchSize...). The
 	// request's Stream flag overrides Options.Streaming per query.
 	// Adaptive and CombinedFetch queries bypass the plan cache: their
 	// execution re-decides or extends the plan, so there is no reusable

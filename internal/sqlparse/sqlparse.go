@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"fusionq/internal/cond"
+	"fusionq/internal/relation"
 )
 
 // FromItem is one entry of the FROM clause: a relation name and its alias.
@@ -283,7 +284,7 @@ func (p *parser) parseCondOr() (string, map[string]bool, error) {
 			}
 		case t.Kind == cond.TokenString:
 			p.next()
-			sb.WriteString("'" + t.Text + "' ")
+			sb.WriteString(relation.String(t.Text).String() + " ")
 		default:
 			p.next()
 			sb.WriteString(t.Text + " ")

@@ -209,6 +209,27 @@ func TestFusionINAndLike(t *testing.T) {
 	}
 }
 
+// TestFusionQuotedLiterals: a string literal that holds a single quote, and
+// a float literal too small for a short decimal, reach the condition intact.
+func TestFusionQuotedLiterals(t *testing.T) {
+	schema := relation.MustSchema("L",
+		relation.Column{Name: "L", Kind: relation.KindString},
+		relation.Column{Name: "V", Kind: relation.KindString},
+		relation.Column{Name: "F", Kind: relation.KindFloat},
+	)
+	sql := `SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = "O'Brien" AND u2.F = 0.000001`
+	fq, err := ParseFusion(sql, schema)
+	if err != nil {
+		t.Fatalf("ParseFusion: %v", err)
+	}
+	if got, want := fq.Conds[0].String(), `V = "O'Brien"`; got != want {
+		t.Fatalf("first condition %s, want %s", got, want)
+	}
+	if got, want := fq.Conds[1].String(), "F = 0.000001"; got != want {
+		t.Fatalf("second condition %s, want %s", got, want)
+	}
+}
+
 func TestFusionAgainstCustomSchema(t *testing.T) {
 	schema := relation.MustSchema("ID",
 		relation.Column{Name: "ID", Kind: relation.KindString},

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"context"
+	"os"
+	"strings"
 	"testing"
 
 	"fusionq/internal/bloom"
@@ -49,6 +51,28 @@ func TestRequestLines(t *testing.T) {
 		}
 		if string(got) != tc.line+"\n" {
 			t.Errorf("%s:\n got  %s\n want %s", tc.call.Op, got, tc.line)
+		}
+	}
+}
+
+// TestConditionsSurviveTheRequestCodec: a condition travels as its text, so
+// every condition the parser accepts must reach the server as itself. The
+// conditions are the parser's fuzz seeds, quoted and float literals included.
+func TestConditionsSurviveTheRequestCodec(t *testing.T) {
+	b, err := os.ReadFile("../cond/testdata/parse_seeds.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		c, err := cond.Parse(text)
+		if err != nil {
+			continue
+		}
+		got, err := decodeCall(encodeCall(source.Call{Op: source.OpSelect, Cond: c}))
+		if err != nil {
+			t.Errorf("%s: the server cannot read the request: %v", c, err)
+		} else if got.Cond.String() != c.String() {
+			t.Errorf("sent %s, the server read %s", c, got.Cond)
 		}
 	}
 }
