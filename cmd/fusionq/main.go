@@ -17,7 +17,8 @@
 //	-catalog file   JSON catalog describing all sources (replaces -csv/-remote)
 //	-merge col      merge attribute (default: first CSV column)
 //	-algo name      filter | sj | sja | sja+ | greedy-sj | greedy-sja |
-//	                greedy-adaptive-sja | greedy-sja+ | rt-sja (README "Algorithms")
+//	                greedy-adaptive-sja | greedy-sja+ | rt-sja | adaptive
+//	                (README "Algorithms")
 //	-caps tier      capability tier for CSV sources: native | bindings | none
 //	-conns n        connection capacity of each -csv/-remote source's link: a
 //	                round's source queries always overlap across sources, and
@@ -25,7 +26,8 @@
 //	                a catalog states maxConns per link)
 //	-cache          answer repeated source queries from the mediator cache
 //	-explain        print the plan without executing it
-//	-fetch          run the second phase and print the full records
+//	-fetch          ask for the answer's full records too and print them (the
+//	                planner picks a fetch round or the final round's queries)
 //	-timeout d      per-query wall-clock budget (e.g. 5s; 0 means none)
 //	-trace-json f   write the query's span trace (query → plan phases →
 //	                steps → retry attempts → exchanges) as JSON to f
@@ -74,10 +76,9 @@ func main() {
 		catalogF  = flag.String("catalog", "", "JSON catalog of sources (replaces -csv/-remote)")
 		explain   = flag.Bool("explain", false, "print the plan, do not execute")
 		timeout   = flag.Duration("timeout", 0, "per-query wall-clock budget (0: none)")
-		fetch     = flag.Bool("fetch", false, "run the second phase and print full records")
+		fetch     = flag.Bool("fetch", false, "ask for the answer's full records too and print them")
 		trace     = flag.Bool("trace", false, "print a per-step execution trace")
 		stream    = flag.Bool("stream", false, "execute as a pull-based streaming pipeline (bounded batches, early first answer)")
-		batch     = flag.Int("batch", 0, "streaming batch size for -stream (0: default)")
 		traceJSON = flag.String("trace-json", "", `write the query's span trace as JSON to this file ("-" for stdout)`)
 		spans     = flag.Bool("spans", false, "print the query's span tree with per-exchange wait/server/wire split")
 		admin     = flag.String("admin", "", "serve admin endpoints (/metrics, /debug/*) on this address (e.g. 127.0.0.1:9100)")
@@ -88,7 +89,7 @@ func main() {
 	flag.Parse()
 
 	ctx := context.Background()
-	opts := core.Options{Algorithm: core.Algorithm(*algo), Cache: *cache, Trace: *trace, Streaming: *stream, BatchSize: *batch}
+	opts := core.Options{Algorithm: core.Algorithm(*algo), Cache: *cache, Trace: *trace, Streaming: *stream, Records: *fetch}
 	if *shell {
 		m, closer, err := assemble(ctx, csvs, remotes, *catalogF, *merge, *capsFlag, *conns)
 		if err != nil {
@@ -111,7 +112,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(ctx, *sql, csvs, remotes, *catalogF, *merge, *capsFlag, *conns, opts, *timeout, *explain, *fetch, *traceJSON, *spans, *admin); err != nil {
+	if err := run(ctx, *sql, csvs, remotes, *catalogF, *merge, *capsFlag, *conns, opts, *timeout, *explain, *traceJSON, *spans, *admin); err != nil {
 		fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 		os.Exit(1)
 	}
@@ -138,7 +139,7 @@ func withTimeout(ctx context.Context, d time.Duration) (context.Context, context
 	return context.WithTimeout(ctx, d)
 }
 
-func run(ctx context.Context, sql string, csvs, remotes []string, catalogPath, merge, capsFlag string, conns int, opts core.Options, timeout time.Duration, explain, fetch bool, traceJSON string, spans bool, adminAddr string) error {
+func run(ctx context.Context, sql string, csvs, remotes []string, catalogPath, merge, capsFlag string, conns int, opts core.Options, timeout time.Duration, explain bool, traceJSON string, spans bool, adminAddr string) error {
 	if sql == "" {
 		return fmt.Errorf("-sql is required")
 	}
@@ -193,15 +194,8 @@ func run(ctx context.Context, sql string, csvs, remotes []string, catalogPath, m
 	if spans && ans.Trace != nil {
 		fmt.Printf("\nspans:\n%s", obs.RenderTrace(ans.Trace.Export()))
 	}
-
-	if fetch && !ans.Items.IsEmpty() {
-		fctx, cancel := withTimeout(ctx, timeout)
-		defer cancel()
-		full, err := m.Fetch(fctx, ans.Items)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\nphase two: %d full records\n%s", full.Len(), full)
+	if ans.Records != nil {
+		fmt.Printf("\nrecords (%s): %d full records\n%s", ans.Plan.Records, ans.Records.Len(), ans.Records)
 	}
 	return nil
 }

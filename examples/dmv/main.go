@@ -51,15 +51,11 @@ func main() {
 		fmt.Print(ans.Plan)
 	}
 
-	// The two-phase follow-up of Section 1: fetch the matching drivers'
-	// full violation records.
-	ans, err := m.Query(ctx, sql, core.Options{})
+	// The two-phase follow-up of Section 1: the matching drivers' full
+	// violation records, asked for with the query.
+	ans, err := m.Query(ctx, sql, core.Options{Records: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, err := m.Fetch(ctx, ans.Items)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nphase two — full records of %s:\n%s", ans.Items, full)
+	fmt.Printf("\nphase two (%s) — full records of %s:\n%s", ans.Plan.Records, ans.Items, ans.Records)
 }

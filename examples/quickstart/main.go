@@ -54,7 +54,9 @@ func main() {
 	// high-score record somewhere (possibly at a different source).
 	sql := `SELECT u1.ID FROM U u1, U u2
 	        WHERE u1.ID = u2.ID AND u1.Tag = 'go' AND u2.Score >= 7`
-	ans, err := m.Query(ctx, sql, core.Options{})
+	// Records asks for the entities' full records too: the planner picks a
+	// fetch round after the answer (phase two) or the final round's queries.
+	ans, err := m.Query(ctx, sql, core.Options{Records: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,11 +64,5 @@ func main() {
 	fmt.Printf("answer: %s\n\n", ans.Items)
 	fmt.Printf("plan (%s, estimated cost %.4f s):\n%s\n", ans.Plan.Class, ans.EstimatedCost, ans.Plan)
 	fmt.Printf("executed %d source queries, total work %v\n", ans.Exec.SourceQueries, ans.Exec.TotalWork)
-
-	// Phase two: fetch the full records of the matching entities.
-	full, err := m.Fetch(ctx, ans.Items)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nfull records of the answer entities:\n%s", full)
+	fmt.Printf("\nfull records of the answer entities (%s):\n%s", ans.Plan.Records, ans.Records)
 }

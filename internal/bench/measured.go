@@ -344,10 +344,10 @@ func permuteAll(m int) [][]int {
 	return out
 }
 
-// runE13 quantifies the Section 6 "beyond two-phase" extension implemented
-// by exec.RunCombined: the final round's queries return full records, so a
-// separate fetch round is only needed for answer items those queries did
-// not cover. Two topologies are measured: "dispersed" sources with largely
+// runE13 quantifies the Section 6 "beyond two-phase" extension, a plan's
+// plan.FinalRecords schedule: the final round's queries return full records,
+// so a separate fetch round is only needed for answer items those queries
+// did not cover. Two-phase is the same plan under plan.FetchRecords. Two topologies are measured: "dispersed" sources with largely
 // disjoint records (where an answer item's records live at sources its
 // final-round match did not come from, so fetches remain) and "mirrored"
 // sources replicating the same data (where the final round covers the
@@ -374,47 +374,32 @@ func runE13(ctx context.Context) (*Table, error) {
 				return newMirrored(ctx, cfg, link)
 			}
 
-			// Two-phase.
-			ms, err := build()
+			schedule := func(records plan.Records) (*exec.Result, netsim.Stats, error) {
+				ms, err := build()
+				if err != nil {
+					return nil, netsim.Stats{}, err
+				}
+				res, err := optimizer.SJA(ms.problem)
+				if err != nil {
+					return nil, netsim.Stats{}, err
+				}
+				p := *res.Plan
+				p.Records = records
+				ms.network.Reset()
+				run, err := (&exec.Executor{Sources: ms.sources, Network: ms.network}).Run(ctx, &p)
+				return run, ms.network.Stats(), err
+			}
+			run, twoStats, err := schedule(plan.FetchRecords)
 			if err != nil {
 				return nil, err
 			}
-			res, err := optimizer.SJA(ms.problem)
+			run2, comStats, err := schedule(plan.FinalRecords)
 			if err != nil {
 				return nil, err
 			}
-			ms.network.Reset()
-			ex := &exec.Executor{Sources: ms.sources, Network: ms.network}
-			run, err := ex.Run(ctx, res.Plan)
-			if err != nil {
-				return nil, err
-			}
-			twoRecords, err := exec.FetchAnswer(ctx, run.Answer, ms.sources)
-			if err != nil {
-				return nil, err
-			}
-			twoStats := ms.network.Stats()
-
-			// Combined.
-			ms2, err := build()
-			if err != nil {
-				return nil, err
-			}
-			res2, err := optimizer.SJA(ms2.problem)
-			if err != nil {
-				return nil, err
-			}
-			ms2.network.Reset()
-			ex2 := &exec.Executor{Sources: ms2.sources, Network: ms2.network}
-			run2, records, err := ex2.RunCombined(ctx, res2.Plan)
-			if err != nil {
-				return nil, err
-			}
-			comStats := ms2.network.Stats()
-
-			if !run2.Answer.Equal(run.Answer) || records.Len() != twoRecords.Len() {
+			if !run2.Answer.Equal(run.Answer) || run2.Records.Len() != run.Records.Len() {
 				return nil, fmt.Errorf("E13: strategies disagree (answers %v vs %v, records %d vs %d)",
-					run.Answer.Len(), run2.Answer.Len(), twoRecords.Len(), records.Len())
+					run.Answer.Len(), run2.Answer.Len(), run.Records.Len(), run2.Records.Len())
 			}
 			t.AddRow(topology, sel2, run.Answer.Len(),
 				twoStats.TotalBytes, twoStats.Messages, twoStats.TotalTime.Seconds(),
@@ -462,8 +447,8 @@ func newMirrored(ctx context.Context, cfg workload.SynthConfig, link netsim.Link
 	}, nil
 }
 
-// runE15 measures mid-query adaptive re-optimization (exec.RunAdaptive)
-// against the static SJA pick, in the condition-dependence regime of E11
+// runE15 measures mid-query adaptive re-optimization (an optimizer.Adaptive
+// plan, whose rounds the executor decides) against the static SJA pick, in the condition-dependence regime of E11
 // where the optimizer's independence-based estimates mislead. Adaptivity
 // decides each round against the measured running set, so its execution
 // follows the data rather than the estimates.
@@ -520,16 +505,17 @@ func runE15(ctx context.Context) (*Table, error) {
 			}
 		}
 
-		ms.network.Reset()
-		ex := &exec.Executor{Sources: ms.sources, Network: ms.network}
-		adaptiveRun, _, err := ex.RunAdaptive(ctx, ms.problem)
+		adaptivePlan, err := optimizer.Adaptive(ms.problem)
 		if err != nil {
 			return nil, err
 		}
-		if !adaptiveRun.Answer.Equal(answer) {
+		adaptive, adaptiveAnswer, err := measure(adaptivePlan)
+		if err != nil {
+			return nil, err
+		}
+		if !adaptiveAnswer.Equal(answer) {
 			return nil, fmt.Errorf("E15: adaptive answer differs at rho=%v", rho)
 		}
-		adaptive := adaptiveRun.TotalWork.Seconds()
 		t.AddRow(rho, staticPick, staticBest, adaptive, adaptive/staticPick, answer.Len())
 	}
 	t.Notes = append(t.Notes,

@@ -125,21 +125,21 @@ func TestGroundTruthEquivalence(t *testing.T) {
 					trial, algo, ans.Items, want, ans.Plan)
 			}
 		}
-		// Combined-fetch answers and records must also agree with a direct
-		// per-source fetch of the ground truth.
-		ans, err := med.QueryCondsContext(context.Background(), sc.Conds, Options{Algorithm: AlgoSJA, CombinedFetch: true})
+		// A records query's answer and records must also agree with a
+		// direct per-source fetch of the ground truth.
+		ans, err := med.QueryCondsContext(context.Background(), sc.Conds, Options{Algorithm: AlgoSJA, Records: true})
 		if err != nil {
-			t.Fatalf("trial %d combined: %v", trial, err)
+			t.Fatalf("trial %d records: %v", trial, err)
 		}
 		if !ans.Items.Equal(want) {
-			t.Fatalf("trial %d combined: answer mismatch", trial)
+			t.Fatalf("trial %d records: answer mismatch", trial)
 		}
 		direct, err := med.Fetch(t.Context(), want)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ans.Records.Len() != direct.Len() {
-			t.Fatalf("trial %d combined: %d records, direct fetch %d", trial, ans.Records.Len(), direct.Len())
+			t.Fatalf("trial %d records: %d records, direct fetch %d", trial, ans.Records.Len(), direct.Len())
 		}
 	}
 }

@@ -64,6 +64,9 @@ const (
 	// AlgoResponseTime optimizes the parallel-execution response time
 	// (the Section 6 future-work objective) instead of total work.
 	AlgoResponseTime Algorithm = "rt-sja"
+	// AlgoAdaptive decides each round at run time against the measured
+	// running set (E15); its estimate is greedy-adaptive-sja's.
+	AlgoAdaptive Algorithm = "adaptive"
 )
 
 // Algorithms lists every supported algorithm name: the rows of
@@ -76,17 +79,25 @@ func Algorithms() []Algorithm {
 	return out
 }
 
-// fn resolves the name in the optimizer's table; the empty name is SJA+.
-func (a Algorithm) fn() (func(*optimizer.Problem) (optimizer.Result, error), error) {
+// row resolves the name in the optimizer's table; the empty name is SJA+.
+func (a Algorithm) row() (optimizer.Algorithm, error) {
 	if a == "" {
 		a = AlgoSJAPlus
 	}
 	for _, row := range optimizer.Algorithms {
 		if row.Name == string(a) {
-			return row.Plan, nil
+			return row, nil
 		}
 	}
-	return nil, fmt.Errorf("core: unknown algorithm %q", string(a))
+	return optimizer.Algorithm{}, fmt.Errorf("core: unknown algorithm %q", string(a))
+}
+
+// Adaptive reports whether the algorithm decides its rounds at run time: its
+// plan is an estimate, and executing it again re-decides every round, so
+// there is no plan to cache.
+func (a Algorithm) Adaptive() bool {
+	row, err := a.row()
+	return err == nil && row.Adaptive
 }
 
 // Options configure planning and execution of one query.
@@ -95,10 +106,11 @@ type Options struct {
 	Algorithm Algorithm
 	// Cache answers repeated selection and binding queries from the
 	// mediator's cache of source answers, skipping source traffic for
-	// answers already learned — within a query (across adaptive rounds) and
+	// answers already learned — within a query (across its rounds) and
 	// across queries of one roster epoch. Sources are autonomous: call
 	// Mediator.BumpEpoch when their contents may have changed, and queries
-	// from then on start from an empty cache.
+	// from then on start from an empty cache. Cached answers are items, so a
+	// record-returning query still goes to its sources.
 	Cache bool
 	// Trace records a per-step execution trace in Answer.Exec.Trace.
 	Trace bool
@@ -107,30 +119,22 @@ type Options struct {
 	// stats exchange that fills the statistics catalog. Context cancellation
 	// is never retried.
 	Retries int
-	// Adaptive executes with mid-query re-optimization: each round's
-	// condition and per-source methods are decided against the measured
-	// running set rather than optimizer estimates. Algorithm is ignored.
-	Adaptive bool
-	// CombinedFetch merges record retrieval into the final round
-	// (Section 6's "beyond two-phase" direction): final-round source
-	// queries return full records, and only uncovered records are fetched
-	// afterwards. The Answer's Records field is populated.
-	CombinedFetch bool
 	// Streaming executes the plan as a pull-based dataflow pipeline
 	// (DESIGN.md §12): every step runs concurrently, item sets flow between
-	// steps as bounded sorted batches, and the first answer batch surfaces
-	// before the plan completes (Answer.Exec.FirstAnswer). The answer,
-	// counters and honest-partial semantics are identical to materialized
-	// execution; peak intermediate memory (Answer.Exec.PeakBytes) is
-	// bounded by the batch size instead of the largest intermediate set.
-	// CombinedFetch queries stream the same way. Adaptive queries are
+	// steps as bounded sorted batches of set.DefaultBatch items, and the
+	// first answer batch surfaces before the plan completes
+	// (Answer.Exec.FirstAnswer). The answer, records, counters and
+	// honest-partial semantics are identical to materialized execution; peak
+	// intermediate memory (Answer.Exec.PeakBytes) is bounded by the batch
+	// size instead of the largest intermediate set. AlgoAdaptive queries are
 	// round-scheduled whatever this says: each round is chosen from the
 	// measured size of the set the round before left.
 	Streaming bool
-	// BatchSize is the item-batch granularity of streaming execution
-	// (default set.DefaultBatch). Smaller batches lower first-answer
-	// latency and peak memory but pay more per-chunk exchange overhead.
-	BatchSize int
+	// Records asks for the answer entities' full records (Answer.Records)
+	// besides their items. The planner prices where they come from, a fetch
+	// round after the answer is known or the final round's own queries
+	// (optimizer.Records), and the plan carries the choice.
+	Records bool
 }
 
 // Answer is the result of one fusion query.
@@ -156,9 +160,9 @@ type Answer struct {
 	// total work and response time when a network is attached). After a
 	// failed or cancelled execution it reports the work already performed.
 	Exec *exec.Result
-	// Records holds the answer entities' full records when the query ran
-	// with CombinedFetch; nil otherwise (use Fetch for the classic second
-	// phase).
+	// Records holds the answer entities' full records when the query asked
+	// for them (Options.Records); nil otherwise (Fetch is the second phase
+	// on its own).
 	Records *relation.Relation
 	// Repair is non-nil when the roster was repaired mid-query: a logical
 	// source's replicas were exhausted, and the remaining conditions were
@@ -556,11 +560,15 @@ func (m *Mediator) plan(ctx context.Context, r *roster, conds []cond.Cond, opts 
 	if err != nil {
 		return optimizer.Result{}, err
 	}
-	algo, err := opts.Algorithm.fn()
+	row, err := opts.Algorithm.row()
 	if err != nil {
 		return optimizer.Result{}, err
 	}
-	return algo(pr)
+	res, err := row.Plan(pr)
+	if err != nil || !opts.Records {
+		return res, err
+	}
+	return optimizer.Records(pr, res)
 }
 
 // QueryCondsContext plans and executes a fusion query given as a condition
@@ -592,8 +600,8 @@ var ErrStalePlan = errors.New("core: plan stale against current roster")
 // The plan must have been optimized against this mediator's roster; if the
 // roster has since lost or reordered the plan's sources, the query fails
 // with an error wrapping ErrStalePlan before any source traffic. Options
-// that change what is planned (Adaptive, CombinedFetch, Algorithm) are
-// ignored — the plan is the plan.
+// that change what is planned (Algorithm, Records) are ignored — the plan is
+// the plan, records included.
 func (m *Mediator) QueryPlannedContext(ctx context.Context, conds []cond.Cond, res optimizer.Result, opts Options) (*Answer, error) {
 	return m.instrumented(ctx, conds, func(qctx context.Context) (*Answer, error) {
 		return m.queryPlanned(qctx, res, opts)
@@ -670,28 +678,13 @@ func queryStatus(err error) string {
 // installed in ctx.
 func (m *Mediator) queryConds(ctx context.Context, conds []cond.Cond, opts Options) (*Answer, error) {
 	r := m.cur.Load()
-	if opts.Adaptive {
-		pctx, psp := obs.StartSpan(ctx, obs.KindPhase, "plan")
-		pr, err := m.problem(pctx, r, conds, opts)
-		psp.End(err)
-		if err != nil {
-			return nil, err
-		}
-		ectx, esp := obs.StartSpan(ctx, obs.KindPhase, "execute")
-		run, executed, err := r.executor(opts).RunAdaptive(ectx, pr)
-		esp.End(err)
-		if err != nil {
-			return partialAnswer(run, executed), err
-		}
-		return &Answer{Items: run.Answer, Plan: executed, Exec: run}, nil
-	}
 	pctx, psp := obs.StartSpan(ctx, obs.KindPhase, "plan")
 	res, err := m.plan(pctx, r, conds, opts)
 	psp.End(err)
 	if err != nil {
 		return nil, err
 	}
-	return m.execute(ctx, r, opts, res, opts.CombinedFetch)
+	return m.execute(ctx, r, opts, res)
 }
 
 // queryPlanned is the body of QueryPlannedContext: validate the plan against
@@ -716,7 +709,7 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 				i, name, r.names[i], ErrStalePlan)
 		}
 	}
-	return m.execute(ctx, r, opts, res, false)
+	return m.execute(ctx, r, opts, res)
 }
 
 // executor wires the roster and the query's execution options into the
@@ -728,8 +721,7 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 func (r *roster) executor(opts Options) *exec.Executor {
 	ex := &exec.Executor{
 		Sources: r.sources, Network: r.network,
-		Trace: opts.Trace, Retries: opts.Retries,
-		Streaming: opts.Streaming, BatchSize: opts.BatchSize,
+		Trace: opts.Trace, Retries: opts.Retries, Streaming: opts.Streaming,
 	}
 	if opts.Cache {
 		ex.Cache = r.learned.answerCache()
@@ -738,41 +730,24 @@ func (r *roster) executor(opts Options) *exec.Executor {
 }
 
 // execute is the execute phase of a planned query and what follows it: run
-// the plan (fetching records in the same pass when combined), fall back to
-// mid-query roster repair when a logical source is exhausted, and package
-// the answer or the honest partial.
-func (m *Mediator) execute(ctx context.Context, r *roster, opts Options, res optimizer.Result, combined bool) (*Answer, error) {
-	ex := r.executor(opts)
+// the plan (its records included), fall back to mid-query roster repair when
+// a logical source is exhausted, and package the answer or the honest
+// partial. The answer's plan is the one that ran (an adaptive plan's
+// decided rounds).
+func (m *Mediator) execute(ctx context.Context, r *roster, opts Options, res optimizer.Result) (*Answer, error) {
 	ectx, esp := obs.StartSpan(ctx, obs.KindPhase, "execute")
-	var (
-		run     *exec.Result
-		records *relation.Relation
-		err     error
-	)
-	if combined {
-		run, records, err = ex.RunCombined(ectx, res.Plan)
-	} else {
-		run, err = ex.Run(ectx, res.Plan)
-	}
+	run, err := r.executor(opts).Run(ectx, res.Plan)
 	esp.End(err)
 	if err != nil {
-		if !combined {
-			if ans, rerr, handled := m.tryRepair(ctx, r, opts, res.Plan, run, res.Cost, err); handled {
-				return ans, rerr
-			}
+		if ans, rerr, handled := m.tryRepair(ctx, r, opts, run, res.Cost, err); handled {
+			return ans, rerr
 		}
-		return partialAnswer(run, res.Plan), err
+		if run == nil {
+			return nil, err
+		}
+		return &Answer{Items: run.Answer, Plan: run.Plan, Exec: run}, err
 	}
-	return &Answer{Items: run.Answer, Plan: res.Plan, EstimatedCost: res.Cost, Exec: run, Records: records}, nil
-}
-
-// partialAnswer packages the counters of a failed execution; nil when the
-// failure preceded execution.
-func partialAnswer(run *exec.Result, p *plan.Plan) *Answer {
-	if run == nil {
-		return nil
-	}
-	return &Answer{Items: run.Answer, Plan: p, Exec: run}
+	return &Answer{Items: run.Answer, Plan: run.Plan, EstimatedCost: res.Cost, Exec: run, Records: run.Records}, nil
 }
 
 // Query parses a fusion-query SQL statement, verifies the fusion pattern,

@@ -72,7 +72,7 @@ func TestDMVFigure1(t *testing.T) {
 func TestQueryStreaming(t *testing.T) {
 	m := dmvMediator(t, true)
 	for _, algo := range Algorithms() {
-		ans, err := m.Query(t.Context(), paperSQL, Options{Algorithm: algo, Streaming: true, BatchSize: 8})
+		ans, err := m.Query(t.Context(), paperSQL, Options{Algorithm: algo, Streaming: true})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -123,14 +123,15 @@ func TestTwoPhaseFetch(t *testing.T) {
 	}
 }
 
+// TestCombinedFetchOption: a records query gets its records under whichever
+// scheduler it asked for (only a streaming query emits stream batches), the
+// planner's schedule on the plan, and the records round in its counters.
 func TestCombinedFetchOption(t *testing.T) {
-	// Combined fetch runs under whichever scheduler the query asked for:
-	// only a streaming query emits stream batches.
 	for _, streaming := range []bool{false, true} {
 		m := dmvMediator(t, true)
 		reg := obs.NewRegistry()
 		ctx := obs.With(context.Background(), &obs.Obs{Metrics: reg})
-		ans, err := m.Query(ctx, paperSQL, Options{CombinedFetch: true, Algorithm: AlgoSJA, Streaming: streaming, BatchSize: 1})
+		ans, err := m.Query(ctx, paperSQL, Options{Records: true, Algorithm: AlgoSJA, Streaming: streaming, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,6 +140,14 @@ func TestCombinedFetchOption(t *testing.T) {
 		}
 		if ans.Records == nil || ans.Records.Len() != 5 {
 			t.Fatalf("streaming=%v: Records = %v, want 5 tuples", streaming, ans.Records)
+		}
+		// Three sources: no final round can be known to cover the answer.
+		if ans.Plan.Records != plan.FetchRecords {
+			t.Fatalf("streaming=%v: records schedule %v, want fetch", streaming, ans.Plan.Records)
+		}
+		last := ans.Exec.Trace[len(ans.Exec.Trace)-1]
+		if last.Index != len(ans.Plan.Steps) || last.Queries != 3 || stepWork(ans) != ans.Exec.TotalWork {
+			t.Fatalf("streaming=%v: records round traced as %+v; steps' work %v, total %v", streaming, last, stepWork(ans), ans.Exec.TotalWork)
 		}
 		batches := int64(0)
 		for _, f := range reg.Snapshot() {
@@ -153,7 +162,7 @@ func TestCombinedFetchOption(t *testing.T) {
 		}
 	}
 	m := dmvMediator(t, true)
-	ans, err := m.Query(t.Context(), paperSQL, Options{CombinedFetch: true, Algorithm: AlgoSJA})
+	ans, err := m.Query(t.Context(), paperSQL, Options{Records: true, Algorithm: AlgoSJA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,15 +173,24 @@ func TestCombinedFetchOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plain.Records != nil {
-		t.Fatal("Records should be nil without CombinedFetch")
+		t.Fatal("Records should be nil without Options.Records")
 	}
 	full, err := m2.Fetch(t.Context(), plain.Items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Len() != ans.Records.Len() {
-		t.Fatalf("combined %d records != two-phase %d", ans.Records.Len(), full.Len())
+		t.Fatalf("records query %d records != two-phase %d", ans.Records.Len(), full.Len())
 	}
+}
+
+// stepWork is what the steps of an answer's trace took together.
+func stepWork(ans *Answer) time.Duration {
+	var work time.Duration
+	for _, tr := range ans.Exec.Trace {
+		work += tr.Elapsed
+	}
+	return work
 }
 
 // laneMakespan is what an overlapped round-scheduled run over
@@ -364,12 +382,15 @@ func TestSJAPlusDefaultAlgorithm(t *testing.T) {
 }
 
 func TestAlgorithmsComplete(t *testing.T) {
-	if len(Algorithms()) != 9 {
+	if len(Algorithms()) != 10 {
 		t.Fatalf("Algorithms() = %d entries", len(Algorithms()))
 	}
 	for _, a := range Algorithms() {
-		if _, err := a.fn(); err != nil {
+		if _, err := a.row(); err != nil {
 			t.Errorf("algorithm %q not wired", a)
+		}
+		if a.Adaptive() != (a == AlgoAdaptive) {
+			t.Errorf("algorithm %q: Adaptive() = %v", a, a.Adaptive())
 		}
 	}
 }
@@ -414,13 +435,14 @@ func TestBumpEpochReachesSourceCache(t *testing.T) {
 }
 
 // TestEveryAlgorithmRowIsReachable: the optimizer's table and the public
-// Algo* names are the same nine; each row resolves from its name to a valid
+// Algo* names are the same ten; each row resolves from its name to a valid
 // plan, and the rows that optimize total work price their plan as the shared
 // estimator does (rt-sja's cost is a response time).
 func TestEveryAlgorithmRowIsReachable(t *testing.T) {
 	named := map[Algorithm]bool{
 		AlgoFilter: true, AlgoSJ: true, AlgoSJA: true, AlgoSJAPlus: true, AlgoGreedySJ: true,
 		AlgoGreedySJA: true, AlgoGreedyAdaptive: true, AlgoGreedyPlus: true, AlgoResponseTime: true,
+		AlgoAdaptive: true,
 	}
 	if len(optimizer.Algorithms) != len(named) {
 		t.Fatalf("table has %d rows, %d public names", len(optimizer.Algorithms), len(named))
@@ -435,12 +457,12 @@ func TestEveryAlgorithmRowIsReachable(t *testing.T) {
 		if !named[name] {
 			t.Errorf("row %q has no Algo constant", row.Name)
 		}
-		fn, err := name.fn()
+		row, err := name.row()
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		res, err := fn(pr)
+		res, err := row.Plan(pr)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -488,9 +510,12 @@ func TestReadmeListsEveryAlgorithm(t *testing.T) {
 	}
 }
 
+// TestAdaptiveOption: the adaptive row plans like any row (its estimate is
+// greedy-adaptive-sja's) and runs its own rounds, round-scheduled even when
+// the query asked to stream; the answer's plan is the rounds it ran.
 func TestAdaptiveOption(t *testing.T) {
 	m := dmvMediator(t, true)
-	ans, err := m.Query(t.Context(), paperSQL, Options{Adaptive: true, Trace: true, Streaming: true})
+	ans, err := m.Query(t.Context(), paperSQL, Options{Algorithm: AlgoAdaptive, Trace: true, Streaming: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,8 +525,8 @@ func TestAdaptiveOption(t *testing.T) {
 	if len(ans.Exec.Trace) != len(ans.Plan.Steps) {
 		t.Fatalf("trace has %d entries for %d executed steps", len(ans.Exec.Trace), len(ans.Plan.Steps))
 	}
-	if ans.Plan.Class != "adaptive" {
-		t.Fatalf("plan class = %q", ans.Plan.Class)
+	if ans.Plan.Class != "adaptive" || ans.Plan.Adaptive != nil || ans.EstimatedCost <= 0 {
+		t.Fatalf("plan class = %q, adaptive table %v, estimate %v", ans.Plan.Class, ans.Plan.Adaptive != nil, ans.EstimatedCost)
 	}
 	if err := ans.Plan.Validate(); err != nil {
 		t.Fatalf("executed plan invalid: %v", err)

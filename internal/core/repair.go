@@ -19,6 +19,11 @@ package core
 // strict whenever they mattered), while pending conditions can no longer
 // count items only the dead source satisfied (upper bound). The repair is
 // a partial answer in that precise sense, reported via Answer.Repair.
+//
+// Every plan repairs the same way. An adaptive plan's completed rounds are
+// those it decided and ran, and the conditions it never placed are pending
+// with the rest. A query that wanted records gets them, once the repaired
+// answer is known, from the survivors.
 
 import (
 	"context"
@@ -48,58 +53,55 @@ type RepairInfo struct {
 	Partial bool
 }
 
-// splitCompleted divides an interrupted plan into what finished and what
-// remains. Rounds are the plan's conditions in first-staging order; a round
-// is complete when every one of its steps precedes the first failed step
-// (exec.Result.FailedStep is the minimum failed index, so everything before
-// it succeeded). The seed is the variable produced by the last step before
-// the first incomplete round — the running set incorporating every
-// completed condition. When the structure cannot be recovered (no failed
-// step recorded, streaming runs that keep no variables, seed variable
-// missing), it falls back to a conservative full re-plan: no seed, all
-// conditions pending.
+// splitCompleted divides an interrupted run of plan p into what finished and
+// what remains. Rounds are the plan's conditions in first-staging order; a
+// round is complete when every one of its steps precedes the first failed
+// step (exec.Result.FailedStep is the minimum failed index, so everything
+// before it succeeded). The seed is the running set after the last
+// completed round: the variable produced by the last step before the first
+// incomplete round, or the result when every round completed. Conditions
+// not in a completed round are pending, whether or not the plan staged them
+// (an adaptive plan stages a round only once it decides it). When the
+// structure cannot be recovered (no failed step recorded, streaming runs
+// that keep no variables, seed variable missing), it falls back to a
+// conservative full re-plan: no seed, all conditions pending.
 func splitCompleted(p *plan.Plan, run *exec.Result) (seed set.Set, hasSeed bool, pending []cond.Cond) {
 	all := append([]cond.Cond(nil), p.Conds...)
-	if run == nil || run.FailedStep <= 0 || run.Vars == nil {
+	if run.FailedStep <= 0 || run.Vars == nil {
 		return set.Set{}, false, all
 	}
-	var order []int
-	starts := map[int]int{}
+	var starts []int // the first step of each round, in order
+	staged := make([]bool, len(p.Conds))
 	for i, s := range p.Steps {
-		if s.Cond >= 0 {
-			if _, ok := starts[s.Cond]; !ok {
-				starts[s.Cond] = i
-				order = append(order, s.Cond)
-			}
+		if s.Cond >= 0 && !staged[s.Cond] {
+			staged[s.Cond] = true
+			starts = append(starts, i)
 		}
 	}
-	if len(order) != len(p.Conds) {
-		// Not a round-structured plan (some condition never staged as its
-		// own round); repair conservatively.
-		return set.Set{}, false, all
-	}
+	ends := append(starts[1:len(starts):len(starts)], len(p.Steps))
 	completed := 0
-	for completed < len(order) {
-		nextStart := len(p.Steps)
-		if completed+1 < len(order) {
-			nextStart = starts[order[completed+1]]
-		}
-		if nextStart > run.FailedStep {
-			break
-		}
+	for completed < len(ends) && ends[completed] <= run.FailedStep {
 		completed++
 	}
 	if completed == 0 {
 		return set.Set{}, false, all
 	}
-	pending = make([]cond.Cond, 0, len(order)-completed)
-	for _, ci := range order[completed:] {
-		pending = append(pending, p.Conds[ci])
+	seedVar := p.Result
+	if completed < len(starts) {
+		seedVar = p.Steps[starts[completed]-1].Out
 	}
-	seedVar := p.Steps[starts[order[completed]]-1].Out
 	seed, ok := run.Vars[seedVar]
 	if !ok {
 		return set.Set{}, false, all
+	}
+	done := make([]bool, len(p.Conds))
+	for _, i := range starts[:completed] {
+		done[p.Steps[i].Cond] = true
+	}
+	for ci, c := range p.Conds {
+		if !done[ci] {
+			pending = append(pending, c)
+		}
 	}
 	return seed, true, pending
 }
@@ -123,16 +125,19 @@ func mergeExec(dst, src *exec.Result) {
 	}
 }
 
-// tryRepair attempts mid-query roster repair after ex.Run failed with
-// cause. It handles only fabric exhaustion (every replica of a logical
-// source failed); any other failure is left to the caller's
-// partial-answer path. Returns handled=false when repair does not apply.
+// tryRepair attempts mid-query roster repair after the run of a plan failed
+// with cause. It handles only fabric exhaustion (every replica of a logical
+// source failed); any other failure is left to the caller's partial-answer
+// path. Returns handled=false when repair does not apply.
 //
 // The loop survives cascading deaths: when another logical source is
 // exhausted during a repair execution, its completed rounds tighten the
 // seed and the loop re-plans the still-pending conditions over the
-// remaining survivors. It is bounded by the roster size.
-func (m *Mediator) tryRepair(ctx context.Context, r *roster, opts Options, p *plan.Plan, run *exec.Result, estCost float64, cause error) (*Answer, error, bool) {
+// remaining survivors. It is bounded by the roster size. The re-plans
+// compute items; when the plan wanted records, they are fetched from the
+// survivors once the repaired answer is known (exec.FetchAnswer, outside
+// Answer.Exec's counters).
+func (m *Mediator) tryRepair(ctx context.Context, r *roster, opts Options, run *exec.Result, estCost float64, cause error) (*Answer, error, bool) {
 	if run == nil {
 		return nil, nil, false
 	}
@@ -146,11 +151,14 @@ func (m *Mediator) tryRepair(ctx context.Context, r *roster, opts Options, p *pl
 	info := &RepairInfo{Partial: true}
 	total := &exec.Result{Vars: run.Vars, FailedStep: -1}
 	mergeExec(total, run)
+	opts.Records = false
 
+	p := run.Plan
 	seed, hasSeed, pending := splitCompleted(p, run)
 	cur := r
 	dead := exh.Source
 	var err error
+	repaired := false
 	for range r.sources {
 		info.Dead = append(info.Dead, dead)
 		cur = cur.without(dead)
@@ -161,9 +169,8 @@ func (m *Mediator) tryRepair(ctx context.Context, r *roster, opts Options, p *pl
 		if len(pending) == 0 {
 			// Every condition completed before the death was observed; the
 			// seed is the answer.
-			total.Answer = seed
-			rspan.End(nil)
-			return &Answer{Items: seed, Plan: p, EstimatedCost: estCost, Exec: total, Repair: info}, nil, true
+			total.Answer, repaired = seed, true
+			break
 		}
 
 		info.Replans++
@@ -176,13 +183,11 @@ func (m *Mediator) tryRepair(ctx context.Context, r *roster, opts Options, p *pl
 		rerun, rerr := cur.executor(opts).Run(rctx, res.Plan)
 		mergeExec(total, rerun)
 		if rerr == nil {
-			answer := rerun.Answer
+			total.Answer, repaired = rerun.Answer, true
 			if hasSeed {
-				answer = answer.Intersect(seed)
+				total.Answer = total.Answer.Intersect(seed)
 			}
-			total.Answer = answer
-			rspan.End(nil)
-			return &Answer{Items: answer, Plan: p, EstimatedCost: estCost, Exec: total, Repair: info}, nil, true
+			break
 		}
 		var again *fabric.ExhaustedError
 		if !errors.As(rerr, &again) {
@@ -191,7 +196,7 @@ func (m *Mediator) tryRepair(ctx context.Context, r *roster, opts Options, p *pl
 		}
 		// Another logical source died during the repair run: keep its
 		// completed rounds and re-plan what is still pending.
-		s2, has2, pend2 := splitCompleted(res.Plan, rerun)
+		s2, has2, pend2 := splitCompleted(rerun.Plan, rerun)
 		if has2 {
 			if hasSeed {
 				seed = seed.Intersect(s2)
@@ -202,9 +207,13 @@ func (m *Mediator) tryRepair(ctx context.Context, r *roster, opts Options, p *pl
 		pending = pend2
 		dead = again.Source
 	}
-	if err == nil {
+	ans := &Answer{Items: total.Answer, Plan: p, EstimatedCost: estCost, Exec: total, Repair: info}
+	switch {
+	case !repaired && err == nil:
 		err = fmt.Errorf("core: repair did not converge: %w", cause)
+	case repaired && p.Records != plan.NoRecords:
+		ans.Records, err = exec.FetchAnswer(rctx, total.Answer, cur.sources)
 	}
 	rspan.End(err)
-	return &Answer{Items: total.Answer, Plan: p, Exec: total, Repair: info}, err, true
+	return ans, err, true
 }

@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"fusionq/internal/cond"
+	"fusionq/internal/exec"
 	"fusionq/internal/fabric"
 	"fusionq/internal/netsim"
+	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
 	"fusionq/internal/workload"
@@ -72,8 +76,45 @@ func TestReplicaKilledMidQueryFullAnswer(t *testing.T) {
 // pending conditions over R2 and R3, and return an answer inside the
 // honest envelope answer(survivors) ⊆ repaired ⊆ answer(full roster).
 func TestRosterRepairAfterLogicalSourceDies(t *testing.T) {
-	opts := Options{Algorithm: AlgoFilter}
+	repairMidQuery(t, Options{Algorithm: AlgoFilter})
+}
 
+// TestRecordsQueryRepairs: a records query repairs like any other, and its
+// records are what the second phase fetches for the repaired answer from the
+// survivors.
+func TestRecordsQueryRepairs(t *testing.T) {
+	ans := repairMidQuery(t, Options{Algorithm: AlgoFilter, Records: true})
+	want, err := exec.FetchAnswer(context.Background(), ans.Items, workload.DMV().Sources[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Records == nil || fmt.Sprint(sortedRows(ans.Records)) != fmt.Sprint(sortedRows(want)) {
+		t.Fatalf("records\n%v\nthe survivors' second phase fetches\n%v", ans.Records, want)
+	}
+}
+
+// TestAdaptiveQueryRepairs: the adaptive row repairs like any other: the
+// rounds it ran seed the repair, and the conditions it had not placed are
+// pending with the rest.
+func TestAdaptiveQueryRepairs(t *testing.T) {
+	repairMidQuery(t, Options{Algorithm: AlgoAdaptive})
+}
+
+// sortedRows renders a relation's tuples in a fixed order.
+func sortedRows(r *relation.Relation) []string {
+	var out []string
+	for _, t := range r.Rows() {
+		out = append(out, fmt.Sprint(t))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// repairMidQuery runs a query with opts over the replicated DMV roster while
+// both replicas of R1 die midway through its execution, checks the repair
+// and the envelope, and returns the repaired answer.
+func repairMidQuery(t *testing.T, opts Options) *Answer {
+	t.Helper()
 	// A third condition makes execution three rounds long, so a kill can be
 	// scheduled well inside it, before the logical source's last exchange
 	// and after its first rounds completed. The full-roster answer
@@ -156,5 +197,45 @@ func TestRosterRepairAfterLogicalSourceDies(t *testing.T) {
 	}
 	if !ans.Items.Diff(fullRef).IsEmpty() {
 		t.Fatalf("repaired answer %v contains items outside the full answer %v", ans.Items, fullRef)
+	}
+	return ans
+}
+
+// TestSplitCompletedAdaptivePlan: an adaptive run stages a round only once it
+// decides it, so when its second round fails the executed plan holds two of
+// three rounds. The first seeds the repair; the failed round's condition and
+// the one never placed are pending.
+func TestSplitCompletedAdaptivePlan(t *testing.T) {
+	m := dmvMediator(t, false)
+	conds := append(append([]cond.Cond(nil), paperConds...), cond.MustParse("D < 1995"))
+	res, err := m.Plan(context.Background(), conds, Options{Algorithm: AlgoAdaptive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := *res.Plan
+	var starts []int
+	for i, s := range p.Steps {
+		if s.Cond >= 0 && (len(starts) == 0 || p.Steps[starts[len(starts)-1]].Cond != s.Cond) {
+			starts = append(starts, i)
+		}
+	}
+	if len(starts) != 3 {
+		t.Fatalf("%d rounds in\n%s", len(starts), &p)
+	}
+	p.Steps = p.Steps[:starts[2]] // the third round was never decided
+	first := p.Steps[starts[0]].Cond
+	seedVar := p.Steps[starts[1]-1].Out
+	run := &exec.Result{FailedStep: starts[1], Vars: map[string]set.Set{seedVar: set.New("J55")}}
+	seed, ok, pending := splitCompleted(&p, run)
+	if !ok || !seed.Equal(set.New("J55")) {
+		t.Fatalf("seed %v (%v), want the first round's running set", seed, ok)
+	}
+	if len(pending) != 2 {
+		t.Fatalf("pending %v, want the two conditions after the first round's", pending)
+	}
+	for _, c := range pending {
+		if c.String() == conds[first].String() {
+			t.Fatalf("pending %v holds the completed condition %v", pending, c)
+		}
 	}
 }

@@ -25,7 +25,7 @@ func accountingFixture(prior int) (*run, *netsim.Network) {
 	}
 	fillLog(network, prior)
 	e := &Executor{Sources: srcs, Network: network}
-	return e.newRun(&plan.Plan{Sources: sc.SourceNames()}, false), network
+	return e.newRun(&plan.Plan{Sources: sc.SourceNames()}), network
 }
 
 func fillLog(network *netsim.Network, prior int) {

@@ -5,58 +5,23 @@ import (
 
 	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
-	"fusionq/internal/stats"
 )
 
-// RunAdaptive executes a fusion query with mid-query re-optimization: the
-// static algorithms of Section 3 commit to an ordering and to per-source
-// method choices using estimated running-set sizes, but at run time the
-// mediator knows |X_i| exactly after every round. Adaptive execution defers
-// each decision until its inputs are measured:
-//
-//   - the next condition is the unprocessed one whose round costs least
-//     against the measured |X|;
-//   - each source's method (selection / semijoin / Bloom semijoin) is chosen
-//     with the measured |X| as the semijoin-set size;
-//   - a drained running set ends the query immediately.
-//
-// This is the runtime counterpart of the paper's observation that SJA is
-// only a heuristic under condition dependence (Section 1): when estimates
-// mislead, measured cardinalities correct course round by round
-// (experiment E15). The executed steps are recorded as a plan in Result
-// form for inspection.
-//
-// Adaptive execution is round-scheduled by construction: a round is chosen
-// from the measured size of the set the round before left, so there is a
-// barrier between rounds whatever the executor's Streaming flag says. Each
-// round is built as plan steps and run by the same scheduler Run uses (the
-// round's source queries at once), so counters, trace, failover accounting
-// and FailedStep mean what they mean there, with step indexes into the
-// executed plan.
-//
-// Like Run, a failed or cancelled execution returns a non-nil Result whose
-// counters report the work already performed, with the error wrapping the
-// cause; the executed plan then ends with the round that failed.
-func (e *Executor) RunAdaptive(ctx context.Context, pr *optimizer.Problem) (*Result, *plan.Plan, error) {
-	if err := pr.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := e.checkRoster("problem", pr.Sources); err != nil {
-		return nil, nil, err
-	}
-	executed := &plan.Plan{Conds: pr.Conds, Sources: pr.Sources, Class: "adaptive"}
-	r := e.newRun(executed, false)
-	return r.res, executed, r.rounds(ctx, func() error { return r.adapt(ctx, pr.Table) })
-}
-
-// adapt runs the rounds of an adaptive execution, growing the run's plan as
-// it goes. Which condition is next and how each source is asked are the
-// optimizer's decisions (HeadCondition, NextRound, the ones
-// GreedyAdaptiveSJA makes from estimates), taken here against the measured
-// size of the running set; the round's steps are the canonical plan's
-// (AppendRound).
-func (r *run) adapt(ctx context.Context, t *stats.CostTable) error {
-	executed := r.p
+// adapt runs an adaptive plan (optimizer.Adaptive): mid-query
+// re-optimization, the runtime counterpart of the paper's observation that
+// SJA is only a heuristic under condition dependence (Section 1, E15). The
+// static algorithms commit to an ordering and to per-source methods from
+// estimated running-set sizes; here each decision waits until |X| is
+// measured. The next condition and each source's method are the optimizer's
+// decisions (HeadCondition, NextRound, the ones GreedyAdaptiveSJA takes from
+// estimates) against the measured |X|, and a drained running set ends the
+// query. Each round's steps are the canonical plan's (AppendRound), appended
+// to the run's plan and run by the round scheduler, so counters, trace and
+// FailedStep mean what they mean for any plan; there is a barrier between
+// rounds whatever the Streaming flag says. The last round is known before it
+// runs, so a plan that wants its final round's records gets them.
+func (r *run) adapt(ctx context.Context) error {
+	executed, t := r.p, r.table
 	m := len(executed.Conds)
 	placed := make([]bool, m)
 	var sk optimizer.Sketch // the rounds decided so far
@@ -65,6 +30,9 @@ func (r *run) adapt(ctx context.Context, t *stats.CostTable) error {
 		placed[next] = true
 		sk.Ordering = append(sk.Ordering, next)
 		sk.Choices = append(sk.Choices, methods)
+		if i == m && r.sink != nil && executed.Records == plan.FinalRecords {
+			r.sink.final = next
+		}
 		from := len(executed.Steps)
 		executed.Steps = optimizer.AppendRound(executed.Steps, sk, i)
 		executed.Result = executed.Steps[len(executed.Steps)-1].Out

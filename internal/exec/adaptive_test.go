@@ -6,18 +6,30 @@ import (
 
 	"fusionq/internal/cond"
 	"fusionq/internal/optimizer"
+	"fusionq/internal/plan"
 	"fusionq/internal/source"
 	"fusionq/internal/stats"
 	"fusionq/internal/workload"
 )
 
+// adaptivePlan is the adaptive row's plan for pr.
+func adaptivePlan(t testing.TB, pr *optimizer.Problem) *plan.Plan {
+	t.Helper()
+	res, err := optimizer.Adaptive(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Plan
+}
+
 func TestRunAdaptiveDMV(t *testing.T) {
 	pr, srcs, network := dmvSetup(t, nil)
 	ex := &Executor{Sources: srcs, Network: network}
-	res, executed, err := ex.RunAdaptive(context.Background(), pr)
+	res, err := ex.Run(context.Background(), adaptivePlan(t, pr))
 	if err != nil {
-		t.Fatalf("RunAdaptive: %v", err)
+		t.Fatalf("adaptive run: %v", err)
 	}
+	executed := res.Plan
 	if !res.Answer.Equal(dmvAnswer) {
 		t.Fatalf("answer = %v, want %v\nexecuted:\n%s", res.Answer, dmvAnswer, executed)
 	}
@@ -51,7 +63,7 @@ func TestRunAdaptiveMatchesGroundTruthUnderCorrelation(t *testing.T) {
 	pr := &optimizer.Problem{Conds: sc.Conds, Sources: sc.SourceNames(), Table: table}
 	ex := &Executor{Sources: sc.Sources}
 
-	adaptive, _, err := ex.RunAdaptive(context.Background(), pr)
+	adaptive, err := ex.Run(context.Background(), adaptivePlan(t, pr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +103,7 @@ func TestRunAdaptiveEmptyFirstRoundShortCircuits(t *testing.T) {
 	}
 	pr := &optimizer.Problem{Conds: conds, Sources: sc.SourceNames(), Table: table}
 	ex := &Executor{Sources: sc.Sources}
-	res, _, err := ex.RunAdaptive(context.Background(), pr)
+	res, err := ex.Run(context.Background(), adaptivePlan(t, pr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +124,7 @@ func TestRunAdaptiveWithFlakySources(t *testing.T) {
 		srcs[j] = source.NewFlaky(raw, 0.3, int64(j+7))
 	}
 	ex := &Executor{Sources: srcs, Retries: 30}
-	res, _, err := ex.RunAdaptive(context.Background(), pr)
+	res, err := ex.Run(context.Background(), adaptivePlan(t, pr))
 	if err != nil {
 		t.Fatalf("adaptive with retries: %v", err)
 	}
@@ -124,7 +136,7 @@ func TestRunAdaptiveWithFlakySources(t *testing.T) {
 func TestRunAdaptiveValidatesInputs(t *testing.T) {
 	pr, srcs, _ := dmvSetup(t, nil)
 	ex := &Executor{Sources: srcs[:1]}
-	if _, _, err := ex.RunAdaptive(context.Background(), pr); err == nil {
+	if _, err := ex.Run(context.Background(), adaptivePlan(t, pr)); err == nil {
 		t.Fatal("source count mismatch should fail")
 	}
 }

@@ -44,12 +44,12 @@ import (
 	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
+	"fusionq/internal/stats"
 )
 
 // Executor runs plans against a fixed roster of sources. It is immutable
 // configuration: everything a run mutates lives in that run, so one
-// Executor serves any number of concurrent Run, RunAdaptive and RunCombined
-// calls.
+// Executor serves any number of concurrent Run calls.
 type Executor struct {
 	// Sources must align with the Sources of every executed plan: the
 	// step's Source index selects into this slice.
@@ -77,16 +77,16 @@ type Executor struct {
 	// binding of an emulated semijoin never re-issues the bindings that
 	// already succeeded. Context cancellation is never retried.
 	Retries int
-	// Streaming switches Run and RunCombined from the round scheduler to
-	// the pipelined one (stream.go): every plan step becomes a concurrent
-	// node exchanging sorted item batches, source selections are consumed
-	// chunk by chunk, and semijoins fan out as input batches arrive. The
-	// answer, the records and the honest-partial guarantees are identical;
-	// what changes is peak intermediate memory (bounded batch buffers
-	// instead of whole variables), the latency of the first answer batch,
-	// and the number of exchanges (one per chunk). RunAdaptive is
-	// round-scheduled whatever this says: it decides each round from the
-	// measured size of the one before.
+	// Streaming switches Run from the round scheduler to the pipelined one
+	// (stream.go): every plan step becomes a concurrent node exchanging
+	// sorted item batches, source selections are consumed chunk by chunk,
+	// and semijoins fan out as input batches arrive. The answer, the records
+	// and the honest-partial guarantees are identical; what changes is peak
+	// intermediate memory (bounded batch buffers instead of whole
+	// variables), the latency of the first answer batch, and the number of
+	// exchanges (one per chunk). An adaptive plan is round-scheduled
+	// whatever this says: it decides each round from the measured size of
+	// the one before.
 	Streaming bool
 	// BatchSize is the item-batch granularity of pipelined execution and
 	// of chunked source transfers; zero means set.DefaultBatch.
@@ -99,6 +99,12 @@ type Result struct {
 	// satisfying all conditions of the fusion query. Empty when the run
 	// failed or was cancelled before the result variable was computed.
 	Answer set.Set
+	// Records holds the answer entities' full records when the plan
+	// retrieves them (plan.Records); nil otherwise, and after a failure.
+	Records *relation.Relation
+	// Plan is the plan that ran: the one given, or for an adaptive plan the
+	// rounds it decided, ending with the one that failed.
+	Plan *plan.Plan
 	// Vars holds the final value of every set variable. After a failed or
 	// cancelled run it holds the variables computed so far.
 	Vars map[string]set.Set
@@ -149,15 +155,19 @@ type Result struct {
 	// without replicated sources.
 	Failovers int
 	Hedges    int
-	// FailedStep is the plan index of the first step that failed — the
-	// minimum failed index when a round fails several steps — or
-	// -1 when every executed step succeeded. Mid-query roster repair uses
-	// it to locate the last completed round.
+	// FailedStep is the index in Plan of the first step that failed — the
+	// minimum failed index when a round fails several steps, len(Plan.Steps)
+	// when only the records round failed — or -1 when every executed step
+	// succeeded. Mid-query roster repair uses it to locate the last
+	// completed round.
 	FailedStep int
 }
 
 // Run executes the plan under ctx and returns the result. The plan's
-// source names must match the executor's sources position by position.
+// source names must match the executor's sources position by position. An
+// adaptive plan (plan.Plan.Adaptive) decides its rounds as it runs (adapt);
+// a plan that wants records retrieves them once the answer is known
+// (records).
 //
 // On failure — including cancellation and deadline expiry — the returned
 // Result is still non-nil: its counters report the source queries, cache
@@ -166,23 +176,19 @@ type Result struct {
 // errors.Is(err, context.Canceled) and errors.Is(err,
 // context.DeadlineExceeded) identify abandoned runs.
 func (e *Executor) Run(ctx context.Context, p *plan.Plan) (*Result, error) {
-	r, err := e.planRun(p)
-	if err != nil {
-		return nil, err
-	}
-	return r.res, r.execute(ctx)
-}
-
-// planRun validates p against the executor and opens a run of it under the
-// scheduler the Streaming flag selects.
-func (e *Executor) planRun(p *plan.Plan) (*run, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if err := e.checkRoster("plan", p.Sources); err != nil {
 		return nil, err
 	}
-	return e.newRun(p, e.Streaming), nil
+	r := e.newRun(p)
+	err := r.execute(ctx)
+	if err == nil {
+		err = r.records(ctx)
+	}
+	r.close()
+	return r.res, err
 }
 
 // checkRoster verifies that names — a plan's or a problem's sources — are
@@ -215,7 +221,9 @@ type run struct {
 	// already accounted.
 	ledger  *netsim.Ledger
 	settled int
-	// sink is non-nil in combined mode (combined.go).
+	// table is an adaptive plan's (adaptive.go), nil for any other.
+	table *stats.CostTable
+	// sink is non-nil when the plan retrieves records (records.go).
 	sink *recordSink
 	tr   byteTracker
 
@@ -232,14 +240,27 @@ type loadedRel struct {
 	rel    *relation.Relation
 }
 
-func (e *Executor) newRun(p *plan.Plan, pipelined bool) *run {
+// newRun opens a run of p under the scheduler the Streaming flag selects. An
+// adaptive plan's run is round-scheduled and runs a plan of its own, which
+// starts empty and grows by the rounds it decides.
+func (e *Executor) newRun(p *plan.Plan) *run {
 	r := &run{
-		e: e, p: p, pipelined: pipelined,
+		e: e, p: p, pipelined: e.Streaming,
 		vars:   map[string]set.Set{},
 		loaded: map[string]loadedRel{},
 	}
-	r.res = &Result{Vars: r.vars, FailedStep: -1}
-	if pipelined {
+	if p.Adaptive != nil {
+		r.table, r.pipelined = p.Adaptive, false
+		r.p = &plan.Plan{Conds: p.Conds, Sources: p.Sources, Class: p.Class, Records: p.Records}
+	}
+	if p.Records != plan.NoRecords {
+		r.sink = &recordSink{final: -1, bySource: map[int]map[string][]relation.Tuple{}}
+		if p.Records == plan.FinalRecords {
+			r.sink.final = r.p.FinalCond()
+		}
+	}
+	r.res = &Result{Vars: r.vars, Plan: r.p, FailedStep: -1}
+	if r.pipelined {
 		r.batch = e.BatchSize
 		if r.batch <= 0 {
 			r.batch = set.DefaultBatch
@@ -251,29 +272,28 @@ func (e *Executor) newRun(p *plan.Plan, pipelined bool) *run {
 	return r
 }
 
-// execute runs the whole plan under the run's scheduler.
+// execute computes the answer under the run's scheduler. Between round
+// barriers nothing is answerable before the run completes: the first-answer
+// phase spans the whole execution, which is exactly the coupling the
+// pipelined scheduler breaks.
 func (r *run) execute(ctx context.Context) error {
 	if r.pipelined {
 		return r.runPipelined(ctx)
 	}
-	return r.rounds(ctx, func() error { return r.runSteps(ctx, 0) })
-}
-
-// rounds brackets a round-scheduled execution, body. Between round barriers
-// nothing is answerable before the run completes: the first-answer phase
-// spans the whole execution, which is exactly the coupling the pipelined
-// scheduler breaks.
-func (r *run) rounds(ctx context.Context, body func() error) error {
 	start := time.Now()
 	_, faSpan := obs.StartSpan(ctx, obs.KindPhase, "first-answer")
-	err := body()
+	var err error
+	if r.table != nil {
+		err = r.adapt(ctx)
+	} else {
+		err = r.runSteps(ctx, 0)
+	}
 	faSpan.End(err)
 	if err == nil {
 		r.res.Answer = r.vars[r.p.Result]
 		r.res.FirstAnswer = time.Since(start)
 		obs.Meter(ctx).Histogram(obs.MFirstAnswerSeconds).Observe(r.res.FirstAnswer.Seconds())
 	}
-	r.close()
 	return err
 }
 
@@ -282,8 +302,9 @@ func (r *run) close() {
 	r.res.PeakBytes = r.tr.high()
 	if r.e.Trace {
 		sort.Slice(r.res.Trace, func(a, b int) bool { return r.res.Trace[a].Index < r.res.Trace[b].Index })
-		// A step's elapsed time is what the exchanges it issued took.
-		elapsed := make([]time.Duration, len(r.p.Steps))
+		// A step's elapsed time is what the exchanges it issued took; the
+		// records round's are under the index after the last step's.
+		elapsed := make([]time.Duration, len(r.p.Steps)+1)
 		for _, en := range r.ledger.Entries()[:r.settled] {
 			elapsed[en.Tag] += en.Elapsed
 		}

@@ -458,7 +458,7 @@ func TestBatchEndStopsAtDependency(t *testing.T) {
 
 // TestConcurrentRunsShareOneExecutor: an Executor is configuration and
 // every run keeps its own state, so one Executor value serves pipelined,
-// round-scheduled and combined runs at once. Under -race this fails on any
+// round-scheduled, adaptive and records runs at once. Under -race this fails on any
 // per-run state left on the Executor.
 func TestConcurrentRunsShareOneExecutor(t *testing.T) {
 	pr, srcs, network := dmvSetup(t, nil)
@@ -488,15 +488,15 @@ func TestConcurrentRunsShareOneExecutor(t *testing.T) {
 				// Round-scheduled either way. A cost table counts its own
 				// invocations, so each query brings its own.
 				table := *pr.Table
-				got, _, err := ex.RunAdaptive(context.Background(), &optimizer.Problem{Conds: pr.Conds, Sources: pr.Sources, Table: &table})
-				check("RunAdaptive", got, err)
+				got, err := ex.Run(context.Background(), adaptivePlan(t, &optimizer.Problem{Conds: pr.Conds, Sources: pr.Sources, Table: &table}))
+				check("adaptive", got, err)
 			}()
 			go func() {
 				defer wg.Done()
-				got, records, err := ex.RunCombined(context.Background(), res.Plan)
-				check("RunCombined", got, err)
-				if err == nil && records.Len() != 5 {
-					t.Errorf("streaming=%v RunCombined: %d records, want 5", streaming, records.Len())
+				got, err := ex.Run(context.Background(), withRecords(res.Plan, plan.FinalRecords))
+				check("records", got, err)
+				if err == nil && got.Records.Len() != 5 {
+					t.Errorf("streaming=%v records: %d records, want 5", streaming, got.Records.Len())
 				}
 			}()
 		}

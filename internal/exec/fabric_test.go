@@ -84,7 +84,8 @@ func TestFailoverAcrossReplicasMidQuery(t *testing.T) {
 			return got, res.Plan, err
 		},
 		"adaptive": func(ex *Executor, pr *optimizer.Problem) (*Result, *plan.Plan, error) {
-			return ex.RunAdaptive(context.Background(), pr)
+			got, err := ex.Run(context.Background(), adaptivePlan(t, pr))
+			return got, got.Plan, err
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -150,7 +151,8 @@ func TestAdaptiveFailedRunReportsStep(t *testing.T) {
 	}
 	network.ScheduleChurn(kill)
 	ex := &Executor{Sources: srcs, Network: network, Trace: true}
-	got, executed, err := ex.RunAdaptive(context.Background(), pr)
+	got, err := ex.Run(context.Background(), adaptivePlan(t, pr))
+	executed := got.Plan
 	if !errors.Is(err, fabric.ErrExhausted) {
 		t.Fatalf("err = %v, want fabric exhaustion", err)
 	}

@@ -261,9 +261,9 @@ func (r *run) exchange(ctx context.Context, j int, agg *queryStats, binding stri
 // retry budget applies only while nothing has been emitted yet: once
 // batches are downstream a transient mid-stream failure cannot be retried
 // without re-emitting, so it fails the step (and the run stays honest).
-// Either way the completed selection is cached for later runs. In combined
-// mode a final-round selection asks for the records instead and keeps them
-// in the sink.
+// Either way the completed selection is cached for later runs. In a plan
+// that wants its final round's records (plan.FinalRecords) a final-round
+// selection asks for the records instead and keeps them in the sink.
 func (r *run) selectBody(ctx context.Context, s plan.Step, nd *node) error {
 	agg := &nd.cost
 	j, src, c := s.Source, r.e.Sources[s.Source], r.p.Conds[s.Cond]
@@ -348,8 +348,8 @@ func (r *run) drainSelect(ctx context.Context, j int, c cond.Cond, nd *node, kep
 // queries for the items the cache cannot answer, and an empty or fully
 // cached Y costs nothing. Output order is preserved because a probe's
 // matches are a subset of its input batch and batches arrive in increasing
-// item order. In combined mode a final-round native semijoin asks for the
-// records instead.
+// item order. A final-round native semijoin of a plan that wants that
+// round's records asks for the records instead.
 func (r *run) semijoinBody(ctx context.Context, s plan.Step, in set.Iter, nd *node) error {
 	agg := &nd.cost
 	j, src, c, cache := s.Source, r.e.Sources[s.Source], r.p.Conds[s.Cond], r.e.Cache

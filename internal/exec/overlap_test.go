@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fusionq/internal/optimizer"
+	"fusionq/internal/plan"
 	"fusionq/internal/relation"
 	"fusionq/internal/source"
 	"fusionq/internal/stats"
@@ -82,8 +83,8 @@ func TestFetchAnswerOverlaps(t *testing.T) {
 
 // TestCombinedRemainderOverlaps: the FILTER plan's final round leaves each of
 // the three DMV sources owing one answer item's records
-// (TestRunCombinedSkipsCoveredFetches); the three remainder fetches are
-// issued together.
+// (TestRunCombinedSkipsCoveredFetches); the three remainder fetches of the
+// records round are issued together.
 func TestCombinedRemainderOverlaps(t *testing.T) {
 	pr, srcs, _ := dmvSetup(t, nil)
 	res, err := optimizer.Filter(pr)
@@ -97,12 +98,12 @@ func TestCombinedRemainderOverlaps(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), guard)
 	defer cancel()
 	ex := &Executor{Sources: heldUntilAsked(srcs, source.OpFetch, len(srcs))}
-	run, records, err := ex.RunCombined(ctx, res.Plan)
+	run, err := ex.Run(ctx, withRecords(res.Plan, plan.FinalRecords))
 	if err != nil {
-		t.Fatalf("combined run over sources that answer a fetch only once all are asked: %v", err)
+		t.Fatalf("records run over sources that answer a fetch only once all are asked: %v", err)
 	}
-	if !run.Answer.Equal(dmvAnswer) || !sameTuples(records, want) {
-		t.Fatalf("answer %v, records\n%s\nwant %v and\n%s", run.Answer, records, dmvAnswer, want)
+	if !run.Answer.Equal(dmvAnswer) || !sameTuples(run.Records, want) {
+		t.Fatalf("answer %v, records\n%s\nwant %v and\n%s", run.Answer, run.Records, dmvAnswer, want)
 	}
 }
 

@@ -148,7 +148,11 @@ func TestRetryLoopStopsWhenContextDies(t *testing.T) {
 			return err
 		},
 		"adaptive": func(ctx context.Context, ex *Executor) error {
-			_, _, err := ex.RunAdaptive(ctx, &optimizer.Problem{Conds: conds, Sources: names, Table: table})
+			res, err := optimizer.Adaptive(&optimizer.Problem{Conds: conds, Sources: names, Table: table})
+			if err != nil {
+				return err
+			}
+			_, err = ex.Run(ctx, res.Plan)
 			return err
 		},
 	} {

@@ -378,6 +378,5 @@ func (r *run) runPipelined(ctx context.Context) error {
 	// The pipeline is one big round: response time is the critical path over
 	// the per-source k-lane schedules of the whole run's exchanges.
 	r.settle()
-	r.close()
 	return err
 }

@@ -175,8 +175,8 @@ func HeadCondition(t *stats.CostTable) int {
 // perSource, adds the least cost against a running set of x items; a tie
 // falls to the lower index. It returns the condition, its per-source
 // methods and the round's cost, or -1 when every condition is placed.
-// GreedyAdaptiveSJA calls it with x estimated, adaptive execution
-// (exec.RunAdaptive) with x measured.
+// GreedyAdaptiveSJA calls it with x estimated, the executor running an
+// Adaptive plan with x measured.
 func NextRound(t *stats.CostTable, placed []bool, x float64) (int, []Method, float64) {
 	next, nextCost := -1, math.Inf(1)
 	var nextRow []Method

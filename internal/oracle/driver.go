@@ -130,30 +130,29 @@ func (d *Driver) Check(ctx context.Context, inst Instance) ([]Failure, error) {
 	fs = append(fs, checkCosts(ev, results)...)
 
 	// Phases 2 and 3: execute every class under every scheduler, uncached
-	// and faultless. These runs must succeed and agree with the reference —
-	// and therefore with each other — byte for byte. The adaptive and
-	// combined entry points ride along under each: an adaptive run must
-	// reach the reference answer by its own choice of rounds, and a combined
-	// run must also return exactly the records a second phase would fetch.
-	for _, mode := range execModes(inst) {
+	// and faultless, and again retrieving the records: each class's plan
+	// under both record schedules, one a scheduler (which gets which follows
+	// the seed). These runs must succeed and agree with the reference — and
+	// therefore with each other — byte for byte (the adaptive row by its own
+	// choice of rounds), and a records run must also return exactly the
+	// records a second phase fetches for the reference answer.
+	for k, mode := range execModes(inst) {
+		records := []plan.Records{plan.FetchRecords, plan.FinalRecords}[(k+int(inst.Seed&1))%2]
 		for _, pc := range optimizer.Algorithms {
 			r, ok := results[pc.Name]
 			if !ok {
 				continue
 			}
 			fs = append(fs, d.runPlan(ctx, ev, ev.sources, pc.Name, r.Plan, mode)...)
-		}
-		fs = append(fs, d.check(ctx, ev, ev.sources, "adaptive", mode, func(ctx context.Context, ex *exec.Executor) (*exec.Result, []Failure, error) {
-			res, _, err := ex.RunAdaptive(ctx, ev.pr)
-			return res, nil, err
-		})...)
-		if r, ok := results["sja+"]; ok {
-			fs = append(fs, d.check(ctx, ev, ev.sources, "combined", mode, func(ctx context.Context, ex *exec.Executor) (*exec.Result, []Failure, error) {
-				res, records, err := ex.RunCombined(ctx, r.Plan)
+			p := *r.Plan
+			p.Records = records
+			cls := pc.Name + "/" + records.String()
+			fs = append(fs, d.check(ctx, ev, ev.sources, cls, mode, func(ctx context.Context, ex *exec.Executor) (*exec.Result, []Failure, error) {
+				res, err := ex.Run(ctx, &p)
 				if err != nil {
 					return res, nil, err
 				}
-				return res, checkRecords(ctx, ev, mode.mode, records), nil
+				return res, checkRecords(ctx, ev, cls, mode.mode, res.Records), nil
 			})...)
 		}
 	}
@@ -299,12 +298,12 @@ func execModes(inst Instance) []runOpts {
 // streamBatch is the instance's batch size for pipelined runs.
 func streamBatch(inst Instance) int { return []int{4, 16, 64, 512}[int(inst.Seed&3)] }
 
-// checkRecords compares a combined run's records with what the second phase
+// checkRecords compares a records run's records with what the second phase
 // fetches for the reference answer: the same tuples, in any order.
-func checkRecords(ctx context.Context, ev *env, mode string, records *relation.Relation) []Failure {
+func checkRecords(ctx context.Context, ev *env, cls, mode string, records *relation.Relation) []Failure {
 	want, err := exec.FetchAnswer(ctx, ev.ref, ev.sc.Sources)
 	if err != nil {
-		return []Failure{{Property: "exec-error", Class: "combined", Mode: mode, Detail: "reference fetch: " + err.Error()}}
+		return []Failure{{Property: "exec-error", Class: cls, Mode: mode, Detail: "reference fetch: " + err.Error()}}
 	}
 	lines := func(r *relation.Relation) []string {
 		out := make([]string, 0, r.Len())
@@ -318,8 +317,8 @@ func checkRecords(ctx context.Context, ev *env, mode string, records *relation.R
 	if slices.Equal(got, ref) {
 		return nil
 	}
-	return []Failure{{Property: "records-mismatch", Class: "combined", Mode: mode,
-		Detail: fmt.Sprintf("combined run returned %d tuples, the second phase fetches %d", len(got), len(ref))}}
+	return []Failure{{Property: "records-mismatch", Class: cls, Mode: mode,
+		Detail: fmt.Sprintf("records run returned %d tuples, the second phase fetches %d", len(got), len(ref))}}
 }
 
 // runOpts configures one execution of one plan class.

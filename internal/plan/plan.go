@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"fusionq/internal/cond"
+	"fusionq/internal/stats"
 )
 
 // Kind discriminates plan steps.
@@ -109,7 +110,30 @@ type Plan struct {
 	// Class is a human-readable label of the plan class ("filter",
 	// "semijoin", "semijoin-adaptive", "sja+", ...).
 	Class string
+	// Records is how the plan retrieves the answer entities' records.
+	Records Records
+	// Adaptive, when set, marks a plan whose rounds are decided at run time:
+	// Steps are its estimate, and the executor picks each round from this
+	// table against the measured size of the running set (E15).
+	Adaptive *stats.CostTable
 }
+
+// Records is how a plan retrieves the records of the answer's entities: not
+// at all; by a fetch round to every source it did not load once the answer
+// is known (the second phase of Section 1); or from its final round's
+// selections and native semijoins, fetching only what they left uncovered
+// (Section 6, "beyond two-phase").
+type Records int
+
+// The record schedules.
+const (
+	NoRecords Records = iota
+	FetchRecords
+	FinalRecords
+)
+
+// String names the schedule.
+func (r Records) String() string { return [...]string{"none", "fetch", "final"}[r] }
 
 // CondName renders condition i as c1, c2, ... matching the paper.
 func CondName(i int) string { return fmt.Sprintf("c%d", i+1) }
@@ -180,6 +204,17 @@ func (p *Plan) NumSourceQueries() int {
 		}
 	}
 	return n
+}
+
+// FinalCond returns the condition of the plan's final round, the one its
+// last condition-evaluating step evaluates; -1 when no step evaluates one.
+func (p *Plan) FinalCond() int {
+	for k := len(p.Steps) - 1; k >= 0; k-- {
+		if c := p.Steps[k].Cond; c >= 0 {
+			return c
+		}
+	}
+	return -1
 }
 
 // StepString renders one step in the paper's notation.

@@ -24,11 +24,11 @@ type Config struct {
 	// default like the admission controller's.
 	Answers AnswerCacheConfig
 	// Options are the base execution options applied to every query
-	// (Algorithm, Cache, Retries, BatchSize...). The
-	// request's Stream flag overrides Options.Streaming per query.
-	// Adaptive and CombinedFetch queries bypass the plan cache: their
-	// execution re-decides or extends the plan, so there is no reusable
-	// optimizer result.
+	// (Algorithm, Cache, Retries, Records...). The request's Stream flag
+	// overrides Options.Streaming per query. An algorithm that decides its
+	// rounds at run time (core.Algorithm.Adaptive) leaves no plan to cache.
+	// A records query (Options.Records) has its plan cached like any other,
+	// but neither reads nor fills the answer cache, which holds items only.
 	Options core.Options
 	// Metrics receives the service metrics and, unless the mediator already
 	// has a registry, the mediator's query metrics too. Nil means the
@@ -135,7 +135,8 @@ func ParseConds(texts []string) ([]cond.Cond, error) {
 // After a mid-query roster repair (Answer.Repair non-nil) the engine removes
 // the dead logical sources from the mediator roster, moving the epoch so
 // every cached plan and answer from the old roster invalidates; the repaired
-// (possibly partial) answer itself is never cached.
+// (possibly partial) answer itself is never cached. Neither is the answer of
+// a records query, which the answer cache could not give back whole.
 func (e *Engine) Query(ctx context.Context, req Request) (*Result, error) {
 	if len(req.Conds) == 0 {
 		return nil, errors.New("service: query has no conditions")
@@ -151,24 +152,23 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, error) {
 	key := QueryKey(req.Conds, opts.Algorithm)
 	epoch := e.med.Epoch()
 
-	if enc, ok := e.answers.get(key, epoch); ok {
-		return &Result{Answer: &core.Answer{Items: set.FromSorted(enc.Items())}, AnswerCached: true, encoded: enc}, nil
-	}
-
-	planReusable := !opts.Adaptive && !opts.CombinedFetch
-	if planReusable {
-		if res, ok := e.plans.Get(key, epoch); ok {
-			ans, err := e.med.QueryPlannedContext(ctx, req.Conds, res, opts)
-			if !errors.Is(err, core.ErrStalePlan) {
-				return e.finish(key, epoch, ans, err, true)
-			}
-			// The roster moved between the epoch check and execution; drop
-			// the entry and fall through to a fresh plan.
-			e.plans.Invalidate(key)
+	if !opts.Records {
+		if enc, ok := e.answers.get(key, epoch); ok {
+			return &Result{Answer: &core.Answer{Items: set.FromSorted(enc.Items())}, AnswerCached: true, encoded: enc}, nil
 		}
 	}
+
+	if res, ok := e.plans.Get(key, epoch); ok {
+		ans, err := e.med.QueryPlannedContext(ctx, req.Conds, res, opts)
+		if !errors.Is(err, core.ErrStalePlan) {
+			return e.finish(key, epoch, ans, err, true)
+		}
+		// The roster moved between the epoch check and execution; drop
+		// the entry and fall through to a fresh plan.
+		e.plans.Invalidate(key)
+	}
 	ans, err := e.med.QueryCondsContext(ctx, req.Conds, opts)
-	if planReusable && err == nil && ans.Plan != nil && ans.Repair == nil {
+	if err == nil && ans.Repair == nil && !opts.Algorithm.Adaptive() {
 		e.plans.Put(key, epoch, optimizer.Result{Plan: ans.Plan, Cost: ans.EstimatedCost})
 	}
 	return e.finish(key, epoch, ans, err, false)
@@ -192,7 +192,7 @@ func (e *Engine) finish(key string, epoch uint64, ans *core.Answer, err error, p
 		for _, name := range ans.Repair.Dead {
 			e.med.RemoveSource(name)
 		}
-	} else {
+	} else if ans.Records == nil {
 		res.encoded = e.answers.Put(key, epoch, ans.Items.Items())
 	}
 	return res, nil

@@ -8,6 +8,7 @@ import (
 	"fusionq/internal/core"
 	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
+	"fusionq/internal/set"
 	"fusionq/internal/workload"
 )
 
@@ -152,5 +153,63 @@ func TestEnginePlanCacheReuse(t *testing.T) {
 	}
 	if ev := reg.Counter(obs.MPlanCacheEvictions, "reason", "stale").Value(); ev == 0 {
 		t.Fatal("no stale plan eviction charged after roster churn")
+	}
+}
+
+// TestEngineRecordsQuery: a records query is planned, cached and repeated
+// like any other, so the repeat is a plan-cache hit, but it neither reads nor
+// fills the answer cache, which holds items only: both replies carry the
+// records the second phase fetches for the answer.
+func TestEngineRecordsQuery(t *testing.T) {
+	eng := dmvEngine(t, Config{
+		Answers: AnswerCacheConfig{TTL: time.Minute},
+		Options: core.Options{Records: true},
+	})
+	conds, err := ParseConds([]string{`V = 'dui'`, `V = 'sp'`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		r, err := eng.Query(ctx, Request{Tenant: "a", Conds: conds})
+		if err != nil {
+			t.Fatalf("query %d: %v", i+1, err)
+		}
+		if r.AnswerCached || r.PlanCached != (i > 0) {
+			t.Fatalf("query %d: plan=%v answer=%v, want a plan-cache hit on the repeat only", i+1, r.PlanCached, r.AnswerCached)
+		}
+		want, err := eng.Mediator().Fetch(ctx, r.Answer.Items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Answer.Records == nil || r.Answer.Records.Len() != 5 || r.Answer.Records.Len() != want.Len() {
+			t.Fatalf("query %d: records %v, the second phase fetches %d", i+1, r.Answer.Records, want.Len())
+		}
+	}
+	if st := eng.AnswerCache().Stats(); st.Entries != 0 || st.Hits+st.Misses != 0 {
+		t.Fatalf("answer cache %+v: a records query touched it", st)
+	}
+}
+
+// TestEngineAdaptiveAlgorithm: the adaptive row answers through the engine
+// like any row, and leaves nothing in the plan cache, because running its
+// plan again would decide its rounds again.
+func TestEngineAdaptiveAlgorithm(t *testing.T) {
+	eng := dmvEngine(t, Config{
+		Answers: AnswerCacheConfig{MaxEntries: -1},
+		Options: core.Options{Algorithm: core.AlgoAdaptive},
+	})
+	conds, err := ParseConds([]string{`V = 'dui'`, `V = 'sp'`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		r, err := eng.Query(context.Background(), Request{Tenant: "a", Conds: conds})
+		if err != nil {
+			t.Fatalf("query %d: %v", i+1, err)
+		}
+		if want := set.New("J55", "T21"); !r.Answer.Items.Equal(want) || r.PlanCached {
+			t.Fatalf("query %d: %v (plan cached %v), want %v fresh", i+1, r.Answer.Items, r.PlanCached, want)
+		}
 	}
 }

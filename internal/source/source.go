@@ -383,8 +383,8 @@ func (w *Wrapper) SemijoinBloom(ctx context.Context, c cond.Cond, f *bloom.Filte
 
 // SelectRecords implements Source. Matching is item-level: the result
 // holds every tuple of every item that satisfies c somewhere at this
-// source, so combined plans reconstruct exactly what a phase-two fetch of
-// those items would return.
+// source, so a plan whose final round ships records reconstructs exactly
+// what a phase-two fetch of those items would return.
 func (w *Wrapper) SelectRecords(ctx context.Context, c cond.Cond) ([]relation.Tuple, error) {
 	items, err := w.Select(ctx, c)
 	if err != nil {
