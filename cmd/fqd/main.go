@@ -134,6 +134,11 @@ func start(o options) (*service.Server, *obs.AdminServer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// -plan-entries 0 disables the plan cache; the engine reads 0 as its
+	// default capacity and a negative bound as off.
+	if o.planEntries == 0 {
+		o.planEntries = -1
+	}
 	eng := service.NewEngine(dep.Mediator, service.Config{
 		Admission: service.AdmissionConfig{
 			MaxInflight: o.maxInflight,

@@ -89,3 +89,45 @@ func TestAdminServesTheMediatorsTraces(t *testing.T) {
 	}
 	getJSON(t, base+"/debug/endpoints", &cards)
 }
+
+// TestPlanEntriesZeroDisablesThePlanCache: -plan-entries 0 turns the plan
+// cache off, as its usage says, and the flag's default (256) keeps it on. The
+// answer cache is off, so every repeat of the query executes.
+func TestPlanEntriesZeroDisablesThePlanCache(t *testing.T) {
+	for _, tc := range []struct {
+		entries int
+		cached  bool
+	}{{0, false}, {256, true}} {
+		t.Run(fmt.Sprint("plan-entries=", tc.entries), func(t *testing.T) {
+			srv, _, err := start(options{
+				addr:        "127.0.0.1:0",
+				deploy:      service.DeployConfig{Scenario: "dmv", Seed: 1},
+				algo:        "sja+",
+				maxInflight: 2, planEntries: tc.entries, answerEntries: -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			cli, err := service.DialService(ctx, srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			for i := 0; i < 3; i++ {
+				reply, err := cli.Query(ctx, "t", []string{"V = 'dui'", "V = 'sp'"}, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reply.AnswerCached || fmt.Sprint(reply.Items) != "[J55 T21]" {
+					t.Fatalf("query %d: %v (answer cached %t), want [J55 T21] executed", i, reply.Items, reply.AnswerCached)
+				}
+				if want := tc.cached && i > 0; reply.PlanCached != want {
+					t.Fatalf("query %d: PlanCached = %t, want %t", i, reply.PlanCached, want)
+				}
+			}
+		})
+	}
+}

@@ -14,7 +14,7 @@ import (
 // obs.ServeAdminConfig listener fed by a populated recorder and a scorecard
 // function — the full fqtop path minus the screen loop.
 func TestRenderOnceAgainstLiveAdmin(t *testing.T) {
-	rec := obs.NewRecorder(obs.RecorderConfig{SlowThreshold: 1}) // everything is slow
+	rec := obs.NewRecorder(obs.RecorderConfig{})
 	// One completed hedged query, one completed error, one still in flight.
 	lq := rec.Begin("q-done-1", "V = 'dui' AND V = 'sp'")
 	lq.Exchange("R1", "sq", 128)

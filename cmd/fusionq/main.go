@@ -77,7 +77,7 @@ func main() {
 		explain   = flag.Bool("explain", false, "print the plan, do not execute")
 		timeout   = flag.Duration("timeout", 0, "per-query wall-clock budget (0: none)")
 		fetch     = flag.Bool("fetch", false, "ask for the answer's full records too and print them")
-		trace     = flag.Bool("trace", false, "print a per-step execution trace")
+		trace     = flag.Bool("trace", false, "print the per-step execution trace")
 		stream    = flag.Bool("stream", false, "execute as a pull-based streaming pipeline (bounded batches, early first answer)")
 		traceJSON = flag.String("trace-json", "", `write the query's span trace as JSON to this file ("-" for stdout)`)
 		spans     = flag.Bool("spans", false, "print the query's span tree with per-exchange wait/server/wire split")
@@ -89,7 +89,7 @@ func main() {
 	flag.Parse()
 
 	ctx := context.Background()
-	opts := core.Options{Algorithm: core.Algorithm(*algo), Cache: *cache, Trace: *trace, Streaming: *stream, Records: *fetch}
+	opts := core.Options{Algorithm: core.Algorithm(*algo), Cache: *cache, Streaming: *stream, Records: *fetch}
 	if *shell {
 		m, closer, err := assemble(ctx, csvs, remotes, *catalogF, *merge, *capsFlag, *conns)
 		if err != nil {
@@ -106,13 +106,13 @@ func main() {
 			defer func() { _ = adm.Close() }()
 			fmt.Fprintf(os.Stderr, "fusionq: admin endpoints on http://%s\n", adm.Addr())
 		}
-		if err := repl(ctx, m, os.Stdin, os.Stdout, opts, *timeout); err != nil {
+		if err := repl(ctx, m, os.Stdin, os.Stdout, opts, *trace, *timeout); err != nil {
 			fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if err := run(ctx, *sql, csvs, remotes, *catalogF, *merge, *capsFlag, *conns, opts, *timeout, *explain, *traceJSON, *spans, *admin); err != nil {
+	if err := run(ctx, *sql, csvs, remotes, *catalogF, *merge, *capsFlag, *conns, opts, *timeout, *explain, *trace, *traceJSON, *spans, *admin); err != nil {
 		fmt.Fprintf(os.Stderr, "fusionq: %v\n", err)
 		os.Exit(1)
 	}
@@ -139,7 +139,9 @@ func withTimeout(ctx context.Context, d time.Duration) (context.Context, context
 	return context.WithTimeout(ctx, d)
 }
 
-func run(ctx context.Context, sql string, csvs, remotes []string, catalogPath, merge, capsFlag string, conns int, opts core.Options, timeout time.Duration, explain bool, traceJSON string, spans bool, adminAddr string) error {
+// run runs one query; trace prints the answer's per-step execution trace,
+// which every query keeps.
+func run(ctx context.Context, sql string, csvs, remotes []string, catalogPath, merge, capsFlag string, conns int, opts core.Options, timeout time.Duration, explain, trace bool, traceJSON string, spans bool, adminAddr string) error {
 	if sql == "" {
 		return fmt.Errorf("-sql is required")
 	}
@@ -188,7 +190,7 @@ func run(ctx context.Context, sql string, csvs, remotes []string, catalogPath, m
 	if opts.Cache {
 		fmt.Printf("cache: %d hits, %d misses\n", ans.Exec.CacheHits, ans.Exec.CacheMisses)
 	}
-	if opts.Trace {
+	if trace {
 		fmt.Printf("\ntrace:\n%s", exec.RenderTrace(ans.Exec.Trace))
 	}
 	if spans && ans.Trace != nil {

@@ -38,7 +38,7 @@ func writeCSVs(t *testing.T) []string {
 func TestRunEndToEnd(t *testing.T) {
 	csvs := writeCSVs(t)
 	for _, algo := range []string{"filter", "sja", "sja+", "rt-sja"} {
-		if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "native", 0, core.Options{Algorithm: core.Algorithm(algo), Trace: true, Records: true}, 0, false, "", false, ""); err != nil {
+		if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "native", 0, core.Options{Algorithm: core.Algorithm(algo), Records: true}, 0, false, true, "", false, ""); err != nil {
 			t.Fatalf("algo %s: %v", algo, err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunExplain(t *testing.T) {
 	csvs := writeCSVs(t)
-	if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "bindings", 0, core.Options{Algorithm: "sja"}, 0, true, "", false, ""); err != nil {
+	if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "bindings", 0, core.Options{Algorithm: "sja"}, 0, true, false, "", false, ""); err != nil {
 		t.Fatalf("explain: %v", err)
 	}
 }
@@ -55,11 +55,11 @@ func TestRunExplain(t *testing.T) {
 // overlap across sources, and -conns bounds the overlap at one source.
 func TestRunParallel(t *testing.T) {
 	csvs := writeCSVs(t)
-	if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "none", 0, core.Options{Algorithm: "filter", Trace: true}, 0, false, "", false, ""); err != nil {
+	if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "none", 0, core.Options{Algorithm: "filter"}, 0, false, true, "", false, ""); err != nil {
 		t.Fatalf("one connection a source: %v", err)
 	}
 	opts := core.Options{Algorithm: "sja", Cache: true}
-	if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "bindings", 2, opts, 0, false, "", false, ""); err != nil {
+	if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "bindings", 2, opts, 0, false, false, "", false, ""); err != nil {
 		t.Fatalf("conns+cache: %v", err)
 	}
 }
@@ -74,7 +74,7 @@ func TestRunWithRemoteSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := run(t.Context(), dmvSQL, csvs[:2], []string{srv.Addr()}, "", "", "native", 0, core.Options{Algorithm: "sja+"}, 0, false, "", false, ""); err != nil {
+	if err := run(t.Context(), dmvSQL, csvs[:2], []string{srv.Addr()}, "", "", "native", 0, core.Options{Algorithm: "sja+"}, 0, false, false, "", false, ""); err != nil {
 		t.Fatalf("remote mix: %v", err)
 	}
 }
@@ -86,7 +86,7 @@ func TestRunTraceJSON(t *testing.T) {
 	csvs := writeCSVs(t)
 	path := filepath.Join(t.TempDir(), "trace.json")
 	opts := core.Options{Algorithm: "sja"}
-	if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "native", 0, opts, 0, false, path, false, ""); err != nil {
+	if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "native", 0, opts, 0, false, false, path, false, ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -119,25 +119,25 @@ func TestRunErrors(t *testing.T) {
 		f    func() error
 	}{
 		{"no sql", func() error {
-			return run(t.Context(), "", csvs, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, "", false, "")
+			return run(t.Context(), "", csvs, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, false, "", false, "")
 		}},
 		{"no sources", func() error {
-			return run(t.Context(), dmvSQL, nil, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, "", false, "")
+			return run(t.Context(), dmvSQL, nil, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, false, "", false, "")
 		}},
 		{"bad caps", func() error {
-			return run(t.Context(), dmvSQL, csvs, nil, "", "", "wizard", 0, core.Options{Algorithm: "sja"}, 0, false, "", false, "")
+			return run(t.Context(), dmvSQL, csvs, nil, "", "", "wizard", 0, core.Options{Algorithm: "sja"}, 0, false, false, "", false, "")
 		}},
 		{"bad algo", func() error {
-			return run(t.Context(), dmvSQL, csvs, nil, "", "", "native", 0, core.Options{Algorithm: "wizard"}, 0, false, "", false, "")
+			return run(t.Context(), dmvSQL, csvs, nil, "", "", "native", 0, core.Options{Algorithm: "wizard"}, 0, false, false, "", false, "")
 		}},
 		{"missing file", func() error {
-			return run(t.Context(), dmvSQL, []string{"/nonexistent/x.csv"}, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, "", false, "")
+			return run(t.Context(), dmvSQL, []string{"/nonexistent/x.csv"}, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, false, "", false, "")
 		}},
 		{"bad remote", func() error {
-			return run(t.Context(), dmvSQL, nil, []string{"127.0.0.1:1"}, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, "", false, "")
+			return run(t.Context(), dmvSQL, nil, []string{"127.0.0.1:1"}, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, false, "", false, "")
 		}},
 		{"not fusion", func() error {
-			return run(t.Context(), "SELECT u1.V FROM U u1", csvs, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, "", false, "")
+			return run(t.Context(), "SELECT u1.V FROM U u1", csvs, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, false, "", false, "")
 		}},
 	}
 	for _, c := range cases {
@@ -158,7 +158,7 @@ func TestRunIncompatibleSchemas(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := "SELECT u1.L FROM U u1 WHERE u1.V = 'dui'"
-	if err := run(t.Context(), sql, []string{a, b}, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, "", false, ""); err == nil {
+	if err := run(t.Context(), sql, []string{a, b}, nil, "", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, false, "", false, ""); err == nil {
 		t.Fatal("incompatible schemas should fail")
 	}
 }
@@ -177,10 +177,10 @@ func TestRunWithCatalog(t *testing.T) {
 	if err := os.WriteFile(path, []byte(catJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(t.Context(), dmvSQL, nil, nil, path, "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, "", false, ""); err != nil {
+	if err := run(t.Context(), dmvSQL, nil, nil, path, "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, false, "", false, ""); err != nil {
 		t.Fatalf("catalog run: %v", err)
 	}
-	if err := run(t.Context(), dmvSQL, nil, nil, "/nonexistent.json", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, "", false, ""); err == nil {
+	if err := run(t.Context(), dmvSQL, nil, nil, "/nonexistent.json", "", "native", 0, core.Options{Algorithm: "sja"}, 0, false, false, "", false, ""); err == nil {
 		t.Fatal("missing catalog should fail")
 	}
 }

@@ -18,12 +18,14 @@ import (
 // starting with a backslash are commands:
 //
 //	\algo NAME       switch the optimization algorithm
-//	\trace on|off    toggle per-step execution traces
+//	\trace on|off    toggle printing each answer's per-step execution trace
 //	\cache on|off    toggle the mediator answer cache
 //	\explain SQL     print the plan for SQL without executing
 //	\help            list commands
 //	\quit            exit
-func repl(ctx context.Context, m *core.Mediator, in io.Reader, out io.Writer, opts core.Options, timeout time.Duration) error {
+//
+// trace is whether the session starts out printing the traces.
+func repl(ctx context.Context, m *core.Mediator, in io.Reader, out io.Writer, opts core.Options, trace bool, timeout time.Duration) error {
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	fmt.Fprintf(out, "fusionq> connected to %d sources; \\help for commands\n", len(m.Sources()))
@@ -41,8 +43,8 @@ func repl(ctx context.Context, m *core.Mediator, in io.Reader, out io.Writer, op
 			opts.Algorithm = core.Algorithm(strings.TrimSpace(strings.TrimPrefix(line, `\algo `)))
 			fmt.Fprintf(out, "algorithm: %s\n", opts.Algorithm)
 		case strings.HasPrefix(line, `\trace`):
-			opts.Trace = strings.Contains(line, "on")
-			fmt.Fprintf(out, "trace: %v\n", opts.Trace)
+			trace = strings.Contains(line, "on")
+			fmt.Fprintf(out, "trace: %v\n", trace)
 		case strings.HasPrefix(line, `\cache`):
 			opts.Cache = strings.Contains(line, "on")
 			fmt.Fprintf(out, "cache: %v\n", opts.Cache)
@@ -55,7 +57,7 @@ func repl(ctx context.Context, m *core.Mediator, in io.Reader, out io.Writer, op
 			fmt.Fprintf(out, "unknown command %q (\\help lists commands)\n", line)
 		default:
 			qctx, cancel := withTimeout(ctx, timeout)
-			err := replQuery(qctx, m, out, line, opts)
+			err := replQuery(qctx, m, out, line, opts, trace)
 			cancel()
 			if err != nil {
 				fmt.Fprintf(out, "error: %v\n", err)
@@ -81,7 +83,7 @@ func explainPlan(ctx context.Context, m *core.Mediator, out io.Writer, sql strin
 	return nil
 }
 
-func replQuery(ctx context.Context, m *core.Mediator, out io.Writer, sql string, opts core.Options) error {
+func replQuery(ctx context.Context, m *core.Mediator, out io.Writer, sql string, opts core.Options, trace bool) error {
 	ans, err := m.Query(ctx, sql, opts)
 	if err != nil {
 		return err
@@ -95,7 +97,7 @@ func replQuery(ctx context.Context, m *core.Mediator, out io.Writer, sql string,
 		// REPL session, but each answer reports only its own consultations.
 		fmt.Fprintf(out, "cache: %d hits, %d misses\n", ans.Exec.CacheHits, ans.Exec.CacheMisses)
 	}
-	if opts.Trace {
+	if trace {
 		fmt.Fprint(out, exec.RenderTrace(ans.Exec.Trace))
 	}
 	return nil

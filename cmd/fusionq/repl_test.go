@@ -34,7 +34,7 @@ func TestReplQueryAndCommands(t *testing.T) {
 		`\quit`,
 	}, "\n"))
 	var out strings.Builder
-	if err := repl(t.Context(), m, in, &out, core.Options{}, 0); err != nil {
+	if err := repl(t.Context(), m, in, &out, core.Options{}, false, 0); err != nil {
 		t.Fatalf("repl: %v", err)
 	}
 	text := out.String()
@@ -69,7 +69,7 @@ func TestReplCacheCountersResetPerQuery(t *testing.T) {
 		`\quit`,
 	}, "\n"))
 	var out strings.Builder
-	if err := repl(t.Context(), m, in, &out, core.Options{}, 0); err != nil {
+	if err := repl(t.Context(), m, in, &out, core.Options{}, false, 0); err != nil {
 		t.Fatalf("repl: %v", err)
 	}
 	text := out.String()
@@ -111,7 +111,7 @@ func TestReplErrorsAreRecoverable(t *testing.T) {
 		dmvSQL,
 	}, "\n"))
 	var out strings.Builder
-	if err := repl(t.Context(), m, in, &out, core.Options{}, 0); err != nil {
+	if err := repl(t.Context(), m, in, &out, core.Options{}, false, 0); err != nil {
 		t.Fatalf("repl: %v", err)
 	}
 	text := out.String()
@@ -129,7 +129,7 @@ func TestReplErrorsAreRecoverable(t *testing.T) {
 func TestReplEOFExitsCleanly(t *testing.T) {
 	m := replMediator(t)
 	var out strings.Builder
-	if err := repl(t.Context(), m, strings.NewReader(""), &out, core.Options{}, 0); err != nil {
+	if err := repl(t.Context(), m, strings.NewReader(""), &out, core.Options{}, false, 0); err != nil {
 		t.Fatalf("repl on empty input: %v", err)
 	}
 }

@@ -525,7 +525,7 @@ func TestCatalogBuildAbandonedAtDeadlineLeaksNothing(t *testing.T) {
 		return source.NewFlaky(w, 0, 1).SetStallFor("stats", time.Minute)
 	}
 	if _, err := m.AddReplicatedSource("R1", []ReplicaSpec{{Source: hang("R1-a"), Link: link}, {Source: hang("R1-b"), Link: link}},
-		fabric.Options{HedgeMin: time.Millisecond}); err != nil {
+		fabric.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, src := range sc.Sources[1:] {

@@ -112,8 +112,6 @@ type Options struct {
 	// from then on start from an empty cache. Cached answers are items, so a
 	// record-returning query still goes to its sources.
 	Cache bool
-	// Trace records a per-step execution trace in Answer.Exec.Trace.
-	Trace bool
 	// Retries re-issues steps whose source queries fail transiently
 	// (source.ErrTransient) up to this many times each, and likewise the
 	// stats exchange that fills the statistics catalog. Context cancellation
@@ -304,9 +302,9 @@ func (m *Mediator) metricsRegistry() *obs.Registry {
 	return reg
 }
 
-// SetRecorder attaches a flight recorder replacing the default one. Pass a
-// recorder with custom bounds (or a slow-query log sink) before serving
-// queries; a nil recorder disables flight recording entirely.
+// SetRecorder attaches a flight recorder replacing the default one, for
+// example one that charges another registry, before serving queries; a nil
+// recorder disables flight recording entirely.
 func (m *Mediator) SetRecorder(rec *obs.Recorder) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -315,9 +313,8 @@ func (m *Mediator) SetRecorder(rec *obs.Recorder) {
 }
 
 // Recorder returns the mediator's flight recorder, creating the default
-// always-on one (obs.NewRecorder with default bounds, charging the
-// mediator's metrics registry) on first use. Returns nil after
-// SetRecorder(nil).
+// always-on one (obs.NewRecorder, charging the mediator's metrics registry)
+// on first use. Returns nil after SetRecorder(nil).
 func (m *Mediator) Recorder() *obs.Recorder {
 	m.mu.RLock()
 	rec, set := m.recorder, m.recorderSet
@@ -721,7 +718,7 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 func (r *roster) executor(opts Options) *exec.Executor {
 	ex := &exec.Executor{
 		Sources: r.sources, Network: r.network,
-		Trace: opts.Trace, Retries: opts.Retries, Streaming: opts.Streaming,
+		Retries: opts.Retries, Streaming: opts.Streaming,
 	}
 	if opts.Cache {
 		ex.Cache = r.learned.answerCache()

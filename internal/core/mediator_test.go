@@ -131,7 +131,7 @@ func TestCombinedFetchOption(t *testing.T) {
 		m := dmvMediator(t, true)
 		reg := obs.NewRegistry()
 		ctx := obs.With(context.Background(), &obs.Obs{Metrics: reg})
-		ans, err := m.Query(ctx, paperSQL, Options{Records: true, Algorithm: AlgoSJA, Streaming: streaming, Trace: true})
+		ans, err := m.Query(ctx, paperSQL, Options{Records: true, Algorithm: AlgoSJA, Streaming: streaming})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestRoundsOverlapByDefault(t *testing.T) {
 		}
 	}
 
-	ans, err := m.Query(t.Context(), paperSQL, Options{Algorithm: AlgoFilter, Trace: true})
+	ans, err := m.Query(t.Context(), paperSQL, Options{Algorithm: AlgoFilter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestQueryErrors(t *testing.T) {
 // Answer.Exec reports the query's own execution all the same.
 func TestExecCountsOnlyItsOwnExecution(t *testing.T) {
 	m := dmvMediator(t, true)
-	first, err := m.Query(t.Context(), paperSQL, Options{Algorithm: AlgoSJA, Trace: true})
+	first, err := m.Query(t.Context(), paperSQL, Options{Algorithm: AlgoSJA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func TestReadmeListsEveryAlgorithm(t *testing.T) {
 // the query asked to stream; the answer's plan is the rounds it ran.
 func TestAdaptiveOption(t *testing.T) {
 	m := dmvMediator(t, true)
-	ans, err := m.Query(t.Context(), paperSQL, Options{Algorithm: AlgoAdaptive, Trace: true, Streaming: true})
+	ans, err := m.Query(t.Context(), paperSQL, Options{Algorithm: AlgoAdaptive, Streaming: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestRecordsScheduleFollowsE13(t *testing.T) {
 			w := source.NewWrapper(fmt.Sprintf("R%d", j), source.NewRowBackend(msc.Relations[0]), caps)
 			replicas = append(replicas, ReplicaSpec{Source: w, Link: link})
 		}
-		if _, err := mirrored.AddReplicatedSource("R", replicas, fabric.Options{DisableHedging: true, ExploreProb: -1}); err != nil {
+		if _, err := mirrored.AddReplicatedSource("R", replicas, fabric.Options{NoSpeculation: true}); err != nil {
 			t.Fatal(err)
 		}
 		checkRecordsSchedule(t, fmt.Sprintf("mirrored sel(c2)=%v", sel2), mirrored, msc.Conds, plan.FinalRecords)

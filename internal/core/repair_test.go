@@ -31,7 +31,7 @@ func replicatedDMVMediator(t *testing.T) (*Mediator, *fabric.Logical, *netsim.Ne
 	logical, err := m.AddReplicatedSource(w.Name(), []ReplicaSpec{
 		{Source: source.NewWrapper(w.Name()+"-a", source.NewRowBackend(sc.Relations[0]), w.Caps()), Link: link},
 		{Source: source.NewWrapper(w.Name()+"-b", source.NewRowBackend(sc.Relations[0]), w.Caps()), Link: link},
-	}, fabric.Options{DisableHedging: true, ExploreProb: -1})
+	}, fabric.Options{NoSpeculation: true})
 	if err != nil {
 		t.Fatalf("AddReplicatedSource: %v", err)
 	}

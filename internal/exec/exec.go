@@ -34,7 +34,7 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -67,10 +67,6 @@ type Executor struct {
 	// queries) lets later executions skip source traffic; see Cache for the
 	// freshness caveats with autonomous sources.
 	Cache *Cache
-	// Trace records a per-step execution trace (Result.Trace): output
-	// cardinalities, issued queries, cache hits, and the simulated time of
-	// the exchanges the step issued.
-	Trace bool
 	// Retries is how many times a source exchange that fails with a
 	// transient error (source.ErrTransient) is re-issued before the run
 	// fails. Zero disables retries. The budget is per exchange: one flaky
@@ -146,8 +142,9 @@ type Result struct {
 	// earlier). Zero when the run failed before producing any answer
 	// items.
 	FirstAnswer time.Duration
-	// Trace is the per-step execution trace, present when the executor's
-	// Trace flag is set, ordered by step index.
+	// Trace is the per-step execution trace, ordered by step index: output
+	// cardinalities, issued queries, cache hits, and the simulated time of the
+	// exchanges each step issued. Every run keeps it.
 	Trace []StepTrace
 	// Failovers and Hedges count replica-fabric activity across the run:
 	// exchanges re-issued on another replica after a failure, and hedged
@@ -259,7 +256,8 @@ func (e *Executor) newRun(p *plan.Plan) *run {
 			r.sink.final = r.p.FinalCond()
 		}
 	}
-	r.res = &Result{Vars: r.vars, Plan: r.p, FailedStep: -1}
+	// Room for a trace entry a step and one for a records round.
+	r.res = &Result{Vars: r.vars, Plan: r.p, FailedStep: -1, Trace: make([]StepTrace, 0, len(p.Steps)+1)}
 	if r.pipelined {
 		r.batch = e.BatchSize
 		if r.batch <= 0 {
@@ -300,17 +298,15 @@ func (r *run) execute(ctx context.Context) error {
 // close settles what both schedulers report the same way.
 func (r *run) close() {
 	r.res.PeakBytes = r.tr.high()
-	if r.e.Trace {
-		sort.Slice(r.res.Trace, func(a, b int) bool { return r.res.Trace[a].Index < r.res.Trace[b].Index })
-		// A step's elapsed time is what the exchanges it issued took; the
-		// records round's are under the index after the last step's.
-		elapsed := make([]time.Duration, len(r.p.Steps)+1)
-		for _, en := range r.ledger.Entries()[:r.settled] {
-			elapsed[en.Tag] += en.Elapsed
-		}
-		for i := range r.res.Trace {
-			r.res.Trace[i].Elapsed = elapsed[r.res.Trace[i].Index]
-		}
+	slices.SortFunc(r.res.Trace, func(a, b StepTrace) int { return a.Index - b.Index })
+	// A step's elapsed time is what the exchanges it issued took; the records
+	// round's are under the index after the last step's.
+	elapsed := make([]time.Duration, len(r.p.Steps)+1)
+	for _, en := range r.ledger.Entries()[:r.settled] {
+		elapsed[en.Tag] += en.Elapsed
+	}
+	for i := range r.res.Trace {
+		r.res.Trace[i].Elapsed = elapsed[r.res.Trace[i].Index]
 	}
 }
 

@@ -78,7 +78,7 @@ func TestDMVAllOptimizers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ex := &Executor{Sources: srcs, Network: network, BatchSize: 8, Trace: true}
+				ex := &Executor{Sources: srcs, Network: network, BatchSize: 8}
 				mode.configure(ex)
 				got, err := ex.Run(context.Background(), res.Plan)
 				if err != nil {
@@ -405,7 +405,7 @@ func TestExecutionTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &Executor{Sources: srcs, Network: network, Trace: true}
+	ex := &Executor{Sources: srcs, Network: network}
 	got, err := ex.Run(context.Background(), res.Plan)
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +467,7 @@ func TestConcurrentRunsShareOneExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, streaming := range []bool{true, false} {
-		ex := &Executor{Sources: srcs, Network: network, Streaming: streaming, BatchSize: 2, Trace: true}
+		ex := &Executor{Sources: srcs, Network: network, Streaming: streaming, BatchSize: 2}
 		check := func(what string, got *Result, err error) {
 			if err != nil {
 				t.Errorf("streaming=%v %s: %v", streaming, what, err)

@@ -89,11 +89,11 @@ func TestFailoverAcrossReplicasMidQuery(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			pr, srcs, network, logical := replicatedDMVSetup(t, fabric.Options{ExploreProb: -1, DisableHedging: true})
+			pr, srcs, network, logical := replicatedDMVSetup(t, fabric.Options{NoSpeculation: true})
 			network.ScheduleChurn([]netsim.ChurnEvent{
 				{At: 0, Source: logical.Endpoints()[0].Name(), Kind: netsim.ChurnKill},
 			})
-			ex := &Executor{Sources: srcs, Network: network, Trace: true, Retries: 1}
+			ex := &Executor{Sources: srcs, Network: network, Retries: 1}
 			got, p, err := run(ex, pr)
 			if err != nil {
 				t.Fatalf("run with one dead replica: %v\nplan:\n%s", err, p)
@@ -144,13 +144,13 @@ func TestFailoverAcrossReplicasMidQuery(t *testing.T) {
 // failed step is an index into the executed plan, and the work that reached
 // the other sources before the failure stopped the round stays charged.
 func TestAdaptiveFailedRunReportsStep(t *testing.T) {
-	pr, srcs, network, logical := replicatedDMVSetup(t, fabric.Options{ExploreProb: -1, DisableHedging: true})
+	pr, srcs, network, logical := replicatedDMVSetup(t, fabric.Options{NoSpeculation: true})
 	var kill []netsim.ChurnEvent
 	for _, ep := range logical.Endpoints() {
 		kill = append(kill, netsim.ChurnEvent{At: 0, Source: ep.Name(), Kind: netsim.ChurnKill})
 	}
 	network.ScheduleChurn(kill)
-	ex := &Executor{Sources: srcs, Network: network, Trace: true}
+	ex := &Executor{Sources: srcs, Network: network}
 	got, err := ex.Run(context.Background(), adaptivePlan(t, pr))
 	executed := got.Plan
 	if !errors.Is(err, fabric.ErrExhausted) {
@@ -185,7 +185,7 @@ func TestAdaptiveFailedRunReportsStep(t *testing.T) {
 // endpoint accumulates breaker failures, and selection converges on the
 // survivor. The run must still produce the full answer.
 func TestFailoverAcrossReplicasStreaming(t *testing.T) {
-	pr, srcs, network, logical := replicatedDMVSetup(t, fabric.Options{ExploreProb: -1, DisableHedging: true})
+	pr, srcs, network, logical := replicatedDMVSetup(t, fabric.Options{NoSpeculation: true})
 	network.ScheduleChurn([]netsim.ChurnEvent{
 		{At: 0, Source: logical.Endpoints()[0].Name(), Kind: netsim.ChurnKill},
 	})
@@ -193,9 +193,9 @@ func TestFailoverAcrossReplicasStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Budget: the dead endpoint can absorb at most FailureThreshold (3)
-	// consecutive attempts before its breaker opens and every later pick
-	// goes to the survivor.
+	// Budget: the dead endpoint can absorb at most the fabric's failure
+	// threshold (3) of consecutive attempts before its breaker opens and
+	// every later pick goes to the survivor.
 	ex := &Executor{Sources: srcs, Network: network, Streaming: true, Retries: 3}
 	got, err := ex.Run(context.Background(), res.Plan)
 	if err != nil {
@@ -213,12 +213,12 @@ func TestFailoverAcrossReplicasStreaming(t *testing.T) {
 // replicated roster behaves exactly like a flat one — full answer, no
 // failovers, accounting intact.
 func TestReplicatedSourceHealthySteadyState(t *testing.T) {
-	pr, srcs, network, logical := replicatedDMVSetup(t, fabric.Options{ExploreProb: -1, DisableHedging: true})
+	pr, srcs, network, logical := replicatedDMVSetup(t, fabric.Options{NoSpeculation: true})
 	res, err := optimizer.SJA(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &Executor{Sources: srcs, Network: network, Trace: true}
+	ex := &Executor{Sources: srcs, Network: network}
 	got, err := ex.Run(context.Background(), res.Plan)
 	if err != nil {
 		t.Fatalf("run: %v\nplan:\n%s", err, res.Plan)

@@ -172,15 +172,13 @@ func (r *run) runNode(ctx context.Context, idx int, s plan.Step, ins []set.Iter,
 	if err != nil && (r.res.FailedStep < 0 || idx < r.res.FailedStep) {
 		r.res.FailedStep = idx
 	}
-	if r.e.Trace {
-		tr := StepTrace{Index: idx, Text: text, Queries: agg.queries, CacheHits: agg.hits, Retries: agg.retries, Errors: agg.errors, Failovers: failovers, Hedges: hedges}
-		if err != nil {
-			tr.Err = err.Error()
-		} else {
-			tr.OutItems = nd.items
-		}
-		r.res.Trace = append(r.res.Trace, tr)
+	tr := StepTrace{Index: idx, Text: text, Queries: agg.queries, CacheHits: agg.hits, Retries: agg.retries, Errors: agg.errors, Failovers: failovers, Hedges: hedges}
+	if err != nil {
+		tr.Err = err.Error()
+	} else {
+		tr.OutItems = nd.items
 	}
+	r.res.Trace = append(r.res.Trace, tr)
 	r.mu.Unlock()
 	return err
 }

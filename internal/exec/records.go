@@ -81,9 +81,7 @@ func (r *run) records(ctx context.Context) error {
 	} else {
 		r.res.Records, tr.OutItems = rel, rel.Len()
 	}
-	if r.e.Trace {
-		r.res.Trace = append(r.res.Trace, tr)
-	}
+	r.res.Trace = append(r.res.Trace, tr)
 	return err
 }
 

@@ -50,7 +50,7 @@ func TestRunCombinedMatchesTwoPhase(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ex := &Executor{Sources: srcs2, Network: network2, BatchSize: 1, Trace: true}
+				ex := &Executor{Sources: srcs2, Network: network2, BatchSize: 1}
 				mode.configure(ex)
 				run, err := ex.Run(context.Background(), withRecords(res2.Plan, records))
 				if err != nil {

@@ -192,7 +192,7 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 func TestParallelTraceAttributesElapsed(t *testing.T) {
 	for _, mode := range runModes {
 		pr, srcs, network := dmvSetup(t, semijoinCaps)
-		ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Trace: true, BatchSize: 1}
+		ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), BatchSize: 1}
 		mode.configure(ex)
 		got, err := ex.Run(context.Background(), semijoinPlan(pr.Conds, pr.Sources))
 		if err != nil {
@@ -227,7 +227,7 @@ func TestTraceElapsedIsExactWhenStepsShareASource(t *testing.T) {
 	}
 	for _, mode := range runModes {
 		network.Reset()
-		ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2), Trace: true}
+		ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, 2)}
 		mode.configure(ex)
 		got, err := ex.Run(context.Background(), p)
 		if err != nil {
@@ -289,7 +289,7 @@ func TestTrafficDoesNotDependOnOverlap(t *testing.T) {
 				}
 				var runs [2]*Result
 				for i, conns := range []int{1, 4} {
-					ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, conns), Trace: true}
+					ex := &Executor{Sources: srcs, Network: linkConns(network, pr.Sources, conns)}
 					if runs[i], err = ex.Run(context.Background(), res.Plan); err != nil {
 						t.Fatalf("conns=%d: %v\nplan:\n%s", conns, err, res.Plan)
 					}

@@ -35,8 +35,8 @@ func (s BreakerState) String() string {
 }
 
 // breaker is a per-endpoint three-state circuit breaker. Closed endpoints
-// take traffic; threshold consecutive failures open the breaker; after the
-// cooldown the next attempt runs as a half-open probe whose outcome either
+// take traffic; failureThreshold consecutive failures open the breaker; after
+// the cooldown the next attempt runs as a half-open probe whose outcome either
 // closes the breaker or re-opens it for another cooldown.
 //
 // The breaker gates replica *selection*, not correctness: when every
@@ -44,17 +44,11 @@ func (s BreakerState) String() string {
 // recently failed one, so an exchange only reports ErrExhausted after every
 // replica actually failed.
 type breaker struct {
-	mu        sync.Mutex
-	state     BreakerState
-	fails     int
-	threshold int
-	cooldown  time.Duration
-	openedAt  time.Time
-	probing   bool
-}
-
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown}
+	mu       sync.Mutex
+	state    BreakerState
+	fails    int
+	openedAt time.Time
+	probing  bool
 }
 
 // selectable reports whether the endpoint should receive regular traffic:
@@ -69,7 +63,7 @@ func (b *breaker) selectable() bool {
 	case BreakerHalfOpen:
 		return !b.probing
 	default:
-		return time.Since(b.openedAt) >= b.cooldown
+		return time.Since(b.openedAt) >= cooldown
 	}
 }
 
@@ -79,7 +73,7 @@ func (b *breaker) selectable() bool {
 func (b *breaker) markAttempt() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerOpen && time.Since(b.openedAt) >= b.cooldown {
+	if b.state == BreakerOpen && time.Since(b.openedAt) >= cooldown {
 		b.state = BreakerHalfOpen
 	}
 	if b.state == BreakerHalfOpen {
@@ -96,8 +90,9 @@ func (b *breaker) success() {
 	b.probing = false
 }
 
-// failure counts a genuine endpoint failure: threshold consecutive failures
-// trip closed→open, and a failed half-open probe re-opens immediately.
+// failure counts a genuine endpoint failure: failureThreshold consecutive
+// failures trip closed→open, and a failed half-open probe re-opens
+// immediately.
 func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -108,7 +103,7 @@ func (b *breaker) failure() {
 		b.openedAt = time.Now()
 	case BreakerClosed:
 		b.fails++
-		if b.fails >= b.threshold {
+		if b.fails >= failureThreshold {
 			b.state = BreakerOpen
 			b.openedAt = time.Now()
 		}

@@ -70,61 +70,36 @@ func (e *ExhaustedError) Is(target error) bool { return target == ErrExhausted }
 // Unwrap exposes the last replica error for cause classification.
 func (e *ExhaustedError) Unwrap() error { return e.Last }
 
-// Options tune a Logical source's selection, breaker and hedging policy.
-// The zero value means defaults.
+// Options are a Logical source's policy. The zero value speculates: it hedges
+// stragglers and explores.
 type Options struct {
-	// Seed drives replica selection and exploration determinism.
-	Seed int64
-	// FailureThreshold is how many consecutive failures trip an endpoint's
-	// breaker closed→open (default 3).
-	FailureThreshold int
-	// Cooldown is how long an open breaker rejects selection before
-	// admitting a half-open probe (default 250ms).
-	Cooldown time.Duration
-	// ExploreProb is the ε of ε-greedy selection: the fraction of picks
-	// routed to a uniformly random selectable replica instead of the
-	// power-of-two-choices winner, keeping every replica's EWMA fresh
-	// (default 0.05; negative disables exploration).
-	ExploreProb float64
-	// DisableHedging turns hedged exchanges off.
-	DisableHedging bool
-	// HedgePercentile is the quantile of recent logical-exchange latencies
-	// the primary must exceed before a backup launches (default 0.95).
-	HedgePercentile float64
-	// HedgeMin floors the hedge deadline so noise-level percentiles do not
-	// cause hedge storms (default 1ms).
-	HedgeMin time.Duration
-	// HedgeGrace is how long, after a winning leg returns, the attempt
-	// keeps waiting for outstanding legs to finish before cancelling them.
-	// The answer is not delayed by correctness needs — the winner's result
-	// is returned either way — but a harvested loser contributes its health
-	// observation and, over the wire, its server-side span fragment, so the
-	// trace shows both legs of a hedged exchange. Zero (the default)
-	// cancels losers immediately, the pre-grace behavior.
-	HedgeGrace time.Duration
+	// NoSpeculation turns off both kinds of speculative work: hedged backup
+	// exchanges and ε-greedy exploration. Selection is then power-of-two-
+	// choices alone and every exchange runs on one replica at a time until it
+	// fails over, so which replica answers follows from the health scores.
+	NoSpeculation bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = 3
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 250 * time.Millisecond
-	}
-	if o.ExploreProb == 0 {
-		o.ExploreProb = 0.05
-	}
-	if o.ExploreProb < 0 {
-		o.ExploreProb = 0
-	}
-	if o.HedgePercentile <= 0 || o.HedgePercentile > 1 {
-		o.HedgePercentile = 0.95
-	}
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = time.Millisecond
-	}
-	return o
-}
+// The fabric's tuning. The mediator adapts to its replicas from what it
+// measures (latencies, failures), not from settings.
+const (
+	// failureThreshold consecutive failures trip an endpoint's breaker
+	// closed→open.
+	failureThreshold = 3
+	// cooldown is how long an open breaker rejects selection before it
+	// admits a half-open probe.
+	cooldown = 250 * time.Millisecond
+	// exploreProb is the ε of ε-greedy selection: the fraction of picks
+	// routed to a uniformly random selectable replica instead of the
+	// power-of-two-choices winner, keeping every replica's EWMA fresh.
+	exploreProb = 0.05
+	// hedgePercentile is the quantile of recent logical-exchange latencies
+	// the primary must exceed before a backup launches.
+	hedgePercentile = 0.95
+	// hedgeMin floors the hedge deadline so noise-level percentiles do not
+	// cause hedge storms.
+	hedgeMin = time.Millisecond
+)
 
 // Endpoint is one physical replica of a logical source: the wrapped source
 // plus its connection capacity, in-flight count, health score and circuit
@@ -231,7 +206,6 @@ func NewLogical(name string, eps []*Endpoint, opts Options) (*Logical, error) {
 	if len(eps) == 0 {
 		return nil, fmt.Errorf("fabric: logical source %s: no endpoints", name)
 	}
-	opts = opts.withDefaults()
 	seen := make(map[string]bool, len(eps)+1)
 	seen[name] = true
 	schema := eps[0].src.Schema()
@@ -253,7 +227,7 @@ func NewLogical(name string, eps []*Endpoint, opts Options) (*Logical, error) {
 		caps.PassedBindings = caps.PassedBindings && c.PassedBindings
 		caps.BloomSemijoin = caps.BloomSemijoin && c.BloomSemijoin
 		ep.health = &health{}
-		ep.brk = newBreaker(opts.FailureThreshold, opts.Cooldown)
+		ep.brk = &breaker{}
 	}
 	l := &Logical{
 		name:   name,
@@ -261,8 +235,10 @@ func NewLogical(name string, eps []*Endpoint, opts Options) (*Logical, error) {
 		eps:    eps,
 		schema: schema,
 		caps:   caps,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
-		ring:   newLatencyRing(logicalRingSize),
+		// A fixed seed: one sequence of exchanges picks the same replicas
+		// every time.
+		rng:  rand.New(rand.NewSource(0)),
+		ring: newLatencyRing(logicalRingSize),
 	}
 	l.Layer = source.Over(nil, l.exchange)
 	return l, nil
@@ -399,7 +375,7 @@ func (l *Logical) pick(tried map[*Endpoint]bool) *Endpoint {
 	if len(pool) == 1 {
 		return pool[0]
 	}
-	if l.opts.ExploreProb > 0 && l.rng.Float64() < l.opts.ExploreProb {
+	if !l.opts.NoSpeculation && l.rng.Float64() < exploreProb {
 		return pool[l.rng.Intn(len(pool))]
 	}
 	i := l.rng.Intn(len(pool))
@@ -438,7 +414,7 @@ func (l *Logical) pickBackup(primary *Endpoint, tried map[*Endpoint]bool) *Endpo
 // or 0 when hedging should not arm (disabled, no spare replica, or not
 // enough latency history yet).
 func (l *Logical) hedgeDelay(tried map[*Endpoint]bool) time.Duration {
-	if l.opts.DisableHedging || len(l.eps) < 2 {
+	if l.opts.NoSpeculation || len(l.eps) < 2 {
 		return 0
 	}
 	if len(tried) >= len(l.eps)-1 {
@@ -447,11 +423,7 @@ func (l *Logical) hedgeDelay(tried map[*Endpoint]bool) time.Duration {
 	if l.ring.count() < hedgeMinSamples {
 		return 0
 	}
-	d := l.ring.percentile(l.opts.HedgePercentile)
-	if d < l.opts.HedgeMin {
-		d = l.opts.HedgeMin
-	}
-	return d
+	return max(l.ring.percentile(hedgePercentile), hedgeMin)
 }
 
 // exchange is the layer's handler: it runs call through the fabric — pick a
@@ -517,11 +489,10 @@ type outcome struct {
 }
 
 // attempt runs call on the primary replica, hedging onto a backup when the
-// primary outlives the latency-percentile deadline. The losing leg is
-// cancelled through ctx and awaited before return — or, with HedgeGrace
-// set, given a bounded window to finish first so its trace leg completes.
-// No goroutine outlives the attempt either way. Replicas that genuinely
-// failed are recorded in tried.
+// primary outlives the latency-percentile deadline. Once a leg wins, the
+// other is cancelled through ctx and awaited before return, so no goroutine
+// outlives the attempt. Replicas that genuinely failed are recorded in
+// tried.
 func attempt(ctx context.Context, l *Logical, primary *Endpoint, tried map[*Endpoint]bool, kind string, call source.Call) (source.Reply, error) {
 	results := make(chan outcome, 2)
 	var wg sync.WaitGroup
@@ -582,7 +553,6 @@ func attempt(ctx context.Context, l *Logical, primary *Endpoint, tried map[*Endp
 					obs.Meter(ctx).Counter(obs.MHedgeWins, "source", l.name).Inc()
 				}
 				oc.sp.SetAttr("outcome", "won")
-				harvestLosers(ctx, l, results, &pending, tried)
 				return oc.reply, nil
 			}
 			oc.sp.SetAttr("outcome", "failed")
@@ -607,36 +577,6 @@ func attempt(ctx context.Context, l *Logical, primary *Endpoint, tried map[*Endp
 		}
 	}
 	return source.Reply{}, firstErr
-}
-
-// harvestLosers drains outstanding legs after a winner returned. With
-// HedgeGrace set it waits up to that long for each straggler to finish on
-// its own — completing the loser's trace leg (and health observation)
-// instead of cancelling it mid-flight. With a zero grace, or once the grace
-// or the caller's context expires, the deferred cancelAll in attempt cuts
-// the stragglers down as before.
-func harvestLosers(ctx context.Context, l *Logical, results <-chan outcome, pending *int, tried map[*Endpoint]bool) {
-	if l.opts.HedgeGrace <= 0 || *pending == 0 {
-		return
-	}
-	grace := time.NewTimer(l.opts.HedgeGrace)
-	defer grace.Stop()
-	for *pending > 0 {
-		select {
-		case oc := <-results:
-			*pending = *pending - 1
-			if oc.err != nil {
-				oc.sp.SetAttr("outcome", "failed")
-				tried[oc.ep] = true
-			} else {
-				oc.sp.SetAttr("outcome", "lost")
-			}
-		case <-grace.C:
-			return
-		case <-ctx.Done():
-			return
-		}
-	}
 }
 
 // runOne runs call on one endpoint, in flight for the whole leg: mark the

@@ -125,7 +125,7 @@ func mustLogical(t *testing.T, name string, opts Options, stubs ...*stub) *Logic
 func TestFailoverAcrossReplicas(t *testing.T) {
 	bad, good := newStub("R1a"), newStub("R1b")
 	bad.setFail(source.ErrTransient)
-	l := mustLogical(t, "R1", Options{Seed: 1, ExploreProb: -1}, bad, good)
+	l := mustLogical(t, "R1", Options{NoSpeculation: true}, bad, good)
 
 	cs := &CallStats{}
 	ctx := WithCallStats(context.Background(), cs)
@@ -159,7 +159,7 @@ func TestExhaustedWhenAllReplicasFail(t *testing.T) {
 	a, b := newStub("R1a"), newStub("R1b")
 	a.setFail(source.ErrTransient)
 	b.setFail(source.ErrTransient)
-	l := mustLogical(t, "R1", Options{Seed: 1}, a, b)
+	l := mustLogical(t, "R1", Options{}, a, b)
 
 	_, err := l.Select(context.Background(), cond.True{})
 	if !errors.Is(err, ErrExhausted) {
@@ -183,7 +183,7 @@ func TestPermanentErrorDoesNotFailOver(t *testing.T) {
 	perm := errors.New("malformed condition")
 	a.setFail(perm)
 	b.setFail(perm)
-	l := mustLogical(t, "R1", Options{Seed: 1}, a, b)
+	l := mustLogical(t, "R1", Options{}, a, b)
 
 	_, err := l.Select(context.Background(), cond.True{})
 	if !errors.Is(err, perm) {
@@ -200,10 +200,10 @@ func TestPermanentErrorDoesNotFailOver(t *testing.T) {
 func TestBreakerTripsProbesAndRecovers(t *testing.T) {
 	a := newStub("R1a")
 	a.setFail(source.ErrTransient)
-	l := mustLogical(t, "R1", Options{Seed: 1, FailureThreshold: 2, Cooldown: 20 * time.Millisecond}, a)
+	l := mustLogical(t, "R1", Options{}, a)
 	ctx := context.Background()
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < failureThreshold; i++ {
 		if _, err := l.Select(ctx, cond.True{}); err == nil {
 			t.Fatal("expected failure")
 		}
@@ -220,9 +220,13 @@ func TestBreakerTripsProbesAndRecovers(t *testing.T) {
 		t.Fatalf("err = %v, want ErrExhausted", err)
 	}
 	// After the cooldown the next attempt is a half-open probe; a success
-	// closes the breaker.
+	// closes the breaker. The opening moves back by a cooldown instead of the
+	// test sleeping through one.
 	a.setFail(nil)
-	time.Sleep(25 * time.Millisecond)
+	brk := l.eps[0].brk
+	brk.mu.Lock()
+	brk.openedAt = brk.openedAt.Add(-cooldown)
+	brk.mu.Unlock()
 	if _, err := l.Select(ctx, cond.True{}); err != nil {
 		t.Fatalf("probe exchange failed: %v", err)
 	}
@@ -242,7 +246,7 @@ func TestHedgeBackupWinsAndLoserCancelled(t *testing.T) {
 	slow, fast := newStub("R1a"), newStub("R1b")
 	slow.delay = 200 * time.Millisecond
 	fast.delay = time.Millisecond
-	l := mustLogical(t, "R1", Options{Seed: 1, HedgeMin: 5 * time.Millisecond, HedgePercentile: 0.5}, slow, fast)
+	l := mustLogical(t, "R1", Options{}, slow, fast)
 	warmRing(l, 2*time.Millisecond, hedgeMinSamples)
 
 	cs := &CallStats{}
@@ -290,7 +294,7 @@ func TestHedgedLegsAreChargedToTheCallersLedger(t *testing.T) {
 		NewEndpoint(source.Instrument(newStub("R1a"), network), 1),
 		NewEndpoint(source.Instrument(newStub("R1b"), network), 1),
 	}
-	l, err := NewLogical("R1", eps, Options{Seed: 1, HedgeMin: 5 * time.Millisecond, HedgePercentile: 0.5})
+	l, err := NewLogical("R1", eps, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,9 +319,41 @@ func TestHedgedLegsAreChargedToTheCallersLedger(t *testing.T) {
 	}
 }
 
+// TestNoSpeculationTurnsOffHedgesAndExploration: over a fast and a slow
+// replica, the zero Options now and then explore onto the slow one and hedge
+// it with the fast one. NoSpeculation asks the slow replica once, for the
+// observation a fresh replica gets, and never hedges.
+func TestNoSpeculationTurnsOffHedgesAndExploration(t *testing.T) {
+	const exchanges = 300
+	for _, tc := range []struct {
+		name      string
+		opts      Options
+		speculate bool
+	}{
+		{"zero", Options{}, true},
+		{"no-speculation", Options{NoSpeculation: true}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slow, fast := newStub("R1a"), newStub("R1b")
+			slow.delay, fast.delay = 20*time.Millisecond, 50*time.Microsecond
+			l := mustLogical(t, "R1", tc.opts, slow, fast)
+			for i := 0; i < exchanges; i++ {
+				if _, err := l.Select(t.Context(), cond.True{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hedges, explored := l.Stats().Hedges, slow.callCount()-1
+			if tc.speculate != (hedges > 0) || tc.speculate != (explored > 0) {
+				t.Fatalf("%d exchanges: %d hedges, %d picks of the slow replica after its first, want both %s",
+					exchanges, hedges, explored, map[bool]string{true: "above 0", false: "0"}[tc.speculate])
+			}
+		})
+	}
+}
+
 func TestHedgeDisarmedWithoutHistoryOrReplicas(t *testing.T) {
 	a, b := newStub("R1a"), newStub("R1b")
-	l := mustLogical(t, "R1", Options{Seed: 1}, a, b)
+	l := mustLogical(t, "R1", Options{}, a, b)
 	if d := l.hedgeDelay(map[*Endpoint]bool{}); d != 0 {
 		t.Fatalf("hedge armed with no latency history: %v", d)
 	}
@@ -329,7 +365,7 @@ func TestHedgeDisarmedWithoutHistoryOrReplicas(t *testing.T) {
 	if d := l.hedgeDelay(map[*Endpoint]bool{l.eps[1]: true}); d != 0 {
 		t.Fatalf("hedge armed with no spare replica: %v", d)
 	}
-	single := mustLogical(t, "R2", Options{Seed: 1}, newStub("R2a"))
+	single := mustLogical(t, "R2", Options{}, newStub("R2a"))
 	warmRing(single, time.Millisecond, hedgeMinSamples)
 	if d := single.hedgeDelay(map[*Endpoint]bool{}); d != 0 {
 		t.Fatalf("hedge armed on single-replica source: %v", d)
@@ -341,7 +377,7 @@ func TestStreamFailureMarksEndpointUnhealthy(t *testing.T) {
 	// The sibling replica refuses the open, so the stream deterministically
 	// lands on the dying endpoint (exercising open-failover on the way).
 	b.setFail(source.ErrTransient)
-	l := mustLogical(t, "R1", Options{Seed: 1}, a, b)
+	l := mustLogical(t, "R1", Options{}, a, b)
 	// Wrap the endpoint's source with a streamer that dies mid-stream.
 	ep := l.eps[0]
 	ep.src = &dyingStreamer{stub: a}
@@ -369,16 +405,16 @@ func TestStreamFailureMarksEndpointUnhealthy(t *testing.T) {
 // TestStreamOpenDoesNotResetBreaker pins the breaker semantics for streams
 // whose opens carry no exchange: an endpoint that reliably opens a stream
 // and then dies on the first pull must accumulate consecutive breaker
-// failures and trip after FailureThreshold attempts — a successful open
+// failures and trip after failureThreshold attempts — a successful open
 // records nothing, or every retry would reset the count and the dead
 // endpoint could be re-picked forever.
 func TestStreamOpenDoesNotResetBreaker(t *testing.T) {
 	a := newStub("R1a")
-	l := mustLogical(t, "R1", Options{Seed: 1, DisableHedging: true, ExploreProb: -1}, a)
+	l := mustLogical(t, "R1", Options{NoSpeculation: true}, a)
 	ep := l.eps[0]
 	ep.src = &bornDeadStreamer{stub: a}
 	ctx := context.Background()
-	for i := 0; i < l.opts.FailureThreshold; i++ {
+	for i := 0; i < failureThreshold; i++ {
 		it, err := l.SelectStream(ctx, cond.True{}, 1)
 		if err != nil {
 			t.Fatalf("open %d: %v", i, err)
@@ -389,7 +425,7 @@ func TestStreamOpenDoesNotResetBreaker(t *testing.T) {
 		_ = it.Close()
 	}
 	if st := ep.BreakerState(); st != BreakerOpen {
-		t.Fatalf("breaker = %v after %d consecutive mid-stream deaths, want open", st, l.opts.FailureThreshold)
+		t.Fatalf("breaker = %v after %d consecutive mid-stream deaths, want open", st, failureThreshold)
 	}
 }
 

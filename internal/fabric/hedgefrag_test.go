@@ -43,8 +43,10 @@ func (r renamed) Name() string { return r.name }
 // TestHedgedExchangeGraftsFragmentsOnBothLegs is the federation-tracing
 // acceptance test: a logical source over two real wire servers runs a hedged
 // exchange where the backup wins, and the trace must carry a grafted
-// server-side fragment on BOTH legs — the winner's and, thanks to the hedge
-// grace window, the harvested loser's.
+// server-side fragment on BOTH legs. The fabric cancels the loser as soon as
+// the winner answers, but a wire exchange honours a deadline, not a
+// cancellation, once its request is sent: the loser's leg ends with the
+// server's reply and its fragment.
 func TestHedgedExchangeGraftsFragmentsOnBothLegs(t *testing.T) {
 	sc := workload.DMV()
 	dial := func(name string, delay time.Duration) source.Source {
@@ -64,12 +66,7 @@ func TestHedgedExchangeGraftsFragmentsOnBothLegs(t *testing.T) {
 	slow := dial("R1a", 120*time.Millisecond)
 	fast := dial("R1b", 5*time.Millisecond)
 	eps := []*Endpoint{NewEndpoint(slow, 2), NewEndpoint(fast, 2)}
-	l, err := NewLogical("R1", eps, Options{
-		Seed:            1,
-		HedgeMin:        5 * time.Millisecond,
-		HedgePercentile: 0.5,
-		HedgeGrace:      5 * time.Second,
-	})
+	l, err := NewLogical("R1", eps, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,22 +93,19 @@ func TestHedgedExchangeGraftsFragmentsOnBothLegs(t *testing.T) {
 	for _, sp := range spans {
 		children[sp.Parent] = append(children[sp.Parent], sp)
 	}
-	legs := map[string]obs.SpanData{} // outcome -> attempt span
+	legs := map[string]obs.SpanData{} // role -> attempt span
 	for _, sp := range spans {
 		if sp.Kind == obs.KindAttempt {
-			legs[sp.Attrs["outcome"]] = sp
+			legs[sp.Attrs["role"]] = sp
 		}
 	}
-	if len(legs) != 2 {
-		t.Fatalf("trace has %d distinct attempt outcomes, want won+lost: %+v", len(legs), spans)
+	if len(legs) != 2 || legs["hedge"].Attrs["outcome"] != "won" || legs["primary"].Attrs["outcome"] == "won" {
+		t.Fatalf("attempt spans = %+v, want the hedge that won and the primary", legs)
 	}
-	for _, outcome := range []string{"won", "lost"} {
-		leg, ok := legs[outcome]
-		if !ok {
-			t.Fatalf("no attempt span with outcome %q: %+v", outcome, legs)
-		}
-		if leg.Attrs["endpoint"] == "" || leg.Attrs["role"] == "" {
-			t.Fatalf("%s leg lacks endpoint/role attrs: %+v", outcome, leg)
+	for _, role := range []string{"hedge", "primary"} {
+		leg := legs[role]
+		if leg.Attrs["endpoint"] == "" {
+			t.Fatalf("%s leg lacks its endpoint attr: %+v", role, leg)
 		}
 		var wireSp *obs.SpanData
 		for _, kid := range children[leg.ID] {
@@ -122,7 +116,7 @@ func TestHedgedExchangeGraftsFragmentsOnBothLegs(t *testing.T) {
 			}
 		}
 		if wireSp == nil || !wireSp.Finished {
-			t.Fatalf("%s leg has no finished wire span: %+v", outcome, children[leg.ID])
+			t.Fatalf("%s leg has no finished wire span: %+v", role, children[leg.ID])
 		}
 		var frag *obs.SpanData
 		for _, kid := range children[wireSp.ID] {
@@ -133,7 +127,7 @@ func TestHedgedExchangeGraftsFragmentsOnBothLegs(t *testing.T) {
 			}
 		}
 		if frag == nil || !frag.Finished {
-			t.Fatalf("%s leg's wire span carries no grafted server fragment: %+v", outcome, children[wireSp.ID])
+			t.Fatalf("%s leg's wire span carries no grafted server fragment: %+v", role, children[wireSp.ID])
 		}
 		// Skew normalization holds per leg: the fragment nests inside its
 		// wire envelope.
@@ -141,12 +135,12 @@ func TestHedgedExchangeGraftsFragmentsOnBothLegs(t *testing.T) {
 		fEnd := frag.Start.Add(time.Duration(frag.DurationUS) * time.Microsecond)
 		if frag.Start.Before(wireSp.Start) || fEnd.After(wEnd) {
 			t.Fatalf("%s leg fragment [%v +%dus] escapes wire envelope [%v +%dus]",
-				outcome, frag.Start, frag.DurationUS, wireSp.Start, wireSp.DurationUS)
+				role, frag.Start, frag.DurationUS, wireSp.Start, wireSp.DurationUS)
 		}
 	}
 	// The loser spent its server delay working; its fragment must say so —
-	// this is what distinguishes a harvested fragment from a placeholder.
-	lostKids := children[legs["lost"].ID]
+	// this is what distinguishes the loser's own fragment from a placeholder.
+	lostKids := children[legs["primary"].ID]
 	var lostWire obs.SpanData
 	for _, kid := range lostKids {
 		if kid.Kind == obs.KindWire {
@@ -168,7 +162,7 @@ func TestHedgedExchangeGraftsFragmentsOnBothLegs(t *testing.T) {
 func TestEndpointMetricCardinalityBoundedByRoster(t *testing.T) {
 	bad, good := newStub("R1a"), newStub("R1b")
 	bad.setFail(source.ErrTransient)
-	l := mustLogical(t, "R1", Options{Seed: 1, ExploreProb: -1}, bad, good)
+	l := mustLogical(t, "R1", Options{NoSpeculation: true}, bad, good)
 
 	reg := obs.NewRegistry()
 	ctx := obs.With(context.Background(), &obs.Obs{Metrics: reg})

@@ -34,7 +34,7 @@ func adminGet(t *testing.T, addr, path string, wantStatus int) ([]byte, string) 
 // full trace by qid (including its 404 and 400 paths), and the endpoint
 // scorecards — all JSON with the right Content-Type.
 func TestAdminDebugEndpoints(t *testing.T) {
-	rec := NewRecorder(RecorderConfig{SampleEvery: 1})
+	rec := NewRecorder(RecorderConfig{})
 
 	done := rec.Begin("q-done", "SELECT L")
 	done.Exchange("R1", "sq", 64)

@@ -14,17 +14,18 @@ import (
 //
 // Retention is tail-based: every interesting record — error, slow, hedged,
 // failed-over, or repaired — is kept, while boring (fast, clean) queries are
-// sampled one in SampleEvery. Under the Capacity/MaxBytes bound the recorder
-// evicts oldest-boring-first, so the interesting tail survives workloads
-// that would otherwise wash it out of a plain ring buffer. This is the
-// in-process analogue of tail-based trace sampling: the keep/drop decision
-// happens after the outcome is known, never before.
+// sampled one in sampleEvery. Past recorderCapacity records or
+// recorderMaxBytes the recorder evicts oldest-boring-first, so the
+// interesting tail survives workloads that would otherwise wash it out of a
+// plain ring buffer. This is the in-process analogue of tail-based trace
+// sampling: the keep/drop decision happens after the outcome is known, never
+// before.
 //
 // All methods are safe for concurrent use, and a nil *Recorder (like a nil
 // *LiveQuery) is a no-op, so callers never branch on whether recording is
 // enabled.
 type Recorder struct {
-	cfg RecorderConfig
+	metrics *Registry
 
 	mu        sync.Mutex
 	live      map[string]*LiveQuery
@@ -33,40 +34,29 @@ type Recorder struct {
 	boringSeq uint64
 }
 
-// RecorderConfig bounds a Recorder. The zero value gets usable defaults.
+// The recorder's bounds.
+const (
+	// recorderCapacity is the most records the recorder retains.
+	recorderCapacity = 512
+	// recorderMaxBytes bounds the approximate footprint of the retained
+	// records (approxSize).
+	recorderMaxBytes = 4 << 20
+	// slowQuery marks a query that takes at least this long as slow: always
+	// retained and counted in MSlowQueries.
+	slowQuery = 250 * time.Millisecond
+	// sampleEvery keeps one in this many boring (fast, clean) queries.
+	sampleEvery = 16
+)
+
+// RecorderConfig says where a Recorder reports itself.
 type RecorderConfig struct {
-	// Capacity is the maximum number of retained records (default 512).
-	Capacity int
-	// MaxBytes bounds the approximate memory footprint of retained records
-	// (default 4 MiB). Eviction is oldest-boring-first.
-	MaxBytes int
-	// SlowThreshold marks queries at or above this duration as slow: always
-	// retained, counted in MSlowQueries, and logged via Logf (default 250ms).
-	SlowThreshold time.Duration
-	// SampleEvery keeps one in N boring (fast, clean) queries; values < 2
-	// keep them all (default 16).
-	SampleEvery int
-	// Logf, when non-nil, receives one structured line per slow query.
-	Logf func(format string, args ...any)
 	// Metrics receives the recorder's own counters and gauges (may be nil).
 	Metrics *Registry
 }
 
-// NewRecorder returns a recorder with cfg's bounds, defaults applied.
+// NewRecorder returns an empty recorder.
 func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 512
-	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 4 << 20
-	}
-	if cfg.SlowThreshold <= 0 {
-		cfg.SlowThreshold = 250 * time.Millisecond
-	}
-	if cfg.SampleEvery == 0 {
-		cfg.SampleEvery = 16
-	}
-	return &Recorder{cfg: cfg, live: map[string]*LiveQuery{}}
+	return &Recorder{metrics: cfg.Metrics, live: map[string]*LiveQuery{}}
 }
 
 // LiveQuery is one in-flight query's entry in the recorder's live registry.
@@ -170,10 +160,11 @@ func (r *Recorder) Begin(qid, text string) *LiveQuery {
 	}
 	lq := &LiveQuery{rec: r, qid: qid, start: time.Now(), text: text}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.live[qid] = lq
-	n := len(r.live)
-	r.mu.Unlock()
-	r.cfg.Metrics.Gauge(MLiveQueries).Set(int64(n))
+	// The gauge is set under the lock, so the last value written is the
+	// registry's size whatever order concurrent queries begin and end in.
+	r.metrics.Gauge(MLiveQueries).Set(int64(len(r.live)))
 	return lq
 }
 
@@ -266,7 +257,8 @@ func (rec *QueryRecord) interesting() bool {
 }
 
 // approxSize estimates a record's retained footprint, the currency of the
-// MaxBytes bound. It only needs to be proportional and stable, not exact.
+// recorderMaxBytes bound. It only needs to be proportional and stable, not
+// exact.
 func (rec *QueryRecord) approxSize() int {
 	n := 256 + len(rec.QueryID) + len(rec.Text) + len(rec.Error)
 	for _, sp := range rec.Spans {
@@ -312,27 +304,22 @@ func (r *Recorder) End(lq *LiveQuery, info EndInfo) {
 	if info.Trace != nil {
 		rec.Spans = info.Trace.Export()
 	}
-	rec.Slow = time.Duration(rec.DurationUS)*time.Microsecond >= r.cfg.SlowThreshold
+	rec.Slow = time.Duration(rec.DurationUS)*time.Microsecond >= slowQuery
 	rec.approxBytes = rec.approxSize()
 
-	m := r.cfg.Metrics
+	m := r.metrics
 	if rec.Slow {
 		m.Counter(MSlowQueries).Inc()
-		if r.cfg.Logf != nil {
-			r.cfg.Logf("obs: slow-query qid=%s dur=%s status=%s items=%d bytes=%d hedges=%d failovers=%d repaired=%t spans=%d text=%q",
-				rec.QueryID, (time.Duration(rec.DurationUS) * time.Microsecond).Round(time.Microsecond),
-				rec.Status, rec.Items, rec.Bytes, rec.Hedges, rec.Failovers, rec.Repaired, len(rec.Spans), rec.Text)
-		}
 	}
 
 	r.mu.Lock()
 	delete(r.live, lq.qid)
-	liveN := len(r.live)
+	// Both gauges are set under the lock, as Begin sets the live one.
+	m.Gauge(MLiveQueries).Set(int64(len(r.live)))
 	if !rec.interesting() {
 		r.boringSeq++
-		if r.cfg.SampleEvery > 1 && r.boringSeq%uint64(r.cfg.SampleEvery) != 0 {
+		if r.boringSeq%sampleEvery != 0 {
 			r.mu.Unlock()
-			m.Gauge(MLiveQueries).Set(int64(liveN))
 			m.Counter(MTraceDropped, "reason", "sampled").Inc()
 			return
 		}
@@ -341,7 +328,7 @@ func (r *Recorder) End(lq *LiveQuery, info EndInfo) {
 	r.ring = append(r.ring, rec)
 	r.bytes += rec.approxBytes
 	evicted := 0
-	for (len(r.ring) > r.cfg.Capacity || r.bytes > r.cfg.MaxBytes) && len(r.ring) > 0 {
+	for (len(r.ring) > recorderCapacity || r.bytes > recorderMaxBytes) && len(r.ring) > 0 {
 		idx := 0
 		for i, q := range r.ring {
 			if !q.interesting() {
@@ -353,10 +340,9 @@ func (r *Recorder) End(lq *LiveQuery, info EndInfo) {
 		r.ring = append(r.ring[:idx], r.ring[idx+1:]...)
 		evicted++
 	}
-	bytesNow := r.bytes
+	m.Gauge(MTraceBytes).Set(int64(r.bytes))
 	r.mu.Unlock()
 
-	m.Gauge(MLiveQueries).Set(int64(liveN))
 	class := "interesting"
 	if rec.Sampled {
 		class = "sampled"
@@ -365,7 +351,6 @@ func (r *Recorder) End(lq *LiveQuery, info EndInfo) {
 	if evicted > 0 {
 		m.Counter(MTraceDropped, "reason", "evicted").Add(int64(evicted))
 	}
-	m.Gauge(MTraceBytes).Set(int64(bytesNow))
 }
 
 // Index returns summaries of every retained record, oldest first.

@@ -5,39 +5,35 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 )
 
 // TestRecorderRetainsEveryInterestingQuery drives a seeded mixed workload —
 // mostly boring queries with a sprinkle of errors, hedges, failovers and
-// repairs — through a small recorder and checks the tail-based retention
-// contract: every interesting query survives, boring ones are sampled, and
-// both the record count and the byte footprint stay within bounds.
+// repairs — through a recorder, enough of them that its sample of the boring
+// ones overflows it, and checks the tail-based retention contract: every
+// interesting query survives, boring ones are sampled, and both the record
+// count and the byte footprint stay within bounds.
 func TestRecorderRetainsEveryInterestingQuery(t *testing.T) {
 	reg := NewRegistry()
-	rec := NewRecorder(RecorderConfig{
-		Capacity:    256,
-		MaxBytes:    1 << 20,
-		SampleEvery: 8,
-		Metrics:     reg,
-	})
+	rec := NewRecorder(RecorderConfig{Metrics: reg})
 	rng := rand.New(rand.NewSource(7))
 	interesting := map[string]bool{}
-	const n = 2000
+	const n = 12000
 	for i := 0; i < n; i++ {
-		qid := fmt.Sprintf("q-%04d", i)
+		qid := fmt.Sprintf("q-%05d", i)
 		lq := rec.Begin(qid, "SELECT ...")
 		lq.Exchange("R1", "sq", 64)
 		info := EndInfo{Items: 3}
 		switch draw := rng.Float64(); {
-		case draw < 0.02:
+		case draw < 0.01:
 			info.Err = errors.New("replica exhausted")
-		case draw < 0.04:
+		case draw < 0.02:
 			info.Hedges = 1
-		case draw < 0.05:
+		case draw < 0.025:
 			info.Failovers = 1
-		case draw < 0.06:
+		case draw < 0.03:
 			info.Repaired = true
 		}
 		if info.Err != nil || info.Hedges > 0 || info.Failovers > 0 || info.Repaired {
@@ -45,7 +41,7 @@ func TestRecorderRetainsEveryInterestingQuery(t *testing.T) {
 		}
 		rec.End(lq, info)
 	}
-	if len(interesting) == 0 || len(interesting) > 256 {
+	if len(interesting) == 0 || len(interesting) > recorderCapacity {
 		t.Fatalf("workload drew %d interesting queries; the seed should give a tail that fits capacity", len(interesting))
 	}
 
@@ -56,11 +52,11 @@ func TestRecorderRetainsEveryInterestingQuery(t *testing.T) {
 		}
 	}
 	idx := rec.Index()
-	if len(idx) > 256 {
-		t.Fatalf("retained %d records, capacity 256", len(idx))
+	if len(idx) != recorderCapacity {
+		t.Fatalf("retained %d records, want the capacity %d: the boring sample should overflow it", len(idx), recorderCapacity)
 	}
-	if rec.RetainedBytes() > 1<<20 {
-		t.Fatalf("retained %d bytes, bound 1MiB", rec.RetainedBytes())
+	if rec.RetainedBytes() > recorderMaxBytes {
+		t.Fatalf("retained %d bytes, bound %d", rec.RetainedBytes(), recorderMaxBytes)
 	}
 	boring := 0
 	for _, s := range idx {
@@ -72,10 +68,10 @@ func TestRecorderRetainsEveryInterestingQuery(t *testing.T) {
 			t.Fatalf("record %s retained unsampled but never marked interesting: %+v", s.QueryID, s)
 		}
 	}
-	// Boring retention is a 1-in-8 sample of ~1880 clean queries, further
+	// Boring retention is a 1-in-16 sample of ~11 640 clean queries, further
 	// trimmed by eviction; it must be present but nowhere near the flood.
-	if boring == 0 || boring > n/8 {
-		t.Fatalf("boring sample count %d outside (0, %d]", boring, n/8)
+	if boring == 0 || boring > n/sampleEvery {
+		t.Fatalf("boring sample count %d outside (0, %d]", boring, n/sampleEvery)
 	}
 
 	// The recorder's own accounting agrees with what was kept: every query
@@ -92,6 +88,9 @@ func TestRecorderRetainsEveryInterestingQuery(t *testing.T) {
 	}
 	if live := len(rec.Live()); live != 0 {
 		t.Fatalf("%d queries still live after the workload", live)
+	}
+	if got := reg.Gauge(MTraceBytes).Value(); got != int64(rec.RetainedBytes()) {
+		t.Fatalf("%s = %d, retained %d bytes", MTraceBytes, got, rec.RetainedBytes())
 	}
 }
 
@@ -126,47 +125,54 @@ func counterPoint(reg *Registry, name, label, value string) int {
 // TestRecorderEvictsBoringBeforeInteresting overfills the ring and checks the
 // eviction order: the boring records go first, oldest first.
 func TestRecorderEvictsBoringBeforeInteresting(t *testing.T) {
-	rec := NewRecorder(RecorderConfig{Capacity: 4, SampleEvery: 1})
-	end := func(qid string, err error) {
-		var info EndInfo
-		info.Err = err
-		rec.End(rec.Begin(qid, ""), info)
+	rec := NewRecorder(RecorderConfig{})
+	n := 0
+	end := func(err error) string {
+		n++
+		qid := fmt.Sprintf("q-%d", n)
+		rec.End(rec.Begin(qid, ""), EndInfo{Err: err})
+		return qid
 	}
-	end("boring-1", nil)
-	end("err-1", errors.New("x"))
-	end("boring-2", nil)
-	end("err-2", errors.New("x"))
-	end("err-3", errors.New("x"))
-	end("err-4", errors.New("x"))
+	// sampled ends boring queries until the recorder keeps one.
+	sampled := func() string {
+		for i := 1; i < sampleEvery; i++ {
+			end(nil)
+		}
+		return end(nil)
+	}
+	boring1 := sampled()
+	if _, ok := rec.Get(boring1); !ok {
+		t.Fatalf("boring query %d of %d was not sampled in", sampleEvery, sampleEvery)
+	}
+	var errs []string
+	for len(errs) < recorderCapacity-1 {
+		errs = append(errs, end(errors.New("x")))
+	}
+	// The ring is full; each record from here on evicts one.
+	boring2 := sampled()
+	errs = append(errs, end(errors.New("x")))
 
-	if _, ok := rec.Get("boring-1"); ok {
+	if _, ok := rec.Get(boring1); ok {
 		t.Fatal("oldest boring record survived past capacity")
 	}
-	if _, ok := rec.Get("boring-2"); ok {
+	if _, ok := rec.Get(boring2); ok {
 		t.Fatal("boring record outlived interesting ones")
 	}
-	for _, qid := range []string{"err-1", "err-2", "err-3", "err-4"} {
+	for _, qid := range errs {
 		if _, ok := rec.Get(qid); !ok {
 			t.Fatalf("interesting record %s evicted while boring ones existed", qid)
 		}
 	}
 }
 
-// TestRecorderSlowQueryLog checks the slow path: a query at or above the
-// threshold is marked slow, always retained, counted, and logged.
-func TestRecorderSlowQueryLog(t *testing.T) {
-	var logged []string
+// TestRecorderKeepsSlowQueries checks the slow path: a query at or above the
+// slow mark is marked slow, always retained (the first boring query of a
+// recorder is never in its sample), and counted.
+func TestRecorderKeepsSlowQueries(t *testing.T) {
 	reg := NewRegistry()
-	rec := NewRecorder(RecorderConfig{
-		SlowThreshold: time.Nanosecond, // every real query qualifies
-		SampleEvery:   1 << 30,         // sampling would drop it if slowness didn't protect it
-		Logf: func(format string, args ...any) {
-			logged = append(logged, fmt.Sprintf(format, args...))
-		},
-		Metrics: reg,
-	})
+	rec := NewRecorder(RecorderConfig{Metrics: reg})
 	lq := rec.Begin("q-slow", "SELECT L FROM dmv")
-	time.Sleep(time.Millisecond)
+	lq.start = lq.start.Add(-slowQuery) // instead of waiting it out
 	rec.End(lq, EndInfo{Items: 1})
 
 	recd, ok := rec.Get("q-slow")
@@ -176,8 +182,36 @@ func TestRecorderSlowQueryLog(t *testing.T) {
 	if got := reg.Counter(MSlowQueries).Value(); got != 1 {
 		t.Fatalf("fq_slow_queries_total = %d, want 1", got)
 	}
-	if len(logged) != 1 || !strings.Contains(logged[0], "qid=q-slow") {
-		t.Fatalf("slow-query log = %q, want one line naming the qid", logged)
+}
+
+// TestRecorderLiveGaugeUnderConcurrency: queries that begin and end on many
+// goroutines at once leave fq_live_queries at what the live registry holds
+// once they are done, 0, and fq_trace_bytes at what is retained. Each round
+// is one burst of concurrent queries, checked when it ends.
+func TestRecorderLiveGaugeUnderConcurrency(t *testing.T) {
+	reg := NewRegistry()
+	rec := NewRecorder(RecorderConfig{Metrics: reg})
+	const rounds, workers = 300, 8
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var info EndInfo
+				if w%3 == 0 {
+					info.Hedges = 1 // retained, so fq_trace_bytes moves too
+				}
+				rec.End(rec.Begin(fmt.Sprintf("q-%d-%d", round, w), ""), info)
+			}()
+		}
+		wg.Wait()
+		if got, live := reg.Gauge(MLiveQueries).Value(), len(rec.Live()); got != int64(live) || live != 0 {
+			t.Fatalf("round %d: %s = %d with %d queries live, want both 0", round, MLiveQueries, got, live)
+		}
+		if got := reg.Gauge(MTraceBytes).Value(); got != int64(rec.RetainedBytes()) {
+			t.Fatalf("round %d: %s = %d, retained %d bytes", round, MTraceBytes, got, rec.RetainedBytes())
+		}
 	}
 }
 

@@ -357,7 +357,6 @@ func (d *Driver) check(ctx context.Context, ev *env, srcs []source.Source, cls s
 		BatchSize: opts.batch,
 		Cache:     opts.cache,
 		Retries:   opts.retries,
-		Trace:     true,
 	}
 	res, fs, err := run(rctx, ex)
 	d.Recorder.End(o.Live, obs.EndInfo{Err: err, Trace: o.Trace,
@@ -398,16 +397,7 @@ func (d *Driver) check(ctx context.Context, ev *env, srcs []source.Source, cls s
 		fs = append(fs, Failure{Property: "par-response", Class: cls, Mode: opts.mode,
 			Detail: fmt.Sprintf("overlapped response time %v exceeds total work %v", res.ResponseTime, res.TotalWork)})
 	}
-	// Under every scheduler the run's work is the work of its steps: each
-	// exchange is charged to the step that issued it, and to no other.
-	var stepWork time.Duration
-	for _, tr := range res.Trace {
-		stepWork += tr.Elapsed
-	}
-	if stepWork != res.TotalWork {
-		fs = append(fs, Failure{Property: "step-identity", Class: cls, Mode: opts.mode,
-			Detail: fmt.Sprintf("steps' elapsed times sum to %v, total work is %v", stepWork, res.TotalWork)})
-	}
+	fs = append(fs, stepIdentity(res, cls, opts.mode)...)
 	if err == nil {
 		// A successful run knows when its answer first existed, and its peak
 		// memory accounting can never be below the answer it holds.
@@ -423,6 +413,22 @@ func (d *Driver) check(ctx context.Context, ev *env, srcs []source.Source, cls s
 
 	fs = append(fs, checkObsBalance(cls, opts.mode, res, o)...)
 	return fs
+}
+
+// stepIdentity checks that a run's work is the work of its steps: each
+// exchange is charged to the step that issued it, and to no other. Every run
+// keeps its step trace, so this holds under every scheduler and through every
+// entry point, the mediator's included.
+func stepIdentity(res *exec.Result, cls, mode string) []Failure {
+	var work time.Duration
+	for _, tr := range res.Trace {
+		work += tr.Elapsed
+	}
+	if work == res.TotalWork {
+		return nil
+	}
+	return []Failure{{Property: "step-identity", Class: cls, Mode: mode,
+		Detail: fmt.Sprintf("steps' elapsed times sum to %v, total work is %v", work, res.TotalWork)}}
 }
 
 // answerDiff summarizes how an executed answer diverges from the reference.
@@ -639,7 +645,7 @@ func (d *Driver) checkChurn(ctx context.Context, ev *env, results map[string]opt
 		ev.network.SetLink(rep.Name(), link)
 		eps = append(eps, fabric.NewEndpoint(source.Instrument(rep, ev.network), ev.inst.MaxConns[0]))
 	}
-	logical, err := fabric.NewLogical(name, eps, fabric.Options{DisableHedging: true, ExploreProb: -1})
+	logical, err := fabric.NewLogical(name, eps, fabric.Options{NoSpeculation: true})
 	if err != nil {
 		return []Failure{{Property: "exec-error", Class: "filter", Mode: "churn", Detail: err.Error()}}
 	}

@@ -77,6 +77,7 @@ func (d *Driver) checkPlanCache(ctx context.Context, ev *env) []Failure {
 		fs = append(fs, Failure{Property: "answer-mismatch", Class: "plan-cache", Mode: "warm",
 			Detail: answerDiff(warm.Items, ev.ref)})
 	}
+	fs = append(fs, stepIdentity(warm.Exec, "plan-cache", "warm")...)
 	fresh, err := m.QueryCondsContext(ctx, conds, opts)
 	if err != nil {
 		return append(fs, infra("fresh-exec", err)...)
@@ -85,6 +86,7 @@ func (d *Driver) checkPlanCache(ctx context.Context, ev *env) []Failure {
 		fs = append(fs, Failure{Property: "answer-mismatch", Class: "plan-cache", Mode: "fresh",
 			Detail: answerDiff(fresh.Items, ev.ref)})
 	}
+	fs = append(fs, stepIdentity(fresh.Exec, "plan-cache", "fresh")...)
 
 	// Scripted churn: the first source leaves the roster, moving the epoch.
 	dead := ev.sc.SourceNames()[0]
@@ -130,7 +132,7 @@ func (d *Driver) checkPlanCache(ctx context.Context, ev *env) []Failure {
 		fs = append(fs, Failure{Property: "answer-mismatch", Class: "plan-cache", Mode: "post-churn",
 			Detail: answerDiff(after.Items, survRef)})
 	}
-	return fs
+	return append(fs, stepIdentity(after.Exec, "plan-cache", "post-churn")...)
 }
 
 // checkStaleCatalog is the stale-statistics case of the sweep: a mediator

@@ -4,27 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"time"
 
 	"fusionq/internal/obs"
 	"fusionq/internal/wire"
 )
 
-// ServerConfig tunes a service Server.
-type ServerConfig struct {
-	// IdleTimeout is the per-connection read deadline between requests.
-	// Zero means wire.DefaultIdleTimeout; negative disables the timeout.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds writing one response. Zero means no limit.
-	WriteTimeout time.Duration
-	// Logf receives connection-level errors and per-query correlation
-	// lines. Nil means log.Printf.
-	Logf func(format string, args ...interface{})
-	// Metrics receives the server's wire metrics (fq_wire_requests_total
-	// and friends, op=query). Nil means the process-wide default registry.
-	Metrics *obs.Registry
-}
+// ServerConfig tunes a service Server: it is the configuration of the
+// server's listener. Logf also receives the per-query correlation lines.
+// Metrics receives the server's wire metrics (fq_wire_requests_total and
+// friends, op=query), nil meaning the engine's registry; it is not installed
+// in the dispatch context.
+type ServerConfig = wire.Config
 
 // Server exposes an Engine over TCP using the wire protocol's query
 // extension: clients send OpQuery requests with tenant, conditions and the
@@ -34,29 +25,23 @@ type ServerConfig struct {
 // fusion queries instead of single source operations.
 type Server struct {
 	*wire.Listener
-	eng *Engine
-	cfg ServerConfig
+	eng     *Engine
+	metrics *obs.Registry
 }
 
 // Serve starts a service server for eng on addr (e.g. "127.0.0.1:0") and
 // begins accepting connections in the background.
 func Serve(eng *Engine, addr string, cfg ServerConfig) (*Server, error) {
-	if cfg.Logf == nil {
-		cfg.Logf = log.Printf
+	s := &Server{eng: eng, metrics: cfg.Metrics}
+	if s.metrics == nil {
+		s.metrics = eng.metrics
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = eng.metrics
-	}
-	obs.DescribeAll(cfg.Metrics)
-	s := &Server{eng: eng, cfg: cfg}
+	obs.DescribeAll(s.metrics)
 	// The registry stays out of the listener's context: the engine and its
 	// mediator charge the registries they were built with.
+	cfg.Metrics = nil
 	var err error
-	s.Listener, err = wire.Listen(addr, wire.Config{
-		IdleTimeout:  cfg.IdleTimeout,
-		WriteTimeout: cfg.WriteTimeout,
-		Logf:         cfg.Logf,
-	}, s.serve)
+	s.Listener, err = wire.Listen(addr, cfg, s.serve)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +69,7 @@ func (s *Server) serve(ctx context.Context, req wire.Request) wire.Response {
 	elapsed := time.Since(start)
 	resp.QueryID = req.QueryID
 
-	met := s.cfg.Metrics
+	met := s.metrics
 	met.Counter(obs.MWireRequests, "op", req.Op).Inc()
 	if resp.Error != "" {
 		met.Counter(obs.MWireErrors, "op", req.Op).Inc()
@@ -99,7 +84,7 @@ func (s *Server) serve(ctx context.Context, req wire.Request) wire.Response {
 		case resp.Error != "":
 			status = fmt.Sprintf("error=%q", resp.Error)
 		}
-		s.cfg.Logf("service: tenant=%s conds=%d stream=%v items=%d elapsed=%s planCached=%v answerCached=%v %s",
+		s.Logf("service: tenant=%s conds=%d stream=%v items=%d elapsed=%s planCached=%v answerCached=%v %s",
 			req.Tenant, len(req.Conds), req.Stream, len(resp.Items),
 			elapsed.Round(time.Microsecond), resp.PlanCached, resp.AnswerCached, status)
 	}

@@ -33,9 +33,10 @@ func (b *blockingSource) Select(ctx context.Context, c cond.Cond) (set.Set, erro
 // TestSelectStreamServerDeath kills the server while a chunked selection is
 // in flight. The iterator must surface the causal transient error (not hang,
 // not report a clean end of stream), Close must return without blocking, and
-// a fabric endpoint wrapping the client must be marked unhealthy: its
-// breaker opens and a follow-up stream open classifies as replica
-// exhaustion.
+// a fabric endpoint wrapping the client must be marked unhealthy: the death
+// counts against its health and breaker, follow-up stream opens classify as
+// replica exhaustion, and by the fabric's failure threshold its breaker is
+// open.
 func TestSelectStreamServerDeath(t *testing.T) {
 	sc, err := workload.Synth(workload.SynthConfig{
 		Seed: 11, NumSources: 1, TuplesPerSource: 900, Universe: 700,
@@ -57,9 +58,7 @@ func TestSelectStreamServerDeath(t *testing.T) {
 	t.Cleanup(func() { cli.Close() })
 
 	ep := fabric.NewEndpoint(cli, 1)
-	logical, err := fabric.NewLogical("L", []*fabric.Endpoint{ep}, fabric.Options{
-		Seed: 1, DisableHedging: true, ExploreProb: -1, FailureThreshold: 1,
-	})
+	logical, err := fabric.NewLogical("L", []*fabric.Endpoint{ep}, fabric.Options{NoSpeculation: true})
 	if err != nil {
 		srv.Close()
 		t.Fatalf("NewLogical: %v", err)
@@ -101,18 +100,25 @@ func TestSelectStreamServerDeath(t *testing.T) {
 		t.Fatalf("Close after server death: %v", err)
 	}
 
-	// One mid-stream death at FailureThreshold 1 must open the endpoint's
-	// breaker: the fabric has marked the endpoint unhealthy.
-	if st := ep.BreakerState(); st != fabric.BreakerOpen {
-		t.Fatalf("endpoint breaker = %v after mid-stream death, want open", st)
+	// The mid-stream death is the endpoint's first consecutive failure: the
+	// fabric has marked it unhealthy.
+	if fails := logical.Scorecards()[0].ConsecFails; fails != 1 {
+		t.Fatalf("endpoint has %d consecutive failures after the mid-stream death, want 1", fails)
+	}
+
+	// New stream attempts try the dead endpoint (the breaker gates preference,
+	// not correctness) and must classify honestly as exhaustion. Each is one
+	// more consecutive failure, so within the fabric's threshold (3) the
+	// breaker opens.
+	for i := 0; ep.BreakerState() != fabric.BreakerOpen; i++ {
+		if i == 3 {
+			t.Fatalf("endpoint breaker = %v after the mid-stream death and %d failed opens, want open", ep.BreakerState(), i)
+		}
+		if _, err := logical.SelectStream(ctx, cond.MustParse("A1 < 600"), 16); !errors.Is(err, fabric.ErrExhausted) {
+			t.Fatalf("stream open against the dead roster = %v, want ErrExhausted", err)
+		}
 	}
 	if logical.Alive() {
 		t.Fatal("logical source still reports alive with its only endpoint's breaker open")
-	}
-
-	// A new stream attempt tries the dead endpoint anyway (the breaker gates
-	// preference, not correctness) and must classify honestly as exhaustion.
-	if _, err := logical.SelectStream(ctx, cond.MustParse("A1 < 600"), 16); !errors.Is(err, fabric.ErrExhausted) {
-		t.Fatalf("stream open against the dead roster = %v, want ErrExhausted", err)
 	}
 }

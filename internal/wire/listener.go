@@ -101,6 +101,9 @@ func Listen(addr string, cfg Config, h Handler) (*Listener, error) {
 // Addr returns the listen address.
 func (l *Listener) Addr() string { return l.ln.Addr().String() }
 
+// Logf writes one line to the listener's log (Config.Logf).
+func (l *Listener) Logf(format string, args ...interface{}) { l.cfg.Logf(format, args...) }
+
 // Close force-stops the listener: it stops accepting, cancels in-flight
 // handlers, closes live connections and waits for their goroutines.
 func (l *Listener) Close() error {
