@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check loc lint fuzz bench bench-layers oracle
+.PHONY: build test race fmt-check loc lint fuzz bench bench-gate bench-layers oracle
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,16 @@ oracle:
 # loopback, every reply verified, yardstick-normalised (benchmark/README.md).
 bench:
 	$(GO) run ./benchmark
+
+# The exact-count gate: cold-distinct, plan-reuse and answer-hot at the seed
+# and length BENCH_exact.json stamps (seed 1, --seconds 2), through
+# benchmark/run.sh. Traffic counts must match exactly, sim_cost_ms_per_query
+# to 6 significant figures, allocs_per_query within 2 % on a runtime like the
+# stamp's (advisory on any other, such as a CI runner with more processors).
+# A change that moves a count on purpose reruns `go run ./cmd/benchgate
+# -write` and commits the file. CI runs this target.
+bench-gate:
+	$(GO) run ./cmd/benchgate
 
 # Layer micro-benchmarks behind the end-to-end benchmark's numbers: the
 # wrapper's selection (every node kind, one relation and six in turn) and

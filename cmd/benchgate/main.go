@@ -1,0 +1,152 @@
+// Command benchgate is the exact-count gate over the benchmark: it runs the
+// workloads BENCH_exact.json at the repository root names, at the seed and
+// length each one's stamp records, and fails when a count that repeats run
+// to run has moved past its bound. A change that moves one on purpose
+// rewrites the file in the same commit.
+//
+// Bounds: source_exchanges_per_query and source_kb_per_query match exactly,
+// sim_cost_ms_per_query to 6 significant figures (its last float digits
+// vary), and allocs_per_query within 2 % — gated only on a runtime like the
+// stamp's (Go version and GOMAXPROCS), reported and not gated on any other,
+// which allocates differently.
+//
+// Usage, from the repository root:
+//
+//	go run ./cmd/benchgate          # check (make bench-gate)
+//	go run ./cmd/benchgate -write   # rerun every workload and rewrite the file
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"os/exec"
+	"sort"
+	"strconv"
+	"strings"
+)
+
+const file = "BENCH_exact.json"
+
+var gated = []string{"source_exchanges_per_query", "source_kb_per_query", "sim_cost_ms_per_query", "allocs_per_query"}
+
+// point is one workload's entry: the stamp line of the run that measured it
+// and the gated metrics.
+type point struct {
+	Stamp   json.RawMessage    `json:"stamp"`
+	Metrics map[string]float64 `json:"metrics"`
+}
+
+type stamp struct {
+	GoVersion  string `json:"goVersion"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Seed       int64  `json:"seed"`
+	Seconds    int    `json:"seconds"`
+}
+
+func main() {
+	write := flag.Bool("write", false, "rerun every workload of the file and rewrite it")
+	flag.Parse()
+	if err := run(*write); err != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(write bool) error {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		return err
+	}
+	var want map[string]point
+	if err := json.Unmarshal(data, &want); err != nil {
+		return fmt.Errorf("%s: %w", file, err)
+	}
+	names := make([]string, 0, len(want))
+	for name := range want {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	got, failed := map[string]point{}, 0
+	for _, name := range names {
+		var old stamp
+		if err := json.Unmarshal(want[name].Stamp, &old); err != nil {
+			return fmt.Errorf("%s: %s stamp: %w", file, name, err)
+		}
+		p, now, err := measure(name, old.Seed, old.Seconds)
+		if err != nil {
+			return err
+		}
+		got[name] = p
+		sameRuntime := now.GoVersion == old.GoVersion && now.GOMAXPROCS == old.GOMAXPROCS
+		for _, m := range gated {
+			w, g := want[name].Metrics[m], p.Metrics[m]
+			ok := g == w
+			switch m {
+			case "sim_cost_ms_per_query":
+				ok = strconv.FormatFloat(g, 'g', 6, 64) == strconv.FormatFloat(w, 'g', 6, 64)
+			case "allocs_per_query":
+				ok = math.Abs(g-w) <= 0.02*w || !sameRuntime
+			}
+			verdict := "ok"
+			if !ok {
+				verdict, failed = "MOVED", failed+1
+			} else if m == "allocs_per_query" && !sameRuntime {
+				verdict = "advisory (runtime differs from the stamp)"
+			}
+			fmt.Printf("%-14s %-28s %14.6g %14.6g  %s\n", name, m, w, g, verdict)
+		}
+	}
+	if write {
+		out, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(file, append(out, '\n'), 0o644)
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d counts moved past their bounds; a change that moves them on purpose rewrites %s (go run ./cmd/benchgate -write)", failed, file)
+	}
+	return nil
+}
+
+// measure runs one workload through benchmark/run.sh and returns its gated
+// metrics with the run's stamp line.
+func measure(name string, seed int64, seconds int) (point, stamp, error) {
+	cmd := exec.Command("bash", "benchmark/run.sh", "--workload", name,
+		"--seed", strconv.FormatInt(seed, 10), "--seconds", strconv.Itoa(seconds))
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return point{}, stamp{}, fmt.Errorf("%s: %w", name, err)
+	}
+	var p point
+	var res struct {
+		Metrics map[string]struct{ Value float64 } `json:"metrics"`
+	}
+	for _, line := range bytes.Split(out, []byte("\n")) {
+		if s, ok := bytes.CutPrefix(line, []byte("stamp ")); ok {
+			p.Stamp = append(json.RawMessage(nil), s...)
+		} else if bytes.HasPrefix(line, []byte("{")) {
+			if err := json.Unmarshal(line, &res); err != nil {
+				return point{}, stamp{}, fmt.Errorf("%s: result line: %w", name, err)
+			}
+		}
+	}
+	var st stamp
+	if err := json.Unmarshal(p.Stamp, &st); err != nil {
+		return point{}, stamp{}, fmt.Errorf("%s: stamp line: %w", name, err)
+	}
+	p.Metrics = map[string]float64{}
+	for _, m := range gated {
+		v, ok := res.Metrics[m]
+		if !ok {
+			return point{}, stamp{}, fmt.Errorf("%s: no %s in %q", name, m, strings.TrimSpace(string(out)))
+		}
+		p.Metrics[m] = v.Value
+	}
+	return p, st, nil
+}

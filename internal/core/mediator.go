@@ -119,14 +119,15 @@ type Options struct {
 	Retries int
 	// Streaming executes the plan as a pull-based dataflow pipeline
 	// (DESIGN.md §12): every step runs concurrently, item sets flow between
-	// steps as bounded sorted batches of set.DefaultBatch items, and the
-	// first answer batch surfaces before the plan completes
-	// (Answer.Exec.FirstAnswer). The answer, records, counters and
-	// honest-partial semantics are identical to materialized execution; peak
-	// intermediate memory (Answer.Exec.PeakBytes) is bounded by the batch
-	// size instead of the largest intermediate set. AlgoAdaptive queries are
-	// round-scheduled whatever this says: each round is chosen from the
-	// measured size of the set the round before left.
+	// steps as bounded sorted batches (a stream's first of set.DefaultBatch
+	// items, each later one double the one before up to set.MaxGrowth times
+	// the first: set.Schedule), and the first answer batch surfaces before
+	// the plan completes (Answer.Exec.FirstAnswer). The answer, records,
+	// counters and honest-partial semantics are identical to materialized
+	// execution; peak intermediate memory (Answer.Exec.PeakBytes) is bounded
+	// by the largest batch instead of the largest intermediate set.
+	// AlgoAdaptive queries are round-scheduled whatever this says: each round
+	// is chosen from the measured size of the set the round before left.
 	Streaming bool
 	// Records asks for the answer entities' full records (Answer.Records)
 	// besides their items. The planner prices where they come from, a fetch

@@ -80,12 +80,15 @@ type Executor struct {
 	// and the honest-partial guarantees are identical; what changes is peak
 	// intermediate memory (bounded batch buffers instead of whole
 	// variables), the latency of the first answer batch, and the number of
-	// exchanges (one per chunk). An adaptive plan is round-scheduled
-	// whatever this says: it decides each round from the measured size of
-	// the one before.
+	// exchanges (one per chunk; chunks grow by set.Schedule, so a long
+	// selection takes about a sixteenth of the chunks fixed-size batches
+	// would). An adaptive plan is round-scheduled whatever this says: it
+	// decides each round from the measured size of the one before.
 	Streaming bool
-	// BatchSize is the item-batch granularity of pipelined execution and
-	// of chunked source transfers; zero means set.DefaultBatch.
+	// BatchSize is the size of every stream's first batch in pipelined
+	// execution and of a chunked source transfer's first chunk; zero means
+	// set.DefaultBatch. Later batches follow set.Schedule: each double the
+	// one before, up to set.MaxGrowth times the first.
 	BatchSize int
 }
 

@@ -86,20 +86,18 @@ func (nd *node) emit(ctx context.Context, batch []string) error {
 	return nil
 }
 
-// emitSorted emits a sorted, deduplicated slice in batches of at most batch
-// items; zero means all at once.
+// emitSorted emits a sorted, deduplicated slice in batches following the
+// set.Schedule from batch; zero means all at once.
 func (nd *node) emitSorted(ctx context.Context, items []string, batch int) error {
 	if batch <= 0 {
-		batch = len(items)
+		return nd.emit(ctx, items)
 	}
-	for lo := 0; lo < len(items); lo += batch {
-		hi := lo + batch
-		if hi > len(items) {
-			hi = len(items)
-		}
-		if err := nd.emit(ctx, items[lo:hi:hi]); err != nil {
+	for sched := set.NewSchedule(batch); len(items) > 0; {
+		n := min(sched.Next(), len(items))
+		if err := nd.emit(ctx, items[:n:n]); err != nil {
 			return err
 		}
+		items = items[n:]
 	}
 	return nil
 }

@@ -237,9 +237,12 @@ func TestStreamingReducesPeakBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ratio := est.Cost / strRes.TotalWork.Seconds(); ratio < 0.5 || ratio > 2 {
+		ratio := est.Cost / strRes.TotalWork.Seconds()
+		if ratio < 0.5 || ratio > 2 {
 			t.Fatalf("batch %d: estimated %.3fs, measured %v: ratio %.2f outside [0.5, 2]", batch, est.Cost, strRes.TotalWork, ratio)
 		}
+		t.Logf("batch %d: peak %d B (materialized %d B), total work %v (materialized %v), %d queries, estimate/measured %.3f",
+			batch, strRes.PeakBytes, matRes.PeakBytes, strRes.TotalWork, matRes.TotalWork, strRes.SourceQueries, ratio)
 	}
 }
 

@@ -607,9 +607,9 @@ func runOne(ctx context.Context, l *Logical, ep *Endpoint, call source.Call) (so
 		// breaker: opening may carry no network exchange at all (the first
 		// chunk pull does), so crediting it would let an endpoint that
 		// reliably opens and then dies mid-stream reset its breaker on every
-		// retry and never trip it. Success is recorded when the stream
-		// delivers its first batch.
-		reply.Stream = &logicalStream{l: l, ep: ep, inner: reply.Stream}
+		// retry and never trip it. Success, and the latency from this open,
+		// are recorded when the stream's first pull answers.
+		reply.Stream = &logicalStream{l: l, ep: ep, inner: reply.Stream, opened: start}
 		return reply, nil
 	}
 	ep.health.observe(elapsed)

@@ -429,6 +429,75 @@ func TestStreamOpenDoesNotResetBreaker(t *testing.T) {
 	}
 }
 
+// TestStreamRecordsItsEndpointOnce: a stream is one observation of its
+// endpoint, measured from the open to the first batch. Its later pulls pop
+// what the transport read ahead; timed one by one, an 11-batch stream whose
+// first batch took 20 ms left the latency EWMA near 0.8 ms, and replica
+// selection then preferred whichever endpoint last served a stream.
+func TestStreamRecordsItsEndpointOnce(t *testing.T) {
+	a := newStub("R1a")
+	l := mustLogical(t, "R1", Options{NoSpeculation: true}, a)
+	ep := l.eps[0]
+	ep.src = &slowFirstStreamer{stub: a, open: 10 * time.Millisecond, first: 20 * time.Millisecond, batches: 11}
+	ctx := context.Background()
+	it, err := l.SelectStream(ctx, cond.True{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for {
+		batch, err := it.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch == nil {
+			break
+		}
+		n++
+	}
+	_ = it.Close()
+	if n != 11 {
+		t.Fatalf("%d batches, want 11", n)
+	}
+	if got := time.Duration(ep.health.score() * float64(time.Second)); got < 30*time.Millisecond {
+		t.Fatalf("endpoint latency %v after the stream, want the open-to-first-batch 30 ms or more", got)
+	}
+	if st := ep.BreakerState(); st != BreakerClosed {
+		t.Fatalf("breaker = %v after a clean stream", st)
+	}
+}
+
+// slowFirstStreamer opens streams after open, whose first batch takes first
+// and whose later ones are already there.
+type slowFirstStreamer struct {
+	*stub
+	open, first time.Duration
+	batches     int
+}
+
+func (d *slowFirstStreamer) SelectStream(ctx context.Context, c cond.Cond, batch int) (set.Iter, error) {
+	time.Sleep(d.open)
+	return &slowFirstIter{first: d.first, left: d.batches}, nil
+}
+
+type slowFirstIter struct {
+	first   time.Duration
+	left, n int
+}
+
+func (d *slowFirstIter) Next(ctx context.Context) ([]string, error) {
+	if d.n == d.left {
+		return nil, nil
+	}
+	if d.n == 0 {
+		time.Sleep(d.first)
+	}
+	d.n++
+	return []string{fmt.Sprintf("ID%06d", d.n)}, nil
+}
+
+func (d *slowFirstIter) Close() error { return nil }
+
 // bornDeadStreamer opens streams that fail on the very first pull.
 type bornDeadStreamer struct {
 	*stub

@@ -18,16 +18,23 @@ type logicalStream struct {
 	l     *Logical
 	ep    *Endpoint
 	inner set.Iter
+	// opened is when the open began; answered is set once the first pull
+	// has been recorded in the endpoint's health and breaker.
+	opened   time.Time
+	answered bool
 }
 
-// Next pulls the next batch. A genuine mid-stream failure (not the
-// consumer's own cancellation) marks the endpoint unhealthy and counts
-// against its breaker before surfacing.
+// Next pulls the next batch. The stream is recorded once, at its first
+// successful pull: one latency observation measured from the open, and one
+// breaker success. Later pulls mostly pop what a transport already buffered
+// (the wire pump reads ahead), so timing them would drag the endpoint's
+// latency toward zero and make selection prefer whichever replica last
+// served a stream. A genuine failure on any pull (not the consumer's own
+// cancellation) marks the endpoint unhealthy and counts against its breaker
+// before surfacing.
 func (s *logicalStream) Next(ctx context.Context) ([]string, error) {
 	s.ep.inflight.Add(1)
-	start := time.Now()
 	batch, err := s.inner.Next(ctx)
-	elapsed := time.Since(start)
 	s.ep.inflight.Add(-1)
 	if err != nil {
 		if ctx.Err() == nil {
@@ -37,8 +44,9 @@ func (s *logicalStream) Next(ctx context.Context) ([]string, error) {
 		}
 		return nil, err
 	}
-	if batch != nil {
-		s.ep.health.observe(elapsed)
+	if !s.answered {
+		s.answered = true
+		s.ep.health.observe(time.Since(s.opened))
 		s.ep.brk.success()
 		publishBreaker(ctx, s.ep)
 	}

@@ -13,8 +13,9 @@ import (
 // first answer batch can surface.
 type StreamEstimate struct {
 	Estimate
-	// Batches[k] is the estimated number of batches step k emits
-	// (⌈card/batch⌉, at least 1 — an empty result is still one exchange).
+	// Batches[k] is the estimated number of batches step k emits: its
+	// cardinality cut by set.Schedule (set.Batches), at least 1 — an empty
+	// result is still one exchange.
 	Batches []float64
 	// ChunkOverhead is the extra total work streaming pays over the
 	// materialized Estimate.Cost: every continuation chunk of a chunked
@@ -31,19 +32,23 @@ type StreamEstimate struct {
 }
 
 // EstimateStreamCost estimates a plan's cost under the streaming executor
-// with the given batch size (≤0 means set.DefaultBatch). It builds on
-// EstimateCost — cardinalities and the materialized per-step costs are
-// identical — and layers the streaming model on top:
+// whose streams start with batches of the given size (≤0 means
+// set.DefaultBatch). It builds on EstimateCost — cardinalities and the
+// materialized per-step costs are identical — and layers the streaming model
+// on top:
 //
-//   - a step producing card items emits ⌈card/batch⌉ batches;
+//   - a step producing card items emits set.Batches(card, batch) batches,
+//     the count of the one schedule every stream follows (the first batch
+//     of batch items, each later one double the one before up to
+//     set.MaxGrowth times the first);
 //   - chunked selections pay the source's fixed per-query cost once per
 //     continuation chunk, and batched native semijoins once per extra
 //     probe (emulated semijoins are per-binding either way, and loads and
 //     Bloom semijoins stay single exchanges);
 //   - the first answer batch flows through the pipeline as soon as each
-//     operator has seen one batch from every input, so its cost is a
-//     per-batch share of each pipelined step, while barrier operators
-//     charge their full upstream cost.
+//     operator has seen one batch from every input, so its cost is the
+//     first batch's share of each pipelined step (batch/card of its items),
+//     while barrier operators charge their full upstream cost.
 func EstimateStreamCost(p *Plan, table *stats.CostTable, batch int) (StreamEstimate, error) {
 	base, err := EstimateCost(p, table)
 	if err != nil {
@@ -54,7 +59,12 @@ func EstimateStreamCost(p *Plan, table *stats.CostTable, batch int) (StreamEstim
 	}
 	est := StreamEstimate{Estimate: base, Batches: make([]float64, len(p.Steps))}
 	batches := func(card float64) float64 {
-		return math.Max(1, math.Ceil(card/float64(batch)))
+		return math.Max(1, set.Batches(card, batch))
+	}
+	// firstShare is the part of a stream of card items its first batch
+	// carries.
+	firstShare := func(card float64) float64 {
+		return math.Min(1, float64(batch)/card)
 	}
 	// first[v] is the estimated cost until v's first batch is available.
 	first := map[string]float64{}
@@ -64,18 +74,18 @@ func EstimateStreamCost(p *Plan, table *stats.CostTable, batch int) (StreamEstim
 		switch s.Kind {
 		case KindSelect:
 			// Continuation chunks are extra exchanges; the first chunk
-			// arrives after a per-batch share of the step's work.
+			// arrives after the first batch's share of the step's work.
 			est.ChunkOverhead += (est.Batches[k] - 1) * table.QueryFixedOf(s.Source)
-			f = base.StepCosts[k] / est.Batches[k]
+			f = base.StepCosts[k] * firstShare(base.Cards[s.Out])
 		case KindSemijoin:
 			// The streaming executor probes once per input batch. Native
 			// semijoins pay the fixed exchange cost per probe; emulated
 			// semijoins issue per-binding queries either way.
-			inBatches := batches(base.Cards[s.In[0]])
+			inCard := base.Cards[s.In[0]]
 			if j := s.Source; j < len(table.Support) && table.Support[j] == stats.SemijoinNative {
-				est.ChunkOverhead += (inBatches - 1) * table.QueryFixedOf(j)
+				est.ChunkOverhead += (batches(inCard) - 1) * table.QueryFixedOf(j)
 			}
-			f = first[s.In[0]] + base.RespCosts[k]/inBatches
+			f = first[s.In[0]] + base.RespCosts[k]*firstShare(inCard)
 		case KindBloomSemijoin:
 			// Barrier: the filter is built over the complete input set, so
 			// the whole upstream cost is paid before the single exchange.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"fusionq/internal/set"
 	"fusionq/internal/stats"
 )
 
@@ -23,23 +24,25 @@ func TestEstimateStreamCostFilter(t *testing.T) {
 	if est.Estimate.Cost != base.Cost {
 		t.Errorf("embedded base cost = %v, want %v", est.Estimate.Cost, base.Cost)
 	}
-	// Selections chunk at ⌈card/4⌉: cards 5, 15, 25 → 2, 4, 7 batches.
-	wantBatches := map[int]float64{0: 2, 1: 2, 3: 4, 4: 4, 7: 7, 8: 7}
+	// Selections chunk by the schedule from 4 (4, 8, 16, …): cards 5, 15, 25
+	// → 2, 3, 3 batches.
+	wantBatches := map[int]float64{0: 2, 1: 2, 3: 3, 4: 3, 7: 3, 8: 3}
 	for k, want := range wantBatches {
 		if got := est.Batches[k]; got != want {
 			t.Errorf("Batches[%d] = %v, want %v", k, got, want)
 		}
 	}
-	// Extra chunks: (1+1) + (3+3) + (6+6) = 20, each charging PerQuery = 2.
-	if got, want := est.ChunkOverhead, 40.0; got != want {
+	// Extra chunks: (1+1) + (2+2) + (2+2) = 10, each charging PerQuery = 2.
+	if got, want := est.ChunkOverhead, 20.0; got != want {
 		t.Errorf("ChunkOverhead = %v, want %v", got, want)
 	}
-	if got, want := est.Cost, base.Cost+40; got != want {
+	if got, want := est.Cost, base.Cost+20; got != want {
 		t.Errorf("Cost = %v, want %v", got, want)
 	}
-	// The first answer batch needs one chunk from every selection feeding
-	// the final intersect: max(10/2, 20/4, 30/7) = 5.
-	if got, want := est.FirstAnswerCost, 5.0; math.Abs(got-want) > 1e-9 {
+	// The first answer batch needs the first chunk of 4 items from every
+	// selection feeding the final intersect: max(10·4/5, 20·4/15, 30·4/25)
+	// = 8.
+	if got, want := est.FirstAnswerCost, 8.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("FirstAnswerCost = %v, want %v", got, want)
 	}
 	if est.FirstAnswerCost >= est.Cost {
@@ -68,15 +71,15 @@ func TestEstimateStreamCostSemijoin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EstimateStreamCost: %v", err)
 	}
-	// |X1| = 10 → 3 batches → the first native semijoin probes 3 times,
-	// paying PerQuery for the 2 extra probes. |X2| = 1.5 → a single batch,
-	// so the second semijoin adds nothing. The selections chunk once each.
-	if got, want := est.ChunkOverhead, 2*2.0+2*2.0; got != want {
+	// |X1| = 10 → 2 batches (4, 6) → the first native semijoin probes twice,
+	// paying PerQuery for the extra probe. |X2| = 1.5 → a single batch, so
+	// the second semijoin adds nothing. The selections chunk once each.
+	if got, want := est.ChunkOverhead, 2.0+2*2.0; got != want {
 		t.Errorf("ChunkOverhead = %v, want %v", got, want)
 	}
-	// First answer: first select chunk (10/2 = 5), then a per-batch share
-	// of each semijoin: 5 + 6/3 + 1.75/1 = 8.75.
-	if got, want := est.FirstAnswerCost, 8.75; math.Abs(got-want) > 1e-9 {
+	// First answer: the first select chunk (4 of 5 items: 10·4/5 = 8), then
+	// the first batch's share of each semijoin: 8 + 6·4/10 + 1.75 = 12.15.
+	if got, want := est.FirstAnswerCost, 12.15; math.Abs(got-want) > 1e-9 {
 		t.Errorf("FirstAnswerCost = %v, want %v", got, want)
 	}
 }
@@ -149,5 +152,36 @@ func TestEstimateStreamCostDefaultsAndErrors(t *testing.T) {
 	bad.Conds = bad.Conds[:2]
 	if _, err := EstimateStreamCost(bad, tab, 4); err == nil {
 		t.Fatal("mismatched conditions should error")
+	}
+}
+
+// TestEstimateStreamCostCountsTheSchedule: the estimate's batch count for a
+// selection of n items is the number of batches set.Schedule cuts n items
+// into (at least one: an empty result is still an exchange), for every n in
+// a stride through [0, 20 000] and each first size.
+func TestEstimateStreamCostCountsTheSchedule(t *testing.T) {
+	p := &Plan{
+		Conds:   testConds(3),
+		Sources: []string{"R1", "R2"},
+		Class:   "test",
+		Steps:   []Step{{Kind: KindSelect, Out: "X", Cond: 0, Source: 0}},
+		Result:  "X",
+	}
+	for _, first := range []int{1, 4, 256} {
+		for n := 0; n <= 20000; n += 1 + n/16 {
+			tab := table32()
+			tab.Card[0][0] = float64(n)
+			est, err := EstimateStreamCost(p, tab, first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := 0
+			for s, left := set.NewSchedule(first), n; left > 0; cut++ {
+				left -= s.Next()
+			}
+			if want := float64(max(cut, 1)); est.Batches[0] != want {
+				t.Fatalf("%d items from %d: Batches = %v, the schedule cuts %v", n, first, est.Batches[0], want)
+			}
+		}
 	}
 }

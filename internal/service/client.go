@@ -21,9 +21,10 @@ type QueryReply struct {
 // over one wire.Conn, which owns the connection's serialization, deadlines
 // and reconnection. Safe for concurrent use.
 type Client struct {
-	// Chunk, when positive, asks the server to deliver answers in chunks of
-	// at most this many items; the client reassembles them. Set it before
-	// sharing the client across goroutines.
+	// Chunk, when positive, asks the server to deliver answers in chunks:
+	// the first of this many items, each later one double the one before up
+	// to 16 times the first (set.Schedule); the client reassembles them. Set
+	// it before sharing the client across goroutines.
 	Chunk int
 
 	conn *wire.Conn

@@ -1,7 +1,6 @@
 package set
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -97,32 +96,6 @@ func encodeSets(inputs ...[]string) []byte {
 	return data
 }
 
-// collectBatches drains it, checking that every batch but the last holds
-// exactly batch items.
-func collectBatches(t *testing.T, it Iter, batch int) Set {
-	t.Helper()
-	var all []string
-	short := false
-	for {
-		b, err := it.Next(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		if short || len(b) > batch {
-			t.Fatalf("batch of %d items after a short one, or over %d", len(b), batch)
-		}
-		short = len(b) < batch
-		all = append(all, b...)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return FromSorted(all)
-}
-
 // FuzzSetAlgebra checks the union kernel and the streaming merges against the
 // reference on arbitrary byte items: NULs, common prefixes past 8 bytes,
 // suffixes of 0–16 bytes, empty inputs and duplicates across inputs, each
@@ -165,10 +138,10 @@ func FuzzSetAlgebra(f *testing.F) {
 			return its
 		}
 		batch := 1 + r.Intn(9)
-		if got := collectBatches(t, MergeUnion(batch, iters()...), batch); !got.Equal(want) {
+		if got := FromSorted(drain(t, MergeUnion(batch, iters()...), batch)); !got.Equal(want) {
 			t.Fatalf("MergeUnion(%q) = %q, want %q", sets, got.Items(), want.Items())
 		}
-		if got, want := collectBatches(t, MergeIntersect(batch, iters()...), batch), referenceIntersect(sets); !got.Equal(want) {
+		if got, want := FromSorted(drain(t, MergeIntersect(batch, iters()...), batch)), referenceIntersect(sets); !got.Equal(want) {
 			t.Fatalf("MergeIntersect(%q) = %q, want %q", sets, got.Items(), want.Items())
 		}
 		a, b := sets[0], Empty
@@ -176,7 +149,7 @@ func FuzzSetAlgebra(f *testing.F) {
 			b = sets[1]
 		}
 		diff := MergeDiff(batch, IterOf(a, 1+r.Intn(9)), IterOf(b, 1+r.Intn(9)))
-		if got, want := collectBatches(t, diff, batch), referenceDiff(a, b); !got.Equal(want) {
+		if got, want := FromSorted(drain(t, diff, batch)), referenceDiff(a, b); !got.Equal(want) {
 			t.Fatalf("MergeDiff(%q, %q) = %q, want %q", a, b, got.Items(), want.Items())
 		}
 	})

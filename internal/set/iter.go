@@ -29,9 +29,9 @@ import (
 	"fmt"
 )
 
-// DefaultBatch is the batch size used when a caller passes a non-positive
-// one. It is small enough to keep first-batch latency low and large enough
-// to amortize per-batch overhead.
+// DefaultBatch is the first-batch size used when a caller passes a
+// non-positive one. It is small enough to keep first-batch latency low; the
+// batches after it grow (Schedule) to amortize per-batch overhead.
 const DefaultBatch = 256
 
 // Iter is a pull-based stream of sorted item batches. See the package
@@ -45,40 +45,31 @@ type Iter interface {
 	Close() error
 }
 
-// normBatch clamps a batch size to a usable value.
-func normBatch(batch int) int {
-	if batch <= 0 {
-		return DefaultBatch
-	}
-	return batch
-}
-
 // setIter streams a materialized Set in batches.
 type setIter struct {
 	items []string
 	pos   int
-	batch int
+	sched Schedule
 }
 
-// IterOf returns an iterator over s yielding batches of at most batch items
-// (DefaultBatch when batch <= 0). It is the bridge from materialized to
-// streaming flow: a source without chunked transfer still feeds the
-// streaming pipeline through it.
+// IterOf returns an iterator over s whose batches follow the Schedule from
+// batch: a first batch of batch items (DefaultBatch when batch <= 0), each
+// later one double the one before up to MaxGrowth times the first. It is the
+// bridge from materialized to streaming flow: a source without chunked
+// transfer still feeds the streaming pipeline through it.
 func IterOf(s Set, batch int) Iter {
-	return &setIter{items: s.items, batch: normBatch(batch)}
+	return &setIter{items: s.items, sched: NewSchedule(batch)}
 }
 
 func (it *setIter) Next(ctx context.Context) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if it.pos >= len(it.items) {
+	rest := len(it.items) - it.pos
+	if rest <= 0 {
 		return nil, nil
 	}
-	end := it.pos + it.batch
-	if end > len(it.items) {
-		end = len(it.items)
-	}
+	end := it.pos + min(it.sched.Next(), rest)
 	out := it.items[it.pos:end:end]
 	it.pos = end
 	return out, nil
@@ -170,11 +161,12 @@ func (c *cursor) advance() {
 func (c *cursor) compare(d *cursor) int { return compareKeyed(c.key, c.head(), d.key, d.head()) }
 
 // mergeIter is the shared chassis of the merge operators: a fill function
-// produces one output batch from the cursors, and Close propagates to every
-// input exactly once.
+// fills one output batch, of the schedule's next size, from the cursors (it
+// stops short only when the output is decided), and Close propagates to
+// every input exactly once.
 type mergeIter struct {
 	cur    []*cursor
-	batch  int
+	sched  Schedule
 	fill   func(ctx context.Context, out []string) ([]string, error)
 	err    error
 	done   bool
@@ -192,20 +184,20 @@ func (m *mergeIter) Next(ctx context.Context) ([]string, error) {
 		m.err = err
 		return nil, err
 	}
-	out, err := m.fill(ctx, make([]string, 0, m.batch))
+	out, err := m.fill(ctx, make([]string, 0, m.sched.Next()))
 	if err != nil {
 		m.err = err
 		return nil, err
 	}
-	if len(out) == 0 {
-		m.done = true
-		// The output is decided; release the inputs now so upstream
-		// producers stop without waiting for the consumer's Close.
+	if len(out) < cap(out) {
+		// A fill stops short only when the output is decided: release the
+		// inputs now, so upstream producers stop without waiting for the
+		// consumer's Close, and the call that ends the stream allocates no
+		// batch. A close error surfaces after the items already decided.
 		m.err = m.closeInputs()
-		if m.err != nil {
-			return nil, m.err
-		}
-		return nil, nil
+	}
+	if len(out) == 0 {
+		return nil, m.err
 	}
 	return out, nil
 }
@@ -237,16 +229,15 @@ func newCursors(its []Iter) []*cursor {
 	return cur
 }
 
-// MergeUnion returns the streaming union of the inputs, yielding batches of
-// at most batch items. Ownership of the inputs transfers to the returned
+// MergeUnion returns the streaming union of the inputs, its batches following
+// the Schedule from batch. Ownership of the inputs transfers to the returned
 // iterator. The merge is the k-way generalization of Set.Union: each output
 // item is the minimum of the input heads, with duplicates across inputs
 // collapsed.
 func MergeUnion(batch int, its ...Iter) Iter {
-	batch = normBatch(batch)
-	m := &mergeIter{cur: newCursors(its), batch: batch}
+	m := &mergeIter{cur: newCursors(its), sched: NewSchedule(batch)}
 	m.fill = func(ctx context.Context, out []string) ([]string, error) {
-		for len(out) < batch {
+		for len(out) < cap(out) {
 			var least *cursor
 			for _, c := range m.cur {
 				if err := c.ready(ctx); err != nil {
@@ -272,20 +263,20 @@ func MergeUnion(batch int, its ...Iter) Iter {
 	return m
 }
 
-// MergeIntersect returns the streaming intersection of the inputs, yielding
-// batches of at most batch items. Ownership of the inputs transfers to the
-// returned iterator. The moment any input exhausts, the intersection is
-// decided: the stream ends and every input is closed — the short-circuit
-// that lets a drained running set abandon upstream work mid-flight.
+// MergeIntersect returns the streaming intersection of the inputs, its
+// batches following the Schedule from batch. Ownership of the inputs
+// transfers to the returned iterator. The moment any input exhausts, the
+// intersection is decided: the stream ends and every input is closed — the
+// short-circuit that lets a drained running set abandon upstream work
+// mid-flight.
 func MergeIntersect(batch int, its ...Iter) Iter {
-	batch = normBatch(batch)
-	m := &mergeIter{cur: newCursors(its), batch: batch}
+	m := &mergeIter{cur: newCursors(its), sched: NewSchedule(batch)}
 	if len(its) == 0 {
 		m.done = true
 		return m
 	}
 	m.fill = func(ctx context.Context, out []string) ([]string, error) {
-		for len(out) < batch {
+		for len(out) < cap(out) {
 			// Candidate: the greatest head; every input must advance to
 			// (or past) it.
 			var top *cursor
@@ -331,15 +322,14 @@ func MergeIntersect(batch int, its ...Iter) Iter {
 	return m
 }
 
-// MergeDiff returns the streaming difference a − b, yielding batches of at
-// most batch items. Ownership of both inputs transfers to the returned
+// MergeDiff returns the streaming difference a − b, its batches following the
+// Schedule from batch. Ownership of both inputs transfers to the returned
 // iterator. When b exhausts, the remainder of a passes through unfiltered.
 func MergeDiff(batch int, a, b Iter) Iter {
-	batch = normBatch(batch)
-	m := &mergeIter{cur: newCursors([]Iter{a, b}), batch: batch}
+	m := &mergeIter{cur: newCursors([]Iter{a, b}), sched: NewSchedule(batch)}
 	ca, cb := m.cur[0], m.cur[1]
 	m.fill = func(ctx context.Context, out []string) ([]string, error) {
-		for len(out) < batch {
+		for len(out) < cap(out) {
 			if err := ca.ready(ctx); err != nil {
 				return nil, err
 			}

@@ -10,13 +10,14 @@ import (
 
 // drain collects every batch of it, checking the batch contract as it goes:
 // non-empty batches, sorted ascending, strictly increasing across batches,
-// each batch no larger than maxBatch (0 = unchecked).
-func drain(t *testing.T, it Iter, maxBatch int) []string {
+// and, when first > 0, sizes that follow the Schedule from first: every batch
+// but the last exactly its size, the last at most.
+func drain(t *testing.T, it Iter, first int) []string {
 	t.Helper()
 	ctx := context.Background()
 	var all []string
 	prev := ""
-	first := true
+	sched, short := NewSchedule(first), false
 	for {
 		batch, err := it.Next(ctx)
 		if err != nil {
@@ -28,14 +29,18 @@ func drain(t *testing.T, it Iter, maxBatch int) []string {
 		if len(batch) == 0 {
 			t.Fatalf("empty non-nil batch")
 		}
-		if maxBatch > 0 && len(batch) > maxBatch {
-			t.Fatalf("batch of %d items exceeds limit %d", len(batch), maxBatch)
+		if first > 0 {
+			want := sched.Next()
+			if short || len(batch) > want {
+				t.Fatalf("batch of %d items after a short one, or over the schedule's %d", len(batch), want)
+			}
+			short = len(batch) < want
 		}
 		for _, v := range batch {
-			if !first && v <= prev {
+			if len(all) > 0 && v <= prev {
 				t.Fatalf("item %q not strictly greater than previous %q", v, prev)
 			}
-			prev, first = v, false
+			prev = v
 			all = append(all, v)
 		}
 	}

@@ -72,7 +72,8 @@ type Call struct {
 	// Filter is the Bloom filter of the semijoin set (sjqb).
 	Filter *bloom.Filter
 	// Batch, when positive on a selection, asks for the answer as a stream
-	// of sorted batches of at most that many items (Reply.Stream).
+	// of sorted batches (Reply.Stream): the first of that many items, the
+	// later ones following set.Schedule.
 	Batch int
 }
 

@@ -16,9 +16,10 @@ import (
 )
 
 // ItemStreamer is the optional streaming face of a Source: SelectStream is
-// sq(c, R) delivered as sorted item batches of at most batch items
-// (set.DefaultBatch when batch <= 0). The returned iterator follows the
-// set.Iter contract; closing it before exhaustion abandons the rest of the
+// sq(c, R) delivered as sorted item batches that follow set.Schedule: a first
+// batch of batch items (set.DefaultBatch when batch <= 0), each later one
+// double the one before, up to set.MaxGrowth times the first. The returned
+// iterator follows the set.Iter contract; closing it before exhaustion abandons the rest of the
 // transfer. Every Layer implements it, by handing its handler a Call with
 // Batch set, so a streamed selection passes each layer as a stream and the
 // fallback below applies once, at the source that cannot chunk.

@@ -21,6 +21,10 @@ var (
 		`{"op":"meta"}` + "\n",
 		`{"op":"sq","cond":"V = 'dui'"}` + "\n",
 		`{"op":"sq","qid":"q-1","cond":"V = 'dui'","chunk":1,"frag":true}` + "\n",
+		// A peer's chunk size drives the chunk schedule, which must
+		// saturate at the largest and pass a negative one through unchunked.
+		`{"op":"sq","cond":"V = 'dui'","chunk":9223372036854775807}` + "\n",
+		`{"op":"sq","cond":"V = 'dui'","chunk":-1}` + "\n",
 		`{"op":"sjq","cond":"V = 'sp'","items":["J55","T21"]}` + "\n" + `{"op":"lq"}` + "\n",
 		`{"op":"query","tenant":"t","conds":["V = 'dui'"]}` + "\n",
 		`{"op":"stats","qid":"q-2","frag":true}` + "\n",

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fusionq/internal/obs"
+	"fusionq/internal/set"
 )
 
 // DefaultIdleTimeout bounds how long a connected client may sit between
@@ -253,22 +254,25 @@ func (l *Listener) serveConn(conn net.Conn) {
 	}
 }
 
-// chunkResponses splits an item-carrying response into chunks of at most
-// req.Chunk items when the client asked for chunking. Errors, non-item
-// responses and unchunked requests pass through as a single response. Every
-// chunk carries the query ID, its items and More (set on all but the last);
-// everything else — the fragment, the cache annotations — rides the final
-// chunk. A split response's items are encoded chunk by chunk: its Encoded
-// array is of them all.
+// chunkResponses splits an item-carrying response into chunks when the
+// client asked for chunking: the first of req.Chunk items, the later ones
+// following set.Schedule (each double the one before, up to set.MaxGrowth
+// times the first). Errors, non-item responses and unchunked requests pass
+// through as a single response. Every chunk carries the query ID, its items
+// and More (set on all but the last); everything else — the fragment, the
+// cache annotations — rides the final chunk. A split response's items are
+// encoded chunk by chunk: its Encoded array is of them all.
 func chunkResponses(req Request, resp Response) []Response {
 	if req.Chunk <= 0 || resp.Error != "" || len(resp.Items) <= req.Chunk {
 		return []Response{resp}
 	}
 	items := resp.Items
 	resp.Encoded = nil
-	out := make([]Response, 0, (len(items)+req.Chunk-1)/req.Chunk)
-	for ; len(items) > req.Chunk; items = items[req.Chunk:] {
-		out = append(out, Response{QueryID: resp.QueryID, Items: items[:req.Chunk], More: true})
+	out := make([]Response, 0, int(set.Batches(float64(len(items)), req.Chunk)))
+	sched := set.NewSchedule(req.Chunk)
+	for n := sched.Next(); len(items) > n; n = sched.Next() {
+		out = append(out, Response{QueryID: resp.QueryID, Items: items[:n:n], More: true})
+		items = items[n:]
 	}
 	resp.Items = items
 	return append(out, resp)

@@ -68,8 +68,11 @@ type Request struct {
 	// Filter is the encoded Bloom filter for the sjqb op.
 	Filter string `json:"filter,omitempty"`
 	// Chunk, when positive, asks the server to deliver an item-returning
-	// response in chunks of at most this many items, each on its own line
-	// with More set on all but the last. Like qid, it is a v1-compatible
+	// response in chunks, each on its own line with More set on all but the
+	// last: the first of this many items, each later one double the one
+	// before up to 16 times the first (set.Schedule), so a long answer takes
+	// few frames and its first items still come early. A client takes the
+	// chunks as they come, whatever their sizes. Like qid, it is a v1-compatible
 	// optional extension: servers that predate it ignore the field and
 	// send one unchunked response (whose absent More reads as false), and
 	// clients discover support through Meta.Chunking before relying on it.

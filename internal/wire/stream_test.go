@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"fusionq/internal/cond"
@@ -58,8 +59,8 @@ func TestSelectStreamMatchesSelect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SelectStream: %v", err)
 	}
-	batches := 0
 	var items []string
+	var sizes []int
 	for {
 		batch, err := it.Next(ctx)
 		if err != nil {
@@ -68,10 +69,7 @@ func TestSelectStreamMatchesSelect(t *testing.T) {
 		if batch == nil {
 			break
 		}
-		if len(batch) > 64 {
-			t.Fatalf("batch of %d items exceeds requested chunk size", len(batch))
-		}
-		batches++
+		sizes = append(sizes, len(batch))
 		items = append(items, batch...)
 	}
 	if err := it.Close(); err != nil {
@@ -80,9 +78,20 @@ func TestSelectStreamMatchesSelect(t *testing.T) {
 	if got := set.FromSorted(items); !got.Equal(want) {
 		t.Fatalf("streamed %d items, want %d; sets differ", got.Len(), want.Len())
 	}
-	if wantBatches := (want.Len() + 63) / 64; batches != wantBatches {
-		t.Fatalf("got %d batches, want %d", batches, wantBatches)
+	if wantSizes := scheduleSizes(want.Len(), 64); fmt.Sprint(sizes) != fmt.Sprint(wantSizes) {
+		t.Fatalf("batches of %v items, want the schedule's %v", sizes, wantSizes)
 	}
+}
+
+// scheduleSizes is what set.Schedule cuts n items into from first.
+func scheduleSizes(n, first int) []int {
+	var out []int
+	for s := set.NewSchedule(first); n > 0; {
+		size := min(s.Next(), n)
+		out = append(out, size)
+		n -= size
+	}
+	return out
 }
 
 func TestSelectStreamEmptyResult(t *testing.T) {
@@ -167,10 +176,10 @@ func TestChunkResponsesFraming(t *testing.T) {
 	}
 	resp := Response{QueryID: "q1", Items: items}
 	chunks := chunkResponses(Request{Chunk: 4}, resp)
-	if len(chunks) != 3 {
-		t.Fatalf("got %d chunks, want 3", len(chunks))
+	// The first chunk is the size asked for, the next double it.
+	if len(chunks) != 2 || len(chunks[0].Items) != 4 || len(chunks[1].Items) != 6 {
+		t.Fatalf("got %d chunks, want 2 of 4 and 6 items", len(chunks))
 	}
-	total := 0
 	for i, ch := range chunks {
 		if ch.QueryID != "q1" {
 			t.Fatalf("chunk %d lost the query ID", i)
@@ -179,12 +188,9 @@ func TestChunkResponsesFraming(t *testing.T) {
 		if ch.More != wantMore {
 			t.Fatalf("chunk %d More = %v, want %v", i, ch.More, wantMore)
 		}
-		total += len(ch.Items)
 	}
-	if total != len(items) {
-		t.Fatalf("chunks carry %d items, want %d", total, len(items))
-	}
-	// Unchunked, error and small responses pass through untouched.
+	// Unchunked, error and small responses pass through untouched, and so
+	// does any answer when the peer asks for the largest chunk there is.
 	if got := chunkResponses(Request{}, resp); len(got) != 1 || len(got[0].Items) != len(items) || got[0].More {
 		t.Fatalf("unchunked request was split")
 	}
@@ -193,5 +199,38 @@ func TestChunkResponsesFraming(t *testing.T) {
 	}
 	if got := chunkResponses(Request{Chunk: 64}, resp); len(got) != 1 {
 		t.Fatalf("small response was split")
+	}
+	if got := chunkResponses(Request{Chunk: math.MaxInt}, resp); len(got) != 1 || len(got[0].Items) != len(items) {
+		t.Fatalf("chunk math.MaxInt split the response")
+	}
+}
+
+// TestChunkResponsesFollowTheSchedule: the chunker a source server and fqd
+// share cuts every answer in [0, 20 000] items into set.Schedule's sizes, as
+// many as set.Batches counts, in a slice of exactly that many.
+func TestChunkResponsesFollowTheSchedule(t *testing.T) {
+	all := make([]string, 20000)
+	for i := range all {
+		all[i] = fmt.Sprintf("ID%06d", i)
+	}
+	for _, first := range []int{1, 4, 256} {
+		for n := 0; n <= len(all); n += 1 + n/16 {
+			chunks := chunkResponses(Request{Chunk: first}, Response{Items: all[:n]})
+			var sizes []int
+			for _, ch := range chunks {
+				sizes = append(sizes, len(ch.Items))
+			}
+			want := scheduleSizes(n, first)
+			if n == 0 {
+				want = []int{0} // an empty answer is still one response
+			}
+			if fmt.Sprint(sizes) != fmt.Sprint(want) {
+				t.Fatalf("%d items from %d: chunks of %v, want %v", n, first, sizes, want)
+			}
+			if n > first && (len(chunks) != int(set.Batches(float64(n), first)) || cap(chunks) != len(chunks)) {
+				t.Fatalf("%d items from %d: %d chunks in a slice of %d, set.Batches %v",
+					n, first, len(chunks), cap(chunks), set.Batches(float64(n), first))
+			}
+		}
 	}
 }
