@@ -1,8 +1,9 @@
 // Command fqtop is a live terminal view over a fusion mediator's admin
-// endpoints — the observability analogue of top(1). It polls /debug/queries
-// (in-flight queries), /debug/endpoints (per-endpoint replica-fabric
-// scorecards) and /debug/traces (the flight recorder's retained tail) and
-// renders one consolidated screen per interval.
+// endpoints — the observability analogue of top(1). It polls /debug/runtime
+// (the process's heap and collector), /debug/queries (in-flight queries),
+// /debug/endpoints (per-endpoint replica-fabric scorecards) and
+// /debug/traces (the flight recorder's retained tail) and renders one
+// consolidated screen per interval.
 //
 // Usage:
 //
@@ -17,8 +18,10 @@
 //	              useful in scripts and smoke tests
 //	-tail n       slow/interesting records shown in the tail (default 10)
 //
-// The three panes:
+// A runtime line, then three panes:
 //
+//	runtime   live heap and heap goal, GC cycles, the collector's share of
+//	          the CPU, GC pause p50/p99 and goroutines (obs.RuntimeHealth)
 //	LIVE      every in-flight query: elapsed time, current phase/step, and
 //	          per-source exchange and byte counts from the live registry
 //	ENDPOINTS one row per physical replica endpoint: breaker state, EWMA
@@ -111,8 +114,9 @@ func (f *feed) get(ctx context.Context, path string, v any) error {
 	return nil
 }
 
-// renderOnce polls the three debug endpoints and writes one frame to w.
+// renderOnce polls the four debug endpoints and writes one frame to w.
 func renderOnce(ctx context.Context, w io.Writer, f *feed, tailN int) error {
+	var rt obs.RuntimeHealth
 	var live struct {
 		Queries []obs.LiveQueryInfo `json:"queries"`
 	}
@@ -121,6 +125,9 @@ func renderOnce(ctx context.Context, w io.Writer, f *feed, tailN int) error {
 	}
 	var traces struct {
 		Traces []obs.RecordSummary `json:"traces"`
+	}
+	if err := f.get(ctx, "/debug/runtime", &rt); err != nil {
+		return err
 	}
 	if err := f.get(ctx, "/debug/queries", &live); err != nil {
 		return err
@@ -131,7 +138,7 @@ func renderOnce(ctx context.Context, w io.Writer, f *feed, tailN int) error {
 	if err := f.get(ctx, "/debug/traces", &traces); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "fqtop %s\n\n", f.base)
+	fmt.Fprintf(w, "fqtop %s\nruntime: %s\n\n", f.base, rt)
 	renderLive(w, live.Queries)
 	renderEndpoints(w, eps.Endpoints)
 	renderTail(w, traces.Traces, tailN)

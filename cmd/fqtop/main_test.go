@@ -70,7 +70,7 @@ func TestRenderOnceEmptyAdmin(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"LIVE QUERIES (0)", "ENDPOINTS (0)", "SLOW / INTERESTING TAIL (0 of 0 retained)"} {
+	for _, want := range []string{"runtime: heap ", "GC cycles", "goroutines", "LIVE QUERIES (0)", "ENDPOINTS (0)", "SLOW / INTERESTING TAIL (0 of 0 retained)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q:\n%s", want, out)
 		}

@@ -166,8 +166,8 @@ func (s *CachedSource) exchange(ctx context.Context, call source.Call) (source.R
 		// canonical error.
 	case call.Op == source.OpSelect:
 		// A cached selection also serves a streamed call, as batches of the
-		// set; a streamed miss passes through and stays uncached, since the
-		// consumer may abandon it before it is complete.
+		// set; a streamed miss is recorded as it passes and cached once it
+		// is complete, which a consumer that abandons it never makes it.
 		if out, ok := s.cache.Select(name, c); ok {
 			s.meterCache(ctx, 1, 0)
 			if call.Streamed() {
@@ -177,7 +177,13 @@ func (s *CachedSource) exchange(ctx context.Context, call source.Call) (source.R
 		}
 		s.meterCache(ctx, 0, 1)
 		reply, err := source.Do(ctx, s.Source, call)
-		if err == nil && !call.Streamed() {
+		switch {
+		case err != nil:
+		case call.Streamed():
+			reply.Stream = &recordedStream{Iter: reply.Stream, done: func(items []string) {
+				s.cache.PutSelect(name, c, set.FromSorted(items))
+			}}
+		default:
 			s.cache.PutSelect(name, c, reply.Items)
 		}
 		return reply, err
@@ -199,4 +205,26 @@ func (s *CachedSource) exchange(ctx context.Context, call source.Call) (source.R
 		return reply, nil
 	}
 	return source.Do(ctx, s.Source, call)
+}
+
+// recordedStream passes a streamed selection through, keeping a copy of its
+// lent batches, and hands the whole to done when the stream ends.
+type recordedStream struct {
+	set.Iter
+	kept []string
+	done func(items []string)
+}
+
+func (st *recordedStream) Next(ctx context.Context) ([]string, error) {
+	batch, err := st.Iter.Next(ctx)
+	switch {
+	case err != nil:
+		st.done = nil
+	case batch == nil && st.done != nil:
+		st.done(st.kept)
+		st.done = nil
+	default:
+		st.kept = append(st.kept, batch...)
+	}
+	return batch, err
 }

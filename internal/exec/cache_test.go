@@ -250,6 +250,43 @@ func TestCachedSource(t *testing.T) {
 	}
 }
 
+// TestCachedSourceRecordsCompleteStreams: a streamed selection that misses
+// is cached once it has been drained — a copy, its batches being lent — and
+// one abandoned part way is not.
+func TestCachedSourceRecordsCompleteStreams(t *testing.T) {
+	sc := workload.DMV()
+	ctx, cd := context.Background(), sc.Conds[0]
+	want, err := sc.Sources[0].Select(ctx, cd)
+	if err != nil || want.Len() < 2 {
+		t.Fatalf("sq = %v, %v; the test wants two items", want, err)
+	}
+	for _, drain := range []bool{true, false} {
+		inner := &countingSource{Source: sc.Sources[0]}
+		cs := NewCachedSource(inner, NewCache())
+		it, err := cs.SelectStream(ctx, cd, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			batch, err := it.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch == nil || !drain {
+				break
+			}
+		}
+		_ = it.Close()
+		got, err := cs.Select(ctx, cd)
+		if err != nil || !got.Equal(want) {
+			t.Fatalf("drain %v: sq = %v, %v; want %v", drain, got, err, want)
+		}
+		if wantSelects := map[bool]int{true: 1, false: 2}[drain]; inner.selects != wantSelects {
+			t.Fatalf("drain %v: the source answered %d selections, want %d", drain, inner.selects, wantSelects)
+		}
+	}
+}
+
 // TestCacheBounded floods a CachedSource the way a peer of fqsource -cache
 // can: semijoins over more distinct items than the cache may hold. The cache
 // stays under its byte bound (the one condition that outgrew it is

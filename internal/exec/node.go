@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
@@ -51,7 +52,10 @@ type node struct {
 // consumer remains, so producers stop paying for unwanted work. The tee
 // never blocks on one consumer while starving another: an edge that is part
 // of a fan-out is unbounded (see streamEdge), so the only blocking send is
-// to a sole consumer.
+// to a sole consumer. Each edge gets its own copy, so the batch is only
+// borrowed: a body may emit a lent batch. Between barriers the batch is
+// adopted, so a body there emits only items it owns or a Set's (the round
+// scheduler's inputs and outputs are whole, immutable variables).
 func (nd *node) emit(ctx context.Context, batch []string) error {
 	if len(batch) == 0 {
 		return nil
@@ -67,11 +71,12 @@ func (nd *node) emit(ctx context.Context, batch []string) error {
 		}
 		return nil
 	}
+	bytes := batchBytes(batch)
 	for i, ed := range nd.outs {
 		if nd.dead[i] {
 			continue
 		}
-		delivered, err := ed.send(ctx, batch)
+		delivered, err := ed.send(ctx, batch, bytes)
 		if err != nil {
 			return err
 		}
@@ -358,6 +363,13 @@ func (r *run) semijoinBody(ctx context.Context, s plan.Step, in set.Iter, nd *no
 		if err != nil || batch == nil {
 			return err
 		}
+		if r.pipelined {
+			// An edge lends its batch, and a semijoin's set is kept beyond
+			// the exchange: by the caches (this run's and a CachedSource's
+			// at the source), and by a hedged leg that lost, which may still
+			// be writing it to its replica. A whole variable is immutable.
+			batch = slices.Clone(batch)
+		}
 		y := set.FromSorted(batch)
 		var out set.Set
 		if caps.NativeSemijoin && r.sink.wants(s) {
@@ -407,7 +419,7 @@ func (r *run) semijoinBody(ctx context.Context, s plan.Step, in set.Iter, nd *no
 // the filter's false positives — is emitted.
 func (r *run) bloomBody(ctx context.Context, s plan.Step, input set.Iter, nd *node) error {
 	src, c := r.e.Sources[s.Source], r.p.Conds[s.Cond]
-	in, err := set.Collect(ctx, input)
+	in, err := collect(ctx, input)
 	if err != nil || in.IsEmpty() {
 		return err
 	}
@@ -474,6 +486,22 @@ func (r *run) localSelectBody(ctx context.Context, s plan.Step, in set.Iter, nd 
 	return nd.emitSorted(ctx, out.Items(), r.batch)
 }
 
+// collect reads a body's input whole: a variable between barriers as the
+// set it is, without a copy, an edge by set.Collect, which copies what the
+// edge lends.
+func collect(ctx context.Context, in set.Iter) (set.Set, error) {
+	w, ok := in.(*wholeIter)
+	if !ok {
+		return set.Collect(ctx, in)
+	}
+	items := w.items
+	w.items = nil
+	if err := ctx.Err(); err != nil {
+		return set.Set{}, err
+	}
+	return set.FromSorted(items), nil
+}
+
 // mergeBody is the local set algebra, ∪, ∩ and −, by internal/set's
 // operators. Whole variables go through the materialized kernels, which
 // size their output once. Edges go through the incremental merges, which
@@ -487,7 +515,7 @@ func (r *run) mergeBody(ctx context.Context, s plan.Step, ins []set.Iter, nd *no
 		sets := make([]set.Set, len(ins))
 		for k, in := range ins {
 			var err error
-			if sets[k], err = set.Collect(ctx, in); err != nil {
+			if sets[k], err = collect(ctx, in); err != nil {
 				return err
 			}
 		}

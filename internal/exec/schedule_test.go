@@ -25,8 +25,9 @@ func TestEmitSortedFollowsTheSchedule(t *testing.T) {
 		}
 		var sizes []int
 		for _, b := range ed.buf {
-			sizes = append(sizes, len(b))
+			sizes = append(sizes, len(*b.items))
 		}
+		ed.abandonNow()
 		return sizes
 	}
 	for _, first := range []int{1, 4, 256} {

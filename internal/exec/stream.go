@@ -109,6 +109,7 @@ func (b *byteTracker) high() int {
 	return b.peak
 }
 
+// batchBytes is what a batch's items weigh in PeakBytes.
 func batchBytes(batch []string) int {
 	n := 0
 	for _, v := range batch {
@@ -130,16 +131,29 @@ func batchBytes(batch []string) int {
 // coexist — so the wait-for graph is acyclic and the dataflow cannot
 // deadlock. The skew a tee buffers is real mediator memory and is tracked
 // in PeakBytes.
+//
+// Batches on an edge are the edge's own: send copies the producer's lent
+// batch into a pooled buffer (so a tee gives each consumer its own, and the
+// producer may refill its buffer as soon as send returns), recv lends that
+// buffer to the consumer, and the next recv, or abandonment, gives it back.
 type streamEdge struct {
 	tr    *byteTracker
 	bound int // max buffered batches; 0 = unbounded (fan-out edges)
 
 	mu        sync.Mutex
-	buf       [][]string
+	buf       []edgeBatch
+	lent      *[]string // the batch the consumer holds
 	closed    bool
 	abandoned bool
 	sendKick  chan struct{} // capacity 1: consumer → producer wakeups
 	recvKick  chan struct{} // capacity 1: producer → consumer wakeups
+}
+
+// edgeBatch is one batch buffered on an edge and its item bytes, counted
+// once, when the producer emitted it.
+type edgeBatch struct {
+	items *[]string
+	bytes int
 }
 
 func newStreamEdge(tr *byteTracker) *streamEdge {
@@ -161,20 +175,24 @@ func kickOne(ch chan struct{}) {
 	}
 }
 
-// send delivers batch to the consumer, blocking under backpressure on a
-// bounded edge. It returns delivered=false when the consumer abandoned the
-// edge (the batch is dropped), and an error only for context cancellation.
-func (ed *streamEdge) send(ctx context.Context, batch []string) (bool, error) {
+// send delivers a copy of batch, whose items are bytes bytes, to the
+// consumer, blocking under backpressure on a bounded edge. It returns
+// delivered=false when the consumer abandoned the edge (the copy is
+// dropped), and an error only for context cancellation.
+func (ed *streamEdge) send(ctx context.Context, batch []string, bytes int) (bool, error) {
+	b := edgeBatch{items: set.GetBatch(len(batch)), bytes: bytes}
+	*b.items = append(*b.items, batch...)
 	for {
 		ed.mu.Lock()
 		if ed.abandoned {
 			ed.mu.Unlock()
+			set.PutBatch(b.items)
 			return false, nil
 		}
 		if ed.bound == 0 || len(ed.buf) < ed.bound {
-			ed.buf = append(ed.buf, batch)
+			ed.buf = append(ed.buf, b)
 			ed.mu.Unlock()
-			ed.tr.add(batchBytes(batch))
+			ed.tr.add(bytes)
 			kickOne(ed.recvKick)
 			return true, nil
 		}
@@ -182,6 +200,7 @@ func (ed *streamEdge) send(ctx context.Context, batch []string) (bool, error) {
 		select {
 		case <-ed.sendKick:
 		case <-ctx.Done():
+			set.PutBatch(b.items)
 			return false, ctx.Err()
 		}
 	}
@@ -195,44 +214,70 @@ func (ed *streamEdge) closeSend() {
 	kickOne(ed.recvKick)
 }
 
-// recv pops the next batch, waiting for the producer when the edge is
-// empty. (nil, nil) is EOF.
-func (ed *streamEdge) recv(ctx context.Context) ([]string, error) {
+// take pops the next batch, waiting for the producer when the edge is
+// empty, and hands it over: the caller gives its buffer back. ok=false is
+// EOF.
+func (ed *streamEdge) take(ctx context.Context) (b edgeBatch, ok bool, err error) {
 	for {
 		ed.mu.Lock()
 		if len(ed.buf) > 0 {
-			batch := ed.buf[0]
+			b = ed.buf[0]
+			ed.buf[0] = edgeBatch{}
 			ed.buf = ed.buf[1:]
 			ed.mu.Unlock()
-			ed.tr.release(batchBytes(batch))
+			ed.tr.release(b.bytes)
 			kickOne(ed.sendKick)
-			return batch, nil
+			return b, true, nil
 		}
 		if ed.closed {
 			ed.mu.Unlock()
-			return nil, nil
+			return b, false, nil
 		}
 		ed.mu.Unlock()
 		select {
 		case <-ed.recvKick:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return b, false, ctx.Err()
 		}
 	}
 }
 
-// abandonNow marks the edge abandoned (idempotent), releases whatever the
-// producer buffered, and unblocks the producer so it can observe the
-// abandonment.
+// recv lends the next batch until the following recv or abandonment, which
+// give the one before back. (nil, nil) is EOF.
+func (ed *streamEdge) recv(ctx context.Context) ([]string, error) {
+	ed.putLent(nil)
+	b, ok, err := ed.take(ctx)
+	if !ok {
+		return nil, err
+	}
+	ed.putLent(b.items)
+	return *b.items, nil
+}
+
+// putLent gives back the batch the consumer held and records next as the
+// one it holds now.
+func (ed *streamEdge) putLent(next *[]string) {
+	ed.mu.Lock()
+	set.PutBatch(ed.lent)
+	ed.lent = next
+	ed.mu.Unlock()
+}
+
+// abandonNow marks the edge abandoned (idempotent), gives back whatever the
+// producer buffered and the consumer held, and unblocks the producer so it
+// can observe the abandonment.
 func (ed *streamEdge) abandonNow() {
 	ed.mu.Lock()
 	if !ed.abandoned {
 		ed.abandoned = true
 		for _, b := range ed.buf {
-			ed.tr.release(batchBytes(b))
+			ed.tr.release(b.bytes)
+			set.PutBatch(b.items)
 		}
 		ed.buf = nil
 	}
+	set.PutBatch(ed.lent)
+	ed.lent = nil
 	ed.mu.Unlock()
 	kickOne(ed.sendKick)
 }
@@ -330,29 +375,32 @@ func (r *run) runPipelined(ctx context.Context) error {
 		}(i, steps[i])
 	}
 
-	// Drain the answer on this goroutine. The accumulated answer is
-	// mediator memory for the rest of the run, so its bytes stay tracked.
-	ait := &edgeIter{ed: answerEdge}
-	var answer []string
+	// Drain the answer on this goroutine, taking each batch's buffer over
+	// until EOF; the answer is then one slice of exactly its size. The
+	// drained batches are mediator memory for the rest of the run, so their
+	// bytes stay tracked.
+	var drained []*[]string
 	var drainErr error
 	var first time.Duration
+	n := 0
 	for {
-		batch, err := ait.Next(rctx)
+		b, ok, err := answerEdge.take(rctx)
 		if err != nil {
 			drainErr = fmt.Errorf("exec: %w", err)
 			break
 		}
-		if batch == nil {
+		if !ok {
 			break
 		}
-		if answer == nil {
+		if drained == nil {
 			first = time.Since(start)
 			faSpan.End(nil)
 		}
-		r.tr.add(batchBytes(batch))
-		answer = append(answer, batch...)
+		r.tr.add(b.bytes)
+		drained = append(drained, b.items)
+		n += len(*b.items)
 	}
-	_ = ait.Close()
+	answerEdge.abandonNow()
 	wg.Wait()
 
 	err := firstErr
@@ -361,7 +409,7 @@ func (r *run) runPipelined(ctx context.Context) error {
 		// truncates the answer and must fail the run honestly.
 		err = drainErr
 	}
-	if answer == nil {
+	if drained == nil {
 		// No batch arrived: close the first-answer phase with the outcome
 		// (nil for a legitimately empty answer).
 		faSpan.End(err)
@@ -372,8 +420,18 @@ func (r *run) runPipelined(ctx context.Context) error {
 		// a later step failed is discarded with the rest of the partial.
 		res.FirstAnswer = first
 		obs.Meter(ctx).Histogram(obs.MFirstAnswerSeconds).Observe(first.Seconds())
+		var answer []string
+		if n > 0 {
+			answer = make([]string, 0, n)
+		}
+		for _, b := range drained {
+			answer = append(answer, *b...)
+		}
 		res.Answer = set.FromSorted(answer)
 		r.vars[r.p.Result] = res.Answer
+	}
+	for _, b := range drained {
+		set.PutBatch(b)
 	}
 	// The pipeline is one big round: response time is the critical path over
 	// the per-source k-lane schedules of the whole run's exchanges.

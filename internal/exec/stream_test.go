@@ -314,3 +314,73 @@ func TestStreamingHandlesReassignment(t *testing.T) {
 		t.Fatalf("answer = %v, want %v", got.Answer, want)
 	}
 }
+
+// TestTeeGivesEachConsumerItsOwnBatch: an edge carries a copy of what was
+// emitted, one for each consumer, so the producer may refill its buffer as
+// soon as emit returns; each consumer's batch is lent until its next recv,
+// and the bytes are tracked while the batch is buffered.
+func TestTeeGivesEachConsumerItsOwnBatch(t *testing.T) {
+	ctx := context.Background()
+	tr := &byteTracker{}
+	a, b := newStreamEdge(tr), newStreamEdge(tr)
+	a.bound, b.bound = 0, 0
+	nd := &node{outs: []*streamEdge{a, b}, dead: make([]bool, 2), live: 2}
+	buf := []string{"ID000001", "ID000002"}
+	if err := nd.emit(ctx, buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0], buf[1] = "refilled", "refilled"
+	if tr.cur != 32 {
+		t.Fatalf("%d bytes tracked with two batches of 16 buffered, want 32", tr.cur)
+	}
+	ga, err := a.recv(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := b.recv(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ga) != "[ID000001 ID000002]" || fmt.Sprint(gb) != fmt.Sprint(ga) || &ga[0] == &gb[0] {
+		t.Fatalf("the consumers received %v and %v, want two copies of the batch", ga, gb)
+	}
+	if tr.cur != 0 {
+		t.Fatalf("%d bytes tracked after both consumers took their batch, want 0", tr.cur)
+	}
+	a.closeSend()
+	if batch, err := a.recv(ctx); batch != nil || err != nil || a.lent != nil {
+		t.Fatalf("recv at EOF = %v, %v and holds %v; want nothing", batch, err, a.lent)
+	}
+	b.abandonNow()
+	if b.lent != nil {
+		t.Fatal("an abandoned edge still lends a batch")
+	}
+}
+
+// TestPipelinedAnswerIsOneExactSlice: the drain keeps the answer's batches
+// until the end and then builds the answer in one slice of its size, so a
+// long answer in many small batches costs no growth by doubling.
+func TestPipelinedAnswerIsOneExactSlice(t *testing.T) {
+	pr, srcs := synthProblem(t, workload.SynthConfig{
+		Seed: 3, NumSources: 3, TuplesPerSource: 2000, Universe: 1000, Selectivity: []float64{0.9, 0.9},
+	})
+	res, err := optimizer.SJAPlus(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := (&Executor{Sources: srcs}).Run(context.Background(), res.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str, err := (&Executor{Sources: srcs, Streaming: true, BatchSize: 4}).Run(context.Background(), res.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := str.Answer.Items()
+	if !str.Answer.Equal(mat.Answer) || len(items) < 200 {
+		t.Fatalf("streamed answer of %d items, materialized %d; the test wants the same few hundred", len(items), mat.Answer.Len())
+	}
+	if cap(items) != len(items) {
+		t.Fatalf("an answer of %d items is in a slice of %d", len(items), cap(items))
+	}
+}

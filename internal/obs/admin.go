@@ -22,6 +22,9 @@ import (
 //	/debug/traces     index of retained query records
 //	/debug/trace?qid= one full retained record, spans included (404 unknown)
 //	/debug/endpoints  per-endpoint fabric scorecards, when supplied
+//	/debug/runtime    the runtime's memory and collector (RuntimeHealth):
+//	                  live heap, heap goal, GC cycles, GC CPU share, GC
+//	                  pause percentiles, goroutines
 //	/debug/pprof/     the runtime profiles of net/http/pprof (CPU, heap,
 //	                  goroutines, execution trace), so a before/after
 //	                  profile comes from a running process
@@ -124,6 +127,9 @@ func ServeAdminConfig(addr string, cfg AdminConfig) (*AdminServer, error) {
 		writeJSON(w, struct {
 			Endpoints any `json:"endpoints"`
 		}{Endpoints: cards})
+	})
+	mux.HandleFunc("/debug/runtime", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, ReadRuntime())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -295,6 +296,7 @@ func TestAdminServerResponseShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	runtime.GC() // so the runtime has measured a live heap
 
 	cases := []struct {
 		path        string
@@ -303,6 +305,7 @@ func TestAdminServerResponseShape(t *testing.T) {
 		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
 		{"/metrics.json", "application/json"},
 		{"/healthz", "text/plain; charset=utf-8"},
+		{"/debug/runtime", "application/json"},
 		{"/debug/pprof/", "text/html; charset=utf-8"},
 		{"/debug/pprof/goroutine?debug=1", "text/plain; charset=utf-8"},
 	}
@@ -321,6 +324,18 @@ func TestAdminServerResponseShape(t *testing.T) {
 		}
 		if len(body) == 0 {
 			t.Errorf("GET %s: empty body", tc.path)
+		}
+		if tc.path == "/debug/runtime" {
+			var h RuntimeHealth
+			if err := json.Unmarshal(body, &h); err != nil {
+				t.Errorf("GET %s: %v", tc.path, err)
+			}
+			// A live process has a heap, a goal above it and goroutines; a
+			// share is a fraction and a percentile is ordered.
+			if h.LiveHeapBytes == 0 || h.HeapGoalBytes < h.LiveHeapBytes || h.Goroutines == 0 ||
+				h.GCCPUShare < 0 || h.GCCPUShare > 1 || h.GCPauseP99US < h.GCPauseP50US {
+				t.Errorf("GET %s: implausible summary %s", tc.path, body)
+			}
 		}
 	}
 }

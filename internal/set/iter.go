@@ -14,8 +14,13 @@ package set
 //   - Next returns the next batch: non-empty, sorted ascending, strictly
 //     greater item-wise than everything previously returned. A nil batch
 //     with a nil error means the stream is exhausted.
-//   - Returned batches are owned by the caller; the iterator does not
-//     reuse them.
+//   - Returned batches are lent, not given: a batch is valid until the
+//     consumer's next call to Next or Close, after which the producer may
+//     fill the same memory again (a merge, a wire stream, a source server
+//     and a pipeline edge all do, from the pool in pool.go). A consumer
+//     that keeps items past that copies them — Collect does — and nobody
+//     writes to a lent batch. Only the slice is lent: the item strings are
+//     immutable and may be kept.
 //   - After an error, the iterator is poisoned: Next keeps returning the
 //     same error.
 //   - Close releases the iterator's resources and is idempotent; it must
@@ -82,7 +87,8 @@ func (it *setIter) Close() error {
 
 // Collect drains it into a materialized Set and closes it — exhausted or
 // not, success or failure. It is the streaming-to-materialized bridge and
-// the canonical way to consume an iterator whole.
+// the canonical way to consume an iterator whole. The batches are lent, so
+// the set is a copy of them.
 func Collect(ctx context.Context, it Iter) (Set, error) {
 	defer func() { _ = it.Close() }()
 	var items []string
@@ -93,11 +99,6 @@ func Collect(ctx context.Context, it Iter) (Set, error) {
 		}
 		if batch == nil {
 			return Set{items: items}, nil
-		}
-		if items == nil {
-			// Common case: the whole stream is one batch; adopt it.
-			items = batch
-			continue
 		}
 		items = append(items, batch...)
 	}
@@ -163,10 +164,12 @@ func (c *cursor) compare(d *cursor) int { return compareKeyed(c.key, c.head(), d
 // mergeIter is the shared chassis of the merge operators: a fill function
 // fills one output batch, of the schedule's next size, from the cursors (it
 // stops short only when the output is decided), and Close propagates to
-// every input exactly once.
+// every input exactly once. Every batch is the one pooled buffer, lent to
+// the consumer until its next call; Close gives the buffer back.
 type mergeIter struct {
 	cur    []*cursor
 	sched  Schedule
+	out    Buffer
 	fill   func(ctx context.Context, out []string) ([]string, error)
 	err    error
 	done   bool
@@ -184,7 +187,7 @@ func (m *mergeIter) Next(ctx context.Context) ([]string, error) {
 		m.err = err
 		return nil, err
 	}
-	out, err := m.fill(ctx, make([]string, 0, m.sched.Next()))
+	out, err := m.fill(ctx, m.out.Take(m.sched.Next()))
 	if err != nil {
 		m.err = err
 		return nil, err
@@ -192,7 +195,7 @@ func (m *mergeIter) Next(ctx context.Context) ([]string, error) {
 	if len(out) < cap(out) {
 		// A fill stops short only when the output is decided: release the
 		// inputs now, so upstream producers stop without waiting for the
-		// consumer's Close, and the call that ends the stream allocates no
+		// consumer's Close, and the call that ends the stream fills no
 		// batch. A close error surfaces after the items already decided.
 		m.err = m.closeInputs()
 	}
@@ -203,6 +206,7 @@ func (m *mergeIter) Next(ctx context.Context) ([]string, error) {
 }
 
 func (m *mergeIter) Close() error {
+	m.out.Release()
 	return m.closeInputs()
 }
 

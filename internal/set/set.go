@@ -8,6 +8,12 @@
 // deduplicated. Sorted order makes plan traces, golden tests and benchmark
 // tables deterministic, and lets the binary set operations run in linear
 // time via merging.
+//
+// The streaming form of the algebra (Iter, iter.go) moves items in sorted
+// batches, and a batch is lent, not given: it is valid until the consumer's
+// next Next or Close, after which its producer may fill the same buffer
+// again (pool.go). Only the slice is lent — items are immutable strings —
+// so a consumer that keeps items past that copies the slice; Collect does.
 package set
 
 import (

@@ -180,6 +180,58 @@ func (w *Wrapper) sq(ctx context.Context, c cond.Cond, keep func(item string) bo
 	return selectItems(view, pred, keep), nil
 }
 
+// SelectStream implements ItemStreamer. The selection's groups are matched
+// once, into a vector of flags (matchGroups, which holds no pointers), and
+// each batch gathers the next of them into the stream's one buffer, which
+// it lends (set.Iter): no slice of the whole answer is ever made.
+func (w *Wrapper) SelectStream(ctx context.Context, c cond.Cond, batch int) (set.Iter, error) {
+	if err := w.ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	view, pred, err := w.bind(c)
+	if err != nil {
+		return nil, err
+	}
+	hits, n := matchGroups(view, pred, nil)
+	return &selectStream{w: w, items: view.Items, hits: hits, left: n, sched: set.NewSchedule(batch)}, nil
+}
+
+// selectStream is a Wrapper's streamed selection: from group g on, left of
+// the groups hits marks are still to come.
+type selectStream struct {
+	w       *Wrapper
+	items   []string
+	hits    []bool
+	g, left int
+	sched   set.Schedule
+	buf     set.Buffer
+}
+
+func (st *selectStream) Next(ctx context.Context) ([]string, error) {
+	if st.left == 0 {
+		return nil, nil
+	}
+	if err := st.w.ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	out := st.buf.Take(min(st.sched.Next(), st.left))
+	out = out[:cap(out)]
+	// gather's branch-free loop, stopping at the batch's last hit.
+	g := st.g
+	for j := 0; j < len(out); g++ {
+		out[j] = st.items[g]
+		j += b2i(st.hits[g])
+	}
+	st.g, st.left = g, st.left-len(out)
+	return out, nil
+}
+
+func (st *selectStream) Close() error {
+	st.left = 0
+	st.buf.Release()
+	return nil
+}
+
 // SelectItems answers sq(c, ·) over a backend: the distinct items with a
 // tuple satisfying c. Wrappers and the mediator's local selections over
 // loaded relations share this one implementation.
@@ -192,17 +244,23 @@ func SelectItems(b Backend, c cond.Cond) (set.Set, error) {
 }
 
 // selectItems runs the bound condition over the whole view, folds the rows'
-// matches into one per group, and collects the matching groups' items, which
-// the view holds sorted and distinct. The match vector is folded in place:
+// matches into one per group (matchGroups), and collects the matching
+// groups' items, which the view holds sorted and distinct. The match vector is folded in place:
 // group g's result lands on hits[g], a row the fold has already read. The
 // fold ORs a group's first and last rows and loops only over the rows
 // between them, so a group of one or two rows, the common case, costs no
 // branch on what matched.
 func selectItems(view *relation.Ordered, pred cond.Pred, keep func(item string) bool) set.Set {
-	hits := make([]bool, len(view.Rows))
+	hits, n := matchGroups(view, pred, keep)
+	return gather(view.Items, hits, n)
+}
+
+// matchGroups is selectItems' pass over the view: hits[g] says whether group
+// g's item is selected, and n is how many are.
+func matchGroups(view *relation.Ordered, pred cond.Pred, keep func(item string) bool) (hits []bool, n int) {
+	hits = make([]bool, len(view.Rows))
 	pred.Match(view, 0, hits)
 	start := view.Start
-	n := 0
 	for g := range view.Items {
 		lo, hi := start[g], start[g+1]
 		hit := b2i(hits[lo]) | b2i(hits[hi-1])
@@ -215,7 +273,7 @@ func selectItems(view *relation.Ordered, pred cond.Pred, keep func(item string) 
 		hits[g] = hit != 0
 		n += hit
 	}
-	return gather(view.Items, hits[:len(view.Items)], n)
+	return hits[:len(view.Items)], n
 }
 
 // collect returns the items whose hit is set, in a slice of exactly their

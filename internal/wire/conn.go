@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"fusionq/internal/obs"
+	"fusionq/internal/set"
 	"fusionq/internal/source"
 )
 
@@ -226,23 +227,40 @@ func (c *Conn) do(ctx context.Context, req Request) (Response, error) {
 // exchange sends req and reads its response frames up to the final one.
 // The frames draw on one budget, so it bounds the reassembled answer: a
 // peer that sends More forever cannot grow the item slice without bound.
+// The chunks after the first are decoded into pooled buffers, kept until
+// the final one has come, so the answer is one slice of exactly its size.
 func (c *Conn) exchange(ctx context.Context, req Request) (Response, error) {
 	if err := c.send(ctx, req); err != nil {
 		return Response{}, err
 	}
 	budget := MaxFrameBytes
-	var items []string
-	for {
-		var resp Response
-		if err := c.in.read(&resp, &budget); err != nil {
+	var resp Response
+	if err := c.in.read(&resp, &budget); err != nil || !resp.More {
+		return resp, err
+	}
+	first, n := resp.Items, len(resp.Items)
+	var chunks []*[]string
+	c.in.lend = true
+	defer func() {
+		c.in.lend = false
+		for _, b := range chunks {
+			set.PutBatch(b)
+		}
+	}()
+	for resp.More {
+		resp = Response{}
+		err := c.in.read(&resp, &budget)
+		if buf := c.in.taken(resp.Items); buf != nil {
+			chunks = append(chunks, buf)
+		}
+		if err != nil {
 			return Response{}, err
 		}
-		if !resp.More {
-			if items != nil {
-				resp.Items = append(items, resp.Items...)
-			}
-			return resp, nil
-		}
-		items = append(items, resp.Items...)
+		n += len(resp.Items)
 	}
+	resp.Items = append(make([]string, 0, n), first...)
+	for _, b := range chunks {
+		resp.Items = append(resp.Items, *b...)
+	}
+	return resp, nil
 }

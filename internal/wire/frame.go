@@ -14,6 +14,8 @@ import (
 	"io"
 	"reflect"
 	"strings"
+
+	"fusionq/internal/set"
 )
 
 const (
@@ -51,6 +53,11 @@ type frameReader struct {
 	// copies them.
 	spill, residue []byte
 	lits           []literal
+	// lend has the items of the frames read land in buffers from
+	// set.GetBatch; after each read, lent is the one holding them (nil when
+	// none does), for the caller to take and give back.
+	lend bool
+	lent *[]string
 }
 
 // next returns the next line that is not blank, without its meaning checked.
@@ -89,6 +96,19 @@ func (r *frameReader) next(budget *int) ([]byte, error) {
 	}
 }
 
+// taken hands over a pooled buffer holding items, the items of the frame
+// just read: the one decode lent, or, when encoding/json decoded them, a
+// copy. Nil when the frame had none.
+func (r *frameReader) taken(items []string) *[]string {
+	p := r.lent
+	r.lent = nil
+	if p == nil && len(items) > 0 {
+		p = set.GetBatch(len(items))
+		*p = append(*p, items...)
+	}
+	return p
+}
+
 // read decodes the next frame into v, charging its bytes to *budget.
 func (r *frameReader) read(v frame, budget *int) error {
 	line, err := r.next(budget)
@@ -112,13 +132,23 @@ func (r *frameReader) read(v frame, budget *int) error {
 // more, which is every chunk of a transfer but the last, is read here
 // entirely. The line is at most MaxFrameBytes long.
 func (r *frameReader) decode(line []byte, v frame) error {
+	r.lent = nil
 	m, ok := findItems(line, r.lits[:0])
 	r.lits = m.lits
 	if !ok {
 		return json.Unmarshal(line, v)
 	}
-	items, ok := fillItems(line, m.lits, m.size)
-	if !ok {
+	var items []string
+	if r.lend && len(m.lits) > 0 {
+		r.lent = set.GetBatch(len(m.lits))
+		items = (*r.lent)[:len(m.lits)]
+		*r.lent = items
+	} else {
+		items = make([]string, len(m.lits))
+	}
+	if !fillItems(items, line, m.lits, m.size) {
+		set.PutBatch(r.lent)
+		r.lent = nil
 		return json.Unmarshal(line, v)
 	}
 	if resp, isResp := v.(*Response); isResp && m.chunk {
@@ -376,18 +406,17 @@ func scanItems(b []byte, i int, lits []literal) (end int, _ []literal, size int)
 	}
 }
 
-// fillItems copies the literals scanItems recorded in line into one
-// exactly-sized slice, scanning none of them again: plain items are
+// fillItems copies the literals scanItems recorded in line into items, one
+// element a literal, scanning none of them again: plain items are
 // substrings of blocks of at most itemBlock bytes (an item larger than that
 // has a block of its own), and a literal with an escape or a byte outside
 // ASCII is encoding/json's, which may refuse it.
-func fillItems(line []byte, lits []literal, size int) ([]string, bool) {
-	items := make([]string, len(lits))
+func fillItems(items []string, line []byte, lits []literal, size int) bool {
 	var block strings.Builder
 	for k, lit := range lits {
 		if !lit.plain {
 			if json.Unmarshal(line[lit.at-1:lit.end+1], &items[k]) != nil {
-				return nil, false
+				return false
 			}
 			continue
 		}
@@ -401,7 +430,7 @@ func fillItems(line []byte, lits []literal, size int) ([]string, bool) {
 		items[k] = block.String()[at:]
 		size -= len(body)
 	}
-	return items, true
+	return true
 }
 
 // The encoder marshals the frame with a one-item stand-in for its items and

@@ -201,7 +201,8 @@ func (l *Listener) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	in := frameReader{br: bufio.NewReader(conn)}
-	var out []byte // the response frame being written, kept up to maxKeptBuffer
+	var w frameWriter
+	defer w.held.Release()
 	for {
 		if l.cfg.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(l.cfg.IdleTimeout)); err != nil {
@@ -230,57 +231,102 @@ func (l *Listener) serveConn(conn net.Conn) {
 			// than the cancellation, which is not the client's to read as a
 			// remote error. Dropping the connection instead makes the
 			// client see a dead server, a transient failure.
+			if resp.Stream != nil {
+				_ = resp.Stream.Close()
+			}
 			return
 		}
-		// Each chunk is written as soon as it is encoded, so a chunking
-		// client starts consuming items while later chunks are still being
-		// written — the wire half of streaming execution.
-		chunkStart := time.Now()
-		chunks := chunkResponses(req, resp)
-		for i := range chunks {
-			if f := chunks[i].Frag; f != nil {
-				// The handler's fragment rides the final chunk, so it can
-				// account for the emission of every chunk before it.
-				f.ChunkUS = time.Since(chunkStart).Microseconds()
-				f.TotalUS = time.Since(recv).Microseconds()
-			}
-			if l.cfg.WriteTimeout > 0 {
-				if err := conn.SetWriteDeadline(time.Now().Add(l.cfg.WriteTimeout)); err != nil {
-					return
-				}
-			}
-			var err error
-			if out, err = appendFrame(out[:0], &chunks[i]); err != nil {
-				return
-			}
-			if _, err := conn.Write(out); err != nil {
-				return
-			}
+		if !l.write(conn, req, resp, recv, &w) {
+			return
 		}
-		out = kept(out)
 	}
 }
 
-// chunkResponses splits an item-carrying response into chunks when the
-// client asked for chunking: the first of req.Chunk items, the later ones
-// following set.Schedule (each double the one before, up to set.MaxGrowth
-// times the first). Errors, non-item responses and unchunked requests pass
-// through as a single response. Every chunk carries the query ID, its items
-// and More (set on all but the last); everything else — the fragment, the
-// cache annotations — rides the final chunk. A split response's items are
-// encoded chunk by chunk: its Encoded array is of them all.
-func chunkResponses(req Request, resp Response) []Response {
-	if req.Chunk <= 0 || resp.Error != "" || len(resp.Items) <= req.Chunk {
-		return []Response{resp}
+// frameWriter is a connection's response side: the frame being written,
+// kept up to maxKeptBuffer between responses, and the pooled buffer that
+// holds a chunk back while the next one is pulled. The response being
+// encoded lives here too, because the encoder takes it by reference: a
+// response on the stack would be moved to the heap, one allocation a frame.
+type frameWriter struct {
+	out   []byte
+	held  set.Buffer
+	frame Response
+}
+
+// write sends resp, the answer to req, and reports whether the connection
+// is still in sync. An unchunked request, an error, a response without a
+// stream whose items fit one chunk, goes out as one frame. Anything else is
+// a stream of chunks (streamChunks): the response's Stream, or its items
+// cut by set.Schedule from req.Chunk (IterOf), so a source server's streamed
+// selection and fqd's materialized answer share one framing.
+func (l *Listener) write(conn net.Conn, req Request, resp Response, recv time.Time, w *frameWriter) bool {
+	defer func() { w.out = kept(w.out) }()
+	chunkStart := time.Now()
+	if resp.Stream == nil && (req.Chunk <= 0 || resp.Error != "" || len(resp.Items) <= req.Chunk) {
+		return l.writeFrame(conn, resp, chunkStart, recv, w)
 	}
-	items := resp.Items
-	resp.Encoded = nil
-	out := make([]Response, 0, int(set.Batches(float64(len(items)), req.Chunk)))
-	sched := set.NewSchedule(req.Chunk)
-	for n := sched.Next(); len(items) > n; n = sched.Next() {
-		out = append(out, Response{QueryID: resp.QueryID, Items: items[:n:n], More: true})
-		items = items[n:]
+	st := resp.Stream
+	if st == nil {
+		st = set.IterOf(set.FromSorted(resp.Items), req.Chunk)
 	}
-	resp.Items = items
-	return append(out, resp)
+	defer st.Close()
+	final := resp
+	final.Stream, final.Encoded = nil, nil
+	return l.streamChunks(conn, st, final, chunkStart, recv, w)
+}
+
+// streamChunks writes st's batches as the chunks of a response whose other
+// members final carries: every chunk has the query ID, its items and More,
+// set on all but the last, and the last has the rest — the fragment, the
+// cache annotations. A batch is lent until the next pull, and whether a
+// chunk is the last is known only at that pull, so each batch is held as a
+// copy of its item headers (the items themselves are immutable) while the
+// next is pulled. A stream that fails after chunks went out ends with an
+// error frame; one that fails because the listener was force-closed ends
+// with nothing, the connection dropped (serveConn).
+func (l *Listener) streamChunks(conn net.Conn, st set.Iter, final Response, chunkStart, recv time.Time, w *frameWriter) bool {
+	var held []string
+	batch, err := st.Next(l.baseCtx)
+	for err == nil && batch != nil {
+		held = append(w.held.Take(len(batch)), batch...)
+		if batch, err = st.Next(l.baseCtx); err != nil || batch == nil {
+			break
+		}
+		chunk := Response{QueryID: final.QueryID, Items: held, More: true}
+		if !l.writeFrame(conn, chunk, chunkStart, recv, w) {
+			return false
+		}
+	}
+	switch {
+	case err != nil && l.baseCtx.Err() != nil:
+		return false
+	case err != nil:
+		final = Response{QueryID: final.QueryID, Error: err.Error()}
+	default:
+		final.Items = held
+	}
+	return l.writeFrame(conn, final, chunkStart, recv, w)
+}
+
+// writeFrame writes one frame. The handler's fragment rides the final
+// frame, so it completes it there: it can account for the emission of every
+// chunk before it.
+func (l *Listener) writeFrame(conn net.Conn, resp Response, chunkStart, recv time.Time, w *frameWriter) bool {
+	if f := resp.Frag; f != nil {
+		f.ChunkUS = time.Since(chunkStart).Microseconds()
+		f.TotalUS = time.Since(recv).Microseconds()
+	}
+	if l.cfg.WriteTimeout > 0 {
+		if err := conn.SetWriteDeadline(time.Now().Add(l.cfg.WriteTimeout)); err != nil {
+			return false
+		}
+	}
+	w.frame = resp
+	out, err := appendFrame(w.out[:0], &w.frame)
+	w.frame, w.out = Response{}, out
+	if err != nil {
+		return false
+	}
+	_, err = conn.Write(w.out)
+	return err == nil
 }

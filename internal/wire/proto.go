@@ -106,6 +106,10 @@ type Response struct {
 	// Encoded, when set, is EncodeItems(Items): the encoder writes its body
 	// in place of encoding Items one by one. Only a writer sets it.
 	Encoded *EncodedItems `json:"-"`
+	// Stream, when set, is the answer's items as a stream: the listener
+	// writes each batch as a chunk (a chunked selection) and closes it. Only
+	// a writer sets it.
+	Stream set.Iter `json:"-"`
 	// Match answers binding.
 	Match bool `json:"match,omitempty"`
 	// Tuples answers lq and fetch.
@@ -204,12 +208,12 @@ func encodeCall(call source.Call) Request {
 // decodeCall reads a source operation from a peer's request, which nothing
 // vouches for: the condition and the filter an operation needs must be
 // there and parse. An op that is none of source's fails here when it
-// carries no condition, and in source.Do otherwise. Chunking is the
-// listener's, so the Call is never a streamed one. The request's items
-// become the Call's, here and in decodeReply: the frame they were decoded
-// from is the caller's to give.
+// carries no condition, and in source.Do otherwise. A chunked selection is
+// a streamed Call, whose stream the listener writes chunk by chunk. The
+// request's items become the Call's, here and in decodeReply: the frame
+// they were decoded from is the caller's to give.
 func decodeCall(req Request) (source.Call, error) {
-	call := source.Call{Op: source.Op(req.Op), Items: set.Adopt(req.Items), Item: req.Item}
+	call := source.Call{Op: source.Op(req.Op), Items: set.Adopt(req.Items), Item: req.Item, Batch: max(req.Chunk, 0)}
 	var err error
 	if call.Op != source.OpLoad && call.Op != source.OpFetch && call.Op != source.OpStats {
 		call.Cond, err = cond.Parse(req.Cond)
@@ -224,9 +228,9 @@ func decodeCall(req Request) (source.Call, error) {
 }
 
 // encodeReply is the response to a source operation; a loaded relation
-// travels as its rows.
+// travels as its rows, a streamed selection as its stream.
 func encodeReply(reply source.Reply) Response {
-	resp := Response{Items: reply.Items.Items(), Match: reply.Match, Stats: reply.Stats}
+	resp := Response{Items: reply.Items.Items(), Match: reply.Match, Stats: reply.Stats, Stream: reply.Stream}
 	tuples := reply.Tuples
 	if reply.Rel != nil {
 		tuples = reply.Rel.Rows()

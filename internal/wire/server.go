@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fusionq/internal/obs"
+	"fusionq/internal/set"
 	"fusionq/internal/source"
 )
 
@@ -121,7 +122,39 @@ func (s *Server) serve(ctx context.Context, req Request) Response {
 			BytesOut:   bytesOut,
 		}
 	}
+	if resp.Stream != nil {
+		resp.Stream = &servedStream{Iter: resp.Stream, ctx: ctx, frag: resp.Frag,
+			bytesOut: met.Counter(obs.MWireBytesOut, "op", req.Op), errs: met.Counter(obs.MWireErrors, "op", req.Op)}
+	}
 	return resp
+}
+
+// servedStream is a streamed answer on its way out through the listener:
+// each batch is pulled under the request's context and its bytes are
+// charged as it passes, to the wire counter and to the fragment the final
+// chunk carries, so both count what the stream delivered.
+type servedStream struct {
+	set.Iter
+	ctx            context.Context
+	frag           *Fragment
+	bytesOut, errs obs.Counter
+}
+
+func (st *servedStream) Next(context.Context) ([]string, error) {
+	batch, err := st.Iter.Next(st.ctx)
+	if err != nil {
+		st.errs.Inc()
+		return nil, err
+	}
+	n := 0
+	for _, v := range batch {
+		n += len(v)
+	}
+	st.bytesOut.Add(int64(n))
+	if st.frag != nil {
+		st.frag.BytesOut += n
+	}
+	return batch, nil
 }
 
 func errorResponse(err error) Response { return Response{Error: err.Error()} }

@@ -9,7 +9,9 @@ package wire
 // keeps a streaming executor's backpressure from deadlocking against the
 // client's connection serialization. Worst case (consumer fully stalled)
 // the buffer grows to the result size, i.e. no worse than a materialized
-// Select; best case batches are consumed as they land.
+// Select; best case batches are consumed as they land. Each chunk's items
+// are decoded into a pooled buffer (set.GetBatch), which the stream lends
+// to its consumer as that batch and takes back at the next Next or Close.
 
 import (
 	"context"
@@ -59,7 +61,8 @@ type clientStream struct {
 	notify chan struct{}
 
 	mu     sync.Mutex
-	chunks [][]string
+	chunks []*[]string
+	lent   *[]string // the batch the consumer holds
 	err    error
 	eof    bool
 	closed bool
@@ -75,10 +78,20 @@ func (st *clientStream) pump() {
 	last, any := "", false
 	var perr error
 	var frag *Fragment
+	// One response is decoded into again and again: the decoder takes it
+	// by reference, so one declared per frame would be one allocation each.
+	var resp Response
+	c.in.lend = true
 	for {
 		budget := MaxFrameBytes
-		var resp Response
-		if err := c.in.read(&resp, &budget); err != nil {
+		resp = Response{}
+		err := c.in.read(&resp, &budget)
+		buf := c.in.taken(resp.Items)
+		if err != nil || resp.Error != "" {
+			set.PutBatch(buf)
+			buf = nil
+		}
+		if err != nil {
 			err = c.fail(st.ctx, err)
 			st.mu.Lock()
 			if !st.closed {
@@ -100,14 +113,17 @@ func (st *clientStream) pump() {
 			last, any = v, true
 		}
 		if bad != "" {
+			set.PutBatch(buf)
 			c.drop()
 			perr = fmt.Errorf("wire: %s: unsorted chunk (%q after %q)", c.addr, bad, last)
 			break
 		}
-		if len(resp.Items) > 0 {
+		if buf != nil {
 			st.mu.Lock()
-			if !st.closed {
-				st.chunks = append(st.chunks, resp.Items)
+			if st.closed {
+				set.PutBatch(buf)
+			} else {
+				st.chunks = append(st.chunks, buf)
 			}
 			st.mu.Unlock()
 			st.kick()
@@ -128,6 +144,7 @@ func (st *clientStream) pump() {
 	if perr == nil {
 		c.graftFragment(st.sp, frag)
 	}
+	c.in.lend = false
 	c.release()
 }
 
@@ -140,16 +157,22 @@ func (st *clientStream) kick() {
 }
 
 // Next pops the next buffered chunk, waiting for the pump when the buffer
-// is empty.
+// is empty. The chunk lent by the call before goes back to the pool.
 func (st *clientStream) Next(ctx context.Context) ([]string, error) {
+	st.mu.Lock()
+	set.PutBatch(st.lent)
+	st.lent = nil
+	st.mu.Unlock()
 	for {
 		st.mu.Lock()
 		switch {
 		case len(st.chunks) > 0:
-			chunk := st.chunks[0]
+			st.lent = st.chunks[0]
+			st.chunks[0] = nil
 			st.chunks = st.chunks[1:]
+			batch := *st.lent
 			st.mu.Unlock()
-			return chunk, nil
+			return batch, nil
 		case st.err != nil:
 			err := st.err
 			st.mu.Unlock()
@@ -179,7 +202,11 @@ func (st *clientStream) Close() error {
 	}
 	st.closed = true
 	finished := st.eof
-	st.chunks = nil
+	for _, buf := range st.chunks {
+		set.PutBatch(buf)
+	}
+	set.PutBatch(st.lent)
+	st.chunks, st.lent = nil, nil
 	st.mu.Unlock()
 	if !finished {
 		_ = st.conn.Close()

@@ -1,10 +1,17 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net"
+	"slices"
 	"testing"
+	"time"
 
 	"fusionq/internal/cond"
 	"fusionq/internal/set"
@@ -169,13 +176,60 @@ func TestSelectStreamFallbackWithoutChunking(t *testing.T) {
 	}
 }
 
+// captureConn is a connection that keeps what is written to it.
+type captureConn struct {
+	net.Conn
+	out bytes.Buffer
+}
+
+func (c *captureConn) Write(b []byte) (int, error) { return c.out.Write(b) }
+
+// written returns the bytes the listener writes for resp, the answer to
+// req, and the frames they decode to.
+func written(t *testing.T, req Request, resp Response) ([]byte, []Response) {
+	t.Helper()
+	l := &Listener{baseCtx: context.Background()}
+	var conn captureConn
+	var w frameWriter
+	if !l.write(&conn, req, resp, time.Now(), &w) {
+		t.Fatal("the listener failed to write the response")
+	}
+	raw := slices.Clone(conn.out.Bytes())
+	in := frameReader{br: bufio.NewReader(&conn.out)}
+	var frames []Response
+	for {
+		budget := MaxFrameBytes
+		var f Response
+		if err := in.read(&f, &budget); err == io.EOF {
+			return raw, frames
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+}
+
+// failingIter yields its batches, then fails.
+type failingIter struct{ batches [][]string }
+
+func (it *failingIter) Next(context.Context) ([]string, error) {
+	if len(it.batches) == 0 {
+		return nil, errors.New("scan failed")
+	}
+	b := it.batches[0]
+	it.batches = it.batches[1:]
+	return b, nil
+}
+
+func (it *failingIter) Close() error { return nil }
+
 func TestChunkResponsesFraming(t *testing.T) {
 	items := make([]string, 10)
 	for i := range items {
 		items[i] = fmt.Sprintf("ID%06d", i)
 	}
 	resp := Response{QueryID: "q1", Items: items}
-	chunks := chunkResponses(Request{Chunk: 4}, resp)
+	_, chunks := written(t, Request{Chunk: 4}, resp)
 	// The first chunk is the size asked for, the next double it.
 	if len(chunks) != 2 || len(chunks[0].Items) != 4 || len(chunks[1].Items) != 6 {
 		t.Fatalf("got %d chunks, want 2 of 4 and 6 items", len(chunks))
@@ -191,23 +245,35 @@ func TestChunkResponsesFraming(t *testing.T) {
 	}
 	// Unchunked, error and small responses pass through untouched, and so
 	// does any answer when the peer asks for the largest chunk there is.
-	if got := chunkResponses(Request{}, resp); len(got) != 1 || len(got[0].Items) != len(items) || got[0].More {
+	if _, got := written(t, Request{}, resp); len(got) != 1 || len(got[0].Items) != len(items) || got[0].More {
 		t.Fatalf("unchunked request was split")
 	}
-	if got := chunkResponses(Request{Chunk: 4}, Response{Error: "boom", Items: items}); len(got) != 1 {
+	if _, got := written(t, Request{Chunk: 4}, Response{Error: "boom", Items: items}); len(got) != 1 {
 		t.Fatalf("error response was split")
 	}
-	if got := chunkResponses(Request{Chunk: 64}, resp); len(got) != 1 {
+	if _, got := written(t, Request{Chunk: 64}, resp); len(got) != 1 {
 		t.Fatalf("small response was split")
 	}
-	if got := chunkResponses(Request{Chunk: math.MaxInt}, resp); len(got) != 1 || len(got[0].Items) != len(items) {
+	if _, got := written(t, Request{Chunk: math.MaxInt}, resp); len(got) != 1 || len(got[0].Items) != len(items) {
 		t.Fatalf("chunk math.MaxInt split the response")
+	}
+	// A stream goes out batch by batch, the fragment riding the last; one
+	// that fails after a chunk went out ends with an error frame.
+	frag := &Fragment{Source: "R", Op: OpSelect}
+	_, got := written(t, Request{Chunk: 4}, Response{QueryID: "q2", Stream: set.IterOf(set.FromSorted(items), 4), Frag: frag})
+	if len(got) != 2 || got[0].Frag != nil || got[1].Frag == nil || got[1].Frag.Source != "R" || !got[0].More || got[1].More {
+		t.Fatalf("a stream of 10 items from 4 went out as %+v", got)
+	}
+	_, got = written(t, Request{Chunk: 4}, Response{QueryID: "q3", Stream: &failingIter{batches: [][]string{items[:4], items[4:]}}, Frag: frag})
+	if len(got) != 2 || len(got[0].Items) != 4 || !got[0].More || got[1].Error != "scan failed" || got[1].Frag != nil || got[1].QueryID != "q3" {
+		t.Fatalf("a failing stream went out as %+v", got)
 	}
 }
 
-// TestChunkResponsesFollowTheSchedule: the chunker a source server and fqd
+// TestChunkResponsesFollowTheSchedule: the writer a source server and fqd
 // share cuts every answer in [0, 20 000] items into set.Schedule's sizes, as
-// many as set.Batches counts, in a slice of exactly that many.
+// many as set.Batches counts, and an answer written from a stream is the
+// same bytes as one written from its items.
 func TestChunkResponsesFollowTheSchedule(t *testing.T) {
 	all := make([]string, 20000)
 	for i := range all {
@@ -215,7 +281,8 @@ func TestChunkResponsesFollowTheSchedule(t *testing.T) {
 	}
 	for _, first := range []int{1, 4, 256} {
 		for n := 0; n <= len(all); n += 1 + n/16 {
-			chunks := chunkResponses(Request{Chunk: first}, Response{Items: all[:n]})
+			req := Request{Chunk: first}
+			raw, chunks := written(t, req, Response{QueryID: "q", Items: all[:n]})
 			var sizes []int
 			for _, ch := range chunks {
 				sizes = append(sizes, len(ch.Items))
@@ -227,9 +294,12 @@ func TestChunkResponsesFollowTheSchedule(t *testing.T) {
 			if fmt.Sprint(sizes) != fmt.Sprint(want) {
 				t.Fatalf("%d items from %d: chunks of %v, want %v", n, first, sizes, want)
 			}
-			if n > first && (len(chunks) != int(set.Batches(float64(n), first)) || cap(chunks) != len(chunks)) {
-				t.Fatalf("%d items from %d: %d chunks in a slice of %d, set.Batches %v",
-					n, first, len(chunks), cap(chunks), set.Batches(float64(n), first))
+			if n > first && len(chunks) != int(set.Batches(float64(n), first)) {
+				t.Fatalf("%d items from %d: %d chunks, set.Batches %v", n, first, len(chunks), set.Batches(float64(n), first))
+			}
+			streamed, _ := written(t, req, Response{QueryID: "q", Stream: set.IterOf(set.FromSorted(all[:n]), first)})
+			if !bytes.Equal(raw, streamed) {
+				t.Fatalf("%d items from %d: the stream is written as other bytes than the items", n, first)
 			}
 		}
 	}
