@@ -8,7 +8,15 @@
 // sim_cost_ms_per_query to 6 significant figures (its last float digits
 // vary), and allocs_per_query within 2 % — gated only on a runtime like the
 // stamp's (Go version and GOMAXPROCS), reported and not gated on any other,
-// which allocates differently.
+// which allocates differently. A workload whose traffic follows the wall
+// clock (wallClocked) has its three traffic counts gated within
+// wallClockBound of the file's instead.
+//
+// Each entry's stamp is the benchmark's own stamp line. Its commit is the
+// HEAD of the checkout -write ran in, and the tree measured is that commit
+// with the working tree's changes on top: when a change rewrites the file
+// before it is committed, as it should, commit names the parent of the
+// commit that carries the file.
 //
 // Usage, from the repository root:
 //
@@ -32,6 +40,19 @@ import (
 const file = "BENCH_exact.json"
 
 var gated = []string{"source_exchanges_per_query", "source_kb_per_query", "sim_cost_ms_per_query", "allocs_per_query"}
+
+// wallClocked are the workloads whose traffic follows the wall clock:
+// remote-stream's fabric hedges an exchange after a delay measured on the
+// clock, so a slow moment can add a hedge, and its exchanges, bytes and
+// simulated cost, to a run.
+var wallClocked = map[string]bool{"remote-stream": true}
+
+// wallClockBound is the relative bound on a wallClocked workload's traffic
+// counts. Across eleven seeds (EXPERIMENTS.md E30) remote-stream's exchanges
+// were identical on two trees, its bytes agreed within 0.1 % and its
+// simulated cost within 0.05 %; 0.5 % clears that noise and still fails a
+// planted extra exchange, about 2 % of its 49 a query.
+const wallClockBound = 0.005
 
 // point is one workload's entry: the stamp line of the run that measured it
 // and the gated metrics.
@@ -85,11 +106,13 @@ func run(write bool) error {
 		for _, m := range gated {
 			w, g := want[name].Metrics[m], p.Metrics[m]
 			ok := g == w
-			switch m {
-			case "sim_cost_ms_per_query":
-				ok = strconv.FormatFloat(g, 'g', 6, 64) == strconv.FormatFloat(w, 'g', 6, 64)
-			case "allocs_per_query":
+			switch {
+			case m == "allocs_per_query":
 				ok = math.Abs(g-w) <= 0.02*w || !sameRuntime
+			case wallClocked[name]:
+				ok = math.Abs(g-w) <= wallClockBound*w
+			case m == "sim_cost_ms_per_query":
+				ok = strconv.FormatFloat(g, 'g', 6, 64) == strconv.FormatFloat(w, 'g', 6, 64)
 			}
 			verdict := "ok"
 			if !ok {

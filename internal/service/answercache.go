@@ -18,9 +18,9 @@ type AnswerCacheConfig struct {
 	// MaxEntries bounds the number of cached answers (default 1024);
 	// negative disables the cache.
 	MaxEntries int
-	// MaxBytes bounds the bytes of the entries' wire encodings, the items
-	// with their quotes and commas (an answer larger than it is not kept);
-	// 0 means unbounded by bytes.
+	// MaxBytes bounds the bytes of the entries' item blocks, each item's
+	// bytes and its length's uvarint (an answer larger than it is not
+	// kept); 0 means unbounded by bytes.
 	MaxBytes int64
 	// Metrics receives the fq_answer_cache_* metrics. Nil means the
 	// process-wide default registry.
@@ -35,7 +35,7 @@ type AnswerCacheConfig struct {
 // answers repeated whole queries without admitting them to execution at
 // all). Its own are the pin and the encoding: an entry is served only at the
 // roster epoch and up to the expiry instant it was put with, and holds its
-// items as the wire writes them (wire.EncodeItems), which is also their
+// items as the wire's item block (wire.EncodeItems), which is also their
 // copy. Safe for concurrent use.
 type AnswerCache struct {
 	cfg AnswerCacheConfig
@@ -128,11 +128,12 @@ func (c *AnswerCache) get(key string, epoch uint64) (wire.EncodedItems, bool) {
 // Put stores the answer items for key at the given roster epoch, stamping
 // the TTL from now, and returns them encoded; the store evicts
 // least-recently-used entries (reason "size") until both bounds hold. The
-// entry is the items' wire encoding, which is also their copy: an answer's
-// items are substrings of whatever they were decoded or scanned from (wire
-// frames' blocks, a source's rows), and an entry that kept them would retain
-// all of that, which the byte accounting would not see. A disabled cache
-// encodes nothing and returns the zero value.
+// entry is the items' item block, which is also their copy: an answer's
+// items are substrings of whatever they were decoded or scanned from (the
+// strings a wire frame's block was read into, a source's rows), and an
+// entry that kept them would retain all of that, which the byte accounting
+// would not see. A disabled cache encodes nothing and returns the zero
+// value.
 func (c *AnswerCache) Put(key string, epoch uint64, items []string) wire.EncodedItems {
 	if c.disabled() {
 		return wire.EncodedItems{}

@@ -55,8 +55,9 @@ type Result struct {
 	// it was served whole from the answer cache.
 	PlanCached   bool
 	AnswerCached bool
-	// encoded is Answer.Items as the wire writes them, when the answer
-	// cache holds them so: the Server writes it instead of each item.
+	// encoded is Answer.Items as the wire's item block, when the answer
+	// cache holds them so: the Server writes it instead of each item to a
+	// client that reads blocks.
 	encoded wire.EncodedItems
 }
 

@@ -98,12 +98,13 @@ func (s *Server) dispatch(ctx context.Context, req wire.Request) wire.Response {
 	case wire.OpMeta:
 		schema := s.eng.med.Schema()
 		return wire.Response{Meta: &wire.Meta{
-			Version:  wire.ProtocolVersion,
-			Name:     "fqd",
-			Merge:    schema.Merge(),
-			Columns:  wire.EncodeSchema(schema),
-			Chunking: true,
-			Queries:  true,
+			Version:   wire.ProtocolVersion,
+			Name:      "fqd",
+			Merge:     schema.Merge(),
+			Columns:   wire.EncodeSchema(schema),
+			Chunking:  true,
+			Queries:   true,
+			ItemBlock: true,
 		}}
 	case wire.OpQuery:
 		conds, err := ParseConds(req.Conds)

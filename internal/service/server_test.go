@@ -80,11 +80,11 @@ func exchangeLines(t *testing.T, addr string, req wire.Request) ([]string, []wir
 	}
 }
 
-// TestAnswerLinesAreTheItemEncoders: the server writes a cached answer from
-// the entry's encoding, on the miss that cached it and on every hit, and the
-// line it writes is byte for byte the one the item-by-item encoder writes
-// for the same response, which is json.Marshal's. Four of the six items are
-// ones the encoding keeps copies of.
+// TestAnswerLinesAreTheItemEncoders: a client that asks for no item block,
+// as a v1 client does, gets a cached answer as json.Marshal's line for the
+// response, byte for byte, on the miss that cached it and on every hit,
+// although the server holds the entry's block and writes it to clients that
+// ask. Four of the six items are ones json.Marshal escapes.
 func TestAnswerLinesAreTheItemEncoders(t *testing.T) {
 	eng, srv := oddItemsServer(t, AnswerCacheConfig{TTL: time.Minute})
 	req := wire.Request{Op: wire.OpQuery, QueryID: "q-7", Tenant: "a", Conds: []string{`V = 'dui'`}}

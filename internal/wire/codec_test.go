@@ -45,7 +45,7 @@ func TestRequestLines(t *testing.T) {
 			`{"op":"sq","cond":"V = 'dui' AND D \u003c 1995","chunk":2}`},
 	} {
 		req := encodeCall(tc.call)
-		got, err := appendFrame(nil, &req)
+		got, err := appendFrame(nil, &req, false)
 		if err != nil {
 			t.Fatal(err)
 		}

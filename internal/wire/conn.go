@@ -169,7 +169,8 @@ func (c *Conn) send(ctx context.Context, req Request) error {
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		return err
 	}
-	out, err := appendFrame(c.out, &req)
+	req.ItemBlock = c.meta.ItemBlock
+	out, err := appendFrame(c.out, &req, req.ItemBlock)
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/json"
-	"net"
 	"strconv"
 	"testing"
 
@@ -11,142 +9,6 @@ import (
 	"fusionq/internal/obs"
 	"fusionq/internal/workload"
 )
-
-// fakeV1Server speaks the wire protocol as a pre-fragment build would: it
-// answers meta without the Fragments (or Chunking) advertisement and echoes
-// no frag field, recording each request it saw. Interop with such servers is
-// the compatibility contract of the extension.
-type fakeV1Server struct {
-	ln   net.Listener
-	reqs chan Request
-}
-
-func startFakeV1Server(t *testing.T) *fakeV1Server {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &fakeV1Server{ln: ln, reqs: make(chan Request, 16)}
-	sc := workload.DMV()
-	meta := &Meta{
-		Version: 1,
-		Name:    "R1",
-		Merge:   sc.Sources[0].Schema().Merge(),
-		Columns: EncodeSchema(sc.Sources[0].Schema()),
-		Tuples:  3, Distinct: 3, Bytes: 64,
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec := json.NewDecoder(conn)
-				enc := json.NewEncoder(conn)
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					f.reqs <- req
-					resp := Response{QueryID: req.QueryID}
-					switch req.Op {
-					case OpMeta:
-						resp.Meta = meta
-					case OpSelect:
-						resp.Items = []string{"x7", "k2"}
-					default:
-						resp.Error = "unsupported op " + req.Op
-					}
-					if err := enc.Encode(resp); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	t.Cleanup(func() { _ = ln.Close() })
-	return f
-}
-
-// TestV1ServerInterop dials a server that predates the fragment extension:
-// the client must not ask for fragments, the exchange must succeed, and the
-// trace must hold a bare wire span with no grafted server child — the
-// rendered split then degrades to wait/wire.
-func TestV1ServerInterop(t *testing.T) {
-	f := startFakeV1Server(t)
-	cli, err := DialContext(context.Background(), f.ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if cli.meta.Fragments {
-		t.Fatal("client believes a v1 server advertises fragments")
-	}
-	<-f.reqs // the dial's meta request
-
-	tr := obs.NewTrace()
-	ctx := obs.With(context.Background(), &obs.Obs{QueryID: "q-v1", Trace: tr})
-	got, err := cli.Select(ctx, cond.MustParse("V = 'dui'"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("answer = %v", got)
-	}
-	req := <-f.reqs
-	if req.Frag {
-		t.Fatal("client set frag against a server that never advertised the extension")
-	}
-	spans := tr.Export()
-	if len(spans) != 1 || spans[0].Kind != obs.KindWire || !spans[0].Finished {
-		t.Fatalf("v1 exchange spans = %+v, want one finished wire span and nothing grafted", spans)
-	}
-}
-
-// TestV1ClientInterop runs a pre-fragment client against the current server:
-// a raw request without the frag field must get a response without one (and
-// without more/chunking artifacts), byte-compatible with what a v1 client
-// expects to decode.
-func TestV1ClientInterop(t *testing.T) {
-	sc := workload.DMV()
-	srv, err := ServeConfig(sc.Sources[0], "127.0.0.1:0", Config{Logf: func(string, ...interface{}) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
-
-	// A v1 client's requests have no qid, chunk or frag fields at all.
-	for _, raw := range []string{
-		`{"op":"meta"}`,
-		`{"op":"sq","cond":"V = 'dui'"}`,
-	} {
-		if err := enc.Encode(json.RawMessage(raw)); err != nil {
-			t.Fatal(err)
-		}
-		var resp map[string]json.RawMessage
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := resp["error"]; ok {
-			t.Fatalf("request %s errored: %s", raw, resp["error"])
-		}
-		for _, field := range []string{"frag", "more"} {
-			if _, ok := resp[field]; ok {
-				t.Fatalf("response to %s carries %q, which a v1 client never asked for: %v", raw, field, resp)
-			}
-		}
-	}
-}
 
 // TestFragmentsOnlyForTracedCalls: a fragment is asked for only when the
 // call has a span to graft it under. An untraced call gets none, so the

@@ -1,18 +1,26 @@
 package wire
 
-// The frame codec. A frame is one line: a JSON object and its newline. The
-// one member that moves in volume, "items", is coded here by hand; every
-// other member is encoding/json's, so the bytes on the wire and the meaning
-// of any bytes a peer sends are exactly what json.Encoder wrote and
-// json.Unmarshal reads (FuzzFrameCodec holds both to that). DESIGN.md
-// "Transport" states the contract.
+// The frame codec. A frame is a line, a JSON object and its newline, or a
+// line and its item block: a peer that asked for blocks (the item-block
+// extension, Meta.ItemBlock) gets a frame's items after its line as their
+// lengths in uvarints and then their bytes, the line carrying their count
+// and the block's length in place of "items". Everything on a line is
+// encoding/json's, so the meaning of a line is exactly what json.Unmarshal
+// reads; the block is this file's. The line of a block chunk or a block
+// answer is read here without encoding/json when it holds nothing but the
+// members this codec writes on one.
+// DESIGN.md "Transport" states the contract.
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
+	"math/bits"
 	"reflect"
+	"slices"
 	"strings"
 
 	"fusionq/internal/set"
@@ -23,11 +31,17 @@ const (
 	// frames. One that grew past it for a large frame is let go afterwards,
 	// so a connection's footprint follows its usual frames, not its largest.
 	maxKeptBuffer = 64 << 10
-	// itemBlock caps one backing block of decoded items. The items of a
-	// frame are substrings of such blocks, so an item that outlives its
+	// itemBlock caps one backing string of decoded items. The items of a
+	// frame are substrings of such strings, so an item that outlives its
 	// frame's other items pins at most this much.
 	itemBlock = 4 << 10
+	// blockStep is the least a block's buffer grows by while its bytes
+	// arrive: a block up to it is read into one allocation.
+	blockStep = 1 << 20
 )
+
+// errBlock reports an item block that does not hold what its line says.
+var errBlock = errors.New("wire: malformed item block")
 
 // kept is buf emptied for the next frame, or nothing when it grew past
 // maxKeptBuffer bytes.
@@ -38,21 +52,30 @@ func kept[T any](buf []T) []T {
 	return buf[:0]
 }
 
-// frame is what Request and Response have in common for the codec.
-type frame interface{ itemsField() *[]string }
+// blockHeader stands in for a frame's items on the line of a frame whose
+// items follow it as a block: ItemCount items in a block of BlockBytes
+// bytes. Only the codec sets it: a frame decoded has its items in Items and
+// the header zero.
+type blockHeader struct {
+	ItemCount  int `json:"itemCount,omitempty"`
+	BlockBytes int `json:"blockBytes,omitempty"`
+}
 
-func (r *Request) itemsField() *[]string  { return &r.Items }
-func (r *Response) itemsField() *[]string { return &r.Items }
+// frame is what Request and Response have in common for the codec: their
+// items and the header that stands in for them on a block frame's line.
+type frame interface {
+	itemFields() (*[]string, *blockHeader)
+}
+
+func (r *Request) itemFields() (*[]string, *blockHeader)  { return &r.Items, &r.blockHeader }
+func (r *Response) itemFields() (*[]string, *blockHeader) { return &r.Items, &r.blockHeader }
 
 // frameReader reads frames off one connection.
 type frameReader struct {
 	br *bufio.Reader
-	// spill gathers a frame longer than br's buffer; residue holds a frame
-	// without its items member for encoding/json; lits holds the bounds of
-	// the items' literals from the pass that finds them to the one that
-	// copies them.
-	spill, residue []byte
-	lits           []literal
+	// spill gathers a line longer than br's buffer, block a frame's item
+	// block.
+	spill, block []byte
 	// lend has the items of the frames read land in buffers from
 	// set.GetBatch; after each read, lent is the one holding them (nil when
 	// none does), for the caller to take and give back.
@@ -64,7 +87,7 @@ type frameReader struct {
 // Every byte consumed, terminators and blank lines included, is charged to
 // *budget, and a line that would overdraw it fails with ErrFrameTooLarge
 // before it is buffered. Bytes a peer leaves unterminated before hanging up
-// are its last line. The line is valid until the next call.
+// are its last line. The line is valid until the next read from br.
 func (r *frameReader) next(budget *int) ([]byte, error) {
 	line := r.spill[:0]
 	for {
@@ -97,8 +120,8 @@ func (r *frameReader) next(budget *int) ([]byte, error) {
 }
 
 // taken hands over a pooled buffer holding items, the items of the frame
-// just read: the one decode lent, or, when encoding/json decoded them, a
-// copy. Nil when the frame had none.
+// just read: the one the read lent, or, when they were decoded from the
+// line, a copy. Nil when the frame had none.
 func (r *frameReader) taken(items []string) *[]string {
 	p := r.lent
 	r.lent = nil
@@ -109,161 +132,135 @@ func (r *frameReader) taken(items []string) *[]string {
 	return p
 }
 
-// read decodes the next frame into v, charging its bytes to *budget.
+// read decodes the next frame into v, charging its bytes to *budget: the
+// line, and then the block its header announces. The block is charged in
+// full before anything is allocated for it, so a header cannot make the
+// reader allocate past what the budget has left.
 func (r *frameReader) read(v frame, budget *int) error {
+	r.lent = nil
 	line, err := r.next(budget)
 	if err != nil {
 		return err
 	}
-	err = r.decode(line, v)
-	r.residue, r.lits = kept(r.residue), kept(r.lits)
-	return err
-}
-
-// decode is json.Unmarshal(line, v) with the items array decoded by hand.
-// When the top-level object carries one member named exactly "items" and
-// its value is an array of string literals, the array is decoded here and
-// the object without that member (the residue, built in r's scratch) goes
-// to encoding/json. Anything else — another spelling json would fold onto
-// the field, a second such member, a key with an escape, null, a number
-// among the items, a line the walker cannot follow — goes to encoding/json
-// whole, so its semantics hold by construction. One residue is not worth
-// the trip: a response that besides its items has only a plain qid and
-// more, which is every chunk of a transfer but the last, is read here
-// entirely. The line is at most MaxFrameBytes long.
-func (r *frameReader) decode(line []byte, v frame) error {
-	r.lent = nil
-	m, ok := findItems(line, r.lits[:0])
-	r.lits = m.lits
-	if !ok {
-		return json.Unmarshal(line, v)
-	}
-	var items []string
-	if r.lend && len(m.lits) > 0 {
-		r.lent = set.GetBatch(len(m.lits))
-		items = (*r.lent)[:len(m.lits)]
-		*r.lent = items
-	} else {
-		items = make([]string, len(m.lits))
-	}
-	if !fillItems(items, line, m.lits, m.size) {
-		set.PutBatch(r.lent)
-		r.lent = nil
-		return json.Unmarshal(line, v)
-	}
-	if resp, isResp := v.(*Response); isResp && m.chunk {
-		if m.qid != nil {
-			resp.QueryID = string(m.qid)
+	resp, isResp := v.(*Response)
+	if !isResp || !readBlockLine(line, resp) {
+		if err := json.Unmarshal(line, v); err != nil {
+			return err
 		}
-		if m.more != nil {
-			resp.More = m.more[0] == 't'
-		}
-		resp.Items = items
+	}
+	field, hdr := v.itemFields()
+	h := *hdr
+	*hdr = blockHeader{}
+	switch {
+	case h == blockHeader{}:
 		return nil
+	case len(*field) > 0 || h.ItemCount < 0 || h.BlockBytes < h.ItemCount:
+		return errBlock
+	case h.BlockBytes > *budget:
+		return ErrFrameTooLarge
 	}
-	r.residue = append(append(r.residue[:0], line[:m.start]...), line[m.end:]...)
-	if err := json.Unmarshal(r.residue, v); err != nil {
+	*budget -= h.BlockBytes
+	defer func() { r.block = kept(r.block) }()
+	if err := r.readBlock(h.BlockBytes); err != nil {
 		return err
 	}
-	*v.itemsField() = items
+	var items []string
+	if r.lend {
+		r.lent = set.GetBatch(h.ItemCount)
+		items = (*r.lent)[:h.ItemCount]
+		*r.lent = items
+	} else {
+		items = make([]string, h.ItemCount)
+	}
+	if err := decodeBlock(items, r.block); err != nil {
+		set.PutBatch(r.lent)
+		r.lent = nil
+		return err
+	}
+	*field = items
 	return nil
 }
 
-// itemsMember locates a hand-decodable items member in a line.
-type itemsMember struct {
-	// line[:start] + line[end:] is the residue: the member goes with the
-	// comma before it, or the one after it when it is the first.
-	start, end int
-	// lits are the array's literals and size the bytes of those that can be
-	// copied as they stand.
-	lits []literal
-	size int
-	// chunk says the other members are at most a qid that is a plain string
-	// (its bytes) and a more that is true or false (the literal); the last
-	// of each counts, as it does for encoding/json.
-	chunk     bool
-	qid, more []byte
+// readBlock reads the next n bytes into r.block, which grows as they
+// arrive, by at least blockStep bytes at a time: a header that announces
+// more than the peer sends costs at most blockStep bytes more than what
+// was sent, not what was announced.
+func (r *frameReader) readBlock(n int) error {
+	b := r.block[:0]
+	defer func() { r.block = b }()
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(n-len(b), max(len(b), blockStep)))
+		}
+		m, err := r.br.Read(b[len(b):min(cap(b), n)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return io.ErrUnexpectedEOF
+		} else if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// literal is one string literal of an items array: its body is
-// line[at:end], and plain says those bytes are the string. A line is at
-// most MaxFrameBytes long, so an offset fits 32 bits.
-type literal struct {
-	at, end int32
-	plain   bool
-}
-
-// findItems walks the top-level object of line, recording the items'
-// literals onto lits. It validates only what it needs to be sure where the
-// members are: any line it cannot follow is reported as not found and left
-// to encoding/json, and the residue keeps every byte the walker skipped
-// leniently, so a malformed line fails there.
-func findItems(line []byte, lits []literal) (m itemsMember, found bool) {
-	m.lits = lits
+// readBlockLine reads line into resp when it is the line of a block frame
+// as this codec writes a chunk's or an answer's: an object whose members
+// are at most a qid that is a plain string, the two block counts as plain
+// integers, and more, planCached and answerCached as true or false, each
+// under exactly its name (the last of each counts, as for encoding/json).
+// Any other line is left to encoding/json, so what a line means is
+// encoding/json's whatever it holds; resp is untouched then.
+func readBlockLine(line []byte, resp *Response) bool {
+	var r Response
+	var qid []byte
 	i := skipSpace(line, 0)
 	if i == len(line) || line[i] != '{' {
-		return m, false
+		return false
 	}
-	i = skipSpace(line, i+1)
-	m.chunk = true
-	comma := -1 // the comma before the current member
-	for {
-		key := i
-		n, plain := scanString(line, i)
-		if n == 0 || !plain {
-			return m, false
+	for i = skipSpace(line, i+1); ; i = skipSpace(line, i+1) {
+		key, n := plainString(line, i)
+		if n == 0 {
+			return false
 		}
-		name := line[i+1 : i+n-1]
-		i = skipSpace(line, i+n)
-		if i == len(line) || line[i] != ':' {
-			return m, false
+		if i = skipSpace(line, i+n); i == len(line) || line[i] != ':' {
+			return false
 		}
 		i = skipSpace(line, i+1)
-		isItems := string(name) == "items"
-		switch {
-		case isItems && !found:
-			found = true
-			if i, m.lits, m.size = scanItems(line, i, m.lits); i == 0 {
-				return m, false
-			}
-		case isItems || bytes.EqualFold(name, []byte("items")):
-			return m, false
+		switch string(key) {
+		case "qid":
+			qid, n = plainString(line, i)
+		case "itemCount":
+			r.ItemCount, n = plainInt(line, i)
+		case "blockBytes":
+			r.BlockBytes, n = plainInt(line, i)
+		case "more":
+			r.More, n = plainBool(line, i)
+		case "planCached":
+			r.PlanCached, n = plainBool(line, i)
+		case "answerCached":
+			r.AnswerCached, n = plainBool(line, i)
 		default:
-			val := i
-			if i = skipValue(line, i); i == 0 {
-				return m, false
-			}
-			n, plain := scanString(line, val)
-			switch lit := line[val:i]; {
-			case string(name) == "qid" && plain && n == len(lit):
-				m.qid = lit[1 : n-1]
-			case string(name) == "more" && (string(lit) == "true" || string(lit) == "false"):
-				m.more = lit
-			default:
-				m.chunk = false
-			}
+			return false
 		}
-		end := i
-		i = skipSpace(line, i)
-		if i == len(line) || (line[i] != ',' && line[i] != '}') {
-			return m, false
+		if n == 0 {
+			return false
 		}
-		if isItems {
-			switch {
-			case comma >= 0:
-				m.start, m.end = comma, end
-			case line[i] == ',':
-				m.start, m.end = key, i+1
-			default:
-				m.start, m.end = key, end
-			}
+		if i = skipSpace(line, i+n); i == len(line) {
+			return false
 		}
 		if line[i] == '}' {
-			return m, found && skipSpace(line, i+1) == len(line)
+			break
 		}
-		comma = i
-		i = skipSpace(line, i+1)
+		if line[i] != ',' {
+			return false
+		}
 	}
+	if skipSpace(line, i+1) != len(line) {
+		return false
+	}
+	r.QueryID = string(qid)
+	*resp = r
+	return true
 }
 
 func skipSpace(b []byte, i int) int {
@@ -273,286 +270,186 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
-// Byte classes of a JSON string: inString bytes stand for themselves in a
-// literal read off the wire, verbatim bytes are those json.Marshal, which
-// escapes for HTML, writes as they stand.
-var inString, verbatim = func() (in, out [256]bool) {
-	for c := 0x20; c < 0x80; c++ {
-		in[c] = c != '"' && c != '\\'
-		out[c] = in[c] && c != '<' && c != '>' && c != '&' && c != 0x7f
-	}
-	return in, out
-}()
-
-// scanString measures the string literal at b[i:], quotes included; zero
-// means there is none. plain says its bytes between the quotes are the
-// string: no escape, nothing outside ASCII.
-func scanString(b []byte, i int) (n int, plain bool) {
+// plainString returns the body of the string literal at b[i:] and its
+// length, quotes included, when its body stands for itself: printable
+// ASCII with no quote or backslash. Zero means there is no such literal.
+func plainString(b []byte, i int) ([]byte, int) {
 	if i >= len(b) || b[i] != '"' {
-		return 0, false
+		return nil, 0
 	}
-	plain = true
-	for j := i + 1; ; {
-		for j < len(b) && inString[b[j]] {
-			j++
-		}
-		if j >= len(b) {
-			return 0, false
-		}
+	for j := i + 1; j < len(b); j++ {
 		switch c := b[j]; {
 		case c == '"':
-			return j + 1 - i, plain
-		case c == '\\':
-			plain = false
-			j += 2
-		case c < 0x20:
-			return 0, false
-		default:
-			plain = false
-			j++
+			return b[i+1 : j], j + 1 - i
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			return nil, 0
 		}
 	}
+	return nil, 0
 }
 
-// skipValue returns the index after the value at b[i:], zero when there is
-// none. Containers are skipped by depth and scalars up to the next
-// delimiter: what they hold is encoding/json's to judge.
-func skipValue(b []byte, i int) int {
-	if i >= len(b) {
-		return 0
+// plainInt reads the number at b[i:] when it is a non-negative integer of
+// at most nine digits and no leading zero, and returns it and its length;
+// zero length means there is no such number.
+func plainInt(b []byte, i int) (int, int) {
+	v, j := 0, i
+	for j < len(b) && j-i < 10 && b[j] >= '0' && b[j] <= '9' {
+		v = 10*v + int(b[j]-'0')
+		j++
 	}
-	switch b[i] {
-	case '"':
-		n, _ := scanString(b, i)
-		if n == 0 {
-			return 0
-		}
-		return i + n
-	case '{', '[':
-		for depth := 0; i < len(b); i++ {
-			switch b[i] {
-			case '"':
-				n, _ := scanString(b, i)
-				if n == 0 {
-					return 0
-				}
-				i += n - 1
-			case '{', '[':
-				depth++
-			case '}', ']':
-				if depth--; depth == 0 {
-					return i + 1
-				}
-			}
-		}
-		return 0
+	if n := j - i; n == 0 || n > 9 || (n > 1 && b[i] == '0') {
+		return 0, 0
 	}
-	start := i
-	for i < len(b) && !strings.ContainsRune(",}] \n\t\r", rune(b[i])) {
-		i++
-	}
-	if i == start {
-		return 0
-	}
-	return i
+	return v, j - i
 }
 
-// scanItems is the one pass over the array at b[i:]: it appends every
-// literal's bounds to lits and returns the index after the closing bracket
-// (zero unless every element is a string literal) and the bytes of the
-// plain literals. The common literal, a quote, bytes that stand for
-// themselves and a quote, is read by the loop here; any other is
-// scanString's.
-func scanItems(b []byte, i int, lits []literal) (end int, _ []literal, size int) {
-	if i >= len(b) || b[i] != '[' {
-		return 0, lits, 0
+// plainBool reads the literal true or false at b[i:] and returns it and
+// its length; zero length means there is neither.
+func plainBool(b []byte, i int) (bool, int) {
+	switch {
+	case bytes.HasPrefix(b[i:], []byte("true")):
+		return true, 4
+	case bytes.HasPrefix(b[i:], []byte("false")):
+		return false, 5
 	}
-	i = skipSpace(b, i+1)
-	if i < len(b) && b[i] == ']' {
-		return i + 1, lits, 0
-	}
-	for {
-		if i >= len(b) || b[i] != '"' {
-			return 0, lits, 0
-		}
-		j := i + 1
-		for j < len(b) && inString[b[j]] {
-			j++
-		}
-		plain := true
-		if j == len(b) || b[j] != '"' {
-			var n int
-			if n, plain = scanString(b, i); n == 0 {
-				return 0, lits, 0
-			}
-			j = i + n - 1
-		}
-		lits = append(lits, literal{at: int32(i + 1), end: int32(j), plain: plain})
-		if plain {
-			size += j - i - 1
-		}
-		i = skipSpace(b, j+1)
-		if i == len(b) {
-			return 0, lits, 0
-		}
-		switch b[i] {
-		case ',':
-			i = skipSpace(b, i+1)
-		case ']':
-			return i + 1, lits, size
-		default:
-			return 0, lits, 0
-		}
-	}
+	return false, 0
 }
 
-// fillItems copies the literals scanItems recorded in line into items, one
-// element a literal, scanning none of them again: plain items are
-// substrings of blocks of at most itemBlock bytes (an item larger than that
-// has a block of its own), and a literal with an escape or a byte outside
-// ASCII is encoding/json's, which may refuse it.
-func fillItems(items []string, line []byte, lits []literal, size int) bool {
-	var block strings.Builder
-	for k, lit := range lits {
-		if !lit.plain {
-			if json.Unmarshal(line[lit.at-1:lit.end+1], &items[k]) != nil {
-				return false
-			}
+// decodeBlock fills items from block, which must hold exactly len(items)
+// items: their lengths as minimal uvarints, then their bytes, nothing
+// after. The bytes are not looked at: they are copied into strings of at
+// most itemBlock bytes (an item larger than that has one of its own), and
+// each item is a substring of one. A length below 128, one byte, is read in
+// line.
+func decodeBlock(items []string, block []byte) error {
+	at, size := 0, 0
+	for range items {
+		if at < len(block) && block[at] < 0x80 {
+			size += int(block[at])
+			at++
 			continue
 		}
-		body := line[lit.at:lit.end]
-		if len(body) > block.Cap()-block.Len() {
-			block.Reset()
-			block.Grow(max(len(body), min(size, itemBlock)))
+		n, k := binary.Uvarint(block[at:])
+		if k <= 1 || block[at+k-1] == 0 || n > uint64(len(block)) {
+			return errBlock
 		}
-		at := block.Len()
-		block.Write(body)
-		items[k] = block.String()[at:]
-		size -= len(body)
+		at += k
+		size += int(n)
 	}
-	return true
+	if at+size != len(block) {
+		return errBlock
+	}
+	var s string
+	for i, p, d := 0, 0, at; i < len(items); i++ {
+		n := int(block[p])
+		if n < 0x80 {
+			p++
+		} else {
+			u, k := binary.Uvarint(block[p:])
+			n, p = int(u), p+k
+		}
+		if n > len(s) {
+			s = string(block[d : d+max(n, min(len(block)-d, itemBlock))])
+		}
+		items[i], s = s[:n], s[n:]
+		d += n
+	}
+	return nil
 }
 
-// The encoder marshals the frame with a one-item stand-in for its items and
-// puts the real array in the stand-in's place. The marker cannot occur
-// earlier in the line than the member itself: the members before it are
-// strings, and a quote inside a JSON string is escaped.
-var (
-	itemsStandIn = []string{""}
-	itemsMarker  = []byte(`"items":[""]`)
-)
-
-// appendFrame appends v's line, newline included, to dst: the bytes
-// json.Encoder writes for it. A response's items go out as its Encoded
-// array when it carries one.
-func appendFrame(dst []byte, v frame) ([]byte, error) {
-	field := v.itemsField()
-	items := *field
-	if len(items) > 0 {
-		*field = itemsStandIn
+// blockSize is the length of the block of items.
+func blockSize(items []string) int {
+	n := 0
+	for _, it := range items {
+		n += uvarintLen(len(it)) + len(it)
 	}
+	return n
+}
+
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+
+// appendBlock appends the block of items to dst.
+func appendBlock(dst []byte, items []string) []byte {
+	for _, it := range items {
+		dst = binary.AppendUvarint(dst, uint64(len(it)))
+	}
+	for _, it := range items {
+		dst = append(dst, it...)
+	}
+	return dst
+}
+
+// appendFrame appends v's frame to dst. Without block, or with no items,
+// it is the line json.Encoder writes for v. With block, the line has the
+// block's header in place of the items and the block follows it: a
+// response's Encoded block when it carries one.
+func appendFrame(dst []byte, v frame, block bool) ([]byte, error) {
+	field, hdr := v.itemFields()
+	items := *field
+	if !block || len(items) == 0 {
+		line, err := json.Marshal(v)
+		if err != nil {
+			return dst, err
+		}
+		return append(append(dst, line...), '\n'), nil
+	}
+	var enc *EncodedItems
+	if resp, ok := v.(*Response); ok {
+		enc = resp.Encoded
+	}
+	size := 0
+	if enc != nil {
+		size = len(enc.block)
+	} else {
+		size = blockSize(items)
+	}
+	*field, *hdr = nil, blockHeader{ItemCount: len(items), BlockBytes: size}
 	line, err := json.Marshal(v)
-	*field = items
+	*field, *hdr = items, blockHeader{}
 	if err != nil {
 		return dst, err
 	}
-	if len(items) > 0 {
-		at := bytes.Index(line, itemsMarker) + len(`"items":[`)
-		dst = append(dst, line[:at]...)
-		if resp, ok := v.(*Response); ok && resp.Encoded != nil {
-			dst = append(dst, resp.Encoded.body...)
-		} else {
-			for i, item := range items {
-				if i > 0 {
-					dst = append(dst, ',')
-				}
-				dst = appendItem(dst, item)
-			}
-		}
-		line = line[at+len(`""`):]
+	dst = append(append(dst, line...), '\n')
+	if enc != nil {
+		return append(dst, enc.block...), nil
 	}
-	return append(append(dst, line...), '\n'), nil
-}
-
-// appendItem appends item as a JSON string literal. An item json.Marshal
-// would write byte for byte between quotes is written so; any other is
-// json.Marshal's.
-func appendItem(dst []byte, item string) []byte {
-	if !isVerbatim(item) {
-		lit, _ := json.Marshal(item) // a string always marshals
-		return append(dst, lit...)
-	}
-	return append(append(append(dst, '"'), item...), '"')
-}
-
-// isVerbatim says json.Marshal writes item byte for byte between quotes.
-func isVerbatim(item string) bool {
-	for i := 0; i < len(item); i++ {
-		if !verbatim[item[i]] {
-			return false
-		}
-	}
-	return true
+	return appendBlock(dst, items), nil
 }
 
 // EncodedItems is an item array encoded once for the wire, to be written
-// any number of times: its body is exactly the array's body, the literals
-// and the commas between them (`"a","b"`), and its items are substrings of
-// that body, between the quotes, except that an item not written byte for
-// byte (isVerbatim) keeps a copy of its own. So it holds nothing of what its
-// items were cut from, and its body is as long as what it holds, give or
-// take those copies.
+// any number of times: its block is exactly the array's item block, and its
+// items are substrings of the block. So it holds nothing of what its items
+// were cut from, and it is as long as its block.
 type EncodedItems struct {
-	body  string
+	block string
 	items []string
 }
 
-// EncodeItems encodes items as appendFrame writes them: each item's bytes
-// are read once to tell whether json.Marshal would escape it and copied
-// once into the body.
+// EncodeItems encodes items as appendFrame writes them to a peer that reads
+// blocks: each item's bytes are copied once, into the block.
 func EncodeItems(items []string) EncodedItems {
-	// own holds an escaped item's literal until the body is built.
-	own := make([]string, len(items))
-	size := max(len(items)-1, 0)
-	for i, it := range items {
-		if isVerbatim(it) {
-			size += len(it) + 2
-			continue
-		}
-		lit, _ := json.Marshal(it) // a string always marshals
-		own[i] = string(lit)
-		size += len(lit)
-	}
 	var b strings.Builder
-	b.Grow(size)
-	for i, it := range items {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if own[i] != "" {
-			b.WriteString(own[i])
-			continue
-		}
-		b.WriteByte('"')
+	b.Grow(blockSize(items))
+	var n [binary.MaxVarintLen64]byte
+	for _, it := range items {
+		b.Write(binary.AppendUvarint(n[:0], uint64(len(it))))
+	}
+	at := b.Len()
+	for _, it := range items {
 		b.WriteString(it)
-		b.WriteByte('"')
 	}
-	body, at := b.String(), 0
+	block := b.String()
+	own := make([]string, len(items))
 	for i, it := range items {
-		if own[i] != "" {
-			at += len(own[i]) + 1
-			own[i] = strings.Clone(it)
-			continue
-		}
-		own[i] = body[at+1 : at+1+len(it)]
-		at += len(it) + 3
+		own[i] = block[at : at+len(it)]
+		at += len(it)
 	}
-	return EncodedItems{body: body, items: own}
+	return EncodedItems{block: block, items: own}
 }
 
 // Items returns the items the array encodes, in order. The slice is the
 // array's own and must not be modified.
 func (e EncodedItems) Items() []string { return e.items }
 
-// Len returns the length of the array's body in bytes.
-func (e EncodedItems) Len() int { return len(e.body) }
+// Len returns the length of the array's block in bytes.
+func (e EncodedItems) Len() int { return len(e.block) }

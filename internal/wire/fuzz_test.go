@@ -14,7 +14,9 @@ import (
 )
 
 // The seeds are the request and response lines of the V1 interop tests
-// (frag_test.go), plus the chunk/frag/query/stats extensions and plain
+// (interop_test.go), plus the chunk/frag/query/stats extensions, frames of
+// the item block whole and damaged (a block cut short, counts that
+// disagree with it, a length that runs past it, an empty block), and plain
 // damage.
 var (
 	requestSeeds = []string{
@@ -31,6 +33,13 @@ var (
 		`{"op":"sq","cond":"V = `,
 		`{"op":7}` + "\n",
 		"\x00\xff{[\n",
+		`{"op":"sjq","cond":"V = 'dui'","itemCount":2,"blockBytes":8,"itemBlock":true}` + "\n\x03\x03J55T21" +
+			`{"op":"sq","cond":"V = 'dui'","chunk":1,"itemBlock":true}` + "\n",
+		`{"op":"sjq","cond":"V = 'dui'","itemCount":2,"blockBytes":8}` + "\n\x03\x03J55",
+		`{"op":"sjq","cond":"V = 'dui'","itemCount":3,"blockBytes":8}` + "\n\x03\x03J55T21",
+		`{"op":"sjq","cond":"V = 'dui'","itemCount":2,"blockBytes":8}` + "\n\x03\x09J55T21",
+		`{"op":"fetch","itemCount":0,"blockBytes":0,"itemBlock":true}` + "\n",
+		`{"op":"fetch","itemCount":1,"blockBytes":1,"itemBlock":true}` + "\n\x00",
 	}
 	responseSeeds = []string{
 		`{"items":["x7","k2"]}` + "\n",
@@ -45,12 +54,50 @@ var (
 		`{"items":[`,
 		`{"items":7}` + "\n",
 		"\x00\xff{[\n",
+		`{"qid":"q","itemCount":2,"blockBytes":8,"more":true}` + "\n\x03\x03J55T21" + `{"itemCount":1,"blockBytes":4}` + "\n\x03T80",
+		`{"itemCount":2,"blockBytes":8}` + "\n\x03\x03J55",
+		`{"itemCount":3,"blockBytes":8}` + "\n\x03\x03J55T21",
+		`{"itemCount":2,"blockBytes":8}` + "\n\x03\x09J55T21",
+		`{"itemCount":0,"blockBytes":0}` + "\n",
+		`{"itemCount":1,"blockBytes":1}` + "\n\x00",
 	}
 )
 
+// splitFrames splits the bytes a peer wrote into frames as a reader of
+// item blocks must: encoding/json reads each line that is not blank, and
+// referenceBlock the block that follows a line whose header announces one.
+// It returns the frames up to the first that is not well formed, and why
+// that one is not.
+func splitFrames(data []byte) ([]Response, error) {
+	var frames []Response
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line = data[:i+1]
+		}
+		data = data[len(line):]
+		if skipSpace(line, 0) == len(line) {
+			continue
+		}
+		var resp Response
+		if err := json.Unmarshal(line, &resp); err != nil {
+			return frames, err
+		}
+		if h := resp.blockHeader; h != (blockHeader{}) {
+			items, ok := referenceBlock(h.ItemCount, h.BlockBytes, data)
+			if !ok || len(resp.Items) > 0 {
+				return frames, errBlock
+			}
+			resp.Items, resp.blockHeader, data = items, blockHeader{}, data[h.BlockBytes:]
+		}
+		frames = append(frames, resp)
+	}
+	return frames, nil
+}
+
 // FuzzServerFrame feeds arbitrary bytes to the serve loop over a net.Pipe.
 // Whatever arrives, the loop must not panic, must answer only with
-// well-formed response lines, and must hang up by itself — at the latest
+// well-formed response frames, and must hang up by itself — at the latest
 // when the idle timeout reaps the connection the fuzzer leaves open.
 func FuzzServerFrame(f *testing.F) {
 	for _, s := range requestSeeds {
@@ -78,13 +125,8 @@ func FuzzServerFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("the serve loop did not hang up: %v", err)
 		}
-		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-			var resp Response
-			if err := dec.Decode(&resp); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatalf("malformed response in %q: %v", out, err)
-			}
+		if _, err := splitFrames(out); err != nil {
+			t.Fatalf("malformed response in %q: %v", out, err)
 		}
 	})
 }
@@ -120,11 +162,8 @@ func FuzzClientFrame(f *testing.F) {
 		defer cancel()
 		// complete: the bytes hold a final frame, so an exchange can end well.
 		complete := false
-		for dec := json.NewDecoder(bytes.NewReader(data)); ; {
-			var resp Response
-			if dec.Decode(&resp) != nil {
-				break
-			}
+		frames, _ := splitFrames(data)
+		for _, resp := range frames {
 			if !resp.More {
 				complete = true
 				break

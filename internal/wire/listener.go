@@ -263,7 +263,7 @@ func (l *Listener) write(conn net.Conn, req Request, resp Response, recv time.Ti
 	defer func() { w.out = kept(w.out) }()
 	chunkStart := time.Now()
 	if resp.Stream == nil && (req.Chunk <= 0 || resp.Error != "" || len(resp.Items) <= req.Chunk) {
-		return l.writeFrame(conn, resp, chunkStart, recv, w)
+		return l.writeFrame(conn, req, resp, chunkStart, recv, w)
 	}
 	st := resp.Stream
 	if st == nil {
@@ -272,7 +272,7 @@ func (l *Listener) write(conn net.Conn, req Request, resp Response, recv time.Ti
 	defer st.Close()
 	final := resp
 	final.Stream, final.Encoded = nil, nil
-	return l.streamChunks(conn, st, final, chunkStart, recv, w)
+	return l.streamChunks(conn, req, st, final, chunkStart, recv, w)
 }
 
 // streamChunks writes st's batches as the chunks of a response whose other
@@ -284,7 +284,7 @@ func (l *Listener) write(conn net.Conn, req Request, resp Response, recv time.Ti
 // next is pulled. A stream that fails after chunks went out ends with an
 // error frame; one that fails because the listener was force-closed ends
 // with nothing, the connection dropped (serveConn).
-func (l *Listener) streamChunks(conn net.Conn, st set.Iter, final Response, chunkStart, recv time.Time, w *frameWriter) bool {
+func (l *Listener) streamChunks(conn net.Conn, req Request, st set.Iter, final Response, chunkStart, recv time.Time, w *frameWriter) bool {
 	var held []string
 	batch, err := st.Next(l.baseCtx)
 	for err == nil && batch != nil {
@@ -293,7 +293,7 @@ func (l *Listener) streamChunks(conn net.Conn, st set.Iter, final Response, chun
 			break
 		}
 		chunk := Response{QueryID: final.QueryID, Items: held, More: true}
-		if !l.writeFrame(conn, chunk, chunkStart, recv, w) {
+		if !l.writeFrame(conn, req, chunk, chunkStart, recv, w) {
 			return false
 		}
 	}
@@ -305,13 +305,14 @@ func (l *Listener) streamChunks(conn net.Conn, st set.Iter, final Response, chun
 	default:
 		final.Items = held
 	}
-	return l.writeFrame(conn, final, chunkStart, recv, w)
+	return l.writeFrame(conn, req, final, chunkStart, recv, w)
 }
 
-// writeFrame writes one frame. The handler's fragment rides the final
-// frame, so it completes it there: it can account for the emission of every
-// chunk before it.
-func (l *Listener) writeFrame(conn net.Conn, resp Response, chunkStart, recv time.Time, w *frameWriter) bool {
+// writeFrame writes one frame of the answer to req, its items in a block
+// when req asked for blocks. The handler's fragment rides the final frame,
+// so it completes it there: it can account for the emission of every chunk
+// before it.
+func (l *Listener) writeFrame(conn net.Conn, req Request, resp Response, chunkStart, recv time.Time, w *frameWriter) bool {
 	if f := resp.Frag; f != nil {
 		f.ChunkUS = time.Since(chunkStart).Microseconds()
 		f.TotalUS = time.Since(recv).Microseconds()
@@ -322,7 +323,7 @@ func (l *Listener) writeFrame(conn net.Conn, resp Response, chunkStart, recv tim
 		}
 	}
 	w.frame = resp
-	out, err := appendFrame(w.out[:0], &w.frame)
+	out, err := appendFrame(w.out[:0], &w.frame, req.ItemBlock)
 	w.frame, w.out = Response{}, out
 	if err != nil {
 		return false

@@ -8,6 +8,14 @@
 // object on its own line. Operations mirror the wrapper interface of
 // Section 2: sq, sjq, passed-binding selection, lq, fetch, plus a meta
 // operation for schema, capability and statistics discovery.
+//
+// Six optional extensions ride protocol v1, each advertised in Meta and
+// used only against a peer that advertises it, so a v1 peer that knows none
+// of them interoperates: the query ID (qid), chunked answers (chunk, the
+// Chunking flag), server span fragments (frag, Fragments), whole fusion
+// queries (OpQuery, Queries), source summaries (OpStats, Stats) and item
+// blocks (itemBlock, ItemBlock), which carry a frame's items after its line
+// as length-prefixed bytes instead of as a JSON array.
 package wire
 
 import (
@@ -63,6 +71,10 @@ type Request struct {
 	Cond string `json:"cond,omitempty"`
 	// Items carries the semijoin set (sjq) or the items to fetch (fetch).
 	Items []string `json:"items,omitempty"`
+	// blockHeader replaces Items on the line of a request whose items
+	// follow it as a block; a client sends one only to a server that
+	// advertises Meta.ItemBlock.
+	blockHeader
 	// Item is the single passed binding for the binding op.
 	Item string `json:"item,omitempty"`
 	// Filter is the encoded Bloom filter for the sjqb op.
@@ -83,6 +95,13 @@ type Request struct {
 	// field, old clients never set it, and clients discover support through
 	// Meta.Fragments before relying on it.
 	Frag bool `json:"frag,omitempty"`
+	// ItemBlock asks the server to send the items of its response, and of
+	// every chunk of it, as a block after the line (frame.go). The sixth
+	// v1-compatible optional extension, in the qid/chunk/frag/query/stats
+	// mold: old servers ignore the field and answer with JSON items, which
+	// a block client reads as ever, and clients discover support through
+	// Meta.ItemBlock before relying on it.
+	ItemBlock bool `json:"itemBlock,omitempty"`
 	// Tenant identifies the quota account a query op is charged to; the
 	// service's admission controller buckets by it. Empty means the shared
 	// anonymous tenant.
@@ -103,8 +122,11 @@ type Response struct {
 	QueryID string `json:"qid,omitempty"`
 	// Items answers sq and sjq.
 	Items []string `json:"items,omitempty"`
-	// Encoded, when set, is EncodeItems(Items): the encoder writes its body
-	// in place of encoding Items one by one. Only a writer sets it.
+	// blockHeader replaces Items on the line of a response whose items
+	// follow it as a block, the answer to a request that set ItemBlock.
+	blockHeader
+	// Encoded, when set, is EncodeItems(Items): the encoder writes its
+	// block in place of encoding Items as one. Only a writer sets it.
 	Encoded *EncodedItems `json:"-"`
 	// Stream, when set, is the answer's items as a stream: the listener
 	// writes each batch as a chunk (a chunked selection) and closes it. Only
@@ -183,6 +205,10 @@ type Meta struct {
 	Queries bool `json:"queries,omitempty"`
 	// Stats advertises support for the OpStats extension.
 	Stats bool `json:"stats,omitempty"`
+	// ItemBlock advertises support for the Request.ItemBlock extension:
+	// the server reads a request's items as a block and writes them so to
+	// a client that asks.
+	ItemBlock bool `json:"itemBlock,omitempty"`
 }
 
 // The codec between the protocol and the exchange contract of

@@ -181,6 +181,7 @@ func (s *Server) dispatch(ctx context.Context, req Request) (Response, time.Dura
 			Chunking:       true,
 			Fragments:      true,
 			Stats:          true,
+			ItemBlock:      true,
 		}}, 0
 	}
 	start := time.Now()
