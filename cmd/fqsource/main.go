@@ -13,7 +13,6 @@
 //	-merge col   merge attribute (default: first column)
 //	-addr addr   listen address (default 127.0.0.1:7070)
 //	-caps tier   native | bindings | none (what the wrapper advertises)
-//	-cache       answer repeated queries from a server-side cache
 //	-admin addr  serve /metrics (Prometheus text), /metrics.json and
 //	             /healthz on this address (e.g. 127.0.0.1:9090)
 //	-drain d     graceful-shutdown budget on SIGINT/SIGTERM (default 5s)
@@ -22,18 +21,15 @@
 // to -drain for in-flight requests to finish before forcing the remaining
 // connections closed. A second signal forces immediate shutdown.
 //
-// With -cache, selection and native-semijoin answers are recorded in an
-// exec.Cache shared across every connection (bounded by the bytes of the
-// items it holds, least recently used conditions forgotten first), so
-// repeated identical queries from any mediator are answered without touching
-// the relation; a binding is a binary search and goes to the relation.
-// The cache is only as fresh as the served CSV, which this process never
-// mutates, so it is always consistent here.
+// Every request is answered from the relation. The server keeps no cache of
+// answers: what may be answered from memory is the mediator's to decide
+// (core.Options.Cache and the service's answer cache), since a source is
+// autonomous and the mediator is the one that knows when to forget.
 //
 // With -admin, the process exposes its metrics registry over HTTP: wire
-// request counts and latency per op, plus — when -cache is on — the cache's
-// hit/miss counters. Request log lines carry the mediator's query ID
-// (qid=...), so server-side logs correlate with mediator-side traces.
+// request counts and latency per op. Request log lines carry the mediator's
+// query ID (qid=...), so server-side logs correlate with mediator-side
+// traces.
 //
 // # Serving as a replica
 //
@@ -66,7 +62,6 @@ import (
 	"time"
 
 	"fusionq/internal/csvio"
-	"fusionq/internal/exec"
 	"fusionq/internal/obs"
 	"fusionq/internal/source"
 	"fusionq/internal/wire"
@@ -79,19 +74,18 @@ func main() {
 		merge     = flag.String("merge", "", "merge attribute (default: first column)")
 		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
 		capsFlag  = flag.String("caps", "native", "capabilities: native | bindings | none")
-		cache     = flag.Bool("cache", false, "answer repeated queries from a server-side cache")
 		adminAddr = flag.String("admin", "", "serve /metrics and /healthz on this address")
 		drain     = flag.Duration("drain", 5*time.Second, "graceful-shutdown budget on SIGINT/SIGTERM")
 	)
 	flag.Parse()
-	if err := run(*csvPath, *name, *merge, *addr, *capsFlag, *cache, *adminAddr, *drain); err != nil {
+	if err := run(*csvPath, *name, *merge, *addr, *capsFlag, *adminAddr, *drain); err != nil {
 		fmt.Fprintf(os.Stderr, "fqsource: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(csvPath, name, merge, addr, capsFlag string, cache bool, adminAddr string, drain time.Duration) error {
-	srv, admin, err := start(csvPath, name, merge, addr, capsFlag, cache, adminAddr)
+func run(csvPath, name, merge, addr, capsFlag, adminAddr string, drain time.Duration) error {
+	srv, admin, err := start(csvPath, name, merge, addr, capsFlag, adminAddr)
 	if err != nil {
 		return err
 	}
@@ -117,7 +111,7 @@ func run(csvPath, name, merge, addr, capsFlag string, cache bool, adminAddr stri
 // start loads the relation and begins serving it, plus the admin listener
 // when adminAddr is non-empty; callers own both returned servers' lifetimes
 // (the admin server is nil without -admin).
-func start(csvPath, name, merge, addr, capsFlag string, cache bool, adminAddr string) (*wire.Server, *obs.AdminServer, error) {
+func start(csvPath, name, merge, addr, capsFlag, adminAddr string) (*wire.Server, *obs.AdminServer, error) {
 	if csvPath == "" {
 		return nil, nil, fmt.Errorf("-csv is required")
 	}
@@ -128,22 +122,11 @@ func start(csvPath, name, merge, addr, capsFlag string, cache bool, adminAddr st
 	if name == "" {
 		name = strings.TrimSuffix(filepath.Base(csvPath), filepath.Ext(csvPath))
 	}
-	var caps source.Capabilities
-	switch capsFlag {
-	case "native":
-		caps = source.Capabilities{NativeSemijoin: true, PassedBindings: true}
-	case "bindings":
-		caps = source.Capabilities{PassedBindings: true}
-	case "none":
-		caps = source.Capabilities{}
-	default:
-		return nil, nil, fmt.Errorf("unknown capability tier %q", capsFlag)
+	caps, err := source.ParseTier(capsFlag)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	var src source.Source = source.NewWrapper(name, source.NewRowBackend(rel), caps)
-	if cache {
-		src = exec.NewCachedSource(src, exec.NewCache())
-	}
+	src := source.NewWrapper(name, source.NewRowBackend(rel), caps)
 	reg := obs.NewRegistry()
 	srv, err := wire.ServeConfig(src, addr, wire.Config{Metrics: reg})
 	if err != nil {

@@ -31,7 +31,7 @@ func writeCSV(t *testing.T) string {
 }
 
 func TestStartServesRelation(t *testing.T) {
-	srv, _, err := start(writeCSV(t), "", "", "127.0.0.1:0", "native", false, "")
+	srv, _, err := start(writeCSV(t), "", "", "127.0.0.1:0", "native", "")
 	if err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -54,44 +54,10 @@ func TestStartServesRelation(t *testing.T) {
 	}
 }
 
-// TestStartWithCache checks the -cache path: repeated queries — even from
-// separate connections — are answered from the server-side cache and agree
-// with the uncached answers.
-func TestStartWithCache(t *testing.T) {
-	srv, _, err := start(writeCSV(t), "", "", "127.0.0.1:0", "native", true, "")
-	if err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	defer srv.Close()
-
-	want := set.New("J55", "T80")
-	for i := 0; i < 2; i++ {
-		cli, err := wire.DialContext(context.Background(), srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cli.Select(context.Background(), cond.MustParse("V = 'dui'"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("conn %d: sq = %v, want %v", i, got, want)
-		}
-		ok, err := cli.SelectBinding(context.Background(), cond.MustParse("V = 'sp'"), "T21")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("conn %d: binding T21 should match", i)
-		}
-		cli.Close()
-	}
-}
-
 func TestStartCapabilityTiers(t *testing.T) {
 	csv := writeCSV(t)
 	for tier, wantNative := range map[string]bool{"native": true, "bindings": false, "none": false} {
-		srv, _, err := start(csv, "s-"+tier, "", "127.0.0.1:0", tier, false, "")
+		srv, _, err := start(csv, "s-"+tier, "", "127.0.0.1:0", tier, "")
 		if err != nil {
 			t.Fatalf("%s: %v", tier, err)
 		}
@@ -111,7 +77,7 @@ func TestStartCapabilityTiers(t *testing.T) {
 // request, the Prometheus scrape covers the canonical vocabulary (query and
 // retry counters, a latency histogram) and carries live wire series.
 func TestStartWithAdmin(t *testing.T) {
-	srv, admin, err := start(writeCSV(t), "", "", "127.0.0.1:0", "native", true, "127.0.0.1:0")
+	srv, admin, err := start(writeCSV(t), "", "", "127.0.0.1:0", "native", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -142,11 +108,10 @@ func TestStartWithAdmin(t *testing.T) {
 		// Live series from the meta + sq requests just served.
 		`fq_wire_requests_total{op="sq"} 1`,
 		`fq_wire_request_seconds_bucket{le="+Inf"} 2`,
-		// Server-side cache series (the -cache decorator's miss).
-		`fq_cache_misses_total{source="dmv"} 1`,
 		// Vocabulary headers rendered even without local series.
 		"# TYPE fq_queries_total counter",
 		"# TYPE fq_retries_total counter",
+		"# TYPE fq_cache_misses_total counter",
 		"# TYPE fq_query_seconds histogram",
 	} {
 		if !strings.Contains(text, want) {
@@ -159,16 +124,16 @@ func TestStartWithAdmin(t *testing.T) {
 }
 
 func TestStartErrors(t *testing.T) {
-	if _, _, err := start("", "", "", "127.0.0.1:0", "native", false, ""); err == nil {
+	if _, _, err := start("", "", "", "127.0.0.1:0", "native", ""); err == nil {
 		t.Error("missing csv should fail")
 	}
-	if _, _, err := start("/nonexistent.csv", "", "", "127.0.0.1:0", "native", false, ""); err == nil {
+	if _, _, err := start("/nonexistent.csv", "", "", "127.0.0.1:0", "native", ""); err == nil {
 		t.Error("missing file should fail")
 	}
-	if _, _, err := start(writeCSV(t), "", "", "127.0.0.1:0", "wizard", false, ""); err == nil {
+	if _, _, err := start(writeCSV(t), "", "", "127.0.0.1:0", "wizard", ""); err == nil {
 		t.Error("bad caps should fail")
 	}
-	if _, _, err := start(writeCSV(t), "", "", "256.256.256.256:0", "native", false, ""); err == nil {
+	if _, _, err := start(writeCSV(t), "", "", "256.256.256.256:0", "native", ""); err == nil {
 		t.Error("bad address should fail")
 	}
 }
@@ -190,7 +155,7 @@ func TestQueryCorrelationAcrossTwoServers(t *testing.T) {
 	}
 	var servers []*wire.Server
 	for _, name := range []string{"s1", "s2"} {
-		srv, _, err := start(filepath.Join(dir, name+".csv"), name, "", "127.0.0.1:0", "native", false, "")
+		srv, _, err := start(filepath.Join(dir, name+".csv"), name, "", "127.0.0.1:0", "native", "")
 		if err != nil {
 			t.Fatalf("start %s: %v", name, err)
 		}

@@ -149,10 +149,8 @@ func (c *Catalog) validate() error {
 			}
 			seen[name] = true
 		}
-		switch s.Caps {
-		case "", "native", "bindings", "none":
-		default:
-			return fmt.Errorf("source %d: unknown caps %q", i, s.Caps)
+		if _, err := source.ParseTier(s.Caps); err != nil {
+			return fmt.Errorf("source %d: %w", i, err)
 		}
 		if s.ReplicaOf != "" {
 			if c.Sources[i].Name == "" {
@@ -167,20 +165,6 @@ func (c *Catalog) validate() error {
 		}
 	}
 	return nil
-}
-
-func capsOf(spec SourceSpec) source.Capabilities {
-	var caps source.Capabilities
-	switch spec.Caps {
-	case "", "native":
-		caps = source.Capabilities{NativeSemijoin: true, PassedBindings: true}
-	case "bindings":
-		caps = source.Capabilities{PassedBindings: true}
-	case "none":
-		caps = source.Capabilities{}
-	}
-	caps.BloomSemijoin = spec.Bloom
-	return caps
 }
 
 // Build assembles a mediator from the catalog, which may have been loaded
@@ -220,7 +204,9 @@ func (c *Catalog) Build(ctx context.Context) (*core.Mediator, func(), error) {
 				closeAll()
 				return nil, nil, err
 			}
-			src = source.NewWrapper(spec.Name, source.NewRowBackend(rel), capsOf(spec))
+			caps, _ := source.ParseTier(spec.Caps) // validate checked it
+			caps.BloomSemijoin = spec.Bloom
+			src = source.NewWrapper(spec.Name, source.NewRowBackend(rel), caps)
 		default:
 			cli, err := wire.DialContext(ctx, spec.Remote)
 			if err != nil {

@@ -1,14 +1,11 @@
 package exec
 
 import (
-	"context"
 	"sync"
 
 	"fusionq/internal/cond"
 	"fusionq/internal/lru"
-	"fusionq/internal/obs"
 	"fusionq/internal/set"
-	"fusionq/internal/source"
 )
 
 // Cache is the source-answer cache consulted before any selection or
@@ -44,12 +41,12 @@ type known struct {
 }
 
 // maxCacheBytes bounds the cache in the unit PeakBytes and the answer cache
-// count: set.Bytes of the items held, plus each entry's key. A CachedSource
-// behind a public listener (fqsource -cache) stores what any peer asks
-// about, so without a bound a peer chooses the process's memory. Past it the
-// least recently used conditions are forgotten, and a condition that alone
-// outgrows it is forgotten itself: the answers are fetched again, never
-// wrong.
+// count: set.Bytes of the items held, plus each entry's key. The mediator
+// keeps one cache for a whole roster epoch, and every distinct condition a
+// query asks adds an entry, so without a bound the cache grows with the
+// epoch's query mix. Past it the least recently used conditions are
+// forgotten, and a condition that alone outgrows it is forgotten itself: the
+// answers are fetched again, never wrong.
 const maxCacheBytes = 8 << 20
 
 // NewCache returns an empty cache.
@@ -124,107 +121,4 @@ func (c *Cache) PutSemijoin(src string, cd cond.Cond, y, out set.Set) {
 		return
 	}
 	c.put(key, known{yes: k.yes.Union(out), no: k.no.Union(y.Diff(out))})
-}
-
-// CachedSource is the caching layer: selection and semijoin queries are
-// answered from (and recorded into) a shared Cache. It lets a long-lived
-// endpoint — the wire server of cmd/fqsource, or any roster shared across
-// mediator queries — skip repeated identical source traffic. Every other
-// operation passes through uncached: records are not what the cache holds, a
-// Bloom semijoin's filter is set-specific and its answer carries false
-// positives, and one binding against an ordered view is a binary search,
-// which a cache consultation does not beat.
-type CachedSource struct {
-	source.Layer
-	cache *Cache
-}
-
-var _ source.Source = (*CachedSource)(nil)
-
-// NewCachedSource wraps src with the given cache (which may be shared among
-// several sources; entries are keyed by source name).
-func NewCachedSource(src source.Source, cache *Cache) *CachedSource {
-	s := &CachedSource{cache: cache}
-	s.Layer = source.Over(src, s.exchange)
-	return s
-}
-
-// meterCache emits hit/miss counters for one cache consultation to the
-// context's registry (a no-op without one).
-func (s *CachedSource) meterCache(ctx context.Context, hits, misses int) {
-	met := obs.Meter(ctx)
-	met.Counter(obs.MCacheHits, "source", s.Name()).Add(int64(hits))
-	met.Counter(obs.MCacheMisses, "source", s.Name()).Add(int64(misses))
-}
-
-// exchange is the layer's handler.
-func (s *CachedSource) exchange(ctx context.Context, call source.Call) (source.Reply, error) {
-	name, c := s.Name(), call.Cond
-	switch {
-	case !source.Supports(s.Caps(), call.Op):
-		// Not answered from the cache either: the source is asked, for its
-		// canonical error.
-	case call.Op == source.OpSelect:
-		// A cached selection also serves a streamed call, as batches of the
-		// set; a streamed miss is recorded as it passes and cached once it
-		// is complete, which a consumer that abandons it never makes it.
-		if out, ok := s.cache.Select(name, c); ok {
-			s.meterCache(ctx, 1, 0)
-			if call.Streamed() {
-				return source.Reply{Stream: set.IterOf(out, call.Batch)}, nil
-			}
-			return source.Reply{Items: out}, nil
-		}
-		s.meterCache(ctx, 0, 1)
-		reply, err := source.Do(ctx, s.Source, call)
-		switch {
-		case err != nil:
-		case call.Streamed():
-			reply.Stream = &recordedStream{Iter: reply.Stream, done: func(items []string) {
-				s.cache.PutSelect(name, c, set.FromSorted(items))
-			}}
-		default:
-			s.cache.PutSelect(name, c, reply.Items)
-		}
-		return reply, err
-	case call.Op == source.OpSemi:
-		// Cached verdicts shrink the shipped set, and a semijoin whose every
-		// item is already known costs no exchange at all.
-		knownTrue, unknown := s.cache.Partition(name, c, call.Items)
-		s.meterCache(ctx, call.Items.Len()-unknown.Len(), unknown.Len())
-		if unknown.IsEmpty() {
-			return source.Reply{Items: knownTrue}, nil
-		}
-		call.Items = unknown
-		reply, err := source.Do(ctx, s.Source, call)
-		if err != nil {
-			return reply, err
-		}
-		s.cache.PutSemijoin(name, c, unknown, reply.Items)
-		reply.Items = reply.Items.Union(knownTrue)
-		return reply, nil
-	}
-	return source.Do(ctx, s.Source, call)
-}
-
-// recordedStream passes a streamed selection through, keeping a copy of its
-// lent batches, and hands the whole to done when the stream ends.
-type recordedStream struct {
-	set.Iter
-	kept []string
-	done func(items []string)
-}
-
-func (st *recordedStream) Next(ctx context.Context) ([]string, error) {
-	batch, err := st.Iter.Next(ctx)
-	switch {
-	case err != nil:
-		st.done = nil
-	case batch == nil && st.done != nil:
-		st.done(st.kept)
-		st.done = nil
-	default:
-		st.kept = append(st.kept, batch...)
-	}
-	return batch, err
 }

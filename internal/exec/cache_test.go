@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"fusionq/internal/cond"
+	"fusionq/internal/plan"
+	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
 	"fusionq/internal/workload"
@@ -169,141 +171,19 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	}
 }
 
-// countingSource tallies the queries that reach the wrapped source.
-type countingSource struct {
-	source.Source
-	mu       sync.Mutex
-	selects  int
-	bindings int
-	semis    int
-}
-
-func (s *countingSource) Select(ctx context.Context, c cond.Cond) (set.Set, error) {
-	s.mu.Lock()
-	s.selects++
-	s.mu.Unlock()
-	return s.Source.Select(ctx, c)
-}
-
-func (s *countingSource) SelectBinding(ctx context.Context, c cond.Cond, item string) (bool, error) {
-	s.mu.Lock()
-	s.bindings++
-	s.mu.Unlock()
-	return s.Source.SelectBinding(ctx, c, item)
-}
-
-func (s *countingSource) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
-	s.mu.Lock()
-	s.semis++
-	s.mu.Unlock()
-	return s.Source.Semijoin(ctx, c, y)
-}
-
-// TestCachedSource checks the decorator used by long-lived endpoints: a
-// repeated selection or fully-covered semijoin reaches the inner source
-// only once, and a binding passes through.
-func TestCachedSource(t *testing.T) {
-	sc := workload.DMV()
-	inner := &countingSource{Source: sc.Sources[0]}
-	cs := NewCachedSource(inner, NewCache())
-	cd := sc.Conds[0]
-
-	first, err := cs.Select(context.Background(), cd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := cs.Select(context.Background(), cd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !first.Equal(second) {
-		t.Fatalf("cached selection %v differs from first %v", second, first)
-	}
-	if inner.selects != 1 {
-		t.Fatalf("inner selects = %d, want 1 (second answered from cache)", inner.selects)
-	}
-
-	// The cached selection is complete, so any semijoin over its items
-	// answers locally too; a binding is the source's to answer.
-	if !first.IsEmpty() {
-		item := first.Items()[0]
-		ok, err := cs.SelectBinding(context.Background(), cd, item)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("binding %s should match — it came from the selection", item)
-		}
-		if inner.bindings != 1 {
-			t.Fatalf("inner bindings = %d, want 1 (a binding passes through)", inner.bindings)
-		}
-		out, err := cs.Semijoin(context.Background(), cd, first)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.Equal(first) {
-			t.Fatalf("semijoin = %v, want %v", out, first)
-		}
-		if inner.semis != 0 {
-			t.Fatalf("inner semijoins = %d, want 0 (all items known)", inner.semis)
-		}
-	}
-}
-
-// TestCachedSourceRecordsCompleteStreams: a streamed selection that misses
-// is cached once it has been drained — a copy, its batches being lent — and
-// one abandoned part way is not.
-func TestCachedSourceRecordsCompleteStreams(t *testing.T) {
-	sc := workload.DMV()
-	ctx, cd := context.Background(), sc.Conds[0]
-	want, err := sc.Sources[0].Select(ctx, cd)
-	if err != nil || want.Len() < 2 {
-		t.Fatalf("sq = %v, %v; the test wants two items", want, err)
-	}
-	for _, drain := range []bool{true, false} {
-		inner := &countingSource{Source: sc.Sources[0]}
-		cs := NewCachedSource(inner, NewCache())
-		it, err := cs.SelectStream(ctx, cd, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			batch, err := it.Next(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if batch == nil || !drain {
-				break
-			}
-		}
-		_ = it.Close()
-		got, err := cs.Select(ctx, cd)
-		if err != nil || !got.Equal(want) {
-			t.Fatalf("drain %v: sq = %v, %v; want %v", drain, got, err, want)
-		}
-		if wantSelects := map[bool]int{true: 1, false: 2}[drain]; inner.selects != wantSelects {
-			t.Fatalf("drain %v: the source answered %d selections, want %d", drain, inner.selects, wantSelects)
-		}
-	}
-}
-
-// TestCacheBounded floods a CachedSource the way a peer of fqsource -cache
-// can: semijoins over more distinct items than the cache may hold. The cache
-// stays under its byte bound (the one condition that outgrew it is
-// forgotten) and answers correctly afterwards.
+// TestCacheBounded floods the cache with semijoin verdicts over more
+// distinct items than it may hold, as a roster epoch's mix of distinct
+// queries would. The cache stays under its byte bound (the one condition
+// that outgrew it is forgotten) and answers correctly afterwards: every
+// verdict it still gives is right, and a later selection is held whole.
 func TestCacheBounded(t *testing.T) {
-	sc := workload.DMV()
-	cs := NewCachedSource(sc.Sources[0], NewCache())
-	ctx, cd := context.Background(), sc.Conds[0]
-	want, err := sc.Sources[0].Select(ctx, cd)
-	if err != nil || want.IsEmpty() {
-		t.Fatalf("sq = %v, %v", want, err)
-	}
+	c, cd := NewCache(), mustCond(t, "V = 'sp'")
+	want := set.New("J55", "T21")
 	const perCall, itemBytes = 10000, 64
 	held := func() int64 {
-		cs.cache.mu.Lock()
-		defer cs.cache.mu.Unlock()
-		return cs.cache.store.Bytes()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.store.Bytes()
 	}
 	grew, shrank := false, false
 	for sent, n := 0, 0; sent < 2*maxCacheBytes; n++ {
@@ -312,9 +192,7 @@ func TestCacheBounded(t *testing.T) {
 			items[i] = fmt.Sprintf("X%0*d", itemBytes-1, n*perCall+i)
 		}
 		before := held()
-		if out, err := cs.Semijoin(ctx, cd, set.FromSorted(items)); err != nil || !out.IsEmpty() {
-			t.Fatalf("semijoin %d = %v, %v", n, out, err)
-		}
+		c.PutSemijoin("r1", cd, set.FromSorted(items), set.Set{})
 		sent += perCall * itemBytes
 		after := held()
 		if after > maxCacheBytes {
@@ -325,11 +203,146 @@ func TestCacheBounded(t *testing.T) {
 	if !grew || !shrank {
 		t.Fatalf("grew = %v, shrank = %v: the flood never reached the bound", grew, shrank)
 	}
-	if got, err := cs.Semijoin(ctx, cd, want); err != nil || !got.Equal(want) {
-		t.Fatalf("sjq after the flood = %v, %v, want %v", got, err, want)
+	probe := want.Union(set.New(fmt.Sprintf("X%0*d", itemBytes-1, 0)))
+	if knownTrue, unknown := c.Partition("r1", cd, probe); !knownTrue.IsEmpty() || !want.Diff(unknown).IsEmpty() {
+		t.Fatalf("after the flood Partition(%v) = %v known true, %v unknown; no item of %v is known", probe, knownTrue, unknown, want)
 	}
-	if got, err := cs.Select(ctx, cd); err != nil || !got.Equal(want) {
-		t.Fatalf("sq after the flood = %v, %v, want %v", got, err, want)
+	c.PutSemijoin("r1", cd, probe, want)
+	if knownTrue, unknown := c.Partition("r1", cd, probe); !knownTrue.Equal(want) || !unknown.IsEmpty() {
+		t.Fatalf("after sjq Partition(%v) = %v known true, %v unknown; want %v, none", probe, knownTrue, unknown, want)
+	}
+	c.PutSelect("r1", cd, want)
+	if got, ok := c.Select("r1", cd); !ok || !got.Equal(want) {
+		t.Fatalf("sq after the flood = %v, %v; want %v", got, ok, want)
+	}
+}
+
+// streamCounter is a source whose streamed selections are counted, item by
+// item as the mediator pulls them; with cut set, the next one fails
+// (transiently) after its first batch.
+type streamCounter struct {
+	source.Source
+	mu      sync.Mutex
+	streams int
+	pulled  int
+	cut     bool
+}
+
+func (s *streamCounter) SelectStream(ctx context.Context, c cond.Cond, batch int) (set.Iter, error) {
+	it, err := source.OpenSelectStream(ctx, s.Source, c, batch)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.streams++
+	cut := s.cut
+	s.cut = false
+	return &countedIter{Iter: it, src: s, cut: cut}, nil
+}
+
+type countedIter struct {
+	set.Iter
+	src  *streamCounter
+	cut  bool
+	sent bool
+}
+
+func (it *countedIter) Next(ctx context.Context) ([]string, error) {
+	if it.cut && it.sent {
+		return nil, fmt.Errorf("stream cut after its first batch: %w", source.ErrTransient)
+	}
+	batch, err := it.Iter.Next(ctx)
+	it.sent = true
+	it.src.mu.Lock()
+	it.src.pulled += len(batch)
+	it.src.mu.Unlock()
+	return batch, err
+}
+
+// wideSources are two sources of one schema: r1 holds n items, every one
+// satisfying "A >= 0", behind a streamCounter; r2 holds none that do.
+func wideSources(n int) (*streamCounter, source.Source) {
+	schema := relation.MustSchema("L",
+		relation.Column{Name: "L", Kind: relation.KindString},
+		relation.Column{Name: "A", Kind: relation.KindInt},
+	)
+	wide, none := relation.NewRelation(schema), relation.NewRelation(schema)
+	for i := 0; i < n; i++ {
+		wide.MustInsert(relation.String(workload.ItemName(i)), relation.Int(int64(i)))
+	}
+	none.MustInsert(relation.String(workload.ItemName(0)), relation.Int(-1))
+	r1 := &streamCounter{Source: source.NewWrapper("r1", source.NewRowBackend(wide), source.Capabilities{})}
+	return r1, source.NewWrapper("r2", source.NewRowBackend(none), source.Capabilities{})
+}
+
+// TestPipelinedRunCachesOnlyCompleteSelections: a pipelined run puts a
+// streamed selection in the shared cache only once the stream has been
+// drained whole (TestCacheParity covers that case). A stream that fails
+// after its first batch, and one whose consumers all abandon it, leave no
+// complete entry, so the next run asks the source again and answers right.
+func TestPipelinedRunCachesOnlyCompleteSelections(t *testing.T) {
+	const n = 4096
+	all, sources := mustCond(t, "A >= 0"), []string{"r1", "r2"}
+	whole := &plan.Plan{
+		Conds:   []cond.Cond{all},
+		Sources: sources,
+		Steps:   []plan.Step{{Kind: plan.KindSelect, Out: "X", Cond: 0, Source: 0}},
+		Result:  "X",
+	}
+	for _, tc := range []struct {
+		name string
+		// first runs the plan that must leave no entry.
+		first func(t *testing.T, r1 *streamCounter, ex *Executor)
+	}{
+		{"failed", func(t *testing.T, r1 *streamCounter, ex *Executor) {
+			r1.cut = true
+			if _, err := ex.Run(context.Background(), whole); err == nil {
+				t.Fatal("a run whose stream was cut succeeded")
+			}
+		}},
+		{"abandoned", func(t *testing.T, r1 *streamCounter, ex *Executor) {
+			// X ∩ Y with Y empty: the intersection ends at Y's end and
+			// abandons X's edge, its only consumer, part way.
+			p := &plan.Plan{
+				Conds:   []cond.Cond{all},
+				Sources: sources,
+				Steps: []plan.Step{
+					{Kind: plan.KindSelect, Out: "X", Cond: 0, Source: 0},
+					{Kind: plan.KindSelect, Out: "Y", Cond: 0, Source: 1},
+					{Kind: plan.KindIntersect, Out: "Z", Cond: -1, Source: -1, In: []string{"X", "Y"}},
+				},
+				Result: "Z",
+			}
+			res, err := ex.Run(context.Background(), p)
+			if err != nil || !res.Answer.IsEmpty() {
+				t.Fatalf("X ∩ ∅ = %v, %v", res.Answer, err)
+			}
+			if r1.pulled >= n {
+				t.Fatalf("the run pulled all %d items of X: its consumer never abandoned it", r1.pulled)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r1, r2 := wideSources(n)
+			cache := NewCache()
+			ex := &Executor{Sources: []source.Source{r1, r2}, Streaming: true, BatchSize: 1, Cache: cache}
+			tc.first(t, r1, ex)
+			if out, ok := cache.Select("r1", all); ok {
+				t.Fatalf("the first run left a complete entry of %d items", out.Len())
+			}
+			res, err := ex.Run(context.Background(), whole)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Answer.Len() != n || r1.streams != 2 || res.SourceQueries != 1 {
+				t.Fatalf("the next run answered %d of %d items with %d queries, the source streamed %d times; want the source asked again",
+					res.Answer.Len(), n, res.SourceQueries, r1.streams)
+			}
+			if out, ok := cache.Select("r1", all); !ok || !out.Equal(res.Answer) {
+				t.Fatalf("the drained run cached %d items (complete %v), want its answer", out.Len(), ok)
+			}
+		})
 	}
 }
 

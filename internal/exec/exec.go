@@ -122,9 +122,9 @@ type Result struct {
 	// its connection capacity (netsim.Makespan), and the critical path of
 	// the whole run in streaming mode. Zero without a Network.
 	ResponseTime time.Duration
-	// CacheHits and CacheMisses count answer-cache consultations: a hit is
-	// one source query avoided (a whole cached selection, or one binding
-	// verdict), a miss went to the source. Both zero without a cache.
+	// CacheHits and CacheMisses count source-answer cache consultations: a
+	// hit is one source query avoided (a whole cached selection, or one
+	// binding verdict), a miss went to the source. Both zero without a cache.
 	CacheHits   int
 	CacheMisses int
 	// Retries counts source operations re-issued after a transient failure

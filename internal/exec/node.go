@@ -365,9 +365,9 @@ func (r *run) semijoinBody(ctx context.Context, s plan.Step, in set.Iter, nd *no
 		}
 		if r.pipelined {
 			// An edge lends its batch, and a semijoin's set is kept beyond
-			// the exchange: by the caches (this run's and a CachedSource's
-			// at the source), and by a hedged leg that lost, which may still
-			// be writing it to its replica. A whole variable is immutable.
+			// the exchange: by the run's cache, and by a hedged leg that
+			// lost, which may still be writing it to its replica. A whole
+			// variable is immutable.
 			batch = slices.Clone(batch)
 		}
 		y := set.FromSorted(batch)

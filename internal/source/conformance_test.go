@@ -10,7 +10,6 @@ import (
 
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
-	"fusionq/internal/exec"
 	"fusionq/internal/fabric"
 	"fusionq/internal/netsim"
 	"fusionq/internal/relation"
@@ -68,10 +67,6 @@ func layers() []layer {
 		{name: "instrumented", unsupported: "source R1: ", cancelled: "source R1: ",
 			over: func(t *testing.T, b source.Backend, caps source.Capabilities) source.Source {
 				return source.Instrument(wrap(b, caps), nil)
-			}},
-		{name: "cached", unsupported: "source R1: ", cancelled: "source R1: ",
-			over: func(t *testing.T, b source.Backend, caps source.Capabilities) source.Source {
-				return exec.NewCachedSource(wrap(b, caps), exec.NewCache())
 			}},
 		{name: "logical", unsupported: "source R1-a: ", cancelled: "fabric: R1: %s: ",
 			over: func(t *testing.T, b source.Backend, caps source.Capabilities) source.Source {
@@ -137,8 +132,6 @@ func render(t *testing.T, r source.Reply) string {
 // the same reply, ErrUnsupported exactly where the wrapper returns it, and
 // errors that begin the way each layer's always have.
 func TestLayerConformance(t *testing.T) {
-	// The binding rows have a condition of their own: once the cache layer
-	// holds sq(dui) it answers any binding on dui without an exchange.
 	dui, sp, in93 := cond.MustParse("V = 'dui'"), cond.MustParse("V = 'sp'"), cond.MustParse("D = 1993")
 	calls := []struct {
 		name string
@@ -218,15 +211,11 @@ func TestLayerConformance(t *testing.T) {
 						t.Errorf("%s under a dead context: err = %v, want context.Canceled beginning %q", c.name, err, prefix)
 					}
 
-					// Twice: a layer that remembers (the cache) answers the
-					// second time as it did the first.
-					for i := 0; i < 2; i++ {
-						got, err := source.Do(context.Background(), src, c.call)
-						if err != nil {
-							t.Errorf("%s: %v", c.name, err)
-						} else if g, w := render(t, got), render(t, ref); g != c.want || (i == 0 && w != c.want) {
-							t.Errorf("%s:\n layer   %s\n wrapper %s\n want    %s", c.name, g, w, c.want)
-						}
+					got, err := source.Do(context.Background(), src, c.call)
+					if err != nil {
+						t.Errorf("%s: %v", c.name, err)
+					} else if g, w := render(t, got), render(t, ref); g != c.want || w != c.want {
+						t.Errorf("%s:\n layer   %s\n wrapper %s\n want    %s", c.name, g, w, c.want)
 					}
 				}
 
@@ -243,14 +232,13 @@ func TestLayerConformance(t *testing.T) {
 }
 
 // TestStreamedSelectionPassesEveryLayer: a streamed selection through the
-// fault and the cache layer reaches the accounting layer as a stream, so a
-// three-item result from a first batch of one is two batches (1 and 2 items,
-// set.Schedule), one "sq" and one "sqc" exchange — neither layer degrades it
-// to one materialized selection.
+// fault layer reaches the accounting layer as a stream, so a three-item
+// result from a first batch of one is two batches (1 and 2 items,
+// set.Schedule), one "sq" and one "sqc" exchange — the layer does not
+// degrade it to one materialized selection.
 func TestStreamedSelectionPassesEveryLayer(t *testing.T) {
 	for name, over := range map[string]func(source.Source) source.Source{
-		"flaky":  func(s source.Source) source.Source { return source.NewFlaky(s, 0, 1) },
-		"cached": func(s source.Source) source.Source { return exec.NewCachedSource(s, exec.NewCache()) },
+		"flaky": func(s source.Source) source.Source { return source.NewFlaky(s, 0, 1) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			network := netsim.NewNetwork(1)

@@ -4,7 +4,7 @@ package source
 // its answer one Reply — the shape the wire protocol already gives them
 // (internal/wire: Request{Op,…} → Response). Source stays the face callers
 // see; underneath it, a layer between the mediator and a wrapper (fault
-// injection, accounting, caching, the replica fabric, the wire client) is
+// injection, accounting, the replica fabric, the wire client) is
 // one Handler, and exactly two conversions connect the two shapes: Do turns
 // a Call into the Source method it names, Layer turns a Handler back into
 // those methods.

@@ -51,6 +51,20 @@ type Capabilities struct {
 	BloomSemijoin bool
 }
 
+// ParseTier returns the capabilities of the tier named native, bindings or
+// none, the spelling catalogs and command lines use; "" is native.
+func ParseTier(tier string) (Capabilities, error) {
+	switch tier {
+	case "", "native":
+		return Capabilities{NativeSemijoin: true, PassedBindings: true}, nil
+	case "bindings":
+		return Capabilities{PassedBindings: true}, nil
+	case "none":
+		return Capabilities{}, nil
+	}
+	return Capabilities{}, fmt.Errorf("unknown capability tier %q", tier)
+}
+
 // String names the capability tier.
 func (c Capabilities) String() string {
 	switch {
