@@ -87,9 +87,10 @@ bench-gate:
 # semijoin (10^2 and 10^4 items), one selection bare and under the source
 # layers (fault + accounting, the fabric), a batch's exchange accounting from
 # the run's ledger at two log lengths, one plan under each scheduler (par,
-# stream), the k-way union (strided inputs, and six drawn as a
-# plan-reuse round's are) and the streaming union, one planning call with the
-# statistics catalog warm, each optimizer at three problem sizes, the static
+# stream), the k-way union and intersection (strided inputs, and six drawn as
+# a plan-reuse round's are) and the streaming union and intersection on the
+# same inputs, one planning call with the statistics catalog warm, each
+# optimizer at three problem sizes, the static
 # cost estimator on an SJA+ plan, and one wire frame through the codec in each
 # direction at a chunk's and an answer's size and at answer-hot's cached
 # answer, as an item block (written item by item and from its encoding) and
@@ -99,5 +100,5 @@ bench-gate:
 # make bench-layers BENCHFLAGS='-benchtime 1x'.
 BENCHFLAGS ?=
 bench-layers:
-	$(GO) test -run '^$$' -bench 'WrapperSelect|WrapperSemijoin|LayeredSelect|BatchAccounting|RunModes|UnionAll|MergeUnionStream|Problem|Optimizers|PlanEstimate|FrameCodec|CachePartition|AnswerCacheGet|StorePutAtBound' -benchmem $(BENCHFLAGS) \
+	$(GO) test -run '^$$' -bench 'WrapperSelect|WrapperSemijoin|LayeredSelect|BatchAccounting|RunModes|UnionAll|IntersectAll|MergeUnionStream|MergeIntersectStream|Problem|Optimizers|PlanEstimate|FrameCodec|CachePartition|AnswerCacheGet|StorePutAtBound' -benchmem $(BENCHFLAGS) \
 		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core ./internal/optimizer ./internal/plan ./internal/wire ./internal/service ./internal/lru

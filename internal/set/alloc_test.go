@@ -87,6 +87,61 @@ func TestAllocBounds(t *testing.T) {
 	}
 }
 
+// TestMergeAllocs: a merge allocates itself, its inputs' state and their
+// cuts, and nothing per batch or per item once the pools are warm (the
+// batch buffer, a union's scratch). The count is the same for ∪, ∩ and −,
+// and the same at 4×256 items as at 4×4 096. The inputs are IterOf streams
+// reset in place, so that the count is the merge's alone. Under -race the
+// pools drop some of what is put back, so the test runs without it only.
+func TestMergeAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("pooled buffers are not reliably reused under -race")
+	}
+	const want = 3
+	ctx := context.Background()
+	for _, n := range []int{256, 4096} {
+		sets := []Set{mkSet(n, 1, 0), mkSet(n, 2, 0), mkSet(n, 3, 0), mkSet(n, 4, 0)}
+		iters := make([]setIter, len(sets))
+		its := make([]Iter, len(sets))
+		for _, tc := range []struct {
+			name  string
+			merge func() Iter
+		}{
+			{"union", func() Iter { return MergeUnion(16, its...) }},
+			{"intersect", func() Iter { return MergeIntersect(16, its...) }},
+			{"diff", func() Iter { return MergeDiff(16, its[0], its[1]) }},
+		} {
+			items := 0
+			got := testing.AllocsPerRun(20, func() {
+				for i, s := range sets {
+					iters[i] = setIter{items: s.items, sched: NewSchedule(16)}
+					its[i] = &iters[i]
+				}
+				m := tc.merge()
+				for items = 0; ; {
+					batch, err := m.Next(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if batch == nil {
+						break
+					}
+					items += len(batch)
+				}
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if items == 0 {
+				t.Fatalf("%s of 4×%d items is empty; the test wants items", tc.name, n)
+			}
+			if got != want {
+				t.Errorf("%s of 4×%d items (%d out) allocates %v times, want %d", tc.name, n, items, got, want)
+			}
+		}
+	}
+}
+
 // TestUnionAllSharesThePool runs unions from eight goroutines at once, all
 // taking scratch from the one pool, and checks every result against the
 // reference. Under -race it is the check that no scratch is shared.
@@ -139,11 +194,15 @@ func BenchmarkIntersect(b *testing.B) {
 	}
 }
 
-// BenchmarkUnionAll: four strided inputs of 2 048, and six inputs of about
-// 800 drawn from 4 000, the shape of a plan-reuse round's union, with the
-// benchmark's names and with two kinds of 24-byte name.
-func BenchmarkUnionAll(b *testing.B) {
-	rows := []struct {
+// benchRows are the inputs of the union and intersection rows: four strided
+// inputs of 2 048, six of about 800 drawn from 4 000 (the shape of a
+// plan-reuse round's union) with the benchmark's names and with two kinds of
+// 24-byte name, and two strided inputs of 4 096.
+func benchRows() []struct {
+	name string
+	sets []Set
+} {
+	return []struct {
 		name string
 		sets []Set
 	}{
@@ -151,28 +210,44 @@ func BenchmarkUnionAll(b *testing.B) {
 		{"drawn-6x800-of-4000", drawn(6, 800, 4000, shortName)},
 		{"drawn-long-6x800-of-4000", drawn(6, 800, 4000, longName)},
 		{"drawn-tied-6x800-of-4000", drawn(6, 800, 4000, tiedName)},
+		{"strided-2x4096", []Set{mkSet(4096, 2, 0), mkSet(4096, 3, 1)}},
 	}
-	for _, row := range rows {
+}
+
+// benchKernel runs a materialized kernel over every row.
+func benchKernel(b *testing.B, kernel func(...Set) Set) {
+	for _, row := range benchRows() {
 		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = UnionAll(row.sets...)
+				_ = kernel(row.sets...)
 			}
 		})
 	}
 }
 
-func BenchmarkMergeUnionStream(b *testing.B) {
-	sets := []Set{mkSet(2048, 2, 0), mkSet(2048, 3, 1), mkSet(2048, 5, 2)}
-	b.ReportAllocs()
+// benchMerge streams every row's inputs at DefaultBatch through a merge and
+// collects it: the same rows as benchKernel, so the two forms compare row by
+// row.
+func benchMerge(b *testing.B, merge func(int, ...Iter) Iter) {
 	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		its := make([]Iter, len(sets))
-		for j := range sets {
-			its[j] = IterOf(sets[j], DefaultBatch)
-		}
-		if _, err := Collect(ctx, MergeUnion(DefaultBatch, its...)); err != nil {
-			b.Fatal(err)
-		}
+	for _, row := range benchRows() {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				its := make([]Iter, len(row.sets))
+				for j, s := range row.sets {
+					its[j] = IterOf(s, DefaultBatch)
+				}
+				if _, err := Collect(ctx, merge(DefaultBatch, its...)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
+
+func BenchmarkUnionAll(b *testing.B)             { benchKernel(b, UnionAll) }
+func BenchmarkIntersectAll(b *testing.B)         { benchKernel(b, IntersectAll) }
+func BenchmarkMergeUnionStream(b *testing.B)     { benchMerge(b, MergeUnion) }
+func BenchmarkMergeIntersectStream(b *testing.B) { benchMerge(b, MergeIntersect) }

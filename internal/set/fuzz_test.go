@@ -96,10 +96,13 @@ func encodeSets(inputs ...[]string) []byte {
 	return data
 }
 
-// FuzzSetAlgebra checks the union kernel and the streaming merges against the
-// reference on arbitrary byte items: NULs, common prefixes past 8 bytes,
-// suffixes of 0–16 bytes, empty inputs and duplicates across inputs, each
-// input streamed at its own batch size.
+// FuzzSetAlgebra checks the kernels, materialized (UnionAll, the folded
+// Union, IntersectAll, Intersect, Diff) and streaming (the merges, which run
+// the same kernels over one frontier after another), against the reference
+// on arbitrary byte items: NULs, common prefixes past 8 bytes, suffixes of
+// 0–16 bytes, empty inputs and duplicates across inputs, each input streamed
+// at its own batch size. A batch size is mostly 1–9 and sometimes up to 64,
+// so that one input's frontier can span several of another's batches.
 func FuzzSetAlgebra(f *testing.F) {
 	f.Add("", encodeSets([]string{"AB"}, []string{"AB\x00"}), int64(1))
 	f.Add("P", encodeSets([]string{"1234567", "x"}, []string{"12345678", "1234567"}), int64(2))
@@ -129,28 +132,45 @@ func FuzzSetAlgebra(f *testing.F) {
 		if !folded.Equal(want) {
 			t.Fatalf("folded Union(%q) = %q, want %q", sets, folded.Items(), want.Items())
 		}
-
-		iters := func() []Iter {
-			its := make([]Iter, len(sets))
-			for i, s := range sets {
-				its[i] = IterOf(s, 1+r.Intn(9))
-			}
-			return its
-		}
-		batch := 1 + r.Intn(9)
-		if got := FromSorted(drain(t, MergeUnion(batch, iters()...), batch)); !got.Equal(want) {
-			t.Fatalf("MergeUnion(%q) = %q, want %q", sets, got.Items(), want.Items())
-		}
-		if got, want := FromSorted(drain(t, MergeIntersect(batch, iters()...), batch)), referenceIntersect(sets); !got.Equal(want) {
-			t.Fatalf("MergeIntersect(%q) = %q, want %q", sets, got.Items(), want.Items())
+		wantInter := referenceIntersect(sets)
+		if got := IntersectAll(sets...); !got.Equal(wantInter) {
+			t.Fatalf("IntersectAll(%q) = %q, want %q", sets, got.Items(), wantInter.Items())
 		}
 		a, b := sets[0], Empty
 		if len(sets) > 1 {
 			b = sets[1]
 		}
-		diff := MergeDiff(batch, IterOf(a, 1+r.Intn(9)), IterOf(b, 1+r.Intn(9)))
-		if got, want := FromSorted(drain(t, diff, batch)), referenceDiff(a, b); !got.Equal(want) {
-			t.Fatalf("MergeDiff(%q, %q) = %q, want %q", a, b, got.Items(), want.Items())
+		if got, want := a.Intersect(b), referenceIntersect([]Set{a, b}); !got.Equal(want) {
+			t.Fatalf("Intersect(%q, %q) = %q, want %q", a, b, got.Items(), want.Items())
+		}
+		wantDiff := referenceDiff(a, b)
+		if got := a.Diff(b); !got.Equal(wantDiff) {
+			t.Fatalf("Diff(%q, %q) = %q, want %q", a, b, got.Items(), wantDiff.Items())
+		}
+
+		size := func() int {
+			if r.Intn(4) == 0 {
+				return 1 + r.Intn(64)
+			}
+			return 1 + r.Intn(9)
+		}
+		iters := func() []Iter {
+			its := make([]Iter, len(sets))
+			for i, s := range sets {
+				its[i] = IterOf(s, size())
+			}
+			return its
+		}
+		batch := size()
+		if got := FromSorted(drain(t, MergeUnion(batch, iters()...), batch)); !got.Equal(want) {
+			t.Fatalf("MergeUnion(%q) = %q, want %q", sets, got.Items(), want.Items())
+		}
+		if got := FromSorted(drain(t, MergeIntersect(batch, iters()...), batch)); !got.Equal(wantInter) {
+			t.Fatalf("MergeIntersect(%q) = %q, want %q", sets, got.Items(), wantInter.Items())
+		}
+		diff := MergeDiff(batch, IterOf(a, size()), IterOf(b, size()))
+		if got := FromSorted(drain(t, diff, batch)); !got.Equal(wantDiff) {
+			t.Fatalf("MergeDiff(%q, %q) = %q, want %q", a, b, got.Items(), wantDiff.Items())
 		}
 	})
 }

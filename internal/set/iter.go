@@ -5,10 +5,12 @@ package set
 // duplicate-free item sequence, but in bounded batches, so a consumer can
 // start working — and an operator tree can start merging — before the whole
 // sequence exists anywhere. The merge operators below are the incremental
-// forms of the mediator's local algebra (∪, ∩, −): they exploit the sorted
-// invariant exactly like the materialized Union/Intersect/Diff, one batch at
-// a time, and short-circuit the moment their output is decided (an
-// exhausted intersection input ends the stream without draining the rest).
+// forms of the mediator's local algebra (∪, ∩, −). They run the materialized
+// kernels (UnionAll's, and the filter under IntersectAll and Diff) over one
+// decided frontier after another: the inputs are sorted, so every item up to
+// the least of their last buffered items is decided. They short-circuit the
+// moment their output is decided (an exhausted intersection input ends the
+// stream without draining the rest).
 //
 // Iterator contract:
 //   - Next returns the next batch: non-empty, sorted ascending, strictly
@@ -32,6 +34,7 @@ package set
 import (
 	"context"
 	"fmt"
+	"slices"
 )
 
 // DefaultBatch is the first-batch size used when a caller passes a
@@ -88,92 +91,88 @@ func (it *setIter) Close() error {
 // Collect drains it into a materialized Set and closes it — exhausted or
 // not, success or failure. It is the streaming-to-materialized bridge and
 // the canonical way to consume an iterator whole. The batches are lent, so
-// the set is a copy of them.
+// each is copied into a pooled buffer, and the set is one exact-size slice.
 func Collect(ctx context.Context, it Iter) (Set, error) {
 	defer func() { _ = it.Close() }()
-	var items []string
+	var held [16]*[]string
+	copies, n := held[:0], 0
+	defer func() {
+		for _, c := range copies {
+			PutBatch(c)
+		}
+	}()
 	for {
 		batch, err := it.Next(ctx)
 		if err != nil {
 			return Set{}, err
 		}
 		if batch == nil {
-			return Set{items: items}, nil
+			break
 		}
-		items = append(items, batch...)
+		c := GetBatch(len(batch))
+		*c = append(*c, batch...)
+		copies, n = append(copies, c), n+len(batch)
 	}
+	if n == 0 {
+		return Set{}, nil
+	}
+	items := make([]string, 0, n)
+	for _, c := range copies {
+		items = append(items, *c...)
+	}
+	return Set{items: items}, nil
 }
 
-// cursor wraps an input iterator with one-batch lookahead for merging. While
-// the batch has a head, key is the head's key8: a stream's common prefix is
-// not known in advance, so the key is the item's first 8 bytes, and the
-// merges compare keys and read the strings only when two keys tie.
-type cursor struct {
+// op is the operator a merge computes.
+type op uint8
+
+const (
+	opUnion op = iota
+	opIntersect
+	opDiff
+)
+
+// input is one of a merge's inputs: its stream, what is left of the batch
+// the stream last lent, and whether the stream has ended.
+type input struct {
 	it   Iter
 	buf  []string
-	pos  int
-	key  uint64
 	done bool
 }
 
-// spent reports whether the cursor's batch is used up and its stream has
-// not ended.
-func (c *cursor) spent() bool { return !c.done && c.pos >= len(c.buf) }
+// maxCut bounds the items of one input a frontier decides, so a union's
+// scratch is a few thousand pairs whatever the batch sizes, and one from
+// the pool is already the size a merge needs.
+const maxCut = 512
 
-// ready ensures the cursor has a current item or is done. It is inlined, and
-// calls the input only when the batch is spent.
-func (c *cursor) ready(ctx context.Context) error {
-	if !c.spent() {
-		return nil
-	}
-	return c.pull(ctx)
-}
-
-// pull reads batches from the input until one has an item or the stream
-// ends.
-func (c *cursor) pull(ctx context.Context) error {
-	for c.spent() {
-		batch, err := c.it.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			c.done = true
-			c.buf, c.pos = nil, 0
-			return nil
-		}
-		c.buf, c.pos = batch, -1
-		c.advance()
-	}
-	return nil
-}
-
-func (c *cursor) head() string { return c.buf[c.pos] }
-
-// advance moves past the head, keying the next one if the batch has it.
-func (c *cursor) advance() {
-	c.pos++
-	if c.pos < len(c.buf) {
-		c.key = key8(c.buf[c.pos])
-	}
-}
-
-// compare orders the heads of two cursors that have one.
-func (c *cursor) compare(d *cursor) int { return compareKeyed(c.key, c.head(), d.key, d.head()) }
-
-// mergeIter is the shared chassis of the merge operators: a fill function
-// fills one output batch, of the schedule's next size, from the cursors (it
-// stops short only when the output is decided), and Close propagates to
-// every input exactly once. Every batch is the one pooled buffer, lent to
-// the consumer until its next call; Close gives the buffer back.
+// mergeIter is the one merge of the three operators. Each fill decides one
+// frontier after another: the least of the live inputs' last buffered
+// items. The inputs are sorted, so every item up to it is decided, for ∪, ∩
+// and − alike; each input's batch is cut there (pre) and the operator's
+// kernel runs over the cuts. Every batch is the one pooled buffer, lent
+// until the consumer's next call; what a union's run has beyond it (rest)
+// starts the next one, and until then no input is pulled, so the cuts it
+// names stay lent. Close gives the buffer and the scratch back and
+// propagates to every input exactly once.
 type mergeIter struct {
-	cur    []*cursor
+	op     op
+	ins    []input
+	pre    []Set
+	sc     *unionScratch
+	rest   []pair
 	sched  Schedule
 	out    Buffer
-	fill   func(ctx context.Context, out []string) ([]string, error)
 	err    error
 	done   bool
 	closed bool
+}
+
+func newMerge(batch int, o op, its ...Iter) *mergeIter {
+	m := &mergeIter{op: o, ins: make([]input, len(its)), pre: make([]Set, len(its)), sched: NewSchedule(batch)}
+	for i, it := range its {
+		m.ins[i].it = it
+	}
+	return m
 }
 
 func (m *mergeIter) Next(ctx context.Context) ([]string, error) {
@@ -205,8 +204,101 @@ func (m *mergeIter) Next(ctx context.Context) ([]string, error) {
 	return out, nil
 }
 
+// fill fills out, from what is left of the last union's run and then from
+// one frontier after another, until it is full or the output is decided.
+func (m *mergeIter) fill(ctx context.Context, out []string) ([]string, error) {
+	for {
+		n := min(len(m.rest), cap(out)-len(out))
+		out = gather(out, m.pre, m.rest[:n])
+		m.rest = m.rest[n:]
+		room := cap(out) - len(out)
+		if room == 0 {
+			return out, nil
+		}
+		if live, err := m.pull(ctx); err != nil || !live {
+			return out, err
+		}
+		m.cut(min(room, maxCut))
+		switch m.op {
+		case opUnion:
+			out = m.union(out)
+		case opIntersect:
+			out = intersect(out, m.pre)
+		default:
+			out = filter(out, m.pre[0].items, m.pre[1].items, false)
+		}
+	}
+}
+
+// pull gives every input whose batch is used up its next one, and reports
+// whether the output has more to decide: a union while any input lasts, an
+// intersection while all do (the first that ends decides it, and the rest
+// are not pulled), a difference while a does (after b, a passes through).
+func (m *mergeIter) pull(ctx context.Context) (bool, error) {
+	live := false
+	for i := range m.ins {
+		in := &m.ins[i]
+		for !in.done && len(in.buf) == 0 {
+			batch, err := in.it.Next(ctx)
+			if err != nil {
+				return false, err
+			}
+			in.buf, in.done = batch, batch == nil
+		}
+		if in.done && (m.op == opIntersect || m.op == opDiff && i == 0) {
+			return false, nil
+		}
+		live = live || !in.done
+	}
+	return live, nil
+}
+
+// cut moves each input's items up to the frontier from its batch to its
+// cut in pre. Only the first room items of a batch count, so no cut is
+// longer than room: an intersection's or a difference's output fits the
+// room left, and a union's overflows into rest.
+func (m *mergeIter) cut(room int) {
+	fi, f := -1, ""
+	for i := range m.ins {
+		b := m.ins[i].buf[:min(len(m.ins[i].buf), room)]
+		if len(b) > 0 && (fi < 0 || b[len(b)-1] < f) {
+			fi, f = i, b[len(b)-1]
+		}
+	}
+	for i := range m.ins {
+		in := &m.ins[i]
+		end := min(len(in.buf), room)
+		if i != fi {
+			j, found := slices.BinarySearch(in.buf[:end], f)
+			end = j + b2i(found)
+		}
+		m.pre[i], in.buf = Set{items: in.buf[:end]}, in.buf[end:]
+	}
+}
+
+// union appends to out the union of the cuts as far as out has room, and
+// keeps the rest of the kernel's run. A cut alone is copied; the scratch is
+// taken from the pool at the first union of two.
+func (m *mergeIter) union(out []string) []string {
+	runs, live, _ := runsOf(m.pre)
+	if runs == 1 {
+		return append(out, m.pre[live].items...)
+	}
+	if m.sc == nil {
+		m.sc = scratchPool.Get().(*unionScratch)
+	}
+	run := m.sc.union(m.pre, runs, len(m.pre)*maxCut)
+	n := min(len(run), cap(out)-len(out))
+	m.rest = run[n:]
+	return gather(out, m.pre, run[:n])
+}
+
 func (m *mergeIter) Close() error {
 	m.out.Release()
+	if m.sc != nil {
+		scratchPool.Put(m.sc)
+		m.sc, m.rest = nil, nil
+	}
 	return m.closeInputs()
 }
 
@@ -217,55 +309,18 @@ func (m *mergeIter) closeInputs() error {
 	m.closed = true
 	m.done = true
 	var first error
-	for _, c := range m.cur {
-		if err := c.it.Close(); err != nil && first == nil {
+	for _, in := range m.ins {
+		if err := in.it.Close(); err != nil && first == nil {
 			first = fmt.Errorf("set: closing merge input: %w", err)
 		}
 	}
 	return first
 }
 
-func newCursors(its []Iter) []*cursor {
-	cur := make([]*cursor, len(its))
-	for i, it := range its {
-		cur[i] = &cursor{it: it}
-	}
-	return cur
-}
-
 // MergeUnion returns the streaming union of the inputs, its batches following
 // the Schedule from batch. Ownership of the inputs transfers to the returned
-// iterator. The merge is the k-way generalization of Set.Union: each output
-// item is the minimum of the input heads, with duplicates across inputs
-// collapsed.
-func MergeUnion(batch int, its ...Iter) Iter {
-	m := &mergeIter{cur: newCursors(its), sched: NewSchedule(batch)}
-	m.fill = func(ctx context.Context, out []string) ([]string, error) {
-		for len(out) < cap(out) {
-			var least *cursor
-			for _, c := range m.cur {
-				if err := c.ready(ctx); err != nil {
-					return nil, err
-				}
-				if !c.done && (least == nil || c.compare(least) < 0) {
-					least = c
-				}
-			}
-			if least == nil {
-				return out, nil
-			}
-			k, min := least.key, least.head()
-			out = append(out, min)
-			for _, c := range m.cur {
-				if !c.done && c.key == k && c.head() == min {
-					c.advance()
-				}
-			}
-		}
-		return out, nil
-	}
-	return m
-}
+// iterator. It is UnionAll over one decided frontier after another.
+func MergeUnion(batch int, its ...Iter) Iter { return newMerge(batch, opUnion, its...) }
 
 // MergeIntersect returns the streaming intersection of the inputs, its
 // batches following the Schedule from batch. Ownership of the inputs
@@ -273,92 +328,9 @@ func MergeUnion(batch int, its ...Iter) Iter {
 // intersection is decided: the stream ends and every input is closed — the
 // short-circuit that lets a drained running set abandon upstream work
 // mid-flight.
-func MergeIntersect(batch int, its ...Iter) Iter {
-	m := &mergeIter{cur: newCursors(its), sched: NewSchedule(batch)}
-	if len(its) == 0 {
-		m.done = true
-		return m
-	}
-	m.fill = func(ctx context.Context, out []string) ([]string, error) {
-		for len(out) < cap(out) {
-			// Candidate: the greatest head; every input must advance to
-			// (or past) it.
-			var top *cursor
-			for _, c := range m.cur {
-				if err := c.ready(ctx); err != nil {
-					return nil, err
-				}
-				if c.done {
-					return out, nil
-				}
-				if top == nil || c.compare(top) > 0 {
-					top = c
-				}
-			}
-			k, max := top.key, top.head()
-			all := true
-			for _, c := range m.cur {
-				// Skip items below the candidate; an input that exhausts
-				// while skipping decides the intersection.
-				d := -1
-				for d < 0 {
-					if err := c.ready(ctx); err != nil {
-						return nil, err
-					}
-					if c.done {
-						return out, nil
-					}
-					if d = compareKeyed(c.key, c.head(), k, max); d < 0 {
-						c.advance()
-					}
-				}
-				all = all && d == 0
-			}
-			if all {
-				out = append(out, max)
-				for _, c := range m.cur {
-					c.advance()
-				}
-			}
-		}
-		return out, nil
-	}
-	return m
-}
+func MergeIntersect(batch int, its ...Iter) Iter { return newMerge(batch, opIntersect, its...) }
 
 // MergeDiff returns the streaming difference a − b, its batches following the
 // Schedule from batch. Ownership of both inputs transfers to the returned
 // iterator. When b exhausts, the remainder of a passes through unfiltered.
-func MergeDiff(batch int, a, b Iter) Iter {
-	m := &mergeIter{cur: newCursors([]Iter{a, b}), sched: NewSchedule(batch)}
-	ca, cb := m.cur[0], m.cur[1]
-	m.fill = func(ctx context.Context, out []string) ([]string, error) {
-		for len(out) < cap(out) {
-			if err := ca.ready(ctx); err != nil {
-				return nil, err
-			}
-			if ca.done {
-				return out, nil
-			}
-			if err := cb.ready(ctx); err != nil {
-				return nil, err
-			}
-			d := -1
-			if !cb.done {
-				d = ca.compare(cb)
-			}
-			switch {
-			case d < 0:
-				out = append(out, ca.head())
-				ca.advance()
-			case d > 0:
-				cb.advance()
-			default:
-				ca.advance()
-				cb.advance()
-			}
-		}
-		return out, nil
-	}
-	return m
-}
+func MergeDiff(batch int, a, b Iter) Iter { return newMerge(batch, opDiff, a, b) }

@@ -14,6 +14,8 @@
 // next Next or Close, after which its producer may fill the same buffer
 // again (pool.go). Only the slice is lent — items are immutable strings —
 // so a consumer that keeps items past that copies the slice; Collect does.
+// Both forms run the same kernels: one union (union.go) and one filter for
+// ∩ and − (below), which a merge runs over its inputs' decided prefixes.
 package set
 
 import (
@@ -88,41 +90,7 @@ func (s Set) Slice() []string {
 func (s Set) Union(t Set) Set { return UnionAll(s, t) }
 
 // Intersect returns s ∩ t.
-func (s Set) Intersect(t Set) Set {
-	if s.IsEmpty() || t.IsEmpty() {
-		return Set{}
-	}
-	// Iterate over the smaller side when sizes are lopsided.
-	small, large := s.items, t.items
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	out := make([]string, 0, len(small))
-	if len(large) > 8*len(small) {
-		// Binary-search mode for very lopsided inputs.
-		for _, v := range small {
-			k := sort.SearchStrings(large, v)
-			if k < len(large) && large[k] == v {
-				out = append(out, v)
-			}
-		}
-		return Set{items: out}
-	}
-	i, j := 0, 0
-	for i < len(small) && j < len(large) {
-		switch {
-		case small[i] < large[j]:
-			i++
-		case small[i] > large[j]:
-			j++
-		default:
-			out = append(out, small[i])
-			i++
-			j++
-		}
-	}
-	return Set{items: out}
-}
+func (s Set) Intersect(t Set) Set { return IntersectAll(s, t) }
 
 // Diff returns s − t: the items of s that are not in t. The difference
 // operation is the key postoptimization primitive of Section 4.
@@ -130,22 +98,7 @@ func (s Set) Diff(t Set) Set {
 	if s.IsEmpty() || t.IsEmpty() {
 		return s
 	}
-	out := make([]string, 0, len(s.items))
-	i, j := 0, 0
-	for i < len(s.items) && j < len(t.items) {
-		switch {
-		case s.items[i] < t.items[j]:
-			out = append(out, s.items[i])
-			i++
-		case s.items[i] > t.items[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	out = append(out, s.items[i:]...)
-	return Set{items: out}
+	return Set{items: filter(make([]string, 0, len(s.items)), s.items, t.items, false)}
 }
 
 // Equal reports whether s and t contain exactly the same items.
@@ -206,18 +159,74 @@ func (s Set) String() string {
 	return b.String()
 }
 
-// IntersectAll folds Intersect over the given sets. It returns the empty set
-// when called with no arguments.
+// IntersectAll returns the intersection of the given sets. It returns the
+// empty set when called with no arguments.
 func IntersectAll(sets ...Set) Set {
-	if len(sets) == 0 {
-		return Set{}
+	if len(sets) == 1 {
+		return sets[0]
 	}
-	out := sets[0]
-	for _, s := range sets[1:] {
-		out = out.Intersect(s)
-		if out.IsEmpty() {
-			return out
+	return Set{items: intersect(nil, sets)}
+}
+
+// intersect is the intersection kernel: it appends to dst the items every
+// one of sets holds. The smallest set is filtered by another into dst, and
+// that by each other set in turn, in place. A nil dst gets room for the
+// smallest set; any other has it, so a merge's batch is never reallocated.
+func intersect(dst []string, sets []Set) []string {
+	small := 0
+	for i, s := range sets {
+		if len(s.items) < len(sets[small].items) {
+			small = i
 		}
 	}
-	return out
+	if len(sets) == 0 || len(sets[small].items) == 0 {
+		return dst
+	}
+	in := sets[small].items
+	if dst == nil {
+		dst = make([]string, 0, len(in))
+	}
+	if len(sets) == 1 {
+		return append(dst, in...)
+	}
+	n := len(dst)
+	for i, s := range sets {
+		if i != small && len(in) > 0 {
+			dst = filter(dst[:n], in, s.items, true)
+			in = dst[n:]
+		}
+	}
+	return dst
+}
+
+// filter appends to dst the items of sorted a whose membership in sorted b
+// is keep: a ∩ b, or a − b. dst may be a[:0], each item being written at or
+// before where it was read. When b is over 8 times a's size, each item of a
+// is binary-searched in what is left of b; otherwise the two are walked.
+func filter(dst, a, b []string, keep bool) []string {
+	if len(b) > 8*len(a) {
+		for _, x := range a {
+			j, found := slices.BinarySearch(b, x)
+			if found == keep {
+				dst = append(dst, x)
+			}
+			b = b[j:]
+		}
+		return dst
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		c := strings.Compare(a[i], b[j])
+		if c <= 0 {
+			if (c == 0) == keep {
+				dst = append(dst, a[i])
+			}
+			i++
+		}
+		j += b2i(c >= 0)
+	}
+	if !keep {
+		dst = append(dst, a[i:]...)
+	}
+	return dst
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // The union kernel. UnionAll is the mediator step X_i := ∪_{j=1..n} X_ij
-// that closes every condition round (§2.3), and Set.Union is its two-input
-// case. The merge decides on integers, not on string compares: every item
-// gets an abbreviated key from the bytes past the inputs' common prefix, and
-// the merge compares keys, touching the strings only where two keys tie
-// without the items being known equal.
+// that closes every condition round (§2.3), Set.Union is its two-input case,
+// and MergeUnion runs its core over each decided frontier of its inputs. It
+// decides on integers, not on string compares: every item gets an
+// abbreviated key from the bytes past the inputs' common prefix, and the
+// merge compares keys, touching the strings only where two keys tie without
+// the items being known equal.
 
 // sentinel ends every run of keys. No item's key reaches it: an exact key's
 // low byte is at most 7, and a long key is clamped below it.
@@ -126,6 +127,34 @@ func resize[T pair | int](s []T, n int) []T {
 
 // UnionAll returns the union of the given sets. The result is a slice of
 // exactly its length; with one non-empty input, it is that set.
+func UnionAll(sets ...Set) Set {
+	runs, live, total := runsOf(sets)
+	switch runs {
+	case 0:
+		return Set{}
+	case 1:
+		return sets[live]
+	}
+	sc := scratchPool.Get().(*unionScratch)
+	defer scratchPool.Put(sc)
+	run := sc.union(sets, runs, total)
+	return Set{items: gather(make([]string, 0, len(run)), sets, run)}
+}
+
+// runsOf counts the non-empty sets and their items, and names the last
+// non-empty one.
+func runsOf(sets []Set) (runs, live, total int) {
+	for i, s := range sets {
+		if len(s.items) > 0 {
+			live, runs, total = i, runs+1, total+len(s.items)
+		}
+	}
+	return runs, live, total
+}
+
+// union is the kernel: it merges sets, runs of them non-empty (at least
+// two) with at most room items among them, into one run of sc's, and
+// returns that run without its sentinel. It is valid until sc's next union.
 //
 // Keys: p is the inputs' common prefix. When no item is more than p+7 bytes
 // long, each item's key is keyRun's exact one and the merge never reads a
@@ -133,27 +162,11 @@ func resize[T pair | int](s []T, n int) []T {
 // sentinel), and keys that tie are told apart by their strings.
 //
 // Merge: each non-empty input is a run of pairs, and runs merge two at a
-// time, level by level, until one is left; its refs are gathered into the
-// result.
-func UnionAll(sets ...Set) Set {
-	live, runs, total := 0, 0, 0
-	for i, s := range sets {
-		if len(s.items) > 0 {
-			live, runs, total = i, runs+1, total+len(s.items)
-		}
-	}
-	switch runs {
-	case 0:
-		return Set{}
-	case 1:
-		return sets[live]
-	}
+// time, level by level, until one is left.
+func (sc *unionScratch) union(sets []Set, runs, room int) []pair {
 	p := commonPrefix(sets)
-
-	sc := scratchPool.Get().(*unionScratch)
-	defer scratchPool.Put(sc)
 	for g := range sc.runs {
-		sc.runs[g] = resize(sc.runs[g], total+runs)
+		sc.runs[g] = resize(sc.runs[g], room+runs)
 	}
 	sc.starts = resize(sc.starts, runs+1)
 	starts := sc.starts
@@ -202,12 +215,17 @@ func UnionAll(sets ...Set) Set {
 		starts[(runs+1)/2] = at
 		src = 1 - src
 	}
+	return sc.runs[src][:starts[1]-1]
+}
 
-	out := make([]string, starts[1]-1)
-	for j, x := range sc.runs[src][:len(out)] {
-		out[j] = item(sets, x.ref)
+// gather appends to dst the items the pairs of run name in sets.
+func gather(dst []string, sets []Set, run []pair) []string {
+	n := len(dst)
+	dst = dst[:n+len(run)]
+	for j, x := range run {
+		dst[n+j] = item(sets, x.ref)
 	}
-	return Set{items: out}
+	return dst
 }
 
 // item is the item a pair's ref names.
@@ -260,13 +278,4 @@ func mergeTied(from []pair, i, j int, to []pair, n int, sets []Set) int {
 	}
 	to[n] = pair{key: sentinel}
 	return n + 1
-}
-
-// compareKeyed orders two items by their key8 abbreviations, and by the
-// items themselves when the keys tie.
-func compareKeyed(ka uint64, a string, kb uint64, b string) int {
-	if c := cmp.Compare(ka, kb); c != 0 {
-		return c
-	}
-	return strings.Compare(a, b)
 }
