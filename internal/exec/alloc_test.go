@@ -2,10 +2,15 @@ package exec
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
+	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
 	"fusionq/internal/optimizer"
+	"fusionq/internal/stats"
+	"fusionq/internal/workload"
 )
 
 // Allocations of one run of the DMV SJA plan under each scheduler, rounds and
@@ -98,5 +103,71 @@ func TestTracedRunAllocs(t *testing.T) {
 			}
 			t.Logf("%.2f allocations per span (%v traced, %v untraced, %d spans)", perSpan, traced, untraced, spans)
 		})
+	}
+}
+
+// Bounds on what a warm round-scheduled selection plan costs a run: about
+// 15 % over what it measured (go1.24, linux/amd64: 165–171 KiB in 116
+// allocations), whose round scheduler gives back its dead sets
+// (lifetime.go). The parent of that change allocated 540 KiB in 271
+// allocations; with set.Release a no-op, 576 KiB (pooled answers, let go).
+const (
+	selectionPlanBytes  = 192 << 10
+	selectionPlanAllocs = 134
+)
+
+// TestSelectionPlanAllocs runs the FILTER plan of a 6-source × 3-condition
+// synthetic problem, every step a selection or the mediator's ∪ and ∩, over
+// in-process wrappers, round-scheduled, until the pools are warm, and bounds
+// the bytes and allocations of one more run. The source answers come from
+// set's pool and go back after the round's union reads them, and each
+// round's intersection runs in place into the union before it, so a run
+// allocates little beyond its answer, trace and accounting.
+func TestSelectionPlanAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race runtime allocates on its own and the pools drop puts; CI runs this without -race")
+	}
+	sc, err := workload.Synth(workload.SynthConfig{
+		Seed: 7, NumSources: 6, TuplesPerSource: 2000, Universe: 4000,
+		Selectivity: []float64{0.3, 0.5, 0.7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := make([]stats.SourceProfile, len(sc.Sources))
+	for j, src := range sc.Sources {
+		profiles[j] = stats.ProfileFromLink(src.Name(), netsim.Link{Latency: time.Millisecond}, 8, stats.SupportOf(src.Caps()))
+	}
+	table, err := stats.BuildFromSources(context.Background(), sc.Conds, sc.Sources, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := optimizer.Filter(&optimizer.Problem{Conds: sc.Conds, Sources: sc.SourceNames(), Table: table})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := &Executor{Sources: sc.Sources}
+	ctx := context.Background()
+	run := func() {
+		if _, err := ex.Run(ctx, res.Plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		run()
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("%.1f KiB and %.0f allocations a run", bytes/1024, allocs)
+	if bytes > selectionPlanBytes || allocs > selectionPlanAllocs {
+		t.Fatalf("a run allocates %.1f KiB in %.0f allocations, want at most %d KiB and %d",
+			bytes/1024, allocs, selectionPlanBytes>>10, selectionPlanAllocs)
 	}
 }

@@ -104,8 +104,12 @@ type Result struct {
 	// Plan is the plan that ran: the one given, or for an adaptive plan the
 	// rounds it decided, ending with the one that failed.
 	Plan *plan.Plan
-	// Vars holds the final value of every set variable. After a failed or
-	// cancelled run it holds the variables computed so far.
+	// Vars holds the set variables the run still holds when it ends. Between
+	// round barriers a variable leaves once the last step that reads its
+	// value has run (lifetime.go), so what stays is the result, each round's
+	// running set, and whatever a step read by nobody left assigned. After a
+	// failed or cancelled run it also holds every variable computed and not
+	// yet read for the last time. A pipelined run holds only its result.
 	Vars map[string]set.Set
 	// SourceQueries counts charged source operations actually issued
 	// (selections, native semijoins, emulated per-binding selections,
@@ -132,8 +136,9 @@ type Result struct {
 	// re-issues themselves are already charged in SourceQueries.
 	Retries int
 	// PeakBytes is the high-water mark of mediator-held intermediate item
-	// bytes (set.Bytes units). Materialized runs count the live set
-	// variables and loaded relations; streaming runs count the in-flight
+	// bytes (set.Bytes units). Materialized runs count the set variables
+	// Vars holds at each moment (a variable counts until its last reader's
+	// round is over) and loaded relations; streaming runs count the in-flight
 	// batch buffers, barrier materializations, loaded relations and the
 	// accumulating answer. Bytes buffered at a source or inside a
 	// streaming adapter play the server's role and are not mediator
@@ -211,6 +216,9 @@ func (e *Executor) checkRoster(what string, names []string) error {
 type run struct {
 	e *Executor
 	p *plan.Plan
+	// flow is p's Flow: its step texts, and the versions the round
+	// scheduler's lifetimes count. An adaptive run's grows with its plan.
+	flow *plan.Flow
 	// pipelined says which scheduler drives the nodes; batch is the
 	// granularity bodies emit at — the batch size when pipelined, zero
 	// (whole variables) between round barriers.
@@ -226,6 +234,8 @@ type run struct {
 	// sink is non-nil when the plan retrieves records (records.go).
 	sink *recordSink
 	tr   byteTracker
+	// life is the round scheduler's account of its versions and buffers.
+	life lifetimes
 
 	mu     sync.Mutex // guards res, vars and loaded across concurrent nodes
 	res    *Result
@@ -253,6 +263,7 @@ func (e *Executor) newRun(p *plan.Plan) *run {
 		r.table, r.pipelined = p.Adaptive, false
 		r.p = &plan.Plan{Conds: p.Conds, Sources: p.Sources, Class: p.Class, Records: p.Records}
 	}
+	r.flow = r.p.Flow()
 	if p.Records != plan.NoRecords {
 		r.sink = &recordSink{final: -1, bySource: map[int]map[string][]relation.Tuple{}}
 		if p.Records == plan.FinalRecords {
@@ -319,6 +330,10 @@ func (r *run) close() {
 // (plan.BatchEnd's batch) as one round. Local steps run inline.
 func (r *run) runSteps(ctx context.Context, from int) error {
 	steps := r.p.Steps
+	if len(r.flow.Texts) != len(steps) {
+		r.flow = r.p.Flow() // an adaptive run's plan has grown by a round
+	}
+	r.life.begin(r.flow)
 	for k := from; k < len(steps); {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("exec: %w", err)
@@ -334,9 +349,18 @@ func (r *run) runSteps(ctx context.Context, from int) error {
 		if err != nil {
 			return err
 		}
+		r.life.retire(r, k, end)
 		k = end
 	}
 	return nil
+}
+
+// drop takes a dead version out of Vars and the run's byte account.
+func (r *run) drop(name string, v *version) {
+	r.mu.Lock()
+	delete(r.vars, name)
+	r.mu.Unlock()
+	r.tr.release(v.bytes)
 }
 
 // wholeIter feeds a body one whole variable as a single batch.
@@ -358,7 +382,8 @@ func (it *wholeIter) Close() error {
 
 // runStep runs step idx between barriers: its inputs are the current values
 // of its input variables, its output becomes the value of its output
-// variable.
+// variable and the step's version in the run's lifetimes. Steps of one
+// round record distinct versions, so they need no lock for it.
 func (r *run) runStep(ctx context.Context, idx int) error {
 	s := r.p.Steps[idx]
 	whole := make([]wholeIter, len(s.In))
@@ -369,17 +394,22 @@ func (r *run) runStep(ctx context.Context, idx int) error {
 		ins[k] = &whole[k]
 	}
 	r.mu.Unlock()
-	nd := node{whole: true}
+	nd := node{whole: true, over: -1}
+	if s.Kind == plan.KindIntersect {
+		nd.over = r.life.overwritable(idx)
+	}
 	if err := r.runNode(ctx, idx, s, ins, &nd); err != nil {
 		return err
 	}
 	out := set.FromSorted(nd.kept)
+	bytes := out.Bytes()
+	r.life.record(idx, out, bytes, nd.owned)
 	r.mu.Lock()
 	old := r.vars[s.Out]
 	r.vars[s.Out] = out
 	r.mu.Unlock()
 	r.tr.release(old.Bytes())
-	r.tr.add(out.Bytes())
+	r.tr.add(bytes)
 	return nil
 }
 

@@ -1,0 +1,386 @@
+package exec
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"fusionq/internal/cond"
+	"fusionq/internal/fabric"
+	"fusionq/internal/netsim"
+	"fusionq/internal/optimizer"
+	"fusionq/internal/plan"
+	"fusionq/internal/relation"
+	"fusionq/internal/set"
+	"fusionq/internal/source"
+	"fusionq/internal/workload"
+)
+
+// The round scheduler gives its dead sets back to set's pool (lifetime.go).
+// These tests run plans whose sets alias, escape or outlive a failure, each
+// against a reference that copies every source answer and never releases
+// one, again and again so that released buffers are taken and refilled.
+// Under -race a released buffer reads as set.Recycled, so a set given back
+// while something still read it shows as a wrong answer, or as a race.
+
+// reference evaluates p step by step over copies: what the run must answer.
+func reference(t *testing.T, p *plan.Plan, srcs []source.Source) set.Set {
+	t.Helper()
+	ctx := context.Background()
+	vars := map[string]set.Set{}
+	loaded := map[string]*relation.Relation{}
+	own := func(s set.Set, err error) set.Set {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set.New(s.Items()...)
+	}
+	for _, s := range p.Steps {
+		var sets []set.Set
+		for _, in := range s.In {
+			sets = append(sets, vars[in])
+		}
+		var out set.Set
+		switch s.Kind {
+		case plan.KindSelect:
+			out = own(srcs[s.Source].Select(ctx, p.Conds[s.Cond]))
+		case plan.KindSemijoin:
+			out = own(srcs[s.Source].Select(ctx, p.Conds[s.Cond])).Intersect(sets[0])
+		case plan.KindLoad:
+			rel, err := srcs[s.Source].Load(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded[s.Out] = rel
+			out = set.New(rel.Items()...)
+		case plan.KindLocalSelect:
+			out = own(source.SelectItems(source.NewRowBackend(loaded[s.In[0]]), p.Conds[s.Cond]))
+		case plan.KindUnion:
+			out = set.UnionAll(sets...)
+		case plan.KindIntersect:
+			out = set.IntersectAll(sets...)
+		case plan.KindDiff:
+			out = sets[0].Diff(sets[1])
+		default:
+			t.Fatalf("reference: step kind %v", s.Kind)
+		}
+		vars[s.Out] = set.New(out.Items()...)
+	}
+	return vars[p.Result]
+}
+
+// runAgain runs p n times on each of two goroutines and checks every answer.
+func runAgain(t *testing.T, ex *Executor, p *plan.Plan, want set.Set, n int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				res, err := ex.Run(context.Background(), p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !res.Answer.Equal(want) {
+					t.Errorf("run %d: answer %v, want %v", i, res.Answer, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// synthSources is a synthetic scenario's wrappers with no network: the
+// in-process shape of the benchmark's planned execution.
+func synthSources(t testing.TB, cfg workload.SynthConfig) (*workload.Scenario, []source.Source) {
+	t.Helper()
+	sc, err := workload.Synth(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc, sc.Sources
+}
+
+// TestLifetimeUnionOfOne: a union with one non-empty input is that input,
+// so the union's output and the source answer it read hold one buffer,
+// which the intersection after them then writes over: it goes back only
+// with the last version holding it, and the answer it became is kept. When
+// that input is the cache's, so is the union's output, and nothing writes
+// over it.
+func TestLifetimeUnionOfOne(t *testing.T) {
+	sc, srcs := synthSources(t, workload.SynthConfig{Seed: 3, NumSources: 2, TuplesPerSource: 600, Universe: 1200, Selectivity: []float64{0.5, 0.5}})
+	// A third source with nothing in it: its answer E is empty.
+	srcs = append(srcs, source.NewWrapper("R3", source.NewRowBackend(relation.NewRelation(sc.Schema)), srcs[0].Caps()))
+	p := &plan.Plan{
+		Conds:   sc.Conds,
+		Sources: []string{srcs[0].Name(), srcs[1].Name(), "R3"},
+		Steps: []plan.Step{
+			{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0},
+			{Kind: plan.KindSelect, Out: "E", Cond: 0, Source: 2},
+			{Kind: plan.KindSelect, Out: "B", Cond: 0, Source: 1},
+			{Kind: plan.KindUnion, Out: "U", Cond: -1, Source: -1, In: []string{"A", "E"}},
+			{Kind: plan.KindIntersect, Out: "U", Cond: -1, Source: -1, In: []string{"U", "B"}},
+			{Kind: plan.KindDiff, Out: "D", Cond: -1, Source: -1, In: []string{"U", "E"}},
+		},
+		Result: "D",
+	}
+	want := reference(t, p, srcs)
+	if want.IsEmpty() {
+		t.Fatal("the reference answer is empty; the test wants one")
+	}
+	ex := &Executor{Sources: srcs}
+	res, err := ex.Run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the result is held: U's versions, A, E and B were all read.
+	if len(res.Vars) != 1 || !res.Vars["D"].Equal(want) {
+		t.Fatalf("Vars = %v, want only D = %v", res.Vars, want)
+	}
+	runAgain(t, ex, p, want, 20)
+	// With the cache on, A is the cache's from the second run on, and so is
+	// the union that is A: the intersection may not write over it.
+	cache := NewCache()
+	runAgain(t, &Executor{Sources: srcs, Cache: cache}, p, want, 20)
+	cached, _ := cache.Select(srcs[0].Name(), p.Conds[0])
+	if fresh := reference(t, &plan.Plan{Conds: p.Conds, Sources: p.Sources, Steps: p.Steps[:1], Result: "A"}, srcs); !cached.Equal(fresh) {
+		t.Fatalf("the cache's A is not the source's answer: %v, want %v", cached, fresh)
+	}
+}
+
+// TestLifetimeWithCache: with the source-answer cache on, a selection the
+// cache keeps, and the verdicts a semijoin taught it, are never given back:
+// cold and warm runs of every plan class answer right, and so does the
+// cache itself afterwards.
+func TestLifetimeWithCache(t *testing.T) {
+	pr, srcs, network := synthOnNetwork(t, workload.SynthConfig{
+		Seed: 5, NumSources: 4, TuplesPerSource: 500, Universe: 1000, Selectivity: []float64{0.3, 0.6, 0.8},
+	}, netsim.Link{Latency: time.Millisecond, BytesPerSec: 1 << 20})
+	cache := NewCache()
+	ex := &Executor{Sources: srcs, Network: network, Cache: cache}
+	for _, pc := range optimizer.Algorithms {
+		res, err := pc.Plan(pr)
+		if err != nil {
+			continue // not every class plans every problem
+		}
+		p := res.Plan
+		if p.Adaptive != nil {
+			p = &plan.Plan{Conds: p.Conds, Sources: p.Sources, Steps: p.Steps, Result: p.Result}
+		}
+		want := reference(t, p, srcs)
+		t.Run(pc.Name, func(t *testing.T) { runAgain(t, ex, p, want, 3) })
+	}
+	for j, src := range srcs {
+		for _, c := range pr.Conds {
+			got, ok := cache.Select(src.Name(), c)
+			if !ok {
+				continue
+			}
+			want, err := src.Select(context.Background(), c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("the cache's sq(%v, R%d) = %d items, the source's %d", c, j, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// lingering is a replica whose first semijoin is the straggler a hedge
+// beats: it holds on to its semijoin set until the backup has answered, as
+// a wire client still writing the set to its replica does, and then reads
+// it whole.
+type lingering struct {
+	source.Source
+	calls *atomic.Int32
+	read  chan []string
+}
+
+func (l lingering) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
+	if l.calls.Add(1) > 1 {
+		return l.Source.Semijoin(ctx, c, y)
+	}
+	<-ctx.Done() // the backup won
+	runtime.Gosched()
+	l.read <- append([]string(nil), y.Items()...)
+	return set.Set{}, ctx.Err()
+}
+
+// TestLifetimeHedgedSemijoin: a semijoin's set goes to a source, and a
+// hedged exchange's losing leg may still be reading it when the winner's
+// answer is in: the set the round scheduler sent never goes back to the
+// pool, though no step reads it again.
+func TestLifetimeHedgedSemijoin(t *testing.T) {
+	sc, raw := synthSources(t, workload.SynthConfig{Seed: 9, NumSources: 3, TuplesPerSource: 600, Universe: 1200, Selectivity: []float64{0.5, 0.5}})
+	calls := &atomic.Int32{}
+	read := make(chan []string, 1)
+	var eps []*fabric.Endpoint
+	for _, suffix := range []string{"-a", "-b"} {
+		rep := source.NewWrapper(raw[0].Name()+suffix, source.NewRowBackend(sc.Relations[0]), raw[0].Caps())
+		eps = append(eps, fabric.NewEndpoint(lingering{Source: rep, calls: calls, read: read}, 1))
+	}
+	logical, err := fabric.NewLogical(raw[0].Name(), eps, fabric.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough logical exchanges for the fabric to set a hedge deadline.
+	for i := 0; i < 8; i++ {
+		if _, err := logical.Select(context.Background(), sc.Conds[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srcs := []source.Source{logical, raw[1], raw[2]}
+	p := &plan.Plan{
+		Conds:   sc.Conds,
+		Sources: sc.SourceNames(),
+		Steps: []plan.Step{
+			{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 1},
+			{Kind: plan.KindSemijoin, Out: "S", Cond: 0, Source: 0, In: []string{"A"}},
+			{Kind: plan.KindSelect, Out: "B", Cond: 0, Source: 2},
+			{Kind: plan.KindUnion, Out: "X", Cond: -1, Source: -1, In: []string{"S", "B"}},
+		},
+		Result: "X",
+	}
+	want := reference(t, p, raw)
+	sent := reference(t, &plan.Plan{Conds: p.Conds, Sources: p.Sources, Steps: p.Steps[:1], Result: "A"}, raw)
+	res, err := (&Executor{Sources: srcs}).Run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Hedges == 0 {
+		t.Fatal("the semijoin was not hedged")
+	}
+	if !res.Answer.Equal(want) {
+		t.Fatalf("answer %v, want %v", res.Answer, want)
+	}
+	if got := set.FromSorted(<-read); !got.Equal(sent) {
+		t.Fatalf("the losing leg read %d items of its semijoin set, %d were sent", got.Len(), sent.Len())
+	}
+}
+
+// failingSemijoin is a source whose semijoins fail for good.
+type failingSemijoin struct{ source.Source }
+
+var errGone = errors.New("replica set exhausted")
+
+func (f failingSemijoin) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
+	return set.Set{}, fmt.Errorf("source %s: %w", f.Name(), errGone)
+}
+
+// TestLifetimeFailedRoundKeepsItsSeed: a round fails after the running set
+// of the round before fed its semijoins. A repair seeds from that running
+// set in Vars, so it is there, whole, while the round's dead selections
+// are not.
+func TestLifetimeFailedRoundKeepsItsSeed(t *testing.T) {
+	sc, srcs := synthSources(t, workload.SynthConfig{Seed: 11, NumSources: 3, TuplesPerSource: 600, Universe: 1200, Selectivity: []float64{0.5, 0.5}})
+	p := &plan.Plan{
+		Conds:   sc.Conds,
+		Sources: sc.SourceNames(),
+		Steps: []plan.Step{
+			{Kind: plan.KindSelect, Out: "X11", Cond: 0, Source: 0},
+			{Kind: plan.KindSelect, Out: "X12", Cond: 0, Source: 1},
+			{Kind: plan.KindSelect, Out: "X13", Cond: 0, Source: 2},
+			{Kind: plan.KindUnion, Out: "X1", Cond: -1, Source: -1, In: []string{"X11", "X12", "X13"}},
+			{Kind: plan.KindSemijoin, Out: "X21", Cond: 1, Source: 0, In: []string{"X1"}},
+			{Kind: plan.KindSemijoin, Out: "X22", Cond: 1, Source: 1, In: []string{"X1"}},
+			{Kind: plan.KindSemijoin, Out: "X23", Cond: 1, Source: 2, In: []string{"X1"}},
+			{Kind: plan.KindUnion, Out: "X2", Cond: -1, Source: -1, In: []string{"X21", "X22", "X23"}},
+		},
+		Result: "X2",
+	}
+	seed := reference(t, &plan.Plan{Conds: p.Conds, Sources: p.Sources, Steps: p.Steps[:4], Result: "X1"}, srcs)
+	failing := append([]source.Source(nil), srcs...)
+	failing[2] = failingSemijoin{srcs[2]}
+	ex := &Executor{Sources: failing}
+	for i := 0; i < 20; i++ {
+		res, err := ex.Run(context.Background(), p)
+		if !errors.Is(err, errGone) || res.FailedStep < 4 {
+			t.Fatalf("run %d: err %v, failed step %d; want the third semijoin's failure", i, err, res.FailedStep)
+		}
+		if got, ok := res.Vars["X1"]; !ok || !got.Equal(seed) {
+			t.Fatalf("run %d: Vars[X1] = %v (held %v), want the running set %v", i, got, ok, seed)
+		}
+		for _, dead := range []string{"X11", "X12", "X13"} {
+			if _, ok := res.Vars[dead]; ok {
+				t.Fatalf("run %d: Vars holds %s, which the union read last", i, dead)
+			}
+		}
+	}
+}
+
+// TestLifetimeAdaptive: an adaptive plan grows round by round, and each
+// round's lifetimes are taken from the plan as it stands.
+func TestLifetimeAdaptive(t *testing.T) {
+	pr, srcs, network := synthOnNetwork(t, workload.SynthConfig{
+		Seed: 13, NumSources: 4, TuplesPerSource: 600, Universe: 1200, Selectivity: []float64{0.4, 0.6, 0.8},
+	}, netsim.Link{Latency: time.Millisecond, BytesPerSec: 1 << 20})
+	ex := &Executor{Sources: srcs, Network: network}
+	for i := 0; i < 10; i++ {
+		res, err := ex.Run(context.Background(), adaptivePlan(t, pr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := reference(t, res.Plan, srcs); !res.Answer.Equal(want) {
+			t.Fatalf("run %d: answer %d items, its executed plan's reference %d", i, res.Answer.Len(), want.Len())
+		}
+	}
+}
+
+// TestLifetimeLoadThenLocalSelect: a loaded relation's items are the
+// relation's, never the pool's, and the local selections over it are the
+// run's own, one of which the intersection writes over.
+func TestLifetimeLoadThenLocalSelect(t *testing.T) {
+	sc, srcs := synthSources(t, workload.SynthConfig{Seed: 17, NumSources: 2, TuplesPerSource: 600, Universe: 1200, Selectivity: []float64{0.5, 0.5}})
+	p := &plan.Plan{
+		Conds:   sc.Conds,
+		Sources: sc.SourceNames(),
+		Steps: []plan.Step{
+			{Kind: plan.KindLoad, Out: "F1", Cond: -1, Source: 0},
+			{Kind: plan.KindLocalSelect, Out: "T", Cond: 0, Source: -1, In: []string{"F1"}},
+			{Kind: plan.KindSelect, Out: "X", Cond: 0, Source: 1},
+			{Kind: plan.KindIntersect, Out: "Y", Cond: -1, Source: -1, In: []string{"T", "X"}},
+			{Kind: plan.KindLocalSelect, Out: "T2", Cond: 0, Source: -1, In: []string{"F1"}},
+			{Kind: plan.KindUnion, Out: "Z", Cond: -1, Source: -1, In: []string{"Y", "T2", "F1"}},
+		},
+		Result: "Z",
+	}
+	want := reference(t, p, srcs)
+	runAgain(t, &Executor{Sources: srcs}, p, want, 20)
+}
+
+// TestFlowNamesTheVersionsSSADoes: the versions the round scheduler counts
+// (plan.Flow) are the ones the pipelined scheduler's single-assignment form
+// names: every input reads the output of the step Flow says it does.
+func TestFlowNamesTheVersionsSSADoes(t *testing.T) {
+	pr, _, _ := synthOnNetwork(t, workload.SynthConfig{
+		Seed: 19, NumSources: 4, TuplesPerSource: 300, Universe: 600, Selectivity: []float64{0.3, 0.6, 0.8},
+	}, netsim.Link{Latency: time.Millisecond, BytesPerSec: 1 << 20})
+	for _, pc := range optimizer.Algorithms {
+		res, err := pc.Plan(pr)
+		if err != nil {
+			continue
+		}
+		steps, result := ssaSteps(res.Plan)
+		f := res.Plan.Flow()
+		for i, s := range steps {
+			for k, in := range s.In {
+				if v := f.In[i][k]; steps[v].Out != in {
+					t.Fatalf("%s: step %d reads %s, Flow says step %d's %s", pc.Name, i, in, v, steps[v].Out)
+				}
+			}
+		}
+		if steps[f.Result].Out != result {
+			t.Fatalf("%s: the result is %s, Flow says step %d's %s", pc.Name, result, f.Result, steps[f.Result].Out)
+		}
+	}
+}

@@ -37,6 +37,11 @@ var errAbandoned = errors.New("exec: all stream consumers abandoned")
 type node struct {
 	whole bool
 	kept  []string
+	// Between barriers: over is the input an intersection may write over
+	// (lifetimes.overwritable; -1 for none), and owned says the body made
+	// kept for the run alone, so the run may give it back (lifetime.go).
+	over  int
+	owned bool
 
 	outs []*streamEdge
 	dead []bool
@@ -114,8 +119,9 @@ func (nd *node) emitSorted(ctx context.Context, items []string, batch int) error
 // step appears in the trace with Err set and the work it charged. The
 // returned error carries the step's text.
 func (r *run) runNode(ctx context.Context, idx int, s plan.Step, ins []set.Iter, nd *node) error {
-	// Spans and traces show the plan's step, not a single-assignment rename.
-	text := r.p.StepString(r.p.Steps[idx])
+	// Spans and traces show the plan's step, not a single-assignment rename,
+	// in the text the plan's Flow formatted once.
+	text := r.flow.Texts[idx]
 	sctx, span := obs.StartSpan(ctx, obs.KindStep, text)
 	isSource := s.IsSourceQuery()
 	srcName := ""
@@ -303,6 +309,9 @@ func (r *run) selectBody(ctx context.Context, s plan.Step, nd *node) error {
 			return err
 		})
 		if err == nil {
+			// The answer is the run's alone (source.Source) unless the
+			// cache keeps it below.
+			nd.owned = cache == nil
 			err = nd.emit(ctx, kept)
 		}
 	}
@@ -405,6 +414,9 @@ func (r *run) semijoinBody(ctx context.Context, s plan.Step, in set.Iter, nd *no
 		if err != nil {
 			return err
 		}
+		// Between barriers this is the one batch: a source's answer, the
+		// run's alone unless the cache or the records sink keeps it.
+		nd.owned = cache == nil && !(caps.NativeSemijoin && r.sink.wants(s))
 		if err := nd.emit(ctx, out.Items()); err != nil {
 			return err
 		}
@@ -436,7 +448,12 @@ func (r *run) bloomBody(ctx context.Context, s plan.Step, input set.Iter, nd *no
 	if err != nil {
 		return err
 	}
-	return nd.emitSorted(ctx, positives.Intersect(in).Items(), r.batch)
+	// The positives are the caller's (source.Source), and the intersection
+	// is a new set: the one the positives were is dead.
+	out := positives.Intersect(in)
+	set.Release(positives)
+	nd.owned = true
+	return nd.emitSorted(ctx, out.Items(), r.batch)
 }
 
 // loadBody fetches the source's full contents. The relation is stored (and
@@ -483,6 +500,7 @@ func (r *run) localSelectBody(ctx context.Context, s plan.Step, in set.Iter, nd 
 	if err != nil {
 		return err
 	}
+	nd.owned = true
 	return nd.emitSorted(ctx, out.Items(), r.batch)
 }
 
@@ -520,14 +538,19 @@ func (r *run) mergeBody(ctx context.Context, s plan.Step, ins []set.Iter, nd *no
 			}
 		}
 		var out set.Set
-		switch s.Kind {
-		case plan.KindUnion:
+		switch {
+		case s.Kind == plan.KindUnion:
 			out = set.UnionAll(sets...)
-		case plan.KindIntersect:
+		case s.Kind == plan.KindIntersect && nd.over >= 0:
+			out = set.IntersectOver(nd.over, sets...)
+		case s.Kind == plan.KindIntersect:
 			out = set.IntersectAll(sets...)
 		default:
 			out = sets[0].Diff(sets[1])
 		}
+		// A new set, or one of the inputs' buffers, which the run's
+		// lifetimes tell apart.
+		nd.owned = true
 		return nd.emit(ctx, out.Items())
 	}
 	var m set.Iter

@@ -43,6 +43,7 @@ func BuildPlan(pr *Problem, sk Sketch) (*plan.Plan, error) {
 	}
 
 	p := &plan.Plan{Conds: pr.Conds, Sources: pr.Sources, Class: sk.Class}
+	p.Memoize()
 	loaded := func(j int) bool { return sk.Loaded != nil && sk.Loaded[j] }
 
 	for j := 0; j < n; j++ {

@@ -116,6 +116,10 @@ type Plan struct {
 	// Steps are its estimate, and the executor picks each round from this
 	// table against the measured size of the running set (E15).
 	Adaptive *stats.CostTable
+
+	// flow is where a memoized plan keeps its Flow (flow.go); nil for
+	// any other.
+	flow *flowSlot
 }
 
 // Records is how a plan retrieves the records of the answer's entities: not
@@ -144,7 +148,6 @@ func SourceName(j int) string { return fmt.Sprintf("R%d", j+1) }
 // Validate checks structural well-formedness: index ranges, variable
 // definition before use, arities, and that the result variable is defined.
 func (p *Plan) Validate() error {
-	defined := map[string]bool{}
 	for k, s := range p.Steps {
 		if s.Out == "" {
 			return fmt.Errorf("plan: step %d has no output variable", k+1)
@@ -180,19 +183,28 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("plan: step %d: unknown kind %d", k+1, int(s.Kind))
 		}
 		for _, in := range s.In {
-			if !defined[in] {
+			if p.assigned(in, k) < 0 {
 				return fmt.Errorf("plan: step %d: variable %q used before definition", k+1, in)
 			}
 		}
-		defined[s.Out] = true
 	}
 	if p.Result == "" {
 		return fmt.Errorf("plan: no result variable")
 	}
-	if !defined[p.Result] {
+	if p.assigned(p.Result, len(p.Steps)) < 0 {
 		return fmt.Errorf("plan: result variable %q never defined", p.Result)
 	}
 	return nil
+}
+
+// assigned is the last step before step i that assigns name, or -1.
+func (p *Plan) assigned(name string, i int) int {
+	for v := i - 1; v >= 0; v-- {
+		if p.Steps[v].Out == name {
+			return v
+		}
+	}
+	return -1
 }
 
 // NumSourceQueries counts the charged source queries in the plan.

@@ -97,7 +97,7 @@ func encodeSets(inputs ...[]string) []byte {
 }
 
 // FuzzSetAlgebra checks the kernels, materialized (UnionAll, the folded
-// Union, IntersectAll, Intersect, Diff) and streaming (the merges, which run
+// Union, IntersectAll, IntersectOver into each input, Intersect, Diff) and streaming (the merges, which run
 // the same kernels over one frontier after another), against the reference
 // on arbitrary byte items: NULs, common prefixes past 8 bytes, suffixes of
 // 0–16 bytes, empty inputs and duplicates across inputs, each input streamed
@@ -135,6 +135,19 @@ func FuzzSetAlgebra(f *testing.F) {
 		wantInter := referenceIntersect(sets)
 		if got := IntersectAll(sets...); !got.Equal(wantInter) {
 			t.Fatalf("IntersectAll(%q) = %q, want %q", sets, got.Items(), wantInter.Items())
+		}
+		for into := range sets {
+			owned := make([]Set, len(sets))
+			copy(owned, sets)
+			owned[into] = New(sets[into].Items()...)
+			buf := owned[into].Items()
+			got := IntersectOver(into, owned...)
+			if !got.Equal(wantInter) {
+				t.Fatalf("IntersectOver(%d, %q) = %q, want %q", into, sets, got.Items(), wantInter.Items())
+			}
+			if got.Len() > 0 && &got.Items()[0] != &buf[0] {
+				t.Fatalf("IntersectOver(%d, %q) is not in the buffer of its input", into, sets)
+			}
 		}
 		a, b := sets[0], Empty
 		if len(sets) > 1 {

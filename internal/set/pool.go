@@ -51,14 +51,65 @@ func PutBatch(p *[]string) {
 	if p == nil {
 		return
 	}
-	b := (*p)[:cap(*p)]
-	n, c := len(b), bits.TrailingZeros(uint(len(b)))
-	if n == 0 || n&(n-1) != 0 || c < minClass || c > maxClass {
-		return
+	if c, ok := classOf(cap(*p)); ok {
+		put(c, p, (*p)[:cap(*p)])
 	}
+}
+
+// classOf is the class of a pooled buffer of capacity n: n is a power of
+// two from 2^minClass to 2^maxClass.
+func classOf(n int) (int, bool) {
+	c := bits.TrailingZeros(uint(n))
+	return c, n > 0 && n&(n-1) == 0 && c >= minClass && c <= maxClass
+}
+
+// put recycles b, a buffer of class c, and gives it back in the box p.
+func put(c int, p *[]string, b []string) {
 	recycle(b)
 	*p = b[:0]
 	batchPools[c-minClass].Put(p)
+}
+
+// The pool holds buffers by pointer, as sync.Pool wants, and a set holds
+// its slice by value. boxes keeps the pointers a set's buffer left behind
+// when Alloc took it, so that Release has one to put it back in: neither
+// allocates once the pools are warm.
+var boxes sync.Pool
+
+// Alloc returns an empty slice with room for at least n items, from the
+// batch pool when n has a class, for the items of a set its caller will
+// own. The set's owner gives the buffer back with Release.
+func Alloc(n int) []string {
+	c := max(bits.Len(uint(max(n, 1)-1)), minClass)
+	if c > maxClass {
+		return make([]string, 0, n)
+	}
+	p, ok := batchPools[c-minClass].Get().(*[]string)
+	if !ok {
+		return make([]string, 0, 1<<c)
+	}
+	b := *p
+	*p = nil
+	boxes.Put(p)
+	return b
+}
+
+// Release gives the buffer under s back to the batch pool. Only a set's
+// sole owner may call it — the caller of a source's Select, say, which
+// nobody else has seen — and once it has, neither it nor anyone it showed
+// the set to may read the set again: a race-detector build overwrites its
+// items with Recycled. A set whose capacity is no class's, such as the
+// exact-size result of a union, is let go.
+func Release(s Set) {
+	c, ok := classOf(cap(s.items))
+	if !ok {
+		return
+	}
+	p, _ := boxes.Get().(*[]string)
+	if p == nil {
+		p = new([]string)
+	}
+	put(c, p, s.items[:cap(s.items)])
 }
 
 // Buffer is the one buffer a producer fills batch after batch. The zero

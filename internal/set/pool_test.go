@@ -98,3 +98,52 @@ func TestMergeLendsOneBuffer(t *testing.T) {
 		t.Fatalf("the union came in %d full batches after the first; the test wants several", full)
 	}
 }
+
+// TestReleaseAllocatesNothing: a set's buffer from Alloc goes back with
+// Release and is what the next Alloc of its class takes, and neither call
+// allocates once the pools are warm: Release finds a box Alloc left. Under
+// -race the pools drop some of what is put back, so the count is checked
+// without it only.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	for _, n := range []int{1, 100, 5000} {
+		got := testing.AllocsPerRun(50, func() {
+			b := Alloc(n)[:n]
+			for i := range b {
+				b[i] = "ID000001"
+			}
+			Release(FromSorted(b))
+		})
+		if !raceDetector && got != 0 {
+			t.Errorf("Alloc(%d) and Release allocate %.1f times per run, want 0", n, got)
+		}
+		if b := Alloc(n); len(b) != 0 || cap(b) < n || cap(b)&(cap(b)-1) != 0 {
+			t.Errorf("Alloc(%d) has len %d, cap %d", n, len(b), cap(b))
+		}
+	}
+	// A set of no class — an exact-size union, say — is let go untouched.
+	odd := UnionAll(New("a", "c"), New("b"))
+	Release(odd)
+	Release(Set{})
+	if !odd.Equal(New("a", "b", "c")) {
+		t.Fatalf("a set of no class was recycled: %v", odd)
+	}
+}
+
+// TestReleasedSetIsRecycled: a released set's buffer is recycled like a
+// batch: cleared, and in a race-detector build overwritten with Recycled,
+// so whoever kept the set past its owner's Release reads items no source
+// has.
+func TestReleasedSetIsRecycled(t *testing.T) {
+	b := append(Alloc(3), "ID000001", "ID000002", "ID000003")
+	s := FromSorted(b)
+	Release(s)
+	want := ""
+	if raceDetector {
+		want = Recycled
+	}
+	for i, v := range s.Items() {
+		if v != want {
+			t.Fatalf("released set holds %q at %d, want %q", v, i, want)
+		}
+	}
+}

@@ -168,6 +168,36 @@ func IntersectAll(sets ...Set) Set {
 	return Set{items: intersect(nil, sets)}
 }
 
+// IntersectOver returns the intersection of the given sets written over the
+// buffer of sets[into], which its caller owns alone and gives up: the result
+// is the caller's, in that buffer, and sets[into] may not be read again. The
+// smallest set is filtered into the buffer by sets[into] first — each item is
+// written at or before the position of sets[into] the walk has reached,
+// which it never reads again — and then in place by each other set. It is
+// the round scheduler's X := X ∩ Y when the run owns X.
+func IntersectOver(into int, sets ...Set) Set {
+	x := sets[into].items
+	if len(sets) == 1 {
+		return sets[into]
+	}
+	small := 0
+	for i, s := range sets {
+		if len(s.items) < len(sets[small].items) {
+			small = i
+		}
+	}
+	in := x
+	if small != into {
+		in = filter(x[:0], sets[small].items, x, true)
+	}
+	for i, s := range sets {
+		if i != small && i != into && len(in) > 0 {
+			in = filter(in[:0], in, s.items, true)
+		}
+	}
+	return Set{items: in}
+}
+
 // intersect is the intersection kernel: it appends to dst the items every
 // one of sets holds. The smallest set is filtered by another into dst, and
 // that by each other set in turn, in place. A nil dst gets room for the

@@ -24,6 +24,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
@@ -78,6 +80,13 @@ func (c Capabilities) String() string {
 }
 
 // Source is the mediator's view of one wrapped autonomous source.
+//
+// The sets Select, Semijoin and SemijoinBloom return belong to the caller
+// outright: no implementation keeps one, hands it to anyone else or returns
+// it twice, so the caller may give its buffer back with set.Release once
+// nobody reads it (the round scheduler and the wire server do). A layer
+// passes on what the source beneath it returned; a cache is not a Source.
+// The semijoin set y is the caller's and is only read.
 type Source interface {
 	// Name identifies the source (the R_j of the paper).
 	Name() string
@@ -195,9 +204,10 @@ func (w *Wrapper) sq(ctx context.Context, c cond.Cond, keep func(item string) bo
 }
 
 // SelectStream implements ItemStreamer. The selection's groups are matched
-// once, into a vector of flags (matchGroups, which holds no pointers), and
-// each batch gathers the next of them into the stream's one buffer, which
-// it lends (set.Iter): no slice of the whole answer is ever made.
+// once, into a pooled vector of flags (matchGroups), which Close gives
+// back, and each batch gathers the next of them into the stream's one
+// buffer, which it lends (set.Iter): no slice of the whole answer is ever
+// made.
 func (w *Wrapper) SelectStream(ctx context.Context, c cond.Cond, batch int) (set.Iter, error) {
 	if err := w.ctxErr(ctx); err != nil {
 		return nil, err
@@ -215,7 +225,7 @@ func (w *Wrapper) SelectStream(ctx context.Context, c cond.Cond, batch int) (set
 type selectStream struct {
 	w       *Wrapper
 	items   []string
-	hits    []bool
+	hits    *[]bool
 	g, left int
 	sched   set.Schedule
 	buf     set.Buffer
@@ -231,10 +241,10 @@ func (st *selectStream) Next(ctx context.Context) ([]string, error) {
 	out := st.buf.Take(min(st.sched.Next(), st.left))
 	out = out[:cap(out)]
 	// gather's branch-free loop, stopping at the batch's last hit.
-	g := st.g
+	g, hits := st.g, *st.hits
 	for j := 0; j < len(out); g++ {
 		out[j] = st.items[g]
-		j += b2i(st.hits[g])
+		j += b2i(hits[g])
 	}
 	st.g, st.left = g, st.left-len(out)
 	return out, nil
@@ -243,6 +253,8 @@ func (st *selectStream) Next(ctx context.Context) ([]string, error) {
 func (st *selectStream) Close() error {
 	st.left = 0
 	st.buf.Release()
+	putHits(st.hits)
+	st.hits = nil
 	return nil
 }
 
@@ -266,13 +278,16 @@ func SelectItems(b Backend, c cond.Cond) (set.Set, error) {
 // branch on what matched.
 func selectItems(view *relation.Ordered, pred cond.Pred, keep func(item string) bool) set.Set {
 	hits, n := matchGroups(view, pred, keep)
-	return gather(view.Items, hits, n)
+	defer putHits(hits)
+	return gather(view.Items, *hits, n)
 }
 
-// matchGroups is selectItems' pass over the view: hits[g] says whether group
-// g's item is selected, and n is how many are.
-func matchGroups(view *relation.Ordered, pred cond.Pred, keep func(item string) bool) (hits []bool, n int) {
-	hits = make([]bool, len(view.Rows))
+// matchGroups is selectItems' pass over the view: (*box)[g] says whether
+// group g's item is selected, and n is how many are. The vector is pooled;
+// its user gives it back with putHits.
+func matchGroups(view *relation.Ordered, pred cond.Pred, keep func(item string) bool) (box *[]bool, n int) {
+	box = getHits(len(view.Rows))
+	hits := *box
 	pred.Match(view, 0, hits)
 	start := view.Start
 	for g := range view.Items {
@@ -287,11 +302,38 @@ func matchGroups(view *relation.Ordered, pred cond.Pred, keep func(item string) 
 		hits[g] = hit != 0
 		n += hit
 	}
-	return hits[:len(view.Items)], n
+	*box = hits[:len(view.Items)]
+	return box, n
 }
 
-// collect returns the items whose hit is set, in a slice of exactly their
-// number: the caller may cache the set for as long as it likes.
+// Hit vectors: a selection's one flag a row, a semijoin's one a probed item.
+// They hold no pointers and die with the call that made them (or with a
+// streamed selection's Close), so they come from pools in power-of-two
+// classes of at least 2^minHitClass flags, each vector travelling in its box.
+const minHitClass = 6
+
+var hitPools [64]sync.Pool
+
+// getHits returns a vector of n flags, of whatever values, in its box.
+func getHits(n int) *[]bool {
+	c := max(bits.Len(uint(max(n, 1)-1)), minHitClass)
+	if p, ok := hitPools[c].Get().(*[]bool); ok {
+		*p = (*p)[:n]
+		return p
+	}
+	b := make([]bool, n, 1<<c)
+	return &b
+}
+
+// putHits gives back a vector from getHits; nil is let go.
+func putHits(p *[]bool) {
+	if p != nil {
+		hitPools[bits.TrailingZeros(uint(cap(*p)))].Put(p)
+	}
+}
+
+// collect returns the items whose hit is set, gathered into a pooled buffer
+// the caller owns (set.Alloc).
 func collect(items []string, hits []bool) set.Set {
 	n := 0
 	for _, hit := range hits {
@@ -302,12 +344,14 @@ func collect(items []string, hits []bool) set.Set {
 
 // gather is collect given the number n of hits. Each step copies the item
 // and moves the end of the result past it only on a hit, so the loop has no
-// branch on the data, and it stops at the nth hit.
+// branch on the data, and it stops at the nth hit. The result is in a
+// buffer from the batch pool (set.Alloc), its capacity the pool's class for
+// n, which its owner may give back with set.Release.
 func gather(items []string, hits []bool, n int) set.Set {
 	if n == 0 {
 		return set.Set{}
 	}
-	out := make([]string, n)
+	out := set.Alloc(n)[:n]
 	for g, j := 0, 0; j < n; g++ {
 		out[j] = items[g]
 		j += b2i(hits[g])
@@ -333,8 +377,8 @@ const probeBlock = 256
 type prober struct {
 	view *relation.Ordered
 	pred cond.Pred
-	from int    // the group the last probe ended on
-	rows []bool // the group's match vector, reused
+	from int     // the group the last probe ended on
+	rows *[]bool // the group's match vector, reused; release gives it back
 }
 
 func (p *prober) match(item string) bool {
@@ -344,16 +388,24 @@ func (p *prober) match(item string) bool {
 		return false
 	}
 	lo, n := p.view.Start[g], p.view.Start[g+1]-p.view.Start[g]
-	if len(p.rows) < n {
-		p.rows = make([]bool, max(n, 64))
+	if p.rows == nil || cap(*p.rows) < n {
+		putHits(p.rows)
+		p.rows = getHits(n)
 	}
-	p.pred.Match(p.view, lo, p.rows[:n])
-	for _, hit := range p.rows[:n] {
+	rows := (*p.rows)[:n]
+	p.pred.Match(p.view, lo, rows)
+	for _, hit := range rows {
 		if hit {
 			return true
 		}
 	}
 	return false
+}
+
+// release gives the prober's match vector back.
+func (p *prober) release() {
+	putHits(p.rows)
+	p.rows = nil
 }
 
 // Semijoin implements Source, observing ctx between blocks of probes.
@@ -366,8 +418,11 @@ func (w *Wrapper) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set
 		return set.Set{}, err
 	}
 	probe := prober{view: view, pred: pred}
+	defer probe.release()
 	items := y.Items()
-	hits := make([]bool, len(items))
+	box := getHits(len(items))
+	defer putHits(box)
+	hits := *box
 	for i, item := range items {
 		if i%probeBlock == 0 {
 			if err := w.ctxErr(ctx); err != nil {
@@ -392,6 +447,7 @@ func (w *Wrapper) SelectBinding(ctx context.Context, c cond.Cond, item string) (
 		return false, err
 	}
 	probe := prober{view: view, pred: pred}
+	defer probe.release()
 	return probe.match(item), nil
 }
 
@@ -462,6 +518,7 @@ func (w *Wrapper) SelectRecords(ctx context.Context, c cond.Cond) ([]relation.Tu
 	if err != nil {
 		return nil, err
 	}
+	defer set.Release(items)
 	return w.Fetch(ctx, items)
 }
 
@@ -475,6 +532,7 @@ func (w *Wrapper) SemijoinRecords(ctx context.Context, c cond.Cond, y set.Set) (
 	if err != nil {
 		return nil, err
 	}
+	defer set.Release(items)
 	return w.Fetch(ctx, items)
 }
 

@@ -234,9 +234,12 @@ func (l *Listener) serveConn(conn net.Conn) {
 			if resp.Stream != nil {
 				_ = resp.Stream.Close()
 			}
+			set.Release(resp.answer)
 			return
 		}
-		if !l.write(conn, req, resp, recv, &w) {
+		ok := l.write(conn, req, resp, recv, &w)
+		set.Release(resp.answer)
+		if !ok {
 			return
 		}
 	}

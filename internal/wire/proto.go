@@ -155,6 +155,11 @@ type Response struct {
 	// answered from its plan cache or whole-answer cache.
 	PlanCached   bool `json:"planCached,omitempty"`
 	AnswerCached bool `json:"answerCached,omitempty"`
+	// answer is the set Items are when the handler owns it outright, a
+	// source's materialized answer (source.Source): the listener gives its
+	// buffer back (set.Release) once the response is written. Only
+	// encodeReply sets it.
+	answer set.Set
 }
 
 // Fragment is a server-side span fragment: the server's own accounting of
@@ -254,9 +259,10 @@ func decodeCall(req Request) (source.Call, error) {
 }
 
 // encodeReply is the response to a source operation; a loaded relation
-// travels as its rows, a streamed selection as its stream.
+// travels as its rows, a streamed selection as its stream. Items are the
+// answer's, which the server owns, so the listener releases it once written.
 func encodeReply(reply source.Reply) Response {
-	resp := Response{Items: reply.Items.Items(), Match: reply.Match, Stats: reply.Stats, Stream: reply.Stream}
+	resp := Response{Items: reply.Items.Items(), Match: reply.Match, Stats: reply.Stats, Stream: reply.Stream, answer: reply.Items}
 	tuples := reply.Tuples
 	if reply.Rel != nil {
 		tuples = reply.Rel.Rows()
