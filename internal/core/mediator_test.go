@@ -195,7 +195,7 @@ func stepWork(ans *Answer) time.Duration {
 
 // laneMakespan is what an overlapped round-scheduled run over
 // single-connection links takes, worked out from its plan and trace: a batch
-// (plan.BatchEnd) takes what its slowest source takes, that source's
+// (plan.Flow.BatchEnd) takes what its slowest source takes, that source's
 // exchanges one after another.
 func laneMakespan(ans *Answer) time.Duration {
 	elapsed := make([]time.Duration, len(ans.Plan.Steps))
@@ -203,13 +203,13 @@ func laneMakespan(ans *Answer) time.Duration {
 		elapsed[tr.Index] = tr.Elapsed
 	}
 	var total time.Duration
-	steps := ans.Plan.Steps
+	steps, batchEnd := ans.Plan.Steps, ans.Plan.Flow().BatchEnd
 	for k := 0; k < len(steps); {
 		if !steps[k].IsSourceQuery() {
 			k++
 			continue
 		}
-		end := plan.BatchEnd(steps, k)
+		end := batchEnd[k]
 		lanes := map[int]time.Duration{}
 		var slowest time.Duration
 		for ; k < end; k++ {

@@ -54,49 +54,44 @@ type RepairInfo struct {
 }
 
 // splitCompleted divides an interrupted run of plan p into what finished and
-// what remains. Rounds are the plan's conditions in first-staging order; a
-// round is complete when every one of its steps precedes the first failed
-// step (exec.Result.FailedStep is the minimum failed index, so everything
-// before it succeeded). The seed is the running set after the last
-// completed round: the variable produced by the last step before the first
-// incomplete round, or the result when every round completed. Conditions
-// not in a completed round are pending, whether or not the plan staged them
-// (an adaptive plan stages a round only once it decides it). When the
-// structure cannot be recovered (no failed step recorded, streaming runs
-// that keep no variables, seed variable missing), it falls back to a
-// conservative full re-plan: no seed, all conditions pending.
+// what remains. Rounds are the plan's (plan.Flow.RoundEnd); a round is
+// complete when every one of its steps precedes the first failed step
+// (exec.Result.FailedStep is the minimum failed index, so everything before
+// it succeeded). The seed is the running set after the last completed
+// round: the output of its last step, or the result when every round
+// completed. Conditions not in a completed round are pending, whether or
+// not the plan staged them (an adaptive plan stages a round only once it
+// decides it). When the structure cannot be recovered (no failed step
+// recorded, streaming runs that keep no variables, seed variable missing),
+// it falls back to a conservative full re-plan: no seed, all conditions
+// pending.
 func splitCompleted(p *plan.Plan, run *exec.Result) (seed set.Set, hasSeed bool, pending []cond.Cond) {
 	all := append([]cond.Cond(nil), p.Conds...)
 	if run.FailedStep <= 0 || run.Vars == nil {
 		return set.Set{}, false, all
 	}
-	var starts []int // the first step of each round, in order
-	staged := make([]bool, len(p.Conds))
-	for i, s := range p.Steps {
-		if s.Cond >= 0 && !staged[s.Cond] {
-			staged[s.Cond] = true
-			starts = append(starts, i)
+	f := p.Flow()
+	// Steps [0, through) are the completed rounds'; seedStep made the seed.
+	seedStep, through := f.Result, len(p.Steps)
+	if run.FailedStep < len(p.Steps) {
+		seedStep = run.FailedStep - 1
+		for seedStep >= 0 && !f.RoundEnd[seedStep] {
+			seedStep--
 		}
+		through = seedStep + 1
 	}
-	ends := append(starts[1:len(starts):len(starts)], len(p.Steps))
-	completed := 0
-	for completed < len(ends) && ends[completed] <= run.FailedStep {
-		completed++
-	}
-	if completed == 0 {
+	if seedStep < 0 {
 		return set.Set{}, false, all
 	}
-	seedVar := p.Result
-	if completed < len(starts) {
-		seedVar = p.Steps[starts[completed]-1].Out
-	}
-	seed, ok := run.Vars[seedVar]
+	seed, ok := run.Vars[p.Steps[seedStep].Out]
 	if !ok {
 		return set.Set{}, false, all
 	}
 	done := make([]bool, len(p.Conds))
-	for _, i := range starts[:completed] {
-		done[p.Steps[i].Cond] = true
+	for _, s := range p.Steps[:through] {
+		if s.Cond >= 0 {
+			done[s.Cond] = true
+		}
 	}
 	for ci, c := range p.Conds {
 		if !done[ci] {

@@ -40,7 +40,8 @@ func (r *run) adapt(ctx context.Context) error {
 			return err
 		}
 		// A drained set answers all remaining conditions vacuously with ∅.
-		x := r.vars[executed.Result]
+		// The round's last step made the running set.
+		x := r.life.vers[len(executed.Steps)-1].val
 		if i == m || x.IsEmpty() {
 			return nil
 		}

@@ -8,15 +8,17 @@
 // set.Iter inputs that emits through its node, wrapped by runNode's step
 // accounting, with every source exchange going through one retry loop. Two
 // schedulers drive those nodes. The round scheduler (this file) runs a plan
-// round by round over whole set variables, each round's independent source
-// queries at once (the response-time direction the paper names as future
-// work in Section 6), every source admitting at most its link's connection
-// capacity of in-flight exchanges (netsim's lanes, held by
-// source.Instrumented, shared with every other caller of the source), so the
-// simulated response time is the per-round critical path over the
-// per-source k-lane schedules. The "total work" the paper's cost model
-// minimizes is the sum of the run's exchanges in whatever order they ran,
-// and overlap leaves it unchanged. The pipelined scheduler (stream.go) runs
+// batch by batch over whole sets, a batch being a run of source queries none
+// of which reads another's answer (plan.Flow.BatchEnd; in the canonical
+// plans, one round's), all of them at once (the response-time direction the
+// paper names as future work in Section 6), every source admitting at most
+// its link's connection capacity of in-flight exchanges (netsim's lanes,
+// held by source.Instrumented, shared with every other caller of the
+// source), so the simulated response time is the per-batch critical path
+// over the per-source k-lane schedules. A round is one condition's steps
+// (plan.Flow.RoundEnd), whose running set a run keeps. The "total work" the
+// paper's cost model minimizes is the sum of the run's exchanges in whatever
+// order they ran, and overlap leaves it unchanged. The pipelined scheduler (stream.go) runs
 // every step at once over bounded batch edges.
 //
 // Every run takes a context.Context. Cancellation is observed between
@@ -104,12 +106,13 @@ type Result struct {
 	// Plan is the plan that ran: the one given, or for an adaptive plan the
 	// rounds it decided, ending with the one that failed.
 	Plan *plan.Plan
-	// Vars holds the set variables the run still holds when it ends. Between
-	// round barriers a variable leaves once the last step that reads its
-	// value has run (lifetime.go), so what stays is the result, each round's
-	// running set, and whatever a step read by nobody left assigned. After a
-	// failed or cancelled run it also holds every variable computed and not
-	// yet read for the last time. A pipelined run holds only its result.
+	// Vars holds the set variables the run still holds when it ends, filled
+	// then from the latest version of each variable. Between barriers a
+	// version dies once the batch of the last step that reads it is over
+	// (lifetime.go), so what stays is the result, each round's running set,
+	// and whatever a step read by nobody left assigned. After a failed or
+	// cancelled run it also holds every variable computed and not yet read
+	// for the last time. A pipelined run holds only its result.
 	Vars map[string]set.Set
 	// SourceQueries counts charged source operations actually issued
 	// (selections, native semijoins, emulated per-binding selections,
@@ -121,8 +124,8 @@ type Result struct {
 	// quantity the optimizers minimize. Zero without a Network.
 	TotalWork time.Duration
 	// ResponseTime is the simulated wall-clock, never above TotalWork: the
-	// sum of per-round critical paths between round barriers, where each
-	// source's contribution to a round is the makespan of its exchanges over
+	// sum of per-batch critical paths between batch barriers, where each
+	// source's contribution to a batch is the makespan of its exchanges over
 	// its connection capacity (netsim.Makespan), and the critical path of
 	// the whole run in streaming mode. Zero without a Network.
 	ResponseTime time.Duration
@@ -136,13 +139,13 @@ type Result struct {
 	// re-issues themselves are already charged in SourceQueries.
 	Retries int
 	// PeakBytes is the high-water mark of mediator-held intermediate item
-	// bytes (set.Bytes units). Materialized runs count the set variables
-	// Vars holds at each moment (a variable counts until its last reader's
-	// round is over) and loaded relations; streaming runs count the in-flight
-	// batch buffers, barrier materializations, loaded relations and the
-	// accumulating answer. Bytes buffered at a source or inside a
-	// streaming adapter play the server's role and are not mediator
-	// memory.
+	// bytes (set.Bytes units). Materialized runs count each step's output
+	// from when it is made until the batch of its last reader is over (the
+	// result and each round's running set to the end) and loaded relations;
+	// streaming runs count the in-flight batch buffers, barrier
+	// materializations, loaded relations and the accumulating answer.
+	// Bytes buffered at a source or inside a streaming adapter play the
+	// server's role and are not mediator memory.
 	PeakBytes int
 	// FirstAnswer is the wall-clock time from run start until the first
 	// answer items existed: the first result batch in streaming mode, the
@@ -161,7 +164,7 @@ type Result struct {
 	Failovers int
 	Hedges    int
 	// FailedStep is the index in Plan of the first step that failed — the
-	// minimum failed index when a round fails several steps, len(Plan.Steps)
+	// minimum failed index when a batch fails several steps, len(Plan.Steps)
 	// when only the records round failed — or -1 when every executed step
 	// succeeded. Mid-query roster repair uses it to locate the last
 	// completed round.
@@ -216,12 +219,13 @@ func (e *Executor) checkRoster(what string, names []string) error {
 type run struct {
 	e *Executor
 	p *plan.Plan
-	// flow is p's Flow: its step texts, and the versions the round
-	// scheduler's lifetimes count. An adaptive run's grows with its plan.
+	// flow is p's Flow: its step texts, the version each input reads, the
+	// batches, and how long the round scheduler's lifetimes keep each
+	// version. An adaptive run's grows with its plan.
 	flow *plan.Flow
 	// pipelined says which scheduler drives the nodes; batch is the
 	// granularity bodies emit at — the batch size when pipelined, zero
-	// (whole variables) between round barriers.
+	// (whole sets) between batch barriers.
 	pipelined bool
 	batch     int
 	// ledger holds the run's own exchanges, each tagged with the index of the
@@ -234,31 +238,23 @@ type run struct {
 	// sink is non-nil when the plan retrieves records (records.go).
 	sink *recordSink
 	tr   byteTracker
-	// life is the round scheduler's account of its versions and buffers.
+	// life is the round scheduler's account of its versions and buffers:
+	// the only place it keeps a value.
 	life lifetimes
 
-	mu     sync.Mutex // guards res, vars and loaded across concurrent nodes
-	res    *Result
-	vars   map[string]set.Set
-	loaded map[string]loadedRel
-}
-
-// loadedRel is a source's contents at the mediator, under the variable the
-// load step assigned.
-type loadedRel struct {
-	source int
-	rel    *relation.Relation
+	mu  sync.Mutex // guards res and loaded across concurrent nodes
+	res *Result
+	// loaded[i] is the source contents load step i fetched, nil for any
+	// other step.
+	loaded []*relation.Relation
 }
 
 // newRun opens a run of p under the scheduler the Streaming flag selects. An
 // adaptive plan's run is round-scheduled and runs a plan of its own, which
 // starts empty and grows by the rounds it decides.
 func (e *Executor) newRun(p *plan.Plan) *run {
-	r := &run{
-		e: e, p: p, pipelined: e.Streaming,
-		vars:   map[string]set.Set{},
-		loaded: map[string]loadedRel{},
-	}
+	r := &run{e: e, p: p, pipelined: e.Streaming}
+	r.life.tr = &r.tr
 	if p.Adaptive != nil {
 		r.table, r.pipelined = p.Adaptive, false
 		r.p = &plan.Plan{Conds: p.Conds, Sources: p.Sources, Class: p.Class, Records: p.Records}
@@ -271,7 +267,7 @@ func (e *Executor) newRun(p *plan.Plan) *run {
 		}
 	}
 	// Room for a trace entry a step and one for a records round.
-	r.res = &Result{Vars: r.vars, Plan: r.p, FailedStep: -1, Trace: make([]StepTrace, 0, len(p.Steps)+1)}
+	r.res = &Result{Plan: r.p, FailedStep: -1, Trace: make([]StepTrace, 0, len(p.Steps)+1)}
 	if r.pipelined {
 		r.batch = e.BatchSize
 		if r.batch <= 0 {
@@ -284,7 +280,7 @@ func (e *Executor) newRun(p *plan.Plan) *run {
 	return r
 }
 
-// execute computes the answer under the run's scheduler. Between round
+// execute computes the answer under the run's scheduler. Between batch
 // barriers nothing is answerable before the run completes: the first-answer
 // phase spans the whole execution, which is exactly the coupling the
 // pipelined scheduler breaks.
@@ -302,15 +298,19 @@ func (r *run) execute(ctx context.Context) error {
 	}
 	faSpan.End(err)
 	if err == nil {
-		r.res.Answer = r.vars[r.p.Result]
+		r.res.Answer = r.life.vers[r.flow.Result].val
 		r.res.FirstAnswer = time.Since(start)
 		obs.Meter(ctx).Histogram(obs.MFirstAnswerSeconds).Observe(r.res.FirstAnswer.Seconds())
 	}
 	return err
 }
 
-// close settles what both schedulers report the same way.
+// close settles what both schedulers report the same way. A round-scheduled
+// run's Vars are its live versions'; a pipelined run filled its own.
 func (r *run) close() {
+	if r.res.Vars == nil {
+		r.res.Vars = r.life.vars(r.p.Steps)
+	}
 	r.res.PeakBytes = r.tr.high()
 	slices.SortFunc(r.res.Trace, func(a, b StepTrace) int { return a.Index - b.Index })
 	// A step's elapsed time is what the exchanges it issued took; the records
@@ -325,9 +325,9 @@ func (r *run) close() {
 }
 
 // runSteps is the round scheduler: it executes r.p.Steps[from:] in order,
-// every step reading whole variables and assigning a whole variable. A
+// every step reading whole versions and making a whole version. A
 // source-query step runs with the independent source-query steps after it
-// (plan.BatchEnd's batch) as one round. Local steps run inline.
+// (plan.Flow.BatchEnd's batch) as one batch. Local steps run inline.
 func (r *run) runSteps(ctx context.Context, from int) error {
 	steps := r.p.Steps
 	if len(r.flow.Texts) != len(steps) {
@@ -341,7 +341,7 @@ func (r *run) runSteps(ctx context.Context, from int) error {
 		end := k + 1
 		var err error
 		if steps[k].IsSourceQuery() {
-			end = plan.BatchEnd(steps, k)
+			end = r.flow.BatchEnd[k]
 			err = r.runBatch(ctx, k, end)
 		} else {
 			err = r.runStep(ctx, k)
@@ -349,21 +349,13 @@ func (r *run) runSteps(ctx context.Context, from int) error {
 		if err != nil {
 			return err
 		}
-		r.life.retire(r, k, end)
+		r.life.retire(steps, k, end)
 		k = end
 	}
 	return nil
 }
 
-// drop takes a dead version out of Vars and the run's byte account.
-func (r *run) drop(name string, v *version) {
-	r.mu.Lock()
-	delete(r.vars, name)
-	r.mu.Unlock()
-	r.tr.release(v.bytes)
-}
-
-// wholeIter feeds a body one whole variable as a single batch.
+// wholeIter feeds a body one whole version as a single batch.
 type wholeIter struct{ items []string }
 
 func (it *wholeIter) Next(ctx context.Context) ([]string, error) {
@@ -380,36 +372,26 @@ func (it *wholeIter) Close() error {
 	return nil
 }
 
-// runStep runs step idx between barriers: its inputs are the current values
-// of its input variables, its output becomes the value of its output
-// variable and the step's version in the run's lifetimes. Steps of one
-// round record distinct versions, so they need no lock for it.
+// runStep runs step idx between barriers: its inputs are the versions
+// Flow says it reads, and its output is the step's version in the run's
+// lifetimes. The steps of a batch read versions made before it and record
+// distinct ones, so they need no lock for it.
 func (r *run) runStep(ctx context.Context, idx int) error {
-	s := r.p.Steps[idx]
-	whole := make([]wholeIter, len(s.In))
-	ins := make([]set.Iter, len(s.In))
-	r.mu.Lock()
-	for k, name := range s.In {
-		whole[k].items = r.vars[name].Items()
+	in := r.flow.In[idx]
+	whole := make([]wholeIter, len(in))
+	ins := make([]set.Iter, len(in))
+	for k, v := range in {
+		whole[k].items = r.life.vers[v].val.Items()
 		ins[k] = &whole[k]
 	}
-	r.mu.Unlock()
 	nd := node{whole: true, over: -1}
-	if s.Kind == plan.KindIntersect {
+	if r.p.Steps[idx].Kind == plan.KindIntersect {
 		nd.over = r.life.overwritable(idx)
 	}
-	if err := r.runNode(ctx, idx, s, ins, &nd); err != nil {
+	if err := r.runNode(ctx, idx, ins, &nd); err != nil {
 		return err
 	}
-	out := set.FromSorted(nd.kept)
-	bytes := out.Bytes()
-	r.life.record(idx, out, bytes, nd.owned)
-	r.mu.Lock()
-	old := r.vars[s.Out]
-	r.vars[s.Out] = out
-	r.mu.Unlock()
-	r.tr.release(old.Bytes())
-	r.tr.add(bytes)
+	r.life.record(idx, set.FromSorted(nd.kept), nd.owned)
 	return nil
 }
 
@@ -456,8 +438,8 @@ func (r *run) runBatch(ctx context.Context, start, end int) error {
 	return b.firstErr
 }
 
-// settle accounts the ledger entries made since the last settle — one round's
-// batch, or a whole pipelined run — whether or not what made them failed:
+// settle accounts the ledger entries made since the last settle — one batch,
+// or a whole pipelined run — whether or not what made them failed:
 // their sum joins TotalWork, their critical path ResponseTime. Without a
 // network there are none.
 func (r *run) settle() {

@@ -445,14 +445,21 @@ func TestExecutionTrace(t *testing.T) {
 	}
 }
 
+// TestBatchEndStopsAtDependency: a batch ends at the first source query
+// that reads an output of the batch, and the one after it starts there.
 func TestBatchEndStopsAtDependency(t *testing.T) {
-	steps := []plan.Step{
-		{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0},
-		{Kind: plan.KindSelect, Out: "B", Cond: 0, Source: 1},
-		{Kind: plan.KindSemijoin, Out: "C", Cond: 1, Source: 2, In: []string{"A"}},
+	p := &plan.Plan{
+		Conds:   workload.MustConds(2),
+		Sources: []string{"R1", "R2", "R3"},
+		Steps: []plan.Step{
+			{Kind: plan.KindSelect, Out: "A", Cond: 0, Source: 0},
+			{Kind: plan.KindSelect, Out: "B", Cond: 0, Source: 1},
+			{Kind: plan.KindSemijoin, Out: "C", Cond: 1, Source: 2, In: []string{"A"}},
+		},
+		Result: "C",
 	}
-	if end := plan.BatchEnd(steps, 0); end != 2 {
-		t.Fatalf("BatchEnd = %d, want 2 (C depends on A)", end)
+	if end := p.Flow().BatchEnd; end[0] != 2 || end[2] != 3 {
+		t.Fatalf("BatchEnd = %v, want 2 from step 0 (C depends on A) and 3 from step 2", end)
 	}
 }
 

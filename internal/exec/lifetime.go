@@ -7,14 +7,17 @@ import (
 	"fusionq/internal/set"
 )
 
-// Lifetimes: the round scheduler gives back what it owns. Between round
+// Lifetimes: the round scheduler gives back what it owns. Between batch
 // barriers every step's output is a whole set, most of which dies long
 // before the query ends: a source's answer once its round's union has read
 // it, a union's output once the intersection after it has. Each output is a
 // version of its variable (plan.Flow names them by the step that made them),
-// and Flow says which step reads each version last. Once that step's round
-// is over, the version leaves Vars, and its buffer goes back to set's pool
-// when no live version holds it and nobody outside the run can have seen it.
+// and the scheduler keeps its values nowhere else: a step reads its inputs
+// here, by the versions Flow says it reads. Flow also says which step reads
+// each version last. Once that step's batch is over, the version dies: its
+// bytes leave the run's account, and its buffer goes back to set's pool when
+// no live version holds it and nobody outside the run can have seen it.
+// Result.Vars is filled from the live versions when the run ends.
 //
 // A buffer is counted, not a version, because outputs alias inputs: a union
 // with one non-empty input is that input, a difference with an empty side
@@ -30,14 +33,17 @@ import (
 type lifetimes struct {
 	flow *plan.Flow
 	vers []version
+	tr   *byteTracker
 }
 
-// version is one step's output: its value and weight, whether its body
-// made it for the run alone (owned), and the buffer it holds. A buffer is
-// named by the version that made it, which also keeps its count.
+// version is one step's output: its value and weight, whether the step made
+// it (made) and its body made it for the run alone (owned), and the buffer
+// it holds. A buffer is named by the version that made it, which also keeps
+// its count.
 type version struct {
 	val   set.Set
 	bytes int
+	made  bool
 	owned bool
 	buf   int // the version that made the buffer; -1: empty, or of no account
 	dead  bool
@@ -82,10 +88,13 @@ func (l *lifetimes) overwritable(idx int) int {
 	return -1
 }
 
-// record enters step idx's output. The steps of a round record at once,
-// each its own version; retire links them to their buffers.
-func (l *lifetimes) record(idx int, out set.Set, bytes int, owned bool) {
-	l.vers[idx] = version{val: out, bytes: bytes, owned: owned, buf: -1}
+// record enters step idx's output and counts its bytes. The steps of a
+// batch record at once, each its own version; retire links them to their
+// buffers.
+func (l *lifetimes) record(idx int, out set.Set, owned bool) {
+	bytes := out.Bytes()
+	l.vers[idx] = version{val: out, bytes: bytes, made: true, owned: owned, buf: -1}
+	l.tr.add(bytes)
 }
 
 // link gives version idx its buffer: an input's when the output is in it
@@ -113,17 +122,17 @@ func sameBuffer(a, b set.Set) bool {
 	return cap(x) > 0 && cap(y) > 0 && &x[:1][0] == &y[:1][0]
 }
 
-// retire closes the round of r's steps [start, end), whose outputs are
+// retire closes the batch of steps [start, end), whose outputs are
 // recorded: each is linked to its buffer, what escaped the run is marked
-// so, and every version read for the last time in the round, or read by
+// so, and every version read for the last time in the batch, or read by
 // nobody, dies.
-func (l *lifetimes) retire(r *run, start, end int) {
-	f, p := l.flow, r.p
+func (l *lifetimes) retire(steps []plan.Step, start, end int) {
+	f := l.flow
 	for i := start; i < end; i++ {
 		l.link(i)
 	}
 	for i := start; i < end; i++ {
-		if p.Steps[i].Kind == plan.KindSemijoin {
+		if steps[i].Kind == plan.KindSemijoin {
 			l.escape(f.In[i][0])
 		}
 		if l.kept(i) {
@@ -133,11 +142,11 @@ func (l *lifetimes) retire(r *run, start, end int) {
 	for i := start; i < end; i++ {
 		for _, v := range f.In[i] {
 			if f.Last[v] == i {
-				l.die(r, v, end)
+				l.die(v)
 			}
 		}
 		if f.Last[i] < 0 {
-			l.die(r, i, end)
+			l.die(i)
 		}
 	}
 }
@@ -149,23 +158,36 @@ func (l *lifetimes) escape(v int) {
 	}
 }
 
-// die ends version v after the round ending before step end: it leaves
-// Vars unless its variable has been assigned again since, and its buffer
+// die ends version v: its bytes leave the run's account, and its buffer
 // goes back to the pool if it was the last version holding it and the run
 // owns it. A kept version never dies.
-func (l *lifetimes) die(r *run, v, end int) {
+func (l *lifetimes) die(v int) {
 	ver := &l.vers[v]
 	if ver.dead || l.kept(v) {
 		return
 	}
 	ver.dead = true
-	if l.flow.Next[v] >= end {
-		r.drop(r.p.Steps[v].Out, ver)
-	}
+	l.tr.release(ver.bytes)
 	if b := ver.buf; b >= 0 {
 		maker := &l.vers[b]
 		if maker.refs--; maker.refs == 0 && maker.free {
 			set.Release(maker.val)
 		}
 	}
+}
+
+// vars is what Result.Vars holds when the run ends: for each variable, the
+// latest version a step made, unless it died.
+func (l *lifetimes) vars(steps []plan.Step) map[string]set.Set {
+	vars := map[string]set.Set{}
+	for v := range l.vers {
+		switch ver := &l.vers[v]; {
+		case !ver.made:
+		case ver.dead:
+			delete(vars, steps[v].Out)
+		default:
+			vars[steps[v].Out] = ver.val
+		}
+	}
+	return vars
 }

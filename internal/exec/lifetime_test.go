@@ -357,30 +357,3 @@ func TestLifetimeLoadThenLocalSelect(t *testing.T) {
 	want := reference(t, p, srcs)
 	runAgain(t, &Executor{Sources: srcs}, p, want, 20)
 }
-
-// TestFlowNamesTheVersionsSSADoes: the versions the round scheduler counts
-// (plan.Flow) are the ones the pipelined scheduler's single-assignment form
-// names: every input reads the output of the step Flow says it does.
-func TestFlowNamesTheVersionsSSADoes(t *testing.T) {
-	pr, _, _ := synthOnNetwork(t, workload.SynthConfig{
-		Seed: 19, NumSources: 4, TuplesPerSource: 300, Universe: 600, Selectivity: []float64{0.3, 0.6, 0.8},
-	}, netsim.Link{Latency: time.Millisecond, BytesPerSec: 1 << 20})
-	for _, pc := range optimizer.Algorithms {
-		res, err := pc.Plan(pr)
-		if err != nil {
-			continue
-		}
-		steps, result := ssaSteps(res.Plan)
-		f := res.Plan.Flow()
-		for i, s := range steps {
-			for k, in := range s.In {
-				if v := f.In[i][k]; steps[v].Out != in {
-					t.Fatalf("%s: step %d reads %s, Flow says step %d's %s", pc.Name, i, in, v, steps[v].Out)
-				}
-			}
-		}
-		if steps[f.Result].Out != result {
-			t.Fatalf("%s: the result is %s, Flow says step %d's %s", pc.Name, result, f.Result, steps[f.Result].Out)
-		}
-	}
-}

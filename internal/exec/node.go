@@ -4,8 +4,8 @@ package exec
 // set.Iter streams of sorted batches and emits its output through its node;
 // runNode wraps it with the step's span, metrics, Result counters and trace
 // entry; every source exchange a body issues goes through retry. The two
-// schedulers differ only in what they plug in: whole variables and a node
-// that builds a variable between round barriers (exec.go), edges and a node
+// schedulers differ only in what they plug in: whole versions and a node
+// that builds one between batch barriers (exec.go), edges and a node
 // that tees to edges in the pipeline (stream.go).
 
 import (
@@ -112,16 +112,14 @@ func (nd *node) emitSorted(ctx context.Context, items []string, batch int) error
 	return nil
 }
 
-// runNode runs step idx (s is that step, with the pipelined scheduler's
-// single-assignment names) as one node and accounts it: a step span, the
+// runNode runs step idx as one node and accounts it: a step span, the
 // per-source metrics, the Result counters, FailedStep and the trace entry.
 // Counters aggregate over all attempts of all the step's exchanges; a failed
 // step appears in the trace with Err set and the work it charged. The
 // returned error carries the step's text.
-func (r *run) runNode(ctx context.Context, idx int, s plan.Step, ins []set.Iter, nd *node) error {
-	// Spans and traces show the plan's step, not a single-assignment rename,
-	// in the text the plan's Flow formatted once.
-	text := r.flow.Texts[idx]
+func (r *run) runNode(ctx context.Context, idx int, ins []set.Iter, nd *node) error {
+	// Spans and traces show the text the plan's Flow formatted once.
+	s, text := r.p.Steps[idx], r.flow.Texts[idx]
 	sctx, span := obs.StartSpan(ctx, obs.KindStep, text)
 	isSource := s.IsSourceQuery()
 	srcName := ""
@@ -141,7 +139,7 @@ func (r *run) runNode(ctx context.Context, idx int, s plan.Step, ins []set.Iter,
 		}
 	}
 
-	err := r.body(sctx, s, ins, nd)
+	err := r.body(sctx, idx, ins, nd)
 	agg := nd.cost
 	if errors.Is(err, errAbandoned) {
 		// Nobody wants the rest of this stream — clean early completion.
@@ -192,9 +190,10 @@ func (r *run) runNode(ctx context.Context, idx int, s plan.Step, ins []set.Iter,
 	return err
 }
 
-// body dispatches on the step kind. Errors come back unwrapped; runNode adds
+// body runs step idx by its kind. Errors come back unwrapped; runNode adds
 // the step prefix.
-func (r *run) body(ctx context.Context, s plan.Step, ins []set.Iter, nd *node) error {
+func (r *run) body(ctx context.Context, idx int, ins []set.Iter, nd *node) error {
+	s := r.p.Steps[idx]
 	switch s.Kind {
 	case plan.KindSelect:
 		return r.selectBody(ctx, s, nd)
@@ -203,9 +202,9 @@ func (r *run) body(ctx context.Context, s plan.Step, ins []set.Iter, nd *node) e
 	case plan.KindBloomSemijoin:
 		return r.bloomBody(ctx, s, ins[0], nd)
 	case plan.KindLoad:
-		return r.loadBody(ctx, s, nd)
+		return r.loadBody(ctx, idx, nd)
 	case plan.KindLocalSelect:
-		return r.localSelectBody(ctx, s, ins[0], nd)
+		return r.localSelectBody(ctx, idx, ins[0], nd)
 	case plan.KindUnion, plan.KindIntersect, plan.KindDiff:
 		return r.mergeBody(ctx, s, ins, nd)
 	default:
@@ -263,7 +262,7 @@ func (r *run) exchange(ctx context.Context, j int, agg *queryStats, binding stri
 }
 
 // selectBody is sq(c, src). A cached selection is emitted without source
-// traffic. A miss between round barriers is one Select exchange for the
+// traffic. A miss between batch barriers is one Select exchange for the
 // whole selection; in the pipeline it opens a chunked stream, where the
 // retry budget applies only while nothing has been emitted yet: once
 // batches are downstream a transient mid-stream failure cannot be retried
@@ -456,10 +455,12 @@ func (r *run) bloomBody(ctx context.Context, s plan.Step, input set.Iter, nd *no
 	return nd.emitSorted(ctx, out.Items(), r.batch)
 }
 
-// loadBody fetches the source's full contents. The relation is stored (and
-// its bytes tracked for the rest of the run) before anything is emitted, so
-// a local selection downstream always finds it present.
-func (r *run) loadBody(ctx context.Context, s plan.Step, nd *node) error {
+// loadBody fetches the source's full contents for load step idx. The
+// relation is stored (and its bytes tracked for the rest of the run) before
+// anything is emitted, so a local selection downstream always finds it
+// present.
+func (r *run) loadBody(ctx context.Context, idx int, nd *node) error {
+	s := r.p.Steps[idx]
 	var rel *relation.Relation
 	err := r.exchange(ctx, s.Source, &nd.cost, "", func(ctx context.Context) (err error) {
 		rel, err = r.e.Sources[s.Source].Load(ctx)
@@ -469,18 +470,25 @@ func (r *run) loadBody(ctx context.Context, s plan.Step, nd *node) error {
 		return err
 	}
 	r.mu.Lock()
-	r.loaded[s.Out] = loadedRel{source: s.Source, rel: rel}
+	if r.loaded == nil {
+		// Sized once: the plans that load are not adaptive, whose steps
+		// grow (adapt decides no loads).
+		r.loaded = make([]*relation.Relation, len(r.p.Steps))
+	}
+	r.loaded[idx] = rel
 	r.mu.Unlock()
 	r.tr.add(rel.Bytes())
 	return nd.emitSorted(ctx, rel.Items(), r.batch)
 }
 
-// localSelectBody applies a plan condition to loaded source contents: the
-// selection a row-store wrapper over the loaded relation would answer, free
-// in the cost model (Section 2.4). The input carries the load step's items
-// purely as a completion signal — the relation itself, with its non-merge
-// attributes, is in r.loaded — so the body drains it, then selects.
-func (r *run) localSelectBody(ctx context.Context, s plan.Step, in set.Iter, nd *node) error {
+// localSelectBody applies step idx's condition to loaded source contents:
+// the selection a row-store wrapper over the loaded relation would answer,
+// free in the cost model (Section 2.4). The input carries the load step's
+// items purely as a completion signal — the relation itself, with its
+// non-merge attributes, is in r.loaded under the step that loaded it — so
+// the body drains it, then selects.
+func (r *run) localSelectBody(ctx context.Context, idx int, in set.Iter, nd *node) error {
+	s := r.p.Steps[idx]
 	for {
 		batch, err := in.Next(ctx)
 		if err != nil {
@@ -490,13 +498,16 @@ func (r *run) localSelectBody(ctx context.Context, s plan.Step, in set.Iter, nd 
 			break
 		}
 	}
+	var rel *relation.Relation
 	r.mu.Lock()
-	l, ok := r.loaded[s.In[0]]
+	if v := r.flow.In[idx][0]; v < len(r.loaded) {
+		rel = r.loaded[v]
+	}
 	r.mu.Unlock()
-	if !ok {
+	if rel == nil {
 		return fmt.Errorf("%q is not loaded source contents", s.In[0])
 	}
-	out, err := source.SelectItems(source.NewRowBackend(l.rel), r.p.Conds[s.Cond])
+	out, err := source.SelectItems(source.NewRowBackend(rel), r.p.Conds[s.Cond])
 	if err != nil {
 		return err
 	}

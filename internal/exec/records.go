@@ -91,9 +91,11 @@ func (r *run) collectRecords(ctx context.Context, costs []queryStats) (*relation
 	if len(e.Sources) == 0 {
 		return nil, fmt.Errorf("no sources")
 	}
-	loadedOf := map[int]*relation.Relation{}
-	for _, l := range r.loaded {
-		loadedOf[l.source] = l.rel
+	loadedOf := make([]*relation.Relation, len(e.Sources))
+	for v, rel := range r.loaded {
+		if rel != nil {
+			loadedOf[r.p.Steps[v].Source] = rel
+		}
 	}
 	fetched := make([][]relation.Tuple, len(e.Sources))
 	err := Overlap(len(e.Sources), func(j int) error {

@@ -1,7 +1,7 @@
 package exec
 
 // The pipelined scheduler. Instead of materializing every set variable
-// between round barriers, runPipelined turns the plan into a pipeline: one
+// between batch barriers, runPipelined turns the plan into a pipeline: one
 // goroutine per step running the same node the round scheduler runs
 // (node.go), connected by bounded batch edges carrying sorted item batches
 // (the set.Iter contract). Source selections are consumed chunk by chunk
@@ -24,7 +24,7 @@ package exec
 //     truncated answer is discarded.
 //   - Accounting: TotalWork is the network delta over the run,
 //     ResponseTime the per-source k-lane makespan of the run's exchanges
-//     (the whole run is one "round" — the pipeline overlaps everything the
+//     (the whole run is one batch — the pipeline overlaps everything the
 //     data dependencies allow).
 //
 // Deadlock freedom: a node holds a lane of its source's link only for one
@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"fusionq/internal/obs"
-	"fusionq/internal/plan"
 	"fusionq/internal/set"
 )
 
@@ -49,34 +48,6 @@ import (
 // exists to decouple producer and consumer scheduling jitter, not to
 // materialize intermediates.
 const streamEdgeDepth = 2
-
-// ssaSteps rewrites the plan's straight-line steps into single-assignment
-// form. plan.Validate permits reassignment — the canonical plans use it
-// freely (X2 := X2 ∩ X1) — but a dataflow node graph needs exactly one
-// producer per variable, so each reassignment gets a fresh version name
-// and later uses resolve to the version current at that point. Returns the
-// rewritten steps and the version holding the plan's result.
-func ssaSteps(p *plan.Plan) ([]plan.Step, string) {
-	cur := make(map[string]string, len(p.Steps))
-	defined := make(map[string]bool, len(p.Steps))
-	steps := make([]plan.Step, len(p.Steps))
-	for i, s := range p.Steps {
-		ns := s
-		ns.In = make([]string, len(s.In))
-		for k, v := range s.In {
-			ns.In[k] = cur[v]
-		}
-		out := s.Out
-		for defined[out] {
-			out = fmt.Sprintf("%s#%d", out, i)
-		}
-		defined[out] = true
-		cur[s.Out] = out
-		ns.Out = out
-		steps[i] = ns
-	}
-	return steps, cur[p.Result]
-}
 
 // byteTracker is the live-bytes accounting behind streaming PeakBytes:
 // bytes are added when a batch enters mediator memory (buffered on an
@@ -324,26 +295,26 @@ func (r *run) runPipelined(ctx context.Context) error {
 		cancel()
 	}
 
-	// Rewrite to single-assignment form so every variable version has
-	// exactly one producing node, then wire the graph: one edge per
-	// (consumer step, input occurrence), plus the answer drain consumed
-	// below. A version with several consumers has its batches teed to each
-	// edge by the producer's node.
-	steps, resultVar := ssaSteps(r.p)
-	consumers := map[string][]*streamEdge{}
-	stepIns := make([][]set.Iter, len(steps))
-	for i, s := range steps {
-		ins := make([]set.Iter, len(s.In))
-		for k, v := range s.In {
+	// Wire the graph: one edge per (consumer step, input occurrence), from
+	// the step whose version the input reads (plan.Flow.In), plus the
+	// answer drain consumed below. Plans reassign names, but every version
+	// is one step's output, so it has exactly one producing node; a version
+	// with several consumers has its batches teed to each edge by that
+	// node.
+	outs := make([][]*streamEdge, len(r.p.Steps))
+	stepIns := make([][]set.Iter, len(r.p.Steps))
+	for i, in := range r.flow.In {
+		ins := make([]set.Iter, len(in))
+		for k, v := range in {
 			ed := newStreamEdge(&r.tr)
 			ins[k] = &edgeIter{ed: ed}
-			consumers[v] = append(consumers[v], ed)
+			outs[v] = append(outs[v], ed)
 		}
 		stepIns[i] = ins
 	}
 	answerEdge := newStreamEdge(&r.tr)
-	consumers[resultVar] = append(consumers[resultVar], answerEdge)
-	for _, edges := range consumers {
+	outs[r.flow.Result] = append(outs[r.flow.Result], answerEdge)
+	for _, edges := range outs {
 		if len(edges) > 1 {
 			// Fan-out: unbounded edges, the deadlock-freedom invariant.
 			for _, ed := range edges {
@@ -354,13 +325,13 @@ func (r *run) runPipelined(ctx context.Context) error {
 
 	_, faSpan := obs.StartSpan(ctx, obs.KindPhase, "first-answer")
 
-	for i := range steps {
+	for i := range r.p.Steps {
 		wg.Add(1)
-		go func(idx int, s plan.Step) {
+		go func(idx int) {
 			defer wg.Done()
-			ins, outs := stepIns[idx], consumers[s.Out]
+			ins, outs := stepIns[idx], outs[idx]
 			nd := node{outs: outs, dead: make([]bool, len(outs)), live: len(outs)}
-			err := r.runNode(rctx, idx, s, ins, &nd)
+			err := r.runNode(rctx, idx, ins, &nd)
 			// However the node ended: EOF for its consumers, stop for its
 			// producers.
 			for _, ed := range outs {
@@ -372,7 +343,7 @@ func (r *run) runPipelined(ctx context.Context) error {
 			if err != nil {
 				fail(err)
 			}
-		}(i, steps[i])
+		}(i)
 	}
 
 	// Drain the answer on this goroutine, taking each batch's buffer over
@@ -428,12 +399,12 @@ func (r *run) runPipelined(ctx context.Context) error {
 			answer = append(answer, *b...)
 		}
 		res.Answer = set.FromSorted(answer)
-		r.vars[r.p.Result] = res.Answer
+		res.Vars = map[string]set.Set{r.p.Result: res.Answer}
 	}
 	for _, b := range drained {
 		set.PutBatch(b)
 	}
-	// The pipeline is one big round: response time is the critical path over
+	// The pipeline is one big batch: response time is the critical path over
 	// the per-source k-lane schedules of the whole run's exchanges.
 	r.settle()
 	return err

@@ -281,9 +281,9 @@ func TestCacheParity(t *testing.T) {
 }
 
 // TestStreamingHandlesReassignment: plans that reassign a variable (as the
-// canonical filter plan does with X2 := X2 ∩ X1) are rewritten to
-// single-assignment form, so each version gets its own producing node and
-// later uses resolve to the version current at that point.
+// canonical filter plan does with X2 := X2 ∩ X1) read, at each use, the
+// version current at that point (plan.Flow.In): each version has its own
+// producing node in the pipeline and its own value between barriers.
 func TestStreamingHandlesReassignment(t *testing.T) {
 	pr, srcs, _ := dmvSetup(t, nil)
 	p := &plan.Plan{
@@ -295,23 +295,15 @@ func TestStreamingHandlesReassignment(t *testing.T) {
 		},
 		Result: "X",
 	}
-	steps, resultVar := ssaSteps(p)
-	if steps[0].Out == steps[1].Out {
-		t.Fatalf("SSA rewrite kept duplicate producer %q", steps[0].Out)
-	}
-	if steps[1].In[0] != steps[0].Out {
-		t.Fatalf("SSA rewrite broke the def-use chain: %q reads %q", steps[1].Out, steps[1].In[0])
-	}
-	if resultVar != steps[1].Out {
-		t.Fatalf("result resolves to %q, want final version %q", resultVar, steps[1].Out)
-	}
-	ex := &Executor{Sources: srcs, Streaming: true}
-	got, err := ex.Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := set.New("J55"); !got.Answer.Equal(want) {
-		t.Fatalf("answer = %v, want %v", got.Answer, want)
+	for _, streaming := range []bool{true, false} {
+		ex := &Executor{Sources: srcs, Streaming: streaming}
+		got, err := ex.Run(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := set.New("J55"); !got.Answer.Equal(want) {
+			t.Fatalf("streaming %v: answer = %v, want %v", streaming, got.Answer, want)
+		}
 	}
 }
 

@@ -30,18 +30,18 @@ func Records(pr *Problem, res Result) (Result, error) {
 			loaded[s.Source] = true
 		}
 	}
-	fetch := 0.0
+	fetch, answer := 0.0, est.Cards[p.Flow().Result]
 	for j := range loaded {
 		if !loaded[j] {
-			fetch += t.QueryFixedOf(j) + est.Cards[p.Result]*t.SourceItems[j]/t.Domain*perItem(j)
+			fetch += t.QueryFixedOf(j) + answer*t.SourceItems[j]/t.Domain*perItem(j)
 		}
 	}
 	final, covered, last := 0.0, t.N() == 1, p.FinalCond()
-	for _, s := range p.Steps {
+	for k, s := range p.Steps {
 		switch {
 		case s.Cond != last || s.Kind == plan.KindLocalSelect: // loaded contents hold their records
 		case s.Kind == plan.KindSelect || s.Kind == plan.KindSemijoin && t.Support[s.Source] == stats.SemijoinNative:
-			final += est.Cards[s.Out] * perItem(s.Source)
+			final += est.Cards[k] * perItem(s.Source)
 		default:
 			covered = false
 		}

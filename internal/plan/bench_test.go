@@ -9,9 +9,10 @@ import (
 	"fusionq/internal/workload"
 )
 
-// BenchmarkPlanEstimate times the static cost estimator on an SJA+ plan
-// over 4 conditions and 16 sources.
-func BenchmarkPlanEstimate(b *testing.B) {
+// sjaPlus4x16 is an SJA+ plan over 4 conditions and 16 sources, and its
+// cost table.
+func sjaPlus4x16(tb testing.TB) (*plan.Plan, *stats.CostTable) {
+	tb.Helper()
 	const m, n = 4, 16
 	conds := workload.MustConds(m)
 	names := make([]string, n)
@@ -31,17 +32,48 @@ func BenchmarkPlanEstimate(b *testing.B) {
 	}
 	table, err := stats.Build(conds, sts, profiles)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	res, err := optimizer.SJAPlus(&optimizer.Problem{Conds: conds, Sources: names, Table: table})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return res.Plan, table
+}
+
+// BenchmarkPlanEstimate times the static cost estimator on an SJA+ plan
+// over 4 conditions and 16 sources.
+func BenchmarkPlanEstimate(b *testing.B) {
+	p, table := sjaPlus4x16(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.EstimateCost(res.Plan, table); err != nil {
+		if _, err := plan.EstimateCost(p, table); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// estimateAllocs bounds one EstimateCost of BenchmarkPlanEstimate's plan:
+// the estimate's per-step figures and what it knows of each step's output,
+// one block each.
+const estimateAllocs = 2
+
+// TestEstimateAllocs: the estimator, which the optimizers call on every
+// candidate they price, allocates per plan, not per step or variable.
+func TestEstimateAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race runtime allocates on its own; CI runs this without -race")
+	}
+	p, table := sjaPlus4x16(t)
+	var err error
+	got := testing.AllocsPerRun(100, func() {
+		_, err = plan.EstimateCost(p, table)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > estimateAllocs {
+		t.Fatalf("one estimate allocated %v times, want at most %d", got, estimateAllocs)
 	}
 }

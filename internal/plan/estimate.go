@@ -17,9 +17,9 @@ type Estimate struct {
 	// constituent source queries (Section 2.4). +Inf marks plans using
 	// unsupported operations.
 	Cost float64
-	// Cards maps each variable to its estimated item cardinality after its
-	// final assignment.
-	Cards map[string]float64
+	// Cards[k] is the estimated item cardinality of step k's output, the
+	// version of its variable that step made.
+	Cards []float64
 	// StepCosts holds the charged cost of each step (zero for local ops).
 	StepCosts []float64
 	// RespCosts holds each step's response-time cost: equal to StepCosts
@@ -28,7 +28,7 @@ type Estimate struct {
 	RespCosts []float64
 }
 
-// varInfo tracks what the estimator knows about one plan variable.
+// varInfo tracks what the estimator knows about one step's output.
 type varInfo struct {
 	card float64
 	// condIdx is the condition whose satisfied-item set this variable
@@ -36,10 +36,10 @@ type varInfo struct {
 	condIdx int
 	// loadedSource is the source index for lq outputs, else -1.
 	loadedSource int
-	// subsetOf names a variable this one is provably a subset of (semijoin
-	// and difference outputs), or "". It picks between exact and
+	// subsetOf is the step whose output this one is provably a subset of
+	// (semijoin and difference outputs), or -1. It picks between exact and
 	// independence-based difference estimates.
-	subsetOf string
+	subsetOf int
 }
 
 // EstimateCost walks the plan, charging each source query via the cost
@@ -62,49 +62,51 @@ func EstimateCost(p *Plan, table *stats.CostTable) (Estimate, error) {
 	if len(p.Sources) != table.N() {
 		return Estimate{}, fmt.Errorf("plan: %d sources but table has %d", len(p.Sources), table.N())
 	}
-	vars := map[string]varInfo{}
-	est := Estimate{Cards: map[string]float64{}, StepCosts: make([]float64, len(p.Steps)), RespCosts: make([]float64, len(p.Steps))}
+	n := len(p.Steps)
+	floats := make([]float64, 3*n)
+	est := Estimate{Cards: floats[:n:n], StepCosts: floats[n : 2*n : 2*n], RespCosts: floats[2*n:]}
+	// vars[k] is what is known of step k's output.
+	vars := make([]varInfo, n)
 	for k, s := range p.Steps {
-		var out varInfo
-		out.condIdx = -1
-		out.loadedSource = -1
+		out := varInfo{condIdx: -1, loadedSource: -1, subsetOf: -1}
+		y := -1 // the output step k reads as its In[0]
+		if len(s.In) > 0 {
+			y = p.assigned(s.In[0], k)
+		}
 		switch s.Kind {
 		case KindSelect:
 			est.StepCosts[k] = table.SelectCost(s.Cond, s.Source)
 			out.card = table.SelectCard(s.Cond, s.Source)
 			out.condIdx = s.Cond
 		case KindSemijoin:
-			in := vars[s.In[0]]
-			est.StepCosts[k] = table.SemijoinCost(s.Cond, s.Source, in.card)
-			est.RespCosts[k] = table.SemijoinResponseCost(s.Cond, s.Source, in.card)
-			out.card = in.card * table.Frac[s.Cond][s.Source]
+			est.StepCosts[k] = table.SemijoinCost(s.Cond, s.Source, vars[y].card)
+			est.RespCosts[k] = table.SemijoinResponseCost(s.Cond, s.Source, vars[y].card)
+			out.card = vars[y].card * table.Frac[s.Cond][s.Source]
 			out.condIdx = s.Cond
-			out.subsetOf = s.In[0]
+			out.subsetOf = y
 		case KindBloomSemijoin:
 			// After the mediator filters false positives, the result is
 			// exactly the semijoin result.
-			in := vars[s.In[0]]
-			est.StepCosts[k] = table.BloomSemijoinCost(s.Cond, s.Source, in.card)
-			out.card = in.card * table.Frac[s.Cond][s.Source]
+			est.StepCosts[k] = table.BloomSemijoinCost(s.Cond, s.Source, vars[y].card)
+			out.card = vars[y].card * table.Frac[s.Cond][s.Source]
 			out.condIdx = s.Cond
-			out.subsetOf = s.In[0]
+			out.subsetOf = y
 		case KindLoad:
 			est.StepCosts[k] = table.LoadCost(s.Source)
 			out.card = table.SourceItems[s.Source]
 			out.loadedSource = s.Source
 		case KindLocalSelect:
-			in := vars[s.In[0]]
-			if in.loadedSource >= 0 {
-				out.card = table.SelectCard(s.Cond, in.loadedSource)
+			if j := vars[y].loadedSource; j >= 0 {
+				out.card = table.SelectCard(s.Cond, j)
 			} else {
-				out.card = in.card * fracAcrossSources(table, s.Cond)
+				out.card = vars[y].card * fracAcrossSources(table, s.Cond)
 			}
 			out.condIdx = s.Cond
 		case KindUnion:
 			sum := 0.0
-			sharedCond := vars[s.In[0]].condIdx
-			for _, in := range s.In {
-				v := vars[in]
+			sharedCond := vars[y].condIdx
+			for _, name := range s.In {
+				v := vars[p.assigned(name, k)]
 				sum += v.card
 				if v.condIdx != sharedCond {
 					sharedCond = -1
@@ -113,10 +115,10 @@ func EstimateCost(p *Plan, table *stats.CostTable) (Estimate, error) {
 			out.card = math.Min(sum, table.Domain)
 			out.condIdx = sharedCond
 		case KindIntersect:
-			out.card = intersectCard(table, s.In, vars)
+			out.card = intersectCard(table, p, k, vars)
 		case KindDiff:
-			a, b := vars[s.In[0]], vars[s.In[1]]
-			if b.subsetOf == s.In[0] {
+			a, b := vars[y], vars[p.assigned(s.In[1], k)]
+			if b.subsetOf == y {
 				// b ⊆ a: the subtraction is exact.
 				out.card = math.Max(0, a.card-b.card)
 			} else {
@@ -129,24 +131,26 @@ func EstimateCost(p *Plan, table *stats.CostTable) (Estimate, error) {
 				out.card = a.card * (1 - p)
 			}
 			out.condIdx = a.condIdx
-			out.subsetOf = s.In[0]
+			out.subsetOf = y
 		}
 		est.Cost += est.StepCosts[k]
 		if s.Kind != KindSemijoin {
 			est.RespCosts[k] = est.StepCosts[k]
 		}
-		vars[s.Out] = out
-		est.Cards[s.Out] = out.card
+		vars[k] = out
+		est.Cards[k] = out.card
 	}
 	return est, nil
 }
 
-// intersectCard estimates |∩ inputs|. The canonical round pattern — a
-// running set intersected with a same-condition union — uses the table's
-// RoundCard; anything else falls back to an independence estimate.
-func intersectCard(table *stats.CostTable, in []string, vars map[string]varInfo) float64 {
-	if len(in) == 2 {
-		a, b := vars[in[0]], vars[in[1]]
+// intersectCard estimates |∩ inputs| of step k, an intersection. The
+// canonical round pattern — a running set intersected with a same-condition
+// union — uses the table's RoundCard; anything else falls back to an
+// independence estimate.
+func intersectCard(table *stats.CostTable, p *Plan, k int, vars []varInfo) float64 {
+	ins := p.Steps[k].In
+	if len(ins) == 2 {
+		a, b := vars[p.assigned(ins[0], k)], vars[p.assigned(ins[1], k)]
 		// The canonical round step X_i := X_i ∩ X_{i-1}: the first operand
 		// is the round's same-condition union, the second the running set
 		// (which itself carries a condition tag after round one). Either
@@ -162,8 +166,8 @@ func intersectCard(table *stats.CostTable, in []string, vars map[string]varInfo)
 	}
 	// Independence: domain · Π (card_k / domain).
 	card := table.Domain
-	for _, name := range in {
-		card *= vars[name].card / table.Domain
+	for _, name := range ins {
+		card *= vars[p.assigned(name, k)].card / table.Domain
 	}
 	return card
 }

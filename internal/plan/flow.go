@@ -3,14 +3,23 @@ package plan
 import "sync/atomic"
 
 // Flow is what running a plan needs to know of it beyond its steps: each
-// step's text, which step's output each input reads, and how long each
-// output is read. A memoized plan (Plan.Memoize) computes it once, so every
-// run of a cached plan shares one.
+// step's text, which step's output each input reads, how long each output
+// is read, and which steps form a batch or end a round. A memoized plan
+// (Plan.Memoize) computes it once, so every run of a cached plan shares
+// one.
 //
 // A step's output is a version of its variable: plans reassign names
 // (X2 := X2 ∩ X1), and a reading step reads the version current at its
-// position, the one the pipelined scheduler's single-assignment form names.
-// Versions are named here by the index of the step that produced them.
+// position. Versions are named here by the index of the step that produced
+// them. Plan.assigned, which Flow memoizes, is the one place a variable
+// name becomes a step index: the schedulers, the estimators, DOT and
+// core's repair all walk step indices from here.
+//
+// Two units of a plan are named here. A batch is a run of source queries
+// that may be in flight together (BatchEnd): what the round scheduler
+// settles and EstimateResponseTime prices. A round is one condition's
+// steps (RoundEnd): what a run keeps the output of and a repair seeds
+// from.
 type Flow struct {
 	// Texts[i] is StepString(Steps[i]), what traces and spans show.
 	Texts []string
@@ -19,13 +28,18 @@ type Flow struct {
 	// Last[i] is the last step that reads step i's output, or -1 when no
 	// step does.
 	Last []int
-	// Next[i] is the next step that assigns step i's variable, or
-	// len(Steps) when none does.
-	Next []int
+	// BatchEnd[i] is the end of the batch that starts at step i: the
+	// longest run of source-query steps from i none of which reads the
+	// output of another, so they may execute concurrently. It is i itself
+	// when step i is no source query. In the canonical plans a batch is
+	// one round's selections and semijoins; difference-pruned chains
+	// serialize, because their diff steps are not source queries.
+	BatchEnd []int
 	// RoundEnd[i] says step i is the last of a round: its output is the
 	// running set a repair of a run that failed in a later round seeds
-	// from. Rounds are as core's repair reads them: a round starts at the
-	// first step of each condition, in the order the steps stage them.
+	// from. A round starts at the first step of each condition, in the
+	// order the steps stage them; steps before the first round (loads)
+	// are in none.
 	RoundEnd []bool
 	// Result is the step whose output is the plan's result, or -1.
 	Result int
@@ -94,7 +108,7 @@ func (p *Plan) computeFlow(f *Flow) {
 	ints := make([]int, 2*n+ins)
 	f.Texts = make([]string, n)
 	f.In = make([][]int, n)
-	f.Last, f.Next, ints = ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
+	f.Last, f.BatchEnd, ints = ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
 	f.RoundEnd = make([]bool, n)
 	var small [32]bool
 	staged := small[:]
@@ -112,10 +126,7 @@ func (p *Plan) computeFlow(f *Flow) {
 			}
 			f.In[i][k] = v
 		}
-		if v := p.assigned(s.Out, i); v >= 0 {
-			f.Next[v] = i
-		}
-		f.Last[i], f.Next[i] = -1, n
+		f.Last[i] = -1
 		if s.Cond >= 0 && s.Cond < len(p.Conds) && !staged[s.Cond] {
 			if rounds > 0 {
 				f.RoundEnd[i-1] = true
@@ -123,5 +134,22 @@ func (p *Plan) computeFlow(f *Flow) {
 			staged[s.Cond], rounds = true, rounds+1
 		}
 	}
+	for i := range p.Steps {
+		end := i
+		for end < n && p.Steps[end].IsSourceQuery() && !readsFrom(f.In[end], i) {
+			end++
+		}
+		f.BatchEnd[i] = end
+	}
 	f.Result = p.assigned(p.Result, n)
+}
+
+// readsFrom says one of the versions ins names was made at or after step i.
+func readsFrom(ins []int, i int) bool {
+	for _, v := range ins {
+		if v >= i {
+			return true
+		}
+	}
+	return false
 }

@@ -8,8 +8,9 @@ import (
 
 // TestFlowOfFilterPlan: on Figure 2(a)'s filter plan, which reassigns X2
 // and X3, each input reads the version current at its step, each version's
-// last reader and next assignment are found, and the running sets of the
-// first two rounds and the result are the versions a run keeps.
+// last reader is found, each round's selections form one batch, and the
+// running sets of the first two rounds and the result are the versions a
+// run keeps.
 func TestFlowOfFilterPlan(t *testing.T) {
 	p := filterPlan32()
 	f := p.Flow()
@@ -22,8 +23,8 @@ func TestFlowOfFilterPlan(t *testing.T) {
 	if want := []int{2, 2, 6, 5, 5, 6, 10, 9, 9, 10, -1}; !slices.Equal(f.Last, want) {
 		t.Errorf("Last = %v, want %v", f.Last, want)
 	}
-	if want := []int{11, 11, 11, 11, 11, 6, 11, 11, 11, 10, 11}; !slices.Equal(f.Next, want) {
-		t.Errorf("Next = %v, want %v", f.Next, want)
+	if want := []int{2, 2, 2, 5, 5, 5, 6, 9, 9, 9, 10}; !slices.Equal(f.BatchEnd, want) {
+		t.Errorf("BatchEnd = %v, want %v", f.BatchEnd, want)
 	}
 	for i, end := range f.RoundEnd {
 		if end != (i == 2 || i == 6) {

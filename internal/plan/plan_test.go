@@ -181,17 +181,18 @@ func TestEstimateFilterPlan(t *testing.T) {
 	if est.Cost != 120 {
 		t.Fatalf("Cost = %v, want 120", est.Cost)
 	}
-	// X1 = 5+5 = 10 items.
-	if est.Cards["X1"] != 10 {
-		t.Fatalf("card(X1) = %v, want 10", est.Cards["X1"])
+	// X1 (step 2) = 5+5 = 10 items.
+	if est.Cards[2] != 10 {
+		t.Fatalf("card(X1) = %v, want 10", est.Cards[2])
 	}
-	// X2 = RoundCard(c2, 10) = 10 * 0.3 = 3.
-	if math.Abs(est.Cards["X2"]-3) > 1e-9 {
-		t.Fatalf("card(X2) = %v, want 3", est.Cards["X2"])
+	// X2 := X21 ∪ X22 (step 5) = 15+15 = 30 items; X2 := X2 ∩ X1 (step 6)
+	// = RoundCard(c2, 10) = 10 * 0.3 = 3.
+	if est.Cards[5] != 30 || math.Abs(est.Cards[6]-3) > 1e-9 {
+		t.Fatalf("card(X2) = %v then %v, want 30 then 3", est.Cards[5], est.Cards[6])
 	}
-	// X3 = 3 * 0.5 = 1.5.
-	if math.Abs(est.Cards["X3"]-1.5) > 1e-9 {
-		t.Fatalf("card(X3) = %v, want 1.5", est.Cards["X3"])
+	// X3 (step 10) = 3 * 0.5 = 1.5.
+	if math.Abs(est.Cards[10]-1.5) > 1e-9 {
+		t.Fatalf("card(X3) = %v, want 1.5", est.Cards[10])
 	}
 }
 
@@ -223,9 +224,9 @@ func TestEstimateSemijoinPlan(t *testing.T) {
 	if est.Cost != 32 {
 		t.Fatalf("Cost = %v, want 32", est.Cost)
 	}
-	// Semijoin outputs: 10 * 0.15 = 1.5 each; union = 3.
-	if math.Abs(est.Cards["X2"]-3) > 1e-9 {
-		t.Fatalf("card(X2) = %v, want 3", est.Cards["X2"])
+	// Semijoin outputs: 10 * 0.15 = 1.5 each; union (step 5) = 3.
+	if math.Abs(est.Cards[5]-3) > 1e-9 {
+		t.Fatalf("card(X2) = %v, want 3", est.Cards[5])
 	}
 }
 
@@ -250,11 +251,11 @@ func TestEstimateLoadAndLocal(t *testing.T) {
 	if est.Cost != 110 {
 		t.Fatalf("Cost = %v, want 110", est.Cost)
 	}
-	if est.Cards["F1"] != 50 {
-		t.Fatalf("card(F1) = %v, want 50", est.Cards["F1"])
+	if est.Cards[0] != 50 {
+		t.Fatalf("card(F1) = %v, want 50", est.Cards[0])
 	}
-	if est.Cards["X11"] != 5 {
-		t.Fatalf("card(X11) = %v, want 5 (Card[c1][R1])", est.Cards["X11"])
+	if est.Cards[1] != 5 {
+		t.Fatalf("card(X11) = %v, want 5 (Card[c1][R1])", est.Cards[1])
 	}
 }
 
@@ -280,8 +281,8 @@ func TestEstimateDiff(t *testing.T) {
 	}
 	// X1 = 10; X21 = 1.5; D = 8.5; second semijoin is charged for 8.5
 	// items instead of 10 — the pruning saving.
-	if math.Abs(est.Cards["D"]-8.5) > 1e-9 {
-		t.Fatalf("card(D) = %v, want 8.5", est.Cards["D"])
+	if math.Abs(est.Cards[4]-8.5) > 1e-9 {
+		t.Fatalf("card(D) = %v, want 8.5", est.Cards[4])
 	}
 	wantCost := 10.0 + 10.0 + (1 + 0.5*10) + (1 + 0.5*8.5)
 	if math.Abs(est.Cost-wantCost) > 1e-9 {

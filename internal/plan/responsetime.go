@@ -5,14 +5,15 @@ import (
 )
 
 // EstimateResponseTime estimates the simulated wall-clock of executing the
-// plan with the parallel (response-time) executor of Section 6: runs of
-// consecutive source queries with no data dependencies execute
-// concurrently, contributing their slowest member ("critical path") rather
-// than their sum; everything else is sequential. Within a source, an
-// emulated semijoin's per-binding queries additionally fan out over the
-// source's connections (CostTable.Conns), so its contribution is the
-// per-lane response cost rather than the serial sum. Total work is
-// unchanged — this is the second objective the paper names as future work.
+// plan with the parallel (response-time) executor of Section 6: each batch
+// of Flow.BatchEnd, a run of consecutive source queries with no data
+// dependencies among them, executes concurrently, contributing its slowest
+// member ("critical path") rather than its sum; everything else is
+// sequential. Within a source, an emulated semijoin's per-binding queries
+// additionally fan out over the source's connections (CostTable.Conns), so
+// its contribution is the per-lane response cost rather than the serial
+// sum. Total work is unchanged — this is the second objective the paper
+// names as future work.
 //
 // The step costs reuse the EstimateCost bookkeeping, so total-work and
 // response-time estimates for the same plan are consistent.
@@ -21,9 +22,10 @@ func EstimateResponseTime(p *Plan, table *stats.CostTable) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	batchEnd := p.Flow().BatchEnd
 	rt := 0.0
 	for k := 0; k < len(p.Steps); {
-		end := BatchEnd(p.Steps, k)
+		end := batchEnd[k]
 		if end > k+1 {
 			// Concurrent batch: critical path is the per-source maximum
 			// (a source processes its own queries over its own connections).
@@ -45,34 +47,4 @@ func EstimateResponseTime(p *Plan, table *stats.CostTable) (float64, error) {
 		k++
 	}
 	return rt, nil
-}
-
-// BatchEnd is the batching rule the parallel executor schedules by and
-// EstimateResponseTime prices by: it finds the longest run of source-query
-// steps starting at k whose inputs are independent of the batch's own
-// outputs, so they may execute concurrently. This captures exactly one
-// round's selection and semijoin queries in the canonical plans;
-// difference-pruned chains serialize naturally because the interleaved diff
-// steps are not source queries.
-func BatchEnd(steps []Step, k int) int {
-	outs := map[string]bool{}
-	end := k
-	for end < len(steps) {
-		s := steps[end]
-		if !s.IsSourceQuery() {
-			break
-		}
-		dep := false
-		for _, in := range s.In {
-			if outs[in] {
-				dep = true
-			}
-		}
-		if dep {
-			break
-		}
-		outs[s.Out] = true
-		end++
-	}
-	return end
 }

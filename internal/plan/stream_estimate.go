@@ -66,46 +66,47 @@ func EstimateStreamCost(p *Plan, table *stats.CostTable, batch int) (StreamEstim
 	firstShare := func(card float64) float64 {
 		return math.Min(1, float64(batch)/card)
 	}
-	// first[v] is the estimated cost until v's first batch is available.
-	first := map[string]float64{}
+	// first[k] is the estimated cost until step k's first batch is
+	// available.
+	first := make([]float64, len(p.Steps))
 	for k, s := range p.Steps {
-		est.Batches[k] = batches(base.Cards[s.Out])
+		est.Batches[k] = batches(base.Cards[k])
 		var f float64
 		switch s.Kind {
 		case KindSelect:
 			// Continuation chunks are extra exchanges; the first chunk
 			// arrives after the first batch's share of the step's work.
 			est.ChunkOverhead += (est.Batches[k] - 1) * table.QueryFixedOf(s.Source)
-			f = base.StepCosts[k] * firstShare(base.Cards[s.Out])
+			f = base.StepCosts[k] * firstShare(base.Cards[k])
 		case KindSemijoin:
 			// The streaming executor probes once per input batch. Native
 			// semijoins pay the fixed exchange cost per probe; emulated
 			// semijoins issue per-binding queries either way.
-			inCard := base.Cards[s.In[0]]
+			y := p.assigned(s.In[0], k)
 			if j := s.Source; j < len(table.Support) && table.Support[j] == stats.SemijoinNative {
-				est.ChunkOverhead += (batches(inCard) - 1) * table.QueryFixedOf(j)
+				est.ChunkOverhead += (batches(base.Cards[y]) - 1) * table.QueryFixedOf(j)
 			}
-			f = first[s.In[0]] + base.RespCosts[k]*firstShare(inCard)
+			f = first[y] + base.RespCosts[k]*firstShare(base.Cards[y])
 		case KindBloomSemijoin:
 			// Barrier: the filter is built over the complete input set, so
 			// the whole upstream cost is paid before the single exchange.
-			f = upstreamFull(p, base, k, s.In[0]) + base.StepCosts[k]
+			f = upstreamFull(p, base, p.assigned(s.In[0], k)) + base.StepCosts[k]
 		case KindLoad:
 			// A load is one exchange; nothing is emitted until it returns.
 			f = base.StepCosts[k]
 		case KindLocalSelect:
 			// Local selection over loaded contents waits for the load.
-			f = first[s.In[0]]
+			f = first[p.assigned(s.In[0], k)]
 		case KindUnion, KindIntersect, KindDiff:
 			// The incremental merges emit sorted output, so they need a
 			// head batch from every input before the first answer batch.
-			for _, in := range s.In {
-				f = math.Max(f, first[in])
+			for _, name := range s.In {
+				f = math.Max(f, first[p.assigned(name, k)])
 			}
 		}
-		first[s.Out] = f
+		first[k] = f
 	}
-	est.FirstAnswerCost = first[p.Result]
+	est.FirstAnswerCost = first[p.assigned(p.Result, len(p.Steps))]
 	if math.IsInf(base.Cost, 1) {
 		est.ChunkOverhead = 0
 	}
@@ -113,23 +114,22 @@ func EstimateStreamCost(p *Plan, table *stats.CostTable, batch int) (StreamEstim
 	return est, nil
 }
 
-// upstreamFull sums the charged cost of every step feeding (transitively)
-// into variable v among the first k steps — the work that must complete
-// before a barrier operator over v can run. Summing (rather than taking a
-// critical path) keeps the estimate in total-work units, consistent with
+// upstreamFull sums the charged cost of step v and of every step feeding
+// (transitively) into it — the work that must complete before a barrier
+// operator over v's output can run. Summing (rather than taking a critical
+// path) keeps the estimate in total-work units, consistent with
 // Estimate.Cost.
-func upstreamFull(p *Plan, base Estimate, k int, v string) float64 {
-	need := map[string]bool{v: true}
+func upstreamFull(p *Plan, base Estimate, v int) float64 {
+	need := make([]bool, v+1)
+	need[v] = true
 	total := 0.0
-	for i := k - 1; i >= 0; i-- {
-		s := p.Steps[i]
-		if !need[s.Out] {
+	for i := v; i >= 0; i-- {
+		if !need[i] {
 			continue
 		}
-		need[s.Out] = false
 		total += base.StepCosts[i]
-		for _, in := range s.In {
-			need[in] = true
+		for _, name := range p.Steps[i].In {
+			need[p.assigned(name, i)] = true
 		}
 	}
 	return total

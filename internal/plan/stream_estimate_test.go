@@ -24,12 +24,15 @@ func TestEstimateStreamCostFilter(t *testing.T) {
 	if est.Estimate.Cost != base.Cost {
 		t.Errorf("embedded base cost = %v, want %v", est.Estimate.Cost, base.Cost)
 	}
-	// Selections chunk by the schedule from 4 (4, 8, 16, …): cards 5, 15, 25
-	// → 2, 3, 3 batches.
-	wantBatches := map[int]float64{0: 2, 1: 2, 3: 3, 4: 3, 7: 3, 8: 3}
+	// Every step's output follows the schedule from 4 (4, 8, 16, …): the
+	// selections' cards 5, 15, 25 → 2, 3, 3 batches; X1 = 10 → 2; the
+	// unions X2 := X21 ∪ X22 = 30 and X3 := X31 ∪ X32 = 50 → 4 each, though
+	// their names are assigned again, by intersections of 3 and 1.5 items
+	// → 1 each.
+	wantBatches := []float64{2, 2, 2, 3, 3, 4, 1, 3, 3, 4, 1}
 	for k, want := range wantBatches {
 		if got := est.Batches[k]; got != want {
-			t.Errorf("Batches[%d] = %v, want %v", k, got, want)
+			t.Errorf("Batches[%d] (%s) = %v, want %v", k, p.StepString(p.Steps[k]), got, want)
 		}
 	}
 	// Extra chunks: (1+1) + (2+2) + (2+2) = 10, each charging PerQuery = 2.
