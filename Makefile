@@ -73,8 +73,9 @@ bench:
 # --seconds 2), through benchmark/run.sh. Traffic counts must match exactly,
 # sim_cost_ms_per_query to 6 significant figures, except remote-stream's
 # three, whose hedges follow the wall clock: within 0.5 % (benchgate's
-# wallClockBound). allocs_per_query within 2 % on a runtime like the stamp's
-# (advisory on any other, such as a CI runner with more processors). A
+# wallClockBound). allocs_per_query within 2 % and alloc_kb_per_query
+# within 10 % on a runtime like the stamp's (advisory on any other, such as a
+# CI runner with more processors). A
 # change that moves a count on purpose reruns `go run ./cmd/benchgate
 # -write` and commits the file. A stamp's commit is the HEAD -write ran on,
 # the parent of the commit that carries the rewritten file. CI runs this

@@ -6,9 +6,10 @@
 //
 // Bounds: source_exchanges_per_query and source_kb_per_query match exactly,
 // sim_cost_ms_per_query to 6 significant figures (its last float digits
-// vary), and allocs_per_query within 2 % — gated only on a runtime like the
-// stamp's (Go version and GOMAXPROCS), reported and not gated on any other,
-// which allocates differently. A workload whose traffic follows the wall
+// vary), allocs_per_query within 2 % and alloc_kb_per_query within 10 % —
+// the allocation metrics gated only on a runtime like the stamp's (Go
+// version and GOMAXPROCS), reported and not gated on any other, which
+// allocates differently. A workload whose traffic follows the wall
 // clock (wallClocked) has its three traffic counts gated within
 // wallClockBound of the file's instead.
 //
@@ -39,7 +40,16 @@ import (
 
 const file = "BENCH_exact.json"
 
-var gated = []string{"source_exchanges_per_query", "source_kb_per_query", "sim_cost_ms_per_query", "allocs_per_query"}
+var gated = []string{"source_exchanges_per_query", "source_kb_per_query", "sim_cost_ms_per_query", "allocs_per_query", "alloc_kb_per_query"}
+
+// allocBound is each allocation metric's relative bound. Bytes spread more
+// than counts run to run, as the pools refill after a collection or not:
+// nine 2-second seed-1 runs of one tree spread 5.8 % in
+// alloc_kb_per_query on cold-distinct (4.7 % on plan-reuse, 2.0 % on
+// remote-stream, 0.1 % on answer-hot), and the file holds one run, which
+// may sit at either end. 10 % clears that and still fails a change that
+// doubles the bytes a query without adding allocations.
+var allocBound = map[string]float64{"allocs_per_query": 0.02, "alloc_kb_per_query": 0.10}
 
 // wallClocked are the workloads whose traffic follows the wall clock:
 // remote-stream's fabric hedges an exchange after a delay measured on the
@@ -106,9 +116,10 @@ func run(write bool) error {
 		for _, m := range gated {
 			w, g := want[name].Metrics[m], p.Metrics[m]
 			ok := g == w
+			bound, isAlloc := allocBound[m]
 			switch {
-			case m == "allocs_per_query":
-				ok = math.Abs(g-w) <= 0.02*w || !sameRuntime
+			case isAlloc:
+				ok = math.Abs(g-w) <= bound*w || !sameRuntime
 			case wallClocked[name]:
 				ok = math.Abs(g-w) <= wallClockBound*w
 			case m == "sim_cost_ms_per_query":
@@ -117,7 +128,7 @@ func run(write bool) error {
 			verdict := "ok"
 			if !ok {
 				verdict, failed = "MOVED", failed+1
-			} else if m == "allocs_per_query" && !sameRuntime {
+			} else if isAlloc && !sameRuntime {
 				verdict = "advisory (runtime differs from the stamp)"
 			}
 			fmt.Printf("%-14s %-28s %14.6g %14.6g  %s\n", name, m, w, g, verdict)

@@ -151,6 +151,11 @@ type Answer struct {
 	Trace *obs.Trace
 	// Items are the merge-attribute values satisfying all conditions.
 	Items set.Set
+	// Owned says Items' buffer is the caller's outright (exec's
+	// Result.AnswerOwned): once nobody reads Items or Exec.Vars, the caller
+	// may give it back with set.Release. A caller that keeps the answer
+	// need do nothing.
+	Owned bool
 	// Plan is the executed plan.
 	Plan *plan.Plan
 	// EstimatedCost is the optimizer's cost for the plan.
@@ -745,7 +750,7 @@ func (m *Mediator) execute(ctx context.Context, r *roster, opts Options, res opt
 		}
 		return &Answer{Items: run.Answer, Plan: run.Plan, Exec: run}, err
 	}
-	return &Answer{Items: run.Answer, Plan: run.Plan, EstimatedCost: res.Cost, Exec: run, Records: run.Records}, nil
+	return &Answer{Items: run.Answer, Owned: run.AnswerOwned, Plan: run.Plan, EstimatedCost: res.Cost, Exec: run, Records: run.Records}, nil
 }
 
 // Query parses a fusion-query SQL statement, verifies the fusion pattern,

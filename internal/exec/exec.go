@@ -100,6 +100,11 @@ type Result struct {
 	// satisfying all conditions of the fusion query. Empty when the run
 	// failed or was cancelled before the result variable was computed.
 	Answer set.Set
+	// AnswerOwned says Answer's buffer is the caller's outright: nothing of
+	// the run keeps it, so once nobody reads Answer (or Vars, which holds
+	// it) the caller may give it back with set.Release. A pipelined run that
+	// succeeds sets it.
+	AnswerOwned bool
 	// Records holds the answer entities' full records when the plan
 	// retrieves them (plan.Records); nil otherwise, and after a failure.
 	Records *relation.Relation

@@ -25,8 +25,8 @@ import (
 // inputs (overwritable) continues that input's buffer. A buffer the run does
 // not own outright is never given back: one a step did not make for the run
 // alone (a cached selection, a records round's items, a loaded relation's,
-// a selection the cache kept), one a semijoin sent to a source (a hedged leg
-// that lost may still be writing it to its replica), and one that holds a
+// a selection the cache kept), one a semijoin sent to a source (the run's
+// cache may keep it: Cache.PutSemijoin), and one that holds a
 // version the run keeps to its end — the result, and each round's running
 // set, which a repair after a later failure seeds from (core's
 // splitCompleted reads Vars).

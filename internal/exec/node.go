@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
@@ -371,12 +370,15 @@ func (r *run) semijoinBody(ctx context.Context, s plan.Step, in set.Iter, nd *no
 		if err != nil || batch == nil {
 			return err
 		}
+		// An edge lends its batch, and a semijoin's set is kept while the
+		// exchange runs, and beyond it by the run's cache (PutSemijoin may
+		// keep y itself), so the pipeline copies it into a pooled buffer,
+		// given back once the exchange has returned when no cache has it: a
+		// source reads y no longer (source.Source), and the fabric waits
+		// for every leg of a hedge. A whole variable is immutable.
+		pooled := r.pipelined && cache == nil
 		if r.pipelined {
-			// An edge lends its batch, and a semijoin's set is kept beyond
-			// the exchange: by the run's cache, and by a hedged leg that
-			// lost, which may still be writing it to its replica. A whole
-			// variable is immutable.
-			batch = slices.Clone(batch)
+			batch = append(set.Alloc(len(batch)), batch...)
 		}
 		y := set.FromSorted(batch)
 		var out set.Set
@@ -410,13 +412,22 @@ func (r *run) semijoinBody(ctx context.Context, s plan.Step, in set.Iter, nd *no
 			}
 			out = out.Union(known)
 		}
+		if pooled {
+			set.Release(y)
+		}
 		if err != nil {
 			return err
 		}
 		// Between barriers this is the one batch: a source's answer, the
-		// run's alone unless the cache or the records sink keeps it.
+		// run's alone unless the cache or the records sink keeps it. In the
+		// pipeline every edge takes a copy, so an answer the run owns goes
+		// back once emitted.
 		nd.owned = cache == nil && !(caps.NativeSemijoin && r.sink.wants(s))
-		if err := nd.emit(ctx, out.Items()); err != nil {
+		err = nd.emit(ctx, out.Items())
+		if r.pipelined && nd.owned {
+			set.Release(out)
+		}
+		if err != nil {
 			return err
 		}
 	}

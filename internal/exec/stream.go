@@ -347,9 +347,10 @@ func (r *run) runPipelined(ctx context.Context) error {
 	}
 
 	// Drain the answer on this goroutine, taking each batch's buffer over
-	// until EOF; the answer is then one slice of exactly its size. The
-	// drained batches are mediator memory for the rest of the run, so their
-	// bytes stay tracked.
+	// until EOF; the answer is then gathered into one buffer from set.Alloc,
+	// which nothing of the run keeps, so the caller owns it outright
+	// (Result.AnswerOwned). The drained batches are mediator memory for the
+	// rest of the run, so their bytes stay tracked.
 	var drained []*[]string
 	var drainErr error
 	var first time.Duration
@@ -393,12 +394,13 @@ func (r *run) runPipelined(ctx context.Context) error {
 		obs.Meter(ctx).Histogram(obs.MFirstAnswerSeconds).Observe(first.Seconds())
 		var answer []string
 		if n > 0 {
-			answer = make([]string, 0, n)
+			answer = set.Alloc(n)
 		}
 		for _, b := range drained {
 			answer = append(answer, *b...)
 		}
 		res.Answer = set.FromSorted(answer)
+		res.AnswerOwned = true
 		res.Vars = map[string]set.Set{r.p.Result: res.Answer}
 	}
 	for _, b := range drained {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"testing"
@@ -350,8 +351,10 @@ func TestTeeGivesEachConsumerItsOwnBatch(t *testing.T) {
 }
 
 // TestPipelinedAnswerIsOneExactSlice: the drain keeps the answer's batches
-// until the end and then builds the answer in one slice of its size, so a
-// long answer in many small batches costs no growth by doubling.
+// until the end and then builds the answer in one slice, the pool's buffer
+// for its size (set.Alloc: the least power of two that holds it, from 16),
+// so a long answer in many small batches costs no growth by doubling, and
+// the run's caller owns the buffer.
 func TestPipelinedAnswerIsOneExactSlice(t *testing.T) {
 	pr, srcs := synthProblem(t, workload.SynthConfig{
 		Seed: 3, NumSources: 3, TuplesPerSource: 2000, Universe: 1000, Selectivity: []float64{0.9, 0.9},
@@ -372,7 +375,10 @@ func TestPipelinedAnswerIsOneExactSlice(t *testing.T) {
 	if !str.Answer.Equal(mat.Answer) || len(items) < 200 {
 		t.Fatalf("streamed answer of %d items, materialized %d; the test wants the same few hundred", len(items), mat.Answer.Len())
 	}
-	if cap(items) != len(items) {
-		t.Fatalf("an answer of %d items is in a slice of %d", len(items), cap(items))
+	if class := max(1<<bits.Len(uint(len(items)-1)), 16); cap(items) != class {
+		t.Fatalf("an answer of %d items is in a slice of %d, want the pool's %d", len(items), cap(items), class)
+	}
+	if !str.AnswerOwned || mat.AnswerOwned {
+		t.Fatalf("the pipelined answer owned: %v, the round scheduler's: %v; want true, false", str.AnswerOwned, mat.AnswerOwned)
 	}
 }

@@ -15,7 +15,8 @@
 //   - hedged exchanges: when the primary replica exceeds a latency-
 //     percentile deadline, a backup exchange launches on another replica
 //     and the loser is cancelled through ctx;
-//   - failover: a transiently failed exchange re-issues on the next best
+//   - failover: a transiently failed exchange, or one whose answer broke its
+//     operation's contract (source.ErrContract), re-issues on the next best
 //     replica until every replica was tried, and only then surfaces an
 //     ExhaustedError for the mediator's mid-query roster repair.
 //
@@ -37,6 +38,7 @@ import (
 
 	"fusionq/internal/obs"
 	"fusionq/internal/relation"
+	"fusionq/internal/set"
 	"fusionq/internal/source"
 )
 
@@ -430,7 +432,8 @@ func (l *Logical) hedgeDelay(tried map[*Endpoint]bool) time.Duration {
 
 // exchange is the layer's handler: it runs call through the fabric — pick a
 // replica, hedge if it straggles, fail over across replicas on transient
-// errors, and surface *ExhaustedError only after every replica failed. A
+// errors and broken contracts, and surface *ExhaustedError only after every
+// replica failed. A
 // streamed selection opens the same way but is not hedged and then sticks to
 // its endpoint (stream.go).
 func (l *Logical) exchange(ctx context.Context, call source.Call) (source.Reply, error) {
@@ -476,7 +479,7 @@ func (l *Logical) exchange(ctx context.Context, call source.Call) (source.Reply,
 		if cerr := ctx.Err(); cerr != nil {
 			return source.Reply{}, fmt.Errorf("fabric: %s: %s: %w", l.name, kind, cerr)
 		}
-		if !source.IsTransient(err) {
+		if !source.IsTransient(err) && !errors.Is(err, source.ErrContract) {
 			return source.Reply{}, err
 		}
 	}
@@ -493,8 +496,9 @@ type outcome struct {
 // attempt runs call on the primary replica, hedging onto a backup when the
 // primary outlives the latency-percentile deadline. Once a leg wins, the
 // other is cancelled through ctx and awaited before return, so no goroutine
-// outlives the attempt. Replicas that genuinely failed are recorded in
-// tried.
+// outlives the attempt, none reads the call's items after it, and a losing
+// leg's answer is given back. Replicas that genuinely failed are recorded
+// in tried.
 func attempt(ctx context.Context, l *Logical, primary *Endpoint, tried map[*Endpoint]bool, kind string, call source.Call) (source.Reply, error) {
 	results := make(chan outcome, 2)
 	var wg sync.WaitGroup
@@ -518,6 +522,7 @@ func attempt(ctx context.Context, l *Logical, primary *Endpoint, tried map[*Endp
 			select {
 			case results <- outcome{ep: ep, reply: reply, err: err, sp: sp}:
 			case <-lctx.Done():
+				set.Release(reply.Items)
 			}
 		}()
 	}
@@ -529,6 +534,11 @@ func attempt(ctx context.Context, l *Logical, primary *Endpoint, tried map[*Endp
 	defer func() {
 		cancelAll()
 		wg.Wait()
+		// A leg nobody read lost the race: its answer is the attempt's
+		// alone (source.Source), so it goes back.
+		for len(results) > 0 {
+			set.Release((<-results).reply.Items)
+		}
 	}()
 	launch(primary, "primary")
 

@@ -281,6 +281,65 @@ func TestHedgeBackupWinsAndLoserCancelled(t *testing.T) {
 	}
 }
 
+// semijoiner is a stub that answers a semijoin with all of y, in a buffer
+// of its own from the pool (source.Source). One that straggles runs its
+// delay out whatever ctx says, as a wire leg does once its request is sent,
+// and records its answer and when it ended.
+type semijoiner struct {
+	*stub
+	straggle time.Duration
+	answer   []string
+	ended    time.Time
+}
+
+func (s *semijoiner) Caps() source.Capabilities { return source.Capabilities{NativeSemijoin: true} }
+
+func (s *semijoiner) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
+	if err := s.run(ctx); err != nil {
+		return set.Set{}, err
+	}
+	time.Sleep(s.straggle)
+	out := append(set.Alloc(y.Len()), y.Items()...)
+	s.mu.Lock()
+	s.answer, s.ended = out, time.Now()
+	s.mu.Unlock()
+	return set.FromSorted(out), nil
+}
+
+// TestHedgedSemijoinWaitsForItsLoser: a hedged sjq whose primary straggles
+// past the backup's answer returns only once both legs have ended, so no
+// leg reads the semijoin set after the exchange, and the loser's answer,
+// which nobody read, has gone back to the pool.
+func TestHedgedSemijoinWaitsForItsLoser(t *testing.T) {
+	slow := &semijoiner{stub: newStub("R1a"), straggle: 50 * time.Millisecond}
+	fast := &semijoiner{stub: newStub("R1b")}
+	fast.delay = time.Millisecond
+	eps := []*Endpoint{NewEndpoint(slow, 2), NewEndpoint(fast, 2)}
+	l, err := NewLogical("R1", eps, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmRing(l, 2*time.Millisecond, hedgeMinSamples)
+	y := set.New("a", "b", "c")
+	reply, err := attempt(context.Background(), l, l.eps[0], map[*Endpoint]bool{}, "sjq",
+		source.Call{Op: source.OpSemi, Cond: cond.True{}, Items: y})
+	returned := time.Now()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reply.Items.Equal(y) || l.Stats().HedgeWins != 1 {
+		t.Fatalf("answer %v, stats %+v; want the backup's %v", reply.Items, l.Stats(), y)
+	}
+	slow.mu.Lock()
+	defer slow.mu.Unlock()
+	if slow.ended.IsZero() || returned.Before(slow.ended) {
+		t.Fatalf("the exchange returned at %v, before its losing leg ended (%v)", returned, slow.ended)
+	}
+	if got := slow.answer[0]; got != "" && got != set.Recycled {
+		t.Fatalf("the losing leg's answer still holds %q: it was not given back", got)
+	}
+}
+
 // TestHedgedLegsAreChargedToTheCallersLedger: both legs of a hedged exchange
 // run under the caller's context, so the loser — cancelled in flight, its
 // traffic paid for — is in the caller's ledger exactly as it is in the

@@ -120,10 +120,13 @@ func (s *Server) dispatch(ctx context.Context, req wire.Request) wire.Response {
 			}
 			return resp
 		}
-		resp := wire.Response{
-			Items:        res.Answer.Items.Items(), // the listener only reads them
-			PlanCached:   res.PlanCached,
-			AnswerCached: res.AnswerCached,
+		resp := wire.Response{PlanCached: res.PlanCached, AnswerCached: res.AnswerCached}
+		if ans := res.Answer; ans.Owned && !res.AnswerCached && ans.Repair == nil && ans.Records == nil {
+			// The answer is the query's alone (the answer cache keeps a
+			// copy): the listener gives its buffer back once written.
+			resp.Give(ans.Items)
+		} else {
+			resp.Items = ans.Items.Items() // the listener only reads them
 		}
 		if res.encoded.Len() > 0 {
 			resp.Encoded = &res.encoded

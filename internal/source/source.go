@@ -38,6 +38,13 @@ import (
 // maps it to infinite cost (Section 2.3).
 var ErrUnsupported = errors.New("source: operation not supported")
 
+// ErrContract reports a peer whose answer breaks its operation's contract:
+// a semijoin's items or records with an item outside y, or a fetch's records
+// of an item nobody asked for. It is a fault of the peer that gave it: a
+// replicated source fails over to another replica, and nothing asks the
+// same peer again.
+var ErrContract = errors.New("source: answer breaks its operation's contract")
+
 // Capabilities describes what query forms a source wrapper accepts.
 type Capabilities struct {
 	// NativeSemijoin: the source accepts sjq(c, R, Y) directly.
@@ -86,7 +93,9 @@ func (c Capabilities) String() string {
 // it twice, so the caller may give its buffer back with set.Release once
 // nobody reads it (the round scheduler and the wire server do). A layer
 // passes on what the source beneath it returned; a cache is not a Source.
-// The semijoin set y is the caller's and is only read.
+// The sets y and items a call is given are the caller's: they are only
+// read, and not once the call has returned, so the caller may give them
+// back then.
 type Source interface {
 	// Name identifies the source (the R_j of the paper).
 	Name() string

@@ -26,7 +26,7 @@ var _ source.Source = (*Client)(nil)
 func DialContext(ctx context.Context, addr string) (*Client, error) {
 	c := &Client{}
 	c.Layer = source.Over(nil, c.exchange)
-	conn, err := DialConn(ctx, addr, func(m Meta) (err error) {
+	conn, err := dialConn(ctx, addr, true, func(m Meta) (err error) {
 		if m.Queries {
 			return fmt.Errorf("wire: server %s (%s) does not serve a source — it is a mediator service, not a source server",
 				addr, m.Name)
@@ -68,7 +68,10 @@ func (c *Client) Card() (int, int, int) {
 // (Meta.Chunking false — a v1 peer from before the extension) it degrades to
 // one materialized selection wrapped in a batch iterator, so the caller sees
 // the same interface either way. Likewise stats against a server that does
-// not advertise it (Meta.Stats false) is one load, summarized here.
+// not advertise it (Meta.Stats false) is one load, summarized here. The
+// peer is autonomous, so a materialized answer is held to its operation's
+// contract (check) before it is anyone's. Its items are in a pooled buffer
+// (Conn.own), the caller's outright.
 func (c *Client) exchange(ctx context.Context, call source.Call) (source.Reply, error) {
 	if !source.Supports(c.Caps(), call.Op) {
 		return source.Reply{}, fmt.Errorf("wire: %s: %s: %w", c.meta.Name, call.Op, source.ErrUnsupported)
@@ -85,7 +88,15 @@ func (c *Client) exchange(ctx context.Context, call source.Call) (source.Reply, 
 		if err != nil {
 			return source.Reply{}, err
 		}
-		return decodeReply(call.Op, resp, c.schema)
+		reply, err := decodeReply(call.Op, resp, c.schema)
+		if err == nil {
+			err = c.check(call, reply)
+		}
+		if err != nil {
+			set.Release(reply.Items)
+			return source.Reply{}, err
+		}
+		return reply, nil
 	}
 	if c.meta.Chunking {
 		it, err := c.Stream(ctx, encodeCall(call))
@@ -98,4 +109,43 @@ func (c *Client) exchange(ctx context.Context, call source.Call) (source.Reply, 
 		return source.Reply{}, err
 	}
 	return source.Reply{Stream: set.IterOf(reply.Items, batch)}, nil
+}
+
+// check holds a peer's answer to what call asked, while call's items are
+// still the caller's: a semijoin's items (sjq) and records (sjqr, by merge
+// attribute) are of y, a fetch's records of the items asked for. Each is
+// one pass over sorted data and allocates nothing. A violation is
+// source.ErrContract, naming the peer and the op.
+func (c *Client) check(call source.Call, reply source.Reply) error {
+	ok := true
+	switch call.Op {
+	case source.OpSemi:
+		ok = reply.Items.SubsetOf(call.Items)
+	case source.OpSemiRecs, source.OpFetch:
+		ok = recordsOf(reply.Tuples, c.schema.MergeIndex(), call.Items)
+	}
+	if !ok {
+		return fmt.Errorf("wire: %s: %s answer: %w", c.meta.Name, call.Op, source.ErrContract)
+	}
+	return nil
+}
+
+// recordsOf reports whether every tuple has a merge attribute, column m,
+// and it is an item of y. Tuples come grouped in item order, so a cursor
+// walks y once; a tuple out of that order is looked up.
+func recordsOf(tuples []relation.Tuple, m int, y set.Set) bool {
+	items, i := y.Items(), 0
+	for _, t := range tuples {
+		if m >= len(t) {
+			return false
+		}
+		v := t[m].Raw()
+		for i < len(items) && items[i] < v {
+			i++
+		}
+		if (i == len(items) || items[i] != v) && !y.Contains(v) {
+			return false
+		}
+	}
+	return true
 }

@@ -47,6 +47,11 @@ type Conn struct {
 	conn net.Conn
 	in   frameReader
 	out  []byte // the request frame being sent, kept up to maxKeptBuffer
+	// own says the items of an answer come in a buffer from set.Alloc,
+	// which the caller owns and may give back (a source client's, whose
+	// answers source.Source makes the caller's); otherwise in a slice of
+	// their own.
+	own bool
 }
 
 // DialConn connects to addr and performs the meta handshake: the peer must
@@ -54,7 +59,14 @@ type Conn struct {
 // and pass check, which says what kind of peer the caller needs. A failed
 // handshake always closes the socket.
 func DialConn(ctx context.Context, addr string, check func(Meta) error) (*Conn, error) {
+	return dialConn(ctx, addr, false, check)
+}
+
+// dialConn is DialConn for a connection whose answers are pooled or not
+// (Conn.own).
+func dialConn(ctx context.Context, addr string, own bool, check func(Meta) error) (*Conn, error) {
 	c := newConn(addr)
+	c.own = own
 	resp, err := c.Do(ctx, Request{Op: OpMeta})
 	switch {
 	case err != nil:
@@ -162,7 +174,7 @@ func (c *Conn) send(ctx context.Context, req Request) error {
 			return fmt.Errorf("dial: %w", err)
 		}
 		c.conn = conn
-		c.in = frameReader{br: bufio.NewReader(conn)}
+		c.in = frameReader{br: bufio.NewReader(conn), own: c.own}
 	}
 	// Without a deadline this is the zero time, which clears a prior call's.
 	deadline, _ := ctx.Deadline()
@@ -229,7 +241,9 @@ func (c *Conn) do(ctx context.Context, req Request) (Response, error) {
 // The frames draw on one budget, so it bounds the reassembled answer: a
 // peer that sends More forever cannot grow the item slice without bound.
 // The chunks after the first are decoded into pooled buffers, kept until
-// the final one has come, so the answer is one slice of exactly its size.
+// the final one has come, and the answer is then gathered into one slice:
+// of exactly its size, or on a connection that owns its answers (own) a
+// buffer from set.Alloc, as a one-frame answer's items already are.
 func (c *Conn) exchange(ctx context.Context, req Request) (Response, error) {
 	if err := c.send(ctx, req); err != nil {
 		return Response{}, err
@@ -247,6 +261,9 @@ func (c *Conn) exchange(ctx context.Context, req Request) (Response, error) {
 		for _, b := range chunks {
 			set.PutBatch(b)
 		}
+		if c.own {
+			set.Release(set.FromSorted(first))
+		}
 	}()
 	for resp.More {
 		resp = Response{}
@@ -259,7 +276,13 @@ func (c *Conn) exchange(ctx context.Context, req Request) (Response, error) {
 		}
 		n += len(resp.Items)
 	}
-	resp.Items = append(make([]string, 0, n), first...)
+	var items []string
+	if c.own {
+		items = set.Alloc(n)
+	} else {
+		items = make([]string, 0, n)
+	}
+	resp.Items = append(items, first...)
 	for _, b := range chunks {
 		resp.Items = append(resp.Items, *b...)
 	}

@@ -78,9 +78,11 @@ type frameReader struct {
 	spill, block []byte
 	// lend has the items of the frames read land in buffers from
 	// set.GetBatch; after each read, lent is the one holding them (nil when
-	// none does), for the caller to take and give back.
-	lend bool
-	lent *[]string
+	// none does), for the caller to take and give back. Otherwise own has
+	// a block's items land in a buffer from set.Alloc, which the caller
+	// owns and gives back with set.Release.
+	lend, own bool
+	lent      *[]string
 }
 
 // next returns the next line that is not blank, without its meaning checked.
@@ -165,11 +167,14 @@ func (r *frameReader) read(v frame, budget *int) error {
 		return err
 	}
 	var items []string
-	if r.lend {
+	switch {
+	case r.lend:
 		r.lent = set.GetBatch(h.ItemCount)
 		items = (*r.lent)[:h.ItemCount]
 		*r.lent = items
-	} else {
+	case r.own:
+		items = set.Alloc(h.ItemCount)[:h.ItemCount]
+	default:
 		items = make([]string, h.ItemCount)
 	}
 	if err := decodeBlock(items, r.block); err != nil {

@@ -200,9 +200,13 @@ func (l *Listener) serveConn(conn net.Conn) {
 		l.mu.Unlock()
 		conn.Close()
 	}()
-	in := frameReader{br: bufio.NewReader(conn)}
+	// A request's items are lent by the reader: the handler reads them
+	// while it answers, and the buffer goes back once the answer is written
+	// or the connection is given up.
+	in := frameReader{br: bufio.NewReader(conn), lend: true}
 	var w frameWriter
 	defer w.held.Release()
+	defer func() { set.PutBatch(in.lent) }()
 	for {
 		if l.cfg.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(l.cfg.IdleTimeout)); err != nil {
@@ -239,6 +243,8 @@ func (l *Listener) serveConn(conn net.Conn) {
 		}
 		ok := l.write(conn, req, resp, recv, &w)
 		set.Release(resp.answer)
+		set.PutBatch(in.lent)
+		in.lent = nil
 		if !ok {
 			return
 		}

@@ -156,10 +156,17 @@ type Response struct {
 	PlanCached   bool `json:"planCached,omitempty"`
 	AnswerCached bool `json:"answerCached,omitempty"`
 	// answer is the set Items are when the handler owns it outright, a
-	// source's materialized answer (source.Source): the listener gives its
-	// buffer back (set.Release) once the response is written. Only
-	// encodeReply sets it.
+	// source's materialized answer (source.Source) or a query's (Give): the
+	// listener gives its buffer back (set.Release) once the response is
+	// written.
 	answer set.Set
+}
+
+// Give makes answer the response's items and hands the set over: the
+// listener gives its buffer back once the response is written. Only the
+// set's sole owner may give it, and it reads the set no more.
+func (r *Response) Give(answer set.Set) {
+	r.Items, r.answer = answer.Items(), answer
 }
 
 // Fragment is a server-side span fragment: the server's own accounting of
@@ -262,7 +269,8 @@ func decodeCall(req Request) (source.Call, error) {
 // travels as its rows, a streamed selection as its stream. Items are the
 // answer's, which the server owns, so the listener releases it once written.
 func encodeReply(reply source.Reply) Response {
-	resp := Response{Items: reply.Items.Items(), Match: reply.Match, Stats: reply.Stats, Stream: reply.Stream, answer: reply.Items}
+	resp := Response{Match: reply.Match, Stats: reply.Stats, Stream: reply.Stream}
+	resp.Give(reply.Items)
 	tuples := reply.Tuples
 	if reply.Rel != nil {
 		tuples = reply.Rel.Rows()

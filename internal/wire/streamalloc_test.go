@@ -107,8 +107,13 @@ func (a *answerAddrs) Select(ctx context.Context, c cond.Cond) (set.Set, error) 
 
 // TestServerReleasesWrittenAnswers: a source server owns a materialized
 // answer (source.Source) and gives it back to the pool once written, so the
-// next answer of its size is in the same buffer. Under -race the pool drops
-// some of what is put back, so the test runs without it only.
+// next answer of its size is in a buffer the pool had back. The client's
+// replies come from the same pool and the test releases each, so the
+// server's answers take turns in at most two buffers (the client may decode
+// a reply before or after the server gave its buffer back); a server that
+// kept its answers would take the client's released buffer each time, a new
+// one a request. Under -race the pool drops some of what is put back, so
+// the test runs without it only.
 func TestServerReleasesWrittenAnswers(t *testing.T) {
 	if raceDetector {
 		t.Skip("pooled buffers are not reliably reused under -race")
@@ -130,15 +135,87 @@ func TestServerReleasesWrittenAnswers(t *testing.T) {
 	}
 	defer cli.Close()
 	for i := 0; i < 8; i++ {
-		if _, err := cli.Select(ctx, sc.Conds[0]); err != nil {
+		out, err := cli.Select(ctx, sc.Conds[0])
+		if err != nil {
 			t.Fatal(err)
 		}
+		set.Release(out)
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	for i, addr := range src.addrs[1:] {
-		if addr != src.addrs[0] {
-			t.Fatalf("answer %d is not in the buffer the first answer gave back", i+1)
+	bufs := map[*string]bool{}
+	for _, addr := range src.addrs {
+		bufs[addr] = true
+	}
+	if len(src.addrs) != 8 || len(bufs) > 2 {
+		t.Fatalf("%d answers in %d buffers; want 8 in at most 2", len(src.addrs), len(bufs))
+	}
+}
+
+// TestSemijoinExchangeAllocs bounds what one semijoin exchange allocates
+// per item sent, both ends in this process: a warm sjq of 2 048 items
+// through a loopback client and server, the probe built in a pooled buffer
+// and given back after the exchange, the reply given back once read, as the
+// pipeline does. What is left is the items' bytes decoded on each end (the
+// request's 8-byte names on the server, the matches on the client, in
+// strings of up to 4 KiB) and each frame's line: about 14 bytes an item,
+// where the server's decoded set and the client's reply, each an array of
+// its own, made it about 39. The test runs without the race detector only,
+// whose pools drop a quarter of what is put back.
+func TestSemijoinExchangeAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("pooled buffers are not reliably reused under -race")
+	}
+	sc, err := workload.Synth(workload.SynthConfig{Seed: 5, NumSources: 1, TuplesPerSource: 10000, Universe: 20000, Selectivity: []float64{0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeConfig(sc.Sources[0], "127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx := context.Background()
+	cli, err := DialContext(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	all, err := sc.Sources[0].Select(ctx, cond.True{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2048
+	if all.Len() < n {
+		t.Fatalf("the source has %d items; the test wants %d", all.Len(), n)
+	}
+	items := all.Items()[:n]
+	c := cond.MustParse("A1 < 500")
+	matched := 0
+	exchange := func() {
+		probe := set.FromSorted(append(set.Alloc(n), items...))
+		out, err := cli.Semijoin(ctx, c, probe)
+		if err != nil {
+			t.Fatal(err)
 		}
+		set.Release(probe)
+		matched = out.Len()
+		set.Release(out)
+	}
+	exchange() // warms the pools and the connection's buffers
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		exchange()
+	}
+	runtime.ReadMemStats(&after)
+	perItem := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*n)
+	t.Logf("%d of %d items match, %.1f bytes allocated an item sent", matched, n, perItem)
+	if matched < n/10 || matched > n-n/10 {
+		t.Fatalf("%d of %d items match; the test wants a reply of a good part of the probe", matched, n)
+	}
+	if perItem > 20 {
+		t.Errorf("the semijoin exchange allocates %.1f bytes an item, want at most 20", perItem)
 	}
 }
