@@ -154,7 +154,8 @@ type Answer struct {
 	// Owned says Items' buffer is the caller's outright (exec's
 	// Result.AnswerOwned): once nobody reads Items or Exec.Vars, the caller
 	// may give it back with set.Release. A caller that keeps the answer
-	// need do nothing.
+	// need do nothing. After a query that succeeded, Exec.Vars holds only
+	// the answer: the run's other sets went back (exec's Result.DropVars).
 	Owned bool
 	// Plan is the executed plan.
 	Plan *plan.Plan
@@ -750,6 +751,7 @@ func (m *Mediator) execute(ctx context.Context, r *roster, opts Options, res opt
 		}
 		return &Answer{Items: run.Answer, Plan: run.Plan, Exec: run}, err
 	}
+	run.DropVars() // only a failed run's Vars seed a repair (splitCompleted)
 	return &Answer{Items: run.Answer, Owned: run.AnswerOwned, Plan: run.Plan, EstimatedCost: res.Cost, Exec: run, Records: run.Records}, nil
 }
 

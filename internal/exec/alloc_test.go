@@ -9,6 +9,7 @@ import (
 	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
 	"fusionq/internal/optimizer"
+	"fusionq/internal/set"
 	"fusionq/internal/stats"
 	"fusionq/internal/workload"
 )
@@ -106,23 +107,26 @@ func TestTracedRunAllocs(t *testing.T) {
 	}
 }
 
-// Bounds on what a warm round-scheduled selection plan costs a run: about
-// 15 % over what it measured (go1.24, linux/amd64: 165–171 KiB in 116
-// allocations), whose round scheduler gives back its dead sets
-// (lifetime.go). The parent of that change allocated 540 KiB in 271
-// allocations; with set.Release a no-op, 576 KiB (pooled answers, let go).
+// Bounds on what a warm round-scheduled selection plan costs a run whose
+// caller gives back what a served query does (go1.24, linux/amd64: 13–15
+// KiB in 111 allocations). The byte bound leaves room for a pool that drops
+// a buffer now and then, not for a running set that is never given back:
+// without DropVars a run allocates 147 KiB. Before the ∪/∩/− outputs came
+// from set's pool a run allocated 165–171 KiB in 116 allocations; before
+// the round scheduler gave back its dead sets (lifetime.go), 540 KiB in 271.
 const (
-	selectionPlanBytes  = 192 << 10
-	selectionPlanAllocs = 134
+	selectionPlanBytes  = 64 << 10
+	selectionPlanAllocs = 128
 )
 
 // TestSelectionPlanAllocs runs the FILTER plan of a 6-source × 3-condition
 // synthetic problem, every step a selection or the mediator's ∪ and ∩, over
 // in-process wrappers, round-scheduled, until the pools are warm, and bounds
-// the bytes and allocations of one more run. The source answers come from
-// set's pool and go back after the round's union reads them, and each
-// round's intersection runs in place into the union before it, so a run
-// allocates little beyond its answer, trace and accounting.
+// the bytes and allocations of one more run. The source answers and the
+// unions come from set's pool, the answers go back after the round's union
+// reads them, each round's intersection runs in place into the union before
+// it, and the running sets and the answer go back once the run is over, so
+// a run allocates little beyond its trace and accounting.
 func TestSelectionPlanAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race runtime allocates on its own and the pools drop puts; CI runs this without -race")
@@ -148,9 +152,16 @@ func TestSelectionPlanAllocs(t *testing.T) {
 	}
 	ex := &Executor{Sources: sc.Sources}
 	ctx := context.Background()
+	// What a served query gives back: the running sets once the run has
+	// succeeded (core), then the answer once it has been written (fqd).
 	run := func() {
-		if _, err := ex.Run(ctx, res.Plan); err != nil {
+		r, err := ex.Run(ctx, res.Plan)
+		if err != nil {
 			t.Fatal(err)
+		}
+		r.DropVars()
+		if r.AnswerOwned {
+			set.Release(r.Answer)
 		}
 	}
 	for i := 0; i < 20; i++ {

@@ -15,21 +15,6 @@ import (
 	"fusionq/internal/workload"
 )
 
-// liar is a source whose semijoin answers carry one item more than they
-// should: ZZZ99, which is in no DMV relation, so it is outside every set a
-// semijoin is sent and satisfies neither condition.
-type liar struct{ source.Source }
-
-func (l liar) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
-	out, err := l.Source.Semijoin(ctx, c, y)
-	if err != nil {
-		return out, err
-	}
-	lie := set.UnionAll(out, set.New("ZZZ99"))
-	set.Release(out)
-	return lie, nil
-}
-
 // slowly is a source that takes a few milliseconds over every selection and
 // semijoin, so that a replica beside it is the better scored.
 type slowly struct{ source.Source }
@@ -88,7 +73,7 @@ func TestPeerAnswersAreHeldToTheirContract(t *testing.T) {
 	}
 	alone := make([]source.Source, len(sc.Sources))
 	for j, raw := range sc.Sources {
-		alone[j] = serveOver(t, liar{raw})
+		alone[j] = serveOver(t, source.Liar{Source: raw})
 	}
 	replicated := func(t *testing.T) []source.Source {
 		srcs := make([]source.Source, len(sc.Sources))
@@ -97,7 +82,7 @@ func TestPeerAnswersAreHeldToTheirContract(t *testing.T) {
 				return source.NewWrapper(raw.Name()+suffix, source.NewRowBackend(sc.Relations[j]), raw.Caps())
 			}
 			eps := []*fabric.Endpoint{
-				fabric.NewEndpoint(serveOver(t, liar{rep("-liar")}), 1),
+				fabric.NewEndpoint(serveOver(t, source.Liar{Source: rep("-liar")}), 1),
 				fabric.NewEndpoint(serveOver(t, slowly{rep("-honest")}), 1),
 			}
 			logical, err := fabric.NewLogical(raw.Name(), eps, fabric.Options{NoSpeculation: true})

@@ -103,7 +103,8 @@ type Result struct {
 	// AnswerOwned says Answer's buffer is the caller's outright: nothing of
 	// the run keeps it, so once nobody reads Answer (or Vars, which holds
 	// it) the caller may give it back with set.Release. A pipelined run that
-	// succeeds sets it.
+	// succeeds sets it, and so does a round-scheduled one whose result the
+	// run made for itself (not a cached or loaded set, say).
 	AnswerOwned bool
 	// Records holds the answer entities' full records when the plan
 	// retrieves them (plan.Records); nil otherwise, and after a failure.
@@ -117,8 +118,12 @@ type Result struct {
 	// (lifetime.go), so what stays is the result, each round's running set,
 	// and whatever a step read by nobody left assigned. After a failed or
 	// cancelled run it also holds every variable computed and not yet read
-	// for the last time. A pipelined run holds only its result.
+	// for the last time. A pipelined run holds only its result, and so does
+	// a run whose caller has called DropVars.
 	Vars map[string]set.Set
+	// drop is the buffers the run owns outright and still holds, Answer's
+	// aside: what DropVars gives back.
+	drop []set.Set
 	// SourceQueries counts charged source operations actually issued
 	// (selections, native semijoins, emulated per-binding selections,
 	// loads) — including attempts that reached the source before the run
@@ -174,6 +179,24 @@ type Result struct {
 	// succeeded. Mid-query roster repair uses it to locate the last
 	// completed round.
 	FailedStep int
+}
+
+// DropVars is for the caller of a run that succeeded and reads no variable
+// but the result: it gives every buffer the run owns and still holds but
+// Answer's — the round scheduler's running sets, in Vars or superseded by a
+// later version of their variable — back to set's pool, and leaves Vars
+// holding only the result, as a pipelined run's does. Nothing may read the
+// dropped sets again; Answer stays valid.
+func (res *Result) DropVars() {
+	for _, s := range res.drop {
+		set.Release(s)
+	}
+	res.drop = nil
+	for name := range res.Vars {
+		if name != res.Plan.Result {
+			delete(res.Vars, name)
+		}
+	}
 }
 
 // Run executes the plan under ctx and returns the result. The plan's
@@ -259,7 +282,7 @@ type run struct {
 // starts empty and grows by the rounds it decides.
 func (e *Executor) newRun(p *plan.Plan) *run {
 	r := &run{e: e, p: p, pipelined: e.Streaming}
-	r.life.tr = &r.tr
+	r.life.tr, r.life.cached = &r.tr, e.Cache != nil
 	if p.Adaptive != nil {
 		r.table, r.pipelined = p.Adaptive, false
 		r.p = &plan.Plan{Conds: p.Conds, Sources: p.Sources, Class: p.Class, Records: p.Records}
@@ -304,6 +327,7 @@ func (r *run) execute(ctx context.Context) error {
 	faSpan.End(err)
 	if err == nil {
 		r.res.Answer = r.life.vers[r.flow.Result].val
+		r.res.AnswerOwned, r.res.drop = r.life.owned(r.flow.Result)
 		r.res.FirstAnswer = time.Since(start)
 		obs.Meter(ctx).Histogram(obs.MFirstAnswerSeconds).Observe(r.res.FirstAnswer.Seconds())
 	}

@@ -25,15 +25,19 @@ import (
 // inputs (overwritable) continues that input's buffer. A buffer the run does
 // not own outright is never given back: one a step did not make for the run
 // alone (a cached selection, a records round's items, a loaded relation's,
-// a selection the cache kept), one a semijoin sent to a source (the run's
-// cache may keep it: Cache.PutSemijoin), and one that holds a
-// version the run keeps to its end — the result, and each round's running
-// set, which a repair after a later failure seeds from (core's
-// splitCompleted reads Vars).
+// a selection the cache kept), and one a semijoin sent to a source when the
+// run has a cache (Cache.PutSemijoin may keep it). The versions the run
+// keeps to its end — the result, and each round's running set, which a
+// repair after a later failure seeds from (core's splitCompleted reads
+// Vars) — never die inside the run, but their buffers stay the run's: when
+// the run ends, the result's is the caller's (Result.AnswerOwned) and the
+// others' are what Result.DropVars gives back.
 type lifetimes struct {
 	flow *plan.Flow
 	vers []version
 	tr   *byteTracker
+	// cached says the run has a cache, which may keep a semijoin's input.
+	cached bool
 }
 
 // version is one step's output: its value and weight, whether the step made
@@ -123,20 +127,17 @@ func sameBuffer(a, b set.Set) bool {
 }
 
 // retire closes the batch of steps [start, end), whose outputs are
-// recorded: each is linked to its buffer, what escaped the run is marked
-// so, and every version read for the last time in the batch, or read by
-// nobody, dies.
+// recorded: each is linked to its buffer, a semijoin's input the cache may
+// keep is marked as escaped, and every version read for the last time in
+// the batch, or read by nobody, dies.
 func (l *lifetimes) retire(steps []plan.Step, start, end int) {
 	f := l.flow
 	for i := start; i < end; i++ {
 		l.link(i)
 	}
 	for i := start; i < end; i++ {
-		if steps[i].Kind == plan.KindSemijoin {
+		if l.cached && steps[i].Kind == plan.KindSemijoin {
 			l.escape(f.In[i][0])
-		}
-		if l.kept(i) {
-			l.escape(i)
 		}
 	}
 	for i := start; i < end; i++ {
@@ -190,4 +191,17 @@ func (l *lifetimes) vars(steps []plan.Step) map[string]set.Set {
 		}
 	}
 	return vars
+}
+
+// owned sorts the buffers live versions hold when the run ends: whether the
+// run owns v's outright, and every other buffer it owns, each once, for
+// Result.DropVars.
+func (l *lifetimes) owned(v int) (answer bool, rest []set.Set) {
+	ab := l.vers[v].buf
+	for b := range l.vers {
+		if ver := &l.vers[b]; ver.buf == b && ver.free && ver.refs > 0 && b != ab {
+			rest = append(rest, ver.val)
+		}
+	}
+	return ab >= 0 && l.vers[ab].free, rest
 }

@@ -76,6 +76,8 @@ func reference(t *testing.T, p *plan.Plan, srcs []source.Source) set.Set {
 }
 
 // runAgain runs p n times on each of two goroutines and checks every answer.
+// Each run then gives back what a served query does: its running sets
+// (DropVars), then its answer when the run owns it.
 func runAgain(t *testing.T, ex *Executor, p *plan.Plan, want set.Set, n int) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -93,10 +95,19 @@ func runAgain(t *testing.T, ex *Executor, p *plan.Plan, want set.Set, n int) {
 					t.Errorf("run %d: answer %v, want %v", i, res.Answer, want)
 					return
 				}
+				giveBack(res)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// giveBack gives back what core and fqd give back of a run that succeeded.
+func giveBack(res *Result) {
+	res.DropVars()
+	if res.AnswerOwned {
+		set.Release(res.Answer)
+	}
 }
 
 // synthSources is a synthetic scenario's wrappers with no network: the
@@ -318,6 +329,53 @@ func TestLifetimeFailedRoundKeepsItsSeed(t *testing.T) {
 	}
 }
 
+// TestLifetimeDropVars: a successful run keeps its running set X1 in Vars
+// and owns its answer. DropVars gives X1's buffer back — what it read
+// before is gone, cleared or set.Recycled — and leaves the answer alone in
+// Vars, whole. With the cache on, the semijoins' input X1 may be the
+// cache's (Cache.PutSemijoin), so DropVars leaves it as it was.
+func TestLifetimeDropVars(t *testing.T) {
+	sc, srcs := synthSources(t, workload.SynthConfig{Seed: 11, NumSources: 3, TuplesPerSource: 600, Universe: 1200, Selectivity: []float64{0.5, 0.5}})
+	p := &plan.Plan{
+		Conds:   sc.Conds,
+		Sources: sc.SourceNames(),
+		Steps: []plan.Step{
+			{Kind: plan.KindSelect, Out: "X11", Cond: 0, Source: 0},
+			{Kind: plan.KindSelect, Out: "X12", Cond: 0, Source: 1},
+			{Kind: plan.KindSelect, Out: "X13", Cond: 0, Source: 2},
+			{Kind: plan.KindUnion, Out: "X1", Cond: -1, Source: -1, In: []string{"X11", "X12", "X13"}},
+			{Kind: plan.KindSemijoin, Out: "X21", Cond: 1, Source: 0, In: []string{"X1"}},
+			{Kind: plan.KindSemijoin, Out: "X22", Cond: 1, Source: 1, In: []string{"X1"}},
+			{Kind: plan.KindSemijoin, Out: "X23", Cond: 1, Source: 2, In: []string{"X1"}},
+			{Kind: plan.KindUnion, Out: "X2", Cond: -1, Source: -1, In: []string{"X21", "X22", "X23"}},
+		},
+		Result: "X2",
+	}
+	seed := reference(t, &plan.Plan{Conds: p.Conds, Sources: p.Sources, Steps: p.Steps[:4], Result: "X1"}, srcs)
+	want := reference(t, p, srcs)
+	if want.IsEmpty() {
+		t.Fatal("the reference answer is empty; the test wants one")
+	}
+	for _, cache := range []*Cache{nil, NewCache()} {
+		res, err := (&Executor{Sources: srcs, Cache: cache}).Run(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x1, ok := res.Vars["X1"]
+		if !ok || !x1.Equal(seed) || len(res.Vars) != 2 || !res.Answer.Equal(want) || !res.AnswerOwned {
+			t.Fatalf("cache %v: Vars %v and answer owned %v; want X1 and X2, and the answer owned", cache != nil, res.Vars, res.AnswerOwned)
+		}
+		res.DropVars()
+		if got, ok := res.Vars["X2"]; len(res.Vars) != 1 || !ok || !got.Equal(want) || !res.Answer.Equal(want) {
+			t.Fatalf("cache %v: after DropVars Vars = %v, answer %d items; want X2 alone, the answer whole", cache != nil, res.Vars, res.Answer.Len())
+		}
+		if kept := x1.Equal(seed); kept != (cache != nil) {
+			t.Fatalf("cache %v: X1 intact after DropVars: %v", cache != nil, kept)
+		}
+		set.Release(res.Answer)
+	}
+}
+
 // TestLifetimeAdaptive: an adaptive plan grows round by round, and each
 // round's lifetimes are taken from the plan as it stands.
 func TestLifetimeAdaptive(t *testing.T) {
@@ -333,6 +391,7 @@ func TestLifetimeAdaptive(t *testing.T) {
 		if want := reference(t, res.Plan, srcs); !res.Answer.Equal(want) {
 			t.Fatalf("run %d: answer %d items, its executed plan's reference %d", i, res.Answer.Len(), want.Len())
 		}
+		giveBack(res)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
@@ -562,16 +563,20 @@ func (r *run) mergeBody(ctx context.Context, s plan.Step, ins []set.Iter, nd *no
 		var out set.Set
 		switch {
 		case s.Kind == plan.KindUnion:
-			out = set.UnionAll(sets...)
+			out = set.UnionWith(set.Alloc, sets...)
 		case s.Kind == plan.KindIntersect && nd.over >= 0:
 			out = set.IntersectOver(nd.over, sets...)
 		case s.Kind == plan.KindIntersect:
-			out = set.IntersectAll(sets...)
+			out = set.IntersectWith(set.Alloc, sets...)
 		default:
-			out = sets[0].Diff(sets[1])
+			out = set.DiffWith(set.Alloc, sets[0], sets[1])
 		}
-		// A new set, or one of the inputs' buffers, which the run's
-		// lifetimes tell apart.
+		// A new set from the pool, or one of the inputs' buffers, which the
+		// run's lifetimes tell apart; but an empty output from the pool is
+		// nobody's once emit has dropped it.
+		if out.IsEmpty() && !slices.ContainsFunc(sets, func(in set.Set) bool { return sameBuffer(in, out) }) {
+			set.Release(out)
+		}
 		nd.owned = true
 		return nd.emit(ctx, out.Items())
 	}

@@ -2,11 +2,13 @@ package oracle
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
 
 	"fusionq/internal/exec"
+	"fusionq/internal/fabric"
 	"fusionq/internal/obs"
 	"fusionq/internal/optimizer"
 	"fusionq/internal/source"
@@ -100,6 +102,61 @@ func (d *Driver) checkWireTrace(ctx context.Context, ev *env, results map[string
 		fs = append(fs, Failure{Property: "wire-bytes-mismatch", Class: "wire", Mode: "wiretrace",
 			Detail: fmt.Sprintf("fragments report %d in / %d out, server counters %d in / %d out",
 				fragIn, fragOut, wantIn, wantOut)})
+	}
+	return append(fs, d.checkLiar(ctx, ev, results, clients)...)
+}
+
+// checkLiar is the liar class, which draws nothing from the generator: the
+// first source becomes a fabric logical over two loopback-served replicas of
+// its relation, one honest and one a source.Liar, whose semijoin answers
+// carry an item nobody sent. The rest stay the wire clients of the sweep.
+// The plan with the most semijoins runs under each scheduler and must end in
+// the reference answer or in source.ErrContract: a lie that reaches an
+// answer is an answer-mismatch, any other failure an error-class one.
+func (d *Driver) checkLiar(ctx context.Context, ev *env, results map[string]optimizer.Result, clients []source.Source) []Failure {
+	cls := ""
+	for _, c := range []string{"sj", "sja", "filter"} {
+		if _, ok := results[c]; ok {
+			cls = c
+			break
+		}
+	}
+	if cls == "" {
+		return nil
+	}
+	infra := func(err error) []Failure {
+		return []Failure{{Property: "exec-error", Class: cls, Mode: "liar", Detail: err.Error()}}
+	}
+	raw := ev.sc.Sources[0]
+	var eps []*fabric.Endpoint
+	for _, rep := range []source.Source{
+		source.NewWrapper(raw.Name()+"-honest", source.NewRowBackend(ev.sc.Relations[0]), raw.Caps()),
+		source.Liar{Source: source.NewWrapper(raw.Name()+"-liar", source.NewRowBackend(ev.sc.Relations[0]), raw.Caps())},
+	} {
+		srv, err := wire.ServeConfig(rep, "127.0.0.1:0", wire.Config{Logf: func(string, ...interface{}) {}})
+		if err != nil {
+			return infra(err)
+		}
+		defer srv.Close()
+		cli, err := wire.DialContext(ctx, srv.Addr())
+		if err != nil {
+			return infra(err)
+		}
+		defer cli.Close()
+		eps = append(eps, fabric.NewEndpoint(cli, 1))
+	}
+	logical, err := fabric.NewLogical(raw.Name(), eps, fabric.Options{NoSpeculation: true})
+	if err != nil {
+		return infra(err)
+	}
+	srcs := append([]source.Source{logical}, clients[1:]...)
+	allow := func(err error) bool { return errors.Is(err, source.ErrContract) }
+	var fs []Failure
+	for _, streaming := range []bool{false, true} {
+		mode := map[bool]string{false: "liar", true: "stream-liar"}[streaming]
+		fs = append(fs, d.runPlan(ctx, ev, srcs, cls, results[cls].Plan, runOpts{
+			mode: mode, streaming: streaming, allowErr: allow,
+		})...)
 	}
 	return fs
 }

@@ -97,7 +97,8 @@ func encodeSets(inputs ...[]string) []byte {
 }
 
 // FuzzSetAlgebra checks the kernels, materialized (UnionAll, the folded
-// Union, IntersectAll, IntersectOver into each input, Intersect, Diff) and streaming (the merges, which run
+// Union, IntersectAll, IntersectOver into each input, Intersect, Diff, and
+// the forms that take their allocation) and streaming (the merges, which run
 // the same kernels over one frontier after another), against the reference
 // on arbitrary byte items: NULs, common prefixes past 8 bytes, suffixes of
 // 0–16 bytes, empty inputs and duplicates across inputs, each input streamed
@@ -136,6 +137,22 @@ func FuzzSetAlgebra(f *testing.F) {
 		if got := IntersectAll(sets...); !got.Equal(wantInter) {
 			t.Fatalf("IntersectAll(%q) = %q, want %q", sets, got.Items(), wantInter.Items())
 		}
+		// The forms that take their allocation, from the pool here: a union
+		// asks for its exact size, ∩ and − for their bound, and what they
+		// asked for goes back.
+		asked := -1
+		pooled := func(n int) []string { asked = n; return Alloc(n) }
+		if got := UnionWith(pooled, sets...); !got.Equal(want) || asked >= 0 && asked != got.Len() {
+			t.Fatalf("UnionWith(%q) = %q after asking for %d, want %q", sets, got.Items(), asked, want.Items())
+		} else if asked >= 0 {
+			Release(got)
+		}
+		asked = -1
+		if got := IntersectWith(pooled, sets...); !got.Equal(wantInter) {
+			t.Fatalf("IntersectWith(%q) = %q, want %q", sets, got.Items(), wantInter.Items())
+		} else if asked >= 0 {
+			Release(got)
+		}
 		for into := range sets {
 			owned := make([]Set, len(sets))
 			copy(owned, sets)
@@ -159,6 +176,12 @@ func FuzzSetAlgebra(f *testing.F) {
 		wantDiff := referenceDiff(a, b)
 		if got := a.Diff(b); !got.Equal(wantDiff) {
 			t.Fatalf("Diff(%q, %q) = %q, want %q", a, b, got.Items(), wantDiff.Items())
+		}
+		asked = -1
+		if got := DiffWith(pooled, a, b); !got.Equal(wantDiff) {
+			t.Fatalf("DiffWith(%q, %q) = %q, want %q", a, b, got.Items(), wantDiff.Items())
+		} else if asked >= 0 {
+			Release(got)
 		}
 
 		size := func() int {

@@ -98,8 +98,9 @@ func Alloc(n int) []string {
 // sole owner may call it — the caller of a source's Select, say, which
 // nobody else has seen — and once it has, neither it nor anyone it showed
 // the set to may read the set again: a race-detector build overwrites its
-// items with Recycled. A set whose capacity is no class's, such as the
-// exact-size result of a union, is let go.
+// items with Recycled. A set whose capacity is no class's, such as one
+// UnionAll made at exactly its size, is let go: a buffer to give back comes
+// from Alloc (UnionWith, IntersectWith and DiffWith can take it).
 func Release(s Set) {
 	c, ok := classOf(cap(s.items))
 	if !ok {

@@ -94,12 +94,20 @@ func (s Set) Intersect(t Set) Set { return IntersectAll(s, t) }
 
 // Diff returns s − t: the items of s that are not in t. The difference
 // operation is the key postoptimization primitive of Section 4.
-func (s Set) Diff(t Set) Set {
+func (s Set) Diff(t Set) Set { return DiffWith(exact, s, t) }
+
+// DiffWith is s.Diff(t) with the result in a slice from alloc, asked for
+// room for s. When s or t is empty the result is s, and alloc is not called.
+func DiffWith(alloc func(n int) []string, s, t Set) Set {
 	if s.IsEmpty() || t.IsEmpty() {
 		return s
 	}
-	return Set{items: filter(make([]string, 0, len(s.items)), s.items, t.items, false)}
+	return Set{items: filter(alloc(len(s.items)), s.items, t.items, false)}
 }
+
+// exact is the allocation of the exact-size forms: an empty slice of
+// capacity n.
+func exact(n int) []string { return make([]string, 0, n) }
 
 // Equal reports whether s and t contain exactly the same items.
 func (s Set) Equal(t Set) bool {
@@ -161,11 +169,31 @@ func (s Set) String() string {
 
 // IntersectAll returns the intersection of the given sets. It returns the
 // empty set when called with no arguments.
-func IntersectAll(sets ...Set) Set {
+func IntersectAll(sets ...Set) Set { return IntersectWith(exact, sets...) }
+
+// IntersectWith is IntersectAll with the result in a slice from alloc,
+// asked for room for the smallest input. With one input the result is that
+// set, and with an empty one the empty set: alloc is not called.
+func IntersectWith(alloc func(n int) []string, sets ...Set) Set {
 	if len(sets) == 1 {
 		return sets[0]
 	}
-	return Set{items: intersect(nil, sets)}
+	small := smallest(sets)
+	if small < 0 || len(sets[small].items) == 0 {
+		return Set{}
+	}
+	return Set{items: intersect(alloc(len(sets[small].items)), sets)}
+}
+
+// smallest is the index of the first of the shortest sets, -1 for none.
+func smallest(sets []Set) int {
+	small := -1
+	for i, s := range sets {
+		if small < 0 || len(s.items) < len(sets[small].items) {
+			small = i
+		}
+	}
+	return small
 }
 
 // IntersectOver returns the intersection of the given sets written over the
@@ -180,12 +208,7 @@ func IntersectOver(into int, sets ...Set) Set {
 	if len(sets) == 1 {
 		return sets[into]
 	}
-	small := 0
-	for i, s := range sets {
-		if len(s.items) < len(sets[small].items) {
-			small = i
-		}
-	}
+	small := smallest(sets)
 	in := x
 	if small != into {
 		in = filter(x[:0], sets[small].items, x, true)
@@ -200,22 +223,14 @@ func IntersectOver(into int, sets ...Set) Set {
 
 // intersect is the intersection kernel: it appends to dst the items every
 // one of sets holds. The smallest set is filtered by another into dst, and
-// that by each other set in turn, in place. A nil dst gets room for the
-// smallest set; any other has it, so a merge's batch is never reallocated.
+// that by each other set in turn, in place. dst has room for the smallest
+// set (a merge's batch, or IntersectWith's), so it is never reallocated.
 func intersect(dst []string, sets []Set) []string {
-	small := 0
-	for i, s := range sets {
-		if len(s.items) < len(sets[small].items) {
-			small = i
-		}
-	}
-	if len(sets) == 0 || len(sets[small].items) == 0 {
+	small := smallest(sets)
+	if small < 0 || len(sets[small].items) == 0 {
 		return dst
 	}
 	in := sets[small].items
-	if dst == nil {
-		dst = make([]string, 0, len(in))
-	}
 	if len(sets) == 1 {
 		return append(dst, in...)
 	}

@@ -108,7 +108,7 @@ type pair struct{ key, ref uint64 }
 // unionScratch is one union's working memory, none of it pointers: two
 // generations of runs, each run a sorted sequence of pairs ended by a
 // sentinel key, and where the current generation's runs start. It is pooled,
-// and a buffer too small for a call is replaced by one of the call's size.
+// and a buffer too small for a call is replaced by a larger one.
 type unionScratch struct {
 	runs   [2][]pair
 	starts []int
@@ -116,18 +116,27 @@ type unionScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(unionScratch) }}
 
-// resize returns s with length n, reallocating it at exactly n if it is
-// too small.
+// resize returns s with length n. When s is too small it is reallocated
+// with room for n or twice what it had, whichever is more, so that a
+// scratch serving unions of growing sizes is regrown a few times, not at
+// every larger one, and a merge's first scratch is its size (a power of two
+// above k·maxCut pairs would double it).
 func resize[T pair | int](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
 
 // UnionAll returns the union of the given sets. The result is a slice of
 // exactly its length; with one non-empty input, it is that set.
-func UnionAll(sets ...Set) Set {
+func UnionAll(sets ...Set) Set { return UnionWith(exact, sets...) }
+
+// UnionWith is UnionAll with the result in a slice from alloc, asked for
+// room for exactly the result: Alloc, say, for a caller that gives the
+// buffer back when the result dies. With fewer than two non-empty inputs
+// the result is empty or that input, and alloc is not called.
+func UnionWith(alloc func(n int) []string, sets ...Set) Set {
 	runs, live, total := runsOf(sets)
 	switch runs {
 	case 0:
@@ -138,7 +147,7 @@ func UnionAll(sets ...Set) Set {
 	sc := scratchPool.Get().(*unionScratch)
 	defer scratchPool.Put(sc)
 	run := sc.union(sets, runs, total)
-	return Set{items: gather(make([]string, 0, len(run)), sets, run)}
+	return Set{items: gather(alloc(len(run)), sets, run)}
 }
 
 // runsOf counts the non-empty sets and their items, and names the last

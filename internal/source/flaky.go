@@ -8,8 +8,10 @@ import (
 	"sync"
 	"time"
 
+	"fusionq/internal/cond"
 	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
+	"fusionq/internal/set"
 )
 
 // ErrTransient marks failures that a mediator may retry: timeouts, dropped
@@ -140,4 +142,26 @@ func (f *Flaky) trip(ctx context.Context, op string) error {
 		return fmt.Errorf("source %s: %s: %w", f.Name(), op, ErrTransient)
 	}
 	return nil
+}
+
+// Liar is the fault injection for a peer that breaks its contract: every
+// semijoin answer carries one item more than it should, Lie, which no
+// workload names an item, so it is outside every set a semijoin is sent and
+// satisfies no condition. Only a check of the answer against what was sent
+// (wire.Client's) tells it from the truth. Served from a wire server, it is
+// the lying replica of the contract tests and the oracle's liar class.
+type Liar struct{ Source }
+
+// Lie is the item a Liar adds to its semijoin answers.
+const Lie = "ZZZ99"
+
+// Semijoin answers as the source underneath does, with Lie added.
+func (l Liar) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Set, error) {
+	out, err := l.Source.Semijoin(ctx, c, y)
+	if err != nil {
+		return out, err
+	}
+	lie := set.UnionAll(out, set.New(Lie))
+	set.Release(out)
+	return lie, nil
 }
