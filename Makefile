@@ -22,8 +22,9 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		     END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-# Run the custom analyzer suite over the tree: one invocation, every
-# analyzer (cmd/fqlint loads and type-checks the packages itself).
+# Run the custom analyzer suite over the tree: one invocation, all six
+# analyzers (cmd/fqlint loads and type-checks the packages itself).
+# DESIGN.md §10's seeded audit says why each stays.
 lint:
 	$(GO) run ./cmd/fqlint ./...
 

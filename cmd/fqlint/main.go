@@ -1,7 +1,7 @@
 // Command fqlint runs the fusionq static-analysis suite (internal/lint):
-// custom analyzers that enforce the codebase's context-propagation, metric-
-// vocabulary, error-wrapping, span- and iterator-pairing, goroutine-ownership
-// and goroutine channel contracts.
+// custom analyzers that enforce the codebase's ctx-first, metric charge-site,
+// error-wrapping, iterator-closing, goroutine-ownership and goroutine channel
+// contracts.
 //
 // Usage:
 //

@@ -374,12 +374,18 @@ func TestCatalogLeaderCancelledFollowerSurvives(t *testing.T) {
 	sc := synth(t, workload.SynthConfig{Seed: 7, NumSources: 2, TuplesPerSource: 200, Universe: 300, Selectivity: []float64{0.3, 0.6}})
 	m, counters := countedMediator(t, sc)
 	entered := make(chan struct{})
-	// R1's first stats call hangs until its caller gives up.
+	// R1's first stats call hangs until its caller gives up, or to the
+	// guard: a build whose context does not reach the source would wait
+	// there for ever.
 	counters[0].interfere(func(ctx context.Context, op source.Op, n int) error {
 		if op == source.OpStats && n == 1 {
 			close(entered)
-			<-ctx.Done()
-			return fmt.Errorf("source R1: stats: %w", ctx.Err())
+			select {
+			case <-ctx.Done():
+				return fmt.Errorf("source R1: stats: %w", ctx.Err())
+			case <-time.After(2 * time.Second):
+				return errors.New("source R1: stats ran to the guard: the leader's cancellation never reached it")
+			}
 		}
 		return nil
 	})

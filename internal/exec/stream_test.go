@@ -94,7 +94,8 @@ func (g gateIter) Close() error {
 // source, streamed one item a batch, and the failing source (which feeds
 // nothing) stalls until that selection has been handed over whole: the
 // answer edge holds two batches, so under the pipeline the first batch has
-// been drained by then.
+// been drained by then. A run that never hands it over (a stream nobody
+// closes) stalls to the guard.
 func TestHonestPartial(t *testing.T) {
 	sc := workload.DMV()
 	conds := append(append([]cond.Cond(nil), sc.Conds...), cond.MustParse("D >= 1993")) // all of R1: J55, T21, T80
@@ -139,7 +140,12 @@ func TestHonestPartial(t *testing.T) {
 					srcs, p := failure.build()
 					ex := &Executor{Sources: srcs, BatchSize: 1}
 					mode.configure(ex)
-					got, err := ex.Run(context.Background(), p)
+					ctx, cancel := context.WithTimeout(context.Background(), guard)
+					defer cancel()
+					got, err := ex.Run(ctx, p)
+					if ctx.Err() != nil {
+						t.Fatalf("the run went to the guard instead of failing (err = %v)", err)
+					}
 					if err == nil {
 						t.Fatal("run against a dead source should fail")
 					}

@@ -1,9 +1,6 @@
-// Package ctxfirst enforces the codebase's context-propagation contract
-// (DESIGN.md §8): a function that takes a context.Context takes it as its
-// first parameter, and library code never mints a root context with
-// context.Background or context.TODO — roots belong to process entry points
-// (package main) and tests. Anything else is a drift bug that silently
-// severs cancellation and deadline flow.
+// Package ctxfirst enforces the codebase's ctx-first signatures (DESIGN.md
+// §8): a function that takes a context.Context takes it as its first
+// parameter, so a reader finds it where every other function keeps it.
 package ctxfirst
 
 import (
@@ -12,16 +9,14 @@ import (
 	"fusionq/internal/lint/analysis"
 )
 
-// Analyzer enforces ctx-first signatures and library-root context hygiene.
+// Analyzer enforces ctx-first signatures.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxfirst",
-	Doc: "context.Context parameters must come first, and only package main and tests " +
-		"may call context.Background/TODO",
-	Run: run,
+	Doc:  "context.Context parameters must come first",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
-	isMain := pass.Pkg != nil && pass.Pkg.Name() == "main"
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
@@ -32,14 +27,6 @@ func run(pass *analysis.Pass) error {
 				checkParamOrder(pass, n.Name.Name, n.Type)
 			case *ast.FuncLit:
 				checkParamOrder(pass, "func literal", n.Type)
-			case *ast.CallExpr:
-				if isMain {
-					return true
-				}
-				if name := rootContextName(pass, n); name != "" {
-					pass.Reportf(n.Pos(), "context.%s() in library code severs cancellation; "+
-						"accept a ctx parameter", name)
-				}
 			}
 			return true
 		})
@@ -66,17 +53,4 @@ func checkParamOrder(pass *analysis.Pass, name string, ft *ast.FuncType) {
 		}
 		pos += n
 	}
-}
-
-// rootContextName returns "Background" or "TODO" when call is
-// context.Background() or context.TODO(), else "".
-func rootContextName(pass *analysis.Pass, call *ast.CallExpr) string {
-	fn := analysis.CalleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-		return ""
-	}
-	if fn.Name() == "Background" || fn.Name() == "TODO" {
-		return fn.Name()
-	}
-	return ""
 }

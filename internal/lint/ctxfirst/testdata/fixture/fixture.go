@@ -6,35 +6,19 @@ import "context"
 // Good: ctx first.
 func Good(ctx context.Context, n int) {}
 
-func GoodContext(ctx context.Context, n int) {}
+// GoodRoot: minting a root context is not this analyzer's business.
+func GoodRoot() context.Context { return context.Background() }
 
-// A callee named *Context sanctions nothing: a context-free twin that mints
-// the root for it is flagged like any other.
-func Shim(n int) {
-	GoodContext(context.Background(), n) // want `context.Background\(\) in library code`
-}
-
-func BadOrder(n int, ctx context.Context) {} // want `context.Context must be the first parameter`
+func BadOrder(n int, ctx context.Context) {} // want `BadOrder: context.Context must be the first parameter`
 
 func BadLiteral() {
-	f := func(n int, ctx context.Context) {} // want `context.Context must be the first parameter`
-	f(0, context.TODO())                     // want `context.TODO\(\) in library code`
+	f := func(n int, ctx context.Context) {} // want `func literal: context.Context must be the first parameter`
+	f(0, context.TODO())
 }
 
-func BadRoot() context.Context {
-	ctx := context.Background() // want `context.Background\(\) in library code`
-	return ctx
-}
+type server struct{}
 
-func BadWith() {
-	// WithCancel does not end in "Context": minting a root here is drift.
-	ctx, cancel := context.WithCancel(context.Background()) // want `context.Background\(\) in library code`
-	defer cancel()
-	_ = ctx
-}
+func (s *server) BadMethod(name string, ctx context.Context) {} // want `BadMethod: context.Context must be the first parameter`
 
-func Suppressed() {
-	//fqlint:ignore ctxfirst fixture demonstrates the suppression mechanism
-	ctx := context.Background()
-	_ = ctx
-}
+//fqlint:ignore ctxfirst fixture demonstrates the suppression mechanism
+func Suppressed(n int, ctx context.Context) {}

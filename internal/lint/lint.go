@@ -1,7 +1,8 @@
 // Package lint assembles the fqlint analyzer suite: the custom go/analysis-
-// style checkers that mechanically enforce this codebase's query-lifecycle,
-// observability and error-handling contracts (DESIGN.md §10). The driver in
-// cmd/fqlint loads the packages and runs them.
+// style checkers that mechanically enforce this codebase's context, metric,
+// error-handling, iterator and goroutine contracts where no test, vet check
+// or runtime check does (DESIGN.md §10's seeded audit says why each stays).
+// The driver in cmd/fqlint loads the packages and runs them.
 package lint
 
 import (
@@ -11,7 +12,6 @@ import (
 	"fusionq/internal/lint/iterclose"
 	"fusionq/internal/lint/metricnames"
 	"fusionq/internal/lint/nakedgo"
-	"fusionq/internal/lint/spanbalance"
 	"fusionq/internal/lint/wrapcheck"
 )
 
@@ -21,7 +21,6 @@ func All() []*analysis.Analyzer {
 		ctxfirst.Analyzer,
 		metricnames.Analyzer,
 		wrapcheck.Analyzer,
-		spanbalance.Analyzer,
 		iterclose.Analyzer,
 		nakedgo.Analyzer,
 		chandiscipline.Analyzer,

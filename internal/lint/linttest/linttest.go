@@ -3,9 +3,9 @@
 // directory of Go files under testdata/, and every line that should be
 // flagged carries a trailing
 //
-//	// want "regexp"
+//	// want `regexp`
 //
-// comment (several quoted regexps if the line yields several findings).
+// comment: one Go-quoted regexp, which one finding on that line must match.
 // The harness fails the test for any unmatched expectation and any
 // unexpected diagnostic, so fixtures pin both the flagged and the clean
 // cases of an invariant.
@@ -113,46 +113,17 @@ func expectations(t *testing.T, fset *token.FileSet, pkg *load.Package) []*expec
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				for _, pat := range splitQuoted(t, pos.String(), m[1]) {
-					re, err := regexp.Compile(pat)
-					if err != nil {
-						t.Fatalf("%s: bad want pattern %q: %v", pos, pat, err)
-					}
-					out = append(out, &expectation{file: pos.Filename, line: pos.Line, re: re})
+				pat, err := strconv.Unquote(strings.TrimSpace(m[1]))
+				if err != nil {
+					t.Fatalf("%s: want payload must be one quoted string, got %q", pos, m[1])
 				}
+				re, err := regexp.Compile(pat)
+				if err != nil {
+					t.Fatalf("%s: bad want pattern %q: %v", pos, pat, err)
+				}
+				out = append(out, &expectation{file: pos.Filename, line: pos.Line, re: re})
 			}
 		}
-	}
-	return out
-}
-
-// splitQuoted parses the payload of a want-comment: one or more Go-quoted
-// strings separated by spaces.
-func splitQuoted(t *testing.T, pos, s string) []string {
-	t.Helper()
-	var out []string
-	s = strings.TrimSpace(s)
-	for s != "" {
-		if s[0] != '"' && s[0] != '`' {
-			t.Fatalf("%s: want payload must be quoted strings, got %q", pos, s)
-		}
-		quote := s[0]
-		end := 1
-		for end < len(s) {
-			if s[end] == quote && (quote == '`' || s[end-1] != '\\') {
-				break
-			}
-			end++
-		}
-		if end == len(s) {
-			t.Fatalf("%s: unterminated want pattern %q", pos, s)
-		}
-		pat, err := strconv.Unquote(s[:end+1])
-		if err != nil {
-			t.Fatalf("%s: bad want pattern %q: %v", pos, s[:end+1], err)
-		}
-		out = append(out, pat)
-		s = strings.TrimSpace(s[end+1:])
 	}
 	return out
 }

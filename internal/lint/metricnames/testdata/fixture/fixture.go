@@ -9,15 +9,12 @@ func (r *Registry) Counter(name string, labels ...string) int   { return notANam
 func (r *Registry) Gauge(name string, labels ...string) int     { return 0 }
 func (r *Registry) Histogram(name string, labels ...string) int { return 0 }
 
-// Describe mimics the help-text registration hook DescribeAll uses.
-func (r *Registry) Describe(name, help string) {}
-
 const localConst = "fq_local_total"
 
 func charge(r *Registry, dynamic string) {
 	r.Counter(MGood, "source", "R1")
 	r.Gauge(MHidden)
-	r.Histogram(MOrphan)
+	r.Histogram(MOther)
 	r.Counter("fq_literal_total")  // want `string-literal metric name "fq_literal_total"`
 	r.Gauge(localConst)            // want `metric name constant localConst is not declared in names.go`
 	r.Histogram("fq_" + dynamic)   // want `computed metric name`
@@ -37,13 +34,3 @@ type counterish struct{}
 func (counterish) Counter(name string) int { return 0 }
 
 func other() counterish { return counterish{} }
-
-// DescribeAll covers MGood and MHidden but not MOrphan, and smuggles in a
-// literal family name.
-func DescribeAll(r *Registry) {
-	r.Describe(MGood, "a good metric")
-	r.Describe(MHidden, "another good metric")
-	r.Describe(MTraceRetained, "flight-recorder records retained, by class")
-	r.Describe(MSlowQueries, "queries at or above the slow threshold")
-	r.Describe("fq_smuggled_total", "no constant") // want `string-literal metric name "fq_smuggled_total" in DescribeAll`
-}

@@ -4,12 +4,12 @@ package fixture
 const (
 	MGood    = "fq_good_total"
 	MHidden  = "fq_hidden_total"
-	MOrphan  = "fq_orphan_total" // want `metric constant MOrphan is not covered by DescribeAll`
-	notAName = 7                 // non-string constants are outside the vocabulary
+	MOther   = "fq_other_total"
+	notAName = 7 // non-string constants are outside the vocabulary
 
 	// Flight-recorder vocabulary, mirroring internal/obs/names.go: the
-	// recorder's families obey the same constant-only and DescribeAll
-	// coverage rules as every other charge site.
+	// recorder's families obey the same constant-only rule as every other
+	// charge site.
 	MTraceRetained = "fq_trace_retained_total"
 	MSlowQueries   = "fq_slow_queries_total"
 )

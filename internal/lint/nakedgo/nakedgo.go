@@ -6,9 +6,8 @@
 // server). Anything else is a goroutine whose lifetime nothing owns: it
 // outlives Close, races test teardown, and leaks under -race.
 //
-// Exempt: tests, package main (process-lifetime goroutines in a command's
-// main are owned by the process), and internal/netsim (the network
-// simulator owns its own clock-driven machinery).
+// Exempt: tests and package main (process-lifetime goroutines in a
+// command's main are owned by the process).
 package nakedgo
 
 import (
@@ -25,13 +24,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// exemptPackages may own free-running goroutines.
-var exemptPackages = map[string]bool{
-	"fusionq/internal/netsim": true,
-}
-
 func run(pass *analysis.Pass) error {
-	if pass.Pkg != nil && (pass.Pkg.Name() == "main" || exemptPackages[pass.Pkg.Path()]) {
+	if pass.Pkg != nil && pass.Pkg.Name() == "main" {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -157,7 +157,6 @@ func (a *AdminServer) Addr() string { return a.ln.Addr().String() }
 // Close stops the listener, waits out in-flight handlers (bounded), and
 // waits for the serve goroutine to exit.
 func (a *AdminServer) Close() error {
-	//fqlint:ignore ctxfirst Close implements io.Closer; the shutdown budget has no caller context to inherit.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	err := a.srv.Shutdown(ctx)

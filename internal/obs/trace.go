@@ -261,8 +261,7 @@ func (s *Span) End(err error) {
 // symmetric transit: d is clamped to s's duration and centered in it, which
 // makes the child nest inside s however skewed the two clocks are. s must
 // have ended; on a running or nil span Graft records nothing and returns
-// nil. The child is born finished and needs no End, which is why
-// spanbalance asks for none.
+// nil. The child is born finished and needs no End.
 func (s *Span) Graft(kind, name string, d time.Duration, attrs ...Attr) *Span {
 	if s == nil {
 		return nil

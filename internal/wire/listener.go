@@ -81,7 +81,6 @@ func Listen(addr string, cfg Config, h Handler) (*Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen: %w", err)
 	}
-	//fqlint:ignore ctxfirst the listener owns its root context; Close/Shutdown cancel it, not a caller.
 	ctx, cancel := context.WithCancel(context.Background())
 	if cfg.Metrics != nil {
 		ctx = obs.With(ctx, &obs.Obs{Metrics: cfg.Metrics})
