@@ -102,5 +102,5 @@ bench-gate:
 # make bench-layers BENCHFLAGS='-benchtime 1x'.
 BENCHFLAGS ?=
 bench-layers:
-	$(GO) test -run '^$$' -bench 'WrapperSelect|WrapperSemijoin|LayeredSelect|BatchAccounting|RunModes|UnionAll|IntersectAll|MergeUnionStream|MergeIntersectStream|Problem|Optimizers|PlanEstimate|FrameCodec|CachePartition|AnswerCacheGet|StorePutAtBound' -benchmem $(BENCHFLAGS) \
+	$(GO) test -run '^$$' -bench 'WrapperSelect|WrapperSemijoin|WrapperLoad|LayeredSelect|BatchAccounting|RunModes|UnionAll|IntersectAll|MergeUnionStream|MergeIntersectStream|Problem|Optimizers|PlanEstimate|FrameCodec|CachePartition|AnswerCacheGet|StorePutAtBound' -benchmem $(BENCHFLAGS) \
 		./internal/source ./internal/fabric ./internal/exec ./internal/set ./internal/core ./internal/optimizer ./internal/plan ./internal/wire ./internal/service ./internal/lru

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,7 +59,7 @@ func reference(t *testing.T, p *plan.Plan, srcs []source.Source) set.Set {
 				t.Fatal(err)
 			}
 			loaded[s.Out] = rel
-			out = set.New(rel.Items()...)
+			out = set.New(rel.Ordered().Items...)
 		case plan.KindLocalSelect:
 			out = own(source.SelectItems(source.NewRowBackend(loaded[s.In[0]]), p.Conds[s.Cond]))
 		case plan.KindUnion:
@@ -415,4 +416,66 @@ func TestLifetimeLoadThenLocalSelect(t *testing.T) {
 	}
 	want := reference(t, p, srcs)
 	runAgain(t, &Executor{Sources: srcs}, p, want, 20)
+}
+
+// TestLifetimeLoadLeavesTheViewAlone: a load's items are the ordered view
+// its source's backend holds (source.Wrapper.Load shares it), so no run may
+// give them back or write over them: not when the answer is the loaded
+// items, a union that is them, or an intersection with them, under either
+// scheduler, and not when the run's running sets are dropped. The view
+// holds 512 items, a pool class, so a release would recycle it (to
+// set.Recycled under -race).
+func TestLifetimeLoadLeavesTheViewAlone(t *testing.T) {
+	schema := relation.MustSchema("L",
+		relation.Column{Name: "L", Kind: relation.KindString},
+		relation.Column{Name: "A", Kind: relation.KindInt})
+	loaded, other := relation.NewRelation(schema), relation.NewRelation(schema)
+	for i := 0; i < 1024; i++ {
+		loaded.MustInsert(relation.String(fmt.Sprintf("L%04d", i/2)), relation.Int(int64(i%100)))
+		other.MustInsert(relation.String(fmt.Sprintf("L%04d", i)), relation.Int(int64(i%100)))
+	}
+	backend := source.NewRowBackend(loaded)
+	srcs := []source.Source{
+		source.NewWrapper("R1", backend, source.Capabilities{}),
+		source.NewWrapper("R2", source.NewRowBackend(other), source.Capabilities{}),
+	}
+	view, err := backend.Ordered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(view.Items) != 512 {
+		t.Fatalf("the view holds %d items, want 512", cap(view.Items))
+	}
+	items := slices.Clone(view.Items)
+	load := plan.Step{Kind: plan.KindLoad, Out: "F1", Cond: -1, Source: 0}
+	steps := map[string][]plan.Step{
+		"answer": {load},
+		"union": {
+			load,
+			{Kind: plan.KindLocalSelect, Out: "T", Cond: 1, Source: -1, In: []string{"F1"}},
+			{Kind: plan.KindUnion, Out: "Z", Cond: -1, Source: -1, In: []string{"T", "F1"}},
+		},
+		"intersect": {
+			load,
+			{Kind: plan.KindSelect, Out: "X", Cond: 0, Source: 1},
+			{Kind: plan.KindIntersect, Out: "Z", Cond: -1, Source: -1, In: []string{"F1", "X"}},
+		},
+	}
+	for _, name := range []string{"answer", "union", "intersect"} {
+		p := &plan.Plan{
+			Conds:   []cond.Cond{cond.MustParse("A < 30"), cond.MustParse("A < 0")},
+			Sources: []string{"R1", "R2"},
+			Steps:   steps[name],
+			Result:  steps[name][len(steps[name])-1].Out,
+		}
+		want := reference(t, p, srcs)
+		for _, mode := range runModes {
+			ex := &Executor{Sources: srcs}
+			mode.configure(ex)
+			runAgain(t, ex, p, want, 10)
+			if !slices.Equal(view.Items, items) {
+				t.Fatalf("%s/%s: the backend's view lost its items (now %q...)", name, mode.name, view.Items[:2])
+			}
+		}
+	}
 }

@@ -470,7 +470,9 @@ func (r *run) bloomBody(ctx context.Context, s plan.Step, input set.Iter, nd *no
 // loadBody fetches the source's full contents for load step idx. The
 // relation is stored (and its bytes tracked for the rest of the run) before
 // anything is emitted, so a local selection downstream always finds it
-// present.
+// present. The items emitted are the relation's ordered view's own, which a
+// wrapper shares with its backend: the output is not the run's (nd.owned
+// stays false), so it is never given back or written over.
 func (r *run) loadBody(ctx context.Context, idx int, nd *node) error {
 	s := r.p.Steps[idx]
 	var rel *relation.Relation
@@ -490,7 +492,7 @@ func (r *run) loadBody(ctx context.Context, idx int, nd *node) error {
 	r.loaded[idx] = rel
 	r.mu.Unlock()
 	r.tr.add(rel.Bytes())
-	return nd.emitSorted(ctx, rel.Items(), r.batch)
+	return nd.emitSorted(ctx, rel.Ordered().Items, r.batch)
 }
 
 // localSelectBody applies step idx's condition to loaded source contents:

@@ -62,8 +62,8 @@ func TestToRelation(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", r.Len())
 	}
-	if got := r.Items(); !reflect.DeepEqual(got, []string{"J55", "T21"}) {
-		t.Fatalf("Items = %v", got)
+	if got := r.Ordered().Items; !reflect.DeepEqual(got, []string{"J55", "T21"}) {
+		t.Fatalf("Ordered().Items = %v", got)
 	}
 }
 

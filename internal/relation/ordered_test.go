@@ -132,8 +132,8 @@ func TestOrderedInvalidatedByInsert(t *testing.T) {
 		t.Fatal("Insert kept the stale view")
 	}
 	checkOrdered(t, r)
-	if got := r.Items()[0]; got != "A-first" {
-		t.Fatalf("Items()[0] = %s after inserting the smallest item", got)
+	if got := r.Ordered().Items[0]; got != "A-first" {
+		t.Fatalf("Ordered().Items[0] = %s after inserting the smallest item", got)
 	}
 	rows := r.RowsWithItem("I005")
 	if last := rows[len(rows)-1][2].IntVal(); last != 101 {

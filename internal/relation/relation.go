@@ -97,20 +97,66 @@ func (r *Relation) Len() int { return len(r.rows) }
 
 // Insert appends a tuple after validating arity and column kinds.
 func (r *Relation) Insert(t Tuple) error {
-	if len(t) != r.schema.NumColumns() {
-		return fmt.Errorf("relation: tuple arity %d, schema has %d columns", len(t), r.schema.NumColumns())
-	}
-	bytes := 0
-	for i, c := range r.schema.Columns() {
-		if t[i].Kind() != c.Kind {
-			return fmt.Errorf("relation: column %s expects %s, got %s", c.Name, c.Kind, t[i].Kind())
-		}
-		bytes += t[i].Bytes()
+	bytes, err := checkTuple(r.schema, t)
+	if err != nil {
+		return err
 	}
 	r.bytes += bytes
 	r.rows = append(r.rows, t)
 	r.ordered.Store(nil)
 	return nil
+}
+
+// checkTuple validates t's arity and column kinds against schema and returns
+// its wire size: what Insert and FromOrdered ask of every tuple.
+func checkTuple(schema *Schema, t Tuple) (int, error) {
+	if len(t) != schema.NumColumns() {
+		return 0, fmt.Errorf("relation: tuple arity %d, schema has %d columns", len(t), schema.NumColumns())
+	}
+	bytes := 0
+	for i, c := range schema.Columns() {
+		if t[i].Kind() != c.Kind {
+			return 0, fmt.Errorf("relation: column %s expects %s, got %s", c.Name, c.Kind, t[i].Kind())
+		}
+		bytes += t[i].Bytes()
+	}
+	return bytes, nil
+}
+
+// FromOrdered returns the relation of the tuples scan visits, in the order
+// it visits them, with view as its ordered view: a load of a source whose
+// backend already holds the view shares it instead of sorting a copy. view
+// must be the ordered view of those tuples. Each tuple is checked as Insert
+// checks it and its wire size summed, and a scan that visits more or fewer
+// tuples than view.Rows holds is refused. The tuples and the view are
+// shared, not copied; the relation's rows have no room past their length,
+// so an Insert into it copies them and drops the view, which stays as it is.
+//
+// The relation collects the tuples itself, so that a load allocates the
+// relation, its rows and the callback scan is given, and nothing else.
+func FromOrdered(schema *Schema, view *Ordered, scan func(yield func(Tuple) error) error) (*Relation, error) {
+	n := len(view.Rows)
+	r := &Relation{schema: schema, rows: make([]Tuple, 0, n)}
+	err := scan(func(t Tuple) error {
+		if len(r.rows) == n {
+			return fmt.Errorf("relation: more tuples than the ordered view's %d", n)
+		}
+		bytes, err := checkTuple(schema, t)
+		if err != nil {
+			return err
+		}
+		r.bytes += bytes
+		r.rows = append(r.rows, t)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(r.rows) != n {
+		return nil, fmt.Errorf("relation: %d tuples, the ordered view has %d", len(r.rows), n)
+	}
+	r.ordered.Store(view)
+	return r, nil
 }
 
 // Ordered returns the item-ordered view of the relation as it stands,
@@ -224,11 +270,6 @@ func (r *Relation) RowsWithItem(item string) []Tuple {
 		return nil
 	}
 	return o.Group(g)
-}
-
-// Items returns a fresh copy of the distinct merge-attribute items, sorted.
-func (r *Relation) Items() []string {
-	return slices.Clone(r.Ordered().Items)
 }
 
 // DistinctItems returns the number of distinct merge-attribute values.

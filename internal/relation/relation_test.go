@@ -89,8 +89,8 @@ func TestRelationInsertAndIndex(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", r.Len())
 	}
-	if got := r.Items(); !reflect.DeepEqual(got, []string{"J55", "T21", "T80"}) {
-		t.Fatalf("Items() = %v", got)
+	if got := r.Ordered().Items; !reflect.DeepEqual(got, []string{"J55", "T21", "T80"}) {
+		t.Fatalf("Ordered().Items = %v", got)
 	}
 	rows := r.RowsWithItem("J55")
 	if len(rows) != 1 || rows[0][1].Str() != "dui" {

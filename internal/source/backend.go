@@ -24,8 +24,9 @@ type Backend interface {
 	// Ordered returns the same tuples as an ordered view: grouped by
 	// merge-attribute item, the groups in ascending item order, each group in
 	// Scan order, with one column vector per attribute. It is what a wrapper
-	// answers every query but lq from. The view is shared: callers must not
-	// modify it, and may keep using it after the backend has moved on.
+	// answers every query from, and the view lq's relation shares. The view
+	// is shared: callers must not modify it, and may keep using it after the
+	// backend has moved on.
 	Ordered() (*relation.Ordered, error)
 	// Size returns tuple count, distinct item count and approximate bytes.
 	Size() (tuples, distinct, bytes int)

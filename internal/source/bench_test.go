@@ -125,3 +125,40 @@ func BenchmarkLayeredSelect(b *testing.B) {
 		})
 	}
 }
+
+var sinkItems []string
+
+// BenchmarkWrapperLoad measures lq(R) at the wrapper over a backend of each
+// kind, 2 000 tuples at the benchmark's item density, and the loaded
+// relation's ordered view, which is what the executor's load step reads.
+// One load before the clock starts builds the backend's view, so every
+// timed load is a warm one.
+func BenchmarkWrapperLoad(b *testing.B) {
+	const n = 2000
+	tr := newTrio()
+	for _, tup := range benchRelation(n, n).Rows() {
+		if err := tr.rel.Insert(tup); err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.kv.Put(tup); err != nil {
+			b.Fatal(err)
+		}
+		tr.store.Add(recordObject(tup))
+	}
+	for _, name := range []string{"row", "kv", "oem"} {
+		w := NewWrapper("R", tr.backends[name], Capabilities{})
+		if _, err := w.Load(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s/tuples=%d", name, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rel, err := w.Load(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkItems = rel.Ordered().Items
+			}
+		})
+	}
+}

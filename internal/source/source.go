@@ -112,7 +112,10 @@ type Source interface {
 	// reporting whether the item satisfies c at this source. Returns
 	// ErrUnsupported unless Caps().PassedBindings.
 	SelectBinding(ctx context.Context, c cond.Cond, item string) (bool, error)
-	// Load answers lq(R): the source's entire relation (Section 4).
+	// Load answers lq(R): the source's entire relation (Section 4), its
+	// tuples in the backend's Scan order. A wrapper's relation shares the
+	// backend's tuples and ordered view, so nobody may modify them; an
+	// Insert into it copies its rows first and leaves the view alone.
 	Load(ctx context.Context) (*relation.Relation, error)
 	// Fetch returns the full tuples for the given items, the "second
 	// phase" query of Section 1.
@@ -460,16 +463,16 @@ func (w *Wrapper) SelectBinding(ctx context.Context, c cond.Cond, item string) (
 	return probe.match(item), nil
 }
 
-// Load implements Source.
+// Load implements Source from the backend's ordered view and one Scan.
 func (w *Wrapper) Load(ctx context.Context) (*relation.Relation, error) {
 	if err := w.ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	schema := w.backend.Schema()
-	r := relation.NewRelation(schema)
-	err := w.backend.Scan(func(t relation.Tuple) error {
-		return r.Insert(t)
-	})
+	view, err := w.backend.Ordered()
+	if err != nil {
+		return nil, fmt.Errorf("source %s: load: %w", w.name, err)
+	}
+	r, err := relation.FromOrdered(w.backend.Schema(), view, w.backend.Scan)
 	if err != nil {
 		return nil, fmt.Errorf("source %s: load: %w", w.name, err)
 	}
