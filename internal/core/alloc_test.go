@@ -7,6 +7,7 @@ import (
 
 	"fusionq/internal/cond"
 	"fusionq/internal/netsim"
+	"fusionq/internal/racetest"
 	"fusionq/internal/set"
 	"fusionq/internal/workload"
 )
@@ -26,7 +27,7 @@ const plannedQueryBytes = 96 << 10
 // does once the answer is written; the bound is on the bytes of one query
 // with the pools warm.
 func TestPlannedQueryAllocs(t *testing.T) {
-	if raceDetector {
+	if racetest.Enabled {
 		t.Skip("the race runtime allocates on its own and the pools drop puts; CI runs this without -race")
 	}
 	sc, err := workload.Synth(workload.SynthConfig{

@@ -16,6 +16,7 @@ import (
 	"fusionq/internal/netsim"
 	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
+	"fusionq/internal/racetest"
 	"fusionq/internal/source"
 	"fusionq/internal/stats"
 	"fusionq/internal/workload"
@@ -343,7 +344,7 @@ func TestWarmCatalogStartsNoGoroutine(t *testing.T) {
 		}
 	})
 	limit := float64(warmProblemAllocs)
-	if raceDetector {
+	if racetest.Enabled {
 		// Under -race the parent reads 39 or 40 from run to run.
 		limit++
 	}

@@ -9,6 +9,7 @@ import (
 	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
 	"fusionq/internal/optimizer"
+	"fusionq/internal/racetest"
 	"fusionq/internal/set"
 	"fusionq/internal/stats"
 	"fusionq/internal/workload"
@@ -26,7 +27,7 @@ const (
 
 // TestStepTraceAllocs pins what keeping the step trace on every run costs.
 func TestStepTraceAllocs(t *testing.T) {
-	if raceDetector {
+	if racetest.Enabled {
 		t.Skip("the race runtime allocates on its own; CI runs this without -race")
 	}
 	pr, srcs, network := dmvSetup(t, nil)
@@ -68,7 +69,7 @@ const tracedAllocsPerSpan = 1.5
 // TestTracedRunAllocs runs the DMV SJA plan with and without a trace in its
 // context and bounds the difference per recorded span.
 func TestTracedRunAllocs(t *testing.T) {
-	if raceDetector {
+	if racetest.Enabled {
 		t.Skip("the race runtime allocates on its own; CI runs this without -race")
 	}
 	pr, srcs, network := dmvSetup(t, nil)
@@ -128,7 +129,7 @@ const (
 // it, and the running sets and the answer go back once the run is over, so
 // a run allocates little beyond its trace and accounting.
 func TestSelectionPlanAllocs(t *testing.T) {
-	if raceDetector {
+	if racetest.Enabled {
 		t.Skip("the race runtime allocates on its own and the pools drop puts; CI runs this without -race")
 	}
 	sc, err := workload.Synth(workload.SynthConfig{

@@ -61,7 +61,7 @@ func reference(t *testing.T, p *plan.Plan, srcs []source.Source) set.Set {
 			loaded[s.Out] = rel
 			out = set.New(rel.Ordered().Items...)
 		case plan.KindLocalSelect:
-			out = own(source.SelectItems(source.NewRowBackend(loaded[s.In[0]]), p.Conds[s.Cond]))
+			out = own(source.SelectItems(loaded[s.In[0]], p.Conds[s.Cond]))
 		case plan.KindUnion:
 			out = set.UnionAll(sets...)
 		case plan.KindIntersect:
@@ -439,10 +439,7 @@ func TestLifetimeLoadLeavesTheViewAlone(t *testing.T) {
 		source.NewWrapper("R1", backend, source.Capabilities{}),
 		source.NewWrapper("R2", source.NewRowBackend(other), source.Capabilities{}),
 	}
-	view, err := backend.Ordered()
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := loaded.Ordered()
 	if cap(view.Items) != 512 {
 		t.Fatalf("the view holds %d items, want 512", cap(view.Items))
 	}

@@ -521,7 +521,7 @@ func (r *run) localSelectBody(ctx context.Context, idx int, in set.Iter, nd *nod
 	if rel == nil {
 		return fmt.Errorf("%q is not loaded source contents", s.In[0])
 	}
-	out, err := source.SelectItems(source.NewRowBackend(rel), r.p.Conds[s.Cond])
+	out, err := source.SelectItems(rel, r.p.Conds[s.Cond])
 	if err != nil {
 		return err
 	}

@@ -34,10 +34,9 @@ const (
 )
 
 type family struct {
-	name    string
-	help    string
-	kind    string
-	buckets []float64 // histogram upper bounds, ascending
+	name string
+	help string
+	kind string
 
 	mu      sync.Mutex
 	metrics map[string]*instrument
@@ -50,15 +49,11 @@ type instrument struct {
 
 	val atomic.Int64 // counter / gauge value
 
-	// histogram state, guarded by mu. buckets is the owning family's upper
-	// bounds at creation time (immutable): observations must bucket against
-	// the family's own bounds, not the package default, or a family with
-	// custom buckets would misfile every sample.
-	mu      sync.Mutex
-	buckets []float64
-	counts  []int64 // one per bucket, plus +Inf at the end
-	sum     float64
-	count   int64
+	// histogram state, guarded by mu.
+	mu     sync.Mutex
+	counts []int64 // one per DefaultBuckets bound, plus +Inf at the end
+	sum    float64
+	count  int64
 }
 
 // Counter is a monotonically increasing metric.
@@ -133,13 +128,10 @@ func (r *Registry) describeTyped(name, kind, help string) {
 	f.help = help
 	if f.kind == "" {
 		f.kind = kind
-		if kind == kindHistogram {
-			f.buckets = DefaultBuckets
-		}
 	}
 }
 
-func (r *Registry) familyFor(name, kind string, buckets []float64) *family {
+func (r *Registry) familyFor(name, kind string) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -150,7 +142,6 @@ func (r *Registry) familyFor(name, kind string, buckets []float64) *family {
 	}
 	if f.kind == "" {
 		f.kind = kind
-		f.buckets = buckets
 	} else if f.kind != kind {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.kind, kind))
 	}
@@ -187,8 +178,7 @@ func (f *family) instrumentFor(labels []string) *instrument {
 	if !ok {
 		in = &instrument{labels: append([]string(nil), pairs...)}
 		if f.kind == kindHistogram {
-			in.buckets = f.buckets
-			in.counts = make([]int64, len(f.buckets)+1)
+			in.counts = make([]int64, len(DefaultBuckets)+1)
 		}
 		f.metrics[string(key)] = in
 		f.order = append(f.order, string(key))
@@ -202,7 +192,7 @@ func (r *Registry) Counter(name string, labels ...string) Counter {
 	if r == nil {
 		return Counter{}
 	}
-	return Counter{in: r.familyFor(name, kindCounter, nil).instrumentFor(labels)}
+	return Counter{in: r.familyFor(name, kindCounter).instrumentFor(labels)}
 }
 
 // Gauge returns the gauge time series for name and labels.
@@ -210,7 +200,7 @@ func (r *Registry) Gauge(name string, labels ...string) Gauge {
 	if r == nil {
 		return Gauge{}
 	}
-	return Gauge{in: r.familyFor(name, kindGauge, nil).instrumentFor(labels)}
+	return Gauge{in: r.familyFor(name, kindGauge).instrumentFor(labels)}
 }
 
 // Histogram returns the histogram time series for name and labels, bucketed
@@ -219,7 +209,7 @@ func (r *Registry) Histogram(name string, labels ...string) Histogram {
 	if r == nil {
 		return Histogram{}
 	}
-	return Histogram{in: r.familyFor(name, kindHistogram, DefaultBuckets).instrumentFor(labels)}
+	return Histogram{in: r.familyFor(name, kindHistogram).instrumentFor(labels)}
 }
 
 // Add increments the counter by n (negative n is ignored — counters are
@@ -282,7 +272,7 @@ func (h Histogram) Observe(v float64) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	idx := len(in.counts) - 1 // +Inf
-	for i, ub := range in.buckets {
+	for i, ub := range DefaultBuckets {
 		if v <= ub {
 			idx = i
 			break
@@ -364,7 +354,7 @@ func (r *Registry) Snapshot() []MetricFamily {
 				p.Sum = in.sum
 				p.Buckets = map[string]int64{}
 				cum := int64(0)
-				for i, ub := range f.buckets {
+				for i, ub := range DefaultBuckets {
 					cum += in.counts[i]
 					p.Buckets[formatBound(ub)] = cum
 				}
@@ -439,18 +429,7 @@ func (r *Registry) PrometheusText() string {
 		for _, p := range mf.Points {
 			switch mf.Type {
 			case kindHistogram:
-				bounds := make([]float64, 0, len(p.Buckets))
-				for k := range p.Buckets {
-					if k == "+Inf" {
-						continue
-					}
-					f, err := strconv.ParseFloat(k, 64)
-					if err == nil {
-						bounds = append(bounds, f)
-					}
-				}
-				sort.Float64s(bounds)
-				for _, ub := range bounds {
+				for _, ub := range DefaultBuckets {
 					fmt.Fprintf(&b, "%s_bucket%s %d\n", mf.Name,
 						promLabels(p.Labels, "le", formatBound(ub)), p.Buckets[formatBound(ub)])
 				}

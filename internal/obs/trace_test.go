@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fusionq/internal/racetest"
 )
 
 // TestExportIsInIDOrder starts spans on many goroutines at once: Export must
@@ -147,7 +149,7 @@ func TestSpanNamesJoinOnce(t *testing.T) {
 // the same whatever the size of its trace, because nothing of the trace is
 // copied for it.
 func TestTraceAllocs(t *testing.T) {
-	if raceDetector {
+	if racetest.Enabled {
 		t.Skip("the race runtime allocates on its own; CI runs this without -race")
 	}
 	ctx := With(context.Background(), &Obs{QueryID: "q-a", Trace: NewTrace()})

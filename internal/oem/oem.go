@@ -8,7 +8,6 @@ package oem
 
 import (
 	"fmt"
-	"sort"
 
 	"fusionq/internal/relation"
 )
@@ -124,21 +123,4 @@ func (s *Store) ToRelation(m Mapping) (*relation.Relation, error) {
 		}
 	}
 	return r, nil
-}
-
-// Labels returns the sorted set of distinct child labels across all
-// top-level objects; useful for schema discovery in tests and tools.
-func (s *Store) Labels() []string {
-	seen := map[string]bool{}
-	for _, o := range s.root {
-		for _, c := range o.Children {
-			seen[c.Label] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }

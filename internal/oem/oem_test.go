@@ -119,17 +119,6 @@ func TestToRelationNilSchema(t *testing.T) {
 	}
 }
 
-func TestLabels(t *testing.T) {
-	st := NewStore()
-	st.Add(violation("J55", "dui", 1993))
-	st.Add(Complex("x", Atomic("extra", relation.Int(1))))
-	got := st.Labels()
-	want := []string{"extra", "license", "vtype", "year"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Labels = %v, want %v", got, want)
-	}
-}
-
 func TestStoreLenAndObjects(t *testing.T) {
 	st := NewStore()
 	if st.Len() != 0 {

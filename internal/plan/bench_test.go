@@ -5,6 +5,7 @@ import (
 
 	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
+	"fusionq/internal/racetest"
 	"fusionq/internal/stats"
 	"fusionq/internal/workload"
 )
@@ -62,7 +63,7 @@ const estimateAllocs = 2
 // TestEstimateAllocs: the estimator, which the optimizers call on every
 // candidate they price, allocates per plan, not per step or variable.
 func TestEstimateAllocs(t *testing.T) {
-	if raceDetector {
+	if racetest.Enabled {
 		t.Skip("the race runtime allocates on its own; CI runs this without -race")
 	}
 	p, table := sjaPlus4x16(t)

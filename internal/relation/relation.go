@@ -97,9 +97,15 @@ func (r *Relation) Len() int { return len(r.rows) }
 
 // Insert appends a tuple after validating arity and column kinds.
 func (r *Relation) Insert(t Tuple) error {
-	bytes, err := checkTuple(r.schema, t)
-	if err != nil {
-		return err
+	if len(t) != r.schema.NumColumns() {
+		return fmt.Errorf("relation: tuple arity %d, schema has %d columns", len(t), r.schema.NumColumns())
+	}
+	bytes := 0
+	for i, c := range r.schema.Columns() {
+		if t[i].Kind() != c.Kind {
+			return fmt.Errorf("relation: column %s expects %s, got %s", c.Name, c.Kind, t[i].Kind())
+		}
+		bytes += t[i].Bytes()
 	}
 	r.bytes += bytes
 	r.rows = append(r.rows, t)
@@ -107,56 +113,14 @@ func (r *Relation) Insert(t Tuple) error {
 	return nil
 }
 
-// checkTuple validates t's arity and column kinds against schema and returns
-// its wire size: what Insert and FromOrdered ask of every tuple.
-func checkTuple(schema *Schema, t Tuple) (int, error) {
-	if len(t) != schema.NumColumns() {
-		return 0, fmt.Errorf("relation: tuple arity %d, schema has %d columns", len(t), schema.NumColumns())
-	}
-	bytes := 0
-	for i, c := range schema.Columns() {
-		if t[i].Kind() != c.Kind {
-			return 0, fmt.Errorf("relation: column %s expects %s, got %s", c.Name, c.Kind, t[i].Kind())
-		}
-		bytes += t[i].Bytes()
-	}
-	return bytes, nil
-}
-
-// FromOrdered returns the relation of the tuples scan visits, in the order
-// it visits them, with view as its ordered view: a load of a source whose
-// backend already holds the view shares it instead of sorting a copy. view
-// must be the ordered view of those tuples. Each tuple is checked as Insert
-// checks it and its wire size summed, and a scan that visits more or fewer
-// tuples than view.Rows holds is refused. The tuples and the view are
-// shared, not copied; the relation's rows have no room past their length,
-// so an Insert into it copies them and drops the view, which stays as it is.
-//
-// The relation collects the tuples itself, so that a load allocates the
-// relation, its rows and the callback scan is given, and nothing else.
-func FromOrdered(schema *Schema, view *Ordered, scan func(yield func(Tuple) error) error) (*Relation, error) {
-	n := len(view.Rows)
-	r := &Relation{schema: schema, rows: make([]Tuple, 0, n)}
-	err := scan(func(t Tuple) error {
-		if len(r.rows) == n {
-			return fmt.Errorf("relation: more tuples than the ordered view's %d", n)
-		}
-		bytes, err := checkTuple(schema, t)
-		if err != nil {
-			return err
-		}
-		r.bytes += bytes
-		r.rows = append(r.rows, t)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(r.rows) != n {
-		return nil, fmt.Errorf("relation: %d tuples, the ordered view has %d", len(r.rows), n)
-	}
-	r.ordered.Store(view)
-	return r, nil
+// Share returns a relation holding r's rows and ordered view without copying
+// either: what a load hands out, so that its caller may Insert without
+// touching r. The rows have no room past their length, so an Insert into the
+// share copies them and drops its view, which stays as it is for r.
+func (r *Relation) Share() *Relation {
+	s := &Relation{schema: r.schema, rows: r.rows[:len(r.rows):len(r.rows)], bytes: r.bytes}
+	s.ordered.Store(r.Ordered())
+	return s
 }
 
 // Ordered returns the item-ordered view of the relation as it stands,
@@ -169,16 +133,16 @@ func (r *Relation) Ordered() *Ordered {
 	defer r.build.Unlock()
 	o := r.ordered.Load()
 	if o == nil {
-		o = NewOrdered(r.schema, r.rows)
+		o = newOrdered(r.schema, r.rows)
 		r.ordered.Store(o)
 	}
 	return o
 }
 
-// NewOrdered builds the ordered view of rows, which must fit schema: it sorts
+// newOrdered builds the ordered view of rows, which must fit schema: it sorts
 // them by (item, position in rows), records the group boundaries and spreads
 // the values over the column vectors. rows itself is left as it is.
-func NewOrdered(schema *Schema, rows []Tuple) *Ordered {
+func newOrdered(schema *Schema, rows []Tuple) *Ordered {
 	mergeIdx := schema.MergeIndex()
 	type key struct {
 		item string
@@ -278,15 +242,6 @@ func (r *Relation) DistinctItems() int { return len(r.Ordered().Items) }
 // Bytes estimates the wire size of the whole relation, the quantity charged
 // when a plan loads an entire source with lq (Section 4).
 func (r *Relation) Bytes() int { return r.bytes }
-
-// Get returns the value of the named column in tuple t.
-func (r *Relation) Get(t Tuple, col string) (Value, bool) {
-	i, ok := r.schema.Index(col)
-	if !ok {
-		return Value{}, false
-	}
-	return t[i], true
-}
 
 // String renders the relation as a small fixed-width table, in the style of
 // the paper's Figure 1.

@@ -126,17 +126,6 @@ func TestRelationInsertErrors(t *testing.T) {
 	}
 }
 
-func TestRelationGet(t *testing.T) {
-	r := figure1R1(t)
-	v, ok := r.Get(r.Row(0), "D")
-	if !ok || v.IntVal() != 1993 {
-		t.Fatalf("Get(D) = %v,%v", v, ok)
-	}
-	if _, ok := r.Get(r.Row(0), "Z"); ok {
-		t.Error("Get on unknown column should fail")
-	}
-}
-
 func TestRelationString(t *testing.T) {
 	r := figure1R1(t)
 	s := r.String()

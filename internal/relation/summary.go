@@ -107,10 +107,10 @@ func (s *Summary) Size() int {
 	return n
 }
 
-// Summarize builds the summary of the relation whose ordered view is o, in
+// summarize builds the summary of the relation whose ordered view is o, in
 // one pass over its groups. What accumulates is two numbers per item and
 // numeric attribute, and a bounded counting map per attribute.
-func Summarize(schema *Schema, o *Ordered) *Summary {
+func summarize(schema *Schema, o *Ordered) *Summary {
 	sum := &Summary{Numeric: map[string]*NumericStats{}, Strings: map[string]*ValueCounts{}}
 	cols := schema.Columns()
 	nums := make([]*numericAcc, len(cols))
@@ -154,7 +154,7 @@ func Summarize(schema *Schema, o *Ordered) *Summary {
 }
 
 // Summarize summarizes a relation held in memory.
-func (r *Relation) Summarize() *Summary { return Summarize(r.schema, r.Ordered()) }
+func (r *Relation) Summarize() *Summary { return summarize(r.schema, r.Ordered()) }
 
 // numericAcc collects one numeric attribute's distributions.
 type numericAcc struct {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"fusionq/internal/racetest"
 )
 
 // The set algebra is the mediator's hottest local path: every round of every
@@ -72,7 +74,7 @@ func TestAllocBounds(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			limit := tc.max
-			if tc.pooled && raceDetector {
+			if tc.pooled && racetest.Enabled {
 				limit = 5
 			}
 			if got := testing.AllocsPerRun(20, tc.fn); got > limit {
@@ -94,7 +96,7 @@ func TestAllocBounds(t *testing.T) {
 // reset in place, so that the count is the merge's alone. Under -race the
 // pools drop some of what is put back, so the test runs without it only.
 func TestMergeAllocs(t *testing.T) {
-	if raceDetector {
+	if racetest.Enabled {
 		t.Skip("pooled buffers are not reliably reused under -race")
 	}
 	const want = 3

@@ -3,6 +3,8 @@ package set
 import (
 	"context"
 	"testing"
+
+	"fusionq/internal/racetest"
 )
 
 // TestBatchPoolClasses: a buffer has room for what was asked, in a
@@ -36,7 +38,7 @@ func TestRecycledBatchIsOverwritten(t *testing.T) {
 	kept := (*p)[:2]
 	PutBatch(p)
 	want := ""
-	if raceDetector {
+	if racetest.Enabled {
 		want = Recycled
 	}
 	for i, v := range kept[:cap(kept)] {
@@ -113,7 +115,7 @@ func TestReleaseAllocatesNothing(t *testing.T) {
 			}
 			Release(FromSorted(b))
 		})
-		if !raceDetector && got != 0 {
+		if !racetest.Enabled && got != 0 {
 			t.Errorf("Alloc(%d) and Release allocate %.1f times per run, want 0", n, got)
 		}
 		if b := Alloc(n); len(b) != 0 || cap(b) < n || cap(b)&(cap(b)-1) != 0 {
@@ -138,7 +140,7 @@ func TestReleasedSetIsRecycled(t *testing.T) {
 	s := FromSorted(b)
 	Release(s)
 	want := ""
-	if raceDetector {
+	if racetest.Enabled {
 		want = Recycled
 	}
 	for i, v := range s.Items() {

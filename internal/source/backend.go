@@ -17,19 +17,12 @@ import (
 type Backend interface {
 	// Schema returns the common view the backend's wrapper exports.
 	Schema() *relation.Schema
-	// Scan visits every tuple of the exported view in the backend's storage
-	// order, the order Load materializes. Returning an error from fn aborts
-	// the scan with that error.
-	Scan(fn func(relation.Tuple) error) error
-	// Ordered returns the same tuples as an ordered view: grouped by
-	// merge-attribute item, the groups in ascending item order, each group in
-	// Scan order, with one column vector per attribute. It is what a wrapper
-	// answers every query from, and the view lq's relation shares. The view
-	// is shared: callers must not modify it, and may keep using it after the
-	// backend has moved on.
-	Ordered() (*relation.Ordered, error)
-	// Size returns tuple count, distinct item count and approximate bytes.
-	Size() (tuples, distinct, bytes int)
+	// Relation returns the exported view as a relation whose rows are in the
+	// backend's storage order, the order lq ships. Its Ordered view is what
+	// a wrapper answers every query from. The relation is shared: callers
+	// must not modify it, and may keep using it after the backend has moved
+	// on.
+	Relation() (*relation.Relation, error)
 }
 
 // ---- Row store -------------------------------------------------------------
@@ -46,23 +39,8 @@ func NewRowBackend(rel *relation.Relation) *RowBackend { return &RowBackend{rel:
 // Schema implements Backend.
 func (b *RowBackend) Schema() *relation.Schema { return b.rel.Schema() }
 
-// Scan implements Backend.
-func (b *RowBackend) Scan(fn func(relation.Tuple) error) error {
-	for _, t := range b.rel.Rows() {
-		if err := fn(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Ordered implements Backend with the relation's own cached view.
-func (b *RowBackend) Ordered() (*relation.Ordered, error) { return b.rel.Ordered(), nil }
-
-// Size implements Backend.
-func (b *RowBackend) Size() (int, int, int) {
-	return b.rel.Len(), b.rel.DistinctItems(), b.rel.Bytes()
-}
+// Relation implements Backend with the stored relation itself.
+func (b *RowBackend) Relation() (*relation.Relation, error) { return b.rel, nil }
 
 // ---- Key–value store -------------------------------------------------------
 
@@ -74,13 +52,11 @@ type KVBackend struct {
 	schema *relation.Schema
 	data   map[string][]string // item -> encoded records
 	keys   []string            // insertion-ordered distinct items
-	tuples int
-	bytes  int
 
-	// view is the decoded ordered view, built by the first Ordered after a
+	// rel holds the decoded records, built by the first Relation after a
 	// Put; mu guards it so concurrent first uses decode once.
-	mu   sync.Mutex
-	view *relation.Ordered
+	mu  sync.Mutex
+	rel *relation.Relation
 }
 
 // NewKVBackend creates an empty key–value backend exporting schema.
@@ -101,16 +77,14 @@ func (b *KVBackend) Put(t relation.Tuple) error {
 			return fmt.Errorf("kv: column %s kind mismatch", b.schema.Columns()[i].Name)
 		}
 		parts[i] = v.Raw()
-		b.bytes += v.Bytes()
 	}
 	item := t[b.schema.MergeIndex()].Raw()
 	if _, ok := b.data[item]; !ok {
 		b.keys = append(b.keys, item)
 	}
 	b.data[item] = append(b.data[item], strings.Join(parts, kvSep))
-	b.tuples++
 	b.mu.Lock()
-	b.view = nil
+	b.rel = nil
 	b.mu.Unlock()
 	return nil
 }
@@ -162,44 +136,27 @@ func decodeValue(raw string, k relation.Kind) (relation.Value, error) {
 // Schema implements Backend.
 func (b *KVBackend) Schema() *relation.Schema { return b.schema }
 
-// Scan implements Backend.
-func (b *KVBackend) Scan(fn func(relation.Tuple) error) error {
-	for _, item := range b.keys {
-		for _, rec := range b.data[item] {
-			t, err := b.decode(rec)
-			if err != nil {
-				return err
-			}
-			if err := fn(t); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Ordered implements Backend: it decodes every record once, in Scan order,
-// and keeps the view of them until the next Put.
-func (b *KVBackend) Ordered() (*relation.Ordered, error) {
+// Relation implements Backend: it decodes every record once, item by item
+// in insertion order, and keeps the relation of them until the next Put.
+func (b *KVBackend) Relation() (*relation.Relation, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.view == nil {
-		rows := make([]relation.Tuple, 0, b.tuples)
-		err := b.Scan(func(t relation.Tuple) error {
-			rows = append(rows, t)
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	if b.rel == nil {
+		rel := relation.NewRelation(b.schema)
+		for _, item := range b.keys {
+			for _, rec := range b.data[item] {
+				t, err := b.decode(rec)
+				if err != nil {
+					return nil, err
+				}
+				if err := rel.Insert(t); err != nil {
+					return nil, err
+				}
+			}
 		}
-		b.view = relation.NewOrdered(b.schema, rows)
+		b.rel = rel
 	}
-	return b.view, nil
-}
-
-// Size implements Backend.
-func (b *KVBackend) Size() (int, int, int) {
-	return b.tuples, len(b.data), b.bytes
+	return b.rel, nil
 }
 
 // ---- OEM semistructured store ----------------------------------------------
@@ -220,34 +177,7 @@ func NewOEMBackend(store *oem.Store, mapping oem.Mapping) *OEMBackend {
 // Schema implements Backend.
 func (b *OEMBackend) Schema() *relation.Schema { return b.mapping.Schema }
 
-// Scan implements Backend.
-func (b *OEMBackend) Scan(fn func(relation.Tuple) error) error {
-	rel, err := b.store.ToRelation(b.mapping)
-	if err != nil {
-		return err
-	}
-	for _, t := range rel.Rows() {
-		if err := fn(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Ordered implements Backend with the view of a freshly mapped relation.
-func (b *OEMBackend) Ordered() (*relation.Ordered, error) {
-	rel, err := b.store.ToRelation(b.mapping)
-	if err != nil {
-		return nil, err
-	}
-	return rel.Ordered(), nil
-}
-
-// Size implements Backend.
-func (b *OEMBackend) Size() (int, int, int) {
-	rel, err := b.store.ToRelation(b.mapping)
-	if err != nil {
-		return 0, 0, 0
-	}
-	return rel.Len(), rel.DistinctItems(), rel.Bytes()
+// Relation implements Backend with a fresh mapping of the store.
+func (b *OEMBackend) Relation() (*relation.Relation, error) {
+	return b.store.ToRelation(b.mapping)
 }

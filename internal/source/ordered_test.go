@@ -85,27 +85,30 @@ func (tr *trio) fill(t *testing.T, rng *rand.Rand, n, universe int) {
 }
 
 // referenceSelect is the selection as wrappers computed it before the
-// ordered scan: a storage-order Scan, Eval per tuple, a map to deduplicate
-// and set.New to sort.
+// ordered scan: the rows in storage order, Eval per tuple, a map to
+// deduplicate and set.New to sort.
 func referenceSelect(b Backend, c cond.Cond) (set.Set, error) {
 	schema := b.Schema()
 	if err := c.Check(schema); err != nil {
 		return set.Set{}, err
 	}
+	rel, err := b.Relation()
+	if err != nil {
+		return set.Set{}, err
+	}
 	seen := map[string]bool{}
 	var items []string
-	err := b.Scan(func(t relation.Tuple) error {
+	for _, t := range rel.Rows() {
 		ok, err := c.Eval(schema, t)
 		if err != nil {
-			return err
+			return set.Set{}, err
 		}
 		if item := t[schema.MergeIndex()].Raw(); ok && !seen[item] {
 			seen[item] = true
 			items = append(items, item)
 		}
-		return nil
-	})
-	return set.New(items...), err
+	}
+	return set.New(items...), nil
 }
 
 func checkSelects(t *testing.T, tr *trio) {
@@ -128,7 +131,11 @@ func checkSelects(t *testing.T, tr *trio) {
 			if !sort.StringsAreSorted(got.Items()) {
 				t.Fatalf("%s: sq(%s) not sorted: %v", name, c, got)
 			}
-			local, err := SelectItems(b, c)
+			rel, err := b.Relation()
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := SelectItems(rel, c)
 			if err != nil || !local.Equal(want) {
 				t.Fatalf("%s: SelectItems(%s) = %v, %v, reference %v", name, c, local, err, want)
 			}
@@ -219,30 +226,28 @@ func TestSelectConcurrently(t *testing.T) {
 }
 
 // checkView holds a backend's ordered view to the contract: items ascending
-// and distinct, each group its item's tuples in Scan order, every column
+// and distinct, each group its item's tuples in storage order, every column
 // vector equal to its column of Rows.
 func checkView(t *testing.T, name string, b Backend) *relation.Ordered {
 	t.Helper()
-	scanOrder := map[string][]relation.Tuple{}
-	tuples := 0
-	if err := b.Scan(func(tup relation.Tuple) error {
-		scanOrder[tup[0].Raw()] = append(scanOrder[tup[0].Raw()], tup)
-		tuples++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	view, err := b.Ordered()
+	rel, err := b.Relation()
 	if err != nil {
 		t.Fatal(err)
 	}
+	scanOrder := map[string][]relation.Tuple{}
+	tuples := 0
+	for _, tup := range rel.Rows() {
+		scanOrder[tup[0].Raw()] = append(scanOrder[tup[0].Raw()], tup)
+		tuples++
+	}
+	view := rel.Ordered()
 	if !sort.StringsAreSorted(view.Items) || len(view.Items) != len(scanOrder) || len(view.Rows) != tuples {
 		t.Fatalf("%s: view has %d items (sorted=%v) and %d rows, backend holds %d and %d",
 			name, len(view.Items), sort.StringsAreSorted(view.Items), len(view.Rows), len(scanOrder), tuples)
 	}
 	for g, item := range view.Items {
 		if !reflect.DeepEqual(append([]relation.Tuple(nil), view.Group(g)...), scanOrder[item]) {
-			t.Errorf("%s: group %s = %v, Scan order %v", name, item, view.Group(g), scanOrder[item])
+			t.Errorf("%s: group %s = %v, storage order %v", name, item, view.Group(g), scanOrder[item])
 		}
 	}
 	if len(view.Cols) != b.Schema().NumColumns() {
@@ -269,27 +274,34 @@ func checkView(t *testing.T, name string, b Backend) *relation.Ordered {
 	return view
 }
 
+// viewOf returns the ordered view of b's relation.
+func viewOf(t *testing.T, b Backend) *relation.Ordered {
+	t.Helper()
+	rel, err := b.Relation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel.Ordered()
+}
+
 // TestOrderedViewContract holds every backend to the view contract, checks
-// that the view left Scan's storage order, which Load materializes, alone,
-// and that a write drops the view: a tuple added to an item the backend
-// already holds must show in the next one.
+// that the view left the rows' storage order, which Load materializes,
+// alone, and that a write drops the view: a tuple added to an item the
+// backend already holds must show in the next one.
 func TestOrderedViewContract(t *testing.T) {
 	tr := newTrio()
 	tr.fill(t, rand.New(rand.NewSource(9)), 250, 40)
 	for name, b := range tr.backends {
 		checkView(t, name, b)
-		var scanned []relation.Tuple
-		if err := b.Scan(func(tup relation.Tuple) error { scanned = append(scanned, tup); return nil }); err != nil {
-			t.Fatal(err)
-		}
+		stored := storedRows(t, b)
 		rel, err := NewWrapper("R", b, Capabilities{}).Load(context.Background())
-		if err != nil || !reflect.DeepEqual(rel.Rows(), scanned) {
-			t.Fatalf("%s: Load is not the tuples in Scan order (err %v)", name, err)
+		if err != nil || !reflect.DeepEqual(rel.Rows(), stored) {
+			t.Fatalf("%s: Load is not the tuples in storage order (err %v)", name, err)
 		}
 	}
 	held := map[string]*relation.Ordered{}
 	for name, b := range tr.backends {
-		held[name], _ = b.Ordered()
+		held[name] = viewOf(t, b)
 	}
 	existing := held["row"].Items[3]
 	tr.add(t, relation.Tuple{relation.String(existing), relation.Int(-7), relation.String("new")})
@@ -307,7 +319,7 @@ func TestOrderedViewContract(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"row", "kv"} {
-		if a, _ := tr.backends[name].Ordered(); a != checkView(t, name, tr.backends[name]) {
+		if a := viewOf(t, tr.backends[name]); a != checkView(t, name, tr.backends[name]) {
 			t.Fatalf("%s: view rebuilt without a write in between", name)
 		}
 	}
@@ -325,10 +337,12 @@ func TestOrderedConcurrentFirstUse(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				var err error
-				if views[i], err = b.Ordered(); err != nil {
+				rel, err := b.Relation()
+				if err != nil {
 					t.Error(err)
+					return
 				}
+				views[i] = rel.Ordered()
 			}(i)
 		}
 		wg.Wait()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fusionq/internal/cond"
+	"fusionq/internal/racetest"
 	"fusionq/internal/relation"
 	"fusionq/internal/set"
 )
@@ -55,7 +56,7 @@ func TestSelectAllocs(t *testing.T) {
 				got, _ = w.Select(ctx, c)
 				set.Release(got)
 			})
-			if !raceDetector && allocs > bind {
+			if !racetest.Enabled && allocs > bind {
 				t.Errorf("tuples=%d sel=%d%%: Select allocates %.0f times, its condition's binding %.0f", n, pct, allocs, bind)
 			}
 			got, _ = w.Select(ctx, c)
@@ -69,7 +70,7 @@ func TestSelectAllocs(t *testing.T) {
 					got, _ = w.Semijoin(ctx, c, y)
 					set.Release(got)
 				})
-				if !raceDetector && allocs > bind {
+				if !racetest.Enabled && allocs > bind {
 					t.Errorf("tuples=%d sel=%d%%: Semijoin of %d items allocates %.0f times, its condition's binding %.0f", n, pct, size, allocs, bind)
 				}
 				got, _ = w.Semijoin(ctx, c, y)

@@ -113,7 +113,7 @@ type Source interface {
 	// ErrUnsupported unless Caps().PassedBindings.
 	SelectBinding(ctx context.Context, c cond.Cond, item string) (bool, error)
 	// Load answers lq(R): the source's entire relation (Section 4), its
-	// tuples in the backend's Scan order. A wrapper's relation shares the
+	// tuples in the backend's storage order. A wrapper's relation shares the
 	// backend's tuples and ordered view, so nobody may modify them; an
 	// Insert into it copies its rows first and leaves the view alone.
 	Load(ctx context.Context) (*relation.Relation, error)
@@ -178,23 +178,15 @@ func (w *Wrapper) ctxErr(ctx context.Context) error {
 // bind is the first step of every selecting operation: the backend's view and
 // c bound to the backend's schema.
 func (w *Wrapper) bind(c cond.Cond) (*relation.Ordered, cond.Pred, error) {
-	view, pred, err := bindView(w.backend, c)
+	pred, err := c.Bind(w.backend.Schema())
 	if err != nil {
 		return nil, nil, fmt.Errorf("source %s: %w", w.name, err)
 	}
-	return view, pred, nil
-}
-
-func bindView(b Backend, c cond.Cond) (*relation.Ordered, cond.Pred, error) {
-	pred, err := c.Bind(b.Schema())
+	rel, err := w.backend.Relation()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("source %s: %w", w.name, err)
 	}
-	view, err := b.Ordered()
-	if err != nil {
-		return nil, nil, err
-	}
-	return view, pred, nil
+	return rel.Ordered(), pred, nil
 }
 
 // Select implements Source.
@@ -270,15 +262,15 @@ func (st *selectStream) Close() error {
 	return nil
 }
 
-// SelectItems answers sq(c, ·) over a backend: the distinct items with a
+// SelectItems answers sq(c, ·) over a relation: the distinct items with a
 // tuple satisfying c. Wrappers and the mediator's local selections over
 // loaded relations share this one implementation.
-func SelectItems(b Backend, c cond.Cond) (set.Set, error) {
-	view, pred, err := bindView(b, c)
+func SelectItems(rel *relation.Relation, c cond.Cond) (set.Set, error) {
+	pred, err := c.Bind(rel.Schema())
 	if err != nil {
 		return set.Set{}, err
 	}
-	return selectItems(view, pred, nil), nil
+	return selectItems(rel.Ordered(), pred, nil), nil
 }
 
 // selectItems runs the bound condition over the whole view, folds the rows'
@@ -463,20 +455,16 @@ func (w *Wrapper) SelectBinding(ctx context.Context, c cond.Cond, item string) (
 	return probe.match(item), nil
 }
 
-// Load implements Source from the backend's ordered view and one Scan.
+// Load implements Source with a share of the backend's relation.
 func (w *Wrapper) Load(ctx context.Context) (*relation.Relation, error) {
 	if err := w.ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	view, err := w.backend.Ordered()
+	rel, err := w.backend.Relation()
 	if err != nil {
 		return nil, fmt.Errorf("source %s: load: %w", w.name, err)
 	}
-	r, err := relation.FromOrdered(w.backend.Schema(), view, w.backend.Scan)
-	if err != nil {
-		return nil, fmt.Errorf("source %s: load: %w", w.name, err)
-	}
-	return r, nil
+	return rel.Share(), nil
 }
 
 // Summarize implements Summarizer with one pass over the backend's view.
@@ -484,19 +472,20 @@ func (w *Wrapper) Summarize(ctx context.Context) (*relation.Summary, error) {
 	if err := w.ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	view, err := w.backend.Ordered()
+	rel, err := w.backend.Relation()
 	if err != nil {
 		return nil, fmt.Errorf("source %s: stats: %w", w.name, err)
 	}
-	return relation.Summarize(w.backend.Schema(), view), nil
+	return rel.Summarize(), nil
 }
 
 // Fetch implements Source, observing ctx between blocks of lookups.
 func (w *Wrapper) Fetch(ctx context.Context, items set.Set) ([]relation.Tuple, error) {
-	view, err := w.backend.Ordered()
+	rel, err := w.backend.Relation()
 	if err != nil {
 		return nil, fmt.Errorf("source %s: fetch: %w", w.name, err)
 	}
+	view := rel.Ordered()
 	var out []relation.Tuple
 	g := 0
 	for i, item := range items.Items() {
@@ -548,7 +537,12 @@ func (w *Wrapper) SemijoinRecords(ctx context.Context, c cond.Cond, y set.Set) (
 	return w.Fetch(ctx, items)
 }
 
-// Card implements Source.
+// Card implements Source; a backend that cannot map its relation reports
+// nothing.
 func (w *Wrapper) Card() (tuples, distinct, bytes int) {
-	return w.backend.Size()
+	rel, err := w.backend.Relation()
+	if err != nil {
+		return 0, 0, 0
+	}
+	return rel.Len(), rel.DistinctItems(), rel.Bytes()
 }

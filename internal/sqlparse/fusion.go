@@ -115,11 +115,3 @@ func ParseFusion(sql string, schema *relation.Schema) (*FusionQuery, error) {
 	}
 	return q.Fusion(schema)
 }
-
-// IsFusion reports whether the SQL statement is a fusion query over the
-// schema — the cheap gate a general optimizer would use before handing the
-// query to the specialized fusion planner (Section 5).
-func IsFusion(sql string, schema *relation.Schema) bool {
-	_, err := ParseFusion(sql, schema)
-	return err == nil
-}

@@ -137,16 +137,9 @@ func TestNotFusionRejections(t *testing.T) {
 		"unknown link var":      `SELECT u1.L FROM U u1, U u2 WHERE u1.L = u9.L AND u1.V = 'dui'`,
 	}
 	for name, sql := range cases {
-		if IsFusion(sql, schema) {
+		if _, err := ParseFusion(sql, schema); err == nil {
 			t.Errorf("%s: should be rejected", name)
 		}
-	}
-}
-
-func TestIsFusionAccepts(t *testing.T) {
-	schema := workload.DMVSchema()
-	if !IsFusion(paperSQL, schema) {
-		t.Fatal("paper query should be detected as fusion")
 	}
 }
 

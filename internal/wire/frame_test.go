@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"fusionq/internal/cond"
+	"fusionq/internal/racetest"
 	"fusionq/internal/set"
 	"fusionq/internal/workload"
 )
@@ -343,7 +344,7 @@ func TestEncodeCachedAllocs(t *testing.T) {
 	}
 	// Under -race a dropped encoder state costs json.Marshal an allocation
 	// or two more on some runs, at either size.
-	if slack := 2.0; allocs[0] != allocs[1] && (!raceDetector || allocs[1] > allocs[0]+slack) {
+	if slack := 2.0; allocs[0] != allocs[1] && (!racetest.Enabled || allocs[1] > allocs[0]+slack) {
 		t.Errorf("writing a response that carries its encoding allocates %.0f times at 100 items and %.0f at 10 000, want the same", allocs[0], allocs[1])
 	}
 }

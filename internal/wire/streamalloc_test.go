@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fusionq/internal/cond"
+	"fusionq/internal/racetest"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
 	"fusionq/internal/workload"
@@ -25,7 +26,7 @@ import (
 // 16 bytes an item each. The test runs without the race detector only, whose
 // pools drop a quarter of what is put back.
 func TestStreamedUnionAllocsPerItem(t *testing.T) {
-	if raceDetector {
+	if racetest.Enabled {
 		t.Skip("pooled buffers are not reliably reused under -race")
 	}
 	sc, err := workload.Synth(workload.SynthConfig{Seed: 5, NumSources: 4, TuplesPerSource: 10000, Universe: 20000, Selectivity: []float64{0.5}})
@@ -115,7 +116,7 @@ func (a *answerAddrs) Select(ctx context.Context, c cond.Cond) (set.Set, error) 
 // one a request. Under -race the pool drops some of what is put back, so
 // the test runs without it only.
 func TestServerReleasesWrittenAnswers(t *testing.T) {
-	if raceDetector {
+	if racetest.Enabled {
 		t.Skip("pooled buffers are not reliably reused under -race")
 	}
 	sc, err := workload.Synth(workload.SynthConfig{Seed: 5, NumSources: 1, TuplesPerSource: 2000, Universe: 4000, Selectivity: []float64{0.5}})
@@ -163,7 +164,7 @@ func TestServerReleasesWrittenAnswers(t *testing.T) {
 // its own, made it about 39. The test runs without the race detector only,
 // whose pools drop a quarter of what is put back.
 func TestSemijoinExchangeAllocs(t *testing.T) {
-	if raceDetector {
+	if racetest.Enabled {
 		t.Skip("pooled buffers are not reliably reused under -race")
 	}
 	sc, err := workload.Synth(workload.SynthConfig{Seed: 5, NumSources: 1, TuplesPerSource: 10000, Universe: 20000, Selectivity: []float64{0.5}})

@@ -165,12 +165,11 @@ func TestPayloadBytesAddsWideColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sc.Schema.Index("P"); !ok {
+	p, ok := sc.Schema.Index("P")
+	if !ok {
 		t.Fatal("payload column P missing")
 	}
-	row := sc.Relations[0].Row(0)
-	v, _ := sc.Relations[0].Get(row, "P")
-	if len(v.Raw()) != 256 {
+	if v := sc.Relations[0].Row(0)[p]; len(v.Raw()) != 256 {
 		t.Fatalf("payload width = %d, want 256", len(v.Raw()))
 	}
 	// Without payload there is no P column.
@@ -193,10 +192,10 @@ func TestCorrelationCouplesAttributes(t *testing.T) {
 			t.Fatal(err)
 		}
 		equal := 0
+		a1, _ := sc.Schema.Index("A1")
+		a2, _ := sc.Schema.Index("A2")
 		for _, row := range sc.Relations[0].Rows() {
-			a1, _ := sc.Relations[0].Get(row, "A1")
-			a2, _ := sc.Relations[0].Get(row, "A2")
-			if a1.IntVal() == a2.IntVal() {
+			if row[a1].IntVal() == row[a2].IntVal() {
 				equal++
 			}
 		}
