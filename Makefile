@@ -86,7 +86,9 @@ bench-gate:
 
 # Layer micro-benchmarks behind the end-to-end benchmark's numbers: the
 # wrapper's selection (every node kind, one relation and six in turn) and
-# semijoin (10^2 and 10^4 items), one selection bare and under the source
+# load, both also over a KV and an OEM backend holding the row store's
+# tuples (the place to compare the three backends), the wrapper's semijoin
+# (10^2 and 10^4 items), one selection bare and under the source
 # layers (fault + accounting, the fabric), a batch's exchange accounting from
 # the run's ledger at two log lengths, one plan under each scheduler (par,
 # stream), the k-way union and intersection (strided inputs, and six drawn as

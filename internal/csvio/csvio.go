@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"fusionq/internal/relation"
 )
@@ -72,7 +71,7 @@ func Read(r io.Reader, merge string) (*relation.Relation, error) {
 		}
 		tup := make(relation.Tuple, len(rec))
 		for i, cell := range rec {
-			v, err := parseAs(cell, kinds[i])
+			v, err := relation.ParseRaw(cell, kinds[i])
 			if err != nil {
 				return nil, fmt.Errorf("row %d, column %s: %w", rowNum+2, header[i], err)
 			}
@@ -86,39 +85,10 @@ func Read(r io.Reader, merge string) (*relation.Relation, error) {
 }
 
 func inferKind(cell string) relation.Kind {
-	if _, err := strconv.ParseInt(cell, 10, 64); err == nil {
-		return relation.KindInt
-	}
-	if _, err := strconv.ParseFloat(cell, 64); err == nil {
-		return relation.KindFloat
-	}
-	if _, err := strconv.ParseBool(cell); err == nil {
-		return relation.KindBool
+	for _, k := range []relation.Kind{relation.KindInt, relation.KindFloat, relation.KindBool} {
+		if _, err := relation.ParseRaw(cell, k); err == nil {
+			return k
+		}
 	}
 	return relation.KindString
-}
-
-func parseAs(cell string, k relation.Kind) (relation.Value, error) {
-	switch k {
-	case relation.KindInt:
-		i, err := strconv.ParseInt(cell, 10, 64)
-		if err != nil {
-			return relation.Value{}, fmt.Errorf("%q is not an int", cell)
-		}
-		return relation.Int(i), nil
-	case relation.KindFloat:
-		f, err := strconv.ParseFloat(cell, 64)
-		if err != nil {
-			return relation.Value{}, fmt.Errorf("%q is not a float", cell)
-		}
-		return relation.Float(f), nil
-	case relation.KindBool:
-		b, err := strconv.ParseBool(cell)
-		if err != nil {
-			return relation.Value{}, fmt.Errorf("%q is not a bool", cell)
-		}
-		return relation.Bool(b), nil
-	default:
-		return relation.String(cell), nil
-	}
 }

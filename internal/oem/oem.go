@@ -60,8 +60,8 @@ func (o *Object) String() string {
 	return s + "}>"
 }
 
-// Store is a collection of top-level complex objects, each describing one
-// record (e.g. one violation report at a DMV).
+// Store is an append-only collection of top-level complex objects, each
+// describing one record (e.g. one violation report at a DMV).
 type Store struct {
 	root []*Object
 }
@@ -69,14 +69,14 @@ type Store struct {
 // NewStore creates an empty store.
 func NewStore() *Store { return &Store{} }
 
-// Add appends a top-level object.
+// Add appends a top-level object, which then belongs to the store: it must
+// not be changed afterwards. Add must not run concurrently with anything
+// else on the store.
 func (s *Store) Add(o *Object) { s.root = append(s.root, o) }
 
-// Len returns the number of top-level objects.
+// Len returns the number of top-level objects: as the store only appends,
+// also the number of Adds so far.
 func (s *Store) Len() int { return len(s.root) }
-
-// Objects returns the top-level objects in insertion order.
-func (s *Store) Objects() []*Object { return s.root }
 
 // Mapping describes how a wrapper maps OEM objects to the common relational
 // schema: for each column, the label of the subobject holding its value.

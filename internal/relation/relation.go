@@ -95,19 +95,14 @@ func (r *Relation) Schema() *Schema { return r.schema }
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.rows) }
 
-// Insert appends a tuple after validating arity and column kinds.
+// Insert appends a tuple after Schema.Check.
 func (r *Relation) Insert(t Tuple) error {
-	if len(t) != r.schema.NumColumns() {
-		return fmt.Errorf("relation: tuple arity %d, schema has %d columns", len(t), r.schema.NumColumns())
+	if err := r.schema.Check(t); err != nil {
+		return err
 	}
-	bytes := 0
-	for i, c := range r.schema.Columns() {
-		if t[i].Kind() != c.Kind {
-			return fmt.Errorf("relation: column %s expects %s, got %s", c.Name, c.Kind, t[i].Kind())
-		}
-		bytes += t[i].Bytes()
+	for _, v := range t {
+		r.bytes += v.Bytes()
 	}
-	r.bytes += bytes
 	r.rows = append(r.rows, t)
 	r.ordered.Store(nil)
 	return nil

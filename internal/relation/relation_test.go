@@ -257,3 +257,25 @@ func TestPropParseValueRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestParseRawInvertsRaw: every value reads back from its Raw text at its
+// kind, and text of another kind is refused.
+func TestParseRawInvertsRaw(t *testing.T) {
+	f := func(n int64, x float64, b bool, s string) bool {
+		for _, v := range []Value{Int(n), Float(x), Bool(b), String(s)} {
+			got, err := ParseRaw(v.Raw(), v.Kind())
+			if err != nil || got != v {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []Kind{KindInt, KindFloat, KindBool} {
+		if _, err := ParseRaw("dui", k); err == nil {
+			t.Errorf("ParseRaw(%q, %s) should fail", "dui", k)
+		}
+	}
+}

@@ -82,6 +82,21 @@ func (s *Schema) KindOf(name string) (Kind, bool) {
 	return s.cols[i].Kind, true
 }
 
+// Check reports whether t fits the schema: one value a column, each of its
+// column's kind. It is the one check a tuple passes before a relation or a
+// backend stores it.
+func (s *Schema) Check(t Tuple) error {
+	if len(t) != len(s.cols) {
+		return fmt.Errorf("relation: tuple arity %d, schema has %d columns", len(t), len(s.cols))
+	}
+	for i, c := range s.cols {
+		if t[i].Kind() != c.Kind {
+			return fmt.Errorf("relation: column %s expects %s, got %s", c.Name, c.Kind, t[i].Kind())
+		}
+	}
+	return nil
+}
+
 // Compatible reports whether two schemas describe the same common view:
 // same columns in the same order and the same merge attribute. Autonomous
 // sources must agree on this view for fusion queries to be well formed.

@@ -176,6 +176,32 @@ func (v Value) Raw() string {
 	}
 }
 
+// ParseRaw is Raw's inverse: the value of kind k that renders as raw. A
+// store that keeps values as text (the KV backend, a CSV file) reads them
+// back with it.
+func ParseRaw(raw string, k Kind) (Value, error) {
+	v := String(raw)
+	var err error
+	switch k {
+	case KindInt:
+		var i int64
+		i, err = strconv.ParseInt(raw, 10, 64)
+		v = Int(i)
+	case KindFloat:
+		var f float64
+		f, err = strconv.ParseFloat(raw, 64)
+		v = Float(f)
+	case KindBool:
+		var b bool
+		b, err = strconv.ParseBool(raw)
+		v = Bool(b)
+	}
+	if err != nil {
+		return Value{}, fmt.Errorf("%q is not a valid %s", raw, k)
+	}
+	return v, nil
+}
+
 // Bytes returns the approximate wire size of the value, used by the network
 // cost accounting.
 func (v Value) Bytes() int {

@@ -2,7 +2,6 @@ package source
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -23,6 +22,30 @@ type Backend interface {
 	// must not modify it, and may keep using it after the backend has moved
 	// on.
 	Relation() (*relation.Relation, error)
+}
+
+// memo holds a backend's common view as mapped at one count of the
+// backend's writes. The first Relation after a write maps the view; mu makes
+// concurrent first uses map it once, and later ones share it and its ordered
+// view until the next write.
+type memo struct {
+	mu     sync.Mutex
+	rel    *relation.Relation
+	writes int
+}
+
+// get returns the view mapped at writes, calling build if there is none.
+func (m *memo) get(writes int, build func() (*relation.Relation, error)) (*relation.Relation, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.rel == nil || m.writes != writes {
+		rel, err := build()
+		if err != nil {
+			return nil, err
+		}
+		m.rel, m.writes = rel, writes
+	}
+	return m.rel, nil
 }
 
 // ---- Row store -------------------------------------------------------------
@@ -52,11 +75,8 @@ type KVBackend struct {
 	schema *relation.Schema
 	data   map[string][]string // item -> encoded records
 	keys   []string            // insertion-ordered distinct items
-
-	// rel holds the decoded records, built by the first Relation after a
-	// Put; mu guards it so concurrent first uses decode once.
-	mu  sync.Mutex
-	rel *relation.Relation
+	puts   int                 // successful Puts, the memo's write count
+	memo   memo
 }
 
 // NewKVBackend creates an empty key–value backend exporting schema.
@@ -66,38 +86,34 @@ func NewKVBackend(schema *relation.Schema) *KVBackend {
 
 const kvSep = "\x1f"
 
-// Put stores one record. The tuple must match the backend's schema.
+// Put stores one record. The tuple must pass the schema's Check, and no
+// value may hold the field separator kvSep.
 func (b *KVBackend) Put(t relation.Tuple) error {
-	if len(t) != b.schema.NumColumns() {
-		return fmt.Errorf("kv: tuple arity %d, want %d", len(t), b.schema.NumColumns())
+	if err := b.schema.Check(t); err != nil {
+		return fmt.Errorf("kv: %w", err)
 	}
 	parts := make([]string, len(t))
 	for i, v := range t {
-		if v.Kind() != b.schema.Columns()[i].Kind {
-			return fmt.Errorf("kv: column %s kind mismatch", b.schema.Columns()[i].Name)
+		if parts[i] = v.Raw(); strings.Contains(parts[i], kvSep) {
+			return fmt.Errorf("kv: column %s: value %q holds the field separator", b.schema.Columns()[i].Name, parts[i])
 		}
-		parts[i] = v.Raw()
 	}
-	item := t[b.schema.MergeIndex()].Raw()
+	item := parts[b.schema.MergeIndex()]
 	if _, ok := b.data[item]; !ok {
 		b.keys = append(b.keys, item)
 	}
 	b.data[item] = append(b.data[item], strings.Join(parts, kvSep))
-	b.mu.Lock()
-	b.rel = nil
-	b.mu.Unlock()
+	b.puts++
 	return nil
 }
 
-// decode rebuilds a tuple from its stored encoding.
+// decode rebuilds a tuple from its stored encoding. Put refused every value
+// holding kvSep, so the record splits into one part a column.
 func (b *KVBackend) decode(rec string) (relation.Tuple, error) {
 	parts := strings.Split(rec, kvSep)
-	if len(parts) != b.schema.NumColumns() {
-		return nil, fmt.Errorf("kv: corrupt record %q", rec)
-	}
 	t := make(relation.Tuple, len(parts))
 	for i, col := range b.schema.Columns() {
-		v, err := decodeValue(parts[i], col.Kind)
+		v, err := relation.ParseRaw(parts[i], col.Kind)
 		if err != nil {
 			return nil, fmt.Errorf("kv: column %s: %w", col.Name, err)
 		}
@@ -106,42 +122,13 @@ func (b *KVBackend) decode(rec string) (relation.Tuple, error) {
 	return t, nil
 }
 
-func decodeValue(raw string, k relation.Kind) (relation.Value, error) {
-	switch k {
-	case relation.KindString:
-		return relation.String(raw), nil
-	case relation.KindInt:
-		i, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return relation.Value{}, err
-		}
-		return relation.Int(i), nil
-	case relation.KindFloat:
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return relation.Value{}, err
-		}
-		return relation.Float(f), nil
-	case relation.KindBool:
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			return relation.Value{}, err
-		}
-		return relation.Bool(v), nil
-	default:
-		return relation.Value{}, fmt.Errorf("unknown kind %v", k)
-	}
-}
-
 // Schema implements Backend.
 func (b *KVBackend) Schema() *relation.Schema { return b.schema }
 
-// Relation implements Backend: it decodes every record once, item by item
-// in insertion order, and keeps the relation of them until the next Put.
+// Relation implements Backend: it decodes every record once a write, item
+// by item in insertion order.
 func (b *KVBackend) Relation() (*relation.Relation, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.rel == nil {
+	return b.memo.get(b.puts, func() (*relation.Relation, error) {
 		rel := relation.NewRelation(b.schema)
 		for _, item := range b.keys {
 			for _, rec := range b.data[item] {
@@ -154,18 +141,19 @@ func (b *KVBackend) Relation() (*relation.Relation, error) {
 				}
 			}
 		}
-		b.rel = rel
-	}
-	return b.rel, nil
+		return rel, nil
+	})
 }
 
 // ---- OEM semistructured store ----------------------------------------------
 
 // OEMBackend exposes an OEM object store (package oem) through a wrapper
-// mapping, walking the object graph on every access.
+// mapping. The store only appends, so its length counts its writes: the
+// backend maps the object graph once a write.
 type OEMBackend struct {
 	store   *oem.Store
 	mapping oem.Mapping
+	memo    memo
 }
 
 // NewOEMBackend wraps an OEM store with the mapping that yields the common
@@ -177,7 +165,9 @@ func NewOEMBackend(store *oem.Store, mapping oem.Mapping) *OEMBackend {
 // Schema implements Backend.
 func (b *OEMBackend) Schema() *relation.Schema { return b.mapping.Schema }
 
-// Relation implements Backend with a fresh mapping of the store.
+// Relation implements Backend with the store's mapping as of its last Add.
 func (b *OEMBackend) Relation() (*relation.Relation, error) {
-	return b.store.ToRelation(b.mapping)
+	return b.memo.get(b.store.Len(), func() (*relation.Relation, error) {
+		return b.store.ToRelation(b.mapping)
+	})
 }

@@ -35,13 +35,7 @@ func BenchmarkWrapperSelect(b *testing.B) {
 	for _, n := range []int{2000, 10000} {
 		tr := newTrio()
 		for _, tup := range benchRelation(int64(n), n).Rows() {
-			if err := tr.rel.Insert(tup); err != nil {
-				b.Fatal(err)
-			}
-			if err := tr.kv.Put(tup); err != nil {
-				b.Fatal(err)
-			}
-			tr.store.Add(recordObject(tup))
+			tr.add(b, tup)
 		}
 		for _, name := range []string{"row", "kv", "oem"} {
 			w := NewWrapper("R", tr.backends[name], Capabilities{})
@@ -137,13 +131,7 @@ func BenchmarkWrapperLoad(b *testing.B) {
 	const n = 2000
 	tr := newTrio()
 	for _, tup := range benchRelation(n, n).Rows() {
-		if err := tr.rel.Insert(tup); err != nil {
-			b.Fatal(err)
-		}
-		if err := tr.kv.Put(tup); err != nil {
-			b.Fatal(err)
-		}
-		tr.store.Add(recordObject(tup))
+		tr.add(b, tup)
 	}
 	for _, name := range []string{"row", "kv", "oem"} {
 		w := NewWrapper("R", tr.backends[name], Capabilities{})

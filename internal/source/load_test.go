@@ -68,7 +68,7 @@ func TestLoadSharesTheView(t *testing.T) {
 				t.Fatal(err)
 			}
 			view := held.Ordered()
-			if name != "oem" && rel.Ordered() != view {
+			if rel.Ordered() != view {
 				t.Errorf("the loaded relation's view is not the backend's")
 			}
 			if got, want := viewCopy(rel.Ordered()), viewCopy(ref.Ordered()); !reflect.DeepEqual(got, want) {
@@ -85,7 +85,7 @@ func TestLoadSharesTheView(t *testing.T) {
 			if !reflect.DeepEqual(storedRows(t, b), stored) {
 				t.Errorf("an Insert into the loaded relation changed the backend's rows")
 			}
-			if now, _ := b.Relation(); name != "oem" && now.Ordered() != view {
+			if now, _ := b.Relation(); now.Ordered() != view {
 				t.Errorf("an Insert into the loaded relation dropped the backend's view")
 			}
 			if !reflect.DeepEqual(viewCopy(view), before) {
@@ -143,23 +143,20 @@ func TestLoadSharesTheView(t *testing.T) {
 	})
 }
 
-// TestLoadAllocs pins what a warm load allocates over a row and a KV
-// backend: the loaded relation's header, nothing per tuple, no sort and no
-// decode.
+// TestLoadAllocs pins what a warm load allocates over a backend of each
+// kind: the loaded relation's header, nothing per tuple, no sort, no decode
+// and no mapping.
 func TestLoadAllocs(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race runtime allocates on its own; CI runs this without -race")
 	}
 	const n = 2000
-	kv := NewKVBackend(propSchema)
-	rel := benchRelation(n, n)
-	for _, tup := range rel.Rows() {
-		if err := kv.Put(tup); err != nil {
-			t.Fatal(err)
-		}
+	tr := newTrio()
+	for _, tup := range benchRelation(n, n).Rows() {
+		tr.add(t, tup)
 	}
 	ctx := context.Background()
-	for name, b := range map[string]Backend{"row": NewRowBackend(rel), "kv": kv} {
+	for name, b := range tr.backends {
 		w := NewWrapper("R", b, Capabilities{})
 		load := func() {
 			if _, err := w.Load(ctx); err != nil {

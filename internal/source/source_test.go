@@ -378,10 +378,18 @@ func TestCapabilitiesString(t *testing.T) {
 func TestKVBackendErrors(t *testing.T) {
 	kv := NewKVBackend(dmvSchema)
 	if err := kv.Put(relation.Tuple{relation.String("x")}); err == nil {
-		t.Error("arity mismatch should fail")
+		t.Error("a tuple of the wrong length should fail")
 	}
 	if err := kv.Put(relation.Tuple{relation.Int(1), relation.String("v"), relation.Int(2)}); err == nil {
-		t.Error("kind mismatch should fail")
+		t.Error("a value of the wrong kind should fail")
+	}
+	// A value holding the field separator is refused before it is stored,
+	// so the source stays readable.
+	if err := kv.Put(relation.Tuple{relation.String("J55"), relation.String("d" + kvSep + "ui"), relation.Int(1993)}); err == nil {
+		t.Error("a value holding the field separator should fail")
+	}
+	if rel, err := kv.Relation(); err != nil || rel.Len() != 0 {
+		t.Errorf("after three refused Puts, Relation() fails (%v) or is not empty", err)
 	}
 }
 
