@@ -28,8 +28,8 @@
 //	-burst n        per-tenant burst allowance (default max(1, rate))
 //	-plan-entries n plan-cache capacity (0 disables, default 256)
 //	-answer-ttl d   answer-cache TTL (default 30s; 0 keeps the default,
-//	                use -answer-entries -1 to disable the cache)
-//	-answer-entries n  answer-cache entry bound (default 1024, -1 disables)
+//	                use -answer-entries 0 to disable the cache)
+//	-answer-entries n  answer-cache entry bound (0 disables, default 1024)
 //	-drain d        graceful-shutdown budget on SIGINT/SIGTERM (default 10s)
 //
 // The served data is a self-contained simulated deployment: the paper's
@@ -92,7 +92,7 @@ func main() {
 	flag.Float64Var(&o.burst, "burst", 0, "per-tenant burst allowance")
 	flag.IntVar(&o.planEntries, "plan-entries", 256, "plan-cache capacity (0 disables)")
 	flag.DurationVar(&o.answerTTL, "answer-ttl", 30*time.Second, "answer-cache TTL")
-	flag.IntVar(&o.answerEntries, "answer-entries", 1024, "answer-cache entry bound (-1 disables)")
+	flag.IntVar(&o.answerEntries, "answer-entries", 1024, "answer-cache entry bound (0 disables)")
 	flag.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown budget on SIGINT/SIGTERM")
 	flag.Parse()
 	if err := run(o); err != nil {
@@ -134,10 +134,13 @@ func start(o options) (*service.Server, *obs.AdminServer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// -plan-entries 0 disables the plan cache; the engine reads 0 as its
-	// default capacity and a negative bound as off.
+	// -plan-entries 0 and -answer-entries 0 disable their caches; the engine
+	// reads 0 as the default capacity and a negative bound as off.
 	if o.planEntries == 0 {
 		o.planEntries = -1
+	}
+	if o.answerEntries == 0 {
+		o.answerEntries = -1
 	}
 	eng := service.NewEngine(dep.Mediator, service.Config{
 		Admission: service.AdmissionConfig{

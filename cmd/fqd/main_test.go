@@ -91,19 +91,25 @@ func TestAdminServesTheMediatorsTraces(t *testing.T) {
 }
 
 // TestPlanEntriesZeroDisablesThePlanCache: -plan-entries 0 turns the plan
-// cache off, as its usage says, and the flag's default (256) keeps it on. The
-// answer cache is off, so every repeat of the query executes.
+// cache off, as its usage says, and the flag's default (256) keeps it on;
+// -answer-entries 0 turns the answer cache off the same way. Where the
+// answer cache is off, every repeat of the query executes.
 func TestPlanEntriesZeroDisablesThePlanCache(t *testing.T) {
 	for _, tc := range []struct {
-		entries int
-		cached  bool
-	}{{0, false}, {256, true}} {
-		t.Run(fmt.Sprint("plan-entries=", tc.entries), func(t *testing.T) {
+		name          string
+		plan, answers int
+		cached        bool
+	}{
+		{"plan-entries=0", 0, -1, false},
+		{"plan-entries=256", 256, -1, true},
+		{"answer-entries=0", 256, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			srv, _, err := start(options{
 				addr:        "127.0.0.1:0",
 				deploy:      service.DeployConfig{Scenario: "dmv", Seed: 1},
 				algo:        "sja+",
-				maxInflight: 2, planEntries: tc.entries, answerEntries: -1,
+				maxInflight: 2, planEntries: tc.plan, answerEntries: tc.answers,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -25,7 +25,7 @@ func TestEmitSortedFollowsTheSchedule(t *testing.T) {
 		}
 		var sizes []int
 		for _, b := range ed.buf {
-			sizes = append(sizes, len(*b.items))
+			sizes = append(sizes, len(b.items))
 		}
 		ed.abandonNow()
 		return sizes

@@ -113,7 +113,7 @@ type streamEdge struct {
 
 	mu        sync.Mutex
 	buf       []edgeBatch
-	lent      *[]string // the batch the consumer holds
+	lent      []string // the batch the consumer holds
 	closed    bool
 	abandoned bool
 	sendKick  chan struct{} // capacity 1: consumer → producer wakeups
@@ -123,7 +123,7 @@ type streamEdge struct {
 // edgeBatch is one batch buffered on an edge and its item bytes, counted
 // once, when the producer emitted it.
 type edgeBatch struct {
-	items *[]string
+	items []string
 	bytes int
 }
 
@@ -151,13 +151,12 @@ func kickOne(ch chan struct{}) {
 // delivered=false when the consumer abandoned the edge (the copy is
 // dropped), and an error only for context cancellation.
 func (ed *streamEdge) send(ctx context.Context, batch []string, bytes int) (bool, error) {
-	b := edgeBatch{items: set.GetBatch(len(batch)), bytes: bytes}
-	*b.items = append(*b.items, batch...)
+	b := edgeBatch{items: append(set.Alloc(len(batch)), batch...), bytes: bytes}
 	for {
 		ed.mu.Lock()
 		if ed.abandoned {
 			ed.mu.Unlock()
-			set.PutBatch(b.items)
+			set.Release(set.FromSorted(b.items))
 			return false, nil
 		}
 		if ed.bound == 0 || len(ed.buf) < ed.bound {
@@ -171,7 +170,7 @@ func (ed *streamEdge) send(ctx context.Context, batch []string, bytes int) (bool
 		select {
 		case <-ed.sendKick:
 		case <-ctx.Done():
-			set.PutBatch(b.items)
+			set.Release(set.FromSorted(b.items))
 			return false, ctx.Err()
 		}
 	}
@@ -222,14 +221,14 @@ func (ed *streamEdge) recv(ctx context.Context) ([]string, error) {
 		return nil, err
 	}
 	ed.putLent(b.items)
-	return *b.items, nil
+	return b.items, nil
 }
 
 // putLent gives back the batch the consumer held and records next as the
 // one it holds now.
-func (ed *streamEdge) putLent(next *[]string) {
+func (ed *streamEdge) putLent(next []string) {
 	ed.mu.Lock()
-	set.PutBatch(ed.lent)
+	set.Release(set.FromSorted(ed.lent))
 	ed.lent = next
 	ed.mu.Unlock()
 }
@@ -243,11 +242,11 @@ func (ed *streamEdge) abandonNow() {
 		ed.abandoned = true
 		for _, b := range ed.buf {
 			ed.tr.release(b.bytes)
-			set.PutBatch(b.items)
+			set.Release(set.FromSorted(b.items))
 		}
 		ed.buf = nil
 	}
-	set.PutBatch(ed.lent)
+	set.Release(set.FromSorted(ed.lent))
 	ed.lent = nil
 	ed.mu.Unlock()
 	kickOne(ed.sendKick)
@@ -351,7 +350,7 @@ func (r *run) runPipelined(ctx context.Context) error {
 	// which nothing of the run keeps, so the caller owns it outright
 	// (Result.AnswerOwned). The drained batches are mediator memory for the
 	// rest of the run, so their bytes stay tracked.
-	var drained []*[]string
+	var drained [][]string
 	var drainErr error
 	var first time.Duration
 	n := 0
@@ -370,7 +369,7 @@ func (r *run) runPipelined(ctx context.Context) error {
 		}
 		r.tr.add(b.bytes)
 		drained = append(drained, b.items)
-		n += len(*b.items)
+		n += len(b.items)
 	}
 	answerEdge.abandonNow()
 	wg.Wait()
@@ -397,14 +396,14 @@ func (r *run) runPipelined(ctx context.Context) error {
 			answer = set.Alloc(n)
 		}
 		for _, b := range drained {
-			answer = append(answer, *b...)
+			answer = append(answer, b...)
 		}
 		res.Answer = set.FromSorted(answer)
 		res.AnswerOwned = true
 		res.Vars = map[string]set.Set{r.p.Result: res.Answer}
 	}
 	for _, b := range drained {
-		set.PutBatch(b)
+		set.Release(set.FromSorted(b))
 	}
 	// The pipeline is one big batch: response time is the critical path over
 	// the per-source k-lane schedules of the whole run's exchanges.

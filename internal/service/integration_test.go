@@ -285,3 +285,43 @@ func TestServiceShutdownDrains(t *testing.T) {
 		t.Fatal("query succeeded after shutdown")
 	}
 }
+
+// TestClientRepliesAreTheCallers: a service client's reply is its caller's
+// to keep. The items of an unchunked reply, and of a chunked one (Chunk 1:
+// the two-item answer in two frames), still read the same after later
+// queries on the same client. A reply left aliasing a frame buffer given
+// back to the pool would read cleared items, or under -race set.Recycled,
+// or a later answer's.
+func TestClientRepliesAreTheCallers(t *testing.T) {
+	sc, srv, _ := serveDMV(t, service.AdmissionConfig{MaxInflight: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cl, err := service.DialService(ctx, srv.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	query := func(chunk int, conds ...string) []string {
+		t.Helper()
+		cl.Chunk = chunk
+		reply, err := cl.Query(ctx, "a", conds, false)
+		if err != nil {
+			t.Fatalf("query %v (chunk %d): %v", conds, chunk, err)
+		}
+		return reply.Items
+	}
+	conds := []string{`V = 'dui'`, `V = 'sp'`}
+	want := fmt.Sprint(refAnswer(t, sc, conds))
+	kept := [][]string{query(0, conds...), query(1, conds...)}
+	for i := 0; i < 3; i++ {
+		for _, chunk := range []int{0, 1} {
+			query(chunk, `V = 'dui'`)
+			query(chunk, `V = 'sp'`, `D >= 1990`)
+		}
+	}
+	for i, items := range kept {
+		if got := fmt.Sprint(items); got != want {
+			t.Errorf("reply %d reads %s after later queries, want %s", i, got, want)
+		}
+	}
+}

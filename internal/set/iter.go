@@ -94,11 +94,11 @@ func (it *setIter) Close() error {
 // each is copied into a pooled buffer, and the set is one exact-size slice.
 func Collect(ctx context.Context, it Iter) (Set, error) {
 	defer func() { _ = it.Close() }()
-	var held [16]*[]string
+	var held [16][]string
 	copies, n := held[:0], 0
 	defer func() {
 		for _, c := range copies {
-			PutBatch(c)
+			Release(Set{items: c})
 		}
 	}()
 	for {
@@ -109,16 +109,14 @@ func Collect(ctx context.Context, it Iter) (Set, error) {
 		if batch == nil {
 			break
 		}
-		c := GetBatch(len(batch))
-		*c = append(*c, batch...)
-		copies, n = append(copies, c), n+len(batch)
+		copies, n = append(copies, append(Alloc(len(batch)), batch...)), n+len(batch)
 	}
 	if n == 0 {
 		return Set{}, nil
 	}
 	items := make([]string, 0, n)
 	for _, c := range copies {
-		items = append(items, *c...)
+		items = append(items, c...)
 	}
 	return Set{items: items}, nil
 }

@@ -16,7 +16,7 @@ import (
 const (
 	// minClass and maxClass bound the pooled capacities: 2^minClass to
 	// 2^maxClass items. A smaller request gets the smallest class; a larger
-	// one gets a buffer of its own, which PutBatch lets go.
+	// one gets a buffer of its own, which Release lets go.
 	minClass = 4
 	maxClass = 16
 )
@@ -29,33 +29,6 @@ const Recycled = "\x00set: recycled batch buffer"
 
 var batchPools [maxClass - minClass + 1]sync.Pool
 
-// GetBatch returns an empty buffer with room for at least n items. Its
-// owner gives it back with PutBatch when nothing reads it any more.
-func GetBatch(n int) *[]string {
-	c := max(bits.Len(uint(max(n, 1)-1)), minClass)
-	if c > maxClass {
-		b := make([]string, 0, n)
-		return &b
-	}
-	if p, ok := batchPools[c-minClass].Get().(*[]string); ok {
-		return p
-	}
-	b := make([]string, 0, 1<<c)
-	return &b
-}
-
-// PutBatch gives back a buffer from GetBatch: it is recycled, so neither
-// its owner nor anyone the owner lent it to may read it again. A nil
-// buffer, or one of a capacity no class has, is let go.
-func PutBatch(p *[]string) {
-	if p == nil {
-		return
-	}
-	if c, ok := classOf(cap(*p)); ok {
-		put(c, p, (*p)[:cap(*p)])
-	}
-}
-
 // classOf is the class of a pooled buffer of capacity n: n is a power of
 // two from 2^minClass to 2^maxClass.
 func classOf(n int) (int, bool) {
@@ -63,22 +36,16 @@ func classOf(n int) (int, bool) {
 	return c, n > 0 && n&(n-1) == 0 && c >= minClass && c <= maxClass
 }
 
-// put recycles b, a buffer of class c, and gives it back in the box p.
-func put(c int, p *[]string, b []string) {
-	recycle(b)
-	*p = b[:0]
-	batchPools[c-minClass].Put(p)
-}
-
-// The pool holds buffers by pointer, as sync.Pool wants, and a set holds
-// its slice by value. boxes keeps the pointers a set's buffer left behind
+// The pool holds buffers by pointer, as sync.Pool wants, and everyone else
+// holds the slice by value. boxes keeps the pointers a buffer left behind
 // when Alloc took it, so that Release has one to put it back in: neither
-// allocates once the pools are warm.
+// allocates once the pools are warm. The boxes are this file's alone.
 var boxes sync.Pool
 
 // Alloc returns an empty slice with room for at least n items, from the
-// batch pool when n has a class, for the items of a set its caller will
-// own. The set's owner gives the buffer back with Release.
+// batch pool when n has a class: the one way to get a pooled item buffer,
+// for a set's items or a stream's batch. Its owner gives it back with
+// Release when nothing reads it any more.
 func Alloc(n int) []string {
 	c := max(bits.Len(uint(max(n, 1)-1)), minClass)
 	if c > maxClass {
@@ -94,42 +61,47 @@ func Alloc(n int) []string {
 	return b
 }
 
-// Release gives the buffer under s back to the batch pool. Only a set's
-// sole owner may call it — the caller of a source's Select, say, which
-// nobody else has seen — and once it has, neither it nor anyone it showed
-// the set to may read the set again: a race-detector build overwrites its
-// items with Recycled. A set whose capacity is no class's, such as one
-// UnionAll made at exactly its size, is let go: a buffer to give back comes
-// from Alloc (UnionWith, IntersectWith and DiffWith can take it).
+// Release gives the buffer under s back to the batch pool: the one way to
+// give a pooled buffer back, a batch that is no set going as
+// Release(FromSorted(batch)). Only its sole owner may call it — the caller
+// of a source's Select, say, which nobody else has seen — and once it has,
+// neither it nor anyone it lent or showed the buffer to may read it again:
+// it is cleared, and a race-detector build overwrites its items with
+// Recycled. A buffer whose capacity is no class's, such as a set UnionAll
+// made at exactly its size, is let go: a buffer to give back comes from
+// Alloc (UnionWith, IntersectWith and DiffWith can take it).
 func Release(s Set) {
 	c, ok := classOf(cap(s.items))
 	if !ok {
 		return
 	}
+	b := s.items[:cap(s.items)]
+	recycle(b)
 	p, _ := boxes.Get().(*[]string)
 	if p == nil {
 		p = new([]string)
 	}
-	put(c, p, s.items[:cap(s.items)])
+	*p = b[:0]
+	batchPools[c-minClass].Put(p)
 }
 
 // Buffer is the one buffer a producer fills batch after batch. The zero
 // Buffer holds nothing.
-type Buffer struct{ p *[]string }
+type Buffer struct{ b []string }
 
 // Take returns the buffer emptied, with room for exactly n items; a buffer
 // with less room is first swapped for one from the pool. What the previous
 // Take returned is overwritten from here on.
 func (b *Buffer) Take(n int) []string {
-	if b.p == nil || cap(*b.p) < n {
-		PutBatch(b.p)
-		b.p = GetBatch(n)
+	if b.b == nil || cap(b.b) < n {
+		b.Release()
+		b.b = Alloc(n)
 	}
-	return (*b.p)[:0:n]
+	return b.b[:0:n]
 }
 
 // Release gives the buffer back to the pool; the Buffer is then empty.
 func (b *Buffer) Release() {
-	PutBatch(b.p)
-	b.p = nil
+	Release(Set{items: b.b})
+	b.b = nil
 }

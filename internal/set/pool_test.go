@@ -14,16 +14,16 @@ func TestBatchPoolClasses(t *testing.T) {
 	for _, tc := range []struct{ n, cap int }{
 		{0, 16}, {1, 16}, {16, 16}, {17, 32}, {256, 256}, {257, 512}, {4096, 4096}, {1 << maxClass, 1 << maxClass}, {1<<maxClass + 1, 1<<maxClass + 1},
 	} {
-		p := GetBatch(tc.n)
-		if len(*p) != 0 || cap(*p) != tc.cap {
-			t.Errorf("GetBatch(%d) has len %d, cap %d; want 0, %d", tc.n, len(*p), cap(*p), tc.cap)
+		b := Alloc(tc.n)
+		if len(b) != 0 || cap(b) != tc.cap {
+			t.Errorf("Alloc(%d) has len %d, cap %d; want 0, %d", tc.n, len(b), cap(b), tc.cap)
 		}
-		PutBatch(p)
+		Release(FromSorted(b))
 	}
 	// Buffers of no class, and nil, are let go without harm.
 	odd := make([]string, 3, 24)
-	PutBatch(&odd)
-	PutBatch(nil)
+	Release(FromSorted(odd))
+	Release(FromSorted(nil))
 	if odd[0] != "" || len(odd) != 3 {
 		t.Fatalf("a buffer of no class was recycled")
 	}
@@ -33,10 +33,8 @@ func TestBatchPoolClasses(t *testing.T) {
 // the pool pins no item, and in a race-detector build it reads as Recycled,
 // so a consumer that kept a lent batch sees items nobody sent.
 func TestRecycledBatchIsOverwritten(t *testing.T) {
-	p := GetBatch(20)
-	*p = append(*p, "ID000001", "ID000002")
-	kept := (*p)[:2]
-	PutBatch(p)
+	kept := append(Alloc(20), "ID000001", "ID000002")
+	Release(FromSorted(kept))
 	want := ""
 	if racetest.Enabled {
 		want = Recycled

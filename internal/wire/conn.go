@@ -174,7 +174,7 @@ func (c *Conn) send(ctx context.Context, req Request) error {
 			return fmt.Errorf("dial: %w", err)
 		}
 		c.conn = conn
-		c.in = frameReader{br: bufio.NewReader(conn), own: c.own}
+		c.in = frameReader{br: bufio.NewReader(conn)}
 	}
 	// Without a deadline this is the zero time, which clears a prior call's.
 	deadline, _ := ctx.Deadline()
@@ -240,51 +240,47 @@ func (c *Conn) do(ctx context.Context, req Request) (Response, error) {
 // exchange sends req and reads its response frames up to the final one.
 // The frames draw on one budget, so it bounds the reassembled answer: a
 // peer that sends More forever cannot grow the item slice without bound.
-// The chunks after the first are decoded into pooled buffers, kept until
-// the final one has come, and the answer is then gathered into one slice:
-// of exactly its size, or on a connection that owns its answers (own) a
-// buffer from set.Alloc, as a one-frame answer's items already are.
+// A frame's items come in a buffer from set.Alloc, except a one-frame
+// answer's on a connection that does not own its answers: those come in a
+// slice of exactly their size (frameReader.keep). A one-frame answer is
+// handed over as it was decoded; a chunked one is gathered into one slice,
+// from set.Alloc on a connection that owns its answers (own) and of
+// exactly its size otherwise, and the frames go back to the pool.
 func (c *Conn) exchange(ctx context.Context, req Request) (Response, error) {
 	if err := c.send(ctx, req); err != nil {
 		return Response{}, err
 	}
 	budget := MaxFrameBytes
 	var resp Response
-	if err := c.in.read(&resp, &budget); err != nil || !resp.More {
-		return resp, err
+	c.in.keep = !c.own
+	err := c.in.read(&resp, &budget)
+	c.in.keep = false
+	if err != nil {
+		return Response{}, err
 	}
-	first, n := resp.Items, len(resp.Items)
-	var chunks []*[]string
-	c.in.lend = true
+	if !resp.More {
+		return resp, nil
+	}
+	frames, n := [][]string{resp.Items}, len(resp.Items)
 	defer func() {
-		c.in.lend = false
-		for _, b := range chunks {
-			set.PutBatch(b)
-		}
-		if c.own {
-			set.Release(set.FromSorted(first))
+		for _, b := range frames {
+			set.Release(set.FromSorted(b))
 		}
 	}()
 	for resp.More {
 		resp = Response{}
-		err := c.in.read(&resp, &budget)
-		if buf := c.in.taken(resp.Items); buf != nil {
-			chunks = append(chunks, buf)
-		}
-		if err != nil {
+		if err := c.in.read(&resp, &budget); err != nil {
 			return Response{}, err
 		}
-		n += len(resp.Items)
+		frames, n = append(frames, resp.Items), n+len(resp.Items)
 	}
-	var items []string
 	if c.own {
-		items = set.Alloc(n)
+		resp.Items = set.Alloc(n)
 	} else {
-		items = make([]string, 0, n)
+		resp.Items = make([]string, 0, n)
 	}
-	resp.Items = append(items, first...)
-	for _, b := range chunks {
-		resp.Items = append(resp.Items, *b...)
+	for _, b := range frames {
+		resp.Items = append(resp.Items, b...)
 	}
 	return resp, nil
 }

@@ -70,19 +70,21 @@ type frame interface {
 func (r *Request) itemFields() (*[]string, *blockHeader)  { return &r.Items, &r.blockHeader }
 func (r *Response) itemFields() (*[]string, *blockHeader) { return &r.Items, &r.blockHeader }
 
-// frameReader reads frames off one connection.
+// frameReader reads frames off one connection. A block's items land in a
+// buffer from set.Alloc, which the caller owns and gives back with
+// set.Release; a line's items (a v1 peer's) in a slice of their own.
 type frameReader struct {
 	br *bufio.Reader
 	// spill gathers a line longer than br's buffer, block a frame's item
 	// block.
 	spill, block []byte
-	// lend has the items of the frames read land in buffers from
-	// set.GetBatch; after each read, lent is the one holding them (nil when
-	// none does), for the caller to take and give back. Otherwise own has
-	// a block's items land in a buffer from set.Alloc, which the caller
-	// owns and gives back with set.Release.
-	lend, own bool
-	lent      *[]string
+	// keep has the block of a response without More land in a slice of
+	// exactly its size instead, which nothing gives back. Conn.exchange
+	// sets it for an answer's first frame on a connection whose callers
+	// keep their answers (Conn.own false), so that a one-frame answer is
+	// theirs as it is decoded: copying it out of a pooled buffer and
+	// clearing that cost answer-hot a fifth of its CPU (EXPERIMENTS E40).
+	keep bool
 }
 
 // next returns the next line that is not blank, without its meaning checked.
@@ -121,25 +123,11 @@ func (r *frameReader) next(budget *int) ([]byte, error) {
 	}
 }
 
-// taken hands over a pooled buffer holding items, the items of the frame
-// just read: the one the read lent, or, when they were decoded from the
-// line, a copy. Nil when the frame had none.
-func (r *frameReader) taken(items []string) *[]string {
-	p := r.lent
-	r.lent = nil
-	if p == nil && len(items) > 0 {
-		p = set.GetBatch(len(items))
-		*p = append(*p, items...)
-	}
-	return p
-}
-
 // read decodes the next frame into v, charging its bytes to *budget: the
 // line, and then the block its header announces. The block is charged in
 // full before anything is allocated for it, so a header cannot make the
 // reader allocate past what the budget has left.
 func (r *frameReader) read(v frame, budget *int) error {
-	r.lent = nil
 	line, err := r.next(budget)
 	if err != nil {
 		return err
@@ -167,19 +155,13 @@ func (r *frameReader) read(v frame, budget *int) error {
 		return err
 	}
 	var items []string
-	switch {
-	case r.lend:
-		r.lent = set.GetBatch(h.ItemCount)
-		items = (*r.lent)[:h.ItemCount]
-		*r.lent = items
-	case r.own:
-		items = set.Alloc(h.ItemCount)[:h.ItemCount]
-	default:
+	if r.keep && isResp && !resp.More {
 		items = make([]string, h.ItemCount)
+	} else {
+		items = set.Alloc(h.ItemCount)[:h.ItemCount]
 	}
 	if err := decodeBlock(items, r.block); err != nil {
-		set.PutBatch(r.lent)
-		r.lent = nil
+		set.Release(set.FromSorted(items))
 		return err
 	}
 	*field = items

@@ -277,44 +277,38 @@ func mustFrame(v frame, block bool) []byte {
 	return out
 }
 
-// TestDecodeChunkAllocs pins what reading a chunk allocates: the item
-// slice, the strings behind the items and the qid — nothing per item, and
-// no encoding/json. A stream's pump reads into pooled buffers
-// (frameReader.lend), so there the item slice is not allocated either: one
-// allocation fewer once the pool is warm.
+// TestDecodeChunkAllocs pins what reading a chunk allocates once the pool
+// is warm: the strings behind the items and the qid — nothing per item, no
+// encoding/json, and not the item slice, which is a buffer from set.Alloc
+// that the reader's caller gives back, as a connection's owner does.
 func TestDecodeChunkAllocs(t *testing.T) {
 	for _, n := range []int{256, 10000} {
 		frame, items := chunkFrame(n)
-		for _, lend := range []bool{false, true} {
-			limit := 4.0
-			if lend {
-				limit = 3
+		limit := 3.0
+		if n > 256 {
+			limit += float64((len(frame) + itemBlock - 1) / itemBlock)
+		}
+		var resp Response
+		var rd bytes.Reader
+		r := frameReader{br: bufio.NewReader(&rd)}
+		allocs := testing.AllocsPerRun(20, func() {
+			set.Release(set.FromSorted(resp.Items))
+			rd.Reset(frame)
+			r.br.Reset(&rd)
+			resp = Response{}
+			budget := MaxFrameBytes
+			if err := r.read(&resp, &budget); err != nil {
+				t.Fatal(err)
 			}
-			if n > 256 {
-				limit += float64((len(frame) + itemBlock - 1) / itemBlock)
-			}
-			var resp Response
-			var rd bytes.Reader
-			r := frameReader{br: bufio.NewReader(&rd), lend: lend}
-			allocs := testing.AllocsPerRun(20, func() {
-				set.PutBatch(r.lent)
-				rd.Reset(frame)
-				r.br.Reset(&rd)
-				resp = Response{}
-				budget := MaxFrameBytes
-				if err := r.read(&resp, &budget); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if !reflect.DeepEqual(resp.Items, items) || resp.QueryID != "q-1" || !resp.More {
-				t.Fatalf("%d items decoded to qid %q, more %v, %d items", n, resp.QueryID, resp.More, len(resp.Items))
-			}
-			if lend != (r.lent != nil) || lend && &(*r.lent)[0] != &resp.Items[0] {
-				t.Fatalf("%d items, lend %v: the items are not in the lent buffer", n, lend)
-			}
-			if allocs > limit {
-				t.Errorf("a frame of %d items (%d bytes, lend %v) decodes in %.0f allocations, want at most %.0f", n, len(frame), lend, allocs, limit)
-			}
+		})
+		if !reflect.DeepEqual(resp.Items, items) || resp.QueryID != "q-1" || !resp.More {
+			t.Fatalf("%d items decoded to qid %q, more %v, %d items", n, resp.QueryID, resp.More, len(resp.Items))
+		}
+		if c := cap(resp.Items); c&(c-1) != 0 {
+			t.Fatalf("%d items decoded into a buffer of capacity %d, not one from the pool", n, c)
+		}
+		if allocs > limit {
+			t.Errorf("a frame of %d items (%d bytes) decodes in %.0f allocations, want at most %.0f", n, len(frame), allocs, limit)
 		}
 	}
 }
@@ -351,7 +345,9 @@ func TestEncodeCachedAllocs(t *testing.T) {
 
 // BenchmarkFrameCodec measures one frame through the codec in each
 // direction at a chunk's size and at a whole answer's. The block rows are
-// what in-tree peers exchange, read as a connection reads them; the json
+// what in-tree peers exchange, read as a connection reads them: into a
+// buffer from the pool, which the row gives back as the connection's owner
+// does, so that the next read finds it there; the json
 // rows are encoding/json alone on a v1 peer's line for the same items,
 // which is how a v1 peer's frames are now coded. The items=2000 frame is
 // answer-hot's: an answer-cache hit of ID%06d items, unchunked. The
@@ -399,7 +395,9 @@ func BenchmarkFrameCodec(b *testing.B) {
 			r.br.Reset(&rd)
 			var got Response
 			budget := MaxFrameBytes
-			return r.read(&got, &budget)
+			err := r.read(&got, &budget)
+			set.Release(set.FromSorted(got.Items))
+			return err
 		})
 		run("encode/json", line, func() (err error) {
 			out, err = json.Marshal(&resp)

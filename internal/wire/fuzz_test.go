@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fusionq/internal/set"
 	"fusionq/internal/workload"
 )
 
@@ -174,13 +175,22 @@ func FuzzClientFrame(f *testing.F) {
 			return newConn(ln.Addr().String())
 		}
 
-		c := fresh()
-		if _, err := c.Do(ctx, Request{Op: OpSelect, Cond: "V = 'dui'"}); err == nil && !complete {
-			t.Fatal("Do succeeded on an answer without a final frame")
+		// Once on a connection whose callers keep their answers, once on one
+		// whose callers own them and give them back (a source client's).
+		for _, own := range []bool{false, true} {
+			c := fresh()
+			c.own = own
+			resp, err := c.Do(ctx, Request{Op: OpSelect, Cond: "V = 'dui'"})
+			if err == nil && !complete {
+				t.Fatalf("Do (own %v) succeeded on an answer without a final frame", own)
+			}
+			if own {
+				set.Release(set.FromSorted(resp.Items))
+			}
+			c.Close()
 		}
-		c.Close()
 
-		c = fresh()
+		c := fresh()
 		defer c.Close()
 		it, err := c.Stream(ctx, Request{Op: OpSelect, Cond: "V = 'dui'", Chunk: 1})
 		if err != nil {

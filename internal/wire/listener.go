@@ -199,13 +199,12 @@ func (l *Listener) serveConn(conn net.Conn) {
 		l.mu.Unlock()
 		conn.Close()
 	}()
-	// A request's items are lent by the reader: the handler reads them
-	// while it answers, and the buffer goes back once the answer is written
-	// or the connection is given up.
-	in := frameReader{br: bufio.NewReader(conn), lend: true}
+	// A request's items are lent to the handler: it reads them while it
+	// answers, and their buffer goes back once the answer is written or the
+	// connection is given up.
+	in := frameReader{br: bufio.NewReader(conn)}
 	var w frameWriter
 	defer w.held.Release()
-	defer func() { set.PutBatch(in.lent) }()
 	for {
 		if l.cfg.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(l.cfg.IdleTimeout)); err != nil {
@@ -238,12 +237,12 @@ func (l *Listener) serveConn(conn net.Conn) {
 				_ = resp.Stream.Close()
 			}
 			set.Release(resp.answer)
+			set.Release(set.FromSorted(req.Items))
 			return
 		}
 		ok := l.write(conn, req, resp, recv, &w)
 		set.Release(resp.answer)
-		set.PutBatch(in.lent)
-		in.lent = nil
+		set.Release(set.FromSorted(req.Items))
 		if !ok {
 			return
 		}

@@ -10,8 +10,8 @@ package wire
 // client's connection serialization. Worst case (consumer fully stalled)
 // the buffer grows to the result size, i.e. no worse than a materialized
 // Select; best case batches are consumed as they land. Each chunk's items
-// are decoded into a pooled buffer (set.GetBatch), which the stream lends
-// to its consumer as that batch and takes back at the next Next or Close.
+// are decoded into a pooled buffer (set.Alloc), which the stream lends to
+// its consumer as that batch and gives back at the next Next or Close.
 
 import (
 	"context"
@@ -61,8 +61,8 @@ type clientStream struct {
 	notify chan struct{}
 
 	mu     sync.Mutex
-	chunks []*[]string
-	lent   *[]string // the batch the consumer holds
+	chunks [][]string
+	lent   []string // the batch the consumer holds
 	err    error
 	eof    bool
 	closed bool
@@ -81,16 +81,10 @@ func (st *clientStream) pump() {
 	// One response is decoded into again and again: the decoder takes it
 	// by reference, so one declared per frame would be one allocation each.
 	var resp Response
-	c.in.lend = true
 	for {
 		budget := MaxFrameBytes
 		resp = Response{}
 		err := c.in.read(&resp, &budget)
-		buf := c.in.taken(resp.Items)
-		if err != nil || resp.Error != "" {
-			set.PutBatch(buf)
-			buf = nil
-		}
 		if err != nil {
 			err = c.fail(st.ctx, err)
 			st.mu.Lock()
@@ -101,6 +95,7 @@ func (st *clientStream) pump() {
 			break
 		}
 		if resp.Error != "" {
+			set.Release(set.FromSorted(resp.Items))
 			perr = fmt.Errorf("wire: remote %s: %s", c.meta.Name, resp.Error)
 			break
 		}
@@ -113,17 +108,17 @@ func (st *clientStream) pump() {
 			last, any = v, true
 		}
 		if bad != "" {
-			set.PutBatch(buf)
+			set.Release(set.FromSorted(resp.Items))
 			c.drop()
 			perr = fmt.Errorf("wire: %s: unsorted chunk (%q after %q)", c.addr, bad, last)
 			break
 		}
-		if buf != nil {
+		if len(resp.Items) > 0 {
 			st.mu.Lock()
 			if st.closed {
-				set.PutBatch(buf)
+				set.Release(set.FromSorted(resp.Items))
 			} else {
-				st.chunks = append(st.chunks, buf)
+				st.chunks = append(st.chunks, resp.Items)
 			}
 			st.mu.Unlock()
 			st.kick()
@@ -144,7 +139,6 @@ func (st *clientStream) pump() {
 	if perr == nil {
 		c.graftFragment(st.sp, frag)
 	}
-	c.in.lend = false
 	c.release()
 }
 
@@ -160,17 +154,17 @@ func (st *clientStream) kick() {
 // is empty. The chunk lent by the call before goes back to the pool.
 func (st *clientStream) Next(ctx context.Context) ([]string, error) {
 	st.mu.Lock()
-	set.PutBatch(st.lent)
+	set.Release(set.FromSorted(st.lent))
 	st.lent = nil
 	st.mu.Unlock()
 	for {
 		st.mu.Lock()
 		switch {
 		case len(st.chunks) > 0:
-			st.lent = st.chunks[0]
+			batch := st.chunks[0]
+			st.lent = batch
 			st.chunks[0] = nil
 			st.chunks = st.chunks[1:]
-			batch := *st.lent
 			st.mu.Unlock()
 			return batch, nil
 		case st.err != nil:
@@ -203,9 +197,9 @@ func (st *clientStream) Close() error {
 	st.closed = true
 	finished := st.eof
 	for _, buf := range st.chunks {
-		set.PutBatch(buf)
+		set.Release(set.FromSorted(buf))
 	}
-	set.PutBatch(st.lent)
+	set.Release(set.FromSorted(st.lent))
 	st.chunks, st.lent = nil, nil
 	st.mu.Unlock()
 	if !finished {
