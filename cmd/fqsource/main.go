@@ -23,8 +23,8 @@
 //
 // Every request is answered from the relation. The server keeps no cache of
 // answers: what may be answered from memory is the mediator's to decide
-// (core.Options.Cache and the service's answer cache), since a source is
-// autonomous and the mediator is the one that knows when to forget.
+// (the service's answer cache), since a source is autonomous and the
+// mediator is the one that knows when to forget.
 //
 // With -admin, the process exposes its metrics registry over HTTP: wire
 // request counts and latency per op. Request log lines carry the mediator's

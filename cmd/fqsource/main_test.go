@@ -111,7 +111,7 @@ func TestStartWithAdmin(t *testing.T) {
 		// Vocabulary headers rendered even without local series.
 		"# TYPE fq_queries_total counter",
 		"# TYPE fq_retries_total counter",
-		"# TYPE fq_cache_misses_total counter",
+		"# TYPE fq_step_errors_total counter",
 		"# TYPE fq_query_seconds histogram",
 	} {
 		if !strings.Contains(text, want) {

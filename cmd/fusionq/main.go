@@ -24,7 +24,6 @@
 //	                round's source queries always overlap across sources, and
 //	                this is how many may be in flight at one source (0: one;
 //	                a catalog states maxConns per link)
-//	-cache          answer repeated source queries from the mediator cache
 //	-explain        print the plan without executing it
 //	-fetch          ask for the answer's full records too and print them (the
 //	                planner picks a fetch round or the final round's queries)
@@ -72,7 +71,6 @@ func main() {
 		algo      = flag.String("algo", "sja+", "optimization algorithm")
 		capsFlag  = flag.String("caps", "native", "CSV source capabilities: native | bindings | none")
 		conns     = flag.Int("conns", 0, "connection capacity of each -csv/-remote source's link: how many exchanges with one source may overlap (0: one)")
-		cache     = flag.Bool("cache", false, "answer repeated source queries from the mediator's cache")
 		catalogF  = flag.String("catalog", "", "JSON catalog of sources (replaces -csv/-remote)")
 		explain   = flag.Bool("explain", false, "print the plan, do not execute")
 		timeout   = flag.Duration("timeout", 0, "per-query wall-clock budget (0: none)")
@@ -89,7 +87,7 @@ func main() {
 	flag.Parse()
 
 	ctx := context.Background()
-	opts := core.Options{Algorithm: core.Algorithm(*algo), Cache: *cache, Streaming: *stream, Records: *fetch}
+	opts := core.Options{Algorithm: core.Algorithm(*algo), Streaming: *stream, Records: *fetch}
 	if *shell {
 		m, closer, err := assemble(ctx, csvs, remotes, *catalogF, *merge, *capsFlag, *conns)
 		if err != nil {
@@ -186,9 +184,6 @@ func run(ctx context.Context, sql string, csvs, remotes []string, catalogPath, m
 	if opts.Streaming && ans.Exec.FirstAnswer > 0 {
 		fmt.Printf("streaming: first answer after %v, peak intermediate bytes %d\n",
 			ans.Exec.FirstAnswer, ans.Exec.PeakBytes)
-	}
-	if opts.Cache {
-		fmt.Printf("cache: %d hits, %d misses\n", ans.Exec.CacheHits, ans.Exec.CacheMisses)
 	}
 	if trace {
 		fmt.Printf("\ntrace:\n%s", exec.RenderTrace(ans.Exec.Trace))

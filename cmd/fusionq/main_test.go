@@ -58,9 +58,9 @@ func TestRunParallel(t *testing.T) {
 	if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "none", 0, core.Options{Algorithm: "filter"}, 0, false, true, "", false, ""); err != nil {
 		t.Fatalf("one connection a source: %v", err)
 	}
-	opts := core.Options{Algorithm: "sja", Cache: true}
+	opts := core.Options{Algorithm: "sja"}
 	if err := run(t.Context(), dmvSQL, csvs, nil, "", "", "bindings", 2, opts, 0, false, false, "", false, ""); err != nil {
-		t.Fatalf("conns+cache: %v", err)
+		t.Fatalf("two connections a source: %v", err)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 //
 //	\algo NAME       switch the optimization algorithm
 //	\trace on|off    toggle printing each answer's per-step execution trace
-//	\cache on|off    toggle the mediator answer cache
 //	\explain SQL     print the plan for SQL without executing
 //	\help            list commands
 //	\quit            exit
@@ -38,16 +37,13 @@ func repl(ctx context.Context, m *core.Mediator, in io.Reader, out io.Writer, op
 		case line == `\quit` || line == `\q`:
 			return nil
 		case line == `\help`:
-			fmt.Fprintln(out, `commands: \algo NAME, \trace on|off, \cache on|off, \explain SQL, \quit`)
+			fmt.Fprintln(out, `commands: \algo NAME, \trace on|off, \explain SQL, \quit`)
 		case strings.HasPrefix(line, `\algo `):
 			opts.Algorithm = core.Algorithm(strings.TrimSpace(strings.TrimPrefix(line, `\algo `)))
 			fmt.Fprintf(out, "algorithm: %s\n", opts.Algorithm)
 		case strings.HasPrefix(line, `\trace`):
 			trace = strings.Contains(line, "on")
 			fmt.Fprintf(out, "trace: %v\n", trace)
-		case strings.HasPrefix(line, `\cache`):
-			opts.Cache = strings.Contains(line, "on")
-			fmt.Fprintf(out, "cache: %v\n", opts.Cache)
 		case strings.HasPrefix(line, `\explain `):
 			sql := strings.TrimPrefix(line, `\explain `)
 			if err := explainPlan(ctx, m, out, sql, opts); err != nil {
@@ -91,12 +87,6 @@ func replQuery(ctx context.Context, m *core.Mediator, out io.Writer, sql string,
 	fmt.Fprintf(out, "answer (%d items): %s\n", ans.Items.Len(), ans.Items)
 	fmt.Fprintf(out, "plan: %s, estimated %.4f s, %d queries, total work %v\n",
 		ans.Plan.Class, ans.EstimatedCost, ans.Exec.SourceQueries, ans.Exec.TotalWork)
-	if opts.Cache {
-		// Per-query counters from Answer.Exec, deliberately NOT the shared
-		// cache's cumulative Stats(): the cache itself outlives queries in a
-		// REPL session, but each answer reports only its own consultations.
-		fmt.Fprintf(out, "cache: %d hits, %d misses\n", ans.Exec.CacheHits, ans.Exec.CacheMisses)
-	}
 	if trace {
 		fmt.Fprint(out, exec.RenderTrace(ans.Exec.Trace))
 	}

@@ -12,10 +12,10 @@ import (
 	"fusionq/internal/stats"
 )
 
-// learned is what queries have found out about the sources of one roster
-// epoch: the statistics catalog and, under Options.Cache, the source answers.
-// It belongs to the rosters of that epoch and to nothing else, so its
-// lifetime is theirs and no entry needs an epoch of its own.
+// learned is what queries have found out about the sources of one roster epoch:
+// the statistics catalog. It belongs to the rosters of that epoch and to
+// nothing else, so its lifetime is theirs and no entry needs an epoch of its
+// own.
 //
 // The catalog is one summary per source, built by the first plan that needs
 // it. Planning reads it and nothing else, so a query whose catalog is warm
@@ -32,9 +32,6 @@ import (
 type learned struct {
 	mu      sync.Mutex
 	entries map[string]*catalogEntry
-	// cache holds the source answers learned under Options.Cache, made by the
-	// first query that asks for it.
-	cache *exec.Cache
 }
 
 type catalogEntry struct {
@@ -42,16 +39,6 @@ type catalogEntry struct {
 	// nil when the build failed.
 	done chan struct{}
 	sum  *relation.Summary
-}
-
-// answerCache returns the epoch's cache of source answers.
-func (l *learned) answerCache() *exec.Cache {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.cache == nil {
-		l.cache = exec.NewCache()
-	}
-	return l.cache
 }
 
 // sourceStats returns what the summaries say of conds at each of srcs, in

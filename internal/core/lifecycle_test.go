@@ -113,7 +113,7 @@ func mustConds(t *testing.T) []cond.Cond {
 }
 
 // TestConcurrentQueries runs many queries against one mediator at once
-// (plus cache churn) and checks every answer is correct; run under -race
+// (plus epoch churn) and checks every answer is correct; run under -race
 // this is the mediator's concurrency-safety proof.
 func TestConcurrentQueries(t *testing.T) {
 	m := dmvMediator(t, true)
@@ -125,7 +125,7 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			opts := Options{Algorithm: "sja+", Cache: g%2 == 0}
+			opts := Options{Algorithm: "sja+"}
 			for i := 0; i < 5; i++ {
 				ans, err := m.Query(context.Background(), paperSQL, opts)
 				if err != nil {

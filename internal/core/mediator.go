@@ -14,8 +14,8 @@
 // A Mediator is safe for concurrent use: queries may run concurrently with
 // each other and with source registration. The roster is a value: every
 // registration, removal and BumpEpoch publishes a new immutable roster, which
-// owns what queries learn while it is current (the statistics catalog, the
-// source-answer cache); a query takes the current one once and keeps it.
+// owns what queries learn while it is current (the statistics catalog); a
+// query takes the current one once and keeps it.
 // Every entry point takes a context.Context first; cancellation propagates
 // through planning, a statistics catalog build and every source exchange,
 // and a cancelled query still returns the execution counters for the work
@@ -104,14 +104,6 @@ func (a Algorithm) Adaptive() bool {
 type Options struct {
 	// Algorithm defaults to SJA+ (the paper's best pipeline).
 	Algorithm Algorithm
-	// Cache answers repeated selection and binding queries from the
-	// mediator's cache of source answers, skipping source traffic for
-	// answers already learned — within a query (across its rounds) and
-	// across queries of one roster epoch. Sources are autonomous: call
-	// Mediator.BumpEpoch when their contents may have changed, and queries
-	// from then on start from an empty cache. Cached answers are items, so a
-	// record-returning query still goes to its sources.
-	Cache bool
 	// Retries re-issues steps whose source queries fail transiently
 	// (source.ErrTransient) up to this many times each, and likewise the
 	// stats exchange that fills the statistics catalog. Context cancellation
@@ -286,7 +278,7 @@ func (m *Mediator) SetNetwork(n *netsim.Network) {
 func (m *Mediator) Network() *netsim.Network { return m.cur.Load().network }
 
 // SetMetrics attaches a metrics registry receiving the mediator's query,
-// scheduler, cache and exchange metrics. Without one, metrics go to the
+// scheduler and exchange metrics. Without one, metrics go to the
 // process-wide obs.Default() registry. A context-carried registry (obs.With)
 // takes precedence for that query.
 func (m *Mediator) SetMetrics(reg *obs.Registry) {
@@ -445,9 +437,9 @@ func (m *Mediator) Epoch() uint64 { return m.cur.Load().epoch }
 // BumpEpoch advances the roster epoch without changing the roster, and
 // returns the new epoch. Call it when the sources' contents must be
 // considered changed by an external signal (catalog churn, replica repair,
-// administrative invalidation): the statistics catalog and the source
-// answers cached under Options.Cache are dropped, and epoch-keyed caches
-// above the mediator drop their derived state.
+// administrative invalidation): the statistics catalog is dropped, and the
+// service's plan and answer caches, which are keyed by the epoch, drop
+// their derived state.
 func (m *Mediator) BumpEpoch() uint64 { return m.publish((*roster).nextEpoch).epoch }
 
 // ReplicaSpec describes one physical replica endpoint of a logical source:
@@ -580,9 +572,9 @@ func (m *Mediator) plan(ctx context.Context, r *roster, conds []cond.Cond, opts 
 //
 // On failure — including cancellation and deadline expiry — the returned
 // Answer is non-nil whenever execution had started: Answer.Exec reports the
-// source queries, cache traffic and simulated work already paid for. The
-// error wraps the cause, so errors.Is(err, context.DeadlineExceeded) and
-// errors.Is(err, context.Canceled) identify abandoned queries.
+// source queries and simulated work already paid for. The error wraps the
+// cause, so errors.Is(err, context.DeadlineExceeded) and errors.Is(err,
+// context.Canceled) identify abandoned queries.
 func (m *Mediator) QueryCondsContext(ctx context.Context, conds []cond.Cond, opts Options) (*Answer, error) {
 	return m.instrumented(ctx, conds, func(qctx context.Context) (*Answer, error) {
 		return m.queryConds(qctx, conds, opts)
@@ -723,14 +715,10 @@ func (m *Mediator) queryPlanned(ctx context.Context, res optimizer.Result, opts 
 // queries together, and total work is what it would be one exchange after
 // another.
 func (r *roster) executor(opts Options) *exec.Executor {
-	ex := &exec.Executor{
+	return &exec.Executor{
 		Sources: r.sources, Network: r.network,
 		Retries: opts.Retries, Streaming: opts.Streaming,
 	}
-	if opts.Cache {
-		ex.Cache = r.learned.answerCache()
-	}
-	return ex
 }
 
 // execute is the execute phase of a planned query and what follows it: run

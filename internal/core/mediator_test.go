@@ -395,45 +395,6 @@ func TestAlgorithmsComplete(t *testing.T) {
 	}
 }
 
-// TestBumpEpochReachesSourceCache: BumpEpoch says the sources' contents must
-// be considered changed, so a source answer cached under Options.Cache at
-// the old epoch may not answer a query at the new one.
-func TestBumpEpochReachesSourceCache(t *testing.T) {
-	sc := workload.DMV()
-	m := New(sc.Schema)
-	for _, src := range sc.Sources {
-		if err := m.AddSourceLink(src, netsim.Link{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opts := Options{Cache: true, Algorithm: AlgoFilter}
-	query := func() *Answer {
-		t.Helper()
-		ans, err := m.Query(t.Context(), paperSQL, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ans
-	}
-	if ans := query(); !ans.Items.Equal(set.New("J55", "T21")) {
-		t.Fatalf("answer = %v, want {J55, T21}", ans.Items)
-	}
-	if ans := query(); ans.Exec.SourceQueries != 0 || ans.Exec.CacheHits == 0 {
-		t.Fatalf("same epoch: %d source queries, %d cache hits; want the cache to answer", ans.Exec.SourceQueries, ans.Exec.CacheHits)
-	}
-
-	// S07 has an sp violation in R3; a dui in R1 puts it in the answer.
-	sc.Relations[0].MustInsert(relation.String("S07"), relation.String("dui"), relation.Int(1997))
-	m.BumpEpoch()
-	ans := query()
-	if want := set.New("J55", "S07", "T21"); !ans.Items.Equal(want) {
-		t.Fatalf("after BumpEpoch: answer = %v (%d cache hits), want %v", ans.Items, ans.Exec.CacheHits, want)
-	}
-	if ans.Exec.CacheHits != 0 {
-		t.Fatalf("after BumpEpoch: %d answers came from the old epoch's cache", ans.Exec.CacheHits)
-	}
-}
-
 // TestEveryAlgorithmRowIsReachable: the optimizer's table and the public
 // Algo* names are the same ten; each row resolves from its name to a valid
 // plan, and the rows that optimize total work price their plan as the shared

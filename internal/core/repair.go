@@ -110,8 +110,6 @@ func mergeExec(dst, src *exec.Result) {
 	dst.SourceQueries += src.SourceQueries
 	dst.TotalWork += src.TotalWork
 	dst.ResponseTime += src.ResponseTime
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
 	dst.Retries += src.Retries
 	dst.Failovers += src.Failovers
 	dst.Hedges += src.Hedges

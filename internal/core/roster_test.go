@@ -122,7 +122,7 @@ func TestRosterHeldAcrossChurn(t *testing.T) {
 		queries.Add(1)
 		go func(g int) {
 			defer queries.Done()
-			opts := Options{Algorithm: AlgoSJA, Cache: g%2 == 0}
+			opts := Options{Algorithm: AlgoSJA}
 			for i := 0; i < 25; i++ {
 				ans, err := m.QueryCondsContext(t.Context(), sc.Conds, opts)
 				if err != nil {
@@ -151,21 +151,15 @@ func TestRosterHeldAcrossChurn(t *testing.T) {
 }
 
 // TestTakingTheRosterAllocatesNothing: a query's roster is a load of the
-// published pointer, and the epoch's source-answer cache, once made, is a
-// field of it.
+// published pointer.
 func TestTakingTheRosterAllocatesNothing(t *testing.T) {
 	m := dmvMediator(t, true)
-	m.cur.Load().learned.answerCache()
-	var sources, cached int
+	var sources int
 	got := testing.AllocsPerRun(100, func() {
-		r := m.cur.Load()
-		sources += len(r.sources)
-		if r.learned.answerCache() != nil {
-			cached++
-		}
+		sources += len(m.cur.Load().sources)
 	})
-	if got != 0 || sources != 101*3 || cached != 101 {
-		t.Fatalf("taking the roster: %v allocations (%d sources, %d caches seen over 101 runs), want none", got, sources, cached)
+	if got != 0 || sources != 101*3 {
+		t.Fatalf("taking the roster: %v allocations (%d sources seen over 101 runs), want none", got, sources)
 	}
 }
 

@@ -30,13 +30,10 @@ func (r *run) resolveConns(j int) int {
 }
 
 // queryStats tallies what one step's source interaction cost: charged
-// queries (including failed attempts that reached the source), cache
-// consultations answered locally (hits) or referred to the source (misses),
+// queries (including failed attempts that reached the source),
 // transient-failure re-issues (retries), and failed attempts (errors).
 type queryStats struct {
 	queries int
-	hits    int
-	misses  int
 	retries int
 	errors  int
 }
@@ -44,8 +41,6 @@ type queryStats struct {
 // add accumulates o into q.
 func (q *queryStats) add(o queryStats) {
 	q.queries += o.queries
-	q.hits += o.hits
-	q.misses += o.misses
 	q.retries += o.retries
 	q.errors += o.errors
 }
@@ -70,10 +65,10 @@ func (r *run) bindings(ctx context.Context, j int, c cond.Cond, items []string, 
 		workers = len(items)
 	}
 	var (
-		mu       sync.Mutex // guards next, firstErr, verdict and agg
+		mu       sync.Mutex // guards next, firstErr, match and agg
 		next     int
 		firstErr error
-		verdict  = make([]int8, len(items)) // 0 not probed, +1 matches, -1 does not
+		match    = make([]bool, len(items))
 		wg       sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
@@ -114,32 +109,20 @@ func (r *run) bindings(ctx context.Context, j int, c cond.Cond, items []string, 
 					mu.Unlock()
 					return
 				}
-				verdict[i] = -1
-				if ok {
-					verdict[i] = 1
-				}
+				match[i] = ok
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	// What was learned is recorded once, after the fan-out: all of items, or
-	// the bindings that completed when one failed.
-	probed, out := items, make([]string, 0, len(items))
-	if firstErr != nil {
-		probed = nil
-	}
-	for i, v := range verdict {
-		if v > 0 {
-			out = append(out, items[i])
-		}
-		if v != 0 && firstErr != nil {
-			probed = append(probed, items[i])
-		}
-	}
-	r.e.Cache.PutSemijoin(src.Name(), c, set.FromSorted(probed), set.FromSorted(out))
 	if firstErr != nil {
 		return set.Set{}, firstErr
+	}
+	out := make([]string, 0, len(items))
+	for i, ok := range match {
+		if ok {
+			out = append(out, items[i])
+		}
 	}
 	return set.FromSorted(out), nil
 }

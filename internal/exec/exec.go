@@ -27,10 +27,6 @@
 // goroutines, and still returns a Result whose counters report the source
 // queries and simulated work already paid for, alongside an error wrapping
 // ctx.Err().
-//
-// A mediator-side source-answer cache (cache.go) can be attached to either
-// scheduler: selection results and the verdicts semijoins learned in earlier
-// queries answer repeated work without source traffic.
 package exec
 
 import (
@@ -63,12 +59,6 @@ type Executor struct {
 	// exchanges: at most a link's MaxConns (default 1) of them at once,
 	// across every query sharing the network.
 	Network *netsim.Network
-	// Cache, when set, is consulted before every selection and filters
-	// semijoin sets down to items with unknown verdicts.
-	// Sharing one Cache across runs (adaptive rounds, repeated mediator
-	// queries) lets later executions skip source traffic; see Cache for the
-	// freshness caveats with autonomous sources.
-	Cache *Cache
 	// Retries is how many times a source exchange that fails with a
 	// transient error (source.ErrTransient) is re-issued before the run
 	// fails. Zero disables retries. The budget is per exchange: one flaky
@@ -104,7 +94,7 @@ type Result struct {
 	// the run keeps it, so once nobody reads Answer (or Vars, which holds
 	// it) the caller may give it back with set.Release. A pipelined run that
 	// succeeds sets it, and so does a round-scheduled one whose result the
-	// run made for itself (not a cached or loaded set, say).
+	// run made for itself (not a loaded set, say).
 	AnswerOwned bool
 	// Records holds the answer entities' full records when the plan
 	// retrieves them (plan.Records); nil otherwise, and after a failure.
@@ -139,11 +129,6 @@ type Result struct {
 	// its connection capacity (netsim.Makespan), and the critical path of
 	// the whole run in streaming mode. Zero without a Network.
 	ResponseTime time.Duration
-	// CacheHits and CacheMisses count source-answer cache consultations: a
-	// hit is one source query avoided (a whole cached selection, or one
-	// binding verdict), a miss went to the source. Both zero without a cache.
-	CacheHits   int
-	CacheMisses int
 	// Retries counts source operations re-issued after a transient failure
 	// — whole exchanges, or individual bindings of an emulated semijoin. The
 	// re-issues themselves are already charged in SourceQueries.
@@ -164,7 +149,7 @@ type Result struct {
 	// items.
 	FirstAnswer time.Duration
 	// Trace is the per-step execution trace, ordered by step index: output
-	// cardinalities, issued queries, cache hits, and the simulated time of the
+	// cardinalities, issued queries, retries, and the simulated time of the
 	// exchanges each step issued. Every run keeps it.
 	Trace []StepTrace
 	// Failovers and Hedges count replica-fabric activity across the run:
@@ -206,11 +191,11 @@ func (res *Result) DropVars() {
 // (records).
 //
 // On failure — including cancellation and deadline expiry — the returned
-// Result is still non-nil: its counters report the source queries, cache
-// traffic and simulated work already performed, and Vars holds the set
-// variables computed before the failure. The error wraps the cause, so
-// errors.Is(err, context.Canceled) and errors.Is(err,
-// context.DeadlineExceeded) identify abandoned runs.
+// Result is still non-nil: its counters report the source queries and
+// simulated work already performed, and Vars holds the set variables
+// computed before the failure. The error wraps the cause, so errors.Is(err,
+// context.Canceled) and errors.Is(err, context.DeadlineExceeded) identify
+// abandoned runs.
 func (e *Executor) Run(ctx context.Context, p *plan.Plan) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -282,7 +267,7 @@ type run struct {
 // starts empty and grows by the rounds it decides.
 func (e *Executor) newRun(p *plan.Plan) *run {
 	r := &run{e: e, p: p, pipelined: e.Streaming}
-	r.life.tr, r.life.cached = &r.tr, e.Cache != nil
+	r.life.tr = &r.tr
 	if p.Adaptive != nil {
 		r.table, r.pipelined = p.Adaptive, false
 		r.p = &plan.Plan{Conds: p.Conds, Sources: p.Sources, Class: p.Class, Records: p.Records}
@@ -378,7 +363,7 @@ func (r *run) runSteps(ctx context.Context, from int) error {
 		if err != nil {
 			return err
 		}
-		r.life.retire(steps, k, end)
+		r.life.retire(k, end)
 		k = end
 	}
 	return nil

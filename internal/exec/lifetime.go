@@ -24,9 +24,7 @@ import (
 // is its left input, and an intersection the run may write over one of its
 // inputs (overwritable) continues that input's buffer. A buffer the run does
 // not own outright is never given back: one a step did not make for the run
-// alone (a cached selection, a records round's items, a loaded relation's,
-// a selection the cache kept), and one a semijoin sent to a source when the
-// run has a cache (Cache.PutSemijoin may keep it). The versions the run
+// alone (a records round's items, a loaded relation's). The versions the run
 // keeps to its end — the result, and each round's running set, which a
 // repair after a later failure seeds from (core's splitCompleted reads
 // Vars) — never die inside the run, but their buffers stay the run's: when
@@ -36,8 +34,6 @@ type lifetimes struct {
 	flow *plan.Flow
 	vers []version
 	tr   *byteTracker
-	// cached says the run has a cache, which may keep a semijoin's input.
-	cached bool
 }
 
 // version is one step's output: its value and weight, whether the step made
@@ -127,18 +123,12 @@ func sameBuffer(a, b set.Set) bool {
 }
 
 // retire closes the batch of steps [start, end), whose outputs are
-// recorded: each is linked to its buffer, a semijoin's input the cache may
-// keep is marked as escaped, and every version read for the last time in
-// the batch, or read by nobody, dies.
-func (l *lifetimes) retire(steps []plan.Step, start, end int) {
+// recorded: each is linked to its buffer, and every version read for the
+// last time in the batch, or read by nobody, dies.
+func (l *lifetimes) retire(start, end int) {
 	f := l.flow
 	for i := start; i < end; i++ {
 		l.link(i)
-	}
-	for i := start; i < end; i++ {
-		if l.cached && steps[i].Kind == plan.KindSemijoin {
-			l.escape(f.In[i][0])
-		}
 	}
 	for i := start; i < end; i++ {
 		for _, v := range f.In[i] {
@@ -149,13 +139,6 @@ func (l *lifetimes) retire(steps []plan.Step, start, end int) {
 		if f.Last[i] < 0 {
 			l.die(i)
 		}
-	}
-}
-
-// escape marks version v's buffer as one the run may not give back.
-func (l *lifetimes) escape(v int) {
-	if b := l.vers[v].buf; b >= 0 {
-		l.vers[b].free = false
 	}
 }
 

@@ -125,9 +125,7 @@ func synthSources(t testing.TB, cfg workload.SynthConfig) (*workload.Scenario, [
 // TestLifetimeUnionOfOne: a union with one non-empty input is that input,
 // so the union's output and the source answer it read hold one buffer,
 // which the intersection after them then writes over: it goes back only
-// with the last version holding it, and the answer it became is kept. When
-// that input is the cache's, so is the union's output, and nothing writes
-// over it.
+// with the last version holding it, and the answer it became is kept.
 func TestLifetimeUnionOfOne(t *testing.T) {
 	sc, srcs := synthSources(t, workload.SynthConfig{Seed: 3, NumSources: 2, TuplesPerSource: 600, Universe: 1200, Selectivity: []float64{0.5, 0.5}})
 	// A third source with nothing in it: its answer E is empty.
@@ -159,26 +157,16 @@ func TestLifetimeUnionOfOne(t *testing.T) {
 		t.Fatalf("Vars = %v, want only D = %v", res.Vars, want)
 	}
 	runAgain(t, ex, p, want, 20)
-	// With the cache on, A is the cache's from the second run on, and so is
-	// the union that is A: the intersection may not write over it.
-	cache := NewCache()
-	runAgain(t, &Executor{Sources: srcs, Cache: cache}, p, want, 20)
-	cached, _ := cache.Select(srcs[0].Name(), p.Conds[0])
-	if fresh := reference(t, &plan.Plan{Conds: p.Conds, Sources: p.Sources, Steps: p.Steps[:1], Result: "A"}, srcs); !cached.Equal(fresh) {
-		t.Fatalf("the cache's A is not the source's answer: %v, want %v", cached, fresh)
-	}
 }
 
-// TestLifetimeWithCache: with the source-answer cache on, a selection the
-// cache keeps, and the verdicts a semijoin taught it, are never given back:
-// cold and warm runs of every plan class answer right, and so does the
-// cache itself afterwards.
-func TestLifetimeWithCache(t *testing.T) {
+// TestLifetimeEveryClass: repeated runs of every plan class over one
+// executor answer right, so no buffer a run gave back is one a later run
+// still reads.
+func TestLifetimeEveryClass(t *testing.T) {
 	pr, srcs, network := synthOnNetwork(t, workload.SynthConfig{
 		Seed: 5, NumSources: 4, TuplesPerSource: 500, Universe: 1000, Selectivity: []float64{0.3, 0.6, 0.8},
 	}, netsim.Link{Latency: time.Millisecond, BytesPerSec: 1 << 20})
-	cache := NewCache()
-	ex := &Executor{Sources: srcs, Network: network, Cache: cache}
+	ex := &Executor{Sources: srcs, Network: network}
 	for _, pc := range optimizer.Algorithms {
 		res, err := pc.Plan(pr)
 		if err != nil {
@@ -190,21 +178,6 @@ func TestLifetimeWithCache(t *testing.T) {
 		}
 		want := reference(t, p, srcs)
 		t.Run(pc.Name, func(t *testing.T) { runAgain(t, ex, p, want, 3) })
-	}
-	for j, src := range srcs {
-		for _, c := range pr.Conds {
-			got, ok := cache.Select(src.Name(), c)
-			if !ok {
-				continue
-			}
-			want, err := src.Select(context.Background(), c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("the cache's sq(%v, R%d) = %d items, the source's %d", c, j, got.Len(), want.Len())
-			}
-		}
 	}
 }
 
@@ -333,8 +306,7 @@ func TestLifetimeFailedRoundKeepsItsSeed(t *testing.T) {
 // TestLifetimeDropVars: a successful run keeps its running set X1 in Vars
 // and owns its answer. DropVars gives X1's buffer back — what it read
 // before is gone, cleared or set.Recycled — and leaves the answer alone in
-// Vars, whole. With the cache on, the semijoins' input X1 may be the
-// cache's (Cache.PutSemijoin), so DropVars leaves it as it was.
+// Vars, whole.
 func TestLifetimeDropVars(t *testing.T) {
 	sc, srcs := synthSources(t, workload.SynthConfig{Seed: 11, NumSources: 3, TuplesPerSource: 600, Universe: 1200, Selectivity: []float64{0.5, 0.5}})
 	p := &plan.Plan{
@@ -357,24 +329,22 @@ func TestLifetimeDropVars(t *testing.T) {
 	if want.IsEmpty() {
 		t.Fatal("the reference answer is empty; the test wants one")
 	}
-	for _, cache := range []*Cache{nil, NewCache()} {
-		res, err := (&Executor{Sources: srcs, Cache: cache}).Run(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x1, ok := res.Vars["X1"]
-		if !ok || !x1.Equal(seed) || len(res.Vars) != 2 || !res.Answer.Equal(want) || !res.AnswerOwned {
-			t.Fatalf("cache %v: Vars %v and answer owned %v; want X1 and X2, and the answer owned", cache != nil, res.Vars, res.AnswerOwned)
-		}
-		res.DropVars()
-		if got, ok := res.Vars["X2"]; len(res.Vars) != 1 || !ok || !got.Equal(want) || !res.Answer.Equal(want) {
-			t.Fatalf("cache %v: after DropVars Vars = %v, answer %d items; want X2 alone, the answer whole", cache != nil, res.Vars, res.Answer.Len())
-		}
-		if kept := x1.Equal(seed); kept != (cache != nil) {
-			t.Fatalf("cache %v: X1 intact after DropVars: %v", cache != nil, kept)
-		}
-		set.Release(res.Answer)
+	res, err := (&Executor{Sources: srcs}).Run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	x1, ok := res.Vars["X1"]
+	if !ok || !x1.Equal(seed) || len(res.Vars) != 2 || !res.Answer.Equal(want) || !res.AnswerOwned {
+		t.Fatalf("Vars %v and answer owned %v; want X1 and X2, and the answer owned", res.Vars, res.AnswerOwned)
+	}
+	res.DropVars()
+	if got, ok := res.Vars["X2"]; len(res.Vars) != 1 || !ok || !got.Equal(want) || !res.Answer.Equal(want) {
+		t.Fatalf("after DropVars Vars = %v, answer %d items; want X2 alone, the answer whole", res.Vars, res.Answer.Len())
+	}
+	if x1.Equal(seed) {
+		t.Fatal("X1 intact after DropVars")
+	}
+	set.Release(res.Answer)
 }
 
 // TestLifetimeAdaptive: an adaptive plan grows round by round, and each

@@ -153,8 +153,6 @@ func (r *run) runNode(ctx context.Context, idx int, ins []set.Iter, nd *node) er
 	met := obs.Meter(ctx)
 	if isSource {
 		met.Counter(obs.MSourceQueries, "source", srcName).Add(int64(agg.queries))
-		met.Counter(obs.MCacheHits, "source", srcName).Add(int64(agg.hits))
-		met.Counter(obs.MCacheMisses, "source", srcName).Add(int64(agg.misses))
 		met.Counter(obs.MRetries, "source", srcName).Add(int64(agg.retries))
 		if err != nil {
 			met.Counter(obs.MStepErrors, "source", srcName).Inc()
@@ -171,15 +169,13 @@ func (r *run) runNode(ctx context.Context, idx int, ins []set.Iter, nd *node) er
 	}
 	r.mu.Lock()
 	r.res.SourceQueries += agg.queries
-	r.res.CacheHits += agg.hits
-	r.res.CacheMisses += agg.misses
 	r.res.Retries += agg.retries
 	r.res.Failovers += failovers
 	r.res.Hedges += hedges
 	if err != nil && (r.res.FailedStep < 0 || idx < r.res.FailedStep) {
 		r.res.FailedStep = idx
 	}
-	tr := StepTrace{Index: idx, Text: text, Queries: agg.queries, CacheHits: agg.hits, Retries: agg.retries, Errors: agg.errors, Failovers: failovers, Hedges: hedges}
+	tr := StepTrace{Index: idx, Text: text, Queries: agg.queries, Retries: agg.retries, Errors: agg.errors, Failovers: failovers, Hedges: hedges}
 	if err != nil {
 		tr.Err = err.Error()
 	} else {
@@ -261,15 +257,14 @@ func (r *run) exchange(ctx context.Context, j int, agg *queryStats, binding stri
 	})
 }
 
-// selectBody is sq(c, src). A cached selection is emitted without source
-// traffic. A miss between batch barriers is one Select exchange for the
-// whole selection; in the pipeline it opens a chunked stream, where the
-// retry budget applies only while nothing has been emitted yet: once
-// batches are downstream a transient mid-stream failure cannot be retried
-// without re-emitting, so it fails the step (and the run stays honest).
-// Either way the completed selection is cached for later runs. In a plan
-// that wants its final round's records (plan.FinalRecords) a final-round
-// selection asks for the records instead and keeps them in the sink.
+// selectBody is sq(c, src). Between batch barriers it is one Select
+// exchange for the whole selection; in the pipeline it opens a chunked
+// stream, where the retry budget applies only while nothing has been
+// emitted yet: once batches are downstream a transient mid-stream failure
+// cannot be retried without re-emitting, so it fails the step (and the run
+// stays honest). In a plan that wants its final round's records
+// (plan.FinalRecords) a final-round selection asks for the records instead
+// and keeps them in the sink.
 func (r *run) selectBody(ctx context.Context, s plan.Step, nd *node) error {
 	agg := &nd.cost
 	j, src, c := s.Source, r.e.Sources[s.Source], r.p.Conds[s.Cond]
@@ -284,54 +279,32 @@ func (r *run) selectBody(ctx context.Context, s plan.Step, nd *node) error {
 		}
 		return nd.emitSorted(ctx, r.sink.add(j, tuples, src.Schema().MergeIndex()).Items(), r.batch)
 	}
-	cache := r.e.Cache
-	if out, ok := cache.Select(src.Name(), c); ok {
-		agg.hits++
-		return nd.emitSorted(ctx, out.Items(), r.batch)
-	}
-	var kept []string
-	var err error
 	if r.pipelined {
-		err = r.retry(ctx, j, agg, "", func(ctx context.Context) (bool, error) {
-			kept = nil
+		return r.retry(ctx, j, agg, "", func(ctx context.Context) (bool, error) {
 			before := nd.batches
-			err := r.drainSelect(ctx, j, c, nd, &kept)
+			err := r.drainSelect(ctx, j, c, nd)
 			return nd.batches > before, err
 		})
-	} else {
-		err = r.exchange(ctx, j, agg, "", func(ctx context.Context) error {
-			if cache != nil {
-				agg.misses++
-			}
-			out, err := src.Select(ctx, c)
-			kept = out.Items()
-			return err
-		})
-		if err == nil {
-			// The answer is the run's alone (source.Source) unless the
-			// cache keeps it below.
-			nd.owned = cache == nil
-			err = nd.emit(ctx, kept)
-		}
 	}
+	var out set.Set
+	err := r.exchange(ctx, j, agg, "", func(ctx context.Context) (err error) {
+		out, err = src.Select(ctx, c)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	cache.PutSelect(src.Name(), c, set.FromSorted(kept))
-	return nil
+	// The answer is the run's alone (source.Source).
+	nd.owned = true
+	return nd.emit(ctx, out.Items())
 }
 
-// drainSelect is one attempt at streaming the selection: open, pull, emit,
-// keeping the batches on the side when a cache wants the whole. The link
-// admits the open and each pull on its own, so backpressure never holds a
-// source lane.
-func (r *run) drainSelect(ctx context.Context, j int, c cond.Cond, nd *node, kept *[]string) error {
-	src, agg := r.e.Sources[j], &nd.cost
-	it, err := source.OpenSelectStream(ctx, src, c, r.batch)
-	agg.queries++
-	if r.e.Cache != nil {
-		agg.misses++
-	}
+// drainSelect is one attempt at streaming the selection: open, pull, emit.
+// The link admits the open and each pull on its own, so backpressure never
+// holds a source lane.
+func (r *run) drainSelect(ctx context.Context, j int, c cond.Cond, nd *node) error {
+	it, err := source.OpenSelectStream(ctx, r.e.Sources[j], c, r.batch)
+	nd.cost.queries++
 	if err != nil {
 		return err
 	}
@@ -340,9 +313,6 @@ func (r *run) drainSelect(ctx context.Context, j int, c cond.Cond, nd *node, kep
 		batch, err := it.Next(ctx)
 		if err != nil || batch == nil {
 			return err
-		}
-		if r.e.Cache != nil {
-			*kept = append(*kept, batch...)
 		}
 		if err := nd.emit(ctx, batch); err != nil {
 			return err
@@ -354,36 +324,35 @@ func (r *run) drainSelect(ctx context.Context, j int, c cond.Cond, nd *node, kep
 // best mechanism the source supports (Section 2.3's emulation rule): each
 // batch — the whole of Y between barriers, a chunk of it as it arrives in
 // the pipeline — is one native semijoin exchange or one fan-out of binding
-// queries for the items the cache cannot answer, and an empty or fully
-// cached Y costs nothing. Output order is preserved because a probe's
-// matches are a subset of its input batch and batches arrive in increasing
-// item order. A final-round native semijoin of a plan that wants that
-// round's records asks for the records instead.
+// queries, and an empty Y costs nothing. Output order is preserved because
+// a probe's matches are a subset of its input batch and batches arrive in
+// increasing item order. A final-round native semijoin of a plan that wants
+// that round's records asks for the records instead.
 func (r *run) semijoinBody(ctx context.Context, s plan.Step, in set.Iter, nd *node) error {
 	agg := &nd.cost
-	j, src, c, cache := s.Source, r.e.Sources[s.Source], r.p.Conds[s.Cond], r.e.Cache
+	j, src, c := s.Source, r.e.Sources[s.Source], r.p.Conds[s.Cond]
 	caps := src.Caps()
 	if !caps.NativeSemijoin && !caps.PassedBindings {
 		return fmt.Errorf("source %s: semijoin not emulable: %w", src.Name(), source.ErrUnsupported)
 	}
+	records := caps.NativeSemijoin && r.sink.wants(s)
 	for {
 		batch, err := in.Next(ctx)
 		if err != nil || batch == nil {
 			return err
 		}
 		// An edge lends its batch, and a semijoin's set is kept while the
-		// exchange runs, and beyond it by the run's cache (PutSemijoin may
-		// keep y itself), so the pipeline copies it into a pooled buffer,
-		// given back once the exchange has returned when no cache has it: a
-		// source reads y no longer (source.Source), and the fabric waits
-		// for every leg of a hedge. A whole variable is immutable.
-		pooled := r.pipelined && cache == nil
+		// exchange runs, so the pipeline copies it into a pooled buffer,
+		// given back once the exchange has returned: a source reads y no
+		// longer (source.Source), and the fabric waits for every leg of a
+		// hedge. A whole variable is immutable.
 		if r.pipelined {
 			batch = append(set.Alloc(len(batch)), batch...)
 		}
 		y := set.FromSorted(batch)
 		var out set.Set
-		if caps.NativeSemijoin && r.sink.wants(s) {
+		switch {
+		case records:
 			var tuples []relation.Tuple
 			err = r.exchange(ctx, j, agg, "", func(ctx context.Context) (err error) {
 				tuples, err = src.SemijoinRecords(ctx, c, y)
@@ -392,38 +361,25 @@ func (r *run) semijoinBody(ctx context.Context, s plan.Step, in set.Iter, nd *no
 			if err == nil {
 				out = r.sink.add(j, tuples, src.Schema().MergeIndex())
 			}
-		} else {
-			known, unknown := cache.Partition(src.Name(), c, y)
-			if cache != nil {
-				agg.hits += y.Len() - unknown.Len()
-				agg.misses += unknown.Len()
-			}
-			switch {
-			case unknown.IsEmpty():
-			case caps.NativeSemijoin:
-				err = r.exchange(ctx, j, agg, "", func(ctx context.Context) (err error) {
-					out, err = src.Semijoin(ctx, c, unknown)
-					return err
-				})
-				if err == nil {
-					cache.PutSemijoin(src.Name(), c, unknown, out)
-				}
-			default:
-				out, err = r.bindings(ctx, j, c, unknown.Items(), agg)
-			}
-			out = out.Union(known)
+		case caps.NativeSemijoin:
+			err = r.exchange(ctx, j, agg, "", func(ctx context.Context) (err error) {
+				out, err = src.Semijoin(ctx, c, y)
+				return err
+			})
+		default:
+			out, err = r.bindings(ctx, j, c, y.Items(), agg)
 		}
-		if pooled {
+		if r.pipelined {
 			set.Release(y)
 		}
 		if err != nil {
 			return err
 		}
 		// Between barriers this is the one batch: a source's answer, the
-		// run's alone unless the cache or the records sink keeps it. In the
-		// pipeline every edge takes a copy, so an answer the run owns goes
-		// back once emitted.
-		nd.owned = cache == nil && !(caps.NativeSemijoin && r.sink.wants(s))
+		// run's alone unless the records sink keeps it. In the pipeline
+		// every edge takes a copy, so an answer the run owns goes back once
+		// emitted.
+		nd.owned = !records
 		err = nd.emit(ctx, out.Items())
 		if r.pipelined && nd.owned {
 			set.Release(out)

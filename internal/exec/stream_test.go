@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"fusionq/internal/netsim"
 	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
+	"fusionq/internal/relation"
 	"fusionq/internal/set"
 	"fusionq/internal/source"
 	"fusionq/internal/stats"
@@ -253,35 +255,74 @@ func TestStreamingReducesPeakBytes(t *testing.T) {
 	}
 }
 
-// TestCacheParity: under either scheduler the select body both consults
-// and fills the answer cache, so a second run over the same cache answers
-// selections locally.
-func TestCacheParity(t *testing.T) {
-	for _, mode := range runModes {
-		t.Run(mode.name, func(t *testing.T) {
-			pr, srcs, network := dmvSetup(t, nil)
-			res, err := optimizer.Filter(pr)
-			if err != nil {
-				t.Fatal(err)
+// pullCounter is a source whose streamed selections count the items the
+// mediator pulls.
+type pullCounter struct {
+	source.Source
+	pulled atomic.Int64
+}
+
+func (s *pullCounter) SelectStream(ctx context.Context, c cond.Cond, batch int) (set.Iter, error) {
+	it, err := source.OpenSelectStream(ctx, s.Source, c, batch)
+	if err != nil {
+		return nil, err
+	}
+	return &countedIter{Iter: it, pulled: &s.pulled}, nil
+}
+
+type countedIter struct {
+	set.Iter
+	pulled *atomic.Int64
+}
+
+func (it *countedIter) Next(ctx context.Context) ([]string, error) {
+	batch, err := it.Iter.Next(ctx)
+	it.pulled.Add(int64(len(batch)))
+	return batch, err
+}
+
+// TestIntersectionAbandonsItsInput: in the pipeline X ∩ Y with Y empty ends
+// at Y's end and abandons X's edge, its only consumer, part way, so X's
+// stream stops long before it is drained. The order of the operands does
+// not matter.
+func TestIntersectionAbandonsItsInput(t *testing.T) {
+	const n = 4096
+	schema := relation.MustSchema("L",
+		relation.Column{Name: "L", Kind: relation.KindString},
+		relation.Column{Name: "A", Kind: relation.KindInt},
+	)
+	wide, none := relation.NewRelation(schema), relation.NewRelation(schema)
+	for i := 0; i < n; i++ {
+		wide.MustInsert(relation.String(workload.ItemName(i)), relation.Int(int64(i)))
+	}
+	none.MustInsert(relation.String(workload.ItemName(0)), relation.Int(-1))
+	for _, tc := range []struct {
+		name string
+		in   []string
+	}{
+		{"abandoned", []string{"X", "Y"}},
+		{"abandoned-swapped", []string{"Y", "X"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r1 := &pullCounter{Source: source.NewWrapper("r1", source.NewRowBackend(wide), source.Capabilities{})}
+			r2 := source.NewWrapper("r2", source.NewRowBackend(none), source.Capabilities{})
+			p := &plan.Plan{
+				Conds:   []cond.Cond{cond.MustParse("A >= 0")},
+				Sources: []string{"r1", "r2"},
+				Steps: []plan.Step{
+					{Kind: plan.KindSelect, Out: "X", Cond: 0, Source: 0},
+					{Kind: plan.KindSelect, Out: "Y", Cond: 0, Source: 1},
+					{Kind: plan.KindIntersect, Out: "Z", Cond: -1, Source: -1, In: tc.in},
+				},
+				Result: "Z",
 			}
-			ex := &Executor{Sources: srcs, Network: network, Cache: NewCache()}
-			mode.configure(ex)
-			first, err := ex.Run(context.Background(), res.Plan)
-			if err != nil {
-				t.Fatal(err)
+			ex := &Executor{Sources: []source.Source{r1, r2}, Streaming: true, BatchSize: 1}
+			res, err := ex.Run(context.Background(), p)
+			if err != nil || !res.Answer.IsEmpty() {
+				t.Fatalf("X ∩ ∅ = %v, %v", res.Answer, err)
 			}
-			if first.CacheMisses != first.SourceQueries || first.CacheHits != 0 {
-				t.Fatalf("cold run: hits %d, misses %d, queries %d", first.CacheHits, first.CacheMisses, first.SourceQueries)
-			}
-			second, err := ex.Run(context.Background(), res.Plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !second.Answer.Equal(first.Answer) {
-				t.Fatalf("cached rerun answer %v != first %v", second.Answer, first.Answer)
-			}
-			if second.CacheHits == 0 || second.SourceQueries != 0 {
-				t.Fatalf("cached rerun: hits %d, queries %d; want all selections answered locally", second.CacheHits, second.SourceQueries)
+			if pulled := r1.pulled.Load(); pulled >= n {
+				t.Fatalf("the run pulled all %d items of X: its consumer never abandoned it", pulled)
 			}
 		})
 	}

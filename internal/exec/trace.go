@@ -20,9 +20,6 @@ type StepTrace struct {
 	// (more than one for emulated semijoins, zero for local steps and
 	// short-circuited semijoins), including failed attempts.
 	Queries int
-	// CacheHits is how many source queries the answer cache avoided for
-	// this step (zero without a cache).
-	CacheHits int
 	// Retries counts the step's transient-failure re-issues: whole-step
 	// re-attempts, or per-binding re-attempts for emulated semijoins.
 	Retries int
@@ -56,11 +53,11 @@ func RenderTrace(traces []StepTrace) string {
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%3s  %-*s  %9s  %7s  %6s  %7s  %6s  %9s  %6s  %12s\n",
-		"#", width, "step", "out items", "queries", "cached", "retries", "errors", "failovers", "hedges", "elapsed")
+	fmt.Fprintf(&b, "%3s  %-*s  %9s  %7s  %7s  %6s  %9s  %6s  %12s\n",
+		"#", width, "step", "out items", "queries", "retries", "errors", "failovers", "hedges", "elapsed")
 	for _, tr := range traces {
-		fmt.Fprintf(&b, "%3d  %-*s  %9d  %7d  %6d  %7d  %6d  %9d  %6d  %12v\n",
-			tr.Index+1, width, tr.Text, tr.OutItems, tr.Queries, tr.CacheHits,
+		fmt.Fprintf(&b, "%3d  %-*s  %9d  %7d  %7d  %6d  %9d  %6d  %12v\n",
+			tr.Index+1, width, tr.Text, tr.OutItems, tr.Queries,
 			tr.Retries, tr.Errors, tr.Failovers, tr.Hedges, tr.Elapsed.Round(time.Microsecond))
 	}
 	for _, tr := range traces {

@@ -34,10 +34,11 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// breaker is a per-endpoint three-state circuit breaker. Closed endpoints
-// take traffic; failureThreshold consecutive failures open the breaker; after
-// the cooldown the next attempt runs as a half-open probe whose outcome either
-// closes the breaker or re-opens it for another cooldown.
+// breaker is a per-endpoint three-state circuit breaker, and the count of the
+// endpoint's consecutive failures. Closed endpoints take traffic;
+// failureThreshold consecutive failures open the breaker; after the cooldown
+// the next attempt runs as a half-open probe whose outcome either closes the
+// breaker or re-opens it for another cooldown.
 //
 // The breaker gates replica *selection*, not correctness: when every
 // breaker-preferred endpoint is exhausted the fabric still tries the least
@@ -90,19 +91,20 @@ func (b *breaker) success() {
 	b.probing = false
 }
 
-// failure counts a genuine endpoint failure: failureThreshold consecutive
-// failures trip closed→open, and a failed half-open probe re-opens
-// immediately.
+// failure counts a genuine endpoint failure, in every state until success
+// resets the count: failureThreshold consecutive failures trip closed→open
+// (closed is re-entered only through success), and a failed half-open probe
+// re-opens immediately.
 func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
+	b.fails++
 	switch b.state {
 	case BreakerHalfOpen:
 		b.state = BreakerOpen
 		b.openedAt = time.Now()
 	case BreakerClosed:
-		b.fails++
 		if b.fails >= failureThreshold {
 			b.state = BreakerOpen
 			b.openedAt = time.Now()
@@ -117,4 +119,12 @@ func (b *breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
+}
+
+// consecutiveFails is how many failures there have been since the last
+// success.
+func (b *breaker) consecutiveFails() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.fails
 }

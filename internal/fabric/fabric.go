@@ -339,7 +339,7 @@ func (l *Logical) Scorecards() []Scorecard {
 			Breaker:     ep.brk.State().String(),
 			EWMASeconds: ep.health.score(),
 			Inflight:    int(ep.inflight.Load()),
-			ConsecFails: ep.health.consecutiveFails(),
+			ConsecFails: ep.brk.consecutiveFails(),
 			Hedges:      st.Hedges,
 			HedgeWins:   st.HedgeWins,
 			Failovers:   st.Failovers,
@@ -605,7 +605,6 @@ func runOne(ctx context.Context, l *Logical, ep *Endpoint, call source.Call) (so
 	ep.inflight.Add(-1)
 	if err != nil {
 		if ctx.Err() == nil {
-			ep.health.fail()
 			ep.brk.failure()
 			publishBreaker(ctx, ep)
 		}

@@ -276,8 +276,8 @@ func TestHedgeBackupWinsAndLoserCancelled(t *testing.T) {
 	if slow.aborted() != 1 {
 		t.Fatalf("straggler saw %d ctx aborts, want 1", slow.aborted())
 	}
-	if fails := l.eps[0].health.consecutiveFails(); fails != 0 {
-		t.Fatalf("cancelled loser charged %d health failures", fails)
+	if fails := l.Scorecards()[0].ConsecFails; fails != 0 {
+		t.Fatalf("cancelled loser charged %d failures", fails)
 	}
 }
 
@@ -453,8 +453,8 @@ func TestStreamFailureMarksEndpointUnhealthy(t *testing.T) {
 	if !source.IsTransient(err) {
 		t.Fatalf("mid-stream death surfaced as %v, want transient", err)
 	}
-	if fails := ep.health.consecutiveFails(); fails == 0 {
-		t.Fatal("mid-stream failure not charged to endpoint health")
+	if fails := l.Scorecards()[0].ConsecFails; fails == 0 {
+		t.Fatal("mid-stream failure not charged to the endpoint")
 	}
 	if err := it.Close(); err != nil {
 		t.Fatalf("close after failure: %v", err)

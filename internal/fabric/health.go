@@ -57,15 +57,14 @@ func (r *latencyRing) percentile(p float64) time.Duration {
 	return time.Duration(vals[idx] * float64(time.Second))
 }
 
-// health scores one endpoint: an EWMA of observed exchange latencies plus a
-// consecutive-failure count. Replica selection prefers low scores; an
-// endpoint with no observations yet scores zero so fresh replicas get
-// traffic immediately.
+// health scores one endpoint: an EWMA of observed exchange latencies (its
+// consecutive failures are its breaker's count). Replica selection prefers
+// low scores; an endpoint with no observations yet scores zero so fresh
+// replicas get traffic immediately.
 type health struct {
 	mu     sync.Mutex
 	ewma   float64 // seconds; 0 until the first observation
 	seeded bool
-	fails  int
 }
 
 // ewmaAlpha is the latency EWMA's smoothing factor.
@@ -81,13 +80,6 @@ func (h *health) observe(d time.Duration) {
 	} else {
 		h.ewma = ewmaAlpha*s + (1-ewmaAlpha)*h.ewma
 	}
-	h.fails = 0
-}
-
-func (h *health) fail() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.fails++
 }
 
 // score is the EWMA latency in seconds; selection multiplies it by the
@@ -96,10 +88,4 @@ func (h *health) score() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.ewma
-}
-
-func (h *health) consecutiveFails() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.fails
 }

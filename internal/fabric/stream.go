@@ -38,7 +38,6 @@ func (s *logicalStream) Next(ctx context.Context) ([]string, error) {
 	s.ep.inflight.Add(-1)
 	if err != nil {
 		if ctx.Err() == nil {
-			s.ep.health.fail()
 			s.ep.brk.failure()
 			publishBreaker(ctx, s.ep)
 		}

@@ -1,8 +1,7 @@
 // Package lru is the tree's one bounded store: a map in recency order with
 // an entry bound and a byte bound, evicting the least recently used. The
-// plan cache, the answer cache and the source-answer cache are three
-// keyings of it; what an entry means, when it is stale and who may touch it
-// at once are theirs. A Store has no lock of its own.
+// plan cache and the answer cache are its two keyings; what an entry means,
+// when it is stale and who may touch it at once are theirs. A Store has no lock of its own.
 package lru
 
 import "container/list"

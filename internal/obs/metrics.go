@@ -88,62 +88,39 @@ func Default() *Registry {
 	return defaultRegistry
 }
 
-// Describe sets a family's help text (shown in the Prometheus exposition).
-// Creating an instrument with an undescribed name auto-registers the family
-// with empty help. A family described this way (kind unknown) stays out of
-// the exposition until its first instrument fixes the kind; use
-// describeTyped to render the header up front.
-func (r *Registry) Describe(name, help string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		f.help = help
-	} else {
-		// Remember the help for when the family is created; kind is fixed at
-		// first instrument creation.
-		r.families[name] = &family{name: name, help: help, metrics: map[string]*instrument{}}
-		r.order = append(r.order, name)
-	}
-}
-
-// describeTyped is Describe plus an up-front kind, so the family appears in
-// Snapshot and PrometheusText (as a HELP/TYPE header with no series) even
-// before its first instrument exists — a scrape then documents the full
-// metric vocabulary, not just the series this process happened to touch.
+// describeTyped sets a family's kind and help text (shown in the Prometheus
+// exposition), so the family appears in Snapshot and PrometheusText (as a
+// HELP/TYPE header with no series) even before its first instrument exists
+// — a scrape then documents the full metric vocabulary, not just the series
+// this process happened to touch. Creating an instrument with an
+// undescribed name registers the family with empty help.
 func (r *Registry) describeTyped(name, kind, help string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok := r.families[name]
-	if !ok {
-		f = &family{name: name, metrics: map[string]*instrument{}}
-		r.families[name] = f
-		r.order = append(r.order, name)
-	}
-	f.help = help
-	if f.kind == "" {
-		f.kind = kind
-	}
+	r.familyLocked(name, kind).help = help
 }
 
 func (r *Registry) familyFor(name, kind string) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	f := r.familyLocked(name, kind)
+	if f.kind != kind {
+		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.kind, kind))
+	}
+	return f
+}
+
+// familyLocked returns name's family, made of kind when there is none yet;
+// the caller holds r.mu.
+func (r *Registry) familyLocked(name, kind string) *family {
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, metrics: map[string]*instrument{}}
+		f = &family{name: name, kind: kind, metrics: map[string]*instrument{}}
 		r.families[name] = f
 		r.order = append(r.order, name)
-	}
-	if f.kind == "" {
-		f.kind = kind
-	} else if f.kind != kind {
-		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.kind, kind))
 	}
 	return f
 }
@@ -333,10 +310,6 @@ func (r *Registry) Snapshot() []MetricFamily {
 	var out []MetricFamily
 	for _, f := range fams {
 		f.mu.Lock()
-		if f.kind == "" { // described without a kind and never used
-			f.mu.Unlock()
-			continue
-		}
 		mf := MetricFamily{Name: f.name, Type: f.kind, Help: f.help}
 		for _, key := range f.order {
 			in := f.metrics[key]

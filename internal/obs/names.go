@@ -13,10 +13,6 @@ const (
 	MQuerySeconds = "fq_query_seconds"
 	// MSourceQueries counts charged source operations, labeled by source.
 	MSourceQueries = "fq_source_queries_total"
-	// MCacheHits / MCacheMisses count source-answer cache (Options.Cache)
-	// consultations, labeled by source.
-	MCacheHits   = "fq_cache_hits_total"
-	MCacheMisses = "fq_cache_misses_total"
 	// MRetries counts transient-failure re-issues, labeled by source.
 	MRetries = "fq_retries_total"
 	// MStepErrors counts plan steps that ultimately failed, labeled by
@@ -126,8 +122,6 @@ func DescribeAll(r *Registry) {
 		{MQueries, kindCounter, "Fusion queries run, by final status."},
 		{MQuerySeconds, kindHistogram, "Whole-query wall-clock latency in seconds."},
 		{MSourceQueries, kindCounter, "Charged source operations (selections, semijoins, bindings, loads)."},
-		{MCacheHits, kindCounter, "Source-answer cache (Options.Cache) consultations answered without source traffic."},
-		{MCacheMisses, kindCounter, "Source-answer cache (Options.Cache) consultations referred to the source."},
 		{MRetries, kindCounter, "Source operations re-issued after a transient failure."},
 		{MStepErrors, kindCounter, "Plan steps that failed after exhausting retries."},
 		{MSchedQueueDepth, kindGauge, "Exchanges waiting for a per-source connection slot."},

@@ -113,7 +113,7 @@ func TestSpansNoopWithoutTrace(t *testing.T) {
 
 func TestCountersGaugesHistograms(t *testing.T) {
 	r := NewRegistry()
-	r.Describe("fq_test_total", "test counter")
+	r.describeTyped("fq_test_total", kindCounter, "test counter")
 	c := r.Counter("fq_test_total", "source", "R1")
 	c.Inc()
 	c.Add(2)
@@ -209,7 +209,7 @@ func TestInstrumentLookupAllocs(t *testing.T) {
 
 func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
-	r.Describe("x", "y")
+	r.describeTyped("x", kindCounter, "y")
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(3)
 	r.Histogram("z").Observe(1)
@@ -247,7 +247,7 @@ func TestRegistryConcurrency(t *testing.T) {
 
 func TestAdminServerServesMetrics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Describe("fq_admin_total", "admin test")
+	reg.describeTyped("fq_admin_total", kindCounter, "admin test")
 	reg.Counter("fq_admin_total").Add(7)
 	srv, err := ServeAdminConfig("127.0.0.1:0", AdminConfig{Registry: reg})
 	if err != nil {

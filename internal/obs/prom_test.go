@@ -13,7 +13,7 @@ import (
 // non-cumulative bucket) fails this before any Prometheus ever sees it.
 func TestPrometheusTextGolden(t *testing.T) {
 	reg := NewRegistry()
-	reg.Describe("fq_demo_total", "Demo counter.")
+	reg.describeTyped("fq_demo_total", kindCounter, "Demo counter.")
 	reg.Counter("fq_demo_total", "op", "sq").Add(3)
 	reg.Counter("fq_demo_total", "op", "lq").Inc()
 	reg.Gauge("fq_demo_depth").Set(7)

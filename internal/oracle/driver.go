@@ -129,13 +129,12 @@ func (d *Driver) Check(ctx context.Context, inst Instance) ([]Failure, error) {
 	}
 	fs = append(fs, checkCosts(ev, results)...)
 
-	// Phases 2 and 3: execute every class under every scheduler, uncached
-	// and faultless, and again retrieving the records: each class's plan
-	// under both record schedules, one a scheduler (which gets which follows
-	// the seed). These runs must succeed and agree with the reference — and
-	// therefore with each other — byte for byte (the adaptive row by its own
-	// choice of rounds), and a records run must also return exactly the
-	// records a second phase fetches for the reference answer.
+	// Phases 2 and 3: execute every class under every scheduler, faultless, and
+	// again retrieving the records: each class's plan under both record schedules,
+	// one a scheduler (which gets which follows the seed). These runs must succeed
+	// and agree with the reference — and therefore with each other — byte for byte
+	// (the adaptive row by its own choice of rounds), and a records run must also
+	// return exactly the records a second phase fetches for the reference answer.
 	for k, mode := range execModes(inst) {
 		records := []plan.Records{plan.FetchRecords, plan.FinalRecords}[(k+int(inst.Seed&1))%2]
 		for _, pc := range optimizer.Algorithms {
@@ -155,11 +154,6 @@ func (d *Driver) Check(ctx context.Context, inst Instance) ([]Failure, error) {
 				return res, checkRecords(ctx, ev, cls, mode.mode, res.Records), nil
 			})...)
 		}
-	}
-
-	// Phase 4: answer-cache reuse across repeated runs.
-	if inst.CacheRuns {
-		fs = append(fs, d.checkCacheReuse(ctx, ev, results)...)
 	}
 
 	// Phase 5: the join-over-union baseline, memoized and not.
@@ -326,7 +320,6 @@ type runOpts struct {
 	mode      string
 	streaming bool
 	batch     int
-	cache     *exec.Cache
 	retries   int
 	// allowErr classifies acceptable failures (fault and deadline sweeps).
 	// Nil means the run must succeed.
@@ -355,7 +348,6 @@ func (d *Driver) check(ctx context.Context, ev *env, srcs []source.Source, cls s
 		Network:   ev.network,
 		Streaming: opts.streaming,
 		BatchSize: opts.batch,
-		Cache:     opts.cache,
 		Retries:   opts.retries,
 	}
 	res, fs, err := run(rctx, ex)
@@ -468,8 +460,6 @@ func checkObsBalance(cls, mode string, res *exec.Result, o *obs.Obs) []Failure {
 		want   int
 	}{
 		{obs.MSourceQueries, res.SourceQueries},
-		{obs.MCacheHits, res.CacheHits},
-		{obs.MCacheMisses, res.CacheMisses},
 		{obs.MRetries, res.Retries},
 	} {
 		if got := metricSum(snap, chk.metric); got != int64(chk.want) {
@@ -498,73 +488,6 @@ func metricSum(snap []obs.MetricFamily, name string) int64 {
 		}
 	}
 	return sum
-}
-
-// checkCacheReuse runs the SJA plan twice against one shared answer cache,
-// between round barriers and then, with a cache of its own, through the
-// pipeline: the first run must register misses, the second must convert
-// every one into a hit — an SJA plan has no intersection to abandon a
-// stream, so the warm run asks about nothing the cold run did not learn —
-// and never issue more source queries than the first, and both must still
-// return the exact answer. The pipelined pair is what shows a cache that
-// kept a batch an edge only lent: the batch is recycled, and cleared (or,
-// in a race-detector build, overwritten with set.Recycled), so the warm run
-// finds verdicts missing.
-func (d *Driver) checkCacheReuse(ctx context.Context, ev *env, results map[string]optimizer.Result) []Failure {
-	r, ok := results["sja"]
-	if !ok {
-		return nil
-	}
-	var fs []Failure
-	for _, mode := range []runOpts{{mode: "cached"}, {mode: "stream-cached", streaming: true, batch: streamBatch(ev.inst)}} {
-		fs = append(fs, d.cacheReusePair(ctx, ev, r.Plan, mode)...)
-	}
-	return fs
-}
-
-// cacheReusePair is one cold and one warm run of checkCacheReuse.
-func (d *Driver) cacheReusePair(ctx context.Context, ev *env, p *plan.Plan, opts runOpts) []Failure {
-	cache := exec.NewCache()
-	var fs []Failure
-	run := func() (*exec.Result, []Failure, error) {
-		o := &obs.Obs{QueryID: obs.NewQueryID(), Trace: obs.NewTrace(), Metrics: obs.NewRegistry()}
-		ev.network.Reset()
-		ex := &exec.Executor{Sources: ev.sources, Network: ev.network, Cache: cache, Streaming: opts.streaming, BatchSize: opts.batch}
-		res, err := ex.Run(obs.With(ctx, o), p)
-		if err != nil {
-			return nil, nil, err
-		}
-		sub := checkObsBalance("sja", opts.mode, res, o)
-		if got := d.mutated("sja", res.Answer); !got.Equal(ev.ref) {
-			sub = append(sub, Failure{Property: "answer-mismatch", Class: "sja", Mode: opts.mode, Detail: answerDiff(got, ev.ref)})
-		}
-		return res, sub, nil
-	}
-
-	res1, sub, err := run()
-	if err != nil {
-		return append(fs, Failure{Property: "exec-error", Class: "sja", Mode: opts.mode, Detail: err.Error()})
-	}
-	fs = append(fs, sub...)
-	if res1.CacheMisses == 0 {
-		fs = append(fs, Failure{Property: "cache-reuse", Class: "sja", Mode: opts.mode,
-			Detail: "first cached run registered no misses"})
-	}
-
-	res2, sub, err := run()
-	if err != nil {
-		return append(fs, Failure{Property: "exec-error", Class: "sja", Mode: opts.mode, Detail: err.Error()})
-	}
-	fs = append(fs, sub...)
-	if res2.CacheHits == 0 || res2.CacheMisses > 0 {
-		fs = append(fs, Failure{Property: "cache-reuse", Class: "sja", Mode: opts.mode,
-			Detail: fmt.Sprintf("warm run scored %d hits and %d misses (first run: %d misses)", res2.CacheHits, res2.CacheMisses, res1.CacheMisses)})
-	}
-	if res2.SourceQueries > res1.SourceQueries {
-		fs = append(fs, Failure{Property: "cache-reuse", Class: "sja", Mode: opts.mode,
-			Detail: fmt.Sprintf("warm run issued %d source queries, cold run %d", res2.SourceQueries, res1.SourceQueries)})
-	}
-	return fs
 }
 
 // mutated applies the corruption hook when the class matches.

@@ -68,7 +68,10 @@ func Generate(seed int64) Instance {
 	// every instance does now, and the draw stays so that a seed generates
 	// the instance it always has.
 	rng.Float64()
-	in.CacheRuns = rng.Float64() < 0.5
+	// One draw once decided whether the instance ran its plans against a
+	// source-answer cache; the mediator keeps none now, and the draw stays
+	// for the same reason.
+	rng.Float64()
 	if rng.Float64() < 0.35 {
 		in.Faults = true
 		in.FaultRate = 0.01 + 0.24*rng.Float64()

@@ -12,8 +12,8 @@
 // naive reference executor computes ground truth directly from the raw
 // relations, and a differential driver runs every plan class through the
 // real executor under both schedulers the mediator runs — overlapped rounds
-// and the pipeline — cached and uncached, with and without injected faults
-// and deadlines, checking:
+// and the pipeline — with and without injected faults and deadlines,
+// checking:
 //
 //   - answer equality: every successful execution returns exactly the
 //     reference answer, byte for byte;
@@ -89,7 +89,6 @@ type Instance struct {
 	MaxConns  []int `json:"maxConns"`
 
 	// Sweeps enabled for this instance.
-	CacheRuns bool    `json:"cacheRuns,omitempty"`
 	Faults    bool    `json:"faults,omitempty"`
 	FaultRate float64 `json:"faultRate,omitempty"`
 	Retries   int     `json:"retries"`
@@ -173,7 +172,7 @@ type Failure struct {
 	// "records-mismatch", "partial-dishonest", "error-class",
 	// "cost-bookkeeping", "cost-dominance", "par-response",
 	// "step-identity", "first-answer", "peak-accounting", "span-unfinished",
-	// "metric-imbalance", "gauge-leak", "cache-reuse", "optimize-error",
+	// "metric-imbalance", "gauge-leak", "optimize-error",
 	// "exec-error", "wire-frag-missing", "wire-frag-nesting",
 	// "wire-bytes-mismatch", "plan-cache-coherence", "catalog-overlap",
 	// "service-error", "service-quota", "service-cache",
@@ -181,7 +180,7 @@ type Failure struct {
 	Property string `json:"property"`
 	// Class is the plan class involved ("filter", "sja+", "jou", ...).
 	Class string `json:"class,omitempty"`
-	// Mode is the execution mode ("par", "stream", "cached", "faults",
+	// Mode is the execution mode ("par", "stream", "faults",
 	// "deadline", ...), empty for planning-time properties.
 	Mode string `json:"mode,omitempty"`
 	// Detail is a human-readable account of the violation.

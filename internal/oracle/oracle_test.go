@@ -131,7 +131,7 @@ func testCatchesMutation(t *testing.T, cls string) {
 	}
 	// The mutation survives every feature removal, so the shrinker should
 	// strip the instance to its structural core.
-	if minInst.Faults || minInst.Deadline || minInst.CacheRuns || minInst.Zipf {
+	if minInst.Faults || minInst.Deadline || minInst.Zipf {
 		t.Fatalf("shrinker left removable features enabled: %s", minInst.JSON())
 	}
 	t.Logf("mutation caught and shrunk: %d sources, %d conds, %d tuples, %d items",
@@ -160,12 +160,15 @@ func TestInstanceJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(inst, back) {
 		t.Fatalf("JSON round trip lost data:\n%s\nvs\n%s", inst.JSON(), back.JSON())
 	}
-	// A repro written while instances still drew a "parallel" sweep loads as
-	// the same instance: the key is unknown now, and unknown keys are ignored.
-	old := strings.Replace(inst.JSON(), "{", `{"parallel": true,`, 1)
-	var loaded Instance
-	if err := json.Unmarshal([]byte(old), &loaded); err != nil || !reflect.DeepEqual(inst, loaded) {
-		t.Fatalf("a repro with the retired \"parallel\" key: err %v, loaded\n%s\nwant\n%s", err, loaded.JSON(), inst.JSON())
+	// A repro written while instances still drew a "parallel" or a
+	// "cacheRuns" sweep loads as the same instance: the keys are unknown now,
+	// and unknown keys are ignored.
+	for _, key := range []string{"parallel", "cacheRuns"} {
+		old := strings.Replace(inst.JSON(), "{", `{"`+key+`": true,`, 1)
+		var loaded Instance
+		if err := json.Unmarshal([]byte(old), &loaded); err != nil || !reflect.DeepEqual(inst, loaded) {
+			t.Fatalf("a repro with the retired %q key: err %v, loaded\n%s\nwant\n%s", key, err, loaded.JSON(), inst.JSON())
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ func TestPlanCacheSweep(t *testing.T) {
 		inst.PlanCache = true
 		// The other sweeps are covered by TestOracle; keep this one focused
 		// (and fast) on the plan-cache phase.
-		inst.CacheRuns, inst.Faults, inst.Deadline, inst.Replicate, inst.WireTrace = false, false, false, false, false
+		inst.Faults, inst.Deadline, inst.Replicate, inst.WireTrace = false, false, false, false
 		if inst.NumSources >= 2 {
 			checked++
 		}

@@ -64,13 +64,6 @@ var shrinkTransforms = []struct {
 		in.Deadline = false
 		return in, true
 	}},
-	{"drop-cache-runs", func(in Instance) (Instance, bool) {
-		if !in.CacheRuns {
-			return in, false
-		}
-		in.CacheRuns = false
-		return in, true
-	}},
 	{"drop-wiretrace", func(in Instance) (Instance, bool) {
 		if !in.WireTrace {
 			return in, false

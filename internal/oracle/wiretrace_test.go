@@ -20,7 +20,7 @@ func TestWireTraceSweep(t *testing.T) {
 		inst.WireTrace = true
 		// The other sweeps are covered by TestOracle; keep this one focused
 		// (and fast) on the wire phase.
-		inst.CacheRuns, inst.Faults, inst.Deadline, inst.Replicate = false, false, false, false
+		inst.Faults, inst.Deadline, inst.Replicate = false, false, false
 		fs, err := d.Check(ctx, inst)
 		if err != nil {
 			t.Fatalf("seed %d: instance could not be built: %v", inst.Seed, err)

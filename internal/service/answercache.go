@@ -30,10 +30,9 @@ type AnswerCacheConfig struct {
 }
 
 // AnswerCache memoizes whole fusion answers (the merge-attribute item sets)
-// by canonical query key: one keying of the lru store, as exec.Cache is
-// (that one memoizes per-source sub-answers inside execution; this one
-// answers repeated whole queries without admitting them to execution at
-// all). Its own are the pin and the encoding: an entry is served only at the
+// by canonical query key: one keying of the lru store, as the plan cache is,
+// answering repeated whole queries without admitting them to execution at
+// all. Its own are the pin and the encoding: an entry is served only at the
 // roster epoch and up to the expiry instant it was put with, and holds its
 // items as the wire's item block (wire.EncodeItems), which is also their
 // copy. Safe for concurrent use.

@@ -24,7 +24,7 @@ type Config struct {
 	// default like the admission controller's.
 	Answers AnswerCacheConfig
 	// Options are the base execution options applied to every query
-	// (Algorithm, Cache, Retries, Records...). The request's Stream flag
+	// (Algorithm, Retries, Records...). The request's Stream flag
 	// overrides Options.Streaming per query. An algorithm that decides its
 	// rounds at run time (core.Algorithm.Adaptive) leaves no plan to cache.
 	// A records query (Options.Records) has its plan cached like any other,

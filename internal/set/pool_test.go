@@ -128,22 +128,3 @@ func TestReleaseAllocatesNothing(t *testing.T) {
 		t.Fatalf("a set of no class was recycled: %v", odd)
 	}
 }
-
-// TestReleasedSetIsRecycled: a released set's buffer is recycled like a
-// batch: cleared, and in a race-detector build overwritten with Recycled,
-// so whoever kept the set past its owner's Release reads items no source
-// has.
-func TestReleasedSetIsRecycled(t *testing.T) {
-	b := append(Alloc(3), "ID000001", "ID000002", "ID000003")
-	s := FromSorted(b)
-	Release(s)
-	want := ""
-	if racetest.Enabled {
-		want = Recycled
-	}
-	for i, v := range s.Items() {
-		if v != want {
-			t.Fatalf("released set holds %q at %d, want %q", v, i, want)
-		}
-	}
-}

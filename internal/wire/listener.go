@@ -205,6 +205,7 @@ func (l *Listener) serveConn(conn net.Conn) {
 	in := frameReader{br: bufio.NewReader(conn)}
 	var w frameWriter
 	defer w.held.Release()
+	var req Request // one a connection: read takes it by reference, which moves it to the heap
 	for {
 		if l.cfg.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(l.cfg.IdleTimeout)); err != nil {
@@ -215,7 +216,7 @@ func (l *Listener) serveConn(conn net.Conn) {
 			return // a drain's nudge came before the deadline above replaced it
 		}
 		budget := MaxFrameBytes
-		var req Request
+		req = Request{} // never decode into the last request's Items or Conds
 		if err := in.read(&req, &budget); err != nil {
 			switch {
 			case l.isClosed():
