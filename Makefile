@@ -74,9 +74,12 @@ bench:
 # --seconds 2), through benchmark/run.sh. Traffic counts must match exactly,
 # sim_cost_ms_per_query to 6 significant figures, except remote-stream's
 # three, whose hedges follow the wall clock: within 0.5 % (benchgate's
-# wallClockBound). allocs_per_query within 2 % and alloc_kb_per_query
-# within 10 % on a runtime like the stamp's (advisory on any other, such as a
-# CI runner with more processors). A
+# wallClockBound); remote-stream runs three times, and its medians are
+# what is gated and stamped (benchgate's wallClockRuns). allocs_per_query
+# within 2 % and alloc_kb_per_query within 10 % on a runtime like the
+# stamp's (advisory on any other, such as a CI runner with more
+# processors). `go run ./cmd/benchgate -spread N` prints each gated
+# metric's min, median and max over N runs of the tree, gating nothing. A
 # change that moves a count on purpose reruns `go run ./cmd/benchgate
 # -write` and commits the file. A stamp's commit is the HEAD -write ran on,
 # the parent of the commit that carries the rewritten file. CI runs this

@@ -7,7 +7,7 @@ package cond
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"fusionq/internal/relation"
 )
@@ -133,9 +133,7 @@ func (c *Compare) Check(schema *relation.Schema) error {
 }
 
 // String implements Cond.
-func (c *Compare) String() string {
-	return fmt.Sprintf("%s %s %s", c.Attr, c.Op, c.Lit)
-}
+func (c *Compare) String() string { return text(c) }
 
 // In is an "attr IN (v1, v2, ...)" leaf.
 type In struct {
@@ -178,13 +176,7 @@ func (c *In) Check(schema *relation.Schema) error {
 }
 
 // String implements Cond.
-func (c *In) String() string {
-	parts := make([]string, len(c.Vals))
-	for i, v := range c.Vals {
-		parts[i] = v.String()
-	}
-	return fmt.Sprintf("%s IN (%s)", c.Attr, strings.Join(parts, ", "))
-}
+func (c *In) String() string { return text(c) }
 
 // And is a conjunction of two conditions.
 type And struct{ L, R Cond }
@@ -207,9 +199,7 @@ func (c *And) Check(schema *relation.Schema) error {
 }
 
 // String implements Cond.
-func (c *And) String() string {
-	return fmt.Sprintf("%s AND %s", paren(c.L), paren(c.R))
-}
+func (c *And) String() string { return text(c) }
 
 // Or is a disjunction of two conditions.
 type Or struct{ L, R Cond }
@@ -232,9 +222,7 @@ func (c *Or) Check(schema *relation.Schema) error {
 }
 
 // String implements Cond.
-func (c *Or) String() string {
-	return fmt.Sprintf("%s OR %s", paren(c.L), paren(c.R))
-}
+func (c *Or) String() string { return text(c) }
 
 // Not negates a condition.
 type Not struct{ C Cond }
@@ -249,7 +237,7 @@ func (c *Not) Eval(schema *relation.Schema, t relation.Tuple) (bool, error) {
 func (c *Not) Check(schema *relation.Schema) error { return c.C.Check(schema) }
 
 // String implements Cond.
-func (c *Not) String() string { return "NOT " + paren(c.C) }
+func (c *Not) String() string { return text(c) }
 
 // True is the always-true condition; loading a source (lq) is a selection
 // with this condition.
@@ -264,13 +252,105 @@ func (True) Check(*relation.Schema) error { return nil }
 // String implements Cond.
 func (True) String() string { return "TRUE" }
 
-func paren(c Cond) string {
+// text renders c as String does, in a buffer of exactly its length.
+func text(c Cond) string {
+	return string(appendText(make([]byte, 0, TextLen(c)), c))
+}
+
+// TextLen is len(c.String()), counted without rendering: what a condition
+// shipped as text weighs in a request (source.Instrumented charges it on
+// every exchange). It allocates nothing.
+func TextLen(c Cond) int {
+	switch c := c.(type) {
+	case *Compare:
+		return len(c.Attr) + 1 + c.Op.textLen() + 1 + c.Lit.TextLen()
+	case *In:
+		n := len(c.Attr) + len(" IN (") + len(")")
+		for i, v := range c.Vals {
+			if i > 0 {
+				n += len(", ")
+			}
+			n += v.TextLen()
+		}
+		return n
+	case *And:
+		return operandLen(c.L) + len(" AND ") + operandLen(c.R)
+	case *Or:
+		return operandLen(c.L) + len(" OR ") + operandLen(c.R)
+	case *Not:
+		return len("NOT ") + operandLen(c.C)
+	case True:
+		return len("TRUE")
+	}
+	return len(c.String())
+}
+
+// textLen is len(o.String()), counted without formatting an operator
+// outside the syntax.
+func (o Op) textLen() int {
+	if o >= OpEq && o <= OpLike {
+		return len(o.String())
+	}
+	var buf [24]byte
+	return len("Op()") + len(strconv.AppendInt(buf[:0], int64(o), 10))
+}
+
+// operandLen is TextLen of an operand of AND, OR or NOT.
+func operandLen(c Cond) int {
 	switch c.(type) {
 	case *And, *Or:
-		return "(" + c.String() + ")"
-	default:
-		return c.String()
+		return len("(") + TextLen(c) + len(")")
 	}
+	return TextLen(c)
+}
+
+// appendText appends c's text to dst: the one renderer of the condition
+// syntax. An operand that is itself a conjunction or disjunction is
+// parenthesized.
+func appendText(dst []byte, c Cond) []byte {
+	switch c := c.(type) {
+	case *Compare:
+		dst = append(dst, c.Attr...)
+		dst = append(dst, ' ')
+		dst = append(dst, c.Op.String()...)
+		dst = append(dst, ' ')
+		return c.Lit.AppendText(dst)
+	case *In:
+		dst = append(dst, c.Attr...)
+		dst = append(dst, " IN ("...)
+		for i, v := range c.Vals {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = v.AppendText(dst)
+		}
+		return append(dst, ')')
+	case *And:
+		dst = appendOperand(dst, c.L)
+		dst = append(dst, " AND "...)
+		return appendOperand(dst, c.R)
+	case *Or:
+		dst = appendOperand(dst, c.L)
+		dst = append(dst, " OR "...)
+		return appendOperand(dst, c.R)
+	case *Not:
+		dst = append(dst, "NOT "...)
+		return appendOperand(dst, c.C)
+	case True:
+		return append(dst, "TRUE"...)
+	}
+	return append(dst, c.String()...)
+}
+
+// appendOperand appends an operand of AND, OR or NOT.
+func appendOperand(dst []byte, c Cond) []byte {
+	switch c.(type) {
+	case *And, *Or:
+		dst = append(dst, '(')
+		dst = appendText(dst, c)
+		return append(dst, ')')
+	}
+	return appendText(dst, c)
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any single rune).

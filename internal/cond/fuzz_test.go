@@ -21,7 +21,8 @@ func parseSeeds(tb testing.TB) []string {
 
 // FuzzParse checks that the condition parser never panics and that every
 // successfully parsed condition round-trips through its String form with
-// identical evaluation semantics, and prints the same again.
+// identical evaluation semantics, and prints the same again; TextLen counts
+// the printed text.
 func FuzzParse(f *testing.F) {
 	for _, s := range parseSeeds(f) {
 		f.Add(s)
@@ -38,6 +39,9 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		printed := c.String()
+		if n := TextLen(c); n != len(printed) {
+			t.Fatalf("TextLen of %q is %d, its text %d bytes long", input, n, len(printed))
+		}
 		c2, err := Parse(printed)
 		if err != nil {
 			t.Fatalf("round trip failed: Parse(%q) ok but Parse(%q) failed: %v", input, printed, err)

@@ -36,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"fusionq/internal/fabric"
 	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
 	"fusionq/internal/plan"
@@ -246,6 +247,12 @@ type run struct {
 	// already accounted.
 	ledger  *netsim.Ledger
 	settled int
+	// steps[i] is what step i keeps while it runs (stepState), sized from
+	// flow; an adaptive run's grows with its plan. So does calls, step i's
+	// fabric call stats, when a source is replicated (nil when none is).
+	steps      []stepState
+	calls      []fabric.CallStats
+	replicated bool
 	// table is an adaptive plan's (adaptive.go), nil for any other.
 	table *stats.CostTable
 	// sink is non-nil when the plan retrieves records (records.go).
@@ -255,7 +262,12 @@ type run struct {
 	// the only place it keeps a value.
 	life lifetimes
 
-	mu  sync.Mutex // guards res and loaded across concurrent nodes
+	// batchWG waits for the steps of runBatch's batch; batchErr is the
+	// first of them to fail.
+	batchWG  sync.WaitGroup
+	batchErr error
+
+	mu  sync.Mutex // guards res, loaded and batchErr across concurrent nodes
 	res *Result
 	// loaded[i] is the source contents load step i fetched, nil for any
 	// other step.
@@ -266,7 +278,7 @@ type run struct {
 // adaptive plan's run is round-scheduled and runs a plan of its own, which
 // starts empty and grows by the rounds it decides.
 func (e *Executor) newRun(p *plan.Plan) *run {
-	r := &run{e: e, p: p, pipelined: e.Streaming}
+	r := &run{e: e, p: p, pipelined: e.Streaming, replicated: slices.ContainsFunc(e.Sources, isReplicated)}
 	r.life.tr = &r.tr
 	if p.Adaptive != nil {
 		r.table, r.pipelined = p.Adaptive, false
@@ -288,9 +300,63 @@ func (e *Executor) newRun(p *plan.Plan) *run {
 		}
 	}
 	if e.Network != nil {
-		r.ledger = &netsim.Ledger{}
+		// Room for one exchange a source-query step: more for a chunked
+		// stream or an emulated semijoin, whose exchanges grow the ledger.
+		n := 0
+		for _, s := range p.Steps {
+			if s.IsSourceQuery() {
+				n++
+			}
+		}
+		r.ledger = netsim.NewLedger(n)
 	}
+	r.grow()
 	return r
+}
+
+// stepState is what a step keeps while it runs: its node, the iterators
+// its inputs are read through, and the account its exchanges are entered
+// in the run's ledger under, which is the context they run in once opened.
+// A run keeps every step's in one array (run.steps), and a replicated
+// source's step its fabric call stats in another (run.calls), so running a
+// step allocates none of them.
+type stepState struct {
+	nd   node
+	ins  []set.Iter
+	acct netsim.Account
+}
+
+// grow gives each step of the run's flow a state. Between barriers the
+// inputs are wholeIters from one array shared by the steps grown at once;
+// the pipeline wires its own to edges. Growing copies the states of the
+// steps already run, which no longer change: a context one of them
+// installed keeps reading the old copy.
+func (r *run) grow() {
+	from, n := len(r.steps), len(r.flow.In)
+	if from >= n {
+		return
+	}
+	r.steps = slices.Grow(r.steps, n-from)[:n]
+	if r.replicated {
+		r.calls = slices.Grow(r.calls, n-from)[:n]
+	}
+	if r.pipelined {
+		return
+	}
+	total := 0
+	for _, in := range r.flow.In[from:] {
+		total += len(in)
+	}
+	whole, ins := make([]wholeIter, total), make([]set.Iter, total)
+	for i := from; i < n; i++ {
+		k := len(r.flow.In[i])
+		st := &r.steps[i]
+		st.ins = ins[:k:k]
+		for j := range st.ins {
+			st.ins[j] = &whole[j]
+		}
+		whole, ins = whole[k:], ins[k:]
+	}
 }
 
 // execute computes the answer under the run's scheduler. Between batch
@@ -328,13 +394,12 @@ func (r *run) close() {
 	r.res.PeakBytes = r.tr.high()
 	slices.SortFunc(r.res.Trace, func(a, b StepTrace) int { return a.Index - b.Index })
 	// A step's elapsed time is what the exchanges it issued took; the records
-	// round's are under the index after the last step's.
-	elapsed := make([]time.Duration, len(r.p.Steps)+1)
+	// round's are under the index after the last step's. The trace holds one
+	// entry a step that ran, in index order.
 	for _, en := range r.ledger.Entries()[:r.settled] {
-		elapsed[en.Tag] += en.Elapsed
-	}
-	for i := range r.res.Trace {
-		r.res.Trace[i].Elapsed = elapsed[r.res.Trace[i].Index]
+		if i, ok := slices.BinarySearchFunc(r.res.Trace, en.Tag, func(t StepTrace, idx int) int { return t.Index - idx }); ok {
+			r.res.Trace[i].Elapsed += en.Elapsed
+		}
 	}
 }
 
@@ -346,6 +411,7 @@ func (r *run) runSteps(ctx context.Context, from int) error {
 	steps := r.p.Steps
 	if len(r.flow.Texts) != len(steps) {
 		r.flow = r.p.Flow() // an adaptive run's plan has grown by a round
+		r.grow()
 	}
 	r.life.begin(r.flow)
 	for k := from; k < len(steps); {
@@ -391,21 +457,18 @@ func (it *wholeIter) Close() error {
 // lifetimes. The steps of a batch read versions made before it and record
 // distinct ones, so they need no lock for it.
 func (r *run) runStep(ctx context.Context, idx int) error {
-	in := r.flow.In[idx]
-	whole := make([]wholeIter, len(in))
-	ins := make([]set.Iter, len(in))
-	for k, v := range in {
-		whole[k].items = r.life.vers[v].val.Items()
-		ins[k] = &whole[k]
+	st := &r.steps[idx]
+	for k, v := range r.flow.In[idx] {
+		st.ins[k].(*wholeIter).items = r.life.vers[v].val.Items()
 	}
-	nd := node{whole: true, over: -1}
+	st.nd = node{whole: true, over: -1}
 	if r.p.Steps[idx].Kind == plan.KindIntersect {
-		nd.over = r.life.overwritable(idx)
+		st.nd.over = r.life.overwritable(idx)
 	}
-	if err := r.runNode(ctx, idx, ins, &nd); err != nil {
+	if err := r.runNode(ctx, idx); err != nil {
 		return err
 	}
-	r.life.record(idx, set.FromSorted(nd.kept), nd.owned)
+	r.life.record(idx, set.FromSorted(st.nd.kept), st.nd.owned)
 	return nil
 }
 
@@ -428,28 +491,32 @@ func (r *run) runBatch(ctx context.Context, start, end int) error {
 	}
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var b struct {
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
+	r.batchErr = nil
+	// The last step runs on this goroutine, which would only wait.
+	for idx := start; idx < end-1; idx++ {
+		r.batchWG.Add(1)
+		go func() {
+			defer r.batchWG.Done()
+			r.batchStep(bctx, cancel, idx)
+		}()
 	}
-	for idx := start; idx < end; idx++ {
-		b.wg.Add(1)
-		go func(idx int) {
-			defer b.wg.Done()
-			if err := r.runStep(bctx, idx); err != nil {
-				b.mu.Lock()
-				if b.firstErr == nil {
-					b.firstErr = err
-				}
-				b.mu.Unlock()
-				cancel()
-			}
-		}(idx)
-	}
-	b.wg.Wait()
+	r.batchStep(bctx, cancel, end-1)
+	r.batchWG.Wait()
 	r.settle()
-	return b.firstErr
+	return r.batchErr
+}
+
+// batchStep runs step idx of runBatch's batch. The first step of the batch
+// to fail records its error, then cancels its siblings.
+func (r *run) batchStep(ctx context.Context, cancel context.CancelFunc, idx int) {
+	if err := r.runStep(ctx, idx); err != nil {
+		r.mu.Lock()
+		if r.batchErr == nil {
+			r.batchErr = err
+		}
+		r.mu.Unlock()
+		cancel()
+	}
 }
 
 // settle accounts the ledger entries made since the last settle — one batch,
@@ -466,16 +533,24 @@ func (r *run) settle() {
 	r.res.TotalWork += work
 	// One lane per physical endpoint (each link admits its own exchanges),
 	// in arrival order; the slowest lane's makespan over its link's capacity
-	// bounds the rest.
-	lanes := map[string][]time.Duration{}
-	for _, en := range entries {
-		lanes[en.Source] = append(lanes[en.Source], en.Elapsed)
-	}
+	// bounds the rest. The lanes are gathered on the stack, one endpoint at
+	// a time, in the order each first appears.
 	var critical time.Duration
-	for name, durs := range lanes {
-		if d := netsim.Makespan(durs, r.e.Network.ConnsFor(name)); d > critical {
-			critical = d
+	var nameBuf [16]string
+	var durBuf [64]time.Duration
+	seen := nameBuf[:0]
+	for i, en := range entries {
+		if slices.Contains(seen, en.Source) {
+			continue
 		}
+		seen = append(seen, en.Source)
+		durs := durBuf[:0]
+		for _, other := range entries[i:] {
+			if other.Source == en.Source {
+				durs = append(durs, other.Elapsed)
+			}
+		}
+		critical = max(critical, netsim.Makespan(durs, r.e.Network.ConnsFor(en.Source)))
 	}
 	r.res.ResponseTime += critical
 }
@@ -484,4 +559,10 @@ func (r *run) settle() {
 // physical endpoints' connection capacities.
 type replicaSource interface {
 	ReplicaConns() map[string]int
+}
+
+// isReplicated says src is a replicaSource.
+func isReplicated(src source.Source) bool {
+	_, ok := src.(replicaSource)
+	return ok
 }

@@ -17,7 +17,6 @@ import (
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
 	"fusionq/internal/fabric"
-	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
 	"fusionq/internal/plan"
 	"fusionq/internal/relation"
@@ -32,19 +31,18 @@ var errAbandoned = errors.New("exec: all stream consumers abandoned")
 
 // node is one step in execution: where its output goes — appended to the
 // variable being built (whole, the round scheduler) or teed to the consumer
-// edges (outs, the pipelined scheduler), tracking which consumers have
-// abandoned — and what it has emitted and cost so far.
+// edges (outs, the pipelined scheduler, where an edge its consumer has
+// abandoned is nil and live counts the others) — and what it has emitted
+// and cost so far.
 type node struct {
-	whole bool
-	kept  []string
-	// Between barriers: over is the input an intersection may write over
-	// (lifetimes.overwritable; -1 for none), and owned says the body made
-	// kept for the run alone, so the run may give it back (lifetime.go).
-	over  int
-	owned bool
+	// Between barriers: owned says the body made kept for the run alone, so
+	// the run may give it back (lifetime.go), and over is the input an
+	// intersection may write over (lifetimes.overwritable; -1 for none).
+	whole, owned bool
+	kept         []string
+	over         int
 
 	outs []*streamEdge
-	dead []bool
 	live int
 
 	items   int
@@ -78,7 +76,7 @@ func (nd *node) emit(ctx context.Context, batch []string) error {
 	}
 	bytes := batchBytes(batch)
 	for i, ed := range nd.outs {
-		if nd.dead[i] {
+		if ed == nil {
 			continue
 		}
 		delivered, err := ed.send(ctx, batch, bytes)
@@ -86,7 +84,7 @@ func (nd *node) emit(ctx context.Context, batch []string) error {
 			return err
 		}
 		if !delivered {
-			nd.dead[i] = true
+			nd.outs[i] = nil
 			nd.live--
 		}
 	}
@@ -112,34 +110,36 @@ func (nd *node) emitSorted(ctx context.Context, items []string, batch int) error
 	return nil
 }
 
-// runNode runs step idx as one node and accounts it: a step span, the
-// per-source metrics, the Result counters, FailedStep and the trace entry.
+// runNode runs step idx as its state's node over its state's inputs, and
+// accounts it: a step span, the per-source metrics, the Result counters,
+// FailedStep and the trace entry.
 // Counters aggregate over all attempts of all the step's exchanges; a failed
 // step appears in the trace with Err set and the work it charged. The
 // returned error carries the step's text.
-func (r *run) runNode(ctx context.Context, idx int, ins []set.Iter, nd *node) error {
+func (r *run) runNode(ctx context.Context, idx int) error {
 	// Spans and traces show the text the plan's Flow formatted once.
-	s, text := r.p.Steps[idx], r.flow.Texts[idx]
+	s, text, st := r.p.Steps[idx], r.flow.Texts[idx], &r.steps[idx]
+	nd := &st.nd
 	sctx, span := obs.StartSpan(ctx, obs.KindStep, text)
 	isSource := s.IsSourceQuery()
 	srcName := ""
 	// The step's exchanges are entered in the run's ledger under its index; a
 	// replicated source's failovers and hedges are attributed to it through
-	// context-carried call stats.
+	// context-carried call stats. Both are the run's, installed in place.
 	var cs *fabric.CallStats
 	if isSource {
 		srcName = r.p.Sources[s.Source]
 		span.SetAttr(obs.String("source", srcName))
 		if r.ledger != nil {
-			sctx = netsim.WithLedger(sctx, r.ledger, idx)
+			sctx = st.acct.Open(sctx, r.ledger, idx)
 		}
-		if _, ok := r.e.Sources[s.Source].(replicaSource); ok {
-			cs = &fabric.CallStats{}
+		if isReplicated(r.e.Sources[s.Source]) {
+			cs = &r.calls[idx]
 			sctx = fabric.WithCallStats(sctx, cs)
 		}
 	}
 
-	err := r.body(sctx, idx, ins, nd)
+	err := r.body(sctx, idx, st.ins, nd)
 	agg := nd.cost
 	if errors.Is(err, errAbandoned) {
 		// Nobody wants the rest of this stream — clean early completion.
@@ -511,12 +511,16 @@ func collect(ctx context.Context, in set.Iter) (set.Set, error) {
 // nothing further.
 func (r *run) mergeBody(ctx context.Context, s plan.Step, ins []set.Iter, nd *node) error {
 	if !r.pipelined {
-		sets := make([]set.Set, len(ins))
-		for k, in := range ins {
-			var err error
-			if sets[k], err = collect(ctx, in); err != nil {
+		// The kernels keep no input list, so a merge of up to len(buf)
+		// inputs lists them on the stack.
+		var buf [16]set.Set
+		sets := buf[:0]
+		for _, in := range ins {
+			v, err := collect(ctx, in)
+			if err != nil {
 				return err
 			}
+			sets = append(sets, v)
 		}
 		var out set.Set
 		switch {

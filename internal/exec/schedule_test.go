@@ -19,7 +19,7 @@ func TestEmitSortedFollowsTheSchedule(t *testing.T) {
 	}
 	emitted := func(items []string, first int) []int {
 		ed := &streamEdge{tr: &byteTracker{}, sendKick: make(chan struct{}, 1), recvKick: make(chan struct{}, 1)}
-		nd := &node{outs: []*streamEdge{ed}, dead: []bool{false}, live: 1}
+		nd := &node{outs: []*streamEdge{ed}, live: 1}
 		if err := nd.emitSorted(context.Background(), items, first); err != nil {
 			t.Fatal(err)
 		}

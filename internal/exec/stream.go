@@ -127,8 +127,9 @@ type edgeBatch struct {
 	bytes int
 }
 
-func newStreamEdge(tr *byteTracker) *streamEdge {
-	return &streamEdge{
+// init readies an edge of the run's that tr tracks.
+func (ed *streamEdge) init(tr *byteTracker) {
+	*ed = streamEdge{
 		tr:       tr,
 		bound:    streamEdgeDepth,
 		sendKick: make(chan struct{}, 1),
@@ -299,24 +300,43 @@ func (r *run) runPipelined(ctx context.Context) error {
 	// answer drain consumed below. Plans reassign names, but every version
 	// is one step's output, so it has exactly one producing node; a version
 	// with several consumers has its batches teed to each edge by that
-	// node.
-	outs := make([][]*streamEdge, len(r.p.Steps))
-	stepIns := make([][]set.Iter, len(r.p.Steps))
-	for i, in := range r.flow.In {
-		ins := make([]set.Iter, len(in))
-		for k, v := range in {
-			ed := newStreamEdge(&r.tr)
-			ins[k] = &edgeIter{ed: ed}
-			outs[v] = append(outs[v], ed)
+	// node. The edges, the iterators over them and each node's outputs are
+	// carved from arrays of the run's, one of each.
+	total := 1 // the answer's edge
+	for _, in := range r.flow.In {
+		for _, v := range in {
+			r.steps[v].nd.live++ // counts the version's consumers for now
 		}
-		stepIns[i] = ins
+		total += len(in)
 	}
-	answerEdge := newStreamEdge(&r.tr)
-	outs[r.flow.Result] = append(outs[r.flow.Result], answerEdge)
-	for _, edges := range outs {
-		if len(edges) > 1 {
+	r.steps[r.flow.Result].nd.live++
+	edges, iters := make([]streamEdge, total), make([]edgeIter, total-1)
+	outs, ins := make([]*streamEdge, 0, total), make([]set.Iter, total-1)
+	for i := range r.p.Steps {
+		st := &r.steps[i]
+		k := st.nd.live
+		st.nd = node{outs: outs[len(outs) : len(outs) : len(outs)+k], live: k}
+		outs = outs[:len(outs)+k]
+	}
+	for i, in := range r.flow.In {
+		st := &r.steps[i]
+		st.ins, ins = ins[:len(in):len(in)], ins[len(in):]
+		for k, v := range in {
+			ed := &edges[0]
+			ed.init(&r.tr)
+			iters[0].ed = ed
+			st.ins[k] = &iters[0]
+			edges, iters = edges[1:], iters[1:]
+			r.steps[v].nd.outs = append(r.steps[v].nd.outs, ed)
+		}
+	}
+	answerEdge := &edges[0]
+	answerEdge.init(&r.tr)
+	r.steps[r.flow.Result].nd.outs = append(r.steps[r.flow.Result].nd.outs, answerEdge)
+	for i := range r.p.Steps {
+		if eds := r.steps[i].nd.outs; len(eds) > 1 {
 			// Fan-out: unbounded edges, the deadlock-freedom invariant.
-			for _, ed := range edges {
+			for _, ed := range eds {
 				ed.bound = 0
 			}
 		}
@@ -326,23 +346,24 @@ func (r *run) runPipelined(ctx context.Context) error {
 
 	for i := range r.p.Steps {
 		wg.Add(1)
-		go func(idx int) {
+		go func() {
 			defer wg.Done()
-			ins, outs := stepIns[idx], outs[idx]
-			nd := node{outs: outs, dead: make([]bool, len(outs)), live: len(outs)}
-			err := r.runNode(rctx, idx, ins, &nd)
-			// However the node ended: EOF for its consumers, stop for its
-			// producers.
-			for _, ed := range outs {
-				ed.closeSend()
+			st := &r.steps[i]
+			err := r.runNode(rctx, i)
+			// However the node ended: EOF for the consumers still reading,
+			// stop for its producers.
+			for _, ed := range st.nd.outs {
+				if ed != nil {
+					ed.closeSend()
+				}
 			}
-			for _, in := range ins {
+			for _, in := range st.ins {
 				_ = in.Close()
 			}
 			if err != nil {
 				fail(err)
 			}
-		}(i)
+		}()
 	}
 
 	// Drain the answer on this goroutine, taking each batch's buffer over

@@ -362,9 +362,11 @@ func TestStreamingHandlesReassignment(t *testing.T) {
 func TestTeeGivesEachConsumerItsOwnBatch(t *testing.T) {
 	ctx := context.Background()
 	tr := &byteTracker{}
-	a, b := newStreamEdge(tr), newStreamEdge(tr)
+	a, b := &streamEdge{}, &streamEdge{}
+	a.init(tr)
+	b.init(tr)
 	a.bound, b.bound = 0, 0
-	nd := &node{outs: []*streamEdge{a, b}, dead: make([]bool, 2), live: 2}
+	nd := &node{outs: []*streamEdge{a, b}, live: 2}
 	buf := []string{"ID000001", "ID000002"}
 	if err := nd.emit(ctx, buf); err != nil {
 		t.Fatal(err)

@@ -147,17 +147,43 @@ func endpointScore(ep *Endpoint) float64 {
 // CallStats accumulates fabric activity for one plan step. The executor
 // installs one per step via WithCallStats so Result traces can attribute
 // failovers and hedges exactly.
+//
+// Installed, a CallStats is also the context that carries it, so the
+// executor, which keeps one a step in an array of its own, installs it
+// with no allocation.
 type CallStats struct {
 	Failovers atomic.Int64
 	Hedges    atomic.Int64
 	HedgeWins atomic.Int64
+	ctx       context.Context // the context cs was installed over
 }
 
 type callStatsKey struct{}
 
-// WithCallStats returns a ctx whose fabric exchanges also count into cs.
+// WithCallStats returns a ctx whose fabric exchanges also count into cs: cs
+// itself, over ctx. cs must not be installed again while a context it
+// returned is in use.
 func WithCallStats(ctx context.Context, cs *CallStats) context.Context {
-	return context.WithValue(ctx, callStatsKey{}, cs)
+	cs.ctx = ctx
+	return cs
+}
+
+// Deadline is the deadline of the context cs was installed over.
+func (cs *CallStats) Deadline() (time.Time, bool) { return cs.ctx.Deadline() }
+
+// Done is the done channel of the context cs was installed over.
+func (cs *CallStats) Done() <-chan struct{} { return cs.ctx.Done() }
+
+// Err is the error of the context cs was installed over.
+func (cs *CallStats) Err() error { return cs.ctx.Err() }
+
+// Value answers the call stats' key with cs and every other key as the
+// context cs was installed over does.
+func (cs *CallStats) Value(key any) any {
+	if key == (callStatsKey{}) {
+		return cs
+	}
+	return cs.ctx.Value(key)
 }
 
 func callStats(ctx context.Context) *CallStats {

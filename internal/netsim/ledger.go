@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 // Ledger is one caller's own account of its exchanges: every exchange made
@@ -22,11 +23,21 @@ type Entry struct {
 	Tag int
 }
 
+// NewLedger returns an empty ledger with room for n entries: a caller that
+// knows about how many exchanges it will make enters them without growing
+// the ledger as it goes.
+func NewLedger(n int) *Ledger {
+	return &Ledger{entries: make([]Entry, 0, n)}
+}
+
 type ledgerKey struct{}
 
-// account is what a context carries: the ledger and the tag its exchanges
-// are entered under.
-type account struct {
+// Account is a context whose exchanges are entered in a ledger under a tag:
+// what WithLedger returns. A caller that opens many, such as the executor
+// with one a plan step, can keep them in an array of its own and Open each
+// in place, so carrying a ledger costs no allocation.
+type Account struct {
+	ctx    context.Context
 	ledger *Ledger
 	tag    int
 }
@@ -36,17 +47,42 @@ type account struct {
 // plan step's exchanges with the step's index). A context carries one ledger:
 // an inner WithLedger replaces the outer for the exchanges below it.
 func WithLedger(ctx context.Context, l *Ledger, tag int) context.Context {
-	return context.WithValue(ctx, ledgerKey{}, &account{ledger: l, tag: tag})
+	return new(Account).Open(ctx, l, tag)
 }
 
-func ledgerOf(ctx context.Context) *account {
-	a, _ := ctx.Value(ledgerKey{}).(*account)
+// Open makes a the context WithLedger(ctx, l, tag) returns, and returns it.
+// a must not be opened again while a context it returned is in use.
+func (a *Account) Open(ctx context.Context, l *Ledger, tag int) context.Context {
+	*a = Account{ctx: ctx, ledger: l, tag: tag}
+	return a
+}
+
+// Deadline is the deadline of the context a was opened over.
+func (a *Account) Deadline() (time.Time, bool) { return a.ctx.Deadline() }
+
+// Done is the done channel of the context a was opened over.
+func (a *Account) Done() <-chan struct{} { return a.ctx.Done() }
+
+// Err is the error of the context a was opened over.
+func (a *Account) Err() error { return a.ctx.Err() }
+
+// Value answers the ledger's key with a and every other key as the context
+// a was opened over does.
+func (a *Account) Value(key any) any {
+	if key == (ledgerKey{}) {
+		return a
+	}
+	return a.ctx.Value(key)
+}
+
+func ledgerOf(ctx context.Context) *Account {
+	a, _ := ctx.Value(ledgerKey{}).(*Account)
 	return a
 }
 
 // enter records ex; a nil account (a context without a ledger) records
 // nothing.
-func (a *account) enter(ex Exchange) {
+func (a *Account) enter(ex Exchange) {
 	if a == nil {
 		return
 	}

@@ -192,6 +192,7 @@ func (n *Network) ConnsFor(source string) int {
 // is the plain sum; with k lanes it is the critical path a source with a
 // k-connection pool imposes on a batch of concurrently issued queries. It is
 // the accounting counterpart of the network's per-source admission (Acquire).
+// It allocates nothing for up to makespanLanes connections.
 func Makespan(durations []time.Duration, k int) time.Duration {
 	if len(durations) == 0 {
 		return 0
@@ -211,7 +212,12 @@ func Makespan(durations []time.Duration, k int) time.Duration {
 	}
 	// free[i] is when connection i next becomes idle; assign each exchange
 	// to the earliest-free connection.
-	free := make([]time.Duration, k)
+	var lanes [makespanLanes]time.Duration
+	free := lanes[:]
+	if k > len(lanes) {
+		free = make([]time.Duration, k)
+	}
+	free = free[:k]
 	for _, d := range durations {
 		min := 0
 		for i := 1; i < k; i++ {
@@ -229,6 +235,9 @@ func Makespan(durations []time.Duration, k int) time.Duration {
 	}
 	return max
 }
+
+// makespanLanes is how many connections Makespan schedules on the stack.
+const makespanLanes = 64
 
 // ScheduleChurn installs a scripted churn sequence. Events fire in At order
 // as the network's simulated time advances past each threshold; the current

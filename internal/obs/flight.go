@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -72,10 +73,15 @@ type LiveQuery struct {
 	phase   string
 	step    string
 	bytes   int64
-	sources map[string]*liveSource
+	sources []liveSource // in the order each was first charged
 }
 
+// liveSources is the room a live query makes for its sources at its first
+// exchange; a query over more grows it.
+const liveSources = 8
+
 type liveSource struct {
+	name      string
 	exchanges int
 	bytes     int64
 	lastOp    string
@@ -190,19 +196,33 @@ func (q *LiveQuery) Exchange(src, op string, n int64) {
 		return
 	}
 	q.mu.Lock()
-	if q.sources == nil {
-		q.sources = map[string]*liveSource{}
+	i := slices.IndexFunc(q.sources, func(ls liveSource) bool { return ls.name == src })
+	if i < 0 {
+		if q.sources == nil {
+			q.sources = make([]liveSource, 0, liveSources)
+		}
+		i = len(q.sources)
+		q.sources = append(q.sources, liveSource{name: src})
 	}
-	ls := q.sources[src]
-	if ls == nil {
-		ls = &liveSource{}
-		q.sources[src] = ls
-	}
+	ls := &q.sources[i]
 	ls.exchanges++
 	ls.bytes += n
 	ls.lastOp = op
 	q.bytes += n
 	q.mu.Unlock()
+}
+
+// sourceInfos exports the query's sources, nil when it charged none. Callers
+// hold q.mu.
+func (q *LiveQuery) sourceInfos() map[string]LiveSourceInfo {
+	if len(q.sources) == 0 {
+		return nil
+	}
+	out := make(map[string]LiveSourceInfo, len(q.sources))
+	for _, ls := range q.sources {
+		out[ls.name] = LiveSourceInfo{Exchanges: ls.exchanges, Bytes: ls.bytes, LastOp: ls.lastOp}
+	}
+	return out
 }
 
 func (q *LiveQuery) snapshot() LiveQueryInfo {
@@ -217,12 +237,7 @@ func (q *LiveQuery) snapshot() LiveQueryInfo {
 		Step:      q.step,
 		Bytes:     q.bytes,
 	}
-	if len(q.sources) > 0 {
-		info.Sources = make(map[string]LiveSourceInfo, len(q.sources))
-		for name, ls := range q.sources {
-			info.Sources[name] = LiveSourceInfo{Exchanges: ls.exchanges, Bytes: ls.bytes, LastOp: ls.lastOp}
-		}
-	}
+	info.Sources = q.sourceInfos()
 	return info
 }
 
@@ -317,12 +332,7 @@ func (r *Recorder) End(lq *LiveQuery, info EndInfo) {
 	lq.mu.Lock()
 	rec.Text = lq.text
 	rec.Bytes = lq.bytes
-	if len(lq.sources) > 0 {
-		rec.Sources = make(map[string]LiveSourceInfo, len(lq.sources))
-		for name, ls := range lq.sources {
-			rec.Sources[name] = LiveSourceInfo{Exchanges: ls.exchanges, Bytes: ls.bytes, LastOp: ls.lastOp}
-		}
-	}
+	rec.Sources = lq.sourceInfos()
 	lq.mu.Unlock()
 	if info.Trace != nil {
 		rec.Spans = info.Trace.Export()

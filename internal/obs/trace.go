@@ -63,7 +63,14 @@ func NewTrace() *Trace { return &Trace{} }
 // trace's lock; readers use Snapshot (or Trace.Export). A nil *Span, which
 // StartSpan returns when the context carries no trace, records nothing:
 // every method is nil-safe, so call sites need no branches.
+//
+// A span StartSpan returns is also the context it returns: the context the
+// span was started in, with the span as its current span. Spans live in
+// their trace's blocks, which never move, so installing a span in a context
+// costs no node of its own. Its context methods are the parent context's;
+// they are not nil-safe, and a grafted span (Graft) is no context.
 type Span struct {
+	ctx      context.Context // the context the span was started in
 	t        *Trace
 	id       int64
 	parent   int64 // 0 = root
@@ -137,25 +144,29 @@ type SpanData struct {
 	Finished bool `json:"finished,omitempty"`
 }
 
-// spanContext is a context whose current span is sp. It answers spanKey
-// itself, so installing a span costs this one node where context.WithValue
-// would take a node and a boxed value.
-type spanContext struct {
-	context.Context
-	sp *Span
-}
+// Deadline is the deadline of the context the span was started in.
+func (s *Span) Deadline() (time.Time, bool) { return s.ctx.Deadline() }
 
-func (c *spanContext) Value(key any) any {
+// Done is the done channel of the context the span was started in.
+func (s *Span) Done() <-chan struct{} { return s.ctx.Done() }
+
+// Err is the error of the context the span was started in, not the error
+// the span ended with.
+func (s *Span) Err() error { return s.ctx.Err() }
+
+// Value answers the current span's key with s and every other key as the
+// context the span was started in does.
+func (s *Span) Value(key any) any {
 	if key == spanKey {
-		return c.sp
+		return s
 	}
-	return c.Context.Value(key)
+	return s.ctx.Value(key)
 }
 
 // StartSpan begins a span named name of the given kind as a child of the
 // context's current span, returning a derived context (in which the new span
-// is current) and the span. Without a Trace in ctx it returns ctx and a nil
-// span.
+// is current; it is the span itself) and the span. Without a Trace in ctx it
+// returns ctx and a nil span.
 func StartSpan(ctx context.Context, kind, name string) (context.Context, *Span) {
 	o := From(ctx)
 	if o.Live != nil && (kind == KindPhase || kind == KindStep) {
@@ -174,9 +185,9 @@ func StartSpan(ctx context.Context, kind, name string) (context.Context, *Span) 
 	start := time.Now()
 	t.mu.Lock()
 	sp := t.add()
-	sp.parent, sp.queryID, sp.kind, sp.name, sp.start = parent, o.QueryID, kind, name, start
+	sp.ctx, sp.parent, sp.queryID, sp.kind, sp.name, sp.start = ctx, parent, o.QueryID, kind, name, start
 	t.mu.Unlock()
-	return &spanContext{Context: ctx, sp: sp}, sp
+	return sp, sp
 }
 
 // add returns the trace's next span, with its ID set. Callers hold t.mu.

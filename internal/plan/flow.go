@@ -1,6 +1,9 @@
 package plan
 
-import "sync/atomic"
+import (
+	"strings"
+	"sync/atomic"
+)
 
 // Flow is what running a plan needs to know of it beyond its steps: each
 // step's text, which step's output each input reads, how long each output
@@ -115,9 +118,19 @@ func (p *Plan) computeFlow(f *Flow) {
 	if len(p.Conds) > len(small) {
 		staged = make([]bool, len(p.Conds))
 	}
+	// Every step's text is a piece of one buffer, made once: a string the
+	// builder returned stays valid as it goes on writing.
+	var texts strings.Builder
+	bound := 0
+	for _, s := range p.Steps {
+		bound += p.textBound(s)
+	}
+	texts.Grow(bound)
 	rounds := 0
 	for i, s := range p.Steps {
-		f.Texts[i] = p.StepString(s)
+		start := texts.Len()
+		p.writeStep(&texts, s)
+		f.Texts[i] = texts.String()[start:]
 		f.In[i], ints = ints[:len(s.In):len(s.In)], ints[len(s.In):]
 		for k, name := range s.In {
 			v := p.assigned(name, i)

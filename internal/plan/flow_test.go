@@ -1,9 +1,12 @@
 package plan
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
+
+	"fusionq/internal/racetest"
 )
 
 // TestFlowOfFilterPlan: on Figure 2(a)'s filter plan, which reassigns X2
@@ -79,5 +82,54 @@ func TestFlowIsComputedOncePerMemoizedPlan(t *testing.T) {
 	// computed again for its own steps.
 	if g := p.Flow(); len(g.Texts) != len(p.Steps) || g.Result != 10 {
 		t.Fatalf("the original's Flow after its copy's: %d steps, result %d", len(g.Texts), g.Result)
+	}
+}
+
+// chainPlan is a plan of rounds selections, each round's two answers joined
+// by a union and intersected into the running set: 4·rounds-1 steps.
+func chainPlan(rounds int) *Plan {
+	p := &Plan{Conds: testConds(rounds), Sources: []string{"R1", "R2"}, Class: "chain"}
+	for c := 0; c < rounds; c++ {
+		a, b, x := fmt.Sprintf("X%d1", c+1), fmt.Sprintf("X%d2", c+1), fmt.Sprintf("X%d", c+1)
+		p.Steps = append(p.Steps,
+			Step{Kind: KindSelect, Out: a, Cond: c, Source: 0},
+			Step{Kind: KindSelect, Out: b, Cond: c, Source: 1},
+			Step{Kind: KindUnion, Out: x, Cond: -1, In: []string{a, b}})
+		if c > 0 {
+			p.Steps = append(p.Steps, Step{Kind: KindIntersect, Out: "X", Cond: -1, In: []string{"X", x}})
+		} else {
+			p.Steps = append(p.Steps, Step{Kind: KindUnion, Out: "X", Cond: -1, In: []string{x}})
+		}
+	}
+	p.Result = "X"
+	return p
+}
+
+// flowAllocs bounds what computing a fresh plan's Flow allocates, whatever
+// its length: the Flow, its arrays and one buffer of every step's text.
+const flowAllocs = 6
+
+// TestFlowAllocs: a plan's Flow makes its step texts in one buffer, so a
+// plan of a hundred steps allocates what a plan of four does.
+func TestFlowAllocs(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race runtime allocates on its own; CI runs this without -race")
+	}
+	for _, rounds := range []int{1, 25} {
+		p := chainPlan(rounds)
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		f := p.Flow()
+		for i, s := range p.Steps {
+			if f.Texts[i] != p.StepString(s) {
+				t.Fatalf("Texts[%d] = %q, want %q", i, f.Texts[i], p.StepString(s))
+			}
+		}
+		got := testing.AllocsPerRun(50, func() { p.Flow() })
+		t.Logf("%d steps: %v allocations", len(p.Steps), got)
+		if got > flowAllocs {
+			t.Errorf("the Flow of a %d-step plan allocated %v times, want at most %d", len(p.Steps), got, flowAllocs)
+		}
 	}
 }

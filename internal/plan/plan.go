@@ -17,6 +17,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"fusionq/internal/cond"
@@ -140,7 +141,11 @@ const (
 func (r Records) String() string { return [...]string{"none", "fetch", "final"}[r] }
 
 // CondName renders condition i as c1, c2, ... matching the paper.
-func CondName(i int) string { return fmt.Sprintf("c%d", i+1) }
+func CondName(i int) string {
+	var b strings.Builder
+	writeCondName(&b, i)
+	return b.String()
+}
 
 // SourceName renders source j as R1, R2, ... matching the paper.
 func SourceName(j int) string { return fmt.Sprintf("R%d", j+1) }
@@ -231,26 +236,89 @@ func (p *Plan) FinalCond() int {
 
 // StepString renders one step in the paper's notation.
 func (p *Plan) StepString(s Step) string {
+	var b strings.Builder
+	p.writeStep(&b, s)
+	return b.String()
+}
+
+// writeStep writes StepString(s) to b: the one renderer of a step.
+func (p *Plan) writeStep(b *strings.Builder, s Step) {
+	b.WriteString(s.Out)
+	b.WriteString(" := ")
 	switch s.Kind {
-	case KindSelect:
-		return fmt.Sprintf("%s := sq(%s, %s)", s.Out, CondName(s.Cond), p.Sources[s.Source])
-	case KindSemijoin:
-		return fmt.Sprintf("%s := sjq(%s, %s, %s)", s.Out, CondName(s.Cond), p.Sources[s.Source], s.In[0])
-	case KindBloomSemijoin:
-		return fmt.Sprintf("%s := sjq(%s, %s, bloom(%s))", s.Out, CondName(s.Cond), p.Sources[s.Source], s.In[0])
+	case KindSelect, KindSemijoin, KindBloomSemijoin:
+		if s.Kind == KindSelect {
+			b.WriteString("sq(")
+		} else {
+			b.WriteString("sjq(")
+		}
+		writeCondName(b, s.Cond)
+		b.WriteString(", ")
+		b.WriteString(p.Sources[s.Source])
+		switch s.Kind {
+		case KindSemijoin:
+			b.WriteString(", ")
+			b.WriteString(s.In[0])
+		case KindBloomSemijoin:
+			b.WriteString(", bloom(")
+			b.WriteString(s.In[0])
+			b.WriteByte(')')
+		}
+		b.WriteByte(')')
 	case KindLoad:
-		return fmt.Sprintf("%s := lq(%s)", s.Out, p.Sources[s.Source])
+		b.WriteString("lq(")
+		b.WriteString(p.Sources[s.Source])
+		b.WriteByte(')')
 	case KindLocalSelect:
-		return fmt.Sprintf("%s := sq(%s, %s)", s.Out, CondName(s.Cond), s.In[0])
-	case KindUnion:
-		return fmt.Sprintf("%s := %s", s.Out, strings.Join(s.In, " ∪ "))
-	case KindIntersect:
-		return fmt.Sprintf("%s := %s", s.Out, strings.Join(s.In, " ∩ "))
+		b.WriteString("sq(")
+		writeCondName(b, s.Cond)
+		b.WriteString(", ")
+		b.WriteString(s.In[0])
+		b.WriteByte(')')
+	case KindUnion, KindIntersect:
+		op := " ∪ "
+		if s.Kind == KindIntersect {
+			op = " ∩ "
+		}
+		for k, in := range s.In {
+			if k > 0 {
+				b.WriteString(op)
+			}
+			b.WriteString(in)
+		}
 	case KindDiff:
-		return fmt.Sprintf("%s := %s − %s", s.Out, s.In[0], s.In[1])
+		b.WriteString(s.In[0])
+		b.WriteString(" − ")
+		b.WriteString(s.In[1])
 	default:
-		return fmt.Sprintf("%s := ?%d", s.Out, int(s.Kind))
+		b.WriteByte('?')
+		writeInt(b, int(s.Kind))
 	}
+}
+
+// textBound is at least the length of StepString(s): what a buffer of the
+// plan's step texts makes room for.
+func (p *Plan) textBound(s Step) int {
+	n := len(s.Out) + len(" := sjq(c, , bloom())") + 20
+	if s.Source >= 0 && s.Source < len(p.Sources) {
+		n += len(p.Sources[s.Source])
+	}
+	for _, in := range s.In {
+		n += len(in) + len(" ∪ ")
+	}
+	return n
+}
+
+// writeCondName writes CondName(i) to b.
+func writeCondName(b *strings.Builder, i int) {
+	b.WriteByte('c')
+	writeInt(b, i+1)
+}
+
+// writeInt writes i in decimal to b.
+func writeInt(b *strings.Builder, i int) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], int64(i), 10))
 }
 
 // String renders the plan as a numbered listing in the style of Figure 2.

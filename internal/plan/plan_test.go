@@ -157,6 +157,8 @@ func TestStepStringAllKinds(t *testing.T) {
 		{Step{Kind: KindUnion, Out: "X", In: []string{"A", "B", "C"}}, "X := A ∪ B ∪ C"},
 		{Step{Kind: KindIntersect, Out: "X", In: []string{"A", "B"}}, "X := A ∩ B"},
 		{Step{Kind: KindDiff, Out: "X", In: []string{"A", "B"}}, "X := A − B"},
+		{Step{Kind: KindBloomSemijoin, Out: "X", Cond: 11, Source: 1, In: []string{"Y"}}, "X := sjq(c12, R2, bloom(Y))"},
+		{Step{Kind: Kind(42), Out: "X"}, "X := ?42"},
 	}
 	for _, c := range cases {
 		if got := p.StepString(c.step); got != c.want {

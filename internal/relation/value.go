@@ -142,22 +142,47 @@ func (v Value) Equal(w Value) bool {
 // lexes as a number and parses as a float; other kinds use their natural
 // literal form.
 func (v Value) String() string {
+	var buf [32]byte
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends the literal String renders to dst: a condition's text
+// is written, and its length counted, with no string of its own.
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.kind {
 	case KindString:
-		if strings.ContainsRune(v.s, '\'') {
-			return `"` + v.s + `"`
+		q := byte('\'')
+		if strings.IndexByte(v.s, '\'') >= 0 {
+			q = '"'
 		}
-		return "'" + v.s + "'"
+		dst = append(dst, q)
+		dst = append(dst, v.s...)
+		return append(dst, q)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		s := strconv.FormatFloat(v.f, 'f', -1, 64)
+		dst = strconv.AppendFloat(dst, v.f, 'f', -1, 64)
 		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
-			s += ".0"
+			dst = append(dst, ".0"...)
 		}
-		return s
-	default:
-		return v.Raw()
+		return dst
 	}
+	return append(dst, v.Raw()...)
 }
+
+// TextLen is len(v.String()), counted without making the string. It
+// allocates nothing: the longest text a float has, 5e-324's without an
+// exponent and with a sign, fits in maxNumberText bytes.
+func (v Value) TextLen() int {
+	if v.kind == KindString {
+		return len(v.s) + 2
+	}
+	var buf [maxNumberText]byte
+	return len(v.AppendText(buf[:0]))
+}
+
+// maxNumberText bounds the text of a value of any kind but a string.
+const maxNumberText = 330
 
 // Raw renders the value without quoting, used for wire encoding and for
 // merge-attribute items.

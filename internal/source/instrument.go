@@ -3,6 +3,7 @@ package source
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"fusionq/internal/cond"
 	"fusionq/internal/netsim"
@@ -28,8 +29,43 @@ const queryHeaderBytes = 32
 // wait and the hold show on the queue-depth and lane-occupancy gauges.
 type Instrumented struct {
 	Layer
-	net   *netsim.Network
-	names *obs.SpanNames // exchange span names, by (kind, source)
+	net    *netsim.Network
+	names  *obs.SpanNames // exchange span names, by (kind, source)
+	meters atomic.Pointer[meters]
+}
+
+// meters are the series an exchange charges, resolved in one registry: an
+// exchange would otherwise look each one up by name and labels, under the
+// registry's locks, every time it charges it.
+type meters struct {
+	reg               *obs.Registry
+	queue, lanes      obs.Gauge
+	sent, received    obs.Counter
+	exchangeDurations obs.Histogram
+}
+
+// metersFor returns the source's series in the context's registry: the ones
+// resolved last, unless that was another registry's.
+func (s *Instrumented) metersFor(ctx context.Context) *meters {
+	reg := obs.Meter(ctx)
+	if m := s.meters.Load(); m != nil && m.reg == reg {
+		return m
+	}
+	name := s.Name()
+	m := &meters{
+		reg:      reg,
+		sent:     reg.Counter(obs.MBytesSent, "source", name),
+		received: reg.Counter(obs.MBytesReceived, "source", name),
+	}
+	if s.net != nil {
+		// Without a network nothing is admitted or timed, and these series
+		// stay unmade.
+		m.queue = reg.Gauge(obs.MSchedQueueDepth, "source", name)
+		m.lanes = reg.Gauge(obs.MSchedLaneOccupancy, "source", name)
+		m.exchangeDurations = reg.Histogram(obs.MExchangeSeconds, "source", name)
+	}
+	s.meters.Store(m)
+	return m
 }
 
 // Instrument wraps src, recording exchanges on network (nil charges the
@@ -49,10 +85,11 @@ func Instrument(src Source, network *netsim.Network) *Instrumented {
 // argument shipped (condition text, semijoin set, binding, filter), response
 // bytes whatever came back; an unanswered binding costs no response.
 func (s *Instrumented) exchange(ctx context.Context, call Call) (Reply, error) {
-	if err := s.admit(ctx); err != nil {
+	m := s.metersFor(ctx)
+	if err := s.admit(ctx, m); err != nil {
 		return Reply{}, err
 	}
-	defer s.leave(ctx)
+	defer s.leave(m)
 	if call.Streamed() {
 		// Every delivered batch is recorded as its own exchange — the first
 		// as the "sq" request/response, later ones as "sqc" continuation
@@ -75,7 +112,7 @@ func (s *Instrumented) exchange(ctx context.Context, call Call) (Reply, error) {
 	}
 	req := queryHeaderBytes + call.Items.Bytes() + len(call.Item)
 	if call.Cond != nil {
-		req += len(call.Cond.String())
+		req += cond.TextLen(call.Cond)
 	}
 	if call.Filter != nil {
 		req += call.Filter.Bytes()
@@ -90,7 +127,7 @@ func (s *Instrumented) exchange(ctx context.Context, call Call) (Reply, error) {
 	if reply.Match {
 		resp += len(call.Item)
 	}
-	if err := s.record(ctx, sp, kind, req, resp); err != nil {
+	if err := s.record(ctx, m, sp, kind, req, resp); err != nil {
 		return Reply{}, err
 	}
 	return reply, nil
@@ -99,26 +136,24 @@ func (s *Instrumented) exchange(ctx context.Context, call Call) (Reply, error) {
 // admit takes a lane of the source's link for one exchange, counted on the
 // queue-depth gauge while it waits and on the lane-occupancy gauge until leave
 // gives it back. Without a network there is no link, so nothing to admit.
-func (s *Instrumented) admit(ctx context.Context) error {
+func (s *Instrumented) admit(ctx context.Context, m *meters) error {
 	if s.net == nil {
 		return nil
 	}
-	name, met := s.Name(), obs.Meter(ctx)
-	queue := met.Gauge(obs.MSchedQueueDepth, "source", name)
-	queue.Inc()
-	err := s.net.Acquire(ctx, name)
-	queue.Dec()
+	m.queue.Inc()
+	err := s.net.Acquire(ctx, s.Name())
+	m.queue.Dec()
 	if err != nil {
-		return fmt.Errorf("source %s: %w", name, err)
+		return fmt.Errorf("source %s: %w", s.Name(), err)
 	}
-	met.Gauge(obs.MSchedLaneOccupancy, "source", name).Inc()
+	m.lanes.Inc()
 	return nil
 }
 
 // leave frees the lane admit took.
-func (s *Instrumented) leave(ctx context.Context) {
+func (s *Instrumented) leave(m *meters) {
 	if s.net != nil {
-		obs.Meter(ctx).Gauge(obs.MSchedLaneOccupancy, "source", s.Name()).Dec()
+		m.lanes.Dec()
 		s.net.Release(s.Name())
 	}
 }
@@ -138,11 +173,10 @@ func (s *Instrumented) begin(ctx context.Context, kind string) (context.Context,
 // discard the operation's result. When the context carries an Obs, the
 // exchange is also visible as per-source byte counters and a
 // simulated-latency histogram, and the span begin opened is closed here.
-func (s *Instrumented) record(ctx context.Context, sp *obs.Span, kind string, reqBytes, respBytes int) error {
+func (s *Instrumented) record(ctx context.Context, m *meters, sp *obs.Span, kind string, reqBytes, respBytes int) error {
 	name := s.Name()
-	met := obs.Meter(ctx)
-	met.Counter(obs.MBytesSent, "source", name).Add(int64(reqBytes))
-	met.Counter(obs.MBytesReceived, "source", name).Add(int64(respBytes))
+	m.sent.Add(int64(reqBytes))
+	m.received.Add(int64(respBytes))
 	obs.LiveOf(ctx).Exchange(name, kind, int64(reqBytes+respBytes))
 	if s.net != nil {
 		d, err := s.net.Exchange(ctx, name, kind, reqBytes, respBytes)
@@ -150,7 +184,7 @@ func (s *Instrumented) record(ctx context.Context, sp *obs.Span, kind string, re
 			sp.End(err)
 			return fmt.Errorf("source %s: %w", name, err)
 		}
-		met.Histogram(obs.MExchangeSeconds, "source", name).Observe(d.Seconds())
+		m.exchangeDurations.Observe(d.Seconds())
 		sp.SetAttr(obs.Duration("simElapsed", d))
 	}
 	sp.End(nil)
@@ -168,10 +202,11 @@ type instrumentedStream struct {
 }
 
 func (it *instrumentedStream) Next(ctx context.Context) ([]string, error) {
-	if err := it.src.admit(ctx); err != nil {
+	m := it.src.metersFor(ctx)
+	if err := it.src.admit(ctx, m); err != nil {
 		return nil, err
 	}
-	defer it.src.leave(ctx)
+	defer it.src.leave(m)
 	batch, err := it.inner.Next(ctx)
 	if err != nil {
 		return nil, err
@@ -179,7 +214,7 @@ func (it *instrumentedStream) Next(ctx context.Context) ([]string, error) {
 	kind, req := "sqc", 0
 	if !it.started {
 		it.started = true
-		kind, req = "sq", queryHeaderBytes+len(it.cond.String())
+		kind, req = "sq", queryHeaderBytes+cond.TextLen(it.cond)
 	} else if batch == nil {
 		// Exhaustion after at least one batch: the last chunk already paid.
 		return nil, nil
@@ -191,7 +226,7 @@ func (it *instrumentedStream) Next(ctx context.Context) ([]string, error) {
 	// The batch was pulled by a background pump, so its wire span cannot nest
 	// here; the exchange span records the per-batch accounting only.
 	ctx, sp := it.src.begin(ctx, kind)
-	if err := it.src.record(ctx, sp, kind, req, resp); err != nil {
+	if err := it.src.record(ctx, m, sp, kind, req, resp); err != nil {
 		return nil, err
 	}
 	return batch, nil
