@@ -94,8 +94,9 @@ type Result struct {
 	// AnswerOwned says Answer's buffer is the caller's outright: nothing of
 	// the run keeps it, so once nobody reads Answer (or Vars, which holds
 	// it) the caller may give it back with set.Release. A pipelined run that
-	// succeeds sets it, and so does a round-scheduled one whose result the
-	// run made for itself (not a loaded set, say).
+	// succeeds sets it, and so does a round-scheduled one unless its result
+	// step is a load or a step of a records round, whose items are not the
+	// run's.
 	AnswerOwned bool
 	// Records holds the answer entities' full records when the plan
 	// retrieves them (plan.Records); nil otherwise, and after a failure.
@@ -461,10 +462,7 @@ func (r *run) runStep(ctx context.Context, idx int) error {
 	for k, v := range r.flow.In[idx] {
 		st.ins[k].(*wholeIter).items = r.life.vers[v].val.Items()
 	}
-	st.nd = node{whole: true, over: -1}
-	if r.p.Steps[idx].Kind == plan.KindIntersect {
-		st.nd.over = r.life.overwritable(idx)
-	}
+	st.nd = node{whole: true}
 	if err := r.runNode(ctx, idx); err != nil {
 		return err
 	}

@@ -122,10 +122,11 @@ func synthSources(t testing.TB, cfg workload.SynthConfig) (*workload.Scenario, [
 	return sc, sc.Sources
 }
 
-// TestLifetimeUnionOfOne: a union with one non-empty input is that input,
-// so the union's output and the source answer it read hold one buffer,
-// which the intersection after them then writes over: it goes back only
-// with the last version holding it, and the answer it became is kept.
+// TestLifetimeUnionOfOne: a union with one non-empty input is a copy of
+// it in a buffer of its own, so the source answer it read goes back when
+// the union is over, the union's output when the intersection after it is,
+// and the answer the intersection made is kept: no buffer goes back twice
+// or while a later version still reads it.
 func TestLifetimeUnionOfOne(t *testing.T) {
 	sc, srcs := synthSources(t, workload.SynthConfig{Seed: 3, NumSources: 2, TuplesPerSource: 600, Universe: 1200, Selectivity: []float64{0.5, 0.5}})
 	// A third source with nothing in it: its answer E is empty.
@@ -203,8 +204,9 @@ func (l lingering) Semijoin(ctx context.Context, c cond.Cond, y set.Set) (set.Se
 
 // TestLifetimeHedgedSemijoin: a semijoin's set goes to a source, and a
 // hedged exchange's losing leg may still be reading it when the winner's
-// answer is in: the set the round scheduler sent never goes back to the
-// pool, though no step reads it again.
+// answer is in. The set the round scheduler sent goes back to the pool
+// once the semijoin's batch is over, and the fabric returns only after
+// every leg has ended, so the losing leg reads it whole.
 func TestLifetimeHedgedSemijoin(t *testing.T) {
 	sc, raw := synthSources(t, workload.SynthConfig{Seed: 9, NumSources: 3, TuplesPerSource: 600, Universe: 1200, Selectivity: []float64{0.5, 0.5}})
 	calls := &atomic.Int32{}
@@ -368,7 +370,8 @@ func TestLifetimeAdaptive(t *testing.T) {
 
 // TestLifetimeLoadThenLocalSelect: a loaded relation's items are the
 // relation's, never the pool's, and the local selections over it are the
-// run's own, one of which the intersection writes over.
+// run's own, which go back once the intersection and the union have read
+// them.
 func TestLifetimeLoadThenLocalSelect(t *testing.T) {
 	sc, srcs := synthSources(t, workload.SynthConfig{Seed: 17, NumSources: 2, TuplesPerSource: 600, Universe: 1200, Selectivity: []float64{0.5, 0.5}})
 	p := &plan.Plan{
@@ -388,14 +391,13 @@ func TestLifetimeLoadThenLocalSelect(t *testing.T) {
 	runAgain(t, &Executor{Sources: srcs}, p, want, 20)
 }
 
-// TestLifetimeLoadLeavesTheViewAlone: a load's items are the ordered view
-// its source's backend holds (source.Wrapper.Load shares it), so no run may
-// give them back or write over them: not when the answer is the loaded
-// items, a union that is them, or an intersection with them, under either
-// scheduler, and not when the run's running sets are dropped. The view
-// holds 512 items, a pool class, so a release would recycle it (to
-// set.Recycled under -race).
-func TestLifetimeLoadLeavesTheViewAlone(t *testing.T) {
+// loadedView is one source, R1, over a relation of 1 024 rows on 512
+// items, and a second, R2, whose 1 024 items are R1's and as many more:
+// R1's ordered view holds 512 items, a pool class, so a release would
+// recycle it (to set.Recycled under -race). It returns the sources, R1's
+// view and a copy of its items.
+func loadedView(t *testing.T) ([]source.Source, *relation.Ordered, []string) {
+	t.Helper()
 	schema := relation.MustSchema("L",
 		relation.Column{Name: "L", Kind: relation.KindString},
 		relation.Column{Name: "A", Kind: relation.KindInt})
@@ -404,16 +406,24 @@ func TestLifetimeLoadLeavesTheViewAlone(t *testing.T) {
 		loaded.MustInsert(relation.String(fmt.Sprintf("L%04d", i/2)), relation.Int(int64(i%100)))
 		other.MustInsert(relation.String(fmt.Sprintf("L%04d", i)), relation.Int(int64(i%100)))
 	}
-	backend := source.NewRowBackend(loaded)
 	srcs := []source.Source{
-		source.NewWrapper("R1", backend, source.Capabilities{}),
+		source.NewWrapper("R1", source.NewRowBackend(loaded), source.Capabilities{}),
 		source.NewWrapper("R2", source.NewRowBackend(other), source.Capabilities{}),
 	}
 	view := loaded.Ordered()
 	if cap(view.Items) != 512 {
 		t.Fatalf("the view holds %d items, want 512", cap(view.Items))
 	}
-	items := slices.Clone(view.Items)
+	return srcs, view, slices.Clone(view.Items)
+}
+
+// TestLifetimeLoadLeavesTheViewAlone: a load's items are the ordered view
+// its source's backend holds (source.Wrapper.Load shares it), so no run may
+// give them back: not when the answer is the loaded items, a union of
+// them, or an intersection with them, under either scheduler, and not when
+// the run's running sets are dropped.
+func TestLifetimeLoadLeavesTheViewAlone(t *testing.T) {
+	srcs, view, items := loadedView(t)
 	load := plan.Step{Kind: plan.KindLoad, Out: "F1", Cond: -1, Source: 0}
 	steps := map[string][]plan.Step{
 		"answer": {load},
@@ -443,6 +453,36 @@ func TestLifetimeLoadLeavesTheViewAlone(t *testing.T) {
 			if !slices.Equal(view.Items, items) {
 				t.Fatalf("%s/%s: the backend's view lost its items (now %q...)", name, mode.name, view.Items[:2])
 			}
+		}
+	}
+}
+
+// TestLifetimeUnionOfALoadIsOwned: a union over one load's items is a copy
+// of them, so the round scheduler owns its answer though the items it read
+// are the backend's: the caller gives the answer back, and the source's
+// ordered view still reads its items.
+func TestLifetimeUnionOfALoadIsOwned(t *testing.T) {
+	srcs, view, items := loadedView(t)
+	p := &plan.Plan{
+		Conds:   []cond.Cond{cond.MustParse("A < 30")},
+		Sources: []string{"R1", "R2"},
+		Steps: []plan.Step{
+			{Kind: plan.KindLoad, Out: "F1", Cond: -1, Source: 0},
+			{Kind: plan.KindUnion, Out: "Z", Cond: -1, Source: -1, In: []string{"F1"}},
+		},
+		Result: "Z",
+	}
+	for i := 0; i < 10; i++ {
+		res, err := (&Executor{Sources: srcs}).Run(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.AnswerOwned || !slices.Equal(res.Answer.Items(), items) {
+			t.Fatalf("run %d: answer of %d items, owned %v; want the view's %d, owned", i, res.Answer.Len(), res.AnswerOwned, len(items))
+		}
+		giveBack(res)
+		if !slices.Equal(view.Items, items) {
+			t.Fatalf("run %d: giving the answer back took the view's items (now %q...)", i, view.Items[:2])
 		}
 	}
 }

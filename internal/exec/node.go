@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"fusionq/internal/bloom"
 	"fusionq/internal/cond"
@@ -36,11 +35,9 @@ var errAbandoned = errors.New("exec: all stream consumers abandoned")
 // and cost so far.
 type node struct {
 	// Between barriers: owned says the body made kept for the run alone, so
-	// the run may give it back (lifetime.go), and over is the input an
-	// intersection may write over (lifetimes.overwritable; -1 for none).
+	// the run may give it back (lifetime.go).
 	whole, owned bool
 	kept         []string
-	over         int
 
 	outs []*streamEdge
 	live int
@@ -428,7 +425,7 @@ func (r *run) bloomBody(ctx context.Context, s plan.Step, input set.Iter, nd *no
 // anything is emitted, so a local selection downstream always finds it
 // present. The items emitted are the relation's ordered view's own, which a
 // wrapper shares with its backend: the output is not the run's (nd.owned
-// stays false), so it is never given back or written over.
+// stays false), so it is never given back.
 func (r *run) loadBody(ctx context.Context, idx int, nd *node) error {
 	s := r.p.Steps[idx]
 	var rel *relation.Relation
@@ -522,22 +519,16 @@ func (r *run) mergeBody(ctx context.Context, s plan.Step, ins []set.Iter, nd *no
 			}
 			sets = append(sets, v)
 		}
+		// The output is a buffer of the pool's that no input shares, or, when
+		// empty, none at all (package set): the run's alone.
 		var out set.Set
-		switch {
-		case s.Kind == plan.KindUnion:
+		switch s.Kind {
+		case plan.KindUnion:
 			out = set.UnionWith(set.Alloc, sets...)
-		case s.Kind == plan.KindIntersect && nd.over >= 0:
-			out = set.IntersectOver(nd.over, sets...)
-		case s.Kind == plan.KindIntersect:
+		case plan.KindIntersect:
 			out = set.IntersectWith(set.Alloc, sets...)
 		default:
 			out = set.DiffWith(set.Alloc, sets[0], sets[1])
-		}
-		// A new set from the pool, or one of the inputs' buffers, which the
-		// run's lifetimes tell apart; but an empty output from the pool is
-		// nobody's once emit has dropped it.
-		if out.IsEmpty() && !slices.ContainsFunc(sets, func(in set.Set) bool { return sameBuffer(in, out) }) {
-			set.Release(out)
 		}
 		nd.owned = true
 		return nd.emit(ctx, out.Items())

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"strconv"
 
 	"fusionq/internal/plan"
 )
@@ -126,10 +127,10 @@ func AppendRound(steps []plan.Step, sk Sketch, r int) []plan.Step {
 		if sk.DiffPrune && len(chain) > 0 && len(selVars) > 0 {
 			su := selVars[0]
 			if len(selVars) > 1 {
-				su = fmt.Sprintf("S%d", r)
+				su = "S" + strconv.Itoa(r)
 				steps = append(steps, plan.Step{Kind: plan.KindUnion, Out: su, Cond: -1, Source: -1, In: append([]string(nil), selVars...)})
 			}
-			nd := fmt.Sprintf("D%d", r)
+			nd := "D" + strconv.Itoa(r)
 			steps = append(steps, plan.Step{Kind: plan.KindDiff, Out: nd, Cond: -1, Source: -1, In: []string{d, su}})
 			d = nd
 		}
@@ -137,7 +138,7 @@ func AppendRound(steps []plan.Step, sk Sketch, r int) []plan.Step {
 			out := varName(r, j)
 			switch {
 			case loaded(j):
-				tmp := fmt.Sprintf("T%s", varName(r, j)[1:])
+				tmp := "T" + out[1:]
 				steps = append(steps, plan.Step{Kind: plan.KindLocalSelect, Out: tmp, Cond: ci, Source: -1, In: []string{loadName(j)}})
 				steps = append(steps, plan.Step{Kind: plan.KindIntersect, Out: out, Cond: -1, Source: -1, In: []string{tmp, d}})
 			case sk.Choices[r-1][j] == MethodBloom:
@@ -149,7 +150,7 @@ func AppendRound(steps []plan.Step, sk Sketch, r int) []plan.Step {
 			// Prune the running semijoin set when pruning is on and a
 			// later remote semijoin will still ship it.
 			if sk.DiffPrune && k+1 < len(chain) && remoteStart < len(chain) {
-				nd := fmt.Sprintf("D%d_%d", r, k+1)
+				nd := "D" + strconv.Itoa(r) + "_" + strconv.Itoa(k+1)
 				steps = append(steps, plan.Step{Kind: plan.KindDiff, Out: nd, Cond: -1, Source: -1, In: []string{d, out}})
 				d = nd
 			}

@@ -12,6 +12,7 @@ package optimizer
 
 import (
 	"fmt"
+	"strconv"
 
 	"fusionq/internal/cond"
 	"fusionq/internal/plan"
@@ -171,22 +172,23 @@ func improves(cost float64, ord []int, bestCost float64, bestOrd []int) bool {
 // for single-digit indices and remaining unambiguous beyond.
 func varName(round, src int) string {
 	if round <= 9 && src < 9 {
-		return fmt.Sprintf("X%d%d", round, src+1)
+		return "X" + strconv.Itoa(round) + strconv.Itoa(src+1)
 	}
-	return fmt.Sprintf("X%d_%d", round, src+1)
+	return "X" + strconv.Itoa(round) + "_" + strconv.Itoa(src+1)
 }
 
 // roundName renders the running-set variables X_1..X_m.
-func roundName(round int) string { return fmt.Sprintf("X%d", round) }
+func roundName(round int) string { return "X" + strconv.Itoa(round) }
 
 // loadName renders the loaded-contents variables F_1..F_n.
-func loadName(src int) string { return fmt.Sprintf("F%d", src+1) }
+func loadName(src int) string { return "F" + strconv.Itoa(src+1) }
 
-// allSelectChoices builds an m×n all-MethodSelect matrix.
+// allSelectChoices builds an m×n all-MethodSelect matrix, its rows on one
+// backing array.
 func allSelectChoices(m, n int) [][]Method {
-	out := make([][]Method, m)
+	out, cells := make([][]Method, m), make([]Method, m*n)
 	for i := range out {
-		out[i] = make([]Method, n)
+		out[i] = cells[i*n : (i+1)*n : (i+1)*n]
 	}
 	return out
 }

@@ -39,10 +39,8 @@ type AnswerCacheConfig struct {
 type AnswerCache struct {
 	cfg AnswerCacheConfig
 
-	mu           sync.Mutex
-	store        *lru.Store[string, answer]
-	highWater    int
-	hits, misses int64
+	mu    sync.Mutex
+	store *lru.Store[string, answer]
 }
 
 type answer struct {
@@ -51,14 +49,11 @@ type answer struct {
 	expires time.Time
 }
 
-// AnswerCacheStats is a point-in-time summary used by tests and expvar-style
-// reporting. Hits+Misses equals the number of Get calls.
+// AnswerCacheStats is a point-in-time summary of the cache's footprint.
+// Hits and misses are the fq_answer_cache_* counters'.
 type AnswerCacheStats struct {
-	Entries   int
-	Bytes     int64
-	HighWater int // most entries ever held at once
-	Hits      int64
-	Misses    int64
+	Entries int
+	Bytes   int64
 }
 
 // NewAnswerCache builds an answer cache.
@@ -115,11 +110,9 @@ func (c *AnswerCache) get(key string, epoch uint64) (wire.EncodedItems, bool) {
 		ok = false
 	}
 	if !ok {
-		c.misses++
 		c.cfg.Metrics.Counter(obs.MAnswerCacheMisses).Inc()
 		return wire.EncodedItems{}, false
 	}
-	c.hits++
 	c.cfg.Metrics.Counter(obs.MAnswerCacheHits).Inc()
 	return a.items, true
 }
@@ -141,26 +134,18 @@ func (c *AnswerCache) Put(key string, epoch uint64, items []string) wire.Encoded
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.store.Put(key, answer{epoch: epoch, items: enc, expires: c.cfg.Now().Add(c.cfg.TTL)}, int64(enc.Len()))
-	c.highWater = max(c.highWater, c.store.Len())
 	c.gauges()
 	return enc
 }
 
-// Stats reports the cache's current and high-water footprint and its
-// hit/miss ledger.
+// Stats reports the cache's current footprint.
 func (c *AnswerCache) Stats() AnswerCacheStats {
 	if c.disabled() {
 		return AnswerCacheStats{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return AnswerCacheStats{
-		Entries:   c.store.Len(),
-		Bytes:     c.store.Bytes(),
-		HighWater: c.highWater,
-		Hits:      c.hits,
-		Misses:    c.misses,
-	}
+	return AnswerCacheStats{Entries: c.store.Len(), Bytes: c.store.Bytes()}
 }
 
 // evicted and gauges charge the registry; the caller holds the lock.

@@ -91,8 +91,8 @@ func TestAnswerCacheProperty(t *testing.T) {
 		}
 
 		st := c.Stats()
-		if st.Entries > maxEntries || st.HighWater > maxEntries {
-			t.Fatalf("step %d: entries %d (high-water %d) exceed bound %d", step, st.Entries, st.HighWater, maxEntries)
+		if st.Entries > maxEntries {
+			t.Fatalf("step %d: entries %d exceed bound %d", step, st.Entries, maxEntries)
 		}
 		if st.Bytes > maxBytes && st.Entries > 1 {
 			t.Fatalf("step %d: bytes %d exceed bound %d with %d entries", step, st.Bytes, maxBytes, st.Entries)
@@ -100,16 +100,11 @@ func TestAnswerCacheProperty(t *testing.T) {
 	}
 
 	st := c.Stats()
-	if st.Hits+st.Misses != gets {
-		t.Fatalf("hits(%d) + misses(%d) = %d, want the %d Get calls", st.Hits, st.Misses, st.Hits+st.Misses, gets)
+	hits, misses := reg.Counter(obs.MAnswerCacheHits).Value(), reg.Counter(obs.MAnswerCacheMisses).Value()
+	if hits+misses != gets {
+		t.Fatalf("fq_answer_cache_hits_total (%d) + fq_answer_cache_misses_total (%d) = %d, want the %d Get calls", hits, misses, hits+misses, gets)
 	}
-	if hits := reg.Counter(obs.MAnswerCacheHits).Value(); hits != st.Hits {
-		t.Fatalf("fq_answer_cache_hits_total = %d, internal ledger %d", hits, st.Hits)
-	}
-	if misses := reg.Counter(obs.MAnswerCacheMisses).Value(); misses != st.Misses {
-		t.Fatalf("fq_answer_cache_misses_total = %d, internal ledger %d", misses, st.Misses)
-	}
-	if st.Hits == 0 {
+	if hits == 0 {
 		t.Fatal("schedule produced no hits; the property test exercised nothing")
 	}
 	if ev := reg.Counter(obs.MAnswerCacheEvictions, "reason", "size").Value(); ev == 0 {

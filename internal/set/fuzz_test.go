@@ -96,14 +96,34 @@ func encodeSets(inputs ...[]string) []byte {
 	return data
 }
 
+// startsIn says r's items start in the backing array of one of sets.
+func startsIn(r Set, sets ...Set) bool {
+	if cap(r.items) == 0 {
+		return false
+	}
+	first := &r.items[:1][0]
+	for _, s := range sets {
+		all := s.items[:cap(s.items)]
+		for i := range all {
+			if &all[i] == first {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // FuzzSetAlgebra checks the kernels, materialized (UnionAll, the folded
-// Union, IntersectAll, IntersectOver into each input, Intersect, Diff, and
-// the forms that take their allocation) and streaming (the merges, which run
-// the same kernels over one frontier after another), against the reference
-// on arbitrary byte items: NULs, common prefixes past 8 bytes, suffixes of
-// 0–16 bytes, empty inputs and duplicates across inputs, each input streamed
-// at its own batch size. A batch size is mostly 1–9 and sometimes up to 64,
-// so that one input's frontier can span several of another's batches.
+// Union, IntersectAll, Intersect, Diff, and the forms that take their
+// allocation) and streaming (the merges, which run the same kernels over one
+// frontier after another), against the reference on arbitrary byte items:
+// NULs, common prefixes past 8 bytes, suffixes of 0–16 bytes, empty inputs
+// and duplicates across inputs, each input streamed at its own batch size. A
+// batch size is mostly 1–9 and sometimes up to 64, so that one input's
+// frontier can span several of another's batches. Every materialized result
+// is held to the package's contract: it starts in no input's buffer, and it
+// has a buffer exactly when it has items — the one the forms that take
+// their allocation asked for, once.
 func FuzzSetAlgebra(f *testing.F) {
 	f.Add("", encodeSets([]string{"AB"}, []string{"AB\x00"}), int64(1))
 	f.Add("P", encodeSets([]string{"1234567", "x"}, []string{"12345678", "1234567"}), int64(2))
@@ -114,75 +134,63 @@ func FuzzSetAlgebra(f *testing.F) {
 	// An item of eight 0xff bytes beside an empty one: the prefix is empty,
 	// so the union re-keys, and the item's first key had the sentinel's bits.
 	f.Add("", encodeSets(nil, []string{"\xff\xff\xff\xff\xff\xff\xff\xff"}, []string{""}), int64(7))
+	// One input, and an empty subtrahend: results that are copies.
+	f.Add("", encodeSets([]string{"a", "b"}), int64(8))
 	f.Fuzz(func(t *testing.T, prefix string, data []byte, seed int64) {
 		if len(prefix) > 32 {
 			prefix = prefix[:32]
 		}
 		sets := decodeSets(prefix, data)
 		r := rand.New(rand.NewSource(seed))
-
-		want := referenceUnion(sets)
-		got := UnionAll(sets...)
-		if !got.Equal(want) {
-			t.Fatalf("UnionAll(%q) = %q, want %q", sets, got.Items(), want.Items())
-		}
-		folded := Empty
-		for _, s := range sets {
-			folded = folded.Union(s)
-		}
-		if !folded.Equal(want) {
-			t.Fatalf("folded Union(%q) = %q, want %q", sets, folded.Items(), want.Items())
-		}
-		wantInter := referenceIntersect(sets)
-		if got := IntersectAll(sets...); !got.Equal(wantInter) {
-			t.Fatalf("IntersectAll(%q) = %q, want %q", sets, got.Items(), wantInter.Items())
-		}
-		// The forms that take their allocation, from the pool here: a union
-		// asks for its exact size, ∩ and − for their bound, and what they
-		// asked for goes back.
-		asked := -1
-		pooled := func(n int) []string { asked = n; return Alloc(n) }
-		if got := UnionWith(pooled, sets...); !got.Equal(want) || asked >= 0 && asked != got.Len() {
-			t.Fatalf("UnionWith(%q) = %q after asking for %d, want %q", sets, got.Items(), asked, want.Items())
-		} else if asked >= 0 {
-			Release(got)
-		}
-		asked = -1
-		if got := IntersectWith(pooled, sets...); !got.Equal(wantInter) {
-			t.Fatalf("IntersectWith(%q) = %q, want %q", sets, got.Items(), wantInter.Items())
-		} else if asked >= 0 {
-			Release(got)
-		}
-		for into := range sets {
-			owned := make([]Set, len(sets))
-			copy(owned, sets)
-			owned[into] = New(sets[into].Items()...)
-			buf := owned[into].Items()
-			got := IntersectOver(into, owned...)
-			if !got.Equal(wantInter) {
-				t.Fatalf("IntersectOver(%d, %q) = %q, want %q", into, sets, got.Items(), wantInter.Items())
-			}
-			if got.Len() > 0 && &got.Items()[0] != &buf[0] {
-				t.Fatalf("IntersectOver(%d, %q) is not in the buffer of its input", into, sets)
-			}
-		}
 		a, b := sets[0], Empty
 		if len(sets) > 1 {
 			b = sets[1]
 		}
-		if got, want := a.Intersect(b), referenceIntersect([]Set{a, b}); !got.Equal(want) {
-			t.Fatalf("Intersect(%q, %q) = %q, want %q", a, b, got.Items(), want.Items())
+		// exact checks a result of an exact-size form: want, in a buffer of
+		// its own when it has items, and in none when it has not.
+		exact := func(name string, got, want Set, ins ...Set) {
+			t.Helper()
+			if !got.Equal(want) || startsIn(got, ins...) || (cap(got.items) > 0) != (got.Len() > 0) {
+				t.Fatalf("%s(%q) = %q (cap %d, in an input: %v), want %q", name, ins, got.Items(), cap(got.items), startsIn(got, ins...), want.Items())
+			}
 		}
-		wantDiff := referenceDiff(a, b)
-		if got := a.Diff(b); !got.Equal(wantDiff) {
-			t.Fatalf("Diff(%q, %q) = %q, want %q", a, b, got.Items(), wantDiff.Items())
-		}
-		asked = -1
-		if got := DiffWith(pooled, a, b); !got.Equal(wantDiff) {
-			t.Fatalf("DiffWith(%q, %q) = %q, want %q", a, b, got.Items(), wantDiff.Items())
-		} else if asked >= 0 {
+		// with runs a form that takes its allocation, from the pool, and
+		// checks it as exact does, and that it asked for room once, for
+		// size, exactly when the result has items; what it asked for goes
+		// back.
+		with := func(name string, op func(alloc func(int) []string) Set, size int, want Set, ins ...Set) {
+			t.Helper()
+			calls, asked := 0, -1
+			got := op(func(n int) []string { calls, asked = calls+1, n; return Alloc(n) })
+			exact(name, got, want, ins...)
+			if calls != b2i(got.Len() > 0) || calls > 0 && asked != size {
+				t.Fatalf("%s(%q) = %q after %d calls to alloc, the last for %d; want one for %d exactly when the result has items", name, ins, got.Items(), calls, asked, size)
+			}
 			Release(got)
 		}
+
+		want := referenceUnion(sets)
+		exact("UnionAll", UnionAll(sets...), want, sets...)
+		folded := Empty
+		for _, s := range sets {
+			next := folded.Union(s)
+			exact("Union", next, referenceUnion([]Set{folded, s}), folded, s)
+			folded = next
+		}
+		if !folded.Equal(want) {
+			t.Fatalf("folded Union(%q) = %q, want %q", sets, folded.Items(), want.Items())
+		}
+		with("UnionWith", func(alloc func(int) []string) Set { return UnionWith(alloc, sets...) }, want.Len(), want, sets...)
+
+		wantInter := referenceIntersect(sets)
+		exact("IntersectAll", IntersectAll(sets...), wantInter, sets...)
+		least := sets[smallest(sets)].Len()
+		with("IntersectWith", func(alloc func(int) []string) Set { return IntersectWith(alloc, sets...) }, least, wantInter, sets...)
+		exact("Intersect", a.Intersect(b), referenceIntersect([]Set{a, b}), a, b)
+
+		wantDiff := referenceDiff(a, b)
+		exact("Diff", a.Diff(b), wantDiff, a, b)
+		with("DiffWith", func(alloc func(int) []string) Set { return DiffWith(alloc, a, b) }, a.Len(), wantDiff, a, b)
 
 		size := func() int {
 			if r.Intn(4) == 0 {

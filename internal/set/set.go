@@ -16,6 +16,11 @@
 // so a consumer that keeps items past that copies the slice; Collect does.
 // Both forms run the same kernels: one union (union.go) and one filter for
 // ∩ and − (below), which a merge runs over its inputs' decided prefixes.
+//
+// A materialized result is a buffer of its own, which its caller owns
+// alone: UnionWith, IntersectWith and DiffWith put a result that has items
+// in a slice from their alloc, and call alloc for nothing else (an empty
+// result is the zero Set). The other operators pass an exact-size alloc.
 package set
 
 import (
@@ -97,12 +102,9 @@ func (s Set) Intersect(t Set) Set { return IntersectAll(s, t) }
 func (s Set) Diff(t Set) Set { return DiffWith(exact, s, t) }
 
 // DiffWith is s.Diff(t) with the result in a slice from alloc, asked for
-// room for s. When s or t is empty the result is s, and alloc is not called.
+// room for s.
 func DiffWith(alloc func(n int) []string, s, t Set) Set {
-	if s.IsEmpty() || t.IsEmpty() {
-		return s
-	}
-	return Set{items: filter(alloc(len(s.items)), s.items, t.items, false)}
+	return Set{items: filterWith(alloc, len(s.items), s.items, t.items, false)}
 }
 
 // exact is the allocation of the exact-size forms: an empty slice of
@@ -122,23 +124,10 @@ func (s Set) Equal(t Set) bool {
 	return true
 }
 
-// SubsetOf reports whether every item of s is in t.
+// SubsetOf reports whether every item of s is in t: whether s − t keeps
+// none.
 func (s Set) SubsetOf(t Set) bool {
-	if len(s.items) > len(t.items) {
-		return false
-	}
-	i, j := 0, 0
-	for i < len(s.items) && j < len(t.items) {
-		switch {
-		case s.items[i] < t.items[j]:
-			return false
-		case s.items[i] > t.items[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
+	i, _ := lead(s.items, t.items, false)
 	return i == len(s.items)
 }
 
@@ -172,17 +161,22 @@ func (s Set) String() string {
 func IntersectAll(sets ...Set) Set { return IntersectWith(exact, sets...) }
 
 // IntersectWith is IntersectAll with the result in a slice from alloc,
-// asked for room for the smallest input. With one input the result is that
-// set, and with an empty one the empty set: alloc is not called.
+// asked for room for the smallest input.
 func IntersectWith(alloc func(n int) []string, sets ...Set) Set {
-	if len(sets) == 1 {
-		return sets[0]
-	}
 	small := smallest(sets)
-	if small < 0 || len(sets[small].items) == 0 {
+	if small < 0 {
 		return Set{}
 	}
-	return Set{items: intersect(alloc(len(sets[small].items)), sets)}
+	n := len(sets[small].items)
+	if len(sets) == 2 {
+		return Set{items: filterWith(alloc, n, sets[small].items, sets[1-small].items, true)}
+	}
+	// One set, or more than two (no plan step's): ∩ in a scratch buffer
+	// from the pool, copied if it has items (a difference from nothing).
+	in := intersect(Alloc(n), sets)
+	out := filterWith(alloc, n, in, nil, false)
+	Release(Set{items: in})
+	return Set{items: out}
 }
 
 // smallest is the index of the first of the shortest sets, -1 for none.
@@ -194,31 +188,6 @@ func smallest(sets []Set) int {
 		}
 	}
 	return small
-}
-
-// IntersectOver returns the intersection of the given sets written over the
-// buffer of sets[into], which its caller owns alone and gives up: the result
-// is the caller's, in that buffer, and sets[into] may not be read again. The
-// smallest set is filtered into the buffer by sets[into] first — each item is
-// written at or before the position of sets[into] the walk has reached,
-// which it never reads again — and then in place by each other set. It is
-// the round scheduler's X := X ∩ Y when the run owns X.
-func IntersectOver(into int, sets ...Set) Set {
-	x := sets[into].items
-	if len(sets) == 1 {
-		return sets[into]
-	}
-	small := smallest(sets)
-	in := x
-	if small != into {
-		in = filter(x[:0], sets[small].items, x, true)
-	}
-	for i, s := range sets {
-		if i != small && i != into && len(in) > 0 {
-			in = filter(in[:0], in, s.items, true)
-		}
-	}
-	return Set{items: in}
 }
 
 // intersect is the intersection kernel: it appends to dst the items every
@@ -242,6 +211,46 @@ func intersect(dst []string, sets []Set) []string {
 		}
 	}
 	return dst
+}
+
+// filterWith is filter into a slice from alloc, asked for room for n, or
+// nil when filter keeps no item, alloc not called. lead walks to the first
+// item filter keeps, and filter goes on from there.
+func filterWith(alloc func(n int) []string, n int, a, b []string, keep bool) []string {
+	i, j := lead(a, b, keep)
+	if i == len(a) {
+		return nil
+	}
+	return filter(alloc(n), a[i:], b[j:], keep)
+}
+
+// lead is where filter(dst, a, b, keep) keeps its first item, a[i], with
+// b[:j] behind it; i is len(a) when it keeps none. It walks as filter does.
+func lead(a, b []string, keep bool) (i, j int) {
+	if len(b) > 8*len(a) {
+		for i, x := range a {
+			k, found := slices.BinarySearch(b[j:], x)
+			if found == keep {
+				return i, j
+			}
+			j += k
+		}
+		return len(a), j
+	}
+	for i < len(a) && j < len(b) {
+		c := strings.Compare(a[i], b[j])
+		if c <= 0 {
+			if (c == 0) == keep {
+				return i, j
+			}
+			i++
+		}
+		j += b2i(c >= 0)
+	}
+	if keep {
+		return len(a), j
+	}
+	return i, j
 }
 
 // filter appends to dst the items of sorted a whose membership in sorted b

@@ -95,6 +95,35 @@ func TestDiffEdgeCases(t *testing.T) {
 	}
 }
 
+// TestResultIsItsOwn: the results that could be their input as it stands —
+// a union of one non-empty set, a difference from the empty set, an
+// intersection of one set — are copies, so writing into one leaves its
+// input alone. A pooled result can go back without touching the input.
+func TestResultIsItsOwn(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(in Set) Set
+	}{
+		{"UnionWith", func(in Set) Set { return UnionWith(Alloc, Empty, in) }},
+		{"UnionAll", func(in Set) Set { return UnionAll(in, Empty) }},
+		{"DiffWith", func(in Set) Set { return DiffWith(Alloc, in, Empty) }},
+		{"Diff", func(in Set) Set { return in.Diff(Empty) }},
+		{"IntersectWith", func(in Set) Set { return IntersectWith(Alloc, in) }},
+		{"IntersectAll", func(in Set) Set { return IntersectAll(in) }},
+	} {
+		in := New("a", "b", "c")
+		got := tc.op(in)
+		if !got.Equal(in) {
+			t.Fatalf("%s = %v, want %v", tc.name, got, in)
+		}
+		got.items[0] = "z"
+		Release(got)
+		if want := New("a", "b", "c"); !in.Equal(want) {
+			t.Fatalf("%s: writing into the result made its input %v", tc.name, in)
+		}
+	}
+}
+
 func TestIntersectLopsided(t *testing.T) {
 	// Exercise the binary-search path (large side > 8x small side).
 	large := make([]string, 0, 100)

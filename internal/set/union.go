@@ -128,21 +128,21 @@ func resize[T pair | int](s []T, n int) []T {
 	return s[:n]
 }
 
-// UnionAll returns the union of the given sets. The result is a slice of
-// exactly its length; with one non-empty input, it is that set.
+// UnionAll returns the union of the given sets in a slice of exactly its
+// length.
 func UnionAll(sets ...Set) Set { return UnionWith(exact, sets...) }
 
 // UnionWith is UnionAll with the result in a slice from alloc, asked for
 // room for exactly the result: Alloc, say, for a caller that gives the
-// buffer back when the result dies. With fewer than two non-empty inputs
-// the result is empty or that input, and alloc is not called.
+// buffer back when the result dies. A union of one non-empty input is a
+// copy of it.
 func UnionWith(alloc func(n int) []string, sets ...Set) Set {
 	runs, live, total := runsOf(sets)
 	switch runs {
 	case 0:
 		return Set{}
 	case 1:
-		return sets[live]
+		return Set{items: append(alloc(total), sets[live].items...)}
 	}
 	sc := scratchPool.Get().(*unionScratch)
 	defer scratchPool.Put(sc)
