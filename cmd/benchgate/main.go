@@ -23,9 +23,15 @@
 //
 // Usage, from the repository root:
 //
-//	go run ./cmd/benchgate            # check (make bench-gate)
-//	go run ./cmd/benchgate -write     # rerun every workload and rewrite the file
-//	go run ./cmd/benchgate -spread 9  # min, median and max of each metric over 9 runs
+//	go run ./cmd/benchgate                         # check (make bench-gate)
+//	go run ./cmd/benchgate -write                  # rerun every workload and rewrite the file
+//	go run ./cmd/benchgate -write plan-reuse ...   # rerun and restamp those entries alone
+//	go run ./cmd/benchgate -spread 9               # min, median and max of each metric over 9 runs
+//
+// -write with names reruns only the workloads named and rewrites only their
+// entries, every other byte of the file left as it was: a change that moves
+// one workload's counts on purpose restamps that one, and the others keep
+// the stamps they were measured at.
 package main
 
 import (
@@ -102,17 +108,19 @@ type stamp struct {
 }
 
 func main() {
-	write := flag.Bool("write", false, "rerun every workload of the file and rewrite it")
+	write := flag.Bool("write", false, "rerun the workloads named after the flags, or every workload of the file, and rewrite their entries")
 	spread := flag.Int("spread", 0, "run every workload of the file this many times and print each gated metric's min, median and max; gates nothing")
 	flag.Parse()
 	var err error
 	switch {
 	case *write && *spread > 0:
 		err = fmt.Errorf("-write and -spread exclude each other")
+	case !*write && flag.NArg() > 0:
+		err = fmt.Errorf("workload names are for -write alone: %q", flag.Args())
 	case *spread > 0:
 		err = printSpread(*spread)
 	default:
-		err = run(*write)
+		err = run(*write, flag.Args())
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
@@ -120,34 +128,40 @@ func main() {
 	}
 }
 
-// load reads the file: each workload's entry, and the workloads in name
-// order with each one's stamp.
-func load() (map[string]point, []string, map[string]stamp, error) {
+// load reads the file: its bytes, each workload's entry, and the workloads
+// in name order with each one's stamp.
+func load() ([]byte, map[string]point, []string, map[string]stamp, error) {
 	data, err := os.ReadFile(file)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	var want map[string]point
 	if err := json.Unmarshal(data, &want); err != nil {
-		return nil, nil, nil, fmt.Errorf("%s: %w", file, err)
+		return nil, nil, nil, nil, fmt.Errorf("%s: %w", file, err)
 	}
 	names := make([]string, 0, len(want))
 	stamps := map[string]stamp{}
 	for name, p := range want {
 		var st stamp
 		if err := json.Unmarshal(p.Stamp, &st); err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: %s stamp: %w", file, name, err)
+			return nil, nil, nil, nil, fmt.Errorf("%s: %s stamp: %w", file, name, err)
 		}
 		names = append(names, name)
 		stamps[name] = st
 	}
 	sort.Strings(names)
-	return want, names, stamps, nil
+	return data, want, names, stamps, nil
 }
 
-func run(write bool) error {
-	want, names, stamps, err := load()
+// run checks every workload of the file, or with write reruns the
+// workloads only names (every one when only is empty) and rewrites their
+// entries.
+func run(write bool, only []string) error {
+	data, want, names, stamps, err := load()
 	if err != nil {
+		return err
+	}
+	if names, err = pick(names, only); err != nil {
 		return err
 	}
 	got, failed := map[string]point{}, 0
@@ -196,11 +210,11 @@ func run(write bool) error {
 		}
 	}
 	if write {
-		out, err := json.MarshalIndent(got, "", "  ")
+		out, err := restamp(data, got)
 		if err != nil {
 			return err
 		}
-		return os.WriteFile(file, append(out, '\n'), 0o644)
+		return os.WriteFile(file, out, 0o644)
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d counts moved past their bounds; a change that moves them on purpose rewrites %s (go run ./cmd/benchgate -write)", failed, file)
@@ -213,7 +227,7 @@ func run(write bool) error {
 // runs, and the spread (max-min)/median: the noise floor a bound has to
 // clear.
 func printSpread(n int) error {
-	_, names, stamps, err := load()
+	_, _, names, stamps, err := load()
 	if err != nil {
 		return err
 	}
@@ -233,6 +247,54 @@ func printSpread(n int) error {
 		}
 	}
 	return nil
+}
+
+// pick is the names that only lists, in names' order, or all of names when
+// only is empty; a name that names lacks is an error.
+func pick(names, only []string) ([]string, error) {
+	for _, name := range only {
+		if !slices.Contains(names, name) {
+			return nil, fmt.Errorf("%s has no workload %q (it has %s)", file, name, strings.Join(names, ", "))
+		}
+	}
+	if len(only) == 0 {
+		return names, nil
+	}
+	return slices.DeleteFunc(names, func(name string) bool { return !slices.Contains(only, name) }), nil
+}
+
+// restamp is the file's bytes with the entries of got in place of theirs,
+// each indented as a whole file written by json.MarshalIndent would indent
+// it, and every other byte as it was.
+func restamp(data []byte, got map[string]point) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return nil, fmt.Errorf("%s: not a JSON object", file)
+	}
+	var out []byte
+	done := 0
+	for dec.More() {
+		t, err := dec.Token()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", file, err)
+		}
+		var entry json.RawMessage
+		if err := dec.Decode(&entry); err != nil {
+			return nil, fmt.Errorf("%s: %w", file, err)
+		}
+		p, ok := got[t.(string)]
+		if !ok {
+			continue
+		}
+		end := int(dec.InputOffset())
+		value, err := json.MarshalIndent(p, "  ", "  ")
+		if err != nil {
+			return nil, err
+		}
+		out = append(append(out, data[done:end-len(entry)]...), value...)
+		done = end
+	}
+	return append(out, data[done:]...), nil
 }
 
 // measureRuns runs one workload k times and returns each run's gated

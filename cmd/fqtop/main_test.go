@@ -16,13 +16,13 @@ import (
 func TestRenderOnceAgainstLiveAdmin(t *testing.T) {
 	rec := obs.NewRecorder(obs.RecorderConfig{})
 	// One completed hedged query, one completed error, one still in flight.
-	lq := rec.Begin("q-done-1", "V = 'dui' AND V = 'sp'")
+	lq := rec.Begin("q-done-1", obs.Text("V = 'dui' AND V = 'sp'"))
 	lq.Exchange("R1", "sq", 128)
 	lq.Exchange("R2", "sjq", 512)
 	rec.End(lq, obs.EndInfo{Items: 3, Hedges: 1})
-	lq = rec.Begin("q-err-2", "V = 'x'")
+	lq = rec.Begin("q-err-2", obs.Text("V = 'x'"))
 	rec.End(lq, obs.EndInfo{Err: errors.New("replica roster exhausted")})
-	inflight := rec.Begin("q-live-3", "V = 'y'")
+	inflight := rec.Begin("q-live-3", obs.Text("V = 'y'"))
 	inflight.Exchange("R3", "sq", 64)
 
 	reg := obs.NewRegistry()

@@ -64,11 +64,14 @@ type Cond interface {
 	String() string
 }
 
-// Compare is an "attr op literal" leaf.
+// Compare is an "attr op literal" leaf. Like every node, it is not changed
+// once made: Bind keeps what it binds in the node (bound.go).
 type Compare struct {
 	Attr string
 	Op   Op
 	Lit  relation.Value
+
+	bound leafMemo
 }
 
 // Eval implements Cond.
@@ -139,6 +142,8 @@ func (c *Compare) String() string { return text(c) }
 type In struct {
 	Attr string
 	Vals []relation.Value
+
+	bound leafMemo
 }
 
 // Eval implements Cond.
@@ -254,7 +259,7 @@ func (True) String() string { return "TRUE" }
 
 // text renders c as String does, in a buffer of exactly its length.
 func text(c Cond) string {
-	return string(appendText(make([]byte, 0, TextLen(c)), c))
+	return string(AppendText(make([]byte, 0, TextLen(c)), c))
 }
 
 // TextLen is len(c.String()), counted without rendering: what a condition
@@ -304,10 +309,10 @@ func operandLen(c Cond) int {
 	return TextLen(c)
 }
 
-// appendText appends c's text to dst: the one renderer of the condition
-// syntax. An operand that is itself a conjunction or disjunction is
-// parenthesized.
-func appendText(dst []byte, c Cond) []byte {
+// AppendText appends c's text, c.String(), to dst: the one renderer of the
+// condition syntax. An operand that is itself a conjunction or disjunction
+// is parenthesized. It allocates only to grow dst.
+func AppendText(dst []byte, c Cond) []byte {
 	switch c := c.(type) {
 	case *Compare:
 		dst = append(dst, c.Attr...)
@@ -347,10 +352,10 @@ func appendOperand(dst []byte, c Cond) []byte {
 	switch c.(type) {
 	case *And, *Or:
 		dst = append(dst, '(')
-		dst = appendText(dst, c)
+		dst = AppendText(dst, c)
 		return append(dst, ')')
 	}
-	return appendText(dst, c)
+	return AppendText(dst, c)
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any single rune).

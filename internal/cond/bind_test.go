@@ -3,6 +3,7 @@ package cond
 import (
 	"testing"
 
+	"fusionq/internal/racetest"
 	"fusionq/internal/relation"
 )
 
@@ -132,5 +133,31 @@ func TestBindResolvesAgainstItsSchema(t *testing.T) {
 	}
 	if got := matchAll(p2, viewOf(t, swapped, relation.Tuple{relation.Int(1990), relation.String("J55")})); got[0] {
 		t.Fatal("swapped: D = 1990 matches D >= 1993")
+	}
+}
+
+// TestBindAllocs: a leaf keeps what it binds, so binding it again to the
+// same schema returns the same kernel and allocates nothing, whichever kind
+// of leaf it is. A connective keeps scratch, so it binds anew over its
+// operands' kept leaves: one allocation, its own node.
+func TestBindAllocs(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	for _, text := range []string{"I < 50", "F >= 0.5", "S = 'x'", "B = true", "S LIKE 'x%'", "I IN (1, 7)", "S IN ('x', 'y')"} {
+		c := MustParse(text)
+		first := mustBind(t, c)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if p, err := c.Bind(every); err != nil || p != first {
+				t.Fatalf("%s bound again: %v, %v; want the first kernel", text, p, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s bound again: %v allocations, want 0", text, allocs)
+		}
+	}
+	and := MustParse("I < 50 AND S = 'x'")
+	mustBind(t, and)
+	if allocs := testing.AllocsPerRun(100, func() { mustBind(t, and) }); allocs != 1 {
+		t.Errorf("an AND bound again: %v allocations, want 1", allocs)
 	}
 }

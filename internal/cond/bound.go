@@ -1,6 +1,7 @@
 package cond
 
 import (
+	"sync/atomic"
 	"unicode/utf8"
 
 	"fusionq/internal/relation"
@@ -18,8 +19,9 @@ import (
 type Pred interface {
 	// Match sets out[i] to whether row lo+i of v satisfies the condition,
 	// for every i below len(out). v must be an ordered view of the schema
-	// the condition was bound to. A Pred keeps its scratch vectors between
-	// calls, so one Pred serves one goroutine; Bind is cheap.
+	// the condition was bound to. An And or Or keeps its scratch vectors
+	// between calls, so its Pred serves one goroutine; a leaf's keeps none
+	// and is shared, binding the leaf again returning it (leafMemo).
 	Match(v *relation.Ordered, lo int, out []bool)
 }
 
@@ -28,23 +30,27 @@ func (c *Compare) Bind(schema *relation.Schema) (Pred, error) {
 	if err := c.Check(schema); err != nil {
 		return nil, err
 	}
-	col, _ := schema.Index(c.Attr)
-	switch kind := schema.Columns()[col].Kind; {
+	return c.bound.bind(schema, c.Attr, c.leaf), nil
+}
+
+// leaf is the kernel of c over column col of the kind given.
+func (c *Compare) leaf(col int, kind relation.Kind) Pred {
+	switch {
 	case c.Op == OpLike:
-		return &likeLeaf{col: col, pattern: []rune(c.Lit.Str())}, nil
+		return &likeLeaf{col: col, pattern: []rune(c.Lit.Str())}
 	case kind == relation.KindInt:
-		return &intLeaf{col: col, op: c.Op, lit: c.Lit.AsFloat()}, nil
+		return &intLeaf{col: col, op: c.Op, lit: c.Lit.AsFloat()}
 	case kind == relation.KindFloat:
-		return &floatLeaf{col: col, op: c.Op, lit: c.Lit.AsFloat()}, nil
+		return &floatLeaf{col: col, op: c.Op, lit: c.Lit.AsFloat()}
 	case kind == relation.KindString:
-		return &stringLeaf{col: col, op: c.Op, lit: c.Lit.Str()}, nil
+		return &stringLeaf{col: col, op: c.Op, lit: c.Lit.Str()}
 	default:
 		// Value.Compare orders false before true.
 		lit := 0
 		if c.Lit.BoolVal() {
 			lit = 1
 		}
-		return &boolLeaf{col: col, onTrue: c.Op.holds(1 - lit), onFalse: c.Op.holds(0 - lit)}, nil
+		return &boolLeaf{col: col, onTrue: c.Op.holds(1 - lit), onFalse: c.Op.holds(0 - lit)}
 	}
 }
 
@@ -53,31 +59,64 @@ func (c *In) Bind(schema *relation.Schema) (Pred, error) {
 	if err := c.Check(schema); err != nil {
 		return nil, err
 	}
-	col, _ := schema.Index(c.Attr)
-	switch kind := schema.Columns()[col].Kind; kind {
+	return c.bound.bind(schema, c.Attr, c.leaf), nil
+}
+
+// leaf is the kernel of c over column col of the kind given.
+func (c *In) leaf(col int, kind relation.Kind) Pred {
+	switch kind {
 	case relation.KindInt, relation.KindFloat:
 		lits := make([]float64, len(c.Vals))
 		for i, v := range c.Vals {
 			lits[i] = v.AsFloat()
 		}
 		if kind == relation.KindInt {
-			return &intIn{col: col, lits: lits}, nil
+			return &intIn{col: col, lits: lits}
 		}
-		return &floatIn{col: col, lits: lits}, nil
+		return &floatIn{col: col, lits: lits}
 	case relation.KindString:
 		lits := make([]string, len(c.Vals))
 		for i, v := range c.Vals {
 			lits[i] = v.Str()
 		}
-		return &stringIn{col: col, lits: lits}, nil
+		return &stringIn{col: col, lits: lits}
 	default:
 		leaf := &boolLeaf{col: col}
 		for _, v := range c.Vals {
 			leaf.onTrue = leaf.onTrue || v.BoolVal()
 			leaf.onFalse = leaf.onFalse || !v.BoolVal()
 		}
-		return leaf, nil
+		return leaf
 	}
+}
+
+// leafMemo is the kernel a leaf was last bound to, kept in the node. A
+// leaf's kernel is immutable (it keeps no scratch), so every source that
+// binds the node, on any goroutine, and every later query of a plan that
+// holds it, share one; And and Or keep scratch, so they bind afresh each
+// time, over their operands' shared leaves. The kernel is keyed by the
+// column and kind it reads, which are all a schema decides of it: a schema
+// that puts the attribute elsewhere binds a new one, which replaces it.
+type leafMemo struct{ p atomic.Pointer[boundLeaf] }
+
+type boundLeaf struct {
+	col  int
+	kind relation.Kind
+	pred Pred
+}
+
+// bind is a leaf's kernel over attr's column of schema, which Check has
+// found: the kept one if it reads that column of that kind, else a new one
+// from leaf, kept in its place.
+func (m *leafMemo) bind(schema *relation.Schema, attr string, leaf func(col int, kind relation.Kind) Pred) Pred {
+	col, _ := schema.Index(attr)
+	kind := schema.Columns()[col].Kind
+	if b := m.p.Load(); b != nil && b.col == col && b.kind == kind {
+		return b.pred
+	}
+	pred := leaf(col, kind)
+	m.p.Store(&boundLeaf{col: col, kind: kind, pred: pred})
+	return pred
 }
 
 // Bind implements Cond.

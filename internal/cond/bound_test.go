@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"fusionq/internal/relation"
@@ -89,19 +90,20 @@ func randomCond(rng *rand.Rand, depth int) Cond {
 	}
 }
 
-// checkBoundMatchesEval binds c and holds the kernel to Eval on every row of
-// rel: over the whole view, then over a window of it with the same Pred, the
-// way a semijoin probes one group after another.
+// checkBoundMatchesEval binds c to rel's schema and holds the kernel to Eval
+// on every row of rel: over the whole view, then over a window of it with
+// the same Pred, the way a semijoin probes one group after another.
 func checkBoundMatchesEval(t *testing.T, rng *rand.Rand, rel *relation.Relation, c Cond) {
 	t.Helper()
-	pred, err := c.Bind(every)
+	schema := rel.Schema()
+	pred, err := c.Bind(schema)
 	if err != nil {
 		t.Fatalf("Bind(%s): %v", c, err)
 	}
 	view := rel.Ordered()
 	want := make([]bool, len(view.Rows))
 	for i, row := range view.Rows {
-		if want[i], err = c.Eval(every, row); err != nil {
+		if want[i], err = c.Eval(schema, row); err != nil {
 			t.Fatalf("%s: Eval(%v): %v", c, row, err)
 		}
 	}
@@ -153,9 +155,34 @@ func mustBind(t *testing.T, c Cond) Pred {
 	return p
 }
 
+// permuted has every's columns, each in another place.
+var permuted = relation.MustSchema("ID",
+	relation.Column{Name: "S", Kind: relation.KindString},
+	relation.Column{Name: "B", Kind: relation.KindBool},
+	relation.Column{Name: "ID", Kind: relation.KindString},
+	relation.Column{Name: "F", Kind: relation.KindFloat},
+	relation.Column{Name: "I", Kind: relation.KindInt},
+)
+
+// permute is rel, a relation of every, as a relation of permuted.
+func permute(rel *relation.Relation) *relation.Relation {
+	out := relation.NewRelation(permuted)
+	for _, row := range rel.Rows() {
+		perm := make(relation.Tuple, len(row))
+		for k, col := range every.Columns() {
+			i, _ := permuted.Index(col.Name)
+			perm[i] = row[k]
+		}
+		out.MustInsert(perm...)
+	}
+	return out
+}
+
 // FuzzBoundMatchesEval draws the relation from the seed and takes the
 // condition from the text when it parses and fits the schema, from the seed
-// otherwise.
+// otherwise. It binds the condition twice, so the second bind reuses the
+// leaves the first kept, then to a schema that puts every column elsewhere,
+// where a leaf kept for its old column reads the wrong one, and back.
 func FuzzBoundMatchesEval(f *testing.F) {
 	for seed, expr := range []string{
 		"I < 50",
@@ -176,6 +203,51 @@ func FuzzBoundMatchesEval(f *testing.F) {
 		if err != nil || c.Check(every) != nil {
 			c = randomCond(rng, 3)
 		}
-		checkBoundMatchesEval(t, rng, rel, c)
+		moved := permute(rel)
+		for _, r := range []*relation.Relation{rel, rel, moved, rel} {
+			checkBoundMatchesEval(t, rng, r, c)
+		}
 	})
+}
+
+// TestBindSharedAcrossGoroutines binds one condition from several goroutines
+// at once, each a source of its own over one of two schemas that place the
+// columns differently, and holds every kernel to Eval. The leaves' kept
+// kernels are shared and replaced under the goroutines' feet; the race
+// detector watches them.
+func TestBindSharedAcrossGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c := MustParse("(I < 50 OR S IN ('x', 'yy')) AND NOT F >= 7")
+	var rels []*relation.Relation
+	for k := 0; k < 4; k++ {
+		rel := randomRelation(rng, 40)
+		if k%2 == 1 {
+			rel = permute(rel)
+		}
+		rels = append(rels, rel)
+	}
+	var wg sync.WaitGroup
+	for _, rel := range rels {
+		view, schema := rel.Ordered(), rel.Schema()
+		want := make([]bool, len(view.Rows))
+		for i, row := range view.Rows {
+			want[i], _ = c.Eval(schema, row)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				pred, err := c.Bind(schema)
+				if err != nil {
+					t.Errorf("Bind(%s): %v", c, err)
+					return
+				}
+				if got := matchAll(pred, view); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s over %s: kernel %v, Eval %v", c, schema.Columns(), got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

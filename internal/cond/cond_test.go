@@ -2,9 +2,11 @@ package cond
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"fusionq/internal/racetest"
 	"fusionq/internal/relation"
 )
 
@@ -288,6 +290,36 @@ func TestBetween(t *testing.T) {
 	for _, bad := range []string{"D BETWEEN", "D BETWEEN 1 OR 2", "D BETWEEN 1 AND"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
+		}
+	}
+}
+
+// TestParseAllocs: the parser lexes into an array on its own stack, so a
+// comparison parses in one allocation, its node.
+func TestParseAllocs(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	for _, text := range []string{"A1 < 500", "a1 < 500", "D >= 1993", "V = 'dui'"} {
+		if allocs := testing.AllocsPerRun(100, func() { MustParse(text) }); allocs != 1 {
+			t.Errorf("Parse(%q): %v allocations, want 1", text, allocs)
+		}
+	}
+}
+
+// TestKeywordsInAnyCase: a word is a keyword exactly when strings.ToUpper
+// makes one of it, and its token's text is the keyword upper case. "ªnd"
+// is a word the lexer takes whole that is not ASCII.
+func TestKeywordsInAnyCase(t *testing.T) {
+	for _, word := range []string{"and", "AnD", "between", "BETWEENX", "betwee", "in", "where", "a1", "Like_", "x", "ªnd"} {
+		toks, err := lex(nil, word)
+		if err != nil {
+			t.Fatalf("lex(%q): %v", word, err)
+		}
+		upper := strings.ToUpper(word)
+		_, want := keywords[upper]
+		if got := toks[0].kind == tokKeyword; got != want || got && toks[0].text != upper {
+			t.Errorf("lex(%q) = %+v; keyword %v, want %v (%q)", word, toks[0], got, want, upper)
 		}
 	}
 }

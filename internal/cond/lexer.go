@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind classifies lexer tokens for the condition and SQL grammars.
@@ -26,17 +27,43 @@ type token struct {
 	pos  int
 }
 
-// keywords recognized case-insensitively by the condition and SQL lexers.
-var keywords = map[string]bool{
-	"AND": true, "OR": true, "NOT": true, "IN": true, "LIKE": true,
-	"BETWEEN": true, "TRUE": true, "FALSE": true,
-	"SELECT": true, "FROM": true, "WHERE": true,
+// keywords recognized case-insensitively by the condition and SQL lexers,
+// each upper case and mapped to itself: a keyword token's text is the
+// map's string.
+var keywords = map[string]string{
+	"AND": "AND", "OR": "OR", "NOT": "NOT", "IN": "IN", "LIKE": "LIKE",
+	"BETWEEN": "BETWEEN", "TRUE": "TRUE", "FALSE": "FALSE",
+	"SELECT": "SELECT", "FROM": "FROM", "WHERE": "WHERE",
 }
 
-// lex tokenizes input. It is shared by this package's condition parser and
-// by the fusion SQL parser in internal/sqlparse.
-func lex(input string) ([]token, error) {
-	var toks []token
+// keyword reports whether word is a keyword in any case, and which. An
+// ASCII word is upper-cased in a buffer on the stack, so looking one up
+// allocates nothing; any other goes through strings.ToUpper, whose Unicode
+// case mapping can make a keyword of it.
+func keyword(word string) (string, bool) {
+	var buf [len("BETWEEN")]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= utf8.RuneSelf {
+			kw, ok := keywords[strings.ToUpper(word)]
+			return kw, ok
+		}
+		if i == len(buf) {
+			return "", false
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
+}
+
+// lex appends input's tokens to toks and returns it. It is shared by this
+// package's condition parser, which passes an array on its stack, and by
+// the fusion SQL parser in internal/sqlparse.
+func lex(toks []token, input string) ([]token, error) {
 	i := 0
 	for i < len(input) {
 		c := input[i]
@@ -67,8 +94,8 @@ func lex(input string) ([]token, error) {
 				j++
 			}
 			word := input[i:j]
-			if keywords[strings.ToUpper(word)] {
-				toks = append(toks, token{tokKeyword, strings.ToUpper(word), i})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, token{tokKeyword, kw, i})
 			} else {
 				toks = append(toks, token{tokIdent, word, i})
 			}
@@ -103,7 +130,7 @@ func lex(input string) ([]token, error) {
 				i++
 			}
 		case c == '(' || c == ')' || c == ',' || c == '.' || c == '*':
-			toks = append(toks, token{tokPunct, string(c), i})
+			toks = append(toks, token{tokPunct, input[i : i+1], i})
 			i++
 		default:
 			return nil, fmt.Errorf("cond: unexpected character %q at offset %d", c, i)
@@ -124,7 +151,7 @@ func isIdentPart(r rune) bool {
 // Tokens exposes the lexer to internal/sqlparse without duplicating it.
 // Token is re-exported there under a friendlier shape.
 func Tokens(input string) ([]Token, error) {
-	raw, err := lex(input)
+	raw, err := lex(nil, input)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,10 @@ import (
 //
 // Precedence, lowest to highest: OR, AND, NOT, comparison.
 func Parse(input string) (Cond, error) {
-	toks, err := lex(input)
+	// The tokens of a usual condition fit in an array on this stack; a
+	// longer one grows onto the heap.
+	var buf [parseTokens]token
+	toks, err := lex(buf[:0], input)
 	if err != nil {
 		return nil, err
 	}
@@ -36,6 +39,10 @@ func MustParse(input string) Cond {
 	}
 	return c
 }
+
+// parseTokens is the room Parse makes on its stack for tokens: an IN list
+// of a dozen values.
+const parseTokens = 32
 
 type parser struct {
 	toks []token

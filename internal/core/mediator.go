@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -646,14 +645,19 @@ func (m *Mediator) instrumented(ctx context.Context, conds []cond.Cond, body fun
 	return ans, err
 }
 
-// condsText renders a condition list as the query text shown by the live
-// registry and the flight recorder.
-func condsText(conds []cond.Cond) string {
-	parts := make([]string, len(conds))
-	for i, c := range conds {
-		parts[i] = c.String()
+// condsText is a condition list as the query text shown by the live
+// registry and the flight recorder, which render it only when they show it.
+type condsText []cond.Cond
+
+func (cs condsText) String() string {
+	var b []byte
+	for i, c := range cs {
+		if i > 0 {
+			b = append(b, " AND "...)
+		}
+		b = cond.AppendText(b, c)
 	}
-	return strings.Join(parts, " AND ")
+	return string(b)
 }
 
 // queryStatus classifies a query's outcome for the fq_queries_total label.

@@ -36,14 +36,14 @@ func adminGet(t *testing.T, addr, path string, wantStatus int) ([]byte, string) 
 func TestAdminDebugEndpoints(t *testing.T) {
 	rec := NewRecorder(RecorderConfig{})
 
-	done := rec.Begin("q-done", "SELECT L")
+	done := rec.Begin("q-done", Text("SELECT L"))
 	done.Exchange("R1", "sq", 64)
 	tr := NewTrace()
 	_, sp := StartSpan(With(context.Background(), &Obs{QueryID: "q-done", Trace: tr}), KindQuery, "fusion")
 	sp.End(nil)
 	rec.End(done, EndInfo{Trace: tr, Items: 2, Hedges: 1})
-	rec.End(rec.Begin("q-err", "SELECT V"), EndInfo{Err: errors.New("exhausted")})
-	live := rec.Begin("q-live", "SELECT M")
+	rec.End(rec.Begin("q-err", Text("SELECT V")), EndInfo{Err: errors.New("exhausted")})
+	live := rec.Begin("q-live", Text("SELECT M"))
 	live.Exchange("R2", "lq", 512)
 
 	type card struct {

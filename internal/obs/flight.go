@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -69,7 +70,7 @@ type LiveQuery struct {
 	start time.Time
 
 	mu      sync.Mutex
-	text    string
+	text    fmt.Stringer // rendered only for a kept record or a snapshot
 	phase   string
 	step    string
 	bytes   int64
@@ -157,10 +158,18 @@ type EndInfo struct {
 	Repaired  bool
 }
 
+// Text is a query text that is already a string, for Begin.
+type Text string
+
+// String implements fmt.Stringer.
+func (t Text) String() string { return string(t) }
+
 // Begin registers a query in the live registry and returns its entry, to be
-// installed in the query's Obs. Nil-safe: a nil recorder returns a nil
-// LiveQuery, whose methods are all no-ops.
-func (r *Recorder) Begin(qid, text string) *LiveQuery {
+// installed in the query's Obs. The query's text is rendered from text only
+// when the record is kept or a snapshot of the live registry is taken, so a
+// query sampled out never renders it. Nil-safe: a nil recorder returns a
+// nil LiveQuery, whose methods are all no-ops.
+func (r *Recorder) Begin(qid string, text fmt.Stringer) *LiveQuery {
 	if r == nil {
 		return nil
 	}
@@ -230,7 +239,7 @@ func (q *LiveQuery) snapshot() LiveQueryInfo {
 	defer q.mu.Unlock()
 	info := LiveQueryInfo{
 		QueryID:   q.qid,
-		Text:      q.text,
+		Text:      q.text.String(),
 		Start:     q.start,
 		ElapsedUS: time.Since(q.start).Microseconds(),
 		Phase:     q.phase,
@@ -330,7 +339,7 @@ func (r *Recorder) End(lq *LiveQuery, info EndInfo) {
 		rec.Error = info.Err.Error()
 	}
 	lq.mu.Lock()
-	rec.Text = lq.text
+	rec.Text = lq.text.String()
 	rec.Bytes = lq.bytes
 	rec.Sources = lq.sourceInfos()
 	lq.mu.Unlock()

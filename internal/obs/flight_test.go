@@ -23,7 +23,7 @@ func TestRecorderRetainsEveryInterestingQuery(t *testing.T) {
 	const n = 12000
 	for i := 0; i < n; i++ {
 		qid := fmt.Sprintf("q-%05d", i)
-		lq := rec.Begin(qid, "SELECT ...")
+		lq := rec.Begin(qid, Text("SELECT ..."))
 		lq.Exchange("R1", "sq", 64)
 		info := EndInfo{Items: 3}
 		switch draw := rng.Float64(); {
@@ -130,7 +130,7 @@ func TestRecorderEvictsBoringBeforeInteresting(t *testing.T) {
 	end := func(err error) string {
 		n++
 		qid := fmt.Sprintf("q-%d", n)
-		rec.End(rec.Begin(qid, ""), EndInfo{Err: err})
+		rec.End(rec.Begin(qid, Text("")), EndInfo{Err: err})
 		return qid
 	}
 	// sampled ends boring queries until the recorder keeps one.
@@ -171,7 +171,7 @@ func TestRecorderEvictsBoringBeforeInteresting(t *testing.T) {
 func TestRecorderKeepsSlowQueries(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewRecorder(RecorderConfig{Metrics: reg})
-	lq := rec.Begin("q-slow", "SELECT L FROM dmv")
+	lq := rec.Begin("q-slow", Text("SELECT L FROM dmv"))
 	lq.start = lq.start.Add(-slowQuery) // instead of waiting it out
 	rec.End(lq, EndInfo{Items: 1})
 
@@ -202,7 +202,7 @@ func TestRecorderLiveGaugeUnderConcurrency(t *testing.T) {
 				if w%3 == 0 {
 					info.Hedges = 1 // retained, so fq_trace_bytes moves too
 				}
-				rec.End(rec.Begin(fmt.Sprintf("q-%d-%d", round, w), ""), info)
+				rec.End(rec.Begin(fmt.Sprintf("q-%d-%d", round, w), Text("")), info)
 			}()
 		}
 		wg.Wait()
@@ -219,7 +219,7 @@ func TestRecorderLiveGaugeUnderConcurrency(t *testing.T) {
 // visible with its accumulated per-source traffic, End removes it.
 func TestRecorderLiveRegistry(t *testing.T) {
 	rec := NewRecorder(RecorderConfig{})
-	lq := rec.Begin("q-live", "SELECT ...")
+	lq := rec.Begin("q-live", Text("SELECT ..."))
 	lq.Exchange("R1", "sq", 100)
 	lq.Exchange("R1", "sjq", 28)
 	lq.Exchange("R2", "lq", 512)
@@ -246,7 +246,7 @@ func TestRecorderLiveRegistry(t *testing.T) {
 // live queries are inert, so call sites never branch on recording being on.
 func TestRecorderNilSafety(t *testing.T) {
 	var rec *Recorder
-	lq := rec.Begin("q", "text")
+	lq := rec.Begin("q", Text("text"))
 	if lq != nil {
 		t.Fatalf("nil recorder minted a live query: %+v", lq)
 	}
@@ -262,5 +262,33 @@ func TestRecorderNilSafety(t *testing.T) {
 	data, err := rec.ExportJSON()
 	if err != nil || !strings.Contains(string(data), "records") {
 		t.Fatalf("nil recorder export = %q, %v", data, err)
+	}
+}
+
+// countedText is a query text that counts its renderings.
+type countedText struct{ n *int }
+
+func (c countedText) String() string { *c.n++; return "A1 < 500" }
+
+// TestRecorderRendersTextWhenShown: a query's text is rendered only when it
+// is shown, for a snapshot of the live registry or a record the recorder
+// keeps; a query sampled out never renders it.
+func TestRecorderRendersTextWhenShown(t *testing.T) {
+	rec := NewRecorder(RecorderConfig{})
+	n := 0
+	for i := 1; i < sampleEvery; i++ {
+		rec.End(rec.Begin(fmt.Sprintf("q-%d", i), countedText{&n}), EndInfo{})
+	}
+	if n != 0 || len(rec.Index()) != 0 {
+		t.Fatalf("%d boring queries sampled out rendered their text %d times and left %d records, want 0 and 0", sampleEvery-1, n, len(rec.Index()))
+	}
+	lq := rec.Begin("q-live", countedText{&n})
+	if live := rec.Live(); len(live) != 1 || live[0].Text != "A1 < 500" || n != 1 {
+		t.Fatalf("live = %+v after %d renderings, want the text rendered once", live, n)
+	}
+	rec.End(lq, EndInfo{}) // the sampleEvery'th boring query: kept
+	r, ok := rec.Get("q-live")
+	if !ok || r.Text != "A1 < 500" || n != 2 {
+		t.Fatalf("kept record %+v (found %v) after %d renderings, want its text rendered once more", r, ok, n)
 	}
 }

@@ -183,7 +183,7 @@ func TestTraceAllocs(t *testing.T) {
 		rec := NewRecorder(RecorderConfig{})
 		return testing.AllocsPerRun(100, func() {
 			rec.boringSeq = 0 // the next boring query is not the sampled one
-			rec.End(rec.Begin("q-s", ""), EndInfo{Trace: tr, Items: 1})
+			rec.End(rec.Begin("q-s", Text("")), EndInfo{Trace: tr, Items: 1})
 		})
 	}
 	if small, large := sampledOut(10), sampledOut(500); small != large {

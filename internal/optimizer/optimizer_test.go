@@ -29,6 +29,34 @@ func mkNames(prefix string, n int) []string {
 	return out
 }
 
+// randomProblem draws a problem of 1–3 conditions over 1–4 sources, each
+// source's costs and semijoin support drawn too.
+func randomProblem(t testing.TB, rng *rand.Rand) *Problem {
+	t.Helper()
+	m := 1 + rng.Intn(3)
+	n := 1 + rng.Intn(4)
+	cards := make([][]float64, m)
+	for i := range cards {
+		cards[i] = make([]float64, n)
+		for j := range cards[i] {
+			cards[i][j] = float64(rng.Intn(400))
+		}
+	}
+	profiles := make([]stats.SourceProfile, n)
+	for j := range profiles {
+		sup := stats.SemijoinSupport(rng.Intn(3))
+		profiles[j] = stats.SourceProfile{
+			Name:        plan.SourceName(j),
+			PerQuery:    1 + rng.Float64()*20,
+			PerItemSent: rng.Float64() * 2,
+			PerItemRecv: rng.Float64() * 2,
+			PerByteLoad: rng.Float64() * 0.01,
+			Support:     sup,
+		}
+	}
+	return mkProblem(t, m, n, cards, profiles)
+}
+
 // mkProblem assembles a Problem from synthetic statistics and profiles.
 func mkProblem(t testing.TB, m, n int, cards [][]float64, profiles []stats.SourceProfile) *Problem {
 	t.Helper()
@@ -218,28 +246,7 @@ func TestSJAAdaptsPerSource(t *testing.T) {
 func TestHierarchySJALeSJLeFilterRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
-		m := 1 + rng.Intn(3)
-		n := 1 + rng.Intn(4)
-		cards := make([][]float64, m)
-		for i := range cards {
-			cards[i] = make([]float64, n)
-			for j := range cards[i] {
-				cards[i][j] = float64(rng.Intn(400))
-			}
-		}
-		profiles := make([]stats.SourceProfile, n)
-		for j := range profiles {
-			sup := stats.SemijoinSupport(rng.Intn(3))
-			profiles[j] = stats.SourceProfile{
-				Name:        plan.SourceName(j),
-				PerQuery:    1 + rng.Float64()*20,
-				PerItemSent: rng.Float64() * 2,
-				PerItemRecv: rng.Float64() * 2,
-				PerByteLoad: rng.Float64() * 0.01,
-				Support:     sup,
-			}
-		}
-		pr := mkProblem(t, m, n, cards, profiles)
+		pr := randomProblem(t, rng)
 		f, err := Filter(pr)
 		if err != nil {
 			t.Fatal(err)

@@ -7,8 +7,9 @@ import (
 	"fusionq/internal/plan"
 )
 
-// SJAPlus implements the SJA+ algorithm (Section 4.1). It first mimics SJA
-// to obtain the best semijoin-adaptive plan, then postoptimizes it:
+// SJAPlus implements the SJA+ algorithm (Section 4.1). It first runs SJA's
+// search for the best semijoin-adaptive plan, taking the winning sketch and
+// its cost without building that plan, then postoptimizes it:
 //
 //  1. it prunes the semijoin sets of all semijoin queries with the set
 //     difference operation, so a source only receives the items not already
@@ -22,36 +23,32 @@ import (
 // simple-plan space (difference, lq, local selection), which is exactly the
 // paper's point: SJA+ is a cheap local search in a larger space.
 func SJAPlus(pr *Problem) (Result, error) {
-	base, err := SJA(pr)
+	base, baseCost, err := search(pr, "semijoin-adaptive", selectAll, perSource)
 	if err != nil {
 		return Result{}, err
 	}
-	return postoptimize(pr, base)
+	return postoptimize(pr, "sja+", base, baseCost)
 }
 
 // GreedySJAPlus applies the same postoptimization to the greedy SJA
 // variant, keeping the whole pipeline at O(mn).
 func GreedySJAPlus(pr *Problem) (Result, error) {
-	base, err := GreedySJA(pr)
-	if err != nil {
+	if err := pr.Validate(); err != nil {
 		return Result{}, err
 	}
-	res, err := postoptimize(pr, base)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Sketch.Class = "greedy-sja+"
-	res.Plan.Class = "greedy-sja+"
-	return res, nil
+	ord := greedyOrdering(pr)
+	choices, baseCost := costOrdering(pr, ord, selectAll, perSource)
+	return postoptimize(pr, "greedy-sja+", Sketch{Ordering: ord, Choices: choices}, baseCost)
 }
 
 // postoptimize applies difference pruning and source loading to a
-// round-structured result and returns the improved plan. Plan costs here
+// round-structured sketch priced at baseCost, whose plan it need not
+// build, and returns the improved plan of the class given. Plan costs here
 // come from the static estimator, the shared arbiter for plans that leave
 // the simple-plan space.
-func postoptimize(pr *Problem, base Result) (Result, error) {
-	sk := base.Sketch
-	sk.Class = "sja+"
+func postoptimize(pr *Problem, class string, base Sketch, baseCost float64) (Result, error) {
+	sk := base
+	sk.Class = class
 	sk.DiffPrune = true
 	sk.Loaded = make([]bool, len(pr.Sources))
 	sk.ChainOrder = chainOrderByFrac(pr, sk)
@@ -79,9 +76,9 @@ func postoptimize(pr *Problem, base Result) (Result, error) {
 	// Postoptimization must never hurt: fall back to the SJA plan if the
 	// rewritten plan is not cheaper (possible when pruning gains are zero
 	// and the estimator's diff bookkeeping is conservative).
-	if cost > base.Cost {
-		sk = base.Sketch
-		sk.Class = "sja+"
+	if cost > baseCost {
+		sk = base
+		sk.Class = class
 		current, cost, err = buildAndEstimate(pr, sk)
 		if err != nil {
 			return Result{}, err

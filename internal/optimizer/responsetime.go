@@ -16,7 +16,7 @@ import "fusionq/internal/plan"
 // Result.Cost is the estimated response time (not total work); tests and
 // experiment E10 compare both objectives across both optimizers.
 func ResponseTimeSJA(pr *Problem) (Result, error) {
-	best, err := search(pr, "response-time-sja", slowestSelect, slowestSource)
+	best, err := searched(pr, "response-time-sja", slowestSelect, slowestSource)
 	if err != nil {
 		return Result{}, err
 	}

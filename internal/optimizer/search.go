@@ -112,33 +112,55 @@ func slowestSelect(t *stats.CostTable, ci int) float64 {
 // every later round against the estimated running set the rounds before it
 // leave. It returns the method matrix and the plan cost.
 func costOrdering(pr *Problem, ord []int, first func(*stats.CostTable, int) float64, decide rule) ([][]Method, float64) {
-	t := pr.Table
 	choices := allSelectChoices(len(ord), len(pr.Sources))
+	return choices, priceInto(pr.Table, ord, first, decide, choices)
+}
+
+// priceInto is costOrdering deciding into choices, a matrix from
+// allSelectChoices of the problem's size: every rule writes every cell of
+// the rows after the first, and nothing writes the first, so one matrix
+// can price ordering after ordering.
+func priceInto(t *stats.CostTable, ord []int, first func(*stats.CostTable, int) float64, decide rule, choices [][]Method) float64 {
 	cost := first(t, ord[0])
 	x := t.FirstRoundCard(ord[0])
 	for r := 1; r < len(ord); r++ { // loop B
 		cost = decide(t, ord[r], x, choices[r], cost)
 		x = t.RoundCard(ord[r], x)
 	}
-	return choices, cost
+	return cost
 }
 
 // search is loop A of Figures 3 and 4: it prices all m! orderings and keeps
 // the cheapest, exact ties falling to the lexicographically smaller ordering
-// (improves).
-func search(pr *Problem, class string, first func(*stats.CostTable, int) float64, decide rule) (Result, error) {
+// (improves). It returns the winner's sketch and cost and builds no plan.
+// Each ordering is priced into one of two matrices while the other holds
+// the best so far; a winner's matrix becomes the best, and the old best's
+// the next one priced into.
+func search(pr *Problem, class string, first func(*stats.CostTable, int) float64, decide rule) (Sketch, float64, error) {
 	if err := pr.Validate(); err != nil {
-		return Result{}, err
+		return Sketch{}, 0, err
 	}
-	best := Result{Cost: math.Inf(1)}
-	permutations(len(pr.Conds), func(ord []int) {
-		choices, cost := costOrdering(pr, ord, first, decide)
-		if improves(cost, ord, best.Cost, best.Sketch.Ordering) {
-			best.Cost = cost
-			best.Sketch = Sketch{Ordering: append([]int(nil), ord...), Choices: choices, Class: class}
+	m, n := len(pr.Conds), len(pr.Sources)
+	next, best := allSelectChoices(m, n), allSelectChoices(m, n)
+	var bestOrd []int
+	bestCost := math.Inf(1)
+	permutations(m, func(ord []int) {
+		cost := priceInto(pr.Table, ord, first, decide, next)
+		if improves(cost, ord, bestCost, bestOrd) {
+			bestCost, bestOrd = cost, append(bestOrd[:0], ord...)
+			next, best = best, next
 		}
 	})
-	return built(pr, best.Sketch, best.Cost)
+	return Sketch{Ordering: bestOrd, Choices: best, Class: class}, bestCost, nil
+}
+
+// searched builds the plan of search's winner.
+func searched(pr *Problem, class string, first func(*stats.CostTable, int) float64, decide rule) (Result, error) {
+	sk, cost, err := search(pr, class, first, decide)
+	if err != nil {
+		return Result{}, err
+	}
+	return built(pr, sk, cost)
 }
 
 // fixed prices the one ordering ord, which the result keeps.

@@ -7,5 +7,5 @@ package optimizer
 // two total costs — an all-or-nothing choice, which is what characterizes
 // the semijoin plan class. Complexity O((m!)·m·n).
 func SJ(pr *Problem) (Result, error) {
-	return search(pr, "semijoin", selectAll, uniform)
+	return searched(pr, "semijoin", selectAll, uniform)
 }

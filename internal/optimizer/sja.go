@@ -9,7 +9,7 @@ import "fmt"
 // the algorithm finds the optimal semijoin-adaptive plan in O((m!)·m·n)
 // even though the class contains O((m!)·2^{n(m-2)}) plans.
 func SJA(pr *Problem) (Result, error) {
-	return search(pr, "semijoin-adaptive", selectAll, perSource)
+	return searched(pr, "semijoin-adaptive", selectAll, perSource)
 }
 
 // SJAWithOrdering runs SJA's per-source decision loop for one fixed

@@ -341,7 +341,7 @@ func (d *Driver) runPlan(ctx context.Context, ev *env, srcs []source.Source, cls
 func (d *Driver) check(ctx context.Context, ev *env, srcs []source.Source, cls string, opts runOpts, run func(context.Context, *exec.Executor) (*exec.Result, []Failure, error)) []Failure {
 	ev.network.Reset()
 	o := &obs.Obs{QueryID: obs.NewQueryID(), Trace: obs.NewTrace(), Metrics: obs.NewRegistry()}
-	o.Live = d.Recorder.Begin(o.QueryID, cls+" ["+opts.mode+"]")
+	o.Live = d.Recorder.Begin(o.QueryID, obs.Text(cls+" ["+opts.mode+"]"))
 	rctx := obs.With(ctx, o)
 	ex := &exec.Executor{
 		Sources:   srcs,

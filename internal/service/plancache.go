@@ -1,7 +1,8 @@
 package service
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 	"strings"
 	"sync"
 
@@ -19,13 +20,38 @@ import (
 // order-independent). Roster validity is NOT part of the key — entries carry
 // the roster epoch they were built at and are invalidated on mismatch.
 func QueryKey(conds []cond.Cond, algo core.Algorithm) string {
-	parts := make([]string, len(conds))
-	for i, c := range conds {
-		parts[i] = c.String()
+	// The texts are rendered once, one after another into one buffer, and
+	// sorted as offsets into it, which a usual query keeps on this stack.
+	size := 0
+	for _, c := range conds {
+		size += cond.TextLen(c)
 	}
-	sort.Strings(parts)
-	return string(algo) + "|" + strings.Join(parts, " AND ")
+	texts := make([]byte, 0, size)
+	var bounds [keyConds + 1]int
+	var order [keyConds]int
+	at, ord := append(bounds[:0], 0), order[:0]
+	for i, c := range conds {
+		texts = cond.AppendText(texts, c)
+		at, ord = append(at, len(texts)), append(ord, i)
+	}
+	text := func(i int) []byte { return texts[at[i]:at[i+1]] }
+	slices.SortFunc(ord, func(a, b int) int { return bytes.Compare(text(a), text(b)) })
+
+	var key strings.Builder
+	key.Grow(len(algo) + len("|") + size + max(len(conds)-1, 0)*len(" AND "))
+	key.WriteString(string(algo))
+	key.WriteByte('|')
+	for k, i := range ord {
+		if k > 0 {
+			key.WriteString(" AND ")
+		}
+		key.Write(text(i))
+	}
+	return key.String()
 }
+
+// keyConds is the most conditions whose order QueryKey keeps on its stack.
+const keyConds = 8
 
 // PlanCache memoizes optimizer results by canonical query key, each entry
 // pinned to the roster epoch it was planned at: one keying of the lru store,

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"fusionq/internal/cond"
@@ -8,6 +10,7 @@ import (
 	"fusionq/internal/obs"
 	"fusionq/internal/optimizer"
 	"fusionq/internal/plan"
+	"fusionq/internal/racetest"
 )
 
 func TestQueryKeyCanonical(t *testing.T) {
@@ -24,6 +27,39 @@ func TestQueryKeyCanonical(t *testing.T) {
 	}
 	if QueryKey([]cond.Cond{a, b}, core.AlgoSJAPlus) == QueryKey([]cond.Cond{a, b}, core.AlgoFilter) {
 		t.Fatal("algorithm not part of the query key")
+	}
+}
+
+// TestQueryKeyText: the key is the algorithm, a bar, and the conditions'
+// texts sorted and joined by AND, whatever their order, however many they
+// are (past the count QueryKey keeps on its stack too), and whatever their
+// kind of node.
+func TestQueryKeyText(t *testing.T) {
+	texts := []string{"V = 'sp'", "D >= 1993", "(A < 1 OR B IN (2, 3)) AND NOT C LIKE 'x%'", "V = 'dui'", "A1 < 500", "TRUE"}
+	for n := 0; n <= 3*keyConds; n++ {
+		conds := make([]cond.Cond, n)
+		want := make([]string, n)
+		for i := range conds {
+			want[i] = texts[(7*i+3)%len(texts)]
+			conds[i] = cond.MustParse(want[i])
+			want[i] = conds[i].String()
+		}
+		sort.Strings(want)
+		if got, want := QueryKey(conds, core.AlgoSJAPlus), string(core.AlgoSJAPlus)+"|"+strings.Join(want, " AND "); got != want {
+			t.Fatalf("QueryKey of %d conditions = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestQueryKeyAllocs: the conditions are rendered once, into one buffer, and
+// the key is made at its size: two allocations for a usual query.
+func TestQueryKeyAllocs(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	conds := []cond.Cond{cond.MustParse("A3 < 120"), cond.MustParse("A1 < 500"), cond.MustParse("A2 < 70")}
+	if allocs := testing.AllocsPerRun(100, func() { QueryKey(conds, core.AlgoSJAPlus) }); allocs != 2 {
+		t.Errorf("QueryKey of three conditions: %v allocations, want 2", allocs)
 	}
 }
 

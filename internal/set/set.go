@@ -171,12 +171,68 @@ func IntersectWith(alloc func(n int) []string, sets ...Set) Set {
 	if len(sets) == 2 {
 		return Set{items: filterWith(alloc, n, sets[small].items, sets[1-small].items, true)}
 	}
-	// One set, or more than two (no plan step's): ∩ in a scratch buffer
-	// from the pool, copied if it has items (a difference from nothing).
-	in := intersect(Alloc(n), sets)
-	out := filterWith(alloc, n, in, nil, false)
-	Release(Set{items: in})
-	return Set{items: out}
+	// One set, or more than two (no plan step's): alloc is asked for room
+	// only once the sets are known to share an item, and the kernel writes
+	// the result straight into it.
+	if !share(sets) {
+		return Set{}
+	}
+	return Set{items: intersect(alloc(n), sets)}
+}
+
+// share reports whether sets, of which there is at least one, have an item
+// in common, without writing one down. It walks the smallest set and
+// another as filter does, and seeks each item the two share in the rest,
+// each from where its last seek ended: the first item all of them hold
+// ends the walk, as does a set with none left past an item.
+func share(sets []Set) bool {
+	small := smallest(sets)
+	a := sets[small].items
+	if len(sets) == 1 {
+		return len(a) > 0
+	}
+	pair := 1 - min(small, 1) // the first set that is not the smallest
+	b := sets[pair].items
+	var buf [8]int
+	at := buf[:]
+	if len(sets) > len(buf) {
+		at = make([]int, len(sets))
+	}
+	for {
+		i, j := lead(a, b, true)
+		if i == len(a) {
+			return false
+		}
+		x, held := a[i], true
+		for k := 0; k < len(sets) && held; k++ {
+			if k == small || k == pair {
+				continue
+			}
+			s := sets[k].items
+			at[k] = seek(s, at[k], x)
+			if at[k] == len(s) {
+				return false
+			}
+			held = s[at[k]] == x
+		}
+		if held {
+			return true
+		}
+		a, b = a[i+1:], b[j:]
+	}
+}
+
+// seek is the index of the first item of s at or after lo that is not
+// below x, len(s) for none: it gallops from lo in doubling steps, since
+// share seeks rising items a little apart, then binary-searches the last
+// step.
+func seek(s []string, lo int, x string) int {
+	hi, step := lo, 1
+	for hi < len(s) && s[hi] < x {
+		lo, hi, step = hi+1, hi+step, 2*step
+	}
+	j, _ := slices.BinarySearch(s[lo:min(hi, len(s))], x)
+	return lo + j
 }
 
 // smallest is the index of the first of the shortest sets, -1 for none.

@@ -353,3 +353,29 @@ func BenchmarkDiff1k(b *testing.B) {
 		_ = x.Diff(y)
 	}
 }
+
+// TestIntersectManySets: ∩ of more sets than share keeps its seeks' places
+// for on the stack (the fuzz target draws at most six) is the reference's,
+// and asks alloc for room once exactly when it has items.
+func TestIntersectManySets(t *testing.T) {
+	for _, common := range []bool{true, false} {
+		var sets []Set
+		for k := 2; k < 14; k++ {
+			s := mkSet(400, k, 0)
+			if !common && k == 13 {
+				s = mkSet(400, k, 1)
+			}
+			sets = append(sets, s)
+		}
+		want := referenceIntersect(sets)
+		calls := 0
+		got := IntersectWith(func(n int) []string { calls++; return Alloc(n) }, sets...)
+		if !got.Equal(want) || calls != b2i(want.Len() > 0) {
+			t.Fatalf("∩ of %d sets = %v after %d calls to alloc, want %v", len(sets), got, calls, want)
+		}
+		if common && want.IsEmpty() {
+			t.Fatal("the sets share no item; the case that shares one is not tested")
+		}
+		Release(got)
+	}
+}
