@@ -30,17 +30,19 @@ lint:
 
 # One fuzz target per go test invocation, every one in the tree but the
 # oracle's (make oracle runs it): the fusion SQL parser, the condition parser
-# (a parsed condition prints as text that parses back to it), the bound
-# condition kernel against Eval, the CSV loader, then the two ends of the wire
-# transport (arbitrary bytes, item blocks among them, into the serve loop
-# and into the client's Do/Stream), then the item block codec (arbitrary
-# header counts and block bytes under the frame budget against a reference
-# decoder, and the block-line reader against encoding/json), then the union
-# kernel and the streaming merges against a map-and-sort reference. CI runs
-# this target.
+# (a parsed condition prints as text that parses back to it), the condition
+# parser against the SQL front end (FuzzSQLCondition: a condition and its
+# qualified WHERE clause read alike), the bound condition kernel against
+# Eval, the CSV loader, then the two ends of the wire transport (arbitrary
+# bytes, item blocks among them, into the serve loop and into the client's
+# Do/Stream), then the item block codec (arbitrary header counts and block
+# bytes under the frame budget against a reference decoder, and the
+# block-line reader against encoding/json), then the union kernel and the
+# streaming merges against a map-and-sort reference. CI runs this target.
 fuzz:
 	$(GO) test -fuzz=FuzzParseFusion -fuzztime=30s -run='^$$' ./internal/sqlparse
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s -run='^$$' ./internal/cond
+	$(GO) test -fuzz=FuzzSQLCondition -fuzztime=20s -run='^$$' ./internal/cond
 	$(GO) test -fuzz=FuzzBoundMatchesEval -fuzztime=20s -run='^$$' ./internal/cond
 	$(GO) test -fuzz=FuzzRead -fuzztime=20s -run='^$$' ./internal/csvio
 	$(GO) test -fuzz=FuzzServerFrame -fuzztime=20s -run='^$$' ./internal/wire

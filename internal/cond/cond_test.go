@@ -255,16 +255,20 @@ func TestPropAndOrDuality(t *testing.T) {
 	}
 }
 
-func TestTokensExported(t *testing.T) {
-	toks, err := Tokens("SELECT u1.L FROM U u1 WHERE u1.V = 'dui'")
-	if err != nil {
-		t.Fatal(err)
+// TestUTF8Identifiers: an identifier is read as UTF-8, and an unexpected
+// character is named as its rune.
+func TestUTF8Identifiers(t *testing.T) {
+	for text, want := range map[string]string{"Größe < 5": "Größe", "名前 = 'x'": "名前"} {
+		c, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", text, err)
+		}
+		if got := Attrs(c); len(got) != 1 || got[0] != want {
+			t.Errorf("Parse(%q) names %v, want [%s]", text, got, want)
+		}
 	}
-	if toks[0].Kind != TokenKeyword || toks[0].Text != "SELECT" {
-		t.Fatalf("first token = %+v", toks[0])
-	}
-	if toks[len(toks)-1].Kind != TokenEOF {
-		t.Fatal("missing EOF token")
+	if _, err := Parse("V = 'a' ¶"); err == nil || !strings.Contains(err.Error(), `'¶' at offset 8`) {
+		t.Errorf("Parse of a stray '¶': %v", err)
 	}
 }
 
@@ -308,10 +312,11 @@ func TestParseAllocs(t *testing.T) {
 }
 
 // TestKeywordsInAnyCase: a word is a keyword exactly when strings.ToUpper
-// makes one of it, and its token's text is the keyword upper case. "ªnd"
-// is a word the lexer takes whole that is not ASCII.
+// makes one of it, and its token's text is the keyword upper case. "ªnd",
+// "Größe" and "ın" are words the lexer takes whole that are not ASCII; "ın"
+// upper-cases to IN.
 func TestKeywordsInAnyCase(t *testing.T) {
-	for _, word := range []string{"and", "AnD", "between", "BETWEENX", "betwee", "in", "where", "a1", "Like_", "x", "ªnd"} {
+	for _, word := range []string{"and", "AnD", "between", "BETWEENX", "betwee", "in", "where", "a1", "Like_", "x", "ªnd", "Größe", "ın"} {
 		toks, err := lex(nil, word)
 		if err != nil {
 			t.Fatalf("lex(%q): %v", word, err)

@@ -27,9 +27,9 @@ type token struct {
 	pos  int
 }
 
-// keywords recognized case-insensitively by the condition and SQL lexers,
-// each upper case and mapped to itself: a keyword token's text is the
-// map's string.
+// keywords recognized case-insensitively by the lexer, each upper case and
+// mapped to itself: a keyword token's text is the map's string. SELECT, FROM
+// and WHERE are the statement words a Statement reads.
 var keywords = map[string]string{
 	"AND": "AND", "OR": "OR", "NOT": "NOT", "IN": "IN", "LIKE": "LIKE",
 	"BETWEEN": "BETWEEN", "TRUE": "TRUE", "FALSE": "FALSE",
@@ -60,9 +60,8 @@ func keyword(word string) (string, bool) {
 	return kw, ok
 }
 
-// lex appends input's tokens to toks and returns it. It is shared by this
-// package's condition parser, which passes an array on its stack, and by
-// the fusion SQL parser in internal/sqlparse.
+// lex appends input's tokens to toks and returns it. Parse passes an array
+// on its stack; a Statement lexes its whole text onto the heap.
 func lex(toks []token, input string) ([]token, error) {
 	i := 0
 	for i < len(input) {
@@ -87,18 +86,6 @@ func lex(toks []token, input string) ([]token, error) {
 				j++
 			}
 			toks = append(toks, token{tokNumber, input[i:j], i})
-			i = j
-		case isIdentStart(rune(c)):
-			j := i + 1
-			for j < len(input) && isIdentPart(rune(input[j])) {
-				j++
-			}
-			word := input[i:j]
-			if kw, ok := keyword(word); ok {
-				toks = append(toks, token{tokKeyword, kw, i})
-			} else {
-				toks = append(toks, token{tokIdent, word, i})
-			}
 			i = j
 		case c == '=':
 			toks = append(toks, token{tokOp, "=", i})
@@ -133,7 +120,26 @@ func lex(toks []token, input string) ([]token, error) {
 			toks = append(toks, token{tokPunct, input[i : i+1], i})
 			i++
 		default:
-			return nil, fmt.Errorf("cond: unexpected character %q at offset %d", c, i)
+			// An identifier, read as UTF-8 rune by rune.
+			r, size := utf8.DecodeRuneInString(input[i:])
+			if !isIdentStart(r) {
+				return nil, fmt.Errorf("cond: unexpected character %q at offset %d", r, i)
+			}
+			j := i + size
+			for j < len(input) {
+				r, size := utf8.DecodeRuneInString(input[j:])
+				if !isIdentPart(r) {
+					break
+				}
+				j += size
+			}
+			word := input[i:j]
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, token{tokKeyword, kw, i})
+			} else {
+				toks = append(toks, token{tokIdent, word, i})
+			}
+			i = j
 		}
 	}
 	toks = append(toks, token{tokEOF, "", len(input)})
@@ -146,39 +152,4 @@ func isIdentStart(r rune) bool {
 
 func isIdentPart(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
-}
-
-// Tokens exposes the lexer to internal/sqlparse without duplicating it.
-// Token is re-exported there under a friendlier shape.
-func Tokens(input string) ([]Token, error) {
-	raw, err := lex(nil, input)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Token, len(raw))
-	for i, t := range raw {
-		out[i] = Token{Kind: TokenKind(t.kind), Text: t.text, Pos: t.pos}
-	}
-	return out, nil
-}
-
-// TokenKind mirrors tokKind for external consumers.
-type TokenKind int
-
-// Exported token kinds, aligned with the internal lexer's classification.
-const (
-	TokenEOF     = TokenKind(tokEOF)
-	TokenIdent   = TokenKind(tokIdent)
-	TokenString  = TokenKind(tokString)
-	TokenNumber  = TokenKind(tokNumber)
-	TokenOp      = TokenKind(tokOp)
-	TokenPunct   = TokenKind(tokPunct)
-	TokenKeyword = TokenKind(tokKeyword)
-)
-
-// Token is an exported lexical unit.
-type Token struct {
-	Kind TokenKind
-	Text string
-	Pos  int
 }

@@ -24,10 +24,7 @@ func Parse(input string) (Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().kind != tokEOF {
-		return nil, fmt.Errorf("cond: trailing input at offset %d: %q", p.peek().pos, p.peek().text)
-	}
-	return c, nil
+	return c, p.end()
 }
 
 // MustParse is Parse that panics on error, for literals in tests, examples
@@ -47,6 +44,9 @@ const parseTokens = 32
 type parser struct {
 	toks []token
 	i    int
+	// alias, when set, makes every attribute alias.attr and is told each
+	// alias; Statement.Cond sets it.
+	alias func(string)
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -59,10 +59,33 @@ func (p *parser) next() token {
 	return t
 }
 
+// accept consumes the next token if it is the keyword, operator or
+// punctuation text.
+func (p *parser) accept(text string) bool {
+	t := p.peek()
+	if (t.kind == tokKeyword || t.kind == tokOp || t.kind == tokPunct) && t.text == text {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// expected reports that the next token is not what.
+func (p *parser) expected(what string) error {
+	t := p.peek()
+	return fmt.Errorf("cond: expected %s at offset %d, got %q", what, t.pos, t.text)
+}
+
 func (p *parser) expectKeyword(kw string) error {
-	t := p.next()
-	if t.kind != tokKeyword || t.text != kw {
-		return fmt.Errorf("cond: expected %s at offset %d, got %q", kw, t.pos, t.text)
+	if !p.accept(kw) {
+		return p.expected(kw)
+	}
+	return nil
+}
+
+func (p *parser) end() error {
+	if t := p.peek(); t.kind != tokEOF {
+		return fmt.Errorf("cond: trailing input at offset %d: %q", t.pos, t.text)
 	}
 	return nil
 }
@@ -72,8 +95,7 @@ func (p *parser) parseOr() (Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.peek().kind == tokKeyword && p.peek().text == "OR" {
-		p.next()
+	for p.accept("OR") {
 		right, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -88,8 +110,7 @@ func (p *parser) parseAnd() (Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.peek().kind == tokKeyword && p.peek().text == "AND" {
-		p.next()
+	for p.accept("AND") {
 		right, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -100,8 +121,7 @@ func (p *parser) parseAnd() (Cond, error) {
 }
 
 func (p *parser) parseNot() (Cond, error) {
-	if p.peek().kind == tokKeyword && p.peek().text == "NOT" {
-		p.next()
+	if p.accept("NOT") {
 		c, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -112,31 +132,47 @@ func (p *parser) parseNot() (Cond, error) {
 }
 
 func (p *parser) parsePrimary() (Cond, error) {
-	t := p.peek()
 	switch {
-	case t.kind == tokPunct && t.text == "(":
-		p.next()
+	case p.accept("("):
 		c, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
-		cl := p.next()
-		if cl.kind != tokPunct || cl.text != ")" {
-			return nil, fmt.Errorf("cond: expected ')' at offset %d", cl.pos)
+		if !p.accept(")") {
+			return nil, p.expected("')'")
 		}
 		return c, nil
-	case t.kind == tokKeyword && t.text == "TRUE":
-		p.next()
+	case p.accept("TRUE"):
 		return True{}, nil
-	case t.kind == tokIdent:
+	case p.peek().kind == tokIdent:
 		return p.parseComparison()
 	default:
-		return nil, fmt.Errorf("cond: expected condition at offset %d, got %q", t.pos, t.text)
+		return nil, p.expected("condition")
 	}
 }
 
+// attr reads the attribute that starts a comparison, written alias.attr
+// when p.alias is set.
+func (p *parser) attr() (string, error) {
+	t := p.next()
+	if p.alias == nil {
+		return t.text, nil
+	}
+	if !p.accept(".") {
+		return "", fmt.Errorf("cond: unqualified attribute %q at offset %d (write alias.attr)", t.text, t.pos)
+	}
+	if p.peek().kind != tokIdent {
+		return "", p.expected("attribute")
+	}
+	p.alias(t.text)
+	return p.next().text, nil
+}
+
 func (p *parser) parseComparison() (Cond, error) {
-	attr := p.next().text
+	attr, err := p.attr()
+	if err != nil {
+		return nil, err
+	}
 	t := p.next()
 	switch {
 	case t.kind == tokOp:
@@ -250,4 +286,56 @@ func parseOp(text string) (Op, error) {
 	default:
 		return 0, fmt.Errorf("cond: unknown operator %q", text)
 	}
+}
+
+// Statement reads a statement that embeds conditions, such as the fusion
+// SQL of internal/sqlparse, as one token stream: the caller reads the
+// statement's own words with Accept and Ident, and hands each condition to
+// Cond, so this package alone knows the condition grammar and every error
+// gives an offset in the statement's text.
+type Statement struct{ p parser }
+
+// NewStatement lexes text.
+func NewStatement(text string) (*Statement, error) {
+	toks, err := lex(nil, text)
+	if err != nil {
+		return nil, err
+	}
+	return &Statement{parser{toks: toks}}, nil
+}
+
+// Accept consumes the next token if it is the keyword, operator or
+// punctuation text (keywords upper case).
+func (s *Statement) Accept(text string) bool { return s.p.accept(text) }
+
+// Ident consumes the next token if it is an identifier and returns it.
+func (s *Statement) Ident() (string, bool) {
+	if s.p.peek().kind != tokIdent {
+		return "", false
+	}
+	return s.p.next().text, true
+}
+
+// Expected reports that the next token is not what.
+func (s *Statement) Expected(what string) error { return s.p.expected(what) }
+
+// Mark returns the reading position, for Reset.
+func (s *Statement) Mark() int { return s.p.i }
+
+// Reset returns to a position Mark returned.
+func (s *Statement) Reset(mark int) { s.p.i = mark }
+
+// End reports input left after the statement.
+func (s *Statement) End() error { return s.p.end() }
+
+// Cond reads a condition: a whole one (OR binds loosest), or with term
+// only one operand of AND, so that the caller reads the ANDs between
+// terms. Every attribute is written alias.attr; alias is told each alias
+// and the condition holds the bare attribute names.
+func (s *Statement) Cond(term bool, alias func(string)) (Cond, error) {
+	s.p.alias = alias
+	if term {
+		return s.p.parseNot()
+	}
+	return s.p.parseOr()
 }

@@ -102,6 +102,31 @@ func TestQueryCondsDirect(t *testing.T) {
 	}
 }
 
+// TestQueryConditionPrecedence: in fusion SQL, AND binds tighter than OR,
+// as in a condition, on Figure 1 data where the other reading, (dui OR sp)
+// AND D > 1993, loses T80 (a 1993 dui).
+func TestQueryConditionPrecedence(t *testing.T) {
+	m := dmvMediator(t, false)
+	ans, err := m.Query(t.Context(), `SELECT u1.L FROM U u1 WHERE u1.V = 'dui' OR u1.V = 'sp' AND u1.D > 1993`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(text string) set.Set {
+		a, err := m.QueryCondsContext(t.Context(), []cond.Cond{cond.MustParse(text)}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Items
+	}
+	want := read("V = 'dui' OR V = 'sp' AND D > 1993")
+	if other := read("(V = 'dui' OR V = 'sp') AND D > 1993"); other.Equal(want) {
+		t.Fatalf("both readings answer %v; the data cannot tell them apart", want)
+	}
+	if !ans.Items.Equal(want) {
+		t.Fatalf("answer = %v, want %v", ans.Items, want)
+	}
+}
+
 func TestTwoPhaseFetch(t *testing.T) {
 	m := dmvMediator(t, false)
 	ans, err := m.Query(t.Context(), paperSQL, Options{})

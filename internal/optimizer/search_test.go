@@ -26,7 +26,7 @@ func handTable(sq, card, sjFixed [][]float64, sjPerItem, domain float64) *stats.
 		return out
 	}
 	return &stats.CostTable{
-		CondNames: make([]string, m), SourceNames: make([]string, n), Domain: domain,
+		SourceNames: make([]string, n), Domain: domain,
 		Sq: sq, Card: card, SjFixed: sjFixed, SjPerItem: fill(sjPerItem),
 		SjbFixed: fill(inf), SjbPerItem: fill(0), Frac: fill(0.1),
 	}

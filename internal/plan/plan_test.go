@@ -22,7 +22,6 @@ func testConds(m int) []cond.Cond {
 // simple round numbers.
 func table32() *stats.CostTable {
 	return &stats.CostTable{
-		CondNames:   []string{"c1", "c2", "c3"},
 		SourceNames: []string{"R1", "R2"},
 		Domain:      100,
 		Sq:          [][]float64{{10, 10}, {20, 20}, {30, 30}},
@@ -214,7 +213,7 @@ func TestEstimateSemijoinPlan(t *testing.T) {
 		Result: "X2",
 	}
 	tab2 := &stats.CostTable{
-		CondNames: tab.CondNames[:2], SourceNames: tab.SourceNames, Domain: tab.Domain,
+		SourceNames: tab.SourceNames, Domain: tab.Domain,
 		Sq: tab.Sq[:2], Card: tab.Card[:2], SjFixed: tab.SjFixed[:2], SjPerItem: tab.SjPerItem[:2],
 		Frac: tab.Frac[:2], Load: tab.Load, SourceBytes: tab.SourceBytes, SourceItems: tab.SourceItems,
 	}

@@ -45,7 +45,6 @@ func TestEstimateResponseTimeSerializedChain(t *testing.T) {
 		Result: "X2",
 	}
 	tab2 := tab
-	tab2.CondNames = tab.CondNames[:2]
 	tab2.Sq = tab.Sq[:2]
 	tab2.Card = tab.Card[:2]
 	tab2.SjFixed = tab.SjFixed[:2]
@@ -89,7 +88,6 @@ func TestEstimateResponseTimeSameSourceSerializes(t *testing.T) {
 		Result: "X",
 	}
 	tab2 := tab
-	tab2.CondNames = tab.CondNames[:2]
 	tab2.Sq = tab.Sq[:2]
 	tab2.Card = tab.Card[:2]
 	tab2.SjFixed = tab.SjFixed[:2]

@@ -16,7 +16,7 @@ type FusionQuery struct {
 	Conds []cond.Cond
 }
 
-// Fusion checks that the parsed query has the fusion pattern of Section 2.2
+// fusion checks that the parsed query has the fusion pattern of Section 2.2
 // against the given common schema and extracts the normalized form:
 //
 //   - every FROM relation is the same union view;
@@ -25,10 +25,7 @@ type FusionQuery struct {
 //   - the projection is the merge attribute of one of the variables;
 //   - each remaining predicate references a single variable and type-checks
 //     against the schema. Variables with no predicate get condition TRUE.
-func (q *Query) Fusion(schema *relation.Schema) (*FusionQuery, error) {
-	if len(q.From) == 0 {
-		return nil, fmt.Errorf("sqlparse: no FROM items")
-	}
+func (q *query) fusion(schema *relation.Schema) (*FusionQuery, error) {
 	union := q.From[0].Relation
 	aliases := map[string]bool{}
 	for _, f := range q.From {
@@ -109,9 +106,9 @@ func (q *Query) Fusion(schema *relation.Schema) (*FusionQuery, error) {
 
 // ParseFusion parses SQL and applies fusion-pattern detection in one step.
 func ParseFusion(sql string, schema *relation.Schema) (*FusionQuery, error) {
-	q, err := Parse(sql)
+	q, err := parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return q.Fusion(schema)
+	return q.fusion(schema)
 }

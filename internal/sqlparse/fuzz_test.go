@@ -26,11 +26,11 @@ func FuzzParseFusion(f *testing.F) {
 	}
 	schema := workload.DMVSchema()
 	f.Fuzz(func(t *testing.T, sql string) {
-		q, err := Parse(sql)
+		q, err := parse(sql)
 		if err != nil {
 			return
 		}
-		fq, err := q.Fusion(schema)
+		fq, err := q.fusion(schema)
 		if err != nil {
 			return
 		}

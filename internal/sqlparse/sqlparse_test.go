@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"fusionq/internal/cond"
 	"fusionq/internal/relation"
 	"fusionq/internal/workload"
 )
@@ -15,9 +16,9 @@ FROM U u1, U u2
 WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'`
 
 func TestParsePaperQuery(t *testing.T) {
-	q, err := Parse(paperSQL)
+	q, err := parse(paperSQL)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("parse: %v", err)
 	}
 	if q.SelectVar != "u1" || q.SelectAttr != "L" {
 		t.Fatalf("SELECT = %s.%s", q.SelectVar, q.SelectAttr)
@@ -157,8 +158,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT u1.L FROM U u1 WHERE u1.V = 'dui' X", // trailing garbage
 	}
 	for _, sql := range bad {
-		if _, err := Parse(sql); err == nil {
-			t.Errorf("Parse(%q) should fail", sql)
+		if _, err := parse(sql); err == nil {
+			t.Errorf("parse(%q) should fail", sql)
 		}
 	}
 }
@@ -254,5 +255,43 @@ func TestFusionBetween(t *testing.T) {
 	}
 	if fq.Conds[1].String() != "V = 'sp'" {
 		t.Fatalf("second conjunct corrupted: %v", fq.Conds[1])
+	}
+}
+
+// TestConditionGrammar: the WHERE clause is read with internal/cond's
+// grammar and precedence, and its errors give offsets in the SQL text.
+func TestConditionGrammar(t *testing.T) {
+	dmv := workload.DMVSchema()
+	sizes := relation.MustSchema("L",
+		relation.Column{Name: "L", Kind: relation.KindString},
+		relation.Column{Name: "Größe", Kind: relation.KindInt},
+	)
+	cases := []struct {
+		name, sql string
+		schema    *relation.Schema
+		want      string // the one condition's text; "" when rejected
+		err       string // a part of the rejection's text
+	}{
+		{"AND binds tighter than OR", `SELECT u1.L FROM U u1 WHERE u1.V = 'dui' OR u1.V = 'sp' AND u1.D > 1993`, dmv,
+			cond.MustParse("V = 'dui' OR V = 'sp' AND D > 1993").String(), ""},
+		{"merge link under OR", `SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = 'a' OR u1.V = 'b'`, dmv,
+			"", "not a fusion query"},
+		{"error offset in the SQL text", `SELECT u1.L FROM U u1 WHERE u1.V IN ('a' 'b')`, dmv,
+			"", "offset 41"},
+		{"UTF-8 attribute", `SELECT u1.L FROM U u1 WHERE u1.Größe < 5`, sizes,
+			"Größe < 5", ""},
+	}
+	for _, c := range cases {
+		fq, err := ParseFusion(c.sql, c.schema)
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("%s: accepted as %v, want an error", c.name, fq.Conds)
+		case c.want == "" && !strings.Contains(err.Error(), c.err):
+			t.Errorf("%s: error %q, want one holding %q", c.name, err, c.err)
+		case c.want != "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (len(fq.Conds) != 1 || fq.Conds[0].String() != c.want):
+			t.Errorf("%s: conditions %v, want [%s]", c.name, fq.Conds, c.want)
+		}
 	}
 }

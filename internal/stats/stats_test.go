@@ -153,7 +153,6 @@ func TestBuildMismatchedInputs(t *testing.T) {
 
 func TestTableCards(t *testing.T) {
 	table := &CostTable{
-		CondNames:   []string{"c1", "c2"},
 		SourceNames: []string{"R1", "R2"},
 		Domain:      100,
 		Card:        [][]float64{{30, 40}, {10, 10}},
@@ -180,7 +179,6 @@ func TestTableCards(t *testing.T) {
 
 func TestInvocationCounting(t *testing.T) {
 	table := &CostTable{
-		CondNames:   []string{"c1"},
 		SourceNames: []string{"R1"},
 		Domain:      10,
 		Sq:          [][]float64{{1}},
@@ -233,7 +231,6 @@ func TestBuildBloomColumns(t *testing.T) {
 
 func TestSemijoinCostInfPropagates(t *testing.T) {
 	table := &CostTable{
-		CondNames:   []string{"c1"},
 		SourceNames: []string{"R1"},
 		SjFixed:     [][]float64{{math.Inf(1)}},
 		SjPerItem:   [][]float64{{math.Inf(1)}},
@@ -254,7 +251,7 @@ func TestCostTableString(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := table.String()
-	for _, want := range []string{"cost table:", "c1 (", "R3", "sjq-bloom", "lq(R1)"} {
+	for _, want := range []string{"cost table:", "c1:", "R3", "sjq-bloom", "lq(R1)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table render missing %q:\n%s", want, out)
 		}

@@ -16,8 +16,7 @@ import (
 // the constant-per-invocation assumption of the paper's complexity analysis
 // (Section 3).
 type CostTable struct {
-	// CondNames and SourceNames label the axes (c_1..c_m, R_1..R_n).
-	CondNames   []string
+	// SourceNames label the columns (R_1..R_n); rows are c_1..c_m.
 	SourceNames []string
 
 	// Domain is the estimated number of distinct items in U, the union of
@@ -64,8 +63,8 @@ type CostTable struct {
 	Invocations int
 }
 
-// M returns the number of conditions.
-func (t *CostTable) M() int { return len(t.CondNames) }
+// M returns the number of conditions, the table's rows.
+func (t *CostTable) M() int { return len(t.Sq) }
 
 // N returns the number of sources.
 func (t *CostTable) N() int { return len(t.SourceNames) }
@@ -171,7 +170,8 @@ func (t *CostTable) FirstRoundCard(i int) float64 {
 func (t *CostTable) ResetInvocations() { t.Invocations = 0 }
 
 // Build assembles a CostTable from per-source statistics and cost profiles.
-// stats and profiles must be parallel to sources; conds labels the rows.
+// stats and profiles must be parallel to sources; the table has a row per
+// condition of conds.
 func Build(conds []cond.Cond, stats []SourceStats, profiles []SourceProfile) (*CostTable, error) {
 	n := len(stats)
 	if len(profiles) != n {
@@ -179,7 +179,6 @@ func Build(conds []cond.Cond, stats []SourceStats, profiles []SourceProfile) (*C
 	}
 	m := len(conds)
 	t := &CostTable{
-		CondNames:   make([]string, m),
 		SourceNames: make([]string, n),
 		Sq:          matrix(m, n),
 		Card:        matrix(m, n),
@@ -194,9 +193,6 @@ func Build(conds []cond.Cond, stats []SourceStats, profiles []SourceProfile) (*C
 		QueryFixed:  make([]float64, n),
 		Support:     make([]SemijoinSupport, n),
 		Conns:       make([]int, n),
-	}
-	for i, c := range conds {
-		t.CondNames[i] = c.String()
 	}
 	domain := 0.0
 	for j, st := range stats {
@@ -280,8 +276,8 @@ func UniformProfiles(names []string, base SourceProfile) []SourceProfile {
 func (t *CostTable) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cost table: %d conditions × %d sources, domain ≈ %.0f items\n", t.M(), t.N(), t.Domain)
-	for i := range t.CondNames {
-		fmt.Fprintf(&b, "%s (%s):\n", condLabel(i), t.CondNames[i])
+	for i := range t.Sq {
+		fmt.Fprintf(&b, "%s:\n", condLabel(i))
 		for j := range t.SourceNames {
 			sj := "∞"
 			if !math.IsInf(t.SjFixed[i][j], 1) {
