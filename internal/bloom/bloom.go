@@ -35,25 +35,31 @@ type Filter struct {
 // (DefaultBitsPerItem when <= 0). The hash count k is derived optimally
 // (k = bitsPerItem·ln 2, at least 1).
 func New(expectedItems, bitsPerItem int) *Filter {
+	nbits, k := shape(expectedItems, bitsPerItem)
+	return &Filter{
+		bits:  make([]uint64, (nbits+63)/64),
+		nbits: nbits,
+		k:     k,
+	}
+}
+
+// shape is the bit count and hash count New gives a filter.
+func shape(expectedItems, bitsPerItem int) (nbits uint64, k int) {
 	if expectedItems < 1 {
 		expectedItems = 1
 	}
 	if bitsPerItem <= 0 {
 		bitsPerItem = DefaultBitsPerItem
 	}
-	nbits := uint64(expectedItems * bitsPerItem)
+	nbits = uint64(expectedItems * bitsPerItem)
 	if nbits < 64 {
 		nbits = 64
 	}
-	k := int(math.Round(float64(bitsPerItem) * math.Ln2))
+	k = int(math.Round(float64(bitsPerItem) * math.Ln2))
 	if k < 1 {
 		k = 1
 	}
-	return &Filter{
-		bits:  make([]uint64, (nbits+63)/64),
-		nbits: nbits,
-		k:     k,
-	}
+	return nbits, k
 }
 
 // hashes derives the k bit positions for an item with double hashing over
@@ -113,12 +119,12 @@ func (f *Filter) FalsePositiveRate() float64 {
 // built with the given parameters, for cost estimation before any filter
 // exists.
 func EstimateFalsePositiveRate(items, bitsPerItem int) float64 {
-	f := New(items, bitsPerItem)
 	if items == 0 {
 		return 0
 	}
-	exp := -float64(f.k) * float64(items) / float64(f.nbits)
-	return math.Pow(1-math.Exp(exp), float64(f.k))
+	nbits, k := shape(items, bitsPerItem)
+	exp := -float64(k) * float64(items) / float64(nbits)
+	return math.Pow(1-math.Exp(exp), float64(k))
 }
 
 // FromItems builds a filter holding all the given items.

@@ -42,15 +42,18 @@ type catalogEntry struct {
 }
 
 // sourceStats returns what the summaries say of conds at each of srcs, in
-// order. The summaries already held are read without a goroutine; the sources
-// there is none of are all asked together, and of several failures the first
-// source's is reported.
+// order, every source's cardinalities a row of one array. The summaries
+// already held are read without a goroutine; the sources there is none of
+// are all asked together, and of several failures the first source's is
+// reported.
 func (l *learned) sourceStats(ctx context.Context, srcs []source.Source, conds []cond.Cond, retries int) ([]stats.SourceStats, error) {
 	sts := make([]stats.SourceStats, len(srcs))
+	m := len(conds)
+	cards := make([]float64, len(srcs)*m)
 	var missing []int
 	for j, src := range srcs {
 		if sum := l.held(src.Name()); sum != nil {
-			sts[j] = stats.StatsFromSummary(src.Name(), sum, conds)
+			sts[j] = statsOf(src.Name(), sum, conds, cards[j*m:(j+1)*m:(j+1)*m])
 		} else {
 			missing = append(missing, j)
 		}
@@ -62,7 +65,7 @@ func (l *learned) sourceStats(ctx context.Context, srcs []source.Source, conds [
 		j := missing[i]
 		sum, err := l.summary(ctx, srcs[j], retries)
 		if err == nil {
-			sts[j] = stats.StatsFromSummary(srcs[j].Name(), sum, conds)
+			sts[j] = statsOf(srcs[j].Name(), sum, conds, cards[j*m:(j+1)*m:(j+1)*m])
 		}
 		return err
 	})
@@ -70,6 +73,15 @@ func (l *learned) sourceStats(ctx context.Context, srcs []source.Source, conds [
 		return nil, err
 	}
 	return sts, nil
+}
+
+// statsOf is stats.StatsFromSummary with the cardinalities written to card,
+// which has a cell per condition.
+func statsOf(name string, sum *relation.Summary, conds []cond.Cond, card []float64) stats.SourceStats {
+	for i, c := range conds {
+		card[i] = stats.EstimateSelectivity(sum, c) * float64(sum.DistinctItems)
+	}
+	return stats.SourceStats{Name: name, Tuples: sum.Tuples, DistinctItems: sum.DistinctItems, Bytes: sum.Bytes, CondCard: card}
 }
 
 // held returns the finished summary of the named source, nil when there is

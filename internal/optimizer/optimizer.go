@@ -13,6 +13,7 @@ package optimizer
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"fusionq/internal/cond"
 	"fusionq/internal/plan"
@@ -168,20 +169,113 @@ func improves(cost float64, ord []int, bestCost float64, bestOrd []int) bool {
 	return bestOrd != nil && lexLess(ord, bestOrd)
 }
 
-// varName renders the X_{ij} round variables, matching the paper's figures
-// for single-digit indices and remaining unambiguous beyond.
-func varName(round, src int) string {
-	if round <= 9 && src < 9 {
-		return "X" + strconv.Itoa(round) + strconv.Itoa(src+1)
-	}
-	return "X" + strconv.Itoa(round) + "_" + strconv.Itoa(src+1)
+// A plan's variables are named after the paper's figures: X_{ij} for
+// condition i's result at source j, X_i for the running set, F_j for source
+// j's loaded contents, S_i for round i's selection results, D_i and D_{i_k}
+// for its pruned running set, and T_{ij} for a loaded source's local
+// selection before it is pruned. The names of plans of up to namedRounds
+// rounds over up to namedSources sources are made once, into one table, so
+// that building a plan allocates no name; a larger plan's further names are
+// made as it is built.
+const namedRounds, namedSources = 16, 64
+
+// nameTable holds the names of plans within its bounds: x[r-1][j] and
+// t[r-1][j] are X_{rj} and T_{rj}, d[r-1][k] is round r's k-th pruned set
+// (D_r when k is 0), round[r] and union[r] are X_r and S_r, and load[j] is
+// F_{j+1}.
+type nameTable struct {
+	x, t, d      [namedRounds][namedSources]string
+	round, union [namedRounds + 1]string
+	load         [namedSources]string
 }
 
-// roundName renders the running-set variables X_1..X_m.
-func roundName(round int) string { return "X" + strconv.Itoa(round) }
+// names is the table, made on first use.
+var names = sync.OnceValue(func() *nameTable {
+	nt := new(nameTable)
+	for r := 1; r <= namedRounds; r++ {
+		nt.round[r], nt.union[r] = formatRound("X", r), formatRound("S", r)
+		for j := 0; j < namedSources; j++ {
+			nt.x[r-1][j], nt.t[r-1][j] = formatVar("X", r, j), formatVar("T", r, j)
+			nt.d[r-1][j] = formatDiff(r, j)
+		}
+	}
+	for j := 0; j < namedSources; j++ {
+		nt.load[j] = formatRound("F", j+1)
+	}
+	return nt
+})
 
-// loadName renders the loaded-contents variables F_1..F_n.
-func loadName(src int) string { return "F" + strconv.Itoa(src+1) }
+func inTable(round, src int) bool {
+	return round >= 1 && round <= namedRounds && src >= 0 && src < namedSources
+}
+
+// varName names X_{ij}, the result of round's condition at source src.
+func varName(round, src int) string {
+	if inTable(round, src) {
+		return names().x[round-1][src]
+	}
+	return formatVar("X", round, src)
+}
+
+// localName names T_{ij}, a loaded source's local selection before it is
+// pruned.
+func localName(round, src int) string {
+	if inTable(round, src) {
+		return names().t[round-1][src]
+	}
+	return formatVar("T", round, src)
+}
+
+// diffName names round's k-th pruned running set: D_r for k = 0, D_{r_k}
+// after the chain's k-th semijoin.
+func diffName(round, k int) string {
+	if inTable(round, k) {
+		return names().d[round-1][k]
+	}
+	return formatDiff(round, k)
+}
+
+// roundName names the running set X_r.
+func roundName(round int) string {
+	if inTable(round, 0) {
+		return names().round[round]
+	}
+	return formatRound("X", round)
+}
+
+// unionName names S_r, round's selection results united.
+func unionName(round int) string {
+	if inTable(round, 0) {
+		return names().union[round]
+	}
+	return formatRound("S", round)
+}
+
+// loadName names F_j, source src's loaded contents.
+func loadName(src int) string {
+	if src >= 0 && src < namedSources {
+		return names().load[src]
+	}
+	return formatRound("F", src+1)
+}
+
+// formatVar renders a per-source variable, matching the paper's figures for
+// single-digit indices and remaining unambiguous beyond.
+func formatVar(prefix string, round, src int) string {
+	if round <= 9 && src < 9 {
+		return prefix + strconv.Itoa(round) + strconv.Itoa(src+1)
+	}
+	return prefix + strconv.Itoa(round) + "_" + strconv.Itoa(src+1)
+}
+
+func formatRound(prefix string, i int) string { return prefix + strconv.Itoa(i) }
+
+func formatDiff(round, k int) string {
+	if k == 0 {
+		return "D" + strconv.Itoa(round)
+	}
+	return "D" + strconv.Itoa(round) + "_" + strconv.Itoa(k)
+}
 
 // allSelectChoices builds an m×n all-MethodSelect matrix, its rows on one
 // backing array.

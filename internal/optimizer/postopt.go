@@ -2,7 +2,7 @@ package optimizer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"fusionq/internal/plan"
 )
@@ -111,17 +111,26 @@ func buildAndEstimate(pr *Problem, sk Sketch) (builtPlan, float64, error) {
 // the estimated cost.
 func chainOrderByFrac(pr *Problem, sk Sketch) [][]int {
 	m, n := len(pr.Conds), len(pr.Sources)
-	out := make([][]int, m)
+	// Every round's order is a piece of one array.
+	out, cells := make([][]int, m), make([]int, 0, (m-1)*n)
 	for r := 1; r < m; r++ {
-		ci := sk.Ordering[r]
-		ord := make([]int, 0, n)
+		start := len(cells)
 		for j := 0; j < n; j++ {
-			if sk.Choices[r][j] == MethodSemijoin || sk.Choices[r][j] == MethodBloom {
-				ord = append(ord, j)
+			if sk.semiRole(r+1, j) {
+				cells = append(cells, j)
 			}
 		}
-		frac := pr.Table.Frac[ci]
-		sort.SliceStable(ord, func(a, b int) bool { return frac[ord[a]] > frac[ord[b]] })
+		ord := cells[start:len(cells):len(cells)]
+		frac := pr.Table.Frac[sk.Ordering[r]]
+		slices.SortStableFunc(ord, func(a, b int) int {
+			switch {
+			case frac[a] > frac[b]:
+				return -1
+			case frac[a] < frac[b]:
+				return 1
+			}
+			return 0
+		})
 		out[r] = ord
 	}
 	return out

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"fusionq/internal/cond"
 	"fusionq/internal/netsim"
+	"fusionq/internal/racetest"
 	"fusionq/internal/source"
 	"fusionq/internal/workload"
 )
@@ -148,6 +150,51 @@ func TestBuildTable(t *testing.T) {
 func TestBuildMismatchedInputs(t *testing.T) {
 	if _, err := Build(nil, make([]SourceStats, 2), make([]SourceProfile, 3)); err == nil {
 		t.Fatal("mismatched stats/profiles should fail")
+	}
+}
+
+// TestBuildShortCondCard: statistics that estimate fewer conditions than
+// the table has rows are an error, not an index out of range.
+func TestBuildShortCondCard(t *testing.T) {
+	sts := []SourceStats{
+		{Name: "R1", DistinctItems: 10, CondCard: []float64{1, 2}},
+		{Name: "R2", DistinctItems: 10, CondCard: []float64{3}},
+	}
+	profiles := UniformProfiles([]string{"R1", "R2"}, SourceProfile{PerQuery: 1, Support: SemijoinNative})
+	_, err := Build(make([]cond.Cond, 2), sts, profiles)
+	if err == nil || !strings.Contains(err.Error(), "R2") {
+		t.Fatalf("Build over a short CondCard: err = %v, want one naming R2", err)
+	}
+}
+
+// TestBuildAllocs: a table is laid out in the same few allocations
+// whatever its size.
+func TestBuildAllocs(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	allocs := func(m, n int) float64 {
+		sts := make([]SourceStats, n)
+		names := make([]string, n)
+		for j := range sts {
+			names[j] = fmt.Sprintf("R%d", j+1)
+			sts[j] = SourceStats{Name: names[j], DistinctItems: 100, Bytes: 800, CondCard: make([]float64, m)}
+			for i := range sts[j].CondCard {
+				sts[j].CondCard[i] = float64(10 * (i + j + 1))
+			}
+		}
+		profiles := UniformProfiles(names, SourceProfile{PerQuery: 1, PerItemSent: 0.1, PerItemRecv: 0.1, BloomBitsPerItem: 8, Support: SemijoinNative})
+		conds := make([]cond.Cond, m)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Build(conds, sts, profiles); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(2, 3), allocs(5, 8)
+	t.Logf("Build: %v allocations at m=2, n=3; %v at m=5, n=8", small, large)
+	if small != large {
+		t.Fatalf("Build allocates %v times at m=2, n=3 and %v at m=5, n=8; want the same", small, large)
 	}
 }
 

@@ -170,27 +170,50 @@ func (t *CostTable) FirstRoundCard(i int) float64 {
 func (t *CostTable) ResetInvocations() { t.Invocations = 0 }
 
 // Build assembles a CostTable from per-source statistics and cost profiles.
-// stats and profiles must be parallel to sources; the table has a row per
-// condition of conds.
+// stats and profiles must be parallel to sources, and each source's CondCard
+// must estimate every condition of conds; the table has a row per condition.
+// Its seven matrices and four per-source vectors share one backing array and
+// the matrices' rows one array of row headers, so a table is the same
+// handful of allocations whatever its size.
 func Build(conds []cond.Cond, stats []SourceStats, profiles []SourceProfile) (*CostTable, error) {
 	n := len(stats)
 	if len(profiles) != n {
 		return nil, fmt.Errorf("stats: %d stats but %d profiles", n, len(profiles))
 	}
 	m := len(conds)
+	for _, st := range stats {
+		if len(st.CondCard) < m {
+			return nil, fmt.Errorf("stats: %s has cardinalities for %d conditions, want %d", st.Name, len(st.CondCard), m)
+		}
+	}
+	const matrices, vectors = 7, 4
+	cells, rows := make([]float64, matrices*m*n+vectors*n), make([][]float64, matrices*m)
+	matrix := func() [][]float64 {
+		out := rows[:m:m]
+		for i := range out {
+			out[i], cells = cells[:n:n], cells[n:]
+		}
+		rows = rows[m:]
+		return out
+	}
+	vector := func() []float64 {
+		out := cells[:n:n]
+		cells = cells[n:]
+		return out
+	}
 	t := &CostTable{
 		SourceNames: make([]string, n),
-		Sq:          matrix(m, n),
-		Card:        matrix(m, n),
-		SjFixed:     matrix(m, n),
-		SjPerItem:   matrix(m, n),
-		SjbFixed:    matrix(m, n),
-		SjbPerItem:  matrix(m, n),
-		Frac:        matrix(m, n),
-		Load:        make([]float64, n),
-		SourceBytes: make([]float64, n),
-		SourceItems: make([]float64, n),
-		QueryFixed:  make([]float64, n),
+		Sq:          matrix(),
+		Card:        matrix(),
+		SjFixed:     matrix(),
+		SjPerItem:   matrix(),
+		SjbFixed:    matrix(),
+		SjbPerItem:  matrix(),
+		Frac:        matrix(),
+		Load:        vector(),
+		SourceBytes: vector(),
+		SourceItems: vector(),
+		QueryFixed:  vector(),
 		Support:     make([]SemijoinSupport, n),
 		Conns:       make([]int, n),
 	}
@@ -299,12 +322,3 @@ func (t *CostTable) String() string {
 }
 
 func condLabel(i int) string { return fmt.Sprintf("c%d", i+1) }
-
-func matrix(m, n int) [][]float64 {
-	backing := make([]float64, m*n)
-	out := make([][]float64, m)
-	for i := range out {
-		out[i], backing = backing[:n], backing[n:]
-	}
-	return out
-}
