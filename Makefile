@@ -36,8 +36,9 @@ lint:
 # Eval, the CSV loader, then the two ends of the wire transport (arbitrary
 # bytes, item blocks among them, into the serve loop and into the client's
 # Do/Stream), then the item block codec (arbitrary header counts and block
-# bytes under the frame budget against a reference decoder, and the
-# block-line reader against encoding/json), then the union kernel and the
+# bytes under the frame budget against a reference decoder), then the line
+# codec (the hand reader against json.Unmarshal and the writer against
+# json.Marshal, requests and responses), then the union kernel and the
 # streaming merges against a map-and-sort reference. CI runs this target.
 fuzz:
 	$(GO) test -fuzz=FuzzParseFusion -fuzztime=30s -run='^$$' ./internal/sqlparse
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzServerFrame -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClientFrame -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzFrameCodec -fuzztime=20s -run='^$$' ./internal/wire
+	$(GO) test -fuzz=FuzzFrameLine -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzSetAlgebra -fuzztime=20s -run='^$$' ./internal/set
 
 # Differential oracle: the selftest (an injected corruption must be caught),

@@ -32,16 +32,13 @@ func Exhaustive(pr *Problem) (Result, error) {
 	}
 
 	best := Result{Cost: math.Inf(1)}
-	var firstErr error
-	permutations(m, func(ord []int) {
-		if firstErr != nil {
-			return
-		}
-		digits := n * (m - 1)
-		combos := 1
-		for i := 0; i < digits; i++ {
-			combos *= 3
-		}
+	digits := n * (m - 1)
+	combos := 1
+	for i := 0; i < digits; i++ {
+		combos *= 3
+	}
+	ord := identityOrder(m)
+	for more := true; more; more = nextPermutation(ord) {
 		for mask := 0; mask < combos; mask++ {
 			choices := allSelectChoices(m, n)
 			b := mask
@@ -54,21 +51,16 @@ func Exhaustive(pr *Problem) (Result, error) {
 			sk := Sketch{Ordering: append([]int(nil), ord...), Choices: choices, Class: "exhaustive"}
 			p, err := BuildPlan(pr, sk)
 			if err != nil {
-				firstErr = err
-				return
+				return Result{}, err
 			}
 			est, err := plan.EstimateCost(p, pr.Table)
 			if err != nil {
-				firstErr = err
-				return
+				return Result{}, err
 			}
 			if improves(est.Cost, sk.Ordering, best.Cost, best.Sketch.Ordering) {
 				best = Result{Plan: p, Cost: est.Cost, Sketch: sk}
 			}
 		}
-	})
-	if firstErr != nil {
-		return Result{}, firstErr
 	}
 	return best, nil
 }

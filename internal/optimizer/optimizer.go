@@ -12,6 +12,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -117,30 +118,24 @@ type Result struct {
 	Sketch Sketch
 }
 
-// permutations calls fn with every permutation of 0..m-1, reusing one
-// backing slice. fn must not retain the slice. It returns the number of
-// permutations visited.
-func permutations(m int, fn func([]int)) int {
-	idx := make([]int, m)
-	for i := range idx {
-		idx[i] = i
+// nextPermutation rearranges ord into the permutation that follows it in
+// lexicographic order and reports whether there is one: from the identity,
+// it visits every permutation of 0..len(ord)-1 once, in place.
+func nextPermutation(ord []int) bool {
+	i := len(ord) - 2
+	for i >= 0 && ord[i] >= ord[i+1] {
+		i--
 	}
-	count := 0
-	var rec func(k int)
-	rec = func(k int) {
-		if k == m {
-			count++
-			fn(idx)
-			return
-		}
-		for i := k; i < m; i++ {
-			idx[k], idx[i] = idx[i], idx[k]
-			rec(k + 1)
-			idx[k], idx[i] = idx[i], idx[k]
-		}
+	if i < 0 {
+		return false
 	}
-	rec(0)
-	return count
+	j := len(ord) - 1
+	for ord[j] <= ord[i] {
+		j--
+	}
+	ord[i], ord[j] = ord[j], ord[i]
+	slices.Reverse(ord[i+1:])
+	return true
 }
 
 // lexLess reports whether ordering a precedes ordering b lexicographically.
@@ -157,7 +152,7 @@ func lexLess(a, b []int) bool {
 // incumbent best (bestCost, bestOrd). Strictly cheaper always wins; an exact
 // cost tie falls to the lexicographically smaller condition ordering. The
 // deterministic tie-break makes every enumerating optimizer's choice a
-// function of the problem alone, independent of the order permutations are
+// function of the problem alone, independent of the order orderings are
 // visited in — equal-cost plans cannot flip with a refactor of the
 // enumeration. Candidates visited earlier under the same ordering (e.g. the
 // method masks of the exhaustive search) keep first-wins behavior, which is

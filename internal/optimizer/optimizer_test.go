@@ -111,15 +111,17 @@ func selectiveFirstCards(m, n int) [][]float64 {
 func TestPermutations(t *testing.T) {
 	for m, want := range map[int]int{1: 1, 2: 2, 3: 6, 4: 24} {
 		seen := map[string]bool{}
-		count := permutations(m, func(ord []int) {
+		count := 0
+		for ord, more := identityOrder(m), true; more; more = nextPermutation(ord) {
 			key := ""
 			for _, x := range ord {
 				key += string(rune('0' + x))
 			}
 			seen[key] = true
-		})
+			count++
+		}
 		if count != want || len(seen) != want {
-			t.Errorf("permutations(%d): count=%d distinct=%d, want %d", m, count, len(seen), want)
+			t.Errorf("permutations of %d: count=%d distinct=%d, want %d", m, count, len(seen), want)
 		}
 	}
 }

@@ -46,8 +46,9 @@ func TestSJAPlusIsSJAPostoptimized(t *testing.T) {
 
 // TestSJAPlusAllocs: SJA+ allocates what its search does and what its
 // postoptimization does, nothing more: it builds no plan of SJA's. The
-// search prices every ordering in the same two matrices, so what it
-// allocates does not grow with the m! orderings it prices.
+// search prices every ordering in the same two matrices, laid out with its
+// orderings in two allocations, so what it allocates does not grow with
+// the m! orderings it prices.
 func TestSJAPlusAllocs(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race runtime allocates on its own")
@@ -76,8 +77,8 @@ func TestSJAPlusAllocs(t *testing.T) {
 		t.Logf("m=%d: SJA+ %v allocations: search %v, postoptimization %v", m, plus, s, post)
 		searched = append(searched, s)
 	}
-	if searched[0] != searched[1] {
-		t.Errorf("the search allocates %v times over 3! orderings and %v over 5!; want the same", searched[0], searched[1])
+	if searched[0] != searched[1] || searched[0] > 2 {
+		t.Errorf("the search allocates %v times over 3! orderings and %v over 5!; want the same, at most 2", searched[0], searched[1])
 	}
 }
 

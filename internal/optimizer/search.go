@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"unsafe"
 
 	"fusionq/internal/stats"
 )
@@ -135,22 +136,34 @@ func priceInto(t *stats.CostTable, ord []int, first func(*stats.CostTable, int) 
 // (improves). It returns the winner's sketch and cost and builds no plan.
 // Each ordering is priced into one of two matrices while the other holds
 // the best so far; a winner's matrix becomes the best, and the old best's
-// the next one priced into.
+// the next one priced into. Both matrices and two orderings, the one priced
+// and the best so far, are pieces of one array (a Method is an int), and the
+// matrices' rows of another: a search allocates twice at any m and n.
 func search(pr *Problem, class string, first func(*stats.CostTable, int) float64, decide rule) (Sketch, float64, error) {
 	if err := pr.Validate(); err != nil {
 		return Sketch{}, 0, err
 	}
 	m, n := len(pr.Conds), len(pr.Sources)
-	next, best := allSelectChoices(m, n), allSelectChoices(m, n)
-	var bestOrd []int
+	cells, rows := make([]Method, 2*m*n+2*m), make([][]Method, 2*m)
+	for i := range rows {
+		rows[i] = cells[i*n : (i+1)*n : (i+1)*n]
+	}
+	next, best := rows[:m:m], rows[m:]
+	ords := unsafe.Slice((*int)(unsafe.Pointer(&cells[2*m*n])), 2*m)
+	ord, kept := ords[:m:m], ords[m:]
+	for i := range ord {
+		ord[i] = i
+	}
+	var bestOrd []int // nil until an ordering improves on no plan at all
 	bestCost := math.Inf(1)
-	permutations(m, func(ord []int) {
+	for more := true; more; more = nextPermutation(ord) {
 		cost := priceInto(pr.Table, ord, first, decide, next)
 		if improves(cost, ord, bestCost, bestOrd) {
-			bestCost, bestOrd = cost, append(bestOrd[:0], ord...)
+			bestCost, bestOrd = cost, kept
+			copy(bestOrd, ord)
 			next, best = best, next
 		}
-	})
+	}
 	return Sketch{Ordering: bestOrd, Choices: best, Class: class}, bestCost, nil
 }
 

@@ -77,18 +77,43 @@ func (s *Server) serve(ctx context.Context, req wire.Request) wire.Response {
 	met.Histogram(obs.MWireSeconds).Observe(elapsed.Seconds())
 
 	if req.Op == wire.OpQuery {
-		status := "ok"
-		switch {
-		case resp.Code != "":
-			status = resp.Code
-		case resp.Error != "":
-			status = fmt.Sprintf("error=%q", resp.Error)
-		}
-		s.Logf("service: tenant=%s conds=%d stream=%v items=%d elapsed=%s planCached=%v answerCached=%v %s",
-			req.Tenant, len(req.Conds), req.Stream, len(resp.Items),
-			elapsed.Round(time.Microsecond), resp.PlanCached, resp.AnswerCached, status)
+		logQuery(s.Logf, req, &resp, elapsed)
 	}
 	return resp
+}
+
+// logQuery writes a query's correlation line to logf. The line is
+// formatted only when logf writes it, and handing it over allocates once:
+// logf's one argument is the line, which holds it.
+func logQuery(logf func(string, ...interface{}), req wire.Request, resp *wire.Response, elapsed time.Duration) {
+	line := &queryLog{tenant: req.Tenant, conds: len(req.Conds), stream: req.Stream, items: len(resp.Items),
+		elapsed: elapsed, planCached: resp.PlanCached, answerCached: resp.AnswerCached, code: resp.Code, err: resp.Error}
+	line.arg[0] = line
+	logf("%s", line.arg[:]...)
+}
+
+// queryLog is a query's correlation line, and the argument list that hands
+// it to a log.
+type queryLog struct {
+	arg                      [1]interface{}
+	tenant                   string
+	conds, items             int
+	stream                   bool
+	elapsed                  time.Duration
+	planCached, answerCached bool
+	code, err                string
+}
+
+func (l *queryLog) String() string {
+	status := "ok"
+	switch {
+	case l.code != "":
+		status = l.code
+	case l.err != "":
+		status = fmt.Sprintf("error=%q", l.err)
+	}
+	return fmt.Sprintf("service: tenant=%s conds=%d stream=%v items=%d elapsed=%s planCached=%v answerCached=%v %s",
+		l.tenant, l.conds, l.stream, l.items, l.elapsed.Round(time.Microsecond), l.planCached, l.answerCached, status)
 }
 
 // dispatch executes one request against the engine. ctx is the listener's:

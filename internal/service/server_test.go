@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"fusionq/internal/core"
 	"fusionq/internal/netsim"
 	"fusionq/internal/obs"
+	"fusionq/internal/racetest"
 	"fusionq/internal/relation"
 	"fusionq/internal/source"
 	"fusionq/internal/wire"
@@ -145,5 +147,74 @@ func TestChunkedHitIsChunkedAsUncached(t *testing.T) {
 	}
 	if hitLines[0] != coldLines[0] {
 		t.Fatalf("first chunk:\n hit      %s uncached %s", hitLines[0], coldLines[0])
+	}
+}
+
+// TestQueryLineAllocs: a query's correlation line reads as it always has,
+// and handing it to a log that discards it allocates once.
+func TestQueryLineAllocs(t *testing.T) {
+	var logged string
+	logf := func(format string, args ...interface{}) { logged = fmt.Sprintf(format, args...) }
+	req := wire.Request{Op: wire.OpQuery, Tenant: "bench", Conds: []string{"A1 < 5", "A2 > 7"}, Stream: true}
+	elapsed := 1234567 * time.Nanosecond
+	for _, resp := range []wire.Response{
+		{Items: []string{"a", "b"}, PlanCached: true, AnswerCached: true},
+		{Error: `cond "x": bad`},
+		{Error: "shed", Code: "shed:quota"},
+	} {
+		status := "ok"
+		switch {
+		case resp.Code != "":
+			status = resp.Code
+		case resp.Error != "":
+			status = fmt.Sprintf("error=%q", resp.Error)
+		}
+		want := fmt.Sprintf("service: tenant=%s conds=%d stream=%v items=%d elapsed=%s planCached=%v answerCached=%v %s",
+			req.Tenant, len(req.Conds), req.Stream, len(resp.Items), elapsed.Round(time.Microsecond), resp.PlanCached, resp.AnswerCached, status)
+		if logQuery(logf, req, &resp, elapsed); logged != want {
+			t.Errorf("logged %q, want %q", logged, want)
+		}
+	}
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	resp := wire.Response{AnswerCached: true}
+	discard := func(string, ...interface{}) {}
+	if allocs := testing.AllocsPerRun(100, func() { logQuery(discard, req, &resp, elapsed) }); allocs > 1 {
+		t.Errorf("a correlation line costs %v allocations, want at most 1", allocs)
+	}
+}
+
+// TestAnswerHitAllocs pins what an answer-cache hit allocates, both ends in
+// this process: a warm query through a service.Client over loopback,
+// served from the cache, 15 allocations. Its request and response lines
+// are written and read by hand, the request's conditions in one string,
+// and the service's correlation line is handed to the log in one
+// allocation; through encoding/json and a correlation line of boxed
+// values it was 31.
+func TestAnswerHitAllocs(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	_, srv := oddItemsServer(t, AnswerCacheConfig{TTL: time.Minute})
+	ctx := context.Background()
+	cli, err := DialService(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	conds := []string{`V = 'dui'`, `D > 1990`}
+	for range 2 {
+		if _, err := cli.Query(ctx, "a", conds, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if r, err := cli.Query(ctx, "a", conds, false); err != nil || !r.AnswerCached || len(r.Items) != 6 {
+			t.Fatalf("a hit answered %+v, %v", r, err)
+		}
+	})
+	if allocs > 15 {
+		t.Errorf("an answer-cache hit allocates %v times, want at most 15", allocs)
 	}
 }

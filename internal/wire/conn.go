@@ -187,6 +187,8 @@ func (c *Conn) send(ctx context.Context, req Request) error {
 		return err
 	}
 	c.out = kept(out)
+	// The response echoes the query ID: its reader reuses this string.
+	c.in.qid = req.QueryID
 	_, err = c.conn.Write(out)
 	return err
 }

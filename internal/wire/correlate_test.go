@@ -6,9 +6,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fusionq/internal/cond"
 	"fusionq/internal/obs"
+	"fusionq/internal/racetest"
 	"fusionq/internal/workload"
 )
 
@@ -127,5 +129,33 @@ func TestQueryIDAbsentOutsideQuery(t *testing.T) {
 	mu.Unlock()
 	if strings.Contains(joined, "qid=") {
 		t.Fatalf("anonymous request logged a qid line:\n%s", joined)
+	}
+}
+
+// TestCorrelationLineAllocs: a request's correlation line reads as it
+// always has, and handing it to a log that discards it allocates once.
+func TestCorrelationLineAllocs(t *testing.T) {
+	var logged string
+	srv := &Server{src: workload.DMV().Sources[0], cfg: Config{Logf: func(format string, args ...interface{}) {
+		logged = fmt.Sprintf(format, args...)
+	}}}
+	req := Request{Op: OpSelect, QueryID: "q-42"}
+	elapsed := 1234567 * time.Nanosecond
+	for _, errText := range []string{"", `cond "x": bad`} {
+		status := "ok"
+		if errText != "" {
+			status = fmt.Sprintf("error=%q", errText)
+		}
+		want := fmt.Sprintf("wire: qid=%s op=%s source=%s elapsed=%s %s", req.QueryID, req.Op, srv.src.Name(), elapsed.Round(time.Microsecond), status)
+		if srv.logRequest(req, elapsed, errText); logged != want {
+			t.Errorf("logged %q, want %q", logged, want)
+		}
+	}
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	srv.cfg.Logf = func(string, ...interface{}) {}
+	if allocs := testing.AllocsPerRun(100, func() { srv.logRequest(req, elapsed, "") }); allocs > 1 {
+		t.Errorf("a correlation line costs %v allocations, want at most 1", allocs)
 	}
 }

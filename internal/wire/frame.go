@@ -4,18 +4,16 @@ package wire
 // line and its item block: a peer that asked for blocks (the item-block
 // extension, Meta.ItemBlock) gets a frame's items after its line as their
 // lengths in uvarints and then their bytes, the line carrying their count
-// and the block's length in place of "items". Everything on a line is
-// encoding/json's, so the meaning of a line is exactly what json.Unmarshal
-// reads; the block is this file's. The line of a block chunk or a block
-// answer is read here without encoding/json when it holds nothing but the
-// members this codec writes on one.
-// DESIGN.md "Transport" states the contract.
+// and the block's length in place of "items". A line is what json.Marshal
+// writes and means what json.Unmarshal reads: line.go reads and writes
+// every request and response line by hand to exactly that, and leaves to
+// encoding/json whole only a line that holds what it does not code, such
+// as meta, stats, tuples or a v1 peer's items array. The block is this
+// file's. DESIGN.md "Transport" states the contract.
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"math/bits"
@@ -63,6 +61,8 @@ type blockHeader struct {
 
 // frame is what Request and Response have in common for the codec: their
 // items and the header that stands in for them on a block frame's line.
+// The codec switches on a frame's type and calls no method through the
+// interface, so that a frame it is handed stays where its caller put it.
 type frame interface {
 	itemFields() (*[]string, *blockHeader)
 }
@@ -78,6 +78,13 @@ type frameReader struct {
 	// spill gathers a line longer than br's buffer, block a frame's item
 	// block.
 	spill, block []byte
+	// text and ends are scratch for the strings of the line being read.
+	text []byte
+	ends []int
+	// qid, tenant and source are the last of each read on the connection
+	// (qid also the last sent on it): a line that repeats one reuses its
+	// string.
+	qid, tenant, source string
 	// keep has the block of a response without More land in a slice of
 	// exactly its size instead, which nothing gives back. Conn.exchange
 	// sets it for an answer's first frame on a connection whose callers
@@ -123,22 +130,34 @@ func (r *frameReader) next(budget *int) ([]byte, error) {
 	}
 }
 
-// read decodes the next frame into v, charging its bytes to *budget: the
-// line, and then the block its header announces. The block is charged in
-// full before anything is allocated for it, so a header cannot make the
-// reader allocate past what the budget has left.
+// read decodes the next frame into v, which it overwrites, charging its
+// bytes to *budget: the line, and then the block its header announces. The
+// block is charged in full before anything is allocated for it, so a header
+// cannot make the reader allocate past what the budget has left.
 func (r *frameReader) read(v frame, budget *int) error {
 	line, err := r.next(budget)
 	if err != nil {
 		return err
 	}
-	resp, isResp := v.(*Response)
-	if !isResp || !readBlockLine(line, resp) {
-		if err := json.Unmarshal(line, v); err != nil {
-			return err
+	var field *[]string
+	var hdr *blockHeader
+	final := false
+	switch f := v.(type) {
+	case *Request:
+		if !r.requestLine(line, f) {
+			err = unmarshalLine(line, f)
 		}
+		field, hdr = f.itemFields()
+	case *Response:
+		if !r.responseLine(line, f) {
+			err = unmarshalLine(line, f)
+		}
+		field, hdr = f.itemFields()
+		final = !f.More
 	}
-	field, hdr := v.itemFields()
+	if err != nil {
+		return err
+	}
 	h := *hdr
 	*hdr = blockHeader{}
 	switch {
@@ -155,7 +174,7 @@ func (r *frameReader) read(v frame, budget *int) error {
 		return err
 	}
 	var items []string
-	if r.keep && isResp && !resp.More {
+	if r.keep && final {
 		items = make([]string, h.ItemCount)
 	} else {
 		items = set.Alloc(h.ItemCount)[:h.ItemCount]
@@ -190,116 +209,11 @@ func (r *frameReader) readBlock(n int) error {
 	return nil
 }
 
-// readBlockLine reads line into resp when it is the line of a block frame
-// as this codec writes a chunk's or an answer's: an object whose members
-// are at most a qid that is a plain string, the two block counts as plain
-// integers, and more, planCached and answerCached as true or false, each
-// under exactly its name (the last of each counts, as for encoding/json).
-// Any other line is left to encoding/json, so what a line means is
-// encoding/json's whatever it holds; resp is untouched then.
-func readBlockLine(line []byte, resp *Response) bool {
-	var r Response
-	var qid []byte
-	i := skipSpace(line, 0)
-	if i == len(line) || line[i] != '{' {
-		return false
-	}
-	for i = skipSpace(line, i+1); ; i = skipSpace(line, i+1) {
-		key, n := plainString(line, i)
-		if n == 0 {
-			return false
-		}
-		if i = skipSpace(line, i+n); i == len(line) || line[i] != ':' {
-			return false
-		}
-		i = skipSpace(line, i+1)
-		switch string(key) {
-		case "qid":
-			qid, n = plainString(line, i)
-		case "itemCount":
-			r.ItemCount, n = plainInt(line, i)
-		case "blockBytes":
-			r.BlockBytes, n = plainInt(line, i)
-		case "more":
-			r.More, n = plainBool(line, i)
-		case "planCached":
-			r.PlanCached, n = plainBool(line, i)
-		case "answerCached":
-			r.AnswerCached, n = plainBool(line, i)
-		default:
-			return false
-		}
-		if n == 0 {
-			return false
-		}
-		if i = skipSpace(line, i+n); i == len(line) {
-			return false
-		}
-		if line[i] == '}' {
-			break
-		}
-		if line[i] != ',' {
-			return false
-		}
-	}
-	if skipSpace(line, i+1) != len(line) {
-		return false
-	}
-	r.QueryID = string(qid)
-	*resp = r
-	return true
-}
-
 func skipSpace(b []byte, i int) int {
 	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
 		i++
 	}
 	return i
-}
-
-// plainString returns the body of the string literal at b[i:] and its
-// length, quotes included, when its body stands for itself: printable
-// ASCII with no quote or backslash. Zero means there is no such literal.
-func plainString(b []byte, i int) ([]byte, int) {
-	if i >= len(b) || b[i] != '"' {
-		return nil, 0
-	}
-	for j := i + 1; j < len(b); j++ {
-		switch c := b[j]; {
-		case c == '"':
-			return b[i+1 : j], j + 1 - i
-		case c < 0x20 || c >= 0x80 || c == '\\':
-			return nil, 0
-		}
-	}
-	return nil, 0
-}
-
-// plainInt reads the number at b[i:] when it is a non-negative integer of
-// at most nine digits and no leading zero, and returns it and its length;
-// zero length means there is no such number.
-func plainInt(b []byte, i int) (int, int) {
-	v, j := 0, i
-	for j < len(b) && j-i < 10 && b[j] >= '0' && b[j] <= '9' {
-		v = 10*v + int(b[j]-'0')
-		j++
-	}
-	if n := j - i; n == 0 || n > 9 || (n > 1 && b[i] == '0') {
-		return 0, 0
-	}
-	return v, j - i
-}
-
-// plainBool reads the literal true or false at b[i:] and returns it and
-// its length; zero length means there is neither.
-func plainBool(b []byte, i int) (bool, int) {
-	switch {
-	case bytes.HasPrefix(b[i:], []byte("true")):
-		return true, 4
-	case bytes.HasPrefix(b[i:], []byte("false")):
-		return false, 5
-	}
-	return false, 0
 }
 
 // decodeBlock fills items from block, which must hold exactly len(items)
@@ -369,35 +283,63 @@ func appendBlock(dst []byte, items []string) []byte {
 // appendFrame appends v's frame to dst. Without block, or with no items,
 // it is the line json.Encoder writes for v. With block, the line has the
 // block's header in place of the items and the block follows it: a
-// response's Encoded block when it carries one.
+// response's Encoded block when it carries one. The line is line.go's,
+// or json.Marshal's when it holds what line.go does not write.
 func appendFrame(dst []byte, v frame, block bool) ([]byte, error) {
-	field, hdr := v.itemFields()
-	items := *field
-	if !block || len(items) == 0 {
-		line, err := json.Marshal(v)
-		if err != nil {
-			return dst, err
-		}
-		return append(append(dst, line...), '\n'), nil
-	}
+	// h is the header the line carries: the block's, when it has one.
+	var items []string
+	var h blockHeader
 	var enc *EncodedItems
-	if resp, ok := v.(*Response); ok {
-		enc = resp.Encoded
+	switch f := v.(type) {
+	case *Request:
+		items, h = f.Items, f.blockHeader
+	case *Response:
+		items, h, enc = f.Items, f.blockHeader, f.Encoded
 	}
-	size := 0
-	if enc != nil {
-		size = len(enc.block)
-	} else {
-		size = blockSize(items)
+	inBlock := block && len(items) > 0
+	switch {
+	case !inBlock:
+	case enc != nil:
+		h = blockHeader{ItemCount: len(items), BlockBytes: len(enc.block)}
+	default:
+		h = blockHeader{ItemCount: len(items), BlockBytes: blockSize(items)}
 	}
-	*field, *hdr = nil, blockHeader{ItemCount: len(items), BlockBytes: size}
-	line, err := json.Marshal(v)
-	*field, *hdr = items, blockHeader{}
-	if err != nil {
-		return dst, err
+	line, ok := dst, false
+	switch f := v.(type) {
+	case *Request:
+		if inBlock || len(items) == 0 {
+			line, ok = appendRequestLine(dst, f, h)
+		}
+		if !ok {
+			c := *f
+			if inBlock {
+				c.Items, c.blockHeader = nil, h
+			}
+			var err error
+			if line, err = marshalLine(dst, c); err != nil {
+				return dst, err
+			}
+		}
+	case *Response:
+		if inBlock || len(items) == 0 {
+			line, ok = appendResponseLine(dst, f, h)
+		}
+		if !ok {
+			c := *f
+			if inBlock {
+				c.Items, c.blockHeader = nil, h
+			}
+			var err error
+			if line, err = marshalLine(dst, c); err != nil {
+				return dst, err
+			}
+		}
 	}
-	dst = append(append(dst, line...), '\n')
-	if enc != nil {
+	dst = append(line, '\n')
+	switch {
+	case !inBlock:
+		return dst, nil
+	case enc != nil:
 		return append(dst, enc.block...), nil
 	}
 	return appendBlock(dst, items), nil

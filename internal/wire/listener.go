@@ -205,7 +205,6 @@ func (l *Listener) serveConn(conn net.Conn) {
 	in := frameReader{br: bufio.NewReader(conn)}
 	var w frameWriter
 	defer w.held.Release()
-	var req Request // one a connection: read takes it by reference, which moves it to the heap
 	for {
 		if l.cfg.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(l.cfg.IdleTimeout)); err != nil {
@@ -216,7 +215,7 @@ func (l *Listener) serveConn(conn net.Conn) {
 			return // a drain's nudge came before the deadline above replaced it
 		}
 		budget := MaxFrameBytes
-		req = Request{} // never decode into the last request's Items or Conds
+		var req Request
 		if err := in.read(&req, &budget); err != nil {
 			switch {
 			case l.isClosed():
@@ -252,13 +251,10 @@ func (l *Listener) serveConn(conn net.Conn) {
 
 // frameWriter is a connection's response side: the frame being written,
 // kept up to maxKeptBuffer between responses, and the pooled buffer that
-// holds a chunk back while the next one is pulled. The response being
-// encoded lives here too, because the encoder takes it by reference: a
-// response on the stack would be moved to the heap, one allocation a frame.
+// holds a chunk back while the next one is pulled.
 type frameWriter struct {
-	out   []byte
-	held  set.Buffer
-	frame Response
+	out  []byte
+	held set.Buffer
 }
 
 // write sends resp, the answer to req, and reports whether the connection
@@ -330,9 +326,8 @@ func (l *Listener) writeFrame(conn net.Conn, req Request, resp Response, chunkSt
 			return false
 		}
 	}
-	w.frame = resp
-	out, err := appendFrame(w.out[:0], &w.frame, req.ItemBlock)
-	w.frame, w.out = Response{}, out
+	out, err := appendFrame(w.out[:0], &resp, req.ItemBlock)
+	w.out = out
 	if err != nil {
 		return false
 	}

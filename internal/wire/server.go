@@ -102,12 +102,7 @@ func (s *Server) serve(ctx context.Context, req Request) Response {
 	met.Counter(obs.MWireBytesOut, "op", req.Op).Add(int64(bytesOut))
 
 	if req.QueryID != "" {
-		status := "ok"
-		if resp.Error != "" {
-			status = fmt.Sprintf("error=%q", resp.Error)
-		}
-		s.cfg.Logf("wire: qid=%s op=%s source=%s elapsed=%s %s",
-			req.QueryID, req.Op, s.src.Name(), elapsed.Round(time.Microsecond), status)
+		s.logRequest(req, elapsed, resp.Error)
 	}
 	if req.Frag {
 		scan := elapsed - parse
@@ -127,6 +122,33 @@ func (s *Server) serve(ctx context.Context, req Request) Response {
 			bytesOut: met.Counter(obs.MWireBytesOut, "op", req.Op), errs: met.Counter(obs.MWireErrors, "op", req.Op)}
 	}
 	return resp
+}
+
+// logRequest writes a request's correlation line to the log. The line is
+// formatted only when the log writes it, and handing it over allocates
+// once: Logf's one argument is the line, which holds it.
+func (s *Server) logRequest(req Request, elapsed time.Duration, errText string) {
+	line := &requestLog{qid: req.QueryID, op: req.Op, source: s.src.Name(), elapsed: elapsed, err: errText}
+	line.arg[0] = line
+	s.cfg.Logf("%s", line.arg[:]...)
+}
+
+// requestLog is a request's correlation line, and the argument list that
+// hands it to a log.
+type requestLog struct {
+	arg             [1]interface{}
+	qid, op, source string
+	elapsed         time.Duration
+	err             string
+}
+
+func (l *requestLog) String() string {
+	status := "ok"
+	if l.err != "" {
+		status = fmt.Sprintf("error=%q", l.err)
+	}
+	return fmt.Sprintf("wire: qid=%s op=%s source=%s elapsed=%s %s",
+		l.qid, l.op, l.source, l.elapsed.Round(time.Microsecond), status)
 }
 
 // servedStream is a streamed answer on its way out through the listener:

@@ -78,12 +78,9 @@ func (st *clientStream) pump() {
 	last, any := "", false
 	var perr error
 	var frag *Fragment
-	// One response is decoded into again and again: the decoder takes it
-	// by reference, so one declared per frame would be one allocation each.
-	var resp Response
 	for {
 		budget := MaxFrameBytes
-		resp = Response{}
+		var resp Response
 		err := c.in.read(&resp, &budget)
 		if err != nil {
 			err = c.fail(st.ctx, err)
