@@ -39,7 +39,10 @@ lint:
 # bytes under the frame budget against a reference decoder), then the line
 # codec (the hand reader against json.Unmarshal and the writer against
 # json.Marshal, requests and responses), then the union kernel and the
-# streaming merges against a map-and-sort reference. CI runs this target.
+# streaming merges against a map-and-sort reference, then the service's
+# cache key (a request keyed by its texts unparsed keys as its parsed
+# conditions do, and two condition lists key alike only if their texts are
+# the same multiset). CI runs this target.
 fuzz:
 	$(GO) test -fuzz=FuzzParseFusion -fuzztime=30s -run='^$$' ./internal/sqlparse
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s -run='^$$' ./internal/cond
@@ -51,6 +54,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFrameCodec -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzFrameLine -fuzztime=20s -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzSetAlgebra -fuzztime=20s -run='^$$' ./internal/set
+	$(GO) test -fuzz=FuzzQueryKey -fuzztime=20s -run='^$$' ./internal/service
 
 # Differential oracle: the selftest (an injected corruption must be caught),
 # a 60s soak of random universes against the naive reference executor, 30s

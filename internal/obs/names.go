@@ -105,12 +105,15 @@ const (
 	// consultations at the service layer; MAnswerCacheEvictions counts
 	// entries dropped, labeled by reason (ttl | size | stale).
 	// MAnswerCacheEntries / MAnswerCacheBytes gauge the cache's current
-	// footprint against its configured bounds.
+	// footprint against its configured bounds. A query charges one hit
+	// or one miss. MAnswerCoalesced counts queries that missed and were
+	// served the answer of an identical query already executing.
 	MAnswerCacheHits      = "fq_answer_cache_hits_total"
 	MAnswerCacheMisses    = "fq_answer_cache_misses_total"
 	MAnswerCacheEvictions = "fq_answer_cache_evictions_total"
 	MAnswerCacheEntries   = "fq_answer_cache_entries"
 	MAnswerCacheBytes     = "fq_answer_cache_bytes"
+	MAnswerCoalesced      = "fq_answer_coalesced_total"
 )
 
 // DescribeAll registers help text and type for every canonical metric on r,
@@ -160,6 +163,7 @@ func DescribeAll(r *Registry) {
 		{MAnswerCacheEvictions, kindCounter, "Answer-cache entries dropped, by reason."},
 		{MAnswerCacheEntries, kindGauge, "Entries currently held by the service answer cache."},
 		{MAnswerCacheBytes, kindGauge, "Approximate bytes held by the service answer cache."},
+		{MAnswerCoalesced, kindCounter, "Answer-cache misses served the answer of an identical query in flight."},
 	} {
 		r.describeTyped(d.name, d.kind, d.help)
 	}

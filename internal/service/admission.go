@@ -4,9 +4,10 @@
 // token-bucket quotas with honest load-shedding; a plan cache keyed by
 // (canonical conditions, roster epoch) lets repeated queries skip statistics
 // gathering and optimization; a whole-answer cache with TTL and size bounds
-// answers repeats without executing at all. cmd/fqd serves the engine over
-// the wire protocol's query op and DialService is its client; the oracle's
-// fqd phase checks every answer it serves under concurrent tenants.
+// answers repeats without executing at all, and identical queries that miss
+// it together execute once. cmd/fqd serves the engine over the wire
+// protocol's query op and DialService is its client; the oracle's fqd phase
+// checks every answer it serves under concurrent tenants.
 package service
 
 import (
@@ -148,6 +149,18 @@ func (a *Admission) Admit(ctx context.Context, tenant string) (func(), error) {
 	if !a.takeToken(tenant) {
 		return nil, a.shed(tenant, ShedQuota)
 	}
+	release, err := a.acquire(ctx, tenant)
+	if err == nil {
+		a.metrics.Counter(obs.MAdmitted, "tenant", tenant).Inc()
+	}
+	return release, err
+}
+
+// acquire takes an execution slot for an admitted query, queueing for one
+// as Admit does but spending no token and charging no admission: a query
+// that gave its slot up while it waited for another's execution takes one
+// back through it to execute itself.
+func (a *Admission) acquire(ctx context.Context, tenant string) (func(), error) {
 	// Fast path: a free slot means no queueing.
 	select {
 	case a.slots <- struct{}{}:
@@ -186,7 +199,6 @@ func (a *Admission) admitted(tenant string) (func(), error) {
 		<-a.slots
 		return nil, a.shed(tenant, ShedDraining)
 	}
-	a.metrics.Counter(obs.MAdmitted, "tenant", tenant).Inc()
 	a.metrics.Gauge(obs.MInflight).Inc()
 	var once sync.Once
 	return func() {

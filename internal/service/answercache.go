@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -35,18 +36,43 @@ type AnswerCacheConfig struct {
 // all. Its own are the pin and the encoding: an entry is served only at the
 // roster epoch and up to the expiry instant it was put with, and holds its
 // items as the wire's item block (wire.EncodeItems), which is also their
-// copy. Safe for concurrent use.
+// copy.
+//
+// It also keeps the executions of the answers it missed, one per key and
+// epoch: the first query to miss executes and lands the answer (land), and
+// a query that misses the same key and epoch meanwhile waits for it (wait)
+// instead of executing too. The entry is stored and the execution ended
+// under one lock, so a query that misses an answer finds it executing.
+// Safe for concurrent use.
 type AnswerCache struct {
 	cfg AnswerCacheConfig
 
-	mu    sync.Mutex
-	store *lru.Store[string, answer]
+	mu      sync.Mutex
+	store   *lru.Store[string, answer]
+	flights map[flightKey]*flight
 }
 
 type answer struct {
 	epoch   uint64
 	items   wire.EncodedItems
 	expires time.Time
+}
+
+type flightKey struct {
+	key   string
+	epoch uint64
+}
+
+// flight is what waits on one execution of an answer the cache missed: the
+// flights map holds it under its key and epoch from the first waiter on, and
+// a nil one while the executing query has none. done is closed when the
+// execution lands; items and shared are written before that, and items are
+// the answer only when shared: a failed, cancelled, repaired or records
+// execution shares nothing.
+type flight struct {
+	done   chan struct{}
+	items  wire.EncodedItems
+	shared bool
 }
 
 // AnswerCacheStats is a point-in-time summary of the cache's footprint.
@@ -70,7 +96,7 @@ func NewAnswerCache(cfg AnswerCacheConfig) *AnswerCache {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	c := &AnswerCache{cfg: cfg}
+	c := &AnswerCache{cfg: cfg, flights: map[flightKey]*flight{}}
 	c.store = lru.New(cfg.MaxEntries, cfg.MaxBytes, func(string, answer) { c.evicted("size") })
 	return c
 }
@@ -83,17 +109,106 @@ func (c *AnswerCache) disabled() bool { return c == nil || c.cfg.MaxEntries < 0 
 // misses — the cache never serves an expired or stale answer. The slice is
 // the entry's own, sorted as it was put, and must not be modified.
 func (c *AnswerCache) Get(key string, epoch uint64) ([]string, bool) {
-	enc, ok := c.get(key, epoch)
+	enc, ok := c.get(key, epoch, true)
 	return enc.Items(), ok
 }
 
-// get is Get returning the entry's encoding.
-func (c *AnswerCache) get(key string, epoch uint64) (wire.EncodedItems, bool) {
+// get is Get returning the entry's encoding. It charges a miss only when
+// chargeMiss is set: a probe that another lookup follows leaves the miss to
+// that one.
+func (c *AnswerCache) get(key string, epoch uint64, chargeMiss bool) (wire.EncodedItems, bool) {
 	if c.disabled() {
 		return wire.EncodedItems{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	enc, ok := c.lookup(key, epoch)
+	if ok || chargeMiss {
+		c.count(ok)
+	}
+	return enc, ok
+}
+
+// enter is get for a query that executes on a miss. A hit returns the
+// entry's encoding. On a miss, lead is set when no identical query (key and
+// epoch) is executing: the caller executes it now and must land it.
+// Otherwise f is that execution's flight, for the caller to wait on. A
+// disabled cache misses and the caller leads. The hit or miss is charged,
+// unless the caller waited already, on an execution that shared nothing:
+// it was charged its miss then, and a hit now is charged as coalesced.
+func (c *AnswerCache) enter(key string, epoch uint64, waited bool) (enc wire.EncodedItems, hit bool, f *flight, lead bool) {
+	if c.disabled() {
+		return wire.EncodedItems{}, false, nil, true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	enc, hit = c.lookup(key, epoch)
+	switch {
+	case !waited:
+		c.count(hit)
+	case hit:
+		c.cfg.Metrics.Counter(obs.MAnswerCoalesced).Inc()
+	}
+	if hit {
+		return enc, true, nil, false
+	}
+	fk := flightKey{key, epoch}
+	f, flying := c.flights[fk]
+	if !flying {
+		c.flights[fk] = nil
+		return enc, false, nil, true
+	}
+	if f == nil {
+		f = &flight{done: make(chan struct{})}
+		c.flights[fk] = f
+	}
+	return enc, false, f, false
+}
+
+// land ends the execution of key at epoch that enter had the caller lead:
+// when share is set it stores items as Put does and hands their encoding to
+// the execution's waiters, otherwise the waiters get nothing.
+func (c *AnswerCache) land(key string, epoch uint64, items []string, share bool) wire.EncodedItems {
+	if c.disabled() {
+		return wire.EncodedItems{}
+	}
+	var enc wire.EncodedItems
+	if share {
+		enc = wire.EncodeItems(items)
+	}
+	fk := flightKey{key, epoch}
+	c.mu.Lock()
+	if share {
+		c.put(key, epoch, enc)
+	}
+	f := c.flights[fk]
+	delete(c.flights, fk)
+	c.mu.Unlock()
+	if f != nil {
+		f.items, f.shared = enc, share
+		close(f.done)
+	}
+	return enc
+}
+
+// wait waits for the flight f to land and returns the answer it shares,
+// charging fq_answer_coalesced_total; shared is false when it shares none.
+// ctx ending first returns its error.
+func (c *AnswerCache) wait(ctx context.Context, f *flight) (enc wire.EncodedItems, shared bool, err error) {
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		return wire.EncodedItems{}, false, ctx.Err()
+	}
+	if f.shared {
+		c.cfg.Metrics.Counter(obs.MAnswerCoalesced).Inc()
+	}
+	return f.items, f.shared, nil
+}
+
+// lookup finds key's entry at epoch, evicting an expired one (reason "ttl")
+// or another epoch's (reason "stale"); the caller holds the lock.
+func (c *AnswerCache) lookup(key string, epoch uint64) (wire.EncodedItems, bool) {
 	a, ok := c.store.Get(key)
 	reason := ""
 	switch {
@@ -107,14 +222,9 @@ func (c *AnswerCache) get(key string, epoch uint64) (wire.EncodedItems, bool) {
 		c.store.Remove(key)
 		c.evicted(reason)
 		c.gauges()
-		ok = false
-	}
-	if !ok {
-		c.cfg.Metrics.Counter(obs.MAnswerCacheMisses).Inc()
 		return wire.EncodedItems{}, false
 	}
-	c.cfg.Metrics.Counter(obs.MAnswerCacheHits).Inc()
-	return a.items, true
+	return a.items, ok
 }
 
 // Put stores the answer items for key at the given roster epoch, stamping
@@ -133,9 +243,14 @@ func (c *AnswerCache) Put(key string, epoch uint64, items []string) wire.Encoded
 	enc := wire.EncodeItems(items)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.put(key, epoch, enc)
+	return enc
+}
+
+// put stores an entry; the caller holds the lock.
+func (c *AnswerCache) put(key string, epoch uint64, enc wire.EncodedItems) {
 	c.store.Put(key, answer{epoch: epoch, items: enc, expires: c.cfg.Now().Add(c.cfg.TTL)}, int64(enc.Len()))
 	c.gauges()
-	return enc
 }
 
 // Stats reports the cache's current footprint.
@@ -148,7 +263,15 @@ func (c *AnswerCache) Stats() AnswerCacheStats {
 	return AnswerCacheStats{Entries: c.store.Len(), Bytes: c.store.Bytes()}
 }
 
-// evicted and gauges charge the registry; the caller holds the lock.
+// count, evicted and gauges charge the registry; the caller holds the lock.
+func (c *AnswerCache) count(hit bool) {
+	if hit {
+		c.cfg.Metrics.Counter(obs.MAnswerCacheHits).Inc()
+	} else {
+		c.cfg.Metrics.Counter(obs.MAnswerCacheMisses).Inc()
+	}
+}
+
 func (c *AnswerCache) evicted(reason string) {
 	c.cfg.Metrics.Counter(obs.MAnswerCacheEvictions, "reason", reason).Inc()
 }

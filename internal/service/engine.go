@@ -128,7 +128,11 @@ func ParseConds(texts []string) ([]cond.Cond, error) {
 //  1. admission — bounded in-flight slots, bounded wait queue, per-tenant
 //     token bucket; a rejection is a *ShedError, a caller-abandoned wait
 //     returns the ctx error
-//  2. answer cache — a fresh same-epoch answer short-circuits execution
+//  2. answer cache — a fresh same-epoch answer short-circuits execution; on
+//     a miss, an identical query (same key and epoch) already executing is
+//     waited for, without an execution slot, and its answer served as a
+//     hit is; if it shares none (it failed, was cancelled or repaired), one
+//     of its waiters executes in its place
 //  3. plan cache — a same-epoch plan skips statistics + optimization via
 //     core.QueryPlannedContext; core.ErrStalePlan invalidates and re-plans
 //  4. fresh plan + execute, then cache the plan and the answer
@@ -137,48 +141,109 @@ func ParseConds(texts []string) ([]cond.Cond, error) {
 // the dead logical sources from the mediator roster, moving the epoch so
 // every cached plan and answer from the old roster invalidates; the repaired
 // (possibly partial) answer itself is never cached. Neither is the answer of
-// a records query, which the answer cache could not give back whole.
+// a records query, which the answer cache could not give back whole; nor is
+// a records query coalesced.
 func (e *Engine) Query(ctx context.Context, req Request) (*Result, error) {
-	if len(req.Conds) == 0 {
+	return e.ladder(ctx, req, nil)
+}
+
+// ladder is Query for a request whose conditions are req.Conds or, when
+// texts is not nil, the texts as sent. It admits the request once and
+// charges it one answer-cache hit or miss. Texts key a first probe of the
+// answer cache as they stand (textKey); only a miss parses them. A stored
+// key is a QueryKey, so a textKey equal to it means each text is its
+// condition's rendering, which parses back to itself (cond.FuzzParse): the
+// hit is the one parsing would find.
+func (e *Engine) ladder(ctx context.Context, req Request, texts []string) (*Result, error) {
+	if len(req.Conds) == 0 && len(texts) == 0 {
 		return nil, errors.New("service: query has no conditions")
 	}
 	release, err := e.adm.Admit(ctx, req.Tenant)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer func() { release() }()
 
 	opts := e.opts
 	opts.Streaming = req.Stream
-	key := QueryKey(req.Conds, opts.Algorithm)
+	answers := e.answers
+	if opts.Records {
+		answers = nil
+	}
 	epoch := e.med.Epoch()
-
-	if !opts.Records {
-		if enc, ok := e.answers.get(key, epoch); ok {
-			return &Result{Answer: &core.Answer{Items: set.FromSorted(enc.Items())}, AnswerCached: true, encoded: enc}, nil
+	conds := req.Conds
+	var key string
+	if texts != nil {
+		key = textKey(texts, opts.Algorithm)
+		if enc, ok := answers.get(key, epoch, false); ok {
+			return cached(enc), nil
 		}
+		if conds, err = ParseConds(texts); err != nil {
+			return nil, err
+		}
+		if canon, asSpelt := queryKey(conds, opts.Algorithm, texts); !asSpelt {
+			key = canon
+		}
+	} else {
+		key = QueryKey(conds, opts.Algorithm)
 	}
 
+	enc, hit, f, lead := answers.enter(key, epoch, false)
+	for !hit && !lead {
+		// An identical query is executing: wait for it holding no slot.
+		release()
+		var shared bool
+		if enc, shared, err = answers.wait(ctx, f); err != nil {
+			return nil, err
+		}
+		if shared {
+			return cached(enc), nil
+		}
+		// It shared nothing; execute in its place, or wait for whoever
+		// took its place first.
+		again, err := e.adm.acquire(ctx, req.Tenant)
+		if err != nil {
+			return nil, err
+		}
+		release = again
+		epoch = e.med.Epoch()
+		enc, hit, f, lead = answers.enter(key, epoch, true)
+	}
+	if hit {
+		return cached(enc), nil
+	}
+	return e.execute(ctx, answers, key, epoch, conds, opts)
+}
+
+// cached is the result of an answer served without executing.
+func cached(enc wire.EncodedItems) *Result {
+	return &Result{Answer: &core.Answer{Items: set.FromSorted(enc.Items())}, AnswerCached: true, encoded: enc}
+}
+
+// execute runs a query the answer cache missed, and lands it.
+func (e *Engine) execute(ctx context.Context, answers *AnswerCache, key string, epoch uint64, conds []cond.Cond, opts core.Options) (*Result, error) {
 	if res, ok := e.plans.Get(key, epoch); ok {
-		ans, err := e.med.QueryPlannedContext(ctx, req.Conds, res, opts)
+		ans, err := e.med.QueryPlannedContext(ctx, conds, res, opts)
 		if !errors.Is(err, core.ErrStalePlan) {
-			return e.finish(key, epoch, ans, err, true)
+			return e.finish(answers, key, epoch, ans, err, true)
 		}
 		// The roster moved between the epoch check and execution; drop
 		// the entry and fall through to a fresh plan.
 		e.plans.Invalidate(key)
 	}
-	ans, err := e.med.QueryCondsContext(ctx, req.Conds, opts)
+	ans, err := e.med.QueryCondsContext(ctx, conds, opts)
 	if err == nil && ans.Repair == nil && !opts.Algorithm.Adaptive() {
 		e.plans.Put(key, epoch, optimizer.Result{Plan: ans.Plan, Cost: ans.EstimatedCost})
 	}
-	return e.finish(key, epoch, ans, err, false)
+	return e.finish(answers, key, epoch, ans, err, false)
 }
 
 // finish applies the post-execution cache and roster policy shared by the
-// planned and fresh paths.
-func (e *Engine) finish(key string, epoch uint64, ans *core.Answer, err error, planCached bool) (*Result, error) {
+// planned and fresh paths, and lands the query, sharing its answer with the
+// queries waiting on it only when it is cached.
+func (e *Engine) finish(answers *AnswerCache, key string, epoch uint64, ans *core.Answer, err error, planCached bool) (*Result, error) {
 	if err != nil {
+		answers.land(key, epoch, nil, false)
 		if ans == nil {
 			return nil, err
 		}
@@ -193,8 +258,8 @@ func (e *Engine) finish(key string, epoch uint64, ans *core.Answer, err error, p
 		for _, name := range ans.Repair.Dead {
 			e.med.RemoveSource(name)
 		}
-	} else if ans.Records == nil {
-		res.encoded = e.answers.Put(key, epoch, ans.Items.Items())
 	}
+	share := ans.Repair == nil && ans.Records == nil
+	res.encoded = answers.land(key, epoch, ans.Items.Items(), share)
 	return res, nil
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -14,17 +15,32 @@ import (
 )
 
 // QueryKey canonicalizes a condition list and algorithm into the cache key
-// shared by the plan and answer caches. Conditions are rendered and sorted,
-// so queries that state the same conditions in different orders share an
-// entry (the optimizer re-orders conditions anyway, and a fusion answer is
-// order-independent). Roster validity is NOT part of the key — entries carry
-// the roster epoch they were built at and are invalidated on mismatch.
+// shared by the plan and answer caches: the algorithm, a bar, and each
+// condition's text (cond.AppendText) behind its length in decimal and a
+// colon, the texts in byte order. Sorting lets queries that state the same
+// conditions in different orders share an entry (the optimizer re-orders
+// conditions anyway, and a fusion answer is order-independent). The lengths
+// make the key name one list of texts: a text may itself read "A AND B", so
+// joined with " AND " the one-condition query `V = 'dui' AND V = 'sp'` and
+// the two-condition query `V = 'dui'`, `V = 'sp'` would share a key, and one
+// be served the other's answer. Roster validity is NOT part of the key —
+// entries carry the roster epoch they were built at and are invalidated on
+// mismatch.
 func QueryKey(conds []cond.Cond, algo core.Algorithm) string {
+	key, _ := queryKey(conds, algo, nil)
+	return key
+}
+
+// queryKey is QueryKey, except that when spelt is the conditions' texts as a
+// request sent them and each condition renders as its text, it builds no
+// key and reports spelt: the request's textKey is its QueryKey.
+func queryKey(conds []cond.Cond, algo core.Algorithm, spelt []string) (key string, asSpelt bool) {
 	// The texts are rendered once, one after another into one buffer, and
 	// sorted as offsets into it, which a usual query keeps on this stack.
-	size := 0
+	size, keySize := 0, len(algo)+len("|")
 	for _, c := range conds {
-		size += cond.TextLen(c)
+		n := cond.TextLen(c)
+		size, keySize = size+n, keySize+prefixed(n)
 	}
 	texts := make([]byte, 0, size)
 	var bounds [keyConds + 1]int
@@ -35,19 +51,65 @@ func QueryKey(conds []cond.Cond, algo core.Algorithm) string {
 		at, ord = append(at, len(texts)), append(ord, i)
 	}
 	text := func(i int) []byte { return texts[at[i]:at[i+1]] }
+	if spelt != nil {
+		asSpelt = true
+		for i := range conds {
+			asSpelt = asSpelt && string(text(i)) == spelt[i]
+		}
+		if asSpelt {
+			return "", true
+		}
+	}
 	slices.SortFunc(ord, func(a, b int) int { return bytes.Compare(text(a), text(b)) })
 
+	var b strings.Builder
+	b.Grow(keySize)
+	b.WriteString(string(algo))
+	b.WriteByte('|')
+	for _, i := range ord {
+		writeLen(&b, at[i+1]-at[i])
+		b.Write(text(i))
+	}
+	return b.String(), false
+}
+
+// textKey is QueryKey of conditions as a request spelled them, the texts
+// unparsed. It is QueryKey of the parsed conditions when each text is its
+// condition's rendering; and since the lengths make a key name one sorted
+// list of texts, a textKey equal to a QueryKey means every text is one.
+func textKey(texts []string, algo core.Algorithm) string {
+	var order [keyConds]int
+	ord, keySize := order[:0], len(algo)+len("|")
+	for i, t := range texts {
+		ord, keySize = append(ord, i), keySize+prefixed(len(t))
+	}
+	slices.SortFunc(ord, func(a, b int) int { return strings.Compare(texts[a], texts[b]) })
+
 	var key strings.Builder
-	key.Grow(len(algo) + len("|") + size + max(len(conds)-1, 0)*len(" AND "))
+	key.Grow(keySize)
 	key.WriteString(string(algo))
 	key.WriteByte('|')
-	for k, i := range ord {
-		if k > 0 {
-			key.WriteString(" AND ")
-		}
-		key.Write(text(i))
+	for _, i := range ord {
+		writeLen(&key, len(texts[i]))
+		key.WriteString(texts[i])
 	}
 	return key.String()
+}
+
+// prefixed is the length of a text of n bytes behind its length.
+func prefixed(n int) int {
+	digits := 1
+	for d := n; d >= 10; d /= 10 {
+		digits++
+	}
+	return digits + len(":") + n
+}
+
+// writeLen writes a text's length prefix.
+func writeLen(key *strings.Builder, n int) {
+	var digits [20]byte
+	key.Write(strconv.AppendInt(digits[:0], int64(n), 10))
+	key.WriteByte(':')
 }
 
 // keyConds is the most conditions whose order QueryKey keeps on its stack.

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -31,9 +33,10 @@ func TestQueryKeyCanonical(t *testing.T) {
 }
 
 // TestQueryKeyText: the key is the algorithm, a bar, and the conditions'
-// texts sorted and joined by AND, whatever their order, however many they
-// are (past the count QueryKey keeps on its stack too), and whatever their
-// kind of node.
+// texts sorted, each behind its length and a colon, whatever their order,
+// however many they are (past the count QueryKey keeps on its stack too),
+// and whatever their kind of node; and a request that spells each condition
+// as it renders keys alike by its texts.
 func TestQueryKeyText(t *testing.T) {
 	texts := []string{"V = 'sp'", "D >= 1993", "(A < 1 OR B IN (2, 3)) AND NOT C LIKE 'x%'", "V = 'dui'", "A1 < 500", "TRUE"}
 	for n := 0; n <= 3*keyConds; n++ {
@@ -44,9 +47,18 @@ func TestQueryKeyText(t *testing.T) {
 			conds[i] = cond.MustParse(want[i])
 			want[i] = conds[i].String()
 		}
+		spelt := append([]string(nil), want...)
 		sort.Strings(want)
-		if got, want := QueryKey(conds, core.AlgoSJAPlus), string(core.AlgoSJAPlus)+"|"+strings.Join(want, " AND "); got != want {
-			t.Fatalf("QueryKey of %d conditions = %q, want %q", n, got, want)
+		var key strings.Builder
+		key.WriteString(string(core.AlgoSJAPlus) + "|")
+		for _, text := range want {
+			fmt.Fprintf(&key, "%d:%s", len(text), text)
+		}
+		if got := QueryKey(conds, core.AlgoSJAPlus); got != key.String() {
+			t.Fatalf("QueryKey of %d conditions = %q, want %q", n, got, key.String())
+		}
+		if got := textKey(spelt, core.AlgoSJAPlus); got != key.String() {
+			t.Fatalf("textKey of %d conditions = %q, want %q", n, got, key.String())
 		}
 	}
 }
@@ -117,4 +129,59 @@ func TestPlanCacheEpochAndLRU(t *testing.T) {
 	if _, ok := off.Get("q", 1); ok {
 		t.Fatal("disabled cache hit")
 	}
+}
+
+// FuzzQueryKey holds the key to what the service builds on it, over two
+// lists of condition texts, one a line. When each text parses and is its
+// condition's rendering, the key made of the texts unparsed (textKey) is
+// the QueryKey of the conditions, which queryKey reports without building
+// it; when one is not, queryKey builds the QueryKey. Two lists' QueryKeys
+// are equal exactly when their rendered texts are the same multiset, and
+// their textKeys exactly when their texts are.
+func FuzzQueryKey(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"V = 'dui' AND V = 'sp'", "V = 'dui'\nV = 'sp'"},
+		{"V = 'sp'\nV = 'dui'", "V = 'dui'\nV = 'sp'"},
+		{"V='dui'\n V  =  'sp' ", "V = 'dui'\nV = 'sp'"},
+		{"V = 'dui'\nV = 'sp' AND D >= 1993", "V = 'dui' AND V = 'sp'\nD >= 1993"},
+		{"A1 < 500\n(A2 < 7 OR A3 > 2) AND NOT B IN (1, 2)", "NOT B IN (1,2) AND (A3>2 OR A2<7)\nA1<500"},
+		{"TRUE\nTRUE", "TRUE"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	algo := core.AlgoSJAPlus
+	f.Fuzz(func(t *testing.T, a, b string) {
+		lists := [2][]string{strings.Split(a, "\n"), strings.Split(b, "\n")}
+		var keys, rendered [2]string
+		for i, texts := range lists {
+			conds, err := ParseConds(texts)
+			if err != nil {
+				return
+			}
+			keys[i] = QueryKey(conds, algo)
+			canon := make([]string, len(conds))
+			for j, c := range conds {
+				canon[j] = c.String()
+			}
+			spelt := slices.Equal(canon, texts)
+			key, asSpelt := queryKey(conds, algo, texts)
+			switch {
+			case asSpelt != spelt:
+				t.Fatalf("%q: queryKey reports spelt %v, the texts render as %q", texts, asSpelt, canon)
+			case spelt && textKey(texts, algo) != keys[i]:
+				t.Fatalf("%q: textKey %q, QueryKey %q", texts, textKey(texts, algo), keys[i])
+			case !spelt && key != keys[i]:
+				t.Fatalf("%q: queryKey %q, QueryKey %q", texts, key, keys[i])
+			}
+			slices.Sort(canon)
+			rendered[i] = fmt.Sprintf("%q", canon)
+		}
+		if same := rendered[0] == rendered[1]; (keys[0] == keys[1]) != same {
+			t.Fatalf("%q and %q: QueryKeys %q and %q, rendered texts alike %v", lists[0], lists[1], keys[0], keys[1], same)
+		}
+		sorted := [2][]string{slices.Sorted(slices.Values(lists[0])), slices.Sorted(slices.Values(lists[1]))}
+		if same := slices.Equal(sorted[0], sorted[1]); (textKey(lists[0], algo) == textKey(lists[1], algo)) != same {
+			t.Fatalf("%q and %q: textKeys alike %v, texts alike %v", lists[0], lists[1], !same, same)
+		}
+	})
 }

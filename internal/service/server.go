@@ -132,11 +132,7 @@ func (s *Server) dispatch(ctx context.Context, req wire.Request) wire.Response {
 			ItemBlock: true,
 		}}
 	case wire.OpQuery:
-		conds, err := ParseConds(req.Conds)
-		if err != nil {
-			return wire.Response{Error: err.Error()}
-		}
-		res, err := s.eng.Query(ctx, Request{Tenant: req.Tenant, Conds: conds, Stream: req.Stream})
+		res, err := s.eng.ladder(ctx, Request{Tenant: req.Tenant, Stream: req.Stream}, req.Conds)
 		if err != nil {
 			resp := wire.Response{Error: err.Error()}
 			var shed *ShedError

@@ -185,13 +185,16 @@ func TestQueryLineAllocs(t *testing.T) {
 	}
 }
 
-// TestAnswerHitAllocs pins what an answer-cache hit allocates, both ends in
-// this process: a warm query through a service.Client over loopback,
-// served from the cache, 15 allocations. Its request and response lines
+// TestAnswerHitAllocs pins what an answer-cache hit allocates. Served
+// through the server's dispatch it is 5: the request's key, made from its
+// texts as they came, the admission slot's release (2), and the result with
+// its answer; when a hit parsed its two conditions and rendered them into
+// the key again, it was 9. Both ends in this process, a warm query through
+// a service.Client over loopback, it is 11: the request and response lines
 // are written and read by hand, the request's conditions in one string,
 // and the service's correlation line is handed to the log in one
-// allocation; through encoding/json and a correlation line of boxed
-// values it was 31.
+// allocation; through encoding/json and a correlation line of boxed values
+// it was 31, and parsing the hit's conditions made it 15.
 func TestAnswerHitAllocs(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -209,12 +212,57 @@ func TestAnswerHitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	req := wire.Request{Op: wire.OpQuery, Tenant: "a", Conds: conds}
+	served := testing.AllocsPerRun(200, func() {
+		if resp := srv.dispatch(ctx, req); resp.Error != "" || !resp.AnswerCached || len(resp.Items) != 6 {
+			t.Fatalf("a hit answered %+v", resp)
+		}
+	})
+	if served > 5 {
+		t.Errorf("serving an answer-cache hit allocates %v times, want at most 5", served)
+	}
 	allocs := testing.AllocsPerRun(200, func() {
 		if r, err := cli.Query(ctx, "a", conds, false); err != nil || !r.AnswerCached || len(r.Items) != 6 {
 			t.Fatalf("a hit answered %+v, %v", r, err)
 		}
 	})
-	if allocs > 15 {
-		t.Errorf("an answer-cache hit allocates %v times, want at most 15", allocs)
+	if allocs > 11 {
+		t.Errorf("an answer-cache hit allocates %v times, want at most 11", allocs)
+	}
+}
+
+// TestEachRequestChargesOneLookup: whatever its spelling, a request charges
+// one answer-cache hit or one miss, which service.answer_hit_share reads: a
+// hit by its texts as sent, a hit whose texts had to be parsed to key it
+// (a reordering keys alike unparsed, other spacing only parsed), and a miss
+// either way; a one-condition conjunction misses after its two conditions.
+func TestEachRequestChargesOneLookup(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := dmvEngine(t, Config{Metrics: reg, Answers: AnswerCacheConfig{TTL: time.Minute}})
+	srv := &Server{eng: eng, metrics: reg}
+	both := []string{"J55", "T21"}
+	for i, step := range []struct {
+		conds []string
+		hit   bool
+		items []string
+	}{
+		{[]string{`V = 'dui'`, `V = 'sp'`}, false, both},
+		{[]string{`V = 'dui'`, `V = 'sp'`}, true, both},
+		{[]string{`V = 'sp'`, `V = 'dui'`}, true, both},
+		{[]string{`V='dui'`, ` V  =  'sp' `}, true, both},
+		{[]string{`V = 'dui' AND V = 'sp'`}, false, nil},
+		{[]string{`V='dui'AND V='sp'`}, true, nil},
+		{[]string{`(V = 'sp')`}, false, []string{"J55", "S07", "T11", "T21"}},
+		{[]string{`V = 'sp'`}, true, []string{"J55", "S07", "T11", "T21"}},
+	} {
+		hits0, misses0 := reg.Counter(obs.MAnswerCacheHits).Value(), reg.Counter(obs.MAnswerCacheMisses).Value()
+		resp := srv.dispatch(context.Background(), wire.Request{Op: wire.OpQuery, Tenant: "a", Conds: step.conds})
+		hits, misses := reg.Counter(obs.MAnswerCacheHits).Value()-hits0, reg.Counter(obs.MAnswerCacheMisses).Value()-misses0
+		if want := map[bool][2]int64{true: {1, 0}, false: {0, 1}}[step.hit]; [2]int64{hits, misses} != want {
+			t.Errorf("request %d %q charged %d hits and %d misses, want %d and %d", i, step.conds, hits, misses, want[0], want[1])
+		}
+		if resp.Error != "" || resp.AnswerCached != step.hit || fmt.Sprint(resp.Items) != fmt.Sprint(step.items) {
+			t.Errorf("request %d %q answered %v (cached %v, error %q), want %v (cached %v)", i, step.conds, resp.Items, resp.AnswerCached, resp.Error, step.items, step.hit)
+		}
 	}
 }
